@@ -3,91 +3,7 @@ package bro
 import (
 	"bytes"
 	"testing"
-
-	"hilti/internal/pkt/pcap"
 )
-
-// killRestoreEqual runs the crash-only equivalence check for one
-// configuration: process a prefix of the trace, checkpoint, throw the
-// engine away, restore a fresh one from the checkpoint, process the rest,
-// and require byte-identical logs and event counts versus an
-// uninterrupted run.
-func killRestoreEqual(t *testing.T, cfg Config, pkts []pcap.Packet, streams []string, cut int) {
-	t.Helper()
-
-	baseline, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline.ProcessTrace(pkts)
-
-	first, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < cut; i++ {
-		first.SafeProcessPacket(pkts[i].Time.UnixNano(), pkts[i].Data)
-	}
-	var buf bytes.Buffer
-	if err := first.Checkpoint(&buf); err != nil {
-		t.Fatalf("checkpoint at packet %d: %v", cut, err)
-	}
-	if buf.Len() == 0 {
-		t.Fatal("empty checkpoint")
-	}
-
-	resumed, err := RestoreEngine(cfg, bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	for i := cut; i < len(pkts); i++ {
-		resumed.SafeProcessPacket(pkts[i].Time.UnixNano(), pkts[i].Data)
-	}
-	resumed.Finish()
-
-	if got, want := resumed.events.Load(), baseline.events.Load(); got != want {
-		t.Errorf("cut=%d: %d events, uninterrupted run had %d", cut, got, want)
-	}
-	for _, stream := range streams {
-		want := baseline.Logs.Lines(stream)
-		got := resumed.Logs.Lines(stream)
-		if len(got) != len(want) {
-			t.Errorf("cut=%d, %s.log: %d lines, want %d", cut, stream, len(got), len(want))
-			continue
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("cut=%d, %s.log line %d differs:\n  got  %q\n  want %q",
-					cut, stream, i, got[i], want[i])
-				break
-			}
-		}
-	}
-}
-
-// TestCheckpointRestoreEquivalence: kill-at-N + restore must reproduce the
-// uninterrupted run byte-for-byte, at cut points that land mid-connection
-// (reassembly and HTTP parser state in flight).
-func TestCheckpointRestoreEquivalence(t *testing.T) {
-	pkts := mergedTrace(t)
-	cfg := Config{Parser: "standard", ScriptExec: "interp",
-		Scripts: []string{HTTPScript, FilesScript, DNSScript}, Quiet: true}
-	for _, cut := range []int{1, len(pkts) / 3, 2 * len(pkts) / 3, len(pkts) - 1} {
-		killRestoreEqual(t, cfg, pkts, []string{"http", "files", "dns"}, cut)
-	}
-}
-
-// TestCheckpointRestoreEquivalenceHilti is the same check with the
-// compiled-script backend, exercising the VM-global sub-snapshot path
-// (container state lives in rt values, timers in the VM's GlobalTM).
-func TestCheckpointRestoreEquivalenceHilti(t *testing.T) {
-	pkts := mergedTrace(t)
-	cfg := Config{Parser: "standard", ScriptExec: "hilti",
-		Scripts: []string{HTTPScript, FilesScript, DNSScript}, Quiet: true}
-	for _, cut := range []int{len(pkts) / 3, 2 * len(pkts) / 3} {
-		killRestoreEqual(t, cfg, pkts, []string{"http", "files", "dns"}, cut)
-	}
-}
 
 // TestCheckpointChains: checkpoint → restore → checkpoint again → restore
 // again. State that survives one hop but rots on the second (e.g. timer

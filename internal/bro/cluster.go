@@ -8,8 +8,8 @@
 //	                  analyzer state (WAL mode), record WAL cursors.
 //	                  The source keeps owning and processing the bucket.
 //	Complete        — quiesce the slice, ship the WAL delta tail (or a
-//	                  fresh full extract when the tail cannot be
-//	                  attributed per-flow), activate on the target,
+//	                  fresh full extract when the tail cannot cover the
+//	                  slice), activate on the target,
 //	                  forget on the source, flip the routing table.
 //
 // The routing flip is the commit point: until it happens no packet has
@@ -60,7 +60,7 @@ type Cluster struct {
 	nextSess uint64
 	pending  map[int]uint64 // target instance -> open handoff session
 
-	tailHandoffs     uint64 // committed via the filtered WAL delta tail
+	tailHandoffs     uint64 // committed via the WAL delta tail
 	fallbackHandoffs uint64 // committed via a fresh full extract
 }
 
@@ -241,17 +241,9 @@ type Migration struct {
 	id       uint64
 	precopy  bool // WAL pre-copy shipped; Complete tries the delta tail
 	cursors  []wal.Cursor
-	filters  []*flowFilter
-	byUID    map[string]*flowFilter
+	vids     map[string]uint64 // pre-copied flow uid -> virtual id the target routes by
 	done     bool
 	err      error
-}
-
-// flowFilter pairs a pre-copied flow's delta filter with the virtual id
-// the target routes its filtered records by.
-type flowFilter struct {
-	f   *FlowDeltaFilter
-	vid uint64
 }
 
 func (m *Migration) match(vid uint64) bool { return m.c.table.BucketOf(vid) == m.bucket }
@@ -279,7 +271,7 @@ func (c *Cluster) BeginMigration(b, to int, inj migrate.Injector) (*Migration, e
 	c.nextSess++
 	m := &Migration{
 		c: c, bucket: b, from: from, to: to, id: c.nextSess,
-		byUID: map[string]*flowFilter{},
+		vids: map[string]uint64{},
 	}
 	m.co = migrate.NewCoordinator(epTransport{c.insts[to].ep}, migrate.Options{
 		ID: m.id, Bucket: b, Epoch: c.table.Epoch(),
@@ -300,17 +292,12 @@ func (c *Cluster) BeginMigration(b, to int, inj migrate.Injector) (*Migration, e
 			return nil, m.fail(err)
 		}
 		for _, hf := range pre.Handler {
-			uid, err := FlowBlobUID(hf.Blob)
+			uid, err := frameUID(hf.Blob)
 			if err != nil {
 				return nil, m.fail(err)
 			}
-			ff := &flowFilter{f: NewFlowDeltaFilter(uid), vid: hf.VID}
-			if err := ff.f.SeedConnBlob(hf.Blob); err != nil {
-				return nil, m.fail(err)
-			}
-			m.filters = append(m.filters, ff)
-			m.byUID[uid] = ff
-			blob, err := encodeWireFlow(hf)
+			m.vids[uid] = hf.VID
+			blob, err := encodeWireSlice(wirePart, &pipeline.FlowSlice{Handler: []pipeline.HandlerFlow{hf}})
 			if err != nil {
 				return nil, m.fail(err)
 			}
@@ -384,23 +371,23 @@ func (m *Migration) Complete() error {
 }
 
 // HandoffStats reports how committed migrations shipped their state:
-// via the filtered WAL delta tail, or via the fresh-full-extract fallback.
+// via the WAL delta tail, or via the fresh-full-extract fallback.
 func (c *Cluster) HandoffStats() (tail, fallback uint64) {
 	return c.tailHandoffs, c.fallbackHandoffs
 }
 
 // deltaTail builds the Complete-phase frames for the pre-copy path: the
-// per-flow filtered WAL tail plus the fresh scheduling slice. It returns
-// nil whenever exact per-flow attribution is impossible — a flow born
-// after the pre-copy, a whole-table rewrite, a re-based WAL — and the
-// caller falls back to shipping the fresh full extract instead.
+// migrating flows' frames out of the WAL tail plus the fresh scheduling
+// slice. It returns nil whenever the tail cannot cover the slice — a flow
+// born after the pre-copy, a re-based WAL — and the caller falls back to
+// shipping the fresh full extract instead.
 func (m *Migration) deltaTail(fresh *pipeline.FlowSlice) [][]byte {
 	for _, hf := range fresh.Handler {
-		uid, err := FlowBlobUID(hf.Blob)
+		uid, err := frameUID(hf.Blob)
 		if err != nil {
 			return nil
 		}
-		if _, ok := m.byUID[uid]; !ok {
+		if _, ok := m.vids[uid]; !ok {
 			return nil // born during the window: not pre-copied
 		}
 	}
@@ -409,30 +396,23 @@ func (m *Migration) deltaTail(fresh *pipeline.FlowSlice) [][]byte {
 	for i := range m.cursors {
 		// Scan every record, not just the bucket's: a migrating flow can
 		// be mutated under another flow's packet (idle expiry, table
-		// expiry sweeps), and only the filter can attribute that.
+		// expiry sweeps), and its frame rides in that packet's record.
 		recs, _, err := src.FlowDeltasSince(i, m.cursors[i], func(uint64) bool { return true })
 		if err != nil {
 			return nil
 		}
 		for _, rec := range recs {
-			for _, ff := range m.filters {
-				out, err := ff.f.Filter(rec.Data)
-				if err != nil {
-					return nil
+			err := pickFlowFrames(rec.Data, func(uid string, frame []byte) {
+				if vid, ok := m.vids[uid]; ok {
+					frames = append(frames, encodeWireDelta(vid, frame))
 				}
-				if out == nil {
-					continue
-				}
-				fr, err := encodeWireDelta(ff.vid, out)
-				if err != nil {
-					return nil
-				}
-				frames = append(frames, fr)
+			})
+			if err != nil {
+				return nil
 			}
 		}
 	}
-	sched := &pipeline.FlowSlice{Sched: fresh.Sched, Quar: fresh.Quar}
-	fr, err := encodeWireSlice(wireSched, sched)
+	fr, err := encodeWireSlice(wirePart, &pipeline.FlowSlice{Sched: fresh.Sched, Quar: fresh.Quar})
 	if err != nil {
 		return nil
 	}
@@ -530,38 +510,32 @@ type clusterSink struct {
 func (s *clusterSink) Prepare(id uint64, bucket int) error { return nil }
 
 func (s *clusterSink) Install(id uint64, blobs [][]byte) (int, error) {
-	var handler []pipeline.HandlerFlow
 	var deltas []pipeline.FlowDelta
-	var sched, replace *pipeline.FlowSlice
+	union := &pipeline.FlowSlice{} // pre-copied flows + fresh scheduling part
+	var replace *pipeline.FlowSlice
 	for _, b := range blobs {
-		kind, payload, err := splitWire(b)
-		if err != nil {
-			return 0, err
+		if len(b) == 0 {
+			return 0, errors.New("bro: empty migration blob")
 		}
-		switch kind {
-		case wireFlow:
-			hf, err := decodeWireFlow(payload)
-			if err != nil {
-				return 0, err
-			}
-			handler = append(handler, hf)
-		case wireDelta:
+		kind, payload := b[0], b[1:]
+		if kind == wireDelta {
 			d, err := decodeWireDelta(payload)
 			if err != nil {
 				return 0, err
 			}
 			deltas = append(deltas, d)
-		case wireSched:
-			sl, err := decodeWireSlice(payload)
-			if err != nil {
-				return 0, err
-			}
-			sched = sl
+			continue
+		}
+		sl, err := decodeWireSlice(payload)
+		if err != nil {
+			return 0, err
+		}
+		switch kind {
+		case wirePart:
+			union.Handler = append(union.Handler, sl.Handler...)
+			union.Sched = append(union.Sched, sl.Sched...)
+			union.Quar = append(union.Quar, sl.Quar...)
 		case wireReplace:
-			sl, err := decodeWireSlice(payload)
-			if err != nil {
-				return 0, err
-			}
 			replace = sl
 		default:
 			return 0, fmt.Errorf("bro: unknown migration blob kind %d", kind)
@@ -577,27 +551,22 @@ func (s *clusterSink) Install(id uint64, blobs [][]byte) (int, error) {
 		s.installed[id] = replace
 		return len(replace.Handler), nil
 	}
-	union := &pipeline.FlowSlice{Handler: handler}
-	if sched != nil {
-		union.Sched, union.Quar = sched.Sched, sched.Quar
+	// Pre-copied flows first, then the tail's frames on top of them, then
+	// the scheduling entries and quarantine marks as of the quiesce.
+	closed := 0
+	err := par.InjectFlows(&pipeline.FlowSlice{Handler: union.Handler})
+	if err == nil {
+		closed, err = par.ApplyFlowDeltas(deltas)
 	}
-	if err := par.InjectFlows(&pipeline.FlowSlice{Handler: handler}); err != nil {
-		par.ForgetFlows(union) //nolint:errcheck // best-effort rollback
-		return 0, err
+	if err == nil {
+		err = par.InjectFlows(&pipeline.FlowSlice{Sched: union.Sched, Quar: union.Quar})
 	}
-	closed, err := par.ApplyFlowDeltas(deltas)
 	if err != nil {
 		par.ForgetFlows(union) //nolint:errcheck // best-effort rollback
 		return 0, err
 	}
-	if sched != nil {
-		if err := par.InjectFlows(&pipeline.FlowSlice{Sched: sched.Sched, Quar: sched.Quar}); err != nil {
-			par.ForgetFlows(union) //nolint:errcheck // best-effort rollback
-			return 0, err
-		}
-	}
 	s.installed[id] = union
-	return len(handler) - closed, nil
+	return len(union.Handler) - closed, nil
 }
 
 func (s *clusterSink) Discard(id uint64) {
@@ -612,44 +581,18 @@ func (s *clusterSink) Discard(id uint64) {
 // Blob kinds inside State frames. The frame layer already checksums and
 // sequences; these bytes only say what the payload is.
 const (
-	wireFlow    byte = 1 // one pre-copied handler flow
-	wireDelta   byte = 2 // one filtered per-flow delta record
-	wireSched   byte = 3 // fresh scheduling entries + quarantine marks
-	wireReplace byte = 4 // authoritative full slice (fallback path)
+	wirePart    byte = 1 // part of the slice: pre-copied flows, or the fresh scheduling entries + quarantine marks
+	wireDelta   byte = 2 // one flow frame picked out of a delta record
+	wireReplace byte = 3 // authoritative full slice (fallback path)
 )
 
-func splitWire(b []byte) (byte, []byte, error) {
-	if len(b) == 0 {
-		return 0, nil, errors.New("bro: empty migration blob")
-	}
-	return b[0], b[1:], nil
-}
-
-func encodeWireFlow(hf pipeline.HandlerFlow) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteByte(wireFlow)
-	enc := snapshot.NewRawEncoder(&buf)
-	enc.U64(hf.VID)
-	encodeKey(enc, hf.Key)
-	enc.Bytes(hf.Blob)
-	return buf.Bytes(), enc.Err()
-}
-
-func decodeWireFlow(payload []byte) (pipeline.HandlerFlow, error) {
-	dec := snapshot.NewRawDecoder(payload)
-	hf := pipeline.HandlerFlow{VID: dec.U64()}
-	hf.Key = decodeKey(dec)
-	hf.Blob = bytes.Clone(dec.Bytes())
-	return hf, dec.Err()
-}
-
-func encodeWireDelta(vid uint64, data []byte) ([]byte, error) {
+func encodeWireDelta(vid uint64, frame []byte) []byte {
 	var buf bytes.Buffer
 	buf.WriteByte(wireDelta)
 	enc := snapshot.NewRawEncoder(&buf)
 	enc.U64(vid)
-	enc.Bytes(data)
-	return buf.Bytes(), enc.Err()
+	enc.Bytes(frame)
+	return buf.Bytes()
 }
 
 func decodeWireDelta(payload []byte) (pipeline.FlowDelta, error) {
@@ -666,14 +609,14 @@ func encodeWireSlice(kind byte, s *pipeline.FlowSlice) ([]byte, error) {
 	enc.U32(uint32(len(s.Handler)))
 	for _, hf := range s.Handler {
 		enc.U64(hf.VID)
-		encodeKey(enc, hf.Key)
+		enc.Bytes(hf.Key.Wire())
 		enc.Bytes(hf.Blob)
 	}
 	enc.U32(uint32(len(s.Sched)))
 	for _, sf := range s.Sched {
 		enc.U64(sf.VID)
 		enc.Bool(sf.HasKey)
-		encodeKey(enc, sf.Key)
+		enc.Bytes(sf.Key.Wire())
 		enc.I64(sf.Deadline)
 	}
 	enc.U32(uint32(len(s.Quar)))
@@ -687,14 +630,14 @@ func encodeWireSlice(kind byte, s *pipeline.FlowSlice) ([]byte, error) {
 func decodeWireSlice(payload []byte) (*pipeline.FlowSlice, error) {
 	dec := snapshot.NewRawDecoder(payload)
 	s := &pipeline.FlowSlice{}
-	nh := dec.Len(keyBytes + 10)
+	nh := dec.Len(flow.WireSize + 10)
 	for i := 0; i < nh && dec.Err() == nil; i++ {
 		hf := pipeline.HandlerFlow{VID: dec.U64()}
 		hf.Key = decodeKey(dec)
 		hf.Blob = bytes.Clone(dec.Bytes())
 		s.Handler = append(s.Handler, hf)
 	}
-	ns := dec.Len(keyBytes + 10)
+	ns := dec.Len(flow.WireSize + 10)
 	for i := 0; i < ns && dec.Err() == nil; i++ {
 		sf := pipeline.SchedFlow{VID: dec.U64(), HasKey: dec.Bool()}
 		sf.Key = decodeKey(dec)

@@ -429,132 +429,6 @@ func TestClusterDiscardAfterInstall(t *testing.T) {
 	}
 }
 
-// TestEngineFlowRoundTrip moves one flow between two bare engines mid-
-// session: ExtractFlow/InjectFlow must carry the connection and its
-// uid-keyed script state so the second engine finishes the session with
-// byte-identical log lines, while an unrelated flow's script state on the
-// source stays untouched (the engine side of the per-flow cursor
-// regression).
-func TestEngineFlowRoundTrip(t *testing.T) {
-	pkts := mergedTrace(t)
-	cfg := clusterCfg()
-	single, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single.ProcessTrace(pkts)
-
-	a, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bEng, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pick the flow with the most packets and migrate it halfway through.
-	perFlow := map[flow.Key]int{}
-	for i := range pkts {
-		if key, ok := flow.FromFrame(pkts[i].Data); ok {
-			ck, _ := key.Canonical()
-			perFlow[ck]++
-		}
-	}
-	var mig flow.Key
-	for k, n := range perFlow {
-		if n > perFlow[mig] {
-			mig = k
-		}
-	}
-	seen := 0
-	migrated := false
-	for i := range pkts {
-		ts := pkts[i].Time.UnixNano()
-		key, ok := flow.FromFrame(pkts[i].Data)
-		ck, _ := key.Canonical()
-		if ok && ck == mig {
-			seen++
-			if !migrated && seen > perFlow[mig]/2 && a.HasFlow(mig) {
-				blob, err := a.ExtractFlow(mig)
-				if err != nil {
-					t.Fatalf("extract: %v", err)
-				}
-				probe := otherUID(t, a, mig)
-				beforeEntries := len(a.flowScriptEntries(probe))
-				if _, err := bEng.InjectFlow(blob); err != nil {
-					t.Fatalf("inject: %v", err)
-				}
-				if !a.ForgetFlow(mig) {
-					t.Fatal("forget: flow not found on source")
-				}
-				if got := len(a.flowScriptEntries(probe)); got != beforeEntries {
-					t.Fatalf("unrelated flow's script entries changed: %d -> %d", beforeEntries, got)
-				}
-				if a.HasFlow(mig) {
-					t.Fatal("source still has the flow after forget")
-				}
-				migrated = true
-			}
-			if migrated {
-				bEng.SafeProcessPacket(ts, pkts[i].Data)
-				continue
-			}
-		}
-		a.SafeProcessPacket(ts, pkts[i].Data)
-	}
-	if !migrated {
-		t.Fatal("never migrated the busiest flow")
-	}
-	a.Finish()
-	bEng.Finish()
-	for _, stream := range []string{"http", "files", "dns"} {
-		want := SortedLines(single, stream)
-		var got []string
-		got = append(got, a.Logs.Lines(stream)...)
-		got = append(got, bEng.Logs.Lines(stream)...)
-		got = sortedCopy(got)
-		if len(got) != len(want) {
-			t.Errorf("%s.log: %d lines, want %d", stream, len(got), len(want))
-			continue
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("%s.log line %d differs:\n  got  %q\n  want %q", stream, i, got[i], want[i])
-				break
-			}
-		}
-	}
-	// Double ownership must be refused.
-	a2, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2.SafeProcessPacket(pkts[0].Time.UnixNano(), pkts[0].Data)
-	keys := a2.MigratableFlows()
-	if len(keys) == 1 {
-		blob, err := a2.ExtractFlow(keys[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := a2.InjectFlow(blob); err == nil {
-			t.Fatal("self-injection accepted (double ownership)")
-		}
-	}
-}
-
-// otherUID returns the uid of some live connection on e other than key,
-// to probe that its script state survives an unrelated migration.
-func otherUID(t *testing.T, e *Engine, key flow.Key) string {
-	t.Helper()
-	ck, _ := key.Canonical()
-	for k, c := range e.conns {
-		if k != ck {
-			return c.uid
-		}
-	}
-	return "no-such-uid"
-}
-
 func sortedCopy(in []string) []string {
 	out := append([]string(nil), in...)
 	sort.Strings(out)

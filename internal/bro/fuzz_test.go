@@ -1,6 +1,7 @@
 package bro
 
 import (
+	"bytes"
 	"testing"
 
 	"hilti/internal/pkt/layers"
@@ -62,5 +63,66 @@ func FuzzEngineFeedBinpac(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		feedShapes(fuzzEngine(t, "binpac"), data)
+	})
+}
+
+// FuzzEngineStateDecode throws arbitrary bytes at the four entry points of
+// the engine-state decoder — a full checkpoint, a delta record, an injected
+// flow frame, a delta-tail flow frame. Each must return an error or
+// succeed; none may panic or size an allocation from a length it has not
+// checked against the input. The framing layers around these bytes have
+// their own targets (FuzzSnapshotDecode, FuzzWALDecode,
+// FuzzMigrationFrameDecode); this one is the decoder behind them.
+func FuzzEngineStateDecode(f *testing.F) {
+	cfg := Config{Parser: "standard", ScriptExec: "interp",
+		Scripts: []string{HTTPScript, FilesScript, DNSScript}, Quiet: true}
+	// Seed corpus: real blobs of each kind, cut from a run that is
+	// mid-connection (reassembly and HTTP parser state in flight) but short
+	// enough that the fuzzer spends its time mutating, not minimizing.
+	pkts := mergedTrace(f)
+	src, err := NewEngine(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := src.ResetDeltaBase(); err != nil {
+		f.Fatal(err)
+	}
+	for i := range pkts[:len(pkts)/8] {
+		src.SafeProcessPacket(pkts[i].Time.UnixNano(), pkts[i].Data)
+		if i%37 != 0 {
+			continue
+		}
+		rec, err := src.AppendDelta()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(1), rec)
+		pickFlowFrames(rec, func(_ string, frame []byte) { f.Add(uint8(3), frame) }) //nolint:errcheck
+	}
+	var full bytes.Buffer
+	if err := src.Checkpoint(&full); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint8(0), full.Bytes())
+	for _, key := range src.MigratableFlows()[:4] {
+		blob, err := src.ExtractFlow(key)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(2), blob)
+	}
+
+	f.Fuzz(func(t *testing.T, entry uint8, data []byte) {
+		e := fuzzEngine(t, "standard")
+		switch entry % 4 {
+		case 0:
+			RestoreEngine(cfg, bytes.NewReader(data)) //nolint:errcheck
+		case 1:
+			e.ApplyDelta(data) //nolint:errcheck
+		case 2:
+			e.InjectFlow(data) //nolint:errcheck
+		case 3:
+			e.ApplyFlowDelta(data) //nolint:errcheck
+		}
 	})
 }

@@ -8,7 +8,7 @@ import (
 	"hilti/internal/pkt/pcap"
 )
 
-func mergedTrace(t *testing.T) []pcap.Packet {
+func mergedTrace(t testing.TB) []pcap.Packet {
 	t.Helper()
 	hc := gen.DefaultHTTPConfig()
 	hc.Sessions = 60

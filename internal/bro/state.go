@@ -1,0 +1,1263 @@
+// Engine state management — the paper's transparent-state-management
+// argument made concrete: because analysis state lives in typed runtime
+// values rather than ad-hoc heap structures, the host can suspend, resume
+// and move it without the analyzers' cooperation. There is one codec, and
+// the three products built on it are selections over the same sections:
+//
+//	state    := frames sections
+//	frames   := u32 n { bytes(frame) }
+//	frame    := string uid, u8 flags, [key if flags != 0], [conn if ffConn], tables
+//	tables   := u32 n { string global, ops }
+//	ops      := u32 n { string keyStr } u32 n { entry }      (deletes, upserts)
+//	sections := meta quar logs interp exec exec
+//	meta     := i64 now, i64 nextCtx, u64 per counter
+//	quar     := u32 n { u64 vid, bool present, u64 dropped }
+//	logs     := u32 n { string stream, u32 n { string line } }   (from a watermark)
+//	interp   := u32 n { string global, u8 mode, bytes body }
+//	            body(modeWhole) = val
+//	            body(modeTable) = bool reset [table attrs] u64 nextSeq ops
+//	exec     := bool present [ i64 now, u32 n { u32 index, u8 mode, bytes body } ]
+//
+// A flow frame is everything keyed by one connection uid: the connection
+// record plus the script-table entries whose first index is that uid (HTTP
+// keeps `table[string] of ...` by uid, DNS `table[string, count]`). The uid
+// derives from the canonical 5-tuple and the flow's start time (flow.UID),
+// so it names the same flow on every instance. Table entries carry their
+// insertion rank (seq), which makes iteration order data rather than a
+// property of where an entry sat in an encoding — so an entry can live in
+// its flow's frame and still replay to the exact table order.
+//
+// The selections:
+//
+//   - Full checkpoint (Checkpoint / RestoreEngine): the delta against an
+//     empty engine — every section complete, every open flow a frame.
+//     RestoreEngine is NewEngine plus the one apply path.
+//   - WAL delta (ResetDeltaBase / AppendDelta / ApplyDelta): touched
+//     quarantine marks, log lines past the flushed watermark, globals that
+//     differ from the cached base, and a frame per dirty or closed flow.
+//     Granularity: a dirty connection re-encodes whole; interpreter tables
+//     diff per entry; VM container globals with scalar-only contents
+//     journal individual operations (container.JournalFn), and any
+//     non-scalar key or value trips the gate to whole-blob diffing — a heap
+//     value stored in a container can be mutated later without a container
+//     operation the journal could observe.
+//   - Flow migration (ExtractFlow / InjectFlow / ApplyFlowDelta): one flow
+//     frame, or the frames picked by uid out of delta records. Applied in
+//     adopt mode: ctx and seq are instance-local, so the target assigns its
+//     own, and nothing engine-global (counters, clocks, logs) moves.
+//
+// Limits: in-flight BinPAC++ parse state is held in suspended fibers
+// (vm.Resumable), which have no serializable form; every selection refuses
+// a connection that is mid-parse (AppendDelta's caller re-bases once
+// possible). Unserializable VM globals (function refs, channels) keep the
+// restoring side's value. Per-flow migration supports the interpreter
+// script backend only: compiled scripts keep their state in VM globals
+// that cannot be attributed to individual flows. Fault diagnostics (the
+// Recorder) are intentionally not carried across a restore. All methods
+// run on the engine's owning worker goroutine.
+
+package bro
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"sort"
+	"strings"
+
+	"hilti/internal/pkt/flow"
+	"hilti/internal/rt/container"
+	"hilti/internal/rt/metrics"
+	"hilti/internal/rt/snapshot"
+	"hilti/internal/rt/timer"
+	"hilti/internal/rt/values"
+	"hilti/internal/rt/wal"
+)
+
+// DeltaRecord is the WAL record kind under which engine-level harnesses
+// append AppendDelta payloads (the pipeline wraps deltas in its own
+// per-packet records instead).
+const DeltaRecord = 1
+
+// Global-emission modes.
+const (
+	modeWhole   = 0 // full re-encoded value
+	modeTable   = 1 // interpreter table: optional reset, then per-entry ops
+	modeJournal = 2 // container journal ops (VM globals only)
+)
+
+// Flow-frame flag bits.
+const (
+	ffClosed = 1 << iota // the flow closed: drop its connection
+	ffConn               // a connection record follows
+)
+
+// frameMin is the smallest length-prefixed frame: prefix, uid length,
+// flags, table count.
+const frameMin = 4 + 4 + 1 + 4
+
+// deltaState is a selection: which state the next encodeState call emits,
+// plus the caches describing what the previous call (or the base
+// snapshot) contained. The engine's live one (Engine.delta) is fed by the
+// dirty marks below; fullSelection builds the everything-selected one.
+type deltaState struct {
+	dirtyConns  map[int64]*conn
+	closed      map[string]flow.Key // uid -> key of flows closed since the last flush
+	quarTouched map[uint64]bool
+	dirtyInterp bool
+	dirtyExec   [2]bool
+
+	interp  map[string]*interpCache
+	exec    [2][]execCache
+	flushed map[string]int // stream name -> lines already persisted
+	frame   bytes.Buffer   // staging for one length-prefixed flow frame
+}
+
+func newDeltaState() *deltaState {
+	return &deltaState{
+		dirtyConns:  map[int64]*conn{},
+		closed:      map[string]flow.Key{},
+		quarTouched: map[uint64]bool{},
+		interp:      map[string]*interpCache{},
+		flushed:     map[string]int{},
+	}
+}
+
+// interpCache is the per-interpreter-global base the next diff runs
+// against: per-entry blobs for a table, one blob for anything else.
+type interpCache struct {
+	tbl     *TableVal
+	entries map[string][]byte // keyStr -> encoded entry
+	order   []string          // live keyStr order at last flush
+	nextSeq uint64
+	size    int // bytes in entries
+	blob    []byte
+}
+
+// execCache is the per-VM-global base. Container globals with scalar-only
+// contents run in journal mode: mutations append ops and an unchanged
+// container costs nothing at flush time. Everything else diffs blobs (a
+// nil blob: not serializable so far).
+type execCache struct {
+	obj       any // journaled container identity (nil: plain blob mode)
+	journaled bool
+	dirty     bool // any journal activity since last flush
+	opsBuf    *bytes.Buffer
+	opsEnc    *snapshot.Encoder
+	nops      int
+	blob      []byte
+}
+
+// --- dirty marks (called from engine.go; no-ops when WAL is off) ---------------
+
+func (e *Engine) markConnDirty(c *conn) {
+	if e.delta != nil {
+		e.delta.dirtyConns[c.ctx] = c
+	}
+}
+
+func (e *Engine) markConnClosed(c *conn) {
+	if e.delta != nil {
+		delete(e.delta.dirtyConns, c.ctx)
+		e.delta.closed[c.uid] = c.key
+	}
+}
+
+func (e *Engine) markQuar(vid uint64) {
+	if e.delta != nil {
+		e.delta.quarTouched[vid] = true
+	}
+}
+
+func (e *Engine) markInterpDirty() {
+	if e.delta != nil {
+		e.delta.dirtyInterp = true
+	}
+}
+
+// --- the three selections ------------------------------------------------------
+
+// Checkpoint serializes the engine's full analysis state to w. The engine
+// must be between packets (the single-threaded engine always is; the
+// pipeline quiesces each shard by scheduling the checkpoint as a job on
+// the shard's own virtual thread). Delta tracking is not disturbed.
+func (e *Engine) Checkpoint(w io.Writer) error {
+	enc := snapshot.NewEncoder(w)
+	enc.String(e.cfg.Parser)
+	enc.String(e.cfg.ScriptExec)
+	return e.encodeState(enc, e.fullSelection())
+}
+
+// fullSelection selects everything: empty caches and watermarks, every
+// connection, mark and global dirty — the delta against an empty engine.
+func (e *Engine) fullSelection() *deltaState {
+	ds := newDeltaState()
+	for _, c := range e.conns {
+		ds.dirtyConns[c.ctx] = c
+	}
+	for vid := range e.quarantined {
+		ds.quarTouched[vid] = true
+	}
+	ds.dirtyInterp = true
+	for w := range ds.exec {
+		ds.exec[w] = make([]execCache, len(execOf(e, w)))
+		ds.dirtyExec[w] = true
+	}
+	return ds
+}
+
+// RestoreEngine builds a fresh engine for cfg and applies the state
+// checkpointed by Checkpoint. The configuration's parser and script
+// backends must match the checkpoint's.
+func RestoreEngine(cfg Config, r io.Reader) (*Engine, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	e, err := NewEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	dec := snapshot.NewDecoder(data)
+	if p := dec.String(); dec.Err() == nil && p != cfg.Parser {
+		return nil, fmt.Errorf("bro: checkpoint parser %q does not match config %q", p, cfg.Parser)
+	}
+	if s := dec.String(); dec.Err() == nil && s != cfg.ScriptExec {
+		return nil, fmt.Errorf("bro: checkpoint script backend %q does not match config %q", s, cfg.ScriptExec)
+	}
+	if err := e.applyState(dec); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// ResetDeltaBase (re)initializes delta tracking so that subsequent
+// AppendDelta calls describe changes relative to the engine's *current*
+// state. Call it immediately after writing a full snapshot (Checkpoint);
+// the snapshot plus the deltas then reconstruct the engine exactly.
+func (e *Engine) ResetDeltaBase() error {
+	e.detachJournals()
+	e.delta = nil
+	ds := newDeltaState()
+	for name, v := range e.interp.Globals {
+		c, err := newInterpCache(v)
+		if err != nil {
+			return err
+		}
+		ds.interp[name] = c
+	}
+	ds.exec[0] = ds.baseExec(e, 0)
+	ds.exec[1] = ds.baseExec(e, 1)
+	for name, st := range e.Logs.streams {
+		ds.flushed[name] = len(st.lines)
+	}
+	e.delta = ds
+	return nil
+}
+
+// AppendDelta serializes everything that changed since the last flush (or
+// ResetDeltaBase) into one self-contained record, advancing the base so
+// the next call describes only subsequent changes. The caller appends the
+// returned bytes to a wal.Log. An error means the delta cannot express the
+// current state (in-flight binpac parse, unencodable script value) and the
+// base is no longer trustworthy; the caller re-bases with a full snapshot
+// and ResetDeltaBase once possible.
+func (e *Engine) AppendDelta() ([]byte, error) {
+	if e.delta == nil {
+		return nil, fmt.Errorf("bro: AppendDelta without ResetDeltaBase")
+	}
+	var buf bytes.Buffer
+	if err := e.encodeState(snapshot.NewRawEncoder(&buf), e.delta); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// ApplyDelta replays one AppendDelta record onto the engine — the restore
+// half of incremental checkpointing. The engine must be at the state the
+// record was diffed against (the base snapshot plus all earlier records).
+func (e *Engine) ApplyDelta(data []byte) error {
+	return e.applyState(snapshot.NewRawDecoder(data))
+}
+
+// RestoreEngineWAL rebuilds an engine from a full snapshot plus the WAL
+// segments written since, replaying each delta record in order. Damage in
+// the final segment is treated as a crash-truncated tail (the restore
+// lands on the last intact record); damage in an earlier segment is an
+// error. The restored engine is not yet in WAL mode — call Checkpoint +
+// ResetDeltaBase to resume appending.
+func RestoreEngineWAL(cfg Config, snap []byte, segs [][]byte) (*Engine, error) {
+	e, err := RestoreEngine(cfg, bytes.NewReader(snap))
+	if err != nil {
+		return nil, err
+	}
+	if _, err := wal.ReplayTolerant(segs, func(kind byte, payload []byte) error {
+		if kind != DeltaRecord {
+			return fmt.Errorf("bro: unexpected WAL record kind %d", kind)
+		}
+		return e.ApplyDelta(payload)
+	}); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+var errPerFlowBackend = errors.New("bro: per-flow migration requires the interpreter script backend")
+
+// MigratableFlows enumerates every open connection's canonical flow key,
+// ordered by connection age (ctx ascending) for determinism. Together
+// with ExtractFlow/InjectFlow/ForgetFlow/HasFlow this implements the
+// pipeline's MigratableHandler contract.
+func (e *Engine) MigratableFlows() []flow.Key {
+	open := make([]*conn, 0, len(e.conns))
+	for _, c := range e.conns {
+		open = append(open, c)
+	}
+	sort.Slice(open, func(i, j int) bool { return open[i].ctx < open[j].ctx })
+	out := make([]flow.Key, len(open))
+	for i, c := range open {
+		out[i] = c.key
+	}
+	return out
+}
+
+// HasFlow reports whether the engine holds a connection for the flow.
+func (e *Engine) HasFlow(key flow.Key) bool {
+	ck, _ := key.Canonical()
+	_, ok := e.conns[ck]
+	return ok
+}
+
+// ExtractFlow serializes one flow's frame — connection record plus every
+// script-table entry keyed by its uid — without removing anything: the
+// source keeps ownership until the handoff commits.
+func (e *Engine) ExtractFlow(key flow.Key) ([]byte, error) {
+	if e.sexec != nil {
+		return nil, errPerFlowBackend
+	}
+	ck, _ := key.Canonical()
+	c, ok := e.conns[ck]
+	if !ok {
+		return nil, fmt.Errorf("bro: no connection for migrating flow")
+	}
+	if c.inFlightParse() {
+		return nil, fmt.Errorf("bro: connection %s holds in-flight parse state", c.uid)
+	}
+	f := &flowFrame{key: c.key, conn: c}
+	for _, name := range e.interpGlobalNames() {
+		t, ok := e.interp.Globals[name].(*TableVal)
+		if !ok {
+			continue
+		}
+		for _, en := range t.order {
+			if en.deleted || labelOf(en.keyStr) != c.uid {
+				continue
+			}
+			blob, err := entryBlob(en)
+			if err != nil {
+				return nil, err
+			}
+			ops := f.ops(name)
+			ops.ups = append(ops.ups, blob)
+		}
+	}
+	var buf bytes.Buffer
+	enc := snapshot.NewRawEncoder(&buf)
+	encodeFrame(enc, c.uid, f)
+	return buf.Bytes(), enc.Err()
+}
+
+// InjectFlow installs a shipped flow frame. The install is
+// counter-neutral: the flow was opened on its first instance and closes on
+// its last. A flow already present is a double-ownership violation and
+// fails the install.
+func (e *Engine) InjectFlow(blob []byte) (flow.Key, error) {
+	dec := snapshot.NewRawDecoder(blob)
+	uid, flags, key := frameHeader(dec)
+	if err := dec.Err(); err != nil {
+		return flow.Key{}, err
+	}
+	if flags != ffConn {
+		return flow.Key{}, fmt.Errorf("bro: migrated frame for %s carries no live connection", uid)
+	}
+	if e.HasFlow(key) {
+		return flow.Key{}, fmt.Errorf("bro: flow %s already present (double ownership)", uid)
+	}
+	ck, _, err := e.applyFrame(blob, true)
+	return ck, err
+}
+
+// ApplyFlowDelta applies one flow frame picked out of the source's delta
+// records, moving exactly the named flow. The first result reports whether
+// the frame closed the flow, so the caller can keep its net-live
+// accounting exact.
+func (e *Engine) ApplyFlowDelta(data []byte) (bool, error) {
+	_, closed, err := e.applyFrame(data, true)
+	return closed, err
+}
+
+// ForgetFlow releases a flow after a committed handoff: connection state
+// and uid-keyed script entries go, with no events, no log lines, and no
+// counter movement — the flow now lives elsewhere and will close there.
+func (e *Engine) ForgetFlow(key flow.Key) bool {
+	ck, _ := key.Canonical()
+	c, ok := e.conns[ck]
+	if !ok {
+		return false
+	}
+	e.dropConnState(c)
+	e.dropFlowScriptState(c.uid)
+	e.markConnClosed(c)
+	return true
+}
+
+// pickFlowFrames walks one delta record's flow frames, handing fn each
+// frame's uid and bytes; the sections behind the frames are never parsed.
+// This is how a migration's delta tail is cut out of the source's WAL.
+func pickFlowFrames(record []byte, fn func(uid string, frame []byte)) error {
+	dec := snapshot.NewRawDecoder(record)
+	n := dec.Len(frameMin)
+	for i := 0; i < n; i++ {
+		frame := dec.Bytes()
+		uid, err := frameUID(frame)
+		if dec.Err() != nil || err != nil {
+			return errors.Join(dec.Err(), err)
+		}
+		fn(uid, frame)
+	}
+	return dec.Err()
+}
+
+// frameUID reads a flow frame's label.
+func frameUID(frame []byte) (string, error) {
+	dec := snapshot.NewRawDecoder(frame)
+	uid := dec.String()
+	return uid, dec.Err()
+}
+
+// --- encoding ------------------------------------------------------------------
+
+// encodeState writes the section sequence for selection ds and advances
+// ds's caches and watermarks past what it wrote.
+func (e *Engine) encodeState(enc *snapshot.Encoder, ds *deltaState) error {
+	for _, c := range ds.dirtyConns {
+		if c.inFlightParse() {
+			return fmt.Errorf("bro: cannot serialize connection %s: in-flight binpac parse state", c.uid)
+		}
+	}
+	frames := frameSet{}
+	globals, err := e.diffInterp(ds, frames)
+	if err != nil {
+		return err
+	}
+	for uid, key := range ds.closed {
+		f := frames.get(uid)
+		f.closed, f.key = true, key
+	}
+	for _, c := range ds.dirtyConns {
+		f := frames.get(c.uid)
+		f.conn, f.key = c, c.key
+	}
+	uids := make([]string, 0, len(frames))
+	for uid := range frames {
+		uids = append(uids, uid)
+	}
+	sort.Strings(uids)
+	enc.U32(uint32(len(uids)))
+	for _, uid := range uids {
+		ds.frame.Reset()
+		fenc := snapshot.NewRawEncoder(&ds.frame)
+		encodeFrame(fenc, uid, frames[uid])
+		if err := fenc.Err(); err != nil {
+			return err
+		}
+		enc.Bytes(ds.frame.Bytes())
+	}
+
+	e.encodeMeta(enc)
+
+	qvids := make([]uint64, 0, len(ds.quarTouched))
+	for vid := range ds.quarTouched {
+		qvids = append(qvids, vid)
+	}
+	sort.Slice(qvids, func(i, j int) bool { return qvids[i] < qvids[j] })
+	enc.U32(uint32(len(qvids)))
+	for _, vid := range qvids {
+		n, present := e.quarantined[vid]
+		enc.U64(vid)
+		enc.Bool(present)
+		enc.U64(n)
+	}
+
+	var snames []string
+	for name, st := range e.Logs.streams {
+		if len(st.lines) > ds.flushed[name] {
+			snames = append(snames, name)
+		}
+	}
+	sort.Strings(snames)
+	enc.U32(uint32(len(snames)))
+	for _, name := range snames {
+		st := e.Logs.streams[name]
+		enc.String(name)
+		encodeStrings(enc, st.lines[ds.flushed[name]:])
+		ds.flushed[name] = len(st.lines)
+	}
+
+	enc.U32(uint32(len(globals)))
+	for _, g := range globals {
+		enc.String(g.name)
+		enc.U8(g.mode)
+		enc.Bytes(g.body)
+	}
+	e.encodeExec(enc, ds, 0)
+	e.encodeExec(enc, ds, 1)
+
+	if err := enc.Err(); err != nil {
+		return err
+	}
+	clear(ds.dirtyConns)
+	clear(ds.closed)
+	clear(ds.quarTouched)
+	return nil
+}
+
+// metaCounters lists the counters of the meta block, in wire order. All
+// of them are serialized so metrics stay monotonic (no reset, no double
+// count) across a crash-only restore.
+func (e *Engine) metaCounters() [9]*metrics.Counter {
+	return [...]*metrics.Counter{&e.packets, &e.events, &e.parseErrs, &e.budgetBlown,
+		&e.quarDropped, &e.flowsOpened, &e.flowsClosed, &e.Logs.written, &e.planeDropped}
+}
+
+func (e *Engine) encodeMeta(enc *snapshot.Encoder) {
+	enc.I64(e.now)
+	enc.I64(e.nextCtx)
+	for _, c := range e.metaCounters() {
+		enc.U64(c.Load())
+	}
+}
+
+func (e *Engine) decodeMeta(dec *snapshot.Decoder) {
+	e.now = dec.I64()
+	e.nextCtx = dec.I64()
+	for _, c := range e.metaCounters() {
+		c.Store(dec.U64())
+	}
+}
+
+// flowFrame collects what one encodeState call emits under one uid.
+type flowFrame struct {
+	closed bool
+	key    flow.Key // set with closed or conn
+	conn   *conn
+	tables []frameTable
+}
+
+type frameTable struct {
+	name string
+	dels []string
+	ups  [][]byte
+}
+
+// ops returns the frame's ops for table global name. Callers visit
+// globals one at a time in name order, so it is the last one or new.
+func (f *flowFrame) ops(name string) *frameTable {
+	if n := len(f.tables); n == 0 || f.tables[n-1].name != name {
+		f.tables = append(f.tables, frameTable{name: name})
+	}
+	return &f.tables[len(f.tables)-1]
+}
+
+type frameSet map[string]*flowFrame
+
+func (fs frameSet) get(uid string) *flowFrame {
+	f := fs[uid]
+	if f == nil {
+		f = &flowFrame{}
+		fs[uid] = f
+	}
+	return f
+}
+
+func encodeFrame(enc *snapshot.Encoder, uid string, f *flowFrame) {
+	enc.String(uid)
+	var flags byte
+	if f.closed {
+		flags |= ffClosed
+	}
+	if f.conn != nil {
+		flags |= ffConn
+	}
+	enc.U8(flags)
+	if flags != 0 {
+		enc.Bytes(f.key.Wire())
+	}
+	if f.conn != nil {
+		encodeConn(enc, f.conn)
+	}
+	enc.U32(uint32(len(f.tables)))
+	for i := range f.tables {
+		enc.String(f.tables[i].name)
+		encodeTableOps(enc, f.tables[i].dels, f.tables[i].ups)
+	}
+}
+
+func frameHeader(dec *snapshot.Decoder) (uid string, flags byte, key flow.Key) {
+	uid = dec.String()
+	if flags = dec.U8(); flags != 0 {
+		key = decodeKey(dec)
+	}
+	return uid, flags, key
+}
+
+func encodeTableOps(enc *snapshot.Encoder, dels []string, ups [][]byte) {
+	encodeStrings(enc, dels)
+	enc.U32(uint32(len(ups)))
+	for _, blob := range ups {
+		enc.Raw(blob)
+	}
+}
+
+// labelPrefix opens the canonical key string (KeyString) of every table
+// entry whose first index is a string.
+const labelPrefix = "string\x00"
+
+// labelOf returns the flow-frame label of a table entry: its first index
+// when that is a string, else "" (the entry is engine-global).
+func labelOf(keyStr string) string {
+	rest, ok := strings.CutPrefix(keyStr, labelPrefix)
+	if !ok {
+		return ""
+	}
+	if i := strings.IndexByte(rest, '\x01'); i >= 0 {
+		rest = rest[:i]
+	}
+	return rest
+}
+
+func entryBlob(en *tableEntry) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := snapshot.NewRawEncoder(&buf)
+	encodeTableEntry(enc, en, 1)
+	return buf.Bytes(), enc.Err()
+}
+
+// tableImage encodes each live entry of t into the cache image the next
+// diff runs against. The blobs are slices of one buffer: a table
+// re-encodes on every dirty flush, so per-entry buffers would be the delta
+// path's main garbage; sizeHint (the previous image's size) spares the
+// buffer its doubling steps.
+func tableImage(t *TableVal, sizeHint int) (interpCache, error) {
+	var buf bytes.Buffer
+	buf.Grow(sizeHint + sizeHint/8)
+	enc := snapshot.NewRawEncoder(&buf)
+	order := make([]string, 0, t.Len())
+	ends := make([]int, 0, t.Len())
+	for _, en := range t.order {
+		if !en.deleted {
+			encodeTableEntry(enc, en, 1)
+			order = append(order, en.keyStr)
+			ends = append(ends, buf.Len())
+		}
+	}
+	entries := make(map[string][]byte, len(order))
+	all, start := buf.Bytes(), 0
+	for i, ks := range order {
+		entries[ks] = all[start:ends[i]:ends[i]]
+		start = ends[i]
+	}
+	return interpCache{tbl: t, entries: entries, order: order, nextSeq: t.nextSeq, size: len(all)}, enc.Err()
+}
+
+func encodeInterpGlobal(v Val) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := snapshot.NewRawEncoder(&buf)
+	encodeVal(enc, v, 0)
+	return buf.Bytes(), enc.Err()
+}
+
+func newInterpCache(v Val) (*interpCache, error) {
+	if t, ok := v.(*TableVal); ok {
+		c, err := tableImage(t, 0)
+		return &c, err
+	}
+	blob, err := encodeInterpGlobal(v)
+	return &interpCache{blob: blob}, err
+}
+
+func (e *Engine) interpGlobalNames() []string {
+	names := make([]string, 0, len(e.interp.Globals))
+	for name := range e.interp.Globals {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+type globalDelta struct {
+	name string
+	mode byte
+	body []byte
+}
+
+// diffInterp computes the changed interpreter globals against ds's caches
+// and advances the caches. Table entries labelled by a uid go to that
+// flow's frame; everything else comes back for the interp section.
+func (e *Engine) diffInterp(ds *deltaState, frames frameSet) ([]globalDelta, error) {
+	if !ds.dirtyInterp {
+		return nil, nil
+	}
+	var out []globalDelta
+	for _, name := range e.interpGlobalNames() {
+		c := ds.interp[name]
+		if c == nil {
+			c = &interpCache{}
+			ds.interp[name] = c
+		}
+		v := e.interp.Globals[name]
+		if t, ok := v.(*TableVal); ok {
+			body, err := diffTable(name, c, t, frames)
+			if err != nil {
+				return nil, err
+			}
+			if body != nil {
+				out = append(out, globalDelta{name, modeTable, body})
+			}
+			continue
+		}
+		blob, err := encodeInterpGlobal(v)
+		if err != nil {
+			return nil, err
+		}
+		if c.tbl == nil && bytes.Equal(blob, c.blob) {
+			continue
+		}
+		*c = interpCache{blob: blob}
+		out = append(out, globalDelta{name, modeWhole, blob})
+	}
+	ds.dirtyInterp = false
+	return out, nil
+}
+
+// diffTable computes t's per-entry diff against cache c and advances c,
+// returning the modeTable body for the engine-global part (nil when the
+// table is unchanged). A global bound to a different table object than
+// the cached one (always so against an empty cache) resets: the body
+// recreates the table from its attributes, every cached entry is a delete
+// and every live one an upsert.
+func diffTable(name string, c *interpCache, t *TableVal, frames frameSet) ([]byte, error) {
+	next, err := tableImage(t, c.size)
+	if err != nil {
+		return nil, err
+	}
+	reset := c.tbl != t
+	changed := reset || c.nextSeq != t.nextSeq
+	var global frameTable // the engine-global part: entries with no label
+	opsFor := func(ks string) *frameTable {
+		changed = true
+		if uid := labelOf(ks); uid != "" {
+			return frames.get(uid).ops(name)
+		}
+		return &global
+	}
+	for _, ks := range c.order {
+		if _, live := next.entries[ks]; reset || !live {
+			ops := opsFor(ks)
+			ops.dels = append(ops.dels, ks)
+		}
+	}
+	for _, ks := range next.order {
+		if old, had := c.entries[ks]; reset || !had || !bytes.Equal(old, next.entries[ks]) {
+			ops := opsFor(ks)
+			ops.ups = append(ops.ups, next.entries[ks])
+		}
+	}
+	*c = next
+	if !changed {
+		return nil, nil
+	}
+	var buf bytes.Buffer
+	enc := snapshot.NewRawEncoder(&buf)
+	enc.Bool(reset)
+	if reset {
+		enc.Bool(t.IsSet)
+		enc.I64(t.ExpireInterval)
+		enc.Bool(t.ExpireOnRead)
+	}
+	enc.U64(t.nextSeq)
+	encodeTableOps(enc, global.dels, global.ups)
+	return buf.Bytes(), enc.Err()
+}
+
+// --- VM executor globals -------------------------------------------------------
+
+func journalableScalar(v values.Value) bool {
+	// Kinds at or below Bitset keep their payload in the two scalar words
+	// (strings are immutable), so a journaled copy can never be mutated
+	// behind the journal's back through an alias.
+	return v.K <= values.KindBitset
+}
+
+// detachJournals removes this engine's container journals (installed by a
+// previous ResetDeltaBase) so orphaned callbacks stop accumulating ops.
+func (e *Engine) detachJournals() {
+	if e.delta == nil {
+		return
+	}
+	for w := range e.delta.exec {
+		for i := range e.delta.exec[w] {
+			setContainerJournal(e.delta.exec[w][i].obj, nil)
+		}
+	}
+}
+
+func setContainerJournal(obj any, fn container.JournalFn) {
+	switch o := obj.(type) {
+	case *container.Map:
+		o.SetJournal(fn)
+	case *container.Set:
+		o.SetJournal(fn)
+	}
+}
+
+// execOf returns executor which's globals (0 = scripts, 1 = parsers), nil
+// when that executor is not configured.
+func execOf(e *Engine, which int) []values.Value {
+	ex := e.sexec
+	if which == 1 {
+		ex = e.pexec
+	}
+	if ex == nil {
+		return nil
+	}
+	return ex.Globals
+}
+
+func execTM(e *Engine, which int) *timer.Mgr {
+	if which == 1 {
+		return e.pexec.GlobalTM
+	}
+	return e.sexec.GlobalTM
+}
+
+func (ds *deltaState) baseExec(e *Engine, which int) []execCache {
+	globals := execOf(e, which)
+	if globals == nil {
+		return nil
+	}
+	cache := make([]execCache, len(globals))
+	for i := range globals {
+		gc := &cache[i]
+		switch o := globals[i].O.(type) {
+		case *container.Map, *container.Set:
+			gc.obj = o
+			gc.journaled = true
+			setContainerJournal(o, execJournal(gc))
+		default:
+			gc.blob = encodeExecGlobal(globals[i])
+		}
+	}
+	return cache
+}
+
+// execJournal builds the journal callback feeding one VM global's cache.
+func execJournal(gc *execCache) container.JournalFn {
+	return func(op container.JournalOp, key, val values.Value, lastUse timer.Time) {
+		gc.dirty = true
+		if !gc.journaled {
+			return
+		}
+		if op == container.JournalReset || !journalableScalar(key) || !journalableScalar(val) {
+			// Gate tripped: this global now diffs whole blobs. Drop any ops
+			// already buffered — the next flush re-encodes from scratch.
+			gc.journaled = false
+			gc.nops = 0
+			if gc.opsBuf != nil {
+				gc.opsBuf.Reset()
+			}
+			return
+		}
+		if gc.opsBuf == nil {
+			gc.opsBuf = &bytes.Buffer{}
+			gc.opsEnc = snapshot.NewRawEncoder(gc.opsBuf)
+		}
+		gc.opsEnc.U8(byte(op))
+		gc.opsEnc.Value(key)
+		gc.opsEnc.Value(val)
+		gc.opsEnc.I64(int64(lastUse))
+		gc.nops++
+	}
+}
+
+// encodeExecGlobal returns nil for a value with no serializable form.
+func encodeExecGlobal(v values.Value) []byte {
+	var buf bytes.Buffer
+	enc := snapshot.NewRawEncoder(&buf)
+	enc.Value(v)
+	if enc.Err() != nil {
+		return nil
+	}
+	return buf.Bytes()
+}
+
+// encodeExec emits executor which's clock and changed globals: journal
+// ops for clean container globals, blob diffs otherwise.
+func (e *Engine) encodeExec(enc *snapshot.Encoder, ds *deltaState, which int) {
+	globals := execOf(e, which)
+	enc.Bool(globals != nil)
+	if globals == nil {
+		return
+	}
+	enc.I64(int64(execTM(e, which).Now()))
+	type execDelta struct {
+		idx  int
+		mode byte
+		body []byte
+	}
+	var out []execDelta
+	for i := range ds.exec[which] {
+		gc := &ds.exec[which][i]
+		if gc.obj != nil && globals[i].O != gc.obj {
+			// Global rebound to a different object: the journal watches the
+			// old one. Detach and fall back to blob mode permanently.
+			setContainerJournal(gc.obj, nil)
+			gc.obj, gc.journaled, gc.dirty = nil, false, true
+		}
+		if gc.journaled {
+			if gc.nops > 0 {
+				var buf bytes.Buffer
+				sub := snapshot.NewRawEncoder(&buf)
+				sub.U32(uint32(gc.nops))
+				sub.Raw(gc.opsBuf.Bytes())
+				out = append(out, execDelta{i, modeJournal, buf.Bytes()})
+				gc.opsBuf.Reset()
+				gc.nops = 0
+			}
+			gc.dirty = false
+			continue
+		}
+		// Blob mode. Container globals have a precise dirty signal (the
+		// journal still marks even after falling back); plain globals only
+		// have the executor-wide flag.
+		if gc.obj != nil {
+			if !gc.dirty {
+				continue
+			}
+		} else if !ds.dirtyExec[which] {
+			continue
+		}
+		blob := encodeExecGlobal(globals[i])
+		gc.dirty = false
+		if blob == nil || bytes.Equal(blob, gc.blob) {
+			continue
+		}
+		gc.blob = blob
+		out = append(out, execDelta{i, modeWhole, blob})
+	}
+	ds.dirtyExec[which] = false
+	enc.U32(uint32(len(out)))
+	for _, g := range out {
+		enc.U32(uint32(g.idx))
+		enc.U8(g.mode)
+		enc.Bytes(g.body)
+	}
+}
+
+// --- applying ------------------------------------------------------------------
+
+// applyState is the one decoder of the section sequence: RestoreEngine
+// runs it on a fresh engine, ApplyDelta on the engine a record was diffed
+// against.
+func (e *Engine) applyState(dec *snapshot.Decoder) error {
+	frames := make([][]byte, dec.Len(frameMin))
+	for i := range frames {
+		frames[i] = dec.Bytes()
+	}
+	e.decodeMeta(dec)
+
+	nq := dec.Len(17)
+	for i := 0; i < nq && dec.Err() == nil; i++ {
+		vid := dec.U64()
+		present := dec.Bool()
+		n := dec.U64()
+		if present {
+			e.quarantined[vid] = n
+		} else {
+			delete(e.quarantined, vid)
+		}
+	}
+
+	ns := dec.Len(8)
+	for i := 0; i < ns && dec.Err() == nil; i++ {
+		name := dec.String()
+		lines := decodeStrings(dec)
+		st, ok := e.Logs.streams[name]
+		if !ok {
+			st = &logStream{name: name}
+			e.Logs.streams[name] = st
+		}
+		st.lines = append(st.lines, lines...)
+	}
+
+	if err := e.applyInterp(dec); err != nil {
+		return err
+	}
+	for w := 0; w < 2; w++ {
+		if err := e.applyExec(dec, w); err != nil {
+			return err
+		}
+	}
+	if err := dec.Err(); err != nil {
+		return err
+	}
+	for _, frame := range frames {
+		if _, _, err := e.applyFrame(frame, false); err != nil {
+			return err
+		}
+	}
+	// Entries of one table arrive split over the interp section and the
+	// frames; their seq says where each belongs.
+	for _, v := range e.interp.Globals {
+		if t, ok := v.(*TableVal); ok {
+			t.settle()
+		}
+	}
+	return nil
+}
+
+// applyFrame applies one flow frame: tombstone, connection, table ops.
+// Replay (adopt false) reproduces the encoding engine exactly. Adopt is
+// the migration path: ctx and seq are instance-local, so an incoming
+// connection takes the ctx of the one it replaces (or a fresh one) and
+// new entries join the end of the target's tables; a tombstone also drops
+// the flow's script entries, as nothing here will ever close it.
+func (e *Engine) applyFrame(frame []byte, adopt bool) (flow.Key, bool, error) {
+	if adopt && e.sexec != nil {
+		return flow.Key{}, false, errPerFlowBackend
+	}
+	dec := snapshot.NewRawDecoder(frame)
+	uid, flags, key := frameHeader(dec)
+	if err := dec.Err(); err != nil {
+		return flow.Key{}, false, err
+	}
+	ck, _ := key.Canonical()
+	closed := false
+	if flags&ffClosed != 0 {
+		if c, ok := e.conns[ck]; ok && c.uid == uid {
+			e.dropConnState(c)
+			e.markConnClosed(c)
+			closed = true
+		}
+	}
+	if flags&ffConn != 0 {
+		c, err := decodeConn(dec, e, uid, key)
+		if err != nil {
+			return ck, false, err
+		}
+		old := e.conns[ck]
+		if adopt && old != nil {
+			c.ctx = old.ctx
+		} else if adopt {
+			c.ctx = e.nextCtx
+			e.nextCtx++
+		}
+		if old != nil {
+			e.dropConnState(old)
+		}
+		if old := e.ctxs[c.ctx]; old != nil {
+			e.dropConnState(old)
+		}
+		e.conns[ck] = c
+		e.ctxs[c.ctx] = c
+		e.markConnDirty(c)
+		closed = false
+	}
+	nt := dec.Len(12)
+	for i := 0; i < nt && dec.Err() == nil; i++ {
+		name := dec.String()
+		t, ok := e.interp.Globals[name].(*TableVal)
+		if !ok {
+			return ck, false, errors.Join(dec.Err(), fmt.Errorf("bro: flow frame names non-table global %q", name))
+		}
+		applyTableOps(dec, t, e.interp, adopt)
+	}
+	if adopt && closed {
+		e.dropFlowScriptState(uid)
+	}
+	if nt > 0 {
+		e.markInterpDirty()
+	}
+	return ck, closed, dec.Err()
+}
+
+// dropConnState removes a connection without events or counter updates,
+// releasing its reassembly budget.
+func (e *Engine) dropConnState(c *conn) {
+	c.origStream.Discard()
+	c.respStream.Discard()
+	ck, _ := c.key.Canonical()
+	delete(e.conns, ck)
+	delete(e.ctxs, c.ctx)
+}
+
+// dropFlowScriptState deletes every entry labelled uid from every table
+// global.
+func (e *Engine) dropFlowScriptState(uid string) {
+	for _, v := range e.interp.Globals {
+		t, ok := v.(*TableVal)
+		if !ok {
+			continue
+		}
+		for _, en := range t.order {
+			if !en.deleted && labelOf(en.keyStr) == uid {
+				t.drop(en.keyStr)
+			}
+		}
+	}
+	e.markInterpDirty()
+}
+
+func applyTableOps(dec *snapshot.Decoder, t *TableVal, ip *Interp, adopt bool) {
+	for _, ks := range decodeStrings(dec) {
+		t.drop(ks)
+	}
+	n := dec.Len(tableEntryMin)
+	for i := 0; i < n; i++ {
+		en := decodeTableEntry(dec, ip, 1)
+		if en == nil {
+			return
+		}
+		t.install(en, adopt)
+	}
+}
+
+func (e *Engine) applyInterp(dec *snapshot.Decoder) error {
+	ng := dec.Len(9)
+	for i := 0; i < ng && dec.Err() == nil; i++ {
+		name := dec.String()
+		mode := dec.U8()
+		sub := snapshot.NewRawDecoder(dec.Bytes())
+		if dec.Err() != nil {
+			break
+		}
+		switch mode {
+		case modeWhole:
+			// A function global decodes to nil when its declaration is
+			// gone; keep the freshly initialized value in that case.
+			if v := decodeVal(sub, e.interp, 0); v != nil || !isFuncGlobal(e.interp.Globals[name]) {
+				e.interp.Globals[name] = v
+			}
+		case modeTable:
+			t, _ := e.interp.Globals[name].(*TableVal)
+			if sub.Bool() {
+				t = NewTable(sub.Bool())
+				t.ExpireInterval = sub.I64()
+				t.ExpireOnRead = sub.Bool()
+				e.interp.Globals[name] = t
+			}
+			if t == nil {
+				return fmt.Errorf("bro: table ops for non-table global %q", name)
+			}
+			t.nextSeq = sub.U64()
+			applyTableOps(sub, t, e.interp, false)
+		default:
+			return fmt.Errorf("bro: unknown interp global mode %d", mode)
+		}
+		if err := sub.Err(); err != nil {
+			return err
+		}
+	}
+	return dec.Err()
+}
+
+func isFuncGlobal(v Val) bool {
+	_, ok := v.(*FuncVal)
+	return ok
+}
+
+func (e *Engine) applyExec(dec *snapshot.Decoder, which int) error {
+	had := dec.Bool()
+	if dec.Err() != nil {
+		return dec.Err()
+	}
+	globals := execOf(e, which)
+	if had != (globals != nil) {
+		return fmt.Errorf("bro: state/config executor mismatch")
+	}
+	if globals == nil {
+		return nil
+	}
+	mgr := execTM(e, which)
+	mgr.SetNow(timer.Time(dec.I64()))
+	ng := dec.Len(9)
+	for i := 0; i < ng && dec.Err() == nil; i++ {
+		idx := int(dec.U32())
+		mode := dec.U8()
+		body := dec.Bytes()
+		if dec.Err() != nil {
+			break
+		}
+		if idx >= len(globals) {
+			return fmt.Errorf("bro: state references VM global %d of %d", idx, len(globals))
+		}
+		switch mode {
+		case modeWhole:
+			sub := snapshot.NewRawDecoder(body, snapshot.WithTimerMgr(mgr))
+			v := sub.Value()
+			if err := sub.Err(); err != nil {
+				return err
+			}
+			globals[idx] = v
+		case modeJournal:
+			if err := applyJournalOps(globals[idx], body, mgr); err != nil {
+				return fmt.Errorf("bro: VM global %d: %w", idx, err)
+			}
+		default:
+			return fmt.Errorf("bro: unknown exec global mode %d", mode)
+		}
+	}
+	return dec.Err()
+}
+
+func applyJournalOps(v values.Value, body []byte, mgr *timer.Mgr) error {
+	sub := snapshot.NewRawDecoder(body, snapshot.WithTimerMgr(mgr))
+	n := sub.Len(1)
+	for i := 0; i < n && sub.Err() == nil; i++ {
+		op := container.JournalOp(sub.U8())
+		key := sub.Value()
+		val := sub.Value()
+		lastUse := timer.Time(sub.I64())
+		if sub.Err() != nil {
+			break
+		}
+		switch o := v.O.(type) {
+		case *container.Map:
+			switch op {
+			case container.JournalInsert:
+				o.InsertRestored(key, val, lastUse)
+			case container.JournalRemove:
+				o.Remove(key)
+			case container.JournalTouch:
+				o.TouchRestored(key, lastUse)
+			default:
+				return fmt.Errorf("unknown journal op %d", op)
+			}
+		case *container.Set:
+			switch op {
+			case container.JournalInsert:
+				o.InsertRestored(key, lastUse)
+			case container.JournalRemove:
+				o.Remove(key)
+			case container.JournalTouch:
+				o.TouchRestored(key, lastUse)
+			default:
+				return fmt.Errorf("unknown journal op %d", op)
+			}
+		default:
+			return fmt.Errorf("journal ops target non-container value %s", v.K)
+		}
+	}
+	return sub.Err()
+}

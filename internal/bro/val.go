@@ -193,9 +193,11 @@ func (r *RecordVal) Render() string {
 // insertion order for deterministic iteration; expiration follows the
 // &create_expire / &read_expire attributes, driven by network time.
 type TableVal struct {
-	IsSet   bool
-	entries map[string]*tableEntry
-	order   []*tableEntry
+	IsSet    bool
+	entries  map[string]*tableEntry
+	order    []*tableEntry // ascending seq; deleted entries linger until compaction
+	nextSeq  uint64        // seq the next inserted entry gets
+	unsorted bool          // install appended out of seq order; settle pending
 
 	ExpireInterval int64 // ns; 0 = no expiration
 	ExpireOnRead   bool  // &read_expire vs &create_expire
@@ -206,6 +208,7 @@ type tableEntry struct {
 	keyStr  string
 	yield   Val
 	touched int64
+	seq     uint64 // insertion rank: iteration order is data, so an entry can travel alone
 	deleted bool
 }
 
@@ -253,7 +256,8 @@ func (t *TableVal) Put(now int64, key []Val, yield Val) {
 		e.touched = now
 		return
 	}
-	e := &tableEntry{key: key, keyStr: ks, yield: yield, touched: now}
+	e := &tableEntry{key: key, keyStr: ks, yield: yield, touched: now, seq: t.nextSeq}
+	t.nextSeq++
 	t.entries[ks] = e
 	t.order = append(t.order, e)
 	if len(t.order) > 2*len(t.entries)+16 {
@@ -287,11 +291,45 @@ func (t *TableVal) Has(now int64, key []Val) bool {
 }
 
 // Delete removes an entry.
-func (t *TableVal) Delete(now int64, key []Val) {
-	ks := KeyString(key)
+func (t *TableVal) Delete(now int64, key []Val) { t.drop(KeyString(key)) }
+
+// drop removes the entry with canonical key ks, if present.
+func (t *TableVal) drop(ks string) {
 	if e, ok := t.entries[ks]; ok {
 		e.deleted = true
 		delete(t.entries, ks)
+	}
+}
+
+// install places a decoded entry. A replayed entry keeps its recorded seq
+// (settle then puts it at the matching position); an adopted one (live
+// migration: the seq is the source instance's) updates its key in place or
+// joins the end of this table's order.
+func (t *TableVal) install(en *tableEntry, adopt bool) {
+	old, had := t.entries[en.keyStr]
+	if had && (adopt || old.seq == en.seq) {
+		old.key, old.yield, old.touched = en.key, en.yield, en.touched
+		return
+	}
+	if had {
+		old.deleted = true
+	}
+	if adopt {
+		en.seq = t.nextSeq
+		t.nextSeq++
+	}
+	if n := len(t.order); n > 0 && t.order[n-1].seq > en.seq {
+		t.unsorted = true
+	}
+	t.entries[en.keyStr] = en
+	t.order = append(t.order, en)
+}
+
+// settle restores ascending-seq order once a batch of installs is done.
+func (t *TableVal) settle() {
+	if t.unsorted {
+		sort.SliceStable(t.order, func(i, j int) bool { return t.order[i].seq < t.order[j].seq })
+		t.unsorted = false
 	}
 }
 

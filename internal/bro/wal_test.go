@@ -64,47 +64,6 @@ func referenceEngine(t *testing.T, cfg Config, pkts []pcap.Packet, n int) *Engin
 	return e
 }
 
-// TestWALRestoreFullEquivalence: base snapshot + replay of every delta
-// record must land on exactly the live engine's state — checkpoint bytes
-// identical, and identical logs after finishing both.
-func TestWALRestoreFullEquivalence(t *testing.T) {
-	pkts := mergedTrace(t)
-	cfg := Config{Parser: "standard", ScriptExec: "interp",
-		Scripts: []string{HTTPScript, FilesScript, DNSScript}, Quiet: true}
-	snap, log, live := walRun(t, cfg, pkts, len(pkts)/4, 4096)
-	if len(log.Segments()) < 2 {
-		t.Fatalf("want multiple WAL segments, got %d", len(log.Segments()))
-	}
-
-	restored, err := RestoreEngineWAL(cfg, snap, log.Segments())
-	if err != nil {
-		t.Fatalf("RestoreEngineWAL: %v", err)
-	}
-	if got, want := restored.Packets(), live.Packets(); got != want {
-		t.Fatalf("restored engine at %d packets, live at %d", got, want)
-	}
-	if !bytes.Equal(checkpointBytes(t, restored), checkpointBytes(t, live)) {
-		t.Error("restored checkpoint differs from live engine checkpoint")
-	}
-
-	live.Finish()
-	restored.Finish()
-	for _, stream := range []string{"http", "files", "dns"} {
-		want := live.Logs.Lines(stream)
-		got := restored.Logs.Lines(stream)
-		if len(got) != len(want) {
-			t.Errorf("%s.log: %d lines, want %d", stream, len(got), len(want))
-			continue
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("%s.log line %d differs:\n  got  %q\n  want %q", stream, i, got[i], want[i])
-				break
-			}
-		}
-	}
-}
-
 // TestWALRestoreMidSegmentCuts: truncating the final segment at an
 // arbitrary byte offset — including mid-record — must restore to the last
 // intact record's packet boundary, byte-identical to a fresh run over that

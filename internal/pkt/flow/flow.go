@@ -135,6 +135,36 @@ func (k Key) String() string {
 		values.Format(k.DstAddr()), k.DstPort, k.Proto)
 }
 
+// WireSize is the length of a Key's serialized form.
+const WireSize = 16 + 16 + 2 + 2 + 1
+
+// Wire returns the key's serialized form — addresses, big-endian ports,
+// protocol — the one layout checkpoints, WAL records and migration frames
+// carry a flow key in.
+func (k Key) Wire() []byte {
+	raw := make([]byte, WireSize)
+	copy(raw[0:16], k.SrcIP[:])
+	copy(raw[16:32], k.DstIP[:])
+	raw[32], raw[33] = byte(k.SrcPort>>8), byte(k.SrcPort)
+	raw[34], raw[35] = byte(k.DstPort>>8), byte(k.DstPort)
+	raw[36] = k.Proto
+	return raw
+}
+
+// KeyFromWire parses the form Wire produces.
+func KeyFromWire(raw []byte) (Key, error) {
+	var k Key
+	if len(raw) != WireSize {
+		return k, fmt.Errorf("flow: key is %d bytes, want %d", len(raw), WireSize)
+	}
+	copy(k.SrcIP[:], raw[0:16])
+	copy(k.DstIP[:], raw[16:32])
+	k.SrcPort = uint16(raw[32])<<8 | uint16(raw[33])
+	k.DstPort = uint16(raw[34])<<8 | uint16(raw[35])
+	k.Proto = raw[36]
+	return k, nil
+}
+
 // UID derives a Bro-style connection UID ("C" plus base62 of the hash and
 // a start-time component), unique per (flow, first-seen time).
 func UID(k Key, startNs int64) string {

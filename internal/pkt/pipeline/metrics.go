@@ -9,7 +9,6 @@ package pipeline
 
 import (
 	"strconv"
-	"time"
 
 	"hilti/internal/rt/metrics"
 	"hilti/internal/rt/timer"
@@ -84,14 +83,3 @@ func (p *Pipeline) registerMetrics() {
 
 // Fed returns the number of packets Feed accepted (routed to a worker).
 func (p *Pipeline) Fed() uint64 { return p.fed.Load() }
-
-// encodeShardTimed is shardBlob with the shard's serialization latency
-// recorded — one histogram sample per shard per checkpoint, whether the
-// checkpoint is an automatic per-shard one (CheckpointEvery) or part of a
-// full Pipeline.Checkpoint. Runs on the owning worker goroutine.
-func (p *Pipeline) encodeShardTimed(sl *wslot) ([]byte, error) {
-	start := time.Now()
-	blob, err := p.shardBlob(sl)
-	p.ckptLat.Observe(time.Since(start).Nanoseconds())
-	return blob, err
-}

@@ -328,7 +328,7 @@ func (p *Pipeline) refreshShardBase(sl *wslot) {
 	if !sl.track {
 		return
 	}
-	blob, err := p.encodeShardTimed(sl)
+	blob, err := p.shardBlob(sl)
 	if err != nil {
 		sl.ws.ckptFailures.Add(1)
 		blob = nil
@@ -367,15 +367,15 @@ type FlowDelta struct {
 }
 
 // FlowDeltaApplier is the optional handler surface for replaying a
-// migration's delta tail: Data is a per-flow projection of the handler's
-// own delta records (the source filtered it down to one flow before
-// shipping). closed reports that the record carried the flow's close
-// tombstone — the flow is gone from the handler afterwards.
+// migration's delta tail: Data is one flow's part of one of the handler's
+// own delta records (the source cut it out before shipping). closed
+// reports that it carried the flow's close tombstone — the flow is gone
+// from the handler afterwards.
 type FlowDeltaApplier interface {
 	ApplyFlowDelta(data []byte) (closed bool, err error)
 }
 
-// ApplyFlowDeltas replays filtered per-flow deltas on each flow's owning
+// ApplyFlowDeltas replays per-flow deltas on each flow's owning
 // worker, preserving per-flow order, and returns how many flows the tail
 // closed. Like InjectFlows it refreshes the touched shards' persistence
 // base: the deltas mutated handler state outside the packet path.
@@ -417,7 +417,7 @@ func (p *Pipeline) ApplyFlowDeltas(deltas []FlowDelta) (closed int, err error) {
 // i's WAL job records since cur, but only for flows selected by match —
 // the per-flow replay cursor: an unrelated flow's records are neither
 // returned nor decoded beyond their fixed header. The second result
-// counts records the filter skipped. A stale cursor (the log re-based
+// counts records match skipped. A stale cursor (the log re-based
 // since) surfaces as wal.ErrStaleCursor; callers fall back to a fresh
 // full extract.
 func (p *Pipeline) FlowDeltasSince(i int, cur wal.Cursor, match func(vid uint64) bool) (deltas []FlowDelta, skipped int, err error) {

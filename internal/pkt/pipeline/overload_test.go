@@ -322,6 +322,50 @@ func TestAdmissionShedsNewProtectsEstablished(t *testing.T) {
 	}
 }
 
+// TestPacketsShedSurvivesRestore: the shed count is shard state like every
+// other packet-fate counter. It used to be missing from the shard snapshot,
+// so a restore zeroed it — and in WAL mode kept only the sheds replayed
+// from records after the last re-base.
+func TestPacketsShedSurvivesRestore(t *testing.T) {
+	a, b := [4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}
+	for _, mode := range []struct {
+		name string
+		wal  bool
+	}{{"full", false}, {"wal", true}} {
+		shedding := func() *admission.Controller {
+			return admission.NewController(admission.Config{TargetRate: 1, SamplingRatio: 1e18})
+		}
+		cfg := deltaCfg(1, 0, 0)
+		cfg.WAL, cfg.CheckpointEvery, cfg.Admission = mode.wal, 8, shedding()
+		p1, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p1.Feed(0, frame(a, b, 5001, 80, []byte{1})) // established before overload
+		const churn = 50                             // spans several WAL re-bases
+		for i := 0; i < churn; i++ {
+			p1.Feed(int64(200e6+i*1e6), frame(a, b, uint16(20000+i), 80, []byte{2}))
+		}
+		var buf bytes.Buffer
+		if err := p1.Checkpoint(&buf); err != nil {
+			t.Fatalf("%s: checkpoint: %v", mode.name, err)
+		}
+		p1.Kill()
+		if got := sumStats(p1).PacketsShed; got != churn {
+			t.Fatalf("%s: live PacketsShed = %d, want %d", mode.name, got, churn)
+		}
+		cfg.Admission = shedding()
+		p2, err := Restore(cfg, bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: restore: %v", mode.name, err)
+		}
+		p2.Close()
+		if got := sumStats(p2).PacketsShed; got != churn {
+			t.Errorf("%s: restored PacketsShed = %d, want %d", mode.name, got, churn)
+		}
+	}
+}
+
 // zapHandler records ZapFlow calls.
 type zapHandler struct {
 	mu     sync.Mutex

@@ -635,7 +635,7 @@ func (p *Pipeline) Feed(tsNs int64, frame []byte) error {
 		if sl.track && sl.dc == nil {
 			if sl.pktSince++; sl.pktSince >= p.cfg.CheckpointEvery+backoffPackets(sl.ckptFailN) {
 				sl.pktSince = 0
-				if blob, err := p.encodeShardTimed(sl); err == nil {
+				if blob, err := p.shardBlob(sl); err == nil {
 					sl.setCkpt(blob)
 					sl.ckptFailN = 0
 				} else {
@@ -867,7 +867,7 @@ func (p *Pipeline) checkpoint(w io.Writer) error {
 		wg.Add(1)
 		err := p.sched.Schedule(uint64(i), func(*threads.Context) {
 			defer wg.Done()
-			blobs[i], errs[i] = p.encodeShardTimed(p.slots[i].Load())
+			blobs[i], errs[i] = p.shardBlob(p.slots[i].Load())
 		})
 		if err != nil {
 			wg.Done()
@@ -890,8 +890,11 @@ func (p *Pipeline) checkpoint(w io.Writer) error {
 
 // encodeShard serializes one worker's shard: clock, counters, quarantine
 // set, flow table (LRU order), and the handler's state when it implements
-// Checkpointer. Runs on the owning worker goroutine.
-func encodeShard(sl *wslot) ([]byte, error) {
+// Checkpointer. Its latency is the checkpoint histogram's sample — what an
+// operator sizing StallTimeout needs to see. Runs on the owning worker
+// goroutine.
+func (p *Pipeline) encodeShard(sl *wslot) ([]byte, error) {
+	defer func(start time.Time) { p.ckptLat.Observe(time.Since(start).Nanoseconds()) }(time.Now())
 	ws := sl.ws
 	var buf bytes.Buffer
 	enc := snapshot.NewEncoder(&buf)
@@ -905,6 +908,7 @@ func encodeShard(sl *wslot) ([]byte, error) {
 	enc.U64(ws.quarantineDropped.Load())
 	enc.U64(ws.flowsEvicted.Load())
 	enc.U64(ws.packetsRejected.Load())
+	enc.U64(ws.packetsShed.Load())
 	enc.U64(ws.timersDropped.Load())
 
 	enc.U32(uint32(len(ws.quarantined)))
@@ -924,7 +928,7 @@ func encodeShard(sl *wslot) ([]byte, error) {
 		fs := e.Value.(*flowState)
 		enc.U64(fs.vid)
 		enc.Bool(fs.hasKey)
-		enc.Bytes(rawKey(fs.key))
+		enc.Bytes(fs.key.Wire())
 		enc.I64(int64(fs.idle.FireTime()))
 	}
 
@@ -957,6 +961,7 @@ func (p *Pipeline) decodeShard(ws *wstate, blob []byte) ([]byte, bool, error) {
 	ws.quarantineDropped.Store(dec.U64())
 	ws.flowsEvicted.Store(dec.U64())
 	ws.packetsRejected.Store(dec.U64())
+	ws.packetsShed.Store(dec.U64())
 	ws.timersDropped.Store(dec.U64())
 
 	nq := dec.Len(16)
@@ -969,7 +974,7 @@ func (p *Pipeline) decodeShard(ws *wstate, blob []byte) ([]byte, bool, error) {
 	for i := 0; i < nf && dec.Err() == nil; i++ {
 		vid := dec.U64()
 		hasKey := dec.Bool()
-		key, kerr := parseRawKey(dec.Bytes())
+		key, kerr := flow.KeyFromWire(dec.Bytes())
 		deadline := timer.Time(dec.I64())
 		if dec.Err() != nil {
 			break
@@ -990,33 +995,6 @@ func (p *Pipeline) decodeShard(ws *wstate, blob []byte) ([]byte, bool, error) {
 		hb = dec.Bytes()
 	}
 	return hb, hasH, dec.Err()
-}
-
-const keyBytes = 16 + 16 + 2 + 2 + 1
-
-func rawKey(k flow.Key) []byte {
-	raw := make([]byte, keyBytes)
-	copy(raw[0:16], k.SrcIP[:])
-	copy(raw[16:32], k.DstIP[:])
-	raw[32] = byte(k.SrcPort >> 8)
-	raw[33] = byte(k.SrcPort)
-	raw[34] = byte(k.DstPort >> 8)
-	raw[35] = byte(k.DstPort)
-	raw[36] = k.Proto
-	return raw
-}
-
-func parseRawKey(raw []byte) (flow.Key, error) {
-	var k flow.Key
-	if len(raw) != keyBytes {
-		return k, fmt.Errorf("pipeline: flow key is %d bytes, want %d", len(raw), keyBytes)
-	}
-	copy(k.SrcIP[:], raw[0:16])
-	copy(k.DstIP[:], raw[16:32])
-	k.SrcPort = uint16(raw[32])<<8 | uint16(raw[33])
-	k.DstPort = uint16(raw[34])<<8 | uint16(raw[35])
-	k.Proto = raw[36]
-	return k, nil
 }
 
 // Restore rebuilds a pipeline from a Checkpoint stream. cfg.RestoreHandler
@@ -1156,7 +1134,7 @@ func (p *Pipeline) checkStall(i int) {
 		if sl.wlog != nil {
 			// WAL mode: the recovery point is the last snapshot plus every
 			// record appended since — the packet before the wedged one.
-			ckpt = composeWALBlob(sl.snap, sl.wlog.Segments())
+			ckpt = composeShardBlob(sl.snap, sl.wlog.Segments())
 		} else {
 			ckpt = sl.ckpt
 		}

@@ -28,18 +28,10 @@ package pipeline
 import (
 	"bytes"
 	"fmt"
-	"time"
 
 	"hilti/internal/pkt/flow"
 	"hilti/internal/rt/snapshot"
 	"hilti/internal/rt/wal"
-)
-
-// Shard blob kinds: the first byte of every per-shard blob inside a
-// pipeline checkpoint stream.
-const (
-	shardFull byte = 1 // encodeShard output follows
-	shardWAL  byte = 2 // snapshot-encoded {snap, segments...} follows
 )
 
 // walJobRecord is the record kind of per-packet job records in a shard's
@@ -64,7 +56,7 @@ func (p *Pipeline) initWALBase(sl *wslot) error {
 	if !ok {
 		return fmt.Errorf("pipeline: WAL mode requires the handler to implement DeltaCheckpointer")
 	}
-	snap, err := encodeShard(sl)
+	snap, err := p.encodeShard(sl)
 	if err != nil {
 		return err
 	}
@@ -117,7 +109,7 @@ func (p *Pipeline) walRecord(sl *wslot, tsNs int64, vid uint64, key flow.Key, ha
 	enc.I64(tsNs)
 	enc.U64(vid)
 	enc.Bool(hasKey)
-	enc.Bytes(rawKey(key))
+	enc.Bytes(key.Wire())
 	enc.U32(uint32(frameLen))
 	enc.U8(outcome)
 	enc.U8(uint8(tier))
@@ -146,7 +138,7 @@ func (p *Pipeline) walRecord(sl *wslot, tsNs int64, vid uint64, key flow.Key, ha
 // truncates the log; on success any open gap closes. Runs on the owning
 // worker goroutine (or before the slot is published).
 func (p *Pipeline) tryRebase(sl *wslot) bool {
-	blob, err := p.encodeShardRawTimed(sl)
+	blob, err := p.encodeShard(sl)
 	if err != nil {
 		return false
 	}
@@ -164,12 +156,13 @@ func (p *Pipeline) tryRebase(sl *wslot) bool {
 	return true
 }
 
-// composeWALBlob assembles a shardWAL checkpoint blob from a snapshot and
-// the log segments appended since. Pure composition — no handler access —
-// so the supervisor can call it on a wedged worker's slot (under sl.mu).
-func composeWALBlob(snap []byte, segs [][]byte) []byte {
+// composeShardBlob assembles one shard's checkpoint blob: a full shard
+// snapshot plus the WAL segments appended since — none outside WAL mode,
+// so every blob restores through the same path. Pure composition — no
+// handler access — so the supervisor can call it on a wedged worker's slot
+// (under sl.mu).
+func composeShardBlob(snap []byte, segs [][]byte) []byte {
 	var buf bytes.Buffer
-	buf.WriteByte(shardWAL)
 	enc := snapshot.NewEncoder(&buf)
 	enc.Bytes(snap)
 	enc.U32(uint32(len(segs)))
@@ -179,17 +172,17 @@ func composeWALBlob(snap []byte, segs [][]byte) []byte {
 	return buf.Bytes()
 }
 
-// shardBlob produces the kind-prefixed checkpoint blob for one shard: a
-// full encode in normal mode, snapshot+segments composition in WAL mode
+// shardBlob produces the checkpoint blob for one shard: a fresh snapshot
+// in normal mode, the last snapshot plus the log's segments in WAL mode
 // (healing a gap first, since a checkpoint must capture the present).
 // Runs on the owning worker goroutine.
 func (p *Pipeline) shardBlob(sl *wslot) ([]byte, error) {
 	if sl.dc == nil {
-		blob, err := encodeShard(sl)
+		snap, err := p.encodeShard(sl)
 		if err != nil {
 			return nil, err
 		}
-		return append([]byte{shardFull}, blob...), nil
+		return composeShardBlob(snap, nil), nil
 	}
 	if sl.walGap && !p.tryRebase(sl) {
 		return nil, fmt.Errorf("pipeline: WAL gap: shard state not currently serializable")
@@ -197,83 +190,51 @@ func (p *Pipeline) shardBlob(sl *wslot) ([]byte, error) {
 	sl.mu.Lock()
 	snap, segs := sl.snap, sl.wlog.Segments()
 	sl.mu.Unlock()
-	return composeWALBlob(snap, segs), nil
+	return composeShardBlob(snap, segs), nil
 }
 
-// encodeShardRawTimed is encodeShard (no kind prefix — WAL base use) with
-// the latency recorded in the checkpoint histogram.
-func (p *Pipeline) encodeShardRawTimed(sl *wslot) ([]byte, error) {
-	start := time.Now()
-	blob, err := encodeShard(sl)
-	p.ckptLat.Observe(time.Since(start).Nanoseconds())
-	return blob, err
-}
-
-// restoreSlotFromBlob rebuilds one worker slot from a kind-prefixed shard
-// blob — the restore path shared by Restore and supervised recovery.
-// shardWAL blobs replay their records onto the embedded snapshot; either
-// kind restores under either Config.WAL setting, re-entering WAL mode
-// when it is on.
+// restoreSlotFromBlob rebuilds one worker slot from a shard blob — the
+// restore path shared by Restore and supervised recovery: decode the
+// snapshot, rebuild the handler, replay whatever records follow. A blob
+// written under either Config.WAL setting restores under either,
+// re-entering WAL mode when it is on.
 func (p *Pipeline) restoreSlotFromBlob(i int, blob []byte) (*wslot, error) {
-	if len(blob) == 0 {
-		return nil, fmt.Errorf("pipeline: empty shard blob")
+	dec := snapshot.NewDecoder(blob)
+	snap := dec.Bytes()
+	segs := make([][]byte, dec.Len(4))
+	for j := range segs {
+		segs[j] = dec.Bytes()
 	}
-	kind, body := blob[0], blob[1:]
+	if err := dec.Err(); err != nil {
+		return nil, err
+	}
 	ws := p.newWstate()
+	hb, hasH, err := p.decodeShard(ws, snap)
+	if err != nil {
+		return nil, err
+	}
 	var h Handler
-	switch kind {
-	case shardFull:
-		hb, hasH, err := p.decodeShard(ws, body)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case hasH:
-			h, err = p.cfg.RestoreHandler(i, hb)
-		case p.cfg.NewHandler != nil:
-			h, err = p.cfg.NewHandler(i)
-		default:
-			err = fmt.Errorf("no handler state and no NewHandler")
-		}
-		if err != nil {
-			return nil, fmt.Errorf("handler: %w", err)
-		}
-	case shardWAL:
-		dec := snapshot.NewDecoder(body)
-		snap := dec.Bytes()
-		nseg := dec.Len(1)
-		segs := make([][]byte, 0, nseg)
-		for j := 0; j < nseg && dec.Err() == nil; j++ {
-			segs = append(segs, dec.Bytes())
-		}
-		if err := dec.Err(); err != nil {
-			return nil, err
-		}
-		hb, hasH, err := p.decodeShard(ws, snap)
-		if err != nil {
-			return nil, err
-		}
-		if !hasH {
-			return nil, fmt.Errorf("pipeline: WAL shard blob lacks handler state")
-		}
+	switch {
+	case hasH:
 		h, err = p.cfg.RestoreHandler(i, hb)
-		if err != nil {
-			return nil, fmt.Errorf("handler: %w", err)
-		}
-		dc, ok := h.(DeltaCheckpointer)
-		if !ok {
-			return nil, fmt.Errorf("pipeline: WAL shard blob but handler is not a DeltaCheckpointer")
-		}
-		if _, err := wal.Replay(segs, func(k byte, payload []byte) error {
-			if k != walJobRecord {
-				return fmt.Errorf("pipeline: unexpected WAL record kind %d", k)
-			}
-			return p.replayShardRecord(ws, dc, payload)
-		}); err != nil {
-			return nil, err
-		}
+	case len(segs) > 0:
+		err = fmt.Errorf("WAL segments without handler state")
+	case p.cfg.NewHandler != nil:
+		h, err = p.cfg.NewHandler(i)
 	default:
-		return nil, fmt.Errorf("pipeline: unknown shard blob kind %d", kind)
+		err = fmt.Errorf("no handler state and no NewHandler")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("handler: %w", err)
+	}
+	dc, _ := h.(DeltaCheckpointer)
+	if _, err := wal.Replay(segs, func(k byte, payload []byte) error {
+		if k != walJobRecord || dc == nil {
+			return fmt.Errorf("pipeline: cannot replay WAL record kind %d onto %T", k, h)
+		}
+		return p.replayShardRecord(ws, dc, payload)
+	}); err != nil {
+		return nil, err
 	}
 	sl := &wslot{ws: ws, h: h, track: p.cfg.StallTimeout > 0}
 	ws.owner = sl
@@ -305,7 +266,7 @@ func (p *Pipeline) replayShardRecord(ws *wstate, dc DeltaCheckpointer, payload [
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	key, err := parseRawKey(rk)
+	key, err := flow.KeyFromWire(rk)
 	if err != nil {
 		return err
 	}

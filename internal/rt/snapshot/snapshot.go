@@ -32,8 +32,11 @@ import (
 	"hilti/internal/rt/values"
 )
 
-// Version is the current snapshot format version.
-const Version = 1
+// Version is the current snapshot format version. Version 2 is the
+// section/flow-frame engine-state layout (bro/state.go) and the single
+// snapshot+segments shard blob (pkt/pipeline); version-1 streams are
+// rejected by the header check.
+const Version = 2
 
 // MaxDepth bounds value-tree recursion in both directions.
 const MaxDepth = 64
