@@ -289,33 +289,3 @@ func benchParallel(b *testing.B, workers int) {
 func BenchmarkParallelPipeline1(b *testing.B) { benchParallel(b, 1) }
 func BenchmarkParallelPipeline2(b *testing.B) { benchParallel(b, 2) }
 func BenchmarkParallelPipeline4(b *testing.B) { benchParallel(b, 4) }
-
-// --- ablations ------------------------------------------------------------------------
-
-// BenchmarkDNSPacIncremental: the always-incremental DNS parser (the
-// inefficiency the paper notes in §6.4).
-func BenchmarkDNSPacIncremental(b *testing.B) {
-	_, pkts := traces()
-	for i := 0; i < b.N; i++ {
-		e, err := bro.NewEngine(bro.Config{Parser: "binpac", ScriptExec: "interp",
-			Scripts: []string{bro.DNSScript}, Quiet: true, DiscardLogs: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		e.ProcessTrace(pkts)
-	}
-}
-
-// BenchmarkDNSPacWhole: whole-PDU mode, the optimization the paper says
-// the compiler could apply for UDP.
-func BenchmarkDNSPacWhole(b *testing.B) {
-	_, pkts := traces()
-	for i := 0; i < b.N; i++ {
-		e, err := bro.NewEngine(bro.Config{Parser: "binpac", ScriptExec: "interp",
-			Scripts: []string{bro.DNSScript}, Quiet: true, DiscardLogs: true, DNSWholePDU: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		e.ProcessTrace(pkts)
-	}
-}

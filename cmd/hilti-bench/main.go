@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -45,7 +46,7 @@ import (
 )
 
 var (
-	expFlag       = flag.String("exp", "all", "experiment: fibers|bpf|firewall|table2|fig9|table3|fig10|fib|threads|parallel|faults|recovery|wal|migrate|ablations|vmopt|tier|rules|observe|soak|all")
+	expFlag       = flag.String("exp", "all", "experiment: fibers|bpf|firewall|table2|fig9|table3|fig10|fib|threads|parallel|faults|recovery|wal|migrate|vmopt|tier|rules|observe|soak|all")
 	httpSessions  = flag.Int("http-sessions", 800, "HTTP sessions in the synthetic trace")
 	dnsTxns       = flag.Int("dns-txns", 8000, "DNS transactions in the synthetic trace")
 	seed          = flag.Int64("seed", 1, "generator seed")
@@ -94,30 +95,29 @@ func main() {
 		fmt.Printf("metrics: http://%s/metrics (expvar /debug/vars, pprof /debug/pprof/)\n", addr)
 	}
 	run := map[string]func(){
-		"fibers":    h.fibers,
-		"bpf":       h.bpf,
-		"firewall":  h.firewall,
-		"table2":    h.table2,
-		"fig9":      h.fig9,
-		"table3":    h.table3,
-		"fig10":     h.fig10,
-		"fib":       h.fib,
-		"threads":   h.threads,
-		"parallel":  h.parallel,
-		"faults":    h.faults,
-		"recovery":  h.recovery,
-		"wal":       h.wal,
-		"migrate":   h.migrate,
-		"ablations": h.ablations,
-		"vmopt":     h.vmopt,
-		"tier":      h.tier,
-		"rules":     h.rules,
-		"observe":   h.observe,
-		"soak":      h.soak,
+		"fibers":   h.fibers,
+		"bpf":      h.bpf,
+		"firewall": h.firewall,
+		"table2":   h.table2,
+		"fig9":     h.fig9,
+		"table3":   h.table3,
+		"fig10":    h.fig10,
+		"fib":      h.fib,
+		"threads":  h.threads,
+		"parallel": h.parallel,
+		"faults":   h.faults,
+		"recovery": h.recovery,
+		"wal":      h.wal,
+		"migrate":  h.migrate,
+		"vmopt":    h.vmopt,
+		"tier":     h.tier,
+		"rules":    h.rules,
+		"observe":  h.observe,
+		"soak":     h.soak,
 	}
 	// soak is deliberately not in the "all" order: it is the long-running
 	// adversarial stage, invoked explicitly (CI runs it as its own step).
-	order := []string{"fibers", "bpf", "firewall", "table2", "fig9", "table3", "fig10", "fib", "threads", "parallel", "faults", "recovery", "wal", "migrate", "ablations", "vmopt", "tier", "rules", "observe"}
+	order := []string{"fibers", "bpf", "firewall", "table2", "fig9", "table3", "fig10", "fib", "threads", "parallel", "faults", "recovery", "wal", "migrate", "vmopt", "tier", "rules", "observe"}
 	if *benchJSON != "" {
 		h.writeBenchJSON(*benchJSON)
 		return
@@ -806,25 +806,6 @@ func (h *harness) faults() {
 	fmt.Println("    all containment invariants held")
 }
 
-// --- ablations -----------------------------------------------------------------------
-
-func (h *harness) ablations() {
-	header("Ablations (DESIGN.md)", "design choices the paper calls out")
-	// DNS incremental-vs-whole-PDU (paper §6.4 notes the always-incremental cost).
-	e1, err := bro.NewEngine(bro.Config{Parser: "binpac", ScriptExec: "interp",
-		Scripts: []string{bro.DNSScript}, Quiet: true, DiscardLogs: true})
-	must(err)
-	st1 := e1.ProcessTrace(h.dnsTrace())
-	e2, err := bro.NewEngine(bro.Config{Parser: "binpac", ScriptExec: "interp",
-		Scripts: []string{bro.DNSScript}, Quiet: true, DiscardLogs: true, DNSWholePDU: true})
-	must(err)
-	st2 := e2.ProcessTrace(h.dnsTrace())
-	fmt.Printf("    DNS parser always-incremental: parse=%v; whole-PDU mode: parse=%v (%.2fx)\n",
-		st1.Parsing.Round(time.Millisecond), st2.Parsing.Round(time.Millisecond),
-		ratio(st1.Parsing, st2.Parsing))
-	fmt.Println("    (classifier list-vs-trie and channel deep-copy ablations: see go test -bench)")
-}
-
 // --- post-lowering optimizer ----------------------------------------------------
 
 // optimizeProgram runs the optimizer over every distinct compiled function
@@ -944,11 +925,64 @@ func (h *harness) vmopt() {
 		len(inputs), disagree)
 	check(disagree == 0, "firewall decisions diverge between optimization levels")
 
+	// Figure 9's BinPAC++ parsers, through the engine. Besides the log and
+	// instruction-count checks this is where the VM's allocation-free
+	// generic path is held: operand scratch on the frame shows at both
+	// levels (the ceiling), tuple scalar replacement only at -O1 (strictly
+	// fewer mallocs than -O0). Counts, not times, so CI can fail on them.
+	parsers := func(level int, scripts []string, streams []string, pkts []pcap.Packet) (logs []string, instrs, mallocs float64) {
+		vm.SetDefaultOptLevel(level)
+		defer vm.SetDefaultOptLevel(prev)
+		reg := metrics.NewRegistry()
+		e, err := bro.NewEngine(bro.Config{Parser: "binpac", ScriptExec: "interp",
+			Scripts: scripts, Quiet: true, Metrics: reg})
+		must(err)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e.ProcessTrace(pkts)
+		e.Finish()
+		runtime.ReadMemStats(&after)
+		for _, s := range streams {
+			logs = append(logs, e.Logs.Lines(s)...)
+		}
+		n := float64(len(pkts))
+		return logs, reg.Value(metrics.Name("hilti_vm_instructions_total", "vm", "parse")) / n,
+			float64(after.Mallocs-before.Mallocs) / n
+	}
+	for _, p := range []struct {
+		name    string
+		scripts []string
+		streams []string
+		pkts    []pcap.Packet
+		ceiling float64 // mallocs per packet at -O1, whole engine; 0 = unchecked
+	}{
+		{"HTTP", []string{bro.HTTPScript, bro.FilesScript}, []string{"http", "files"}, h.httpTrace(), 0},
+		{"DNS", []string{bro.DNSScript}, []string{"dns"}, h.dnsTrace(), dnsMallocsCeiling},
+	} {
+		l0, i0, a0 := parsers(0, p.scripts, p.streams, p.pkts)
+		l1, i1, a1 := parsers(1, p.scripts, p.streams, p.pkts)
+		fmt.Printf("    BinPAC++ %s, %d packets, %d log lines: -O0 %.1f instrs/pkt %.1f mallocs/pkt; -O1 %.1f instrs/pkt %.1f mallocs/pkt\n",
+			p.name, len(p.pkts), len(l0), i0, a0, i1, a1)
+		check(len(l0) > 0 && slices.Equal(l0, l1), p.name+" parser logs diverge between -O0 and -O1")
+		check(i1 < i0, p.name+" parser: optimizer did not reduce executed instruction count")
+		check(a1 < a0, p.name+" parser: -O1 does not allocate less than -O0 (tuple scalar replacement lost?)")
+		if p.ceiling > 0 {
+			check(a1 <= p.ceiling, fmt.Sprintf("%s parser: %.1f mallocs/pkt at -O1 exceeds the ceiling of %.0f (operand scratch lost?)",
+				p.name, a1, p.ceiling))
+		}
+	}
+
 	if fail {
 		os.Exit(1)
 	}
 	fmt.Println("    all optimizer invariants held")
 }
+
+// dnsMallocsCeiling bounds heap objects per DNS datagram for the whole
+// engine (BinPAC++ parser, interpreted dns.bro, logs kept) at -O1: 129.4
+// when it was set, at either trace size. One operand array per generic
+// instruction would add about 120, a boxed tuple per unpack about 60.
+const dnsMallocsCeiling = 145
 
 // --- tiered execution -------------------------------------------------------------
 

@@ -2,6 +2,7 @@ package bro
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"hilti/internal/hilti/vm"
@@ -234,6 +235,44 @@ event check(k: string) {
 	ex.RunHook("check", values.String("x")) // expired (idle 15s > 10s)
 	if out.String() != "present\nabsent\n" {
 		t.Fatalf("got %q", out.String())
+	}
+}
+
+// Every converted value of one record type carries the same StructDef —
+// also when several workers, each with its own Glue, convert the shared
+// type for the first time at once (run under -race).
+func TestToHiltiSharesStructDefPerRecordType(t *testing.T) {
+	rt := NewRecordType("Info", "uid", "n")
+	other := NewRecordType("Info", "uid", "n") // same shape, different type
+	conv := func(g *Glue, rt *RecordType, n int64) *values.Struct {
+		r := NewRecord(rt)
+		r.Set("n", CountVal(n))
+		return g.ToHilti(r).AsStruct()
+	}
+	const workers = 4
+	got := make([]*values.Struct, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w] = conv(NewGlue(nil), rt, int64(w))
+		}(w)
+	}
+	wg.Wait()
+	for w, s := range got {
+		if s.Def != got[0].Def {
+			t.Fatalf("worker %d got its own StructDef for a shared record type", w)
+		}
+		if v, ok := s.GetName("n"); !ok || v.AsInt() != int64(w) {
+			t.Fatalf("worker %d: field n = %v %v", w, v, ok)
+		}
+		if _, set := s.GetName("uid"); set {
+			t.Fatalf("worker %d: unassigned field reads as set", w)
+		}
+	}
+	if conv(NewGlue(nil), other, 0).Def == got[0].Def {
+		t.Fatal("distinct record types share a StructDef")
 	}
 }
 

@@ -43,7 +43,6 @@ type Config struct {
 	ScriptExec  string // "interp" or "hilti"
 	Scripts     []string
 	DiscardLogs bool
-	DNSWholePDU bool // ablation: parse DNS messages without a fiber
 	Quiet       bool // suppress script print output
 
 	// Resource governance (zero values = unlimited).
@@ -147,8 +146,9 @@ type Engine struct {
 	loopExec    *vm.Exec           // lazily built LoopPort injection analyzer
 	profs       *profiler.Registry // parsing/script/glue component profilers
 
-	httpReqStruct, httpRepStruct *values.StructDef
-	out                          printWriter
+	httpReqStruct, httpRepStruct, dnsMsgStruct *values.StructDef
+	dnsParseFn                                 *vm.CompiledFunc
+	out                                        printWriter
 
 	// delta, when non-nil, tracks which state changed since the last WAL
 	// flush (see wal.go). Nil outside WAL mode: the mark helpers are then
@@ -286,6 +286,8 @@ func (e *Engine) initBinpac() error {
 	e.pexec.Limits = e.cfg.ParseLimits
 	e.httpReqStruct = findStruct(httpMods, "Requests")
 	e.httpRepStruct = findStruct(httpMods, "Replies")
+	e.dnsMsgStruct = findStruct(dnsMods, "Message")
+	e.dnsParseFn = prog.Fn("DNS::parse_Message")
 	e.registerBinpacHost()
 	return nil
 }

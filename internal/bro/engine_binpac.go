@@ -8,8 +8,6 @@
 package bro
 
 import (
-	"sync"
-
 	"hilti/internal/binpac/grammars"
 	"hilti/internal/hilti/vm"
 	"hilti/internal/rt/container"
@@ -71,53 +69,25 @@ func (e *Engine) finishBinpacDir(c *conn, isOrig bool) {
 	}
 }
 
-// binpacDNSPacket parses one DNS datagram through the HILTI parser. Per
-// the paper's observation, the generated parser always runs incrementally
-// (inside a fiber) even for complete UDP PDUs; Config.DNSWholePDU enables
-// the optimized whole-PDU mode as an ablation.
+// binpacDNSPacket parses one DNS datagram through the HILTI parser. A
+// datagram is a complete PDU: the rope is frozen before the parse starts,
+// so nothing can suspend and the parser is called directly — no fiber. (The
+// paper notes its generated parsers always run incrementally, even on UDP,
+// and calls that an inefficiency.)
 func (e *Engine) binpacDNSPacket(c *conn, payload []byte) {
-	fn := e.pexec.Prog.Fn("DNS::parse_Message")
 	rope := hbytes.New()
 	rope.AppendOwned(payload)
 	rope.Freeze()
-	self := values.StructVal(values.NewStruct(e.dnsMsgStruct()))
-	cur := values.IterBytes(rope.Begin())
+	self := values.StructVal(values.NewStruct(e.dnsMsgStruct))
 
 	e.inParse++
 	e.profParse.Start()
-	var err error
-	if e.cfg.DNSWholePDU {
-		_, err = e.pexec.CallFn(fn, self, cur, values.Int(c.ctx))
-	} else {
-		run := e.pexec.FiberCall(fn, self, cur, values.Int(c.ctx))
-		for {
-			var done bool
-			_, done, err = run.Resume()
-			if done {
-				break
-			}
-		}
-	}
+	_, err := e.pexec.CallFn(e.dnsParseFn, self, values.IterBytes(rope.Begin()), values.Int(c.ctx))
 	e.profParse.Stop()
 	e.inParse--
 	if err != nil {
 		e.parseErrs.Inc()
 	}
-}
-
-// dnsStructCache is shared across engines; engines now run on parallel
-// pipeline workers, so the lazy initialization must be synchronized.
-var (
-	dnsStructOnce  sync.Once
-	dnsStructCache *values.StructDef
-)
-
-func (e *Engine) dnsMsgStruct() *values.StructDef {
-	dnsStructOnce.Do(func() {
-		mods, _ := grammars.DNSModules()
-		dnsStructCache = findStruct(mods, "Message")
-	})
-	return dnsStructCache
 }
 
 // registerBinpacHost wires the bro_* callbacks the parser hooks invoke.

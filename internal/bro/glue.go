@@ -75,8 +75,7 @@ func (g *Glue) toHilti(v Val) values.Value {
 	case EnumVal:
 		return values.String(v.Name)
 	case *RecordVal:
-		def := values.NewStructDef(v.T.Name, fieldDefs(v.T)...)
-		s := values.NewStruct(def)
+		s := values.NewStruct(v.T.hiltiDef())
 		for i, f := range v.F {
 			if f != nil {
 				s.Set(i, g.toHilti(f))
@@ -118,14 +117,6 @@ func (g *Glue) keyToHilti(key []Val) values.Value {
 		elems[i] = g.toHilti(k)
 	}
 	return values.TupleVal(elems...)
-}
-
-func fieldDefs(rt *RecordType) []values.StructField {
-	out := make([]values.StructField, len(rt.Fields))
-	for i, f := range rt.Fields {
-		out[i] = values.StructField{Name: f, Default: values.Unset}
-	}
-	return out
 }
 
 // FromHilti converts a HILTI value into a Val. Type hints come from the

@@ -20,6 +20,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"hilti/internal/rt/values"
 )
@@ -121,6 +122,27 @@ type RecordType struct {
 	Name   string
 	Fields []string
 	index  map[string]int
+
+	// def is the type's HILTI struct definition (see hiltiDef), built on
+	// first conversion. Record types are shared by pipeline workers, hence
+	// the Once; it also means a RecordType must not be copied.
+	defOnce sync.Once
+	def     *values.StructDef
+}
+
+// hiltiDef returns the one HILTI struct definition every converted value of
+// this record type carries. Sharing it saves building a field slice and a
+// name index per conversion, and keeps the definition pointer — the "shape"
+// tier-2's struct inline caches key on — stable across values.
+func (rt *RecordType) hiltiDef() *values.StructDef {
+	rt.defOnce.Do(func() {
+		fields := make([]values.StructField, len(rt.Fields))
+		for i, f := range rt.Fields {
+			fields[i] = values.StructField{Name: f, Default: values.Unset}
+		}
+		rt.def = values.NewStructDef(rt.Name, fields...)
+	})
+	return rt.def
 }
 
 // NewRecordType builds a record type.

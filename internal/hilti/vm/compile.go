@@ -399,9 +399,14 @@ func (c *fnCompiler) lower(in *ast.Instr) error {
 }
 
 // lowerSimple compiles `target = op(srcs...)` with a runtime handler.
-// One- and two-operand forms get specialized executors to keep dispatch
-// overhead off the hot path.
 func (c *fnCompiler) lowerSimple(in *ast.Instr, arity int, fn simpleFn) error {
+	return c.lowerGeneric(in, arity, execSimple, fn)
+}
+
+// lowerGeneric compiles `target = op(srcs...)` for an executor that gathers
+// its operands itself and finds its semantic definition in aux.
+func (c *fnCompiler) lowerGeneric(in *ast.Instr, arity int,
+	exec func(*Exec, *Frame, *Instr) int, aux any) error {
 	if arity >= 0 && len(in.Ops) != arity {
 		return fmt.Errorf("%s expects %d operands, got %d", in.Op, arity, len(in.Ops))
 	}
@@ -413,59 +418,30 @@ func (c *fnCompiler) lowerSimple(in *ast.Instr, arity int, fn simpleFn) error {
 	if err != nil {
 		return err
 	}
-	exec := execSimple
-	switch len(srcs) {
-	case 1:
-		exec = execSimple1
-	case 2:
-		exec = execSimple2
-	}
-	c.emit(Instr{exec: exec, d: d, srcs: srcs, aux: fn})
+	c.emit(Instr{exec: exec, d: d, srcs: srcs, aux: aux})
 	return nil
 }
 
+// simpleFn is the semantic definition of a generic instruction: operands
+// in, result or error out. args is the executing frame's operand scratch
+// (Exec.operands) and must not be retained.
 type simpleFn func(ex *Exec, args []values.Value) (values.Value, error)
 
-func execSimple1(ex *Exec, fr *Frame, in *Instr) int {
-	var args [1]values.Value
-	args[0] = ex.get(fr, &in.srcs[0])
-	v, err := in.aux.(simpleFn)(ex, args[:])
+// simple is the one gather → call → raise-or-store sequence behind every
+// simpleFn-dispatched executor. It returns the stored result and the next
+// pc; a negative pc (raise or retry) means nothing was stored.
+func (ex *Exec) simple(fr *Frame, in *Instr) (values.Value, int) {
+	v, err := in.aux.(simpleFn)(ex, ex.operands(fr, in))
 	if err != nil {
-		return ex.raiseErr(err)
+		return v, ex.raiseErr(err)
 	}
 	ex.put(fr, in.d, v)
-	return in.t1
-}
-
-func execSimple2(ex *Exec, fr *Frame, in *Instr) int {
-	var args [2]values.Value
-	args[0] = ex.get(fr, &in.srcs[0])
-	args[1] = ex.get(fr, &in.srcs[1])
-	v, err := in.aux.(simpleFn)(ex, args[:])
-	if err != nil {
-		return ex.raiseErr(err)
-	}
-	ex.put(fr, in.d, v)
-	return in.t1
+	return v, in.t1
 }
 
 func execSimple(ex *Exec, fr *Frame, in *Instr) int {
-	var buf [6]values.Value
-	var args []values.Value
-	if n := len(in.srcs); n <= len(buf) {
-		args = buf[:n]
-	} else {
-		args = make([]values.Value, n)
-	}
-	for i := range in.srcs {
-		args[i] = ex.get(fr, &in.srcs[i])
-	}
-	v, err := in.aux.(simpleFn)(ex, args)
-	if err != nil {
-		return ex.raiseErr(err)
-	}
-	ex.put(fr, in.d, v)
-	return in.t1
+	_, pc := ex.simple(fr, in)
+	return pc
 }
 
 // getCtor materializes a constructor source.

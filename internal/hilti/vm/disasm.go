@@ -18,8 +18,10 @@ import (
 //	0003 int.eq          r2 <- r1, c:2048 ; t1=5 t2=9
 //
 // Destinations and sources print as rN (register), gN (global), c:<value>
-// (constant), or ctor(...). Control targets print only when they carry
-// information: t1 when it is not the fallthrough pc, t2 for branches.
+// (constant), or ctor(...); a two-destination instruction (splitTuples in
+// opt.go) prints both, "r7, r12 <- r1". Control targets print only when
+// they carry information: t1 when it is not the fallthrough pc, t2 for
+// branches.
 // Exception handlers follow the code as "handler [start,end) -> target".
 func (fn *CompiledFunc) Disasm() string {
 	return fn.disasm(fn.Code, nil)
@@ -72,6 +74,8 @@ func (fn *CompiledFunc) disasm(code []Instr, tc *tierCode) string {
 			operands = append(operands, srcString(&in.srcs[i]))
 		}
 		switch {
+		case in.d2 != 0:
+			fmt.Fprintf(&sb, " %s, r%d <- %s", dstString(in.d), in.d2, strings.Join(operands, ", "))
 		case in.d.kind != srcNone && len(operands) > 0:
 			fmt.Fprintf(&sb, " %s <- %s", dstString(in.d), strings.Join(operands, ", "))
 		case in.d.kind != srcNone:

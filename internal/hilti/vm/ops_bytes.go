@@ -23,6 +23,38 @@ func bytesOf(v values.Value) (*hbytes.Bytes, error) {
 	return b, nil
 }
 
+func errNilIter() error {
+	return &values.Exception{Name: "Hilti::NullReference", Msg: "nil iterator"}
+}
+
+// twoFn is the semantic definition of an instruction with two results —
+// the (value, iterator) ops parsers are made of. args is as for simpleFn.
+type twoFn func(ex *Exec, args []values.Value) (a, b values.Value, err error)
+
+func registerTwo(op string, arity int, fn twoFn) {
+	register(op, func(c *fnCompiler, in *ast.Instr) error {
+		return c.lowerGeneric(in, arity, execTwo, fn)
+	})
+}
+
+// execTwo is both executable forms of a twoFn. As lowered (the reference
+// form, all there is at O0) the pair is boxed into a tuple for in.d; once
+// splitTuples (opt.go) has given the instruction a second destination the
+// results go straight to the two registers and no tuple is built. Either
+// way nothing is written when the op raises or suspends for input.
+func execTwo(ex *Exec, fr *Frame, in *Instr) int {
+	a, b, err := in.aux.(twoFn)(ex, ex.operands(fr, in))
+	if err != nil {
+		return ex.raiseErr(err)
+	}
+	if in.d2 == 0 {
+		ex.put(fr, in.d, values.TupleVal(a, b))
+	} else {
+		fr.R[in.d.idx], fr.R[in.d2] = a, b
+	}
+	return in.t1
+}
+
 func init() {
 	registerSimple("bytes.new", 0, func(ex *Exec, a []values.Value) (values.Value, error) {
 		return values.BytesVal(hbytes.New()), nil
@@ -86,7 +118,7 @@ func init() {
 		from := a[0].AsIterBytes()
 		to := a[1].AsIterBytes()
 		if from.Bytes() == nil {
-			return values.Nil, &values.Exception{Name: "Hilti::NullReference", Msg: "nil iterator"}
+			return values.Nil, errNilIter()
 		}
 		nb, err := from.Bytes().SubBytes(from, to)
 		if err != nil {
@@ -102,39 +134,33 @@ func init() {
 		b.Trim(a[1].AsIterBytes())
 		return values.Nil, nil
 	})
-	registerSimple("bytes.find", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	registerTwo("bytes.find", 2, func(ex *Exec, a []values.Value) (found, pos values.Value, err error) {
 		b, err := bytesOf(a[0])
 		if err != nil {
-			return values.Nil, err
+			return
 		}
 		needle, err := bytesOf(a[1])
 		if err != nil {
-			return values.Nil, err
+			return
 		}
-		it, found, err := b.Find(needle.Bytes(), b.Begin())
-		if err != nil {
-			return values.Nil, err
-		}
-		return values.TupleVal(values.Bool(found), values.IterBytes(it)), nil
+		it, ok, err := b.Find(needle.Bytes(), b.Begin())
+		return values.Bool(ok), values.IterBytes(it), err
 	})
 	// bytes.find_from target=(found, iter) <iter> <needle-bytes>: search
 	// forward from an iterator, suspending when the needle might still
 	// arrive on a non-frozen rope.
-	registerSimple("bytes.find_from", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	registerTwo("bytes.find_from", 2, func(ex *Exec, a []values.Value) (found, pos values.Value, err error) {
 		it := a[0].AsIterBytes()
 		b := it.Bytes()
 		if b == nil {
-			return values.Nil, &values.Exception{Name: "Hilti::NullReference", Msg: "nil iterator"}
+			return found, pos, errNilIter()
 		}
 		needle, err := bytesOf(a[1])
 		if err != nil {
-			return values.Nil, err
+			return
 		}
-		pos, found, err := b.Find(needle.Bytes(), it)
-		if err != nil {
-			return values.Nil, err
-		}
-		return values.TupleVal(values.Bool(found), values.IterBytes(pos)), nil
+		at, ok, err := b.Find(needle.Bytes(), it)
+		return values.Bool(ok), values.IterBytes(at), err
 	})
 
 	registerSimple("bytes.to_string", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
@@ -226,7 +252,7 @@ func init() {
 		it := a[0].AsIterBytes()
 		b := it.Bytes()
 		if b == nil {
-			return values.Nil, &values.Exception{Name: "Hilti::NullReference", Msg: "nil iterator"}
+			return values.Nil, errNilIter()
 		}
 		if !b.Frozen() {
 			return values.Nil, hbytes.ErrWouldBlock
@@ -241,7 +267,7 @@ func init() {
 		it := a[0].AsIterBytes()
 		b := it.Bytes()
 		if b == nil {
-			return values.Nil, &values.Exception{Name: "Hilti::NullReference", Msg: "nil iterator"}
+			return values.Nil, errNilIter()
 		}
 		return values.IterBytes(b.End()), nil
 	})
@@ -303,57 +329,55 @@ func init() {
 	})
 
 	// --- unpack (binary field extraction; the overlay/unpack formats of §4) -------
-	unpack := func(name string, width int64, fn func(raw []byte) values.Value) {
-		registerSimple("unpack."+name, 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	// Each decoder gets the field's bytes at the front of a by-value array:
+	// nothing escapes, so a fixed-width unpack allocates nothing.
+	unpack := func(name string, width int64, decode func(r [16]byte) values.Value) {
+		registerTwo("unpack."+name, 1, func(ex *Exec, a []values.Value) (val, next values.Value, err error) {
 			it := a[0].AsIterBytes()
 			b := it.Bytes()
 			if b == nil {
-				return values.Nil, &values.Exception{Name: "Hilti::NullReference", Msg: "nil iterator"}
+				return val, next, errNilIter()
 			}
-			raw, err := b.Sub(it, it.Plus(width))
-			if err != nil {
-				return values.Nil, err
+			var raw [16]byte
+			if err = b.ReadAt(raw[:width], it); err != nil {
+				return
 			}
-			return values.TupleVal(fn(raw), values.IterBytes(it.Plus(width))), nil
+			return decode(raw), values.IterBytes(it.Plus(width)), nil
 		})
 	}
-	unpack("uint8", 1, func(r []byte) values.Value { return values.Uint(uint64(r[0])) })
-	unpack("uint16be", 2, func(r []byte) values.Value {
+	unpack("uint8", 1, func(r [16]byte) values.Value { return values.Uint(uint64(r[0])) })
+	unpack("uint16be", 2, func(r [16]byte) values.Value {
 		return values.Uint(uint64(r[0])<<8 | uint64(r[1]))
 	})
-	unpack("uint16le", 2, func(r []byte) values.Value {
+	unpack("uint16le", 2, func(r [16]byte) values.Value {
 		return values.Uint(uint64(r[1])<<8 | uint64(r[0]))
 	})
-	unpack("uint32be", 4, func(r []byte) values.Value {
+	unpack("uint32be", 4, func(r [16]byte) values.Value {
 		return values.Uint(uint64(r[0])<<24 | uint64(r[1])<<16 | uint64(r[2])<<8 | uint64(r[3]))
 	})
-	unpack("uint32le", 4, func(r []byte) values.Value {
+	unpack("uint32le", 4, func(r [16]byte) values.Value {
 		return values.Uint(uint64(r[3])<<24 | uint64(r[2])<<16 | uint64(r[1])<<8 | uint64(r[0]))
 	})
-	unpack("addr4", 4, func(r []byte) values.Value {
+	unpack("addr4", 4, func(r [16]byte) values.Value {
 		return values.AddrFrom4([4]byte{r[0], r[1], r[2], r[3]})
 	})
-	unpack("addr6", 16, func(r []byte) values.Value {
-		var a [16]byte
-		copy(a[:], r)
-		return values.AddrFrom16(a)
-	})
+	unpack("addr6", 16, values.AddrFrom16)
 	// unpack.bytes target=(bytes, iter) <iter> <n>: n raw bytes.
-	registerSimple("unpack.bytes", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	registerTwo("unpack.bytes", 2, func(ex *Exec, a []values.Value) (val, next values.Value, err error) {
 		it := a[0].AsIterBytes()
 		n := a[1].AsInt()
 		b := it.Bytes()
 		if b == nil {
-			return values.Nil, &values.Exception{Name: "Hilti::NullReference", Msg: "nil iterator"}
+			return val, next, errNilIter()
 		}
 		if n < 0 {
-			return values.Nil, &values.Exception{Name: "Hilti::ValueError", Msg: "negative length"}
+			return val, next, &values.Exception{Name: "Hilti::ValueError", Msg: "negative length"}
 		}
 		nb, err := b.SubBytes(it, it.Plus(n))
 		if err != nil {
-			return values.Nil, err
+			return
 		}
-		return values.TupleVal(values.BytesVal(nb), values.IterBytes(it.Plus(n))), nil
+		return values.BytesVal(nb), values.IterBytes(it.Plus(n)), nil
 	})
 
 	// --- regexp ---------------------------------------------------------------------
@@ -400,17 +424,13 @@ func init() {
 	// regexp.match_token target=(id, end-iter) <re> <begin-iter>: anchored
 	// longest match; suspends transparently when more input could extend
 	// the decision. id 0 = no match.
-	registerSimple("regexp.match_token", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	registerTwo("regexp.match_token", 2, func(ex *Exec, a []values.Value) (id, end values.Value, err error) {
 		re, _ := a[0].O.(*regexp.Regexp)
 		if re == nil {
-			return values.Nil, &values.Exception{Name: "Hilti::NullReference", Msg: "nil regexp"}
+			return id, end, &values.Exception{Name: "Hilti::NullReference", Msg: "nil regexp"}
 		}
-		it := a[1].AsIterBytes()
-		id, end, err := re.MatchIter(it)
-		if err != nil {
-			return values.Nil, err
-		}
-		return values.TupleVal(values.Int(int64(id)), values.IterBytes(end)), nil
+		tok, at, err := re.MatchIter(a[1].AsIterBytes())
+		return values.Int(int64(tok)), values.IterBytes(at), err
 	})
 
 	// regexp.find target=(found, start, end) <re> <bytes>: unanchored search.

@@ -64,13 +64,7 @@ func execCall(ex *Exec, fr *Frame, in *Instr) int {
 		ex.put(fr, in.d, ret)
 		return in.t1
 	}
-	var args []values.Value
-	if n := len(in.srcs); n > 0 {
-		args = make([]values.Value, n)
-		for i := range in.srcs {
-			args[i] = ex.get(fr, &in.srcs[i])
-		}
-	}
+	args := ex.operands(fr, in)
 	var ret values.Value
 	var err error
 	if ct.builtin != nil {
@@ -330,13 +324,7 @@ func joinSpace(parts []string) string {
 
 func execHookRun(ex *Exec, fr *Frame, in *Instr) int {
 	name := in.aux.(string)
-	var args []values.Value
-	if len(in.srcs) > 0 {
-		args = make([]values.Value, len(in.srcs))
-		for i := range in.srcs {
-			args[i] = ex.get(fr, &in.srcs[i])
-		}
-	}
+	args := ex.operands(fr, in)
 	for _, body := range ex.Prog.HookBodies[name] {
 		nfr := ex.newFrame(body)
 		copy(nfr.R, args)

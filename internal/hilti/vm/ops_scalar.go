@@ -148,14 +148,7 @@ func registerShaped(op string, arity int, fn simpleFn,
 		if exec := pick(srcs, d); exec != nil {
 			return exec
 		}
-		switch arity {
-		case 1:
-			return execSimple1
-		case 2:
-			return execSimple2
-		default:
-			return execSimple
-		}
+		return execSimple
 	}
 	reshapers[op] = pickOrSimple
 	register(op, func(c *fnCompiler, in *ast.Instr) error {

@@ -1,10 +1,12 @@
 // Post-lowering optimizer: a small pass pipeline over the linear []Instr
 // produced by compile.go. The paper leans on LLVM for "compile-time
 // optimization of the instruction stream" (§5); this file substitutes the
-// classic subset that pays off for network-analysis code — constant
-// folding, copy propagation, jump threading, unreachable-code elimination,
-// and superinstruction fusion of the compare-feeds-branch pattern that
-// dominates generated filter and firewall loops.
+// classic subset that pays off for network-analysis code — scalar
+// replacement of the (value, iterator) tuples generated parsers take apart
+// at once, constant folding, copy propagation, jump threading,
+// unreachable-code elimination, and superinstruction fusion of the
+// compare-feeds-branch pattern that dominates generated filter and
+// firewall loops.
 //
 // All passes are behavior-preserving, including exception semantics:
 // handler ranges are repatched when code is removed, fused instructions
@@ -17,6 +19,7 @@ package vm
 import (
 	"strings"
 
+	"hilti/internal/hilti/types"
 	"hilti/internal/rt/values"
 )
 
@@ -24,6 +27,7 @@ import (
 type OptStats struct {
 	Before   int // instructions before optimization
 	After    int // instructions after optimization
+	Split    int // tuple producers rewritten to two-destination form
 	Folded   int // instructions replaced by constant assignments or jumps
 	Copies   int // operand reads redirected by copy/constant propagation
 	Threaded int // branch targets redirected through jump chains
@@ -35,6 +39,7 @@ type OptStats struct {
 func (st *OptStats) Add(s OptStats) {
 	st.Before += s.Before
 	st.After += s.After
+	st.Split += s.Split
 	st.Folded += s.Folded
 	st.Copies += s.Copies
 	st.Threaded += s.Threaded
@@ -61,10 +66,15 @@ func Optimize(fn *CompiledFunc, level int) OptStats {
 	if level <= 0 || len(fn.Code) == 0 {
 		return st
 	}
+	// Computed once for the passes below: they add no control edges
+	// (constFold only turns a two-way branch into a jump), so the set stays
+	// a safe over-approximation.
+	lead := leaders(fn)
+	splitTuples(fn, lead, &st) // first: it leaves moves for copyProp to forward
 	// Propagation and folding feed each other (a propagated constant can
 	// complete an all-const operand set), so run them twice.
 	for i := 0; i < 2; i++ {
-		copyProp(fn, &st)
+		copyProp(fn, lead, &st)
 		constFold(fn, &st)
 	}
 	threadJumps(fn, &st)
@@ -140,12 +150,11 @@ func leaders(fn *CompiledFunc) []bool {
 // same straight-line region are redirected to s. Any instruction that can
 // be entered from elsewhere resets the tracked set; writing a register
 // kills bindings involving it.
-func copyProp(fn *CompiledFunc, st *OptStats) {
-	lead := leaders(fn)
+func copyProp(fn *CompiledFunc, lead []bool, st *OptStats) {
 	copies := map[int32]src{}
 	for pc := range fn.Code {
-		if lead[pc] && len(copies) > 0 {
-			copies = map[int32]src{}
+		if lead[pc] {
+			clear(copies)
 		}
 		in := &fn.Code[pc]
 		reshaped := false
@@ -162,21 +171,32 @@ func copyProp(fn *CompiledFunc, st *OptStats) {
 				in.exec = pick(in.srcs, in.d)
 			}
 		}
+		if in.d2 != 0 {
+			killCopies(copies, in.d2)
+		}
 		if in.d.kind != srcReg {
 			continue
 		}
 		w := in.d.idx
-		delete(copies, w)
-		for r, rep := range copies {
-			if rep.kind == srcReg && rep.idx == w {
-				delete(copies, r)
-			}
-		}
+		killCopies(copies, w)
 		if in.op == "assign" && len(in.srcs) == 1 {
 			if s := in.srcs[0]; (s.kind == srcConst || s.kind == srcReg) &&
 				!(s.kind == srcReg && s.idx == w) {
 				copies[w] = s
 			}
+		}
+	}
+}
+
+// killCopies drops every binding that a write to register w invalidates.
+func killCopies(copies map[int32]src, w int32) {
+	if len(copies) == 0 {
+		return
+	}
+	delete(copies, w)
+	for r, rep := range copies {
+		if rep.kind == srcReg && rep.idx == w {
+			delete(copies, r)
 		}
 	}
 }
@@ -193,6 +213,134 @@ func substSrc(s *src, copies map[int32]src, st *OptStats) {
 			substSrc(&s.subs[i], copies, st)
 		}
 	}
+}
+
+// splitTuples is scalar replacement for the tuples of two-result ops
+// (registerTwo). Generated parsers write `t = unpack…; v = tuple.index t 0;
+// cur = tuple.index t 1`: the tuple lives for two instructions and costs
+// two heap objects. For a register whose every definition is such an op,
+// whose every read is a tuple.index with a constant in-range index, and
+// whose definitions dominate those reads (no read can execute before one
+// of them has completed), each producer gets a second destination —
+// component 0 goes to the old tuple register, component 1 to a fresh one —
+// and each tuple.index becomes a move from the component, which copyProp
+// then forwards. A tuple that is passed, stored, returned or indexed
+// dynamically anywhere keeps the boxed form, as does all code at O0 — the
+// reference the split form is tested against.
+func splitTuples(fn *CompiledFunc, lead []bool, st *OptStats) {
+	var prods, reads []int
+	for pc := range fn.Code {
+		in := &fn.Code[pc]
+		if _, ok := in.aux.(twoFn); ok && in.d.kind == srcReg && in.d2 == 0 {
+			prods = append(prods, pc)
+		} else if isComponentRead(in) {
+			reads = append(reads, pc)
+		}
+	}
+	if len(prods) == 0 || len(reads) == 0 {
+		return
+	}
+	// other[r]: the register is defined by something that is not one of
+	// prods (parameters and catch variables included) or read by something
+	// that is not a component read.
+	other := make([]bool, fn.NRegs)
+	for r := 0; r < fn.NParams; r++ {
+		other[r] = true
+	}
+	for i := range fn.Handlers {
+		other[fn.Handlers[i].excReg] = true
+	}
+	var escape func(s *src)
+	escape = func(s *src) {
+		switch s.kind {
+		case srcReg:
+			other[s.idx] = true
+		case srcCtor:
+			for i := range s.subs {
+				escape(&s.subs[i])
+			}
+		}
+	}
+	isProd := make([]bool, len(fn.Code))
+	for _, p := range prods {
+		isProd[p] = true
+	}
+	for pc := range fn.Code {
+		in := &fn.Code[pc]
+		if in.d.kind == srcReg && !isProd[pc] {
+			other[in.d.idx] = true
+		}
+		if in.d2 != 0 {
+			other[in.d2] = true
+		}
+		for i := range in.srcs {
+			if i > 0 || !isComponentRead(in) {
+				escape(&in.srcs[i])
+			}
+		}
+	}
+	for _, p := range prods {
+		r := fn.Code[p].d.idx
+		if other[r] {
+			continue
+		}
+		other[r] = true // visit each register once
+		// cut marks r's producers; a read they do not dominate can be
+		// reached from entry without passing one of them.
+		cut := make([]bool, len(fn.Code))
+		for _, o := range prods {
+			cut[o] = fn.Code[o].d.idx == r
+		}
+		var undominated []bool
+		split := true
+		for _, q := range reads {
+			if fn.Code[q].srcs[0].idx != r {
+				continue
+			}
+			// Cheap case: q is reached only by falling through from a producer.
+			pc := q
+			for pc > 0 && !lead[pc] && !cut[pc-1] {
+				pc--
+			}
+			if pc == 0 || lead[pc] {
+				if undominated == nil {
+					undominated = reachable(fn, cut)
+				}
+				split = split && !undominated[q]
+			}
+		}
+		if !split {
+			continue
+		}
+		comp := [2]int32{r, int32(fn.NRegs)}
+		fn.NRegs++
+		for pc, yes := range cut {
+			if yes {
+				fn.Code[pc].d2 = comp[1]
+				st.Split++
+			}
+		}
+		for _, q := range reads {
+			if in := &fn.Code[q]; in.srcs[0].idx == r {
+				*in = Instr{op: "assign", opID: internOp("assign"), exec: execAssign,
+					d: in.d, srcs: []src{{kind: srcReg, idx: comp[in.srcs[1].val.A]}}, t1: in.t1}
+			}
+		}
+		if int(r) < len(fn.RegTypes) { // the register now holds component 0
+			if t := fn.RegTypes[r]; t != nil && t.Kind == types.Tuple && len(t.Params) == 2 {
+				fn.RegTypes[r] = t.Params[0]
+			} else {
+				fn.RegTypes[r] = nil
+			}
+		}
+	}
+}
+
+// isComponentRead reports whether in is `tuple.index <reg> <const 0|1>`.
+func isComponentRead(in *Instr) bool {
+	return in.op == "tuple.index" && len(in.srcs) == 2 &&
+		in.srcs[0].kind == srcReg && in.srcs[1].kind == srcConst &&
+		in.srcs[1].val.K == values.KindInt && in.srcs[1].val.A < 2
 }
 
 // foldKind classifies how an op with all-constant operands is evaluated at
@@ -474,13 +622,7 @@ func fuseMaker(in *Instr) func(*Exec, *Frame, *Instr) int {
 		if _, ok := in.aux.(simpleFn); !ok {
 			return nil
 		}
-		switch len(in.srcs) {
-		case 1:
-			return execFusedSimple1
-		case 2:
-			return execFusedSimple2
-		}
-		return nil
+		return execFusedSimple
 	}
 }
 
@@ -556,34 +698,21 @@ func execFusedMapExists(ex *Exec, fr *Frame, in *Instr) int {
 	return in.branch(b)
 }
 
-func execFusedSimple1(ex *Exec, fr *Frame, in *Instr) int {
-	var args [1]values.Value
-	args[0] = ex.get(fr, &in.srcs[0])
-	v, err := in.aux.(simpleFn)(ex, args[:])
-	if err != nil {
-		return ex.raiseErr(err)
+// execFusedSimple is execSimple plus the branch on the stored boolean.
+func execFusedSimple(ex *Exec, fr *Frame, in *Instr) int {
+	v, pc := ex.simple(fr, in)
+	if pc < 0 {
+		return pc
 	}
-	ex.put(fr, in.d, v)
 	return in.branch(values.IsTruthy(v))
 }
 
-func execFusedSimple2(ex *Exec, fr *Frame, in *Instr) int {
-	var args [2]values.Value
-	args[0] = ex.get(fr, &in.srcs[0])
-	args[1] = ex.get(fr, &in.srcs[1])
-	v, err := in.aux.(simpleFn)(ex, args[:])
-	if err != nil {
-		return ex.raiseErr(err)
-	}
-	ex.put(fr, in.d, v)
-	return in.branch(values.IsTruthy(v))
-}
-
-// removeUnreachable deletes instructions no control or exception path can
-// reach, then repatches every pc-valued field: jump targets, switch
-// tables, and handler ranges/targets. Handlers whose protected range ends
-// up empty are dropped.
-func removeUnreachable(fn *CompiledFunc, st *OptStats) {
+// reachable marks every pc control can reach from pc 0, a raise anywhere
+// inside a handler's protected range reaching the handler's target. The
+// walk does not continue past an instruction in cut (nil: none), though its
+// raise edges still count: what stays reachable is what can execute without
+// any of cut having completed, i.e. everything cut does not dominate.
+func reachable(fn *CompiledFunc, cut []bool) []bool {
 	n := len(fn.Code)
 	reach := make([]bool, n)
 	var stack, buf []int
@@ -597,6 +726,9 @@ func removeUnreachable(fn *CompiledFunc, st *OptStats) {
 		for len(stack) > 0 {
 			pc := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
+			if cut != nil && cut[pc] {
+				continue
+			}
 			buf = successors(fn, pc, buf[:0])
 			for _, t := range buf {
 				push(t)
@@ -624,6 +756,16 @@ func removeUnreachable(fn *CompiledFunc, st *OptStats) {
 			}
 		}
 	}
+	return reach
+}
+
+// removeUnreachable deletes instructions no control or exception path can
+// reach, then repatches every pc-valued field: jump targets, switch
+// tables, and handler ranges/targets. Handlers whose protected range ends
+// up empty are dropped.
+func removeUnreachable(fn *CompiledFunc, st *OptStats) {
+	n := len(fn.Code)
+	reach := reachable(fn, nil)
 
 	kept := 0
 	for pc := 0; pc < n; pc++ {

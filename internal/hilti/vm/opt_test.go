@@ -324,6 +324,11 @@ func TestFreedFramesHoldNoValues(t *testing.T) {
 				t.Fatalf("pooled frame register %d retains %v", i, v)
 			}
 		}
+		for i, v := range fr.args[:cap(fr.args)] {
+			if v != (values.Value{}) {
+				t.Fatalf("pooled frame operand scratch %d retains %v", i, v)
+			}
+		}
 		if fr.Ret != values.Nil {
 			t.Fatalf("pooled frame Ret retains %v", fr.Ret)
 		}

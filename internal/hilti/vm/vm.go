@@ -73,6 +73,12 @@ type Instr struct {
 	op   string // source operation name; "+br"-suffixed for fused compare-and-branch
 	opID uint16 // interned op (see opid.go), stamped at emit/rewrite time
 	d    dst
+	// d2 is the second destination register of a two-result instruction
+	// (execTwo) that splitTuples in opt.go has split, 0 otherwise. It
+	// is always a register splitTuples allocated itself — above the tuple
+	// register it replaces, so never register 0, and outside RegTypes, so
+	// tier-2 never re-homes it to a slot.
+	d2   int32
 	srcs []src
 	aux  any
 	// jump targets (patched after lowering). t1 is always a pc; t2 is a pc
@@ -143,10 +149,18 @@ type globalInit struct {
 // holds the unboxed int64/bool slots of statically-typed scalar registers;
 // a register promoted to a slot is dead in R for the whole activation (its
 // readers and writers were all rewritten to the slot, see tier2.go).
+//
+// args is the operand scratch of the instruction currently executing in
+// this activation (see Exec.operands). It belongs to the frame, not the
+// Exec, because an instruction can be interrupted between gathering its
+// operands and storing its result — a host function re-entering CallFn, or
+// a fiber suspending while other fibers run on the same Exec — and every
+// such interleaving runs in other frames.
 type Frame struct {
-	R   []values.Value
-	I   []int64
-	Ret values.Value
+	R    []values.Value
+	I    []int64
+	Ret  values.Value
+	args []values.Value
 }
 
 // enterTier prepares the frame for a tier-2 activation: size and zero the
@@ -246,6 +260,23 @@ func (ex *Exec) get(fr *Frame, s *src) values.Value {
 	}
 }
 
+// operands gathers in's sources into the frame's operand scratch. The
+// result is valid until the next instruction of this activation executes:
+// the simpleFn or HostFunc it is passed to may read it freely, including
+// across nested calls and fiber suspensions, but must not retain the slice
+// (values copied out of it are fine).
+func (ex *Exec) operands(fr *Frame, in *Instr) []values.Value {
+	n := len(in.srcs)
+	if cap(fr.args) < n {
+		fr.args = make([]values.Value, max(n, 4))
+	}
+	args := fr.args[:n]
+	for i := range args {
+		args[i] = ex.get(fr, &in.srcs[i])
+	}
+	return args
+}
+
 // put writes an instruction destination.
 func (ex *Exec) put(fr *Frame, d dst, v values.Value) {
 	switch d.kind {
@@ -280,18 +311,16 @@ func (ex *Exec) newFrame(fn *CompiledFunc) *Frame {
 	return fr
 }
 
-// freeFrame returns a frame to the pool. Registers are cleared over the
-// slice's full capacity first so that pooled frames do not pin heap
-// objects (byte ropes, structs) of completed calls via Value.O, and so
+// freeFrame returns a frame to the pool. Registers and operand scratch are
+// cleared over their full capacity first so that pooled frames do not pin
+// heap objects (byte ropes, structs) of completed calls via Value.O, and so
 // that newFrame can hand them out without re-clearing.
 func (ex *Exec) freeFrame(fr *Frame) {
 	if len(ex.freeFrames) >= maxFreeFrames {
 		return
 	}
-	r := fr.R[:cap(fr.R)]
-	for i := range r {
-		r[i] = values.Value{}
-	}
+	clear(fr.R[:cap(fr.R)])
+	clear(fr.args[:cap(fr.args)])
 	fr.Ret = values.Nil
 	ex.freeFrames = append(ex.freeFrames, fr)
 }

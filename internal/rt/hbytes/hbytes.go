@@ -46,6 +46,11 @@ type Bytes struct {
 	base   int64 // absolute offset of the first retained byte
 	end    int64 // absolute offset one past the last byte
 	frozen bool
+	// first is inline storage for chunks while the rope holds a single
+	// chunk — every bytes.sub result, BytesFrom constant and per-datagram
+	// rope — so those cost no separate chunk-list allocation. A Bytes must
+	// therefore not be copied by value once it holds data.
+	first [1]chunk
 }
 
 // New returns a new empty Bytes value.
@@ -89,6 +94,9 @@ func (b *Bytes) AppendOwned(data []byte) error {
 }
 
 func (b *Bytes) appendOwned(data []byte) error {
+	if len(b.chunks) == 0 {
+		b.chunks = b.first[:0]
+	}
 	b.chunks = append(b.chunks, chunk{off: b.end, data: data})
 	b.end += int64(len(data))
 	return nil
@@ -211,33 +219,46 @@ func (b *Bytes) String() string { return string(b.Bytes()) }
 // value, and ErrOutOfRange for invalid ranges.
 func (b *Bytes) Sub(from, to Iter) ([]byte, error) {
 	lo, hi := from.resolve(), to.resolve()
+	if err := b.checkRange(lo, hi); err != nil {
+		return nil, err
+	}
+	out := make([]byte, hi-lo)
+	b.copyRange(out, lo)
+	return out, nil
+}
+
+// ReadAt fills dst with the len(dst) bytes starting at from, with Sub's
+// error semantics and no allocation: fixed-width field decoders read into a
+// stack buffer with it.
+func (b *Bytes) ReadAt(dst []byte, from Iter) error {
+	lo := from.resolve()
+	if err := b.checkRange(lo, lo+int64(len(dst))); err != nil {
+		return err
+	}
+	b.copyRange(dst, lo)
+	return nil
+}
+
+func (b *Bytes) checkRange(lo, hi int64) error {
 	if lo > hi || lo < b.base {
-		return nil, ErrOutOfRange
+		return ErrOutOfRange
 	}
 	if hi > b.end {
 		if b.frozen {
-			return nil, ErrOutOfRange
+			return ErrOutOfRange
 		}
-		return nil, ErrWouldBlock
+		return ErrWouldBlock
 	}
-	out := make([]byte, 0, hi-lo)
-	for ci := b.findChunk(lo); ci >= 0 && ci < len(b.chunks); ci++ {
+	return nil
+}
+
+// copyRange fills dst from absolute offset lo; the range was checked.
+func (b *Bytes) copyRange(dst []byte, lo int64) {
+	for ci := b.findChunk(lo); len(dst) > 0; ci++ {
 		c := b.chunks[ci]
-		if c.off >= hi {
-			break
-		}
-		d := c.data
-		start := int64(0)
-		if lo > c.off {
-			start = lo - c.off
-		}
-		stop := int64(len(d))
-		if c.off+stop > hi {
-			stop = hi - c.off
-		}
-		out = append(out, d[start:stop]...)
+		n := copy(dst, c.data[lo-c.off:])
+		dst, lo = dst[n:], lo+int64(n)
 	}
-	return out, nil
 }
 
 // SubBytes is Sub wrapped into a new Bytes value (frozen, as HILTI's
@@ -247,8 +268,11 @@ func (b *Bytes) SubBytes(from, to Iter) (*Bytes, error) {
 	if err != nil {
 		return nil, err
 	}
-	nb := NewFrom(raw)
-	nb.Freeze()
+	nb := New()
+	if len(raw) > 0 {
+		nb.appendOwned(raw)
+	}
+	nb.frozen = true
 	return nb, nil
 }
 
@@ -386,13 +410,8 @@ func (it Iter) GoString() string {
 // copying (the caller retains ownership discipline of AppendOwned). Host
 // stubs use this to re-wrap per-packet buffers allocation-free.
 func (b *Bytes) Reset(data []byte) {
-	b.chunks = b.chunks[:0]
-	b.base = 0
-	b.end = 0
-	b.frozen = false
+	*b = Bytes{frozen: true}
 	if len(data) > 0 {
-		b.chunks = append(b.chunks, chunk{off: 0, data: data})
-		b.end = int64(len(data))
+		b.appendOwned(data)
 	}
-	b.frozen = true
 }

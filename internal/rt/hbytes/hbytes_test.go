@@ -270,3 +270,78 @@ func BenchmarkByteAtSequential(b *testing.B) {
 		r.ByteAt(int64(i) % n)
 	}
 }
+
+// SubBytes hands back an independent value: later appends to, or trims of,
+// the source must not show through, nor must writes to the source's chunks.
+func TestSubBytesIndependentOfSource(t *testing.T) {
+	first := []byte("hello ")
+	b := New()
+	b.AppendOwned(first)
+	b.Append([]byte("world"))
+	sub, err := b.SubBytes(b.At(3), b.At(8)) // spans the chunk boundary
+	if err != nil || sub.String() != "lo wo" || !sub.Frozen() {
+		t.Fatalf("SubBytes = %q frozen=%v err=%v", sub, sub.Frozen(), err)
+	}
+	b.Append([]byte("!!!"))
+	b.Trim(b.At(7))
+	first[4] = 'X'
+	if sub.String() != "lo wo" || sub.Len() != 5 {
+		t.Fatalf("sub changed with its source: %q", sub)
+	}
+	if err := sub.Append([]byte("x")); !errors.Is(err, ErrFrozen) {
+		t.Fatalf("append to a SubBytes result: %v, want ErrFrozen", err)
+	}
+	if empty, err := b.SubBytes(b.At(9), b.At(9)); err != nil || empty.Len() != 0 {
+		t.Fatalf("empty range: len=%d err=%v", empty.Len(), err)
+	}
+}
+
+// The first chunk lives inside the Bytes value; growing past it, trimming
+// everything away and appending again must all keep the rope intact.
+func TestGrowthPastInlineChunk(t *testing.T) {
+	b := New()
+	it := b.Begin()
+	var want []byte
+	for i := 0; i < 5; i++ {
+		chunk := []byte{byte('a' + i), byte('A' + i)}
+		b.Append(chunk)
+		want = append(want, chunk...)
+		if got := b.Bytes(); string(got) != string(want) {
+			t.Fatalf("after %d chunks: %q, want %q", i+1, got, want)
+		}
+	}
+	if c, err := it.Plus(7).Deref(); err != nil || c != 'D' {
+		t.Fatalf("iterator from before the growth: %q %v", c, err)
+	}
+	b.Trim(b.End()) // drops every chunk
+	b.Append([]byte("zz"))
+	if b.String() != "zz" || b.Len() != 2 {
+		t.Fatalf("append after full trim: %q", b)
+	}
+	if c, err := b.ByteAt(11); err != nil || c != 'z' {
+		t.Fatalf("ByteAt(11) = %q %v", c, err)
+	}
+
+	var buf [4]byte
+	r := NewFrom([]byte("abcdef"))
+	r.Append([]byte("gh"))
+	if err := r.ReadAt(buf[:], r.At(4)); err != nil || string(buf[:]) != "efgh" {
+		t.Fatalf("ReadAt across chunks = %q %v", buf, err)
+	}
+	if err := r.ReadAt(buf[:], r.At(6)); !errors.Is(err, ErrWouldBlock) {
+		t.Fatalf("ReadAt past an unfrozen end: %v", err)
+	}
+	r.Freeze()
+	if err := r.ReadAt(buf[:], r.At(6)); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("ReadAt past a frozen end: %v", err)
+	}
+
+	// One-chunk ropes cost the Bytes value and the data copy, nothing else.
+	src := []byte("datagram")
+	if n := testing.AllocsPerRun(100, func() { NewFrom(src) }); n > 2 {
+		t.Fatalf("NewFrom: %v allocs, want <= 2", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { r.SubBytes(r.At(1), r.At(7)) }); n > 2 {
+		t.Fatalf("SubBytes: %v allocs, want <= 2", n)
+	}
+}

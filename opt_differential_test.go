@@ -5,16 +5,21 @@
 package hilti_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"hilti"
+	"hilti/internal/binpac/grammars"
 	"hilti/internal/bpf"
 	"hilti/internal/bro"
 	"hilti/internal/firewall"
+	"hilti/internal/hilti/ast"
 	"hilti/internal/hilti/vm"
 	"hilti/internal/pkt/layers"
+	"hilti/internal/pkt/pcap"
+	"hilti/internal/pkt/reassembly"
 	"hilti/internal/rt/hbytes"
 	"hilti/internal/rt/values"
 )
@@ -158,6 +163,186 @@ func TestOptDifferentialBroLogs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// grammarTranscript links both BinPAC++ grammars at the given level and
+// drives the generated parsers directly — HTTP as the engine does, one
+// fiber per direction resumed per TCP segment; DNS one call per datagram —
+// recording every host callback with its arguments rendered, every parse
+// error, and the number of suspensions.
+func grammarTranscript(t *testing.T, level int, httpPkts, dnsPkts []pcap.Packet) []string {
+	t.Helper()
+	httpMods, err := grammars.HTTPModules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dnsMods, err := grammars.DNSModules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := vm.LinkWith(vm.Options{OptLevel: level},
+		append(append([]*ast.Module(nil), httpMods...), dnsMods...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := vm.NewExec(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	methods := map[int64][]string{}
+	for _, name := range []string{"bro_http_request", "bro_http_reply", "bro_http_header",
+		"bro_http_body", "bro_http_message_done", "bro_http_pick_body", "bro_dns_message"} {
+		name := name
+		ex.RegisterHost(name, func(_ *vm.Exec, args []values.Value) (values.Value, error) {
+			parts := make([]string, len(args))
+			for i, a := range args {
+				parts[i] = values.Format(a)
+			}
+			out = append(out, name+"("+strings.Join(parts, ", ")+")")
+			ctx := args[0].AsInt()
+			switch name {
+			case "bro_http_request":
+				methods[ctx] = append(methods[ctx], values.Format(args[1]))
+			case "bro_http_pick_body": // as the engine: HEAD replies and 1xx/204/304 have no body
+				head := false
+				if q := methods[ctx]; len(q) > 0 {
+					head, methods[ctx] = q[0] == "HEAD", q[1:]
+				}
+				if status := args[1].AsInt(); head || status == 304 || status == 204 || status/100 == 1 {
+					return values.Int(grammars.BodyNone), nil
+				}
+				return args[2], nil
+			}
+			return values.Nil, nil
+		})
+	}
+	structDef := func(mods []*ast.Module, name string) *values.StructDef {
+		for _, m := range mods {
+			if ty, ok := m.Types[name]; ok && ty.StructDef != nil {
+				return ty.StructDef.Runtime()
+			}
+		}
+		t.Fatalf("no unit %s", name)
+		return nil
+	}
+
+	type side struct {
+		stream reassembly.Stream
+		rope   *hbytes.Bytes
+		run    *vm.Resumable
+	}
+	type dirKey struct {
+		src, dst [4]byte
+		sp, dp   uint16
+	}
+	sides := map[dirKey]*side{}
+	var order []*side
+	suspends := 0
+	resume := func(s *side, what string) {
+		if s.run.Done() {
+			return
+		}
+		if _, done, err := s.run.Resume(); !done {
+			suspends++
+		} else if err != nil {
+			out = append(out, what+" error: "+err.Error())
+		}
+	}
+	for _, p := range httpPkts {
+		eth, _ := layers.DecodeEthernet(p.Data)
+		ip, err := layers.DecodeIPv4(eth.Payload)
+		if err != nil {
+			continue
+		}
+		tcp, err := layers.DecodeTCP(ip.Payload)
+		if err != nil {
+			continue
+		}
+		k := dirKey{ip.Src, ip.Dst, tcp.SrcPort, tcp.DstPort}
+		s := sides[k]
+		if s == nil {
+			unit, ctx := "Requests", int64(tcp.SrcPort)<<16|int64(ip.Src[3])
+			if tcp.SrcPort == 80 {
+				unit, ctx = "Replies", int64(tcp.DstPort)<<16|int64(ip.Dst[3])
+			}
+			s = &side{rope: hbytes.New()}
+			s.run = ex.FiberCall(prog.Fn("HTTP::parse_"+unit),
+				values.StructVal(values.NewStruct(structDef(httpMods, unit))),
+				values.IterBytes(s.rope.Begin()), values.Int(ctx))
+			s.stream.Deliver = func(d []byte) {
+				s.rope.Append(d)
+				resume(s, unit)
+			}
+			sides[k] = s
+			order = append(order, s)
+		}
+		if tcp.Flags&layers.TCPSyn != 0 {
+			s.stream.Init(tcp.Seq)
+		}
+		s.stream.Segment(tcp.Seq, tcp.Payload, tcp.Flags&layers.TCPFin != 0)
+	}
+	for _, s := range order {
+		s.rope.Freeze()
+		resume(s, "end of stream")
+		if !s.run.Done() {
+			s.run.Abort()
+		}
+	}
+
+	dnsFn, dnsDef := prog.Fn("DNS::parse_Message"), structDef(dnsMods, "Message")
+	for i, p := range dnsPkts {
+		eth, _ := layers.DecodeEthernet(p.Data)
+		ip, err := layers.DecodeIPv4(eth.Payload)
+		if err != nil {
+			continue
+		}
+		udp, err := layers.DecodeUDP(ip.Payload)
+		if err != nil {
+			continue
+		}
+		rope := hbytes.NewFrom(udp.Payload)
+		rope.Freeze()
+		if _, err := ex.CallFn(dnsFn, values.StructVal(values.NewStruct(dnsDef)),
+			values.IterBytes(rope.Begin()), values.Int(int64(i))); err != nil {
+			out = append(out, "dns error: "+err.Error())
+		}
+	}
+	return append(out, fmt.Sprintf("%d suspensions", suspends))
+}
+
+// TestOptDifferentialGrammars holds the generated parsers themselves — not
+// just the logs the engine derives from them — to the O0 reference: the
+// same callbacks with the same arguments in the same order, the same parse
+// errors and the same suspension points at every level, on whole traces
+// and on truncated datagrams (every unpack's error path).
+func TestOptDifferentialGrammars(t *testing.T) {
+	httpPkts, dnsPkts := traces()
+	dnsPkts = append([]pcap.Packet(nil), dnsPkts[:400]...)
+	for i := 0; i < 60; i++ { // cut datagrams short, mid-header to mid-record
+		p := dnsPkts[i]
+		dnsPkts = append(dnsPkts, pcap.Packet{Time: p.Time, Data: p.Data[:len(p.Data)-1-i%40]})
+	}
+	want := grammarTranscript(t, 0, httpPkts, dnsPkts)
+	if len(want) < 1000 {
+		t.Fatalf("transcript has only %d lines; the trace is not reaching the parsers", len(want))
+	}
+	for _, level := range []int{1, 2} {
+		got := grammarTranscript(t, level, httpPkts, dnsPkts)
+		for i := 0; i < len(want) || i < len(got); i++ {
+			if i >= len(want) || i >= len(got) || got[i] != want[i] {
+				t.Fatalf("-O%d diverges from -O0 at transcript line %d of %d/%d:\n-O0: %s\n-O%d: %s",
+					level, i, len(got), len(want), lineAt(want, i), level, lineAt(got, i))
+			}
+		}
+	}
+}
+
+func lineAt(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return "<end>"
 }
 
 func TestPublicOptAPI(t *testing.T) {
