@@ -725,14 +725,12 @@ func (h *harness) faults() {
 	par.Close()
 	el := time.Since(start)
 
+	ledger := par.Ledger()
 	var ws pipeline.WorkerStats
 	for _, w := range par.Stats() {
-		ws.Packets += w.Packets
 		ws.Faults += w.Faults
 		ws.QuarantinedFlows += w.QuarantinedFlows
-		ws.QuarantineDropped += w.QuarantineDropped
 		ws.FlowsEvicted += w.FlowsEvicted
-		ws.PacketsRejected += w.PacketsRejected
 		ws.TimersDropped += w.TimersDropped
 		if int(w.LiveFlows) > maxFlows {
 			fmt.Printf("    FAIL: worker flow table %d exceeds cap\n", w.LiveFlows)
@@ -748,10 +746,10 @@ func (h *harness) faults() {
 	fmt.Printf("    trace: %d clean + %d injected packets (%.1f%% hostile: %d panic, %d loop, %d malformed) in %v\n",
 		len(pkts), injected, 100*float64(injected)/float64(total), injPanic, injLoop, injBad,
 		el.Round(time.Millisecond))
-	fmt.Printf("    contained faults: %d; quarantined flows: %d; packets dropped in quarantine: %d\n",
-		ws.Faults, ws.QuarantinedFlows, ws.QuarantineDropped)
-	fmt.Printf("    flow table: cap %d (policy evict-oldest), evictions: %d, rejected: %d, timers dropped at close: %d\n",
-		maxFlows, ws.FlowsEvicted, ws.PacketsRejected, ws.TimersDropped)
+	fmt.Printf("    contained faults: %d; quarantined flows: %d; packet fates: %v\n",
+		ws.Faults, ws.QuarantinedFlows, ledger.Fates)
+	fmt.Printf("    flow table: cap %d (LRU eviction), evictions: %d, timers dropped at close: %d\n",
+		maxFlows, ws.FlowsEvicted, ws.TimersDropped)
 	fmt.Printf("    execution budgets: %d ResourceExhausted raised by the injected busy-loop analyzer\n", budgetBlown)
 
 	fail := false
@@ -761,9 +759,10 @@ func (h *harness) faults() {
 			fmt.Printf("    FAIL: %s\n", what)
 		}
 	}
+	checkLedger(check, ledger, total)
 	check(ws.Faults > 0, "no faults contained (injection broken?)")
 	check(ws.QuarantinedFlows > 0, "no flows quarantined")
-	check(ws.QuarantineDropped > 0, "no packets dropped in quarantine")
+	check(ledger.Fates[admission.FateQuarantineDrop] > 0, "no packets dropped in quarantine")
 	check(ws.FlowsEvicted > 0, "no flow-table evictions at the cap")
 	check(budgetBlown > 0, "busy-loop analyzer never exhausted its budget")
 	for _, s := range streams {
@@ -1370,6 +1369,14 @@ func ratio(a, b time.Duration) float64 {
 	return float64(a) / float64(b)
 }
 
+// checkLedger holds the packet-fate identity after a drain: each of the
+// fed packets is in exactly one fate and none is left in flight.
+func checkLedger(check func(bool, string), l pipeline.Ledger, fed int) {
+	check(l.Balanced() && l.InFlight == 0 && l.Offered == uint64(fed),
+		fmt.Sprintf("packet-fate ledger: fed %d, offered %d, in flight %d, fates %v (sum %d)",
+			fed, l.Offered, l.InFlight, l.Fates, l.Fates.Sum()))
+}
+
 func must(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hilti-bench:", err)
@@ -1969,8 +1976,11 @@ func (h *harness) observe() {
 		fed, shardSum, reg.Value("bro_packets_total"), len(pkts))
 	fmt.Printf("    flows: opened=%.0f closed=%.0f active=%.0f; events=%.0f log-lines=%.0f\n",
 		opened, closed, active, reg.Value("bro_events_total"), reg.Value("bro_log_lines_total"))
-	check(fed == float64(len(pkts)), fmt.Sprintf("fed %.0f != %d packets offered", fed, len(pkts)))
-	check(shardSum == fed, fmt.Sprintf("shard packet counts sum to %.0f, pipeline fed %.0f", shardSum, fed))
+	ledger := par.Ledger()
+	checkLedger(check, ledger, len(pkts))
+	check(fed == float64(par.Fed()) && shardSum == float64(ledger.Fates[admission.FateProcessed]),
+		fmt.Sprintf("registry says fed %.0f, shards processed %.0f; the fate ledger says %d and %v",
+			fed, shardSum, par.Fed(), ledger.Fates))
 	check(reg.Value("bro_packets_total") == fed,
 		fmt.Sprintf("engines saw %.0f packets, pipeline fed %.0f", reg.Value("bro_packets_total"), fed))
 	check(opened == closed+active, fmt.Sprintf("flow ledger broken: opened %.0f != closed %.0f + active %.0f",
@@ -2131,10 +2141,10 @@ type soakResult struct {
 	transitions []admission.Transition
 	finalState  admission.State
 	events      int
+	fates       pipeline.Ledger
+	fed         int
 	faults      uint64
-	shed        uint64
 	evicted     uint64
-	rejected    uint64
 	quarFlows   uint64
 	restarts    uint64
 	liveFlows   int64
@@ -2241,15 +2251,14 @@ func (h *harness) soakFeed(withAdmission bool, stallTimeout time.Duration, reg *
 	}
 	for _, w := range par.Stats() {
 		res.faults += w.Faults
-		res.shed += w.PacketsShed
 		res.evicted += w.FlowsEvicted
-		res.rejected += w.PacketsRejected
 		res.quarFlows += w.QuarantinedFlows
 		res.liveFlows += w.LiveFlows
 		if res.liveFlows > res.maxLive {
 			res.maxLive = res.liveFlows
 		}
 	}
+	res.fates, res.fed = par.Ledger(), n
 	res.events = par.Events()
 	res.restarts = par.Restarts()
 	res.p99FeedNs = hist.Quantile(0.99)
@@ -2315,8 +2324,8 @@ func (h *harness) soak() {
 			float64(tr.AtNs-scfg.Start.UnixNano())/1e9, tr.From, tr.To, tr.Tier, tr.Ratio)
 	}
 
-	check(l.Balanced(), fmt.Sprintf("accounting identity broken: offered %d != %d admitted+shed+sampled+ratelimited+rejected",
-		l.Offered, l.Admitted+l.Shed+l.Sampled+l.RateLimited+l.Rejected))
+	checkLedger(check, res.fates, res.fed)
+	check(l.Balanced() && l.Offered == res.fates.Offered, fmt.Sprintf("admission view %+v out of step with the fate ledger", l))
 	check(res.maxHeap <= *soakMemMB<<20, fmt.Sprintf("heap %d MiB blew the %d MiB ceiling", res.maxHeap>>20, *soakMemMB))
 	check(res.sawShedding, "controller never reached Shedding during the overload window")
 	check(res.finalState == admission.Healthy,
@@ -2352,7 +2361,7 @@ func (h *harness) soak() {
 	r1 := h.soakFeed(true, 0, nil)
 	r2 := h.soakFeed(true, 0, nil)
 	same := r1.ledger == r2.ledger && len(r1.transitions) == len(r2.transitions) &&
-		r1.events == r2.events && r1.faults == r2.faults && r1.shed == r2.shed
+		r1.events == r2.events && r1.faults == r2.faults && r1.fates == r2.fates
 	if same {
 		for i := range r1.transitions {
 			if r1.transitions[i] != r2.transitions[i] {
@@ -2370,9 +2379,10 @@ func (h *harness) soak() {
 	// evict-oldest cap throws established flows out to make room for
 	// attack half-opens — the failure mode the ladder exists to prevent.
 	hard := h.soakFeed(false, 0, nil)
-	fmt.Printf("    %-22s %12s %12s %12s %10s\n", "", "shed", "evicted", "rejected", "events")
-	fmt.Printf("    %-22s %12d %12d %12d %10d\n", "graceful (admission):", res.shed, res.evicted, res.rejected, res.events)
-	fmt.Printf("    %-22s %12d %12d %12d %10d\n", "hard drop (cap only):", hard.shed, hard.evicted, hard.rejected, hard.events)
+	checkLedger(check, hard.fates, hard.fed)
+	fmt.Printf("    %-22s %12s %12s %10s\n", "", "shed", "evicted", "events")
+	fmt.Printf("    %-22s %12d %12d %10d\n", "graceful (admission):", res.fates.Fates[admission.FateShed], res.evicted, res.events)
+	fmt.Printf("    %-22s %12d %12d %10d\n", "hard drop (cap only):", hard.fates.Fates[admission.FateShed], hard.evicted, hard.events)
 	check(res.evicted < hard.evicted || hard.evicted == 0,
 		"admission run evicted as many established flows as the uncontrolled baseline")
 

@@ -6,10 +6,10 @@
 //	A. verdict identity: the compiled automaton against the permanent
 //	   linear reference, byte-for-byte (FNV over the verdict stream), at
 //	   256 / 10k / 100k hosted rules;
-//	B. lookup cost: the classifier table evaluated as a linear list, as
-//	   the prefix-trie index, and through the compiled plane, per scale —
-//	   the table EXPERIMENTS.md cites (with -rules-json, the rows feed the
-//	   -rules-baseline regression check);
+//	B. lookup cost: the classifier table evaluated as a linear list and
+//	   through the compiled plane, per scale — the table EXPERIMENTS.md
+//	   cites (with -rules-json, the rows feed the -rules-baseline
+//	   regression check);
 //	C. hot reload under live load: a shadow-window swap injected while a
 //	   4-worker parallel engine host drains the trace — the swap must
 //	   commit after exactly Window packets, with a full ledger, no worker
@@ -215,13 +215,12 @@ func minTime(reps int, fn func()) time.Duration {
 }
 
 // rulesRow is one scale's lookup-cost measurement: the same classifier
-// table evaluated as a linear first-match list, as the prefix-trie index,
-// and through the compiled rule plane.
+// table evaluated as a linear first-match list and through the compiled
+// rule plane.
 type rulesRow struct {
 	Scale            int     `json:"scale"`
 	Headers          int     `json:"headers"`
 	LinearNsPerPkt   float64 `json:"linear_ns_per_pkt"`
-	TrieNsPerPkt     float64 `json:"trie_ns_per_pkt"`
 	CompiledNsPerPkt float64 `json:"compiled_ns_per_pkt"`
 }
 
@@ -301,11 +300,9 @@ func (h *harness) rules() {
 			st.Rules, st.SrcNodes, st.DstNodes, st.Tails, st.TailRefs, len(hs), ah.Sum64(), diverge)
 		check(same, fmt.Sprintf("%d rules: compiled diverged from linear on %d verdicts", scale, diverge))
 
-		// Lookup cost: the classifier table alone, three ways, same probes.
+		// Lookup cost: the classifier table alone, both ways, same probes.
 		c1 := rulesClassifier(scale, rand.New(rand.NewSource(3)))
 		c1.Compile()
-		c2 := rulesClassifier(scale, rand.New(rand.NewSource(3)))
-		c2.CompileIndexed()
 		clsProg, err := ruleplane.FromClassifier(c1, clsRoles, "classifier")
 		must(err)
 		clsAuto, err := ruleplane.Compile([]ruleplane.Program{clsProg})
@@ -330,11 +327,6 @@ func (h *harness) rules() {
 				c1.Get(probes[i].src, probes[i].dst, probes[i].port) //nolint:errcheck
 			}
 		})
-		trieT := minTime(reps, func() {
-			for i := range probes {
-				c2.Get(probes[i].src, probes[i].dst, probes[i].port) //nolint:errcheck
-			}
-		})
 		cv := make([]int64, 1)
 		cm := make([]int32, 1)
 		compT := minTime(reps, func() {
@@ -346,14 +338,13 @@ func (h *harness) rules() {
 		rows = append(rows, rulesRow{
 			Scale: scale, Headers: len(probes),
 			LinearNsPerPkt:   float64(linT.Nanoseconds()) / np,
-			TrieNsPerPkt:     float64(trieT.Nanoseconds()) / np,
 			CompiledNsPerPkt: float64(compT.Nanoseconds()) / np,
 		})
 	}
 	fmt.Println("    lookup cost (classifier table, ns/header):")
-	fmt.Println("      rules      linear        trie    compiled")
+	fmt.Println("      rules      linear    compiled")
 	for _, r := range rows {
-		fmt.Printf("    %7d  %10.0f  %10.0f  %10.0f\n", r.Scale, r.LinearNsPerPkt, r.TrieNsPerPkt, r.CompiledNsPerPkt)
+		fmt.Printf("    %7d  %10.0f  %10.0f\n", r.Scale, r.LinearNsPerPkt, r.CompiledNsPerPkt)
 	}
 	for _, r := range rows {
 		if r.Scale >= 10_000 {
@@ -424,8 +415,7 @@ func (h *harness) rules() {
 	check(st.ShadowPackets == window,
 		fmt.Sprintf("shadow window drained %d packets, want exactly %d (single feeder)", st.ShadowPackets, window))
 	check(par.Restarts() == 0, "workers restarted during the swap")
-	check(par.Fed()+par.PlaneDropped() == uint64(len(pkts)),
-		fmt.Sprintf("packet accounting: fed %d + dropped %d != %d", par.Fed(), par.PlaneDropped(), len(pkts)))
+	checkLedger(check, par.Ledger(), len(pkts))
 	check(par.PlaneDropped() > 0, "gate filter dropped nothing; trace/rule mismatch")
 	check(p99 < 10*time.Millisecond, fmt.Sprintf("feed p99 %v: the swap paused the pipeline", p99))
 	check(swapDur < 5*time.Second, "swap call blocked") // compile included; install itself is atomic

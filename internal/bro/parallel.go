@@ -31,15 +31,43 @@ func NewParallel(cfg Config, workers int) (*Parallel, error) {
 }
 
 // NewParallelWith is NewParallel with full control over the pipeline
-// (flow-table cap, degradation policy, ingress window). pcfg.NewHandler is
-// supplied here; a ReassemblyBudget in cfg becomes one budget shared by
-// all workers so the cap is global. When pcfg.Admission is set, the
-// shared budget also becomes the controller's tier-2 lever: it halves at
-// the shrink tier and restores on de-escalation.
+// (flow-table cap, admission, ingress window). pcfg.NewHandler is supplied
+// here; see hostConfig for what cfg contributes to the pipeline.
 func NewParallelWith(cfg Config, pcfg pipeline.Config) (*Parallel, error) {
 	if pcfg.Workers < 1 {
 		pcfg.Workers = 1
 	}
+	p := &Parallel{}
+	pl, err := pipeline.New(p.hostConfig(cfg, pcfg))
+	if err != nil {
+		return nil, err
+	}
+	p.Pipeline = pl
+	return p, nil
+}
+
+// RestoreParallelWith rebuilds a parallel engine host from a pipeline
+// checkpoint (Pipeline.Checkpoint or Close's FinalCheckpoint): each
+// worker's engine is restored from its shard's embedded engine
+// checkpoint. pcfg.Workers must match the checkpoint (or be 0 to adopt
+// it); the engine configuration must match the one checkpointed.
+func RestoreParallelWith(cfg Config, pcfg pipeline.Config, r io.Reader) (*Parallel, error) {
+	p := &Parallel{}
+	pl, err := pipeline.Restore(p.hostConfig(cfg, pcfg), r)
+	if err != nil {
+		return nil, err
+	}
+	p.Pipeline = pl
+	return p, nil
+}
+
+// hostConfig completes pcfg for a pipeline whose workers each host an
+// Engine configured by cfg, recorded in p.Engines as they are built. A
+// ReassemblyBudget in cfg becomes one budget shared by all workers so the
+// cap is global; when pcfg.Admission is set, that budget also becomes the
+// controller's tier-2 lever: it halves at the shrink tier and restores on
+// de-escalation.
+func (p *Parallel) hostConfig(cfg Config, pcfg pipeline.Config) pipeline.Config {
 	if cfg.SharedReassembly == nil && cfg.ReassemblyBudget > 0 {
 		cfg.SharedReassembly = reassembly.NewBudget(cfg.ReassemblyBudget)
 	}
@@ -74,90 +102,32 @@ func NewParallelWith(cfg Config, pcfg pipeline.Config) (*Parallel, error) {
 		c.MetricsKey = strconv.Itoa(i)
 		return c
 	}
-	p := &Parallel{Engines: make([]*Engine, pcfg.Workers)}
-	pcfg.NewHandler = func(i int) (pipeline.Handler, error) {
-		e, err := NewEngine(workerCfg(i))
+	// Handlers are first built sequentially in worker order (a restore
+	// learns the worker count from the checkpoint), so the engine slice
+	// grows as they arrive; a supervised restart replaces its entry.
+	keep := func(i int, e *Engine, err error) (pipeline.Handler, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.Engines[i] = e
-		return e, nil
-	}
-	if pcfg.RestoreHandler == nil {
-		// Default restore path so a supervised restart (StallTimeout) can
-		// rebuild a replaced worker's engine from its shard checkpoint.
-		pcfg.RestoreHandler = func(i int, data []byte) (pipeline.Handler, error) {
-			e, err := RestoreEngine(workerCfg(i), bytes.NewReader(data))
-			if err != nil {
-				return nil, err
-			}
-			p.Engines[i] = e
-			return e, nil
-		}
-	}
-	pl, err := pipeline.New(pcfg)
-	if err != nil {
-		return nil, err
-	}
-	p.Pipeline = pl
-	return p, nil
-}
-
-// RestoreParallelWith rebuilds a parallel engine host from a pipeline
-// checkpoint (Pipeline.Checkpoint or Close's FinalCheckpoint): each
-// worker's engine is restored from its shard's embedded engine
-// checkpoint. pcfg.Workers must match the checkpoint (or be 0 to adopt
-// it); the engine configuration must match the one checkpointed.
-func RestoreParallelWith(cfg Config, pcfg pipeline.Config, r io.Reader) (*Parallel, error) {
-	if cfg.SharedReassembly == nil && cfg.ReassemblyBudget > 0 {
-		cfg.SharedReassembly = reassembly.NewBudget(cfg.ReassemblyBudget)
-	}
-	if pcfg.Metrics == nil {
-		pcfg.Metrics = cfg.Metrics
-	}
-	// Same ingress hoisting as NewParallelWith: the restored pipeline owns
-	// the plane, worker engines never see it.
-	if pcfg.RulePlane == nil {
-		pcfg.RulePlane = cfg.RulePlane
-	}
-	cfg.RulePlane = nil
-	workerCfg := func(i int) Config {
-		c := cfg
-		c.Metrics = pcfg.Metrics
-		c.MetricsKey = strconv.Itoa(i)
-		return c
-	}
-	p := &Parallel{}
-	// The worker count comes from the checkpoint, so the engine slice
-	// grows as handlers are built (sequentially, in worker order).
-	setEngine := func(i int, e *Engine) {
 		for len(p.Engines) <= i {
 			p.Engines = append(p.Engines, nil)
 		}
 		p.Engines[i] = e
+		return e, nil
 	}
 	pcfg.NewHandler = func(i int) (pipeline.Handler, error) {
 		e, err := NewEngine(workerCfg(i))
-		if err != nil {
-			return nil, err
+		return keep(i, e, err)
+	}
+	if pcfg.RestoreHandler == nil {
+		// Also the default path by which a supervised restart (StallTimeout)
+		// rebuilds a replaced worker's engine from its shard checkpoint.
+		pcfg.RestoreHandler = func(i int, data []byte) (pipeline.Handler, error) {
+			e, err := RestoreEngine(workerCfg(i), bytes.NewReader(data))
+			return keep(i, e, err)
 		}
-		setEngine(i, e)
-		return e, nil
 	}
-	pcfg.RestoreHandler = func(i int, data []byte) (pipeline.Handler, error) {
-		e, err := RestoreEngine(workerCfg(i), bytes.NewReader(data))
-		if err != nil {
-			return nil, err
-		}
-		setEngine(i, e)
-		return e, nil
-	}
-	pl, err := pipeline.Restore(pcfg, r)
-	if err != nil {
-		return nil, err
-	}
-	p.Pipeline = pl
-	return p, nil
+	return pcfg
 }
 
 // ProcessTrace feeds a whole trace through the pipeline and closes it.

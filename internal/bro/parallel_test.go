@@ -1,11 +1,15 @@
 package bro
 
 import (
+	"bytes"
 	"sort"
 	"testing"
 
 	"hilti/internal/pkt/gen"
 	"hilti/internal/pkt/pcap"
+	"hilti/internal/pkt/pipeline"
+	"hilti/internal/pkt/reassembly"
+	"hilti/internal/rt/admission"
 )
 
 func mergedTrace(t testing.TB) []pcap.Packet {
@@ -96,6 +100,52 @@ func TestParallelBinpacMatches(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("dns.log line %d differs:\n  got  %q\n  want %q", i, got[i], want[i])
+		}
+	}
+}
+
+// TestShrinkTierHalvesReassemblyBudget: the admission ladder's tier-2
+// lever — halving the shared reassembly budget — must be wired on a fresh
+// host and on one restored from a checkpoint alike (the restore path used
+// to spell the wiring out separately and omit the hook).
+func TestShrinkTierHalvesReassemblyBudget(t *testing.T) {
+	pkts := mergedTrace(t)
+	const base = 1 << 20
+	build := func(restoreFrom []byte) (*Parallel, *reassembly.Budget) {
+		budget := reassembly.NewBudget(base)
+		cfg := Config{Parser: "standard", ScriptExec: "interp", Scripts: []string{DNSScript},
+			Quiet: true, SharedReassembly: budget}
+		pcfg := pipeline.Config{Workers: 2, Admission: admission.NewController(admission.Config{
+			TargetRate:    1,    // any traffic is overload
+			SamplingRatio: 1e18, // hold at the shrink tier
+		})}
+		var par *Parallel
+		var err error
+		if restoreFrom == nil {
+			par, err = NewParallelWith(cfg, pcfg)
+		} else {
+			par, err = RestoreParallelWith(cfg, pcfg, bytes.NewReader(restoreFrom))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return par, budget
+	}
+	fresh, freshBudget := build(nil)
+	var ckpt bytes.Buffer
+	if err := fresh.Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	restored, restoredBudget := build(ckpt.Bytes())
+	for _, c := range []struct {
+		name   string
+		host   *Parallel
+		budget *reassembly.Budget
+	}{{"fresh", fresh, freshBudget}, {"restored", restored, restoredBudget}} {
+		c.host.ProcessTrace(pkts)
+		if got := c.budget.Max(); got != base/2 {
+			t.Errorf("%s host: reassembly budget %d under sustained overload, want %d (halved at the shrink tier)",
+				c.name, got, base/2)
 		}
 	}
 }

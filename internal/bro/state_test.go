@@ -226,18 +226,19 @@ func TestStateViewsResumeIdentically(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsOldVersion: the format bumped once (1 → 2) with no
-// compatibility reader; a version-1 blob fails the header check.
+// TestRestoreRejectsOldVersion: the format bumps (1 → 2 → 3) came with no
+// compatibility reader; a blob of the previous version fails the header
+// check.
 func TestRestoreRejectsOldVersion(t *testing.T) {
 	cfg := Config{Parser: "standard", ScriptExec: "interp", Scripts: []string{DNSScript}, Quiet: true}
 	data := checkpointBytes(t, mustEngine(t, cfg))
-	if data[4] != 0 || data[5] != 2 {
-		t.Fatalf("checkpoint header carries version %d.%d, want 2", data[4], data[5])
+	if data[4] != 0 || data[5] != 3 {
+		t.Fatalf("checkpoint header carries version %d.%d, want 3", data[4], data[5])
 	}
-	data[5] = 1
+	data[5] = 2
 	_, err := RestoreEngine(cfg, bytes.NewReader(data))
-	if err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
-		t.Fatalf("version-1 blob: err = %v, want the snapshot version error", err)
+	if err == nil || !strings.Contains(err.Error(), "unsupported version 2") {
+		t.Fatalf("version-2 blob: err = %v, want the snapshot version error", err)
 	}
 }
 

@@ -174,14 +174,6 @@ func init() {
 		cl.Compile()
 		return values.Nil, nil
 	})
-	registerSimple("classifier.compile_indexed", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
-		cl, err := asClassifier(a[0])
-		if err != nil {
-			return values.Nil, err
-		}
-		cl.CompileIndexed()
-		return values.Nil, nil
-	})
 	registerSimple("classifier.get", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
 		cl, err := asClassifier(a[0])
 		if err != nil {

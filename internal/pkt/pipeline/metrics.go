@@ -10,6 +10,7 @@ package pipeline
 import (
 	"strconv"
 
+	"hilti/internal/rt/admission"
 	"hilti/internal/rt/metrics"
 	"hilti/internal/rt/timer"
 )
@@ -29,7 +30,7 @@ func (p *Pipeline) registerMetrics() {
 		Expired:   reg.Counter("pipeline_timers_expired_total"),
 	}
 	reg.RegisterCollector("pipeline", func(emit func(string, float64)) {
-		emit("pipeline_packets_fed_total", float64(p.fed.Load()))
+		emit("pipeline_packets_fed_total", float64(p.Fed()))
 		emit("pipeline_worker_restarts_total", float64(p.Restarts()))
 		if rp := p.cfg.RulePlane; rp != nil {
 			emit("pipeline_ruleplane_dropped_total", float64(p.PlaneDropped()))
@@ -45,7 +46,7 @@ func (p *Pipeline) registerMetrics() {
 		emit("pipeline_effective_max_flows", float64(p.EffectiveMaxFlows()))
 		emit("pipeline_stall_quarantines_total", float64(p.StallQuarantines()))
 		emit("pipeline_quarantined_workers", float64(p.QuarantinedWorkers()))
-		var faults, quarFlows, quarDropped, evicted, rejected, shed, ckptFail, flows uint64
+		var faults, quarFlows, evicted, ckptFail, flows uint64
 		for i, ws := range p.Stats() {
 			w := strconv.Itoa(i)
 			emit(metrics.Name("pipeline_shard_packets_total", "worker", w), float64(ws.Packets))
@@ -63,23 +64,18 @@ func (p *Pipeline) registerMetrics() {
 			emit(metrics.Name("pipeline_worker_stall_quarantines_total", "worker", w), float64(ws.StallQuarantines))
 			faults += ws.Faults
 			quarFlows += ws.QuarantinedFlows
-			quarDropped += ws.QuarantineDropped
 			evicted += ws.FlowsEvicted
-			rejected += ws.PacketsRejected
-			shed += ws.PacketsShed
 			ckptFail += ws.CheckpointFailures
 			flows += ws.Flows
 		}
 		emit("pipeline_faults_total", float64(faults))
 		emit("pipeline_quarantined_flows_total", float64(quarFlows))
-		emit("pipeline_quarantine_dropped_total", float64(quarDropped))
+		fates, _ := p.workerFates()
+		emit("pipeline_quarantine_dropped_total", float64(fates[admission.FateQuarantineDrop]))
 		emit("pipeline_flows_evicted_total", float64(evicted))
-		emit("pipeline_packets_rejected_total", float64(rejected))
-		emit("pipeline_packets_shed_total", float64(shed))
+		emit("pipeline_packets_rejected_total", float64(fates[admission.FateDiscarded]))
+		emit("pipeline_packets_shed_total", float64(fates[admission.FateShed]))
 		emit("pipeline_checkpoint_failures_total", float64(ckptFail))
 		emit("pipeline_flows_seen_total", float64(flows))
 	})
 }
-
-// Fed returns the number of packets Feed accepted (routed to a worker).
-func (p *Pipeline) Fed() uint64 { return p.fed.Load() }

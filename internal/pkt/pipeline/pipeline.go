@@ -18,10 +18,14 @@
 // flow keeps processing; the paper's safety claim (§3) extended from VM
 // exceptions to the host layers around it.
 //
-// Bounded state: MaxFlows caps the flow table. At the cap the pipeline
-// degrades per policy — evict the least-recently-active flow's scheduling
-// state (EvictOldest, the default) or drop packets of unadmitted new flows
-// (DropNew) — so steady-state memory is bounded under flow churn.
+// Bounded state: MaxFlows caps the flow table. At the cap a new flow
+// evicts the least-recently-active flow's scheduling state, so steady-state
+// memory is bounded under flow churn; refusing new flows is the admission
+// ladder's job (Config.Admission), not the cap's.
+//
+// Accounting: every packet Feed accepts ends in exactly one admission.Fate,
+// applied and counted by settle — on the live path, in WAL replay and in
+// stall recovery alike — so Ledger().Balanced() holds after any drain.
 //
 // Time: each worker owns a timer.Mgr advanced by the timestamps of the
 // packets it processes, so offline traces expire state exactly as live
@@ -110,19 +114,6 @@ type FlowZapper interface {
 	ZapFlow(key flow.Key)
 }
 
-// DegradePolicy selects what happens when the flow table is at MaxFlows
-// and a packet for a new flow arrives.
-type DegradePolicy int
-
-const (
-	// EvictOldest drops the least-recently-active flow's scheduling state
-	// to admit the new flow (the default).
-	EvictOldest DegradePolicy = iota
-	// DropNew refuses the new flow: its packets are counted and dropped
-	// until an existing flow expires.
-	DropNew
-)
-
 // Config parameterizes a Pipeline.
 type Config struct {
 	// Workers is the number of hardware workers (default 1).
@@ -138,10 +129,9 @@ type Config struct {
 	// effective global bound — EffectiveMaxFlows — is (MaxFlows/Workers)*
 	// Workers, never below Workers. A positive MaxFlows below Workers is
 	// ambiguous (the floor would silently RAISE the bound to Workers) and
-	// is rejected by validation; use 0 for unbounded.
+	// is rejected by validation; use 0 for unbounded. At the cap a new
+	// flow evicts the least-recently-active one.
 	MaxFlows int
-	// Degrade selects the at-cap policy (default EvictOldest).
-	Degrade DegradePolicy
 	// FaultRing is how many recent faults each worker retains for
 	// diagnosis (default 16); the total count is always exact.
 	FaultRing int
@@ -154,18 +144,18 @@ type Config struct {
 	// are dropped at ingress, and the controller's degradation tier plus
 	// the packet's priority class are captured with the job, so under
 	// overload the admit path sheds new low-priority flows while
-	// established flows keep full service. All dispositions land in the
-	// controller's ledger.
+	// established flows keep full service. The controller's ledger becomes
+	// a view of this pipeline's fate counters.
 	Admission *admission.Controller
 
 	// RulePlane, when set, evaluates the compiled match-action automaton
 	// (classifier + filter + firewall programs in one walk) for every
 	// keyable packet on the feeding goroutine, before the admission
 	// controller and before the packet costs an ingress token or a copy.
-	// A packet any gate program rejects is dropped at ingress and counted
-	// in PlaneDropped. Running on the single feeder keeps evaluation
-	// order — and therefore hot-swap shadow windows and their ledgers —
-	// deterministic for a given trace, mirroring Admission.
+	// A packet any gate program rejects is dropped at ingress
+	// (admission.FatePlaneDrop). Running on the single feeder keeps
+	// evaluation order — and therefore hot-swap shadow windows and their
+	// ledgers — deterministic for a given trace, mirroring Admission.
 	RulePlane *ruleplane.Plane
 
 	// ExpireFlows forwards flow-idle expirations to the handler: when a
@@ -189,11 +179,10 @@ type Config struct {
 	StallTimeout time.Duration
 	// StallMaxReplaces bounds supervisor churn: more than this many
 	// replacements of one worker within StallReplaceWindow sends the
-	// worker slot to quarantine — a discarding stand-in drains its queue
+	// worker slot to quarantine — the recovered shard discards its queue
 	// for a cooldown (StallQuarantine, doubling per repeat offense) before
-	// the shard is reinstated from its saved checkpoint. Without the bound
-	// a handler that wedges on every packet drives unbounded
-	// ReplaceWorker churn. Default 3.
+	// it serves packets again. Without the bound a handler that wedges on
+	// every packet drives unbounded ReplaceWorker churn. Default 3.
 	StallMaxReplaces int
 	// StallReplaceWindow is the sliding window for StallMaxReplaces
 	// (default 10x StallTimeout).
@@ -241,9 +230,10 @@ type Config struct {
 
 // WorkerStats snapshots one worker's counters (per-worker observability:
 // jobs run, queue high-water mark, copied bytes, timers, and the
-// fault-containment ledger).
+// fault-containment ledger). The packet counts are views of the worker's
+// fate tally.
 type WorkerStats struct {
-	Packets      uint64 // packets processed
+	Packets      uint64 // packets processed (FateProcessed)
 	CopiedBytes  uint64 // bytes deep-copied across the isolation boundary
 	TimersFired  uint64 // worker timer-manager callbacks run
 	FlowsExpired uint64 // flows whose idle timer lapsed
@@ -254,12 +244,12 @@ type WorkerStats struct {
 	Backlog      int    // scheduler jobs queued right now
 	Overflowed   uint64 // jobs that spilled into the overflow deque
 
-	Faults            uint64 // panics contained at this worker's boundaries
+	Faults            uint64 // faults recorded at this worker's boundaries (packet, zap, finish, stall)
 	QuarantinedFlows  uint64 // flows quarantined after a fault
-	QuarantineDropped uint64 // packets dropped because their flow was quarantined
-	FlowsEvicted      uint64 // flows evicted by the MaxFlows cap (EvictOldest)
-	PacketsRejected   uint64 // packets dropped by the MaxFlows cap (DropNew)
-	PacketsShed       uint64 // new-flow packets refused by the degradation ladder
+	QuarantineDropped uint64 // packets dropped because their flow was quarantined (FateQuarantineDrop)
+	FlowsEvicted      uint64 // flows evicted by the MaxFlows cap
+	PacketsRejected   uint64 // packets discarded while the slot served a stall quarantine (FateDiscarded)
+	PacketsShed       uint64 // new-flow packets refused by the degradation ladder (FateShed)
 	TimersDropped     uint64 // idle timers outstanding (and discarded) at Close
 
 	FlowCap            int    // effective per-worker flow cap (0 = unbounded)
@@ -275,6 +265,7 @@ type WorkerStats struct {
 // (the scheduler serializes them), so no locks — the HILTI isolation
 // discipline. Counters are atomics only so Stats can read concurrently.
 type wstate struct {
+	worker      int
 	tm          *timer.Mgr
 	flows       map[uint64]*flowState
 	lru         *list.List        // *flowState, front = most recently active
@@ -283,19 +274,25 @@ type wstate struct {
 	faults      *fault.Recorder
 	owner       *wslot // back-pointer for idle-expiry zapping (ExpireFlows)
 
-	packets           atomic.Uint64
-	copiedBytes       atomic.Uint64
-	timersFired       atomic.Uint64
-	flowsExpired      atomic.Uint64
-	flowsSeen         atomic.Uint64
-	liveFlows         atomic.Int64
-	quarantinedFlows  atomic.Uint64
-	quarantineDropped atomic.Uint64
-	flowsEvicted      atomic.Uint64
-	packetsRejected   atomic.Uint64
-	packetsShed       atomic.Uint64
-	timersDropped     atomic.Uint64
-	ckptFailures      atomic.Uint64
+	fates admission.Tally // packets by terminal fate; settle is the only writer
+
+	established      atomic.Uint64 // delivered packets whose flow was already in the table
+	copiedBytes      atomic.Uint64
+	timersFired      atomic.Uint64
+	flowsExpired     atomic.Uint64
+	flowsSeen        atomic.Uint64
+	quarantinedFlows atomic.Uint64
+	flowsEvicted     atomic.Uint64
+	timersDropped    atomic.Uint64
+	liveFlows        atomic.Int64
+	ckptFailures     atomic.Uint64
+}
+
+// persisted lists the counters, besides the fate tally, that a shard
+// snapshot carries, in wire order.
+func (ws *wstate) persisted() [8]*atomic.Uint64 {
+	return [8]*atomic.Uint64{&ws.established, &ws.copiedBytes, &ws.timersFired, &ws.flowsExpired,
+		&ws.flowsSeen, &ws.quarantinedFlows, &ws.flowsEvicted, &ws.timersDropped}
 }
 
 type flowState struct {
@@ -320,6 +317,7 @@ type wslot struct {
 	busySince time.Time // zero = idle
 	busyVID   uint64
 	abandoned bool   // supervisor gave up on the in-flight job
+	arrived   uint64 // packets this shard has been handed: its fates' sum plus the job in flight
 	ckpt      []byte // last automatic shard checkpoint (non-WAL mode)
 
 	// WAL mode (dc non-nil): snap is the last full shard snapshot and
@@ -343,6 +341,7 @@ func (sl *wslot) beginBusy(vid uint64) {
 	sl.mu.Lock()
 	sl.busySince = time.Now()
 	sl.busyVID = vid
+	sl.arrived++
 	sl.mu.Unlock()
 }
 
@@ -386,12 +385,15 @@ type Pipeline struct {
 	workerQuar atomic.Int64   // worker slots currently in stall quarantine
 	stallQuars atomic.Uint64  // stall quarantines entered, total
 
-	fed      atomic.Uint64      // packets accepted by Feed
+	// The feeder's half of the fate ledger: every packet Feed was handed,
+	// and the ones Feed or the attached admission controller ended.
+	offered atomic.Uint64
+	feeder  admission.Tally
+
 	ckptLat  *metrics.Histogram // checkpoint encode latency (nil-safe)
 	timerMet *timer.MgrMetrics  // shared by all worker timer managers
 
-	planeVerdicts []int64       // feeder-goroutine scratch for RulePlane.Eval
-	planeDropped  atomic.Uint64 // packets dropped by a gate program
+	planeVerdicts []int64 // feeder-goroutine scratch for RulePlane.Eval
 
 	finalMu  sync.Mutex
 	finalErr error
@@ -411,7 +413,7 @@ func New(cfg Config) (*Pipeline, error) {
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: worker %d handler: %w", i, err)
 		}
-		sl := &wslot{ws: p.newWstate(), h: h, track: cfg.StallTimeout > 0}
+		sl := &wslot{ws: p.newWstate(i), h: h, track: cfg.StallTimeout > 0}
 		sl.ws.owner = sl
 		if p.cfg.WAL {
 			// The scheduler isn't running yet, so the handler is still
@@ -470,7 +472,7 @@ func newPipeline(cfg *Config) (*Pipeline, error) {
 	return p, nil
 }
 
-func (p *Pipeline) newWstate() *wstate {
+func (p *Pipeline) newWstate(worker int) *wstate {
 	capPer := 0
 	if p.cfg.MaxFlows > 0 {
 		if capPer = p.cfg.MaxFlows / p.cfg.Workers; capPer < 1 {
@@ -480,6 +482,7 @@ func (p *Pipeline) newWstate() *wstate {
 	tm := timer.NewMgr()
 	tm.Met = p.timerMet
 	return &wstate{
+		worker:      worker,
 		tm:          tm,
 		flows:       map[uint64]*flowState{},
 		lru:         list.New(),
@@ -489,8 +492,11 @@ func (p *Pipeline) newWstate() *wstate {
 	}
 }
 
-// start launches the scheduler and, when supervised, the stall watchdog.
+// start puts the admission controller on this pipeline's books, launches
+// the scheduler and, when supervised, the stall watchdog.
 func (p *Pipeline) start() {
+	gated := p.feeder[admission.FatePlaneDrop].Load() // gate drops precede Offer
+	p.cfg.Admission.Attach(&p.feeder, p.offered.Load()-gated, p.workerFates)
 	p.sched = threads.NewScheduler(p.cfg.Workers)
 	if p.cfg.StallTimeout > 0 {
 		p.repl = make([]replState, p.cfg.Workers)
@@ -526,7 +532,47 @@ func (p *Pipeline) RulePlane() *ruleplane.Plane { return p.cfg.RulePlane }
 
 // PlaneDropped returns how many packets the rule plane's gate programs
 // dropped at ingress.
-func (p *Pipeline) PlaneDropped() uint64 { return p.planeDropped.Load() }
+func (p *Pipeline) PlaneDropped() uint64 { return p.feeder[admission.FatePlaneDrop].Load() }
+
+// Fed returns the number of packets Feed routed to a worker: those offered
+// that the feeder side did not end itself.
+func (p *Pipeline) Fed() uint64 {
+	ended := p.feeder.Counts().Sum() // before offered, so the difference never underflows
+	return p.offered.Load() - ended
+}
+
+// Ledger is the packet-fate ledger: every packet Feed was handed is in
+// exactly one fate or still in flight.
+type Ledger struct {
+	Offered  uint64
+	InFlight uint64 // ingress tokens held: queued or executing packet jobs
+	Fates    admission.Counts
+}
+
+// Balanced reports whether the ledger accounts for every offered packet.
+func (l Ledger) Balanced() bool { return l.Offered == l.Fates.Sum()+l.InFlight }
+
+// Ledger sums the feeder's and every worker's fate tally; exact once the
+// pipeline is quiescent. A restored pipeline continues the checkpointed one.
+func (p *Pipeline) Ledger() Ledger {
+	w, _ := p.workerFates()
+	return Ledger{
+		Offered:  p.offered.Load(),
+		InFlight: uint64(len(p.tokens)),
+		Fates:    w.Plus(p.feeder.Counts()),
+	}
+}
+
+// workerFates sums the worker-side tallies, and the established-flow
+// deliveries the admission controller's survival figures need.
+func (p *Pipeline) workerFates() (fates admission.Counts, established uint64) {
+	for i := range p.slots {
+		ws := p.slots[i].Load().ws
+		fates = fates.Plus(ws.fates.Counts())
+		established += ws.established.Load()
+	}
+	return fates, established
+}
 
 // FinalCheckpointErr reports whether the graceful-drain checkpoint that
 // Close writes to Config.FinalCheckpoint succeeded. Valid after Close.
@@ -543,6 +589,7 @@ func (p *Pipeline) Feed(tsNs int64, frame []byte) error {
 	if p.closed.Load() {
 		return fmt.Errorf("pipeline: closed")
 	}
+	p.offered.Add(1)
 	// The virtual-thread ID is the flow hash (§3.2). Unkeyable frames
 	// share vthread 0 so handlers still observe them, deterministically.
 	var vid uint64
@@ -556,7 +603,7 @@ func (p *Pipeline) Feed(tsNs int64, frame []byte) error {
 	if rp := p.cfg.RulePlane; rp != nil && hasKey {
 		h := ruleplane.HeaderFrom16(key.SrcIP, key.DstIP, key.Proto, key.SrcPort, key.DstPort)
 		if _, drop := rp.Eval(&h, p.planeVerdicts); drop {
-			p.planeDropped.Add(1)
+			p.feeder[admission.FatePlaneDrop].Add(1)
 			return nil
 		}
 	}
@@ -564,13 +611,12 @@ func (p *Pipeline) Feed(tsNs int64, frame []byte) error {
 	// and in trace time, so its decisions are deterministic for a given
 	// input. Tier and class are captured with the job; the worker-side
 	// admit path applies them without re-consulting mutable state.
-	adm := p.cfg.Admission
 	var dec admission.Decision
-	if adm != nil {
+	if adm := p.cfg.Admission; adm != nil {
 		dec = adm.Offer(tsNs, key, hasKey)
 		if dec.Drop {
-			// Already ledgered (rate-limited or sampled); dropped before
-			// it costs an ingress token or a copy.
+			// Offer counted the fate (rate-limited or sampled); dropped
+			// before it costs an ingress token or a copy.
 			return nil
 		}
 	}
@@ -581,79 +627,113 @@ func (p *Pipeline) Feed(tsNs int64, frame []byte) error {
 	err := p.sched.Schedule(vid, func(ctx *threads.Context) {
 		// Load the slot at execution time: the supervisor may have
 		// replaced the worker since this job was queued.
-		sl := p.slots[worker].Load()
-		if sl.track {
-			sl.beginBusy(ctx.VID)
-			defer func() {
-				if sl.endBusy() {
-					<-p.tokens
-				}
-			}()
-		} else {
-			defer func() { <-p.tokens }()
-		}
-		ws := sl.ws
-		p.advanceWorkerTime(ws, tsNs)
-		if n, bad := ws.quarantined[ctx.VID]; bad {
-			ws.quarantined[ctx.VID] = n + 1
-			ws.quarantineDropped.Add(1)
-			adm.NoteRejected(true) // the flow had been admitted once
-			p.walRecord(sl, tsNs, ctx.VID, key, hasKey, len(cp), dec.Tier, walQuarDrop)
-			return
-		}
-		shedNew := admission.ShedNewFlow(dec.Tier, dec.Class)
-		switch p.admitFlow(ws, ctx.VID, key, hasKey, tsNs, dec.Tier, shedNew) {
-		case admitShed:
-			ws.packetsShed.Add(1)
-			adm.NoteShed()
-			p.walRecord(sl, tsNs, ctx.VID, key, hasKey, len(cp), dec.Tier, walShed)
-			return
-		case admitReject:
-			ws.packetsRejected.Add(1)
-			adm.NoteRejected(false)
-			p.walRecord(sl, tsNs, ctx.VID, key, hasKey, len(cp), dec.Tier, walReject)
-			return
-		case admitEstablished:
-			adm.NoteAdmitted(true)
-		default: // admitNew
-			adm.NoteAdmitted(false)
-		}
-		if f := fault.Catch("packet", func() {
-			sl.h.ProcessPacket(tsNs, cp)
-		}); f != nil {
-			f.Worker, f.VID, f.TsNs = ctx.Worker, ctx.VID, tsNs
-			ws.faults.Record(f)
-			p.quarantineFlow(sl, ctx.Worker, ctx.VID)
-			// The record goes in after the zap, so its delta carries the
-			// handler's post-quarantine state.
-			p.walRecord(sl, tsNs, ctx.VID, key, hasKey, len(cp), dec.Tier, walFault)
-			return
-		}
-		ws.packets.Add(1)
-		ws.copiedBytes.Add(uint64(len(cp)))
-		p.walRecord(sl, tsNs, ctx.VID, key, hasKey, len(cp), dec.Tier, walPacket)
-		if sl.track && sl.dc == nil {
-			if sl.pktSince++; sl.pktSince >= p.cfg.CheckpointEvery+backoffPackets(sl.ckptFailN) {
-				sl.pktSince = 0
-				if blob, err := p.shardBlob(sl); err == nil {
-					sl.setCkpt(blob)
-					sl.ckptFailN = 0
-				} else {
-					ws.ckptFailures.Add(1)
-					if sl.ckptFailN < 12 {
-						sl.ckptFailN++
-					}
-				}
-			}
-		}
+		p.runPacket(p.slots[worker].Load(), ctx, tsNs, cp, key, hasKey, dec)
 	})
 	if err != nil {
 		<-p.tokens
-		adm.NoteRejected(false) // offered but never reached a worker
+		p.feeder[admission.FateUnscheduled].Add(1)
 		return err
 	}
-	p.fed.Add(1)
 	return nil
+}
+
+// runPacket is the worker half of a packet's journey: advance the shard's
+// clock, find the packet's fate, settle it, log it. Runs on the owning
+// worker goroutine.
+func (p *Pipeline) runPacket(sl *wslot, ctx *threads.Context, tsNs int64, cp []byte, key flow.Key, hasKey bool, dec admission.Decision) {
+	if sl.track {
+		sl.beginBusy(ctx.VID)
+	}
+	// An abandoned job's ingress token is the supervisor's to release.
+	defer func() {
+		if !sl.track || sl.endBusy() {
+			<-p.tokens
+		}
+	}()
+	ws := sl.ws
+	p.advanceWorkerTime(ws, tsNs)
+	fate := admission.FateDiscarded
+	if !p.health[ctx.Worker].quarantined.Load() {
+		fate = p.deliver(sl, ctx, tsNs, cp, key, hasKey, dec)
+	}
+	p.settle(ws, fate, ctx.VID, 1, len(cp))
+	// The record goes in after settle, so a fault's delta carries the
+	// handler's post-quarantine state.
+	p.walRecord(sl, tsNs, ctx.VID, key, hasKey, len(cp), dec.Tier, fate)
+	if fate == admission.FateProcessed && sl.track && sl.dc == nil {
+		if sl.pktSince++; sl.pktSince >= p.cfg.CheckpointEvery+backoffPackets(sl.ckptFailN) {
+			sl.pktSince = 0
+			if blob, err := p.shardBlob(sl); err == nil {
+				sl.setCkpt(blob)
+				sl.ckptFailN = 0
+			} else {
+				ws.ckptFailures.Add(1)
+				if sl.ckptFailN < 12 {
+					sl.ckptFailN++
+				}
+			}
+		}
+	}
+}
+
+// deliver takes one packet through the worker-side stages — quarantine
+// check, flow admission, handler — and names the fate it ended in; the
+// fate's own state transition is settle's.
+func (p *Pipeline) deliver(sl *wslot, ctx *threads.Context, tsNs int64, cp []byte, key flow.Key, hasKey bool, dec admission.Decision) admission.Fate {
+	ws := sl.ws
+	if _, bad := ws.quarantined[ctx.VID]; bad {
+		return admission.FateQuarantineDrop
+	}
+	if !p.admitFlow(ws, ctx.VID, key, hasKey, tsNs, dec.Tier, admission.ShedNewFlow(dec.Tier, dec.Class)) {
+		return admission.FateShed
+	}
+	if f := fault.Catch("packet", func() { sl.h.ProcessPacket(tsNs, cp) }); f != nil {
+		f.Worker, f.VID, f.TsNs = ctx.Worker, ctx.VID, tsNs
+		ws.faults.Record(f)
+		return admission.FateFault
+	}
+	return admission.FateProcessed
+}
+
+// settle ends n packets' journey on shard ws: it performs fate's state
+// transition and counts them under it — the only writer of ws.fates and
+// the only place a flow is quarantined. The live job calls it with the
+// fate deliver found, WAL replay with the fate the record carries, stall
+// recovery with FateRolledBack for the wedged flow and the work lost.
+func (p *Pipeline) settle(ws *wstate, fate admission.Fate, vid uint64, n uint64, frameLen int) {
+	switch fate {
+	case admission.FateProcessed:
+		ws.copiedBytes.Add(uint64(frameLen))
+	case admission.FateQuarantineDrop:
+		ws.quarantined[vid]++
+	case admission.FateFault, admission.FateRolledBack:
+		// Quarantine the flow: later packets are counted and dropped, its
+		// table entry goes, and the handler discards its (possibly corrupt)
+		// state so the end-of-trace flush cannot re-trip the fault.
+		ws.quarantined[vid] = 0
+		ws.quarantinedFlows.Add(1)
+		if fs, ok := ws.flows[vid]; ok {
+			fs.idle.Cancel()
+			p.dropFlowState(ws, fs)
+			p.zapFlow(ws, fs)
+		}
+	}
+	ws.fates[fate].Add(n)
+}
+
+// zapFlow lets a FlowZapper handler discard a flow's analysis state. A
+// shard being replayed from a WAL has no owner yet and is not zapped: the
+// handler's half of the transition arrives in the record's delta.
+func (p *Pipeline) zapFlow(ws *wstate, fs *flowState) {
+	if !fs.hasKey || ws.owner == nil {
+		return
+	}
+	if z, ok := ws.owner.h.(FlowZapper); ok {
+		if zf := fault.Catch("zap", func() { z.ZapFlow(fs.key) }); zf != nil {
+			zf.Worker, zf.VID = ws.worker, fs.vid
+			ws.faults.Record(zf)
+		}
+	}
 }
 
 // advanceWorkerTime drives the worker's timer manager from packet
@@ -663,19 +743,6 @@ func (p *Pipeline) advanceWorkerTime(ws *wstate, tsNs int64) {
 		ws.timersFired.Add(uint64(fired))
 	}
 }
-
-// admitResult is admitFlow's verdict: the two admit outcomes distinguish
-// established from new flows (the ledger's survival metric needs the
-// split), the two refusals distinguish the degradation ladder from the
-// hard MaxFlows cap.
-type admitResult int8
-
-const (
-	admitEstablished admitResult = iota // refreshed an existing flow
-	admitNew                            // created a flow entry
-	admitShed                           // new flow refused by the ladder (shedNew)
-	admitReject                         // new flow refused by the cap (DropNew)
-)
 
 // backoffPackets is the persistence-failure retry delay after n
 // consecutive failures, in packets: 2^n, capped at 4096.
@@ -689,13 +756,14 @@ func backoffPackets(n uint) int {
 	return 1 << n
 }
 
-// admitFlow creates or refreshes the flow's scheduling state; at the cap
-// it applies the degradation policy, and at elevated tiers the overload
-// ladder — shedNew refuses flows not yet in the table, and tier >= 2
-// halves the idle deadline so flow state drains faster. Established
-// flows are exempt from both: they refresh at any tier (runs on the
-// worker goroutine).
-func (p *Pipeline) admitFlow(ws *wstate, vid uint64, key flow.Key, hasKey bool, tsNs int64, tier int, shedNew bool) admitResult {
+// admitFlow creates or refreshes the flow's scheduling state and reports
+// whether the packet was admitted. At the cap a new flow evicts the
+// least-recently-active one; at elevated tiers the overload ladder applies —
+// shedNew refuses flows not yet in the table (the one refusal), and
+// tier >= 2 halves the idle deadline so flow state drains faster.
+// Established flows are exempt from both: they refresh at any tier (runs on
+// the worker goroutine).
+func (p *Pipeline) admitFlow(ws *wstate, vid uint64, key flow.Key, hasKey bool, tsNs int64, tier int, shedNew bool) bool {
 	deadline := timer.Time(tsNs) + timer.Time(p.cfg.FlowIdle>>admission.IdleShift(tier))
 	if fs, ok := ws.flows[vid]; ok {
 		if fs.idle.Scheduled() {
@@ -704,15 +772,13 @@ func (p *Pipeline) admitFlow(ws *wstate, vid uint64, key flow.Key, hasKey bool, 
 			p.armIdle(ws, fs, deadline)
 		}
 		ws.lru.MoveToFront(fs.elem)
-		return admitEstablished
+		ws.established.Add(1)
+		return true
 	}
 	if shedNew {
-		return admitShed
+		return false
 	}
 	if ws.cap > 0 && len(ws.flows) >= ws.cap {
-		if p.cfg.Degrade == DropNew {
-			return admitReject
-		}
 		p.evictOldest(ws)
 	}
 	fs := &flowState{vid: vid, key: key, hasKey: hasKey}
@@ -721,7 +787,7 @@ func (p *Pipeline) admitFlow(ws *wstate, vid uint64, key flow.Key, hasKey bool, 
 	ws.flows[vid] = fs
 	ws.flowsSeen.Add(1)
 	ws.liveFlows.Add(1)
-	return admitNew
+	return true
 }
 
 // armIdle (re)schedules the flow's idle-expiration timer. With
@@ -732,13 +798,8 @@ func (p *Pipeline) armIdle(ws *wstate, fs *flowState, deadline timer.Time) {
 	fs.idle = ws.tm.ScheduleFunc(deadline, func() {
 		ws.flowsExpired.Add(1)
 		p.dropFlowState(ws, fs)
-		if p.cfg.ExpireFlows && fs.hasKey && ws.owner != nil {
-			if z, ok := ws.owner.h.(FlowZapper); ok {
-				if zf := fault.Catch("zap", func() { z.ZapFlow(fs.key) }); zf != nil {
-					zf.VID = fs.vid
-					ws.faults.Record(zf)
-				}
-			}
+		if p.cfg.ExpireFlows {
+			p.zapFlow(ws, fs)
 		}
 	})
 }
@@ -762,28 +823,6 @@ func (p *Pipeline) evictOldest(ws *wstate) {
 	fs.idle.Cancel()
 	p.dropFlowState(ws, fs)
 	ws.flowsEvicted.Add(1)
-}
-
-// quarantineFlow marks a faulted flow: its table entry is dropped, later
-// packets are counted and discarded, and a FlowZapper handler gets to
-// discard the flow's own (possibly corrupt) state so the end-of-trace
-// flush cannot re-trip the panic.
-func (p *Pipeline) quarantineFlow(sl *wslot, worker int, vid uint64) {
-	ws := sl.ws
-	ws.quarantined[vid] = 0
-	ws.quarantinedFlows.Add(1)
-	fs, ok := ws.flows[vid]
-	if !ok {
-		return
-	}
-	fs.idle.Cancel()
-	p.dropFlowState(ws, fs)
-	if z, isZapper := sl.h.(FlowZapper); isZapper && fs.hasKey {
-		if zf := fault.Catch("zap", func() { z.ZapFlow(fs.key) }); zf != nil {
-			zf.Worker, zf.VID = worker, vid
-			ws.faults.Record(zf)
-		}
-	}
 }
 
 // Close drains in-flight packets, optionally emits the graceful-drain
@@ -846,10 +885,11 @@ func (p *Pipeline) Kill() {
 
 // --- checkpoint / restore -------------------------------------------------------
 
-// Checkpoint serializes every shard to w. Each shard is captured by a job
-// on its own worker — quiescing that shard only, between its packets —
-// so checkpointing never stops the world; workers keep processing while
-// others snapshot. Call any time before Close/Kill.
+// Checkpoint serializes the feeder's half of the fate ledger and every
+// shard to w. Each shard is captured by a job on its own worker — quiescing
+// that shard only, between its packets — so checkpointing never stops the
+// world; workers keep processing while others snapshot. Call any time
+// before Close/Kill; from the feeding goroutine the cut is exact.
 func (p *Pipeline) Checkpoint(w io.Writer) error {
 	if p.closed.Load() {
 		return fmt.Errorf("pipeline: closed")
@@ -859,6 +899,7 @@ func (p *Pipeline) Checkpoint(w io.Writer) error {
 
 func (p *Pipeline) checkpoint(w io.Writer) error {
 	n := len(p.slots)
+	offered, feeder := p.offered.Load(), p.feeder.Counts()
 	blobs := make([][]byte, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -882,34 +923,33 @@ func (p *Pipeline) checkpoint(w io.Writer) error {
 	}
 	enc := snapshot.NewEncoder(w)
 	enc.U32(uint32(n))
+	enc.U64(offered)
+	for _, c := range feeder {
+		enc.U64(c)
+	}
 	for _, b := range blobs {
 		enc.Bytes(b)
 	}
 	return enc.Err()
 }
 
-// encodeShard serializes one worker's shard: clock, counters, quarantine
-// set, flow table (LRU order), and the handler's state when it implements
-// Checkpointer. Its latency is the checkpoint histogram's sample — what an
-// operator sizing StallTimeout needs to see. Runs on the owning worker
-// goroutine.
+// encodeShard serializes one worker's shard: clock, fate tally (in Fate
+// order), the other counters, quarantine set, flow table (LRU order), and
+// the handler's state when it implements Checkpointer. Its latency is the
+// checkpoint histogram's sample — what an operator sizing StallTimeout
+// needs to see. Runs on the owning worker goroutine.
 func (p *Pipeline) encodeShard(sl *wslot) ([]byte, error) {
 	defer func(start time.Time) { p.ckptLat.Observe(time.Since(start).Nanoseconds()) }(time.Now())
 	ws := sl.ws
 	var buf bytes.Buffer
 	enc := snapshot.NewEncoder(&buf)
 	enc.I64(int64(ws.tm.Now()))
-	enc.U64(ws.packets.Load())
-	enc.U64(ws.copiedBytes.Load())
-	enc.U64(ws.timersFired.Load())
-	enc.U64(ws.flowsExpired.Load())
-	enc.U64(ws.flowsSeen.Load())
-	enc.U64(ws.quarantinedFlows.Load())
-	enc.U64(ws.quarantineDropped.Load())
-	enc.U64(ws.flowsEvicted.Load())
-	enc.U64(ws.packetsRejected.Load())
-	enc.U64(ws.packetsShed.Load())
-	enc.U64(ws.timersDropped.Load())
+	for _, c := range ws.fates.Counts() {
+		enc.U64(c)
+	}
+	for _, c := range ws.persisted() {
+		enc.U64(c.Load())
+	}
 
 	enc.U32(uint32(len(ws.quarantined)))
 	qvids := make([]uint64, 0, len(ws.quarantined))
@@ -952,17 +992,10 @@ func (p *Pipeline) encodeShard(sl *wslot) ([]byte, error) {
 func (p *Pipeline) decodeShard(ws *wstate, blob []byte) ([]byte, bool, error) {
 	dec := snapshot.NewDecoder(blob)
 	ws.tm.SetNow(timer.Time(dec.I64()))
-	ws.packets.Store(dec.U64())
-	ws.copiedBytes.Store(dec.U64())
-	ws.timersFired.Store(dec.U64())
-	ws.flowsExpired.Store(dec.U64())
-	ws.flowsSeen.Store(dec.U64())
-	ws.quarantinedFlows.Store(dec.U64())
-	ws.quarantineDropped.Store(dec.U64())
-	ws.flowsEvicted.Store(dec.U64())
-	ws.packetsRejected.Store(dec.U64())
-	ws.packetsShed.Store(dec.U64())
-	ws.timersDropped.Store(dec.U64())
+	ws.fates.Set(decodeCounts(dec))
+	for _, c := range ws.persisted() {
+		c.Store(dec.U64())
+	}
 
 	nq := dec.Len(16)
 	for i := 0; i < nq && dec.Err() == nil; i++ {
@@ -997,6 +1030,13 @@ func (p *Pipeline) decodeShard(ws *wstate, blob []byte) ([]byte, bool, error) {
 	return hb, hasH, dec.Err()
 }
 
+func decodeCounts(dec *snapshot.Decoder) (c admission.Counts) {
+	for f := range c {
+		c[f] = dec.U64()
+	}
+	return c
+}
+
 // Restore rebuilds a pipeline from a Checkpoint stream. cfg.RestoreHandler
 // is required; shards whose handler state was checkpointed are rebuilt
 // through it, others get cfg.NewHandler. The worker count must match the
@@ -1012,6 +1052,7 @@ func Restore(cfg Config, r io.Reader) (*Pipeline, error) {
 	}
 	dec := snapshot.NewDecoder(data)
 	nw := dec.Len(1)
+	offered, feeder := dec.U64(), decodeCounts(dec)
 	if err := dec.Err(); err != nil {
 		return nil, err
 	}
@@ -1026,6 +1067,8 @@ func Restore(cfg Config, r io.Reader) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
+	p.offered.Store(offered)
+	p.feeder.Set(feeder)
 	for i := 0; i < nw; i++ {
 		blob := dec.Bytes()
 		if err := dec.Err(); err != nil {
@@ -1073,7 +1116,7 @@ func (p *Pipeline) supervise() {
 // supervision events rather than analysis state, it is deliberately not
 // checkpointed: a restored pipeline starts with a clean health record.
 type workerHealth struct {
-	quarantined   atomic.Bool   // slot currently running the discard handler
+	quarantined   atomic.Bool   // packet jobs settle as FateDiscarded, short of the handler
 	cooldownUntil atomic.Int64  // quarantine end, wall-clock ns (0 when healthy)
 	replacements  atomic.Uint64 // fresh slots installed for this worker, total
 	quarantines   atomic.Uint64 // stall quarantines this worker has entered
@@ -1082,12 +1125,8 @@ type workerHealth struct {
 // replState is the supervisor's per-worker replacement-rate bookkeeping;
 // only the supervisor goroutine touches it.
 type replState struct {
-	times      []time.Time // replacements within the sliding window
-	quarActive bool
-	quarUntil  time.Time
-	quarN      uint   // quarantines served; doubles the cooldown, capped
-	saved      []byte // recovery blob for reinstatement after cooldown
-	savedVID   uint64 // the wedging flow, quarantined on reinstatement
+	times []time.Time // replacements within the sliding window
+	quarN uint        // quarantines served; doubles the cooldown, capped
 }
 
 // checkStall replaces worker i if its current packet has been executing
@@ -1098,39 +1137,35 @@ type replState struct {
 // cannot wedge the replacement too.
 //
 // Replacement-rate limit: a worker replaced more than StallMaxReplaces
-// times within StallReplaceWindow stops getting fresh replacements — a
-// discarding stand-in drains its queue for a quarantine cooldown
-// (doubling per repeat offense) and the shard is reinstated from the
-// saved checkpoint afterwards, so a handler that wedges on every packet
-// converges to quarantine instead of unbounded ReplaceWorker churn.
+// times within StallReplaceWindow stops serving — the recovered shard
+// discards its queue (FateDiscarded) for a quarantine cooldown, doubling
+// per repeat offense, and serves again afterwards, so a handler that
+// wedges on every packet converges to quarantine instead of unbounded
+// ReplaceWorker churn.
+//
+// The abandoned shard's tally goes with it; whatever the slot had been
+// handed that the recovered shard's tally lacks is settled as rolled back.
 func (p *Pipeline) checkStall(i int) {
-	r := &p.repl[i]
+	r, h := &p.repl[i], &p.health[i]
 	now := time.Now()
-	if r.quarActive {
-		if now.Before(r.quarUntil) {
-			return // still cooling down; the discard slot drains the queue
+	if h.quarantined.Load() {
+		if now.UnixNano() >= h.cooldownUntil.Load() {
+			r.times = r.times[:0]
+			p.workerQuar.Add(-1)
+			h.cooldownUntil.Store(0)
+			h.quarantined.Store(false)
 		}
-		r.quarActive = false
-		r.times = r.times[:0]
-		p.workerQuar.Add(-1)
-		p.health[i].quarantined.Store(false)
-		p.health[i].cooldownUntil.Store(0)
-		nsl := p.rebuildSlot(i, r.savedVID, r.saved)
-		r.saved = nil
-		// The current goroutine is healthy (it ran the discard handler);
-		// only the slot swaps.
-		p.slots[i].Store(nsl)
-		return
+		return // until then the slot discards its queue
 	}
 	sl := p.slots[i].Load()
 	sl.mu.Lock()
 	stuck := sl.track && !sl.abandoned && !sl.busySince.IsZero() &&
 		time.Since(sl.busySince) > p.cfg.StallTimeout
-	var vid uint64
+	var vid, arrived uint64
 	var ckpt []byte
 	if stuck {
 		sl.abandoned = true
-		vid = sl.busyVID
+		vid, arrived = sl.busyVID, sl.arrived
 		if sl.wlog != nil {
 			// WAL mode: the recovery point is the last snapshot plus every
 			// record appended since — the packet before the wedged one.
@@ -1153,27 +1188,18 @@ func (p *Pipeline) checkStall(i int) {
 		}
 	}
 	r.times = append(keep, now)
-	var nsl *wslot
+	nsl := p.rebuildSlot(i, vid, ckpt, arrived)
 	if len(r.times) > p.cfg.StallMaxReplaces {
 		if r.quarN < 6 {
 			r.quarN++
 		}
-		r.quarActive = true
-		r.quarUntil = now.Add(p.cfg.StallQuarantine << (r.quarN - 1))
-		r.saved = ckpt
-		r.savedVID = vid
 		p.workerQuar.Add(1)
 		p.stallQuars.Add(1)
-		p.health[i].quarantined.Store(true)
-		p.health[i].cooldownUntil.Store(r.quarUntil.UnixNano())
-		p.health[i].quarantines.Add(1)
-		dsl := &wslot{ws: p.newWstate(), h: discardHandler{}}
-		dsl.ws.owner = dsl
-		dsl.ws.faults.Record(&fault.Fault{Op: "stall-quarantine", Worker: i, VID: vid,
+		h.cooldownUntil.Store(now.Add(p.cfg.StallQuarantine << (r.quarN - 1)).UnixNano())
+		h.quarantined.Store(true)
+		h.quarantines.Add(1)
+		nsl.ws.faults.Record(&fault.Fault{Op: "stall-quarantine", Worker: i, VID: vid,
 			Value: "replacement rate limit hit; shard discarding until cooldown"})
-		nsl = dsl
-	} else {
-		nsl = p.rebuildSlot(i, vid, ckpt)
 	}
 
 	// Build and publish the replacement slot BEFORE swapping goroutines:
@@ -1182,17 +1208,13 @@ func (p *Pipeline) checkStall(i int) {
 	p.slots[i].Store(nsl)
 	if p.sched.ReplaceWorker(i) {
 		p.restarts.Add(1)
-		p.health[i].replacements.Add(1)
+		h.replacements.Add(1)
 	}
 	// The stalled packet's ingress token is now the supervisor's to
 	// release: endBusy saw abandoned and left it (whether the job was
-	// truly wedged or finished just as we marked it).
-	go func() {
-		select {
-		case <-p.tokens:
-		case <-p.stopc:
-		}
-	}()
+	// truly wedged or finished just as we marked it), so the channel holds
+	// it and the receive cannot block.
+	<-p.tokens
 }
 
 // StallQuarantines reports how many times the supervisor's replacement
@@ -1200,14 +1222,14 @@ func (p *Pipeline) checkStall(i int) {
 func (p *Pipeline) StallQuarantines() uint64 { return p.stallQuars.Load() }
 
 // QuarantinedWorkers reports how many worker slots are currently serving
-// a stall-quarantine cooldown (their queues drain into a discard
-// handler).
+// a stall-quarantine cooldown (their queues drain as FateDiscarded).
 func (p *Pipeline) QuarantinedWorkers() int { return int(p.workerQuar.Load()) }
 
 // rebuildSlot constructs worker i's replacement: shard state restored
 // from the last auto-checkpoint when possible (else fresh), the wedged
-// flow quarantined, and the stall recorded in the fault ledger.
-func (p *Pipeline) rebuildSlot(i int, vid uint64, ckpt []byte) *wslot {
+// flow quarantined with the arrived packets that state lacks settled as
+// rolled back, and the stall recorded in the fault ledger.
+func (p *Pipeline) rebuildSlot(i int, vid uint64, ckpt []byte, arrived uint64) *wslot {
 	var sl *wslot
 	if ckpt != nil && p.cfg.RestoreHandler != nil {
 		if nsl, err := p.restoreSlotFromBlob(i, ckpt); err == nil {
@@ -1221,7 +1243,7 @@ func (p *Pipeline) rebuildSlot(i int, vid uint64, ckpt []byte) *wslot {
 			// lost but the pipeline survives.
 			nh = discardHandler{}
 		}
-		sl = &wslot{ws: p.newWstate(), h: nh}
+		sl = &wslot{ws: p.newWstate(i), h: nh}
 		sl.ws.owner = sl
 		if p.cfg.WAL {
 			p.initWALBase(sl) //nolint:errcheck — a handler that can't delta just stops logging
@@ -1230,18 +1252,8 @@ func (p *Pipeline) rebuildSlot(i int, vid uint64, ckpt []byte) *wslot {
 	sl.track = true
 
 	ws := sl.ws
-	ws.quarantined[vid] = 0
-	ws.quarantinedFlows.Add(1)
-	if fs, ok := ws.flows[vid]; ok {
-		fs.idle.Cancel()
-		p.dropFlowState(ws, fs)
-		if z, isZapper := sl.h.(FlowZapper); isZapper && fs.hasKey {
-			if zf := fault.Catch("zap", func() { z.ZapFlow(fs.key) }); zf != nil {
-				zf.Worker, zf.VID = i, vid
-				ws.faults.Record(zf)
-			}
-		}
-	}
+	p.settle(ws, admission.FateRolledBack, vid, arrived-ws.fates.Counts().Sum(), 0)
+	sl.arrived = arrived
 	ws.faults.Record(&fault.Fault{Op: "stall", Worker: i, VID: vid, Value: "worker exceeded StallTimeout; replaced from last checkpoint"})
 	if sl.dc != nil && !p.tryRebase(sl) {
 		// The quarantine marks (and any zap) postdate the restored base;
@@ -1268,8 +1280,9 @@ func (p *Pipeline) Stats() []WorkerStats {
 	out := make([]WorkerStats, len(p.slots))
 	for i := range p.slots {
 		ws := p.slots[i].Load().ws
+		fates := ws.fates.Counts()
 		out[i] = WorkerStats{
-			Packets:           ws.packets.Load(),
+			Packets:           fates[admission.FateProcessed],
 			CopiedBytes:       ws.copiedBytes.Load(),
 			TimersFired:       ws.timersFired.Load(),
 			FlowsExpired:      ws.flowsExpired.Load(),
@@ -1281,10 +1294,10 @@ func (p *Pipeline) Stats() []WorkerStats {
 			Overflowed:        sched[i].Overflowed,
 			Faults:            ws.faults.Count(),
 			QuarantinedFlows:  ws.quarantinedFlows.Load(),
-			QuarantineDropped: ws.quarantineDropped.Load(),
+			QuarantineDropped: fates[admission.FateQuarantineDrop],
 			FlowsEvicted:      ws.flowsEvicted.Load(),
-			PacketsRejected:   ws.packetsRejected.Load(),
-			PacketsShed:       ws.packetsShed.Load(),
+			PacketsRejected:   fates[admission.FateDiscarded],
+			PacketsShed:       fates[admission.FateShed],
 			TimersDropped:     ws.timersDropped.Load(),
 
 			FlowCap:            ws.cap,

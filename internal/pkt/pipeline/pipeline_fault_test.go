@@ -210,35 +210,6 @@ func TestEvictOldestLRUOrdering(t *testing.T) {
 	}
 }
 
-// TestDropNewPolicy: at the cap, packets of unadmitted new flows are
-// counted and dropped; existing flows are unaffected.
-func TestDropNewPolicy(t *testing.T) {
-	p, hs := newPanicPipeline(t, Config{Workers: 1, MaxFlows: 2, Degrade: DropNew})
-	a := [4]byte{10, 0, 0, 1}
-	mk := func(f int) []byte {
-		return frame(a, [4]byte{10, 0, 1, byte(f)}, uint16(7000+f), 80, []byte{byte(f)})
-	}
-	p.Feed(0, mk(0))
-	p.Feed(1, mk(1))
-	for i := 0; i < 3; i++ { // new flow at cap: rejected
-		p.Feed(int64(2+i), mk(2))
-	}
-	p.Feed(5, mk(0)) // existing flows still flow
-	p.Feed(6, mk(1))
-	p.Close()
-
-	s := sumStats(p)
-	if s.PacketsRejected != 3 {
-		t.Fatalf("rejected = %d, want 3", s.PacketsRejected)
-	}
-	if s.FlowsEvicted != 0 {
-		t.Fatalf("evictions = %d, want 0 under DropNew", s.FlowsEvicted)
-	}
-	if got := len(hs[0].packets); got != 4 {
-		t.Fatalf("delivered %d packets, want 4", got)
-	}
-}
-
 // TestFlowCapNeverExceededUnderChurn: the acceptance-criterion invariant —
 // under heavy flow churn the table never exceeds the configured cap, and
 // the bound holds while processing is in flight.

@@ -283,11 +283,10 @@ func TestSupervisorRecoversWedgedWorker(t *testing.T) {
 		t.Fatal("stall not recorded in the fault ledger")
 	}
 	var count uint64
-	var qDropped uint64
 	for i := range p.slots {
 		count += p.slots[i].Load().h.(*ckptHandler).count
-		qDropped += p.slots[i].Load().ws.quarantineDropped.Load()
 	}
+	qDropped := sumStats(p).QuarantineDropped
 	// All 100 clean packets processed: the 50 pre-poison ones were
 	// checkpointed (CheckpointEvery=1) so the restore lost none.
 	if count != 100 {

@@ -11,10 +11,11 @@
 //
 // Replay determinism rests on the record carrying everything the live job
 // consumed from outside the shard: the pipeline-level transitions
-// (advanceWorkerTime, admitFlow, quarantine bookkeeping) are re-executed
-// from the recorded facts, and the handler's transition is applied from
-// the recorded delta. One record per job keeps flushes atomic — a record
-// cut mid-write drops the whole packet, never half of one.
+// (advanceWorkerTime, admitFlow, and the recorded fate's settle) are
+// re-executed from the recorded facts, and the handler's transition is
+// applied from the recorded delta. One record per job keeps flushes
+// atomic — a record cut mid-write drops the whole packet, never half of
+// one.
 //
 // Gap discipline: when a delta cannot express the handler's state (e.g.
 // in-flight parser fibers) the shard enters a gap — records stop, the
@@ -30,6 +31,7 @@ import (
 	"fmt"
 
 	"hilti/internal/pkt/flow"
+	"hilti/internal/rt/admission"
 	"hilti/internal/rt/snapshot"
 	"hilti/internal/rt/wal"
 )
@@ -37,16 +39,6 @@ import (
 // walJobRecord is the record kind of per-packet job records in a shard's
 // log.
 const walJobRecord byte = 1
-
-// Job outcomes recorded in the WAL. Replay re-executes exactly the state
-// transitions the live job performed for that outcome.
-const (
-	walPacket   byte = 0 // processed normally: admit + handler delta + counters
-	walQuarDrop byte = 1 // dropped, flow already quarantined
-	walReject   byte = 2 // dropped by the MaxFlows cap (DropNew)
-	walFault    byte = 3 // handler panicked: flow quarantined, zap state in delta
-	walShed     byte = 4 // new flow refused by the overload degradation ladder
-)
 
 // initWALBase puts a slot into WAL mode: full snapshot as the base, empty
 // log, handler delta tracking pinned to the current state. Runs with the
@@ -69,14 +61,15 @@ func (p *Pipeline) initWALBase(sl *wslot) error {
 	return nil
 }
 
-// walRecord appends the record for one finished packet job (no-op when
-// WAL is off). For walPacket and walFault the handler's delta rides in
-// the record; a delta failure opens a gap instead of logging a hole.
+// walRecord appends the record for one settled packet job (no-op when
+// WAL is off); its outcome byte is the packet's fate. For the two fates
+// that reached the handler its delta rides in the record; a delta failure
+// opens a gap instead of logging a hole.
 // Every CheckpointEvery records the shard re-bases, truncating the log.
 // Failed re-bases retry with exponential packet-count backoff (capped at
 // 4096) rather than every record, so a persistently unserializable
 // handler costs bounded work. Runs on the owning worker goroutine.
-func (p *Pipeline) walRecord(sl *wslot, tsNs int64, vid uint64, key flow.Key, hasKey bool, frameLen int, tier int, outcome byte) {
+func (p *Pipeline) walRecord(sl *wslot, tsNs int64, vid uint64, key flow.Key, hasKey bool, frameLen int, tier int, fate admission.Fate) {
 	if sl.dc == nil {
 		return
 	}
@@ -95,7 +88,7 @@ func (p *Pipeline) walRecord(sl *wslot, tsNs int64, vid uint64, key flow.Key, ha
 		return
 	}
 	var delta []byte
-	if outcome == walPacket || outcome == walFault {
+	if fate == admission.FateProcessed || fate == admission.FateFault {
 		d, err := sl.dc.AppendDelta()
 		if err != nil {
 			sl.walGap = true
@@ -111,7 +104,7 @@ func (p *Pipeline) walRecord(sl *wslot, tsNs int64, vid uint64, key flow.Key, ha
 	enc.Bool(hasKey)
 	enc.Bytes(key.Wire())
 	enc.U32(uint32(frameLen))
-	enc.U8(outcome)
+	enc.U8(uint8(fate))
 	enc.U8(uint8(tier))
 	enc.Bool(delta != nil)
 	if delta != nil {
@@ -208,7 +201,7 @@ func (p *Pipeline) restoreSlotFromBlob(i int, blob []byte) (*wslot, error) {
 	if err := dec.Err(); err != nil {
 		return nil, err
 	}
-	ws := p.newWstate()
+	ws := p.newWstate(i)
 	hb, hasH, err := p.decodeShard(ws, snap)
 	if err != nil {
 		return nil, err
@@ -236,7 +229,7 @@ func (p *Pipeline) restoreSlotFromBlob(i int, blob []byte) (*wslot, error) {
 	}); err != nil {
 		return nil, err
 	}
-	sl := &wslot{ws: ws, h: h, track: p.cfg.StallTimeout > 0}
+	sl := &wslot{ws: ws, h: h, track: p.cfg.StallTimeout > 0, arrived: ws.fates.Counts().Sum()}
 	ws.owner = sl
 	if p.cfg.WAL {
 		if err := p.initWALBase(sl); err != nil {
@@ -246,9 +239,9 @@ func (p *Pipeline) restoreSlotFromBlob(i int, blob []byte) (*wslot, error) {
 	return sl, nil
 }
 
-// replayShardRecord re-executes one job record: the worker clock advance
-// and the outcome's pipeline-level transitions from the recorded facts,
-// then the handler's transition from the recorded delta.
+// replayShardRecord re-executes one job record: the worker clock advance,
+// the flow admission the two delivered fates share, the recorded fate's
+// settle, then the handler's transition from the recorded delta.
 func (p *Pipeline) replayShardRecord(ws *wstate, dc DeltaCheckpointer, payload []byte) error {
 	dec := snapshot.NewRawDecoder(payload)
 	tsNs := dec.I64()
@@ -256,7 +249,7 @@ func (p *Pipeline) replayShardRecord(ws *wstate, dc DeltaCheckpointer, payload [
 	hasKey := dec.Bool()
 	rk := dec.Bytes()
 	frameLen := dec.U32()
-	outcome := dec.U8()
+	fate := admission.Fate(dec.U8())
 	tier := int(dec.U8())
 	hasDelta := dec.Bool()
 	var delta []byte
@@ -270,44 +263,21 @@ func (p *Pipeline) replayShardRecord(ws *wstate, dc DeltaCheckpointer, payload [
 	if err != nil {
 		return err
 	}
-	p.advanceWorkerTime(ws, tsNs)
-	switch outcome {
-	case walQuarDrop:
-		ws.quarantined[vid]++
-		ws.quarantineDropped.Add(1)
-	case walReject:
-		ws.packetsRejected.Add(1)
-	case walShed:
-		ws.packetsShed.Add(1)
-	case walPacket:
+	switch fate {
+	case admission.FateProcessed, admission.FateFault:
+		p.advanceWorkerTime(ws, tsNs)
 		// The record's existence proves the live job admitted, so replay
 		// never re-sheds (the class isn't recorded); the tier reproduces
 		// the scaled idle deadline.
 		p.admitFlow(ws, vid, key, hasKey, tsNs, tier, false)
-		if hasDelta {
-			if err := dc.ApplyDelta(delta); err != nil {
-				return err
-			}
-		}
-		ws.packets.Add(1)
-		ws.copiedBytes.Add(uint64(frameLen))
-	case walFault:
-		// The live job admitted the flow, panicked, and quarantined it;
-		// the handler's zap effects arrive via the delta.
-		p.admitFlow(ws, vid, key, hasKey, tsNs, tier, false)
-		ws.quarantined[vid] = 0
-		ws.quarantinedFlows.Add(1)
-		if fs, ok := ws.flows[vid]; ok {
-			fs.idle.Cancel()
-			p.dropFlowState(ws, fs)
-		}
-		if hasDelta {
-			if err := dc.ApplyDelta(delta); err != nil {
-				return err
-			}
-		}
+	case admission.FateQuarantineDrop, admission.FateShed, admission.FateDiscarded:
+		p.advanceWorkerTime(ws, tsNs)
 	default:
-		return fmt.Errorf("pipeline: unknown WAL job outcome %d", outcome)
+		return fmt.Errorf("pipeline: WAL job record with fate %d (%v), which no packet job settles", fate, fate)
+	}
+	p.settle(ws, fate, vid, 1, int(frameLen))
+	if hasDelta {
+		return dc.ApplyDelta(delta)
 	}
 	return nil
 }

@@ -7,14 +7,14 @@
 // per-flow state and execution bounded (the paper's core robustness
 // claim) while protecting the flows it already invested state in.
 //
-// The controller splits across two call sites. Offer runs on the
-// pipeline's single Feed goroutine: it meters load, advances the state
-// machine on trace time, applies the rate limiters and tier-3 sampling,
-// and captures the tier/class for the packet. The worker-side Note*
-// methods are called from worker goroutines as each packet reaches its
-// disposition; they only touch atomics. Every offered packet lands in
-// exactly one ledger bucket, so after a pipeline drain the accounting
-// identity holds exactly:
+// Offer runs on the pipeline's single Feed goroutine: it meters load,
+// advances the state machine on trace time, applies the rate limiters and
+// tier-3 sampling, and captures the tier/class for the packet; the worker
+// that later runs the packet applies them and settles the packet's Fate.
+// The controller keeps no disposition counters of its own beyond Offered:
+// its Ledger is a view over the fate arrays (fate.go) of the pipeline it
+// is attached to. Every offered packet ends in exactly one fate, so after a
+// pipeline drain the accounting identity holds exactly:
 //
 //	Offered == Admitted + Shed + Sampled + RateLimited + Rejected
 //
@@ -86,26 +86,26 @@ type Config struct {
 }
 
 // Decision is Offer's verdict for one packet. When Drop is true the
-// controller has already ledgered the packet (RateLimited or Sampled)
-// and the caller must discard it without further accounting. Otherwise
-// Tier and Class are the captured degradation context the worker-side
-// admit path applies — captured at offer time so a run's decisions are
-// reproducible regardless of worker scheduling.
+// controller has already counted the packet's fate (rate-limited or
+// sampled) and the caller must discard it without further accounting.
+// Otherwise Tier and Class are the captured degradation context the
+// worker-side admit path applies — captured at offer time so a run's
+// decisions are reproducible regardless of worker scheduling.
 type Decision struct {
 	Drop  bool
 	Tier  int
 	Class Class
 }
 
-// Ledger is a snapshot of the disposition counters. Offered equals the
-// sum of the other five once all in-flight packets have drained.
+// Ledger is the controller's view of the fate counters. Offered equals
+// the sum of the other five once all in-flight packets have drained.
 type Ledger struct {
 	Offered     uint64
-	Admitted    uint64 // delivered to a handler
+	Admitted    uint64 // delivered to a handler (processed + fault)
 	Shed        uint64 // new flow refused by the degradation ladder
 	Sampled     uint64 // dropped by tier-3 sampling
 	RateLimited uint64 // refused by the global or per-prefix bucket
-	Rejected    uint64 // cap rejects, quarantine drops, scheduling errors
+	Rejected    uint64 // quarantine drops, stall discards and rollbacks, scheduling errors
 
 	// EstOffered/EstAdmitted count packets of flows the pipeline had
 	// already admitted (including ones since quarantined) — the
@@ -115,9 +115,8 @@ type Ledger struct {
 }
 
 // Controller is the overload-control decision point. Offer and the
-// bucket state are confined to the feeding goroutine; Note* methods,
-// State, Tier, Transitions, and LedgerSnapshot are safe from any
-// goroutine.
+// bucket state are confined to the feeding goroutine; State, Tier,
+// Transitions, and LedgerSnapshot are safe from any goroutine.
 type Controller struct {
 	cfg    Config
 	global *Bucket
@@ -134,18 +133,14 @@ type Controller struct {
 	stateSince int64
 	sampleCtr  uint64
 
-	// ledger
-	offered     atomic.Uint64
-	admitted    atomic.Uint64
-	shed        atomic.Uint64
-	sampled     atomic.Uint64
-	rateLimited atomic.Uint64
-	rejected    atomic.Uint64
-	estOffered  atomic.Uint64
-	estAdmitted atomic.Uint64
+	// ledger: Offer counts what it is offered and the fates it decides;
+	// the rest is read from the hosting pipeline (Attach).
+	offered atomic.Uint64
+	feeder  *Tally
+	workers func() (fates Counts, established uint64)
 
 	transitions atomic.Uint64
-	mu          sync.Mutex // guards trans + hooks registration
+	mu          sync.Mutex // guards trans, hooks registration, and Attach against ledger reads
 	trans       []Transition
 	hooks       []func(tier int)
 }
@@ -181,7 +176,7 @@ func NewController(cfg Config) *Controller {
 	if cfg.Classify == nil {
 		cfg.Classify = DefaultClassify
 	}
-	c := &Controller{cfg: cfg}
+	c := &Controller{cfg: cfg, feeder: new(Tally)}
 	if cfg.GlobalRate > 0 {
 		c.global = NewBucket(cfg.GlobalRate, cfg.GlobalBurst)
 	}
@@ -212,17 +207,17 @@ func (c *Controller) Offer(nowNs int64, key flow.Key, hasKey bool) Decision {
 	tier := int(c.tier.Load())
 	class := c.cfg.Classify(key, hasKey)
 	if c.global != nil && !c.global.Allow(nowNs) {
-		c.rateLimited.Add(1)
+		c.feeder[FateRateLimited].Add(1)
 		return Decision{Drop: true, Tier: tier, Class: class}
 	}
 	if c.prefix != nil && hasKey && !c.prefix.Allow(nowNs, key.SrcIP) {
-		c.rateLimited.Add(1)
+		c.feeder[FateRateLimited].Add(1)
 		return Decision{Drop: true, Tier: tier, Class: class}
 	}
 	if tier >= TierSampling && class != High {
 		c.sampleCtr++
 		if c.sampleCtr%uint64(c.cfg.SampleN) != 0 {
-			c.sampled.Add(1)
+			c.feeder[FateSampled].Add(1)
 			return Decision{Drop: true, Tier: tier, Class: class}
 		}
 	}
@@ -348,41 +343,21 @@ func (c *Controller) OnTier(fn func(tier int)) {
 	c.mu.Unlock()
 }
 
-// --- worker-side ledger notes (nil-safe, any goroutine) ---------------
-
-// NoteAdmitted records a packet delivered to its handler; established
-// marks it as belonging to an already-admitted flow.
-func (c *Controller) NoteAdmitted(established bool) {
+// Attach puts the controller on a pipeline's books: Offer's drops are
+// counted into feeder (the pipeline's feeder-side tally, so a checkpoint of
+// the pipeline carries them), workers reports the summed worker-side fates
+// and how many delivered packets belonged to already-admitted flows, and
+// offered is what those books say was offered so far — zero for a new
+// pipeline, the checkpointed figure for a restored one. Call before the
+// first Offer. Nil-safe.
+func (c *Controller) Attach(feeder *Tally, offered uint64, workers func() (Counts, uint64)) {
 	if c == nil {
 		return
 	}
-	c.admitted.Add(1)
-	if established {
-		c.estOffered.Add(1)
-		c.estAdmitted.Add(1)
-	}
-}
-
-// NoteShed records a new flow's packet refused by the degradation
-// ladder.
-func (c *Controller) NoteShed() {
-	if c == nil {
-		return
-	}
-	c.shed.Add(1)
-}
-
-// NoteRejected records a packet dropped by hard governance (MaxFlows
-// cap, quarantine, scheduling failure); established marks quarantine
-// drops of flows that had been admitted.
-func (c *Controller) NoteRejected(established bool) {
-	if c == nil {
-		return
-	}
-	c.rejected.Add(1)
-	if established {
-		c.estOffered.Add(1)
-	}
+	c.mu.Lock() // a metrics scrape may be reading the ledger already
+	c.feeder, c.workers = feeder, workers
+	c.mu.Unlock()
+	c.offered.Store(offered)
 }
 
 // --- observability ----------------------------------------------------
@@ -407,20 +382,31 @@ func (c *Controller) Tier() int {
 // Read it from the Offer goroutine (or quiesced) for an exact value.
 func (c *Controller) Rate() float64 { return c.ewma }
 
-// LedgerSnapshot returns the disposition counters.
+// LedgerSnapshot computes the ledger from the fate counters: the feeder
+// side's, and when attached to a pipeline its workers'.
 func (c *Controller) LedgerSnapshot() Ledger {
 	if c == nil {
 		return Ledger{}
 	}
+	c.mu.Lock()
+	feeder, workers := c.feeder, c.workers
+	c.mu.Unlock()
+	f := feeder.Counts()
+	var w Counts
+	var est uint64
+	if workers != nil {
+		w, est = workers()
+	}
 	return Ledger{
 		Offered:     c.offered.Load(),
-		Admitted:    c.admitted.Load(),
-		Shed:        c.shed.Load(),
-		Sampled:     c.sampled.Load(),
-		RateLimited: c.rateLimited.Load(),
-		Rejected:    c.rejected.Load(),
-		EstOffered:  c.estOffered.Load(),
-		EstAdmitted: c.estAdmitted.Load(),
+		Admitted:    w[FateProcessed] + w[FateFault],
+		Shed:        w[FateShed],
+		Sampled:     f[FateSampled],
+		RateLimited: f[FateRateLimited],
+		Rejected:    w[FateQuarantineDrop] + w[FateDiscarded] + w[FateRolledBack] + f[FateUnscheduled],
+		// A quarantined flow had been admitted once.
+		EstOffered:  est + w[FateQuarantineDrop],
+		EstAdmitted: est,
 	}
 }
 

@@ -164,21 +164,33 @@ func TestGlobalBucketRateLimits(t *testing.T) {
 
 func TestLedgerIdentity(t *testing.T) {
 	c := NewController(Config{TargetRate: 1, GlobalRate: 500, GlobalBurst: 50, SampleN: 4})
+	// Stand in for the hosting pipeline: a feeder tally, and worker-side
+	// fates settled below.
+	var feeder Tally
+	var workers Counts
+	var established uint64
+	c.Attach(&feeder, 0, func() (Counts, uint64) { return workers, established })
 	now := int64(0)
 	for i := 0; i < 5000; i++ {
 		now += 2 * 1e6 // 500/s offered
 		d := c.Offer(now, key(uint16(40000+i%100), 80), true)
 		if d.Drop {
-			continue // already ledgered as RateLimited or Sampled
+			continue // Offer counted it as rate-limited or sampled
 		}
-		// Emulate the worker-side dispositions.
 		switch i % 10 {
 		case 0:
-			c.NoteShed()
+			workers[FateShed]++
 		case 1:
-			c.NoteRejected(i%20 == 1)
+			workers[FateQuarantineDrop]++
+		case 2:
+			feeder[FateUnscheduled].Add(1)
+		case 3:
+			workers[FateFault]++
 		default:
-			c.NoteAdmitted(i%3 == 0)
+			workers[FateProcessed]++
+			if i%3 == 0 {
+				established++
+			}
 		}
 	}
 	l := c.LedgerSnapshot()
@@ -186,8 +198,16 @@ func TestLedgerIdentity(t *testing.T) {
 		t.Fatalf("ledger identity broken: %+v (sum %d vs offered %d)",
 			l, l.Admitted+l.Shed+l.Sampled+l.RateLimited+l.Rejected, l.Offered)
 	}
-	if l.EstAdmitted > l.EstOffered {
-		t.Fatalf("established admitted %d exceeds offered %d", l.EstAdmitted, l.EstOffered)
+	if l.Sampled == 0 || l.Sampled != feeder[FateSampled].Load() {
+		t.Fatalf("Offer's own drops did not land in the attached tally: %+v", l)
+	}
+	if l.Admitted != workers[FateProcessed]+workers[FateFault] || l.Shed != workers[FateShed] ||
+		l.Rejected != workers[FateQuarantineDrop]+feeder[FateUnscheduled].Load() {
+		t.Fatalf("view %+v does not match worker fates %v", l, workers)
+	}
+	if l.EstAdmitted != established || l.EstOffered != established+workers[FateQuarantineDrop] {
+		t.Fatalf("established %d/%d, want %d/%d", l.EstAdmitted, l.EstOffered,
+			established, established+workers[FateQuarantineDrop])
 	}
 }
 
@@ -246,11 +266,9 @@ func TestTrafficGapDecaysEstimate(t *testing.T) {
 	}
 }
 
-func TestNilControllerNotesAreSafe(t *testing.T) {
+func TestNilControllerIsSafe(t *testing.T) {
 	var c *Controller
-	c.NoteAdmitted(true)
-	c.NoteShed()
-	c.NoteRejected(false)
+	c.Attach(new(Tally), 0, nil)
 	if c.State() != Healthy || c.Tier() != TierNone {
 		t.Fatal("nil controller must read as healthy/tier 0")
 	}

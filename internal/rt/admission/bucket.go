@@ -1,6 +1,5 @@
-// Token buckets for smoothed ingest admission. The governance layer the
-// pipeline had before this package was all hard edges — MaxFlows caps,
-// DropNew/EvictOldest — which bound state but turn every burst into a
+// Token buckets for smoothed ingest admission. A hard edge — the MaxFlows
+// cap and its LRU eviction — bounds state but turns every burst into a
 // cliff. A token bucket instead admits at a sustained rate with a bounded
 // burst allowance, so short spikes ride through on banked tokens and only
 // sustained overload is refused (SNAP's point that stateful packet

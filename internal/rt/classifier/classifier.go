@@ -7,9 +7,10 @@
 //
 // The paper notes its prototype "currently implement[s] the classifier type
 // as a linked list internally" and that switching to a better structure
-// would be transparent to host applications. We provide both: the default
-// linear matcher, and a compiled variant indexing the first address field
-// with a binary prefix trie. The ablation benchmark compares the two.
+// would be transparent to host applications. This package stays that
+// prototype — a linear first-match list, and the reference the tests compare
+// against; the better structure is rt/ruleplane, which ingests a classifier
+// through Rules (ruleplane.FromClassifier).
 package classifier
 
 import (
@@ -92,7 +93,6 @@ func FieldFor(v values.Value) Field {
 type rule struct {
 	fields []Field
 	val    values.Value
-	prio   int
 }
 
 // Classifier is the rule table. Rules are added, then Compile freezes the
@@ -101,7 +101,6 @@ type Classifier struct {
 	nfields  int
 	rules    []rule
 	compiled bool
-	trie     *trieNode // optional first-field index (compiled mode)
 }
 
 // New creates a classifier for key tuples of nfields components.
@@ -130,7 +129,7 @@ func (c *Classifier) Add(fields []Field, val values.Value) error {
 	if len(fields) != c.nfields {
 		return fmt.Errorf("classifier: rule has %d fields, want %d", len(fields), c.nfields)
 	}
-	c.rules = append(c.rules, rule{fields: fields, val: val, prio: len(c.rules)})
+	c.rules = append(c.rules, rule{fields: fields, val: val})
 	return nil
 }
 
@@ -147,15 +146,6 @@ func (c *Classifier) AddValues(val values.Value, keys ...values.Value) error {
 // Add is rejected.
 func (c *Classifier) Compile() { c.compiled = true }
 
-// CompileIndexed freezes the rule set and additionally builds a prefix-trie
-// index over the first field (when it is an address/net matcher). This is
-// the "better data structure for packet classification" the paper defers to
-// future work; semantics are identical to linear matching.
-func (c *Classifier) CompileIndexed() {
-	c.compiled = true
-	c.trie = buildTrie(c.rules)
-}
-
 // Get returns the value of the first matching rule for the key tuple.
 func (c *Classifier) Get(key ...values.Value) (values.Value, error) {
 	if !c.compiled {
@@ -163,9 +153,6 @@ func (c *Classifier) Get(key ...values.Value) (values.Value, error) {
 	}
 	if len(key) != c.nfields {
 		return values.Nil, fmt.Errorf("classifier: key has %d fields, want %d", len(key), c.nfields)
-	}
-	if c.trie != nil {
-		return c.getIndexed(key)
 	}
 	for i := range c.rules {
 		if c.rules[i].matches(key) {
@@ -209,78 +196,4 @@ func (r *rule) matches(key []values.Value) bool {
 		}
 	}
 	return true
-}
-
-// --- Compiled (trie-indexed) matching ---------------------------------------
-
-// trieNode is a binary trie over the 128-bit address space of the first
-// field. Rules whose first field is a prefix hang off the node of that
-// prefix; wildcard/non-address first fields live at the root.
-type trieNode struct {
-	children [2]*trieNode
-	rules    []*rule // rules anchored exactly at this prefix, by priority
-}
-
-func buildTrie(rules []rule) *trieNode {
-	root := &trieNode{}
-	for i := range rules {
-		r := &rules[i]
-		nf, ok := r.fields[0].(NetField)
-		if !ok {
-			root.rules = append(root.rules, r)
-			continue
-		}
-		n := root
-		hi, lo := nf.Net.A, nf.Net.B
-		plen := nf.Net.NetPrefixLen()
-		for bit := 0; bit < plen; bit++ {
-			var b uint64
-			if bit < 64 {
-				b = (hi >> (63 - bit)) & 1
-			} else {
-				b = (lo >> (127 - bit)) & 1
-			}
-			if n.children[b] == nil {
-				n.children[b] = &trieNode{}
-			}
-			n = n.children[b]
-		}
-		n.rules = append(n.rules, r)
-	}
-	return root
-}
-
-func (c *Classifier) getIndexed(key []values.Value) (values.Value, error) {
-	addr := key[0]
-	best := (*rule)(nil)
-	consider := func(rs []*rule) {
-		for _, r := range rs {
-			if best != nil && r.prio >= best.prio {
-				continue
-			}
-			if r.matches(key) {
-				best = r
-			}
-		}
-	}
-	n := c.trie
-	consider(n.rules)
-	hi, lo := addr.A, addr.B
-	for bit := 0; bit < 128 && n != nil; bit++ {
-		var b uint64
-		if bit < 64 {
-			b = (hi >> (63 - bit)) & 1
-		} else {
-			b = (lo >> (127 - bit)) & 1
-		}
-		n = n.children[b]
-		if n == nil {
-			break
-		}
-		consider(n.rules)
-	}
-	if best == nil {
-		return values.Nil, ErrNoMatch
-	}
-	return best.val, nil
 }

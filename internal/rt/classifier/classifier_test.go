@@ -9,7 +9,7 @@ import (
 )
 
 // paperRules builds the classifier of the paper's Figure 5 firewall.
-func paperRules(t *testing.T, indexed bool) *Classifier {
+func paperRules(t *testing.T) *Classifier {
 	t.Helper()
 	c := New(2)
 	add := func(src, dst string, allow bool) {
@@ -32,39 +32,33 @@ func paperRules(t *testing.T, indexed bool) *Classifier {
 	add("10.12.0.0/16", "10.1.0.0/16", false)
 	add("10.1.6.0/24", "*", true)
 	add("10.1.7.0/24", "*", true)
-	if indexed {
-		c.CompileIndexed()
-	} else {
-		c.Compile()
-	}
+	c.Compile()
 	return c
 }
 
 func TestPaperFirewallRules(t *testing.T) {
-	for _, indexed := range []bool{false, true} {
-		c := paperRules(t, indexed)
-		cases := []struct {
-			src, dst string
-			want     bool
-			miss     bool
-		}{
-			{"10.3.2.1", "10.1.5.5", true, false},
-			{"10.12.9.9", "10.1.5.5", false, false},
-			{"10.1.6.77", "192.168.0.1", true, false},
-			{"10.1.7.1", "8.8.8.8", true, false},
-			{"172.16.0.1", "10.1.0.1", false, true},
+	c := paperRules(t)
+	cases := []struct {
+		src, dst string
+		want     bool
+		miss     bool
+	}{
+		{"10.3.2.1", "10.1.5.5", true, false},
+		{"10.12.9.9", "10.1.5.5", false, false},
+		{"10.1.6.77", "192.168.0.1", true, false},
+		{"10.1.7.1", "8.8.8.8", true, false},
+		{"172.16.0.1", "10.1.0.1", false, true},
+	}
+	for _, tc := range cases {
+		v, err := c.Get(values.MustParseAddr(tc.src), values.MustParseAddr(tc.dst))
+		if tc.miss {
+			if !errors.Is(err, ErrNoMatch) {
+				t.Errorf("%s->%s: want no-match, got %v %v", tc.src, tc.dst, v, err)
+			}
+			continue
 		}
-		for _, tc := range cases {
-			v, err := c.Get(values.MustParseAddr(tc.src), values.MustParseAddr(tc.dst))
-			if tc.miss {
-				if !errors.Is(err, ErrNoMatch) {
-					t.Errorf("indexed=%v %s->%s: want no-match, got %v %v", indexed, tc.src, tc.dst, v, err)
-				}
-				continue
-			}
-			if err != nil || v.AsBool() != tc.want {
-				t.Errorf("indexed=%v %s->%s = %v, %v; want %v", indexed, tc.src, tc.dst, v, err, tc.want)
-			}
+		if err != nil || v.AsBool() != tc.want {
+			t.Errorf("%s->%s = %v, %v; want %v", tc.src, tc.dst, v, err, tc.want)
 		}
 	}
 }
@@ -77,16 +71,6 @@ func TestFirstMatchWinsByInsertionOrder(t *testing.T) {
 	v, err := c.Get(values.MustParseAddr("10.1.2.3"))
 	if err != nil || v.AsInt() != 1 {
 		t.Fatalf("want first rule (1), got %v %v", v, err)
-	}
-	// Indexed variant must preserve the same first-match semantics even
-	// though the more specific prefix is deeper in the trie.
-	c2 := New(1)
-	c2.Add([]Field{NetField{Net: values.MustParseNet("10.0.0.0/8")}}, values.Int(1))
-	c2.Add([]Field{NetField{Net: values.MustParseNet("10.1.0.0/16")}}, values.Int(2))
-	c2.CompileIndexed()
-	v, err = c2.Get(values.MustParseAddr("10.1.2.3"))
-	if err != nil || v.AsInt() != 1 {
-		t.Fatalf("indexed: want first rule (1), got %v %v", v, err)
 	}
 }
 
@@ -149,77 +133,17 @@ func TestFieldForDispatch(t *testing.T) {
 	}
 }
 
-// The linear and trie-indexed matchers must agree on random rule sets.
-func TestIndexedAgreesWithLinear(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	randNet := func() values.Value {
-		a := values.AddrFromV4Uint(uint32(rng.Intn(1<<16) << 16))
-		return values.NetVal(a, 8+rng.Intn(17))
-	}
-	lin, idx := New(2), New(2)
-	for i := 0; i < 50; i++ {
-		var f1, f2 Field
-		if rng.Intn(4) == 0 {
-			f1 = Wildcard{}
-		} else {
-			f1 = NetField{Net: randNet()}
-		}
-		if rng.Intn(2) == 0 {
-			f2 = Wildcard{}
-		} else {
-			f2 = NetField{Net: randNet()}
-		}
-		val := values.Int(int64(i))
-		lin.Add([]Field{f1, f2}, val)
-		idx.Add([]Field{f1, f2}, val)
-	}
-	lin.Compile()
-	idx.CompileIndexed()
-	for i := 0; i < 2000; i++ {
-		k1 := values.AddrFromV4Uint(uint32(rng.Intn(1 << 24)))
-		k2 := values.AddrFromV4Uint(uint32(rng.Intn(1 << 24)))
-		v1, e1 := lin.Get(k1, k2)
-		v2, e2 := idx.Get(k1, k2)
-		if (e1 == nil) != (e2 == nil) {
-			t.Fatalf("match disagreement for %v,%v: %v vs %v", k1, k2, e1, e2)
-		}
-		if e1 == nil && !values.Equal(v1, v2) {
-			t.Fatalf("value disagreement for %v,%v: %v vs %v",
-				values.Format(k1), values.Format(k2), values.Format(v1), values.Format(v2))
-		}
-	}
-}
-
-func benchRules(n int, indexed bool) *Classifier {
+// BenchmarkClassifierList times the paper's linked-list prototype; the
+// compiled counterpart is `hilti-bench -exp rules` (ruleplane.FromClassifier).
+func BenchmarkClassifierList(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	c := New(2)
-	for i := 0; i < n; i++ {
+	for i := 0; i < 256; i++ {
 		src := values.NetVal(values.AddrFromV4Uint(uint32(rng.Intn(1<<16))<<16), 16)
 		dst := values.NetVal(values.AddrFromV4Uint(uint32(rng.Intn(1<<16))<<16), 16)
 		c.Add([]Field{NetField{Net: src}, NetField{Net: dst}}, values.Int(int64(i)))
 	}
-	if indexed {
-		c.CompileIndexed()
-	} else {
-		c.Compile()
-	}
-	return c
-}
-
-// BenchmarkClassifierList vs BenchmarkClassifierCompiled is the DESIGN.md
-// ablation of the paper's linked-list prototype classifier.
-func BenchmarkClassifierList(b *testing.B) {
-	c := benchRules(256, false)
-	key1 := values.MustParseAddr("77.1.2.3")
-	key2 := values.MustParseAddr("88.1.2.3")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Get(key1, key2)
-	}
-}
-
-func BenchmarkClassifierCompiled(b *testing.B) {
-	c := benchRules(256, true)
+	c.Compile()
 	key1 := values.MustParseAddr("77.1.2.3")
 	key2 := values.MustParseAddr("88.1.2.3")
 	b.ResetTimer()

@@ -2,8 +2,6 @@ package classifier
 
 import (
 	"errors"
-	"fmt"
-	"math/rand"
 	"testing"
 
 	"hilti/internal/rt/values"
@@ -11,54 +9,41 @@ import (
 
 // Priority and overlap semantics: the paper fixes first-match-wins by
 // insertion order, NOT longest-prefix or most-specific. These tests pin
-// that down for both the linear matcher and the trie index, which walks
-// specific prefixes first and must still honor rule priority.
+// that down on the linear matcher, which is the reference the compiled
+// rule plane is checked against (ruleplane/classifier_test.go).
 
 func TestInsertionOrderBeatsSpecificity(t *testing.T) {
-	for _, indexed := range []bool{false, true} {
-		c := New(1)
-		if err := c.AddValues(values.Int(1), values.MustParseNet("10.0.0.0/8")); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.AddValues(values.Int(2), values.MustParseNet("10.1.2.3/32")); err != nil {
-			t.Fatal(err)
-		}
-		if indexed {
-			c.CompileIndexed()
-		} else {
-			c.Compile()
-		}
-		// The /32 is more specific but was added later: the /8 must win.
-		v, err := c.Get(values.MustParseAddr("10.1.2.3"))
-		if err != nil || v.AsInt() != 1 {
-			t.Fatalf("indexed=%v: got %v, %v; want rule 1 (/8 added first)", indexed, v, err)
-		}
+	c := New(1)
+	if err := c.AddValues(values.Int(1), values.MustParseNet("10.0.0.0/8")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddValues(values.Int(2), values.MustParseNet("10.1.2.3/32")); err != nil {
+		t.Fatal(err)
+	}
+	c.Compile()
+	// The /32 is more specific but was added later: the /8 must win.
+	v, err := c.Get(values.MustParseAddr("10.1.2.3"))
+	if err != nil || v.AsInt() != 1 {
+		t.Fatalf("got %v, %v; want rule 1 (/8 added first)", v, err)
 	}
 }
 
 func TestWildcardFirstShadowsEverything(t *testing.T) {
-	for _, indexed := range []bool{false, true} {
-		c := New(1)
-		c.Add([]Field{Wildcard{}}, values.Int(0)) // all-wildcard rule, added first
-		c.AddValues(values.Int(1), values.MustParseNet("10.0.0.0/8"))
-		if indexed {
-			c.CompileIndexed()
-		} else {
-			c.Compile()
-		}
-		for _, a := range []string{"10.1.1.1", "192.168.0.1"} {
-			v, err := c.Get(values.MustParseAddr(a))
-			if err != nil || v.AsInt() != 0 {
-				t.Fatalf("indexed=%v %s: got %v, %v; want wildcard rule", indexed, a, v, err)
-			}
+	c := New(1)
+	c.Add([]Field{Wildcard{}}, values.Int(0)) // all-wildcard rule, added first
+	c.AddValues(values.Int(1), values.MustParseNet("10.0.0.0/8"))
+	c.Compile()
+	for _, a := range []string{"10.1.1.1", "192.168.0.1"} {
+		v, err := c.Get(values.MustParseAddr(a))
+		if err != nil || v.AsInt() != 0 {
+			t.Fatalf("%s: got %v, %v; want wildcard rule", a, v, err)
 		}
 	}
 }
 
 func TestNestedPrefixesInterleavedPriority(t *testing.T) {
 	// Nested prefixes with priorities deliberately out of specificity
-	// order. The trie finds all of them on the root-to-leaf walk and must
-	// pick the lowest prio among the matches.
+	// order: the earliest-added match wins, however specific a later one is.
 	rules := []struct {
 		net string
 		val int64
@@ -77,34 +62,26 @@ func TestNestedPrefixesInterleavedPriority(t *testing.T) {
 		{"10.2.0.1", 1},
 		{"172.16.0.1", 3},
 	}
-	for _, indexed := range []bool{false, true} {
-		c := New(1)
-		for _, r := range rules {
-			if err := c.AddValues(values.Int(r.val), values.MustParseNet(r.net)); err != nil {
-				t.Fatal(err)
-			}
+	c := New(1)
+	for _, r := range rules {
+		if err := c.AddValues(values.Int(r.val), values.MustParseNet(r.net)); err != nil {
+			t.Fatal(err)
 		}
-		if indexed {
-			c.CompileIndexed()
-		} else {
-			c.Compile()
-		}
-		for _, p := range probes {
-			v, err := c.Get(values.MustParseAddr(p.addr))
-			if err != nil || v.AsInt() != p.want {
-				t.Errorf("indexed=%v %s: got %v, %v; want %d", indexed, p.addr, v, err, p.want)
-			}
+	}
+	c.Compile()
+	for _, p := range probes {
+		v, err := c.Get(values.MustParseAddr(p.addr))
+		if err != nil || v.AsInt() != p.want {
+			t.Errorf("%s: got %v, %v; want %d", p.addr, v, err, p.want)
 		}
 	}
 }
 
-func TestNonAddressFirstFieldStillIndexed(t *testing.T) {
-	// Rules whose first field is not a prefix land at the trie root; the
-	// indexed classifier must still match them, in priority order.
+func TestNonAddressFirstField(t *testing.T) {
 	c := New(2)
 	c.Add([]Field{ExactField{Val: values.Int(6)}, Wildcard{}}, values.Int(100))
 	c.Add([]Field{Wildcard{}, ExactField{Val: values.Int(53)}}, values.Int(200))
-	c.CompileIndexed()
+	c.Compile()
 	v, err := c.Get(values.Int(6), values.Int(53))
 	if err != nil || v.AsInt() != 100 {
 		t.Fatalf("got %v, %v; want first rule", v, err)
@@ -118,25 +95,19 @@ func TestNonAddressFirstFieldStillIndexed(t *testing.T) {
 	}
 }
 
-func TestIPv6LongPrefixIndexed(t *testing.T) {
-	// A /96 prefix exercises the trie walk past bit 64 (the low word).
-	for _, indexed := range []bool{false, true} {
-		c := New(1)
-		c.AddValues(values.Int(1), values.MustParseNet("2001:db8::/96"))
-		c.AddValues(values.Int(2), values.MustParseNet("2001:db8::/32"))
-		if indexed {
-			c.CompileIndexed()
-		} else {
-			c.Compile()
-		}
-		v, err := c.Get(values.MustParseAddr("2001:db8::42"))
-		if err != nil || v.AsInt() != 1 {
-			t.Fatalf("indexed=%v: got %v, %v; want /96 rule (added first)", indexed, v, err)
-		}
-		v, err = c.Get(values.MustParseAddr("2001:db8:1::1"))
-		if err != nil || v.AsInt() != 2 {
-			t.Fatalf("indexed=%v: got %v, %v; want /32 rule", indexed, v, err)
-		}
+func TestIPv6LongPrefix(t *testing.T) {
+	// A /96 prefix reaches past bit 64 (the address's low word).
+	c := New(1)
+	c.AddValues(values.Int(1), values.MustParseNet("2001:db8::/96"))
+	c.AddValues(values.Int(2), values.MustParseNet("2001:db8::/32"))
+	c.Compile()
+	v, err := c.Get(values.MustParseAddr("2001:db8::42"))
+	if err != nil || v.AsInt() != 1 {
+		t.Fatalf("got %v, %v; want /96 rule (added first)", v, err)
+	}
+	v, err = c.Get(values.MustParseAddr("2001:db8:1::1"))
+	if err != nil || v.AsInt() != 2 {
+		t.Fatalf("got %v, %v; want /32 rule", v, err)
 	}
 }
 
@@ -153,78 +124,21 @@ func TestPortRangeBoundaries(t *testing.T) {
 }
 
 func TestEmptyClassifier(t *testing.T) {
-	for _, indexed := range []bool{false, true} {
-		c := New(1)
-		if indexed {
-			c.CompileIndexed()
-		} else {
-			c.Compile()
-		}
-		if _, err := c.Get(values.MustParseAddr("1.2.3.4")); !errors.Is(err, ErrNoMatch) {
-			t.Fatalf("indexed=%v: want ErrNoMatch on empty table, got %v", indexed, err)
-		}
-		if c.Matches(values.MustParseAddr("1.2.3.4")) {
-			t.Fatalf("indexed=%v: Matches on empty table", indexed)
-		}
+	c := New(1)
+	c.Compile()
+	if _, err := c.Get(values.MustParseAddr("1.2.3.4")); !errors.Is(err, ErrNoMatch) {
+		t.Fatalf("want ErrNoMatch on empty table, got %v", err)
+	}
+	if c.Matches(values.MustParseAddr("1.2.3.4")) {
+		t.Fatal("Matches on empty table")
 	}
 }
 
 func TestGetKeyArityChecked(t *testing.T) {
 	c := New(2)
 	c.Add([]Field{Wildcard{}, Wildcard{}}, values.Int(1))
-	c.CompileIndexed()
+	c.Compile()
 	if _, err := c.Get(values.MustParseAddr("1.2.3.4")); err == nil || errors.Is(err, ErrNoMatch) {
 		t.Fatalf("short key accepted: %v", err)
-	}
-}
-
-// TestRandomizedLinearIndexedEquivalence cross-validates the two matchers:
-// for random rule tables and random probes, compiled-with-index results
-// must be byte-identical to the reference linear scan.
-func TestRandomizedLinearIndexedEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	randNet := func() values.Value {
-		plen := 8 + rng.Intn(25) // /8../32
-		a := fmt.Sprintf("%d.%d.%d.%d/%d",
-			10+rng.Intn(4), rng.Intn(4), rng.Intn(4), 0, plen)
-		return values.MustParseNet(a)
-	}
-	randAddr := func() values.Value {
-		return values.MustParseAddr(fmt.Sprintf("%d.%d.%d.%d",
-			10+rng.Intn(4), rng.Intn(4), rng.Intn(4), rng.Intn(4)))
-	}
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(20)
-		lin, idx := New(2), New(2)
-		for i := 0; i < n; i++ {
-			var f0, f1 Field
-			switch rng.Intn(3) {
-			case 0:
-				f0 = Wildcard{}
-			default:
-				f0 = NetField{Net: randNet()}
-			}
-			if rng.Intn(2) == 0 {
-				f1 = Wildcard{}
-			} else {
-				f1 = ExactField{Val: values.Int(int64(rng.Intn(3)))}
-			}
-			val := values.Int(int64(i))
-			lin.Add([]Field{f0, f1}, val)
-			idx.Add([]Field{f0, f1}, val)
-		}
-		lin.Compile()
-		idx.CompileIndexed()
-		for probe := 0; probe < 100; probe++ {
-			key := []values.Value{randAddr(), values.Int(int64(rng.Intn(3)))}
-			lv, lerr := lin.Get(key...)
-			iv, ierr := idx.Get(key...)
-			if (lerr == nil) != (ierr == nil) {
-				t.Fatalf("trial %d key %v: linear err %v, indexed err %v", trial, key, lerr, ierr)
-			}
-			if lerr == nil && lv.AsInt() != iv.AsInt() {
-				t.Fatalf("trial %d key %v: linear %v, indexed %v", trial, key, lv, iv)
-			}
-		}
 	}
 }

@@ -32,11 +32,13 @@ import (
 	"hilti/internal/rt/values"
 )
 
-// Version is the current snapshot format version. Version 2 is the
+// Version is the current snapshot format version. Version 2 brought the
 // section/flow-frame engine-state layout (bro/state.go) and the single
-// snapshot+segments shard blob (pkt/pipeline); version-1 streams are
-// rejected by the header check.
-const Version = 2
+// snapshot+segments shard blob (pkt/pipeline); version 3 put the packet-fate
+// ledger into pipeline checkpoints (feeder-side counts up front, each
+// shard's tally in Fate order, the fate as the WAL outcome byte). Streams of
+// an older version are rejected by the header check.
+const Version = 3
 
 // MaxDepth bounds value-tree recursion in both directions.
 const MaxDepth = 64
