@@ -1592,6 +1592,8 @@ func (h *harness) wal() {
 			Scripts: []string{bro.HTTPScript, bro.FilesScript, bro.DNSScript, bro.TrackScript}, Quiet: true}},
 	}
 	for _, bk := range backends {
+		reg := metrics.NewRegistry()
+		bk.cfg.Metrics = reg
 		e, err := bro.NewEngine(bk.cfg)
 		must(err)
 		var snap bytes.Buffer
@@ -1616,6 +1618,61 @@ func (h *harness) wal() {
 			fmt.Printf("      rebase every %4d pkts: amortized %7.1f B/pkt (full-per-packet bound would be %d B/pkt)\n",
 				cadence, meanDelta+float64(full.Len())/float64(cadence), full.Len())
 		}
+		if bk.cfg.ScriptExec == "interp" {
+			// A flush encodes marked script-table entries only; a
+			// whole-table encode would push the count past both limits.
+			marked, _ := e.DeltaTableEntries()
+			encoded := uint64(reg.Value("bro_delta_table_entries_encoded_total"))
+			fmt.Printf("      script-table entries: %d marked, %d encoded over %d records (%.2f per record), %.0f expired\n",
+				marked, encoded, len(pkts), float64(encoded)/float64(len(pkts)), reg.Value("bro_table_entries_expired_total"))
+			check(encoded > 0 && encoded <= marked, "delta path encoded table entries it had not marked")
+			check(encoded <= 4*uint64(len(pkts)), "delta path encodes more than 4 table entries per record on average")
+		}
+	}
+
+	// A'. Flush cost against script-table size: what one AppendDelta costs
+	//    late in an HTTP trace with 1x, 4x and 16x the sessions behind it,
+	//    next to a full Checkpoint spread over the pipeline's default
+	//    re-base cadence — the two sides of ROADMAP item 3's recovery-mode
+	//    decision. Allocation is sampled around every 16th flush.
+	fmt.Println("    flush cost vs. script-table size (interp, HTTP only; last 2000 packets of each trace):")
+	for _, mult := range []int{1, 4, 16} {
+		hc := gen.DefaultHTTPConfig()
+		hc.Seed = *seed
+		hc.Sessions = *httpSessions * mult
+		trace := gen.GenerateHTTP(hc)
+		e, err := bro.NewEngine(cfg)
+		must(err)
+		must(e.ResetDeltaBase())
+		var flush time.Duration
+		var before, after runtime.MemStats
+		var allocated, sampled uint64
+		from := max(len(trace)-2000, 0)
+		for i, p := range trace {
+			e.SafeProcessPacket(p.Time.UnixNano(), p.Data)
+			sample := i >= from && i%16 == 0
+			if sample {
+				runtime.ReadMemStats(&before)
+			}
+			start := time.Now()
+			_, err := e.AppendDelta()
+			must(err)
+			if i >= from {
+				flush += time.Since(start)
+			}
+			if sample {
+				runtime.ReadMemStats(&after)
+				allocated += after.TotalAlloc - before.TotalAlloc
+				sampled++
+			}
+		}
+		var full bytes.Buffer
+		start := time.Now()
+		must(e.Checkpoint(&full))
+		ckpt := time.Since(start)
+		fmt.Printf("      %6d sessions: AppendDelta %6.0f ns, %6.0f B allocated per packet; Checkpoint %7.2f ms (%d B) = %7.0f ns per packet at CheckpointEvery 256\n",
+			hc.Sessions, float64(flush.Nanoseconds())/float64(len(trace)-from), float64(allocated)/float64(sampled),
+			float64(ckpt.Microseconds())/1000, full.Len(), float64(ckpt.Nanoseconds())/256)
 	}
 
 	// B+C+D. Kill/restore at arbitrary WAL cut points. Base snapshot at

@@ -154,6 +154,10 @@ type Engine struct {
 	// flush (see wal.go). Nil outside WAL mode: the mark helpers are then
 	// no-ops, so the non-incremental paths pay nothing.
 	delta *deltaState
+	// Script-table entries the delta path looked at (marked) and encoded;
+	// process-local, not checkpointed.
+	deltaMarked, deltaEncoded metrics.Counter
+	globalNames               []string // interpGlobalNames' cache
 
 	planeVerdicts []int64         // scratch for cfg.RulePlane evaluation
 	planeDropped  metrics.Counter // packets a gate program dropped

@@ -12,6 +12,7 @@ import (
 	"os"
 	"strings"
 
+	"hilti/internal/rt/metrics"
 	"hilti/internal/rt/values"
 )
 
@@ -28,6 +29,9 @@ type Interp struct {
 	// LogWrite receives Log::write calls; set by the logging framework.
 	LogWrite func(stream string, rec *RecordVal)
 	Out      io.Writer
+
+	// Expired counts the entries this interpreter's tables have aged out.
+	Expired metrics.Counter
 }
 
 // NewInterp creates an interpreter with the built-in record types.
@@ -82,16 +86,8 @@ func (ip *Interp) zeroValue(gd *GlobalDecl) (Val, error) {
 		return nil, fmt.Errorf("bro: global %s needs a type or initializer", gd.Name)
 	}
 	switch gd.Type.Kind {
-	case "table":
-		t := NewTable(false)
-		t.ExpireInterval = gd.CreateExpire + gd.ReadExpire
-		t.ExpireOnRead = gd.ReadExpire > 0
-		return t, nil
-	case "set":
-		t := NewTable(true)
-		t.ExpireInterval = gd.CreateExpire + gd.ReadExpire
-		t.ExpireOnRead = gd.ReadExpire > 0
-		return t, nil
+	case "table", "set":
+		return ip.newTable(gd.Type.Kind == "set", gd.CreateExpire+gd.ReadExpire, gd.ReadExpire > 0), nil
 	case "vector":
 		return &VectorVal{}, nil
 	case "count":
@@ -117,6 +113,14 @@ func (ip *Interp) zeroValue(gd *GlobalDecl) (Val, error) {
 	default:
 		return nil, fmt.Errorf("bro: cannot zero-initialize %s", gd.Type)
 	}
+}
+
+// newTable creates a table whose expirations count towards ip.Expired.
+func (ip *Interp) newTable(isSet bool, expireInterval int64, onRead bool) *TableVal {
+	t := NewTable(isSet)
+	t.ExpireInterval, t.ExpireOnRead = expireInterval, onRead
+	t.expired = &ip.Expired
+	return t
 }
 
 // env is a lexical scope.
@@ -311,7 +315,7 @@ func (ip *Interp) execFor(e *env, s *ForStmt) error {
 		// sees an index that a subsequent lookup would reject.
 		c.expire(ip.Now())
 		var entries [][2]any
-		c.Each(func(key []Val, yield Val) bool {
+		c.each(s.Var2 != "", func(key []Val, yield Val) bool {
 			entries = append(entries, [2]any{key, yield})
 			return true
 		})

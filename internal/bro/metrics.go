@@ -42,6 +42,8 @@ func (e *Engine) registerMetrics() {
 		emit("bro_budget_blown_total", float64(e.budgetBlown.Load()))
 		emit("bro_quarantine_dropped_total", float64(e.quarDropped.Load()))
 		emit("bro_log_lines_total", float64(e.Logs.Written()))
+		emit("bro_delta_table_entries_encoded_total", float64(e.deltaEncoded.Load()))
+		emit("bro_table_entries_expired_total", float64(e.interp.Expired.Load()))
 	})
 	// Component profilers (parsing/script/glue — the Figure 9/10 split)
 	// and HILTI-program profilers from the script and parser VMs.
@@ -80,6 +82,15 @@ func (e *Engine) timerMetrics(reg *metrics.Registry) *timer.MgrMetrics {
 		Fired:     reg.Counter("hilti_timers_fired_total"),
 		Expired:   reg.Counter("hilti_timers_expired_total"),
 	}
+}
+
+// DeltaTableEntries reports how many script-table entries AppendDelta has
+// looked at (entries marked as possibly changed) and how many of those it
+// encoded (the rest were deletes). Both stay proportional to what the
+// packets' handlers touched, whatever the tables hold — the invariant
+// hilti-bench -exp wal asserts.
+func (e *Engine) DeltaTableEntries() (marked, encoded uint64) {
+	return e.deltaMarked.Load(), e.deltaEncoded.Load()
 }
 
 // FlowCounts reports the engine's flow ledger: connections opened, closed

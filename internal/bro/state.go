@@ -36,7 +36,9 @@
 //     quarantine marks, log lines past the flushed watermark, globals that
 //     differ from the cached base, and a frame per dirty or closed flow.
 //     Granularity: a dirty connection re-encodes whole; interpreter tables
-//     diff per entry; VM container globals with scalar-only contents
+//     emit the entries marked since the last flush (TableVal.mark), so a
+//     flush costs what changed, not what the table holds; VM container
+//     globals with scalar-only contents
 //     journal individual operations (container.JournalFn), and any
 //     non-scalar key or value trips the gate to whole-blob diffing — a heap
 //     value stored in a container can be mutated later without a container
@@ -60,9 +62,11 @@ package bro
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -111,28 +115,43 @@ type deltaState struct {
 	interp  map[string]*interpCache
 	exec    [2][]execCache
 	flushed map[string]int // stream name -> lines already persisted
-	frame   bytes.Buffer   // staging for one length-prefixed flow frame
+
+	// stage holds what one encodeState call encodes ahead of its place in
+	// the output (table entries, global bodies, length-prefixed frames);
+	// senc writes to it and latches the first encoding error.
+	stage bytes.Buffer
+	senc  *snapshot.Encoder
+	out   bytes.Buffer // AppendDelta's record, before the exact-size copy it returns
 }
 
 func newDeltaState() *deltaState {
-	return &deltaState{
+	ds := &deltaState{
 		dirtyConns:  map[int64]*conn{},
 		closed:      map[string]flow.Key{},
 		quarTouched: map[uint64]bool{},
 		interp:      map[string]*interpCache{},
 		flushed:     map[string]int{},
 	}
+	ds.senc = snapshot.NewRawEncoder(&ds.stage)
+	return ds
+}
+
+// staged returns what senc wrote since stage held start bytes. Within one
+// encodeState call nothing below a slice handed out here is rewritten (a
+// frame is dropped only once copied out, and frames come last), so the
+// slice stays intact even if a later write moves the buffer to a larger
+// array.
+func (ds *deltaState) staged(start int) []byte {
+	b := ds.stage.Bytes()
+	return b[start:len(b):len(b)]
 }
 
 // interpCache is the per-interpreter-global base the next diff runs
-// against: per-entry blobs for a table, one blob for anything else.
+// against: for a table the object whose marks describe the changes, for
+// anything else its encoding.
 type interpCache struct {
-	tbl     *TableVal
-	entries map[string][]byte // keyStr -> encoded entry
-	order   []string          // live keyStr order at last flush
-	nextSeq uint64
-	size    int // bytes in entries
-	blob    []byte
+	tbl  *TableVal
+	blob []byte
 }
 
 // execCache is the per-VM-global base. Container globals with scalar-only
@@ -241,11 +260,17 @@ func (e *Engine) ResetDeltaBase() error {
 	e.delta = nil
 	ds := newDeltaState()
 	for name, v := range e.interp.Globals {
-		c, err := newInterpCache(v)
-		if err != nil {
-			return err
+		if t, ok := v.(*TableVal); ok {
+			t.clearMarks()
+			ds.interp[name] = &interpCache{tbl: t}
+			continue
 		}
-		ds.interp[name] = c
+		encodeVal(ds.senc, v, 0)
+		ds.interp[name] = &interpCache{blob: bytes.Clone(ds.staged(0))}
+		ds.stage.Reset()
+	}
+	if err := ds.senc.Err(); err != nil {
+		return err
 	}
 	ds.exec[0] = ds.baseExec(e, 0)
 	ds.exec[1] = ds.baseExec(e, 1)
@@ -267,11 +292,12 @@ func (e *Engine) AppendDelta() ([]byte, error) {
 	if e.delta == nil {
 		return nil, fmt.Errorf("bro: AppendDelta without ResetDeltaBase")
 	}
-	var buf bytes.Buffer
-	if err := e.encodeState(snapshot.NewRawEncoder(&buf), e.delta); err != nil {
+	out := &e.delta.out
+	out.Reset()
+	if err := e.encodeState(snapshot.NewRawEncoder(out), e.delta); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return bytes.Clone(out.Bytes()), nil
 }
 
 // ApplyDelta replays one AppendDelta record onto the engine — the restore
@@ -446,11 +472,9 @@ func (e *Engine) encodeState(enc *snapshot.Encoder, ds *deltaState) error {
 			return fmt.Errorf("bro: cannot serialize connection %s: in-flight binpac parse state", c.uid)
 		}
 	}
+	ds.stage.Reset()
 	frames := frameSet{}
-	globals, err := e.diffInterp(ds, frames)
-	if err != nil {
-		return err
-	}
+	globals := e.diffInterp(ds, frames)
 	for uid, key := range ds.closed {
 		f := frames.get(uid)
 		f.closed, f.key = true, key
@@ -466,13 +490,13 @@ func (e *Engine) encodeState(enc *snapshot.Encoder, ds *deltaState) error {
 	sort.Strings(uids)
 	enc.U32(uint32(len(uids)))
 	for _, uid := range uids {
-		ds.frame.Reset()
-		fenc := snapshot.NewRawEncoder(&ds.frame)
-		encodeFrame(fenc, uid, frames[uid])
-		if err := fenc.Err(); err != nil {
-			return err
-		}
-		enc.Bytes(ds.frame.Bytes())
+		start := ds.stage.Len()
+		encodeFrame(ds.senc, uid, frames[uid])
+		enc.Bytes(ds.staged(start))
+		ds.stage.Truncate(start)
+	}
+	if err := ds.senc.Err(); err != nil {
+		return err
 	}
 
 	e.encodeMeta(enc)
@@ -644,56 +668,18 @@ func entryBlob(en *tableEntry) ([]byte, error) {
 	return buf.Bytes(), enc.Err()
 }
 
-// tableImage encodes each live entry of t into the cache image the next
-// diff runs against. The blobs are slices of one buffer: a table
-// re-encodes on every dirty flush, so per-entry buffers would be the delta
-// path's main garbage; sizeHint (the previous image's size) spares the
-// buffer its doubling steps.
-func tableImage(t *TableVal, sizeHint int) (interpCache, error) {
-	var buf bytes.Buffer
-	buf.Grow(sizeHint + sizeHint/8)
-	enc := snapshot.NewRawEncoder(&buf)
-	order := make([]string, 0, t.Len())
-	ends := make([]int, 0, t.Len())
-	for _, en := range t.order {
-		if !en.deleted {
-			encodeTableEntry(enc, en, 1)
-			order = append(order, en.keyStr)
-			ends = append(ends, buf.Len())
-		}
-	}
-	entries := make(map[string][]byte, len(order))
-	all, start := buf.Bytes(), 0
-	for i, ks := range order {
-		entries[ks] = all[start:ends[i]:ends[i]]
-		start = ends[i]
-	}
-	return interpCache{tbl: t, entries: entries, order: order, nextSeq: t.nextSeq, size: len(all)}, enc.Err()
-}
-
-func encodeInterpGlobal(v Val) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := snapshot.NewRawEncoder(&buf)
-	encodeVal(enc, v, 0)
-	return buf.Bytes(), enc.Err()
-}
-
-func newInterpCache(v Val) (*interpCache, error) {
-	if t, ok := v.(*TableVal); ok {
-		c, err := tableImage(t, 0)
-		return &c, err
-	}
-	blob, err := encodeInterpGlobal(v)
-	return &interpCache{blob: blob}, err
-}
-
+// interpGlobalNames lists the interpreter's globals in name order. Names
+// are only ever added (script declarations, restored state), so the cached
+// list is current while its length matches.
 func (e *Engine) interpGlobalNames() []string {
-	names := make([]string, 0, len(e.interp.Globals))
-	for name := range e.interp.Globals {
-		names = append(names, name)
+	if len(e.globalNames) != len(e.interp.Globals) {
+		e.globalNames = e.globalNames[:0]
+		for name := range e.interp.Globals {
+			e.globalNames = append(e.globalNames, name)
+		}
+		sort.Strings(e.globalNames)
 	}
-	sort.Strings(names)
-	return names
+	return e.globalNames
 }
 
 type globalDelta struct {
@@ -705,9 +691,9 @@ type globalDelta struct {
 // diffInterp computes the changed interpreter globals against ds's caches
 // and advances the caches. Table entries labelled by a uid go to that
 // flow's frame; everything else comes back for the interp section.
-func (e *Engine) diffInterp(ds *deltaState, frames frameSet) ([]globalDelta, error) {
+func (e *Engine) diffInterp(ds *deltaState, frames frameSet) []globalDelta {
 	if !ds.dirtyInterp {
-		return nil, nil
+		return nil
 	}
 	var out []globalDelta
 	for _, name := range e.interpGlobalNames() {
@@ -718,77 +704,87 @@ func (e *Engine) diffInterp(ds *deltaState, frames frameSet) ([]globalDelta, err
 		}
 		v := e.interp.Globals[name]
 		if t, ok := v.(*TableVal); ok {
-			body, err := diffTable(name, c, t, frames)
-			if err != nil {
-				return nil, err
-			}
-			if body != nil {
+			if body := e.diffTable(ds, name, c, t, frames); body != nil {
 				out = append(out, globalDelta{name, modeTable, body})
 			}
 			continue
 		}
-		blob, err := encodeInterpGlobal(v)
-		if err != nil {
-			return nil, err
+		start := ds.stage.Len()
+		encodeVal(ds.senc, v, 0)
+		if blob := ds.staged(start); c.tbl != nil || !bytes.Equal(blob, c.blob) {
+			c.tbl, c.blob = nil, append(c.blob[:0], blob...)
+			out = append(out, globalDelta{name, modeWhole, c.blob})
 		}
-		if c.tbl == nil && bytes.Equal(blob, c.blob) {
-			continue
-		}
-		*c = interpCache{blob: blob}
-		out = append(out, globalDelta{name, modeWhole, blob})
 	}
 	ds.dirtyInterp = false
-	return out, nil
+	return out
 }
 
-// diffTable computes t's per-entry diff against cache c and advances c,
-// returning the modeTable body for the engine-global part (nil when the
-// table is unchanged). A global bound to a different table object than
-// the cached one (always so against an empty cache) resets: the body
-// recreates the table from its attributes, every cached entry is a delete
-// and every live one an upsert.
-func diffTable(name string, c *interpCache, t *TableVal, frames frameSet) ([]byte, error) {
-	next, err := tableImage(t, c.size)
-	if err != nil {
-		return nil, err
-	}
+// diffTable emits what changed in table global t since the last flush —
+// the entries t has marked — and returns the modeTable body for the
+// engine-global part (nil when nothing is marked). A global bound to a
+// different table object than the cached one (always so for a full
+// selection's empty cache) resets instead: the body recreates the table
+// from its attributes and every live entry is an upsert.
+func (e *Engine) diffTable(ds *deltaState, name string, c *interpCache, t *TableVal, frames frameSet) []byte {
 	reset := c.tbl != t
-	changed := reset || c.nextSeq != t.nextSeq
+	look := t.marks
+	if reset {
+		look = t.order
+	} else if len(look) == 0 {
+		return nil
+	} else {
+		// Replay does not depend on the order, but seq order makes a record
+		// a function of the state alone, whichever engine wrote it.
+		slices.SortFunc(look, func(a, b *tableEntry) int { return cmp.Compare(a.seq, b.seq) })
+	}
 	var global frameTable // the engine-global part: entries with no label
 	opsFor := func(ks string) *frameTable {
-		changed = true
 		if uid := labelOf(ks); uid != "" {
 			return frames.get(uid).ops(name)
 		}
 		return &global
 	}
-	for _, ks := range c.order {
-		if _, live := next.entries[ks]; reset || !live {
-			ops := opsFor(ks)
-			ops.dels = append(ops.dels, ks)
+	encoded := 0
+	for _, en := range look {
+		switch {
+		case !en.deleted:
+			start := ds.stage.Len()
+			encodeTableEntry(ds.senc, en, 1)
+			ops := opsFor(en.keyStr)
+			ops.ups = append(ops.ups, ds.staged(start))
+			encoded++
+		case reset || en.fresh:
+			// Nothing to undo: a reset starts from an empty table, and the
+			// base never held an entry born since the last flush.
+		case t.entries[en.keyStr] == nil:
+			// (A live successor under the same key is itself marked, and its
+			// upsert replaces this entry on replay.)
+			ops := opsFor(en.keyStr)
+			ops.dels = append(ops.dels, en.keyStr)
 		}
 	}
-	for _, ks := range next.order {
-		if old, had := c.entries[ks]; reset || !had || !bytes.Equal(old, next.entries[ks]) {
-			ops := opsFor(ks)
-			ops.ups = append(ops.ups, next.entries[ks])
-		}
+	if !reset {
+		e.deltaMarked.Add(uint64(len(look)))
+		e.deltaEncoded.Add(uint64(encoded))
 	}
-	*c = next
-	if !changed {
-		return nil, nil
+	// The flush consumed the marks. After a reset only the live selection
+	// (re)starts tracking on t; a full selection is a throwaway and leaves
+	// the marks pending for the next delta.
+	if !reset || ds == e.delta {
+		t.clearMarks()
 	}
-	var buf bytes.Buffer
-	enc := snapshot.NewRawEncoder(&buf)
-	enc.Bool(reset)
+	c.tbl, c.blob = t, nil
+	start := ds.stage.Len()
+	ds.senc.Bool(reset)
 	if reset {
-		enc.Bool(t.IsSet)
-		enc.I64(t.ExpireInterval)
-		enc.Bool(t.ExpireOnRead)
+		ds.senc.Bool(t.IsSet)
+		ds.senc.I64(t.ExpireInterval)
+		ds.senc.Bool(t.ExpireOnRead)
 	}
-	enc.U64(t.nextSeq)
-	encodeTableOps(enc, global.dels, global.ups)
-	return buf.Bytes(), enc.Err()
+	ds.senc.U64(t.nextSeq)
+	encodeTableOps(ds.senc, global.dels, global.ups)
+	return ds.staged(start)
 }
 
 // --- VM executor globals -------------------------------------------------------
@@ -1152,9 +1148,9 @@ func (e *Engine) applyInterp(dec *snapshot.Decoder) error {
 		case modeTable:
 			t, _ := e.interp.Globals[name].(*TableVal)
 			if sub.Bool() {
-				t = NewTable(sub.Bool())
-				t.ExpireInterval = sub.I64()
-				t.ExpireOnRead = sub.Bool()
+				isSet := sub.Bool()
+				interval := sub.I64()
+				t = e.interp.newTable(isSet, interval, sub.Bool())
 				e.interp.Globals[name] = t
 			}
 			if t == nil {

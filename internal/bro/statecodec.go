@@ -421,9 +421,9 @@ func decodeVal(dec *snapshot.Decoder, ip *Interp, depth int) Val {
 		}
 		return rec
 	case valTable:
-		t := NewTable(dec.Bool())
-		t.ExpireInterval = dec.I64()
-		t.ExpireOnRead = dec.Bool()
+		isSet := dec.Bool()
+		interval := dec.I64()
+		t := ip.newTable(isSet, interval, dec.Bool())
 		t.nextSeq = dec.U64()
 		n := dec.Len(tableEntryMin)
 		for i := 0; i < n; i++ {

@@ -22,6 +22,7 @@ import (
 	"strings"
 	"sync"
 
+	"hilti/internal/rt/metrics"
 	"hilti/internal/rt/values"
 )
 
@@ -214,15 +215,28 @@ func (r *RecordVal) Render() string {
 // TableVal is a Bro table or set (sets have nil yields). Entries keep
 // insertion order for deterministic iteration; expiration follows the
 // &create_expire / &read_expire attributes, driven by network time.
+//
+// Two intrusive structures keep a table's cost independent of its size.
+// Live entries are threaded on a queue ordered by touched, so expire only
+// ever looks at the head. And while delta tracking is on (clearMarks starts
+// it; see state.go), every entry a flush must look at is marked once:
+// inserted, overwritten, removed, refreshed by a &read_expire read, or its
+// aggregate yield handed to a script, which may mutate it through the
+// reference without the table hearing of it.
 type TableVal struct {
 	IsSet    bool
 	entries  map[string]*tableEntry
 	order    []*tableEntry // ascending seq; deleted entries linger until compaction
 	nextSeq  uint64        // seq the next inserted entry gets
-	unsorted bool          // install appended out of seq order; settle pending
+	unsorted bool          // install appended out of seq or touched order; settle pending
 
 	ExpireInterval int64 // ns; 0 = no expiration
 	ExpireOnRead   bool  // &read_expire vs &create_expire
+
+	q        tableEntry       // expiry queue sentinel: q.next is the stalest live entry
+	expired  *metrics.Counter // entries expire removed; nil outside an interpreter
+	tracking bool
+	marks    []*tableEntry // entries the next delta flush looks at, each once
 }
 
 type tableEntry struct {
@@ -232,11 +246,17 @@ type tableEntry struct {
 	touched int64
 	seq     uint64 // insertion rank: iteration order is data, so an entry can travel alone
 	deleted bool
+
+	prev, next *tableEntry // expiry queue links (nil once deleted)
+	marked     bool        // in marks
+	fresh      bool        // inserted since the last flush: the delta base has never seen it
 }
 
 // NewTable creates a table (or set).
 func NewTable(isSet bool) *TableVal {
-	return &TableVal{IsSet: isSet, entries: map[string]*tableEntry{}}
+	t := &TableVal{IsSet: isSet, entries: map[string]*tableEntry{}}
+	t.q.prev, t.q.next = &t.q, &t.q
+	return t
 }
 
 // TypeName implements Val.
@@ -249,23 +269,102 @@ func (t *TableVal) TypeName() string {
 
 // KeyString canonicalizes an index tuple.
 func KeyString(key []Val) string {
-	parts := make([]string, len(key))
-	for i, k := range key {
-		parts[i] = k.TypeName() + "\x00" + k.Render()
+	if len(key) == 1 {
+		return key[0].TypeName() + "\x00" + key[0].Render()
 	}
-	return strings.Join(parts, "\x01")
+	var sb strings.Builder
+	for i, k := range key {
+		if i > 0 {
+			sb.WriteByte('\x01')
+		}
+		sb.WriteString(k.TypeName())
+		sb.WriteByte(0)
+		sb.WriteString(k.Render())
+	}
+	return sb.String()
 }
 
-// expire drops stale entries (called on access with current network time).
+// isAggregate reports whether a script holding v can mutate it in place.
+func isAggregate(v Val) bool {
+	switch v.(type) {
+	case *RecordVal, *VectorVal, *TableVal:
+		return true
+	}
+	return false
+}
+
+// linkAfter threads e onto the expiry queue behind at.
+func linkAfter(at, e *tableEntry) {
+	e.prev, e.next = at, at.next
+	at.next.prev = e
+	at.next = e
+}
+
+// enqueue threads e behind every entry touched no later than it. Network
+// time rarely runs backwards, so the walk from the tail is short.
+func (t *TableVal) enqueue(e *tableEntry) {
+	at := t.q.prev
+	for at != &t.q && at.touched > e.touched {
+		at = at.prev
+	}
+	linkAfter(at, e)
+}
+
+// touch sets e's expiry clock and moves it to its place in the queue.
+func (t *TableVal) touch(e *tableEntry, now int64) {
+	if e.touched == now {
+		return
+	}
+	e.touched = now
+	e.prev.next, e.next.prev = e.next, e.prev
+	t.enqueue(e)
+}
+
+// mark notes that the next delta flush must look at e.
+func (t *TableVal) mark(e *tableEntry) {
+	if t.tracking && !e.marked {
+		e.marked = true
+		t.marks = append(t.marks, e)
+	}
+}
+
+// clearMarks makes the table as it stands the delta base and (re)starts
+// tracking against it.
+func (t *TableVal) clearMarks() {
+	for _, e := range t.marks {
+		e.marked, e.fresh = false, false
+	}
+	clear(t.marks)
+	t.marks = t.marks[:0]
+	t.tracking = true
+}
+
+// add makes the new entry e live; the caller has queued it.
+func (t *TableVal) add(e *tableEntry) {
+	e.fresh = t.tracking
+	t.entries[e.keyStr] = e
+	t.order = append(t.order, e)
+	t.mark(e)
+}
+
+// remove takes the live entry e out of the table.
+func (t *TableVal) remove(e *tableEntry) {
+	e.deleted = true
+	delete(t.entries, e.keyStr)
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+	t.mark(e)
+}
+
+// expire drops stale entries (called on access with current network time):
+// the queue is ordered by touched, so they are all at its head.
 func (t *TableVal) expire(now int64) {
 	if t.ExpireInterval <= 0 {
 		return
 	}
-	for k, e := range t.entries {
-		if now-e.touched >= t.ExpireInterval {
-			e.deleted = true
-			delete(t.entries, k)
-		}
+	for e := t.q.next; e != &t.q && now-e.touched >= t.ExpireInterval; e = t.q.next {
+		t.remove(e)
+		t.expired.Inc()
 	}
 }
 
@@ -275,13 +374,14 @@ func (t *TableVal) Put(now int64, key []Val, yield Val) {
 	ks := KeyString(key)
 	if e, ok := t.entries[ks]; ok {
 		e.yield = yield
-		e.touched = now
+		t.touch(e, now)
+		t.mark(e)
 		return
 	}
 	e := &tableEntry{key: key, keyStr: ks, yield: yield, touched: now, seq: t.nextSeq}
 	t.nextSeq++
-	t.entries[ks] = e
-	t.order = append(t.order, e)
+	t.enqueue(e)
+	t.add(e)
 	if len(t.order) > 2*len(t.entries)+16 {
 		live := t.order[:0]
 		for _, oe := range t.order {
@@ -293,24 +393,32 @@ func (t *TableVal) Put(now int64, key []Val, yield Val) {
 	}
 }
 
+// find expires stale entries, then returns key's entry (nil when absent),
+// refreshed if the table is &read_expire.
+func (t *TableVal) find(now int64, key []Val) *tableEntry {
+	t.expire(now)
+	e := t.entries[KeyString(key)]
+	if e != nil && t.ExpireOnRead && e.touched != now {
+		t.touch(e, now)
+		t.mark(e)
+	}
+	return e
+}
+
 // Get looks up an entry.
 func (t *TableVal) Get(now int64, key []Val) (Val, bool) {
-	t.expire(now)
-	e, ok := t.entries[KeyString(key)]
-	if !ok {
+	e := t.find(now, key)
+	if e == nil {
 		return nil, false
 	}
-	if t.ExpireOnRead {
-		e.touched = now
+	if isAggregate(e.yield) {
+		t.mark(e)
 	}
 	return e.yield, true
 }
 
 // Has reports membership.
-func (t *TableVal) Has(now int64, key []Val) bool {
-	_, ok := t.Get(now, key)
-	return ok
-}
+func (t *TableVal) Has(now int64, key []Val) bool { return t.find(now, key) != nil }
 
 // Delete removes an entry.
 func (t *TableVal) Delete(now int64, key []Val) { t.drop(KeyString(key)) }
@@ -318,40 +426,58 @@ func (t *TableVal) Delete(now int64, key []Val) { t.drop(KeyString(key)) }
 // drop removes the entry with canonical key ks, if present.
 func (t *TableVal) drop(ks string) {
 	if e, ok := t.entries[ks]; ok {
-		e.deleted = true
-		delete(t.entries, ks)
+		t.remove(e)
 	}
 }
 
 // install places a decoded entry. A replayed entry keeps its recorded seq
-// (settle then puts it at the matching position); an adopted one (live
-// migration: the seq is the source instance's) updates its key in place or
-// joins the end of this table's order.
+// and joins the end of both orders (settle then puts it at the matching
+// positions); an adopted one (live migration: the seq is the source
+// instance's) updates its key in place or joins the end of this table's
+// order, and is queued at once, as no settle follows.
 func (t *TableVal) install(en *tableEntry, adopt bool) {
 	old, had := t.entries[en.keyStr]
 	if had && (adopt || old.seq == en.seq) {
-		old.key, old.yield, old.touched = en.key, en.yield, en.touched
+		old.key, old.yield = en.key, en.yield
+		t.touch(old, en.touched)
+		t.mark(old)
 		return
 	}
 	if had {
-		old.deleted = true
+		t.remove(old)
 	}
 	if adopt {
 		en.seq = t.nextSeq
 		t.nextSeq++
+		t.enqueue(en)
+	} else {
+		if last := t.q.prev; last != &t.q && last.touched > en.touched {
+			t.unsorted = true
+		}
+		linkAfter(t.q.prev, en)
 	}
 	if n := len(t.order); n > 0 && t.order[n-1].seq > en.seq {
 		t.unsorted = true
 	}
-	t.entries[en.keyStr] = en
-	t.order = append(t.order, en)
+	t.add(en)
 }
 
-// settle restores ascending-seq order once a batch of installs is done.
+// settle restores ascending-seq order, and the expiry queue's order by
+// touched, once a batch of installs is done.
 func (t *TableVal) settle() {
-	if t.unsorted {
-		sort.SliceStable(t.order, func(i, j int) bool { return t.order[i].seq < t.order[j].seq })
-		t.unsorted = false
+	if !t.unsorted {
+		return
+	}
+	t.unsorted = false
+	sort.SliceStable(t.order, func(i, j int) bool { return t.order[i].seq < t.order[j].seq })
+	queue := make([]*tableEntry, 0, len(t.entries))
+	for e := t.q.next; e != &t.q; e = e.next {
+		queue = append(queue, e)
+	}
+	sort.SliceStable(queue, func(i, j int) bool { return queue[i].touched < queue[j].touched })
+	t.q.prev, t.q.next = &t.q, &t.q
+	for _, e := range queue {
+		linkAfter(t.q.prev, e)
 	}
 }
 
@@ -359,10 +485,16 @@ func (t *TableVal) settle() {
 func (t *TableVal) Len() int { return len(t.entries) }
 
 // Each iterates live entries in insertion order.
-func (t *TableVal) Each(fn func(key []Val, yield Val) bool) {
+func (t *TableVal) Each(fn func(key []Val, yield Val) bool) { t.each(false, fn) }
+
+// each is Each; handOut says fn passes the yields on to a script.
+func (t *TableVal) each(handOut bool, fn func(key []Val, yield Val) bool) {
 	for _, e := range t.order {
 		if e.deleted {
 			continue
+		}
+		if handOut && isAggregate(e.yield) {
+			t.mark(e)
 		}
 		if !fn(e.key, e.yield) {
 			return

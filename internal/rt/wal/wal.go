@@ -72,8 +72,12 @@ type Writer struct {
 }
 
 // NewWriter starts an empty segment with its format header.
-func NewWriter() *Writer {
-	w := &Writer{buf: make([]byte, 0, 512)}
+func NewWriter() *Writer { return newWriter(0) }
+
+// newWriter is NewWriter with room for size bytes before the segment's
+// buffer first has to grow.
+func newWriter(size int) *Writer {
+	w := &Writer{buf: make([]byte, 0, max(size, 512))}
 	w.buf = append(w.buf, magic[:]...)
 	w.buf = binary.BigEndian.AppendUint16(w.buf, Version)
 	return w
@@ -234,7 +238,10 @@ func (l *Log) Rotate() {
 // are invalidated (their generation no longer matches).
 func (l *Log) Reset() {
 	l.done = nil
-	l.cur = NewWriter()
+	// A log is reset at a steady cadence, so the open segment will grow
+	// about as long as the one it replaces: allocate that once, where
+	// growing by appends would allocate several times as much.
+	l.cur = newWriter(l.cur.Size())
 	l.recs = 0
 	l.gen++
 }
