@@ -40,6 +40,7 @@ import (
 	"hilti/internal/rt/hbytes"
 	"hilti/internal/rt/metrics"
 	"hilti/internal/rt/migrate"
+	"hilti/internal/rt/snapshot"
 	"hilti/internal/rt/timer"
 	"hilti/internal/rt/values"
 	"hilti/internal/rt/wal"
@@ -1673,6 +1674,67 @@ func (h *harness) wal() {
 		fmt.Printf("      %6d sessions: AppendDelta %6.0f ns, %6.0f B allocated per packet; Checkpoint %7.2f ms (%d B) = %7.0f ns per packet at CheckpointEvery 256\n",
 			hc.Sessions, float64(flush.Nanoseconds())/float64(len(trace)-from), float64(allocated)/float64(sampled),
 			float64(ckpt.Microseconds())/1000, full.Len(), float64(ckpt.Nanoseconds())/256)
+	}
+
+	// A". Re-base cost against live flows: the same traces, flushed per
+	//    packet and re-based every 256 through Engine.Rebase, which copies
+	//    the frames no delta touched out of the previous snapshot — next to
+	//    the full encode of the same instant, which it must equal byte for
+	//    byte. Timed over the second half of each trace, leaving out the
+	//    re-bases that encode everything (the first, and every 16th).
+	fmt.Println("    re-base cost vs. live flows (interp, HTTP only; per re-base at CheckpointEvery 256, second half of each trace):")
+	for _, mult := range []int{1, 4, 16} {
+		hc := gen.DefaultHTTPConfig()
+		hc.Seed = *seed
+		hc.Sessions = *httpSessions * mult
+		trace := gen.GenerateHTTP(hc)
+		reg := metrics.NewRegistry()
+		rcfg := cfg
+		rcfg.Metrics = reg
+		e, err := bro.NewEngine(rcfg)
+		must(err)
+		var snap []byte
+		type cost struct{ ns, alloc uint64 }
+		var patch, full cost
+		var n, copied, again uint64
+		var before, after runtime.MemStats
+		timed := func(fn func()) cost {
+			runtime.ReadMemStats(&before)
+			start := time.Now()
+			fn()
+			ns := uint64(time.Since(start).Nanoseconds())
+			runtime.ReadMemStats(&after)
+			return cost{ns, after.TotalAlloc - before.TotalAlloc}
+		}
+		for i, p := range trace {
+			e.SafeProcessPacket(p.Time.UnixNano(), p.Data)
+			if snap != nil {
+				_, err := e.AppendDelta()
+				must(err)
+			}
+			if i%256 != 255 {
+				continue
+			}
+			var want bytes.Buffer
+			fullCost := timed(func() { must(e.Checkpoint(&want)) })
+			r0, e0, _ := e.RebaseFrames()
+			enc := snapshot.NewAppender(make([]byte, 0, len(snap)+len(snap)/8))
+			patchCost := timed(func() { must(e.Rebase(enc, snap)) })
+			snap = enc.Buffer()
+			check(bytes.Equal(snap, want.Bytes()), fmt.Sprintf("%d sessions, packet %d: re-based snapshot differs from the full encode", hc.Sessions, i))
+			if r1, e1, _ := e.RebaseFrames(); r1 > r0 && i >= len(trace)/2 {
+				n, copied, again = n+1, copied+r1-r0, again+e1-e0
+				patch.ns, patch.alloc = patch.ns+patchCost.ns, patch.alloc+patchCost.alloc
+				full.ns, full.alloc = full.ns+fullCost.ns, full.alloc+fullCost.alloc
+			}
+		}
+		_, _, touched := e.RebaseFrames()
+		reused, encoded := uint64(reg.Value("bro_rebase_frames_reused_total")), uint64(reg.Value("bro_rebase_frames_encoded_total"))
+		check(n > 0 && reused > 0 && encoded <= touched, "re-bases encoded frames no delta had touched, or copied none")
+		n = max(n, 1)
+		fmt.Printf("      %6d sessions: patched %7.0f us, %8.0f B allocated; full %7.0f us, %8.0f B allocated; %d B snapshot, %.0f frames copied and %.0f encoded per re-base\n",
+			hc.Sessions, float64(patch.ns)/float64(n)/1e3, float64(patch.alloc)/float64(n),
+			float64(full.ns)/float64(n)/1e3, float64(full.alloc)/float64(n), len(snap), float64(copied)/float64(n), float64(again)/float64(n))
 	}
 
 	// B+C+D. Kill/restore at arbitrary WAL cut points. Base snapshot at

@@ -17,6 +17,7 @@ type deltaTwin struct {
 	cfg     Config
 	live    *Engine
 	replica *Engine
+	snap    []byte // the live engine's last Rebase
 }
 
 func newDeltaTwin(t *testing.T, cfg Config) *deltaTwin {
@@ -25,16 +26,21 @@ func newDeltaTwin(t *testing.T, cfg Config) *deltaTwin {
 	return tw
 }
 
-// rebase snapshots the live engine, restarts its delta tracking and
-// rebuilds the replica from the snapshot.
+// rebase re-bases the live engine — patching its previous snapshot, when
+// it has one — and rebuilds the replica from the result, which must be the
+// full encode of the same instant, byte for byte.
 func (tw *deltaTwin) rebase() {
 	tw.t.Helper()
-	snap := checkpointBytes(tw.t, tw.live)
-	if err := tw.live.ResetDeltaBase(); err != nil {
+	want := checkpointBytes(tw.t, tw.live)
+	enc := snapshot.NewAppender(nil)
+	if err := tw.live.Rebase(enc, tw.snap); err != nil {
 		tw.t.Fatal(err)
 	}
+	if tw.snap = enc.Buffer(); !bytes.Equal(tw.snap, want) {
+		tw.t.Fatalf("re-base: %d bytes, differing from the %d of the full encode", len(tw.snap), len(want))
+	}
 	var err error
-	if tw.replica, err = RestoreEngine(tw.cfg, bytes.NewReader(snap)); err != nil {
+	if tw.replica, err = RestoreEngine(tw.cfg, bytes.NewReader(tw.snap)); err != nil {
 		tw.t.Fatal(err)
 	}
 }
@@ -62,17 +68,25 @@ func (tw *deltaTwin) flush(what string) (rec []byte, marked, encoded uint64) {
 // TestDeltaIdentityAfterEveryPacket: snapshot plus every delta so far must
 // reproduce the live engine byte for byte after each packet, not just at a
 // few cuts — a change the marks miss would otherwise hide until the next
-// re-base overwrote it. A re-base mid-trace covers marks pending across
-// ResetDeltaBase. BinPAC++ HTTP connections cannot be serialized mid-parse
+// full re-base overwrote it. Every 64 packets the live engine re-bases by
+// patching (deltaTwin.rebase holds each snapshot against the full encode),
+// with marks pending across it; the migrate row also moves a flow out and
+// back in — forgotten before a re-base, injected after it — every 50.
+// BinPAC++ HTTP connections cannot be serialized mid-parse
 // (TestStateViewsResumeIdentically), so that row runs the DNS trace.
 func TestDeltaIdentityAfterEveryPacket(t *testing.T) {
 	dc := gen.DefaultDNSConfig()
 	dc.Transactions = 400
 	for _, row := range []struct {
-		parser string
-		pkts   []pcap.Packet
-	}{{"standard", mergedTrace(t)}, {"binpac", gen.GenerateDNS(dc)}} {
-		t.Run(row.parser, func(t *testing.T) {
+		name, parser string
+		pkts         []pcap.Packet
+		migrate      bool
+	}{
+		{"standard", "standard", mergedTrace(t), false},
+		{"binpac", "binpac", gen.GenerateDNS(dc), false},
+		{"migrate", "standard", mergedTrace(t), true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
 			tw := newDeltaTwin(t, Config{Parser: row.parser, ScriptExec: "interp",
 				Scripts: []string{HTTPScript, FilesScript, DNSScript, TrackScript}, Quiet: true})
 			var marked, encoded uint64
@@ -83,13 +97,30 @@ func TestDeltaIdentityAfterEveryPacket(t *testing.T) {
 					t.Fatalf("packet %d: %d entries encoded, %d marked", i, e, m)
 				}
 				marked, encoded = marked+m, encoded+e
-				if i == len(row.pkts)/2 {
+				if flows := tw.live.MigratableFlows(); row.migrate && i%50 == 49 && len(flows) > 0 {
+					key := flows[i%len(flows)]
+					blob, err := tw.live.ExtractFlow(key)
+					if err != nil || !tw.live.ForgetFlow(key) {
+						t.Fatalf("packet %d: extract/forget: %v", i, err)
+					}
+					tw.flush("forget")
+					tw.rebase()
+					if _, err := tw.live.InjectFlow(blob); err != nil {
+						t.Fatalf("packet %d: inject: %v", i, err)
+					}
+					tw.flush("inject")
+				}
+				if i%64 == 63 {
 					tw.rebase()
 				}
 			}
-			if encoded == 0 || float64(marked) > 4*float64(len(row.pkts)) {
+			if encoded == 0 || (!row.migrate && float64(marked) > 4*float64(len(row.pkts))) {
 				t.Errorf("%d entries marked, %d encoded over %d packets: want some, and at most 4 per packet",
 					marked, encoded, len(row.pkts))
+			}
+			reused, again, touched := tw.live.RebaseFrames()
+			if t.Logf("re-bases: %d frames copied, %d encoded, %d uids touched", reused, again, touched); reused == 0 || again > touched {
+				t.Errorf("want frames copied, and no more encoded than touched")
 			}
 		})
 	}
@@ -287,5 +318,66 @@ func TestDeltaWorkIndependentOfTableSize(t *testing.T) {
 	t.Logf("TotalAlloc per AppendDelta: %.0f B at 200 sessions, %.0f B at 2000", small, large)
 	if large > 1.5*small {
 		t.Errorf("a flush allocates %.0f B behind 2000 sessions, %.0f B behind 200: cost grows with table size", large, small)
+	}
+}
+
+// TestRebaseWorkIndependentOfLiveFlows: what a patching re-base encodes
+// follows what the packets since the last one touched, not how many flows
+// the engine holds. The trace is re-based every 64 packets with 200 and
+// with 2,000 HTTP sessions' frames accumulating behind it (a session's
+// http_pending entry outlives its connection): every re-base that patches
+// encodes at most one frame per packet of its interval, copies the rest,
+// and allocates little beyond the snapshot it returns.
+func TestRebaseWorkIndependentOfLiveFlows(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a 2,000-session trace")
+	}
+	const every = 64
+	for _, sessions := range []int{200, 2000} {
+		hc := gen.DefaultHTTPConfig()
+		hc.Sessions = sessions
+		pkts := gen.GenerateHTTP(hc)
+		e := mustEngine(t, Config{Parser: "standard", ScriptExec: "interp",
+			Scripts: []string{HTTPScript, FilesScript}, Quiet: true, DiscardLogs: true})
+		var snap []byte
+		var before, after runtime.MemStats
+		var patched, copied, encodedMax uint64
+		for i := range pkts {
+			feed(e, pkts[i:i+1])
+			if snap != nil {
+				if _, err := e.AppendDelta(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if i%every != every-1 {
+				continue
+			}
+			r0, e0, t0 := e.RebaseFrames()
+			enc := snapshot.NewAppender(make([]byte, 0, len(snap)+len(snap)/8))
+			runtime.ReadMemStats(&before)
+			if err := e.Rebase(enc, snap); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			snap = enc.Buffer()
+			r1, e1, t1 := e.RebaseFrames()
+			if r1 == r0 {
+				continue // the first base, and every 16th after: all frames encoded
+			}
+			patched, copied, encodedMax = patched+1, r1-r0, max(encodedMax, e1-e0)
+			if e1-e0 > t1-t0 || t1-t0 > every {
+				t.Fatalf("%d sessions, packet %d: re-base encoded %d frames, %d uids touched in %d packets",
+					sessions, i, e1-e0, t1-t0, every)
+			}
+			// (Late in the trace: early on, the snapshot outgrows the room given it.)
+			if alloc := after.TotalAlloc - before.TotalAlloc; i > len(pkts)*3/4 && alloc > uint64(len(snap))*3/2 {
+				t.Fatalf("%d sessions, packet %d: re-base allocated %d B for a %d B snapshot", sessions, i, alloc, len(snap))
+			}
+		}
+		t.Logf("%d sessions: %d patching re-bases, at most %d frames encoded in one; the last copied %d into %d B",
+			sessions, patched, encodedMax, copied, len(snap))
+		if patched == 0 || copied < uint64(sessions)*9/10 {
+			t.Errorf("%d sessions: last re-base copied %d frames; the test needs them to pile up", sessions, copied)
+		}
 	}
 }

@@ -157,7 +157,13 @@ type Engine struct {
 	// Script-table entries the delta path looked at (marked) and encoded;
 	// process-local, not checkpointed.
 	deltaMarked, deltaEncoded metrics.Counter
-	globalNames               []string // interpGlobalNames' cache
+	// Flow frames Rebase copied from the previous snapshot, encoded again,
+	// and the uids it was told had changed (encoded <= touched); likewise
+	// process-local.
+	rebaseReused, rebaseEncoded, rebaseTouched metrics.Counter
+	globalNames                                []string      // interpGlobalNames' cache
+	oneKey                                     []byte        // entriesLabelled's scratch:
+	ents                                       []*tableEntry // a label's key string, its entries
 
 	planeVerdicts []int64         // scratch for cfg.RulePlane evaluation
 	planeDropped  metrics.Counter // packets a gate program dropped

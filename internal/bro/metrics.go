@@ -44,6 +44,8 @@ func (e *Engine) registerMetrics() {
 		emit("bro_log_lines_total", float64(e.Logs.Written()))
 		emit("bro_delta_table_entries_encoded_total", float64(e.deltaEncoded.Load()))
 		emit("bro_table_entries_expired_total", float64(e.interp.Expired.Load()))
+		emit("bro_rebase_frames_reused_total", float64(e.rebaseReused.Load()))
+		emit("bro_rebase_frames_encoded_total", float64(e.rebaseEncoded.Load()))
 	})
 	// Component profilers (parsing/script/glue — the Figure 9/10 split)
 	// and HILTI-program profilers from the script and parser VMs.
@@ -91,6 +93,15 @@ func (e *Engine) timerMetrics(reg *metrics.Registry) *timer.MgrMetrics {
 // hilti-bench -exp wal asserts.
 func (e *Engine) DeltaTableEntries() (marked, encoded uint64) {
 	return e.deltaMarked.Load(), e.deltaEncoded.Load()
+}
+
+// RebaseFrames reports, summed over the engine's Rebase calls, the flow
+// frames copied from the previous snapshot, the frames encoded again, and
+// the uids the deltas in between had touched (all of them, for a Rebase
+// that had nothing to patch). encoded <= touched whatever the engine
+// holds — the invariant hilti-bench -exp wal asserts.
+func (e *Engine) RebaseFrames() (reused, encoded, touched uint64) {
+	return e.rebaseReused.Load(), e.rebaseEncoded.Load(), e.rebaseTouched.Load()
 }
 
 // FlowCounts reports the engine's flow ledger: connections opened, closed

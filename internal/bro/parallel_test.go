@@ -10,6 +10,7 @@ import (
 	"hilti/internal/pkt/pipeline"
 	"hilti/internal/pkt/reassembly"
 	"hilti/internal/rt/admission"
+	"hilti/internal/rt/metrics"
 )
 
 func mergedTrace(t testing.TB) []pcap.Packet {
@@ -146,6 +147,62 @@ func TestShrinkTierHalvesReassemblyBudget(t *testing.T) {
 		if got := c.budget.Max(); got != base/2 {
 			t.Errorf("%s host: reassembly budget %d under sustained overload, want %d (halved at the shrink tier)",
 				c.name, got, base/2)
+		}
+	}
+}
+
+// TestParallelWALRebaseRestore: a WAL-mode pipeline that re-bases every 32
+// packets — each shard's snapshot patched out of its previous one, with a
+// full encode every 16th time — is killed and restored from a checkpoint
+// (patched snapshot + the records since) at three cuts, and must end with
+// the single engine's logs.
+func TestParallelWALRebaseRestore(t *testing.T) {
+	pkts := mergedTrace(t)
+	cfg := Config{Parser: "standard", ScriptExec: "interp",
+		Scripts: []string{HTTPScript, FilesScript, DNSScript}, Quiet: true, Metrics: metrics.NewRegistry()}
+	pcfg := pipeline.Config{Workers: 2, WAL: true, CheckpointEvery: 32}
+	single, err := NewEngine(Config{Parser: cfg.Parser, ScriptExec: cfg.ScriptExec, Scripts: cfg.Scripts, Quiet: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	single.ProcessTrace(pkts)
+
+	par, err := NewParallelWith(cfg, pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	for _, cut := range []int{len(pkts) / 5, len(pkts) / 2, len(pkts)*4/5 + 7} {
+		for ; next < cut; next++ {
+			if err := par.Feed(pkts[next].Time.UnixNano(), pkts[next].Data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var ckpt bytes.Buffer
+		if err := par.Checkpoint(&ckpt); err != nil {
+			t.Fatal(err)
+		}
+		// (A process-local series: the restored engines start it over.)
+		if cfg.Metrics.Value("bro_rebase_frames_reused_total") == 0 {
+			t.Errorf("by packet %d no re-base has copied a frame: the patching path did not run", cut)
+		}
+		par.Kill()
+		if par, err = RestoreParallelWith(cfg, pcfg, &ckpt); err != nil {
+			t.Fatalf("restore at packet %d: %v", cut, err)
+		}
+	}
+	par.ProcessTrace(pkts[next:])
+	for _, stream := range []string{"http", "files", "dns"} {
+		got, want := par.MergedLines(stream), SortedLines(single, stream)
+		if len(got) != len(want) {
+			t.Errorf("%s.log: %d lines, want %d", stream, len(got), len(want))
+			continue
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s.log line %d differs:\n  got  %q\n  want %q", stream, i, got[i], want[i])
+				break
+			}
 		}
 	}
 }

@@ -32,26 +32,32 @@
 //   - Full checkpoint (Checkpoint / RestoreEngine): the delta against an
 //     empty engine — every section complete, every open flow a frame.
 //     RestoreEngine is NewEngine plus the one apply path.
-//   - WAL delta (ResetDeltaBase / AppendDelta / ApplyDelta): touched
-//     quarantine marks, log lines past the flushed watermark, globals that
-//     differ from the cached base, and a frame per dirty or closed flow.
-//     Granularity: a dirty connection re-encodes whole; interpreter tables
-//     emit the entries marked since the last flush (TableVal.mark), so a
-//     flush costs what changed, not what the table holds; VM container
-//     globals with scalar-only contents
-//     journal individual operations (container.JournalFn), and any
-//     non-scalar key or value trips the gate to whole-blob diffing — a heap
-//     value stored in a container can be mutated later without a container
-//     operation the journal could observe.
+//   - WAL delta (Rebase or ResetDeltaBase, then EncodeDelta / AppendDelta,
+//     ApplyDelta): touched quarantine marks, log lines past the flushed
+//     watermark, globals that differ from the cached base, and a frame per
+//     dirty or closed flow. Granularity: a dirty connection re-encodes
+//     whole; interpreter tables emit the entries marked since the last
+//     flush (TableVal.mark), so a flush costs what changed, not what the
+//     table holds; VM container globals with scalar-only contents journal
+//     individual operations (container.JournalFn), and any non-scalar key
+//     or value trips the gate to whole-blob diffing — a heap value stored in
+//     a container can be mutated later without a container operation the
+//     journal could observe. Rebase writes the full checkpoint the next
+//     deltas build on by patching the previous one: the frames no delta
+//     touched are copied, the sections encoded as ever.
 //   - Flow migration (ExtractFlow / InjectFlow / ApplyFlowDelta): one flow
 //     frame, or the frames picked by uid out of delta records. Applied in
 //     adopt mode: ctx and seq are instance-local, so the target assigns its
 //     own, and nothing engine-global (counters, clocks, logs) moves.
 //
-// Limits: in-flight BinPAC++ parse state is held in suspended fibers
-// (vm.Resumable), which have no serializable form; every selection refuses
-// a connection that is mid-parse (AppendDelta's caller re-bases once
-// possible). Unserializable VM globals (function refs, channels) keep the
+// Limits: a frame counts as untouched on the word of the dirty marks, and
+// an aggregate reachable from two table entries is marked only under the
+// one it was read through (DESIGN "Script tables", the aliasing limit). The
+// marks are not claimed complete: every fullRebaseEvery-th Rebase in a row
+// encodes every frame again. In-flight BinPAC++ parse state is held in
+// suspended fibers (vm.Resumable), which have no serializable form; every
+// selection refuses a connection that is mid-parse (EncodeDelta's caller
+// re-bases once possible). Unserializable VM globals (function refs, channels) keep the
 // restoring side's value. Per-flow migration supports the interpreter
 // script backend only: compiled scripts keep their state in VM globals
 // that cannot be attributed to individual flows. Fault diagnostics (the
@@ -63,6 +69,7 @@ package bro
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -111,39 +118,67 @@ type deltaState struct {
 	quarTouched map[uint64]bool
 	dirtyInterp bool
 	dirtyExec   [2]bool
+	skipFrames  bool // a full selection's sections only: labelled entries stay out
 
 	interp  map[string]*interpCache
 	exec    [2][]execCache
 	flushed map[string]int // stream name -> lines already persisted
 
-	// stage holds what one encodeState call encodes ahead of its place in
-	// the output (table entries, global bodies, length-prefixed frames);
-	// senc writes to it and latches the first encoding error.
-	stage bytes.Buffer
-	senc  *snapshot.Encoder
-	out   bytes.Buffer // AppendDelta's record, before the exact-size copy it returns
+	// base says where the flow frames sit in the snapshot the deltas build
+	// on (nil: unknown, the next Rebase encodes in full). touched has the
+	// uid of every frame a flush has emitted since — what Rebase encodes
+	// again rather than copies.
+	base    *baseIndex
+	touched map[string]touch
+
+	// What one encodeState call gathers before it writes, kept for capacity.
+	frames  frameSet
+	globals []globalDelta
+	qvids   []uint64
+	snames  []string
+	scratch snapshot.Encoder // a non-table global's encoding, to hold against its base
+	out     snapshot.Encoder // AppendDelta's record, before the exact-size copy it returns
 }
 
 func newDeltaState() *deltaState {
-	ds := &deltaState{
+	return &deltaState{
 		dirtyConns:  map[int64]*conn{},
 		closed:      map[string]flow.Key{},
 		quarTouched: map[uint64]bool{},
 		interp:      map[string]*interpCache{},
 		flushed:     map[string]int{},
+		touched:     map[string]touch{},
+		frames:      frameSet{at: map[string]int{}},
 	}
-	ds.senc = snapshot.NewRawEncoder(&ds.stage)
-	return ds
 }
 
-// staged returns what senc wrote since stage held start bytes. Within one
-// encodeState call nothing below a slice handed out here is rewritten (a
-// frame is dropped only once copied out, and frames come last), so the
-// slice stays intact even if a later write moves the buffer to a larger
-// array.
-func (ds *deltaState) staged(start int) []byte {
-	b := ds.stage.Bytes()
-	return b[start:len(b):len(b)]
+// baseIndex locates the length-prefixed flow frames of one Rebase
+// snapshot: they lie back to back in uid order, frame i at
+// [starts[i], starts[i+1]) of it. That, with the uid each frame opens
+// with, is all a later Rebase needs to copy frames; the bytes stay with
+// the caller.
+type baseIndex struct {
+	origin  int // the snapshot's offset in the encoder it was written to
+	size    int
+	starts  []int // one more than there are frames
+	patched int   // Rebases since one encoded every frame
+}
+
+// note records that a frame starts at offset at of the encoder (or, as
+// the last call, that the frames end there).
+func (ix *baseIndex) note(at int) {
+	if ix != nil {
+		ix.starts = append(ix.starts, at-ix.origin)
+	}
+}
+
+// frames returns the number of frames; uid returns the label frame i of
+// snap opens with (behind the frame's and the string's length prefixes).
+func (ix *baseIndex) frames() int { return len(ix.starts) - 1 }
+
+func (ix *baseIndex) uid(snap []byte, i int) []byte {
+	body := snap[ix.starts[i]+4 : ix.starts[i+1]]
+	return body[4 : 4+binary.BigEndian.Uint32(body)]
 }
 
 // interpCache is the per-interpreter-global base the next diff runs
@@ -162,8 +197,7 @@ type execCache struct {
 	obj       any // journaled container identity (nil: plain blob mode)
 	journaled bool
 	dirty     bool // any journal activity since last flush
-	opsBuf    *bytes.Buffer
-	opsEnc    *snapshot.Encoder
+	ops       *snapshot.Encoder
 	nops      int
 	blob      []byte
 }
@@ -202,18 +236,32 @@ func (e *Engine) markInterpDirty() {
 // pipeline quiesces each shard by scheduling the checkpoint as a job on
 // the shard's own virtual thread). Delta tracking is not disturbed.
 func (e *Engine) Checkpoint(w io.Writer) error {
-	enc := snapshot.NewEncoder(w)
+	return e.encodeFull(snapshot.NewRawEncoder(w), nil)
+}
+
+// encodeFull writes the full-checkpoint stream: every section complete,
+// every open flow a frame (noted in ix).
+func (e *Engine) encodeFull(enc *snapshot.Encoder, ix *baseIndex) error {
+	e.encodeHeader(enc)
+	return e.encodeState(enc, e.fullSelection(false), ix)
+}
+
+func (e *Engine) encodeHeader(enc *snapshot.Encoder) {
+	enc.Header()
 	enc.String(e.cfg.Parser)
 	enc.String(e.cfg.ScriptExec)
-	return e.encodeState(enc, e.fullSelection())
 }
 
 // fullSelection selects everything: empty caches and watermarks, every
 // connection, mark and global dirty — the delta against an empty engine.
-func (e *Engine) fullSelection() *deltaState {
+// With sectionsOnly it leaves the flow frames out: no connection, and
+// script-table entries only where they have no label.
+func (e *Engine) fullSelection(sectionsOnly bool) *deltaState {
 	ds := newDeltaState()
-	for _, c := range e.conns {
-		ds.dirtyConns[c.ctx] = c
+	if ds.skipFrames = sectionsOnly; !sectionsOnly {
+		for _, c := range e.conns {
+			ds.dirtyConns[c.ctx] = c
+		}
 	}
 	for vid := range e.quarantined {
 		ds.quarTouched[vid] = true
@@ -254,23 +302,29 @@ func RestoreEngine(cfg Config, r io.Reader) (*Engine, error) {
 // ResetDeltaBase (re)initializes delta tracking so that subsequent
 // AppendDelta calls describe changes relative to the engine's *current*
 // state. Call it immediately after writing a full snapshot (Checkpoint);
-// the snapshot plus the deltas then reconstruct the engine exactly.
-func (e *Engine) ResetDeltaBase() error {
+// the snapshot plus the deltas then reconstruct the engine exactly. Rebase
+// is the two in one step, and the cheaper one when it repeats.
+func (e *Engine) ResetDeltaBase() error { return e.pin(nil) }
+
+// pin makes the current state the delta base; base locates the frames of
+// the snapshot just written of it, if one was.
+func (e *Engine) pin(base *baseIndex) error {
 	e.detachJournals()
 	e.delta = nil
 	ds := newDeltaState()
+	ds.base = base
 	for name, v := range e.interp.Globals {
 		if t, ok := v.(*TableVal); ok {
 			t.clearMarks()
 			ds.interp[name] = &interpCache{tbl: t}
 			continue
 		}
-		encodeVal(ds.senc, v, 0)
-		ds.interp[name] = &interpCache{blob: bytes.Clone(ds.staged(0))}
-		ds.stage.Reset()
-	}
-	if err := ds.senc.Err(); err != nil {
-		return err
+		ds.scratch.Reset(ds.scratch.Buffer()[:0])
+		encodeVal(&ds.scratch, v, 0)
+		if err := ds.scratch.Err(); err != nil {
+			return err
+		}
+		ds.interp[name] = &interpCache{blob: bytes.Clone(ds.scratch.Buffer())}
 	}
 	ds.exec[0] = ds.baseExec(e, 0)
 	ds.exec[1] = ds.baseExec(e, 1)
@@ -281,23 +335,68 @@ func (e *Engine) ResetDeltaBase() error {
 	return nil
 }
 
-// AppendDelta serializes everything that changed since the last flush (or
-// ResetDeltaBase) into one self-contained record, advancing the base so
-// the next call describes only subsequent changes. The caller appends the
-// returned bytes to a wal.Log. An error means the delta cannot express the
-// current state (in-flight binpac parse, unencodable script value) and the
-// base is no longer trustworthy; the caller re-bases with a full snapshot
-// and ResetDeltaBase once possible.
+// fullRebaseEvery makes every 16th Rebase in a row encode all frames
+// again. A patching Rebase believes the marks; the periodic full encode
+// bounds how long a snapshot can lag behind a write they miss — the
+// aliasing limit (see the header), or a mark nobody knows to be missing.
+const fullRebaseEvery = 16
+
+// Rebase writes a full snapshot of the engine as it is now onto enc — the
+// bytes Checkpoint would write — and makes that state the delta base. prev
+// is what the previous Rebase wrote (nil: not available). If every delta
+// since then was flushed without error, only the flow frames they touched
+// are encoded again; the other frames are copied out of prev, and the
+// sections encoded as Checkpoint encodes them — the part of the cost that
+// still grows with the state. On an error the previous base stays in force.
+func (e *Engine) Rebase(enc *snapshot.Encoder, prev []byte) error {
+	ix := &baseIndex{origin: enc.Len()}
+	var err error
+	if ds := e.delta; ds != nil && ds.base != nil && len(prev) == ds.base.size && ds.base.patched+1 < fullRebaseEvery {
+		if err = e.encodePatched(enc, prev, ds.base, ix); err != nil {
+			ds.base = nil // whatever went wrong, the next Rebase encodes in full
+		}
+	} else if err = e.encodeFull(enc, ix); err == nil {
+		e.rebaseTouched.Add(uint64(ix.frames()))
+		e.rebaseEncoded.Add(uint64(ix.frames()))
+	}
+	if err != nil {
+		return err
+	}
+	ix.size = enc.Len() - ix.origin
+	return e.pin(ix)
+}
+
+// EncodeDelta serializes everything that changed since the last flush (or
+// base) onto enc as one self-contained record, advancing the base so the
+// next call describes only subsequent changes. An error means the delta
+// cannot express the current state (in-flight binpac parse, unencodable
+// script value) and the base is no longer trustworthy: what was written is
+// to be discarded, and the caller re-bases once possible.
+func (e *Engine) EncodeDelta(enc *snapshot.Encoder) error {
+	if e.delta == nil {
+		return errNoDeltaBase
+	}
+	err := e.encodeState(enc, e.delta, nil)
+	if err != nil {
+		e.delta.base = nil // touched missed this flush: nothing to patch from
+	}
+	return err
+}
+
+var errNoDeltaBase = errors.New("bro: AppendDelta without ResetDeltaBase")
+
+// AppendDelta is EncodeDelta into a record of its own, which the caller
+// appends to a wal.Log.
 func (e *Engine) AppendDelta() ([]byte, error) {
 	if e.delta == nil {
-		return nil, fmt.Errorf("bro: AppendDelta without ResetDeltaBase")
+		return nil, errNoDeltaBase
 	}
 	out := &e.delta.out
-	out.Reset()
-	if err := e.encodeState(snapshot.NewRawEncoder(out), e.delta); err != nil {
+	out.Reset(out.Buffer()[:0])
+	if err := e.EncodeDelta(out); err != nil {
 		return nil, err
 	}
-	return bytes.Clone(out.Bytes()), nil
+	return bytes.Clone(out.Buffer()), nil
 }
 
 // ApplyDelta replays one AppendDelta record onto the engine — the restore
@@ -370,28 +469,11 @@ func (e *Engine) ExtractFlow(key flow.Key) ([]byte, error) {
 	if c.inFlightParse() {
 		return nil, fmt.Errorf("bro: connection %s holds in-flight parse state", c.uid)
 	}
-	f := &flowFrame{key: c.key, conn: c}
-	for _, name := range e.interpGlobalNames() {
-		t, ok := e.interp.Globals[name].(*TableVal)
-		if !ok {
-			continue
-		}
-		for _, en := range t.order {
-			if en.deleted || labelOf(en.keyStr) != c.uid {
-				continue
-			}
-			blob, err := entryBlob(en)
-			if err != nil {
-				return nil, err
-			}
-			ops := f.ops(name)
-			ops.ups = append(ops.ups, blob)
-		}
-	}
-	var buf bytes.Buffer
-	enc := snapshot.NewRawEncoder(&buf)
-	encodeFrame(enc, c.uid, f)
-	return buf.Bytes(), enc.Err()
+	var f flowFrame
+	e.liveFrame(&f, c.uid, c)
+	enc := snapshot.NewAppender(nil)
+	encodeFrame(enc, &f)
+	return enc.Buffer(), enc.Err()
 }
 
 // InjectFlow installs a shipped flow frame. The install is
@@ -465,79 +547,19 @@ func frameUID(frame []byte) (string, error) {
 // --- encoding ------------------------------------------------------------------
 
 // encodeState writes the section sequence for selection ds and advances
-// ds's caches and watermarks past what it wrote.
-func (e *Engine) encodeState(enc *snapshot.Encoder, ds *deltaState) error {
-	for _, c := range ds.dirtyConns {
-		if c.inFlightParse() {
-			return fmt.Errorf("bro: cannot serialize connection %s: in-flight binpac parse state", c.uid)
-		}
-	}
-	ds.stage.Reset()
-	frames := frameSet{}
-	globals := e.diffInterp(ds, frames)
-	for uid, key := range ds.closed {
-		f := frames.get(uid)
-		f.closed, f.key = true, key
-	}
-	for _, c := range ds.dirtyConns {
-		f := frames.get(c.uid)
-		f.conn, f.key = c, c.key
-	}
-	uids := make([]string, 0, len(frames))
-	for uid := range frames {
-		uids = append(uids, uid)
-	}
-	sort.Strings(uids)
-	enc.U32(uint32(len(uids)))
-	for _, uid := range uids {
-		start := ds.stage.Len()
-		encodeFrame(ds.senc, uid, frames[uid])
-		enc.Bytes(ds.staged(start))
-		ds.stage.Truncate(start)
-	}
-	if err := ds.senc.Err(); err != nil {
+// ds's caches and watermarks past what it wrote; ix, if not nil, learns
+// where each frame went.
+func (e *Engine) encodeState(enc *snapshot.Encoder, ds *deltaState, ix *baseIndex) error {
+	if err := e.gather(ds); err != nil {
 		return err
 	}
-
-	e.encodeMeta(enc)
-
-	qvids := make([]uint64, 0, len(ds.quarTouched))
-	for vid := range ds.quarTouched {
-		qvids = append(qvids, vid)
+	enc.U32(uint32(len(ds.frames.all)))
+	for i := range ds.frames.all {
+		ix.note(enc.Len())
+		putFrame(enc, &ds.frames.all[i])
 	}
-	sort.Slice(qvids, func(i, j int) bool { return qvids[i] < qvids[j] })
-	enc.U32(uint32(len(qvids)))
-	for _, vid := range qvids {
-		n, present := e.quarantined[vid]
-		enc.U64(vid)
-		enc.Bool(present)
-		enc.U64(n)
-	}
-
-	var snames []string
-	for name, st := range e.Logs.streams {
-		if len(st.lines) > ds.flushed[name] {
-			snames = append(snames, name)
-		}
-	}
-	sort.Strings(snames)
-	enc.U32(uint32(len(snames)))
-	for _, name := range snames {
-		st := e.Logs.streams[name]
-		enc.String(name)
-		encodeStrings(enc, st.lines[ds.flushed[name]:])
-		ds.flushed[name] = len(st.lines)
-	}
-
-	enc.U32(uint32(len(globals)))
-	for _, g := range globals {
-		enc.String(g.name)
-		enc.U8(g.mode)
-		enc.Bytes(g.body)
-	}
-	e.encodeExec(enc, ds, 0)
-	e.encodeExec(enc, ds, 1)
-
+	ix.note(enc.Len())
+	e.encodeSections(enc, ds)
 	if err := enc.Err(); err != nil {
 		return err
 	}
@@ -545,6 +567,231 @@ func (e *Engine) encodeState(enc *snapshot.Encoder, ds *deltaState) error {
 	clear(ds.closed)
 	clear(ds.quarTouched)
 	return nil
+}
+
+// gather collects, in uid order, the flow frames selection ds emits and,
+// in ds.globals, the interpreter globals that changed. The live selection
+// notes the frames as touched.
+func (e *Engine) gather(ds *deltaState) error {
+	fs := &ds.frames
+	fs.reset()
+	for _, c := range ds.dirtyConns {
+		if c.inFlightParse() {
+			return fmt.Errorf("bro: cannot serialize connection %s: in-flight binpac parse state", c.uid)
+		}
+		f := fs.get(c.uid)
+		f.conn, f.key = c, c.key
+	}
+	for uid, key := range ds.closed {
+		f := fs.get(uid)
+		if f.closed = true; f.conn == nil {
+			f.key = key
+		}
+	}
+	if err := e.diffInterp(ds); err != nil {
+		return err
+	}
+	slices.SortFunc(fs.all, func(a, b flowFrame) int { return strings.Compare(a.uid, b.uid) })
+	if ds == e.delta {
+		for i := range fs.all {
+			if f := &fs.all[i]; f.conn != nil || f.closed {
+				ds.touched[f.uid] = touch{f.key, true}
+			} else if _, ok := ds.touched[f.uid]; !ok {
+				ds.touched[f.uid] = touch{}
+			}
+		}
+	}
+	return nil
+}
+
+// encodeSections writes everything behind the frames.
+func (e *Engine) encodeSections(enc *snapshot.Encoder, ds *deltaState) {
+	e.encodeMeta(enc)
+
+	ds.qvids = ds.qvids[:0]
+	for vid := range ds.quarTouched {
+		ds.qvids = append(ds.qvids, vid)
+	}
+	slices.Sort(ds.qvids)
+	enc.U32(uint32(len(ds.qvids)))
+	for _, vid := range ds.qvids {
+		n, present := e.quarantined[vid]
+		enc.U64(vid)
+		enc.Bool(present)
+		enc.U64(n)
+	}
+
+	ds.snames = ds.snames[:0]
+	for name, st := range e.Logs.streams {
+		if len(st.lines) > ds.flushed[name] {
+			ds.snames = append(ds.snames, name)
+		}
+	}
+	slices.Sort(ds.snames)
+	enc.U32(uint32(len(ds.snames)))
+	for _, name := range ds.snames {
+		st := e.Logs.streams[name]
+		enc.String(name)
+		encodeStrings(enc, st.lines[ds.flushed[name]:])
+		ds.flushed[name] = len(st.lines)
+	}
+
+	enc.U32(uint32(len(ds.globals)))
+	for i := range ds.globals {
+		g := &ds.globals[i]
+		enc.String(g.name)
+		if enc.U8(g.mode); g.mode == modeWhole {
+			enc.Bytes(g.blob)
+			continue
+		}
+		body := enc.Begin()
+		enc.Bool(g.reset)
+		if g.reset {
+			enc.Bool(g.tbl.IsSet)
+			enc.I64(g.tbl.ExpireInterval)
+			enc.Bool(g.tbl.ExpireOnRead)
+		}
+		enc.U64(g.tbl.nextSeq)
+		encodeTableOps(enc, &g.ops)
+		enc.End(body)
+	}
+	e.encodeExec(enc, ds, 0)
+	e.encodeExec(enc, ds, 1)
+}
+
+// encodePatched is encodeFull for the price of what changed: old locates
+// the frames of prev, the previous base's snapshot, and the live
+// selection's touched set says which of them no longer hold.
+func (e *Engine) encodePatched(enc *snapshot.Encoder, prev []byte, old, ix *baseIndex) error {
+	ds := e.delta
+	// What no flush has emitted yet is touched as well.
+	for uid, key := range ds.closed {
+		ds.touched[uid] = touch{key, true}
+	}
+	for _, c := range ds.dirtyConns {
+		ds.touched[c.uid] = touch{c.key, true}
+	}
+	for _, v := range e.interp.Globals {
+		if t, ok := v.(*TableVal); ok {
+			for _, en := range t.marks {
+				if l := en.label(); ds.touched[l] == (touch{}) {
+					ds.touched[l] = touch{}
+				}
+			}
+		}
+	}
+	delete(ds.touched, "") // entries without a label are section state
+	ix.patched = old.patched + 1
+	ix.starts = make([]int, 0, len(old.starts)+len(ds.touched))
+	uids := make([]string, 0, len(ds.touched))
+	for uid := range ds.touched {
+		uids = append(uids, uid)
+	}
+	slices.Sort(uids)
+
+	e.encodeHeader(enc)
+	count, next, reused := enc.Begin(), 0, 0 // next: the first frame of prev not dealt with
+	// reuse copies frames [next, upTo) of prev, which lie back to back.
+	reuse := func(upTo int) {
+		shift := enc.Len() - old.starts[next]
+		enc.Raw(prev[old.starts[next]:old.starts[upTo]])
+		for reused += upTo - next; next < upTo; next++ {
+			ix.note(old.starts[next] + shift)
+		}
+	}
+	var f flowFrame
+	for _, uid := range uids {
+		at, had := sort.Find(old.frames()-next, func(i int) int {
+			switch was := old.uid(prev, next+i); { // in conversions that do not allocate
+			case uid == string(was):
+				return 0
+			case uid < string(was):
+				return -1
+			}
+			return 1
+		})
+		at += next
+		reuse(at)
+		var was []byte // the frame's previous encoding, behind its length prefix
+		if had {
+			was, next = prev[old.starts[at]+4:old.starts[at+1]], at+1
+		}
+		c := e.liveConn(uid, ds.touched[uid], was)
+		if c != nil && c.inFlightParse() {
+			return fmt.Errorf("bro: cannot serialize connection %s: in-flight binpac parse state", uid)
+		}
+		if e.liveFrame(&f, uid, c); c != nil || len(f.tables) > 0 {
+			ix.note(enc.Len())
+			putFrame(enc, &f)
+		}
+	}
+	reuse(old.frames())
+	ix.note(enc.Len())
+	enc.EndCount(count, ix.frames())
+	e.rebaseTouched.Add(uint64(len(uids)))
+	e.rebaseEncoded.Add(uint64(ix.frames() - reused))
+	e.rebaseReused.Add(uint64(reused))
+
+	sections := e.fullSelection(true)
+	if err := e.gather(sections); err != nil {
+		return err
+	}
+	e.encodeSections(enc, sections)
+	return enc.Err()
+}
+
+// touch is what the live selection knows of a frame it emitted: the flow
+// key, if a frame carried one (a connection or a tombstone).
+type touch struct {
+	key   flow.Key
+	known bool
+}
+
+// liveConn finds the open connection named uid, if there is one, under
+// the flow key the deltas carried or else the one in was, the flow's
+// frame in the previous snapshot: a connection opened since that snapshot
+// has been in a delta, and one that is not open any more is under no key.
+func (e *Engine) liveConn(uid string, t touch, was []byte) *conn {
+	if !t.known && was != nil {
+		dec := snapshot.NewRawDecoder(was)
+		_, flags, key := frameHeader(dec)
+		t = touch{key, dec.Err() == nil && flags&ffConn != 0}
+	}
+	if t.known {
+		ck, _ := t.key.Canonical()
+		if c := e.conns[ck]; c != nil && c.uid == uid {
+			return c
+		}
+	}
+	return nil
+}
+
+// liveFrame makes f the frame a full selection emits for uid: connection
+// c (nil: the flow has none here) and its entries in every table global.
+func (e *Engine) liveFrame(f *flowFrame, uid string, c *conn) {
+	*f = flowFrame{uid: uid, conn: c, tables: f.tables[:0]}
+	if c != nil {
+		f.key = c.key
+	}
+	e.entriesLabelled(uid, func(name string, _ *TableVal, ens []*tableEntry) {
+		ops := f.ops(name)
+		ops.ups = append(ops.ups, ens...)
+	})
+}
+
+// entriesLabelled hands fn, for each table global in name order, the live
+// entries labelled uid, if it holds any — the script state that belongs to
+// the flow of that uid, found without looking at any other flow's. The
+// slice is fn's until it returns.
+func (e *Engine) entriesLabelled(uid string, fn func(name string, t *TableVal, ens []*tableEntry)) {
+	e.oneKey = append(append(e.oneKey[:0], labelPrefix...), uid...)
+	for _, name := range e.interpGlobalNames() {
+		if t, ok := e.interp.Globals[name].(*TableVal); ok {
+			if e.ents = t.labelled(e.ents[:0], uid, e.oneKey); len(e.ents) > 0 {
+				fn(name, t, e.ents)
+			}
+		}
+	}
 }
 
 // metaCounters lists the counters of the meta block, in wire order. All
@@ -573,40 +820,80 @@ func (e *Engine) decodeMeta(dec *snapshot.Decoder) {
 
 // flowFrame collects what one encodeState call emits under one uid.
 type flowFrame struct {
+	uid    string
 	closed bool
 	key    flow.Key // set with closed or conn
 	conn   *conn
 	tables []frameTable
 }
 
+// frameTable is one table's part of a frame (or of the interp section):
+// keys to delete, entries to upsert.
 type frameTable struct {
 	name string
 	dels []string
-	ups  [][]byte
+	ups  []*tableEntry
 }
 
 // ops returns the frame's ops for table global name. Callers visit
 // globals one at a time in name order, so it is the last one or new.
 func (f *flowFrame) ops(name string) *frameTable {
 	if n := len(f.tables); n == 0 || f.tables[n-1].name != name {
-		f.tables = append(f.tables, frameTable{name: name})
+		f.tables = grow(f.tables)
+		f.tables[n].reset(name)
 	}
 	return &f.tables[len(f.tables)-1]
 }
 
-type frameSet map[string]*flowFrame
-
-func (fs frameSet) get(uid string) *flowFrame {
-	f := fs[uid]
-	if f == nil {
-		f = &flowFrame{}
-		fs[uid] = f
+// grow lengthens s by one element: the one left there by an earlier,
+// longer use of s if there is one — whose slices the caller empties and
+// keeps — else a zero one.
+func grow[T any](s []T) []T {
+	if len(s) < cap(s) {
+		return s[:len(s)+1]
 	}
-	return f
+	var zero T
+	return append(s, zero)
 }
 
-func encodeFrame(enc *snapshot.Encoder, uid string, f *flowFrame) {
-	enc.String(uid)
+// reset empties ft for table global name, keeping its capacity.
+func (ft *frameTable) reset(name string) {
+	*ft = frameTable{name: name, dels: ft.dels[:0], ups: ft.ups[:0]}
+}
+
+// frameSet is the frames of one encodeState call, reused from call to
+// call: all until gather sorts it, at finds a uid's frame in it.
+type frameSet struct {
+	all []flowFrame
+	at  map[string]int
+}
+
+func (fs *frameSet) reset() {
+	fs.all = fs.all[:0]
+	clear(fs.at)
+}
+
+// get returns the frame for uid, valid until the next get.
+func (fs *frameSet) get(uid string) *flowFrame {
+	i, ok := fs.at[uid]
+	if !ok {
+		i = len(fs.all)
+		fs.at[uid] = i
+		fs.all = grow(fs.all)
+		fs.all[i] = flowFrame{uid: uid, tables: fs.all[i].tables[:0]}
+	}
+	return &fs.all[i]
+}
+
+// putFrame writes f with its length prefix.
+func putFrame(enc *snapshot.Encoder, f *flowFrame) {
+	body := enc.Begin()
+	encodeFrame(enc, f)
+	enc.End(body)
+}
+
+func encodeFrame(enc *snapshot.Encoder, f *flowFrame) {
+	enc.String(f.uid)
 	var flags byte
 	if f.closed {
 		flags |= ffClosed
@@ -624,7 +911,7 @@ func encodeFrame(enc *snapshot.Encoder, uid string, f *flowFrame) {
 	enc.U32(uint32(len(f.tables)))
 	for i := range f.tables {
 		enc.String(f.tables[i].name)
-		encodeTableOps(enc, f.tables[i].dels, f.tables[i].ups)
+		encodeTableOps(enc, &f.tables[i])
 	}
 }
 
@@ -636,37 +923,18 @@ func frameHeader(dec *snapshot.Decoder) (uid string, flags byte, key flow.Key) {
 	return uid, flags, key
 }
 
-func encodeTableOps(enc *snapshot.Encoder, dels []string, ups [][]byte) {
-	encodeStrings(enc, dels)
-	enc.U32(uint32(len(ups)))
-	for _, blob := range ups {
-		enc.Raw(blob)
+func encodeTableOps(enc *snapshot.Encoder, ops *frameTable) {
+	encodeStrings(enc, ops.dels)
+	enc.U32(uint32(len(ops.ups)))
+	for _, en := range ops.ups {
+		encodeTableEntry(enc, en, 1)
 	}
 }
 
 // labelPrefix opens the canonical key string (KeyString) of every table
-// entry whose first index is a string.
+// entry whose first index is a string; labelPrefix + uid is the whole key
+// of the one-index entry labelled uid (tableEntry.label).
 const labelPrefix = "string\x00"
-
-// labelOf returns the flow-frame label of a table entry: its first index
-// when that is a string, else "" (the entry is engine-global).
-func labelOf(keyStr string) string {
-	rest, ok := strings.CutPrefix(keyStr, labelPrefix)
-	if !ok {
-		return ""
-	}
-	if i := strings.IndexByte(rest, '\x01'); i >= 0 {
-		rest = rest[:i]
-	}
-	return rest
-}
-
-func entryBlob(en *tableEntry) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := snapshot.NewRawEncoder(&buf)
-	encodeTableEntry(enc, en, 1)
-	return buf.Bytes(), enc.Err()
-}
 
 // interpGlobalNames lists the interpreter's globals in name order. Names
 // are only ever added (script declarations, restored state), so the cached
@@ -682,20 +950,25 @@ func (e *Engine) interpGlobalNames() []string {
 	return e.globalNames
 }
 
+// globalDelta is one changed interpreter global: its new encoding, or for
+// a table the ops on its engine-global part (the entries with no label).
 type globalDelta struct {
-	name string
-	mode byte
-	body []byte
+	name  string
+	mode  byte
+	blob  []byte    // modeWhole
+	tbl   *TableVal // modeTable
+	reset bool
+	ops   frameTable
 }
 
-// diffInterp computes the changed interpreter globals against ds's caches
-// and advances the caches. Table entries labelled by a uid go to that
-// flow's frame; everything else comes back for the interp section.
-func (e *Engine) diffInterp(ds *deltaState, frames frameSet) []globalDelta {
+// diffInterp collects in ds.globals the interpreter globals that changed
+// against ds's caches, and advances the caches. Table entries labelled by
+// a uid go to that flow's frame instead.
+func (e *Engine) diffInterp(ds *deltaState) error {
+	ds.globals = ds.globals[:0]
 	if !ds.dirtyInterp {
 		return nil
 	}
-	var out []globalDelta
 	for _, name := range e.interpGlobalNames() {
 		c := ds.interp[name]
 		if c == nil {
@@ -704,64 +977,78 @@ func (e *Engine) diffInterp(ds *deltaState, frames frameSet) []globalDelta {
 		}
 		v := e.interp.Globals[name]
 		if t, ok := v.(*TableVal); ok {
-			if body := e.diffTable(ds, name, c, t, frames); body != nil {
-				out = append(out, globalDelta{name, modeTable, body})
-			}
+			e.diffTable(ds, name, c, t)
 			continue
 		}
-		start := ds.stage.Len()
-		encodeVal(ds.senc, v, 0)
-		if blob := ds.staged(start); c.tbl != nil || !bytes.Equal(blob, c.blob) {
+		ds.scratch.Reset(ds.scratch.Buffer()[:0])
+		encodeVal(&ds.scratch, v, 0)
+		if err := ds.scratch.Err(); err != nil {
+			return err
+		}
+		if blob := ds.scratch.Buffer(); c.tbl != nil || !bytes.Equal(blob, c.blob) {
 			c.tbl, c.blob = nil, append(c.blob[:0], blob...)
-			out = append(out, globalDelta{name, modeWhole, c.blob})
+			ds.global(name, modeWhole).blob = c.blob
 		}
 	}
 	ds.dirtyInterp = false
-	return out
+	return nil
 }
 
-// diffTable emits what changed in table global t since the last flush —
-// the entries t has marked — and returns the modeTable body for the
-// engine-global part (nil when nothing is marked). A global bound to a
-// different table object than the cached one (always so for a full
-// selection's empty cache) resets instead: the body recreates the table
-// from its attributes and every live entry is an upsert.
-func (e *Engine) diffTable(ds *deltaState, name string, c *interpCache, t *TableVal, frames frameSet) []byte {
+// global adds a changed global to ds.globals.
+func (ds *deltaState) global(name string, mode byte) *globalDelta {
+	ds.globals = grow(ds.globals)
+	g := &ds.globals[len(ds.globals)-1]
+	g.ops.reset(name)
+	*g = globalDelta{name: name, mode: mode, ops: g.ops}
+	return g
+}
+
+// diffTable files what changed in table global t since the last flush —
+// the entries t has marked — under the frames of their labels and, for
+// the engine-global part, in a modeTable global (none when nothing is
+// marked). A global bound to a different table object than the cached one
+// (always so for a full selection's empty cache) resets instead: the
+// global recreates the table from its attributes and every live entry is
+// an upsert.
+func (e *Engine) diffTable(ds *deltaState, name string, c *interpCache, t *TableVal) {
 	reset := c.tbl != t
 	look := t.marks
 	if reset {
 		look = t.order
 	} else if len(look) == 0 {
-		return nil
+		return
 	} else {
 		// Replay does not depend on the order, but seq order makes a record
 		// a function of the state alone, whichever engine wrote it.
 		slices.SortFunc(look, func(a, b *tableEntry) int { return cmp.Compare(a.seq, b.seq) })
 	}
-	var global frameTable // the engine-global part: entries with no label
-	opsFor := func(ks string) *frameTable {
-		if uid := labelOf(ks); uid != "" {
-			return frames.get(uid).ops(name)
-		}
-		return &global
-	}
+	g := ds.global(name, modeTable)
+	g.tbl, g.reset = t, reset
 	encoded := 0
 	for _, en := range look {
 		switch {
 		case !en.deleted:
-			start := ds.stage.Len()
-			encodeTableEntry(ds.senc, en, 1)
-			ops := opsFor(en.keyStr)
-			ops.ups = append(ops.ups, ds.staged(start))
 			encoded++
 		case reset || en.fresh:
 			// Nothing to undo: a reset starts from an empty table, and the
 			// base never held an entry born since the last flush.
-		case t.entries[en.keyStr] == nil:
-			// (A live successor under the same key is itself marked, and its
-			// upsert replaces this entry on replay.)
-			ops := opsFor(en.keyStr)
+			continue
+		case t.entries[en.keyStr] != nil:
+			// The live successor under the same key is itself marked, and its
+			// upsert replaces this entry on replay.
+			continue
+		}
+		ops := &g.ops
+		if uid := en.label(); uid != "" {
+			if ds.skipFrames {
+				continue
+			}
+			ops = ds.frames.get(uid).ops(name)
+		}
+		if en.deleted {
 			ops.dels = append(ops.dels, en.keyStr)
+		} else {
+			ops.ups = append(ops.ups, en)
 		}
 	}
 	if !reset {
@@ -775,16 +1062,6 @@ func (e *Engine) diffTable(ds *deltaState, name string, c *interpCache, t *Table
 		t.clearMarks()
 	}
 	c.tbl, c.blob = t, nil
-	start := ds.stage.Len()
-	ds.senc.Bool(reset)
-	if reset {
-		ds.senc.Bool(t.IsSet)
-		ds.senc.I64(t.ExpireInterval)
-		ds.senc.Bool(t.ExpireOnRead)
-	}
-	ds.senc.U64(t.nextSeq)
-	encodeTableOps(ds.senc, global.dels, global.ups)
-	return ds.staged(start)
 }
 
 // --- VM executor globals -------------------------------------------------------
@@ -869,33 +1146,28 @@ func execJournal(gc *execCache) container.JournalFn {
 			// Gate tripped: this global now diffs whole blobs. Drop any ops
 			// already buffered — the next flush re-encodes from scratch.
 			gc.journaled = false
-			gc.nops = 0
-			if gc.opsBuf != nil {
-				gc.opsBuf.Reset()
-			}
+			gc.nops, gc.ops = 0, nil
 			return
 		}
-		if gc.opsBuf == nil {
-			gc.opsBuf = &bytes.Buffer{}
-			gc.opsEnc = snapshot.NewRawEncoder(gc.opsBuf)
+		if gc.ops == nil {
+			gc.ops = snapshot.NewAppender(nil)
 		}
-		gc.opsEnc.U8(byte(op))
-		gc.opsEnc.Value(key)
-		gc.opsEnc.Value(val)
-		gc.opsEnc.I64(int64(lastUse))
+		gc.ops.U8(byte(op))
+		gc.ops.Value(key)
+		gc.ops.Value(val)
+		gc.ops.I64(int64(lastUse))
 		gc.nops++
 	}
 }
 
 // encodeExecGlobal returns nil for a value with no serializable form.
 func encodeExecGlobal(v values.Value) []byte {
-	var buf bytes.Buffer
-	enc := snapshot.NewRawEncoder(&buf)
+	enc := snapshot.NewAppender(nil)
 	enc.Value(v)
 	if enc.Err() != nil {
 		return nil
 	}
-	return buf.Bytes()
+	return enc.Buffer()
 }
 
 // encodeExec emits executor which's clock and changed globals: journal
@@ -907,12 +1179,7 @@ func (e *Engine) encodeExec(enc *snapshot.Encoder, ds *deltaState, which int) {
 		return
 	}
 	enc.I64(int64(execTM(e, which).Now()))
-	type execDelta struct {
-		idx  int
-		mode byte
-		body []byte
-	}
-	var out []execDelta
+	count, n := enc.Begin(), 0 // the globals emitted, counted as they go
 	for i := range ds.exec[which] {
 		gc := &ds.exec[which][i]
 		if gc.obj != nil && globals[i].O != gc.obj {
@@ -923,12 +1190,14 @@ func (e *Engine) encodeExec(enc *snapshot.Encoder, ds *deltaState, which int) {
 		}
 		if gc.journaled {
 			if gc.nops > 0 {
-				var buf bytes.Buffer
-				sub := snapshot.NewRawEncoder(&buf)
-				sub.U32(uint32(gc.nops))
-				sub.Raw(gc.opsBuf.Bytes())
-				out = append(out, execDelta{i, modeJournal, buf.Bytes()})
-				gc.opsBuf.Reset()
+				enc.U32(uint32(i))
+				enc.U8(modeJournal)
+				body := enc.Begin()
+				enc.U32(uint32(gc.nops))
+				enc.Raw(gc.ops.Buffer())
+				enc.End(body)
+				n++
+				gc.ops.Reset(gc.ops.Buffer()[:0])
 				gc.nops = 0
 			}
 			gc.dirty = false
@@ -950,15 +1219,13 @@ func (e *Engine) encodeExec(enc *snapshot.Encoder, ds *deltaState, which int) {
 			continue
 		}
 		gc.blob = blob
-		out = append(out, execDelta{i, modeWhole, blob})
+		enc.U32(uint32(i))
+		enc.U8(modeWhole)
+		enc.Bytes(blob)
+		n++
 	}
 	ds.dirtyExec[which] = false
-	enc.U32(uint32(len(out)))
-	for _, g := range out {
-		enc.U32(uint32(g.idx))
-		enc.U8(g.mode)
-		enc.Bytes(g.body)
-	}
+	enc.EndCount(count, n)
 }
 
 // --- applying ------------------------------------------------------------------
@@ -1101,17 +1368,11 @@ func (e *Engine) dropConnState(c *conn) {
 // dropFlowScriptState deletes every entry labelled uid from every table
 // global.
 func (e *Engine) dropFlowScriptState(uid string) {
-	for _, v := range e.interp.Globals {
-		t, ok := v.(*TableVal)
-		if !ok {
-			continue
+	e.entriesLabelled(uid, func(_ string, t *TableVal, ens []*tableEntry) {
+		for _, en := range ens {
+			t.remove(en)
 		}
-		for _, en := range t.order {
-			if !en.deleted && labelOf(en.keyStr) == uid {
-				t.drop(en.keyStr)
-			}
-		}
-	}
+	})
 	e.markInterpDirty()
 }
 

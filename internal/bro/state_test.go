@@ -36,7 +36,7 @@ func labelledEntries(e *Engine, uid string) int {
 	for _, v := range e.interp.Globals {
 		if t, ok := v.(*TableVal); ok {
 			for _, en := range t.order {
-				if !en.deleted && labelOf(en.keyStr) == uid {
+				if !en.deleted && en.label() == uid {
 					n++
 				}
 			}

@@ -16,7 +16,9 @@
 package bro
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -223,8 +225,18 @@ func (r *RecordVal) Render() string {
 // inserted, overwritten, removed, refreshed by a &read_expire read, or its
 // aggregate yield handed to a script, which may mutate it through the
 // reference without the table hearing of it.
+//
+// An entry whose first index is a string is labelled by it (state.go files
+// the entry in the flow frame of that name); labelled finds a label's
+// entries without looking at the others. For a one-index table the label
+// is the key. Entries with further indices are found through labels, an
+// index kept only while tracking is on — its per-insert cost is then paid
+// by the runs that re-base, migrate and forget flows by the hundred, and
+// by nobody else; without it they are found by a walk, and multi says
+// whether there can be any.
 type TableVal struct {
 	IsSet    bool
+	multi    bool // some entry has had more than one index
 	entries  map[string]*tableEntry
 	order    []*tableEntry // ascending seq; deleted entries linger until compaction
 	nextSeq  uint64        // seq the next inserted entry gets
@@ -233,10 +245,10 @@ type TableVal struct {
 	ExpireInterval int64 // ns; 0 = no expiration
 	ExpireOnRead   bool  // &read_expire vs &create_expire
 
-	q        tableEntry       // expiry queue sentinel: q.next is the stalest live entry
-	expired  *metrics.Counter // entries expire removed; nil outside an interpreter
-	tracking bool
-	marks    []*tableEntry // entries the next delta flush looks at, each once
+	q       tableEntry               // expiry queue sentinel: q.next is the stalest live entry
+	expired *metrics.Counter         // entries expire removed; nil outside an interpreter
+	labels  map[string][]*tableEntry // non-nil = tracking: live several-index entries by label
+	marks   []*tableEntry            // entries the next delta flush looks at, each once
 }
 
 type tableEntry struct {
@@ -322,7 +334,7 @@ func (t *TableVal) touch(e *tableEntry, now int64) {
 
 // mark notes that the next delta flush must look at e.
 func (t *TableVal) mark(e *tableEntry) {
-	if t.tracking && !e.marked {
+	if t.labels != nil && !e.marked {
 		e.marked = true
 		t.marks = append(t.marks, e)
 	}
@@ -336,14 +348,69 @@ func (t *TableVal) clearMarks() {
 	}
 	clear(t.marks)
 	t.marks = t.marks[:0]
-	t.tracking = true
+	if t.labels == nil {
+		t.labels = map[string][]*tableEntry{}
+		for _, e := range t.order {
+			if !e.deleted {
+				t.index(e)
+			}
+		}
+	}
+}
+
+// label is the name of the flow frame e travels in: its first index when
+// that is a string, else "" (e is engine-global).
+func (e *tableEntry) label() string {
+	if len(e.key) > 0 {
+		if s, ok := e.key[0].(StringVal); ok {
+			return string(s)
+		}
+	}
+	return ""
+}
+
+// index files the live entry e under its label if it has further indices.
+func (t *TableVal) index(e *tableEntry) {
+	if l := e.label(); l != "" && len(e.key) > 1 {
+		t.labels[l] = append(t.labels[l], e)
+	}
+}
+
+// labelled appends to dst the live entries labelled uid, in seq order.
+// oneKey is the canonical key string of the one-index key [uid], which a
+// caller asking many tables builds once.
+func (t *TableVal) labelled(dst []*tableEntry, uid string, oneKey []byte) []*tableEntry {
+	n := len(dst)
+	if e := t.entries[string(oneKey)]; e != nil {
+		dst = append(dst, e)
+	}
+	switch {
+	case t.labels != nil:
+		dst = append(dst, t.labels[uid]...)
+	case t.multi:
+		for _, e := range t.order {
+			if !e.deleted && len(e.key) > 1 && e.label() == uid {
+				dst = append(dst, e)
+			}
+		}
+	}
+	if len(dst)-n > 1 {
+		slices.SortFunc(dst[n:], func(a, b *tableEntry) int { return cmp.Compare(a.seq, b.seq) })
+	}
+	return dst
 }
 
 // add makes the new entry e live; the caller has queued it.
 func (t *TableVal) add(e *tableEntry) {
-	e.fresh = t.tracking
+	e.fresh = t.labels != nil
 	t.entries[e.keyStr] = e
 	t.order = append(t.order, e)
+	if len(e.key) > 1 {
+		t.multi = true
+		if t.labels != nil {
+			t.index(e)
+		}
+	}
 	t.mark(e)
 }
 
@@ -353,6 +420,14 @@ func (t *TableVal) remove(e *tableEntry) {
 	delete(t.entries, e.keyStr)
 	e.prev.next, e.next.prev = e.next, e.prev
 	e.prev, e.next = nil, nil
+	if t.labels != nil && len(e.key) > 1 {
+		l := e.label()
+		if s := slices.DeleteFunc(t.labels[l], func(x *tableEntry) bool { return x == e }); len(s) > 0 {
+			t.labels[l] = s
+		} else {
+			delete(t.labels, l)
+		}
+	}
 	t.mark(e)
 }
 

@@ -334,3 +334,22 @@ func TestFreedFramesHoldNoValues(t *testing.T) {
 		}
 	}
 }
+
+// TestCopyPropShapedExec: copy propagation that turns a register operand
+// into a constant must re-pick the shape-specialized executor (PR 4's
+// drive-by fix: `int.add a k` with k = 7 kept the reg+reg executor and
+// read a stale register).
+func TestCopyPropShapedExec(t *testing.T) {
+	b := ast.NewBuilder("M")
+	fb := b.Function("f", types.Int64T, ast.Param{Name: "a", Type: types.Int64T}, ast.Param{Name: "b", Type: types.Int64T})
+	k := fb.Local("k", types.Int64T)
+	r := fb.Local("r", types.Int64T)
+	fb.Assign(k, "assign", ast.IntOp(7))
+	fb.Assign(r, "int.add", ast.VarOp("a"), k)
+	fb.Return(r)
+	for _, level := range []int{0, 1} {
+		if v, err := linkAt(t, level, b.M).Call("M::f", values.Int(100), values.Int(999)); err != nil || v.AsInt() != 107 {
+			t.Errorf("O%d: got %v %v, want 107", level, v, err)
+		}
+	}
+}

@@ -24,6 +24,7 @@ func (p *Pipeline) registerMetrics() {
 		return
 	}
 	p.ckptLat = reg.Histogram("pipeline_checkpoint_ns", metrics.DurationBuckets)
+	p.rebaseLat = reg.Histogram("pipeline_rebase_ns", metrics.DurationBuckets)
 	p.timerMet = &timer.MgrMetrics{
 		Scheduled: reg.Counter("pipeline_timers_scheduled_total"),
 		Fired:     reg.Counter("pipeline_timers_fired_total"),

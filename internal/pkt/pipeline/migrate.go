@@ -319,7 +319,7 @@ func (p *Pipeline) sliceByWorker(s *FlowSlice) []FlowSlice {
 // operation already tolerates. Runs on the owning worker goroutine.
 func (p *Pipeline) refreshShardBase(sl *wslot) {
 	if sl.dc != nil {
-		if !p.tryRebase(sl) {
+		if p.rebase(sl) != nil {
 			sl.walGap = true
 			sl.ws.ckptFailures.Add(1)
 		}

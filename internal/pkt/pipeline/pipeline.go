@@ -52,6 +52,7 @@ package pipeline
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -91,15 +92,21 @@ type Checkpointer interface {
 }
 
 // DeltaCheckpointer is the handler contract for WAL mode (*bro.Engine
-// implements it): a full snapshot via Checkpoint, plus an incremental
-// API — ResetDeltaBase pins the current state as the diff base,
-// AppendDelta serializes everything changed since the last call, and
-// ApplyDelta replays one such record onto a restored base. All calls run
-// on the handler's own worker goroutine.
+// implements it). Rebase is "write a full snapshot of now and make it the
+// delta base": onto enc go the bytes Checkpoint would write, and the next
+// delta describes changes from this state. prev is what the previous Rebase
+// on this handler wrote (nil: not available, or its deltas did not all
+// succeed); the handler may copy out of it whatever has not changed since
+// instead of encoding it again. A Rebase that fails leaves the previous
+// base in force. EncodeDelta writes everything changed since the last
+// EncodeDelta or Rebase; if it fails the base is void until a Rebase
+// succeeds. ApplyDelta replays one delta onto a restored base. Both
+// encoders are appenders, and after an error the caller discards what was
+// written. All calls run on the handler's own worker goroutine.
 type DeltaCheckpointer interface {
 	Checkpointer
-	ResetDeltaBase() error
-	AppendDelta() ([]byte, error)
+	Rebase(enc *snapshot.Encoder, prev []byte) error
+	EncodeDelta(enc *snapshot.Encoder) error
 	ApplyDelta(data []byte) error
 }
 
@@ -323,9 +330,13 @@ type wslot struct {
 	// WAL mode (dc non-nil): snap is the last full shard snapshot and
 	// wlog the records appended since; both under mu so the supervisor
 	// can compose a consistent recovery blob while the worker appends.
-	dc   DeltaCheckpointer
-	snap []byte
-	wlog *wal.Log
+	// snap[snapH:] is the handler's part, which its next Rebase patches;
+	// enc encodes every record onto the log's tail. Both worker-only.
+	dc    DeltaCheckpointer
+	snap  []byte
+	wlog  *wal.Log
+	snapH int
+	enc   snapshot.Encoder
 
 	pktSince int  // packets since last re-base/auto-checkpoint; worker-only
 	walGap   bool // deltas currently inexpressible; rebase pending; worker-only
@@ -390,8 +401,9 @@ type Pipeline struct {
 	offered atomic.Uint64
 	feeder  admission.Tally
 
-	ckptLat  *metrics.Histogram // checkpoint encode latency (nil-safe)
-	timerMet *timer.MgrMetrics  // shared by all worker timer managers
+	ckptLat   *metrics.Histogram // full shard encode latency (nil-safe)
+	rebaseLat *metrics.Histogram // patching WAL re-base latency (nil-safe)
+	timerMet  *timer.MgrMetrics  // shared by all worker timer managers
 
 	planeVerdicts []int64 // feeder-goroutine scratch for RulePlane.Eval
 
@@ -935,14 +947,22 @@ func (p *Pipeline) checkpoint(w io.Writer) error {
 
 // encodeShard serializes one worker's shard: clock, fate tally (in Fate
 // order), the other counters, quarantine set, flow table (LRU order), and
-// the handler's state when it implements Checkpointer. Its latency is the
-// checkpoint histogram's sample — what an operator sizing StallTimeout
-// needs to see. Runs on the owning worker goroutine.
-func (p *Pipeline) encodeShard(sl *wslot) ([]byte, error) {
-	defer func(start time.Time) { p.ckptLat.Observe(time.Since(start).Nanoseconds()) }(time.Now())
+// the handler's state when it implements Checkpointer — in WAL mode through
+// Rebase, which also pins the handler's delta base and may patch prevH, the
+// handler's part of the previous snapshot; hoff is where that part starts
+// in the new one. A full encode's latency is the checkpoint histogram's
+// sample — what an operator sizing StallTimeout needs to see; a patching
+// re-base has its own. Runs on the owning worker goroutine.
+func (p *Pipeline) encodeShard(sl *wslot, prevH []byte) (blob []byte, hoff int, err error) {
+	lat := p.ckptLat
+	if prevH != nil {
+		lat = p.rebaseLat
+	}
+	defer func(start time.Time) { lat.Observe(time.Since(start).Nanoseconds()) }(time.Now())
 	ws := sl.ws
-	var buf bytes.Buffer
-	enc := snapshot.NewEncoder(&buf)
+	// The shard will be about as large as last time.
+	enc := snapshot.NewAppender(make([]byte, 0, len(sl.snap)+len(sl.snap)/8+512))
+	enc.Header()
 	enc.I64(int64(ws.tm.Now()))
 	for _, c := range ws.fates.Counts() {
 		enc.U64(c)
@@ -974,17 +994,20 @@ func (p *Pipeline) encodeShard(sl *wslot) ([]byte, error) {
 
 	ckpt, ok := sl.h.(Checkpointer)
 	enc.Bool(ok)
-	if ok {
+	switch {
+	case sl.dc != nil:
+		hoff = enc.Begin()
+		err = sl.dc.Rebase(enc, prevH)
+		enc.End(hoff)
+	case ok:
 		var hb bytes.Buffer
-		if err := ckpt.Checkpoint(&hb); err != nil {
-			return nil, err
-		}
+		err = ckpt.Checkpoint(&hb)
 		enc.Bytes(hb.Bytes())
 	}
-	if err := enc.Err(); err != nil {
-		return nil, err
+	if err = errors.Join(err, enc.Err()); err != nil {
+		return nil, 0, err
 	}
-	return buf.Bytes(), nil
+	return enc.Buffer(), hoff, nil
 }
 
 // decodeShard rebuilds ws from an encodeShard blob and returns the
@@ -1255,7 +1278,7 @@ func (p *Pipeline) rebuildSlot(i int, vid uint64, ckpt []byte, arrived uint64) *
 	p.settle(ws, admission.FateRolledBack, vid, arrived-ws.fates.Counts().Sum(), 0)
 	sl.arrived = arrived
 	ws.faults.Record(&fault.Fault{Op: "stall", Worker: i, VID: vid, Value: "worker exceeded StallTimeout; replaced from last checkpoint"})
-	if sl.dc != nil && !p.tryRebase(sl) {
+	if sl.dc != nil && p.rebase(sl) != nil {
 		// The quarantine marks (and any zap) postdate the restored base;
 		// until a re-base succeeds, deltas would diff against a snapshot
 		// that doesn't include them.

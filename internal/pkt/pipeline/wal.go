@@ -4,10 +4,18 @@
 // work since the last rotation. In WAL mode each packet job instead
 // appends one self-contained record to the shard's log: the job's routing
 // facts (timestamp, vid, flow key, frame length), its outcome, and the
-// handler's O(changed-state) delta (DeltaCheckpointer.AppendDelta). A
+// handler's O(changed-state) delta (DeltaCheckpointer.EncodeDelta), all
+// encoded once, in place, on the tail of the log's open segment. A
 // checkpoint is then just the last full snapshot plus the log's segments,
 // composed without re-encoding anything, and a replacement worker resumes
 // at the record before the wedged packet.
+//
+// Every CheckpointEvery records the shard re-bases: a full snapshot of
+// now replaces the base and the log is truncated. The handler's part of
+// it comes from DeltaCheckpointer.Rebase, which is handed its part of the
+// previous snapshot and may copy out of it whatever no delta since has
+// touched — so the handler's share of a re-base follows what changed. The
+// shard's own part (clock, tally, flow table) is small and encoded whole.
 //
 // Replay determinism rests on the record carrying everything the live job
 // consumed from outside the shard: the pipeline-level transitions
@@ -15,19 +23,19 @@
 // re-executed from the recorded facts, and the handler's transition is
 // applied from the recorded delta. One record per job keeps flushes
 // atomic — a record cut mid-write drops the whole packet, never half of
-// one.
+// one, and a record whose delta fails is never committed.
 //
 // Gap discipline: when a delta cannot express the handler's state (e.g.
 // in-flight parser fibers) the shard enters a gap — records stop, the
-// composed checkpoint lags at the last appended record, and every
-// subsequent job retries a full re-base (snapshot + log truncation +
-// ResetDeltaBase) until one succeeds. The log therefore never contains a
-// hole: it is always replayable prefix-complete.
+// composed checkpoint lags at the last committed record, and every
+// subsequent job retries a re-base (in full: the handler's base is void)
+// until one succeeds. The log therefore never contains a hole: it is
+// always replayable prefix-complete.
 
 package pipeline
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
 
 	"hilti/internal/pkt/flow"
@@ -48,23 +56,16 @@ func (p *Pipeline) initWALBase(sl *wslot) error {
 	if !ok {
 		return fmt.Errorf("pipeline: WAL mode requires the handler to implement DeltaCheckpointer")
 	}
-	snap, err := p.encodeShard(sl)
-	if err != nil {
-		return err
-	}
-	if err := dc.ResetDeltaBase(); err != nil {
-		return err
-	}
 	sl.dc = dc
-	sl.snap = snap
 	sl.wlog = wal.NewLog(0)
-	return nil
+	return p.rebase(sl)
 }
 
 // walRecord appends the record for one settled packet job (no-op when
-// WAL is off); its outcome byte is the packet's fate. For the two fates
-// that reached the handler its delta rides in the record; a delta failure
-// opens a gap instead of logging a hole.
+// WAL is off); its outcome byte is the packet's fate. The record is
+// encoded once, onto the tail of the log's open segment: routing facts,
+// then — for the two fates that reached the handler — its delta. A delta
+// failure abandons the record and opens a gap instead of logging a hole.
 // Every CheckpointEvery records the shard re-bases, truncating the log.
 // Failed re-bases retry with exponential packet-count backoff (capped at
 // 4096) rather than every record, so a persistently unserializable
@@ -78,7 +79,7 @@ func (p *Pipeline) walRecord(sl *wslot, tsNs int64, vid uint64, key flow.Key, ha
 			sl.gapSkip--
 			return
 		}
-		if !p.tryRebase(sl) {
+		if p.rebase(sl) != nil {
 			sl.ws.ckptFailures.Add(1)
 			if sl.ckptFailN < 12 {
 				sl.ckptFailN++
@@ -87,18 +88,10 @@ func (p *Pipeline) walRecord(sl *wslot, tsNs int64, vid uint64, key flow.Key, ha
 		}
 		return
 	}
-	var delta []byte
-	if fate == admission.FateProcessed || fate == admission.FateFault {
-		d, err := sl.dc.AppendDelta()
-		if err != nil {
-			sl.walGap = true
-			sl.ws.ckptFailures.Add(1)
-			return
-		}
-		delta = d
-	}
-	var buf bytes.Buffer
-	enc := snapshot.NewRawEncoder(&buf)
+	// Only the worker mutates the log, so it may read the tail unlocked;
+	// the supervisor's Segments() sees the record once Commit publishes it.
+	enc := &sl.enc
+	enc.Reset(sl.wlog.Begin(walJobRecord))
 	enc.I64(tsNs)
 	enc.U64(vid)
 	enc.Bool(hasKey)
@@ -106,20 +99,26 @@ func (p *Pipeline) walRecord(sl *wslot, tsNs int64, vid uint64, key flow.Key, ha
 	enc.U32(uint32(frameLen))
 	enc.U8(uint8(fate))
 	enc.U8(uint8(tier))
-	enc.Bool(delta != nil)
-	if delta != nil {
-		enc.Bytes(delta)
+	hasDelta := fate == admission.FateProcessed || fate == admission.FateFault
+	enc.Bool(hasDelta)
+	var err error
+	if hasDelta {
+		mark := enc.Begin()
+		err = sl.dc.EncodeDelta(enc)
+		enc.End(mark)
 	}
-	sl.mu.Lock()
-	err := sl.wlog.Append(walJobRecord, buf.Bytes())
-	sl.mu.Unlock()
+	if err = errors.Join(err, enc.Err()); err == nil {
+		sl.mu.Lock()
+		err = sl.wlog.Commit(enc.Buffer())
+		sl.mu.Unlock()
+	}
 	if err != nil {
 		sl.walGap = true
 		sl.ws.ckptFailures.Add(1)
 		return
 	}
 	if sl.pktSince++; sl.pktSince >= p.cfg.CheckpointEvery {
-		if !p.tryRebase(sl) {
+		if p.rebase(sl) != nil {
 			sl.ws.ckptFailures.Add(1)
 			// Retry after another full interval, not on every record.
 			sl.pktSince = 0
@@ -127,26 +126,30 @@ func (p *Pipeline) walRecord(sl *wslot, tsNs int64, vid uint64, key flow.Key, ha
 	}
 }
 
-// tryRebase replaces the shard's WAL base with a fresh full snapshot and
-// truncates the log; on success any open gap closes. Runs on the owning
-// worker goroutine (or before the slot is published).
-func (p *Pipeline) tryRebase(sl *wslot) bool {
-	blob, err := p.encodeShard(sl)
-	if err != nil {
-		return false
+// rebase replaces the shard's WAL base with a full snapshot of now and
+// truncates the log; on success any open gap closes. While the log has
+// been gapless the handler may build its part by patching the previous
+// snapshot's; after a gap its base is void and it encodes in full. Runs on
+// the owning worker goroutine (or before the slot is published).
+func (p *Pipeline) rebase(sl *wslot) error {
+	var prevH []byte
+	if sl.snap != nil && !sl.walGap {
+		prevH = sl.snap[sl.snapH:]
 	}
-	if err := sl.dc.ResetDeltaBase(); err != nil {
-		return false
+	blob, hoff, err := p.encodeShard(sl, prevH)
+	if err != nil {
+		return err
 	}
 	sl.mu.Lock()
 	sl.snap = blob
 	sl.wlog.Reset()
 	sl.mu.Unlock()
+	sl.snapH = hoff
 	sl.walGap = false
 	sl.pktSince = 0
 	sl.ckptFailN = 0
 	sl.gapSkip = 0
-	return true
+	return nil
 }
 
 // composeShardBlob assembles one shard's checkpoint blob: a full shard
@@ -155,14 +158,14 @@ func (p *Pipeline) tryRebase(sl *wslot) bool {
 // handler access — so the supervisor can call it on a wedged worker's slot
 // (under sl.mu).
 func composeShardBlob(snap []byte, segs [][]byte) []byte {
-	var buf bytes.Buffer
-	enc := snapshot.NewEncoder(&buf)
+	enc := snapshot.NewAppender(nil)
+	enc.Header()
 	enc.Bytes(snap)
 	enc.U32(uint32(len(segs)))
 	for _, s := range segs {
 		enc.Bytes(s)
 	}
-	return buf.Bytes()
+	return enc.Buffer()
 }
 
 // shardBlob produces the checkpoint blob for one shard: a fresh snapshot
@@ -171,13 +174,13 @@ func composeShardBlob(snap []byte, segs [][]byte) []byte {
 // Runs on the owning worker goroutine.
 func (p *Pipeline) shardBlob(sl *wslot) ([]byte, error) {
 	if sl.dc == nil {
-		snap, err := p.encodeShard(sl)
+		snap, _, err := p.encodeShard(sl, nil)
 		if err != nil {
 			return nil, err
 		}
 		return composeShardBlob(snap, nil), nil
 	}
-	if sl.walGap && !p.tryRebase(sl) {
+	if sl.walGap && p.rebase(sl) != nil {
 		return nil, fmt.Errorf("pipeline: WAL gap: shard state not currently serializable")
 	}
 	sl.mu.Lock()

@@ -46,14 +46,15 @@ func (h *deltaHandler) Checkpoint(w io.Writer) error {
 	return enc.Err()
 }
 
-func (h *deltaHandler) ResetDeltaBase() error { return nil }
+func (h *deltaHandler) Rebase(enc *snapshot.Encoder, _ []byte) error {
+	enc.Header()
+	return h.EncodeDelta(enc)
+}
 
-func (h *deltaHandler) AppendDelta() ([]byte, error) {
-	var buf bytes.Buffer
-	enc := snapshot.NewRawEncoder(&buf)
+func (h *deltaHandler) EncodeDelta(enc *snapshot.Encoder) error {
 	enc.U64(h.count)
 	enc.U64(h.chain)
-	return buf.Bytes(), enc.Err()
+	return enc.Err()
 }
 
 func (h *deltaHandler) ApplyDelta(data []byte) error {

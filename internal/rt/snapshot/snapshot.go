@@ -48,20 +48,22 @@ var magic = [4]byte{'H', 'S', 'N', 'P'}
 // headerSize is magic + u16 version.
 const headerSize = 6
 
-// Encoder writes the snapshot byte stream. Errors are sticky: the first
-// write failure latches and subsequent calls are no-ops, so callers encode
-// a full section and check Err once.
+// Encoder writes the snapshot byte stream, either to an io.Writer or — as
+// an appender (NewAppender) — onto a byte slice it hands back with Buffer.
+// Errors are sticky: the first write failure latches and subsequent calls
+// are no-ops, so callers encode a full section and check Err once. An
+// appender cannot fail to write; only Fail latches an error there.
 type Encoder struct {
-	w   io.Writer
-	err error
-	tmp [8]byte
+	w    io.Writer // nil for an appender
+	buf  []byte    // an appender's stream so far; else what w has not been given yet
+	open int       // regions begun and not ended: while any is, w gets nothing
+	err  error
 }
 
 // NewEncoder starts a snapshot stream on w, writing the format header.
 func NewEncoder(w io.Writer) *Encoder {
 	e := &Encoder{w: w}
-	e.write(magic[:])
-	e.U16(Version)
+	e.Header()
 	return e
 }
 
@@ -71,38 +73,80 @@ func NewEncoder(w io.Writer) *Encoder {
 // with NewRawDecoder; the primitive wire forms are identical.
 func NewRawEncoder(w io.Writer) *Encoder { return &Encoder{w: w} }
 
+// NewAppender starts a header-less stream that appends to buf (which may
+// be nil, or another stream's bytes so far: nothing below len(buf) is
+// touched).
+func NewAppender(buf []byte) *Encoder { return &Encoder{buf: buf} }
+
+// Reset points an appender at buf and clears its error, so one encoder
+// serves many records.
+func (e *Encoder) Reset(buf []byte) { e.buf, e.open, e.err = buf, 0, nil }
+
+// Buffer returns an appender's stream: the slice it was given plus
+// everything encoded since.
+func (e *Encoder) Buffer() []byte { return e.buf }
+
+// Len returns the length of an appender's stream.
+func (e *Encoder) Len() int { return len(e.buf) }
+
+// Header writes the format header NewEncoder opens a stream with, for a
+// versioned stream embedded in another.
+func (e *Encoder) Header() {
+	e.Raw(magic[:])
+	e.U16(Version)
+}
+
+// Begin opens a region behind a u32 prefix that is not known yet — what
+// Bytes writes, for content encoded in place instead of copied in. It
+// reserves the prefix and returns the mark that End, or EndCount, needs to
+// fill it in. Regions nest; a writer receives a region once it has ended.
+func (e *Encoder) Begin() int {
+	e.open++
+	e.U32(0)
+	return len(e.buf)
+}
+
+// End closes the region begun at mark: its prefix becomes the number of
+// bytes encoded since.
+func (e *Encoder) End(mark int) { e.EndCount(mark, len(e.buf)-mark) }
+
+// EndCount closes the region begun at mark with a prefix of n, for a
+// region that opens with the count of what follows rather than its length.
+func (e *Encoder) EndCount(mark, n int) {
+	binary.BigEndian.PutUint32(e.buf[mark-4:], uint32(n))
+	e.open--
+	e.flush()
+}
+
 // Err returns the first error encountered, if any.
 func (e *Encoder) Err() error { return e.err }
 
-func (e *Encoder) write(b []byte) {
-	if e.err != nil {
-		return
+// flush hands what has been appended to buf on to the writer, if there is
+// one and no region is open (kept apart from drain so that it inlines).
+func (e *Encoder) flush() {
+	if e.w != nil && e.open == 0 {
+		e.drain()
 	}
-	if _, err := e.w.Write(b); err != nil {
-		e.err = err
+}
+
+func (e *Encoder) drain() {
+	if e.err == nil {
+		_, e.err = e.w.Write(e.buf)
 	}
+	e.buf = e.buf[:0]
 }
 
 // U8 writes one byte.
-func (e *Encoder) U8(v byte) { e.tmp[0] = v; e.write(e.tmp[:1]) }
+func (e *Encoder) U8(v byte) { e.buf = append(e.buf, v); e.flush() }
 
 // U16 writes a big-endian uint16.
-func (e *Encoder) U16(v uint16) {
-	binary.BigEndian.PutUint16(e.tmp[:2], v)
-	e.write(e.tmp[:2])
-}
+func (e *Encoder) U16(v uint16) { e.buf = binary.BigEndian.AppendUint16(e.buf, v); e.flush() }
 
 // U32 writes a big-endian uint32.
-func (e *Encoder) U32(v uint32) {
-	binary.BigEndian.PutUint32(e.tmp[:4], v)
-	e.write(e.tmp[:4])
-}
+func (e *Encoder) U32(v uint32) { e.buf = binary.BigEndian.AppendUint32(e.buf, v); e.flush() }
 
 // U64 writes a big-endian uint64.
-func (e *Encoder) U64(v uint64) {
-	binary.BigEndian.PutUint64(e.tmp[:8], v)
-	e.write(e.tmp[:8])
-}
+func (e *Encoder) U64(v uint64) { e.buf = binary.BigEndian.AppendUint64(e.buf, v); e.flush() }
 
 // I64 writes a big-endian int64 (two's complement).
 func (e *Encoder) I64(v int64) { e.U64(uint64(v)) }
@@ -118,24 +162,21 @@ func (e *Encoder) Bool(v bool) {
 
 // Bytes writes a u32 length prefix followed by the raw bytes.
 func (e *Encoder) Bytes(b []byte) {
-	e.U32(uint32(len(b)))
-	e.write(b)
+	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(len(b)))
+	e.Raw(b)
 }
 
 // String writes a u32 length prefix followed by the raw string bytes.
 func (e *Encoder) String(s string) {
-	e.U32(uint32(len(s)))
-	if e.err == nil {
-		if _, err := io.WriteString(e.w, s); err != nil {
-			e.err = err
-		}
-	}
+	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(len(s)))
+	e.buf = append(e.buf, s...)
+	e.flush()
 }
 
 // Raw appends pre-encoded bytes verbatim, with no length prefix — for
 // splicing an already-encoded sub-stream (see NewRawEncoder) whose framing
 // the caller has written itself.
-func (e *Encoder) Raw(b []byte) { e.write(b) }
+func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...); e.flush() }
 
 // Fail latches an explicit encoding error (e.g. an unserializable value
 // discovered mid-section).

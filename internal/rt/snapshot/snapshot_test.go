@@ -387,3 +387,51 @@ func TestPrimitiveRoundTrips(t *testing.T) {
 		t.Fatal("trailing bytes")
 	}
 }
+
+// TestRegionsMatchBytes: content encoded in place between Begin and End —
+// nested, through an appender or straight to a writer — is the stream that
+// encoding it apart and copying it in with Bytes gives; EndCount prefixes a
+// count instead; and a writer sees nothing of a region before it ends.
+func TestRegionsMatchBytes(t *testing.T) {
+	inner := NewAppender(nil)
+	inner.String("inner")
+	inner.U64(7)
+	outer := NewAppender(nil)
+	outer.U8(1)
+	outer.Bytes(inner.Buffer())
+	outer.Bool(true)
+	want := NewAppender([]byte("kept"))
+	want.U16(9)
+	want.Bytes(outer.Buffer())
+	want.U32(2)
+	want.U8(5)
+	want.U8(6)
+
+	w := bytes.NewBufferString("kept")
+	app := NewAppender([]byte("kept"))
+	for _, e := range []*Encoder{app, NewRawEncoder(w)} {
+		e.U16(9)
+		seen := w.Len()
+		o := e.Begin()
+		e.U8(1)
+		i := e.Begin()
+		e.String("inner")
+		e.U64(7)
+		e.End(i)
+		e.Bool(true)
+		if w.Len() != seen {
+			t.Fatal("the writer was handed part of an open region")
+		}
+		e.End(o)
+		n := e.Begin()
+		e.U8(5)
+		e.U8(6)
+		e.EndCount(n, 2)
+		if err := e.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(app.Buffer(), want.Buffer()) || !bytes.Equal(w.Bytes(), want.Buffer()) {
+		t.Fatalf("regions:\nappended %x\nstreamed %x\n    want %x", app.Buffer(), w.Bytes(), want.Buffer())
+	}
+}

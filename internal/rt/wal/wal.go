@@ -58,10 +58,9 @@ const DefaultSegmentBytes = 256 << 10
 // on amd64/arm64, the conventional choice for storage framing).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-func recordCRC(kind byte, payload []byte) uint32 {
-	crc := crc32.Update(0, castagnoli, []byte{kind})
-	return crc32.Update(crc, castagnoli, payload)
-}
+// recordCRC is a record's checksum; kindPayload is its kind byte and
+// payload, which sit next to each other in a segment.
+func recordCRC(kindPayload []byte) uint32 { return crc32.Checksum(kindPayload, castagnoli) }
 
 // Writer appends framed records to one in-memory segment. Errors are
 // sticky: after the first failure Append is a no-op returning the cause.
@@ -83,22 +82,46 @@ func newWriter(size int) *Writer {
 	return w
 }
 
+// Begin opens a record at the segment's tail, so that its payload is
+// written once, in place: the result is the segment with the record's
+// header appended, for the caller to append the payload to and hand to
+// Commit. The segment itself does not change before Commit — Bytes, Size
+// and Records never show an open record, and one that is not committed
+// (the payload could not be produced) is simply abandoned.
+func (w *Writer) Begin(kind byte) []byte {
+	return append(w.buf, 0, 0, 0, 0, 0, 0, 0, 0, kind)
+}
+
+// Commit seals the record rec = Begin(kind) ++ payload: it patches the
+// length and the checksum into the header and makes rec the segment.
+func (w *Writer) Commit(rec []byte) error {
+	off := len(w.buf)
+	if !w.fits(len(rec) - off - recHeaderSize) {
+		return w.err
+	}
+	binary.BigEndian.PutUint32(rec[off:], uint32(len(rec)-off-recHeaderSize))
+	binary.BigEndian.PutUint32(rec[off+4:], recordCRC(rec[off+8:]))
+	w.buf = rec
+	w.recs++
+	return nil
+}
+
+// fits reports whether the writer can take a payload of n bytes; if not,
+// w.err says why (an oversized payload latches).
+func (w *Writer) fits(n int) bool {
+	if w.err == nil && n > MaxRecord {
+		w.err = fmt.Errorf("wal: record payload %d bytes exceeds limit %d", n, MaxRecord)
+	}
+	return w.err == nil
+}
+
 // Append adds one record. The payload is copied; the caller keeps the
 // slice.
 func (w *Writer) Append(kind byte, payload []byte) error {
-	if w.err != nil {
+	if !w.fits(len(payload)) { // before the copy
 		return w.err
 	}
-	if len(payload) > MaxRecord {
-		w.err = fmt.Errorf("wal: record payload %d bytes exceeds limit %d", len(payload), MaxRecord)
-		return w.err
-	}
-	w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(len(payload)))
-	w.buf = binary.BigEndian.AppendUint32(w.buf, recordCRC(kind, payload))
-	w.buf = append(w.buf, kind)
-	w.buf = append(w.buf, payload...)
-	w.recs++
-	return nil
+	return w.Commit(append(w.Begin(kind), payload...))
 }
 
 // Bytes returns the segment contents. The slice aliases the writer's
@@ -175,7 +198,7 @@ func (r *Reader) Next() (kind byte, payload []byte, ok bool) {
 	want := binary.BigEndian.Uint32(r.b[r.off+4:])
 	kind = r.b[r.off+8]
 	payload = r.b[r.off+recHeaderSize : r.off+recHeaderSize+n]
-	if got := recordCRC(kind, payload); got != want {
+	if got := recordCRC(r.b[r.off+8 : r.off+recHeaderSize+n]); got != want {
 		r.fail("wal: checksum mismatch at offset %d (got %08x, want %08x)", r.off, got, want)
 		return 0, nil, false
 	}
@@ -212,36 +235,53 @@ func NewLog(segBytes int) *Log {
 	return &Log{segBytes: segBytes, cur: NewWriter(), gen: 1}
 }
 
-// Append adds one record, rotating first if the open segment is full.
+// Append adds one record; the payload is copied.
 func (l *Log) Append(kind byte, payload []byte) error {
-	if l.cur.Size() >= l.segBytes && l.cur.Records() > 0 {
-		l.Rotate()
+	if !l.cur.fits(len(payload)) { // before the copy
+		return l.cur.err
 	}
-	if err := l.cur.Append(kind, payload); err != nil {
+	return l.Commit(append(l.Begin(kind), payload...))
+}
+
+// Begin and Commit are Writer.Begin and Writer.Commit on the open segment:
+// the payload is encoded straight onto the segment's tail. Until Commit the
+// log is unchanged, so Begin needs no exclusion from a concurrent reader of
+// Segments; Commit (like every other mutation) does. A record that is
+// begun and not committed leaves no trace — the log never has a hole.
+func (l *Log) Begin(kind byte) []byte { return l.cur.Begin(kind) }
+
+// Commit seals the record begun last, rotating once the open segment is
+// full.
+func (l *Log) Commit(rec []byte) error {
+	if err := l.cur.Commit(rec); err != nil {
 		return err
 	}
 	l.recs++
+	if l.cur.Size() >= l.segBytes {
+		l.Rotate()
+	}
 	return nil
 }
 
-// Rotate freezes the open segment (if it has records) and starts a new one.
+// Rotate freezes the open segment (if it has records) and starts a new
+// one, which will grow about as long: it gets that room up front, where
+// growing by appends would allocate several times as much.
 func (l *Log) Rotate() {
 	if l.cur.Records() == 0 {
 		return
 	}
 	l.done = append(l.done, l.cur.Bytes())
-	l.cur = NewWriter()
+	l.cur = newWriter(l.cur.Size())
 }
 
 // Reset discards all segments: the log restarts empty, as after a full
 // snapshot made every prior delta redundant. Cursors taken before a Reset
-// are invalidated (their generation no longer matches).
+// are invalidated (their generation no longer matches). The open segment's
+// buffer starts over in place — Segments only ever hands out copies of it —
+// so a log reset at a steady cadence stops allocating.
 func (l *Log) Reset() {
 	l.done = nil
-	// A log is reset at a steady cadence, so the open segment will grow
-	// about as long as the one it replaces: allocate that once, where
-	// growing by appends would allocate several times as much.
-	l.cur = newWriter(l.cur.Size())
+	l.cur = &Writer{buf: l.cur.buf[:headerSize]}
 	l.recs = 0
 	l.gen++
 }
@@ -302,7 +342,9 @@ func (l *Log) ReplaySince(c Cursor, fn func(kind byte, payload []byte) error) (i
 		return 0, fmt.Errorf("wal: cursor at record %d, log has %d", c.Rec, l.recs)
 	}
 	skip, delivered := c.Rec, 0
-	_, err := Replay(l.Segments(), func(kind byte, payload []byte) error {
+	// In place: the caller excludes appends, so the open segment needs no copy.
+	segs := append(l.done[:len(l.done):len(l.done)], l.cur.Bytes())
+	_, err := Replay(segs, func(kind byte, payload []byte) error {
 		if skip > 0 {
 			skip--
 			return nil

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -264,5 +265,93 @@ func TestWriterMaxRecord(t *testing.T) {
 	}
 	if err := w.Append(1, []byte("after")); err == nil {
 		t.Fatal("sticky error did not latch")
+	}
+}
+
+// TestLogBeginCommit: records written in place through Begin/Commit are
+// the records Append writes, byte for byte, across a rotation; an open
+// record is in nobody's view of the log — not Segments', Size's or
+// Records', not a replay's, whether it is later committed, abandoned, or
+// cut short by a crash — and abandoning one leaves the log as it was.
+func TestLogBeginCommit(t *testing.T) {
+	inPlace, copied := NewLog(256), NewLog(256)
+	for i := 0; i < 40; i++ {
+		payload := bytes.Repeat([]byte{byte(i)}, 10+i)
+		if err := copied.Append(byte(i%3), payload); err != nil {
+			t.Fatal(err)
+		}
+		before, size, recs := inPlace.Segments(), inPlace.Size(), inPlace.Records()
+		if i%4 == 3 { // a record whose payload could not be produced
+			_ = append(inPlace.Begin(9), "half a rec"...)
+		}
+		rec := append(inPlace.Begin(byte(i%3)), payload[:len(payload)/2]...)
+		// A crash here: the open record is beyond what the log holds.
+		if got := inPlace.Segments(); !equalSegs(got, before) || inPlace.Size() != size || inPlace.Records() != recs {
+			t.Fatalf("record %d: an open record shows: %d segments, %d B, %d records", i, len(got), inPlace.Size(), inPlace.Records())
+		}
+		if n, err := ReplayTolerant(inPlace.Segments(), func(byte, []byte) error { return nil }); err != nil || n != i {
+			t.Fatalf("record %d open: replay saw %d records, err %v", i, n, err)
+		}
+		if err := inPlace.Commit(append(rec, payload[len(payload)/2:]...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := inPlace.Segments(), copied.Segments(); len(want) < 3 || !equalSegs(got, want) {
+		t.Fatalf("Begin/Commit wrote %d segments, Append %d, or they differ", len(got), len(want))
+	}
+	if err := inPlace.Commit(make([]byte, inPlace.Size()+recHeaderSize+MaxRecord+1)); err == nil {
+		t.Fatal("oversized record committed")
+	}
+}
+
+func equalSegs(a, b [][]byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !bytes.Equal(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestLogSegmentsWhileRecordOpen: the owner fills an open record without
+// the lock its Commit and Reset take, while a reader (the pipeline's
+// supervisor) snapshots Segments under that lock — also across a Reset,
+// after which the owner writes over bytes the reader may just have copied.
+// Run with -race.
+func TestLogSegmentsWhileRecordOpen(t *testing.T) {
+	l := NewLog(1 << 10)
+	var mu sync.Mutex
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			rec := append(l.Begin(1), bytes.Repeat([]byte{byte(i)}, 100)...)
+			mu.Lock()
+			err := l.Commit(rec)
+			if i%50 == 49 {
+				l.Reset()
+			}
+			mu.Unlock()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		mu.Lock()
+		segs := l.Segments()
+		mu.Unlock()
+		if _, err := Replay(segs, func(byte, []byte) error { return nil }); err != nil {
+			t.Fatalf("reader saw a damaged log: %v", err)
+		}
 	}
 }
