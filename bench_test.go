@@ -76,11 +76,10 @@ func BenchmarkFiberSwitch(b *testing.B) {
 // BenchmarkFiberLifecycle reproduces the §5 create/start/finish/delete
 // cycle (paper: ~5M/s).
 func BenchmarkFiberLifecycle(b *testing.B) {
-	p := fiber.NewPool(4)
 	fn := func(f *fiber.Fiber, arg any) (any, error) { return nil, nil }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Get(fn).Resume(nil)
+		fiber.New(fn).Resume(nil)
 	}
 }
 

@@ -29,6 +29,8 @@ import (
 	"hilti/internal/bpf"
 	"hilti/internal/bro"
 	"hilti/internal/firewall"
+	"hilti/internal/hilti/ast"
+	"hilti/internal/hilti/types"
 	"hilti/internal/hilti/vm"
 	"hilti/internal/pkt/flow"
 	"hilti/internal/pkt/gen"
@@ -200,15 +202,48 @@ func (h *harness) fibers() {
 	fmt.Printf("    context switches: %.2fM/s (%v per switch)\n",
 		float64(switches)/el.Seconds()/1e6, el/switches)
 
-	pool := fiber.NewPool(4)
 	fn := func(f *fiber.Fiber, arg any) (any, error) { return nil, nil }
 	const cycles = 1_000_000
 	start = time.Now()
 	for i := 0; i < cycles; i++ {
-		pool.Get(fn).Resume(nil)
+		fiber.New(fn).Resume(nil)
 	}
 	el = time.Since(start)
 	fmt.Printf("    create/run/finish cycles: %.2fM/s (%v per cycle)\n",
+		float64(cycles)/el.Seconds()/1e6, el/cycles)
+
+	// What parsers actually park on: the VM's explicit call stack. The same
+	// two measurements, a call that waits for input forever (each Resume
+	// retries the instruction and parks again) and a call that returns at
+	// once, with no goroutine behind either.
+	b := ast.NewBuilder("M")
+	it := types.IterT(types.BytesT)
+	fb := b.Function("wait", types.BoolT, ast.Param{Name: "cur", Type: it})
+	c := fb.Local("c", types.BoolT)
+	fb.Assign(c, "iterator.at_end", ast.VarOp("cur"))
+	fb.Return(c)
+	b.Function("nop", types.VoidT).ReturnVoid()
+	prog, err := vm.Link(b.M)
+	must(err)
+	ex, err := vm.NewExec(prog)
+	must(err)
+	wait := ex.FiberCall(prog.Fn("M::wait"), values.IterBytes(hbytes.New().Begin()))
+	wait.Resume() //nolint:errcheck // parks at the open rope's end
+	start = time.Now()
+	for i := 0; i < switches; i++ {
+		wait.Resume() //nolint:errcheck
+	}
+	el = time.Since(start)
+	wait.Abort()
+	fmt.Printf("    VM suspend+resume: %.2fM/s (%v per switch; paper's setcontext: 55ns)\n",
+		float64(switches)/el.Seconds()/1e6, el/switches)
+	nop := prog.Fn("M::nop")
+	start = time.Now()
+	for i := 0; i < cycles; i++ {
+		ex.FiberCall(nop).Resume() //nolint:errcheck
+	}
+	el = time.Since(start)
+	fmt.Printf("    VM create/run/finish cycles: %.2fM/s (%v per cycle)\n",
 		float64(cycles)/el.Seconds()/1e6, el/cycles)
 }
 
@@ -681,16 +716,17 @@ func (h *harness) faults() {
 	hostile.PanicPort = panicPort
 	hostile.LoopPort = loopPort
 	hostile.ReassemblyBudget = 256 << 10
+	// The fault ring keeps every fault, so the kinds can be told apart below.
 	par, err := bro.NewParallelWith(hostile, pipeline.Config{
-		Workers: workers, MaxFlows: maxFlows})
+		Workers: workers, MaxFlows: maxFlows, FaultRing: 1 << 16})
 	must(err)
 
 	a, b := [4]byte{10, 66, 0, 1}, [4]byte{10, 66, 0, 2}
-	badTCP := func(i int, port uint16) []byte {
-		// 8 recurring faulty flows per port so quarantined flows see
-		// follow-up packets (counted as dropped).
-		sp := uint16(40000 + (i/40)%8)
-		tcp := layers.EncodeTCP(a, b, sp, port, uint32(100+i), 0, layers.TCPAck, 65535, []byte("CRASHME!"))
+	badTCP := func(i int, sp, port uint16, payload string) []byte {
+		// 8 recurring faulty flows from each base source port so quarantined
+		// flows see follow-up packets (counted as dropped).
+		sp += uint16((i / 160) % 8)
+		tcp := layers.EncodeTCP(a, b, sp, port, uint32(100+i), 0, layers.TCPAck, 65535, []byte(payload))
 		ip := layers.EncodeIPv4(a, b, layers.IPProtoTCP, 64, 1, tcp)
 		return layers.EncodeEthernet([6]byte{6}, [6]byte{7}, layers.EtherTypeIPv4, ip)
 	}
@@ -700,18 +736,22 @@ func (h *harness) faults() {
 		append(append([]byte{1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 0x08, 0x00}, 0x4F), make([]byte, 10)...), // bad IHL, truncated
 		append([]byte{1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 0x08, 0x00}, 0xFF, 0xFF, 0xFF),                  // garbage IP header
 	}
-	var injected, injPanic, injLoop, injBad int
+	var injected, injPanic, injLoop, injBad, injRecurse int
 	inject := func(i int, ts int64) {
-		switch (i / 40) % 3 {
+		switch (i / 40) % 4 {
 		case 0:
-			par.Feed(ts, badTCP(i, panicPort)) //nolint:errcheck
+			par.Feed(ts, badTCP(i, 40000, panicPort, "CRASHME!")) //nolint:errcheck
 			injPanic++
 		case 1:
-			par.Feed(ts, badTCP(i, loopPort)) //nolint:errcheck
+			par.Feed(ts, badTCP(i, 40000, loopPort, "SPINNING")) //nolint:errcheck
 			injLoop++
 		case 2:
 			par.Feed(ts, malformed[(i/40)%len(malformed)]) //nolint:errcheck
 			injBad++
+		case 3:
+			// Unbounded HILTI recursion in the injected analyzer.
+			par.Feed(ts, badTCP(i, 41000, loopPort, "RECURSE")) //nolint:errcheck
+			injRecurse++
 		}
 		injected++
 	}
@@ -742,16 +782,23 @@ func (h *harness) faults() {
 	for _, e := range par.Engines {
 		budgetBlown += e.StatsSnapshot().BudgetBlown
 	}
+	stackExhausted := 0
+	for _, f := range par.Faults() {
+		if strings.Contains(fmt.Sprint(f.Value), vm.ExcStackExhausted) {
+			stackExhausted++
+		}
+	}
 
 	total := len(pkts) + injected
-	fmt.Printf("    trace: %d clean + %d injected packets (%.1f%% hostile: %d panic, %d loop, %d malformed) in %v\n",
-		len(pkts), injected, 100*float64(injected)/float64(total), injPanic, injLoop, injBad,
+	fmt.Printf("    trace: %d clean + %d injected packets (%.1f%% hostile: %d panic, %d loop, %d recursion, %d malformed) in %v\n",
+		len(pkts), injected, 100*float64(injected)/float64(total), injPanic, injLoop, injRecurse, injBad,
 		el.Round(time.Millisecond))
 	fmt.Printf("    contained faults: %d; quarantined flows: %d; packet fates: %v\n",
 		ws.Faults, ws.QuarantinedFlows, ledger.Fates)
 	fmt.Printf("    flow table: cap %d (LRU eviction), evictions: %d, timers dropped at close: %d\n",
 		maxFlows, ws.FlowsEvicted, ws.TimersDropped)
 	fmt.Printf("    execution budgets: %d ResourceExhausted raised by the injected busy-loop analyzer\n", budgetBlown)
+	fmt.Printf("    call depth cap: %d StackExhausted from the injected recursive analyzer, each contained as a fault (flow quarantined)\n", stackExhausted)
 
 	fail := false
 	check := func(ok bool, what string) {
@@ -766,6 +813,9 @@ func (h *harness) faults() {
 	check(ledger.Fates[admission.FateQuarantineDrop] > 0, "no packets dropped in quarantine")
 	check(ws.FlowsEvicted > 0, "no flow-table evictions at the cap")
 	check(budgetBlown > 0, "busy-loop analyzer never exhausted its budget")
+	// One fault per recursive flow: its later packets die in quarantine.
+	check(stackExhausted > 0 && stackExhausted <= injRecurse,
+		fmt.Sprintf("unbounded recursion: %d StackExhausted faults for %d injected packets", stackExhausted, injRecurse))
 	for _, s := range streams {
 		want := bro.SortedLines(base, s)
 		got := par.MergedLines(s)

@@ -15,6 +15,7 @@
 package bro
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"time"
@@ -633,7 +634,7 @@ func (e *Engine) attachTCPAnalyzer(c *conn) {
 			return
 		}
 		if portMatch(c.key, e.cfg.LoopPort) {
-			deliver := func([]byte) { e.runLoopAnalyzer() }
+			deliver := func(d []byte) { e.runLoopAnalyzer(d) }
 			c.origStream.Deliver = deliver
 			c.respStream.Deliver = deliver
 			return
@@ -785,15 +786,25 @@ func (a *stdHTTPAdapter) ParseError(isOrig bool, msg string) {
 
 // --- fault-injection loop analyzer ---------------------------------------------
 
-// runLoopAnalyzer models a runaway analyzer: a HILTI busy-loop on its own
-// execution context whose instruction budget converts non-termination into
-// a counted ResourceExhausted — the governance story end to end.
-func (e *Engine) runLoopAnalyzer() {
+// runLoopAnalyzer models a runaway analyzer on its own execution context:
+// a HILTI busy-loop whose instruction budget converts non-termination into
+// a counted ResourceExhausted — the governance story end to end — or, for a
+// payload starting "RECURSE", unbounded HILTI recursion, which the VM's call
+// depth cap converts into Hilti::StackExhausted. The analyzer has no
+// handler for that: it faults, and the flow is quarantined like any other
+// whose analyzer died.
+func (e *Engine) runLoopAnalyzer(d []byte) {
 	if e.loopExec == nil && e.initLoopExec() != nil {
 		return
 	}
-	if _, err := e.loopExec.Call("Faulty::spin"); isExhausted(err) {
+	fn := "Faulty::spin"
+	if bytes.HasPrefix(d, []byte("RECURSE")) {
+		fn = "Faulty::down"
+	}
+	if _, err := e.loopExec.Call(fn); isExhausted(err) {
 		e.budgetBlown.Inc()
+	} else if err != nil {
+		panic(fmt.Sprintf("injected: analyzer fault (LoopPort): %v", err))
 	}
 }
 
@@ -805,6 +816,9 @@ func (e *Engine) initLoopExec() error {
 	fb.Block("loop")
 	fb.Assign(x, "int.add", x, ast.IntOp(1))
 	fb.Jump("loop")
+	fd := b.Function("down", types.VoidT)
+	fd.Call("down")
+	fd.ReturnVoid()
 	prog, err := vm.Link(b.M)
 	if err != nil {
 		return err

@@ -21,20 +21,32 @@ func fuzzEngine(t *testing.T, parser string) *Engine {
 // feedShapes drives one fuzz input through the engine three ways: as a raw
 // frame (exercises link/network decode), as a TCP:80 payload (exercises the
 // HTTP parser through stream reassembly), and as a UDP:53 payload (exercises
-// the DNS parser). The panicky ProcessPacket path is used deliberately: a
-// panic anywhere in decode/reassembly/parse is a real bug the quarantine
+// the DNS parser). With split set the payload goes down a second TCP:80
+// flow as well, cut into segments whose lengths the input itself names, so
+// that where an incremental parser parks is fuzzed along with what it
+// reads. The panicky ProcessPacket path is used deliberately: a panic
+// anywhere in decode/reassembly/parse is a real bug the quarantine
 // machinery should never have to paper over.
-func feedShapes(e *Engine, data []byte) {
+func feedShapes(e *Engine, data []byte, split bool) {
 	src, dst := [4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}
 	e.ProcessPacket(1, data)
 
-	tcp := layers.EncodeTCP(src, dst, 44000, 80, 100, 0, layers.TCPAck, 65535, data)
-	ip := layers.EncodeIPv4(src, dst, layers.IPProtoTCP, 64, 1, tcp)
-	e.ProcessPacket(2, layers.EncodeEthernet([6]byte{1}, [6]byte{2}, layers.EtherTypeIPv4, ip))
+	tcpFrame := func(sport uint16, seq uint32, payload []byte) []byte {
+		tcp := layers.EncodeTCP(src, dst, sport, 80, seq, 0, layers.TCPAck, 65535, payload)
+		ip := layers.EncodeIPv4(src, dst, layers.IPProtoTCP, 64, 1, tcp)
+		return layers.EncodeEthernet([6]byte{1}, [6]byte{2}, layers.EtherTypeIPv4, ip)
+	}
+	e.ProcessPacket(2, tcpFrame(44000, 100, data))
 
 	udp := layers.EncodeUDP(src, dst, 44001, 53, data)
-	ip = layers.EncodeIPv4(src, dst, layers.IPProtoUDP, 64, 2, udp)
+	ip := layers.EncodeIPv4(src, dst, layers.IPProtoUDP, 64, 2, udp)
 	e.ProcessPacket(3, layers.EncodeEthernet([6]byte{1}, [6]byte{2}, layers.EtherTypeIPv4, ip))
+
+	for at := 0; split && at < len(data); {
+		n := min(1+int(data[at])%23, len(data)-at)
+		e.ProcessPacket(int64(4+at), tcpFrame(44002, uint32(100+at), data[at:at+n]))
+		at += n
+	}
 
 	e.Finish()
 }
@@ -53,16 +65,17 @@ func fuzzSeeds(f *testing.F) {
 func FuzzEngineFeed(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		feedShapes(fuzzEngine(t, "standard"), data)
+		feedShapes(fuzzEngine(t, "standard"), data, false)
 	})
 }
 
 // FuzzEngineFeedBinpac fuzzes the same path with the BinPAC++ grammars
-// compiled to HILTI, so hostile bytes reach the generated parse code.
+// compiled to HILTI, so hostile bytes reach the generated parse code — and,
+// segment by segment, the VM's park and resume.
 func FuzzEngineFeedBinpac(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		feedShapes(fuzzEngine(t, "binpac"), data)
+		feedShapes(fuzzEngine(t, "binpac"), data, true)
 	})
 }
 

@@ -54,10 +54,11 @@
 // an aggregate reachable from two table entries is marked only under the
 // one it was read through (DESIGN "Script tables", the aliasing limit). The
 // marks are not claimed complete: every fullRebaseEvery-th Rebase in a row
-// encodes every frame again. In-flight BinPAC++ parse state is held in
-// suspended fibers (vm.Resumable), which have no serializable form; every
-// selection refuses a connection that is mid-parse (EncodeDelta's caller
-// re-bases once possible). Unserializable VM globals (function refs, channels) keep the
+// encodes every frame again. In-flight BinPAC++ parse state is a parked
+// vm.Resumable — activation records over registers and rope iterators —
+// which is not encoded yet (ROADMAP 1a); every selection refuses a
+// connection that is mid-parse (EncodeDelta's caller re-bases once
+// possible). Unserializable VM globals (function refs, channels) keep the
 // restoring side's value. Per-flow migration supports the interpreter
 // script backend only: compiled scripts keep their state in VM globals
 // that cannot be attributed to individual flows. Fault diagnostics (the

@@ -48,8 +48,8 @@ const (
 	cfStd
 )
 
-// inFlightParse reports whether the connection holds suspended BinPAC++
-// fiber state (vm.Resumable), which has no serializable form; every
+// inFlightParse reports whether the connection holds a parked BinPAC++
+// parse (vm.Resumable), which is not encoded yet (ROADMAP 1a); every
 // selection refuses to serialize such a connection.
 func (c *conn) inFlightParse() bool {
 	return c.origRope != nil || c.respRope != nil || c.origRun != nil || c.respRun != nil

@@ -31,20 +31,20 @@ const (
 )
 
 // Limits bounds one top-level invocation (a Call/CallFn from the host, or
-// a fiber-backed call across all of its resumes).
+// a parked call across all of its resumes).
 type Limits struct {
 	// Instructions caps the number of VM instructions executed
-	// (0 = unlimited). The count accumulates across a fiber's resumes.
+	// (0 = unlimited). The count accumulates across a call's resumes.
 	Instructions uint64
-	// Deadline caps wall-clock execution time (0 = none). For
-	// fiber-backed calls the deadline re-arms on every resume, so time
-	// spent suspended waiting for input does not count.
+	// Deadline caps wall-clock execution time (0 = none). For parked
+	// calls the deadline re-arms on every resume, so time spent waiting
+	// for input does not count.
 	Deadline time.Duration
 }
 
-// budgetState is the armed-budget portion of an Exec, saved and restored
-// around fiber resumes so interleaved suspended calls (one per connection)
-// each account against their own invocation.
+// budgetState is the armed-budget portion of an Exec; Resume swaps the
+// Resumable's own in, so interleaved parked calls (one per connection) each
+// account against their own invocation.
 type budgetState struct {
 	steps      uint64
 	nextCheck  uint64
@@ -73,7 +73,7 @@ func (ex *Exec) armBudget() {
 }
 
 // rearmDeadline refreshes the wall-clock deadline of an in-flight
-// invocation; called when a suspended fiber resumes.
+// invocation; called when a parked call resumes.
 func (ex *Exec) rearmDeadline() {
 	if ex.budget.vmDepth > 0 && ex.Limits.Deadline > 0 {
 		ex.budget.deadline = time.Now().Add(ex.Limits.Deadline)
@@ -91,14 +91,6 @@ func (ex *Exec) scheduleNextCheck() {
 		}
 	}
 	ex.budget.nextCheck = next
-}
-
-// swapBudget exchanges the Exec's budget state; used by Resumable so each
-// suspended call owns its own accounting.
-func (ex *Exec) swapBudget(bs budgetState) budgetState {
-	old := ex.budget
-	ex.budget = bs
-	return old
 }
 
 // checkBudget runs at a checkpoint: raise ResourceExhausted if a limit is

@@ -26,13 +26,12 @@ import (
 // safe to read from any goroutine while the Exec runs.
 type ExecMetrics struct {
 	// Instructions is the cumulative count of VM instructions executed by
-	// completed top-level invocations (fiber-backed calls count all their
-	// resumes when the call completes).
+	// completed top-level invocations (a parked call counts all its
+	// resumes when it completes).
 	Instructions metrics.Counter
 	// Invocations counts completed top-level Call/CallFn entries.
 	Invocations metrics.Counter
-	// FiberSuspends counts would-block suspensions of fiber-backed calls
-	// (the paper's incremental-parsing yields).
+	// FiberSuspends counts would-block parks (the paper's fiber yields).
 	FiberSuspends metrics.Counter
 	// LimitTrips counts Hilti::ResourceExhausted raises from instruction
 	// budgets or deadlines (vm.Limits).
@@ -40,21 +39,32 @@ type ExecMetrics struct {
 	// Uncaught counts invocations that completed with an unhandled
 	// exception.
 	Uncaught metrics.Counter
+	// Suspended is the number of Resumables not done, FrameDepthMax the
+	// deepest call stack so far in activations; both as of the last flush.
+	Suspended     metrics.Gauge
+	FrameDepthMax metrics.Gauge
 
-	// Pending deltas, owned by the Exec's goroutine (never read elsewhere);
-	// folded into the atomic counters by flush().
+	// Pending values, owned by the Exec's goroutine (never read elsewhere);
+	// folded into the atomic counters and gauges by flush().
 	pendInstr uint64
 	pendInv   uint64
+	parked    int
+	depth     int
 }
 
 // flushEvery bounds how many invocations may accumulate locally before the
 // pending deltas are folded into the atomic counters.
 const flushEvery = 32
 
-// harvest records one completed top-level invocation. Called on the Exec's
+// harvest records one completed top-level invocation (across all nested
+// calls and, for a parked call, every resume). Called on the Exec's
 // goroutine only.
-func (m *ExecMetrics) harvest(steps uint64) {
+func (m *ExecMetrics) harvest(steps uint64, raised bool, parked, depth int) {
+	if raised {
+		m.Uncaught.Inc()
+	}
 	m.pendInstr += steps
+	m.parked, m.depth = parked, depth
 	if m.pendInv++; m.pendInv >= flushEvery {
 		m.flush()
 	}
@@ -65,6 +75,8 @@ func (m *ExecMetrics) flush() {
 		m.Invocations.Add(m.pendInv)
 		m.Instructions.Add(m.pendInstr)
 		m.pendInv, m.pendInstr = 0, 0
+		m.Suspended.Set(int64(m.parked))
+		m.FrameDepthMax.Set(int64(m.depth))
 	}
 }
 
@@ -102,6 +114,8 @@ func (ex *Exec) PublishTo(reg *metrics.Registry, key string, labels ...string) *
 		emit(metrics.Name("hilti_vm_instructions_total", labels...), float64(m.Instructions.Load()))
 		emit(metrics.Name("hilti_vm_invocations_total", labels...), float64(m.Invocations.Load()))
 		emit(metrics.Name("hilti_vm_fiber_suspends_total", labels...), float64(m.FiberSuspends.Load()))
+		emit(metrics.Name("hilti_vm_suspended_calls", labels...), float64(m.Suspended.Load()))
+		emit(metrics.Name("hilti_vm_frame_depth_max", labels...), float64(m.FrameDepthMax.Load()))
 		emit(metrics.Name("hilti_vm_limit_trips_total", labels...), float64(m.LimitTrips.Load()))
 		emit(metrics.Name("hilti_vm_uncaught_exceptions_total", labels...), float64(m.Uncaught.Load()))
 		if op != nil {

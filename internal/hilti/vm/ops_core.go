@@ -48,22 +48,12 @@ type callTarget struct {
 	name    string        // dynamic fallback (host-registered functions)
 }
 
+// execCallFn calls a compiled function: the dispatch loop enters it.
+func execCallFn(ex *Exec, fr *Frame, in *Instr) int { return pcCall }
+
+// execCall calls a host or builtin function in place.
 func execCall(ex *Exec, fr *Frame, in *Instr) int {
 	ct := in.aux.(*callTarget)
-	if ct.fn != nil {
-		callee := ct.fn
-		nfr := ex.newFrame(callee)
-		for i := range in.srcs {
-			nfr.R[i] = ex.get(fr, &in.srcs[i])
-		}
-		ret, ok := ex.run(callee, nfr)
-		ex.freeFrame(nfr)
-		if !ok {
-			return pcRaise
-		}
-		ex.put(fr, in.d, ret)
-		return in.t1
-	}
 	args := ex.operands(fr, in)
 	var ret values.Value
 	var err error
@@ -95,13 +85,6 @@ func execSwitch(ex *Exec, fr *Frame, in *Instr) int {
 type switchTable struct {
 	vals    []values.Value
 	targets []int
-}
-
-func execYield(ex *Exec, fr *Frame, in *Instr) int {
-	if ex.fib != nil {
-		ex.fib.Yield(nil)
-	}
-	return in.t1
 }
 
 func init() {
@@ -170,7 +153,11 @@ func init() {
 			return err
 		}
 		ct := c.resolveCall(name)
-		c.emit(Instr{exec: execCall, d: d, srcs: srcs, aux: ct})
+		exec := execCall
+		if ct.fn != nil {
+			exec = execCallFn
+		}
+		c.emit(Instr{exec: exec, d: d, srcs: srcs, aux: ct})
 		return nil
 	})
 
@@ -198,11 +185,9 @@ func init() {
 		return nil
 	})
 
-	register("yield", func(c *fnCompiler, in *ast.Instr) error {
-		c.emit(Instr{exec: execYield})
-		return nil
-	})
-
+	// yield has no effect: a call gives way to its host only where it would
+	// block.
+	register("yield", func(c *fnCompiler, in *ast.Instr) error { return nil })
 	register("nop", func(c *fnCompiler, in *ast.Instr) error { return nil })
 
 	register("try.begin", func(c *fnCompiler, in *ast.Instr) error {
@@ -277,7 +262,8 @@ func init() {
 		if err != nil {
 			return err
 		}
-		c.emit(Instr{exec: execHookRun, srcs: srcs, aux: name})
+		c.emit(Instr{exec: execHookRun, srcs: srcs,
+			aux: &hookTarget{name: name, bodies: c.lk.prog.HookBodies[name]}})
 		return nil
 	})
 
@@ -322,20 +308,24 @@ func joinSpace(parts []string) string {
 	return out
 }
 
+// hookTarget is a hook.run's hook, resolved at lowering: the HILTI bodies
+// are merged and ordered before any function is lowered.
+type hookTarget struct {
+	name   string
+	bodies []*CompiledFunc
+}
+
+// execHookRun gathers the hook's arguments into the frame's scratch, where
+// they stay while the dispatch loop runs the HILTI bodies in turn (pcHook,
+// transfer), then the host-registered ones.
 func execHookRun(ex *Exec, fr *Frame, in *Instr) int {
-	name := in.aux.(string)
+	ht := in.aux.(*hookTarget)
 	args := ex.operands(fr, in)
-	for _, body := range ex.Prog.HookBodies[name] {
-		nfr := ex.newFrame(body)
-		copy(nfr.R, args)
-		_, ok := ex.run(body, nfr)
-		ex.freeFrame(nfr)
-		if !ok {
-			return pcRaise
-		}
+	if len(ht.bodies) > 0 {
+		return pcHook
 	}
 	if ex.Hooks != nil {
-		ex.Hooks.Run(name, args)
+		ex.Hooks.Run(ht.name, args)
 	}
 	return in.t1
 }

@@ -18,19 +18,21 @@
 // per-function handler tables (§5 notes HILTI "propagates exceptions up the
 // stack with explicit return value checks"); a custom calling convention
 // passing a per-thread context (the Exec) into every call; and transparent
-// suspension — any runtime operation that would block on missing input
-// yields the enclosing fiber and retries on resume, which is what makes
-// generated parsers incremental without any parser-side state machine.
+// suspension — the call stack is explicit, never the Go stack, so a runtime
+// operation that would block on missing input parks the whole call as plain
+// data and is retried on resume, which makes generated parsers incremental
+// without any parser-side state machine (DESIGN.md "VM: calls and
+// suspension").
 package vm
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"sync/atomic"
 
 	"hilti/internal/hilti/types"
-	"hilti/internal/rt/fiber"
 	"hilti/internal/rt/filemgr"
 	"hilti/internal/rt/hbytes"
 	"hilti/internal/rt/hook"
@@ -42,8 +44,12 @@ import (
 
 // Sentinel program counters returned by instruction handlers.
 const (
-	pcDone  = -1 // function returned
-	pcRaise = -2 // exception pending in Exec.Exc
+	pcDone    = -1 // function returned
+	pcRaise   = -2 // exception pending in Exec.Exc
+	pcRetry   = -3 // re-execute the current instruction (budget checkpoint)
+	pcCall    = -4 // enter the compiled callee of the current instruction
+	pcHook    = -5 // enter the first HILTI body of the current hook.run
+	pcSuspend = -6 // would block: park the call; the current instruction is retried on resume
 )
 
 // src is a pre-resolved operand source.
@@ -154,8 +160,8 @@ type globalInit struct {
 // this activation (see Exec.operands). It belongs to the frame, not the
 // Exec, because an instruction can be interrupted between gathering its
 // operands and storing its result — a host function re-entering CallFn, or
-// a fiber suspending while other fibers run on the same Exec — and every
-// such interleaving runs in other frames.
+// a hook.run whose body parks while other calls run on the same Exec — and
+// every such interleaving runs in other frames.
 type Frame struct {
 	R    []values.Value
 	I    []int64
@@ -182,7 +188,7 @@ func (fr *Frame) enterTier(tc *tierCode, nregs int) {
 
 // Exec is an execution context — the paper's per-virtual-thread context
 // object (§5 "Runtime Model"): thread-local globals, timer managers,
-// exception state, the current fiber, and handles to shared services.
+// exception state, the call stack, and handles to shared services.
 // An Exec must only be used from one goroutine at a time.
 type Exec struct {
 	Prog    *Program
@@ -196,7 +202,6 @@ type Exec struct {
 	GlobalTM *timer.Mgr
 	Sched    *threads.Scheduler
 	HostFns  map[string]HostFunc
-	FibPool  *fiber.Pool
 
 	// Limits bounds every top-level invocation (see budget.go); the
 	// zero value means unlimited. Change it only between invocations.
@@ -207,7 +212,12 @@ type Exec struct {
 	// the dispatch loop stays uninstrumented.
 	Met *ExecMetrics
 
-	fib        *fiber.Fiber // current fiber, when running inside one
+	// stack holds the activations waiting on a callee, innermost last; each
+	// native entry (CallFn, Resume) owns what lies above its base.
+	stack     []activation
+	depthMark int // deepest stack so far + 1
+	parked    int // Resumables not yet done
+
 	freeFrames []*Frame
 	budget     budgetState
 	keyBuf     []byte // scratch for container-key encoding (see ctorKey)
@@ -227,7 +237,6 @@ func NewExec(prog *Program) (*Exec, error) {
 		Profs:    profiler.NewRegistry(),
 		GlobalTM: timer.NewMgr(),
 		HostFns:  map[string]HostFunc{},
-		FibPool:  fiber.NewPool(256),
 		budget:   freshBudget(),
 	}
 	for _, gi := range prog.globalInits {
@@ -331,19 +340,12 @@ func (ex *Exec) raise(name, msg string) int {
 	return pcRaise
 }
 
-// raiseErr maps a runtime error onto a HILTI exception. Would-block errors
-// suspend the current fiber and request an instruction retry instead.
+// raiseErr maps a runtime error onto a HILTI exception. A would-block
+// error asks the dispatch loop to park the call instead (see run).
 func (ex *Exec) raiseErr(err error) int {
 	switch err {
 	case hbytes.ErrWouldBlock:
-		if ex.fib != nil {
-			if ex.Met != nil {
-				ex.Met.FiberSuspends.Inc()
-			}
-			ex.fib.Yield(ErrWouldBlock)
-			return pcRetry
-		}
-		return ex.raise("Hilti::WouldBlock", "operation needs more input")
+		return pcSuspend
 	case hbytes.ErrOutOfRange:
 		return ex.raise("Hilti::ValueError", err.Error())
 	default:
@@ -355,55 +357,200 @@ func (ex *Exec) raiseErr(err error) int {
 	}
 }
 
-// pcRetry asks the dispatch loop to re-execute the current instruction
-// (used after a fiber resume made more input available).
-const pcRetry = -3
+// activation is a function activation not executing right now — a caller
+// waiting for its callee, or the innermost frame of a parked call — as
+// plain data: no Go stack stands behind it.
+type activation struct {
+	fn *CompiledFunc
+	// tier is the tier-2 code the activation was entered on (enter), nil for
+	// fn.Code, and never re-chosen, even across a park: the tiers are
+	// pc-identical, but slot state only exists under tier-2.
+	tier *tierCode
+	fr   *Frame
+	pc   int32 // the call or hook.run in flight; where a parked call continues
+	body int32 // hook.run in flight: the body running
+}
 
-// ErrWouldBlock is yielded to the host when a parse suspends for input.
-var ErrWouldBlock = fmt.Errorf("hilti: would block")
+func codeOf(fn *CompiledFunc, tier *tierCode) []Instr {
+	if tier != nil {
+		return tier.code
+	}
+	return fn.Code
+}
 
-// run executes fn with the given frame. On error the exception is left in
-// ex.Exc and ok is false.
-func (ex *Exec) run(fn *CompiledFunc, fr *Frame) (values.Value, bool) {
-	// The code array is chosen once per activation: a tier-2 promotion
-	// published mid-flight (even across a fiber suspend/resume of this very
-	// activation) never switches a running frame between code arrays — the
-	// two tiers are pc-identical, but slot state only exists under tier-2.
-	code := fn.Code
-	if tc := fn.tier2.Load(); tc != nil {
-		code = tc.code
+// ExcStackExhausted is raised by a call that would nest deeper than
+// maxCallDepth: runaway recursion ends in an exception the host contains
+// like any other, not in a dead process.
+const (
+	ExcStackExhausted = "Hilti::StackExhausted"
+	maxCallDepth      = 10_000
+)
+
+// enter chooses the code a new activation of fn runs on and prepares fr.
+func (ex *Exec) enter(fn *CompiledFunc, fr *Frame) *tierCode {
+	tc := fn.tier2.Load()
+	if tc != nil {
 		fr.enterTier(tc, fn.NRegs)
 	} else if ex.tiering != nil {
 		ex.tiering.observe(fn, ex.opProf)
 	}
-	pc := 0
-	prevOp := profNoPrev
-	for pc >= 0 && pc < len(code) {
-		cur := pc
-		// Budget fast path: one increment and compare; nextCheck is
-		// MaxUint64 when no limits are armed.
-		if ex.budget.steps++; ex.budget.steps >= ex.budget.nextCheck {
-			pc = ex.checkBudget()
-		} else {
-			if ex.opProf != nil {
-				prevOp = ex.opProf.hit(code[cur].opID, prevOp)
+	return tc
+}
+
+// hookBody enters body number body of the hook.run instruction in, which
+// executes in fr: execHookRun left the arguments in that frame's scratch.
+func (ex *Exec) hookBody(a *runState, fr *Frame, in *Instr, body int32) {
+	a.fn = in.aux.(*hookTarget).bodies[body]
+	a.fr = ex.newFrame(a.fn)
+	copy(a.fr.R, fr.args[:len(in.srcs)])
+	a.tier = ex.enter(a.fn, a.fr)
+}
+
+func (ex *Exec) pop() activation {
+	n := len(ex.stack) - 1
+	a := ex.stack[n]
+	ex.stack[n].fr = nil // a stale slot must not pin the frame
+	ex.stack = ex.stack[:n]
+	return a
+}
+
+type runStatus uint8
+
+const (
+	running   runStatus = iota
+	runDone             // the entry activation returned
+	runRaised           // an exception nothing handled is in ex.Exc
+	runParked           // the call's activations are ex.stack[base:] and, innermost, the running one
+)
+
+// runState is the activation a run is executing (its pc stale once under
+// way) and the terms it was entered on: the entry owns ex.stack[base:], and
+// only with park set (Resume) may it park. Without — CallFn, which may be a
+// re-entry from a host function, timer callback or RunHook with Go frames
+// between it and any Resumable — would-block raises Hilti::WouldBlock.
+type runState struct {
+	activation
+	base int
+	park bool
+}
+
+// run is the dispatch loop. HILTI-to-HILTI calls and hook bodies push an
+// activation and continue here rather than recursing (transfer), so the
+// frames this entry owns are those of ex.stack[s.base:] and the running
+// one; all are freed by the time it returns done or raised.
+func (ex *Exec) run(s *runState) (values.Value, runStatus) {
+	pc := int(s.pc)
+	for {
+		// The inner loop is the instruction fast path and nothing else:
+		// only code, fr, pc and prevOp are live across the handler call.
+		code, fr, cur, prevOp := codeOf(s.fn, s.tier), s.fr, pc, profNoPrev
+		for uint(pc) < uint(len(code)) {
+			cur = pc
+			// Budget fast path: one increment and compare; nextCheck is
+			// MaxUint64 when no limits are armed.
+			if ex.budget.steps++; ex.budget.steps >= ex.budget.nextCheck {
+				pc = ex.checkBudget()
+			} else {
+				if ex.opProf != nil {
+					prevOp = ex.opProf.hit(code[cur].opID, prevOp)
+				}
+				pc = code[cur].exec(ex, fr, &code[cur])
 			}
-			pc = code[cur].exec(ex, fr, &code[cur])
 		}
-		switch pc {
-		case pcRaise:
-			h := fn.findHandler(cur, ex.Exc)
-			if h == nil {
-				return values.Nil, false
-			}
-			fr.R[h.excReg] = values.Value{K: values.KindException, O: ex.Exc}
-			ex.Exc = nil
-			pc = h.target
-		case pcRetry:
+		switch {
+		case pc == pcRetry:
 			pc = cur
+		case pc >= pcDone && len(ex.stack) == s.base:
+			// The entry activation returned, or ran off the end of its code.
+			ret := fr.Ret
+			ex.freeFrame(fr)
+			return ret, runDone
+		default:
+			var st runStatus
+			if pc, st = ex.transfer(s, pc, cur); st != running {
+				return values.Nil, st
+			}
 		}
 	}
-	return fr.Ret, true
+}
+
+// transfer handles the instruction at cur having returned a pc that is no
+// successor: a call, a return to a caller, a raise, a would-block. It
+// leaves in *a the activation to go on with and returns its pc, or ends the
+// run: raised with every frame freed, or parked with *a to be retried.
+func (ex *Exec) transfer(a *runState, pc, cur int) (int, runStatus) {
+	switch pc {
+	case pcCall, pcHook:
+		n := len(ex.stack)
+		if n >= ex.depthMark {
+			if n >= maxCallDepth {
+				ex.raise(ExcStackExhausted, "call stack exhausted")
+				break
+			}
+			ex.depthMark = n + 1
+		}
+		in, fr := &codeOf(a.fn, a.tier)[cur], a.fr
+		a.pc, a.body = int32(cur), -1
+		if pc == pcHook {
+			a.body = 0
+			ex.stack = append(ex.stack, a.activation)
+			ex.hookBody(a, fr, in, 0)
+			return 0, running
+		}
+		ex.stack = append(ex.stack, a.activation)
+		a.fn = in.aux.(*callTarget).fn
+		a.fr = ex.newFrame(a.fn)
+		for i := range in.srcs {
+			a.fr.R[i] = ex.get(fr, &in.srcs[i])
+		}
+		a.tier = ex.enter(a.fn, a.fr)
+		return 0, running
+	case pcSuspend:
+		if a.park {
+			if ex.Met != nil {
+				ex.Met.FiberSuspends.Inc()
+			}
+			a.pc = int32(cur) // retried on resume
+			return 0, runParked
+		}
+		ex.raise("Hilti::WouldBlock", "operation needs more input")
+	case pcRaise:
+	default: // a return: back to the caller's call or hook.run
+		ret := a.fr.Ret
+		ex.freeFrame(a.fr)
+		top := &ex.stack[len(ex.stack)-1]
+		in := &codeOf(top.fn, top.tier)[top.pc]
+		if top.body < 0 {
+			a.activation = ex.pop()
+			ex.put(a.fr, in.d, ret)
+		} else if ht := in.aux.(*hookTarget); int(top.body)+1 < len(ht.bodies) {
+			top.body++
+			ex.hookBody(a, top.fr, in, top.body)
+			return 0, running
+		} else {
+			a.activation = ex.pop()
+			if ex.Hooks != nil {
+				ex.Hooks.Run(ht.name, a.fr.args[:len(in.srcs)])
+			}
+		}
+		return in.t1, running
+	}
+	// ex.Exc is pending at cur: it goes to the innermost handler covering
+	// it, dropping the activations in between — a callee's raise surfaces at
+	// the caller's call — or, with none above base, out of the run.
+	for {
+		if h := a.fn.findHandler(cur, ex.Exc); h != nil {
+			a.fr.R[h.excReg] = values.Value{K: values.KindException, O: ex.Exc}
+			ex.Exc = nil
+			return h.target, running
+		}
+		ex.freeFrame(a.fr)
+		if len(ex.stack) == a.base {
+			return 0, runRaised
+		}
+		a.activation = ex.pop()
+		cur = int(a.pc)
+	}
 }
 
 func (fn *CompiledFunc) findHandler(pc int, exc *values.Exception) *handler {
@@ -435,10 +582,14 @@ func (ex *Exec) Call(name string, args ...values.Value) (values.Value, error) {
 	return ex.CallFn(fn, args...)
 }
 
+func arityErr(fn *CompiledFunc, n int) error {
+	return fmt.Errorf("hilti: %s expects %d args, got %d", fn.Name, fn.NParams, n)
+}
+
 // CallFn invokes a compiled function directly.
 func (ex *Exec) CallFn(fn *CompiledFunc, args ...values.Value) (values.Value, error) {
 	if len(args) != fn.NParams {
-		return values.Nil, fmt.Errorf("hilti: %s expects %d args, got %d", fn.Name, fn.NParams, len(args))
+		return values.Nil, arityErr(fn, len(args))
 	}
 	fr := ex.newFrame(fn)
 	copy(fr.R, args)
@@ -448,25 +599,31 @@ func (ex *Exec) CallFn(fn *CompiledFunc, args ...values.Value) (values.Value, er
 		ex.armBudget()
 	}
 	ex.budget.vmDepth++
-	ret, ok := ex.run(fn, fr)
-	ex.budget.vmDepth--
-	if ex.budget.vmDepth == 0 && ex.Met != nil {
-		// One top-level invocation completed: harvest the step count the
-		// budget machinery accumulated (across all nested calls, and for
-		// fiber-backed calls across every resume since armBudget). The
-		// harvest batches locally and flushes every flushEvery invocations.
-		ex.Met.harvest(ex.budget.steps)
-		if !ok {
-			ex.Met.Uncaught.Inc()
-		}
+	base := len(ex.stack)
+	defer ex.leave(base)
+	ret, st := ex.run(&runState{activation{fn: fn, tier: ex.enter(fn, fr), fr: fr}, base, false})
+	if ex.budget.vmDepth == 1 && ex.Met != nil {
+		ex.Met.harvest(ex.budget.steps, st == runRaised, ex.parked, ex.depthMark+1)
 	}
-	ex.freeFrame(fr)
-	if !ok {
+	if st == runRaised {
 		exc := ex.Exc
 		ex.Exc = nil
 		return values.Nil, exc
 	}
 	return ret, nil
+}
+
+// leave ends a native entry into the dispatch loop, however it ends. It is
+// deferred because a Go panic — a host function's, or a VM bug's — may pass
+// through run on its way to the host's fault.Catch: the depth would stay
+// raised for the life of the Exec, so no later call would count as
+// top-level, arm its budget or be harvested, and the dead call's
+// activations would stay on the stack.
+func (ex *Exec) leave(base int) {
+	ex.budget.vmDepth--
+	for len(ex.stack) > base {
+		ex.freeFrame(ex.pop().fr)
+	}
 }
 
 // RunHook executes all bodies of the named HILTI-level hook in priority
@@ -483,68 +640,109 @@ func (ex *Exec) RunHook(name string, args ...values.Value) error {
 	return nil
 }
 
-// --- Fibers: transparent incremental execution -------------------------------
+// ErrAborted is the result of a call torn down by Abort.
+var ErrAborted = errors.New("hilti: call aborted")
 
-// FiberCall starts fn inside a fresh fiber so that any would-block
-// condition suspends rather than failing. It returns a Resumable that the
-// host drives: the paper's incremental-parsing workflow (§3.2).
+// FiberCall prepares a call of fn in which any would-block condition parks
+// the call rather than failing. It returns a Resumable that the host
+// drives: the paper's incremental-parsing workflow (§3.2), where the paper
+// runs the parser on a fiber. Nothing executes before the first Resume.
 func (ex *Exec) FiberCall(fn *CompiledFunc, args ...values.Value) *Resumable {
 	r := &Resumable{ex: ex, budget: freshBudget()}
-	r.fib = ex.FibPool.Get(func(f *fiber.Fiber, _ any) (any, error) {
-		v, err := ex.CallFn(fn, args...)
-		if err != nil {
-			return nil, err
-		}
-		return v, nil
-	})
+	if len(args) != fn.NParams {
+		r.done, r.err = true, arityErr(fn, len(args))
+		return r
+	}
+	// The entry frame lives as long as the call, typically a connection:
+	// taken from the free list it would drain the list and park a register
+	// file sized for whatever function freed it last.
+	fr := &Frame{R: make([]values.Value, fn.NRegs)}
+	copy(fr.R, args)
+	// Most parses park one or two calls deep.
+	r.stack = append(make([]activation, 0, 2), activation{fn: fn, fr: fr, body: -1})
+	ex.parked++
 	return r
 }
 
-// Resumable is a suspended (or completed) fiber-backed call.
+// Resumable is a call that can park: between Resumes its whole state is the
+// activations it parked with — registers, pcs and code arrays, no goroutine.
 type Resumable struct {
-	ex     *Exec
-	fib    *fiber.Fiber
-	done   bool
-	ret    values.Value
-	err    error
-	budget budgetState
+	ex            *Exec
+	stack         []activation // while parked: its activations, innermost last
+	started, done bool
+	ret           values.Value
+	err           error
+	budget        budgetState
 }
 
-// Resume continues execution until the call either completes (done=true,
-// with result or error) or suspends again waiting for input (done=false).
-// The Exec's current-fiber pointer is switched for the duration so that
-// would-block suspensions unwind to exactly this fiber, even when several
-// suspended parses (one per connection) interleave on one Exec.
+// Resume continues execution, on the caller's goroutine, until the call
+// either completes (done=true, with result or error) or parks again waiting
+// for input (done=false). Several parked calls (one per connection) may
+// interleave on one Exec; each accounts against its own budget:
+// instructions accumulate across resumes, the deadline re-arms per resume.
 func (r *Resumable) Resume() (values.Value, bool, error) {
 	if r.done {
 		return r.ret, true, r.err
 	}
-	prev := r.ex.fib
-	r.ex.fib = r.fib
-	// Each suspended call owns its budget accounting: instructions
-	// accumulate across resumes, the deadline re-arms per resume.
-	hostBudget := r.ex.swapBudget(r.budget)
-	r.ex.rearmDeadline()
-	v, done, err := r.fib.Resume(nil)
-	r.budget = r.ex.swapBudget(hostBudget)
-	r.ex.fib = prev
-	if done {
-		r.done = true
-		r.err = err
-		if vv, ok := v.(values.Value); ok {
-			r.ret = vv
+	ex := r.ex
+	n := len(r.stack) - 1
+	s := runState{r.stack[n], len(ex.stack), true}
+	ex.stack = append(ex.stack, r.stack[:n]...)
+	clear(r.stack)
+	r.stack = r.stack[:0]
+	hostBudget := ex.budget
+	ex.budget = r.budget
+	ex.budget.vmDepth++
+	returned := false
+	defer func() {
+		if !returned { // a Go panic is passing through: the call is dead, see leave
+			ex.leave(s.base)
+			ex.budget = hostBudget
+			r.finish(values.Nil, errors.New("hilti: call abandoned by a panic"))
 		}
-		return r.ret, true, r.err
+	}()
+	if !r.started { // the call is entered here
+		r.started = true
+		ex.armBudget()
+		s.tier = ex.enter(s.fn, s.fr)
 	}
-	return values.Nil, false, nil
+	ex.rearmDeadline()
+	v, st := ex.run(&s)
+	returned = true
+	if st == runParked {
+		r.stack = append(append(r.stack, ex.stack[s.base:]...), s.activation)
+		clear(ex.stack[s.base:])
+		ex.stack = ex.stack[:s.base]
+	}
+	ex.budget.vmDepth--
+	r.budget, ex.budget = ex.budget, hostBudget
+	if st == runParked {
+		return values.Nil, false, nil
+	}
+	var err error
+	if st == runRaised {
+		err, ex.Exc = ex.Exc, nil
+	}
+	r.finish(v, err)
+	if ex.Met != nil {
+		ex.Met.harvest(r.budget.steps, st == runRaised, ex.parked, ex.depthMark+1)
+	}
+	return r.ret, true, r.err
 }
 
-// Abort tears down a suspended call (connection abandoned mid-parse).
+func (r *Resumable) finish(v values.Value, err error) {
+	r.done, r.ret, r.err, r.stack = true, v, err, nil
+	r.ex.parked--
+}
+
+// Abort tears down a parked call (connection abandoned mid-parse): its
+// frames go back to the Exec.
 func (r *Resumable) Abort() {
 	if !r.done {
-		r.fib.Abort()
-		r.done = true
-		r.err = fiber.ErrAborted
+		for _, a := range r.stack {
+			r.ex.freeFrame(a.fr)
+		}
+		r.finish(values.Nil, ErrAborted)
 	}
 }
 

@@ -1,53 +1,40 @@
-// Package fiber implements HILTI's fibers: resumable execution contexts
-// that let analysis code suspend mid-computation — typically a protocol
-// parser running out of input — and transparently continue later when the
-// host application feeds more data (paper §3.2, §5 "Runtime Model").
-//
-// The paper's C implementation freezes the native stack with setcontext on
-// mmap'd worst-case-sized segments. In Go the equivalent mechanism is a
-// goroutine parked on a channel: the goroutine's stack *is* the frozen
-// fiber state, grown and shrunk by the Go runtime (the same MMU-backed
-// lazy-allocation trick the paper borrows from Rust). A free-list pool
-// recycles parked goroutines to keep fiber creation cheap, mirroring the
-// paper's stack free-list. DESIGN.md records this substitution; the
-// microbenchmarks reproduce the paper's §5 fiber measurements.
+// Package fiber is the §5 fiber microbenchmark: a resumable execution
+// context built from what Go offers in place of setcontext — a goroutine
+// parked on a channel, whose stack is the frozen fiber state — measured by
+// `hilti-bench -exp fibers`, BenchmarkFiber* and bench/'s fiber.switch_ns
+// beside the paper's 55 ns switch. Nothing in the system runs on it:
+// parsers park inside the VM, whose call stack is explicit (DESIGN.md "VM:
+// calls and suspension"). The paper's free-list of fiber stacks has no
+// counterpart: the Go runtime recycles finished goroutines itself, and a
+// pool on top of that bought 7% on the lifecycle row.
 package fiber
 
 import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sync"
 )
 
-// ErrAborted is returned from Resume when the fiber was torn down via
-// Abort (e.g. the host abandons a half-parsed connection).
+// ErrAborted is returned from Resume when the fiber was torn down via Abort.
 var ErrAborted = errors.New("fiber: aborted")
 
 // Func is the entry point executed inside a fiber. It receives the fiber
 // (to yield through) and the value passed to the first Resume.
 type Func func(f *Fiber, arg any) (any, error)
 
-type resumeMsg struct {
-	val   any
-	abort bool
-}
-
-type yieldMsg struct {
-	val  any
-	done bool
-	err  error
+// msg crosses between host and fiber: a resume argument or an abort order
+// one way; a yielded value, or the result or error that ends it, the other.
+type msg struct {
+	val         any
+	err         error
+	done, abort bool
 }
 
 // Fiber is a single resumable execution context.
 type Fiber struct {
-	resume    chan resumeMsg
-	yield     chan yieldMsg
-	fn        Func
-	started   bool
-	done      bool
-	pool      *Pool
-	nextStart chan any // non-nil when a recycled goroutine is parked
+	resume, yield chan msg
+	fn            Func
+	started, done bool
 }
 
 type abortPanic struct{}
@@ -55,15 +42,8 @@ type abortPanic struct{}
 // New creates a fiber that will run fn when first resumed. The goroutine
 // starts lazily, so unused fibers cost only the struct.
 func New(fn Func) *Fiber {
-	return &Fiber{
-		resume: make(chan resumeMsg),
-		yield:  make(chan yieldMsg),
-		fn:     fn,
-	}
+	return &Fiber{resume: make(chan msg), yield: make(chan msg), fn: fn}
 }
-
-// TypeName implements the runtime Object interface.
-func (f *Fiber) TypeName() string { return "fiber" }
 
 // Resume starts or continues the fiber, handing it arg (delivered as the
 // result of the Yield it was parked on, or as the entry argument on first
@@ -71,24 +51,16 @@ func (f *Fiber) TypeName() string { return "fiber" }
 // final return value when the fiber finishes, or the fiber's error.
 func (f *Fiber) Resume(arg any) (val any, done bool, err error) {
 	if f.done {
-		return nil, true, fmt.Errorf("fiber: resume after completion")
+		return nil, true, errors.New("fiber: resume after completion")
 	}
-	if !f.started {
-		f.started = true
-		if f.nextStart != nil {
-			ch := f.nextStart
-			f.nextStart = nil
-			ch <- arg
-		} else {
-			go f.run(arg)
-		}
+	if f.started {
+		f.resume <- msg{val: arg}
 	} else {
-		f.resume <- resumeMsg{val: arg}
+		f.started = true
+		go f.run(arg)
 	}
 	m := <-f.yield
-	if m.done {
-		f.done = true
-	}
+	f.done = m.done
 	return m.val, m.done, m.err
 }
 
@@ -96,7 +68,7 @@ func (f *Fiber) Resume(arg any) (val any, done bool, err error) {
 // blocks until resumed again, returning the resume argument. It must only
 // be called from within the fiber's Func.
 func (f *Fiber) Yield(val any) any {
-	f.yield <- yieldMsg{val: val}
+	f.yield <- msg{val: val}
 	m := <-f.resume
 	if m.abort {
 		panic(abortPanic{})
@@ -106,14 +78,12 @@ func (f *Fiber) Yield(val any) any {
 
 // Abort tears down a suspended fiber: its goroutine unwinds (deferred
 // functions run) and the fiber becomes unusable. Aborting an unstarted or
-// finished fiber is a no-op.
+// finished fiber only marks it done.
 func (f *Fiber) Abort() {
-	if !f.started || f.done {
-		f.done = true
-		return
+	if f.started && !f.done {
+		f.resume <- msg{abort: true}
+		<-f.yield // run reports completion
 	}
-	f.resume <- resumeMsg{abort: true}
-	<-f.yield // the run wrapper reports completion
 	f.done = true
 }
 
@@ -121,97 +91,16 @@ func (f *Fiber) Abort() {
 func (f *Fiber) Done() bool { return f.done }
 
 func (f *Fiber) run(arg any) {
-	for {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(abortPanic); ok {
-						f.yield <- yieldMsg{done: true, err: ErrAborted}
-						return
-					}
-					// Capture the stack here, inside the recovering frame,
-					// so the fault is diagnosable from the returned error.
-					f.yield <- yieldMsg{done: true,
-						err: fmt.Errorf("fiber: panic: %v\n%s", r, debug.Stack())}
-				}
-			}()
-			ret, err := f.fn(f, arg)
-			f.yield <- yieldMsg{val: ret, done: true, err: err}
-		}()
-		// Pooled mode: park until handed a new start argument (Get will
-		// have installed the new Func before the argument arrives).
-		if f.pool == nil {
-			return
+	defer func() {
+		if r := recover(); r != nil {
+			err := ErrAborted
+			if _, ok := r.(abortPanic); !ok {
+				// The stack is captured here, inside the recovering frame.
+				err = fmt.Errorf("fiber: panic: %v\n%s", r, debug.Stack())
+			}
+			f.yield <- msg{done: true, err: err}
 		}
-		next := f.pool.park(f)
-		m, ok := <-next
-		if !ok {
-			return
-		}
-		arg = m
-	}
-}
-
-// --- Pool --------------------------------------------------------------------
-
-// Pool recycles fiber goroutines, the analog of the paper's free-list of
-// fiber stacks: creating/starting/finishing fibers is the hot path when
-// every connection gets a parser fiber.
-type Pool struct {
-	mu   sync.Mutex
-	free []*pooled
-	max  int
-}
-
-type pooled struct {
-	f    *Fiber
-	next chan any
-}
-
-// NewPool creates a pool retaining at most max parked fibers.
-func NewPool(max int) *Pool {
-	if max <= 0 {
-		max = 1024
-	}
-	return &Pool{max: max}
-}
-
-// Get returns a fiber running fn, reusing a parked goroutine when one is
-// available.
-func (p *Pool) Get(fn Func) *Fiber {
-	p.mu.Lock()
-	n := len(p.free)
-	var pl *pooled
-	if n > 0 {
-		pl = p.free[n-1]
-		p.free = p.free[:n-1]
-	}
-	p.mu.Unlock()
-	if pl == nil {
-		f := New(fn)
-		f.pool = p
-		return f
-	}
-	f := pl.f
-	f.fn = fn
-	f.done = false
-	f.started = false
-	f.nextStart = pl.next
-	return f
-}
-
-// park registers f as reusable and returns the channel that will deliver
-// its next start argument. Called from the fiber goroutine.
-func (p *Pool) park(f *Fiber) chan any {
-	next := make(chan any, 1)
-	nf := &pooled{f: f, next: next}
-	p.mu.Lock()
-	if len(p.free) >= p.max {
-		p.mu.Unlock()
-		close(next)
-		return next
-	}
-	p.free = append(p.free, nf)
-	p.mu.Unlock()
-	return next
+	}()
+	ret, err := f.fn(f, arg)
+	f.yield <- msg{val: ret, done: true, err: err}
 }

@@ -95,33 +95,6 @@ func TestAbortUnstartedIsNoop(t *testing.T) {
 	}
 }
 
-func TestPoolReuse(t *testing.T) {
-	p := NewPool(8)
-	f1 := p.Get(func(f *Fiber, arg any) (any, error) { return arg.(int) * 2, nil })
-	v, done, err := f1.Resume(21)
-	if !done || err != nil || v.(int) != 42 {
-		t.Fatalf("first use: %v %v %v", v, done, err)
-	}
-	// The second Get should reuse the parked goroutine (can't observe the
-	// goroutine identity directly; exercise correctness of the reuse path by
-	// cycling many times within a small pool).
-	for i := 0; i < 100; i++ {
-		f := p.Get(func(f *Fiber, arg any) (any, error) {
-			x := arg.(int)
-			y := f.Yield(x + 1)
-			return y.(int) + x, nil
-		})
-		v, done, _ := f.Resume(i)
-		if done || v.(int) != i+1 {
-			t.Fatalf("iter %d yield: %v %v", i, v, done)
-		}
-		v, done, err := f.Resume(100)
-		if !done || err != nil || v.(int) != 100+i {
-			t.Fatalf("iter %d final: %v %v %v", i, v, done, err)
-		}
-	}
-}
-
 func TestIncrementalParserPattern(t *testing.T) {
 	// The host-application pattern from the paper: feed chunks of payload
 	// into a suspended parse, resuming as data arrives.
@@ -167,16 +140,6 @@ func BenchmarkFiberSwitch(b *testing.B) {
 // BenchmarkFiberLifecycle reproduces the paper's create/start/finish/delete
 // cycle measurement (paper: ~5M/s).
 func BenchmarkFiberLifecycle(b *testing.B) {
-	p := NewPool(4)
-	fn := func(f *Fiber, arg any) (any, error) { return nil, nil }
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := p.Get(fn)
-		f.Resume(nil)
-	}
-}
-
-func BenchmarkFiberLifecycleUnpooled(b *testing.B) {
 	fn := func(f *Fiber, arg any) (any, error) { return nil, nil }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
