@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"hilti/internal/hilti/vm"
+	"hilti/internal/pkt/flow"
+	"hilti/internal/pkt/layers"
 	"hilti/internal/rt/values"
 )
 
@@ -31,7 +33,7 @@ func compileExec(t testing.TB, src string) (*vm.Exec, *Glue, *bytes.Buffer, func
 	var out bytes.Buffer
 	ex.Out = &out
 	now := int64(0)
-	glue := NewGlue(nil)
+	glue := NewGlue(new(compClock))
 	RegisterHostFns(ex, func() int64 { return now }, nil, glue)
 	if _, err := ex.Call("BroScripts::__init_globals"); err != nil {
 		t.Fatal(err)
@@ -42,10 +44,9 @@ func compileExec(t testing.TB, src string) (*vm.Exec, *Glue, *bytes.Buffer, func
 func TestCompiledFigure8Track(t *testing.T) {
 	ex, glue, out, _ := compileExec(t, trackBro)
 	ip := NewInterp() // for MakeConn record structure
-	for _, addr := range []string{"208.80.152.118", "208.80.152.2", "208.80.152.3", "208.80.152.2"} {
-		c := ip.MakeConn("C1", values.MustParseAddr("10.0.0.1"), values.MustParseAddr(addr),
-			PortVal{Num: 1024, Proto: values.ProtoTCP}, PortVal{Num: 80, Proto: values.ProtoTCP}, 0)
-		if err := ex.RunHook("connection_established", glue.ToHilti(c)); err != nil {
+	for _, host := range []byte{118, 2, 3, 2} {
+		c := ip.MakeConn("C1", flow.FromIPv4([4]byte{10, 0, 0, 1}, [4]byte{208, 80, 152, host}, 1024, 80, layers.IPProtoTCP), 0)
+		if err := ex.RunHook("connection_established", glue.toHilti(c)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -131,7 +132,7 @@ event report() {
 	// Compiled run.
 	ex, glue, cout, _ := compileExec(t, src)
 	for _, st := range steps {
-		err := ex.RunHook("observe", glue.ToHilti(StringVal(st.who)), glue.ToHilti(TimeVal(st.when)))
+		err := ex.RunHook("observe", glue.toHilti(StringVal(st.who)), glue.toHilti(TimeVal(st.when)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +223,7 @@ event check(k: string) {
 	ex, _ := vm.NewExec(prog)
 	var out bytes.Buffer
 	ex.Out = &out
-	glue := NewGlue(nil)
+	glue := NewGlue(new(compClock))
 	RegisterHostFns(ex, func() int64 { return 0 }, nil, glue)
 	if _, err := ex.Call("BroScripts::__init_globals"); err != nil {
 		t.Fatal(err)
@@ -247,7 +248,7 @@ func TestToHiltiSharesStructDefPerRecordType(t *testing.T) {
 	conv := func(g *Glue, rt *RecordType, n int64) *values.Struct {
 		r := NewRecord(rt)
 		r.Set("n", CountVal(n))
-		return g.ToHilti(r).AsStruct()
+		return g.toHilti(r).AsStruct()
 	}
 	const workers = 4
 	got := make([]*values.Struct, workers)
@@ -256,7 +257,7 @@ func TestToHiltiSharesStructDefPerRecordType(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			got[w] = conv(NewGlue(nil), rt, int64(w))
+			got[w] = conv(NewGlue(new(compClock)), rt, int64(w))
 		}(w)
 	}
 	wg.Wait()
@@ -271,7 +272,7 @@ func TestToHiltiSharesStructDefPerRecordType(t *testing.T) {
 			t.Fatalf("worker %d: unassigned field reads as set", w)
 		}
 	}
-	if conv(NewGlue(nil), other, 0).Def == got[0].Def {
+	if conv(NewGlue(new(compClock)), other, 0).Def == got[0].Def {
 		t.Fatal("distinct record types share a StructDef")
 	}
 }

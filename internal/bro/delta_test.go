@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"hilti/internal/hilti/vm"
 	"hilti/internal/pkt/gen"
 	"hilti/internal/pkt/pcap"
 	"hilti/internal/rt/snapshot"
@@ -202,6 +203,15 @@ func recordTableOps(t *testing.T, e *Engine, rec []byte) (dels []string, ups int
 	return dels, ups
 }
 
+// raise dispatches a custom script's event by name, as the engine does its own.
+func (e *Engine) raise(name string, args ...Val) {
+	var bodies []*vm.CompiledFunc
+	if e.sexec != nil {
+		bodies = e.sexec.Prog.HookBodies[name]
+	}
+	e.dispatchNamed(name, bodies, nil, args)
+}
+
 // TestDeltaMarksYieldMutations: an aggregate a script obtained from a table
 // and changed in place must reach the next delta, and the delete rules
 // hold: an entry born and gone between two flushes leaves no trace, an
@@ -212,20 +222,20 @@ func TestDeltaMarksYieldMutations(t *testing.T) {
 	sec := int64(1e9)
 	e.now = 100 * sec
 	for i, k := range []string{"a", "b", "c"} {
-		e.dispatch("put", StringVal(k), CountVal(i+1))
+		e.raise("put", StringVal(k), CountVal(i+1))
 		tw.flush("put " + k)
 	}
 
-	e.dispatch("mutate_local", StringVal("b"))
+	e.raise("mutate_local", StringVal("b"))
 	if _, m, enc := tw.flush("mutation through a local"); m != 2 || enc != 2 {
 		t.Errorf("mutating recs[b] and vecs[b] through locals: %d marked, %d encoded, want 2 and 2", m, enc)
 	}
-	e.dispatch("mutate_for")
+	e.raise("mutate_for")
 	if _, m, enc := tw.flush("mutation through for (k, v in t)"); m != 6 || enc != 6 {
 		t.Errorf("mutating every yield through a two-variable for: %d marked, %d encoded, want 6 and 6", m, enc)
 	}
 	e.now += sec
-	e.dispatch("look", StringVal("a"))
+	e.raise("look", StringVal("a"))
 	if rec, m, _ := tw.flush("reads that hand nothing out"); m != 2 {
 		// counts[0] and counts[1]; `k in recs` is &create_expire, the
 		// one-variable for passes no yield.
@@ -233,14 +243,14 @@ func TestDeltaMarksYieldMutations(t *testing.T) {
 		t.Errorf("membership test and one-variable for marked %d entries, want 2 (frames: %v deleted, %d upserted)", m, dels, ups)
 	}
 
-	e.dispatch("put_del", StringVal("ghost"))
+	e.raise("put_del", StringVal("ghost"))
 	rec, _, _ := tw.flush("entry born and gone between flushes")
 	if dels, ups := recordTableOps(t, e, rec); len(dels) != 0 || ups != 0 {
 		t.Errorf("an entry the base never held emitted %v deletes, %d upserts", dels, ups)
 	}
 
-	e.dispatch("del", StringVal("a"))
-	e.dispatch("put", StringVal("a"), CountVal(9)) // same key, new entry: the upsert replaces
+	e.raise("del", StringVal("a"))
+	e.raise("put", StringVal("a"), CountVal(9)) // same key, new entry: the upsert replaces
 	rec, _, _ = tw.flush("delete then re-insert")
 	if dels, ups := recordTableOps(t, e, rec); len(dels) != 0 || ups != 2 {
 		t.Errorf("delete + re-insert of a flushed key: %v deletes, %d upserts, want none and 2", dels, ups)
@@ -248,9 +258,9 @@ func TestDeltaMarksYieldMutations(t *testing.T) {
 
 	// Mark recs[c] (its yield is handed out), then let it expire before
 	// the flush: one delete, though it was marked twice over.
-	e.dispatch("mutate_local", StringVal("c"))
+	e.raise("mutate_local", StringVal("c"))
 	e.now += 11 * sec
-	e.dispatch("look", StringVal("a"))
+	e.raise("look", StringVal("a"))
 	rec, _, _ = tw.flush("marked, then expired")
 	dels, _ := recordTableOps(t, e, rec)
 	got := map[string]int{}

@@ -8,9 +8,8 @@
 //	         "hilti"    (scripts compiled to HILTI)
 //
 // Per-component timing (protocol parsing, script execution, HILTI-to-Bro
-// glue, other) reproduces Figure 9/10's instrumentation: parsing pauses
-// while events dispatch, glue conversions are charged to their own
-// profiler, and "other" is the remainder of total processing time.
+// glue, other) reproduces Figure 9/10's instrumentation on the engine's
+// component clock (clock.go); "other" is the remainder of total time.
 
 package bro
 
@@ -18,6 +17,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"hilti/internal/analyzers"
@@ -32,7 +32,6 @@ import (
 	"hilti/internal/rt/fault"
 	"hilti/internal/rt/hbytes"
 	"hilti/internal/rt/metrics"
-	"hilti/internal/rt/profiler"
 	"hilti/internal/rt/ruleplane"
 	"hilti/internal/rt/timer"
 	"hilti/internal/rt/values"
@@ -78,7 +77,7 @@ type Config struct {
 
 	// Metrics, when set, publishes the engine's counters (flows
 	// opened/closed, packets, events, parse errors, faults, log lines),
-	// its component profilers, any HILTI-program profilers
+	// its component clock, any HILTI-program profilers
 	// (profiler.start/stop/update), and its VMs' execution counters to the
 	// registry. Several engines may share one registry; their series sum.
 	Metrics *metrics.Registry
@@ -103,10 +102,11 @@ type Stats struct {
 	Events   int
 	ParseErr int
 
-	Faults            int // panics contained at engine boundaries
-	BudgetBlown       int // ResourceExhausted raised by budgeted VM work
-	Quarantined       int // flows quarantined by the single-threaded path
-	QuarantineDropped int // packets dropped because their flow was quarantined
+	ClockReads        uint64 // what taking the split cost, in monotonic-clock reads
+	Faults            int    // panics contained at engine boundaries
+	BudgetBlown       int    // ResourceExhausted raised by budgeted VM work
+	Quarantined       int    // flows quarantined by the single-threaded path
+	QuarantineDropped int    // packets dropped because their flow was quarantined
 }
 
 // Engine processes packets through parsers, events, and scripts.
@@ -118,11 +118,13 @@ type Engine struct {
 	pexec  *vm.Exec // binpac parsers
 	glue   *Glue
 
-	profParse  *profiler.Profiler
-	profScript *profiler.Profiler
-	profGlue   *profiler.Profiler
-	inParse    int
-	total      time.Duration
+	clock compClock
+	total time.Duration
+	// Argument scratch for dispatchNamed; a dispatch from inside a handler
+	// nests, appending above the outer event's arguments.
+	hargs []values.Value
+	vargs []Val
+	hooks [numEvents][]*vm.CompiledFunc // compiled backend: each event's handlers
 
 	now     int64
 	conns   map[flow.Key]*conn
@@ -144,12 +146,10 @@ type Engine struct {
 	quarantined map[uint64]uint64 // faulted flow hash -> packets dropped since
 	quarDropped metrics.Counter
 	reasm       *reassembly.Budget
-	loopExec    *vm.Exec           // lazily built LoopPort injection analyzer
-	profs       *profiler.Registry // parsing/script/glue component profilers
+	loopExec    *vm.Exec // lazily built LoopPort injection analyzer
 
 	httpReqStruct, httpRepStruct, dnsMsgStruct *values.StructDef
 	dnsParseFn                                 *vm.CompiledFunc
-	out                                        printWriter
 
 	// delta, when non-nil, tracks which state changed since the last WAL
 	// flush (see wal.go). Nil outside WAL mode: the mark helpers are then
@@ -170,14 +170,11 @@ type Engine struct {
 	planeDropped  metrics.Counter // packets a gate program dropped
 }
 
-type printWriter struct{ quiet bool }
-
-func (w printWriter) Write(p []byte) (int, error) { return len(p), nil }
-
 type conn struct {
 	key                    flow.Key // canonical
 	uid                    string
 	rec                    *RecordVal
+	hrec                   *values.Struct // rec's HILTI form, see connStruct
 	ctx                    int64
 	isTCP                  bool
 	started                bool
@@ -214,11 +211,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.planeVerdicts = make([]int64, cfg.RulePlane.NumPrograms())
 	}
 	e.Logs.Discard = cfg.DiscardLogs
-	e.profs = profiler.NewRegistry()
-	e.profParse = e.profs.Get("parsing")
-	e.profScript = e.profs.Get("script")
-	e.profGlue = e.profs.Get("glue")
-	e.glue = NewGlue(e.profGlue)
+	e.clock.base = time.Now()
+	e.glue = NewGlue(&e.clock)
 
 	var parsed []*Script
 	for _, src := range cfg.Scripts {
@@ -233,7 +227,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.interp.Now = func() int64 { return e.now }
 	e.interp.LogWrite = e.Logs.Write
 	if cfg.Quiet {
-		e.interp.Out = printWriter{}
+		e.interp.Out = io.Discard
 	}
 	for _, s := range parsed {
 		if err := e.interp.Load(s); err != nil {
@@ -255,9 +249,12 @@ func NewEngine(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 		if cfg.Quiet {
-			e.sexec.Out = printWriter{}
+			e.sexec.Out = io.Discard
 		}
 		RegisterHostFns(e.sexec, func() int64 { return e.now }, e.Logs.Write, e.glue)
+		for i, name := range eventNames {
+			e.hooks[i] = prog.HookBodies[name]
+		}
 		if _, err := e.sexec.Call("BroScripts::__init_globals"); err != nil {
 			return nil, err
 		}
@@ -312,34 +309,36 @@ func findStruct(mods []*ast.Module, name string) *values.StructDef {
 	return nil
 }
 
-// pauseParse suspends parse accounting while events run.
-func (e *Engine) pauseParse() {
-	if e.inParse > 0 {
-		e.profParse.Stop()
-	}
+// The events the engine raises. Every one but bro_done carries the
+// connection's record as its first argument.
+type eventID uint8
+
+const (
+	evConnectionEstablished eventID = iota
+	evHTTPRequest
+	evHTTPReply
+	evHTTPHeader
+	evHTTPBody
+	evHTTPMessageDone
+	evDNSRequest
+	evDNSResponse
+	evBroDone
+	numEvents
+)
+
+var eventNames = [numEvents]string{"connection_established", "http_request", "http_reply",
+	"http_header", "http_body", "http_message_done", "dns_request", "dns_response", "bro_done"}
+
+func (e *Engine) dispatch(id eventID, c *conn, args ...Val) {
+	e.dispatchNamed(eventNames[id], e.hooks[id], c, args)
 }
 
-func (e *Engine) resumeParse() {
-	if e.inParse > 0 {
-		e.profParse.Start()
-	}
-}
-
-// dispatch routes an event into the configured script backend. It is a
-// containment boundary: a panic in glue conversion or a script handler is
-// converted into a recorded fault, aborting only this event — the flow and
-// the engine keep processing.
-func (e *Engine) dispatch(name string, args ...Val) {
+// dispatchNamed routes an event into the configured script backend (bodies:
+// its compiled handlers). It is a containment boundary: a panic in glue or a
+// handler becomes a recorded fault and aborts only this event.
+func (e *Engine) dispatchNamed(name string, bodies []*vm.CompiledFunc, c *conn, args []Val) {
 	e.events.Inc()
-	e.pauseParse()
-	defer e.resumeParse()
-	if f := fault.Catch("event:"+name, func() { e.dispatchRaw(name, args...) }); f != nil {
-		f.TsNs = e.now
-		e.faults.Record(f)
-	}
-}
-
-func (e *Engine) dispatchRaw(name string, args ...Val) {
+	defer e.containEvent(name, len(e.clock.stack), len(e.hargs), len(e.vargs))
 	if ds := e.delta; ds != nil {
 		// Script handlers are the only writers of script-visible globals.
 		if e.sexec != nil {
@@ -348,27 +347,61 @@ func (e *Engine) dispatchRaw(name string, args ...Val) {
 			ds.dirtyInterp = true
 		}
 	}
-	if e.sexec != nil {
-		hargs := make([]values.Value, len(args))
-		for i, a := range args {
-			hargs[i] = e.glue.ToHilti(a)
+	if e.sexec == nil {
+		base := len(e.vargs)
+		if c != nil {
+			e.vargs = append(e.vargs, e.connRecord(c))
 		}
-		e.profScript.Start()
-		// Script errors abort the handler only; a blown execution budget
-		// is additionally counted.
-		if err := e.sexec.RunHook(name, hargs...); isExhausted(err) {
-			e.budgetBlown.Inc()
-		}
-		e.profScript.Stop()
+		e.vargs = append(e.vargs, args...)
+		e.clock.enter(compScript)
+		e.interp.Dispatch(name, e.vargs[base:]...) //nolint:errcheck
+		e.clock.leave()
+		e.vargs = e.vargs[:base]
 		return
 	}
-	e.profScript.Start()
-	e.interp.Dispatch(name, args...) //nolint:errcheck
-	e.profScript.Stop()
+	// All of the event's arguments cross in one glue interval.
+	e.clock.enter(compGlue)
+	base := len(e.hargs)
+	if c != nil {
+		e.hargs = append(e.hargs, e.connStruct(c))
+	}
+	for _, a := range args {
+		e.hargs = append(e.hargs, e.glue.toHilti(a))
+	}
+	e.clock.switchTo(compScript)
+	for _, body := range bodies {
+		// Script errors abort the handler only; a blown execution budget
+		// is additionally counted.
+		if _, err := e.sexec.CallFn(body, e.hargs[base:]...); err != nil {
+			if isExhausted(err) {
+				e.budgetBlown.Inc()
+			}
+			break
+		}
+	}
+	e.clock.leave()
+	e.hargs = e.hargs[:base]
+}
+
+// containEvent is dispatchNamed's deferred recover (no closure, no label
+// per event): it puts the clock and the scratch back where the event began.
+func (e *Engine) containEvent(name string, depth, hn, vn int) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	e.clock.truncate(depth)
+	e.hargs, e.vargs = e.hargs[:hn], e.vargs[:vn]
+	f := fault.FromPanic("event:"+name, r)
+	f.TsNs = e.now
+	e.faults.Record(f)
 }
 
 // isExhausted reports whether err is a ResourceExhausted HILTI exception.
 func isExhausted(err error) bool {
+	if err == nil {
+		return false // before exc is declared: errors.As makes it escape
+	}
 	var exc *values.Exception
 	return errors.As(err, &exc) && exc.Name == vm.ExcResourceExhausted
 }
@@ -453,23 +486,21 @@ func (e *Engine) Reassembly() *reassembly.Budget { return e.reasm }
 // StatsSnapshot returns the component split.
 func (e *Engine) StatsSnapshot() *Stats {
 	s := &Stats{
-		Parsing:  e.profParse.Total(),
-		Script:   e.profScript.Total(),
-		Glue:     e.profGlue.Total(),
+		Parsing:  time.Duration(e.clock.ns[compParse]),
+		Script:   time.Duration(e.clock.ns[compScript]),
+		Glue:     time.Duration(e.clock.ns[compGlue]),
 		Total:    e.total,
 		Packets:  int(e.packets.Load()),
 		Events:   int(e.events.Load()),
 		ParseErr: int(e.parseErrs.Load()),
 
+		ClockReads:        e.clock.reads,
 		Faults:            int(e.faults.Count()),
 		BudgetBlown:       int(e.budgetBlown.Load()),
 		Quarantined:       len(e.quarantined),
 		QuarantineDropped: int(e.quarDropped.Load()),
 	}
-	s.Other = s.Total - s.Parsing - s.Script - s.Glue
-	if s.Other < 0 {
-		s.Other = 0
-	}
+	s.Other = s.Total - s.Parsing - s.Script - s.Glue // exclusive components: never negative
 	return s
 }
 
@@ -477,6 +508,7 @@ func (e *Engine) StatsSnapshot() *Stats {
 func (e *Engine) ProcessPacket(tsNs int64, frame []byte) {
 	e.packets.Inc()
 	e.now = tsNs
+	e.clock.truncate(0)
 	// Expire HILTI-side container state by network time.
 	if e.sexec != nil {
 		if e.sexec.GlobalTM.Advance(timer.Time(tsNs)) > 0 && e.delta != nil {
@@ -542,7 +574,7 @@ func (e *Engine) planeDrop(ip layers.IPv4, srcPort, dstPort uint16) bool {
 func (e *Engine) PlaneDropped() uint64 { return e.planeDropped.Load() }
 
 func (e *Engine) getConn(key flow.Key, isTCP bool) (*conn, bool) {
-	ck, forward := key.Canonical()
+	ck, _ := key.Canonical()
 	c, ok := e.conns[ck]
 	if !ok {
 		c = &conn{key: key, isTCP: isTCP, uid: flow.UID(ck, e.now), ctx: e.nextCtx}
@@ -554,25 +586,30 @@ func (e *Engine) getConn(key flow.Key, isTCP bool) (*conn, bool) {
 		e.conns[ck] = c
 		e.ctxs[c.ctx] = c
 		e.flowsOpened.Inc()
-		// The canonical direction may be the reverse of the first packet;
-		// record the actual originator.
-		c.key = key
-		forward = true
 	}
-	// isOrig: does this packet travel in the originator's direction?
-	isOrig := key == c.key
-	_ = forward
-	return c, isOrig
+	// isOrig: does this packet travel in the originator's direction? (The
+	// connection's key is its first packet's, not the canonical one.)
+	return c, key == c.key
 }
 
 func (e *Engine) connRecord(c *conn) *RecordVal {
 	if c.rec == nil {
-		k := c.key
-		c.rec = e.interp.MakeConn(c.uid, k.SrcAddr(), k.DstAddr(),
-			PortVal{Num: k.SrcPort, Proto: k.Proto},
-			PortVal{Num: k.DstPort, Proto: k.Proto}, e.now)
+		c.rec = e.interp.MakeConn(c.uid, c.key, e.now)
 	}
 	return c.rec
+}
+
+// connStruct returns the connection record's HILTI form, converted once per
+// connection, not per event. Compiled handlers thereby get the
+// interpreter's aliasing: all events of a connection see one record, and a
+// field one handler stores is there for the next (CompileScripts emits
+// struct.set through record parameters, so it cannot promise otherwise).
+// It is derived state: never encoded, rebuilt at first use after a restore.
+func (e *Engine) connStruct(c *conn) values.Value {
+	if c.hrec == nil {
+		c.hrec = e.glue.toHilti(e.connRecord(c)).AsStruct()
+	}
+	return values.StructVal(c.hrec)
 }
 
 func (e *Engine) tcpPacket(ip layers.IPv4, tcp layers.TCP) {
@@ -594,7 +631,7 @@ func (e *Engine) tcpPacket(ip layers.IPv4, tcp layers.TCP) {
 	}
 	if !c.started && c.origSYN && c.respSYN && tcp.Flags&layers.TCPAck != 0 && isOrig {
 		c.started = true
-		e.dispatch("connection_established", e.connRecord(c))
+		e.dispatch(evConnectionEstablished, c)
 	}
 
 	if c.origStream.Deliver == nil {
@@ -605,11 +642,9 @@ func (e *Engine) tcpPacket(ip layers.IPv4, tcp layers.TCP) {
 	if isOrig {
 		stream = &c.origStream
 	}
-	e.inParse++
-	e.profParse.Start()
+	e.clock.enter(compParse)
 	stream.Segment(tcp.Seq, tcp.Payload, tcp.Flags&layers.TCPFin != 0)
-	e.profParse.Stop()
-	e.inParse--
+	e.clock.leave()
 
 	if tcp.Flags&layers.TCPRst != 0 || (c.origStream.Closed() && c.respStream.Closed()) {
 		e.closeConn(c)
@@ -627,24 +662,19 @@ func (e *Engine) attachTCPAnalyzer(c *conn) {
 	// ephemeral source port happens to equal an injection port must still
 	// get its HTTP analyzer, or clean-flow logs would diverge.
 	if !isHTTP {
-		if portMatch(c.key, e.cfg.PanicPort) {
-			deliver := func([]byte) { panic("injected: analyzer fault (PanicPort)") }
-			c.origStream.Deliver = deliver
-			c.respStream.Deliver = deliver
-			return
-		}
-		if portMatch(c.key, e.cfg.LoopPort) {
-			deliver := func(d []byte) { e.runLoopAnalyzer(d) }
-			c.origStream.Deliver = deliver
-			c.respStream.Deliver = deliver
-			return
-		}
-		if portMatch(c.key, e.cfg.StallPort) {
+		var inject func([]byte)
+		switch {
+		case portMatch(c.key, e.cfg.PanicPort):
+			inject = func([]byte) { panic("injected: analyzer fault (PanicPort)") }
+		case portMatch(c.key, e.cfg.LoopPort):
+			inject = e.runLoopAnalyzer
+		case portMatch(c.key, e.cfg.StallPort):
 			// A hang no budget can catch: blocks the worker goroutine
 			// forever. Only the supervisor's wall-clock watchdog helps.
-			deliver := func([]byte) { select {} }
-			c.origStream.Deliver = deliver
-			c.respStream.Deliver = deliver
+			inject = func([]byte) { select {} }
+		}
+		if inject != nil {
+			c.origStream.Deliver, c.respStream.Deliver = inject, inject
 			return
 		}
 	}
@@ -668,8 +698,7 @@ func (e *Engine) closeConn(c *conn) {
 	c.closed = true
 	c.origStream.Flush()
 	c.respStream.Flush()
-	e.inParse++
-	e.profParse.Start()
+	e.clock.enter(compParse)
 	if c.std != nil {
 		c.std.EndOfData(true)
 		c.std.EndOfData(false)
@@ -680,8 +709,7 @@ func (e *Engine) closeConn(c *conn) {
 	if c.respRope != nil {
 		e.finishBinpacDir(c, false)
 	}
-	e.profParse.Stop()
-	e.inParse--
+	e.clock.leave()
 	ck, _ := c.key.Canonical()
 	delete(e.conns, ck)
 	delete(e.ctxs, c.ctx)
@@ -694,33 +722,27 @@ func (e *Engine) udpPacket(ip layers.IPv4, udp layers.UDP) {
 		return
 	}
 	key := flow.FromIPv4(ip.Src, ip.Dst, udp.SrcPort, udp.DstPort, layers.IPProtoUDP)
-	c, isOrig := e.getConn(key, false)
+	c, _ := e.getConn(key, false)
 	e.markConnDirty(c)
-	if !c.started {
-		c.started = true
-	}
+	c.started = true
 	if e.cfg.Parser == "binpac" {
 		e.binpacDNSPacket(c, udp.Payload)
 		return
 	}
-	e.inParse++
-	e.profParse.Start()
+	e.clock.enter(compParse)
 	msg, err := analyzers.ParseDNS(udp.Payload)
-	e.profParse.Stop()
-	e.inParse--
+	e.clock.leave()
 	if err != nil {
 		e.parseErrs.Inc()
 		return
 	}
-	_ = isOrig
 	e.dnsEvents(c, msg.Response, int(msg.ID), msg.Query, msg.QType, msg.Rcode, msg.Answers, msg.TTLs)
 }
 
 // dnsEvents raises dns_request/dns_response.
 func (e *Engine) dnsEvents(c *conn, isResp bool, id int, query string, qtype, rcode int, answers []string, ttls []int64) {
-	rec := e.connRecord(c)
 	if !isResp {
-		e.dispatch("dns_request", rec, CountVal(id), StringVal(query), CountVal(qtype))
+		e.dispatch(evDNSRequest, c, CountVal(id), StringVal(query), CountVal(qtype))
 		return
 	}
 	av := &VectorVal{}
@@ -731,20 +753,17 @@ func (e *Engine) dnsEvents(c *conn, isResp bool, id int, query string, qtype, rc
 	for _, t := range ttls {
 		tv.Elems = append(tv.Elems, IntervalVal(t*1e9))
 	}
-	e.dispatch("dns_response", rec, CountVal(id), CountVal(rcode), av, tv)
+	e.dispatch(evDNSResponse, c, CountVal(id), CountVal(rcode), av, tv)
 }
 
 // Finish flushes remaining connections and raises bro_done.
 func (e *Engine) Finish() {
-	// Copy keys first: closeConn mutates the map.
-	var open []*conn
+	e.clock.truncate(0)
 	for _, c := range e.conns {
-		open = append(open, c)
+		e.closeConn(c) // deletes c from the map, which a range permits
 	}
-	for _, c := range open {
-		e.closeConn(c)
-	}
-	e.dispatch("bro_done")
+	e.dispatch(evBroDone, nil)
+	e.clock.publish()
 }
 
 // --- standard-parser event adapter ---------------------------------------------
@@ -757,27 +776,23 @@ type stdHTTPAdapter struct {
 }
 
 func (a *stdHTTPAdapter) Request(method, uri, version string) {
-	a.e.dispatch("http_request", a.e.connRecord(a.c),
-		StringVal(method), StringVal(uri), StringVal(version))
+	a.e.dispatch(evHTTPRequest, a.c, StringVal(method), StringVal(uri), StringVal(version))
 }
 
 func (a *stdHTTPAdapter) Reply(version string, code int, reason string) {
-	a.e.dispatch("http_reply", a.e.connRecord(a.c),
-		StringVal(version), CountVal(code), StringVal(reason))
+	a.e.dispatch(evHTTPReply, a.c, StringVal(version), CountVal(code), StringVal(reason))
 }
 
 func (a *stdHTTPAdapter) Header(isOrig bool, name, value string) {
-	a.e.dispatch("http_header", a.e.connRecord(a.c),
-		BoolVal(isOrig), StringVal(name), StringVal(value))
+	a.e.dispatch(evHTTPHeader, a.c, BoolVal(isOrig), StringVal(name), StringVal(value))
 }
 
 func (a *stdHTTPAdapter) Body(isOrig bool, ctype, sum string, n int) {
-	a.e.dispatch("http_body", a.e.connRecord(a.c),
-		BoolVal(isOrig), StringVal(ctype), StringVal(sum), CountVal(n))
+	a.e.dispatch(evHTTPBody, a.c, BoolVal(isOrig), StringVal(ctype), StringVal(sum), CountVal(n))
 }
 
 func (a *stdHTTPAdapter) MessageDone(isOrig bool) {
-	a.e.dispatch("http_message_done", a.e.connRecord(a.c), BoolVal(isOrig))
+	a.e.dispatch(evHTTPMessageDone, a.c, BoolVal(isOrig))
 }
 
 func (a *stdHTTPAdapter) ParseError(isOrig bool, msg string) {
@@ -840,6 +855,3 @@ func (e *Engine) initLoopExec() error {
 // a restored engine reports the count as of its resume point — which is
 // how WAL restore tests locate the equivalent trace prefix).
 func (e *Engine) Packets() uint64 { return e.packets.Load() }
-
-// ErrNoEngine guards misconfiguration.
-var ErrNoEngine = fmt.Errorf("bro: engine not initialized")

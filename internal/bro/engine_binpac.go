@@ -2,12 +2,14 @@
 // over reassembled streams (HTTP) and datagrams (DNS), exactly like the
 // paper's Bro plugin drives BinPAC++ parsers (§4, §5 "Bro Interface").
 // Parser hooks call bro_* host functions; their HILTI arguments cross the
-// glue layer into Vals before entering the event engine, and the glue
-// profiler charges that conversion separately (Figure 9's third bar).
+// glue layer into Vals before entering the event engine, and the component
+// clock charges that conversion to glue (Figure 9's third bar).
 
 package bro
 
 import (
+	"encoding/hex"
+
 	"hilti/internal/binpac/grammars"
 	"hilti/internal/hilti/vm"
 	"hilti/internal/rt/container"
@@ -80,11 +82,9 @@ func (e *Engine) binpacDNSPacket(c *conn, payload []byte) {
 	rope.Freeze()
 	self := values.StructVal(values.NewStruct(e.dnsMsgStruct))
 
-	e.inParse++
-	e.profParse.Start()
+	e.clock.enter(compParse)
 	_, err := e.pexec.CallFn(e.dnsParseFn, self, values.IterBytes(rope.Begin()), values.Int(c.ctx))
-	e.profParse.Stop()
-	e.inParse--
+	e.clock.leave()
 	if err != nil {
 		e.parseErrs.Inc()
 	}
@@ -92,53 +92,44 @@ func (e *Engine) binpacDNSPacket(c *conn, payload []byte) {
 
 // registerBinpacHost wires the bro_* callbacks the parser hooks invoke.
 func (e *Engine) registerBinpacHost() {
-	ex := e.pexec
-
-	connOf := func(args []values.Value) *conn {
-		return e.ctxs[args[0].AsInt()]
+	// host registers fn for a callback whose first argument is the context
+	// of its connection; fn converts the others in one glue interval.
+	host := func(name string, fn func(c *conn, args []values.Value)) {
+		e.pexec.RegisterHost(name, func(_ *vm.Exec, args []values.Value) (values.Value, error) {
+			if c := e.ctxs[args[0].AsInt()]; c != nil {
+				fn(c, args)
+			}
+			return values.Nil, nil
+		})
 	}
 	str := func(v values.Value) StringVal {
-		return StringVal(e.glue.FromHilti(v).Render())
+		return StringVal(e.glue.fromHilti(v).Render())
 	}
+	isOrig := func(v values.Value) BoolVal { return BoolVal(v.AsInt() != 0) }
 
-	ex.RegisterHost("bro_http_request", func(_ *vm.Exec, args []values.Value) (values.Value, error) {
-		e.pauseParse()
-		defer e.resumeParse()
-		c := connOf(args)
-		if c == nil {
-			return values.Nil, nil
-		}
-		method := str(args[1])
+	host("bro_http_request", func(c *conn, args []values.Value) {
+		e.clock.enter(compGlue)
+		method, uri, version := str(args[1]), str(args[2]), str(args[3])
+		e.clock.leave()
 		c.methods = append(c.methods, string(method))
-		e.dispatch("http_request", e.connRecord(c), method, str(args[2]), str(args[3]))
-		return values.Nil, nil
+		e.dispatch(evHTTPRequest, c, method, uri, version)
 	})
-	ex.RegisterHost("bro_http_reply", func(_ *vm.Exec, args []values.Value) (values.Value, error) {
-		e.pauseParse()
-		defer e.resumeParse()
-		c := connOf(args)
-		if c == nil {
-			return values.Nil, nil
-		}
-		e.dispatch("http_reply", e.connRecord(c),
-			str(args[1]), CountVal(args[2].AsInt()), str(args[3]))
-		return values.Nil, nil
+	host("bro_http_reply", func(c *conn, args []values.Value) {
+		e.clock.enter(compGlue)
+		version, reason := str(args[1]), str(args[3])
+		e.clock.leave()
+		e.dispatch(evHTTPReply, c, version, CountVal(args[2].AsInt()), reason)
 	})
-	ex.RegisterHost("bro_http_header", func(_ *vm.Exec, args []values.Value) (values.Value, error) {
-		e.pauseParse()
-		defer e.resumeParse()
-		c := connOf(args)
-		if c == nil {
-			return values.Nil, nil
-		}
-		e.dispatch("http_header", e.connRecord(c),
-			BoolVal(args[1].AsInt() != 0), str(args[2]), str(args[3]))
-		return values.Nil, nil
+	host("bro_http_header", func(c *conn, args []values.Value) {
+		e.clock.enter(compGlue)
+		name, value := str(args[2]), str(args[3])
+		e.clock.leave()
+		e.dispatch(evHTTPHeader, c, isOrig(args[1]), name, value)
 	})
 	// bro_http_pick_body implements the host-side body-framing decisions a
 	// reply parser cannot make alone: HEAD responses and no-body statuses.
-	ex.RegisterHost("bro_http_pick_body", func(_ *vm.Exec, args []values.Value) (values.Value, error) {
-		c := connOf(args)
+	e.pexec.RegisterHost("bro_http_pick_body", func(_ *vm.Exec, args []values.Value) (values.Value, error) {
+		c := e.ctxs[args[0].AsInt()]
 		status := args[1].AsInt()
 		kind := args[2].AsInt()
 		isHead := false
@@ -151,44 +142,20 @@ func (e *Engine) registerBinpacHost() {
 		}
 		return values.Int(kind), nil
 	})
-	ex.RegisterHost("bro_http_body", func(_ *vm.Exec, args []values.Value) (values.Value, error) {
-		e.pauseParse()
-		defer e.resumeParse()
-		c := connOf(args)
-		if c == nil {
-			return values.Nil, nil
-		}
-		// args: ctx, is_orig, ctype, sha1, len, body
-		ctype := string(str(args[2]))
+	// args: ctx, is_orig, ctype, sha1, len, body
+	host("bro_http_body", func(c *conn, args []values.Value) {
+		e.clock.enter(compGlue)
+		ctype, sum := str(args[2]), str(args[3])
 		if ctype == "" {
-			ctype = sniffHILTIBody(args[5])
+			ctype = StringVal(sniffHILTIBody(args[5]))
 		}
-		e.dispatch("http_body", e.connRecord(c),
-			BoolVal(args[1].AsInt() != 0), StringVal(ctype), str(args[3]),
-			CountVal(args[4].AsInt()))
-		return values.Nil, nil
+		e.clock.leave()
+		e.dispatch(evHTTPBody, c, isOrig(args[1]), ctype, sum, CountVal(args[4].AsInt()))
 	})
-	ex.RegisterHost("bro_http_message_done", func(_ *vm.Exec, args []values.Value) (values.Value, error) {
-		e.pauseParse()
-		defer e.resumeParse()
-		c := connOf(args)
-		if c == nil {
-			return values.Nil, nil
-		}
-		e.dispatch("http_message_done", e.connRecord(c), BoolVal(args[1].AsInt() != 0))
-		return values.Nil, nil
+	host("bro_http_message_done", func(c *conn, args []values.Value) {
+		e.dispatch(evHTTPMessageDone, c, isOrig(args[1]))
 	})
-
-	ex.RegisterHost("bro_dns_message", func(_ *vm.Exec, args []values.Value) (values.Value, error) {
-		e.pauseParse()
-		defer e.resumeParse()
-		c := connOf(args)
-		if c == nil {
-			return values.Nil, nil
-		}
-		e.binpacDNSEvents(c, args[1])
-		return values.Nil, nil
-	})
+	host("bro_dns_message", func(c *conn, args []values.Value) { e.binpacDNSEvents(c, args[1]) })
 }
 
 // sniffHILTIBody applies the same MIME sniffing as the standard parser
@@ -198,7 +165,7 @@ func sniffHILTIBody(v values.Value) string {
 	if b == nil || b.Len() == 0 {
 		return ""
 	}
-	head, err := b.Sub(b.Begin(), b.Begin().Plus(min64(4, b.Len())))
+	head, err := b.Sub(b.Begin(), b.Begin().Plus(min(4, b.Len())))
 	if err != nil || len(head) == 0 {
 		return "text/plain"
 	}
@@ -214,18 +181,11 @@ func sniffHILTIBody(v values.Value) string {
 	}
 }
 
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // binpacDNSEvents walks the parsed DNS Message struct and raises the same
 // events the standard parser produces. Walking the HILTI structs into the
 // engine's representation is conversion glue, charged accordingly.
 func (e *Engine) binpacDNSEvents(c *conn, msg values.Value) {
-	e.profGlue.Start()
+	e.clock.enter(compGlue)
 	s := msg.AsStruct()
 	get := func(name string) values.Value {
 		v, _ := s.GetName(name)
@@ -269,7 +229,7 @@ func (e *Engine) binpacDNSEvents(c *conn, msg values.Value) {
 			})
 		}
 	}
-	e.profGlue.Stop()
+	e.clock.leave()
 	e.dnsEvents(c, isResp, id, query, qtype, rcode, answers, ttls)
 }
 
@@ -301,16 +261,7 @@ func renderRR(rr *values.Struct) string {
 		}
 	}
 	if s, ok := getB("raw"); ok {
-		return "\\x" + hexEncode(s)
+		return "\\x" + hex.EncodeToString([]byte(s))
 	}
 	return ""
-}
-
-func hexEncode(s string) string {
-	const hexdigits = "0123456789abcdef"
-	out := make([]byte, 0, len(s)*2)
-	for i := 0; i < len(s); i++ {
-		out = append(out, hexdigits[s[i]>>4], hexdigits[s[i]&0xF])
-	}
-	return string(out)
 }

@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"hilti/internal/pkt/flow"
 	"hilti/internal/pkt/gen"
+	"hilti/internal/pkt/layers"
 	"hilti/internal/pkt/pcap"
 )
 
@@ -159,5 +161,38 @@ func TestStatsComponentsPopulated(t *testing.T) {
 	}
 	if st.Total < st.Parsing {
 		t.Fatalf("total < parsing: %+v", st)
+	}
+}
+
+// TestConnRecordAliasing pins the aliasing rule down: all events of one
+// connection see one `connection` record, so a field one handler stores is
+// there for the next — on both script backends, which must also agree.
+func TestConnRecordAliasing(t *testing.T) {
+	const script = `
+event http_request(c: connection, method: string, uri: string, version: string) {
+    c$uid = method;
+}
+event http_reply(c: connection, version: string, code: count, reason: string) {
+    Log::write("alias", [$uid=c$uid, $orig_p=c$id$orig_p]);
+}
+`
+	var lines [2][]string
+	for i, exec := range []string{"interp", "hilti"} {
+		e, err := NewEngine(Config{Parser: "standard", ScriptExec: exec, Scripts: []string{script}, Quiet: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, _ := e.getConn(flow.FromIPv4([4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}, 40000, 80, layers.IPProtoTCP), true)
+		other, _ := e.getConn(flow.FromIPv4([4]byte{10, 0, 0, 3}, [4]byte{10, 0, 0, 2}, 40001, 80, layers.IPProtoTCP), true)
+		e.dispatch(evHTTPRequest, c, StringVal("STORED"), StringVal("/"), StringVal("1.1"))
+		e.dispatch(evHTTPReply, c, StringVal("1.1"), CountVal(200), StringVal("OK"))
+		e.dispatch(evHTTPReply, other, StringVal("1.1"), CountVal(200), StringVal("OK"))
+		lines[i] = e.Logs.Lines("alias")
+		if len(lines[i]) != 2 || !strings.HasPrefix(lines[i][0], "STORED\t") || strings.HasPrefix(lines[i][1], "STORED\t") {
+			t.Errorf("%s: the second handler must see the first one's store, another connection must not: %q", exec, lines[i])
+		}
+	}
+	if strings.Join(lines[0], "\n") != strings.Join(lines[1], "\n") {
+		t.Errorf("backends disagree:\n  interp %q\n  hilti  %q", lines[0], lines[1])
 	}
 }

@@ -2,8 +2,8 @@
 // engine represents values as Val instances everywhere, every boundary
 // crossing into or out of HILTI-compiled code converts representations.
 // The paper measures this glue separately in Figures 9/10 and notes a
-// tightly integrated host would avoid it; Glue wraps every conversion in a
-// profiler so the evaluation harness can report the same component.
+// tightly integrated host would avoid it; the component clock charges
+// conversions to its glue component so the harness reports the same split.
 
 package bro
 
@@ -13,41 +13,22 @@ import (
 
 	"hilti/internal/hilti/vm"
 	"hilti/internal/rt/container"
-	"hilti/internal/rt/profiler"
 	"hilti/internal/rt/values"
 )
 
-// Glue converts between Val and HILTI values, tracking conversion time.
+// Glue converts between Val and HILTI values.
 type Glue struct {
-	Prof    *profiler.Profiler
-	rtypes  map[string]*RecordType // HILTI struct name -> record type
-	Records map[string]*RecordType
+	clock  *compClock
+	rtypes map[string]*RecordType // HILTI struct name -> record type
 }
 
-// NewGlue creates a glue layer charging conversions to prof (may be nil).
-func NewGlue(prof *profiler.Profiler) *Glue {
-	return &Glue{Prof: prof, rtypes: map[string]*RecordType{}, Records: map[string]*RecordType{}}
+// NewGlue creates a glue layer charging conversions to clock.
+func NewGlue(clock *compClock) *Glue {
+	return &Glue{clock: clock, rtypes: map[string]*RecordType{}}
 }
 
-func (g *Glue) start() {
-	if g.Prof != nil {
-		g.Prof.Start()
-	}
-}
-
-func (g *Glue) stop() {
-	if g.Prof != nil {
-		g.Prof.Stop()
-	}
-}
-
-// ToHilti converts a Val into a HILTI value.
-func (g *Glue) ToHilti(v Val) values.Value {
-	g.start()
-	defer g.stop()
-	return g.toHilti(v)
-}
-
+// toHilti converts a Val into a HILTI value. The caller brackets all the
+// values it converts in one glue interval (dispatchNamed).
 func (g *Glue) toHilti(v Val) values.Value {
 	switch v := v.(type) {
 	case nil:
@@ -119,15 +100,9 @@ func (g *Glue) keyToHilti(key []Val) values.Value {
 	return values.TupleVal(elems...)
 }
 
-// FromHilti converts a HILTI value into a Val. Type hints come from the
+// fromHilti converts a HILTI value into a Val. Type hints come from the
 // value's own kind; counts are the default integer interpretation, as
 // script-facing integers are counts in the evaluation scripts.
-func (g *Glue) FromHilti(v values.Value) Val {
-	g.start()
-	defer g.stop()
-	return g.fromHilti(v)
-}
-
 func (g *Glue) fromHilti(v values.Value) Val {
 	switch v.K {
 	case values.KindBool:
@@ -219,10 +194,7 @@ func (g *Glue) fromHilti(v values.Value) Val {
 func renderHilti(v values.Value) string {
 	switch v.K {
 	case values.KindBool:
-		if v.AsBool() {
-			return "T"
-		}
-		return "F"
+		return BoolVal(v.AsBool()).Render()
 	case values.KindDouble:
 		return DoubleVal(v.AsDouble()).Render()
 	case values.KindTime:
@@ -318,7 +290,9 @@ func RegisterHostFns(ex *vm.Exec, now func() int64,
 			return values.Nil, nil
 		}
 		stream := args[0].AsString()
-		rec, ok := glue.FromHilti(args[1]).(*RecordVal)
+		glue.clock.enter(compGlue)
+		rec, ok := glue.fromHilti(args[1]).(*RecordVal)
+		glue.clock.leave()
 		if !ok {
 			return values.Nil, fmt.Errorf("bro_log_write: not a record")
 		}

@@ -12,8 +12,8 @@ import (
 	"os"
 	"strings"
 
+	"hilti/internal/pkt/flow"
 	"hilti/internal/rt/metrics"
-	"hilti/internal/rt/values"
 )
 
 // Interp loads scripts and executes their event handlers and functions.
@@ -523,19 +523,23 @@ func (ip *Interp) eval(e *env, x Expr) (Val, error) {
 	case *CallExpr:
 		return ip.evalCall(e, x)
 	case *CtorExpr:
-		// Anonymous record literal.
-		fields := make([]string, len(x.Fields))
+		// Anonymous record literal; its evaluations share one type.
+		if x.rt == nil {
+			fields := make([]string, len(x.Fields))
+			for i, f := range x.Fields {
+				fields[i] = f.Name
+			}
+			x.rt = NewRecordType("record", fields...)
+		}
 		vals := make([]Val, len(x.Fields))
 		for i, f := range x.Fields {
 			v, err := ip.eval(e, f.E)
 			if err != nil {
 				return nil, err
 			}
-			fields[i] = f.Name
 			vals[i] = v
 		}
-		rt := NewRecordType("record", fields...)
-		return &RecordVal{T: rt, F: vals}, nil
+		return &RecordVal{T: x.rt, F: vals}, nil
 	default:
 		return nil, fmt.Errorf("bro: unhandled expression %T", x)
 	}
@@ -849,13 +853,13 @@ func countOrInt(n int64, l, r Val) Val {
 	return CountVal(n)
 }
 
-// MakeConn builds the standard `connection` record.
-func (ip *Interp) MakeConn(uid string, orig, resp values.Value, origP, respP PortVal, start int64) *RecordVal {
+// MakeConn builds the `connection` record; k is the originator's direction.
+func (ip *Interp) MakeConn(uid string, k flow.Key, start int64) *RecordVal {
 	id := NewRecord(ip.Records["conn_id"])
-	id.Set("orig_h", AddrVal{A: orig})
-	id.Set("orig_p", origP)
-	id.Set("resp_h", AddrVal{A: resp})
-	id.Set("resp_p", respP)
+	id.Set("orig_h", AddrVal{A: k.SrcAddr()})
+	id.Set("orig_p", PortVal{Num: k.SrcPort, Proto: k.Proto})
+	id.Set("resp_h", AddrVal{A: k.DstAddr()})
+	id.Set("resp_p", PortVal{Num: k.DstPort, Proto: k.Proto})
 	c := NewRecord(ip.Records["connection"])
 	c.Set("id", id)
 	c.Set("uid", StringVal(uid))

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"hilti/internal/pkt/flow"
+	"hilti/internal/pkt/layers"
 	"hilti/internal/rt/values"
 )
 
@@ -39,9 +41,8 @@ event bro_done() {
 
 func TestFigure8TrackInterp(t *testing.T) {
 	ip, out := loadInterp(t, trackBro)
-	for _, addr := range []string{"208.80.152.118", "208.80.152.2", "208.80.152.3", "208.80.152.2"} {
-		c := ip.MakeConn("C1", values.MustParseAddr("10.0.0.1"), values.MustParseAddr(addr),
-			PortVal{Num: 1024, Proto: values.ProtoTCP}, PortVal{Num: 80, Proto: values.ProtoTCP}, 0)
+	for _, host := range []byte{118, 2, 3, 2} {
+		c := ip.MakeConn("C1", flow.FromIPv4([4]byte{10, 0, 0, 1}, [4]byte{208, 80, 152, host}, 1024, 80, layers.IPProtoTCP), 0)
 		if err := ip.Dispatch("connection_established", c); err != nil {
 			t.Fatal(err)
 		}

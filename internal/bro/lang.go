@@ -204,6 +204,7 @@ type CallExpr struct {
 type CtorExpr struct {
 	Name   string
 	Fields []CtorField // record fields ($f=e) or positional vector elems
+	rt     *RecordType // the interpreter's type of a record literal, built at first evaluation
 }
 
 // CtorField is one constructor component.

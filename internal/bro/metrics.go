@@ -1,12 +1,11 @@
 // Engine observability: one keyed collector per engine emits the engine's
-// counters at scrape time, plus bridges for the component profilers, any
-// HILTI-program profilers, and the script/parser VMs' execution counters.
+// counters and component clock at scrape time, plus bridges for any
+// HILTI-program profilers and the script/parser VMs' execution counters.
 //
 // Everything here reads state that is already atomic (metrics.Counter
-// fields, fault.Recorder's count, profiler mutexes), so a scrape can run
-// while the engine's worker goroutine processes packets. The packet path
-// itself gains nothing beyond the atomic increments the counters already
-// cost.
+// fields, fault.Recorder's count, the clock's published copy), so a scrape
+// can run while the engine's goroutine processes packets, which pay nothing
+// beyond the atomic increments the counters already cost.
 
 package bro
 
@@ -46,10 +45,13 @@ func (e *Engine) registerMetrics() {
 		emit("bro_table_entries_expired_total", float64(e.interp.Expired.Load()))
 		emit("bro_rebase_frames_reused_total", float64(e.rebaseReused.Load()))
 		emit("bro_rebase_frames_encoded_total", float64(e.rebaseEncoded.Load()))
+		// The component clock, under its rt/profiler predecessors' names.
+		for c, name := range componentNames {
+			emit(metrics.Name("hilti_profiler_time_ns_total", "name", name), float64(e.clock.pub.ns[c].Load()))
+			emit(metrics.Name("hilti_profiler_intervals_total", "name", name), float64(e.clock.pub.intervals[c].Load()))
+		}
 	})
-	// Component profilers (parsing/script/glue — the Figure 9/10 split)
-	// and HILTI-program profilers from the script and parser VMs.
-	e.profs.PublishTo(reg, "bro/profs/"+key)
+	// HILTI-program profilers from the script and parser VMs.
 	if e.sexec != nil {
 		e.sexec.PublishTo(reg, "bro/vm/script/"+key, "vm", "script")
 		e.sexec.Profs.PublishTo(reg, "bro/hprofs/script/"+key)

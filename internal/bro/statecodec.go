@@ -127,10 +127,7 @@ func decodeConn(dec *snapshot.Decoder, e *Engine, uid string, key flow.Key) (*co
 	c.origStream.RestoreState(origSt)
 	c.respStream.RestoreState(respSt)
 	if flags&cfRec != 0 {
-		k := c.key
-		c.rec = e.interp.MakeConn(c.uid, k.SrcAddr(), k.DstAddr(),
-			PortVal{Num: k.SrcPort, Proto: k.Proto},
-			PortVal{Num: k.DstPort, Proto: k.Proto}, start)
+		c.rec = e.interp.MakeConn(c.uid, c.key, start)
 	}
 	if c.isTCP {
 		e.attachTCPAnalyzer(c)

@@ -116,7 +116,7 @@ func TestBinpacSuspendPanicIsAFault(t *testing.T) {
 		e.pexec.RegisterHost("bro_http_header", func(ex *vm.Exec, args []values.Value) (values.Value, error) {
 			if c := e.ctxs[args[0].AsInt()]; c != nil && c.key.SrcPort == victim || args[0].AsInt() == victimCtx {
 				victimCtx = args[0].AsInt()
-				name := e.glue.FromHilti(args[2]).Render()
+				name := e.glue.fromHilti(args[2]).Render()
 				calls = append(calls, name)
 				if boom && name == "User-Agent" {
 					panic("host function bug")

@@ -47,17 +47,22 @@ func (f *Fault) String() string {
 func Catch(op string, fn func()) (f *Fault) {
 	defer func() {
 		if r := recover(); r != nil {
-			// If a contained layer below already structured the panic,
-			// keep its context and only note the outer boundary.
-			if inner, ok := r.(*Fault); ok {
-				f = inner
-				return
-			}
-			f = &Fault{Op: op, Worker: -1, Value: r, Stack: debug.Stack()}
+			f = FromPanic(op, r)
 		}
 	}()
 	fn()
 	return nil
+}
+
+// FromPanic structures a recovered panic value, for boundaries that recover
+// in a deferred function of their own (the stack is captured here, so call
+// it from that function). If a contained layer below already structured the
+// panic, its context is kept.
+func FromPanic(op string, r any) *Fault {
+	if inner, ok := r.(*Fault); ok {
+		return inner
+	}
+	return &Fault{Op: op, Worker: -1, Value: r, Stack: debug.Stack()}
 }
 
 // Recorder accumulates contained faults: a total count plus a bounded ring

@@ -276,32 +276,76 @@ func (b *Bytes) SubBytes(from, to Iter) (*Bytes, error) {
 	return nb, nil
 }
 
+// chunkAt returns the retained bytes from absolute offset off to the end of
+// the chunk that holds it, in place; nil at or past the end of data. Calling
+// it again at off+len(result) walks the rope without flattening it.
+func (b *Bytes) chunkAt(off int64) []byte {
+	ci := b.findChunk(off)
+	if ci < 0 {
+		return nil
+	}
+	c := b.chunks[ci]
+	return c.data[off-c.off:]
+}
+
+// Chunk returns the contiguous run of bytes at the iterator — up to the end
+// of its chunk, not of the rope — without copying; empty at the end of data.
+// The caller must not modify it. Scanners (regexp matching) advance by its
+// length, so they read only as far as they need to.
+func (it Iter) Chunk() []byte {
+	if it.b == nil {
+		return nil
+	}
+	return it.b.chunkAt(it.resolve())
+}
+
 // Find searches for needle at or after from. It returns an iterator to the
-// first occurrence and true; when the needle is absent it returns the
-// position from which a future search must resume (end minus overlap) and
-// false. On a non-frozen value an absent needle yields ErrWouldBlock so
-// incremental callers know to retry with more data.
+// first occurrence and true; when the needle is absent it returns the end
+// iterator and false. On a non-frozen value an absent needle yields
+// ErrWouldBlock so incremental callers know to retry with more data.
 func (b *Bytes) Find(needle []byte, from Iter) (Iter, bool, error) {
 	if len(needle) == 0 {
 		return from, true, nil
 	}
 	lo := from.resolve()
-	if lo < b.base {
+	if lo < b.base || lo > b.end {
 		return Iter{}, false, ErrOutOfRange
 	}
-	// Search the flattened tail. Ropes here are small per-message buffers;
-	// flattening the searched region keeps this simple and fast in practice.
-	data, err := b.Sub(b.At(lo), b.At(b.end))
-	if err != nil {
-		return Iter{}, false, err
-	}
-	if i := bytes.Index(data, needle); i >= 0 {
-		return b.At(lo + int64(i)), true, nil
+	for lo < b.end {
+		d := b.chunkAt(lo)
+		if i := bytes.Index(d, needle); i >= 0 {
+			return b.At(lo + int64(i)), true, nil
+		}
+		// Then the later starts in this chunk, whose match would straddle
+		// its end.
+		for i := max(0, len(d)-len(needle)+1); i < len(d); i++ {
+			if d[i] == needle[0] && b.hasAt(needle, lo+int64(i)) {
+				return b.At(lo + int64(i)), true, nil
+			}
+		}
+		lo += int64(len(d))
 	}
 	if !b.frozen {
 		return Iter{}, false, ErrWouldBlock
 	}
 	return b.End(), false, nil
+}
+
+// hasAt reports whether the bytes at absolute offset off are needle,
+// across however many chunks that spans.
+func (b *Bytes) hasAt(needle []byte, off int64) bool {
+	for len(needle) > 0 {
+		d := b.chunkAt(off)
+		if len(d) == 0 {
+			return false
+		}
+		n := min(len(d), len(needle))
+		if !bytes.Equal(d[:n], needle[:n]) {
+			return false
+		}
+		needle, off = needle[n:], off+int64(n)
+	}
+	return true
 }
 
 // Equal reports whether two ropes hold the same retained bytes.

@@ -247,6 +247,51 @@ func TestQuickFindEquivalence(t *testing.T) {
 	}
 }
 
+// A find whose match spans one, two and three chunk boundaries (and one
+// that starts after a trimmed prefix) equals bytes.Index on the flat data at
+// every placement of the cuts; Chunk walks the same bytes in place.
+func TestFindEveryCut(t *testing.T) {
+	data := []byte("ab\rab\r\n\r\ncd--boundary--x")
+	for _, needle := range []string{"\r\n\r\n", "--boundary--", "b", "zz"} {
+		for i := 0; i <= len(data); i++ {
+			for j := i; j <= len(data); j++ {
+				for k := j; k <= len(data); k++ {
+					b := New()
+					for _, part := range [][]byte{data[:i], data[i:j], data[j:k], data[k:]} {
+						b.Append(part)
+					}
+					b.Freeze()
+					for _, from := range []int{0, 1, 4} {
+						if from == 4 {
+							b.Trim(b.At(3))
+						}
+						want := bytes.Index(data[from:], []byte(needle))
+						it, found, err := b.Find([]byte(needle), b.At(int64(from)))
+						if err != nil || found != (want >= 0) || (found && it.Offset() != int64(from+want)) {
+							t.Fatalf("needle %q cuts %d/%d/%d from %d: (%d, %v, %v), flat %d",
+								needle, i, j, k, from, it.Offset(), found, err, from+want)
+						}
+					}
+					var walked []byte
+					for it := b.At(3); len(it.Chunk()) > 0; it = it.Plus(int64(len(it.Chunk()))) {
+						walked = append(walked, it.Chunk()...)
+					}
+					if !bytes.Equal(walked, data[3:]) {
+						t.Fatalf("cuts %d/%d/%d: Chunk walked %q", i, j, k, walked)
+					}
+				}
+			}
+		}
+	}
+	b := NewFromString("abc")
+	if _, _, err := b.Find([]byte("c"), b.At(4)); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("find from past the end: %v", err)
+	}
+	if n := testing.AllocsPerRun(100, func() { b.Find([]byte("c"), b.Begin()) }); n != 0 {
+		t.Fatalf("Find allocates %v times per call", n)
+	}
+}
+
 func BenchmarkAppendSmallChunks(b *testing.B) {
 	data := make([]byte, 64)
 	b.ReportAllocs()

@@ -1,14 +1,11 @@
 // Package profiler implements HILTI's profilers (paper §3.3): named
-// counters that track CPU time, invocation counts, and memory deltas for
-// arbitrary blocks of code, with optional periodic snapshots to disk. The
-// evaluation harness uses profilers to attribute cycles to the components
-// of Figure 9/10 (protocol parsing, script execution, glue, other).
+// counters that track time, invocation counts and custom attributes for
+// arbitrary blocks of HILTI code (profiler.start/stop/update). The hosts'
+// own per-packet component split (Figure 9/10) is not built on it: see the
+// component clock in internal/bro.
 package profiler
 
 import (
-	"fmt"
-	"io"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -16,74 +13,68 @@ import (
 	"hilti/internal/rt/metrics"
 )
 
+// base anchors the monotonic readings Start and Stop take: time.Since on
+// it is one monotonic read, where time.Now also reads the wall clock.
+var base = time.Now()
+
 // Profiler accumulates measurements for one named code region. It supports
 // nested and repeated Start/Stop pairs (only the outermost pair measures).
 type Profiler struct {
 	Name string
 
-	mu       sync.Mutex
-	depth    int
-	started  time.Time
-	total    time.Duration
-	count    uint64
-	updates  uint64
-	memStart uint64
-	memTotal int64
+	mu      sync.Mutex
+	depth   int
+	started time.Duration // since base
+	total   time.Duration
+	count   uint64
+	updates uint64
 }
 
 // Start begins a measurement interval.
 func (p *Profiler) Start() {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.depth++
-	if p.depth == 1 {
-		p.started = time.Now()
+	if p.depth++; p.depth == 1 {
+		p.started = time.Since(base)
 	}
+	p.mu.Unlock()
 }
 
 // Stop ends a measurement interval, folding the elapsed time into the
 // total. Unbalanced stops are ignored.
 func (p *Profiler) Stop() {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.depth == 0 {
-		return
+	if p.depth > 0 {
+		if p.depth--; p.depth == 0 {
+			p.total += time.Since(base) - p.started
+			p.count++
+		}
 	}
-	p.depth--
-	if p.depth == 0 {
-		p.total += time.Since(p.started)
-		p.count++
-	}
+	p.mu.Unlock()
 }
 
 // Update adds a caller-supplied sample (HILTI's profiler.update for custom
 // attributes such as byte counts).
 func (p *Profiler) Update(delta int64) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.updates += uint64(delta)
+	p.mu.Unlock()
+}
+
+// read returns the totals as of one instant.
+func (p *Profiler) read() (total time.Duration, count, updates uint64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.total, p.count, p.updates
 }
 
 // Total returns the accumulated duration.
-func (p *Profiler) Total() time.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.total
-}
+func (p *Profiler) Total() time.Duration { t, _, _ := p.read(); return t }
 
 // Count returns the number of completed Start/Stop intervals.
-func (p *Profiler) Count() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.count
-}
+func (p *Profiler) Count() uint64 { _, c, _ := p.read(); return c }
 
 // Updates returns the sum of Update deltas.
-func (p *Profiler) Updates() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.updates
-}
+func (p *Profiler) Updates() uint64 { _, _, u := p.read(); return u }
 
 // TypeName implements the runtime Object interface.
 func (p *Profiler) TypeName() string { return "profiler" }
@@ -109,65 +100,32 @@ func (r *Registry) Get(name string) *Profiler {
 	return p
 }
 
-// Each calls fn for every registered profiler, in name order. It snapshots
-// the profiler set under the lock but calls fn outside it, so fn may call
-// back into the registry.
-func (r *Registry) Each(fn func(p *Profiler)) {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.profs))
-	for n := range r.profs {
-		names = append(names, n)
-	}
-	r.mu.Unlock()
-	sort.Strings(names)
-	for _, n := range names {
-		fn(r.Get(n))
-	}
-}
-
 // PublishTo registers this profiler registry with a metrics registry under
 // the given collector key: every profiler appears as
 // hilti_profiler_time_ns_total / _intervals_total / _updates_total series
 // labelled with its name (and any extra label pairs), sampled live at
-// scrape time. This is what makes the paper's profiler.start/stop/update
-// instructions first-class observables: a HILTI program's profilers show
-// up on the host's metrics endpoint with no extra plumbing.
+// scrape time, in name order. This is what makes the paper's
+// profiler.start/stop/update instructions first-class observables: a HILTI
+// program's profilers show up on the host's metrics endpoint with no extra
+// plumbing (it stands in for the paper's periodic snapshots to disk).
 func (r *Registry) PublishTo(reg *metrics.Registry, key string, labels ...string) {
 	if reg == nil {
 		return
 	}
 	reg.RegisterCollector(key, func(emit func(string, float64)) {
-		r.Each(func(p *Profiler) {
-			lp := append([]string{"name", p.Name}, labels...)
-			emit(metrics.Name("hilti_profiler_time_ns_total", lp...), float64(p.Total().Nanoseconds()))
-			emit(metrics.Name("hilti_profiler_intervals_total", lp...), float64(p.Count()))
-			emit(metrics.Name("hilti_profiler_updates_total", lp...), float64(p.Updates()))
-		})
-	})
-}
-
-// Snapshot writes one line per profiler (name, total ns, count, updates),
-// sorted by name — the on-disk format HILTI's runtime records at regular
-// intervals.
-func (r *Registry) Snapshot(w io.Writer) error {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.profs))
-	for n := range r.profs {
-		names = append(names, n)
-	}
-	r.mu.Unlock()
-	sort.Strings(names)
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	if _, err := fmt.Fprintf(w, "#heap_alloc=%d\n", m.HeapAlloc); err != nil {
-		return err
-	}
-	for _, n := range names {
-		p := r.Get(n)
-		if _, err := fmt.Fprintf(w, "%s\t%d\t%d\t%d\n",
-			n, p.Total().Nanoseconds(), p.Count(), p.Updates()); err != nil {
-			return err
+		r.mu.Lock()
+		profs := make([]*Profiler, 0, len(r.profs))
+		for _, p := range r.profs {
+			profs = append(profs, p)
 		}
-	}
-	return nil
+		r.mu.Unlock()
+		sort.Slice(profs, func(i, j int) bool { return profs[i].Name < profs[j].Name })
+		for _, p := range profs {
+			lp := append([]string{"name", p.Name}, labels...)
+			total, count, updates := p.read()
+			emit(metrics.Name("hilti_profiler_time_ns_total", lp...), float64(total.Nanoseconds()))
+			emit(metrics.Name("hilti_profiler_intervals_total", lp...), float64(count))
+			emit(metrics.Name("hilti_profiler_updates_total", lp...), float64(updates))
+		}
+	})
 }

@@ -1,9 +1,10 @@
 package profiler
 
 import (
-	"strings"
 	"testing"
 	"time"
+
+	"hilti/internal/rt/metrics"
 )
 
 func TestStartStopAccumulates(t *testing.T) {
@@ -46,7 +47,7 @@ func TestUpdates(t *testing.T) {
 	}
 }
 
-func TestRegistryAndSnapshot(t *testing.T) {
+func TestRegistryPublishes(t *testing.T) {
 	r := NewRegistry()
 	a := r.Get("parsing")
 	if r.Get("parsing") != a {
@@ -55,15 +56,12 @@ func TestRegistryAndSnapshot(t *testing.T) {
 	a.Start()
 	a.Stop()
 	r.Get("script").Update(7)
-	var sb strings.Builder
-	if err := r.Snapshot(&sb); err != nil {
-		t.Fatal(err)
+	reg := metrics.NewRegistry()
+	r.PublishTo(reg, "test", "module", "M")
+	if got := reg.Value(`hilti_profiler_intervals_total{name="parsing",module="M"}`); got != 1 {
+		t.Fatalf("parsing intervals = %v", got)
 	}
-	out := sb.String()
-	if !strings.Contains(out, "parsing\t") || !strings.Contains(out, "script\t") {
-		t.Fatalf("snapshot: %q", out)
-	}
-	if !strings.HasPrefix(out, "#heap_alloc=") {
-		t.Fatalf("snapshot header: %q", out)
+	if got := reg.Value(`hilti_profiler_updates_total{name="script",module="M"}`); got != 7 {
+		t.Fatalf("script updates = %v", got)
 	}
 }

@@ -190,7 +190,12 @@ type MatchState struct {
 
 // NewState returns a fresh anchored matcher positioned before any input.
 func (re *Regexp) NewState() *MatchState {
-	ms := &MatchState{re: re, cur: re.start}
+	ms := re.state()
+	return &ms
+}
+
+func (re *Regexp) state() MatchState {
+	ms := MatchState{re: re, cur: re.start}
 	ms.noteAccept()
 	if !re.start.canAdvance {
 		ms.cur = dead
@@ -260,31 +265,31 @@ func (ms *MatchState) Result() (int, int64) { return ms.bestID, ms.bestLen }
 // is alive, the rope unfrozen, and deciding needs more data), it reports
 // hbytes.ErrWouldBlock — the caller suspends and retries after appending.
 func (re *Regexp) MatchIter(it hbytes.Iter) (int, hbytes.Iter, error) {
-	ms := re.NewState()
+	ms := re.state() // stays on the stack: nothing below retains it
 	return ms.FinishIter(it)
 }
 
 // FinishIter continues an incremental match from a (possibly partially fed)
 // state. The iterator must point at the first *unconsumed* byte; resumed
-// calls pass the position reached previously.
+// calls pass the position reached previously. It feeds the rope's chunks
+// in place and stops at the byte that decides the match.
 func (ms *MatchState) FinishIter(it hbytes.Iter) (int, hbytes.Iter, error) {
+	if !it.Valid() {
+		return 0, it, hbytes.ErrOutOfRange
+	}
 	b := it.Bytes()
-	start := it.Offset() - ms.consumed // absolute offset of match start
 	pos := it.Offset()
+	start := pos - ms.consumed // absolute offset of match start
 	for ms.Alive() {
-		chunk, err := b.Sub(b.At(pos), b.At(b.StreamLen()))
-		if err != nil {
-			return 0, it, err
+		chunk := b.At(pos).Chunk()
+		if len(chunk) == 0 {
+			if !b.Frozen() {
+				return 0, b.At(pos), hbytes.ErrWouldBlock
+			}
+			break // frozen and all data consumed: final
 		}
-		alive := ms.Feed(chunk)
+		ms.Feed(chunk)
 		pos = start + ms.consumed
-		if !alive {
-			break
-		}
-		if !b.Frozen() {
-			return 0, b.At(pos), hbytes.ErrWouldBlock
-		}
-		break // frozen and all data consumed: final
 	}
 	id, n := ms.Result()
 	if id == 0 {

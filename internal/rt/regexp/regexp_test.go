@@ -2,6 +2,7 @@ package regexp
 
 import (
 	gore "regexp"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -267,5 +268,68 @@ func BenchmarkMatchSet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		re.Match(data)
+	}
+}
+
+// ropeOf builds an unfrozen rope holding data cut at the given offsets.
+func ropeOf(data []byte, cuts ...int) *hbytes.Bytes {
+	b := hbytes.New()
+	prev := 0
+	for _, c := range append(cuts, len(data)) {
+		b.Append(data[prev:c])
+		prev = c
+	}
+	return b
+}
+
+// A token match over a rope cut once, twice and three times equals the
+// match over the flat bytes, wherever the cuts fall — including when the
+// rope holds bytes before the cursor and long after the token.
+func TestMatchIterAcrossChunks(t *testing.T) {
+	re := MustCompile(`[^ \t\r\n]+`, `[ \t]+`)
+	data := []byte("xx/index.html   HTTP/1.1\r\n" + strings.Repeat("tail ", 40))
+	const from = 2
+	wid, wn := re.Match(data[from:])
+	n := 24 // cuts beyond the tokens exercise nothing new
+	for i := 0; i <= n; i++ {
+		for j := i; j <= n; j++ {
+			for k := j; k <= n; k += 5 {
+				b := ropeOf(data, i, j, k)
+				id, end, err := re.MatchIter(b.At(from))
+				if err != nil || id != wid || end.Offset() != from+wn {
+					t.Fatalf("cuts %d/%d/%d: (%d, %d, %v), flat (%d, %d)", i, j, k, id, end.Offset(), err, wid, from+wn)
+				}
+			}
+		}
+	}
+}
+
+// A match that ran out of input mid-token continues from there: the bytes
+// before the resume point are not fed again.
+func TestFinishIterResumesMidToken(t *testing.T) {
+	re := MustCompile(`[a-z]+;`)
+	b := ropeOf([]byte("abc"), 1, 2)
+	ms := re.NewState()
+	_, resume, err := ms.FinishIter(b.Begin())
+	if err != hbytes.ErrWouldBlock || resume.Offset() != 3 || ms.Consumed() != 3 {
+		t.Fatalf("first leg: resume %d consumed %d err %v", resume.Offset(), ms.Consumed(), err)
+	}
+	b.Append([]byte("d"))
+	b.Append([]byte("e;f"))
+	id, end, err := ms.FinishIter(resume)
+	if err != nil || id != 1 || end.Offset() != 6 || ms.Consumed() != 6 {
+		t.Fatalf("resumed: id %d end %d consumed %d err %v", id, end.Offset(), ms.Consumed(), err)
+	}
+	if _, _, err := re.MatchIter(b.At(99)); err != hbytes.ErrOutOfRange {
+		t.Fatalf("iterator past the end: %v", err)
+	}
+}
+
+func TestMatchIterDoesNotAllocate(t *testing.T) {
+	re := MustCompile(`[^ \t\r\n]+`)
+	b := ropeOf([]byte("GET /index.html HTTP/1.1\r\n"+strings.Repeat("body", 500)), 2, 9)
+	re.MatchIter(b.Begin()) // build the DFA states
+	if n := testing.AllocsPerRun(100, func() { re.MatchIter(b.At(4)) }); n != 0 {
+		t.Fatalf("MatchIter allocates %v times per call", n)
 	}
 }
