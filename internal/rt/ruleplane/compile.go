@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
-	"sort"
 )
 
 // Automaton is the compiled decision structure: a path-compressed
@@ -18,20 +17,22 @@ import (
 // provably cannot match (a rule is anchored under its own positive
 // src/dst prefixes, so any packet it matches must reach its anchor node),
 // and every candidate the walk does reach is re-verified against the full
-// predicate set by Rule-equivalent tail matching. Priority is global:
-// rule indexes are assigned in program order, leaf lists are sorted
-// ascending, and every subtree records the minimum index it contains, so
-// the walk stops descending as soon as no remaining subtree can beat the
-// best match already found for any program (first-match-wins preserved
-// exactly).
+// predicate set by Rule-equivalent tail matching. Priority is per program:
+// global rule indexes are assigned in program order, so each leaf is a
+// sequence of ascending per-program runs, and every subtree records, for
+// each program, the minimum index it contains. The walk descends only
+// while some program could still beat its best match inside the subtree,
+// and scans a run only until its first match or that program's best; a
+// program that has its answer costs nothing further (first-match-wins
+// preserved exactly).
 type Automaton struct {
 	progs   []Program
 	rules   []arule
-	progOff []int32 // global index of each program's first rule
 	progEnd []int32 // global index just past each program's last rule
 	src     *tnode
 	gates   []int32 // program indexes with Gate set
 	stats   AutoStats
+	recs    []int32 // backing store finalize carves every node's rec from
 }
 
 // arule is one compiled rule: the shared tail plus enough to map a global
@@ -82,15 +83,18 @@ func (t *tail) matches(h *Header) bool {
 }
 
 // tnode is a path-compressed binary trie node keyed by a masked prefix.
-// Source-trie nodes use sub (the nested destination trie); destination-
-// trie nodes use leaf (ascending global rule indexes anchored here).
+// Source-trie nodes use sub (the nested destination trie). While the
+// automaton is built, a destination node's rec lists the global indexes of
+// the rules anchored there, ascending (insertion order); finalize rewrites
+// every rec as [bounds | runs]: per program, the smallest index in the
+// subtree (MaxInt32: none), then the leaf as one run per program, each
+// [prog, count, indexes...].
 type tnode struct {
 	hi, lo uint64
 	plen   int
 	child  [2]*tnode
 	sub    *tnode
-	leaf   []int32
-	minIdx int32
+	rec    []int32
 }
 
 // AutoStats describes the compiled structure.
@@ -126,16 +130,14 @@ func Compile(progs []Program) (*Automaton, error) {
 	}
 	a := &Automaton{
 		progs:   progs,
-		progOff: make([]int32, len(progs)),
 		progEnd: make([]int32, len(progs)),
 		src:     &tnode{}, // forced /0 root: wildcard-src rules anchor here
 	}
 	cons := make(map[string]*tail)
 	var keyBuf []byte
-	gi := int32(0)
+	gi, nruns := int32(0), 0
 	for pi := range progs {
 		p := &progs[pi]
-		a.progOff[pi] = gi
 		if p.Gate {
 			a.gates = append(a.gates, int32(pi))
 		}
@@ -150,12 +152,14 @@ func Compile(progs []Program) (*Automaton, error) {
 				ns.sub = &tnode{} // forced /0 root for the nested dst trie
 			}
 			nd := trieInsert(ns.sub, dhi, dlo, dplen)
-			nd.leaf = append(nd.leaf, gi)
+			if len(nd.rec) == 0 || a.rules[nd.rec[len(nd.rec)-1]].prog != int32(pi) {
+				nruns++ // first rule of this program at nd
+			}
+			nd.rec = append(nd.rec, gi)
 			gi++
 		}
 		a.progEnd[pi] = gi
 	}
-	finalize(a.src, true)
 	a.stats = AutoStats{
 		Programs: len(progs),
 		Rules:    len(a.rules),
@@ -163,6 +167,10 @@ func Compile(progs []Program) (*Automaton, error) {
 		TailRefs: len(a.rules),
 	}
 	countNodes(a.src, true, &a.stats)
+	// Exact capacity: finalize carves every rec out of it without
+	// reallocating.
+	a.recs = make([]int32, 0, len(progs)*(a.stats.SrcNodes+a.stats.DstNodes)+2*nruns+len(a.rules))
+	a.finalize(a.src, true)
 	return a, nil
 }
 
@@ -283,29 +291,35 @@ func commonPrefixLen(ahi, alo uint64, alen int, bhi, blo uint64, blen int) int {
 	return m
 }
 
-// finalize sorts leaf lists and computes per-subtree minimum rule indexes
-// (the priority-pruning bound used by Eval).
-func finalize(n *tnode, isSrc bool) int32 {
+// finalize rewrites n's rec as [bounds | runs] (see tnode) in the
+// automaton's backing store and returns n's bounds, Eval's per-program
+// pruning bounds, which fold in those of n's subtries.
+func (a *Automaton) finalize(n *tnode, isSrc bool) []int32 {
 	if n == nil {
-		return math.MaxInt32
+		return nil
 	}
-	m := int32(math.MaxInt32)
-	if len(n.leaf) > 0 {
-		sort.Slice(n.leaf, func(i, j int) bool { return n.leaf[i] < n.leaf[j] })
-		m = n.leaf[0]
+	np, leaf, k := len(a.progs), n.rec, len(a.recs)
+	for p := 0; p < np; p++ {
+		a.recs = append(a.recs, math.MaxInt32)
 	}
-	if isSrc {
-		if s := finalize(n.sub, false); s < m {
-			m = s
+	for len(leaf) > 0 {
+		p := a.rules[leaf[0]].prog
+		j := 1
+		for j < len(leaf) && leaf[j] < a.progEnd[p] {
+			j++
+		}
+		a.recs = append(append(a.recs, p, int32(j)), leaf[:j]...)
+		a.recs[k+int(p)] = leaf[0]
+		leaf = leaf[j:]
+	}
+	n.rec = a.recs[k:len(a.recs):len(a.recs)]
+	bounds := n.rec[:np]
+	for i, c := range [3]*tnode{n.sub, n.child[0], n.child[1]} {
+		for p, m := range a.finalize(c, isSrc && i > 0) { // sub is a dst trie
+			bounds[p] = min(bounds[p], m)
 		}
 	}
-	for _, c := range n.child {
-		if s := finalize(c, isSrc); s < m {
-			m = s
-		}
-	}
-	n.minIdx = m
-	return m
+	return bounds
 }
 
 func countNodes(n *tnode, isSrc bool, st *AutoStats) {
@@ -326,65 +340,57 @@ func countNodes(n *tnode, isSrc bool, st *AutoStats) {
 // Linear.Eval exactly (same slices, same matched semantics). It performs
 // no allocation: all walk state lives on the stack.
 func (a *Automaton) Eval(h *Header, verdicts []int64, matched []int32) {
-	np := len(a.progs)
-	var curBest [MaxPrograms]int32
-	bestAll := int32(len(a.rules))
-	for i := 0; i < np; i++ {
-		curBest[i] = a.progEnd[i]
-		matched[i] = -1
-	}
-	n := a.src
-	for n != nil {
-		if n.minIdx >= bestAll {
-			break
-		}
-		if !prefixContains(n.hi, n.lo, n.plen, h.SrcHi, h.SrcLo) {
-			break
-		}
-		d := n.sub
-		for d != nil {
-			if d.minIdx >= bestAll {
-				break
-			}
-			if !prefixContains(d.hi, d.lo, d.plen, h.DstHi, h.DstLo) {
-				break
-			}
-			for _, gi := range d.leaf {
-				if gi >= bestAll {
-					break
-				}
-				r := &a.rules[gi]
-				if gi >= curBest[r.prog] {
-					continue
-				}
-				if r.tail.matches(h) {
-					curBest[r.prog] = gi
-					matched[r.prog] = r.local
-					bestAll = curBest[0]
-					for i := 1; i < np; i++ {
-						if curBest[i] > bestAll {
-							bestAll = curBest[i]
-						}
+	var buf [MaxPrograms]int32
+	best := buf[:len(a.progs)] // per program: best match so far; progEnd = none
+	copy(best, a.progEnd)
+	for n := a.src; n.open(best) && prefixContains(n.hi, n.lo, n.plen, h.SrcHi, h.SrcLo); n = n.next(h.SrcHi, h.SrcLo) {
+		for d := n.sub; d.open(best) && prefixContains(d.hi, d.lo, d.plen, h.DstHi, h.DstLo); d = d.next(h.DstHi, h.DstLo) {
+			for runs := d.rec[len(best):]; len(runs) > 0; {
+				p, idx := runs[0], runs[2:2+runs[1]]
+				runs = runs[2+runs[1]:]
+				b := best[p]
+				for _, gi := range idx {
+					if gi >= b {
+						break
+					}
+					if a.rules[gi].tail.matches(h) {
+						best[p] = gi
+						break
 					}
 				}
 			}
-			if d.plen >= 128 {
-				break
-			}
-			d = d.child[bitAt(h.DstHi, h.DstLo, d.plen)]
 		}
-		if n.plen >= 128 {
-			break
-		}
-		n = n.child[bitAt(h.SrcHi, h.SrcLo, n.plen)]
 	}
-	for i := 0; i < np; i++ {
-		if matched[i] >= 0 {
-			verdicts[i] = a.rules[curBest[i]].verdict
+	for i, b := range best {
+		if b < a.progEnd[i] {
+			verdicts[i], matched[i] = a.rules[b].verdict, a.rules[b].local
 		} else {
-			verdicts[i] = a.progs[i].Default
+			verdicts[i], matched[i] = a.progs[i].Default, -1
 		}
 	}
+}
+
+// open reports whether n exists and some program could still beat its
+// best match inside n's subtree.
+func (n *tnode) open(best []int32) bool {
+	if n == nil {
+		return false
+	}
+	bounds := n.rec[:len(best)]
+	for p, b := range best {
+		if bounds[p] < b {
+			return true
+		}
+	}
+	return false
+}
+
+// next steps from n toward (hi, lo); nil below a full-length prefix.
+func (n *tnode) next(hi, lo uint64) *tnode {
+	if n.plen >= 128 {
+		return nil
+	}
+	return n.child[bitAt(hi, lo, n.plen)]
 }
 
 // GateDrop reports whether any gate program returned verdict 0.

@@ -227,6 +227,33 @@ func (p *Plane) Eval(h *Header, verdicts []int64) (uint64, bool) {
 	return g.Seq, drop
 }
 
+// Decision is one hosted program's answer for a header: the program-local
+// index of the rule that decided it (-1: the default applied), its
+// verdict, and the generation that answered.
+type Decision struct {
+	Program string
+	Gate    bool
+	Rule    int32
+	Verdict int64
+	Seq     uint64
+}
+
+// Explain returns every program's decision for h under the committed
+// generation. Unlike Eval it moves neither the ledger nor an open shadow
+// window, and it allocates: it is for questions asked off the packet path
+// (why was this flow dropped), not for the feeder.
+func (p *Plane) Explain(h *Header) []Decision {
+	g := p.state.Load().committed
+	var v [MaxPrograms]int64
+	var m [MaxPrograms]int32
+	g.Auto.Eval(h, v[:len(g.Progs)], m[:len(g.Progs)])
+	out := make([]Decision, len(g.Progs))
+	for i := range out {
+		out[i] = Decision{Program: g.Progs[i].Name, Gate: g.Progs[i].Gate, Rule: m[i], Verdict: v[i], Seq: g.Seq}
+	}
+	return out
+}
+
 // shadowEval runs one packet through the candidate generation's compiled
 // automaton and linear reference, aborts the swap on divergence, and
 // commits it when the window is exhausted.

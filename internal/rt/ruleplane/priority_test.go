@@ -101,7 +101,7 @@ func TestMaskOverlapDisjointFields(t *testing.T) {
 
 func TestAllWildcardProgram(t *testing.T) {
 	// Degenerate: every rule wildcard. All anchor at the root; rule 0
-	// always wins and the walk must stop immediately (minIdx pruning).
+	// always wins and the walk must stop immediately (subtree bounds).
 	progs := []Program{{Name: "p", Default: -1, Rules: []Rule{
 		{Verdict: 10}, {Verdict: 20}, {Verdict: 30},
 	}}}

@@ -339,3 +339,55 @@ func TestShadowChangedCountsImpact(t *testing.T) {
 		t.Fatalf("ledger %+v; all 8 shadow packets changed verdict", st)
 	}
 }
+
+// TestExplain: Explain reports, per program, the same rule and verdict as
+// the linear oracle of the committed generation, before and after a swap;
+// it touches neither the ledger nor an open shadow window.
+func TestExplain(t *testing.T) {
+	progs := basePrograms(t)
+	p, err := New(progs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	next := mutatePrograms(rng, progs)
+	check := func(ps []Program, seq uint64) {
+		t.Helper()
+		lin := NewLinear(ps)
+		v := make([]int64, len(ps))
+		m := make([]int32, len(ps))
+		for i := 0; i < 200; i++ {
+			h := randHeader(rng)
+			lin.Eval(&h, v, m)
+			ds := p.Explain(&h)
+			if len(ds) != len(ps) {
+				t.Fatalf("%d decisions for %d programs", len(ds), len(ps))
+			}
+			for j, d := range ds {
+				want := Decision{Program: ps[j].Name, Gate: ps[j].Gate, Rule: m[j], Verdict: v[j], Seq: seq}
+				if d != want {
+					t.Fatalf("header %+v program %d: %+v, want %+v", h, j, d, want)
+				}
+			}
+		}
+	}
+	check(progs, 1)
+	const window = 8
+	seq, err := p.Swap(next, SwapOptions{Window: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(progs, 1) // the candidate rides shadow; the committed set answers
+	if st := p.Stats(); st.Evals != 0 || st.ShadowPackets != 0 || !p.Pending() {
+		t.Fatalf("Explain moved the plane: ledger %+v, pending %v", st, p.Pending())
+	}
+	v := make([]int64, p.NumPrograms())
+	for i := 0; i < window; i++ {
+		h := randHeader(rng)
+		p.Eval(&h, v)
+	}
+	if p.Pending() || p.CommittedSeq() != seq {
+		t.Fatalf("swap did not commit: pending %v seq %d", p.Pending(), p.CommittedSeq())
+	}
+	check(next, seq)
+}

@@ -130,10 +130,13 @@ func requireSameVerdicts(t *testing.T, auto *Automaton, lin *Linear, h Header) {
 	}
 }
 
+// TestCompiledVsLinearRandomized hosts 2..MaxPrograms programs of up to
+// 400 rules: per-program pruning bounds only differ from one global bound
+// when several programs share the automaton.
 func TestCompiledVsLinearRandomized(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		progs := randPrograms(rng, 1+rng.Intn(3), 40)
+		progs := randPrograms(rng, 2+rng.Intn(MaxPrograms-1), 400)
 		auto, err := Compile(progs)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
