@@ -809,13 +809,8 @@ func (h *harness) faults() {
 	fmt.Printf("    execution budgets: %d ResourceExhausted raised by the injected busy-loop analyzer\n", budgetBlown)
 	fmt.Printf("    call depth cap: %d StackExhausted from the injected recursive analyzer, each contained as a fault (flow quarantined)\n", stackExhausted)
 
-	fail := false
-	check := func(ok bool, what string) {
-		if !ok {
-			fail = true
-			fmt.Printf("    FAIL: %s\n", what)
-		}
-	}
+	var chk checker
+	check := chk.check
 	checkLedger(check, ledger, total)
 	check(ws.Faults > 0, "no faults contained (injection broken?)")
 	check(ws.QuarantinedFlows > 0, "no flows quarantined")
@@ -859,10 +854,7 @@ func (h *harness) faults() {
 			}
 		}
 	}
-	if fail {
-		os.Exit(1)
-	}
-	fmt.Println("    all containment invariants held")
+	chk.done("    all containment invariants held")
 }
 
 // --- post-lowering optimizer ----------------------------------------------------
@@ -917,13 +909,8 @@ func filterRun(ex *vm.Exec, fn *vm.CompiledFunc, pkts []pcap.Packet) (matches in
 func (h *harness) vmopt() {
 	header("Post-lowering VM optimizer",
 		"behavior-preserving: identical outputs at -O0/-O1, fewer instructions both statically and dynamically")
-	fail := false
-	check := func(ok bool, what string) {
-		if !ok {
-			fail = true
-			fmt.Printf("    FAIL: %s\n", what)
-		}
-	}
+	var chk checker
+	check := chk.check
 
 	// §6.2 filter program.
 	pkts := h.httpTrace()
@@ -1031,10 +1018,7 @@ func (h *harness) vmopt() {
 		}
 	}
 
-	if fail {
-		os.Exit(1)
-	}
-	fmt.Println("    all optimizer invariants held")
+	chk.done("    all optimizer invariants held")
 }
 
 // dnsMallocsCeiling bounds heap objects per DNS datagram for the whole
@@ -1058,13 +1042,8 @@ const dnsMallocsCeiling = 145
 func (h *harness) tier() {
 	header("Tier-2 execution: specialization with verified budget elision",
 		"transparent re-lowering: same results as O0/O1; filter ratio closes toward the paper's 1.35x")
-	fail := false
-	check := func(ok bool, what string) {
-		if !ok {
-			fail = true
-			fmt.Printf("    FAIL: %s\n", what)
-		}
-	}
+	var chk checker
+	check := chk.check
 
 	// 1. §6.2 filter at O0/O1/tier-2 vs the BPF reference interpreter.
 	pkts := h.httpTrace()
@@ -1266,10 +1245,7 @@ func (h *harness) tier() {
 		}
 	}
 
-	if fail {
-		os.Exit(1)
-	}
-	fmt.Println("    all tier-2 invariants held")
+	chk.done("    all tier-2 invariants held")
 }
 
 // --- machine-readable benchmark output --------------------------------------------
@@ -1437,6 +1413,29 @@ func checkLedger(check func(bool, string), l pipeline.Ledger, fed int) {
 			fed, l.Offered, l.InFlight, l.Fates, l.Fates.Sum()))
 }
 
+// checker collects an experiment's invariant checks. A failed check prints
+// one FAIL line and the experiment goes on, so a run reports every
+// violation; done then exits 1, or prints the experiment's success line.
+type checker struct{ failed bool }
+
+func (c *checker) check(ok bool, what string) {
+	if !ok {
+		c.failed = true
+		fmt.Printf("    FAIL: %s\n", what)
+	}
+}
+
+func (c *checker) done(held string) {
+	if c.failed {
+		osExit(1)
+		return
+	}
+	fmt.Println(held)
+}
+
+// osExit is os.Exit; tests replace it to observe a failing experiment.
+var osExit = os.Exit
+
 func must(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hilti-bench:", err)
@@ -1458,13 +1457,8 @@ func (h *harness) recovery() {
 	streams := []string{"http", "files", "dns"}
 	const workers = 4
 
-	fail := false
-	check := func(ok bool, what string) {
-		if !ok {
-			fail = true
-			fmt.Printf("    FAIL: %s\n", what)
-		}
-	}
+	var chk checker
+	check := chk.check
 	sameLines := func(got, want []string) bool {
 		if len(got) != len(want) {
 			return false
@@ -1595,10 +1589,7 @@ func (h *harness) recovery() {
 		}
 	}
 
-	if fail {
-		os.Exit(1)
-	}
-	fmt.Println("    all recovery invariants held")
+	chk.done("    all recovery invariants held")
 }
 
 // --- incremental checkpoints: write-ahead log --------------------------------------
@@ -1614,13 +1605,8 @@ func (h *harness) wal() {
 		Scripts: []string{bro.HTTPScript, bro.FilesScript, bro.DNSScript}, Quiet: true}
 	streams := []string{"http", "files", "dns"}
 
-	fail := false
-	check := func(ok bool, what string) {
-		if !ok {
-			fail = true
-			fmt.Printf("    FAIL: %s\n", what)
-		}
-	}
+	var chk checker
+	check := chk.check
 	sameLines := func(got, want []string) bool {
 		if len(got) != len(want) {
 			return false
@@ -1913,10 +1899,7 @@ func (h *harness) wal() {
 		}
 	}
 
-	if fail {
-		os.Exit(1)
-	}
-	fmt.Println("    all WAL invariants held")
+	chk.done("    all WAL invariants held")
 }
 
 // --- elastic cluster migration -----------------------------------------------
@@ -1935,13 +1918,8 @@ func (h *harness) migrate() {
 		Scripts: []string{bro.HTTPScript, bro.FilesScript, bro.DNSScript}, Quiet: true}
 	streams := []string{"http", "files", "dns"}
 
-	fail := false
-	check := func(ok bool, what string) {
-		if !ok {
-			fail = true
-			fmt.Printf("    FAIL: %s\n", what)
-		}
-	}
+	var chk checker
+	check := chk.check
 	sameLines := func(got, want []string) bool {
 		if len(got) != len(want) {
 			return false
@@ -2079,10 +2057,7 @@ func (h *harness) migrate() {
 		int(migrate.NumSteps)*len(kinds), handoffs, aborted)
 	fmt.Println("    every schedule byte-identical to single node; no split ownership; ledger exact")
 
-	if fail {
-		os.Exit(1)
-	}
-	fmt.Println("    all migration invariants held")
+	chk.done("    all migration invariants held")
 }
 
 // --- observability ---------------------------------------------------------------
@@ -2113,13 +2088,8 @@ void run () {
 func (h *harness) observe() {
 	header("Observability layer (unified metrics)",
 		"profilers are first-class (§3.3); counters survive crash-only restarts; hot path stays within budget")
-	fail := false
-	check := func(ok bool, what string) {
-		if !ok {
-			fail = true
-			fmt.Printf("    FAIL: %s\n", what)
-		}
-	}
+	var chk checker
+	check := chk.check
 
 	pkts := append([]pcap.Packet(nil), h.httpTrace()...)
 	pkts = append(pkts, h.dnsTrace()...)
@@ -2247,10 +2217,12 @@ func (h *harness) observe() {
 	fmt.Printf("    profiler: HILTI program's profiler.start/update/stop scraped at http://%s/metrics\n", addr)
 
 	// 4. Overhead bound: the §6.2 filter hot loop with and without VM
-	//    instrumentation attached, min-of-N interleaved so scheduler noise
+	//    instrumentation attached, min-of-7 interleaved so scheduler noise
 	//    cancels. The instrumented path adds two uncontended atomic RMWs
 	//    per invocation; the budget is ~3% (plus a small absolute floor
-	//    for timer jitter on fast runs).
+	//    for timer jitter on fast runs). One round still trips on noise
+	//    about once in ten runs, so the bound fails only when three
+	//    independent rounds all exceed it.
 	fpkts := h.httpTrace()
 	e, err := bpf.ParseFilter("host 10.1.9.77 or src net 10.1.3.0/24")
 	must(err)
@@ -2266,28 +2238,31 @@ func (h *harness) observe() {
 	must(err)
 	exOn.AttachMetrics()
 	fnOff, fnOn := progOff.Fn("Filter::filter"), progOn.Fn("Filter::filter")
-	minOff, minOn := time.Duration(1<<62), time.Duration(1<<62)
-	for i := 0; i < 7; i++ {
-		if _, _, t := filterRun(exOff, fnOff, fpkts); t < minOff {
-			minOff = t
+	const rounds, reps = 3, 7
+	over := 0
+	for r := 1; r <= rounds; r++ {
+		minOff, minOn := time.Duration(1<<62), time.Duration(1<<62)
+		for i := 0; i < reps; i++ {
+			if _, _, t := filterRun(exOff, fnOff, fpkts); t < minOff {
+				minOff = t
+			}
+			if _, _, t := filterRun(exOn, fnOn, fpkts); t < minOn {
+				minOn = t
+			}
 		}
-		if _, _, t := filterRun(exOn, fnOn, fpkts); t < minOn {
-			minOn = t
+		verdict := "within"
+		if minOn > minOff+minOff*3/100+time.Duration(5*len(fpkts))*time.Nanosecond {
+			over, verdict = over+1, "over"
 		}
+		fmt.Printf("    overhead round %d/%d: filter loop %v/pkt bare, %v/pkt instrumented (%+.2f%%, %s budget)\n",
+			r, rounds, (minOff / time.Duration(len(fpkts))).Round(time.Nanosecond),
+			(minOn / time.Duration(len(fpkts))).Round(time.Nanosecond), 100*(float64(minOn)/float64(minOff)-1), verdict)
 	}
-	overhead := float64(minOn)/float64(minOff) - 1
-	fmt.Printf("    overhead: filter loop %v/pkt bare, %v/pkt instrumented (%+.2f%%)\n",
-		(minOff / time.Duration(len(fpkts))).Round(time.Nanosecond),
-		(minOn / time.Duration(len(fpkts))).Round(time.Nanosecond), 100*overhead)
-	budget := minOff + minOff*3/100 + time.Duration(5*len(fpkts))*time.Nanosecond
-	check(minOn <= budget, fmt.Sprintf("instrumentation overhead %.2f%% exceeds the ~3%% budget", 100*overhead))
+	check(over < rounds, fmt.Sprintf("instrumentation overhead exceeds the ~3%% budget in all %d rounds", rounds))
 	exOn.Met.Sync()
-	check(exOn.Met.Invocations.Load() >= uint64(7*len(fpkts)), "instrumented run did not count its invocations")
+	check(exOn.Met.Invocations.Load() >= uint64(rounds*reps*len(fpkts)), "instrumented run did not count its invocations")
 
-	if fail {
-		os.Exit(1)
-	}
-	fmt.Println("    all observability invariants held")
+	chk.done("    all observability invariants held")
 }
 
 // --- overload control: adversarial soak --------------------------------------------
@@ -2471,13 +2446,8 @@ func (h *harness) soak() {
 		scfg.Duration, scfg.BaseRate, scfg.OverloadFactor,
 		100*scfg.OverloadFrom, 100*scfg.OverloadTo, scfg.TargetFlows, scfg.Seed)
 
-	fail := false
-	check := func(ok bool, what string) {
-		if !ok {
-			fail = true
-			fmt.Printf("    FAIL: %s\n", what)
-		}
-	}
+	var chk checker
+	check := chk.check
 
 	// Main run: admission on, supervisor armed (nothing should stall —
 	// stall traffic is excluded — so zero restarts is itself an invariant).
@@ -2564,8 +2534,5 @@ func (h *harness) soak() {
 	check(res.evicted < hard.evicted || hard.evicted == 0,
 		"admission run evicted as many established flows as the uncontrolled baseline")
 
-	if fail {
-		os.Exit(1)
-	}
-	fmt.Println("    all soak invariants held")
+	chk.done("    all soak invariants held")
 }

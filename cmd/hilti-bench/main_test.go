@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"io"
+	"os"
 	"reflect"
 	"sort"
 	"testing"
@@ -72,5 +74,53 @@ func TestBenchRowOmitsVMFieldsWhenZero(t *testing.T) {
 		if _, ok := m[present]; !ok {
 			t.Errorf("%s missing: %s", present, out)
 		}
+	}
+}
+
+// captureStdout returns what f prints to standard output.
+func captureStdout(t *testing.T, f func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = stdout }()
+	f()
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// CI reads an experiment's verdict from its FAIL lines, its success line
+// and its exit status: a failed check reports and the experiment goes on,
+// and done exits 1 without the success line.
+func TestCheckerReportsEveryFailureThenExits(t *testing.T) {
+	code := -1
+	osExit = func(c int) { code = c }
+	defer func() { osExit = os.Exit }()
+	out := captureStdout(t, func() {
+		var chk checker
+		check := chk.check
+		check(true, "holds")
+		check(false, "first violation")
+		check(false, "second violation")
+		chk.done("    all invariants held")
+	})
+	if want := "    FAIL: first violation\n    FAIL: second violation\n"; out != want || code != 1 {
+		t.Fatalf("failing run printed %q and exited %d, want %q and 1", out, code, want)
+	}
+	code = -1
+	out = captureStdout(t, func() {
+		var chk checker
+		chk.check(true, "holds")
+		chk.done("    all invariants held")
+	})
+	if want := "    all invariants held\n"; out != want || code != -1 {
+		t.Fatalf("passing run printed %q and exited %d, want %q and no exit", out, code, want)
 	}
 }

@@ -269,13 +269,8 @@ func recordedRulesRatio(path string) (float64, error) {
 func (h *harness) rules() {
 	header("Compiled rule plane: one automaton, atomic hot reload",
 		"compiled == linear verdicts at every scale; swaps commit atomically under live load")
-	fail := false
-	check := func(ok bool, what string) {
-		if !ok {
-			fail = true
-			fmt.Printf("    FAIL: %s\n", what)
-		}
-	}
+	var chk checker
+	check := chk.check
 
 	pkts := append([]pcap.Packet(nil), h.httpTrace()...)
 	pkts = append(pkts, h.dnsTrace()...)
@@ -533,8 +528,5 @@ func (h *harness) rules() {
 		fmt.Printf("    wrote %s\n", *rulesJSON)
 	}
 
-	if fail {
-		os.Exit(1)
-	}
-	fmt.Println("    all rule-plane invariants held")
+	chk.done("    all rule-plane invariants held")
 }

@@ -94,20 +94,6 @@ func execRegion(ex *Exec, fr *Frame, in *Instr) int {
 	}
 }
 
-// regionSafeInstr reports whether in may live inside a verified region: it
-// must complete without suspending or re-entering the dispatcher (pair
-// safety) — raising is fine, control transfers within the function are
-// fine. The region instruction itself never nests.
-func regionSafeInstr(in *Instr) bool {
-	switch in.op {
-	case "jump", "switch", "return.void", "return.result", "if.else":
-		return true
-	case "region":
-		return false
-	}
-	return pairSafeOp(in.op)
-}
-
 // loopRegion is one proven counted loop: pcs [lo, hi] with at most bound
 // dispatches per entry at lo and the loop header at offset hdr.
 type loopRegion struct {
@@ -148,7 +134,7 @@ func proveLoopAt(code []Instr, hs []handler, p int) (loopRegion, bool) {
 	none := loopRegion{}
 	// Preheader: assign rI <- const int INIT, falling through.
 	pre := &code[p]
-	if pre.op != "assign" || len(pre.srcs) != 1 || pre.t1 != p+1 {
+	if rowOf(pre.opID) != opAssign || len(pre.srcs) != 1 || pre.t1 != p+1 {
 		return none, false
 	}
 	if pre.srcs[0].kind != srcConst || pre.srcs[0].val.K != values.KindInt {
@@ -161,7 +147,7 @@ func proveLoopAt(code []Instr, hs []handler, p int) (loopRegion, bool) {
 	init := int64(pre.srcs[0].val.A)
 	// Optional block-boundary jump between preheader and header.
 	hd := p + 1
-	if hd < len(code) && code[hd].op == "jump" {
+	if hd < len(code) && rowOf(code[hd].opID) == opJump {
 		if code[hd].t1 != hd+1 {
 			return none, false
 		}
@@ -172,19 +158,18 @@ func proveLoopAt(code []Instr, hs []handler, p int) (loopRegion, bool) {
 	}
 	// Header: fused compare-and-branch on rI against a constant limit.
 	h := &code[hd]
-	base := h.op
-	if len(base) < 3 || base[len(base)-3:] != "+br" {
+	hr := rowOf(h.opID)
+	if hr.ctl != ctlBranch {
 		return none, false
 	}
-	base = base[:len(base)-3]
 	var up, incl bool
-	switch base {
-	case "int.lt":
+	switch hr.rel {
+	case relLt:
 		up = true
-	case "int.leq":
+	case relLeq:
 		up, incl = true, true
-	case "int.gt":
-	case "int.geq":
+	case relGt:
+	case relGeq:
 		incl = true
 	default:
 		return none, false
@@ -207,21 +192,15 @@ func proveLoopAt(code []Instr, hs []handler, p int) (loopRegion, bool) {
 	l := -1
 	for q := hd + 1; q < len(code); q++ {
 		in := &code[q]
-		if isBranch(in) {
-			return none, false
-		}
-		if in.op != "jump" && !pairSafeOp(in.op) {
-			return none, false
-		}
-		switch in.op {
-		case "switch", "return.void", "return.result", "region":
+		r := rowOf(in.opID)
+		if r.ctl != ctlJump && (r.ctl != ctlNone || !r.is(opInline)) {
 			return none, false
 		}
 		if in.t1 == hd {
 			l = q
 			break
 		}
-		if in.op == "jump" || in.t1 != q+1 || q-p >= regionMax {
+		if r.ctl == ctlJump || in.t1 != q+1 || q-p >= regionMax {
 			return none, false
 		}
 	}
@@ -244,14 +223,15 @@ func proveLoopAt(code []Instr, hs []handler, p int) (loopRegion, bool) {
 	// counter (writes before p re-run through the preheader on every
 	// region entry, so they cannot perturb the count).
 	incPC := l
-	if code[l].op == "jump" {
+	if rowOf(code[l].opID) == opJump {
 		incPC = l - 1
 	}
 	if incPC <= hd {
 		return none, false
 	}
 	inc := &code[incPC]
-	if inc.op != "int.add" && inc.op != "int.sub" {
+	ir := rowOf(inc.opID)
+	if ir != opIntAdd && ir != opIntSub {
 		return none, false
 	}
 	if inc.d.kind != riKind || inc.d.idx != ri || len(inc.srcs) != 2 {
@@ -264,7 +244,7 @@ func proveLoopAt(code []Instr, hs []handler, p int) (loopRegion, bool) {
 		return none, false
 	}
 	step := int64(inc.srcs[1].val.A)
-	if inc.op == "int.sub" {
+	if ir == opIntSub {
 		step = -step
 	}
 	for q := hd + 1; q <= l; q++ {
@@ -347,13 +327,13 @@ func formRegions(tc *tierCode, hs []handler, loops []loopRegion) {
 	// re-enter), so unproven loops run one iteration per entry — correct,
 	// just unoptimized.
 	for lo := 0; lo < len(code); {
-		if claimed[lo] || !regionSafeInstr(&code[lo]) || isPairOrphan(code, lo) {
+		if claimed[lo] || !rowOf(code[lo].opID).regionSafe() || isPairOrphan(code, lo) {
 			lo++
 			continue
 		}
 		hi := lo
 		for hi+1 < len(code) && hi+1-lo < regionMax && !claimed[hi+1] &&
-			regionSafeInstr(&code[hi+1]) && sameHandlers(hs, lo, hi+1) {
+			rowOf(code[hi+1].opID).regionSafe() && sameHandlers(hs, lo, hi+1) {
 			hi++
 		}
 		if hi-lo+1 >= regionMin {
@@ -391,13 +371,7 @@ func installRegion(tc *tierCode, lo, hi, bound, hdr, iters int) {
 		hdr:   hdr,
 		iters: iters,
 	}
-	tc.code[lo] = Instr{
-		op:   "region",
-		opID: internOp("region"),
-		exec: execRegion,
-		aux:  ra,
-		t1:   lo + 1,
-	}
+	tc.code[lo] = Instr{opID: idOf(opRegion), exec: execRegion, aux: ra, t1: lo + 1}
 	tc.stats.Regions++
 	tc.stats.Verified += hi - lo + 1
 }

@@ -5,7 +5,7 @@ package vm
 
 import (
 	"fmt"
-	"strings"
+	"sort"
 
 	"hilti/internal/hilti/ast"
 	"hilti/internal/hilti/types"
@@ -86,9 +86,9 @@ func LinkWith(opts Options, modules ...*ast.Module) (*Program, error) {
 			lk.units = append(lk.units, unit{mod: m, fn: f, out: cf})
 		}
 	}
-	// Hook bodies: priority order, stable.
+	// Hook bodies: priority order (descending), stable by registration.
 	for _, bodies := range lk.prog.HookBodies {
-		sortHookBodies(bodies)
+		sort.SliceStable(bodies, func(i, j int) bool { return bodies[i].HookPrio > bodies[j].HookPrio })
 	}
 
 	// Pass 2: lower bodies.
@@ -113,15 +113,6 @@ type unit struct {
 	mod *ast.Module
 	fn  *ast.Function
 	out *CompiledFunc
-}
-
-func sortHookBodies(bodies []*CompiledFunc) {
-	// Insertion sort by priority (desc), stable by registration order.
-	for i := 1; i < len(bodies); i++ {
-		for j := i; j > 0 && bodies[j-1].HookPrio < bodies[j].HookPrio; j-- {
-			bodies[j-1], bodies[j] = bodies[j], bodies[j-1]
-		}
-	}
 }
 
 type linker struct {
@@ -177,7 +168,7 @@ type fnCompiler struct {
 	pendHandlers  []pendingHandler
 	switchPatches []switchPatch
 	tryStack      []openTry
-	curOp         string // AST op currently being lowered; stamped onto emitted instrs
+	cur           *opRow // op currently being lowered; stamped onto emitted instrs
 }
 
 type pendingHandler struct {
@@ -219,13 +210,13 @@ func (c *fnCompiler) compile() error {
 		// Implicit fallthrough to the next block when the block does not
 		// end in a terminator.
 		if bi+1 < len(c.fn.Blocks) && !endsInTerminator(b) {
-			c.curOp = "jump"
+			c.cur = opJump
 			pc := c.emit(Instr{exec: execJump})
 			c.pend = append(c.pend, pendingJump{pc: pc, which: 1, label: c.fn.Blocks[bi+1].Name})
 		}
 	}
 	// Implicit void return at the end.
-	c.curOp = "return.void"
+	c.cur = opReturnVoid
 	c.emit(Instr{exec: execReturnVoid})
 
 	if len(c.tryStack) != 0 {
@@ -274,11 +265,10 @@ func endsInTerminator(b *ast.Block) bool {
 
 func (c *fnCompiler) emit(in Instr) int {
 	pc := len(c.out.Code)
-	in.t1 = pc + 1 // default next
-	if in.op == "" {
-		in.op = c.curOp
+	in.t1, in.opID = pc+1, idOf(c.cur) // default next
+	if c.cur.twin != nil {
+		in.t2 = in.t1 // a compare branches to its fallthrough until fused
 	}
-	in.opID = internOp(in.op)
 	c.out.Code = append(c.out.Code, in)
 	return pc
 }
@@ -383,32 +373,24 @@ func (c *fnCompiler) srcsOf(ops []ast.Operand) ([]src, error) {
 	return out, nil
 }
 
-// lower dispatches one AST instruction to its lowering rule.
+// lower dispatches one AST instruction to its row.
 func (c *fnCompiler) lower(in *ast.Instr) error {
-	c.curOp = in.Op
-	if fn, ok := lowerers[in.Op]; ok {
-		return fn(c, in)
+	r := opNamed(in.Op)
+	if r == nil || !r.lowerable() {
+		return fmt.Errorf("unknown instruction %q", in.Op)
 	}
-	// Op families that share one lowering (e.g. all "int.*" arithmetic).
-	if dot := strings.IndexByte(in.Op, '.'); dot > 0 {
-		if fn, ok := lowerers[in.Op[:dot]+".*"]; ok {
-			return fn(c, in)
-		}
+	c.cur = r
+	if r.lower != nil {
+		return r.lower(c, in)
 	}
-	return fmt.Errorf("unknown instruction %q", in.Op)
+	return c.lowerRow(r, in)
 }
 
-// lowerSimple compiles `target = op(srcs...)` with a runtime handler.
-func (c *fnCompiler) lowerSimple(in *ast.Instr, arity int, fn simpleFn) error {
-	return c.lowerGeneric(in, arity, execSimple, fn)
-}
-
-// lowerGeneric compiles `target = op(srcs...)` for an executor that gathers
-// its operands itself and finds its semantic definition in aux.
-func (c *fnCompiler) lowerGeneric(in *ast.Instr, arity int,
-	exec func(*Exec, *Frame, *Instr) int, aux any) error {
-	if arity >= 0 && len(in.Ops) != arity {
-		return fmt.Errorf("%s expects %d operands, got %d", in.Op, arity, len(in.Ops))
+// lowerRow compiles `target = op(srcs...)` for a row without its own
+// lowering.
+func (c *fnCompiler) lowerRow(r *opRow, in *ast.Instr) error {
+	if r.arity >= 0 && len(in.Ops) != r.arity {
+		return fmt.Errorf("%s expects %d operands, got %d", in.Op, r.arity, len(in.Ops))
 	}
 	srcs, err := c.srcsOf(in.Ops)
 	if err != nil {
@@ -418,7 +400,7 @@ func (c *fnCompiler) lowerGeneric(in *ast.Instr, arity int,
 	if err != nil {
 		return err
 	}
-	c.emit(Instr{exec: exec, d: d, srcs: srcs, aux: aux})
+	c.emit(Instr{exec: r.shapeExec(srcs, d), d: d, srcs: srcs, aux: r.aux})
 	return nil
 }
 
@@ -442,6 +424,16 @@ func (ex *Exec) simple(fr *Frame, in *Instr) (values.Value, int) {
 func execSimple(ex *Exec, fr *Frame, in *Instr) int {
 	_, pc := ex.simple(fr, in)
 	return pc
+}
+
+// execSimpleCmp is execSimple for opCmp rows: it branches on the stored
+// boolean.
+func execSimpleCmp(ex *Exec, fr *Frame, in *Instr) int {
+	v, pc := ex.simple(fr, in)
+	if pc < 0 {
+		return pc
+	}
+	return in.branch(values.IsTruthy(v))
 }
 
 // getCtor materializes a constructor source.
@@ -483,18 +475,4 @@ func (ex *Exec) srcKey(fr *Frame, s *src) (k []byte, ok bool) {
 	}
 	ex.keyBuf = b
 	return b, true
-}
-
-// lowerers is the instruction registry, populated by the ops_*.go files.
-var lowerers = map[string]func(c *fnCompiler, in *ast.Instr) error{}
-
-func register(op string, fn func(c *fnCompiler, in *ast.Instr) error) {
-	lowerers[op] = fn
-}
-
-// registerSimple registers a fixed-arity runtime-dispatch op.
-func registerSimple(op string, arity int, fn simpleFn) {
-	register(op, func(c *fnCompiler, in *ast.Instr) error {
-		return c.lowerSimple(in, arity, fn)
-	})
 }

@@ -58,17 +58,15 @@ func (fn *CompiledFunc) disasm(code []Instr, tc *tierCode) string {
 	}
 	for pc := range code {
 		in := &code[pc]
-		if ra, ok := in.aux.(*regionAux); ok && in.op == "region" {
+		if ra, ok := in.aux.(*regionAux); ok {
+			loop := ""
 			if ra.hdr >= 0 {
-				fmt.Fprintf(&sb, "%04d %-18s [verified: %d instrs, loop x%d, bound %d]\n",
-					pc, in.op, len(ra.code), ra.iters, ra.bound)
-			} else {
-				fmt.Fprintf(&sb, "%04d %-18s [verified: %d instrs]\n",
-					pc, in.op, len(ra.code))
+				loop = fmt.Sprintf(", loop x%d, bound %d", ra.iters, ra.bound)
 			}
+			fmt.Fprintf(&sb, "%04d %-18s [verified: %d instrs%s]\n", pc, opName(in.opID), len(ra.code), loop)
 			continue
 		}
-		fmt.Fprintf(&sb, "%04d %-18s", pc, in.op)
+		fmt.Fprintf(&sb, "%04d %-18s", pc, opName(in.opID))
 		operands := make([]string, 0, len(in.srcs))
 		for i := range in.srcs {
 			operands = append(operands, srcString(&in.srcs[i]))
@@ -115,12 +113,6 @@ func dstString(d dst) string {
 
 func srcString(s *src) string {
 	switch s.kind {
-	case srcReg:
-		return fmt.Sprintf("r%d", s.idx)
-	case srcGlobal:
-		return fmt.Sprintf("g%d", s.idx)
-	case srcSlot:
-		return fmt.Sprintf("i%d", s.idx)
 	case srcCtor:
 		elems := make([]string, len(s.subs))
 		for i := range s.subs {
@@ -130,17 +122,17 @@ func srcString(s *src) string {
 	case srcConst:
 		return "c:" + values.Format(s.val)
 	default:
-		return "_"
+		return dstString(dst{kind: s.kind, idx: s.idx})
 	}
 }
 
 func controlString(in *Instr, pc int) string {
-	switch {
-	case in.op == "return.void" || in.op == "return.result":
+	switch ctl := rowOf(in.opID).ctl; {
+	case ctl == ctlReturn:
 		return ""
-	case isBranch(in):
+	case ctl == ctlBranch:
 		return fmt.Sprintf("t1=%d t2=%d", in.t1, in.t2)
-	case in.op == "switch":
+	case ctl == ctlSwitch:
 		tbl, _ := in.aux.(*switchTable)
 		parts := []string{fmt.Sprintf("default=%d", in.t1)}
 		if tbl != nil {

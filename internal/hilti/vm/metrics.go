@@ -129,7 +129,7 @@ func (ex *Exec) PublishTo(reg *metrics.Registry, key string, labels ...string) *
 }
 
 // opProfile is the per-opcode execution profile: flat arrays indexed by
-// interned opcode id (opid.go). Per-opcode counts are atomic counters so
+// interned opcode id (optable.go). Per-opcode counts are atomic counters so
 // concurrent scrapes (PublishTo collectors) read them safely; the pair
 // matrix is plain uint64s owned by the Exec goroutine — it feeds tier-2
 // superinstruction discovery on that same goroutine, never a scrape.

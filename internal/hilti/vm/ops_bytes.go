@@ -31,12 +31,6 @@ func errNilIter() error {
 // the (value, iterator) ops parsers are made of. args is as for simpleFn.
 type twoFn func(ex *Exec, args []values.Value) (a, b values.Value, err error)
 
-func registerTwo(op string, arity int, fn twoFn) {
-	register(op, func(c *fnCompiler, in *ast.Instr) error {
-		return c.lowerGeneric(in, arity, execTwo, fn)
-	})
-}
-
 // execTwo is both executable forms of a twoFn. As lowered (the reference
 // form, all there is at O0) the pair is boxed into a tuple for in.d; once
 // splitTuples (opt.go) has given the instruction a second destination the
@@ -55,18 +49,18 @@ func execTwo(ex *Exec, fr *Frame, in *Instr) int {
 	return in.t1
 }
 
-func init() {
-	registerSimple("bytes.new", 0, func(ex *Exec, a []values.Value) (values.Value, error) {
+var bytesOps = []opRow{
+	{name: "bytes.new", arity: 0, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		return values.BytesVal(hbytes.New()), nil
-	})
-	registerSimple("bytes.length", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "bytes.length", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		b, err := bytesOf(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		return values.Int(b.Len()), nil
-	})
-	registerSimple("bytes.append", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "bytes.append", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		b, err := bytesOf(a[0])
 		if err != nil {
 			return values.Nil, err
@@ -76,45 +70,45 @@ func init() {
 			return values.Nil, err
 		}
 		return values.Nil, b.Append(src.Bytes())
-	})
-	registerSimple("bytes.freeze", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "bytes.freeze", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		b, err := bytesOf(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		b.Freeze()
 		return values.Nil, nil
-	})
-	registerSimple("bytes.unfreeze", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "bytes.unfreeze", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		b, err := bytesOf(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		b.Unfreeze()
 		return values.Nil, nil
-	})
-	registerSimple("bytes.is_frozen", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "bytes.is_frozen", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		b, err := bytesOf(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		return values.Bool(b.Frozen()), nil
-	})
-	registerSimple("bytes.begin", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "bytes.begin", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		b, err := bytesOf(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		return values.IterBytes(b.Begin()), nil
-	})
-	registerSimple("bytes.end", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "bytes.end", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		b, err := bytesOf(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		return values.IterBytes(b.End()), nil
-	})
-	registerSimple("bytes.sub", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "bytes.sub", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		from := a[0].AsIterBytes()
 		to := a[1].AsIterBytes()
 		if from.Bytes() == nil {
@@ -125,16 +119,16 @@ func init() {
 			return values.Nil, err
 		}
 		return values.BytesVal(nb), nil
-	})
-	registerSimple("bytes.trim", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "bytes.trim", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		b, err := bytesOf(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		b.Trim(a[1].AsIterBytes())
 		return values.Nil, nil
-	})
-	registerTwo("bytes.find", 2, func(ex *Exec, a []values.Value) (found, pos values.Value, err error) {
+	}},
+	{name: "bytes.find", arity: 2, two: func(ex *Exec, a []values.Value) (found, pos values.Value, err error) {
 		b, err := bytesOf(a[0])
 		if err != nil {
 			return
@@ -145,11 +139,11 @@ func init() {
 		}
 		it, ok, err := b.Find(needle.Bytes(), b.Begin())
 		return values.Bool(ok), values.IterBytes(it), err
-	})
+	}},
 	// bytes.find_from target=(found, iter) <iter> <needle-bytes>: search
 	// forward from an iterator, suspending when the needle might still
 	// arrive on a non-frozen rope.
-	registerTwo("bytes.find_from", 2, func(ex *Exec, a []values.Value) (found, pos values.Value, err error) {
+	{name: "bytes.find_from", arity: 2, two: func(ex *Exec, a []values.Value) (found, pos values.Value, err error) {
 		it := a[0].AsIterBytes()
 		b := it.Bytes()
 		if b == nil {
@@ -161,16 +155,16 @@ func init() {
 		}
 		at, ok, err := b.Find(needle.Bytes(), it)
 		return values.Bool(ok), values.IterBytes(at), err
-	})
+	}},
 
-	registerSimple("bytes.to_string", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "bytes.to_string", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		b, err := bytesOf(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		return values.String(b.String()), nil
-	})
-	registerSimple("bytes.lower", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "bytes.lower", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		b, err := bytesOf(a[0])
 		if err != nil {
 			return values.Nil, err
@@ -184,9 +178,9 @@ func init() {
 			out[i] = c
 		}
 		return values.BytesFrom(out), nil
-	})
+	}},
 	// bytes.to_int parses an ASCII integer with the given base.
-	registerSimple("bytes.to_int", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "bytes.to_int", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		b, err := bytesOf(a[0])
 		if err != nil {
 			return values.Nil, err
@@ -224,8 +218,8 @@ func init() {
 			n = -n
 		}
 		return values.Int(n), nil
-	})
-	registerSimple("bytes.starts_with", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "bytes.starts_with", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		b, err := bytesOf(a[0])
 		if err != nil {
 			return values.Nil, err
@@ -243,12 +237,12 @@ func init() {
 			return values.Nil, err
 		}
 		return values.Bool(string(sub) == string(pb)), nil
-	})
+	}},
 
 	// bytes.wait_frozen <iter>: block (suspending the fiber) until the
 	// underlying rope is frozen — the "rest of data" fields of generated
 	// parsers wait for end-of-stream this way.
-	registerSimple("bytes.wait_frozen", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "bytes.wait_frozen", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		it := a[0].AsIterBytes()
 		b := it.Bytes()
 		if b == nil {
@@ -258,49 +252,49 @@ func init() {
 			return values.Nil, hbytes.ErrWouldBlock
 		}
 		return values.Nil, nil
-	})
+	}},
 
 	// --- iterator<bytes> ---------------------------------------------------------
 	// iterator.end_of returns the distinguished end iterator of the rope an
 	// iterator points into.
-	registerSimple("iterator.end_of", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "iterator.end_of", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		it := a[0].AsIterBytes()
 		b := it.Bytes()
 		if b == nil {
 			return values.Nil, errNilIter()
 		}
 		return values.IterBytes(b.End()), nil
-	})
-	registerShaped("iterator.incr", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "iterator.incr", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		return values.IterBytes(a[0].AsIterBytes().Next()), nil
-	}, func(srcs []src, d dst) func(*Exec, *Frame, *Instr) int {
+	}, pick: func(srcs []src, d dst) execFn {
 		if d.kind == srcReg && srcs[0].kind == srcReg {
 			return execIterIncrRR
 		}
 		return nil
-	})
-	registerSimple("iterator.incr_by", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "iterator.incr_by", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		return values.IterBytes(a[0].AsIterBytes().Plus(a[1].AsInt())), nil
-	})
-	registerShaped("iterator.deref", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "iterator.deref", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		c, err := a[0].AsIterBytes().Deref()
 		if err != nil {
 			return values.Nil, err
 		}
 		return values.Int(int64(c)), nil
-	}, func(srcs []src, d dst) func(*Exec, *Frame, *Instr) int {
+	}, pick: func(srcs []src, d dst) execFn {
 		if d.kind == srcReg && srcs[0].kind == srcReg {
 			return execIterDerefRR
 		}
 		return nil
-	})
-	registerSimple("iterator.diff", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "iterator.diff", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		return values.Int(a[0].AsIterBytes().Diff(a[1].AsIterBytes())), nil
-	})
-	registerSimple("iterator.eq", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "iterator.eq", arity: 2, flags: opCmp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		return values.Bool(a[0].AsIterBytes().Cmp(a[1].AsIterBytes()) == 0), nil
-	})
-	registerSimple("iterator.at_end", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "iterator.at_end", arity: 1, flags: opCmp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		it := a[0].AsIterBytes()
 		b := it.Bytes()
 		if b == nil {
@@ -315,55 +309,39 @@ func init() {
 			return values.Nil, hbytes.ErrWouldBlock
 		}
 		return values.Bool(true), nil
-	})
+	}},
 	// iterator.at_end_now answers immediately without suspending (used at
 	// PDU boundaries where "no more data right now" is the actual question).
-	registerShaped("iterator.at_end_now", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "iterator.at_end_now", arity: 1, flags: opCmp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		it := a[0].AsIterBytes()
 		return values.Bool(it.Bytes() == nil || it.AtEnd()), nil
-	}, func(srcs []src, d dst) func(*Exec, *Frame, *Instr) int {
+	}, pick: func(srcs []src, d dst) execFn {
 		if d.kind == srcReg && srcs[0].kind == srcReg {
 			return execIterAtEndNowRR
 		}
 		return nil
-	})
+	}},
 
 	// --- unpack (binary field extraction; the overlay/unpack formats of §4) -------
-	// Each decoder gets the field's bytes at the front of a by-value array:
-	// nothing escapes, so a fixed-width unpack allocates nothing.
-	unpack := func(name string, width int64, decode func(r [16]byte) values.Value) {
-		registerTwo("unpack."+name, 1, func(ex *Exec, a []values.Value) (val, next values.Value, err error) {
-			it := a[0].AsIterBytes()
-			b := it.Bytes()
-			if b == nil {
-				return val, next, errNilIter()
-			}
-			var raw [16]byte
-			if err = b.ReadAt(raw[:width], it); err != nil {
-				return
-			}
-			return decode(raw), values.IterBytes(it.Plus(width)), nil
-		})
-	}
-	unpack("uint8", 1, func(r [16]byte) values.Value { return values.Uint(uint64(r[0])) })
-	unpack("uint16be", 2, func(r [16]byte) values.Value {
+	{name: "unpack.uint8", arity: 1, two: unpack(1, func(r [16]byte) values.Value { return values.Uint(uint64(r[0])) })},
+	{name: "unpack.uint16be", arity: 1, two: unpack(2, func(r [16]byte) values.Value {
 		return values.Uint(uint64(r[0])<<8 | uint64(r[1]))
-	})
-	unpack("uint16le", 2, func(r [16]byte) values.Value {
+	})},
+	{name: "unpack.uint16le", arity: 1, two: unpack(2, func(r [16]byte) values.Value {
 		return values.Uint(uint64(r[1])<<8 | uint64(r[0]))
-	})
-	unpack("uint32be", 4, func(r [16]byte) values.Value {
+	})},
+	{name: "unpack.uint32be", arity: 1, two: unpack(4, func(r [16]byte) values.Value {
 		return values.Uint(uint64(r[0])<<24 | uint64(r[1])<<16 | uint64(r[2])<<8 | uint64(r[3]))
-	})
-	unpack("uint32le", 4, func(r [16]byte) values.Value {
+	})},
+	{name: "unpack.uint32le", arity: 1, two: unpack(4, func(r [16]byte) values.Value {
 		return values.Uint(uint64(r[3])<<24 | uint64(r[2])<<16 | uint64(r[1])<<8 | uint64(r[0]))
-	})
-	unpack("addr4", 4, func(r [16]byte) values.Value {
+	})},
+	{name: "unpack.addr4", arity: 1, two: unpack(4, func(r [16]byte) values.Value {
 		return values.AddrFrom4([4]byte{r[0], r[1], r[2], r[3]})
-	})
-	unpack("addr6", 16, values.AddrFrom16)
+	})},
+	{name: "unpack.addr6", arity: 1, two: unpack(16, values.AddrFrom16)},
 	// unpack.bytes target=(bytes, iter) <iter> <n>: n raw bytes.
-	registerTwo("unpack.bytes", 2, func(ex *Exec, a []values.Value) (val, next values.Value, err error) {
+	{name: "unpack.bytes", arity: 2, two: func(ex *Exec, a []values.Value) (val, next values.Value, err error) {
 		it := a[0].AsIterBytes()
 		n := a[1].AsInt()
 		b := it.Bytes()
@@ -378,63 +356,61 @@ func init() {
 			return
 		}
 		return values.BytesVal(nb), values.IterBytes(it.Plus(n)), nil
-	})
+	}},
 
 	// --- regexp ---------------------------------------------------------------------
 	// regexp.compile builds a matcher from pattern strings.
-	register("regexp.compile", func(c *fnCompiler, in *ast.Instr) error {
+	{name: "regexp.compile", arity: -1, fn: func(ex *Exec, args []values.Value) (values.Value, error) {
+		ps := make([]string, len(args))
+		for i, a := range args {
+			ps[i] = a.AsString()
+		}
+		re, err := regexp.Compile(ps...)
+		if err != nil {
+			return values.Nil, err
+		}
+		return values.Ref(values.KindRegExp, re), nil
+	}, lower: func(c *fnCompiler, in *ast.Instr) error {
 		// All-constant patterns compile at link time (the common case for
 		// generated parsers; the paper considers JIT'ing regexps a key
 		// optimization HILTI enables "under the hood").
-		allConst := len(in.Ops) > 0
 		pats := make([]string, len(in.Ops))
 		for i, o := range in.Ops {
 			if o.Kind != ast.Const {
-				allConst = false
-				break
+				return c.lowerRow(c.cur, in)
 			}
 			pats[i] = o.Val.AsString()
 		}
-		if allConst {
-			re, err := regexp.Compile(pats...)
-			if err != nil {
-				return err
-			}
-			d, err := c.dstOf(in.Target)
-			if err != nil {
-				return err
-			}
-			v := values.Ref(values.KindRegExp, re)
-			c.emit(Instr{exec: execAssign, d: d, srcs: []src{{kind: srcConst, val: v}}})
-			return nil
+		if len(pats) == 0 {
+			return c.lowerRow(c.cur, in)
 		}
-		return c.lowerSimple(in, -1, func(ex *Exec, args []values.Value) (values.Value, error) {
-			ps := make([]string, len(args))
-			for i, a := range args {
-				ps[i] = a.AsString()
-			}
-			re, err := regexp.Compile(ps...)
-			if err != nil {
-				return values.Nil, err
-			}
-			return values.Ref(values.KindRegExp, re), nil
-		})
-	})
+		re, err := regexp.Compile(pats...)
+		if err != nil {
+			return err
+		}
+		d, err := c.dstOf(in.Target)
+		if err != nil {
+			return err
+		}
+		v := values.Ref(values.KindRegExp, re)
+		c.emit(Instr{exec: execAssign, d: d, srcs: []src{{kind: srcConst, val: v}}})
+		return nil
+	}},
 
 	// regexp.match_token target=(id, end-iter) <re> <begin-iter>: anchored
 	// longest match; suspends transparently when more input could extend
 	// the decision. id 0 = no match.
-	registerTwo("regexp.match_token", 2, func(ex *Exec, a []values.Value) (id, end values.Value, err error) {
+	{name: "regexp.match_token", arity: 2, two: func(ex *Exec, a []values.Value) (id, end values.Value, err error) {
 		re, _ := a[0].O.(*regexp.Regexp)
 		if re == nil {
 			return id, end, &values.Exception{Name: "Hilti::NullReference", Msg: "nil regexp"}
 		}
 		tok, at, err := re.MatchIter(a[1].AsIterBytes())
 		return values.Int(int64(tok)), values.IterBytes(at), err
-	})
+	}},
 
 	// regexp.find target=(found, start, end) <re> <bytes>: unanchored search.
-	registerSimple("regexp.find", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "regexp.find", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		re, _ := a[0].O.(*regexp.Regexp)
 		if re == nil {
 			return values.Nil, &values.Exception{Name: "Hilti::NullReference", Msg: "nil regexp"}
@@ -445,10 +421,10 @@ func init() {
 		}
 		s, e, id := re.Find(b.Bytes())
 		return values.TupleVal(values.Bool(id != 0), values.Int(s), values.Int(e)), nil
-	})
+	}},
 
 	// regexp.matches <re> <bytes>: anchored boolean convenience.
-	registerSimple("regexp.matches", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "regexp.matches", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		re, _ := a[0].O.(*regexp.Regexp)
 		if re == nil {
 			return values.Nil, &values.Exception{Name: "Hilti::NullReference", Msg: "nil regexp"}
@@ -459,7 +435,25 @@ func init() {
 		}
 		id, _ := re.Match(b.Bytes())
 		return values.Bool(id != 0), nil
-	})
+	}},
+}
+
+// unpack is the body of a fixed-width unpack: the decoder gets the field's
+// bytes at the front of a by-value array, so nothing escapes and the
+// unpack allocates nothing.
+func unpack(width int64, decode func(r [16]byte) values.Value) twoFn {
+	return func(ex *Exec, a []values.Value) (val, next values.Value, err error) {
+		it := a[0].AsIterBytes()
+		b := it.Bytes()
+		if b == nil {
+			return val, next, errNilIter()
+		}
+		var raw [16]byte
+		if err = b.ReadAt(raw[:width], it); err != nil {
+			return
+		}
+		return decode(raw), values.IterBytes(it.Plus(width)), nil
+	}
 }
 
 // --- register-to-register iterator executors ---------------------------------
@@ -484,6 +478,7 @@ func execIterDerefRR(ex *Exec, fr *Frame, in *Instr) int {
 
 func execIterAtEndNowRR(ex *Exec, fr *Frame, in *Instr) int {
 	it := fr.R[in.srcs[0].idx].AsIterBytes()
-	fr.R[in.d.idx] = values.Bool(it.Bytes() == nil || it.AtEnd())
-	return in.t1
+	b := it.Bytes() == nil || it.AtEnd()
+	fr.R[in.d.idx] = values.Bool(b)
+	return in.branch(b)
 }

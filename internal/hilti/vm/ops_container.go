@@ -66,9 +66,9 @@ func expireStrategy(v values.Value) container.ExpireStrategy {
 	}
 }
 
-func init() {
+var containerOps = []opRow{
 	// new <type>: explicit dynamic allocation (paper §3.2 memory model).
-	register("new", func(c *fnCompiler, in *ast.Instr) error {
+	{name: "new", lower: func(c *fnCompiler, in *ast.Instr) error {
 		if len(in.Ops) != 1 || in.Ops[0].Kind != ast.TypeOp {
 			return fmt.Errorf("new needs a type operand")
 		}
@@ -79,10 +79,10 @@ func init() {
 		}
 		c.emit(Instr{exec: execNew, d: d, aux: t})
 		return nil
-	})
+	}},
 
 	// --- struct --------------------------------------------------------------
-	registerShaped("struct.get", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "struct.get", arity: 2, flags: opInline, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		s, err := asStruct(a[0])
 		if err != nil {
 			return values.Nil, err
@@ -94,13 +94,13 @@ func init() {
 				Msg: fmt.Sprintf("field %q not set", name)}
 		}
 		return v, nil
-	}, func(srcs []src, d dst) func(*Exec, *Frame, *Instr) int {
+	}, pick: func(srcs []src, d dst) execFn {
 		if srcs[1].kind == srcConst && srcs[1].val.K == values.KindString {
 			return execStructGet
 		}
 		return nil
-	})
-	registerSimple("struct.get_default", 3, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "struct.get_default", arity: 3, flags: opInline, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		s, err := asStruct(a[0])
 		if err != nil {
 			return values.Nil, err
@@ -109,39 +109,39 @@ func init() {
 			return v, nil
 		}
 		return a[2], nil
-	})
-	registerShaped("struct.set", 3, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "struct.set", arity: 3, flags: opInline, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		s, err := asStruct(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		s.SetName(a[1].AsString(), a[2])
 		return values.Nil, nil
-	}, func(srcs []src, d dst) func(*Exec, *Frame, *Instr) int {
+	}, pick: func(srcs []src, d dst) execFn {
 		if srcs[1].kind == srcConst && srcs[1].val.K == values.KindString {
 			return execStructSet
 		}
 		return nil
-	})
-	registerSimple("struct.is_set", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "struct.is_set", arity: 2, flags: opCmp | opInline, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		s, err := asStruct(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		_, ok := s.GetName(a[1].AsString())
 		return values.Bool(ok), nil
-	})
-	registerSimple("struct.unset", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "struct.unset", arity: 2, flags: opInline, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		s, err := asStruct(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		s.SetName(a[1].AsString(), values.Unset)
 		return values.Nil, nil
-	})
+	}},
 
 	// --- tuple ----------------------------------------------------------------
-	registerSimple("tuple.index", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "tuple.index", arity: 2, flags: opPure | opInline, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		t := a[0].AsTuple()
 		if t == nil {
 			return values.Nil, &values.Exception{Name: "Hilti::NullReference", Msg: "nil tuple"}
@@ -152,33 +152,33 @@ func init() {
 				Msg: fmt.Sprintf("tuple index %d out of range", i)}
 		}
 		return t.Elems[i], nil
-	})
-	registerSimple("tuple.length", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "tuple.length", arity: 1, flags: opPure | opInline, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		t := a[0].AsTuple()
 		if t == nil {
 			return values.Int(0), nil
 		}
 		return values.Int(int64(len(t.Elems))), nil
-	})
+	}},
 
 	// --- list -----------------------------------------------------------------
-	registerSimple("list.push_back", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "list.push_back", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		l, err := asList(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		l.PushBack(a[1])
 		return values.Nil, nil
-	})
-	registerSimple("list.push_front", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "list.push_front", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		l, err := asList(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		l.PushFront(a[1])
 		return values.Nil, nil
-	})
-	registerSimple("list.pop_front", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "list.pop_front", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		l, err := asList(a[0])
 		if err != nil {
 			return values.Nil, err
@@ -188,15 +188,15 @@ func init() {
 			return values.Nil, &values.Exception{Name: "Hilti::Underflow", Msg: "pop from empty list"}
 		}
 		return v, nil
-	})
-	registerSimple("list.size", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "list.size", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		l, err := asList(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		return values.Int(int64(l.Len())), nil
-	})
-	registerSimple("list.front", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "list.front", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		l, err := asList(a[0])
 		if err != nil {
 			return values.Nil, err
@@ -206,8 +206,8 @@ func init() {
 			return values.Nil, &values.Exception{Name: "Hilti::Underflow", Msg: "front of empty list"}
 		}
 		return v, nil
-	})
-	registerSimple("list.back", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "list.back", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		l, err := asList(a[0])
 		if err != nil {
 			return values.Nil, err
@@ -217,25 +217,25 @@ func init() {
 			return values.Nil, &values.Exception{Name: "Hilti::Underflow", Msg: "back of empty list"}
 		}
 		return v, nil
-	})
-	registerSimple("list.begin", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "list.begin", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		l, err := asList(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		return values.Ref(values.KindIterList, l.Begin()), nil
-	})
+	}},
 
 	// --- vector ----------------------------------------------------------------
-	registerSimple("vector.push_back", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "vector.push_back", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		v, err := asVector(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		v.PushBack(a[1])
 		return values.Nil, nil
-	})
-	registerSimple("vector.get", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "vector.get", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		v, err := asVector(a[0])
 		if err != nil {
 			return values.Nil, err
@@ -246,8 +246,8 @@ func init() {
 				Msg: fmt.Sprintf("vector index %d", a[1].AsInt())}
 		}
 		return e, nil
-	})
-	registerSimple("vector.set", 3, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "vector.set", arity: 3, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		v, err := asVector(a[0])
 		if err != nil {
 			return values.Nil, err
@@ -257,125 +257,121 @@ func init() {
 				Msg: fmt.Sprintf("vector index %d", a[1].AsInt())}
 		}
 		return values.Nil, nil
-	})
-	registerSimple("vector.size", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "vector.size", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		v, err := asVector(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		return values.Int(int64(v.Len())), nil
-	})
-	registerSimple("vector.reserve", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "vector.reserve", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		v, err := asVector(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		v.Reserve(int(a[1].AsInt()))
 		return values.Nil, nil
-	})
+	}},
 
 	// --- set -------------------------------------------------------------------
-	registerSimple("set.insert", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "set.insert", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		s, err := asSet(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		s.Insert(a[1])
 		return values.Nil, nil
-	})
-	registerShaped("set.exists", 2, nil,
-		func(srcs []src, d dst) func(*Exec, *Frame, *Instr) int { return execSetExists })
-	registerSimple("set.remove", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "set.exists", arity: 2, flags: opCmp, exec: execSetExists},
+	{name: "set.remove", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		s, err := asSet(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		s.Remove(a[1])
 		return values.Nil, nil
-	})
-	registerSimple("set.size", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "set.size", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		s, err := asSet(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		return values.Int(int64(s.Len())), nil
-	})
-	registerSimple("set.clear", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "set.clear", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		s, err := asSet(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		s.Clear()
 		return values.Nil, nil
-	})
+	}},
 	// set.timeout <set> <ExpireStrategy enum> <interval>: attaches the
 	// Exec's global timer manager (the paper's firewall example).
-	registerSimple("set.timeout", 3, func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "set.timeout", arity: 3, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		s, err := asSet(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		s.SetTimeout(ex.GlobalTM, expireStrategy(a[1]), timer.Interval(a[2].AsIntervalNs()))
 		return values.Nil, nil
-	})
+	}},
 
 	// --- map -------------------------------------------------------------------
-	registerSimple("map.insert", 3, func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "map.insert", arity: 3, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		m, err := asMap(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		m.Insert(a[1], a[2])
 		return values.Nil, nil
-	})
-	registerShaped("map.get", 2, nil,
-		func(srcs []src, d dst) func(*Exec, *Frame, *Instr) int { return execMapGet })
-	registerShaped("map.get_default", 3, nil,
-		func(srcs []src, d dst) func(*Exec, *Frame, *Instr) int { return execMapGetDefault })
-	registerShaped("map.exists", 2, nil,
-		func(srcs []src, d dst) func(*Exec, *Frame, *Instr) int { return execMapExists })
-	registerSimple("map.remove", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "map.get", arity: 2, exec: execMapGet},
+	{name: "map.get_default", arity: 3, exec: execMapGetDefault},
+	{name: "map.exists", arity: 2, flags: opCmp, exec: execMapExists},
+	{name: "map.remove", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		m, err := asMap(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		m.Remove(a[1])
 		return values.Nil, nil
-	})
-	registerSimple("map.size", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "map.size", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		m, err := asMap(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		return values.Int(int64(m.Len())), nil
-	})
-	registerSimple("map.clear", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "map.clear", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		m, err := asMap(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		m.Clear()
 		return values.Nil, nil
-	})
-	registerSimple("map.default", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "map.default", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		m, err := asMap(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		m.SetDefault(a[1])
 		return values.Nil, nil
-	})
-	registerSimple("map.timeout", 3, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "map.timeout", arity: 3, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		m, err := asMap(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		m.SetTimeout(ex.GlobalTM, expireStrategy(a[1]), timer.Interval(a[2].AsIntervalNs()))
 		return values.Nil, nil
-	})
+	}},
 	// map.keys / set.elems materialize iteration as a vector snapshot (the
 	// Bro compiler lowers `for (i in container)` onto these).
-	registerSimple("map.keys", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "map.keys", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		m, err := asMap(a[0])
 		if err != nil {
 			return values.Nil, err
@@ -385,8 +381,8 @@ func init() {
 			vec.PushBack(k)
 		}
 		return values.Ref(values.KindVector, vec), nil
-	})
-	registerSimple("map.values", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "map.values", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		m, err := asMap(a[0])
 		if err != nil {
 			return values.Nil, err
@@ -397,8 +393,8 @@ func init() {
 			return true
 		})
 		return values.Ref(values.KindVector, vec), nil
-	})
-	registerSimple("set.elems", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "set.elems", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		s, err := asSet(a[0])
 		if err != nil {
 			return values.Nil, err
@@ -408,8 +404,8 @@ func init() {
 			vec.PushBack(e)
 		}
 		return values.Ref(values.KindVector, vec), nil
-	})
-	registerSimple("list.elems", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "list.elems", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		l, err := asList(a[0])
 		if err != nil {
 			return values.Nil, err
@@ -420,7 +416,7 @@ func init() {
 			return true
 		})
 		return values.Ref(values.KindVector, vec), nil
-	})
+	}},
 }
 
 func execNew(ex *Exec, fr *Frame, in *Instr) int {
@@ -464,23 +460,6 @@ func execStructSet(ex *Exec, fr *Frame, in *Instr) int {
 	return in.t1
 }
 
-// setExists probes s for the key operand ks, via the scratch-encoded fast
-// path when the key is hashable.
-func setExists(ex *Exec, fr *Frame, s *container.Set, ks *src) bool {
-	if k, ok := ex.srcKey(fr, ks); ok {
-		return s.ExistsKeyed(k)
-	}
-	return s.Exists(ex.get(fr, ks))
-}
-
-// mapExists is setExists for maps.
-func mapExists(ex *Exec, fr *Frame, m *container.Map, ks *src) bool {
-	if k, ok := ex.srcKey(fr, ks); ok {
-		return m.ExistsKeyed(k)
-	}
-	return m.Exists(ex.get(fr, ks))
-}
-
 // mapGet looks up the key operand ks in m, honoring the map default.
 func mapGet(ex *Exec, fr *Frame, m *container.Map, ks *src) (values.Value, bool) {
 	if k, ok := ex.srcKey(fr, ks); ok {
@@ -494,8 +473,14 @@ func execSetExists(ex *Exec, fr *Frame, in *Instr) int {
 	if err != nil {
 		return ex.raiseErr(err)
 	}
-	ex.put(fr, in.d, values.Bool(setExists(ex, fr, s, &in.srcs[1])))
-	return in.t1
+	var b bool
+	if k, ok := ex.srcKey(fr, &in.srcs[1]); ok {
+		b = s.ExistsKeyed(k)
+	} else {
+		b = s.Exists(ex.get(fr, &in.srcs[1]))
+	}
+	ex.put(fr, in.d, values.Bool(b))
+	return in.branch(b)
 }
 
 func execMapExists(ex *Exec, fr *Frame, in *Instr) int {
@@ -503,8 +488,14 @@ func execMapExists(ex *Exec, fr *Frame, in *Instr) int {
 	if err != nil {
 		return ex.raiseErr(err)
 	}
-	ex.put(fr, in.d, values.Bool(mapExists(ex, fr, m, &in.srcs[1])))
-	return in.t1
+	var b bool
+	if k, ok := ex.srcKey(fr, &in.srcs[1]); ok {
+		b = m.ExistsKeyed(k)
+	} else {
+		b = m.Exists(ex.get(fr, &in.srcs[1]))
+	}
+	ex.put(fr, in.d, values.Bool(b))
+	return in.branch(b)
 }
 
 func execMapGet(ex *Exec, fr *Frame, in *Instr) int {
@@ -766,5 +757,5 @@ func execMapExistsIC(ex *Exec, fr *Frame, in *Instr) int {
 		b = m.Exists(kv)
 	}
 	ex.put(fr, in.d, values.Bool(b))
-	return in.t1
+	return in.branch(b)
 }

@@ -6,6 +6,7 @@ package vm
 
 import (
 	"fmt"
+	"strings"
 
 	"hilti/internal/hilti/ast"
 	"hilti/internal/hilti/types"
@@ -87,30 +88,32 @@ type switchTable struct {
 	targets []int
 }
 
-func init() {
-	register("assign", func(c *fnCompiler, in *ast.Instr) error {
-		srcs, err := c.srcsOf(in.Ops)
-		if err != nil {
-			return err
-		}
-		d, err := c.dstOf(in.Target)
-		if err != nil {
-			return err
-		}
-		c.emit(Instr{exec: execAssign, d: d, srcs: srcs})
-		return nil
-	})
+var coreOps = []opRow{
+	{name: "assign", arity: -1, exec: execAssign, flags: opInline,
+		slotFit: func(in *Instr, kind []uint8, rty []*types.Type) bool {
+			if len(in.srcs) != 1 {
+				return false
+			}
+			s := &in.srcs[0]
+			if in.d.kind == srcReg && regSlot(kind, in.d.idx) != slotNone {
+				return scalarOperand(s, regSlot(kind, in.d.idx), kind, rty)
+			}
+			// Boxed destination (register, global, or discarded) fed from a
+			// slot: the executor re-boxes by the slot's kind.
+			return s.kind == srcReg && regSlot(kind, s.idx) != slotNone
+		}, slotExec: execSlotAssign, slotBoxed: execSlotAssignBox},
 
-	register("jump", func(c *fnCompiler, in *ast.Instr) error {
+	// The control ops lower with a zero destination, which Disasm prints "_".
+	{name: "jump", ctl: ctlJump, lower: func(c *fnCompiler, in *ast.Instr) error {
 		if len(in.Ops) != 1 || in.Ops[0].Kind != ast.Label {
 			return fmt.Errorf("jump needs a label")
 		}
 		pc := c.emit(Instr{exec: execJump})
 		c.pend = append(c.pend, pendingJump{pc: pc, which: 1, label: in.Ops[0].Name})
 		return nil
-	})
+	}},
 
-	register("if.else", func(c *fnCompiler, in *ast.Instr) error {
+	{name: "if.else", ctl: ctlBranch, flags: opInline, lower: func(c *fnCompiler, in *ast.Instr) error {
 		if len(in.Ops) != 3 {
 			return fmt.Errorf("if.else needs condition and two labels")
 		}
@@ -123,23 +126,27 @@ func init() {
 			pendingJump{pc: pc, which: 1, label: in.Ops[1].Name},
 			pendingJump{pc: pc, which: 2, label: in.Ops[2].Name})
 		return nil
-	})
+	}, slotFit: func(in *Instr, _ []uint8, _ []*types.Type) bool {
+		return len(in.srcs) == 1 // condition slot is a bool: test != 0
+	}, slotExec: execSlotIfElse},
 
-	register("return.void", func(c *fnCompiler, in *ast.Instr) error {
+	{name: "return.void", ctl: ctlReturn, lower: func(c *fnCompiler, in *ast.Instr) error {
 		c.emit(Instr{exec: execReturnVoid})
 		return nil
-	})
+	}},
 
-	register("return.result", func(c *fnCompiler, in *ast.Instr) error {
+	{name: "return.result", ctl: ctlReturn, lower: func(c *fnCompiler, in *ast.Instr) error {
 		s, err := c.srcOf(in.Ops[0])
 		if err != nil {
 			return err
 		}
 		c.emit(Instr{exec: execReturnResult, srcs: []src{s}})
 		return nil
-	})
+	}, slotFit: func(in *Instr, kind []uint8, _ []*types.Type) bool {
+		return len(in.srcs) == 1 && in.srcs[0].kind == srcReg && regSlot(kind, in.srcs[0].idx) != slotNone
+	}, slotBoxed: execSlotReturn},
 
-	register("call", func(c *fnCompiler, in *ast.Instr) error {
+	{name: "call", lower: func(c *fnCompiler, in *ast.Instr) error {
 		if len(in.Ops) == 0 || in.Ops[0].Kind != ast.FuncOp {
 			return fmt.Errorf("call needs a function operand")
 		}
@@ -159,9 +166,9 @@ func init() {
 		}
 		c.emit(Instr{exec: exec, d: d, srcs: srcs, aux: ct})
 		return nil
-	})
+	}},
 
-	register("switch", func(c *fnCompiler, in *ast.Instr) error {
+	{name: "switch", ctl: ctlSwitch, lower: func(c *fnCompiler, in *ast.Instr) error {
 		// switch <value> <default-label> (v1, l1) (v2, l2) ...
 		if len(in.Ops) < 2 {
 			return fmt.Errorf("switch needs value and default label")
@@ -183,14 +190,14 @@ func init() {
 			c.pendSwitch(tbl, len(tbl.targets)-1, cse.Elems[1].Name)
 		}
 		return nil
-	})
+	}},
 
 	// yield has no effect: a call gives way to its host only where it would
 	// block.
-	register("yield", func(c *fnCompiler, in *ast.Instr) error { return nil })
-	register("nop", func(c *fnCompiler, in *ast.Instr) error { return nil })
+	{name: "yield", lower: func(c *fnCompiler, in *ast.Instr) error { return nil }},
+	{name: "nop", lower: func(c *fnCompiler, in *ast.Instr) error { return nil }},
 
-	register("try.begin", func(c *fnCompiler, in *ast.Instr) error {
+	{name: "try.begin", lower: func(c *fnCompiler, in *ast.Instr) error {
 		var excReg int32 = -1
 		if !in.Target.IsZero() {
 			d, err := c.dstOf(in.Target)
@@ -213,9 +220,9 @@ func init() {
 			excName:    excName,
 		})
 		return nil
-	})
+	}},
 
-	register("try.end", func(c *fnCompiler, in *ast.Instr) error {
+	{name: "try.end", lower: func(c *fnCompiler, in *ast.Instr) error {
 		if len(c.tryStack) == 0 {
 			return fmt.Errorf("try.end without try.begin")
 		}
@@ -232,28 +239,26 @@ func init() {
 			label: ot.catchLabel,
 		})
 		return nil
-	})
+	}},
 
-	register("exception.throw", func(c *fnCompiler, in *ast.Instr) error {
-		return c.lowerSimple(in, -1, func(ex *Exec, args []values.Value) (values.Value, error) {
-			name := "Hilti::Exception"
-			msg := ""
-			switch len(args) {
-			case 1:
-				if e := args[0].AsException(); e != nil {
-					return values.Nil, e
-				}
-				msg = values.Format(args[0])
-			case 2:
-				// exception.throw <qualified-name> <message>
-				name = values.Format(args[0])
-				msg = values.Format(args[1])
+	{name: "exception.throw", arity: -1, fn: func(ex *Exec, args []values.Value) (values.Value, error) {
+		name := "Hilti::Exception"
+		msg := ""
+		switch len(args) {
+		case 1:
+			if e := args[0].AsException(); e != nil {
+				return values.Nil, e
 			}
-			return values.Nil, &values.Exception{Name: name, Msg: msg}
-		})
-	})
+			msg = values.Format(args[0])
+		case 2:
+			// exception.throw <qualified-name> <message>
+			name = values.Format(args[0])
+			msg = values.Format(args[1])
+		}
+		return values.Nil, &values.Exception{Name: name, Msg: msg}
+	}},
 
-	register("hook.run", func(c *fnCompiler, in *ast.Instr) error {
+	{name: "hook.run", lower: func(c *fnCompiler, in *ast.Instr) error {
 		if len(in.Ops) == 0 || in.Ops[0].Kind != ast.FuncOp {
 			return fmt.Errorf("hook.run needs a hook name")
 		}
@@ -265,9 +270,9 @@ func init() {
 		c.emit(Instr{exec: execHookRun, srcs: srcs,
 			aux: &hookTarget{name: name, bodies: c.lk.prog.HookBodies[name]}})
 		return nil
-	})
+	}},
 
-	register("thread.schedule", func(c *fnCompiler, in *ast.Instr) error {
+	{name: "thread.schedule", lower: func(c *fnCompiler, in *ast.Instr) error {
 		// thread.schedule <func> <args-tuple> <vid>
 		if len(in.Ops) != 3 || in.Ops[0].Kind != ast.FuncOp {
 			return fmt.Errorf("thread.schedule needs func, args tuple, vid")
@@ -283,29 +288,16 @@ func init() {
 		name := in.Ops[0].Name
 		c.emit(Instr{exec: execThreadSchedule, srcs: []src{argsSrc, vidSrc}, aux: name})
 		return nil
-	})
+	}},
 
-	register("debug.msg", func(c *fnCompiler, in *ast.Instr) error {
-		return c.lowerSimple(in, -1, func(ex *Exec, args []values.Value) (values.Value, error) {
-			parts := make([]string, len(args))
-			for i, a := range args {
-				parts[i] = values.Format(a)
-			}
-			fmt.Fprintf(ex.Out, "[debug] %s\n", joinSpace(parts))
-			return values.Nil, nil
-		})
-	})
-}
-
-func joinSpace(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += " "
+	{name: "debug.msg", arity: -1, fn: func(ex *Exec, args []values.Value) (values.Value, error) {
+		parts := make([]string, len(args))
+		for i, a := range args {
+			parts[i] = values.Format(a)
 		}
-		out += p
-	}
-	return out
+		fmt.Fprintf(ex.Out, "[debug] %s\n", strings.Join(parts, " "))
+		return values.Nil, nil
+	}},
 }
 
 // hookTarget is a hook.run's hook, resolved at lowering: the HILTI bodies

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"hilti/internal/hilti/ast"
+	"hilti/internal/hilti/types"
 	"hilti/internal/rt/channel"
 	"hilti/internal/rt/classifier"
 	"hilti/internal/rt/overlay"
@@ -44,42 +45,42 @@ func asTimerMgr(ex *Exec, v values.Value) (*timer.Mgr, error) {
 	return m, nil
 }
 
-func init() {
+var runtimeOps = []opRow{
 	// --- timer management --------------------------------------------------------
 	// timer_mgr.advance_global <time>: drives the Exec's global manager,
 	// expiring container state (the firewall example's per-packet call).
-	registerSimple("timer_mgr.advance_global", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "timer_mgr.advance_global", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		ex.GlobalTM.Advance(timer.Time(a[0].AsTimeNs()))
 		return values.Nil, nil
-	})
-	registerSimple("timer_mgr.advance", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "timer_mgr.advance", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		m, err := asTimerMgr(ex, a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		m.Advance(timer.Time(a[1].AsTimeNs()))
 		return values.Nil, nil
-	})
-	registerSimple("timer_mgr.current", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "timer_mgr.current", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		m, err := asTimerMgr(ex, a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		return values.TimeVal(int64(m.Now())), nil
-	})
-	registerSimple("timer_mgr.expire", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "timer_mgr.expire", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		m, err := asTimerMgr(ex, a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		m.Expire(a[1].AsBool())
 		return values.Nil, nil
-	})
+	}},
 
 	// timer.schedule <time> <func-name> <args-tuple>: schedule a function
 	// call to the future on the global manager (HILTI timers execute
 	// captured closures; the function-plus-arguments form is the callable).
-	register("timer.schedule", func(c *fnCompiler, in *ast.Instr) error {
+	{name: "timer.schedule", lower: func(c *fnCompiler, in *ast.Instr) error {
 		if len(in.Ops) != 3 || in.Ops[1].Kind != ast.FuncOp {
 			return fmt.Errorf("timer.schedule needs time, function, args tuple")
 		}
@@ -98,39 +99,39 @@ func init() {
 		}
 		c.emit(Instr{exec: execTimerSchedule, d: d, srcs: []src{timeSrc, argsSrc}, aux: ct})
 		return nil
-	})
+	}},
 
-	registerSimple("timer.cancel", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "timer.cancel", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		t, _ := a[0].O.(*timer.Timer)
 		if t != nil {
 			t.Cancel()
 		}
 		return values.Nil, nil
-	})
-	registerSimple("timer.update", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "timer.update", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		t, _ := a[0].O.(*timer.Timer)
 		if t != nil {
 			t.Update(timer.Time(a[1].AsTimeNs()))
 		}
 		return values.Nil, nil
-	})
+	}},
 
 	// --- channel -------------------------------------------------------------------
-	registerSimple("channel.write", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "channel.write", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		ch, err := asChannel(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		return values.Nil, ch.Write(a[1])
-	})
-	registerSimple("channel.read", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "channel.read", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		ch, err := asChannel(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		return ch.Read()
-	})
-	registerSimple("channel.try_read", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "channel.try_read", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		ch, err := asChannel(a[0])
 		if err != nil {
 			return values.Nil, err
@@ -143,19 +144,19 @@ func init() {
 			return values.Nil, err
 		}
 		return values.TupleVal(values.Bool(true), v), nil
-	})
-	registerSimple("channel.size", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "channel.size", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		ch, err := asChannel(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		return values.Int(int64(ch.Len())), nil
-	})
+	}},
 
 	// --- classifier ------------------------------------------------------------------
 	// classifier.add <classifier> <rule-tuple> <value>: each rule element
 	// becomes its natural matcher (nets by prefix, void as wildcard).
-	registerSimple("classifier.add", 3, func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "classifier.add", arity: 3, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		cl, err := asClassifier(a[0])
 		if err != nil {
 			return values.Nil, err
@@ -165,16 +166,16 @@ func init() {
 			return values.Nil, &values.Exception{Name: "Hilti::TypeError", Msg: "classifier.add needs a rule tuple"}
 		}
 		return values.Nil, cl.AddValues(a[2], t.Elems...)
-	})
-	registerSimple("classifier.compile", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "classifier.compile", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		cl, err := asClassifier(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
 		cl.Compile()
 		return values.Nil, nil
-	})
-	registerSimple("classifier.get", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "classifier.get", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		cl, err := asClassifier(a[0])
 		if err != nil {
 			return values.Nil, err
@@ -191,8 +192,8 @@ func init() {
 			return values.Nil, err
 		}
 		return v, nil
-	})
-	registerSimple("classifier.matches", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "classifier.matches", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		cl, err := asClassifier(a[0])
 		if err != nil {
 			return values.Nil, err
@@ -202,11 +203,11 @@ func init() {
 			return values.Nil, &values.Exception{Name: "Hilti::TypeError", Msg: "classifier.matches needs a key tuple"}
 		}
 		return values.Bool(cl.Matches(t.Elems...)), nil
-	})
+	}},
 
 	// --- overlay --------------------------------------------------------------------
 	// overlay.get <overlay-type> <field> <bytes>: paper Figure 4.
-	register("overlay.get", func(c *fnCompiler, in *ast.Instr) error {
+	{name: "overlay.get", flags: opInline, lower: func(c *fnCompiler, in *ast.Instr) error {
 		if len(in.Ops) != 3 || in.Ops[0].Kind != ast.TypeOp || in.Ops[1].Kind != ast.FieldOp {
 			return fmt.Errorf("overlay.get needs type, field, bytes")
 		}
@@ -229,10 +230,15 @@ func init() {
 		}
 		c.emit(Instr{exec: execOverlayGet, d: d, srcs: []src{s}, aux: ov, t2: fieldIdx})
 		return nil
-	})
+	}, slotFit: func(in *Instr, kind []uint8, _ []*types.Type) bool {
+		// Overlay fields decode into ints; only srcs[0] (the bytes rope)
+		// exists and is never slotted, so only the destination matters.
+		return in.d.kind == srcReg && regSlot(kind, in.d.idx) == slotInt &&
+			len(in.srcs) == 1 && !srcTouchesSlot(&in.srcs[0], kind)
+	}, slotExec: execOverlayGet}, // t2 keeps the field index
 
 	// --- file ------------------------------------------------------------------------
-	registerSimple("file.open", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "file.open", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		if ex.Files == nil {
 			return values.Nil, &values.Exception{Name: "Hilti::IOError", Msg: "no file manager attached"}
 		}
@@ -241,29 +247,29 @@ func init() {
 			return values.Nil, err
 		}
 		return values.Ref(values.KindFile, f), nil
-	})
-	registerSimple("file.write", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "file.write", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		f, _ := a[0].O.(interface{ WriteString(string) })
 		if f == nil {
 			return values.Nil, &values.Exception{Name: "Hilti::NullReference", Msg: "nil file reference"}
 		}
 		f.WriteString(values.Format(a[1]))
 		return values.Nil, nil
-	})
+	}},
 
 	// --- profiler ----------------------------------------------------------------------
-	registerSimple("profiler.start", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "profiler.start", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		ex.Profs.Get(a[0].AsString()).Start()
 		return values.Nil, nil
-	})
-	registerSimple("profiler.stop", 1, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "profiler.stop", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		ex.Profs.Get(a[0].AsString()).Stop()
 		return values.Nil, nil
-	})
-	registerSimple("profiler.update", 2, func(ex *Exec, a []values.Value) (values.Value, error) {
+	}},
+	{name: "profiler.update", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		ex.Profs.Get(a[0].AsString()).Update(a[1].AsInt())
 		return values.Nil, nil
-	})
+	}},
 }
 
 func execTimerSchedule(ex *Exec, fr *Frame, in *Instr) int {
@@ -287,10 +293,13 @@ func execTimerSchedule(ex *Exec, fr *Frame, in *Instr) int {
 	return in.t1
 }
 
+// execOverlayGet decodes an overlay field. Under tier-2 a statically
+// int-typed destination is an unboxed slot (the classifier only admits
+// that, which pins the field to an integer decode): the payload goes
+// straight into the slot file.
 func execOverlayGet(ex *Exec, fr *Frame, in *Instr) int {
 	ov := in.aux.(*overlay.Overlay)
-	bv := ex.get(fr, &in.srcs[0])
-	b := bv.AsBytes()
+	b := ex.get(fr, &in.srcs[0]).AsBytes()
 	if b == nil {
 		return ex.raise("Hilti::NullReference", "nil bytes reference")
 	}
@@ -298,26 +307,10 @@ func execOverlayGet(ex *Exec, fr *Frame, in *Instr) int {
 	if err != nil {
 		return ex.raise("Hilti::OverlayError", err.Error())
 	}
-	ex.put(fr, in.d, v)
-	return in.t1
-}
-
-// execOverlayGetSlot is execOverlayGet with an unboxed integer
-// destination: the decoded field's payload goes straight into the slot
-// file (the classifier only installs this when the destination register is
-// statically int-typed, which pins the overlay field to an integer
-// decode). Raise behavior is identical to the boxed executor.
-func execOverlayGetSlot(ex *Exec, fr *Frame, in *Instr) int {
-	ov := in.aux.(*overlay.Overlay)
-	bv := ex.get(fr, &in.srcs[0])
-	b := bv.AsBytes()
-	if b == nil {
-		return ex.raise("Hilti::NullReference", "nil bytes reference")
+	if in.d.kind == srcSlot {
+		fr.I[in.d.idx] = int64(v.A)
+	} else {
+		ex.put(fr, in.d, v)
 	}
-	v, err := ov.GetIdx(b.Bytes(), in.t2)
-	if err != nil {
-		return ex.raise("Hilti::OverlayError", err.Error())
-	}
-	fr.I[in.d.idx] = int64(v.A)
 	return in.t1
 }

@@ -17,8 +17,6 @@
 package vm
 
 import (
-	"strings"
-
 	"hilti/internal/hilti/types"
 	"hilti/internal/rt/values"
 )
@@ -97,25 +95,21 @@ func Optimize(fn *CompiledFunc, level int) OptStats {
 
 // isBranch reports whether in's t2 is a control-flow target (if.else,
 // fused compare-and-branch, and tier-2 pairs whose second half is one of
-// those). For every other instruction t2 is either unused or data
-// (overlay.get keeps a field index there).
-func isBranch(in *Instr) bool {
-	return in.op == "if.else" || strings.HasSuffix(in.op, "+br") ||
-		strings.HasSuffix(in.op, "+if.else")
-}
+// those).
+func isBranch(in *Instr) bool { return rowOf(in.opID).ctl == ctlBranch }
 
 // successors appends the control successors of fn.Code[pc] to buf.
 func successors(fn *CompiledFunc, pc int, buf []int) []int {
 	in := &fn.Code[pc]
-	switch {
-	case in.op == "jump":
+	switch rowOf(in.opID).ctl {
+	case ctlJump:
 		return append(buf, in.t1)
-	case isBranch(in):
+	case ctlBranch:
 		return append(buf, in.t1, in.t2)
-	case in.op == "switch":
+	case ctlSwitch:
 		buf = append(buf, in.t1)
 		return append(buf, in.aux.(*switchTable).targets...)
-	case in.op == "return.void" || in.op == "return.result":
+	case ctlReturn:
 		return buf
 	default:
 		// Straight-line instruction: falls through to t1. Raising paths
@@ -131,8 +125,7 @@ func leaders(fn *CompiledFunc) []bool {
 	lead := make([]bool, len(fn.Code)+1)
 	var buf []int
 	for pc := range fn.Code {
-		in := &fn.Code[pc]
-		if in.op == "jump" || isBranch(in) || in.op == "switch" {
+		if rowOf(fn.Code[pc].opID).ctl != ctlNone {
 			buf = successors(fn, pc, buf[:0])
 			for _, t := range buf {
 				lead[t] = true
@@ -166,10 +159,8 @@ func copyProp(fn *CompiledFunc, lead []bool, st *OptStats) {
 		// A substitution that changed an operand's kind (register →
 		// constant) invalidates a shape-specialized executor chosen at
 		// lowering time; re-pick for the new shape.
-		if reshaped {
-			if pick, ok := reshapers[in.op]; ok {
-				in.exec = pick(in.srcs, in.d)
-			}
+		if r := rowOf(in.opID); reshaped && r.pick != nil {
+			in.exec = r.shapeExec(in.srcs, in.d)
 		}
 		if in.d2 != 0 {
 			killCopies(copies, in.d2)
@@ -179,7 +170,7 @@ func copyProp(fn *CompiledFunc, lead []bool, st *OptStats) {
 		}
 		w := in.d.idx
 		killCopies(copies, w)
-		if in.op == "assign" && len(in.srcs) == 1 {
+		if rowOf(in.opID) == opAssign && len(in.srcs) == 1 {
 			if s := in.srcs[0]; (s.kind == srcConst || s.kind == srcReg) &&
 				!(s.kind == srcReg && s.idx == w) {
 				copies[w] = s
@@ -216,7 +207,7 @@ func substSrc(s *src, copies map[int32]src, st *OptStats) {
 }
 
 // splitTuples is scalar replacement for the tuples of two-result ops
-// (registerTwo). Generated parsers write `t = unpack…; v = tuple.index t 0;
+// (twoFn rows). Generated parsers write `t = unpack…; v = tuple.index t 0;
 // cur = tuple.index t 1`: the tuple lives for two instructions and costs
 // two heap objects. For a register whose every definition is such an op,
 // whose every read is a tuple.index with a constant in-range index, and
@@ -322,7 +313,7 @@ func splitTuples(fn *CompiledFunc, lead []bool, st *OptStats) {
 		}
 		for _, q := range reads {
 			if in := &fn.Code[q]; in.srcs[0].idx == r {
-				*in = Instr{op: "assign", opID: internOp("assign"), exec: execAssign,
+				*in = Instr{opID: idOf(opAssign), exec: execAssign,
 					d: in.d, srcs: []src{{kind: srcReg, idx: comp[in.srcs[1].val.A]}}, t1: in.t1}
 			}
 		}
@@ -338,84 +329,40 @@ func splitTuples(fn *CompiledFunc, lead []bool, st *OptStats) {
 
 // isComponentRead reports whether in is `tuple.index <reg> <const 0|1>`.
 func isComponentRead(in *Instr) bool {
-	return in.op == "tuple.index" && len(in.srcs) == 2 &&
+	return rowOf(in.opID) == opTupleIndex && len(in.srcs) == 2 &&
 		in.srcs[0].kind == srcReg && in.srcs[1].kind == srcConst &&
 		in.srcs[1].val.K == values.KindInt && in.srcs[1].val.A < 2
 }
 
-// foldKind classifies how an op with all-constant operands is evaluated at
-// compile time.
-type foldKind uint8
-
-const (
-	foldNone    foldKind = iota
-	foldIntBin           // aux func(x, y int64) int64
-	foldIntCmp           // aux func(x, y int64) bool
-	foldEqual            // values.Equal (no aux)
-	foldUnequal          // !values.Equal (no aux)
-	foldNetHas           // Value.NetContains (no aux)
-	foldPure             // aux simpleFn, pure and Exec-independent
-)
-
-// foldable lists ops whose results depend only on their operands. Stateful
-// ops (containers, bytes, calls, runtime services) are deliberately
-// absent; pure-but-fallible ops are included and skipped when they error.
-var foldable = map[string]foldKind{
-	"int.add": foldIntBin, "int.sub": foldIntBin, "int.mul": foldIntBin,
-	"int.eq": foldIntCmp, "int.lt": foldIntCmp, "int.gt": foldIntCmp,
-	"int.leq": foldIntCmp, "int.geq": foldIntCmp,
-	"equal": foldEqual, "unequal": foldUnequal, "net.contains": foldNetHas,
-
-	"int.div": foldPure, "int.mod": foldPure, "int.shl": foldPure,
-	"int.shr": foldPure, "int.and": foldPure, "int.or": foldPure,
-	"int.xor": foldPure, "int.ult": foldPure, "int.ugt": foldPure,
-	"int.to_double": foldPure, "int.to_time": foldPure,
-	"int.to_interval": foldPure, "int.to_string": foldPure,
-	"double.add": foldPure, "double.sub": foldPure, "double.mul": foldPure,
-	"double.div": foldPure, "double.lt": foldPure, "double.gt": foldPure,
-	"double.leq": foldPure, "double.geq": foldPure, "double.to_int": foldPure,
-	"double.to_interval": foldPure, "double.to_time": foldPure,
-	"bool.and": foldPure, "bool.or": foldPure, "bool.not": foldPure,
-	"and": foldPure, "or": foldPure, "not": foldPure,
-	"string.concat": foldPure, "string.length": foldPure,
-	"string.lower": foldPure, "string.upper": foldPure,
-	"string.find": foldPure, "string.to_int": foldPure,
-	"time.add": foldPure, "time.sub": foldPure, "time.lt": foldPure,
-	"time.gt": foldPure, "time.nsecs": foldPure, "time.to_double": foldPure,
-	"interval.add": foldPure, "interval.sub": foldPure,
-	"interval.mul": foldPure, "interval.lt": foldPure,
-	"interval.gt": foldPure, "interval.nsecs": foldPure,
-	"interval.to_double": foldPure,
-	"addr.family":        foldPure, "net.family": foldPure, "net.length": foldPure,
-	"port.protocol": foldPure, "port.number": foldPure,
-	"enum.to_int": foldPure, "bitset.set": foldPure, "bitset.clear": foldPure,
-	"bitset.has": foldPure, "tuple.index": foldPure, "tuple.length": foldPure,
-}
-
 // constFold replaces pure instructions whose operands are all constants
 // with a constant assignment, and if.else on a constant condition with an
-// unconditional jump.
+// unconditional jump. An instruction that raises is left to raise at
+// runtime.
 func constFold(fn *CompiledFunc, st *OptStats) {
 	for pc := range fn.Code {
 		in := &fn.Code[pc]
-		if in.op == "if.else" && len(in.srcs) == 1 && in.srcs[0].kind == srcConst {
+		r := rowOf(in.opID)
+		if r == opIfElse && len(in.srcs) == 1 && in.srcs[0].kind == srcConst {
 			t := in.t2
 			if values.IsTruthy(in.srcs[0].val) {
 				t = in.t1
 			}
-			fn.Code[pc] = Instr{op: "jump", opID: internOp("jump"), exec: execJump, t1: t}
+			fn.Code[pc] = Instr{opID: idOf(opJump), exec: execJump, t1: t}
 			st.Folded++
 			continue
 		}
-		fk := foldable[in.op]
-		if fk == foldNone || in.d.kind == srcNone || len(in.srcs) == 0 || !allConst(in.srcs) {
+		if !r.folds() || in.d.kind == srcNone || len(in.srcs) == 0 || !allConst(in.srcs) {
 			continue
 		}
-		v, ok := evalConst(in, fk)
-		if !ok {
+		args := make([]values.Value, len(in.srcs))
+		for i := range in.srcs {
+			args[i] = in.srcs[i].val
+		}
+		v, err := r.fn(nil, args)
+		if err != nil {
 			continue
 		}
-		fn.Code[pc] = Instr{op: "assign", opID: internOp("assign"), exec: execAssign,
+		fn.Code[pc] = Instr{opID: idOf(opAssign), exec: execAssign,
 			d: in.d, srcs: []src{{kind: srcConst, val: v}}, t1: in.t1}
 		st.Folded++
 	}
@@ -430,58 +377,11 @@ func allConst(srcs []src) bool {
 	return true
 }
 
-func evalConst(in *Instr, fk foldKind) (values.Value, bool) {
-	switch fk {
-	case foldIntBin:
-		fn, ok := in.aux.(func(x, y int64) int64)
-		if !ok || len(in.srcs) != 2 {
-			return values.Nil, false
-		}
-		return values.Int(fn(in.srcs[0].val.AsInt(), in.srcs[1].val.AsInt())), true
-	case foldIntCmp:
-		fn, ok := in.aux.(func(x, y int64) bool)
-		if !ok || len(in.srcs) != 2 {
-			return values.Nil, false
-		}
-		return values.Bool(fn(in.srcs[0].val.AsInt(), in.srcs[1].val.AsInt())), true
-	case foldEqual:
-		if len(in.srcs) != 2 {
-			return values.Nil, false
-		}
-		return values.Bool(values.Equal(in.srcs[0].val, in.srcs[1].val)), true
-	case foldUnequal:
-		if len(in.srcs) != 2 {
-			return values.Nil, false
-		}
-		return values.Bool(!values.Equal(in.srcs[0].val, in.srcs[1].val)), true
-	case foldNetHas:
-		if len(in.srcs) != 2 {
-			return values.Nil, false
-		}
-		return values.Bool(in.srcs[0].val.NetContains(in.srcs[1].val)), true
-	case foldPure:
-		fn, ok := in.aux.(simpleFn)
-		if !ok {
-			return values.Nil, false
-		}
-		args := make([]values.Value, len(in.srcs))
-		for i := range in.srcs {
-			args[i] = in.srcs[i].val
-		}
-		v, err := fn(nil, args)
-		if err != nil {
-			return values.Nil, false // raises at runtime; leave it alone
-		}
-		return v, true
-	}
-	return values.Nil, false
-}
-
 // finalTarget follows chains of unconditional jumps starting at t. Cycles
 // (empty infinite loops) terminate via the hop bound.
 func finalTarget(code []Instr, t int) int {
 	for hops := 0; hops <= len(code); hops++ {
-		if t < 0 || t >= len(code) || code[t].op != "jump" {
+		if t < 0 || t >= len(code) || rowOf(code[t].opID).ctl != ctlJump {
 			return t
 		}
 		nt := code[t].t1
@@ -498,7 +398,7 @@ func finalTarget(code []Instr, t int) int {
 // is its fallthrough edge, so this also short-circuits "fall into a jump".
 func threadJumps(fn *CompiledFunc, st *OptStats) {
 	code := fn.Code
-	retarget := func(t int) int {
+	thread := func(t int) int {
 		ft := finalTarget(code, t)
 		if ft != t {
 			st.Threaded++
@@ -506,41 +406,50 @@ func threadJumps(fn *CompiledFunc, st *OptStats) {
 		return ft
 	}
 	for pc := range code {
-		in := &code[pc]
-		switch {
-		case in.op == "return.void" || in.op == "return.result":
-			// t1 unused.
-		case isBranch(in):
-			in.t1 = retarget(in.t1)
-			in.t2 = retarget(in.t2)
-		case in.op == "switch":
-			in.t1 = retarget(in.t1)
-			tbl := in.aux.(*switchTable)
-			for i := range tbl.targets {
-				tbl.targets[i] = retarget(tbl.targets[i])
-			}
-		default:
-			in.t1 = retarget(in.t1)
-		}
+		retarget(&code[pc], thread)
 	}
 	for i := range fn.Handlers {
-		fn.Handlers[i].target = retarget(fn.Handlers[i].target)
+		fn.Handlers[i].target = thread(fn.Handlers[i].target)
+	}
+}
+
+// retarget rewrites every control target of in through f; a compare's
+// t2, still its fallthrough, follows t1.
+func retarget(in *Instr, f func(int) int) {
+	r := rowOf(in.opID)
+	switch r.ctl {
+	case ctlReturn:
+		// t1 unused.
+	case ctlBranch:
+		in.t1, in.t2 = f(in.t1), f(in.t2)
+	case ctlSwitch:
+		in.t1 = f(in.t1)
+		tbl := in.aux.(*switchTable)
+		for i := range tbl.targets {
+			tbl.targets[i] = f(tbl.targets[i])
+		}
+	default:
+		in.t1 = f(in.t1)
+		if r.twin != nil {
+			in.t2 = in.t1
+		}
 	}
 }
 
 // fuseCmpBr collapses a compare whose result falls through into an if.else
-// on that same register into one fused compare-and-branch instruction. The
-// boolean is still written to its destination register (other paths may
-// jump directly to the if.else or read the flag later); the orphaned
-// if.else survives at its pc unless unreachable-code elimination proves no
-// one else targets it. Fused instructions raise at the compare's pc, so
-// handler resolution is unchanged.
+// on that same register into its fused compare-and-branch form: the same
+// executor, retargeted to the if.else's targets. The boolean is still
+// written to its destination register (other paths may jump directly to
+// the if.else or read the flag later); the orphaned if.else survives at
+// its pc unless unreachable-code elimination proves no one else targets
+// it. The fused instruction raises at the compare's pc, so handler
+// resolution is unchanged.
 func fuseCmpBr(fn *CompiledFunc, st *OptStats) {
 	code := fn.Code
 	for pc := range code {
 		in := &code[pc]
-		mk := fuseMaker(in)
-		if mk == nil || in.d.kind != srcReg {
+		r := rowOf(in.opID)
+		if r.twin == nil || in.d.kind != srcReg {
 			continue
 		}
 		t := in.t1
@@ -548,163 +457,14 @@ func fuseCmpBr(fn *CompiledFunc, st *OptStats) {
 			continue
 		}
 		br := &code[t]
-		if br.op != "if.else" || len(br.srcs) != 1 ||
+		if rowOf(br.opID) != opIfElse || len(br.srcs) != 1 ||
 			br.srcs[0].kind != srcReg || br.srcs[0].idx != in.d.idx {
 			continue
 		}
-		in.exec = mk
-		in.op += "+br"
-		in.opID = internOp(in.op)
+		in.opID = idOf(r.twin)
 		in.t1, in.t2 = br.t1, br.t2
 		st.Fused++
 	}
-}
-
-// fuseSimple lists simpleFn-dispatched ops that produce a boolean and may
-// be fused with a following branch. They keep their aux closure; the fused
-// executor adds the branch after the regular evaluate-and-store.
-var fuseSimple = map[string]bool{
-	"double.lt": true, "double.gt": true, "double.leq": true,
-	"double.geq": true, "int.ult": true, "int.ugt": true,
-	"time.lt": true, "time.gt": true, "interval.lt": true,
-	"interval.gt": true, "bool.and": true, "bool.or": true,
-	"bool.not": true, "and": true, "or": true, "not": true,
-	"iterator.eq": true, "iterator.at_end": true,
-	"iterator.at_end_now": true, "struct.is_set": true, "bitset.has": true,
-}
-
-// fuseMaker picks the fused executor for in, or nil when in cannot fuse.
-func fuseMaker(in *Instr) func(*Exec, *Frame, *Instr) int {
-	switch in.op {
-	case "int.eq", "int.lt", "int.gt", "int.leq", "int.geq":
-		if _, ok := in.aux.(func(x, y int64) bool); !ok || len(in.srcs) != 2 {
-			return nil
-		}
-		switch {
-		case in.srcs[0].kind == srcReg && in.srcs[1].kind == srcReg:
-			return execFusedIntCmpRR
-		case in.srcs[0].kind == srcReg && in.srcs[1].kind == srcConst:
-			return execFusedIntCmpRC
-		default:
-			return execFusedIntCmpGen
-		}
-	case "equal", "unequal":
-		neg := in.op == "unequal"
-		if len(in.srcs) != 2 {
-			return nil
-		}
-		if !neg && in.srcs[0].kind == srcReg && in.srcs[1].kind == srcConst {
-			return execFusedEqualRC
-		}
-		if neg {
-			return execFusedUnequalGen
-		}
-		return execFusedEqualGen
-	case "net.contains":
-		if len(in.srcs) != 2 {
-			return nil
-		}
-		return execFusedNetContainsGen
-	case "set.exists":
-		if len(in.srcs) != 2 {
-			return nil
-		}
-		return execFusedSetExists
-	case "map.exists":
-		if len(in.srcs) != 2 {
-			return nil
-		}
-		return execFusedMapExists
-	default:
-		if !fuseSimple[in.op] {
-			return nil
-		}
-		if _, ok := in.aux.(simpleFn); !ok {
-			return nil
-		}
-		return execFusedSimple
-	}
-}
-
-func (in *Instr) branch(b bool) int {
-	if b {
-		return in.t1
-	}
-	return in.t2
-}
-
-func execFusedIntCmpRR(ex *Exec, fr *Frame, in *Instr) int {
-	b := in.aux.(func(x, y int64) bool)(
-		int64(fr.R[in.srcs[0].idx].A), int64(fr.R[in.srcs[1].idx].A))
-	fr.R[in.d.idx] = values.Bool(b)
-	return in.branch(b)
-}
-
-func execFusedIntCmpRC(ex *Exec, fr *Frame, in *Instr) int {
-	b := in.aux.(func(x, y int64) bool)(
-		int64(fr.R[in.srcs[0].idx].A), int64(in.srcs[1].val.A))
-	fr.R[in.d.idx] = values.Bool(b)
-	return in.branch(b)
-}
-
-func execFusedIntCmpGen(ex *Exec, fr *Frame, in *Instr) int {
-	b := in.aux.(func(x, y int64) bool)(
-		ex.get(fr, &in.srcs[0]).AsInt(), ex.get(fr, &in.srcs[1]).AsInt())
-	ex.put(fr, in.d, values.Bool(b))
-	return in.branch(b)
-}
-
-func execFusedEqualRC(ex *Exec, fr *Frame, in *Instr) int {
-	b := values.Equal(fr.R[in.srcs[0].idx], in.srcs[1].val)
-	fr.R[in.d.idx] = values.Bool(b)
-	return in.branch(b)
-}
-
-func execFusedEqualGen(ex *Exec, fr *Frame, in *Instr) int {
-	b := values.Equal(ex.get(fr, &in.srcs[0]), ex.get(fr, &in.srcs[1]))
-	ex.put(fr, in.d, values.Bool(b))
-	return in.branch(b)
-}
-
-func execFusedUnequalGen(ex *Exec, fr *Frame, in *Instr) int {
-	b := !values.Equal(ex.get(fr, &in.srcs[0]), ex.get(fr, &in.srcs[1]))
-	ex.put(fr, in.d, values.Bool(b))
-	return in.branch(b)
-}
-
-func execFusedNetContainsGen(ex *Exec, fr *Frame, in *Instr) int {
-	b := ex.get(fr, &in.srcs[0]).NetContains(ex.get(fr, &in.srcs[1]))
-	ex.put(fr, in.d, values.Bool(b))
-	return in.branch(b)
-}
-
-func execFusedSetExists(ex *Exec, fr *Frame, in *Instr) int {
-	s, err := asSet(ex.get(fr, &in.srcs[0]))
-	if err != nil {
-		return ex.raiseErr(err)
-	}
-	b := setExists(ex, fr, s, &in.srcs[1])
-	ex.put(fr, in.d, values.Bool(b))
-	return in.branch(b)
-}
-
-func execFusedMapExists(ex *Exec, fr *Frame, in *Instr) int {
-	m, err := asMap(ex.get(fr, &in.srcs[0]))
-	if err != nil {
-		return ex.raiseErr(err)
-	}
-	b := mapExists(ex, fr, m, &in.srcs[1])
-	ex.put(fr, in.d, values.Bool(b))
-	return in.branch(b)
-}
-
-// execFusedSimple is execSimple plus the branch on the stored boolean.
-func execFusedSimple(ex *Exec, fr *Frame, in *Instr) int {
-	v, pc := ex.simple(fr, in)
-	if pc < 0 {
-		return pc
-	}
-	return in.branch(values.IsTruthy(v))
 }
 
 // reachable marks every pc control can reach from pc 0, a raise anywhere
@@ -788,26 +548,13 @@ func removeUnreachable(fn *CompiledFunc, st *OptStats) {
 	remap[n] = kept
 
 	newCode := make([]Instr, 0, kept)
+	remapT := func(t int) int { return remap[t] }
 	for pc := 0; pc < n; pc++ {
 		if !reach[pc] {
 			continue
 		}
 		in := fn.Code[pc]
-		switch {
-		case in.op == "return.void" || in.op == "return.result":
-			// t1 unused.
-		case isBranch(&in):
-			in.t1 = remap[in.t1]
-			in.t2 = remap[in.t2]
-		case in.op == "switch":
-			in.t1 = remap[in.t1]
-			tbl := in.aux.(*switchTable)
-			for i := range tbl.targets {
-				tbl.targets[i] = remap[tbl.targets[i]]
-			}
-		default:
-			in.t1 = remap[in.t1]
-		}
+		retarget(&in, remapT)
 		newCode = append(newCode, in)
 	}
 	st.Removed += n - kept

@@ -431,8 +431,8 @@ func noEntryInto(code []Instr, hs []handler, target, from int) bool {
 			continue
 		}
 		in := &code[q]
-		switch {
-		case in.op == "switch":
+		switch rowOf(in.opID).ctl {
+		case ctlSwitch:
 			if in.t1 == target {
 				return false
 			}
@@ -445,11 +445,11 @@ func noEntryInto(code []Instr, hs []handler, target, from int) bool {
 					return false
 				}
 			}
-		case in.op == "jump":
+		case ctlJump:
 			if in.t1 == target {
 				return false
 			}
-		case isBranch(in):
+		case ctlBranch:
 			if in.t1 == target || in.t2 == target {
 				return false
 			}
@@ -466,59 +466,43 @@ func noEntryInto(code []Instr, hs []handler, target, from int) bool {
 // fuseOverlayPairs fuses `overlay.get; <compare> const +br` sequences into
 // single specialized superinstructions. It runs before the generic pair
 // pass so the overlay shapes get the inline decoder rather than a generic
-// two-dispatch pair; eligibility mirrors fusePairs (fall-through head,
-// identical handler coverage, measured hot when a profile is given, never
-// into a proven-loop region entry).
+// two-dispatch pair; eligibility is fusePairs' (fuseAdjacent).
 func fuseOverlayPairs(tc *tierCode, hs []handler, prof *opProfile, pairMin uint64, loops []loopRegion) {
-	regionEntry := make(map[int]bool, len(loops))
-	for _, lr := range loops {
-		regionEntry[lr.lo] = true
-	}
 	code := tc.code
-	for pc := 0; pc+1 < len(code); pc++ {
-		a, b := &code[pc], &code[pc+1]
-		if a.op != "overlay.get" || a.t1 != pc+1 || regionEntry[pc+1] {
-			continue
-		}
-		if len(a.srcs) != 1 || a.srcs[0].kind != srcReg {
-			continue
-		}
-		if a.d.kind != srcReg && a.d.kind != srcSlot {
-			continue
-		}
-		if !sameHandlers(hs, pc, pc+1) {
-			continue
-		}
-		if prof != nil && prof.pairCount(a.opID, b.opID) < pairMin {
-			continue
+	fuseAdjacent(tc, hs, prof, pairMin, loops, func(pc int, a, b *Instr) (Instr, bool) {
+		if rowOf(a.opID) != opOverlayGet || len(a.srcs) != 1 || a.srcs[0].kind != srcReg ||
+			a.d.kind != srcReg && a.d.kind != srcSlot {
+			return Instr{}, false
 		}
 		ov, okOv := a.aux.(*overlay.Overlay)
 		if !okOv {
-			continue
+			return Instr{}, false
 		}
 		plan := planOverlayField(ov, a.t2)
 		if plan == nil {
-			continue
+			return Instr{}, false
 		}
 		oa := &overlayCmpAux{overlayPlan: *plan, bpc: pc + 1, bd: b.d}
-		var exec func(*Exec, *Frame, *Instr) int
-		switch b.op {
-		case "int.eq+br", "int.lt+br", "int.gt+br", "int.leq+br", "int.geq+br":
+		var exec execFn
+		switch rb := rowOf(b.opID); {
+		case rb.ctl != ctlBranch:
+			return Instr{}, false
+		case rb.rel != relNone:
 			fn, okFn := b.aux.(func(x, y int64) bool)
 			if !okFn || len(b.srcs) != 2 || !plan.intFormat() {
-				continue
+				return Instr{}, false
 			}
 			if !operandIs(&b.srcs[0], a.d) || b.srcs[1].kind != srcConst ||
 				b.srcs[1].val.K != values.KindInt {
-				continue
+				return Instr{}, false
 			}
 			oa.cmpFn, oa.cstInt = fn, int64(b.srcs[1].val.A)
 			exec = execOvIntCmpBr
-		case "equal+br", "unequal+br":
+		case rb == opEqual.twin || rb == opUnequal.twin:
 			if len(b.srcs) != 2 || !operandIs(&b.srcs[0], a.d) || b.srcs[1].kind != srcConst {
-				continue
+				return Instr{}, false
 			}
-			oa.cst, oa.neg = b.srcs[1].val, b.op == "unequal+br"
+			oa.cst, oa.neg = b.srcs[1].val, rb == opUnequal.twin
 			exec = execOvEqualBr
 			if plan.format == overlay.IPv4 {
 				z := values.AddrFrom4([4]byte{})
@@ -526,10 +510,10 @@ func fuseOverlayPairs(tc *tierCode, hs []handler, prof *opProfile, pairMin uint6
 				oa.a4ok = oa.cst.K == values.KindAddr && oa.cst.A == z.A
 				exec = execOvAddr4EqBr
 			}
-		case "net.contains+br":
+		case rb == opNetContains.twin:
 			if len(b.srcs) != 2 || b.srcs[0].kind != srcConst ||
 				b.srcs[0].val.K != values.KindNet || !operandIs(&b.srcs[1], a.d) {
-				continue
+				return Instr{}, false
 			}
 			oa.cst = b.srcs[0].val
 			// Precompute the subnet mask NetContains would re-derive:
@@ -552,7 +536,7 @@ func fuseOverlayPairs(tc *tierCode, hs []handler, prof *opProfile, pairMin uint6
 				exec = execOvAddr4NetBr
 			}
 		default:
-			continue
+			return Instr{}, false
 		}
 		// Verified dead-store elision. The decoded value may skip its
 		// register store when nothing but the orphaned compare reads it and
@@ -565,21 +549,9 @@ func fuseOverlayPairs(tc *tierCode, hs []handler, prof *opProfile, pairMin uint6
 				noEntryInto(code, hs, pc+1, pc)
 			oa.elideB = regReaders(code, b.d, -1) == 0
 		}
-		fused := Instr{
-			exec: exec,
-			op:   a.op + "+" + b.op,
-			d:    a.d,
-			srcs: a.srcs,
-			aux:  oa,
-			t1:   b.t1,
-			t2:   b.t2,
-		}
-		fused.opID = internOp(fused.op)
-		code[pc] = fused
-		tc.stats.Pairs++
 		tc.stats.Overlay++
-		pc++ // the orphaned compare at pc+1 stays intact for side entries
-	}
+		return Instr{exec: exec, d: a.d, srcs: a.srcs, aux: oa}, true
+	})
 }
 
 // specializeOverlayGets swaps every remaining generic overlay.get —
@@ -588,7 +560,7 @@ func fuseOverlayPairs(tc *tierCode, hs []handler, prof *opProfile, pairMin uint6
 func specializeOverlayGets(tc *tierCode) {
 	for pc := range tc.code {
 		in := &tc.code[pc]
-		if in.op != "overlay.get" || len(in.srcs) != 1 || in.srcs[0].kind != srcReg {
+		if rowOf(in.opID) != opOverlayGet || len(in.srcs) != 1 || in.srcs[0].kind != srcReg {
 			continue
 		}
 		ov, ok := in.aux.(*overlay.Overlay)

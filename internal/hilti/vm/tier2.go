@@ -40,8 +40,6 @@
 package vm
 
 import (
-	"strings"
-
 	"hilti/internal/hilti/types"
 	"hilti/internal/rt/values"
 )
@@ -296,7 +294,7 @@ func slotPlan(fn *CompiledFunc) []uint8 {
 		changed = false
 		for pc := range fn.Code {
 			in := &fn.Code[pc]
-			if !touchesSlot(in, kind) || slotCompatible(in, kind, fn.RegTypes) {
+			if !touchesSlot(in, kind) || rowOf(in.opID).slotFits(in, kind, fn.RegTypes) {
 				continue
 			}
 			if dropSlotRegs(in, kind) {
@@ -401,69 +399,10 @@ func scalarOperand(s *src, want uint8, kind []uint8, rty []*types.Type) bool {
 	return false
 }
 
-// slotCompatible reports whether in (which touches at least one slotted
-// register) has a slot-aware executor for the current slot assignment.
-func slotCompatible(in *Instr, kind []uint8, rty []*types.Type) bool {
-	br := strings.HasSuffix(in.op, "+br")
-	base := strings.TrimSuffix(in.op, "+br")
-	switch base {
-	case "assign":
-		if br || len(in.srcs) != 1 {
-			return false
-		}
-		s := &in.srcs[0]
-		if in.d.kind == srcReg && regSlot(kind, in.d.idx) != slotNone {
-			return scalarOperand(s, regSlot(kind, in.d.idx), kind, rty)
-		}
-		// Boxed destination (register, global, or discarded) fed from a
-		// slot: the executor re-boxes by the slot's kind.
-		return s.kind == srcReg && regSlot(kind, s.idx) != slotNone
-	case "int.add", "int.sub", "int.mul":
-		if _, ok := in.aux.(func(x, y int64) int64); !ok || len(in.srcs) != 2 {
-			return false
-		}
-		return scalarOperand(&in.srcs[0], slotInt, kind, rty) &&
-			scalarOperand(&in.srcs[1], slotInt, kind, rty)
-	case "int.eq", "int.lt", "int.gt", "int.leq", "int.geq":
-		if _, ok := in.aux.(func(x, y int64) bool); !ok || len(in.srcs) != 2 {
-			return false
-		}
-		return scalarOperand(&in.srcs[0], slotInt, kind, rty) &&
-			scalarOperand(&in.srcs[1], slotInt, kind, rty)
-	case "equal", "unequal":
-		if len(in.srcs) != 2 {
-			return false
-		}
-		// Both operands must share one scalar domain; raw comparison then
-		// matches values.Equal on same-kind scalars.
-		return (scalarOperand(&in.srcs[0], slotInt, kind, rty) &&
-			scalarOperand(&in.srcs[1], slotInt, kind, rty)) ||
-			(scalarOperand(&in.srcs[0], slotBool, kind, rty) &&
-				scalarOperand(&in.srcs[1], slotBool, kind, rty))
-	case "bool.and", "bool.or", "and", "or":
-		return len(in.srcs) == 2 &&
-			scalarOperand(&in.srcs[0], slotBool, kind, rty) &&
-			scalarOperand(&in.srcs[1], slotBool, kind, rty)
-	case "bool.not", "not":
-		return len(in.srcs) == 1 && scalarOperand(&in.srcs[0], slotBool, kind, rty)
-	case "if.else":
-		return !br && len(in.srcs) == 1 // condition slot is a bool: test != 0
-	case "return.result":
-		return !br && len(in.srcs) == 1 && in.srcs[0].kind == srcReg &&
-			regSlot(kind, in.srcs[0].idx) != slotNone
-	case "overlay.get":
-		// Overlay fields decode into ints; only srcs[0] (the bytes rope)
-		// exists and is never slotted, so only the destination matters.
-		return !br && in.d.kind == srcReg && regSlot(kind, in.d.idx) == slotInt &&
-			len(in.srcs) == 1 && !srcTouchesSlot(&in.srcs[0], kind)
-	}
-	return false
-}
-
 // respecialize rewrites every instruction touching a slotted register:
-// slot operands get kind srcSlot, and the executor is swapped for the
-// slot-aware variant (ops_scalar.go, ops_core.go, ops_runtime.go). The
-// operand slice is copied first — it is shared with the tier-1 code.
+// slot operands get kind srcSlot, and the executor is swapped for its
+// row's slot form. The operand slice is copied first — it is shared with
+// the tier-1 code.
 func respecialize(tc *tierCode) {
 	kind := tc.slotKind
 	for pc := range tc.code {
@@ -480,60 +419,11 @@ func respecialize(tc *tierCode) {
 		if in.d.kind == srcReg && regSlot(kind, in.d.idx) != slotNone {
 			in.d.kind = srcSlot
 		}
-		br := strings.HasSuffix(in.op, "+br")
-		switch strings.TrimSuffix(in.op, "+br") {
-		case "assign":
-			if in.d.kind == srcSlot {
-				in.exec = execSlotAssign
-			} else {
-				in.t2 = int(kind[in.srcs[0].idx]) // slot kind, for re-boxing
-				in.exec = execSlotAssignBox
-			}
-		case "int.add", "int.sub", "int.mul":
-			in.exec = execSlotIntBin
-		case "int.eq", "int.lt", "int.gt", "int.leq", "int.geq":
-			if br {
-				in.exec = execSlotIntCmpBr
-			} else {
-				in.exec = execSlotIntCmp
-			}
-		case "equal":
-			if br {
-				in.exec = execSlotEqualBr
-			} else {
-				in.exec = execSlotEqual
-			}
-		case "unequal":
-			if br {
-				in.exec = execSlotUnequalBr
-			} else {
-				in.exec = execSlotUnequal
-			}
-		case "bool.and", "and":
-			if br {
-				in.exec = execSlotBoolAndBr
-			} else {
-				in.exec = execSlotBoolAnd
-			}
-		case "bool.or", "or":
-			if br {
-				in.exec = execSlotBoolOrBr
-			} else {
-				in.exec = execSlotBoolOr
-			}
-		case "bool.not", "not":
-			if br {
-				in.exec = execSlotBoolNotBr
-			} else {
-				in.exec = execSlotBoolNot
-			}
-		case "if.else":
-			in.exec = execSlotIfElse
-		case "return.result":
+		r := rowOf(in.opID)
+		in.exec = r.slotExec
+		if in.d.kind != srcSlot && r.slotBoxed != nil {
 			in.t2 = int(kind[in.srcs[0].idx]) // slot kind, for re-boxing
-			in.exec = execSlotReturn
-		case "overlay.get":
-			in.exec = execOverlayGetSlot // t2 keeps the field index
+			in.exec = r.slotBoxed
 		}
 		tc.stats.Slotted++
 	}
@@ -623,43 +513,18 @@ func execPair(ex *Exec, fr *Frame, in *Instr) int {
 	return pa.b.exec(ex, fr, &pa.b)
 }
 
-// pairSafeOp reports whether an op may participate in a superinstruction:
-// it must never suspend the fiber (a retry would re-run the first half)
-// and never re-enter the dispatcher (calls, hooks). Raising is fine.
-func pairSafeOp(op string) bool {
-	op = strings.TrimSuffix(op, "+br")
-	if i := strings.IndexByte(op, '+'); i >= 0 {
-		return pairSafeOp(op[:i]) && pairSafeOp(op[i+1:])
-	}
-	switch op {
-	case "assign", "if.else", "equal", "unequal", "and", "or", "not",
-		"overlay.get", "struct.get", "struct.set", "struct.is_set",
-		"struct.get_default", "struct.unset", "net.contains":
-		return true
-	}
-	if i := strings.IndexByte(op, '.'); i > 0 {
-		switch op[:i] {
-		case "int", "double", "bool", "time", "interval", "addr", "port",
-			"net", "enum", "bitset", "tuple", "string":
-			return true
-		}
-	}
-	return false
-}
-
-// fusePairs fuses adjacent (pc, pc+1) instruction pairs into one dispatch.
-// Eligibility: the head falls through unconditionally to pc+1, both halves
-// are pair-safe, both pcs have identical handler coverage (a raise from
-// either half resolves at the pair's pc), and — when a profile is given —
-// the pair was actually measured at least pairMin times. The second half
-// stays at pc+1 as an orphan so branches and handlers targeting it keep
-// working; unreachable orphans were already pruned at O1.
-//
-// A pc about to become a proven-loop region entry must never be a pair's
-// tail: the pair would execute the orphan inline and continue past it, so
-// the fall-through path would bypass the region — and with it the budget
-// elision the proof paid for.
-func fusePairs(tc *tierCode, hs []handler, prof *opProfile, pairMin uint64, loops []loopRegion) {
+// fuseAdjacent offers every eligible adjacent pair (pc, pc+1) to fuse,
+// which returns the superinstruction for pc or false. Eligible: the head
+// falls through unconditionally to pc+1, both pcs have identical handler
+// coverage (a raise from either half resolves at the pair's pc), the pair
+// was measured at least pairMin times when a profile is given, and pc+1 is
+// no proven-loop region entry — the pair would run that orphan inline and
+// continue past it, so the fall-through path would bypass the region and
+// the budget elision its proof paid for. The tail stays at pc+1 as an
+// orphan, so branches and handlers targeting it keep working; pairs never
+// chain into triples.
+func fuseAdjacent(tc *tierCode, hs []handler, prof *opProfile, pairMin uint64, loops []loopRegion,
+	fuse func(pc int, a, b *Instr) (Instr, bool)) {
 	regionEntry := make(map[int]bool, len(loops))
 	for _, lr := range loops {
 		regionEntry[lr.lo] = true
@@ -667,40 +532,29 @@ func fusePairs(tc *tierCode, hs []handler, prof *opProfile, pairMin uint64, loop
 	code := tc.code
 	for pc := 0; pc+1 < len(code); pc++ {
 		a, b := &code[pc], &code[pc+1]
-		if isBranch(a) || a.t1 != pc+1 || !pairSafeOp(a.op) || regionEntry[pc+1] {
+		if isBranch(a) || a.t1 != pc+1 || regionEntry[pc+1] || !sameHandlers(hs, pc, pc+1) ||
+			prof != nil && prof.pairCount(a.opID, b.opID) < pairMin {
 			continue
 		}
-		switch a.op {
-		case "jump", "switch", "return.void", "return.result", "region":
-			continue
+		if in, ok := fuse(pc, a, b); ok {
+			in.opID, in.t1, in.t2 = pairID(a.opID, b.opID), b.t1, b.t2
+			code[pc] = in
+			tc.stats.Pairs++
+			pc++
 		}
-		if !pairSafeOp(b.op) {
-			continue
-		}
-		switch b.op {
-		case "jump", "switch", "return.void", "return.result", "region":
-			continue
-		}
-		if !sameHandlers(hs, pc, pc+1) {
-			continue
-		}
-		if prof != nil && prof.pairCount(a.opID, b.opID) < pairMin {
-			continue
-		}
-		fused := Instr{
-			exec: execPair,
-			op:   a.op + "+" + b.op,
-			d:    a.d,
-			srcs: a.srcs,
-			aux:  &pairAux{a: *a, b: *b, bpc: pc + 1},
-			t1:   b.t1,
-			t2:   b.t2,
-		}
-		fused.opID = internOp(fused.op)
-		code[pc] = fused
-		tc.stats.Pairs++
-		pc++ // never chain into triples; the orphan at pc+1 stays intact
 	}
+}
+
+// fusePairs fuses every eligible pair of inline ops into one generic
+// dispatch (execPair); unreachable orphans were already pruned at O1.
+func fusePairs(tc *tierCode, hs []handler, prof *opProfile, pairMin uint64, loops []loopRegion) {
+	fuseAdjacent(tc, hs, prof, pairMin, loops, func(pc int, a, b *Instr) (Instr, bool) {
+		if !rowOf(a.opID).is(opInline) || !rowOf(b.opID).is(opInline) {
+			return Instr{}, false
+		}
+		return Instr{exec: execPair, d: a.d, srcs: a.srcs,
+			aux: &pairAux{a: *a, b: *b, bpc: pc + 1}}, true
+	})
 }
 
 // sameHandlers reports whether pcs p and q are covered by exactly the same
@@ -724,15 +578,15 @@ func sameHandlers(hs []handler, p, q int) bool {
 func installICs(tc *tierCode, fn *CompiledFunc, wide bool) {
 	for pc := range tc.code {
 		in := &tc.code[pc]
-		switch in.op {
-		case "struct.get":
+		switch rowOf(in.opID) {
+		case opStructGet:
 			if len(in.srcs) == 2 && in.srcs[1].kind == srcConst &&
 				in.srcs[1].val.K == values.KindString && in.d.kind != srcSlot {
 				in.aux = &structIC{name: in.srcs[1].val.AsString(), fn: fn, wide: wide}
 				in.exec = execStructGetIC
 				tc.stats.ICs++
 			}
-		case "struct.set":
+		case opStructSet:
 			if len(in.srcs) == 3 && in.srcs[1].kind == srcConst &&
 				in.srcs[1].val.K == values.KindString &&
 				in.srcs[2].kind != srcSlot {
@@ -740,13 +594,13 @@ func installICs(tc *tierCode, fn *CompiledFunc, wide bool) {
 				in.exec = execStructSetIC
 				tc.stats.ICs++
 			}
-		case "map.get":
+		case opMapGet:
 			if len(in.srcs) == 2 && in.srcs[1].kind != srcCtor && in.srcs[1].kind != srcSlot {
 				in.aux = &mapIC{fn: fn, wide: wide}
 				in.exec = execMapGetIC
 				tc.stats.ICs++
 			}
-		case "map.exists":
+		case opMapExists:
 			if len(in.srcs) == 2 && in.srcs[1].kind != srcCtor && in.srcs[1].kind != srcSlot {
 				in.aux = &mapIC{fn: fn, wide: wide}
 				in.exec = execMapExistsIC

@@ -75,9 +75,8 @@ type dst struct {
 
 // Instr is one lowered instruction.
 type Instr struct {
-	exec func(ex *Exec, fr *Frame, in *Instr) int
-	op   string // source operation name; "+br"-suffixed for fused compare-and-branch
-	opID uint16 // interned op (see opid.go), stamped at emit/rewrite time
+	exec execFn
+	opID uint16 // interned op row (optable.go), stamped at emit/rewrite time
 	d    dst
 	// d2 is the second destination register of a two-result instruction
 	// (execTwo) that splitTuples in opt.go has split, 0 otherwise. It
@@ -88,9 +87,17 @@ type Instr struct {
 	srcs []src
 	aux  any
 	// jump targets (patched after lowering). t1 is always a pc; t2 is a pc
-	// only for branching ops (if.else, fused "+br") — overlay.get stores a
-	// field index there, and tier-2 slot executors a slot kind (tier2.go).
+	// for branching ops (if.else, fused compares) and for compares, which
+	// branch to their fallthrough until fused — overlay.get stores a field
+	// index there, and tier-2 re-boxing executors a slot kind (tier2.go).
 	t1, t2 int
+}
+
+func (in *Instr) branch(b bool) int {
+	if b {
+		return in.t1
+	}
+	return in.t2
 }
 
 // handler is one try/catch region of a function.
