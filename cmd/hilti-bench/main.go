@@ -1022,10 +1022,12 @@ func (h *harness) vmopt() {
 }
 
 // dnsMallocsCeiling bounds heap objects per DNS datagram for the whole
-// engine (BinPAC++ parser, interpreted dns.bro, logs kept) at -O1: 129.4
-// when it was set, at either trace size. One operand array per generic
-// instruction would add about 120, a boxed tuple per unpack about 60.
-const dnsMallocsCeiling = 145
+// engine (BinPAC++ parser, interpreted dns.bro, logs kept) at -O1: 93.8
+// when it was set. A boxed tuple per custom-function call (parse_name
+// returning through two registers) would add 4.4, copying every input
+// sub-range instead of viewing it 7.5, one operand array per generic
+// instruction about 120.
+const dnsMallocsCeiling = 97
 
 // --- tiered execution -------------------------------------------------------------
 

@@ -15,6 +15,7 @@ package binpac
 
 import (
 	"fmt"
+	"strings"
 
 	"hilti/internal/hilti/ast"
 	"hilti/internal/hilti/types"
@@ -26,11 +27,18 @@ import (
 const ParseErrorName = "BinPAC::ParseError"
 
 // Compile translates a grammar into a HILTI module named after it.
-func Compile(g *Grammar) (*ast.Module, error) {
+func Compile(g *Grammar) (*ast.Module, error) { return compile(g, true) }
+
+// CompileFieldByField is Compile without layout lowering: every field gets
+// its own instructions. It is the reference Compile's runs are tested
+// against.
+func CompileFieldByField(g *Grammar) (*ast.Module, error) { return compile(g, false) }
+
+func compile(g *Grammar, runs bool) (*ast.Module, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	c := &compiler{g: g, b: ast.NewBuilder(g.Name), structs: map[string]*types.Type{}}
+	c := &compiler{g: g, b: ast.NewBuilder(g.Name), structs: map[string]*types.Type{}, runs: runs}
 	// Declare all unit struct types first (units may reference each other).
 	for _, u := range g.Units {
 		st, err := c.structType(u)
@@ -56,6 +64,7 @@ type compiler struct {
 	b       *ast.Builder
 	structs map[string]*types.Type
 	relbl   int
+	runs    bool // lower runs of fixed-width fields by layout (emitFields)
 }
 
 // fieldValueType maps a field to the struct-field type storing its value.
@@ -142,10 +151,8 @@ func (c *compiler) unitParser(u *Unit) error {
 	begin := fb.Local("__begin", types.IterT(types.BytesT))
 	fb.Set(begin, ast.VarOp("cur"))
 	ec := &emitCtx{c: c, u: u, fb: fb}
-	for _, f := range u.Fields {
-		if err := ec.emitField(f); err != nil {
-			return err
-		}
+	if err := ec.emitFields(u.Fields); err != nil {
+		return err
 	}
 	if u.HookDone {
 		ec.runHook(u.Name + "::%done")
@@ -246,6 +253,49 @@ func regexpConst(pattern string) (ast.Operand, error) {
 	return ast.ConstOp(values.Ref(values.KindRegExp, re), types.RegExpT), nil
 }
 
+// emitFields emits a unit's (or a switch case's) field list. A maximal run
+// of two or more adjacent fixed-width integers without hooks is lowered by
+// its layout: one unpack.fields reads the run with one bounds check and
+// stores every field, where field-by-field code would take an unpack, two
+// tuple.index moves and a struct.set each — the P4 backends' merge of
+// parser states that extract adjacent fixed-width headers.
+func (ec *emitCtx) emitFields(fs []*Field) error {
+	for len(fs) > 0 {
+		n := 0
+		for ec.c.runs && n < len(fs) && fs[n].Kind == FUInt && !fs[n].Hook {
+			n++
+		}
+		if n < 2 {
+			if err := ec.emitField(fs[0]); err != nil {
+				return err
+			}
+			fs = fs[1:]
+			continue
+		}
+		layout := make([]string, n)
+		for i, f := range fs[:n] {
+			layout[i] = f.Name + ":" + strings.TrimPrefix(uintOp(f), "unpack.")
+		}
+		ec.fb.Assign(ast.VarOp("cur"), "unpack.fields", ast.VarOp("self"), ast.VarOp("cur"),
+			ast.StringOp(strings.Join(layout, " ")))
+		fs = fs[n:]
+	}
+	return nil
+}
+
+// uintOp names the unpack instruction of a fixed-width integer field.
+func uintOp(f *Field) string {
+	op := fmt.Sprintf("unpack.uint%d", f.Width)
+	if f.Width > 8 {
+		if f.Little {
+			op += "le"
+		} else {
+			op += "be"
+		}
+	}
+	return op
+}
+
 func (ec *emitCtx) emitField(f *Field) error {
 	fb := ec.fb
 	switch f.Kind {
@@ -280,17 +330,9 @@ func (ec *emitCtx) emitField(f *Field) error {
 		return nil
 
 	case FUInt:
-		op := fmt.Sprintf("unpack.uint%d", f.Width)
-		if f.Width > 8 {
-			if f.Little {
-				op += "le"
-			} else {
-				op += "be"
-			}
-		}
 		tup := fb.Temp(types.TupleT(types.Int64T, types.IterT(types.BytesT)))
 		val := fb.Temp(types.Int64T)
-		fb.Assign(tup, op, ast.VarOp("cur"))
+		fb.Assign(tup, uintOp(f), ast.VarOp("cur"))
 		fb.Assign(val, "tuple.index", tup, ast.IntOp(0))
 		fb.Assign(ast.VarOp("cur"), "tuple.index", tup, ast.IntOp(1))
 		ec.store(f, val)
@@ -351,18 +393,22 @@ func (ec *emitCtx) emitField(f *Field) error {
 		return nil
 
 	case FList:
-		var vec ast.Operand
-		if f.Name != "" {
-			vec = fb.Temp(types.RefT(types.VectorT(types.AnyT)))
-			fb.Assign(vec, "new", ast.TypeOperand(types.VectorT(types.AnyT)))
-		}
-		loopL, bodyL, doneL := ec.label("loop"), ec.label("body"), ec.label("done")
 		var i, n ast.Operand
 		if f.Mode == ListCount {
 			i = fb.Temp(types.Int64T)
 			fb.Set(i, ast.IntOp(0))
 			n = ec.srcOperand(f.Count)
 		}
+		var vec ast.Operand
+		if f.Name != "" {
+			vec = fb.Temp(types.RefT(types.VectorT(types.AnyT)))
+			newOps := []ast.Operand{ast.TypeOperand(types.VectorT(types.AnyT))}
+			if f.Mode == ListCount {
+				newOps = append(newOps, n) // sized for its count
+			}
+			fb.Assign(vec, "new", newOps...)
+		}
+		loopL, bodyL, doneL := ec.label("loop"), ec.label("body"), ec.label("done")
 		fb.Jump(loopL)
 		fb.Block(loopL)
 		switch f.Mode {
@@ -440,20 +486,14 @@ func (ec *emitCtx) emitField(f *Field) error {
 		fb.Instr("switch", ops...)
 		for i, cs := range f.Cases {
 			fb.Block(caseLabels[i])
-			for _, cf := range cs.Fields {
-				if err := ec.emitField(cf); err != nil {
-					return err
-				}
+			if err := ec.emitFields(cs.Fields); err != nil {
+				return err
 			}
 			fb.Jump(doneL)
 		}
 		fb.Block(dfltL)
-		if f.Default != nil {
-			for _, cf := range f.Default {
-				if err := ec.emitField(cf); err != nil {
-					return err
-				}
-			}
+		if err := ec.emitFields(f.Default); err != nil {
+			return err
 		}
 		fb.Block(doneL)
 		if f.Hook {
@@ -494,17 +534,9 @@ func (ec *emitCtx) emitElem(elem *Field, tmpName string) (ast.Operand, error) {
 		fb.Assign(ast.VarOp("cur"), "call", args...)
 		return sub, nil
 	case FUInt:
-		op := fmt.Sprintf("unpack.uint%d", elem.Width)
-		if elem.Width > 8 {
-			if elem.Little {
-				op += "le"
-			} else {
-				op += "be"
-			}
-		}
 		tup := fb.Temp(types.TupleT(types.Int64T, types.IterT(types.BytesT)))
 		val := fb.Temp(types.Int64T)
-		fb.Assign(tup, op, ast.VarOp("cur"))
+		fb.Assign(tup, uintOp(elem), ast.VarOp("cur"))
 		fb.Assign(val, "tuple.index", tup, ast.IntOp(0))
 		fb.Assign(ast.VarOp("cur"), "tuple.index", tup, ast.IntOp(1))
 		return val, nil

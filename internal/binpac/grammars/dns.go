@@ -97,12 +97,21 @@ func DNSGrammar() *binpac.Grammar {
 
 // DNSModules compiles the DNS grammar plus its custom parse functions and
 // the %done hook that hands the finished message to the host via
-// bro_dns_message(ctx, self).
-func DNSModules() ([]*ast.Module, error) {
+// bro_dns_message(ctx, self). The modules are built once per process and
+// shared (see shared).
+func DNSModules() ([]*ast.Module, error) { return dnsModules() }
+
+var dnsModules = shared(func() ([]*ast.Module, error) {
 	parser, err := binpac.Compile(DNSGrammar())
 	if err != nil {
 		return nil, err
 	}
+	return []*ast.Module{parser, dnsHooks()}, nil
+})
+
+// dnsHooks builds the module of DNS's hand-written HILTI: the custom parse
+// functions and the %done hook.
+func dnsHooks() *ast.Module {
 	b := ast.NewBuilder("DNSHooks")
 	buildParseName(b)
 	buildParseTXT(b)
@@ -113,7 +122,7 @@ func DNSModules() ([]*ast.Module, error) {
 		fb.Call("bro_dns_message", ast.VarOp("ctx"), ast.VarOp("self"))
 		fb.ReturnVoid()
 	}
-	return []*ast.Module{parser, b.M}, nil
+	return b.M
 }
 
 // buildParseName emits parse_name(msg, cur) -> (bytes, iterator): RFC 1035
@@ -137,7 +146,6 @@ func buildParseName(b *ast.Builder) {
 	label := fb.Local("label", types.BytesT)
 	cond := fb.Local("cond", types.BoolT)
 	n := fb.Local("n", types.Int64T)
-	res := fb.Local("res", types.TupleT(types.BytesT, types.IterT(types.BytesT)))
 
 	fb.Assign(out, "new", ast.TypeOperand(types.BytesT))
 	fb.Set(jumped, ast.BoolOp(false))
@@ -193,12 +201,10 @@ func buildParseName(b *ast.Builder) {
 	fb.IfElse(jumped, "ret_jumped", "ret_plain")
 	fb.Block("ret_jumped")
 	fb.Instr("bytes.freeze", out)
-	fb.Assign(res, "assign", ast.TupleOp(out, retCur))
-	fb.Return(res)
+	fb.Return(ast.TupleOp(out, retCur))
 	fb.Block("ret_plain")
 	fb.Instr("bytes.freeze", out)
-	fb.Assign(res, "assign", ast.TupleOp(out, next))
-	fb.Return(res)
+	fb.Return(ast.TupleOp(out, next))
 }
 
 // buildParseTXT emits parse_txt(rdlen, cur) -> (bytes, iterator): decode
@@ -216,7 +222,6 @@ func buildParseTXT(b *ast.Builder) {
 	s := fb.Local("s", types.BytesT)
 	cond := fb.Local("cond", types.BoolT)
 	n := fb.Local("n", types.Int64T)
-	res := fb.Local("res", types.TupleT(types.BytesT, types.IterT(types.BytesT)))
 
 	fb.Assign(out, "new", ast.TypeOperand(types.BytesT))
 	fb.Assign(endPos, "iterator.incr_by", ast.VarOp("cur"), ast.VarOp("rdlen"))
@@ -245,6 +250,5 @@ func buildParseTXT(b *ast.Builder) {
 
 	fb.Block("done")
 	fb.Instr("bytes.freeze", out)
-	fb.Assign(res, "assign", ast.TupleOp(out, ast.VarOp("cur")))
-	fb.Return(res)
+	fb.Return(ast.TupleOp(out, ast.VarOp("cur")))
 }

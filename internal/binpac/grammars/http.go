@@ -12,6 +12,8 @@ package grammars
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"hilti/internal/binpac"
 	"hilti/internal/hilti/ast"
@@ -154,9 +156,12 @@ func HTTPGrammar() *binpac.Grammar {
 //	bro_http_pick_body(ctx, status, bodykind, clen) -> int
 //	bro_http_body(ctx, is_orig, ctype, sha1, len)
 //	bro_http_message_done(ctx, is_orig)
-func HTTPModules() ([]*ast.Module, error) {
-	g := HTTPGrammar()
-	parser, err := binpac.Compile(g)
+//
+// The modules are built once per process and shared (see shared).
+func HTTPModules() ([]*ast.Module, error) { return httpModules() }
+
+var httpModules = shared(func() ([]*ast.Module, error) {
+	parser, err := binpac.Compile(HTTPGrammar())
 	if err != nil {
 		return nil, err
 	}
@@ -165,6 +170,29 @@ func HTTPModules() ([]*ast.Module, error) {
 		return nil, err
 	}
 	return []*ast.Module{parser, hooks}, nil
+})
+
+// shared memoizes a grammar's modules for the process: every engine links
+// the same ASTs, which linking only reads — the regexp constants in them
+// are safe for concurrent matching, and each struct type's runtime
+// definition, which StructDef.Runtime builds lazily, is built here before
+// the modules are handed out. Callers get their own slice.
+func shared(build func() ([]*ast.Module, error)) func() ([]*ast.Module, error) {
+	once := sync.OnceValues(func() ([]*ast.Module, error) {
+		mods, err := build()
+		for _, m := range mods {
+			for _, t := range m.Types {
+				if t.StructDef != nil {
+					t.StructDef.Runtime()
+				}
+			}
+		}
+		return mods, err
+	})
+	return func() ([]*ast.Module, error) {
+		mods, err := once()
+		return slices.Clone(mods), err
+	}
 }
 
 // httpHooks builds the HILTI hook bodies implementing HTTP's semantics.
@@ -330,7 +358,6 @@ func buildParseChunked(b *ast.Builder) error {
 	end := fb.Local("end", types.IterT(types.BytesT))
 	chunk := fb.Local("chunk", types.BytesT)
 	ok := fb.Local("ok", types.BoolT)
-	res := fb.Local("res", types.TupleT(types.BytesT, types.IterT(types.BytesT)))
 
 	fb.Assign(out, "new", ast.TypeOperand(types.BytesT))
 	fb.Jump("loop")
@@ -370,8 +397,7 @@ func buildParseChunked(b *ast.Builder) error {
 
 	fb.Block("finish")
 	fb.Instr("bytes.freeze", out)
-	fb.Assign(res, "assign", ast.TupleOp(out, ast.VarOp("cur")))
-	fb.Return(res)
+	fb.Return(ast.TupleOp(out, ast.VarOp("cur")))
 	return nil
 }
 

@@ -8,9 +8,12 @@ package vm
 
 import (
 	"fmt"
+	"strings"
+	"sync/atomic"
 
 	"hilti/internal/hilti/ast"
 	"hilti/internal/rt/hbytes"
+	"hilti/internal/rt/overlay"
 	"hilti/internal/rt/regexp"
 	"hilti/internal/rt/values"
 )
@@ -323,19 +326,15 @@ var bytesOps = []opRow{
 	}},
 
 	// --- unpack (binary field extraction; the overlay/unpack formats of §4) -------
-	{name: "unpack.uint8", arity: 1, two: unpack(1, func(r [16]byte) values.Value { return values.Uint(uint64(r[0])) })},
-	{name: "unpack.uint16be", arity: 1, two: unpack(2, func(r [16]byte) values.Value {
-		return values.Uint(uint64(r[0])<<8 | uint64(r[1]))
-	})},
-	{name: "unpack.uint16le", arity: 1, two: unpack(2, func(r [16]byte) values.Value {
-		return values.Uint(uint64(r[1])<<8 | uint64(r[0]))
-	})},
-	{name: "unpack.uint32be", arity: 1, two: unpack(4, func(r [16]byte) values.Value {
-		return values.Uint(uint64(r[0])<<24 | uint64(r[1])<<16 | uint64(r[2])<<8 | uint64(r[3]))
-	})},
-	{name: "unpack.uint32le", arity: 1, two: unpack(4, func(r [16]byte) values.Value {
-		return values.Uint(uint64(r[3])<<24 | uint64(r[2])<<16 | uint64(r[1])<<8 | uint64(r[0]))
-	})},
+	{name: "unpack.uint8", arity: 1, two: unpackUint("uint8")},
+	{name: "unpack.uint16be", arity: 1, two: unpackUint("uint16be")},
+	{name: "unpack.uint16le", arity: 1, two: unpackUint("uint16le")},
+	{name: "unpack.uint32be", arity: 1, two: unpackUint("uint32be")},
+	{name: "unpack.uint32le", arity: 1, two: unpackUint("uint32le")},
+	// unpack.fields target=iter <struct> <iter> <layout>: a run of adjacent
+	// fixed-width unsigned fields, each decoded as its unpack.uintN op decodes
+	// it and stored into the struct field it names (fieldLayout).
+	{name: "unpack.fields", arity: 3, lower: lowerUnpackFields},
 	{name: "unpack.addr4", arity: 1, two: unpack(4, func(r [16]byte) values.Value {
 		return values.AddrFrom4([4]byte{r[0], r[1], r[2], r[3]})
 	})},
@@ -454,6 +453,149 @@ func unpack(width int64, decode func(r [16]byte) values.Value) twoFn {
 		}
 		return decode(raw), values.IterBytes(it.Plus(width)), nil
 	}
+}
+
+// uintFormats are the fixed-width unsigned wire integers, named in layouts
+// as their unpack ops are, with their overlay formats and widths: both
+// unpack.uintN and unpack.fields decode through an overlayPlan.
+var uintFormats = map[string]struct {
+	format overlay.Format
+	width  int
+}{
+	"uint8": {overlay.UInt8, 1}, "uint16be": {overlay.UInt16BE, 2}, "uint16le": {overlay.UInt16LE, 2},
+	"uint32be": {overlay.UInt32BE, 4}, "uint32le": {overlay.UInt32LE, 4},
+}
+
+// uintPlan plans the named integer format at offset off.
+func uintPlan(name string, off int) (overlayPlan, bool) {
+	f, ok := uintFormats[name]
+	return overlayPlan{off: off, end: off + f.width, format: f.format}, ok
+}
+
+func unpackUint(name string) twoFn {
+	p, _ := uintPlan(name, 0)
+	return func(ex *Exec, a []values.Value) (val, next values.Value, err error) {
+		it := a[0].AsIterBytes()
+		b := it.Bytes()
+		if b == nil {
+			return val, next, errNilIter()
+		}
+		var raw [4]byte
+		if err = b.ReadAt(raw[:p.end], it); err != nil {
+			return
+		}
+		return p.decode(raw[:]), values.IterBytes(it.Plus(int64(p.end))), nil
+	}
+}
+
+// fieldLayout is the operand of unpack.fields, parsed at lowering from a
+// constant string of "name:format" entries ("id:uint16be flags:uint16be";
+// an empty name parses the field without storing it).
+type fieldLayout struct {
+	names []string
+	plans []overlayPlan // offsets within the run
+	size  int
+	// slots caches the names resolved against the last struct definition
+	// seen; a struct of another definition resolves by name again.
+	slots atomic.Pointer[layoutSlots]
+}
+
+type layoutSlots struct {
+	def *values.StructDef
+	idx []int // -1: not stored
+}
+
+func parseLayout(spec string) (*fieldLayout, error) {
+	l := &fieldLayout{}
+	for _, e := range strings.Fields(spec) {
+		i := strings.LastIndexByte(e, ':')
+		p, ok := uintPlan(e[i+1:], l.size)
+		if i < 0 || !ok {
+			return nil, fmt.Errorf("unpack.fields: bad layout entry %q", e)
+		}
+		l.names, l.plans, l.size = append(l.names, e[:i]), append(l.plans, p), p.end
+	}
+	if l.size == 0 {
+		return nil, fmt.Errorf("unpack.fields: empty layout")
+	}
+	return l, nil
+}
+
+func (l *fieldLayout) slotsFor(def *values.StructDef) []int {
+	if s := l.slots.Load(); s != nil && s.def == def {
+		return s.idx
+	}
+	s := &layoutSlots{def: def, idx: make([]int, len(l.names))}
+	for i, n := range l.names {
+		s.idx[i] = -1
+		if n != "" {
+			s.idx[i] = def.Index(n)
+		}
+	}
+	l.slots.Store(s)
+	return s.idx
+}
+
+func lowerUnpackFields(c *fnCompiler, in *ast.Instr) error {
+	if len(in.Ops) != 3 || in.Ops[2].Kind != ast.Const || in.Ops[2].Val.K != values.KindString {
+		return fmt.Errorf("unpack.fields needs struct, iterator and a constant layout")
+	}
+	l, err := parseLayout(in.Ops[2].Val.AsString())
+	if err != nil {
+		return err
+	}
+	srcs, err := c.srcsOf(in.Ops)
+	if err != nil {
+		return err
+	}
+	d, err := c.dstOf(in.Target)
+	if err != nil {
+		return err
+	}
+	c.emit(Instr{exec: execUnpackFields, d: d, srcs: srcs, aux: l})
+	return nil
+}
+
+// execUnpackFields reads the whole run with one bounds check. Short of
+// input, it reads field by field and stores the fields before the one that
+// failed, as field-by-field code would have before raising or suspending
+// there; a resumed run re-executes whole, which stores the same values again.
+func execUnpackFields(ex *Exec, fr *Frame, in *Instr) int {
+	l := in.aux.(*fieldLayout)
+	it := ex.get(fr, &in.srcs[1]).AsIterBytes()
+	b := it.Bytes()
+	if b == nil {
+		return ex.raiseErr(errNilIter())
+	}
+	var raw [64]byte // any header run; a longer one reads into the heap
+	buf := raw[:min(l.size, len(raw))]
+	if l.size > len(raw) {
+		buf = make([]byte, l.size)
+	}
+	n, err := len(l.plans), b.ReadAt(buf, it)
+	if err != nil {
+		for n = 0; n < len(l.plans); n++ {
+			p := &l.plans[n]
+			if err = b.ReadAt(buf[p.off:p.end], it.Plus(int64(p.off))); err != nil {
+				break
+			}
+		}
+	}
+	if n > 0 {
+		s, serr := asStruct(ex.get(fr, &in.srcs[0]))
+		if serr != nil {
+			return ex.raiseErr(serr)
+		}
+		slots := l.slotsFor(s.Def)
+		for i := range l.plans[:n] {
+			s.Set(slots[i], l.plans[i].decode(buf))
+		}
+	}
+	if err != nil {
+		return ex.raiseErr(err)
+	}
+	ex.put(fr, in.d, values.IterBytes(it.Plus(int64(l.size))))
+	return in.t1
 }
 
 // --- register-to-register iterator executors ---------------------------------

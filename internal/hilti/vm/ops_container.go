@@ -67,17 +67,22 @@ func expireStrategy(v values.Value) container.ExpireStrategy {
 }
 
 var containerOps = []opRow{
-	// new <type>: explicit dynamic allocation (paper §3.2 memory model).
+	// new <type> [<n>]: explicit dynamic allocation (paper §3.2 memory
+	// model); n sizes a vector for that many elements without adding any.
 	{name: "new", lower: func(c *fnCompiler, in *ast.Instr) error {
-		if len(in.Ops) != 1 || in.Ops[0].Kind != ast.TypeOp {
-			return fmt.Errorf("new needs a type operand")
+		if len(in.Ops) < 1 || len(in.Ops) > 2 || in.Ops[0].Kind != ast.TypeOp {
+			return fmt.Errorf("new needs a type operand and at most a size")
 		}
 		t := in.Ops[0].Type
+		srcs, err := c.srcsOf(in.Ops[1:])
+		if err != nil {
+			return err
+		}
 		d, err := c.dstOf(in.Target)
 		if err != nil {
 			return err
 		}
-		c.emit(Instr{exec: execNew, d: d, aux: t})
+		c.emit(Instr{exec: execNew, d: d, srcs: srcs, aux: t})
 		return nil
 	}},
 
@@ -423,6 +428,9 @@ func execNew(ex *Exec, fr *Frame, in *Instr) int {
 	v, err := newValueOfType(ex, in.aux.(*types.Type))
 	if err != nil {
 		return ex.raiseErr(err)
+	}
+	if vec, ok := v.O.(*container.Vector); ok && len(in.srcs) == 1 {
+		vec.Grow(int(ex.get(fr, &in.srcs[0]).AsInt()))
 	}
 	ex.put(fr, in.d, v)
 	return in.t1

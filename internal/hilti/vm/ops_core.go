@@ -30,6 +30,39 @@ func execReturnResult(ex *Exec, fr *Frame, in *Instr) int {
 	return pcDone
 }
 
+// execReturnPair returns a two-element constructor unbuilt: the return
+// reads it from the returning frame as the caller needs it — as a tuple, or
+// into the two registers of a split call (transfer).
+func execReturnPair(ex *Exec, fr *Frame, in *Instr) int {
+	ex.pairRet = &in.srcs[0]
+	return pcPair
+}
+
+// returnsPair reports whether every return fn can execute is
+// execReturnPair's, so a caller may take its result in two registers. The
+// implicit return.void lowering appends is no exception when nothing
+// reaches it.
+func returnsPair(fn *CompiledFunc) bool {
+	var reach []bool
+	for pc := range fn.Code {
+		in := &fn.Code[pc]
+		if rowOf(in.opID).ctl != ctlReturn || isPairReturn(in) {
+			continue
+		}
+		if reach == nil {
+			reach = reachable(fn, nil)
+		}
+		if reach[pc] {
+			return false
+		}
+	}
+	return true
+}
+
+func isPairReturn(in *Instr) bool {
+	return rowOf(in.opID) == opReturnResult && in.srcs[0].kind == srcCtor && len(in.srcs[0].subs) == 2
+}
+
 func execIfElse(ex *Exec, fr *Frame, in *Instr) int {
 	if values.IsTruthy(ex.get(fr, &in.srcs[0])) {
 		return in.t1
@@ -140,7 +173,11 @@ var coreOps = []opRow{
 		if err != nil {
 			return err
 		}
-		c.emit(Instr{exec: execReturnResult, srcs: []src{s}})
+		exec := execReturnResult
+		if s.kind == srcCtor && len(s.subs) == 2 {
+			exec = execReturnPair
+		}
+		c.emit(Instr{exec: exec, srcs: []src{s}})
 		return nil
 	}, slotFit: func(in *Instr, kind []uint8, _ []*types.Type) bool {
 		return len(in.srcs) == 1 && in.srcs[0].kind == srcReg && regSlot(kind, in.srcs[0].idx) != slotNone

@@ -218,11 +218,16 @@ func substSrc(s *src, copies map[int32]src, st *OptStats) {
 // then forwards. A tuple that is passed, stored, returned or indexed
 // dynamically anywhere keeps the boxed form, as does all code at O0 — the
 // reference the split form is tested against.
+//
+// A call is such a producer when every return of its callee is a
+// two-element constructor (returnsPair): the callee's return leaves the
+// constructor unbuilt (execReturnPair) and transfer writes its components
+// to the split call's two registers, so no tuple is built on either side.
 func splitTuples(fn *CompiledFunc, lead []bool, st *OptStats) {
 	var prods, reads []int
 	for pc := range fn.Code {
 		in := &fn.Code[pc]
-		if _, ok := in.aux.(twoFn); ok && in.d.kind == srcReg && in.d2 == 0 {
+		if in.d.kind == srcReg && in.d2 == 0 && isTwoProducer(in) {
 			prods = append(prods, pc)
 		} else if isComponentRead(in) {
 			reads = append(reads, pc)
@@ -279,11 +284,16 @@ func splitTuples(fn *CompiledFunc, lead []bool, st *OptStats) {
 		// cut marks r's producers; a read they do not dominate can be
 		// reached from entry without passing one of them.
 		cut := make([]bool, len(fn.Code))
+		split := true
 		for _, o := range prods {
-			cut[o] = fn.Code[o].d.idx == r
+			if in := &fn.Code[o]; in.d.idx == r {
+				cut[o] = true
+				if ct, ok := in.aux.(*callTarget); ok && split {
+					split = returnsPair(ct.fn)
+				}
+			}
 		}
 		var undominated []bool
-		split := true
 		for _, q := range reads {
 			if fn.Code[q].srcs[0].idx != r {
 				continue
@@ -325,6 +335,19 @@ func splitTuples(fn *CompiledFunc, lead []bool, st *OptStats) {
 			}
 		}
 	}
+}
+
+// isTwoProducer reports whether in is a twoFn op or a call of a compiled
+// function — whose returns splitTuples checks only once the destination
+// qualifies otherwise.
+func isTwoProducer(in *Instr) bool {
+	switch aux := in.aux.(type) {
+	case twoFn:
+		return true
+	case *callTarget:
+		return aux.fn != nil && rowOf(in.opID) == opCall
+	}
+	return false
 }
 
 // isComponentRead reports whether in is `tuple.index <reg> <const 0|1>`.

@@ -144,7 +144,8 @@ func init() {
 		r.name, r.twin, r.id = a[0], nil, 0
 		defineOp(r)
 	}
-	opAssign, opJump, opIfElse, opReturnVoid = opNamed("assign"), opNamed("jump"), opNamed("if.else"), opNamed("return.void")
+	opAssign, opJump, opIfElse = opNamed("assign"), opNamed("jump"), opNamed("if.else")
+	opReturnVoid, opReturnResult, opCall = opNamed("return.void"), opNamed("return.result"), opNamed("call")
 	opEqual, opUnequal, opNetContains = opNamed("equal"), opNamed("unequal"), opNamed("net.contains")
 	opIntAdd, opIntSub, opTupleIndex = opNamed("int.add"), opNamed("int.sub"), opNamed("tuple.index")
 	opStructGet, opStructSet, opMapGet, opMapExists = opNamed("struct.get"), opNamed("struct.set"), opNamed("map.get"), opNamed("map.exists")
@@ -155,9 +156,9 @@ func init() {
 // the shapes they match (copy sources, counted loops, overlay compares,
 // inline-cache sites). The region instruction exists only in tier-2 code.
 var (
-	opAssign, opJump, opIfElse, opReturnVoid, opEqual, opUnequal, opIntAdd, opIntSub *opRow
-	opNetContains, opTupleIndex, opStructGet, opStructSet, opMapGet, opMapExists     *opRow
-	opOverlayGet                                                                     *opRow
+	opAssign, opJump, opIfElse, opReturnVoid, opReturnResult, opCall, opEqual, opUnequal *opRow
+	opIntAdd, opIntSub, opNetContains, opTupleIndex, opStructGet, opStructSet            *opRow
+	opMapGet, opMapExists, opOverlayGet                                                  *opRow
 )
 
 var opRegion = &opRow{name: "region"}

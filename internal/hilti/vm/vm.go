@@ -50,6 +50,7 @@ const (
 	pcCall    = -4 // enter the compiled callee of the current instruction
 	pcHook    = -5 // enter the first HILTI body of the current hook.run
 	pcSuspend = -6 // would block: park the call; the current instruction is retried on resume
+	pcPair    = -7 // function returned the constructor in Exec.pairRet, not yet built
 )
 
 // src is a pre-resolved operand source.
@@ -79,7 +80,8 @@ type Instr struct {
 	opID uint16 // interned op row (optable.go), stamped at emit/rewrite time
 	d    dst
 	// d2 is the second destination register of a two-result instruction
-	// (execTwo) that splitTuples in opt.go has split, 0 otherwise. It
+	// (execTwo) or a call of a function returning a two-element constructor
+	// (execReturnPair) that splitTuples in opt.go has split, 0 otherwise. It
 	// is always a register splitTuples allocated itself — above the tuple
 	// register it replaces, so never register 0, and outside RegTypes, so
 	// tier-2 never re-homes it to a slot.
@@ -228,6 +230,7 @@ type Exec struct {
 	freeFrames []*Frame
 	budget     budgetState
 	keyBuf     []byte // scratch for container-key encoding (see ctorKey)
+	pairRet    *src   // the constructor of a pcPair return, read before its frame is freed
 	opProf     *opProfile
 	tiering    *tiering // runtime tier-2 promotion, nil unless EnableTiering
 }
@@ -467,9 +470,12 @@ func (ex *Exec) run(s *runState) (values.Value, runStatus) {
 		switch {
 		case pc == pcRetry:
 			pc = cur
-		case pc >= pcDone && len(ex.stack) == s.base:
+		case (pc >= pcDone || pc == pcPair) && len(ex.stack) == s.base:
 			// The entry activation returned, or ran off the end of its code.
 			ret := fr.Ret
+			if pc == pcPair {
+				ret = ex.getCtor(fr, ex.pairRet)
+			}
 			ex.freeFrame(fr)
 			return ret, runDone
 		default:
@@ -523,10 +529,19 @@ func (ex *Exec) transfer(a *runState, pc, cur int) (int, runStatus) {
 		ex.raise("Hilti::WouldBlock", "operation needs more input")
 	case pcRaise:
 	default: // a return: back to the caller's call or hook.run
-		ret := a.fr.Ret
-		ex.freeFrame(a.fr)
 		top := &ex.stack[len(ex.stack)-1]
 		in := &codeOf(top.fn, top.tier)[top.pc]
+		ret := a.fr.Ret
+		if pc == pcPair && top.body < 0 {
+			// A split call (d2, splitTuples) takes the components in two
+			// registers; any other caller gets the tuple.
+			if s := ex.pairRet; in.d2 != 0 {
+				ret, top.fr.R[in.d2] = ex.get(a.fr, &s.subs[0]), ex.get(a.fr, &s.subs[1])
+			} else {
+				ret = ex.getCtor(a.fr, s)
+			}
+		}
+		ex.freeFrame(a.fr)
 		if top.body < 0 {
 			a.activation = ex.pop()
 			ex.put(a.fr, in.d, ret)

@@ -5,6 +5,7 @@
 package container
 
 import (
+	"slices"
 	"strings"
 
 	"hilti/internal/rt/values"
@@ -225,6 +226,18 @@ func (v *Vector) Set(i int, x values.Value) bool {
 // Reserve pre-extends the vector to at least n elements (HILTI's
 // vector.reserve).
 func (v *Vector) Reserve(n int) { v.reserve(n) }
+
+// maxGrow bounds Grow: a count read off the wire must not buy memory the
+// input has not backed.
+const maxGrow = 64
+
+// Grow makes room for n more elements, up to maxGrow, without changing
+// the vector.
+func (v *Vector) Grow(n int) {
+	if n = min(n, maxGrow); n > cap(v.elems)-len(v.elems) {
+		v.elems = slices.Grow(v.elems, n)
+	}
+}
 
 func (v *Vector) reserve(n int) {
 	for len(v.elems) < n {

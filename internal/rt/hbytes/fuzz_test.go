@@ -1,0 +1,154 @@
+package hbytes
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+)
+
+// FuzzRopeModel runs a random sequence of rope operations — Append and
+// AppendOwned of small and large data, SubBytes, appends to an unfrozen
+// view, Trim, Freeze/Unfreeze, Bytes and Iter.Chunk — against a flat
+// []byte model. After every operation the rope must equal the model, and
+// everything handed out earlier must still read as it did: views (SubBytes
+// results, which share chunk bytes), the slices Bytes and Chunk returned,
+// what a caller got by appending to such a slice, and the whole buffer an
+// AppendOwned slice was cut from. No view may ever observe a later write.
+func FuzzRopeModel(f *testing.F) {
+	f.Add([]byte{0, 5, 0, 7, 3, 2, 9, 0, 3, 8, 1, 4, 0, 1, 4, 2, 5, 3, 8, 0, 9, 6, 0, 2})
+	f.Add([]byte{0, 1, 0, 1, 0, 1, 8, 0, 0, 200, 0, 60, 3, 1, 9, 2, 4, 0, 0, 2, 8, 0})
+	f.Add([]byte{1, 9, 0, 3, 3, 4, 4, 0, 4, 1, 6, 0, 4, 2, 7, 0, 0, 4, 5, 9, 0, 3, 8, 0})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		type held struct {
+			got  func() []byte // reads it now
+			want []byte        // what it read when handed out
+			name string
+		}
+		type view struct {
+			b    *Bytes
+			want []byte
+		}
+		r := New()
+		var model []byte // every byte ever appended, by absolute offset
+		var base int64
+		frozen := false
+		var views []*view
+		var helds []held
+		var fill byte
+		data := func(n int) []byte { // distinct bytes, so an overwrite shows
+			d := make([]byte, n)
+			for i := range d {
+				fill++
+				d[i] = fill
+			}
+			return d
+		}
+		next := func() int {
+			if len(prog) == 0 {
+				return 0
+			}
+			v := int(prog[0])
+			prog = prog[1:]
+			return v
+		}
+		pos := func() int64 { // an offset within the retained data
+			return base + int64(next())%(int64(len(model))-base+1)
+		}
+		for step := 0; len(prog) > 0 && step < 400; step++ {
+			switch op := next() % 10; op {
+			case 0, 1, 2: // Append small, AppendOwned, Append large
+				n := next() % 40
+				if op > 0 {
+					n = next() * 3
+				}
+				d := data(n)
+				var err error
+				if op == 1 {
+					// The owner's buffer runs on past the data handed over:
+					// the rope must not write there either.
+					buf := append(d, data(8)...)
+					d = buf[:n]
+					helds = append(helds, held{func() []byte { return buf }, bytes.Clone(buf), "an owned buffer"})
+					err = r.AppendOwned(d)
+				} else {
+					err = r.Append(d)
+				}
+				if frozen {
+					if len(d) > 0 && !errors.Is(err, ErrFrozen) {
+						t.Fatalf("step %d: append to a frozen rope: %v", step, err)
+					}
+					break
+				}
+				if err != nil {
+					t.Fatalf("step %d: append: %v", step, err)
+				}
+				model = append(model, d...)
+			case 3: // SubBytes of a valid range
+				lo, hi := pos(), pos()
+				if lo > hi {
+					lo, hi = hi, lo
+				}
+				sub, err := r.SubBytes(r.At(lo), r.At(hi))
+				if err != nil || !sub.Frozen() {
+					t.Fatalf("step %d: SubBytes(%d, %d): %v", step, lo, hi, err)
+				}
+				views = append(views, &view{sub, bytes.Clone(model[lo:hi])})
+			case 4: // append to an unfrozen view
+				if len(views) == 0 {
+					break
+				}
+				v := views[next()%len(views)]
+				v.b.Unfreeze()
+				d := data(next() % 20)
+				if err := v.b.Append(d); err != nil {
+					t.Fatalf("step %d: append to a view: %v", step, err)
+				}
+				v.want = append(v.want, d...)
+			case 5:
+				off := pos()
+				r.Trim(r.At(off))
+				base = max(base, off)
+			case 6:
+				r.Freeze()
+				frozen = true
+			case 7:
+				r.Unfreeze()
+				frozen = false
+			case 8, 9: // Bytes, or Chunk at an offset; then a caller appends to it
+				var s []byte
+				if op == 8 {
+					s = r.Bytes()
+				} else {
+					off := pos()
+					s = r.At(off).Chunk()
+					if off < int64(len(model)) && len(s) == 0 {
+						t.Fatalf("step %d: empty Chunk at %d of %d", step, off, len(model))
+					}
+					if !bytes.Equal(s, model[off:off+int64(len(s))]) {
+						t.Fatalf("step %d: Chunk at %d = %v, model %v", step, off, s, model[off:])
+					}
+				}
+				ext := append(s, 0xEE, 0xEF)
+				helds = append(helds,
+					held{func() []byte { return s }, bytes.Clone(s), "a returned slice"},
+					held{func() []byte { return ext }, bytes.Clone(ext), "a caller's append to a returned slice"})
+			}
+			if got := r.Bytes(); !bytes.Equal(got, model[base:]) || r.Len() != int64(len(model))-base {
+				t.Fatalf("step %d: rope %v (len %d), model %v", step, got, r.Len(), model[base:])
+			}
+			for i, v := range views {
+				if got := v.b.Bytes(); !bytes.Equal(got, v.want) {
+					t.Fatalf("step %d: view %d reads %v, was %v", step, i, got, v.want)
+				}
+			}
+			for i, h := range helds {
+				if got := h.got(); !bytes.Equal(got, h.want) {
+					t.Fatalf("step %d: %s (%d) reads %v, was %v", step, h.name, i, got, h.want)
+				}
+			}
+		}
+		if _, err := r.SubBytes(r.At(base), r.At(int64(len(model))+1)); err == nil {
+			t.Fatal("SubBytes past the end succeeded")
+		}
+	})
+}

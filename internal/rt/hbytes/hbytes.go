@@ -1,8 +1,9 @@
 // Package hbytes implements HILTI's "bytes" data type: an append-only,
 // chunked byte rope designed for incremental network input.
 //
-// A Bytes value accumulates raw data as it arrives from the wire, one chunk
-// per append, without copying previously stored data. Iterators address
+// A Bytes value accumulates raw data as it arrives from the wire without
+// copying previously stored data: large appends become chunks of their own,
+// small ones fill a tail chunk the rope allocated itself. Iterators address
 // positions by absolute stream offset and therefore remain valid across
 // appends and across trims of already-consumed data. A Bytes value can be
 // frozen to signal that no further data will arrive; parsing code uses the
@@ -13,6 +14,14 @@
 // This is the substrate for HILTI's incremental, suspendable parsing model
 // (paper §3.2): BinPAC++-generated parsers walk a Bytes value with iterators
 // and yield their fiber whenever they reach unfrozen end-of-data.
+//
+// Sharing rests on one invariant: the bytes of a chunk, once appended, are
+// never rewritten. A sub-range within one chunk is therefore handed out as
+// a view — a slice of the chunk capped at its own length (SubBytes, and the
+// slices Bytes and Iter.Chunk return) — and an append writes only past the
+// length of the tail chunk, where no capped slice reaches. Data handed over
+// with AppendOwned or Reset joins the rope on the same terms: its owner must
+// not modify it afterwards.
 package hbytes
 
 import (
@@ -46,6 +55,11 @@ type Bytes struct {
 	base   int64 // absolute offset of the first retained byte
 	end    int64 // absolute offset one past the last byte
 	frozen bool
+	// tail: the last chunk was allocated by Append, so nothing outside the
+	// rope reaches past its length and small appends may extend it. viewed:
+	// SubBytes handed out a view of it, which holds on to its array, so it
+	// is no longer grown by copying — both copies would stay alive.
+	tail, viewed bool
 	// first is inline storage for chunks while the rope holds a single
 	// chunk — every bytes.sub result, BytesFrom constant and per-datagram
 	// rope — so those cost no separate chunk-list allocation. A Bytes must
@@ -59,12 +73,24 @@ func New() *Bytes { return &Bytes{} }
 // NewFrom returns a new Bytes value holding a copy of data.
 func NewFrom(data []byte) *Bytes {
 	b := New()
-	b.Append(data)
+	if len(data) > 0 {
+		b.appendOwned(bytes.Clone(data))
+		b.tail = true
+	}
 	return b
 }
 
 // NewFromString returns a new Bytes value holding the bytes of s.
 func NewFromString(s string) *Bytes { return NewFrom([]byte(s)) }
+
+// A rope built by small appends (a decoded name, a dechunked body) keeps
+// one tail chunk: it starts with room for tailMin bytes and grows by
+// doubling up to tailMax, until a view of it is taken; past that, appends
+// start new chunks.
+const (
+	tailMin = 32
+	tailMax = 256
+)
 
 // Append adds a copy of data to the end of the rope. Appending to a frozen
 // value returns ErrFrozen. Appending an empty slice is a no-op.
@@ -75,9 +101,19 @@ func (b *Bytes) Append(data []byte) error {
 	if len(data) == 0 {
 		return nil
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	return b.appendOwned(cp)
+	if n := len(b.chunks); b.tail && n > 0 {
+		t := &b.chunks[n-1]
+		if m := len(t.data) + len(data); m <= cap(t.data) || !b.viewed && m <= tailMax {
+			// In place while capacity lasts; past it append copies into a
+			// fresh array, which leaves the old one to nothing but garbage.
+			t.data = append(t.data, data...)
+			b.end += int64(len(data))
+			return nil
+		}
+	}
+	b.appendOwned(append(make([]byte, 0, max(len(data), tailMin)), data...))
+	b.tail = true
+	return nil
 }
 
 // AppendOwned adds data to the rope without copying. The caller must not
@@ -99,6 +135,7 @@ func (b *Bytes) appendOwned(data []byte) error {
 	}
 	b.chunks = append(b.chunks, chunk{off: b.end, data: data})
 	b.end += int64(len(data))
+	b.tail, b.viewed = false, false
 	return nil
 }
 
@@ -194,10 +231,12 @@ func (b *Bytes) ByteAt(off int64) (byte, error) {
 }
 
 // Bytes flattens the retained data into a single contiguous slice.
-// The result is freshly allocated unless the rope holds exactly one chunk.
+// The result is freshly allocated unless the rope holds exactly one chunk;
+// then it is that chunk, capped, which the caller must not modify.
 func (b *Bytes) Bytes() []byte {
 	if len(b.chunks) == 1 && b.base == b.chunks[0].off {
-		return b.chunks[0].data
+		d := b.chunks[0].data
+		return d[:len(d):len(d)]
 	}
 	out := make([]byte, 0, b.Len())
 	for _, c := range b.chunks {
@@ -261,31 +300,42 @@ func (b *Bytes) copyRange(dst []byte, lo int64) {
 	}
 }
 
-// SubBytes is Sub wrapped into a new Bytes value (frozen, as HILTI's
-// bytes.sub returns an independent value).
+// SubBytes returns the bytes in [from, to) as a new, frozen Bytes value —
+// HILTI's bytes.sub, whose result is independent of later appends to and
+// trims of b. A range within one chunk is a view of it, costing no copy;
+// one spanning chunks is copied.
 func (b *Bytes) SubBytes(from, to Iter) (*Bytes, error) {
-	raw, err := b.Sub(from, to)
-	if err != nil {
+	lo, hi := from.resolve(), to.resolve()
+	if err := b.checkRange(lo, hi); err != nil {
 		return nil, err
 	}
-	nb := New()
-	if len(raw) > 0 {
-		nb.appendOwned(raw)
+	nb := &Bytes{}
+	if hi > lo {
+		ci := b.findChunk(lo)
+		if c := b.chunks[ci]; hi <= c.off+int64(len(c.data)) {
+			nb.appendOwned(c.data[lo-c.off : hi-c.off : hi-c.off])
+			b.viewed = b.viewed || ci == len(b.chunks)-1
+		} else {
+			out := make([]byte, hi-lo)
+			b.copyRange(out, lo)
+			nb.appendOwned(out)
+		}
 	}
 	nb.frozen = true
 	return nb, nil
 }
 
 // chunkAt returns the retained bytes from absolute offset off to the end of
-// the chunk that holds it, in place; nil at or past the end of data. Calling
-// it again at off+len(result) walks the rope without flattening it.
+// the chunk that holds it, in place and capped; nil at or past the end of
+// data. Calling it again at off+len(result) walks the rope without
+// flattening it.
 func (b *Bytes) chunkAt(off int64) []byte {
 	ci := b.findChunk(off)
 	if ci < 0 {
 		return nil
 	}
 	c := b.chunks[ci]
-	return c.data[off-c.off:]
+	return c.data[off-c.off : len(c.data) : len(c.data)]
 }
 
 // Chunk returns the contiguous run of bytes at the iterator — up to the end

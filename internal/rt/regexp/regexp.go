@@ -3,7 +3,9 @@
 // expressions and incremental matching across input chunks (paper §3.2).
 //
 // Patterns compile to a Thompson NFA whose determinization is performed
-// lazily, caching DFA states as they are first visited. Matching is
+// lazily, caching DFA states as they are first visited. The cache is safe
+// for concurrent matching: a Regexp compiled once (a constant of a grammar
+// module shared by every engine) serves all goroutines. Matching is
 // anchored at the starting position and reports the *longest* match and the
 // lowest-numbered pattern that produced it — the semantics protocol-token
 // dispatch needs. A MatchState carries the automaton's progress between
@@ -15,6 +17,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"hilti/internal/rt/hbytes"
 )
@@ -23,17 +27,19 @@ import (
 type Regexp struct {
 	patterns []string
 	start    *dfaState
-	cache    map[string]*dfaState
 	anyFirst [4]uint64 // union of classes leaving the start closure (prefilter)
+
+	mu    sync.Mutex // serializes building states; matching reads next[] only
+	cache map[string]*dfaState
 }
 
-// dfaState is one lazily built DFA state.
+// dfaState is one lazily built DFA state. Its fields are written before it
+// is published through a next[] entry and never after.
 type dfaState struct {
 	nfaStates  []*nfaState
-	accept     int  // lowest pattern id + 1; 0 when non-accepting
-	canAdvance bool // any outgoing byte transition exists
-	next       [256]*dfaState
-	built      [4]uint64 // bitmask of which next[] entries are computed
+	accept     int                           // lowest pattern id + 1; 0 when non-accepting
+	canAdvance bool                          // any outgoing byte transition exists
+	next       [256]atomic.Pointer[dfaState] // nil until built
 }
 
 // dead is the shared sink for "no further match possible".
@@ -118,8 +124,10 @@ func stateKey(states []*nfaState) string {
 
 // step returns the DFA state after consuming b, building it on first use.
 func (re *Regexp) step(s *dfaState, b byte) *dfaState {
-	if s.built[b>>6]&(1<<(b&63)) != 0 {
-		return s.next[b]
+	re.mu.Lock()
+	defer re.mu.Unlock()
+	if next := s.next[b].Load(); next != nil {
+		return next // built meanwhile by another goroutine
 	}
 	var targets []*nfaState
 	for _, ns := range s.nfaStates {
@@ -142,8 +150,7 @@ func (re *Regexp) step(s *dfaState, b byte) *dfaState {
 			re.cache[key] = next
 		}
 	}
-	s.next[b] = next
-	s.built[b>>6] |= 1 << (b & 63)
+	s.next[b].Store(next)
 	return next
 }
 
@@ -223,8 +230,8 @@ func (ms *MatchState) Feed(data []byte) bool {
 	cur := ms.cur
 	re := ms.re
 	for i := 0; i < len(data); i++ {
-		next := cur.next[data[i]]
-		if next == nil && cur.built[data[i]>>6]&(1<<(data[i]&63)) == 0 {
+		next := cur.next[data[i]].Load()
+		if next == nil {
 			next = re.step(cur, data[i])
 		}
 		if next == dead {

@@ -3,6 +3,7 @@ package regexp
 import (
 	gore "regexp"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -332,4 +333,33 @@ func TestMatchIterDoesNotAllocate(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { re.MatchIter(b.At(4)) }); n != 0 {
 		t.Fatalf("MatchIter allocates %v times per call", n)
 	}
+}
+
+// One Regexp matched from several goroutines at once — a grammar module's
+// constant shared by every engine — builds its automaton concurrently;
+// under -race this checks the cache, and every answer must equal that of
+// a Regexp used alone.
+func TestConcurrentMatching(t *testing.T) {
+	pats := []string{`[^ \t\r\n]+`, `HTTP\/[0-9]+\.[0-9]+`, `[0-9a-fA-F]+\r\n`, `(ab|cd)*e`}
+	inputs := []string{"GET /index.html", "HTTP/1.1 200", "1f\r\nrest", "ababcde", "cdcdcd", "\r\n", "zz 9"}
+	want := make([][2]int64, len(inputs))
+	for i, in := range inputs {
+		id, n := MustCompile(pats...).MatchString(in)
+		want[i] = [2]int64{int64(id), n}
+	}
+	shared := MustCompile(pats...)
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range 50 {
+				i := (w + k) % len(inputs)
+				if id, n := shared.MatchString(inputs[i]); id != int(want[i][0]) || n != want[i][1] {
+					t.Errorf("worker %d: Match(%q) = (%d, %d), want %v", w, inputs[i], id, n, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
