@@ -4,109 +4,89 @@ import (
 	"crypto/sha1"
 	"encoding/binary"
 	"encoding/hex"
-	"strconv"
 	"strings"
 	"testing"
 )
 
-type capturedHTTP struct {
-	events []string
-	bodies []string
+// bodies returns the SHA-1s of the body events in l, in order.
+func bodies(l httpLog) []string {
+	var sums []string
+	for _, e := range l {
+		if f := strings.Fields(e); f[0] == "body" {
+			sums = append(sums, f[3])
+		}
+	}
+	return sums
 }
 
-func (c *capturedHTTP) Request(m, u, v string) {
-	c.events = append(c.events, "req "+m+" "+u+" "+v)
+func sha1hex(s string) string {
+	sum := sha1.Sum([]byte(s))
+	return hex.EncodeToString(sum[:])
 }
-func (c *capturedHTTP) Reply(v string, code int, reason string) {
-	c.events = append(c.events, "rep "+v+" "+itos(code)+" "+reason)
-}
-func (c *capturedHTTP) Header(isOrig bool, n, v string) {
-	c.events = append(c.events, "hdr "+n+"="+v)
-}
-func (c *capturedHTTP) Body(isOrig bool, ct, sum string, n int) {
-	c.events = append(c.events, "body "+ct+" "+itos(n))
-	c.bodies = append(c.bodies, sum)
-}
-func (c *capturedHTTP) MessageDone(isOrig bool) { c.events = append(c.events, "done") }
-func (c *capturedHTTP) ParseError(isOrig bool, msg string) {
-	c.events = append(c.events, "err "+msg)
-}
-
-func itos(n int) string { return strconv.Itoa(n) }
 
 func TestHTTPRequestResponse(t *testing.T) {
-	var c capturedHTTP
-	p := NewHTTPParser(&c)
+	var l httpLog
+	p := NewHTTPParser(&l)
 	p.Deliver(true, []byte("GET /x HTTP/1.1\r\nHost: a\r\n\r\n"))
 	p.Deliver(false, []byte("HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Length: 5\r\n\r\nhello"))
-	joined := strings.Join(c.events, "|")
+	joined := strings.Join(l, "|")
 	if !strings.Contains(joined, "req GET /x HTTP/1.1") {
-		t.Fatalf("events: %v", c.events)
+		t.Fatalf("events: %v", l)
 	}
-	if !strings.Contains(joined, "body text/html 5") {
-		t.Fatalf("events: %v", c.events)
-	}
-	want := sha1.Sum([]byte("hello"))
-	if c.bodies[0] != hex.EncodeToString(want[:]) {
-		t.Fatal("sha1 mismatch")
+	if !strings.Contains(joined, "body resp text/html "+sha1hex("hello")+" 5") {
+		t.Fatalf("events: %v", l)
 	}
 }
 
 func TestHTTPChunkedAcrossSegments(t *testing.T) {
-	var c capturedHTTP
-	p := NewHTTPParser(&c)
+	var l httpLog
+	p := NewHTTPParser(&l)
 	resp := "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" +
 		"5\r\nhello\r\n6\r\n world\r\n0\r\n\r\n"
 	for i := 0; i < len(resp); i += 3 {
-		j := i + 3
-		if j > len(resp) {
-			j = len(resp)
-		}
-		p.Deliver(false, []byte(resp[i:j]))
+		p.Deliver(false, []byte(resp[i:min(i+3, len(resp))]))
 	}
-	want := sha1.Sum([]byte("hello world"))
-	if len(c.bodies) != 1 || c.bodies[0] != hex.EncodeToString(want[:]) {
-		t.Fatalf("bodies: %v", c.bodies)
+	if b := bodies(l); len(b) != 1 || b[0] != sha1hex("hello world") {
+		t.Fatalf("bodies: %v", b)
 	}
 }
 
 func TestHTTPHeadNoBody(t *testing.T) {
-	var c capturedHTTP
-	p := NewHTTPParser(&c)
+	var l httpLog
+	p := NewHTTPParser(&l)
 	p.Deliver(true, []byte("HEAD /x HTTP/1.1\r\nHost: a\r\n\r\n"))
 	p.Deliver(false, []byte("HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n"))
 	// The advertised body never arrives; the next response must still parse.
 	p.Deliver(false, []byte("HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n"))
-	joined := strings.Join(c.events, "|")
+	joined := strings.Join(l, "|")
 	if strings.Count(joined, "done") < 2 {
-		t.Fatalf("events: %v", c.events)
+		t.Fatalf("events: %v", l)
 	}
 	if strings.Contains(joined, "err") {
-		t.Fatalf("unexpected parse error: %v", c.events)
+		t.Fatalf("unexpected parse error: %v", l)
 	}
 }
 
 func TestHTTPBodyUntilEOF(t *testing.T) {
-	var c capturedHTTP
-	p := NewHTTPParser(&c)
+	var l httpLog
+	p := NewHTTPParser(&l)
 	p.Deliver(false, []byte("HTTP/1.0 200 OK\r\nContent-Type: text/plain\r\n\r\nstream"))
 	p.Deliver(false, []byte("-tail"))
-	if len(c.bodies) != 0 {
+	if len(bodies(l)) != 0 {
 		t.Fatal("body should wait for EOF")
 	}
 	p.EndOfData(false)
-	want := sha1.Sum([]byte("stream-tail"))
-	if len(c.bodies) != 1 || c.bodies[0] != hex.EncodeToString(want[:]) {
-		t.Fatalf("bodies: %v", c.bodies)
+	if b := bodies(l); len(b) != 1 || b[0] != sha1hex("stream-tail") {
+		t.Fatalf("bodies: %v", b)
 	}
 }
 
 func TestHTTPCrudRejected(t *testing.T) {
-	var c capturedHTTP
-	p := NewHTTPParser(&c)
+	var l httpLog
+	p := NewHTTPParser(&l)
 	p.Deliver(true, []byte("garbage bytes not http\r\nmore\r\n"))
-	if !strings.Contains(strings.Join(c.events, "|"), "err") {
-		t.Fatalf("crud accepted: %v", c.events)
+	if !strings.Contains(strings.Join(l, "|"), "err") {
+		t.Fatalf("crud accepted: %v", l)
 	}
 }
 
@@ -205,12 +185,12 @@ func TestDNSNameCompression(t *testing.T) {
 
 func BenchmarkHTTPParse(b *testing.B) {
 	msg := []byte("GET /index.html HTTP/1.1\r\nHost: www.example.com\r\nAccept: */*\r\n\r\n")
-	var c capturedHTTP
+	var l httpLog
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := NewHTTPParser(&c)
+		p := NewHTTPParser(&l)
 		p.Deliver(true, msg)
-		c.events = c.events[:0]
+		l = l[:0]
 	}
 }
 

@@ -2,14 +2,17 @@
 // that play the role of Bro's manually written C++ HTTP and DNS analyzers
 // in the paper's §6.4 comparison. They are written in the traditional
 // style the paper contrasts BinPAC++ against: explicit per-connection
-// state machines over buffered stream data, with manual buffering of
-// incomplete input.
+// state machines over stream data, with manual buffering of incomplete
+// input.
 package analyzers
 
 import (
 	"bytes"
 	"crypto/sha1"
+	"encoding"
 	"encoding/hex"
+	"fmt"
+	"hash"
 	"strconv"
 	"strings"
 )
@@ -39,17 +42,20 @@ const (
 	httpDead
 )
 
-// httpDir is one direction's state machine.
+// httpDir is one direction's state machine. A body is hashed as it passes:
+// only its digest, length and first bytes are kept. (Field order keeps the
+// struct at 96 bytes; HTTPParser holds two per connection.)
 type httpDir struct {
-	buf     []byte
-	state   httpState
-	isOrig  bool
-	remain  int // body/chunk bytes still expected
-	ctype   string
-	body    []byte
-	hasBody bool
-	isHead  bool // response to a HEAD request
-	status  int
+	buf    []byte    // incomplete input (a partial line) carried to the next Deliver
+	sum    hash.Hash // SHA-1 of the body so far; made at the first body byte, then reused
+	ctype  string
+	state  httpState
+	remain int // body/chunk bytes still expected
+	n      int // body bytes hashed
+	status int
+	head   [4]byte // the body's first bytes, for sniffMIME
+	isOrig bool
+	isHead bool // response to a HEAD request
 }
 
 // HTTPParser parses both directions of one HTTP connection.
@@ -67,100 +73,84 @@ func NewHTTPParser(ev HTTPEvents) *HTTPParser {
 	return p
 }
 
-// Deliver feeds reassembled stream data for one direction.
-func (p *HTTPParser) Deliver(isOrig bool, data []byte) {
-	d := &p.resp
+func (p *HTTPParser) dir(isOrig bool) *httpDir {
 	if isOrig {
-		d = &p.orig
+		return &p.orig
 	}
+	return &p.resp
+}
+
+// Deliver feeds reassembled stream data for one direction. data is borrowed
+// for the call: it is parsed in place, and only an incomplete tail is copied
+// into the direction's buffer.
+func (p *HTTPParser) Deliver(isOrig bool, data []byte) {
+	d := p.dir(isOrig)
 	if d.state == httpDead {
 		return
 	}
-	d.buf = append(d.buf, data...)
-	p.drain(d, false)
+	if len(d.buf) > 0 {
+		d.buf = append(d.buf, data...)
+		data = d.buf
+	}
+	d.buf = append(d.buf[:0], p.drain(d, data, false)...)
 }
 
 // EndOfData signals connection close for a direction.
 func (p *HTTPParser) EndOfData(isOrig bool) {
-	d := &p.resp
-	if isOrig {
-		d = &p.orig
-	}
-	p.drain(d, true)
-	if d.state == httpBodyEOF {
-		d.body = append(d.body, d.buf...)
-		d.buf = nil
-		p.finishMessage(d)
-	}
+	d := p.dir(isOrig)
+	d.buf = append(d.buf[:0], p.drain(d, d.buf, true)...)
 }
 
-// drain consumes as much buffered data as possible.
-func (p *HTTPParser) drain(d *httpDir, eof bool) {
+// drain parses as much of in as it can and returns the unconsumed rest.
+func (p *HTTPParser) drain(d *httpDir, in []byte, eof bool) []byte {
 	for {
 		switch d.state {
 		case httpFirstLine:
-			line, ok := takeLine(&d.buf)
+			line, rest, ok := cutLine(in)
 			if !ok {
-				return
+				return in
 			}
+			in = rest
 			if len(line) == 0 {
 				continue // tolerate stray blank lines between messages
 			}
 			if !p.firstLine(d, line) {
 				d.state = httpDead
-				return
+				return in
 			}
 		case httpHeaders:
-			line, ok := takeLine(&d.buf)
+			line, rest, ok := cutLine(in)
 			if !ok {
-				return
+				return in
 			}
+			in = rest
 			if len(line) == 0 {
 				p.headersDone(d)
 				continue
 			}
-			colon := bytes.IndexByte(line, ':')
-			if colon < 0 {
-				p.ev.ParseError(d.isOrig, "malformed header")
+			if !p.header(d, line) {
 				d.state = httpDead
-				return
+				return in
 			}
-			name := string(line[:colon])
-			value := strings.TrimLeft(string(line[colon+1:]), " \t")
-			p.ev.Header(d.isOrig, name, value)
-			switch strings.ToLower(name) {
-			case "content-length":
-				if n, err := strconv.Atoi(value); err == nil && n >= 0 {
-					d.remain = n
-					d.hasBody = n > 0
-					if d.state == httpHeaders {
-						// recorded; applied in headersDone
-					}
-				}
-			case "transfer-encoding":
-				if strings.EqualFold(strings.TrimSpace(value), "chunked") {
-					d.remain = -1 // chunked marker
-				}
-			case "content-type":
-				d.ctype = value
-			}
-		case httpBodyLength:
-			n := d.remain
-			if n > len(d.buf) {
-				n = len(d.buf)
-			}
-			d.body = append(d.body, d.buf[:n]...)
-			d.buf = d.buf[n:]
+		case httpBodyLength, httpChunkData:
+			n := min(d.remain, len(in))
+			d.digest(in[:n])
+			in = in[n:]
 			d.remain -= n
 			if d.remain > 0 {
-				return
+				return in
 			}
-			p.finishMessage(d)
+			if d.state == httpChunkData {
+				d.state = httpChunkCRLF
+			} else {
+				p.finishMessage(d)
+			}
 		case httpChunkSize:
-			line, ok := takeLine(&d.buf)
+			line, rest, ok := cutLine(in)
 			if !ok {
-				return
+				return in
 			}
+			in = rest
 			sizeStr := string(line)
 			if i := strings.IndexAny(sizeStr, "; \t"); i >= 0 {
 				sizeStr = sizeStr[:i]
@@ -169,7 +159,7 @@ func (p *HTTPParser) drain(d *httpDir, eof bool) {
 			if err != nil || n < 0 {
 				p.ev.ParseError(d.isOrig, "bad chunk size")
 				d.state = httpDead
-				return
+				return in
 			}
 			if n == 0 {
 				d.state = httpTrailer
@@ -177,82 +167,96 @@ func (p *HTTPParser) drain(d *httpDir, eof bool) {
 			}
 			d.remain = int(n)
 			d.state = httpChunkData
-		case httpChunkData:
-			n := d.remain
-			if n > len(d.buf) {
-				n = len(d.buf)
-			}
-			d.body = append(d.body, d.buf[:n]...)
-			d.buf = d.buf[n:]
-			d.remain -= n
-			if d.remain > 0 {
-				return
-			}
-			d.state = httpChunkCRLF
 		case httpChunkCRLF:
-			if _, ok := takeLine(&d.buf); !ok {
-				return
+			_, rest, ok := cutLine(in)
+			if !ok {
+				return in
 			}
+			in = rest
 			d.state = httpChunkSize
 		case httpTrailer:
-			line, ok := takeLine(&d.buf)
+			line, rest, ok := cutLine(in)
 			if !ok {
-				return
+				return in
 			}
+			in = rest
 			if len(line) == 0 {
 				p.finishMessage(d)
 			}
 		case httpBodyEOF:
-			if !eof {
-				return
+			// The body runs until close: everything so far is body.
+			d.digest(in)
+			in = in[len(in):]
+			if eof {
+				p.finishMessage(d)
 			}
-			d.body = append(d.body, d.buf...)
-			d.buf = nil
-			p.finishMessage(d)
-			return
-		case httpDead:
-			return
+			return in
+		default: // httpDead
+			return in
 		}
 	}
 }
 
-// firstLine parses a request or status line.
+// header raises one header event and records the three headers that frame
+// the body; false means the line is malformed. Name and value share one copy
+// of the line.
+func (p *HTTPParser) header(d *httpDir, line []byte) bool {
+	name, value, ok := strings.Cut(string(line), ":")
+	if !ok {
+		p.ev.ParseError(d.isOrig, "malformed header")
+		return false
+	}
+	value = strings.TrimLeft(value, " \t")
+	p.ev.Header(d.isOrig, name, value)
+	switch {
+	case strings.EqualFold(name, "content-length"):
+		if n, err := strconv.Atoi(value); err == nil && n >= 0 {
+			d.remain = n
+		}
+	case strings.EqualFold(name, "transfer-encoding"):
+		if strings.EqualFold(strings.TrimSpace(value), "chunked") {
+			d.remain = -1 // chunked marker
+		}
+	case strings.EqualFold(name, "content-type"):
+		d.ctype = value
+	}
+	return true
+}
+
+// firstLine parses a request or status line: up to three fields split at
+// the first two spaces.
 func (p *HTTPParser) firstLine(d *httpDir, line []byte) bool {
-	parts := strings.SplitN(string(line), " ", 3)
-	d.body = nil
+	f0, rest, two := strings.Cut(string(line), " ")
+	f1, f2, three := strings.Cut(rest, " ")
+	d.n = 0
 	d.remain = 0
 	d.ctype = ""
-	d.hasBody = false
 	d.isHead = false
 	if d.isOrig {
-		if len(parts) < 3 || !strings.HasPrefix(parts[2], "HTTP/") {
+		if !three || !strings.HasPrefix(f2, "HTTP/") {
 			p.ev.ParseError(true, "malformed request line")
 			return false
 		}
-		p.ev.Request(parts[0], parts[1], parts[2])
-		p.methods = append(p.methods, parts[0])
+		p.ev.Request(f0, f1, f2)
+		p.methods = append(p.methods, f0)
 		d.state = httpHeaders
 		return true
 	}
-	if len(parts) < 2 || !strings.HasPrefix(parts[0], "HTTP/") {
+	if !two || !strings.HasPrefix(f0, "HTTP/") {
 		p.ev.ParseError(false, "malformed status line")
 		return false
 	}
-	code, err := strconv.Atoi(parts[1])
+	code, err := strconv.Atoi(f1)
 	if err != nil {
 		p.ev.ParseError(false, "malformed status code")
 		return false
-	}
-	reason := ""
-	if len(parts) == 3 {
-		reason = parts[2]
 	}
 	d.status = code
 	if len(p.methods) > 0 {
 		d.isHead = p.methods[0] == "HEAD"
 		p.methods = p.methods[1:]
 	}
-	p.ev.Reply(parts[0], code, reason)
+	p.ev.Reply(f0, code, f2) // the reason, "" when absent
 	d.state = httpHeaders
 	return true
 }
@@ -277,30 +281,51 @@ func (p *HTTPParser) headersDone(d *httpDir) {
 	}
 }
 
+// digest hashes body bytes as they pass; nothing accumulates.
+func (d *httpDir) digest(b []byte) {
+	if len(b) == 0 {
+		return
+	}
+	if d.n == 0 {
+		if d.sum == nil {
+			d.sum = sha1.New()
+		} else {
+			d.sum.Reset()
+		}
+	}
+	if d.n < len(d.head) {
+		copy(d.head[d.n:], b)
+	}
+	d.sum.Write(b)
+	d.n += len(b)
+}
+
 func (p *HTTPParser) finishMessage(d *httpDir) {
-	if len(d.body) > 0 {
-		sum := sha1.Sum(d.body)
+	if d.n > 0 {
 		ctype := d.ctype
 		if ctype == "" {
-			ctype = sniffMIME(d.body)
+			ctype = sniffMIME(d.head[:min(d.n, len(d.head))])
 		}
-		p.ev.Body(d.isOrig, ctype, hex.EncodeToString(sum[:]), len(d.body))
+		var hexSum [2 * sha1.Size]byte
+		hex.Encode(hexSum[:], d.sum.Sum(nil))
+		p.ev.Body(d.isOrig, ctype, string(hexSum[:]), d.n)
 	}
 	p.ev.MessageDone(d.isOrig)
-	d.body = nil
+	d.n = 0
 	d.state = httpFirstLine
 }
 
-// takeLine removes a CRLF- (or LF-) terminated line from buf.
-func takeLine(buf *[]byte) ([]byte, bool) {
-	i := bytes.IndexByte(*buf, '\n')
+// cutLine splits a CRLF- (or LF-) terminated line off the front of in.
+func cutLine(in []byte) (line, rest []byte, ok bool) {
+	i := bytes.IndexByte(in, '\n')
 	if i < 0 {
-		return nil, false
+		return nil, in, false
 	}
-	line := (*buf)[:i]
-	*buf = (*buf)[i+1:]
-	line = bytes.TrimSuffix(line, []byte("\r"))
-	return line, true
+	line = in[:i]
+	if n := len(line); n > 0 && line[n-1] == '\r' {
+		line = line[:n-1]
+	}
+	return line, in[i+1:], true
 }
 
 // sniffMIME guesses a content type from leading bytes (used only when no
@@ -319,41 +344,66 @@ func sniffMIME(body []byte) string {
 }
 
 // HTTPDirState is the serializable state of one direction of an
-// HTTPParser, for checkpoint/restore.
+// HTTPParser, for checkpoint/restore. A body in progress is its digest
+// state, not its bytes.
 type HTTPDirState struct {
 	Buf     []byte
 	State   int
 	Remain  int
 	Ctype   string
-	Body    []byte
-	HasBody bool
+	Digest  []byte // the body digest's MarshalBinary state; nil while BodyLen is 0
+	BodyLen int
+	Head    []byte // the body's first min(BodyLen, 4) bytes
 	IsHead  bool
 	Status  int
 }
 
 func snapshotDir(d *httpDir) HTTPDirState {
 	st := HTTPDirState{
+		Buf:     append([]byte(nil), d.buf...),
 		State:   int(d.state),
 		Remain:  d.remain,
 		Ctype:   d.ctype,
-		HasBody: d.hasBody,
+		BodyLen: d.n,
 		IsHead:  d.isHead,
 		Status:  d.status,
 	}
-	st.Buf = append([]byte(nil), d.buf...)
-	st.Body = append([]byte(nil), d.body...)
+	if d.n > 0 {
+		// A SHA-1 digest's MarshalBinary cannot fail.
+		st.Digest, _ = d.sum.(encoding.BinaryMarshaler).MarshalBinary()
+		st.Head = append([]byte(nil), d.head[:min(d.n, len(d.head))]...)
+	}
 	return st
 }
 
-func restoreDir(d *httpDir, st HTTPDirState) {
+func restoreDir(d *httpDir, st HTTPDirState) error {
+	state := httpState(st.State)
+	switch {
+	case state < httpFirstLine || state > httpDead:
+		return fmt.Errorf("analyzers: http parser state %d out of range", st.State)
+	case st.Remain < 0 && (state == httpBodyLength || state == httpChunkData):
+		return fmt.Errorf("analyzers: http body with %d bytes to go", st.Remain)
+	case st.BodyLen < 0 || len(st.Head) != min(st.BodyLen, len(d.head)):
+		return fmt.Errorf("analyzers: http body of %d bytes with %d head bytes", st.BodyLen, len(st.Head))
+	}
+	if st.BodyLen > 0 {
+		if d.sum == nil {
+			d.sum = sha1.New()
+		}
+		if err := d.sum.(encoding.BinaryUnmarshaler).UnmarshalBinary(st.Digest); err != nil {
+			return fmt.Errorf("analyzers: http body digest: %w", err)
+		}
+	}
 	d.buf = append([]byte(nil), st.Buf...)
-	d.state = httpState(st.State)
+	d.state = state
 	d.remain = st.Remain
 	d.ctype = st.Ctype
-	d.body = append([]byte(nil), st.Body...)
-	d.hasBody = st.HasBody
+	d.n = st.BodyLen
+	d.head = [4]byte{}
+	copy(d.head[:], st.Head)
 	d.isHead = st.IsHead
 	d.status = st.Status
+	return nil
 }
 
 // SnapshotState captures both directions and the outstanding request
@@ -363,11 +413,15 @@ func (p *HTTPParser) SnapshotState() (orig, resp HTTPDirState, methods []string)
 }
 
 // RestoreState rebuilds the parser from a checkpoint. The event sink and
-// direction identities are untouched.
-func (p *HTTPParser) RestoreState(orig, resp HTTPDirState, methods []string) {
-	restoreDir(&p.orig, orig)
-	restoreDir(&p.resp, resp)
-	p.orig.isOrig = true
-	p.resp.isOrig = false
+// direction identities are untouched. A state that is out of range, or whose
+// body digest does not unmarshal, is an error.
+func (p *HTTPParser) RestoreState(orig, resp HTTPDirState, methods []string) error {
+	if err := restoreDir(&p.orig, orig); err != nil {
+		return err
+	}
+	if err := restoreDir(&p.resp, resp); err != nil {
+		return err
+	}
 	p.methods = append([]string(nil), methods...)
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
@@ -226,19 +227,24 @@ func TestStateViewsResumeIdentically(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsOldVersion: the format bumps (1 → 2 → 3) came with no
-// compatibility reader; a blob of the previous version fails the header
-// check.
+// TestRestoreRejectsOldVersion: the format bumps (1 → 2 → 3 → 4) came with
+// no compatibility reader; a blob of an earlier version fails the header
+// check. testdata/checkpoint-v3-http.bin is a version-3 checkpoint taken
+// while an HTTP body was in progress, which version 3 laid out as the bytes
+// received so far: it must be refused by the version check, not decoded as
+// a digest state.
 func TestRestoreRejectsOldVersion(t *testing.T) {
-	cfg := Config{Parser: "standard", ScriptExec: "interp", Scripts: []string{DNSScript}, Quiet: true}
-	data := checkpointBytes(t, mustEngine(t, cfg))
-	if data[4] != 0 || data[5] != 3 {
-		t.Fatalf("checkpoint header carries version %d.%d, want 3", data[4], data[5])
+	cfg := Config{Parser: "standard", ScriptExec: "interp", Scripts: []string{HTTPScript}, Quiet: true}
+	if data := checkpointBytes(t, mustEngine(t, cfg)); data[4] != 0 || data[5] != 4 {
+		t.Fatalf("checkpoint header carries version %d.%d, want 4", data[4], data[5])
 	}
-	data[5] = 2
-	_, err := RestoreEngine(cfg, bytes.NewReader(data))
-	if err == nil || !strings.Contains(err.Error(), "unsupported version 2") {
-		t.Fatalf("version-2 blob: err = %v, want the snapshot version error", err)
+	v3, err := os.ReadFile("testdata/checkpoint-v3-http.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = RestoreEngine(cfg, bytes.NewReader(v3))
+	if err == nil || !strings.Contains(err.Error(), "unsupported version 3") {
+		t.Fatalf("version-3 blob: err = %v, want the snapshot version error", err)
 	}
 }
 

@@ -142,7 +142,9 @@ func decodeConn(dec *snapshot.Decoder, e *Engine, uid string, key flow.Key) (*co
 		if c.std == nil {
 			return nil, fmt.Errorf("bro: state has parser state for %s but no analyzer attached", uid)
 		}
-		c.std.RestoreState(orig, resp, methods)
+		if err := c.std.RestoreState(orig, resp, methods); err != nil {
+			return nil, fmt.Errorf("bro: %s: %w", uid, err)
+		}
 	}
 	c.methods = decodeStrings(dec)
 	if err := dec.Err(); err != nil {
@@ -193,13 +195,17 @@ func decodeStream(dec *snapshot.Decoder) reassembly.StreamState {
 	return st
 }
 
+// encodeHTTPDir writes one direction of the hand-written HTTP parser. A body
+// in progress is its digest state, length and head bytes, not the bytes
+// received so far.
 func encodeHTTPDir(enc *snapshot.Encoder, st analyzers.HTTPDirState) {
 	enc.Bytes(st.Buf)
 	enc.U8(byte(st.State))
 	enc.I64(int64(st.Remain))
 	enc.String(st.Ctype)
-	enc.Bytes(st.Body)
-	enc.Bool(st.HasBody)
+	enc.Bytes(st.Digest)
+	enc.I64(int64(st.BodyLen))
+	enc.Bytes(st.Head)
 	enc.Bool(st.IsHead)
 	enc.I64(int64(st.Status))
 }
@@ -210,8 +216,9 @@ func decodeHTTPDir(dec *snapshot.Decoder) analyzers.HTTPDirState {
 	st.State = int(dec.U8())
 	st.Remain = int(dec.I64())
 	st.Ctype = dec.String()
-	st.Body = dec.Bytes()
-	st.HasBody = dec.Bool()
+	st.Digest = dec.Bytes()
+	st.BodyLen = int(dec.I64())
+	st.Head = dec.Bytes()
 	st.IsHead = dec.Bool()
 	st.Status = int(dec.I64())
 	return st

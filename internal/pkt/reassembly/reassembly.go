@@ -18,7 +18,8 @@ const maxBuffered = 4 << 20
 // Budget is a cross-flow byte budget layered on top of the per-direction
 // maxBuffered bound: many flows buffering moderately can still exhaust
 // memory in aggregate, so streams sharing a Budget charge it for every
-// out-of-order byte held. When the total exceeds Max, the inserting stream
+// out-of-order byte held. In-order data is delivered in place and never
+// charged. When the total exceeds Max, a stream inserting out-of-order data
 // abandons its oldest hole early (a forced gap) instead of buffering more.
 // Counters are atomic so engines on different pipeline workers can share
 // one Budget.
@@ -57,15 +58,19 @@ func (b *Budget) SetMax(max int64) { b.max.Store(max) }
 // Used returns the bytes currently buffered across all sharing streams.
 func (b *Budget) Used() int64 { return b.used.Load() }
 
-// Forced returns how many holes were abandoned early because the shared
-// budget, not the per-direction bound, was exhausted.
+// Forced returns how many out-of-order inserts abandoned a hole early
+// because the shared budget, not the per-direction bound, was exhausted. An
+// in-order segment arriving while the budget is over is not counted: it is
+// delivered, not buffered.
 func (b *Budget) Forced() uint64 { return b.forced.Load() }
 
 // Stream reassembles one direction of a TCP connection.
 //
 // Deliver is invoked with in-order payload as it becomes contiguous; Gap is
 // invoked with the number of bytes skipped when a hole is abandoned. Both
-// callbacks may be nil.
+// callbacks may be nil. The slice Deliver gets is borrowed for the duration
+// of the call: in-order data is handed over in place, straight from the
+// caller's Segment buffer, so a consumer copies whatever it keeps.
 type Stream struct {
 	Deliver func(data []byte)
 	Gap     func(skipped int)
@@ -143,7 +148,9 @@ func (s *Stream) Segment(seq uint32, data []byte, fin bool) {
 	s.flush()
 }
 
-// insert adds a segment, trimming already-delivered overlap.
+// insert adds a segment, trimming already-delivered overlap. Data that
+// starts at next is delivered in place (flush then delivers the pending
+// data it made contiguous); only out-of-order data is copied and buffered.
 func (s *Stream) insert(rel uint64, data []byte) {
 	if rel+uint64(len(data)) <= s.next {
 		return // complete retransmission
@@ -151,6 +158,13 @@ func (s *Stream) insert(rel uint64, data []byte) {
 	if rel < s.next {
 		data = data[s.next-rel:]
 		rel = s.next
+	}
+	if rel == s.next {
+		s.next += uint64(len(data))
+		if s.Deliver != nil {
+			s.Deliver(data)
+		}
+		return
 	}
 	cp := make([]byte, len(data))
 	copy(cp, data)

@@ -36,9 +36,11 @@ import (
 // section/flow-frame engine-state layout (bro/state.go) and the single
 // snapshot+segments shard blob (pkt/pipeline); version 3 put the packet-fate
 // ledger into pipeline checkpoints (feeder-side counts up front, each
-// shard's tally in Fate order, the fate as the WAL outcome byte). Streams of
-// an older version are rejected by the header check.
-const Version = 3
+// shard's tally in Fate order, the fate as the WAL outcome byte); version 4
+// carries an HTTP body in progress as its SHA-1 digest state, length and
+// head bytes instead of the body received so far (bro/statecodec.go).
+// Streams of an older version are rejected by the header check.
+const Version = 4
 
 // MaxDepth bounds value-tree recursion in both directions.
 const MaxDepth = 64
