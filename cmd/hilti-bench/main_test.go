@@ -5,7 +5,9 @@ import (
 	"io"
 	"os"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -122,5 +124,59 @@ func TestCheckerReportsEveryFailureThenExits(t *testing.T) {
 	})
 	if want := "    all invariants held\n"; out != want || code != -1 {
 		t.Fatalf("passing run printed %q and exited %d, want %q and no exit", out, code, want)
+	}
+}
+
+// The log oracle reports a divergence as one failed check naming the
+// stream, followed by the lines that make it up, and is silent on a match.
+func TestCheckLogsReportsMissingAndExtraLines(t *testing.T) {
+	code := -1
+	osExit = func(c int) { code = c }
+	defer func() { osExit = os.Exit }()
+	want := []string{"a\t1", "b\t2", "c\t3"}
+	out := captureStdout(t, func() {
+		var chk checker
+		checkLogs(&chk, "pipeline http.log", want, []string{"a\t1", "c\t3", "d\t4"})
+		chk.done("    all invariants held")
+	})
+	if strings.Count(out, "FAIL") != 1 || !strings.Contains(out, "FAIL: pipeline http.log diverged") ||
+		!strings.Contains(out, `missing: "b\t2"`) || !strings.Contains(out, `extra:   "d\t4"`) ||
+		strings.Contains(out, "all invariants held") || code != 1 {
+		t.Fatalf("diverging logs printed %q and exited %d", out, code)
+	}
+	code = -1
+	out = captureStdout(t, func() {
+		var chk checker
+		checkLogs(&chk, "pipeline http.log", want, slices.Clone(want))
+	})
+	if out != "" || code != -1 {
+		t.Fatalf("identical logs printed %q and exited %d, want nothing", out, code)
+	}
+}
+
+// Every invariant harness CI runs as a gate holds at a small scale and says
+// so: its success line, no FAIL, no exit. The stall harnesses wait out a 2 s
+// supervisor timeout each, hence -short skips this.
+func TestExperimentsHoldAtSmallScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs seven experiments end to end")
+	}
+	code := -1
+	osExit = func(c int) { code = c }
+	defer func() { osExit = os.Exit }()
+	prevHTTP, prevDNS, prevWorkers := *httpSessions, *dnsTxns, *workersFlag
+	*httpSessions, *dnsTxns, *workersFlag = 40, 400, 2
+	defer func() { *httpSessions, *dnsTxns, *workersFlag = prevHTTP, prevDNS, prevWorkers }()
+	h := &harness{}
+	for _, name := range []string{"parallel", "faults", "recovery", "wal", "migrate", "vmopt", "tier"} {
+		i := slices.IndexFunc(experiments, func(x experiment) bool { return x.name == name })
+		if i < 0 {
+			t.Fatalf("no experiment %q", name)
+		}
+		out := captureStdout(t, func() { h.run(experiments[i]) })
+		if !strings.HasSuffix(out, "    all "+name+" invariants held\n") || strings.Contains(out, "FAIL") || code != -1 {
+			t.Errorf("-exp %s exited %d, output:\n%s", name, code, out)
+		}
+		code = -1
 	}
 }

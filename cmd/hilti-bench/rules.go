@@ -30,8 +30,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"os"
-	"sort"
-	"strings"
+	"slices"
 	"time"
 
 	"hilti/internal/bpf"
@@ -128,9 +127,8 @@ func rulesPrograms(scale int, seed int64) []ruleplane.Program {
 	clsProg, err := ruleplane.FromClassifier(c, clsRoles, "classifier")
 	must(err)
 
-	fwRules, err := firewall.ParseRules(strings.NewReader(fwRuleText))
-	must(err)
-	for len(fwRules) < nfw {
+	static := fwRules()
+	for len(static) < nfw {
 		r := firewall.Rule{Allow: rng.Intn(2) == 0}
 		if rng.Intn(5) != 0 {
 			r.Src = values.MustParseNet(fmt.Sprintf("10.%d.%d.0/24", 1+rng.Intn(2), 1+rng.Intn(200)))
@@ -138,9 +136,9 @@ func rulesPrograms(scale int, seed int64) []ruleplane.Program {
 		if rng.Intn(5) != 0 {
 			r.Dst = values.MustParseNet(fmt.Sprintf("172.16.%d.0/24", rng.Intn(40)))
 		}
-		fwRules = append(fwRules, r)
+		static = append(static, r)
 	}
-	fwProg := firewall.RulePlaneProgram("firewall", fwRules)
+	fwProg := firewall.RulePlaneProgram("firewall", static)
 
 	acl := ruleplane.Program{Name: "acl", Default: -1}
 	for i := 0; i < nacl; i++ {
@@ -203,13 +201,18 @@ func hashEval(h hash.Hash64, seq uint64, v []int64, m []int32, drop bool) {
 	}
 }
 
-func minTime(reps int, fn func()) time.Duration {
-	best := time.Duration(1 << 62)
-	for i := 0; i < reps; i++ {
-		start := time.Now()
-		fn()
-		if el := time.Since(start); el < best {
-			best = el
+// minTime runs each of fns reps times, interleaved so scheduler noise
+// hits them alike, and returns each one's fastest run.
+func minTime(reps int, fns ...func()) []time.Duration {
+	best := make([]time.Duration, len(fns))
+	for i := range best {
+		best[i] = 1 << 62
+	}
+	for r := 0; r < reps; r++ {
+		for i, fn := range fns {
+			start := time.Now()
+			fn()
+			best[i] = min(best[i], time.Since(start))
 		}
 	}
 	return best
@@ -236,45 +239,11 @@ func hostedPrograms(clsProg ruleplane.Program) []ruleplane.Program {
 	gate, err := bpf.FilterProgram("filter", fexpr)
 	must(err)
 	gate.Gate = true
-	fw, err := firewall.ParseRules(strings.NewReader(fwRuleText))
-	must(err)
-	return []ruleplane.Program{clsProg, gate, firewall.RulePlaneProgram("firewall", fw)}
+	return []ruleplane.Program{clsProg, gate, firewall.RulePlaneProgram("firewall", fwRules())}
 }
 
-// recordedRulesRatio reads a -rules-json file and returns the
-// compiled/linear per-packet ratio recorded at the largest scale.
-func recordedRulesRatio(path string) (float64, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	var doc struct {
-		Rows []rulesRow `json:"rules"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return 0, err
-	}
-	best := rulesRow{}
-	for _, r := range doc.Rows {
-		if r.Scale > best.Scale {
-			best = r
-		}
-	}
-	if best.LinearNsPerPkt <= 0 || best.CompiledNsPerPkt <= 0 {
-		return 0, fmt.Errorf("no usable rules row in %s", path)
-	}
-	return best.CompiledNsPerPkt / best.LinearNsPerPkt, nil
-}
-
-func (h *harness) rules() {
-	header("Compiled rule plane: one automaton, atomic hot reload",
-		"compiled == linear verdicts at every scale; swaps commit atomically under live load")
-	var chk checker
-	check := chk.check
-
-	pkts := append([]pcap.Packet(nil), h.httpTrace()...)
-	pkts = append(pkts, h.dnsTrace()...)
-	sort.SliceStable(pkts, func(i, j int) bool { return pkts[i].Time.Before(pkts[j].Time) })
+func (h *harness) rules(chk *checker) {
+	pkts := h.mergedTrace()
 	allHeaders := planeHeaders(pkts)
 
 	// A+B: verdict identity and lookup cost per scale. The header sample
@@ -310,7 +279,7 @@ func (h *harness) rules() {
 		same := diverge == 0 && ah.Sum64() == lh.Sum64()
 		fmt.Printf("    %6d rules (%d src + %d dst trie nodes, %d tails / %d refs shared): %d headers, verdict stream %016x, divergences %d\n",
 			st.Rules, st.SrcNodes, st.DstNodes, st.Tails, st.TailRefs, len(hs), ah.Sum64(), diverge)
-		check(same, fmt.Sprintf("%d rules: compiled diverged from linear on %d verdicts", scale, diverge))
+		chk.check(same, fmt.Sprintf("%d rules: compiled diverged from linear on %d verdicts", scale, diverge))
 
 		// Lookup cost: the classifier table alone, both ways, same probes.
 		c1 := rulesClassifier(scale, rand.New(rand.NewSource(3)))
@@ -338,14 +307,14 @@ func (h *harness) rules() {
 			for i := range probes {
 				c1.Get(probes[i].src, probes[i].dst, probes[i].port) //nolint:errcheck
 			}
-		})
+		})[0]
 		cv := make([]int64, 1)
 		cm := make([]int32, 1)
 		compT := minTime(reps, func() {
 			for i := range probes {
 				clsAuto.Eval(&probes[i].h, cv, cm)
 			}
-		})
+		})[0]
 		hosted, err := ruleplane.Compile(hostedPrograms(clsProg))
 		must(err)
 		hv := make([]int64, hosted.NumPrograms())
@@ -354,7 +323,7 @@ func (h *harness) rules() {
 			for i := range probes {
 				hosted.Eval(&probes[i].h, hv, hm)
 			}
-		})
+		})[0]
 		np := float64(len(probes))
 		rows = append(rows, rulesRow{
 			Scale: scale, Headers: len(probes),
@@ -370,34 +339,31 @@ func (h *harness) rules() {
 	}
 	for _, r := range rows {
 		if r.Scale >= 10_000 {
-			check(r.CompiledNsPerPkt < r.LinearNsPerPkt,
+			chk.check(r.CompiledNsPerPkt < r.LinearNsPerPkt,
 				fmt.Sprintf("%d rules: compiled (%.0fns) not faster than linear (%.0fns)",
 					r.Scale, r.CompiledNsPerPkt, r.LinearNsPerPkt))
 		}
 		if r.Scale == 10_000 {
 			// A program that has its answer must stop costing: hosting two
 			// small programs beside the table may not multiply its lookup.
-			check(r.HostedNsPerPkt <= 4*r.CompiledNsPerPkt,
+			chk.check(r.HostedNsPerPkt <= 4*r.CompiledNsPerPkt,
 				fmt.Sprintf("%d rules: hosted plane (%.0fns) above 4x the classifier alone (%.0fns)",
 					r.Scale, r.HostedNsPerPkt, r.CompiledNsPerPkt))
 		}
 	}
 	last := rows[len(rows)-1]
 	gotRatio := last.CompiledNsPerPkt / last.LinearNsPerPkt
-	ceiling := *rulesCeiling
-	if *rulesBaseline != "" {
-		if rec, err := recordedRulesRatio(*rulesBaseline); err != nil {
-			check(false, fmt.Sprintf("rules baseline %s: %v", *rulesBaseline, err))
-		} else {
-			// Same x2 headroom rationale as the tier baseline: the ratio
-			// divides two noisy timings.
-			ceiling = rec * 2
-			fmt.Printf("    recorded baseline (%s): compiled/linear %.4fx -> ceiling %.4fx\n",
-				*rulesBaseline, rec, ceiling)
+	ceiling := recordedCeiling(chk, "compiled/linear", *rulesBaseline, *rulesCeiling, "rules", func(rows []rulesRow) float64 {
+		best := rulesRow{}
+		for _, r := range rows {
+			if r.Scale > best.Scale {
+				best = r
+			}
 		}
-	}
+		return best.CompiledNsPerPkt / best.LinearNsPerPkt
+	})
 	fmt.Printf("    compiled/linear at %d rules: %.4fx (ceiling %.4fx)\n", last.Scale, gotRatio, ceiling)
-	check(gotRatio <= ceiling, fmt.Sprintf("compiled/linear ratio %.4fx above ceiling %.4fx", gotRatio, ceiling))
+	chk.check(gotRatio <= ceiling, fmt.Sprintf("compiled/linear ratio %.4fx above ceiling %.4fx", gotRatio, ceiling))
 
 	// C: hot reload under live load. A 4-worker parallel engine host
 	// drains the trace while a shadow-window swap lands a third of the way
@@ -409,9 +375,8 @@ func (h *harness) rules() {
 	next := rulesPrograms(10_000, 2)
 	plane, err := ruleplane.New(progs)
 	must(err)
-	cfg := bro.Config{Parser: "standard", ScriptExec: "interp",
-		Scripts: []string{bro.HTTPScript, bro.FilesScript, bro.DNSScript},
-		Quiet:   true, RulePlane: plane}
+	cfg := stdConfig("interp")
+	cfg.RulePlane = plane
 	par, err := bro.NewParallelWith(cfg, pipeline.Config{Workers: 4})
 	must(err)
 	swapAt := len(pkts) / 3
@@ -430,7 +395,7 @@ func (h *harness) rules() {
 		feedLat = append(feedLat, time.Since(start))
 	}
 	par.Close()
-	sort.Slice(feedLat, func(i, j int) bool { return feedLat[i] < feedLat[j] })
+	slices.Sort(feedLat)
 	p99 := feedLat[len(feedLat)*99/100]
 	st := plane.Stats()
 	fmt.Printf("    live swap: %d pkts, swap at %d (compile+install %v), committed seq %d, ledger %+v\n",
@@ -438,16 +403,16 @@ func (h *harness) rules() {
 	fmt.Printf("    feed p50 %v  p99 %v  max %v; plane dropped %d; worker restarts %d\n",
 		feedLat[len(feedLat)/2].Round(time.Nanosecond), p99.Round(time.Nanosecond),
 		feedLat[len(feedLat)-1].Round(time.Nanosecond), par.PlaneDropped(), par.Restarts())
-	check(swapSeq == 2 && plane.CommittedSeq() == 2, "swap did not commit generation 2")
-	check(st.Swaps == 1 && st.Committed == 1 && st.Aborted == 0,
+	chk.check(swapSeq == 2 && plane.CommittedSeq() == 2, "swap did not commit generation 2")
+	chk.check(st.Swaps == 1 && st.Committed == 1 && st.Aborted == 0,
 		fmt.Sprintf("swap ledger %+v, want exactly one clean commit", st))
-	check(st.ShadowPackets == window,
+	chk.check(st.ShadowPackets == window,
 		fmt.Sprintf("shadow window drained %d packets, want exactly %d (single feeder)", st.ShadowPackets, window))
-	check(par.Restarts() == 0, "workers restarted during the swap")
-	checkLedger(check, par.Ledger(), len(pkts))
-	check(par.PlaneDropped() > 0, "gate filter dropped nothing; trace/rule mismatch")
-	check(p99 < 10*time.Millisecond, fmt.Sprintf("feed p99 %v: the swap paused the pipeline", p99))
-	check(swapDur < 5*time.Second, "swap call blocked") // compile included; install itself is atomic
+	chk.check(par.Restarts() == 0, "workers restarted during the swap")
+	checkLedger(chk, par.Ledger(), len(pkts))
+	chk.check(par.PlaneDropped() > 0, "gate filter dropped nothing; trace/rule mismatch")
+	chk.check(p99 < 10*time.Millisecond, fmt.Sprintf("feed p99 %v: the swap paused the pipeline", p99))
+	chk.check(swapDur < 5*time.Second, "swap call blocked") // compile included; install itself is atomic
 
 	// D: the differential tripwire. An injected miscompile on the shadow
 	// generation must abort on the first packet with a structured report,
@@ -466,10 +431,10 @@ func (h *harness) rules() {
 	}
 	tst := tripwire.Stats()
 	rep := tripwire.LastReport()
-	check(tst.Aborted == 1 && tst.Divergences == 1 && tst.ShadowPackets == 1,
+	chk.check(tst.Aborted == 1 && tst.Divergences == 1 && tst.ShadowPackets == 1,
 		fmt.Sprintf("injected divergence ledger %+v, want abort on the first shadow packet", tst))
-	check(tripwire.CommittedSeq() == 1, "abort did not retain the committed generation")
-	check(rep != nil, "no divergence report after abort")
+	chk.check(tripwire.CommittedSeq() == 1, "abort did not retain the committed generation")
+	chk.check(rep != nil, "no divergence report after abort")
 	if rep != nil {
 		fmt.Printf("    tripwire: %s\n", rep)
 	}
@@ -490,9 +455,9 @@ func (h *harness) rules() {
 			}
 		}
 	}
-	check(stale == 0, "post-abort verdicts no longer match the source rules")
+	chk.check(stale == 0, "post-abort verdicts no longer match the source rules")
 	if _, err := tripwire.Swap(smallNext, ruleplane.SwapOptions{Window: 4}); err != nil {
-		check(false, fmt.Sprintf("clean re-swap after abort rejected: %v", err))
+		chk.check(false, fmt.Sprintf("clean re-swap after abort rejected: %v", err))
 	}
 
 	// E: determinism. Two identical eval+swap sequences must hash
@@ -516,7 +481,7 @@ func (h *harness) rules() {
 	}
 	h1, h2 := twin(), twin()
 	fmt.Printf("    determinism: twin feed+swap runs hash %016x / %016x\n", h1, h2)
-	check(h1 == h2, "identical runs produced different verdict streams")
+	chk.check(h1 == h2, "identical runs produced different verdict streams")
 
 	if *rulesJSON != "" {
 		doc := struct {
@@ -527,6 +492,4 @@ func (h *harness) rules() {
 		must(os.WriteFile(*rulesJSON, append(raw, '\n'), 0o644))
 		fmt.Printf("    wrote %s\n", *rulesJSON)
 	}
-
-	chk.done("    all rule-plane invariants held")
 }
