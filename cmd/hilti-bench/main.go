@@ -536,6 +536,10 @@ func (h *harness) table2(_ *checker) {
 		fmt.Printf("    %-10s %8d %8d %10d %10d %9.2f%%\n",
 			row.stream+".log", agr.TotalA, agr.TotalB, agr.NormA, agr.NormB, 100*agr.IdenticalFrac)
 	}
+	fmt.Println("    known deviations (bro.ParserDeviations; FuzzParsersAgree checks the rest):")
+	for _, d := range bro.ParserDeviations {
+		fmt.Printf("      %s: %s\n", d.Name, d.Reason)
+	}
 }
 
 func statsRow(label string, st *bro.Stats) {

@@ -53,7 +53,7 @@ type httpDir struct {
 	remain int // body/chunk bytes still expected
 	n      int // body bytes hashed
 	status int
-	head   [4]byte // the body's first bytes, for sniffMIME
+	head   [4]byte // the body's first bytes, for SniffMIME
 	isOrig bool
 	isHead bool // response to a HEAD request
 }
@@ -199,14 +199,15 @@ func (p *HTTPParser) drain(d *httpDir, in []byte, eof bool) []byte {
 
 // header raises one header event and records the three headers that frame
 // the body; false means the line is malformed. Name and value share one copy
-// of the line.
+// of the line; the value is without the whitespace around it (RFC 7230
+// §3.2.4).
 func (p *HTTPParser) header(d *httpDir, line []byte) bool {
 	name, value, ok := strings.Cut(string(line), ":")
 	if !ok {
 		p.ev.ParseError(d.isOrig, "malformed header")
 		return false
 	}
-	value = strings.TrimLeft(value, " \t")
+	value = strings.Trim(value, " \t")
 	p.ev.Header(d.isOrig, name, value)
 	switch {
 	case strings.EqualFold(name, "content-length"):
@@ -304,7 +305,7 @@ func (p *HTTPParser) finishMessage(d *httpDir) {
 	if d.n > 0 {
 		ctype := d.ctype
 		if ctype == "" {
-			ctype = sniffMIME(d.head[:min(d.n, len(d.head))])
+			ctype = SniffMIME(d.head[:min(d.n, len(d.head))])
 		}
 		var hexSum [2 * sha1.Size]byte
 		hex.Encode(hexSum[:], d.sum.Sum(nil))
@@ -328,9 +329,10 @@ func cutLine(in []byte) (line, rest []byte, ok bool) {
 	return line, in[i+1:], true
 }
 
-// sniffMIME guesses a content type from leading bytes (used only when no
-// Content-Type header is present).
-func sniffMIME(body []byte) string {
+// SniffMIME guesses a content type from a body's first bytes — it reads at
+// most four — when no Content-Type header names one. Both HTTP parser
+// families use it.
+func SniffMIME(body []byte) string {
 	switch {
 	case bytes.HasPrefix(body, []byte("\x89PNG")):
 		return "image/png"

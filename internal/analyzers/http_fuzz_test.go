@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"unsafe"
+
+	"hilti/internal/pkt/gen"
 )
 
 // httpLog records a parser's events, one line each, in order.
@@ -29,104 +31,6 @@ func (l *httpLog) Body(isOrig bool, ct, sum string, n int) {
 }
 func (l *httpLog) MessageDone(isOrig bool)          { *l = append(*l, "done "+side(isOrig)) }
 func (l *httpLog) ParseError(isOrig bool, m string) { *l = append(*l, "err "+side(isOrig)+" "+m) }
-
-// specReader hands out a fuzz input's bytes as choices; past the end every
-// choice is 0.
-type specReader struct{ b []byte }
-
-func (r *specReader) next() int {
-	if len(r.b) == 0 {
-		return 0
-	}
-	c := r.b[0]
-	r.b = r.b[1:]
-	return int(c)
-}
-
-// genHTTPStreams turns spec into a pipelined request stream and the reply
-// stream that answers it: content-length, chunked and until-EOF bodies, HEAD,
-// 304/204 and 1xx replies, and malformed input, with header names in varying
-// case and bodies whose first bytes steer sniffMIME.
-func genHTTPStreams(spec []byte) (orig, resp []byte) {
-	r := &specReader{spec}
-	var o, s bytes.Buffer
-	heads := []string{"<html>", "{\"a\":1}", "[1,2]", "\x89PNG\r\n", "plain", "<", "x"}
-	names := [][3]string{
-		{"Content-Length", "Transfer-Encoding", "Content-Type"},
-		{"content-length", "transfer-encoding", "content-type"},
-		{"CONTENT-LENGTH", "TRANSFER-ENCODING", "CONTENT-TYPE"},
-	}
-	body := func() string {
-		b := heads[r.next()%len(heads)]
-		for n := r.next() % 48; n > 0; n-- {
-			b += string(rune('a' + n%26))
-		}
-		return b
-	}
-	for msgs := 0; len(r.b) > 0 && msgs < 8; msgs++ {
-		nm := names[r.next()%len(names)]
-		ctype := ""
-		if r.next()%2 == 0 {
-			ctype = nm[2] + ": text/x-" + strconv.Itoa(msgs) + "\r\n"
-		}
-		switch kind := r.next() % 8; kind {
-		case 0: // GET, content-length reply
-			b := body()
-			fmt.Fprintf(&o, "GET /%d HTTP/1.1\r\nHost: h\r\n\r\n", msgs)
-			fmt.Fprintf(&s, "HTTP/1.1 200 OK\r\n%s%s: %d\r\n\r\n%s", ctype, nm[0], len(b), b)
-		case 1: // POST with a body, empty reply
-			b := body()
-			fmt.Fprintf(&o, "POST /p HTTP/1.1\r\n%s%s:  %d\r\n\r\n%s", ctype, nm[0], len(b), b)
-			fmt.Fprintf(&s, "HTTP/1.1 204 No Content\r\n\r\n")
-		case 2: // chunked reply, chunk extensions and trailers
-			fmt.Fprintf(&o, "GET /c HTTP/1.1\r\n\r\n")
-			fmt.Fprintf(&s, "HTTP/1.1 200 OK\r\n%s%s: Chunked \r\n\r\n", ctype, nm[1])
-			for n := 1 + r.next()%3; n > 0; n-- {
-				b := body()
-				ext := ""
-				if r.next()%2 == 0 {
-					ext = ";x=y"
-				}
-				fmt.Fprintf(&s, "%x%s\r\n%s\r\n", len(b), ext, b)
-			}
-			if r.next()%2 == 0 {
-				s.WriteString("0\r\nX-Trailer: t\r\n\r\n")
-			} else {
-				s.WriteString("0\r\n\r\n")
-			}
-		case 3: // HEAD: the advertised body never comes
-			fmt.Fprintf(&o, "HEAD /h HTTP/1.1\r\n\r\n")
-			fmt.Fprintf(&s, "HTTP/1.1 200 OK\r\n%s: 100\r\n\r\n", nm[0])
-		case 4: // 304 with a length header, 100 Continue before a reply
-			fmt.Fprintf(&o, "GET /n HTTP/1.1\r\nIf-None-Match: x\r\n\r\n")
-			fmt.Fprintf(&s, "HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 304 Not Modified\r\n%s: 7\r\n\r\n", nm[0])
-		case 5: // reply body until close: nothing can follow it
-			fmt.Fprintf(&o, "GET /eof HTTP/1.0\r\n\r\n")
-			fmt.Fprintf(&s, "HTTP/1.0 200 OK\r\n%s\r\n%s", ctype, body())
-			return o.Bytes(), s.Bytes()
-		case 6: // malformed
-			switch r.next() % 4 {
-			case 0:
-				o.WriteString("garbage request\r\n")
-			case 1:
-				s.WriteString("HTTP/1.1 200 OK\r\nno colon here\r\n\r\n")
-			case 2:
-				s.WriteString("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n")
-			default:
-				s.WriteString("HTTP/1.1 abc OK\r\n\r\n")
-			}
-		case 7: // raw bytes from the input, on either side
-			dst := &o
-			if r.next()%2 == 1 {
-				dst = &s
-			}
-			n := min(r.next()%64, len(r.b))
-			dst.Write(r.b[:n])
-			r.b = r.b[n:]
-		}
-	}
-	return o.Bytes(), s.Bytes()
-}
 
 // runHTTPSplits feeds both streams to the streaming parser and to the
 // reference, interleaved in chunks whose sizes and directions cuts names.
@@ -207,7 +111,7 @@ func FuzzHTTPSplits(f *testing.F) {
 	f.Add([]byte{2, 0, 6, 1, 0, 0, 0, 10, 0, 1, 7, 1, 20, 'H', 'T', 'T', 'P'}, []byte{255, 254, 1}, uint8(1))
 	f.Add([]byte{0, 1, 6, 3, 1, 1, 0, 3, 0, 0, 5}, []byte{}, uint8(0))
 	f.Fuzz(func(t *testing.T, spec, cuts []byte, snapAt uint8) {
-		orig, resp := genHTTPStreams(spec)
+		orig, resp := gen.HTTPStreams(spec, true)
 		runHTTPSplits(t, orig, resp, cuts, int(snapAt)%(len(cuts)+2))
 	})
 }
@@ -225,7 +129,7 @@ func TestHTTPSplitsEveryOffset(t *testing.T) {
 		0, 0, 6, 0, // garbage request line: the request side dies
 		1, 1, 5, 1, 30, // reply body until close
 	}
-	orig, resp := genHTTPStreams(spec)
+	orig, resp := gen.HTTPStreams(spec, true)
 	for size := 1; size <= 48; size++ {
 		cuts := bytes.Repeat([]byte{byte(size-1) << 1, byte(size-1)<<1 | 1}, 64)
 		for snapAt := 0; snapAt < 32; snapAt += 3 {

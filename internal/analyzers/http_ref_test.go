@@ -14,7 +14,8 @@ import (
 // it at the end of the message. Keep it as it is; FuzzHTTPSplits holds the
 // streaming parser to its event sequence. Its header dispatch compares names
 // with strings.EqualFold, as HTTPParser's does (a lowered copy would treat a
-// few non-ASCII names differently; that is not what the target checks).
+// few non-ASCII names differently; that is not what the target checks), and
+// a header value is without the whitespace around it, as in HTTPParser.
 type refHTTPParser struct {
 	ev      HTTPEvents
 	orig    refHTTPDir
@@ -96,7 +97,7 @@ func (p *refHTTPParser) drain(d *refHTTPDir, eof bool) {
 				return
 			}
 			name := string(line[:colon])
-			value := strings.TrimLeft(string(line[colon+1:]), " \t")
+			value := strings.Trim(string(line[colon+1:]), " \t")
 			p.ev.Header(d.isOrig, name, value)
 			switch {
 			case strings.EqualFold(name, "content-length"):

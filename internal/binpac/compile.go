@@ -38,7 +38,8 @@ func compile(g *Grammar, runs bool) (*ast.Module, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	c := &compiler{g: g, b: ast.NewBuilder(g.Name), structs: map[string]*types.Type{}, runs: runs}
+	c := &compiler{g: g, b: ast.NewBuilder(g.Name), structs: map[string]*types.Type{}, runs: runs,
+		begin: g.passesBegin()}
 	// Declare all unit struct types first (units may reference each other).
 	for _, u := range g.Units {
 		st, err := c.structType(u)
@@ -65,6 +66,12 @@ type compiler struct {
 	structs map[string]*types.Type
 	relbl   int
 	runs    bool // lower runs of fixed-width fields by layout (emitFields)
+	// begin: a field passes %begin (passesBegin), so each parse function
+	// keeps the position it started at. Without one no input before the
+	// current position is read again, and the parser drops what it has
+	// consumed — after each streamed piece and between top-level messages —
+	// so a parked parse holds no more input than it has yet to parse.
+	begin bool
 }
 
 // fieldValueType maps a field to the struct-field type storing its value.
@@ -109,7 +116,7 @@ func (c *compiler) structType(u *Unit) (*types.Type, error) {
 				}
 				continue
 			}
-			if f.Name != "" {
+			if f.Name != "" && !f.Stream {
 				if err := add(f.Name, nil, values.Unset); err != nil {
 					return err
 				}
@@ -128,6 +135,8 @@ func (c *compiler) structType(u *Unit) (*types.Type, error) {
 			t, d = types.Int64T, values.Int(v.Default)
 		case VarBool:
 			t, d = types.BoolT, values.Bool(v.Default != 0)
+		case VarDigest:
+			t, d = types.DigestT, values.Unset
 		default:
 			t, d = types.BytesT, values.Unset
 		}
@@ -148,8 +157,9 @@ func (c *compiler) unitParser(u *Unit) error {
 		params = append(params, ast.Param{Name: p, Type: types.IterT(types.BytesT)})
 	}
 	fb := c.b.Function("parse_"+u.Name, types.IterT(types.BytesT), params...)
-	begin := fb.Local("__begin", types.IterT(types.BytesT))
-	fb.Set(begin, ast.VarOp("cur"))
+	if c.begin {
+		fb.Set(fb.Local("__begin", types.IterT(types.BytesT)), ast.VarOp("cur"))
+	}
 	ec := &emitCtx{c: c, u: u, fb: fb}
 	if err := ec.emitFields(u.Fields); err != nil {
 		return err
@@ -203,13 +213,14 @@ func (ec *emitCtx) store(f *Field, val ast.Operand) {
 
 // runHook emits a hook invocation receiving self plus the unit's
 // parameters, so semantic hook bodies can reach enclosing-unit state (the
-// HTTP grammar's Header hooks write into their parent message).
-func (ec *emitCtx) runHook(name string) {
+// HTTP grammar's Header hooks write into their parent message), then extra
+// (a streamed field's piece).
+func (ec *emitCtx) runHook(name string, extra ...ast.Operand) {
 	args := []ast.Operand{ast.FuncOperand(name), ast.VarOp("self")}
 	for _, p := range ec.u.Params {
 		args = append(args, ast.VarOp(p))
 	}
-	ec.fb.Instr("hook.run", args...)
+	ec.fb.Instr("hook.run", append(args, extra...)...)
 }
 
 // srcOperand resolves an integer Src into an operand (possibly emitting a
@@ -245,12 +256,15 @@ func (ec *emitCtx) argOperand(name string) ast.Operand {
 	}
 }
 
-func regexpConst(pattern string) (ast.Operand, error) {
+// regexpConst compiles pattern to a constant operand and reports whether it
+// matches the empty string: a token of such a pattern always matches.
+func regexpConst(pattern string) (op ast.Operand, nullable bool, err error) {
 	re, err := hregexp.Compile(pattern)
 	if err != nil {
-		return ast.Operand{}, err
+		return ast.Operand{}, false, err
 	}
-	return ast.ConstOp(values.Ref(values.KindRegExp, re), types.RegExpT), nil
+	id, _ := re.Match(nil)
+	return ast.ConstOp(values.Ref(values.KindRegExp, re), types.RegExpT), id != 0, nil
 }
 
 // emitFields emits a unit's (or a switch case's) field list. A maximal run
@@ -300,31 +314,33 @@ func (ec *emitCtx) emitField(f *Field) error {
 	fb := ec.fb
 	switch f.Kind {
 	case FToken, FLiteral:
-		reOp, err := regexpConst(f.Pattern)
+		reOp, nullable, err := regexpConst(f.Pattern)
 		if err != nil {
 			return err
 		}
 		tup := fb.Temp(types.TupleT(types.Int64T, types.IterT(types.BytesT)))
-		id := fb.Temp(types.Int64T)
-		ok := fb.Temp(types.BoolT)
 		fb.Assign(tup, "regexp.match_token", reOp, ast.VarOp("cur"))
-		fb.Assign(id, "tuple.index", tup, ast.IntOp(0))
-		fb.Assign(ok, "int.gt", id, ast.IntOp(0))
-		okL, failL := ec.label("tok_ok"), ec.label("tok_fail")
-		fb.IfElse(ok, okL, failL)
-		fb.Block(failL)
-		fb.Instr("exception.throw", ast.StringOp(ParseErrorName),
-			ast.StringOp(fmt.Sprintf("%s: expected /%s/", ec.u.Name, f.Pattern)))
-		fb.Block(okL)
-		end := fb.Temp(types.IterT(types.BytesT))
-		fb.Assign(end, "tuple.index", tup, ast.IntOp(1))
+		if !nullable {
+			id := fb.Temp(types.Int64T)
+			ok := fb.Temp(types.BoolT)
+			fb.Assign(id, "tuple.index", tup, ast.IntOp(0))
+			fb.Assign(ok, "int.gt", id, ast.IntOp(0))
+			okL, failL := ec.label("tok_ok"), ec.label("tok_fail")
+			fb.IfElse(ok, okL, failL)
+			fb.Block(failL)
+			fb.Instr("exception.throw", ast.StringOp(ParseErrorName),
+				ast.StringOp(fmt.Sprintf("%s: expected /%s/", ec.u.Name, f.Pattern)))
+			fb.Block(okL)
+		}
 		if f.Kind == FToken && f.Name != "" {
+			end := fb.Temp(types.IterT(types.BytesT))
 			val := fb.Temp(types.BytesT)
+			fb.Assign(end, "tuple.index", tup, ast.IntOp(1))
 			fb.Assign(val, "bytes.sub", ast.VarOp("cur"), end)
 			fb.Set(ast.VarOp("cur"), end)
 			ec.store(f, val)
 		} else {
-			fb.Set(ast.VarOp("cur"), end)
+			fb.Assign(ast.VarOp("cur"), "tuple.index", tup, ast.IntOp(1))
 			ec.store(f, ast.Operand{})
 		}
 		return nil
@@ -340,6 +356,10 @@ func (ec *emitCtx) emitField(f *Field) error {
 
 	case FBytes:
 		n := ec.srcOperand(f.Length)
+		if f.Stream {
+			ec.emitStream(f, n)
+			return nil
+		}
 		tup := fb.Temp(types.TupleT(types.BytesT, types.IterT(types.BytesT)))
 		val := fb.Temp(types.BytesT)
 		fb.Assign(tup, "unpack.bytes", ast.VarOp("cur"), n)
@@ -369,6 +389,10 @@ func (ec *emitCtx) emitField(f *Field) error {
 		return nil
 
 	case FRestOfData:
+		if f.Stream {
+			ec.emitStream(f, ast.Operand{})
+			return nil
+		}
 		endIt := fb.Temp(types.IterT(types.BytesT))
 		val := fb.Temp(types.BytesT)
 		fb.Instr("bytes.wait_frozen", ast.VarOp("cur"))
@@ -417,7 +441,7 @@ func (ec *emitCtx) emitField(f *Field) error {
 			fb.Assign(cond, "int.lt", i, n)
 			fb.IfElse(cond, bodyL, doneL)
 		case ListUntilLiteral:
-			reOp, err := regexpConst(f.Until)
+			reOp, _, err := regexpConst(f.Until)
 			if err != nil {
 				return err
 			}
@@ -433,6 +457,9 @@ func (ec *emitCtx) emitField(f *Field) error {
 			fb.Assign(ast.VarOp("cur"), "tuple.index", tup, ast.IntOp(1))
 			fb.Jump(doneL)
 		case ListUntilEnd:
+			if !ec.c.begin && ec.u.Name == ec.c.g.Top {
+				fb.Instr("bytes.trim_to", ast.VarOp("cur")) // a message boundary
+			}
 			atEnd := fb.Temp(types.BoolT)
 			fb.Assign(atEnd, "iterator.at_end", ast.VarOp("cur"))
 			fb.IfElse(atEnd, doneL, bodyL)
@@ -520,6 +547,51 @@ func (ec *emitCtx) emitField(f *Field) error {
 	}
 }
 
+// emitStream lowers a streamed field to a loop that hands each available
+// piece of its input — a view of one rope chunk, at most the bytes still due
+// — to the field's hook (bytes.piece). A field with a length (n) ends when
+// the pieces have covered it; one without runs to the frozen end of input,
+// where bytes.piece yields an empty piece (n is zero). The piece's register
+// is cleared after the hook, so a parse parked in the loop holds no piece.
+func (ec *emitCtx) emitStream(f *Field, n ast.Operand) {
+	fb := ec.fb
+	piece := fb.Temp(types.BytesT)
+	got := fb.Temp(types.Int64T)
+	cond := fb.Temp(types.BoolT)
+	loopL, bodyL, doneL := ec.label("stream"), ec.label("piece"), ec.label("stream_done")
+	limit := ast.IntOp(-1)
+	if !n.IsZero() {
+		limit = fb.Temp(types.Int64T)
+		fb.Set(limit, n)
+	}
+	fb.Jump(loopL)
+	fb.Block(loopL)
+	if !n.IsZero() {
+		fb.Assign(cond, "int.gt", limit, ast.IntOp(0))
+		fb.IfElse(cond, bodyL, doneL)
+		fb.Block(bodyL)
+	}
+	fb.Assign(piece, "bytes.piece", ast.VarOp("cur"), limit)
+	fb.Assign(got, "bytes.length", piece)
+	if !n.IsZero() {
+		fb.Assign(limit, "int.sub", limit, got)
+	} else {
+		fb.Assign(cond, "int.eq", got, ast.IntOp(0))
+		fb.IfElse(cond, doneL, bodyL)
+		fb.Block(bodyL)
+	}
+	fb.Assign(ast.VarOp("cur"), "iterator.incr_by", ast.VarOp("cur"), got)
+	if f.Hook {
+		ec.runHook(ec.u.Name+"::"+f.Name, piece)
+	}
+	fb.Set(piece, ast.ConstOp(values.Nil, types.BytesT))
+	if !ec.c.begin {
+		fb.Instr("bytes.trim_to", ast.VarOp("cur"))
+	}
+	fb.Jump(loopL)
+	fb.Block(doneL)
+}
+
 // emitElem parses a list element, returning the operand holding its value.
 func (ec *emitCtx) emitElem(elem *Field, tmpName string) (ast.Operand, error) {
 	fb := ec.fb
@@ -541,7 +613,7 @@ func (ec *emitCtx) emitElem(elem *Field, tmpName string) (ast.Operand, error) {
 		fb.Assign(ast.VarOp("cur"), "tuple.index", tup, ast.IntOp(1))
 		return val, nil
 	case FToken:
-		reOp, err := regexpConst(elem.Pattern)
+		reOp, _, err := regexpConst(elem.Pattern)
 		if err != nil {
 			return ast.Operand{}, err
 		}

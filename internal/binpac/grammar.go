@@ -17,7 +17,10 @@
 // DNS name compression.
 package binpac
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // FieldKind enumerates grammar field types.
 type FieldKind int
@@ -80,6 +83,10 @@ type Field struct {
 
 	Length Src    // FBytes
 	Delim  string // FBytesUntil: literal delimiter (e.g. "\r\n")
+	// Stream (FBytes, FRestOfData) hands the field's input to its hook as it
+	// arrives, one piece at a time — a view of one rope chunk — as the hook's
+	// last argument. Nothing is stored, and no whole-field bytes is built.
+	Stream bool
 
 	Unit     string   // FSubUnit: unit name
 	UnitArgs []string // FSubUnit: argument names ("%begin", var names)
@@ -107,6 +114,7 @@ const (
 	VarInt VarType = iota
 	VarBytes
 	VarBool
+	VarDigest // an incremental hash (hash.new)
 )
 
 // Var is a unit variable: state the grammar's semantic hooks compute and
@@ -159,6 +167,9 @@ func (g *Grammar) Validate() error {
 }
 
 func (g *Grammar) checkField(u *Unit, f *Field) error {
+	if f.Stream && f.Kind != FBytes && f.Kind != FRestOfData {
+		return fmt.Errorf("field %q: only bytes fields stream", f.Name)
+	}
 	switch f.Kind {
 	case FToken, FLiteral:
 		if f.Pattern == "" {
@@ -176,6 +187,9 @@ func (g *Grammar) checkField(u *Unit, f *Field) error {
 		if f.Elem == nil {
 			return fmt.Errorf("field %q: list without element", f.Name)
 		}
+		if f.Elem.Stream {
+			return fmt.Errorf("field %q: a list element cannot be streamed", f.Name)
+		}
 		return g.checkField(u, f.Elem)
 	case FSwitch:
 		for _, c := range f.Cases {
@@ -192,6 +206,33 @@ func (g *Grammar) checkField(u *Unit, f *Field) error {
 		}
 	}
 	return nil
+}
+
+// passesBegin reports whether a field hands its unit's start (%begin) to a
+// sub-unit or custom function: input before the current position may then
+// still be read, so the parser must keep it.
+func (g *Grammar) passesBegin() bool {
+	var walk func(fs []*Field) bool
+	walk = func(fs []*Field) bool {
+		for _, f := range fs {
+			if slices.Contains(f.UnitArgs, "%begin") || slices.Contains(f.FuncArgs, "%begin") ||
+				f.Elem != nil && walk([]*Field{f.Elem}) || walk(f.Default) {
+				return true
+			}
+			for _, c := range f.Cases {
+				if walk(c.Fields) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for _, u := range g.Units {
+		if walk(u.Fields) {
+			return true
+		}
+	}
+	return false
 }
 
 // hasVar reports whether the unit declares variable name.

@@ -1,7 +1,10 @@
 package grammars
 
 import (
+	"crypto/sha1"
 	"encoding/binary"
+	"encoding/hex"
+	"slices"
 	"strings"
 	"testing"
 
@@ -91,11 +94,16 @@ func TestHTTPRequestsStream(t *testing.T) {
 	if events[0].args[1] != "GET" || events[0].args[2] != "/a" {
 		t.Fatalf("request event args = %v", events[0].args)
 	}
-	// Body event carries length and hash.
-	bodyEv := events[6]
-	if bodyEv.args[4] != "5" {
-		t.Fatalf("body event args = %v", bodyEv.args)
+	// The body event carries the digest, the length and the first bytes,
+	// not the body.
+	if got, want := events[6].args[3:], []string{sha1Hex("hello"), "5", "hell"}; !slices.Equal(got, want) {
+		t.Fatalf("body event args = %v, want %v after ctx, is_orig, ctype", events[6].args, want)
 	}
+}
+
+func sha1Hex(s string) string {
+	sum := sha1.Sum([]byte(s))
+	return hex.EncodeToString(sum[:])
 }
 
 func TestHTTPRepliesStream(t *testing.T) {
@@ -108,7 +116,7 @@ func TestHTTPRepliesStream(t *testing.T) {
 	registerHTTPHost(ex, &events, map[int64]bool{})
 
 	body := "0123456789"
-	chunked := "3\r\n012\r\n7\r\n3456789\r\n0\r\n\r\n"
+	chunked := "3;ext=1\r\n012\r\n7\r\n3456789\r\n0\r\nX-Trailer: t\r\n\r\n"
 	stream := "HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Length: 10\r\n\r\n" + body +
 		"HTTP/1.1 304 Not Modified\r\nContent-Length: 0\r\n\r\n" +
 		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + chunked
@@ -137,9 +145,12 @@ func TestHTTPRepliesStream(t *testing.T) {
 	if len(bodies) != 2 {
 		t.Fatalf("bodies = %d (chunked not reassembled?)", len(bodies))
 	}
-	// Chunked reassembly must produce the same bytes as plain.
-	if bodies[0].args[3] != bodies[1].args[3] { // same sha1
-		t.Fatalf("chunked body hash differs: %v vs %v", bodies[0].args, bodies[1].args)
+	// The chunked body digests, counts and heads as the plain one does; its
+	// head spans two chunks.
+	for _, ev := range bodies {
+		if got, want := ev.args[3:], []string{sha1Hex(body), "10", "0123"}; !slices.Equal(got, want) {
+			t.Fatalf("body event args = %v, want %v after ctx, is_orig, ctype", ev.args, want)
+		}
 	}
 }
 

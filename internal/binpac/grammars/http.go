@@ -11,28 +11,17 @@
 package grammars
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 
 	"hilti/internal/binpac"
 	"hilti/internal/hilti/ast"
 	"hilti/internal/hilti/types"
-	hregexp "hilti/internal/rt/regexp"
 	"hilti/internal/rt/values"
 )
 
 // bytesConst builds a frozen bytes literal.
 func bytesConst(s string) values.Value { return values.BytesFrom([]byte(s)) }
-
-// regexpOperand builds a compiled-regexp constant operand.
-func regexpOperand(pattern string) (ast.Operand, error) {
-	re, err := hregexp.Compile(pattern)
-	if err != nil {
-		return ast.Operand{}, err
-	}
-	return ast.ConstOp(values.Ref(values.KindRegExp, re), types.RegExpT), nil
-}
 
 // HTTP body kinds (the Reply/Request `bodykind` variable).
 const (
@@ -43,11 +32,17 @@ const (
 )
 
 // HTTPGrammar builds the HTTP grammar: request and reply streams with
-// headers, length-delimited and chunked bodies.
+// headers and bodies delimited by length, by chunks or by the end of the
+// connection. A body is a streamed field: its pieces go to the message's
+// data hook as they arrive, and the message keeps only their count, digest
+// and first bytes.
 func HTTPGrammar() *binpac.Grammar {
+	// Blank lines before a message are skipped (RFC 7230 §3.5).
+	blankLines := &binpac.Field{Kind: binpac.FLiteral, Pattern: `(\r?\n)*`}
 	requestLine := &binpac.Unit{
 		Name: "RequestLine",
 		Fields: []*binpac.Field{
+			blankLines,
 			{Name: "method", Kind: binpac.FToken, Pattern: `[^ \t\r\n]+`},
 			{Kind: binpac.FLiteral, Pattern: `[ \t]+`},
 			{Name: "uri", Kind: binpac.FToken, Pattern: `[^ \t\r\n]+`},
@@ -63,29 +58,57 @@ func HTTPGrammar() *binpac.Grammar {
 		Fields: []*binpac.Field{
 			{Name: "name", Kind: binpac.FToken, Pattern: `[^:\r\n]+`},
 			{Kind: binpac.FLiteral, Pattern: `:[ \t]*`},
-			{Name: "value", Kind: binpac.FToken, Pattern: `[^\r\n]*`},
-			{Kind: binpac.FLiteral, Pattern: `\r?\n`},
+			// The value without the whitespace around it (RFC 7230 §3.2.4).
+			{Name: "value", Kind: binpac.FToken, Pattern: `([^\r\n]*[^ \t\r\n])?`},
+			{Kind: binpac.FLiteral, Pattern: `[ \t]*\r?\n`},
 		},
+	}
+	// chunk is one chunk of a chunked body. The list of them ends at the
+	// last-chunk line (size 0), which with the trailer lines up to a blank
+	// one ends the body.
+	chunk := &binpac.Unit{
+		Name:   "Chunk",
+		Params: []string{"msg"},
+		Vars:   []binpac.Var{{Name: "size", Type: binpac.VarInt}},
+		Fields: []*binpac.Field{
+			{Name: "size_str", Kind: binpac.FToken, Pattern: `[0-9a-fA-F]+`, Hook: true},
+			{Kind: binpac.FLiteral, Pattern: `[^\r\n]*\r\n`}, // chunk extensions
+			{Name: "data", Kind: binpac.FBytes, Length: binpac.VarSrc("size"), Stream: true, Hook: true},
+			{Kind: binpac.FLiteral, Pattern: `\r\n`},
+		},
+	}
+	chunked := []*binpac.Field{
+		{Kind: binpac.FList, Mode: binpac.ListUntilLiteral,
+			Until: `0+(\r\n|[^0-9a-fA-F\r\n][^\r\n]*\r\n)([^\r\n]+\r\n)*\r\n`,
+			Elem:  &binpac.Field{Kind: binpac.FSubUnit, Unit: "Chunk", UnitArgs: []string{"self"}}},
+	}
+	byLength := []*binpac.Field{{Name: "data", Kind: binpac.FBytes, Length: binpac.VarSrc("clen"), Stream: true, Hook: true}}
+	// The variables a message's hooks keep: framing from its headers, and
+	// the body's count, digest and first bytes.
+	vars := func(bodykind, isOrig int64) []binpac.Var {
+		return []binpac.Var{
+			{Name: "bodykind", Type: binpac.VarInt, Default: bodykind},
+			{Name: "clen", Type: binpac.VarInt},
+			{Name: "ctype", Type: binpac.VarBytes},
+			{Name: "is_orig", Type: binpac.VarInt, Default: isOrig},
+			{Name: "hook_ctx", Type: binpac.VarInt},
+			{Name: "blen", Type: binpac.VarInt},
+			{Name: "digest", Type: binpac.VarDigest},
+			{Name: "head", Type: binpac.VarBytes},
+		}
 	}
 	request := &binpac.Unit{
 		Name:     "Request",
 		Params:   []string{"ctx"},
 		HookDone: true,
-		Vars: []binpac.Var{
-			{Name: "bodykind", Type: binpac.VarInt, Default: BodyNone},
-			{Name: "clen", Type: binpac.VarInt},
-			{Name: "ctype", Type: binpac.VarBytes},
-			{Name: "is_orig", Type: binpac.VarInt, Default: 1},
-			{Name: "hook_ctx", Type: binpac.VarInt},
-		},
+		Vars:     vars(BodyNone, 1),
 		Fields: []*binpac.Field{
 			{Name: "request_line", Kind: binpac.FSubUnit, Unit: "RequestLine", Hook: true},
-			{Name: "headers", Kind: binpac.FList, Mode: binpac.ListUntilLiteral, Until: `\r?\n`,
+			{Kind: binpac.FList, Mode: binpac.ListUntilLiteral, Until: `\r?\n`,
 				Elem: &binpac.Field{Kind: binpac.FSubUnit, Unit: "Header", UnitArgs: []string{"self"}}},
 			{Name: "body", Kind: binpac.FSwitch, On: binpac.VarSrc("bodykind"), Cases: []binpac.Case{
 				{Value: BodyNone, Fields: nil},
-				{Value: BodyLength, Fields: []*binpac.Field{
-					{Name: "body_data", Kind: binpac.FBytes, Length: binpac.VarSrc("clen")}}},
+				{Value: BodyLength, Fields: byLength},
 			}, Default: []*binpac.Field{}},
 		},
 	}
@@ -101,31 +124,22 @@ func HTTPGrammar() *binpac.Grammar {
 		Name:     "Reply",
 		Params:   []string{"ctx"},
 		HookDone: true,
-		Vars: []binpac.Var{
-			{Name: "bodykind", Type: binpac.VarInt, Default: BodyUntilEOF},
-			{Name: "clen", Type: binpac.VarInt},
-			{Name: "chunked", Type: binpac.VarInt},
-			{Name: "ctype", Type: binpac.VarBytes},
-			{Name: "status", Type: binpac.VarInt},
-			{Name: "is_orig", Type: binpac.VarInt, Default: 0},
-			{Name: "hook_ctx", Type: binpac.VarInt},
-		},
+		Vars:     append(vars(BodyUntilEOF, 0), binpac.Var{Name: "status", Type: binpac.VarInt}),
 		Fields: []*binpac.Field{
+			blankLines,
 			{Name: "version", Kind: binpac.FToken, Pattern: `HTTP\/[0-9]+\.[0-9]+`},
 			{Kind: binpac.FLiteral, Pattern: `[ \t]+`},
-			{Name: "status_str", Kind: binpac.FToken, Pattern: `[0-9]+`, Hook: true},
+			{Name: "status_str", Kind: binpac.FToken, Pattern: `[0-9]+`},
 			{Kind: binpac.FLiteral, Pattern: `[ \t]*`},
-			{Name: "reason", Kind: binpac.FBytesUntil, Delim: "\r\n"},
+			{Name: "reason", Kind: binpac.FBytesUntil, Delim: "\r\n", Hook: true},
 			{Name: "headers", Kind: binpac.FList, Mode: binpac.ListUntilLiteral, Until: `\r?\n`, Hook: true,
 				Elem: &binpac.Field{Kind: binpac.FSubUnit, Unit: "Header", UnitArgs: []string{"self"}}},
 			{Name: "body", Kind: binpac.FSwitch, On: binpac.VarSrc("bodykind"), Cases: []binpac.Case{
 				{Value: BodyNone, Fields: nil},
-				{Value: BodyLength, Fields: []*binpac.Field{
-					{Name: "body_data", Kind: binpac.FBytes, Length: binpac.VarSrc("clen")}}},
-				{Value: BodyChunked, Fields: []*binpac.Field{
-					{Name: "body_chunked", Kind: binpac.FCustom, Func: "parse_chunked"}}},
+				{Value: BodyLength, Fields: byLength},
+				{Value: BodyChunked, Fields: chunked},
 				{Value: BodyUntilEOF, Fields: []*binpac.Field{
-					{Name: "body_eof", Kind: binpac.FRestOfData}}},
+					{Name: "data", Kind: binpac.FRestOfData, Stream: true, Hook: true}}},
 			}, Default: []*binpac.Field{}},
 		},
 	}
@@ -141,7 +155,7 @@ func HTTPGrammar() *binpac.Grammar {
 		Name: "HTTP",
 		Top:  "Requests",
 		Units: []*binpac.Unit{
-			requestLine, header, request, requests, reply, replies,
+			requestLine, header, chunk, request, requests, reply, replies,
 		},
 	}
 }
@@ -154,10 +168,11 @@ func HTTPGrammar() *binpac.Grammar {
 //	bro_http_reply(ctx, version, status, reason)
 //	bro_http_header(ctx, is_orig, name, value)
 //	bro_http_pick_body(ctx, status, bodykind, clen) -> int
-//	bro_http_body(ctx, is_orig, ctype, sha1, len)
+//	bro_http_body(ctx, is_orig, ctype, sha1, len, head)
 //	bro_http_message_done(ctx, is_orig)
 //
-// The modules are built once per process and shared (see shared).
+// head is the body's first min(len, 4) bytes, for MIME sniffing. The modules
+// are built once per process and shared (see shared).
 func HTTPModules() ([]*ast.Module, error) { return httpModules() }
 
 var httpModules = shared(func() ([]*ast.Module, error) {
@@ -195,6 +210,10 @@ func shared(build func() ([]*ast.Module, error)) func() ([]*ast.Module, error) {
 	}
 }
 
+// sniffLen is how many leading body bytes a message keeps for MIME
+// sniffing (analyzers.SniffMIME reads at most four).
+const sniffLen = 4
+
 // httpHooks builds the HILTI hook bodies implementing HTTP's semantics.
 func httpHooks() (*ast.Module, error) {
 	b := ast.NewBuilder("HTTPHooks")
@@ -202,28 +221,30 @@ func httpHooks() (*ast.Module, error) {
 	selfP := ast.Param{Name: "self", Type: types.AnyT}
 	msgP := ast.Param{Name: "msg", Type: types.AnyT}
 	ctxP := ast.Param{Name: "ctx", Type: types.Int64T}
+	pieceP := ast.Param{Name: "piece", Type: types.BytesT}
 
 	// Header::%done(self, msg): classify interesting headers into message
 	// variables and raise the per-header event.
 	{
 		fb := b.Hook("Header::%done", 0, selfP, msgP)
 		name := fb.Local("name", types.BytesT)
-		lower := fb.Local("lower", types.BytesT)
 		value := fb.Local("value", types.BytesT)
 		cond := fb.Local("cond", types.BoolT)
 		isOrig := fb.Local("is_orig", types.Int64T)
 		ctx := fb.Local("hctx", types.Int64T)
 		n := fb.Local("n", types.Int64T)
+		is := func(v ast.Operand, s string) {
+			fb.Assign(cond, "bytes.equal_nocase", v, ast.ConstOp(bytesConst(s), types.BytesT))
+		}
 		fb.Assign(name, "struct.get", ast.VarOp("self"), ast.FieldOperand("name"))
 		fb.Assign(value, "struct.get", ast.VarOp("self"), ast.FieldOperand("value"))
-		fb.Assign(lower, "bytes.lower", name)
 
 		// The per-header event needs the message's direction and context.
 		fb.Assign(isOrig, "struct.get", ast.VarOp("msg"), ast.FieldOperand("is_orig"))
 		fb.Assign(ctx, "struct.get", ast.VarOp("msg"), ast.FieldOperand("hook_ctx"))
 		fb.Call("bro_http_header", ctx, isOrig, name, value)
 
-		fb.Assign(cond, "equal", lower, ast.ConstOp(bytesConst("content-length"), types.BytesT))
+		is(name, "content-length")
 		fb.IfElse(cond, "clen", "not_clen")
 		fb.Block("clen")
 		fb.Assign(n, "bytes.to_int", value, ast.IntOp(10))
@@ -231,17 +252,16 @@ func httpHooks() (*ast.Module, error) {
 		fb.Instr("struct.set", ast.VarOp("msg"), ast.FieldOperand("bodykind"), ast.IntOp(BodyLength))
 		fb.Jump("done")
 		fb.Block("not_clen")
-		fb.Assign(cond, "equal", lower, ast.ConstOp(bytesConst("transfer-encoding"), types.BytesT))
+		is(name, "transfer-encoding")
 		fb.IfElse(cond, "te", "not_te")
 		fb.Block("te")
-		fb.Assign(lower, "bytes.lower", value)
-		fb.Assign(cond, "equal", lower, ast.ConstOp(bytesConst("chunked"), types.BytesT))
+		is(value, "chunked")
 		fb.IfElse(cond, "te_chunked", "done")
 		fb.Block("te_chunked")
 		fb.Instr("struct.set", ast.VarOp("msg"), ast.FieldOperand("bodykind"), ast.IntOp(BodyChunked))
 		fb.Jump("done")
 		fb.Block("not_te")
-		fb.Assign(cond, "equal", lower, ast.ConstOp(bytesConst("content-type"), types.BytesT))
+		is(name, "content-type")
 		fb.IfElse(cond, "ct", "done")
 		fb.Block("ct")
 		fb.Instr("struct.set", ast.VarOp("msg"), ast.FieldOperand("ctype"), value)
@@ -266,155 +286,142 @@ func httpHooks() (*ast.Module, error) {
 		fb.ReturnVoid()
 	}
 
-	// Reply::status_str(self, ctx): record ctx, convert the status text.
+	// Reply::reason(self, ctx): the status line is complete. Record ctx,
+	// convert the status text and raise http_reply — before the headers'
+	// events, as the standard parser does.
 	{
-		fb := b.Hook("Reply::status_str", 0, selfP, ctxP)
+		fb := b.Hook("Reply::reason", 0, selfP, ctxP)
 		s := fb.Local("s", types.BytesT)
-		n := fb.Local("n", types.Int64T)
-		fb.Instr("struct.set", ast.VarOp("self"), ast.FieldOperand("hook_ctx"), ast.VarOp("ctx"))
-		fb.Assign(s, "struct.get", ast.VarOp("self"), ast.FieldOperand("status_str"))
-		fb.Assign(n, "bytes.to_int", s, ast.IntOp(10))
-		fb.Instr("struct.set", ast.VarOp("self"), ast.FieldOperand("status"), n)
-		fb.ReturnVoid()
-	}
-
-	// Reply::headers(self, ctx): after all headers, let the host adjust the
-	// body kind (it knows about HEAD requests and status semantics), then
-	// raise http_reply.
-	{
-		fb := b.Hook("Reply::headers", 0, selfP, ctxP)
 		status := fb.Local("status", types.Int64T)
-		kind := fb.Local("kind", types.Int64T)
-		clen := fb.Local("clen", types.Int64T)
 		v := fb.Local("v", types.BytesT)
 		reason := fb.Local("reason", types.BytesT)
-		fb.Assign(status, "struct.get", ast.VarOp("self"), ast.FieldOperand("status"))
-		fb.Assign(kind, "struct.get", ast.VarOp("self"), ast.FieldOperand("bodykind"))
-		fb.Assign(clen, "struct.get", ast.VarOp("self"), ast.FieldOperand("clen"))
-		fb.CallResult(kind, "bro_http_pick_body", ast.VarOp("ctx"), status, kind, clen)
-		fb.Instr("struct.set", ast.VarOp("self"), ast.FieldOperand("bodykind"), kind)
+		fb.Instr("struct.set", ast.VarOp("self"), ast.FieldOperand("hook_ctx"), ast.VarOp("ctx"))
+		fb.Assign(s, "struct.get", ast.VarOp("self"), ast.FieldOperand("status_str"))
+		fb.Assign(status, "bytes.to_int", s, ast.IntOp(10))
+		fb.Instr("struct.set", ast.VarOp("self"), ast.FieldOperand("status"), status)
 		fb.Assign(v, "struct.get", ast.VarOp("self"), ast.FieldOperand("version"))
 		fb.Assign(reason, "struct.get", ast.VarOp("self"), ast.FieldOperand("reason"))
 		fb.Call("bro_http_reply", ast.VarOp("ctx"), v, status, reason)
 		fb.ReturnVoid()
 	}
 
-	// Shared %done logic for both directions: hash whatever body was
-	// parsed, raise http_body and http_message_done.
+	// Reply::headers(self, ctx): after all headers, let the host adjust the
+	// body kind (it knows about HEAD requests and status semantics).
+	{
+		fb := b.Hook("Reply::headers", 0, selfP, ctxP)
+		status := fb.Local("status", types.Int64T)
+		kind := fb.Local("kind", types.Int64T)
+		clen := fb.Local("clen", types.Int64T)
+		fb.Assign(status, "struct.get", ast.VarOp("self"), ast.FieldOperand("status"))
+		fb.Assign(kind, "struct.get", ast.VarOp("self"), ast.FieldOperand("bodykind"))
+		fb.Assign(clen, "struct.get", ast.VarOp("self"), ast.FieldOperand("clen"))
+		fb.CallResult(kind, "bro_http_pick_body", ast.VarOp("ctx"), status, kind, clen)
+		fb.Instr("struct.set", ast.VarOp("self"), ast.FieldOperand("bodykind"), kind)
+		fb.ReturnVoid()
+	}
+
+	// Chunk::size_str(self, msg): the chunk's size is hex.
+	{
+		fb := b.Hook("Chunk::size_str", 0, selfP, msgP)
+		s := fb.Local("s", types.BytesT)
+		n := fb.Local("n", types.Int64T)
+		fb.Assign(s, "struct.get", ast.VarOp("self"), ast.FieldOperand("size_str"))
+		fb.Assign(n, "bytes.to_int", s, ast.IntOp(16))
+		fb.Instr("struct.set", ast.VarOp("self"), ast.FieldOperand("size"), n)
+		fb.ReturnVoid()
+	}
+
+	// body_piece(msg, piece) takes a body piece of message msg: counts it,
+	// digests it, and copies whatever of the body's first sniffLen bytes it
+	// holds. The piece itself is a view of the input and is not kept. The
+	// streamed fields' hooks call it.
+	{
+		fb := b.Function("body_piece", types.VoidT, msgP, pieceP)
+		msg, piece := ast.VarOp("msg"), ast.VarOp("piece")
+		n := fb.Local("n", types.Int64T)
+		k := fb.Local("k", types.Int64T)
+		plen := fb.Local("plen", types.Int64T)
+		cond := fb.Local("cond", types.BoolT)
+		d := fb.Local("d", types.DigestT)
+		head := fb.Local("head", types.BytesT)
+		from := fb.Local("from", types.IterT(types.BytesT))
+		to := fb.Local("to", types.IterT(types.BytesT))
+		sub := fb.Local("sub", types.BytesT)
+		fb.Assign(n, "struct.get", msg, ast.FieldOperand("blen"))
+		fb.Assign(plen, "bytes.length", piece)
+		fb.Assign(cond, "int.lt", n, ast.IntOp(sniffLen))
+		fb.IfElse(cond, "head", "digest")
+		fb.Block("head")
+		fb.Assign(cond, "int.eq", n, ast.IntOp(0))
+		fb.IfElse(cond, "first", "more")
+		fb.Block("first") // the body's first piece starts its digest and head
+		fb.Assign(d, "hash.new")
+		fb.Instr("struct.set", msg, ast.FieldOperand("digest"), d)
+		fb.Assign(head, "new", ast.TypeOperand(types.BytesT))
+		fb.Instr("struct.set", msg, ast.FieldOperand("head"), head)
+		fb.Jump("take")
+		fb.Block("more")
+		fb.Assign(head, "struct.get", msg, ast.FieldOperand("head"))
+		fb.Block("take") // min(sniffLen - n, plen) bytes, copied
+		fb.Assign(k, "int.sub", ast.IntOp(sniffLen), n)
+		fb.Assign(cond, "int.lt", plen, k)
+		fb.IfElse(cond, "short", "cut")
+		fb.Block("short")
+		fb.Set(k, plen)
+		fb.Block("cut")
+		fb.Assign(from, "bytes.begin", piece)
+		fb.Assign(to, "iterator.incr_by", from, k)
+		fb.Assign(sub, "bytes.sub", from, to)
+		fb.Instr("bytes.append", head, sub)
+		fb.Block("digest")
+		fb.Assign(d, "struct.get", msg, ast.FieldOperand("digest"))
+		fb.Instr("hash.update", d, piece)
+		fb.Assign(n, "int.add", n, plen)
+		fb.Instr("struct.set", msg, ast.FieldOperand("blen"), n)
+		fb.ReturnVoid()
+	}
+	// The streamed fields' hooks: a message's own body, and a chunk's data,
+	// whose message is its msg parameter.
+	for _, h := range []struct {
+		name, msg string
+		params    []ast.Param
+	}{
+		{"Request::data", "self", []ast.Param{selfP, ctxP, pieceP}},
+		{"Reply::data", "self", []ast.Param{selfP, ctxP, pieceP}},
+		{"Chunk::data", "msg", []ast.Param{selfP, msgP, pieceP}},
+	} {
+		fb := b.Hook(h.name, 0, h.params...)
+		fb.Call("body_piece", ast.VarOp(h.msg), ast.VarOp("piece"))
+		fb.ReturnVoid()
+	}
+
+	// Shared %done logic for both directions: raise http_body for a body,
+	// then http_message_done.
 	emitDone := func(hookName string) {
 		fb := b.Hook(hookName, 0, selfP, ctxP)
 		isOrig := fb.Local("is_orig", types.Int64T)
-		body := fb.Local("body", types.BytesT)
-		ctype := fb.Local("ctype", types.BytesT)
+		n := fb.Local("n", types.Int64T)
 		cond := fb.Local("cond", types.BoolT)
+		ctype := fb.Local("ctype", types.BytesT)
+		d := fb.Local("d", types.DigestT)
 		sha := fb.Local("sha", types.StringT)
-		blen := fb.Local("blen", types.Int64T)
+		head := fb.Local("head", types.BytesT)
 		fb.Assign(isOrig, "struct.get", ast.VarOp("self"), ast.FieldOperand("is_orig"))
-		for _, fieldName := range []string{"body_data", "body_chunked", "body_eof"} {
-			fb.Assign(cond, "struct.is_set", ast.VarOp("self"), ast.FieldOperand(fieldName))
-			okL, nextL := "have_"+fieldName, "next_"+fieldName
-			fb.IfElse(cond, okL, nextL)
-			fb.Block(okL)
-			fb.Assign(body, "struct.get", ast.VarOp("self"), ast.FieldOperand(fieldName))
-			fb.Jump("have_body")
-			fb.Block(nextL)
-		}
-		fb.Jump("no_body")
-		fb.Block("have_body")
-		fb.Assign(blen, "bytes.length", body)
-		fb.Assign(cond, "int.gt", blen, ast.IntOp(0))
-		fb.IfElse(cond, "hash", "no_body")
-		fb.Block("hash")
+		fb.Assign(n, "struct.get", ast.VarOp("self"), ast.FieldOperand("blen"))
+		fb.Assign(cond, "int.gt", n, ast.IntOp(0))
+		fb.IfElse(cond, "body", "no_body")
+		fb.Block("body")
 		fb.Assign(ctype, "struct.get_default", ast.VarOp("self"), ast.FieldOperand("ctype"),
 			ast.ConstOp(bytesConst(""), types.BytesT))
-		fb.CallResult(sha, "Hilti::sha1", body)
-		fb.Call("bro_http_body", ast.VarOp("ctx"), isOrig, ctype, sha, blen, body)
+		fb.Assign(d, "struct.get", ast.VarOp("self"), ast.FieldOperand("digest"))
+		fb.Assign(sha, "hash.final", d)
+		fb.Assign(head, "struct.get", ast.VarOp("self"), ast.FieldOperand("head"))
+		fb.Call("bro_http_body", ast.VarOp("ctx"), isOrig, ctype, sha, n, head)
 		fb.Block("no_body")
 		fb.Call("bro_http_message_done", ast.VarOp("ctx"), isOrig)
 		fb.ReturnVoid()
 	}
 	emitDone("Request::%done")
 	emitDone("Reply::%done")
-
-	// parse_chunked(cur) -> (bytes, iterator): chunked transfer decoding
-	// as an imperative HILTI function (size line, data, CRLF; terminated by
-	// a zero-size chunk and blank trailer line).
-	if err := buildParseChunked(b); err != nil {
-		return nil, err
-	}
 	return b.M, nil
-}
-
-// buildParseChunked emits the chunked-body decoder.
-func buildParseChunked(b *ast.Builder) error {
-	fb := b.Function("parse_chunked", types.TupleT(types.BytesT, types.IterT(types.BytesT)),
-		ast.Param{Name: "cur", Type: types.IterT(types.BytesT)})
-	out := fb.Local("out", types.BytesT)
-	tup := fb.Local("tup", types.TupleT(types.Int64T, types.IterT(types.BytesT)))
-	btup := fb.Local("btup", types.TupleT(types.BytesT, types.IterT(types.BytesT)))
-	id := fb.Local("id", types.Int64T)
-	n := fb.Local("n", types.Int64T)
-	sizeBytes := fb.Local("sizeBytes", types.BytesT)
-	end := fb.Local("end", types.IterT(types.BytesT))
-	chunk := fb.Local("chunk", types.BytesT)
-	ok := fb.Local("ok", types.BoolT)
-
-	fb.Assign(out, "new", ast.TypeOperand(types.BytesT))
-	fb.Jump("loop")
-
-	fb.Block("loop")
-	// Size line: hex digits up to CRLF (extensions tolerated and skipped).
-	mustMatch(fb, tup, id, ok, `[0-9a-fA-F]+`, "bad chunk size")
-	fb.Assign(end, "tuple.index", tup, ast.IntOp(1))
-	fb.Assign(sizeBytes, "bytes.sub", ast.VarOp("cur"), end)
-	fb.Set(ast.VarOp("cur"), end)
-	fb.Assign(n, "bytes.to_int", sizeBytes, ast.IntOp(16))
-	mustMatch(fb, tup, id, ok, `[^\r\n]*\r\n`, "bad chunk size line")
-	fb.Assign(ast.VarOp("cur"), "tuple.index", tup, ast.IntOp(1))
-	fb.Assign(ok, "int.eq", n, ast.IntOp(0))
-	fb.IfElse(ok, "last", "data")
-
-	fb.Block("data")
-	fb.Assign(btup, "unpack.bytes", ast.VarOp("cur"), n)
-	fb.Assign(chunk, "tuple.index", btup, ast.IntOp(0))
-	fb.Assign(ast.VarOp("cur"), "tuple.index", btup, ast.IntOp(1))
-	fb.Instr("bytes.append", out, chunk)
-	mustMatch(fb, tup, id, ok, `\r\n`, "missing chunk CRLF")
-	fb.Assign(ast.VarOp("cur"), "tuple.index", tup, ast.IntOp(1))
-	fb.Jump("loop")
-
-	fb.Block("last")
-	// Trailer section: lines until the blank line.
-	fb.Jump("trailer")
-	fb.Block("trailer")
-	mustMatch(fb, tup, id, ok, `\r\n|[^\r\n]+\r\n`, "bad trailer")
-	fb.Assign(end, "tuple.index", tup, ast.IntOp(1))
-	fb.Assign(sizeBytes, "bytes.sub", ast.VarOp("cur"), end)
-	fb.Set(ast.VarOp("cur"), end)
-	fb.Assign(n, "bytes.length", sizeBytes)
-	fb.Assign(ok, "int.eq", n, ast.IntOp(2)) // bare CRLF: end of trailers
-	fb.IfElse(ok, "finish", "trailer")
-
-	fb.Block("finish")
-	fb.Instr("bytes.freeze", out)
-	fb.Return(ast.TupleOp(out, ast.VarOp("cur")))
-	return nil
-}
-
-// mustMatch emits an anchored token match that throws a parse error when
-// it fails.
-func mustMatch(fb *ast.FuncBuilder, tup, id, ok ast.Operand, pattern, msg string) {
-	reOp, err := regexpOperand(pattern)
-	if err != nil {
-		panic(err) // literal patterns in this file
-	}
-	fb.Assign(tup, "regexp.match_token", reOp, ast.VarOp("cur"))
-	fb.Assign(id, "tuple.index", tup, ast.IntOp(0))
-	fb.Assign(ok, "int.gt", id, ast.IntOp(0))
-	okL := fmt.Sprintf("__mm_ok_%p_%s", fb, pattern)
-	failL := fmt.Sprintf("__mm_fail_%p_%s", fb, pattern)
-	fb.IfElse(ok, okL, failL)
-	fb.Block(failL)
-	fb.Instr("exception.throw", ast.StringOp(binpac.ParseErrorName), ast.StringOp(msg))
-	fb.Block(okL)
 }

@@ -10,6 +10,7 @@ package bro
 import (
 	"encoding/hex"
 
+	"hilti/internal/analyzers"
 	"hilti/internal/binpac/grammars"
 	"hilti/internal/hilti/vm"
 	"hilti/internal/rt/container"
@@ -142,12 +143,12 @@ func (e *Engine) registerBinpacHost() {
 		}
 		return values.Int(kind), nil
 	})
-	// args: ctx, is_orig, ctype, sha1, len, body
+	// args: ctx, is_orig, ctype, sha1, len, head (the body's first bytes)
 	host("bro_http_body", func(c *conn, args []values.Value) {
 		e.clock.enter(compGlue)
 		ctype, sum := str(args[2]), str(args[3])
 		if ctype == "" {
-			ctype = StringVal(sniffHILTIBody(args[5]))
+			ctype = StringVal(analyzers.SniffMIME(args[5].AsBytes().Bytes()))
 		}
 		e.clock.leave()
 		e.dispatch(evHTTPBody, c, isOrig(args[1]), ctype, sum, CountVal(args[4].AsInt()))
@@ -156,29 +157,6 @@ func (e *Engine) registerBinpacHost() {
 		e.dispatch(evHTTPMessageDone, c, isOrig(args[1]))
 	})
 	host("bro_dns_message", func(c *conn, args []values.Value) { e.binpacDNSEvents(c, args[1]) })
-}
-
-// sniffHILTIBody applies the same MIME sniffing as the standard parser
-// when no Content-Type header was present.
-func sniffHILTIBody(v values.Value) string {
-	b := v.AsBytes()
-	if b == nil || b.Len() == 0 {
-		return ""
-	}
-	head, err := b.Sub(b.Begin(), b.Begin().Plus(min(4, b.Len())))
-	if err != nil || len(head) == 0 {
-		return "text/plain"
-	}
-	switch {
-	case len(head) >= 4 && head[0] == 0x89 && head[1] == 'P' && head[2] == 'N' && head[3] == 'G':
-		return "image/png"
-	case head[0] == '<':
-		return "text/html"
-	case head[0] == '{' || head[0] == '[':
-		return "application/json"
-	default:
-		return "text/plain"
-	}
 }
 
 // binpacDNSEvents walks the parsed DNS Message struct and raises the same

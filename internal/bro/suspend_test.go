@@ -1,6 +1,8 @@
 package bro
 
 import (
+	"crypto/sha1"
+	"encoding/hex"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -9,14 +11,16 @@ import (
 
 	"hilti/internal/hilti/vm"
 	"hilti/internal/pkt/gen"
+	"hilti/internal/rt/hook"
 	"hilti/internal/rt/metrics"
 	"hilti/internal/rt/values"
 )
 
 // Tests for BinPAC++ parsers that park inside the VM: wherever a TCP
-// segment boundary falls the parse resumes to the same events, a Go panic
-// under a parked parse is a contained fault that leaves its neighbours
-// alone, and no parse owns a goroutine.
+// segment boundary falls the parse resumes to the same events, a parked
+// parse holds no more input than it has yet to parse, a Go panic under a
+// parked parse is a contained fault that leaves its neighbours alone, and
+// no parse owns a goroutine.
 
 var (
 	cliAddr, srvAddr = [4]byte{10, 7, 0, 1}, [4]byte{10, 7, 0, 2}
@@ -92,6 +96,71 @@ func TestBinpacSuspendSplitAnywhere(t *testing.T) {
 		}
 		if got := run(every(len(suspendRequest)), every(len(suspendReply))); got != whole {
 			t.Fatalf("O%d: one byte per segment:\n%s\nwhole:\n%s", level, got, whole)
+		}
+	}
+}
+
+// TestBinpacParkedParseHoldsNoBody: a 20 kB request body framed by its
+// length and a 20 kB reply body in chunks stream through their parses in
+// 1 kB segments. After every segment the direction's input rope holds at
+// most one segment, and no message struct holds body bytes — only their
+// count, digest and first four bytes — yet each body is logged with its
+// length and the SHA-1 of all of it.
+func TestBinpacParkedParseHoldsNoBody(t *testing.T) {
+	const segment = 1024
+	body := strings.Repeat("0123456789abcdef", 1250)
+	var chunked strings.Builder
+	for rest := body; rest != ""; {
+		n := min(700, len(rest))
+		fmt.Fprintf(&chunked, "%x\r\n%s\r\n", n, rest[:n])
+		rest = rest[n:]
+	}
+	chunked.WriteString("0\r\n\r\n")
+	request := fmt.Sprintf("POST /up HTTP/1.1\r\nHost: h\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+	reply := "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + chunked.String()
+
+	e := mustEngine(t, Config{Parser: "binpac", ScriptExec: "interp", Scripts: []string{HTTPScript, FilesScript}, Quiet: true})
+	// Every message struct a header hook is handed.
+	var msgs []*values.Struct
+	e.pexec.Hooks = hook.NewRegistry()
+	e.pexec.Hooks.Get("Header::%done").Add(func(args []values.Value) (values.Value, bool) {
+		if m := args[1].AsStruct(); len(msgs) == 0 || msgs[len(msgs)-1] != m {
+			msgs = append(msgs, m)
+		}
+		return values.Nil, false
+	})
+	ts := int64(1e9)
+	send := func(src, dst [4]byte, sp, dp uint16, msg string) {
+		for at := 0; at < len(msg); at += segment {
+			seg := msg[at:min(at+segment, len(msg))]
+			e.SafeProcessPacket(ts, tcpDataFrame(src, dst, sp, dp, uint32(1000+at), []byte(seg)))
+			ts++
+			for _, c := range e.conns {
+				if n := max(c.origRope.Len(), c.respRope.Len()); n > segment {
+					t.Fatalf("after %d bytes a rope holds %d", at+len(seg), n)
+				}
+			}
+			for _, m := range msgs {
+				if s := values.Format(values.StructVal(m)); strings.Contains(s, body[4:20]) {
+					t.Fatalf("after %d bytes a message holds body bytes: %.200s", at+len(seg), s)
+				}
+			}
+		}
+	}
+	send(cliAddr, srvAddr, 41003, 80, request)
+	send(srvAddr, cliAddr, 80, 41003, reply)
+	e.Finish()
+	if len(msgs) != 2 {
+		t.Fatalf("%d messages seen, want 2", len(msgs))
+	}
+	sum := sha1.Sum([]byte(body))
+	files := e.Logs.Lines("files")
+	if len(files) != 2 {
+		t.Fatalf("files.log: %q", files)
+	}
+	for _, l := range files {
+		if !strings.Contains(l, "\t"+hex.EncodeToString(sum[:])+"\t20000") {
+			t.Fatalf("files.log line %q lacks the body's digest and length", l)
 		}
 	}
 }

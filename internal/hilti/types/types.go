@@ -56,6 +56,7 @@ const (
 	Profiler
 	Function // function type for references; Params[0]: result, Params[1:]: args
 	Hook
+	Digest // incremental hash state (hash.new/update/final)
 )
 
 // Type is a HILTI type. Types are interned only informally: compare with
@@ -133,6 +134,7 @@ var (
 	FileT     = &Type{Kind: File}
 	IOSrcT    = &Type{Kind: IOSrc}
 	ProfilerT = &Type{Kind: Profiler}
+	DigestT   = &Type{Kind: Digest}
 	ExcT      = &Type{Kind: Exception, ExcName: "Hilti::Exception"}
 )
 
@@ -337,6 +339,8 @@ func (t *Type) ValueKind() values.Kind {
 		return values.KindProfiler
 	case Function:
 		return values.KindFunction
+	case Digest:
+		return values.KindDigest
 	default:
 		return values.KindVoid
 	}
@@ -398,6 +402,8 @@ func (t *Type) String() string {
 		return "profiler"
 	case Hook:
 		return "hook"
+	case Digest:
+		return "digest"
 	default:
 		return kindName(t.Kind) + "<" + joinTypes(t.Params) + ">"
 	}

@@ -5,8 +5,6 @@
 package vm
 
 import (
-	"crypto/sha1"
-	"encoding/hex"
 	"fmt"
 	"strings"
 
@@ -54,15 +52,6 @@ func builtins() map[string]HostFunc {
 				sb.WriteByte(tmpl[i])
 			}
 			return values.String(sb.String()), nil
-		},
-		// Hilti::sha1 hashes a bytes value, returning the hex digest — used
-		// by the files.log pipeline.
-		"Hilti::sha1": func(ex *Exec, args []values.Value) (values.Value, error) {
-			if len(args) != 1 || args[0].AsBytes() == nil {
-				return values.Nil, fmt.Errorf("Hilti::sha1 expects one bytes argument")
-			}
-			sum := sha1.Sum(args[0].AsBytes().Bytes())
-			return values.String(hex.EncodeToString(sum[:])), nil
 		},
 		"Hilti::abort": func(ex *Exec, args []values.Value) (values.Value, error) {
 			msg := "abort"

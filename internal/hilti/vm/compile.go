@@ -200,6 +200,14 @@ func (c *fnCompiler) compile() error {
 		c.out.RegTypes[r] = c.rty[name]
 	}
 
+	// Sized for one instruction per AST instruction, a fallthrough jump per
+	// block and the implicit return — what lowering mostly emits — so the
+	// code array is not regrown as it fills (link time is engine set-up).
+	size := len(c.fn.Blocks) + 1
+	for _, b := range c.fn.Blocks {
+		size += len(b.Instrs)
+	}
+	c.out.Code = make([]Instr, 0, size)
 	for bi, b := range c.fn.Blocks {
 		c.lbls[b.Name] = len(c.out.Code)
 		for _, in := range b.Instrs {

@@ -7,7 +7,9 @@
 package vm
 
 import (
+	"encoding/hex"
 	"fmt"
+	"hash"
 	"strings"
 	"sync/atomic"
 
@@ -24,6 +26,14 @@ func bytesOf(v values.Value) (*hbytes.Bytes, error) {
 		return nil, &values.Exception{Name: "Hilti::NullReference", Msg: "nil bytes reference"}
 	}
 	return b, nil
+}
+
+func digestOf(v values.Value) (hash.Hash, error) {
+	h := v.AsDigest()
+	if h == nil {
+		return nil, &values.Exception{Name: "Hilti::NullReference", Msg: "nil digest"}
+	}
+	return h, nil
 }
 
 func errNilIter() error {
@@ -131,6 +141,16 @@ var bytesOps = []opRow{
 		b.Trim(a[1].AsIterBytes())
 		return values.Nil, nil
 	}},
+	// bytes.trim_to <iter>: bytes.trim of the rope the iterator points into,
+	// for a parser that holds its input only as an iterator.
+	{name: "bytes.trim_to", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+		it := a[0].AsIterBytes()
+		if it.Bytes() == nil {
+			return values.Nil, errNilIter()
+		}
+		it.Bytes().Trim(it)
+		return values.Nil, nil
+	}},
 	{name: "bytes.find", arity: 2, two: func(ex *Exec, a []values.Value) (found, pos values.Value, err error) {
 		b, err := bytesOf(a[0])
 		if err != nil {
@@ -167,20 +187,18 @@ var bytesOps = []opRow{
 		}
 		return values.String(b.String()), nil
 	}},
-	{name: "bytes.lower", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+	// bytes.equal_nocase <bytes> <bytes>: equality under ASCII case
+	// folding, without a lowered copy of either operand.
+	{name: "bytes.equal_nocase", arity: 2, flags: opCmp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		b, err := bytesOf(a[0])
 		if err != nil {
 			return values.Nil, err
 		}
-		raw := b.Bytes()
-		out := make([]byte, len(raw))
-		for i, c := range raw {
-			if c >= 'A' && c <= 'Z' {
-				c += 32
-			}
-			out[i] = c
+		o, err := bytesOf(a[1])
+		if err != nil {
+			return values.Nil, err
 		}
-		return values.BytesFrom(out), nil
+		return values.Bool(b.EqualFold(o)), nil
 	}},
 	// bytes.to_int parses an ASCII integer with the given base.
 	{name: "bytes.to_int", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
@@ -355,6 +373,69 @@ var bytesOps = []opRow{
 			return
 		}
 		return values.BytesVal(nb), values.IterBytes(it.Plus(n)), nil
+	}},
+	// bytes.piece <iter> <max>: the input from the iterator to the end of
+	// the rope chunk holding it, at most max bytes (max < 0: no limit), as
+	// a view of that chunk — never a copy; the caller advances by its
+	// length. It suspends at the end of a non-frozen rope; at the end of a
+	// frozen one the piece is empty when max < 0 (an until-EOF field is
+	// complete) and out of range otherwise. Streamed fields loop over it.
+	{name: "bytes.piece", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+		it, limit := a[0].AsIterBytes(), a[1].AsInt()
+		b := it.Bytes()
+		if b == nil {
+			return values.Nil, errNilIter()
+		}
+		n := int64(len(it.Chunk()))
+		if limit >= 0 {
+			n = min(n, limit)
+		}
+		if n == 0 && limit != 0 {
+			switch {
+			case !b.Frozen():
+				return values.Nil, hbytes.ErrWouldBlock
+			case limit > 0:
+				return values.Nil, hbytes.ErrOutOfRange
+			}
+		}
+		nb, err := b.SubBytes(it, it.Plus(n))
+		if err != nil {
+			return values.Nil, err
+		}
+		return values.BytesVal(nb), nil
+	}},
+
+	// --- hash (the incremental digest of a body as it streams) ---------------------
+	{name: "hash.new", arity: 0, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+		return values.NewDigest(), nil
+	}},
+	// hash.update <digest> <bytes>: adds the bytes, chunk by chunk in place.
+	{name: "hash.update", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+		h, err := digestOf(a[0])
+		if err != nil {
+			return values.Nil, err
+		}
+		b, err := bytesOf(a[1])
+		if err != nil {
+			return values.Nil, err
+		}
+		for it := b.Begin(); ; {
+			c := it.Chunk()
+			if len(c) == 0 {
+				return values.Nil, nil
+			}
+			h.Write(c)
+			it = it.Plus(int64(len(c)))
+		}
+	}},
+	// hash.final <digest>: the hex digest of the bytes so far; the digest
+	// stays usable.
+	{name: "hash.final", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+		h, err := digestOf(a[0])
+		if err != nil {
+			return values.Nil, err
+		}
+		return values.String(hex.EncodeToString(h.Sum(nil))), nil
 	}},
 
 	// --- regexp ---------------------------------------------------------------------

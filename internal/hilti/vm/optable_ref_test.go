@@ -67,6 +67,7 @@ var refFuseSimple = map[string]bool{
 	"bool.not": true, "and": true, "or": true, "not": true,
 	"iterator.eq": true, "iterator.at_end": true,
 	"iterator.at_end_now": true, "struct.is_set": true, "bitset.has": true,
+	"bytes.equal_nocase": true,
 }
 
 // refFuseAccepts is whether fuseMaker returned a fused executor.

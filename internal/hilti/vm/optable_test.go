@@ -90,6 +90,10 @@ func boolOpSamples(op string) [][]values.Value {
 		s := values.NewStruct(values.NewStructDef("S", values.StructField{Name: "x"}, values.StructField{Name: "y"}))
 		s.SetName("x", values.Int(1))
 		return [][]values.Value{{values.StructVal(s), values.String("x")}, {values.StructVal(s), values.String("y")}}
+	case op == "bytes.equal_nocase":
+		b := func(s string) values.Value { return values.BytesFrom([]byte(s)) }
+		return [][]values.Value{{b("Content-Length"), b("content-length")}, {b("chunked"), b("chunked ")},
+			{b("a"), values.Nil}}
 	case op == "bitset.has":
 		bs := func(a uint64) values.Value { return values.Value{K: values.KindBitset, A: a} }
 		return [][]values.Value{{bs(5), bs(4)}, {bs(5), bs(2)}}

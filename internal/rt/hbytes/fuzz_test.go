@@ -136,6 +136,28 @@ func FuzzRopeModel(f *testing.F) {
 			if got := r.Bytes(); !bytes.Equal(got, model[base:]) || r.Len() != int64(len(model))-base {
 				t.Fatalf("step %d: rope %v (len %d), model %v", step, got, r.Len(), model[base:])
 			}
+			// EqualFold walks the rope's chunks against one flat chunk: equal
+			// with every ASCII letter's case flipped, unequal with the last
+			// byte changed to one that does not fold to it.
+			flipped := bytes.Clone(model[base:])
+			for i, c := range flipped {
+				if 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' {
+					flipped[i] = c ^ 0x20
+				}
+			}
+			if !r.EqualFold(NewFrom(flipped)) {
+				t.Fatalf("step %d: rope not EqualFold to its case-flipped model", step)
+			}
+			if n := len(flipped); n > 0 {
+				if c := flipped[n-1]; 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' {
+					flipped[n-1] = c ^ 0x01
+				} else {
+					flipped[n-1] = c ^ 0x20
+				}
+				if r.EqualFold(NewFrom(flipped)) {
+					t.Fatalf("step %d: rope EqualFold to a model differing in its last byte", step)
+				}
+			}
 			for i, v := range views {
 				if got := v.b.Bytes(); !bytes.Equal(got, v.want) {
 					t.Fatalf("step %d: view %d reads %v, was %v", step, i, got, v.want)

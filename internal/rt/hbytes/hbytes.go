@@ -180,12 +180,16 @@ func (b *Bytes) Trim(it Iter) {
 	if off > b.end {
 		off = b.end
 	}
-	// Drop whole chunks that end at or before off.
+	// Drop whole chunks that end at or before off. The rest move to the
+	// front of the chunk list, so a parser trimming as it goes neither keeps
+	// the dropped data reachable nor shrinks the list's capacity to nothing.
 	i := 0
 	for i < len(b.chunks) && b.chunks[i].off+int64(len(b.chunks[i].data)) <= off {
 		i++
 	}
-	b.chunks = b.chunks[i:]
+	n := copy(b.chunks, b.chunks[i:])
+	clear(b.chunks[n:])
+	b.chunks = b.chunks[:n]
 	b.base = off
 }
 
@@ -404,6 +408,38 @@ func (b *Bytes) Equal(o *Bytes) bool {
 		return false
 	}
 	return bytes.Equal(b.Bytes(), o.Bytes())
+}
+
+// EqualFold reports whether two ropes hold the same retained bytes under
+// ASCII case folding, walking their chunks in place: no copy, no flattening.
+func (b *Bytes) EqualFold(o *Bytes) bool {
+	if b.Len() != o.Len() {
+		return false
+	}
+	var x, y []byte
+	for i, j := b.base, o.base; i < b.end; {
+		if len(x) == 0 {
+			x = b.chunkAt(i)
+		}
+		if len(y) == 0 {
+			y = o.chunkAt(j)
+		}
+		n := min(len(x), len(y))
+		for k := range n {
+			if lowerASCII(x[k]) != lowerASCII(y[k]) {
+				return false
+			}
+		}
+		x, y, i, j = x[n:], y[n:], i+int64(n), j+int64(n)
+	}
+	return true
+}
+
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
 }
 
 // Compare orders ropes lexicographically.

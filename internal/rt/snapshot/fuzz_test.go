@@ -53,6 +53,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 	s := container.NewSet()
 	s.Insert(values.PortVal(53, values.ProtoUDP))
 	seed(values.Ref(values.KindSet, s))
+	dg := values.NewDigest()
+	dg.AsDigest().Write([]byte("body so far"))
+	seed(dg)
 	f.Add([]byte{'H', 'S', 'N', 'P', 0, 1})
 	f.Add([]byte("HSNPxxxxxxxxxxxxxxxx"))
 

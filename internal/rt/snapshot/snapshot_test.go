@@ -68,6 +68,30 @@ func TestBytesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDigestRoundTrip: a digest updated, encoded, decoded and updated again
+// ends with the digest of the uninterrupted input; corrupt state is a decode
+// error.
+func TestDigestRoundTrip(t *testing.T) {
+	whole, cut := values.NewDigest(), values.NewDigest()
+	whole.AsDigest().Write([]byte("hello, world"))
+	cut.AsDigest().Write([]byte("hello, "))
+	got := roundTrip(t, cut)
+	got.AsDigest().Write([]byte("world"))
+	if a, b := got.AsDigest().Sum(nil), whole.AsDigest().Sum(nil); !bytes.Equal(a, b) {
+		t.Fatalf("resumed digest %x, uninterrupted %x", a, b)
+	}
+
+	var buf bytes.Buffer
+	e := NewEncoder(&buf)
+	e.Value(cut)
+	enc := buf.Bytes()
+	enc[5] ^= 0xff // past the kind tag and length: the state's magic
+	d := NewDecoder(enc)
+	if d.Value(); d.Err() == nil {
+		t.Fatal("corrupt digest state decoded")
+	}
+}
+
 func TestEnumRoundTrip(t *testing.T) {
 	et := values.NewEnumType("Proto", "TCP", "UDP")
 	v := values.EnumVal(et, 1)

@@ -142,6 +142,13 @@ func (e *Encoder) value(v values.Value, depth int) {
 			e.I64(int64(lastUse))
 			return e.err == nil
 		})
+	case values.KindDigest:
+		state, err := values.DigestState(v)
+		if err != nil {
+			e.Fail("snapshot: %v", err)
+			return
+		}
+		e.Bytes(state)
 	default:
 		e.Fail("snapshot: cannot serialize value of kind %v", v.K)
 	}
@@ -300,6 +307,13 @@ func (d *Decoder) value(depth int) values.Value {
 			}
 		}
 		return values.Ref(values.KindSet, s)
+	case values.KindDigest:
+		v, err := values.DigestFromState(d.Bytes())
+		if err != nil {
+			d.fail("snapshot: digest state: %v", err)
+			return values.Nil
+		}
+		return v
 	default:
 		d.fail("snapshot: cannot decode value of kind %d", k)
 		return values.Nil

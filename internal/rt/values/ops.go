@@ -208,6 +208,11 @@ func DeepCopy(v Value) Value {
 			ns.Fields[i] = DeepCopy(f)
 		}
 		return StructVal(ns)
+	case KindDigest:
+		// A SHA-1 state always round-trips.
+		state, _ := DigestState(v)
+		d, _ := DigestFromState(state)
+		return d
 	default:
 		if dc, ok := v.O.(DeepCopier); ok {
 			return Value{K: v.K, A: v.A, B: v.B, O: dc.DeepCopyObj()}

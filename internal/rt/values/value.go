@@ -67,6 +67,7 @@ const (
 	KindProfiler
 	KindFunction // a function reference (for call indirection / hooks)
 	KindAny      // dynamic escape hatch for host glue
+	KindDigest   // incremental hash state (digest.go)
 )
 
 var kindNames = [...]string{
@@ -84,7 +85,7 @@ var kindNames = [...]string{
 	KindTimer: "timer", KindTimerMgr: "timer_mgr", KindFile: "file",
 	KindCallable: "callable", KindException: "exception",
 	KindOverlay: "overlay", KindIOSrc: "iosrc", KindProfiler: "profiler",
-	KindFunction: "function", KindAny: "any",
+	KindFunction: "function", KindAny: "any", KindDigest: "digest",
 }
 
 // String returns the HILTI-level name of the kind.
