@@ -1722,9 +1722,9 @@ func (h *harness) migrate(chk *checker) {
 		}
 	}
 
-	// A. Elastic scale-out and scale-in on the full trace, WAL tail
-	//    handoffs: grow from 2 to 3 instances a third of the way in, shrink
-	//    back at two thirds, draining flows live in both directions.
+	// A. Elastic scale-out and scale-in on the full trace, WAL on: grow
+	//    from 2 to 3 instances a third of the way in, shrink back at two
+	//    thirds, draining flows live in both directions.
 	pkts := h.mergedTrace()
 	want := sortedLogs(engineRun(cfg, pkts))
 
@@ -1746,12 +1746,22 @@ func (h *harness) migrate(chk *checker) {
 	must(c.CheckOwnership())
 	singleOwner("elastic", c, pkts)
 	c.Close()
-	tail, fallback := c.HandoffStats()
 	checkStreams(chk, "elastic vs single node", want, c.MergedLines)
 	must(c.CheckOwnership())
-	fmt.Printf("    scale 2→3→2 over %d pkts in %v: instance %d joined+retired, %d handoffs (%d WAL delta-tail, %d full-state fallback)\n",
-		len(pkts), time.Since(start).Round(time.Millisecond), id, tail+fallback, tail, fallback)
-	fmt.Println("    one owner per flow; ledger exact on every instance")
+	// The cluster-wide packet ledger: every packet fed is offered to
+	// exactly one instance, retired ones included, and processed there.
+	var offered, processed, commits uint64
+	for i, l := range c.PacketLedgers() {
+		chk.check(l.Balanced(), fmt.Sprintf("elastic: instance %d packet ledger unbalanced: %+v", i, l))
+		offered += l.Offered
+		processed += l.Fates[admission.FateProcessed]
+		commits += c.Ledger().Instance(i).Commits
+	}
+	chk.check(offered == uint64(len(pkts)), fmt.Sprintf("elastic: instances offered %d packets, fed %d", offered, len(pkts)))
+	chk.check(processed == uint64(len(pkts)), fmt.Sprintf("elastic: instances processed %d packets, fed %d", processed, len(pkts)))
+	fmt.Printf("    scale 2→3→2 over %d pkts in %v: instance %d joined+retired, %d handoffs\n",
+		len(pkts), time.Since(start).Round(time.Millisecond), id, commits)
+	fmt.Println("    one owner per flow; ownership and packet ledgers exact on every instance")
 
 	// B. Fault matrix: inject each fault kind at each protocol step of
 	//    every handoff while traffic flows. Stall and corrupt are absorbed

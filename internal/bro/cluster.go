@@ -4,13 +4,12 @@
 // routing table; a migration moves one bucket's flows from their current
 // owner to another instance in two phases:
 //
-//	BeginMigration  — open the handoff session, pre-copy the bucket's
-//	                  analyzer state (WAL mode), record WAL cursors.
-//	                  The source keeps owning and processing the bucket.
-//	Complete        — quiesce the slice, ship the WAL delta tail (or a
-//	                  fresh full extract when the tail cannot cover the
-//	                  slice), activate on the target,
-//	                  forget on the source, flip the routing table.
+//	BeginMigration  — open the handoff session. The source keeps
+//	                  owning and processing the bucket.
+//	Complete        — quiesce and extract the slice (each flow's one
+//	                  frame plus its scheduling entry and quarantine
+//	                  mark), ship it, activate on the target, forget on
+//	                  the source, flip the routing table.
 //
 // The routing flip is the commit point: until it happens no packet has
 // ever been routed to the target for the migrating flows, so any failure
@@ -35,15 +34,16 @@ import (
 	"hilti/internal/rt/migrate"
 	"hilti/internal/rt/ruleplane"
 	"hilti/internal/rt/snapshot"
-	"hilti/internal/rt/wal"
 )
 
 // ClusterConfig sizes the cluster.
 type ClusterConfig struct {
-	Instances   int             // initial instance count (default 2)
-	Buckets     int             // routing buckets, power of two (default 32)
-	Pipeline    pipeline.Config // per-instance pipeline config (Workers, WAL, ...)
-	MaxAttempts int             // frame sends per handoff step (default 4)
+	Instances int // initial instance count (default 2)
+	Buckets   int // routing buckets, power of two (default 32)
+	// Pipeline configures every instance (Workers, WAL, ...). WAL changes
+	// how an instance recovers, not how a handoff ships.
+	Pipeline    pipeline.Config
+	MaxAttempts int // frame sends per handoff step (default 4)
 }
 
 // Cluster is a set of Parallel instances plus the routing and migration
@@ -59,9 +59,6 @@ type Cluster struct {
 	ledger   *migrate.Ledger
 	nextSess uint64
 	pending  map[int]uint64 // target instance -> open handoff session
-
-	tailHandoffs     uint64 // committed via the WAL delta tail
-	fallbackHandoffs uint64 // committed via a fresh full extract
 }
 
 type clusterInstance struct {
@@ -125,6 +122,17 @@ func (c *Cluster) Table() *migrate.Table { return c.table }
 
 // Ledger exposes the migration ledger for invariant checks.
 func (c *Cluster) Ledger() *migrate.Ledger { return c.ledger }
+
+// PacketLedgers returns every instance's packet-fate ledger, retired
+// instances included, indexed by instance id; exact once the cluster is
+// closed.
+func (c *Cluster) PacketLedgers() []pipeline.Ledger {
+	out := make([]pipeline.Ledger, len(c.insts))
+	for i, inst := range c.insts {
+		out[i] = inst.par.Ledger()
+	}
+	return out
+}
 
 // RulePlane returns the cluster's shared rule plane, or nil when none is
 // configured. Every instance's pipeline holds the same *ruleplane.Plane
@@ -239,9 +247,6 @@ type Migration struct {
 	from, to int
 	co       *migrate.Coordinator
 	id       uint64
-	precopy  bool // WAL pre-copy shipped; Complete tries the delta tail
-	cursors  []wal.Cursor
-	vids     map[string]uint64 // pre-copied flow uid -> virtual id the target routes by
 	done     bool
 	err      error
 }
@@ -249,9 +254,9 @@ type Migration struct {
 func (m *Migration) match(vid uint64) bool { return m.c.table.BucketOf(vid) == m.bucket }
 
 // BeginMigration opens a handoff session moving bucket b to instance
-// `to`. In WAL mode the bucket's analyzer state is pre-copied now, while
-// the source keeps processing; Complete later ships only the delta tail.
-// Any failure aborts the session cleanly: the source retains everything.
+// `to`. Nothing ships yet: the source keeps processing the bucket until
+// Complete. Any failure aborts the session cleanly: the source retains
+// everything.
 func (c *Cluster) BeginMigration(b, to int, inj migrate.Injector) (*Migration, error) {
 	if b < 0 || b >= c.table.Buckets() {
 		return nil, fmt.Errorf("bro: bucket %d out of range", b)
@@ -269,10 +274,7 @@ func (c *Cluster) BeginMigration(b, to int, inj migrate.Injector) (*Migration, e
 		return nil, fmt.Errorf("bro: instance %d already receiving handoff %d", to, id)
 	}
 	c.nextSess++
-	m := &Migration{
-		c: c, bucket: b, from: from, to: to, id: c.nextSess,
-		vids: map[string]uint64{},
-	}
+	m := &Migration{c: c, bucket: b, from: from, to: to, id: c.nextSess}
 	m.co = migrate.NewCoordinator(epTransport{c.insts[to].ep}, migrate.Options{
 		ID: m.id, Bucket: b, Epoch: c.table.Epoch(),
 		MaxAttempts: c.ccfg.MaxAttempts, Injector: inj,
@@ -281,142 +283,48 @@ func (c *Cluster) BeginMigration(b, to int, inj migrate.Injector) (*Migration, e
 	if err := m.co.Begin(); err != nil {
 		return nil, m.fail(err)
 	}
-	if c.ccfg.Pipeline.WAL {
-		src := c.insts[from].par
-		pre, err := src.ExtractFlows(m.match)
-		if err != nil {
-			return nil, m.fail(err)
-		}
-		cursors, err := src.WALCursors()
-		if err != nil {
-			return nil, m.fail(err)
-		}
-		for _, hf := range pre.Handler {
-			uid, err := frameUID(hf.Blob)
-			if err != nil {
-				return nil, m.fail(err)
-			}
-			m.vids[uid] = hf.VID
-			blob, err := encodeWireSlice(wirePart, &pipeline.FlowSlice{Handler: []pipeline.HandlerFlow{hf}})
-			if err != nil {
-				return nil, m.fail(err)
-			}
-			if err := m.co.Ship(blob); err != nil {
-				return nil, m.fail(err)
-			}
-		}
-		m.cursors = cursors
-		m.precopy = true
-	}
 	return m, nil
 }
 
-// Complete finishes the handoff: quiesce, ship the tail (or a fresh full
-// extract), activate, forget on the source, flip the routing table, and
-// record the ledger entry. After a nil return the target owns the bucket.
+// Complete finishes the handoff: quiesce and extract the slice, ship it,
+// activate, forget on the source, flip the routing table, and record the
+// ledger entry. After a nil return the target owns the bucket.
 func (m *Migration) Complete() error {
 	if m.done {
 		return m.err
 	}
 	src := m.c.insts[m.from].par
-	// The fresh extract is both the quiesce barrier and the authoritative
-	// slice: what the source forgets at commit, and — scheduling entries
-	// and quarantine marks always, analyzer state on the fallback path —
-	// what the target installs.
-	fresh, err := src.ExtractFlows(m.match)
+	// The extract is both the quiesce barrier and the whole handoff: what
+	// the target installs and what the source forgets at commit.
+	slice, err := src.ExtractFlows(m.match)
 	if err != nil {
 		return m.fail(err)
 	}
-	var frames [][]byte
-	tail := false
-	if m.precopy {
-		frames = m.deltaTail(fresh)
-		tail = frames != nil
+	blob, err := encodeWireSlice(slice)
+	if err != nil {
+		return m.fail(err)
 	}
-	if frames == nil {
-		blob, err := encodeWireSlice(wireReplace, fresh)
-		if err != nil {
-			return m.fail(err)
-		}
-		frames = [][]byte{blob}
-	}
-	for _, fr := range frames {
-		if err := m.co.Ship(fr); err != nil {
-			return m.fail(err)
-		}
+	if err := m.co.Ship(blob); err != nil {
+		return m.fail(err)
 	}
 	if err := m.co.Activate(); err != nil {
 		return m.fail(err)
 	}
 	var forgetErr error
 	m.co.Commit(func() error { //nolint:errcheck // Commit resolves forward
-		forgetErr = src.ForgetFlows(fresh)
+		forgetErr = src.ForgetFlows(slice)
 		return forgetErr
 	})
 	m.c.table.Flip(m.bucket, m.to)
-	m.c.ledger.Commit(m.from, m.to, len(fresh.Handler))
+	m.c.ledger.Commit(m.from, m.to, len(slice.Handler))
 	// The flip resolved the session; free the endpoint for the next one.
 	tgt := m.c.insts[m.to]
 	tgt.ep.ReleaseSession(m.id)
 	delete(tgt.sink.installed, m.id)
 	delete(m.c.pending, m.to)
-	if tail {
-		m.c.tailHandoffs++
-	} else {
-		m.c.fallbackHandoffs++
-	}
 	m.done = true
 	m.err = nil
 	return forgetErr
-}
-
-// HandoffStats reports how committed migrations shipped their state:
-// via the WAL delta tail, or via the fresh-full-extract fallback.
-func (c *Cluster) HandoffStats() (tail, fallback uint64) {
-	return c.tailHandoffs, c.fallbackHandoffs
-}
-
-// deltaTail builds the Complete-phase frames for the pre-copy path: the
-// migrating flows' frames out of the WAL tail plus the fresh scheduling
-// slice. It returns nil whenever the tail cannot cover the slice — a flow
-// born after the pre-copy, a re-based WAL — and the caller falls back to
-// shipping the fresh full extract instead.
-func (m *Migration) deltaTail(fresh *pipeline.FlowSlice) [][]byte {
-	for _, hf := range fresh.Handler {
-		uid, err := frameUID(hf.Blob)
-		if err != nil {
-			return nil
-		}
-		if _, ok := m.vids[uid]; !ok {
-			return nil // born during the window: not pre-copied
-		}
-	}
-	src := m.c.insts[m.from].par
-	var frames [][]byte
-	for i := range m.cursors {
-		// Scan every record, not just the bucket's: a migrating flow can
-		// be mutated under another flow's packet (idle expiry, table
-		// expiry sweeps), and its frame rides in that packet's record.
-		recs, _, err := src.FlowDeltasSince(i, m.cursors[i], func(uint64) bool { return true })
-		if err != nil {
-			return nil
-		}
-		for _, rec := range recs {
-			err := pickFlowFrames(rec.Data, func(uid string, frame []byte) {
-				if vid, ok := m.vids[uid]; ok {
-					frames = append(frames, encodeWireDelta(vid, frame))
-				}
-			})
-			if err != nil {
-				return nil
-			}
-		}
-	}
-	fr, err := encodeWireSlice(wirePart, &pipeline.FlowSlice{Sched: fresh.Sched, Quar: fresh.Quar})
-	if err != nil {
-		return nil
-	}
-	return append(frames, fr)
 }
 
 // fail aborts the session on both sides and records the abort. The source
@@ -510,63 +418,19 @@ type clusterSink struct {
 func (s *clusterSink) Prepare(id uint64, bucket int) error { return nil }
 
 func (s *clusterSink) Install(id uint64, blobs [][]byte) (int, error) {
-	var deltas []pipeline.FlowDelta
-	union := &pipeline.FlowSlice{} // pre-copied flows + fresh scheduling part
-	var replace *pipeline.FlowSlice
-	for _, b := range blobs {
-		if len(b) == 0 {
-			return 0, errors.New("bro: empty migration blob")
-		}
-		kind, payload := b[0], b[1:]
-		if kind == wireDelta {
-			d, err := decodeWireDelta(payload)
-			if err != nil {
-				return 0, err
-			}
-			deltas = append(deltas, d)
-			continue
-		}
-		sl, err := decodeWireSlice(payload)
-		if err != nil {
-			return 0, err
-		}
-		switch kind {
-		case wirePart:
-			union.Handler = append(union.Handler, sl.Handler...)
-			union.Sched = append(union.Sched, sl.Sched...)
-			union.Quar = append(union.Quar, sl.Quar...)
-		case wireReplace:
-			replace = sl
-		default:
-			return 0, fmt.Errorf("bro: unknown migration blob kind %d", kind)
-		}
+	if len(blobs) != 1 {
+		return 0, fmt.Errorf("bro: handoff carries %d slices, want 1", len(blobs))
 	}
-	par := s.inst.par
-	if replace != nil {
-		// Authoritative full slice: whatever was pre-copied is superseded.
-		if err := par.InjectFlows(replace); err != nil {
-			par.ForgetFlows(replace) //nolint:errcheck // best-effort rollback
-			return 0, err
-		}
-		s.installed[id] = replace
-		return len(replace.Handler), nil
-	}
-	// Pre-copied flows first, then the tail's frames on top of them, then
-	// the scheduling entries and quarantine marks as of the quiesce.
-	closed := 0
-	err := par.InjectFlows(&pipeline.FlowSlice{Handler: union.Handler})
-	if err == nil {
-		closed, err = par.ApplyFlowDeltas(deltas)
-	}
-	if err == nil {
-		err = par.InjectFlows(&pipeline.FlowSlice{Sched: union.Sched, Quar: union.Quar})
-	}
+	slice, err := decodeWireSlice(blobs[0])
 	if err != nil {
-		par.ForgetFlows(union) //nolint:errcheck // best-effort rollback
 		return 0, err
 	}
-	s.installed[id] = union
-	return len(union.Handler) - closed, nil
+	if err := s.inst.par.InjectFlows(slice); err != nil {
+		s.inst.par.ForgetFlows(slice) //nolint:errcheck // best-effort rollback
+		return 0, err
+	}
+	s.installed[id] = slice
+	return len(slice.Handler), nil
 }
 
 func (s *clusterSink) Discard(id uint64) {
@@ -578,33 +442,10 @@ func (s *clusterSink) Discard(id uint64) {
 
 // --- wire blobs -----------------------------------------------------------------
 
-// Blob kinds inside State frames. The frame layer already checksums and
-// sequences; these bytes only say what the payload is.
-const (
-	wirePart    byte = 1 // part of the slice: pre-copied flows, or the fresh scheduling entries + quarantine marks
-	wireDelta   byte = 2 // one flow frame picked out of a delta record
-	wireReplace byte = 3 // authoritative full slice (fallback path)
-)
-
-func encodeWireDelta(vid uint64, frame []byte) []byte {
+// encodeWireSlice encodes the one slice a handoff's State frame carries;
+// the frame layer already checksums and sequences it.
+func encodeWireSlice(s *pipeline.FlowSlice) ([]byte, error) {
 	var buf bytes.Buffer
-	buf.WriteByte(wireDelta)
-	enc := snapshot.NewRawEncoder(&buf)
-	enc.U64(vid)
-	enc.Bytes(frame)
-	return buf.Bytes()
-}
-
-func decodeWireDelta(payload []byte) (pipeline.FlowDelta, error) {
-	dec := snapshot.NewRawDecoder(payload)
-	d := pipeline.FlowDelta{VID: dec.U64()}
-	d.Data = bytes.Clone(dec.Bytes())
-	return d, dec.Err()
-}
-
-func encodeWireSlice(kind byte, s *pipeline.FlowSlice) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteByte(kind)
 	enc := snapshot.NewRawEncoder(&buf)
 	enc.U32(uint32(len(s.Handler)))
 	for _, hf := range s.Handler {

@@ -10,6 +10,7 @@ import (
 	"hilti/internal/pkt/flow"
 	"hilti/internal/pkt/pcap"
 	"hilti/internal/pkt/pipeline"
+	"hilti/internal/rt/admission"
 	"hilti/internal/rt/migrate"
 )
 
@@ -128,21 +129,16 @@ func TestClusterEquivalenceUnderMigration(t *testing.T) {
 		if err := c.CheckOwnership(); err != nil {
 			t.Errorf("%s: after close: %v", label, err)
 		}
-		tail, fallback := c.HandoffStats()
-		if tail+fallback != handoffs {
-			t.Errorf("%s: %d handoffs committed, want %d", label, tail+fallback, handoffs)
+		commits := c.Ledger().Instance(0).Commits + c.Ledger().Instance(1).Commits
+		if commits != handoffs {
+			t.Errorf("%s: %d handoffs committed, want %d", label, commits, handoffs)
 		}
-		if wal && tail == 0 {
-			t.Errorf("%s: no handoff used the WAL delta tail (all fell back)", label)
-		}
-		t.Logf("%s: %d tail handoffs, %d fallback", label, tail, fallback)
 	}
 }
 
 // TestClusterLiveMigrationWindow: packets flow between BeginMigration and
-// Complete — the definition of *live* migration. The pre-copy goes stale
-// while the source keeps processing; the delta tail (or fallback) must
-// reconcile it, byte-identically.
+// Complete — the definition of *live* migration. The source keeps
+// processing the bucket until Complete extracts it, byte-identically.
 func TestClusterLiveMigrationWindow(t *testing.T) {
 	pkts := mergedTrace(t)
 	want := singleBaseline(t, pkts)
@@ -158,7 +154,7 @@ func TestClusterLiveMigrationWindow(t *testing.T) {
 	feedSlice(t, c, pkts, 0, third)
 	// Drain instance 0 one bucket at a time (the endpoint holds one
 	// session), feeding a window of traffic between each Begin and
-	// Complete: the pre-copy goes stale and the tail must reconcile it.
+	// Complete.
 	var mine []int
 	for b := 0; b < c.Table().Buckets(); b++ {
 		if c.Table().OwnerOf(b) == 0 {
@@ -360,6 +356,23 @@ func TestClusterScaleOutIn(t *testing.T) {
 	if err := c.CheckOwnership(); err != nil {
 		t.Error(err)
 	}
+	// The cluster-wide packet ledger: every packet fed was offered to
+	// exactly one instance, the retired one included, and processed there.
+	ledgers := c.PacketLedgers()
+	if len(ledgers) != 3 {
+		t.Fatalf("%d packet ledgers, want 3 (retired instance included)", len(ledgers))
+	}
+	var offered, processed uint64
+	for i, l := range ledgers {
+		if !l.Balanced() {
+			t.Errorf("instance %d packet ledger unbalanced: %+v", i, l)
+		}
+		offered += l.Offered
+		processed += l.Fates[admission.FateProcessed]
+	}
+	if offered != uint64(len(pkts)) || processed != uint64(len(pkts)) {
+		t.Errorf("instances offered %d and processed %d packets, fed %d", offered, processed, len(pkts))
+	}
 }
 
 // TestClusterDiscardAfterInstall exercises the one path the coordinator
@@ -392,7 +405,7 @@ func TestClusterDiscardAfterInstall(t *testing.T) {
 	if slice.Empty() {
 		t.Skip("bucket drew no flows; nothing to exercise")
 	}
-	blob, err := encodeWireSlice(wireReplace, slice)
+	blob, err := encodeWireSlice(slice)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +467,7 @@ func TestClusterRefusesSecondSessionWhileInstalled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := encodeWireSlice(wireReplace, slice)
+	blob, err := encodeWireSlice(slice)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,9 +79,9 @@ func FuzzEngineFeedBinpac(f *testing.F) {
 	})
 }
 
-// FuzzEngineStateDecode throws arbitrary bytes at the four entry points of
+// FuzzEngineStateDecode throws arbitrary bytes at the three entry points of
 // the engine-state decoder — a full checkpoint, a delta record, an injected
-// flow frame, a delta-tail flow frame. Each must return an error or
+// flow frame. Each must return an error or
 // succeed; none may panic or size an allocation from a length it has not
 // checked against the input. The framing layers around these bytes have
 // their own targets (FuzzSnapshotDecode, FuzzWALDecode,
@@ -110,7 +110,11 @@ func FuzzEngineStateDecode(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(uint8(1), rec)
-		pickFlowFrames(rec, func(_ string, frame []byte) { f.Add(uint8(3), frame) }) //nolint:errcheck
+		// A delta record's frames (tombstones, connection-less table
+		// ops) are what InjectFlow must refuse.
+		for _, frame := range recordFrames(f, rec) {
+			f.Add(uint8(2), frame)
+		}
 	}
 	var full bytes.Buffer
 	if err := src.Checkpoint(&full); err != nil {
@@ -127,15 +131,13 @@ func FuzzEngineStateDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, entry uint8, data []byte) {
 		e := fuzzEngine(t, "standard")
-		switch entry % 4 {
+		switch entry % 3 {
 		case 0:
 			RestoreEngine(cfg, bytes.NewReader(data)) //nolint:errcheck
 		case 1:
 			e.ApplyDelta(data) //nolint:errcheck
 		case 2:
 			e.InjectFlow(data) //nolint:errcheck
-		case 3:
-			e.ApplyFlowDelta(data) //nolint:errcheck
 		}
 	})
 }

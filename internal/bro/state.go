@@ -45,10 +45,10 @@
 //     journal could observe. Rebase writes the full checkpoint the next
 //     deltas build on by patching the previous one: the frames no delta
 //     touched are copied, the sections encoded as ever.
-//   - Flow migration (ExtractFlow / InjectFlow / ApplyFlowDelta): one flow
-//     frame, or the frames picked by uid out of delta records. Applied in
-//     adopt mode: ctx and seq are instance-local, so the target assigns its
-//     own, and nothing engine-global (counters, clocks, logs) moves.
+//   - Flow migration (ExtractFlow / InjectFlow): one live flow's frame,
+//     built directly. Applied in adopt mode: ctx and seq are
+//     instance-local, so the target assigns its own, and nothing
+//     engine-global (counters, clocks, logs) moves.
 //
 // Limits: a frame counts as untouched on the word of the dirty marks, and
 // an aggregate reachable from two table entries is marked only under the
@@ -479,9 +479,13 @@ func (e *Engine) ExtractFlow(key flow.Key) ([]byte, error) {
 
 // InjectFlow installs a shipped flow frame. The install is
 // counter-neutral: the flow was opened on its first instance and closes on
-// its last. A flow already present is a double-ownership violation and
-// fails the install.
+// its last. Only a live flow the engine does not hold is installed: a
+// tombstone or a frame without a connection is refused, and a flow already
+// present is a double-ownership violation. A refused frame changes nothing.
 func (e *Engine) InjectFlow(blob []byte) (flow.Key, error) {
+	if e.sexec != nil {
+		return flow.Key{}, errPerFlowBackend
+	}
 	dec := snapshot.NewRawDecoder(blob)
 	uid, flags, key := frameHeader(dec)
 	if err := dec.Err(); err != nil {
@@ -493,17 +497,7 @@ func (e *Engine) InjectFlow(blob []byte) (flow.Key, error) {
 	if e.HasFlow(key) {
 		return flow.Key{}, fmt.Errorf("bro: flow %s already present (double ownership)", uid)
 	}
-	ck, _, err := e.applyFrame(blob, true)
-	return ck, err
-}
-
-// ApplyFlowDelta applies one flow frame picked out of the source's delta
-// records, moving exactly the named flow. The first result reports whether
-// the frame closed the flow, so the caller can keep its net-live
-// accounting exact.
-func (e *Engine) ApplyFlowDelta(data []byte) (bool, error) {
-	_, closed, err := e.applyFrame(data, true)
-	return closed, err
+	return e.applyFrame(blob, true)
 }
 
 // ForgetFlow releases a flow after a committed handoff: connection state
@@ -519,30 +513,6 @@ func (e *Engine) ForgetFlow(key flow.Key) bool {
 	e.dropFlowScriptState(c.uid)
 	e.markConnClosed(c)
 	return true
-}
-
-// pickFlowFrames walks one delta record's flow frames, handing fn each
-// frame's uid and bytes; the sections behind the frames are never parsed.
-// This is how a migration's delta tail is cut out of the source's WAL.
-func pickFlowFrames(record []byte, fn func(uid string, frame []byte)) error {
-	dec := snapshot.NewRawDecoder(record)
-	n := dec.Len(frameMin)
-	for i := 0; i < n; i++ {
-		frame := dec.Bytes()
-		uid, err := frameUID(frame)
-		if dec.Err() != nil || err != nil {
-			return errors.Join(dec.Err(), err)
-		}
-		fn(uid, frame)
-	}
-	return dec.Err()
-}
-
-// frameUID reads a flow frame's label.
-func frameUID(frame []byte) (string, error) {
-	dec := snapshot.NewRawDecoder(frame)
-	uid := dec.String()
-	return uid, dec.Err()
 }
 
 // --- encoding ------------------------------------------------------------------
@@ -1277,7 +1247,7 @@ func (e *Engine) applyState(dec *snapshot.Decoder) error {
 		return err
 	}
 	for _, frame := range frames {
-		if _, _, err := e.applyFrame(frame, false); err != nil {
+		if _, err := e.applyFrame(frame, false); err != nil {
 			return err
 		}
 	}
@@ -1293,41 +1263,33 @@ func (e *Engine) applyState(dec *snapshot.Decoder) error {
 
 // applyFrame applies one flow frame: tombstone, connection, table ops.
 // Replay (adopt false) reproduces the encoding engine exactly. Adopt is
-// the migration path: ctx and seq are instance-local, so an incoming
-// connection takes the ctx of the one it replaces (or a fresh one) and
-// new entries join the end of the target's tables; a tombstone also drops
-// the flow's script entries, as nothing here will ever close it.
-func (e *Engine) applyFrame(frame []byte, adopt bool) (flow.Key, bool, error) {
-	if adopt && e.sexec != nil {
-		return flow.Key{}, false, errPerFlowBackend
-	}
+// the migration path, which InjectFlow only opens for a live flow the
+// engine does not hold: ctx and seq are instance-local, so the incoming
+// connection takes a fresh ctx and new entries join the end of the
+// target's tables.
+func (e *Engine) applyFrame(frame []byte, adopt bool) (flow.Key, error) {
 	dec := snapshot.NewRawDecoder(frame)
 	uid, flags, key := frameHeader(dec)
 	if err := dec.Err(); err != nil {
-		return flow.Key{}, false, err
+		return flow.Key{}, err
 	}
 	ck, _ := key.Canonical()
-	closed := false
 	if flags&ffClosed != 0 {
 		if c, ok := e.conns[ck]; ok && c.uid == uid {
 			e.dropConnState(c)
 			e.markConnClosed(c)
-			closed = true
 		}
 	}
 	if flags&ffConn != 0 {
 		c, err := decodeConn(dec, e, uid, key)
 		if err != nil {
-			return ck, false, err
+			return ck, err
 		}
-		old := e.conns[ck]
-		if adopt && old != nil {
-			c.ctx = old.ctx
-		} else if adopt {
+		if adopt {
 			c.ctx = e.nextCtx
 			e.nextCtx++
 		}
-		if old != nil {
+		if old := e.conns[ck]; old != nil {
 			e.dropConnState(old)
 		}
 		if old := e.ctxs[c.ctx]; old != nil {
@@ -1336,24 +1298,20 @@ func (e *Engine) applyFrame(frame []byte, adopt bool) (flow.Key, bool, error) {
 		e.conns[ck] = c
 		e.ctxs[c.ctx] = c
 		e.markConnDirty(c)
-		closed = false
 	}
 	nt := dec.Len(12)
 	for i := 0; i < nt && dec.Err() == nil; i++ {
 		name := dec.String()
 		t, ok := e.interp.Globals[name].(*TableVal)
 		if !ok {
-			return ck, false, errors.Join(dec.Err(), fmt.Errorf("bro: flow frame names non-table global %q", name))
+			return ck, errors.Join(dec.Err(), fmt.Errorf("bro: flow frame names non-table global %q", name))
 		}
 		applyTableOps(dec, t, e.interp, adopt)
-	}
-	if adopt && closed {
-		e.dropFlowScriptState(uid)
 	}
 	if nt > 0 {
 		e.markInterpDirty()
 	}
-	return ck, closed, dec.Err()
+	return ck, dec.Err()
 }
 
 // dropConnState removes a connection without events or counter updates,

@@ -11,6 +11,7 @@ import (
 	"hilti/internal/pkt/gen"
 	"hilti/internal/pkt/pcap"
 	"hilti/internal/rt/ruleplane"
+	"hilti/internal/rt/snapshot"
 	"hilti/internal/rt/wal"
 )
 
@@ -131,6 +132,81 @@ func viewFlow(t *testing.T, cfg Config, pkts []pcap.Packet, cut int, _ *rand.Ran
 		}
 	}
 	return []*Engine{a, b}, cut
+}
+
+// TestInjectFlowRefusesNonLiveFrames: InjectFlow installs only a live flow
+// the engine does not hold. A tombstone cut from a real delta record, a
+// frame with no connection, and a frame for a flow already present are each
+// refused with an error and leave the engine's state as it was.
+func TestInjectFlowRefusesNonLiveFrames(t *testing.T) {
+	cfg := Config{Parser: "standard", ScriptExec: "interp",
+		Scripts: []string{HTTPScript, FilesScript, DNSScript}, Quiet: true}
+	pkts := mergedTrace(t)
+	src := mustEngine(t, cfg)
+	if err := src.ResetDeltaBase(); err != nil {
+		t.Fatal(err)
+	}
+	var tomb []byte
+	at := 0
+	for ; at < len(pkts) && tomb == nil; at++ {
+		feed(src, pkts[at:at+1])
+		rec, err := src.AppendDelta()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, frame := range recordFrames(t, rec) {
+			if _, flags, _ := frameHeader(snapshot.NewRawDecoder(frame)); flags == ffClosed {
+				tomb = frame
+				break
+			}
+		}
+	}
+	if tomb == nil {
+		t.Fatal("no flow closed in the trace")
+	}
+	// Just before the closing packet the engine still holds the flow.
+	holder := referenceEngine(t, cfg, pkts, at-1)
+	_, _, closedKey := frameHeader(snapshot.NewRawDecoder(tomb))
+	if !holder.HasFlow(closedKey) {
+		t.Fatal("tombstoned flow not live before its closing packet")
+	}
+	// A live flow with script entries, as a frame without its connection
+	// and as the whole frame.
+	live := holder.MigratableFlows()[0]
+	for _, key := range holder.MigratableFlows() {
+		if ck, _ := key.Canonical(); labelledEntries(holder, holder.conns[ck].uid) > 0 {
+			live = key
+			break
+		}
+	}
+	ck, _ := live.Canonical()
+	var f flowFrame
+	holder.liveFrame(&f, holder.conns[ck].uid, nil)
+	enc := snapshot.NewAppender(nil)
+	encodeFrame(enc, &f)
+	connless := enc.Buffer()
+	present, err := holder.ExtractFlow(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	refuse := func(name string, e *Engine, frame []byte) {
+		t.Helper()
+		before := checkpointBytes(t, e)
+		if _, err := e.InjectFlow(frame); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if !bytes.Equal(checkpointBytes(t, e), before) {
+			t.Errorf("%s: refused frame changed engine state", name)
+		}
+	}
+	refuse("tombstone, flow held", holder, tomb)
+	refuse("tombstone, flow absent", mustEngine(t, cfg), tomb)
+	refuse("no connection", mustEngine(t, cfg), connless)
+	refuse("flow already present", holder, present)
+	if !holder.HasFlow(closedKey) || !holder.HasFlow(live) {
+		t.Error("a refused frame dropped a held flow")
+	}
 }
 
 // TestStateViewsResumeIdentically is the codec's property test: a seeded

@@ -17,16 +17,13 @@
 package pipeline
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sort"
 
 	"hilti/internal/pkt/flow"
-	"hilti/internal/rt/snapshot"
 	"hilti/internal/rt/threads"
 	"hilti/internal/rt/timer"
-	"hilti/internal/rt/wal"
 )
 
 // MigratableHandler is the handler contract for live migration: per-flow
@@ -95,15 +92,10 @@ func (s *FlowSlice) Empty() bool {
 	return len(s.Handler) == 0 && len(s.Sched) == 0 && len(s.Quar) == 0
 }
 
-// ErrClosed reports a migration-surface call on a closed pipeline.
-var ErrClosed = errors.New("pipeline: closed")
-
-var errPipelineClosed = ErrClosed
-
 // onWorkers runs fn on every worker's own goroutine and collects errors.
 func (p *Pipeline) onWorkers(fn func(i int, sl *wslot) error) error {
 	if p.closed.Load() {
-		return errPipelineClosed
+		return ErrClosed
 	}
 	n := len(p.slots)
 	errs := make([]error, n)
@@ -262,7 +254,7 @@ func (p *Pipeline) ForgetFlows(s *FlowSlice) error {
 // Used by the ownership invariant harness after every handoff.
 func (p *Pipeline) OwnsFlow(key flow.Key, vid uint64) (bool, error) {
 	if p.closed.Load() {
-		return false, errPipelineClosed
+		return false, ErrClosed
 	}
 	i := p.sched.WorkerIndex(vid)
 	owned := false
@@ -334,129 +326,4 @@ func (p *Pipeline) refreshShardBase(sl *wslot) {
 		blob = nil
 	}
 	sl.setCkpt(blob)
-}
-
-// --- WAL delta tails -----------------------------------------------------------
-
-// WALCursors returns each worker's current WAL position (WAL mode only).
-// The cluster records them when a handoff session opens; the delta tail
-// shipped at completion starts here instead of rescanning the whole
-// segment tail.
-func (p *Pipeline) WALCursors() ([]wal.Cursor, error) {
-	if !p.cfg.WAL {
-		return nil, errors.New("pipeline: WAL mode off")
-	}
-	if p.closed.Load() {
-		return nil, errPipelineClosed
-	}
-	out := make([]wal.Cursor, len(p.slots))
-	for i := range p.slots {
-		sl := p.slots[i].Load()
-		sl.mu.Lock()
-		out[i] = sl.wlog.Cursor()
-		sl.mu.Unlock()
-	}
-	return out, nil
-}
-
-// FlowDelta is one per-flow handler delta tagged with the flow's virtual
-// id, so the target can route its application to the owning worker.
-type FlowDelta struct {
-	VID  uint64
-	Data []byte
-}
-
-// FlowDeltaApplier is the optional handler surface for replaying a
-// migration's delta tail: Data is one flow's part of one of the handler's
-// own delta records (the source cut it out before shipping). closed
-// reports that it carried the flow's close tombstone — the flow is gone
-// from the handler afterwards.
-type FlowDeltaApplier interface {
-	ApplyFlowDelta(data []byte) (closed bool, err error)
-}
-
-// ApplyFlowDeltas replays per-flow deltas on each flow's owning
-// worker, preserving per-flow order, and returns how many flows the tail
-// closed. Like InjectFlows it refreshes the touched shards' persistence
-// base: the deltas mutated handler state outside the packet path.
-func (p *Pipeline) ApplyFlowDeltas(deltas []FlowDelta) (closed int, err error) {
-	byWorker := make([][]FlowDelta, len(p.slots))
-	for _, d := range deltas {
-		i := p.sched.WorkerIndex(d.VID)
-		byWorker[i] = append(byWorker[i], d)
-	}
-	counts := make([]int, len(p.slots))
-	err = p.onWorkers(func(i int, sl *wslot) error {
-		part := byWorker[i]
-		if len(part) == 0 {
-			return nil
-		}
-		fa, ok := sl.h.(FlowDeltaApplier)
-		if !ok {
-			return fmt.Errorf("worker %d: handler cannot apply flow deltas", i)
-		}
-		for _, d := range part {
-			c, err := fa.ApplyFlowDelta(d.Data)
-			if err != nil {
-				return fmt.Errorf("worker %d: apply flow delta: %w", i, err)
-			}
-			if c {
-				counts[i]++
-			}
-		}
-		p.refreshShardBase(sl)
-		return nil
-	})
-	for _, c := range counts {
-		closed += c
-	}
-	return closed, err
-}
-
-// FlowDeltasSince returns the handler delta records embedded in worker
-// i's WAL job records since cur, but only for flows selected by match —
-// the per-flow replay cursor: an unrelated flow's records are neither
-// returned nor decoded beyond their fixed header. The second result
-// counts records match skipped. A stale cursor (the log re-based
-// since) surfaces as wal.ErrStaleCursor; callers fall back to a fresh
-// full extract.
-func (p *Pipeline) FlowDeltasSince(i int, cur wal.Cursor, match func(vid uint64) bool) (deltas []FlowDelta, skipped int, err error) {
-	if !p.cfg.WAL {
-		return nil, 0, errors.New("pipeline: WAL mode off")
-	}
-	if p.closed.Load() {
-		return nil, 0, errPipelineClosed
-	}
-	sl := p.slots[i].Load()
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	_, err = sl.wlog.ReplaySince(cur, func(kind byte, payload []byte) error {
-		if kind != walJobRecord {
-			return nil
-		}
-		dec := snapshot.NewRawDecoder(payload)
-		dec.I64() // ts
-		vid := dec.U64()
-		if dec.Err() != nil {
-			return dec.Err()
-		}
-		if !match(vid) {
-			skipped++
-			return nil
-		}
-		dec.Bool()  // hasKey
-		dec.Bytes() // raw key
-		dec.U32()   // frame length
-		dec.U8()    // outcome
-		dec.U8()    // tier
-		if dec.Bool() {
-			d := dec.Bytes()
-			if err := dec.Err(); err != nil {
-				return err
-			}
-			deltas = append(deltas, FlowDelta{VID: vid, Data: bytes.Clone(d)})
-		}
-		return dec.Err()
-	})
-	return deltas, skipped, err
 }

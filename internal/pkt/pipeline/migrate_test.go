@@ -323,65 +323,6 @@ func (h *panicOnByteHandler) InjectFlow(b []byte) (flow.Key, error) { return h.i
 func (h *panicOnByteHandler) ForgetFlow(k flow.Key) bool            { return h.inner.ForgetFlow(k) }
 func (h *panicOnByteHandler) HasFlow(k flow.Key) bool               { return h.inner.HasFlow(k) }
 
-// TestFlowDeltasSinceFiltersByFlow: the per-flow WAL replay cursor
-// returns only the matched flow's delta records; an unrelated flow's
-// records are skipped (counted, not decoded, not returned) — the
-// regression test that migration tails do not drag bystander flows.
-func TestFlowDeltasSinceFiltersByFlow(t *testing.T) {
-	p, err := New(deltaCfg(1, 0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	a, b := [4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 7}
-	keyA, _ := flow.FromIPv4(a, b, 6000, 53, 17).Canonical()
-	keyB, _ := flow.FromIPv4(a, b, 6001, 53, 17).Canonical()
-	vidA, vidB := keyA.Hash(), keyB.Hash()
-	if vidA == vidB {
-		t.Fatal("test flows collide")
-	}
-	// Pre-cursor traffic on both flows must not appear in the tail.
-	for i := 0; i < 3; i++ {
-		p.Feed(int64(i), frame(a, b, 6000, 53, []byte{1})) //nolint:errcheck
-		p.Feed(int64(i), frame(a, b, 6001, 53, []byte{2})) //nolint:errcheck
-	}
-	quiesce(t, p)
-	curs, err := p.WALCursors()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const postA, postB = 5, 4
-	for i := 0; i < postA; i++ {
-		p.Feed(int64(10+i), frame(a, b, 6000, 53, []byte{3})) //nolint:errcheck
-	}
-	for i := 0; i < postB; i++ {
-		p.Feed(int64(10+i), frame(a, b, 6001, 53, []byte{4})) //nolint:errcheck
-	}
-	quiesce(t, p)
-	deltas, skipped, err := p.FlowDeltasSince(0, curs[0], func(v uint64) bool { return v == vidB })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(deltas) != postB {
-		t.Fatalf("delta tail has %d records, want %d (flow B only)", len(deltas), postB)
-	}
-	if skipped != postA {
-		t.Fatalf("skipped %d unrelated records, want %d", skipped, postA)
-	}
-	// A committed migration re-bases the shard (log reset); a cursor from
-	// before it must be refused, not half-answered.
-	slice, err := p.ExtractFlows(func(v uint64) bool { return v == vidA })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.ForgetFlows(slice); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := p.FlowDeltasSince(0, curs[0], func(uint64) bool { return true }); err == nil {
-		t.Fatal("stale cursor accepted after re-base")
-	}
-}
-
 // TestWorkerHealthSurfaced: the supervisor's quarantine/replacement state
 // shows up in WorkerStats — flagged with a live cooldown while the slot
 // serves a quarantine, cleared after reinstatement, with lifetime counts

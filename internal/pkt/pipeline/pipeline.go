@@ -594,12 +594,15 @@ func (p *Pipeline) FinalCheckpointErr() error {
 	return p.finalErr
 }
 
+// ErrClosed reports a call on a closed pipeline.
+var ErrClosed = errors.New("pipeline: closed")
+
 // Feed routes one frame to its flow's worker and blocks while Ingress
 // packets are already in flight. The frame is deep-copied; the caller may
 // reuse the buffer. Feed is single-producer: call it from one goroutine.
 func (p *Pipeline) Feed(tsNs int64, frame []byte) error {
 	if p.closed.Load() {
-		return fmt.Errorf("pipeline: closed")
+		return ErrClosed
 	}
 	p.offered.Add(1)
 	// The virtual-thread ID is the flow hash (§3.2). Unkeyable frames
@@ -904,7 +907,7 @@ func (p *Pipeline) Kill() {
 // before Close/Kill; from the feeding goroutine the cut is exact.
 func (p *Pipeline) Checkpoint(w io.Writer) error {
 	if p.closed.Load() {
-		return fmt.Errorf("pipeline: closed")
+		return ErrClosed
 	}
 	return p.checkpoint(w)
 }

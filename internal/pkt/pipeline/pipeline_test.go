@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"errors"
+	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -316,6 +318,22 @@ func TestFeedAfterCloseErrors(t *testing.T) {
 		t.Fatal("Feed after Close should error")
 	}
 	p.Close() // idempotent
+}
+
+// TestClosedPipelineReturnsErrClosed: every call refused on a closed
+// pipeline says so with the one sentinel.
+func TestClosedPipelineReturnsErrClosed(t *testing.T) {
+	p, _ := newRecPipeline(t, Config{Workers: 2})
+	p.Close()
+	if err := p.Feed(0, frame([4]byte{1, 1, 1, 1}, [4]byte{2, 2, 2, 2}, 1, 2, nil)); !errors.Is(err, ErrClosed) {
+		t.Errorf("Feed after Close: %v, want ErrClosed", err)
+	}
+	if err := p.Checkpoint(io.Discard); !errors.Is(err, ErrClosed) {
+		t.Errorf("Checkpoint after Close: %v, want ErrClosed", err)
+	}
+	if _, err := p.ExtractFlows(func(uint64) bool { return true }); !errors.Is(err, ErrClosed) {
+		t.Errorf("ExtractFlows after Close: %v, want ErrClosed", err)
+	}
 }
 
 // TestUnkeyableFramesDeterministic: non-IP frames all land on vthread 0's

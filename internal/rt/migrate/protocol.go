@@ -280,8 +280,8 @@ type Result struct {
 // Coordinator drives the source side of one handoff session. The caller
 // sequences it: Begin, Ship for each state blob, Activate, Commit —
 // quiescing and snapshotting between calls as its pipeline requires (the
-// two-phase cluster rebalance ships a bulk pre-copy after Begin and the
-// per-flow delta tail before Activate). Any failed call aborts the
+// cluster ships one slice, extracted at its quiesce, between Begin and
+// Activate). Any failed call aborts the
 // session; afterwards only Abort/Result are useful.
 type Coordinator struct {
 	tr   Transport

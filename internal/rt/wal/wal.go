@@ -29,7 +29,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 )
@@ -217,13 +216,14 @@ func (r *Reader) Offset() int { return r.off }
 // Log is a sequence of segments: closed (frozen) segments plus one open
 // segment receiving appends. Append rotates to a fresh segment once the
 // open one exceeds the configured threshold; Reset truncates everything,
-// which is what a checkpoint does after writing a new full snapshot.
+// which is what a checkpoint does after writing a new full snapshot. A log
+// is only ever read whole, from its last Reset: Segments hands every
+// record to Replay.
 type Log struct {
 	segBytes int
 	done     [][]byte
 	cur      *Writer
 	recs     int
-	gen      uint64
 }
 
 // NewLog creates an empty log rotating segments at segBytes (0 selects
@@ -232,7 +232,7 @@ func NewLog(segBytes int) *Log {
 	if segBytes <= 0 {
 		segBytes = DefaultSegmentBytes
 	}
-	return &Log{segBytes: segBytes, cur: NewWriter(), gen: 1}
+	return &Log{segBytes: segBytes, cur: NewWriter()}
 }
 
 // Append adds one record; the payload is copied.
@@ -275,15 +275,13 @@ func (l *Log) Rotate() {
 }
 
 // Reset discards all segments: the log restarts empty, as after a full
-// snapshot made every prior delta redundant. Cursors taken before a Reset
-// are invalidated (their generation no longer matches). The open segment's
-// buffer starts over in place — Segments only ever hands out copies of it —
-// so a log reset at a steady cadence stops allocating.
+// snapshot made every prior delta redundant. The open segment's buffer
+// starts over in place — Segments only ever hands out copies of it — so a
+// log reset at a steady cadence stops allocating.
 func (l *Log) Reset() {
 	l.done = nil
 	l.cur = &Writer{buf: l.cur.buf[:headerSize]}
 	l.recs = 0
-	l.gen++
 }
 
 // Segments returns the log's segments in append order. Closed segments
@@ -311,49 +309,6 @@ func (l *Log) Size() int {
 
 // Records returns the total number of records across all segments.
 func (l *Log) Records() int { return l.recs }
-
-// Cursor marks a position in a Log's record stream so a later ReplaySince
-// can iterate only the records appended afterwards — the mechanism behind
-// per-flow migration delta tails, which must not rescan (or re-apply) the
-// whole segment tail. The generation ties the cursor to the log's life
-// between Resets: a full-snapshot re-base makes old cursors meaningless,
-// so using one afterwards is an error, never a silent wrong answer.
-type Cursor struct {
-	Gen uint64 // log generation the cursor was taken in
-	Rec int    // records appended before the cursor
-}
-
-// ErrStaleCursor reports a cursor from before the log's last Reset.
-var ErrStaleCursor = errors.New("wal: cursor predates log reset")
-
-// Cursor returns the current position (just past the last appended
-// record).
-func (l *Log) Cursor() Cursor { return Cursor{Gen: l.gen, Rec: l.recs} }
-
-// ReplaySince calls fn for every record appended at or after cursor c, in
-// order, returning how many records fn saw. A cursor from a previous
-// generation returns ErrStaleCursor (the caller should fall back to a
-// full snapshot); a cursor beyond the end is an error likewise.
-func (l *Log) ReplaySince(c Cursor, fn func(kind byte, payload []byte) error) (int, error) {
-	if c.Gen != l.gen {
-		return 0, fmt.Errorf("%w (cursor gen %d, log gen %d)", ErrStaleCursor, c.Gen, l.gen)
-	}
-	if c.Rec < 0 || c.Rec > l.recs {
-		return 0, fmt.Errorf("wal: cursor at record %d, log has %d", c.Rec, l.recs)
-	}
-	skip, delivered := c.Rec, 0
-	// In place: the caller excludes appends, so the open segment needs no copy.
-	segs := append(l.done[:len(l.done):len(l.done)], l.cur.Bytes())
-	_, err := Replay(segs, func(kind byte, payload []byte) error {
-		if skip > 0 {
-			skip--
-			return nil
-		}
-		delivered++
-		return fn(kind, payload)
-	})
-	return delivered, err
-}
 
 // Replay iterates every record of segs in order, calling fn for each. It
 // is strict: damage anywhere — a truncated tail, a checksum mismatch, a
