@@ -1003,12 +1003,13 @@ func (h *harness) vmopt(chk *checker) {
 }
 
 // dnsMallocsCeiling bounds heap objects per DNS datagram for the whole
-// engine (BinPAC++ parser, interpreted dns.bro, logs kept) at -O1: 93.8
-// when it was set. A boxed tuple per custom-function call (parse_name
-// returning through two registers) would add 4.4, copying every input
-// sub-range instead of viewing it 7.5, one operand array per generic
-// instruction about 120.
-const dnsMallocsCeiling = 97
+// engine (BinPAC++ parser, interpreted dns.bro, logs kept) at -O1: 87.1
+// when it was set (93.8 before name labels were appended straight from
+// the datagram). A boxed tuple per custom-function call (parse_name
+// returning through two registers) would add 4.3, one operand array per
+// generic instruction 40.7; copying every input sub-range instead of
+// viewing it adds only 0.7 now that no label is a sub-range.
+const dnsMallocsCeiling = 90
 
 // --- tiered execution -------------------------------------------------------------
 

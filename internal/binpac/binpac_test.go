@@ -344,3 +344,64 @@ func TestValidateErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedSwitchMembers: a name repeated across the alternatives of one
+// switch, the default included, is one member, which whichever alternative
+// parses sets. Anywhere else a repeated name is still a duplicate.
+func TestSharedSwitchMembers(t *testing.T) {
+	bytesField := func(name string, n int64) *Field {
+		return &Field{Name: name, Kind: FBytes, Length: ConstSrc(n)}
+	}
+	msg := func(fields ...*Field) *Grammar {
+		return &Grammar{Name: "S", Top: "Msg", Units: []*Unit{{Name: "Msg", Fields: append(
+			[]*Field{{Name: "tag", Kind: FUInt, Width: 8}}, fields...)}}}
+	}
+	swOn := func(on string, cases [][]*Field, dflt ...*Field) *Field {
+		f := &Field{Kind: FSwitch, On: FieldSrc(on), Default: dflt}
+		for i, fs := range cases {
+			f.Cases = append(f.Cases, Case{Value: int64(i + 1), Fields: fs})
+		}
+		return f
+	}
+	sw := func(cases [][]*Field, dflt ...*Field) *Field { return swOn("tag", cases, dflt...) }
+
+	g := msg(sw([][]*Field{
+		{bytesField("v", 2)},
+		{bytesField("v", 4)},
+		{{Name: "sub", Kind: FUInt, Width: 8},
+			swOn("sub", [][]*Field{{bytesField("v", 1)}, {bytesField("w", 1)}}, bytesField("v", 3))},
+	}, &Field{Name: "v", Kind: FUInt, Width: 8}))
+	mod, err := Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, f := range mod.Types["Msg"].StructDef.Fields {
+		names = append(names, f.Name)
+	}
+	if got := strings.Join(names, " "); got != "tag v sub w" {
+		t.Fatalf("members %q, want \"tag v sub w\"", got)
+	}
+	ex := compileAndExec(t, g)
+	for in, want := range map[string]string{"\x01ab": "ab", "\x02wxyz": "wxyz", "\x03\x01c": "c", "\x03\x09def": "def", "\x07\x2a": "42"} {
+		obj, err := ex.Call("S::Msg_parse", values.BytesFrom([]byte(in)))
+		if err != nil {
+			t.Fatalf("%q: %v", in, err)
+		}
+		if got := fieldStr(t, obj, "v"); got != want {
+			t.Errorf("%q: v = %q, want %q", in, got, want)
+		}
+	}
+
+	for name, g := range map[string]*Grammar{
+		"twice in one alternative":            msg(sw([][]*Field{{bytesField("v", 1), bytesField("v", 1)}})),
+		"in two switches":                     msg(sw([][]*Field{{bytesField("v", 1)}}), sw([][]*Field{{bytesField("v", 1)}})),
+		"in an alternative and a plain field": msg(bytesField("v", 1), sw([][]*Field{{bytesField("v", 1)}})),
+		"in an alternative and an enclosing one's sibling": msg(sw([][]*Field{
+			{bytesField("v", 1), sw([][]*Field{{bytesField("v", 1)}})}})),
+	} {
+		if _, err := Compile(g); err == nil || !strings.Contains(err.Error(), `duplicate member "v"`) {
+			t.Errorf("%s: %v, want a duplicate member", name, err)
+		}
+	}
+}

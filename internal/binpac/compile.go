@@ -90,6 +90,25 @@ func (c *compiler) fieldValueType(f *Field) *types.Type {
 	}
 }
 
+// alt is one alternative of a switch field: a case index, or -1 for the
+// default.
+type alt struct {
+	sw *Field
+	i  int
+}
+
+// exclusive reports whether fields reached through alternative paths p and
+// q never both parse: where the paths first part, they take different
+// alternatives of one switch.
+func exclusive(p, q []alt) bool {
+	for i := 0; i < len(p) && i < len(q); i++ {
+		if p[i] != q[i] {
+			return p[i].sw == q[i].sw
+		}
+	}
+	return false
+}
+
 func (c *compiler) structType(u *Unit) (*types.Type, error) {
 	def := &types.StructDef{Name: u.Name}
 	add := func(name string, t *types.Type, dflt values.Value) error {
@@ -102,21 +121,34 @@ func (c *compiler) structType(u *Unit) (*types.Type, error) {
 	// Collect named fields (including those inside switch alternatives).
 	// The runtime struct needs names and defaults; precise value types are
 	// advisory in this backend, so unresolved sub-unit types stay nil here.
-	var walk func(fs []*Field) error
-	walk = func(fs []*Field) error {
+	// A name may repeat across alternatives of one switch: only one of them
+	// parses, so they share one member, as a P4 header_union's members do.
+	paths := map[string][][]alt{} // every alternative path a name was seen on
+	var walk func(fs []*Field, path []alt) error
+	walk = func(fs []*Field, path []alt) error {
 		for _, f := range fs {
 			if f.Kind == FSwitch {
-				for _, cs := range f.Cases {
-					if err := walk(cs.Fields); err != nil {
+				for i, cs := range f.Cases {
+					if err := walk(cs.Fields, append(path[:len(path):len(path)], alt{f, i})); err != nil {
 						return err
 					}
 				}
-				if err := walk(f.Default); err != nil {
+				if err := walk(f.Default, append(path[:len(path):len(path)], alt{f, -1})); err != nil {
 					return err
 				}
 				continue
 			}
-			if f.Name != "" && !f.Stream {
+			if f.Name == "" || f.Stream {
+				continue
+			}
+			seen := paths[f.Name]
+			for _, p := range seen {
+				if !exclusive(p, path) {
+					return fmt.Errorf("duplicate member %q", f.Name)
+				}
+			}
+			paths[f.Name] = append(seen, path)
+			if len(seen) == 0 {
 				if err := add(f.Name, nil, values.Unset); err != nil {
 					return err
 				}
@@ -124,7 +156,7 @@ func (c *compiler) structType(u *Unit) (*types.Type, error) {
 		}
 		return nil
 	}
-	if err := walk(u.Fields); err != nil {
+	if err := walk(u.Fields, nil); err != nil {
 		return nil, err
 	}
 	for _, v := range u.Vars {

@@ -33,11 +33,10 @@ func DNSGrammar() *binpac.Grammar {
 			{Name: "qclass", Kind: binpac.FUInt, Width: 16},
 		},
 	}
-	nameRData := func(field string) []*binpac.Field {
-		return []*binpac.Field{
-			{Name: field, Kind: binpac.FCustom, Func: "parse_name", FuncArgs: []string{"msg"}},
-		}
-	}
+	// The rdata alternatives share members, since only one of them parses:
+	// addr (A, AAAA), target (every name, and TXT's strings), mx_pref, and
+	// raw for any other type.
+	target := &binpac.Field{Name: "target", Kind: binpac.FCustom, Func: "parse_name", FuncArgs: []string{"msg"}}
 	rr := &binpac.Unit{
 		Name:   "RR",
 		Params: []string{"msg"},
@@ -49,20 +48,20 @@ func DNSGrammar() *binpac.Grammar {
 			{Name: "rdlen", Kind: binpac.FUInt, Width: 16},
 			{Name: "rdata", Kind: binpac.FSwitch, On: binpac.FieldSrc("rtype"), Cases: []binpac.Case{
 				{Value: DNSTypeA, Fields: []*binpac.Field{
-					{Name: "a", Kind: binpac.FBytes, Length: binpac.ConstSrc(4)}}},
+					{Name: "addr", Kind: binpac.FBytes, Length: binpac.ConstSrc(4)}}},
 				{Value: DNSTypeAAAA, Fields: []*binpac.Field{
-					{Name: "aaaa", Kind: binpac.FBytes, Length: binpac.ConstSrc(16)}}},
-				{Value: DNSTypeCNAME, Fields: nameRData("cname")},
-				{Value: DNSTypeNS, Fields: nameRData("ns")},
-				{Value: DNSTypePTR, Fields: nameRData("ptr")},
+					{Name: "addr", Kind: binpac.FBytes, Length: binpac.ConstSrc(16)}}},
+				{Value: DNSTypeCNAME, Fields: []*binpac.Field{target}},
+				{Value: DNSTypeNS, Fields: []*binpac.Field{target}},
+				{Value: DNSTypePTR, Fields: []*binpac.Field{target}},
 				{Value: DNSTypeMX, Fields: []*binpac.Field{
 					{Name: "mx_pref", Kind: binpac.FUInt, Width: 16},
-					{Name: "mx", Kind: binpac.FCustom, Func: "parse_name", FuncArgs: []string{"msg"}},
+					target,
 				}},
 				{Value: DNSTypeTXT, Fields: []*binpac.Field{
 					// The paper notes: BinPAC++ extracts *all* strings of a
 					// TXT record (Bro's standard parser only the first).
-					{Name: "txt", Kind: binpac.FCustom, Func: "parse_txt", FuncArgs: []string{"rdlen"}},
+					{Name: "target", Kind: binpac.FCustom, Func: "parse_txt", FuncArgs: []string{"rdlen"}},
 				}},
 			}, Default: []*binpac.Field{
 				{Name: "raw", Kind: binpac.FBytes, Length: binpac.FieldSrc("rdlen")},
@@ -128,14 +127,15 @@ func dnsHooks() *ast.Module {
 // buildParseName emits parse_name(msg, cur) -> (bytes, iterator): RFC 1035
 // domain-name decoding with compression-pointer following (bounded to
 // guard against pointer loops), returning the dotted name and the iterator
-// after the name's wire encoding.
+// after the name's wire encoding. Each label is appended to the name
+// straight from the datagram (bytes.append_from), so a label is no value of
+// its own.
 func buildParseName(b *ast.Builder) {
 	fb := b.Function("parse_name", types.TupleT(types.BytesT, types.IterT(types.BytesT)),
 		ast.Param{Name: "msg", Type: types.IterT(types.BytesT)},
 		ast.Param{Name: "cur", Type: types.IterT(types.BytesT)})
 	out := fb.Local("out", types.BytesT)
 	tup := fb.Local("tup", types.TupleT(types.Int64T, types.IterT(types.BytesT)))
-	btup := fb.Local("btup", types.TupleT(types.BytesT, types.IterT(types.BytesT)))
 	l := fb.Local("l", types.Int64T)
 	l2 := fb.Local("l2", types.Int64T)
 	off := fb.Local("off", types.Int64T)
@@ -143,7 +143,6 @@ func buildParseName(b *ast.Builder) {
 	retCur := fb.Local("retCur", types.IterT(types.BytesT))
 	jumped := fb.Local("jumped", types.BoolT)
 	jumps := fb.Local("jumps", types.Int64T)
-	label := fb.Local("label", types.BytesT)
 	cond := fb.Local("cond", types.BoolT)
 	n := fb.Local("n", types.Int64T)
 
@@ -185,16 +184,13 @@ func buildParseName(b *ast.Builder) {
 	fb.Jump("loop")
 
 	fb.Block("label")
-	fb.Assign(btup, "unpack.bytes", next, l)
-	fb.Assign(label, "tuple.index", btup, ast.IntOp(0))
-	fb.Assign(ast.VarOp("cur"), "tuple.index", btup, ast.IntOp(1))
 	fb.Assign(n, "bytes.length", out)
 	fb.Assign(cond, "int.gt", n, ast.IntOp(0))
 	fb.IfElse(cond, "add_dot", "no_dot")
 	fb.Block("add_dot")
 	fb.Instr("bytes.append", out, ast.ConstOp(bytesConst("."), types.BytesT))
 	fb.Block("no_dot")
-	fb.Instr("bytes.append", out, label)
+	fb.Assign(ast.VarOp("cur"), "bytes.append_from", out, next, l)
 	fb.Jump("loop")
 
 	fb.Block("terminator")
@@ -209,7 +205,8 @@ func buildParseName(b *ast.Builder) {
 
 // buildParseTXT emits parse_txt(rdlen, cur) -> (bytes, iterator): decode
 // the character-strings of a TXT rdata (length-prefixed, back to back
-// within rdlen bytes), joined with commas.
+// within rdlen bytes), joined with commas. A string claiming more bytes
+// than the rdata has left is a parse error.
 func buildParseTXT(b *ast.Builder) {
 	fb := b.Function("parse_txt", types.TupleT(types.BytesT, types.IterT(types.BytesT)),
 		ast.Param{Name: "rdlen", Type: types.Int64T},
@@ -217,9 +214,7 @@ func buildParseTXT(b *ast.Builder) {
 	out := fb.Local("out", types.BytesT)
 	endPos := fb.Local("endPos", types.IterT(types.BytesT))
 	tup := fb.Local("tup", types.TupleT(types.Int64T, types.IterT(types.BytesT)))
-	btup := fb.Local("btup", types.TupleT(types.BytesT, types.IterT(types.BytesT)))
 	l := fb.Local("l", types.Int64T)
-	s := fb.Local("s", types.BytesT)
 	cond := fb.Local("cond", types.BoolT)
 	n := fb.Local("n", types.Int64T)
 
@@ -236,16 +231,20 @@ func buildParseTXT(b *ast.Builder) {
 	fb.Assign(tup, "unpack.uint8", ast.VarOp("cur"))
 	fb.Assign(l, "tuple.index", tup, ast.IntOp(0))
 	fb.Assign(ast.VarOp("cur"), "tuple.index", tup, ast.IntOp(1))
-	fb.Assign(btup, "unpack.bytes", ast.VarOp("cur"), l)
-	fb.Assign(s, "tuple.index", btup, ast.IntOp(0))
-	fb.Assign(ast.VarOp("cur"), "tuple.index", btup, ast.IntOp(1))
+	fb.Assign(n, "iterator.diff", ast.VarOp("cur"), endPos)
+	fb.Assign(cond, "int.gt", l, n)
+	fb.IfElse(cond, "overrun", "fits")
+	fb.Block("overrun")
+	fb.Instr("exception.throw", ast.StringOp("BinPAC::ParseError"),
+		ast.StringOp("DNS: TXT string overruns its rdata"))
+	fb.Block("fits")
 	fb.Assign(n, "bytes.length", out)
 	fb.Assign(cond, "int.gt", n, ast.IntOp(0))
 	fb.IfElse(cond, "sep", "no_sep")
 	fb.Block("sep")
 	fb.Instr("bytes.append", out, ast.ConstOp(bytesConst(","), types.BytesT))
 	fb.Block("no_sep")
-	fb.Instr("bytes.append", out, s)
+	fb.Assign(ast.VarOp("cur"), "bytes.append_from", out, ast.VarOp("cur"), l)
 	fb.Jump("loop")
 
 	fb.Block("done")

@@ -4,10 +4,12 @@ import (
 	"crypto/sha1"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"slices"
 	"strings"
 	"testing"
 
+	"hilti/internal/analyzers"
 	"hilti/internal/hilti/ast"
 	"hilti/internal/hilti/vm"
 	"hilti/internal/rt/container"
@@ -272,14 +274,66 @@ func TestDNSParseWithCompression(t *testing.T) {
 	if name0.AsBytes().String() != "www.example.com" {
 		t.Fatalf("compressed name = %q", name0.AsBytes().String())
 	}
-	a, _ := a0.AsStruct().GetName("a")
+	a, _ := a0.AsStruct().GetName("addr")
 	if a.AsBytes().Len() != 4 {
 		t.Fatal("A rdata")
 	}
 	a1, _ := avec.Get(1)
-	txt, _ := a1.AsStruct().GetName("txt")
+	txt, _ := a1.AsStruct().GetName("target")
 	if txt.AsBytes().String() != "abc,de" {
 		t.Fatalf("txt = %q (all strings should be extracted)", txt.AsBytes().String())
+	}
+}
+
+// TestDNSRRMembers: the rdata alternatives share members, so an RR is 9
+// members, not one per alternative's field.
+func TestDNSRRMembers(t *testing.T) {
+	mods, err := DNSModules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, f := range mods[0].Types["RR"].StructDef.Fields {
+		names = append(names, f.Name)
+	}
+	if got, want := strings.Join(names, " "), "name rtype class ttl rdlen addr target mx_pref raw"; got != want {
+		t.Fatalf("RR members %q, want %q", got, want)
+	}
+}
+
+// TestDNSRejectsTXTOverrun: a TXT character-string that claims more bytes
+// than its rdata holds is a parse error — the standard parser rejects it
+// too — even when the datagram has enough bytes after the rdata to satisfy
+// the claim.
+func TestDNSRejectsTXTOverrun(t *testing.T) {
+	msg := []byte{0xBE, 0xEF, 0x81, 0x80, 0, 0, 0, 1, 0, 0, 0, 0} // one answer
+	msg = append(msg, 0)                                          // root name
+	msg = binary.BigEndian.AppendUint16(msg, DNSTypeTXT)
+	msg = binary.BigEndian.AppendUint16(msg, 1)
+	msg = binary.BigEndian.AppendUint32(msg, 60)
+	msg = binary.BigEndian.AppendUint16(msg, 3)
+	msg = append(msg, 5, 'a', 'b', 'c', 'd', 'e') // rdata "\x05ab", then 3 more bytes
+	if _, err := analyzers.ParseDNS(msg); err == nil {
+		t.Fatal("the standard parser accepts the datagram")
+	}
+
+	mods, err := DNSModules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := linkExec(t, mods)
+	accepted := false
+	ex.RegisterHost("bro_dns_message", func(_ *vm.Exec, args []values.Value) (values.Value, error) {
+		accepted = true
+		return values.Nil, nil
+	})
+	self := values.StructVal(values.NewStruct(mods[0].Types["Message"].StructDef.Runtime()))
+	data := hbytes.NewFrom(msg)
+	data.Freeze()
+	_, err = ex.Call("DNS::parse_Message", self, values.IterBytes(data.Begin()), values.Int(1))
+	var exc *values.Exception
+	if !errors.As(err, &exc) || exc.Name != "BinPAC::ParseError" || accepted {
+		t.Fatalf("parse: %v (message accepted: %v), want BinPAC::ParseError", err, accepted)
 	}
 }
 

@@ -14,7 +14,7 @@ type ParserDeviation struct {
 
 // ParserDeviations lists every known difference.
 var ParserDeviations = []ParserDeviation{
-	{"dns-txt-strings", "a TXT record of several character-strings: the standard parser keeps the first, as Bro's does, the grammar all of them"},
+	{"dns-txt-strings", "a TXT record of several character-strings: the standard parser keeps the first, as Bro's does, the grammar all of them, so only the grammar rejects a later string that overruns the rdata"},
 	{"http-line-syntax", "a line no HTTP message builder writes: the standard parser splits request and status lines at spaces and headers at the first colon, the grammar matches tokens, so each rejects malformed lines the other accepts"},
 	{"http-content-length-syntax", "a Content-Length strconv.Atoi reads but that is not all digits, such as +5: the standard parser frames the body by it, the grammar rejects the message"},
 	{"http-reply-length-0", "a reply with Content-Length: 0 and a status that carries a body: the standard parser reads the body to the end of the connection, the grammar takes it as empty"},

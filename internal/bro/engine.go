@@ -150,6 +150,7 @@ type Engine struct {
 
 	httpReqStruct, httpRepStruct, dnsMsgStruct *values.StructDef
 	dnsParseFn                                 *vm.CompiledFunc
+	dnsIx                                      dnsIndex
 
 	// delta, when non-nil, tracks which state changed since the last WAL
 	// flush (see wal.go). Nil outside WAL mode: the mark helpers are then
@@ -295,6 +296,7 @@ func (e *Engine) initBinpac() error {
 	e.httpReqStruct = findStruct(httpMods, "Requests")
 	e.httpRepStruct = findStruct(httpMods, "Replies")
 	e.dnsMsgStruct = findStruct(dnsMods, "Message")
+	e.dnsIx = newDNSIndex(e.dnsMsgStruct, findStruct(dnsMods, "Question"), findStruct(dnsMods, "RR"))
 	e.dnsParseFn = prog.Fn("DNS::parse_Message")
 	e.registerBinpacHost()
 	return nil

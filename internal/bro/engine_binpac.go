@@ -159,87 +159,77 @@ func (e *Engine) registerBinpacHost() {
 	host("bro_dns_message", func(c *conn, args []values.Value) { e.binpacDNSEvents(c, args[1]) })
 }
 
+// dnsIndex holds the member indices of the parsed DNS structs the glue
+// reads, resolved once per engine instead of by name per message.
+type dnsIndex struct {
+	id, flags, questions, answers int // Message
+	qname, qtype                  int // Question
+	ttl, addr, target, raw        int // RR
+}
+
+func newDNSIndex(msg, q, rr *values.StructDef) dnsIndex {
+	return dnsIndex{
+		id: msg.Index("id"), flags: msg.Index("flags"),
+		questions: msg.Index("questions"), answers: msg.Index("answers"),
+		qname: q.Index("qname"), qtype: q.Index("qtype"),
+		ttl: rr.Index("ttl"), addr: rr.Index("addr"), target: rr.Index("target"), raw: rr.Index("raw"),
+	}
+}
+
 // binpacDNSEvents walks the parsed DNS Message struct and raises the same
 // events the standard parser produces. Walking the HILTI structs into the
 // engine's representation is conversion glue, charged accordingly.
 func (e *Engine) binpacDNSEvents(c *conn, msg values.Value) {
 	e.clock.enter(compGlue)
+	ix := &e.dnsIx
 	s := msg.AsStruct()
-	get := func(name string) values.Value {
-		v, _ := s.GetName(name)
-		return v
-	}
-	id := int(get("id").AsInt())
-	flags := get("flags").AsInt()
+	id := int(s.Fields[ix.id].AsInt())
+	flags := s.Fields[ix.flags].AsInt()
 	isResp := flags&0x8000 != 0
 	rcode := int(flags & 0xF)
 
 	query, qtype := "", 0
-	if qv, ok := s.GetName("questions"); ok {
-		if vec, ok2 := qv.O.(*container.Vector); ok2 && vec.Len() > 0 {
-			q0, _ := vec.Get(0)
-			if qs := q0.AsStruct(); qs != nil {
-				if n, ok3 := qs.GetName("qname"); ok3 && n.AsBytes() != nil {
-					query = n.AsBytes().String()
-				}
-				if t, ok3 := qs.GetName("qtype"); ok3 {
-					qtype = int(t.AsInt())
-				}
+	if vec, ok := s.Fields[ix.questions].O.(*container.Vector); ok && vec.Len() > 0 {
+		q0, _ := vec.Get(0)
+		if qs := q0.AsStruct(); qs != nil {
+			if n := qs.Fields[ix.qname].AsBytes(); n != nil {
+				query = n.String()
 			}
+			qtype = int(qs.Fields[ix.qtype].AsInt())
 		}
 	}
 	var answers []string
 	var ttls []int64
-	if av, ok := s.GetName("answers"); ok {
-		if vec, ok2 := av.O.(*container.Vector); ok2 {
-			vec.Each(func(rv values.Value) bool {
-				rr := rv.AsStruct()
-				if rr == nil {
-					return true
-				}
-				ttl := int64(0)
-				if t, ok3 := rr.GetName("ttl"); ok3 {
-					ttl = t.AsInt()
-				}
-				answers = append(answers, renderRR(rr))
-				ttls = append(ttls, ttl)
-				return true
-			})
-		}
+	if vec, ok := s.Fields[ix.answers].O.(*container.Vector); ok {
+		vec.Each(func(rv values.Value) bool {
+			if rr := rv.AsStruct(); rr != nil {
+				answers = append(answers, renderRR(rr, ix))
+				ttls = append(ttls, rr.Fields[ix.ttl].AsInt())
+			}
+			return true
+		})
 	}
 	e.clock.leave()
 	e.dnsEvents(c, isResp, id, query, qtype, rcode, answers, ttls)
 }
 
-// renderRR renders one parsed RR's value like the standard parser does.
-func renderRR(rr *values.Struct) string {
-	getB := func(name string) (string, bool) {
-		if v, ok := rr.GetName(name); ok && v.AsBytes() != nil {
-			return v.AsBytes().String(), true
-		}
-		return "", false
-	}
-	if v, ok := rr.GetName("a"); ok && v.AsBytes() != nil {
-		b := v.AsBytes().Bytes()
-		if len(b) == 4 {
-			return values.Format(values.AddrFrom4([4]byte{b[0], b[1], b[2], b[3]}))
+// renderRR renders one parsed RR's value like the standard parser does: an
+// address by its length, a name or TXT strings as they are, other rdata in
+// hex.
+func renderRR(rr *values.Struct, ix *dnsIndex) string {
+	if a := rr.Fields[ix.addr].AsBytes(); a != nil {
+		switch b := a.Bytes(); len(b) {
+		case 4:
+			return values.Format(values.AddrFrom4([4]byte(b)))
+		case 16:
+			return values.Format(values.AddrFrom16([16]byte(b)))
 		}
 	}
-	if v, ok := rr.GetName("aaaa"); ok && v.AsBytes() != nil {
-		b := v.AsBytes().Bytes()
-		if len(b) == 16 {
-			var a [16]byte
-			copy(a[:], b)
-			return values.Format(values.AddrFrom16(a))
-		}
+	if t := rr.Fields[ix.target].AsBytes(); t != nil {
+		return t.String()
 	}
-	for _, f := range []string{"cname", "ns", "ptr", "mx", "txt"} {
-		if s, ok := getB(f); ok {
-			return s
-		}
-	}
-	if s, ok := getB("raw"); ok {
-		return "\\x" + hex.EncodeToString([]byte(s))
+	if r := rr.Fields[ix.raw].AsBytes(); r != nil {
+		return "\\x" + hex.EncodeToString(r.Bytes())
 	}
 	return ""
 }

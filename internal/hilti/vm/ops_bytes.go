@@ -84,6 +84,28 @@ var bytesOps = []opRow{
 		}
 		return values.Nil, b.Append(src.Bytes())
 	}},
+	// bytes.append_from target=iter <bytes> <iter> <n>: appends the n input
+	// bytes at the iterator, copied straight from the rope they are in, and
+	// yields the iterator after them — unpack.bytes and bytes.append without
+	// the Bytes value between them, and with unpack.bytes's errors.
+	{name: "bytes.append_from", arity: 3, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+		b, err := bytesOf(a[0])
+		if err != nil {
+			return values.Nil, err
+		}
+		it, n := a[1].AsIterBytes(), a[2].AsInt()
+		if it.Bytes() == nil {
+			return values.Nil, errNilIter()
+		}
+		if n < 0 {
+			return values.Nil, &values.Exception{Name: "Hilti::ValueError", Msg: "negative length"}
+		}
+		lo := it.Offset()
+		if err := b.AppendRange(it.Bytes(), lo, lo+n); err != nil {
+			return values.Nil, err
+		}
+		return values.IterBytes(it.Plus(n)), nil
+	}},
 	{name: "bytes.freeze", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		b, err := bytesOf(a[0])
 		if err != nil {

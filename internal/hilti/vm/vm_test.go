@@ -335,6 +335,49 @@ func TestWouldBlockWithoutFiberRaises(t *testing.T) {
 	}
 }
 
+// TestBytesAppendFrom: bytes.append_from appends n input bytes from an
+// iterator and yields the iterator after them; like unpack.bytes it
+// suspends short of input on an open rope, and raises past a frozen end or
+// on a negative length, leaving the destination alone.
+func TestBytesAppendFrom(t *testing.T) {
+	b := ast.NewBuilder("M")
+	fb := b.Function("f", types.Int64T, ast.Param{Name: "out", Type: types.BytesT},
+		ast.Param{Name: "data", Type: types.BytesT}, ast.Param{Name: "n", Type: types.Int64T})
+	begin := fb.Local("begin", types.IterT(types.BytesT))
+	it := fb.Local("it", types.IterT(types.BytesT))
+	d := fb.Local("d", types.Int64T)
+	fb.Assign(begin, "bytes.begin", ast.VarOp("data"))
+	fb.Assign(it, "iterator.incr", begin)
+	fb.Assign(it, "bytes.append_from", ast.VarOp("out"), it, ast.VarOp("n"))
+	fb.Assign(d, "iterator.diff", begin, it)
+	fb.Return(d)
+	ex := mustLink(t, b.M)
+
+	out, data := hbytes.NewFromString("x"), hbytes.NewFromString("abc")
+	r := ex.FiberCall(ex.Prog.Fn("M::f"), values.BytesVal(out), values.BytesVal(data), values.Int(5))
+	if _, done, err := r.Resume(); done || err != nil || out.String() != "x" {
+		t.Fatalf("should suspend with out untouched: done=%v err=%v out=%q", done, err, out.String())
+	}
+	data.Append([]byte("defg"))
+	if v, done, err := r.Resume(); !done || err != nil || v.AsInt() != 6 || out.String() != "xbcdef" {
+		t.Fatalf("resumed: %v done=%v err=%v out=%q", v, done, err, out.String())
+	}
+
+	data.Freeze()
+	for _, n := range []int64{7, -1} {
+		if _, err := ex.Call("M::f", values.BytesVal(out), values.BytesVal(data), values.Int(n)); excName(err) != "Hilti::ValueError" {
+			t.Errorf("n=%d: %v, want Hilti::ValueError", n, err)
+		}
+	}
+	out.Freeze()
+	if _, err := ex.Call("M::f", values.BytesVal(out), values.BytesVal(data), values.Int(1)); err == nil {
+		t.Error("appending to a frozen destination succeeded")
+	}
+	if out.String() != "xbcdef" {
+		t.Fatalf("a failed append changed out to %q", out.String())
+	}
+}
+
 func TestThreadScheduleIsolation(t *testing.T) {
 	// thread.schedule runs the target on its own virtual thread with its
 	// own globals; per-thread counters never race (paper §3.2).

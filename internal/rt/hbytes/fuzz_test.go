@@ -8,7 +8,8 @@ import (
 
 // FuzzRopeModel runs a random sequence of rope operations — Append and
 // AppendOwned of small and large data, SubBytes, appends to an unfrozen
-// view, Trim, Freeze/Unfreeze, Bytes and Iter.Chunk — against a flat
+// view, Trim, Freeze/Unfreeze, Bytes and Iter.Chunk, and AppendRange of a
+// range of the rope onto itself or onto a second rope — against a flat
 // []byte model. After every operation the rope must equal the model, and
 // everything handed out earlier must still read as it did: views (SubBytes
 // results, which share chunk bytes), the slices Bytes and Chunk returned,
@@ -18,6 +19,7 @@ func FuzzRopeModel(f *testing.F) {
 	f.Add([]byte{0, 5, 0, 7, 3, 2, 9, 0, 3, 8, 1, 4, 0, 1, 4, 2, 5, 3, 8, 0, 9, 6, 0, 2})
 	f.Add([]byte{0, 1, 0, 1, 0, 1, 8, 0, 0, 200, 0, 60, 3, 1, 9, 2, 4, 0, 0, 2, 8, 0})
 	f.Add([]byte{1, 9, 0, 3, 3, 4, 4, 0, 4, 1, 6, 0, 4, 2, 7, 0, 0, 4, 5, 9, 0, 3, 8, 0})
+	f.Add([]byte{0, 30, 0, 20, 10, 2, 3, 40, 10, 0, 0, 9, 10, 1, 5, 30, 10, 6, 0, 50, 10, 4, 2, 9, 1, 6, 10, 5, 0, 45, 2})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		type held struct {
 			got  func() []byte // reads it now
@@ -30,6 +32,8 @@ func FuzzRopeModel(f *testing.F) {
 		}
 		r := New()
 		var model []byte // every byte ever appended, by absolute offset
+		dst := New()     // built only by AppendRange from r
+		var dstModel []byte
 		var base int64
 		frozen := false
 		var views []*view
@@ -55,7 +59,7 @@ func FuzzRopeModel(f *testing.F) {
 			return base + int64(next())%(int64(len(model))-base+1)
 		}
 		for step := 0; len(prog) > 0 && step < 400; step++ {
-			switch op := next() % 10; op {
+			switch op := next() % 11; op {
 			case 0, 1, 2: // Append small, AppendOwned, Append large
 				n := next() % 40
 				if op > 0 {
@@ -132,6 +136,49 @@ func FuzzRopeModel(f *testing.F) {
 				helds = append(helds,
 					held{func() []byte { return s }, bytes.Clone(s), "a returned slice"},
 					held{func() []byte { return ext }, bytes.Clone(ext), "a caller's append to a returned slice"})
+			case 10: // AppendRange of r's bytes onto dst or r itself, maybe past r's end
+				how := next()
+				lo, hi := pos(), pos()
+				if lo > hi {
+					lo, hi = hi, lo
+				}
+				if how&4 != 0 {
+					hi += int64(next()%3 + 1)
+				}
+				onto, ontoModel := dst, &dstModel
+				if how&1 != 0 {
+					onto, ontoModel = r, &model
+				}
+				before := onto.Len()
+				err := onto.AppendRange(r, lo, hi)
+				switch {
+				case onto == r && frozen:
+					if !errors.Is(err, ErrFrozen) {
+						t.Fatalf("step %d: AppendRange onto a frozen rope: %v", step, err)
+					}
+				case hi > int64(len(model)):
+					want := ErrWouldBlock
+					if frozen {
+						want = ErrOutOfRange
+					}
+					if !errors.Is(err, want) {
+						t.Fatalf("step %d: AppendRange(%d, %d) past the end of %d: %v, want %v", step, lo, hi, len(model), err, want)
+					}
+				case err != nil:
+					t.Fatalf("step %d: AppendRange(%d, %d): %v", step, lo, hi, err)
+				default:
+					*ontoModel = append(*ontoModel, model[lo:hi]...)
+				}
+				if err != nil && onto.Len() != before {
+					t.Fatalf("step %d: a failed AppendRange changed its destination", step)
+				}
+				if how&2 != 0 { // a view of dst's tail, which later appends must not reach
+					sub, _ := dst.SubBytes(dst.Begin(), dst.End())
+					views = append(views, &view{sub, bytes.Clone(dstModel)})
+				}
+			}
+			if got := dst.Bytes(); !bytes.Equal(got, dstModel) {
+				t.Fatalf("step %d: AppendRange destination %v, model %v", step, got, dstModel)
 			}
 			if got := r.Bytes(); !bytes.Equal(got, model[base:]) || r.Len() != int64(len(model))-base {
 				t.Fatalf("step %d: rope %v (len %d), model %v", step, got, r.Len(), model[base:])

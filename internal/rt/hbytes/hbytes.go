@@ -116,6 +116,27 @@ func (b *Bytes) Append(data []byte) error {
 	return nil
 }
 
+// AppendRange appends a copy of src's bytes at absolute offsets [from, to),
+// read chunk by chunk in place: a decoded name is built from its labels
+// without a Bytes value per label. On error b is unchanged: ErrFrozen for a
+// frozen b, and Sub's range errors for src — ErrWouldBlock past the end of a
+// non-frozen src, ErrOutOfRange past a frozen one or for an invalid range.
+func (b *Bytes) AppendRange(src *Bytes, from, to int64) error {
+	if b.frozen {
+		return ErrFrozen
+	}
+	if err := src.checkRange(from, to); err != nil {
+		return err
+	}
+	for from < to {
+		d := src.chunkAt(from)
+		d = d[:min(int64(len(d)), to-from)]
+		_ = b.Append(d) // cannot fail: b is not frozen
+		from += int64(len(d))
+	}
+	return nil
+}
+
 // AppendOwned adds data to the rope without copying. The caller must not
 // modify data afterwards. It exists for hot paths (packet payload handoff)
 // where the buffer is already owned by the rope's producer.

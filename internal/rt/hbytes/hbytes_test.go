@@ -390,3 +390,41 @@ func TestGrowthPastInlineChunk(t *testing.T) {
 		t.Fatalf("SubBytes: %v allocs, want <= 2", n)
 	}
 }
+
+// TestAppendRange: a range spanning chunks appends in order; a range past
+// the end of a non-frozen source would block, one past a frozen end is out
+// of range, and a frozen destination refuses — each leaving the
+// destination as it was.
+func TestAppendRange(t *testing.T) {
+	src := New()
+	src.AppendOwned([]byte("www"))
+	src.AppendOwned([]byte("example"))
+	dst := NewFromString("x.")
+	if err := dst.AppendRange(src, 1, 6); err != nil || dst.String() != "x.wwexa" {
+		t.Fatalf("across chunks: %q, %v", dst.String(), err)
+	}
+	for _, c := range []struct {
+		name   string
+		freeze bool // src
+		frozen bool // dst
+		to     int64
+		want   error
+	}{
+		{"past a non-frozen end", false, false, 11, ErrWouldBlock},
+		{"past a frozen end", true, false, 11, ErrOutOfRange},
+		{"onto a frozen destination", true, true, 4, ErrFrozen},
+	} {
+		if c.freeze {
+			src.Freeze()
+		}
+		if c.frozen {
+			dst.Freeze()
+		}
+		if err := dst.AppendRange(src, 2, c.to); !errors.Is(err, c.want) {
+			t.Errorf("%s: %v, want %v", c.name, err, c.want)
+		}
+		if got := dst.String(); got != "x.wwexa" {
+			t.Errorf("%s: destination changed to %q", c.name, got)
+		}
+	}
+}
