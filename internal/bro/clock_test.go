@@ -222,17 +222,62 @@ func TestDispatchAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(200, func() { e.dispatch(evBroDone, nil) }); n != 0 {
 			t.Errorf("%s: dispatching an event nobody handles allocates %v times", exec, n)
 		}
-		if exec != "hilti" {
-			continue // the interpreter allocates an environment per handler
-		}
 		// http_message_done with nothing pending: look c$uid up, return.
 		done := func() { e.dispatch(evHTTPMessageDone, c, BoolVal(true)) }
 		done()
 		if n := testing.AllocsPerRun(200, done); n != 0 {
-			t.Errorf("http_message_done allocates %v times per event", n)
+			t.Errorf("%s: http_message_done allocates %v times per event", exec, n)
 		}
 	}
 	if n := testing.AllocsPerRun(200, func() { isExhausted(nil) }); n != 0 {
 		t.Errorf("isExhausted(nil) allocates %v times", n)
+	}
+
+	// A handler that panics two calls deep leaves no interpreter frame
+	// claimed or holding values, and the next dispatch is still
+	// allocation-free.
+	e, err := NewEngine(Config{Parser: "standard", ScriptExec: "interp", Quiet: true, DiscardLogs: true,
+		Scripts: []string{HTTPScript, FilesScript, `
+function inner(s: string): string {
+    local t = s;
+    Log::write("http", [$uri=t]);
+    return t;
+}
+
+function outer(s: string): string {
+    local u = s;
+    return inner(u);
+}
+
+event http_request(c: connection, method: string, uri: string, version: string) {
+    local r = outer(uri);
+}
+`}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _ := e.getConn(flow.FromIPv4([4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}, 40000, 80, layers.IPProtoTCP), true)
+	ip := e.interp
+	logWrite := ip.LogWrite
+	ip.LogWrite = func(string, *RecordVal) { panic("injected") }
+	e.dispatch(evHTTPRequest, c, StringVal("GET"), StringVal("/"), StringVal("1.1"))
+	ip.LogWrite = logWrite
+	if e.faults.Count() == 0 {
+		t.Fatal("the handler did not panic")
+	}
+	if ip.depth != 0 {
+		t.Errorf("%d frames still claimed after the panic", ip.depth)
+	}
+	for d, f := range ip.frames {
+		for i, s := range f[:cap(f)] {
+			if s.set || s.v != nil {
+				t.Errorf("frame %d slot %d still holds %v", d, i, s.v)
+			}
+		}
+	}
+	done := func() { e.dispatch(evHTTPMessageDone, c, BoolVal(true)) }
+	done()
+	if n := testing.AllocsPerRun(200, done); n != 0 {
+		t.Errorf("http_message_done allocates %v times per event after a panic", n)
 	}
 }

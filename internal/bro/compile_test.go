@@ -2,6 +2,7 @@ package bro
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"testing"
 
@@ -146,6 +147,106 @@ event report() {
 	}
 	if iout.Len() == 0 {
 		t.Fatal("no output produced")
+	}
+}
+
+// TestInterpScopingMatchesCompiled pins Bro's function scoping on both
+// backends: a local lives for the whole call, whatever block declared it;
+// an assignment to an unknown name makes a local; a local shadows a global
+// without touching it; a return inside a loop leaves the call; recursive
+// calls do not share locals.
+func TestInterpScopingMatchesCompiled(t *testing.T) {
+	src := `
+global x: count = 7;
+global seen: count = 0;
+
+function first_over(v: vector of count, least: count): count {
+    for ( i in v )
+        if ( v[i] > least )
+            return v[i];
+    return 0;
+}
+
+function fib(n: count): count {
+    if ( n < 2 )
+        return n;
+    return fib(n - 1) + fib(n - 2);
+}
+
+event scopes(n: count) {
+    if ( n > 1 ) {
+        local y = 3;
+    }
+    print "if local", y;
+    local v = vector(1, 5, 7);
+    for ( i in v )
+        seen += v[i];
+    print "for var", i, seen;
+    z = n * 2;
+    print "implicit", z;
+    local x = 5;
+    x = x + 1;
+    print "shadow", x;
+}
+
+event loop_return() {
+    local v = vector(1, 5, 7);
+    for ( j in v ) {
+        print "iter", j;
+        if ( j == 1 )
+            return;
+    }
+    print "after";
+}
+
+event report() {
+    print "global", x;
+    print "first_over", first_over(vector(1, 5, 7), 1);
+    print "fib", fib(15);
+}
+`
+	const want = "if local, 3\nfor var, 2, 13\nimplicit, 4\nshadow, 6\n" +
+		"iter, 0\niter, 1\n" +
+		"global, 7\nfirst_over, 5\nfib, 610\n"
+
+	ip, iout := loadInterp(t, src)
+	for _, ev := range []struct {
+		name string
+		args []Val
+	}{{"scopes", []Val{CountVal(2)}}, {"loop_return", nil}, {"report", nil}} {
+		if err := ip.Dispatch(ev.name, ev.args...); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ex, glue, cout, _ := compileExec(t, src)
+	if err := ex.RunHook("scopes", glue.toHilti(CountVal(2))); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"loop_return", "report"} {
+		if err := ex.RunHook(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if iout.String() != cout.String() {
+		t.Fatalf("outputs differ:\ninterp:\n%s\ncompiled:\n%s", iout.String(), cout.String())
+	}
+	if iout.String() != want {
+		t.Fatalf("output:\n%s\nwant:\n%s", iout.String(), want)
+	}
+
+	// What the interpreter refuses and the compiled backend reads as zero:
+	// a parameter the caller did not pass, a local whose declaration did
+	// not run.
+	for _, c := range []struct {
+		args []Val
+		name string
+	}{{nil, "n"}, {[]Val{CountVal(1)}, "y"}} {
+		err := ip.Dispatch("scopes", c.args...)
+		if want := "undefined identifier \"" + c.name + "\""; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("scopes(%v): error %v, want %s", c.args, err, want)
+		}
 	}
 }
 

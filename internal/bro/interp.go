@@ -3,6 +3,18 @@
 // paper's §6.5 comparison ("Bro's statically typed language can execute
 // much faster than dynamically typed environments", yet remains the
 // baseline the HILTI-compiled scripts are measured against).
+//
+// Scoping is Bro's: a handler's or function's locals live in one frame for
+// the whole call, whatever block declared them. The first time a body runs
+// — not at Load, since a global may come from a script loaded later — a
+// resolver walks it in source order and gives each parameter, `local`,
+// implicit local (an assignment to a name that is neither a local nor a
+// global) and `for` variable a slot; every other name is a global. This is
+// the rule the compiled backend's fnCtx.locals applies. Frames come from a
+// per-interpreter stack indexed by call depth, so a call allocates nothing;
+// a frame is cleared when its call returns or panics. Reading a slot that
+// nothing has assigned in this call — a parameter the caller did not pass,
+// a local whose declaration did not run — is an undefined identifier.
 
 package bro
 
@@ -32,6 +44,14 @@ type Interp struct {
 
 	// Expired counts the entries this interpreter's tables have aged out.
 	Expired metrics.Counter
+
+	// gen counts Loads; a body resolved in an older generation is
+	// resolved again, as a name it took for a local may now be a global.
+	gen int
+	// frames[d] is the frame of the call at depth d, reused by every call
+	// at that depth; depth calls are running.
+	frames []frame
+	depth  int
 }
 
 // NewInterp creates an interpreter with the built-in record types.
@@ -51,7 +71,10 @@ func NewInterp() *Interp {
 }
 
 // Load registers a parsed script's declarations and initializes globals.
+// The script's AST then belongs to this interpreter: a body's first call
+// records frame slots and field caches on it.
 func (ip *Interp) Load(s *Script) error {
+	ip.gen++
 	for _, rd := range s.Records {
 		fields := make([]string, len(rd.Fields))
 		for i, f := range rd.Fields {
@@ -79,8 +102,7 @@ func (ip *Interp) Load(s *Script) error {
 // zeroValue initializes a global from its declaration.
 func (ip *Interp) zeroValue(gd *GlobalDecl) (Val, error) {
 	if gd.Init != nil {
-		env := &env{ip: ip}
-		return ip.eval(env, gd.Init)
+		return ip.eval(nil, gd.Init) // an initializer names only globals
 	}
 	if gd.Type == nil {
 		return nil, fmt.Errorf("bro: global %s needs a type or initializer", gd.Name)
@@ -123,55 +145,67 @@ func (ip *Interp) newTable(isSet bool, expireInterval int64, onRead bool) *Table
 	return t
 }
 
-// env is a lexical scope.
-type env struct {
-	ip     *Interp
-	vars   map[string]Val
-	parent *env
+// frame holds one call's locals at the slots the resolver gave them.
+type frame []slot
+
+// slot is one local; set tells an assigned nil from one never assigned.
+type slot struct {
+	v   Val
+	set bool
 }
 
-func (e *env) lookup(name string) (Val, bool) {
-	for s := e; s != nil; s = s.parent {
-		if s.vars != nil {
-			if v, ok := s.vars[name]; ok {
-				return v, true
-			}
-		}
-	}
-	v, ok := e.ip.Globals[name]
-	return v, ok
+func (f frame) put(i int, v Val) { f[i] = slot{v, true} }
+
+// frameLayout is what the resolver learned about one body.
+type frameLayout struct {
+	slots int // frame size: parameters first, then locals in source order
+	gen   int // the interpreter's load generation it was resolved in; 0: never
 }
 
-func (e *env) assign(name string, v Val) {
-	for s := e; s != nil; s = s.parent {
-		if s.vars != nil {
-			if _, ok := s.vars[name]; ok {
-				s.vars[name] = v
-				return
-			}
-		}
+// fieldSite caches a field's index in the record type last seen at one
+// expression; a site that sees another type looks the index up again.
+type fieldSite struct {
+	rt  *RecordType
+	idx int
+}
+
+// index returns field's index in rt, or -1.
+func (s *fieldSite) index(rt *RecordType, field string) int {
+	if s.rt != rt {
+		s.rt, s.idx = rt, rt.Index(field)
 	}
-	if _, ok := e.ip.Globals[name]; ok {
-		e.ip.Globals[name] = v
-		return
+	return s.idx
+}
+
+// enter claims the frame for a call of a body with the given layout,
+// resolving the body first if this interpreter has not yet. Every enter is
+// paired with a deferred leave.
+func (ip *Interp) enter(l *frameLayout, params []ParamDecl, body []Stmt) frame {
+	if l.gen != ip.gen {
+		ip.resolve(l, params, body)
 	}
-	// Implicit local (handlers are forgiving, as Bro's are with local).
-	if e.vars == nil {
-		e.vars = map[string]Val{}
+	if ip.depth == len(ip.frames) {
+		ip.frames = append(ip.frames, nil)
 	}
-	e.vars[name] = v
+	f := ip.frames[ip.depth]
+	if cap(f) < l.slots {
+		f = make(frame, l.slots)
+		ip.frames[ip.depth] = f
+	}
+	ip.depth++
+	return f[:l.slots]
+}
+
+// leave releases the innermost frame, dropping its values.
+func (ip *Interp) leave(f frame) {
+	clear(f)
+	ip.depth--
 }
 
 // Dispatch runs all handlers for an event.
 func (ip *Interp) Dispatch(name string, args ...Val) error {
 	for _, h := range ip.Events[name] {
-		env := &env{ip: ip, vars: map[string]Val{}}
-		for i, p := range h.Params {
-			if i < len(args) {
-				env.vars[p.Name] = args[i]
-			}
-		}
-		if _, _, err := ip.exec(env, h.Body); err != nil {
+		if _, err := ip.call(&h.layout, h.Params, h.Body, args); err != nil {
 			return fmt.Errorf("event %s: %w", name, err)
 		}
 	}
@@ -184,24 +218,149 @@ func (ip *Interp) CallFunction(name string, args ...Val) (Val, error) {
 	if !ok {
 		return nil, fmt.Errorf("bro: unknown function %q", name)
 	}
-	env := &env{ip: ip, vars: map[string]Val{}}
-	for i, p := range fd.Params {
-		if i < len(args) {
-			env.vars[p.Name] = args[i]
-		}
+	return ip.call(&fd.layout, fd.Params, fd.Body, args)
+}
+
+// call runs a body with args bound to its parameters; parameters beyond
+// args stay unassigned.
+func (ip *Interp) call(l *frameLayout, params []ParamDecl, body []Stmt, args []Val) (Val, error) {
+	f := ip.enter(l, params, body)
+	defer ip.leave(f)
+	for i := range min(len(params), len(args)) {
+		f.put(i, args[i])
 	}
-	_, ret, err := ip.exec(env, fd.Body)
+	_, ret, err := ip.exec(f, body)
 	return ret, err
 }
 
+// callExprs calls a script function from caller's frame, evaluating each
+// argument straight into the callee's frame.
+func (ip *Interp) callExprs(caller frame, fd *FuncDecl, args []Expr) (Val, error) {
+	f := ip.enter(&fd.layout, fd.Params, fd.Body)
+	defer ip.leave(f)
+	for i, a := range args {
+		v, err := ip.eval(caller, a)
+		if err != nil {
+			return nil, err
+		}
+		if i < len(fd.Params) {
+			f.put(i, v)
+		}
+	}
+	_, ret, err := ip.exec(f, fd.Body)
+	return ret, err
+}
+
+// resolver gives the locals of one body their frame slots, in source
+// order: a name is a local from its declaration or first assignment on.
+type resolver struct {
+	ip    *Interp
+	slots map[string]int
+	n     int
+}
+
+func (ip *Interp) resolve(l *frameLayout, params []ParamDecl, body []Stmt) {
+	r := &resolver{ip: ip, slots: map[string]int{}}
+	for _, p := range params {
+		r.slots[p.Name] = r.n // a repeated name binds the last argument, as before
+		r.n++
+	}
+	r.stmts(body)
+	l.slots, l.gen = r.n, ip.gen
+}
+
+// declare returns name's slot, giving it a new one if it has none.
+func (r *resolver) declare(name string) int {
+	i, ok := r.slots[name]
+	if !ok {
+		i = r.n
+		r.slots[name] = i
+		r.n++
+	}
+	return i
+}
+
+func (r *resolver) stmts(ss []Stmt) {
+	for _, s := range ss {
+		switch s := s.(type) {
+		case *LocalStmt:
+			r.expr(s.Init)
+			s.slot = r.declare(s.Name)
+		case *AssignStmt:
+			r.expr(s.RHS)
+			if n, ok := s.LHS.(*NameExpr); ok {
+				if _, global := r.ip.decls[n.Name]; !global {
+					r.declare(n.Name) // an implicit local, or the local it names
+				}
+			}
+			r.expr(s.LHS)
+		case *IfStmt:
+			r.expr(s.Cond)
+			r.stmts(s.Then)
+			r.stmts(s.Else)
+		case *ForStmt:
+			r.expr(s.Over)
+			s.slot = r.declare(s.Var)
+			if s.Var2 != "" {
+				s.slot2 = r.declare(s.Var2)
+			}
+			r.stmts(s.Body)
+		case *PrintStmt:
+			r.exprs(s.Args)
+		case *AddStmt:
+			r.expr(s.Target)
+		case *DeleteStmt:
+			r.expr(s.Target)
+		case *ReturnStmt:
+			r.expr(s.Value)
+		case *ExprStmt:
+			r.expr(s.E)
+		case *EventStmt:
+			r.exprs(s.Args)
+		}
+	}
+}
+
+func (r *resolver) exprs(xs []Expr) {
+	for _, x := range xs {
+		r.expr(x)
+	}
+}
+
+func (r *resolver) expr(x Expr) {
+	switch x := x.(type) {
+	case *NameExpr:
+		x.slot = 0
+		if i, ok := r.slots[x.Name]; ok {
+			x.slot = i + 1
+		}
+	case *UnaryExpr:
+		r.expr(x.E)
+	case *BinExpr:
+		r.expr(x.L)
+		r.expr(x.R)
+	case *FieldExpr:
+		r.expr(x.Base)
+	case *IndexExpr:
+		r.expr(x.Base)
+		r.exprs(x.Keys)
+	case *CallExpr:
+		r.exprs(x.Args)
+	case *CtorExpr:
+		for _, fe := range x.Fields {
+			r.expr(fe.E)
+		}
+	}
+}
+
 // exec runs statements; returned reports an executed return.
-func (ip *Interp) exec(e *env, stmts []Stmt) (returned bool, ret Val, err error) {
+func (ip *Interp) exec(f frame, stmts []Stmt) (returned bool, ret Val, err error) {
 	for _, s := range stmts {
 		switch s := s.(type) {
 		case *LocalStmt:
 			var v Val
 			if s.Init != nil {
-				if v, err = ip.eval(e, s.Init); err != nil {
+				if v, err = ip.eval(f, s.Init); err != nil {
 					return false, nil, err
 				}
 			} else if s.Type != nil {
@@ -210,16 +369,13 @@ func (ip *Interp) exec(e *env, stmts []Stmt) (returned bool, ret Val, err error)
 					return false, nil, err
 				}
 			}
-			if e.vars == nil {
-				e.vars = map[string]Val{}
-			}
-			e.vars[s.Name] = v
+			f.put(s.slot, v)
 		case *AssignStmt:
-			if err = ip.assign(e, s.LHS, s.RHS); err != nil {
+			if err = ip.assign(f, s.LHS, s.RHS); err != nil {
 				return false, nil, err
 			}
 		case *IfStmt:
-			cond, err := ip.eval(e, s.Cond)
+			cond, err := ip.eval(f, s.Cond)
 			if err != nil {
 				return false, nil, err
 			}
@@ -231,18 +387,17 @@ func (ip *Interp) exec(e *env, stmts []Stmt) (returned bool, ret Val, err error)
 			if !bool(b) {
 				body = s.Else
 			}
-			sub := &env{ip: ip, vars: map[string]Val{}, parent: e}
-			if r, rv, err := ip.exec(sub, body); err != nil || r {
+			if r, rv, err := ip.exec(f, body); err != nil || r {
 				return r, rv, err
 			}
 		case *ForStmt:
-			if err := ip.execFor(e, s); err != nil {
-				return false, nil, err
+			if r, rv, err := ip.execFor(f, s); err != nil || r {
+				return r, rv, err
 			}
 		case *PrintStmt:
 			parts := make([]string, len(s.Args))
 			for i, a := range s.Args {
-				v, err := ip.eval(e, a)
+				v, err := ip.eval(f, a)
 				if err != nil {
 					return false, nil, err
 				}
@@ -254,13 +409,13 @@ func (ip *Interp) exec(e *env, stmts []Stmt) (returned bool, ret Val, err error)
 			}
 			fmt.Fprintln(ip.Out, strings.Join(parts, ", "))
 		case *AddStmt:
-			t, keys, err := ip.evalIndexTarget(e, s.Target)
+			t, keys, err := ip.evalIndexTarget(f, s.Target)
 			if err != nil {
 				return false, nil, err
 			}
 			t.Put(ip.Now(), keys, nil)
 		case *DeleteStmt:
-			t, keys, err := ip.evalIndexTarget(e, s.Target)
+			t, keys, err := ip.evalIndexTarget(f, s.Target)
 			if err != nil {
 				return false, nil, err
 			}
@@ -269,20 +424,16 @@ func (ip *Interp) exec(e *env, stmts []Stmt) (returned bool, ret Val, err error)
 			if s.Value == nil {
 				return true, nil, nil
 			}
-			v, err := ip.eval(e, s.Value)
+			v, err := ip.eval(f, s.Value)
 			return true, v, err
 		case *ExprStmt:
-			if _, err := ip.eval(e, s.E); err != nil {
+			if _, err := ip.eval(f, s.E); err != nil {
 				return false, nil, err
 			}
 		case *EventStmt:
-			args := make([]Val, len(s.Args))
-			for i, a := range s.Args {
-				v, err := ip.eval(e, a)
-				if err != nil {
-					return false, nil, err
-				}
-				args[i] = v
+			args, err := ip.evalList(f, s.Args)
+			if err != nil {
+				return false, nil, err
 			}
 			if err := ip.Dispatch(s.Name, args...); err != nil {
 				return false, nil, err
@@ -294,20 +445,11 @@ func (ip *Interp) exec(e *env, stmts []Stmt) (returned bool, ret Val, err error)
 	return false, nil, nil
 }
 
-func (ip *Interp) execFor(e *env, s *ForStmt) error {
-	over, err := ip.eval(e, s.Over)
+// execFor runs a loop; a return in its body leaves the enclosing call.
+func (ip *Interp) execFor(f frame, s *ForStmt) (returned bool, ret Val, err error) {
+	over, err := ip.eval(f, s.Over)
 	if err != nil {
-		return err
-	}
-	run := func(bind func(sub *env)) error {
-		sub := &env{ip: ip, vars: map[string]Val{}, parent: e}
-		bind(sub)
-		r, _, err := ip.exec(sub, s.Body)
-		if err != nil {
-			return err
-		}
-		_ = r // return inside for aborts only the handler in real Bro; keep simple
-		return nil
+		return false, nil, err
 	}
 	switch c := over.(type) {
 	case *TableVal:
@@ -322,71 +464,66 @@ func (ip *Interp) execFor(e *env, s *ForStmt) error {
 		for _, ent := range entries {
 			key := ent[0].([]Val)
 			yield, _ := ent[1].(Val)
-			if err := run(func(sub *env) {
-				if len(key) == 1 {
-					sub.vars[s.Var] = key[0]
+			if len(key) == 1 {
+				f.put(s.slot, key[0])
+			} else {
+				f.put(s.slot, &VectorVal{Elems: key})
+			}
+			if s.Var2 != "" {
+				if len(key) == 2 && c.IsSet {
+					f.put(s.slot, key[0])
+					f.put(s.slot2, key[1])
 				} else {
-					sub.vars[s.Var] = &VectorVal{Elems: key}
+					f.put(s.slot2, yield)
 				}
-				if s.Var2 != "" {
-					if len(key) == 2 && c.IsSet {
-						sub.vars[s.Var] = key[0]
-						sub.vars[s.Var2] = key[1]
-					} else {
-						sub.vars[s.Var2] = yield
-					}
-				}
-			}); err != nil {
-				return err
+			}
+			if r, rv, err := ip.exec(f, s.Body); err != nil || r {
+				return r, rv, err
 			}
 		}
-		return nil
+		return false, nil, nil
 	case *VectorVal:
 		for i := range c.Elems {
-			if err := run(func(sub *env) {
-				sub.vars[s.Var] = CountVal(i)
-				if s.Var2 != "" {
-					sub.vars[s.Var2] = c.Elems[i]
-				}
-			}); err != nil {
-				return err
+			f.put(s.slot, CountVal(i))
+			if s.Var2 != "" {
+				f.put(s.slot2, c.Elems[i])
+			}
+			if r, rv, err := ip.exec(f, s.Body); err != nil || r {
+				return r, rv, err
 			}
 		}
-		return nil
+		return false, nil, nil
 	default:
-		return errVal("for", over)
+		return false, nil, errVal("for", over)
 	}
 }
 
-func (ip *Interp) assign(e *env, lhs Expr, rhsE Expr) error {
-	rhs, err := ip.eval(e, rhsE)
+func (ip *Interp) assign(f frame, lhs Expr, rhsE Expr) error {
+	rhs, err := ip.eval(f, rhsE)
 	if err != nil {
 		return err
 	}
 	switch l := lhs.(type) {
 	case *NameExpr:
-		e.assign(l.Name, rhs)
+		if l.slot > 0 {
+			f.put(l.slot-1, rhs)
+		} else {
+			ip.Globals[l.Name] = rhs
+		}
 		return nil
 	case *FieldExpr:
-		base, err := ip.eval(e, l.Base)
+		r, i, err := ip.evalField(f, l)
 		if err != nil {
 			return err
 		}
-		r, ok := base.(*RecordVal)
-		if !ok {
-			return errVal("$", base)
-		}
-		if r.T.Index(l.Field) < 0 {
-			return fmt.Errorf("bro: record %s has no field %q", r.T.Name, l.Field)
-		}
-		r.Set(l.Field, rhs)
+		r.F[i] = rhs
 		return nil
 	case *IndexExpr:
-		base, err := ip.eval(e, l.Base)
+		base, err := ip.eval(f, l.Base)
 		if err != nil {
 			return err
 		}
-		keys, err := ip.evalKeys(e, l.Keys)
+		keys, err := ip.evalList(f, l.Keys)
 		if err != nil {
 			return err
 		}
@@ -412,10 +549,11 @@ func (ip *Interp) assign(e *env, lhs Expr, rhsE Expr) error {
 	}
 }
 
-func (ip *Interp) evalKeys(e *env, keys []Expr) ([]Val, error) {
-	out := make([]Val, len(keys))
-	for i, k := range keys {
-		v, err := ip.eval(e, k)
+// evalList evaluates expressions into a new slice.
+func (ip *Interp) evalList(f frame, xs []Expr) ([]Val, error) {
+	out := make([]Val, len(xs))
+	for i, x := range xs {
+		v, err := ip.eval(f, x)
 		if err != nil {
 			return nil, err
 		}
@@ -424,8 +562,8 @@ func (ip *Interp) evalKeys(e *env, keys []Expr) ([]Val, error) {
 	return out, nil
 }
 
-func (ip *Interp) evalIndexTarget(e *env, ie *IndexExpr) (*TableVal, []Val, error) {
-	base, err := ip.eval(e, ie.Base)
+func (ip *Interp) evalIndexTarget(f frame, ie *IndexExpr) (*TableVal, []Val, error) {
+	base, err := ip.eval(f, ie.Base)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -433,21 +571,25 @@ func (ip *Interp) evalIndexTarget(e *env, ie *IndexExpr) (*TableVal, []Val, erro
 	if !ok {
 		return nil, nil, errVal("add/delete", base)
 	}
-	keys, err := ip.evalKeys(e, ie.Keys)
+	keys, err := ip.evalList(f, ie.Keys)
 	return t, keys, err
 }
 
-func (ip *Interp) eval(e *env, x Expr) (Val, error) {
+func (ip *Interp) eval(f frame, x Expr) (Val, error) {
 	switch x := x.(type) {
 	case *LitExpr:
 		return x.V, nil
 	case *NameExpr:
-		if v, ok := e.lookup(x.Name); ok {
+		if x.slot > 0 {
+			if s := f[x.slot-1]; s.set {
+				return s.v, nil
+			}
+		} else if v, ok := ip.Globals[x.Name]; ok {
 			return v, nil
 		}
 		return nil, fmt.Errorf("bro: undefined identifier %q", x.Name)
 	case *UnaryExpr:
-		v, err := ip.eval(e, x.E)
+		v, err := ip.eval(f, x.E)
 		if err != nil {
 			return nil, err
 		}
@@ -481,26 +623,19 @@ func (ip *Interp) eval(e *env, x Expr) (Val, error) {
 		}
 		return nil, fmt.Errorf("bro: unknown unary %q", x.Op)
 	case *BinExpr:
-		return ip.evalBin(e, x)
+		return ip.evalBin(f, x)
 	case *FieldExpr:
-		base, err := ip.eval(e, x.Base)
+		r, i, err := ip.evalField(f, x)
 		if err != nil {
 			return nil, err
 		}
-		r, ok := base.(*RecordVal)
-		if !ok {
-			return nil, errVal("$", base)
-		}
-		if r.T.Index(x.Field) < 0 {
-			return nil, fmt.Errorf("bro: record %s has no field %q", r.T.Name, x.Field)
-		}
-		return r.Get(x.Field), nil
+		return r.F[i], nil
 	case *IndexExpr:
-		base, err := ip.eval(e, x.Base)
+		base, err := ip.eval(f, x.Base)
 		if err != nil {
 			return nil, err
 		}
-		keys, err := ip.evalKeys(e, x.Keys)
+		keys, err := ip.evalList(f, x.Keys)
 		if err != nil {
 			return nil, err
 		}
@@ -521,7 +656,7 @@ func (ip *Interp) eval(e *env, x Expr) (Val, error) {
 			return nil, errVal("[]", base)
 		}
 	case *CallExpr:
-		return ip.evalCall(e, x)
+		return ip.evalCall(f, x)
 	case *CtorExpr:
 		// Anonymous record literal; its evaluations share one type.
 		if x.rt == nil {
@@ -532,8 +667,8 @@ func (ip *Interp) eval(e *env, x Expr) (Val, error) {
 			x.rt = NewRecordType("record", fields...)
 		}
 		vals := make([]Val, len(x.Fields))
-		for i, f := range x.Fields {
-			v, err := ip.eval(e, f.E)
+		for i, fe := range x.Fields {
+			v, err := ip.eval(f, fe.E)
 			if err != nil {
 				return nil, err
 			}
@@ -545,7 +680,24 @@ func (ip *Interp) eval(e *env, x Expr) (Val, error) {
 	}
 }
 
-func (ip *Interp) evalCall(e *env, x *CallExpr) (Val, error) {
+// evalField evaluates a field expression's record and the field's index.
+func (ip *Interp) evalField(f frame, x *FieldExpr) (*RecordVal, int, error) {
+	base, err := ip.eval(f, x.Base)
+	if err != nil {
+		return nil, 0, err
+	}
+	r, ok := base.(*RecordVal)
+	if !ok {
+		return nil, 0, errVal("$", base)
+	}
+	i := x.site.index(r.T, x.Field)
+	if i < 0 {
+		return nil, 0, fmt.Errorf("bro: record %s has no field %q", r.T.Name, x.Field)
+	}
+	return r, i, nil
+}
+
+func (ip *Interp) evalCall(f frame, x *CallExpr) (Val, error) {
 	// Record constructor?
 	if rt, ok := ip.Records[x.Fn]; ok {
 		r := NewRecord(rt)
@@ -554,45 +706,54 @@ func (ip *Interp) evalCall(e *env, x *CallExpr) (Val, error) {
 			if !ok || len(ce.Fields) != 1 {
 				return nil, fmt.Errorf("bro: %s(...) takes $field=value arguments", x.Fn)
 			}
-			v, err := ip.eval(e, ce.Fields[0].E)
+			fe := &ce.Fields[0]
+			v, err := ip.eval(f, fe.E)
 			if err != nil {
 				return nil, err
 			}
-			if rt.Index(ce.Fields[0].Name) < 0 {
-				return nil, fmt.Errorf("bro: record %s has no field %q", rt.Name, ce.Fields[0].Name)
+			i := fe.site.index(rt, fe.Name)
+			if i < 0 {
+				return nil, fmt.Errorf("bro: record %s has no field %q", rt.Name, fe.Name)
 			}
-			r.Set(ce.Fields[0].Name, v)
+			r.F[i] = v
 		}
 		return r, nil
 	}
-	args := make([]Val, len(x.Args))
-	for i, a := range x.Args {
-		v, err := ip.eval(e, a)
+	if b, ok := builtins[x.Fn]; ok {
+		args, err := ip.evalList(f, x.Args)
 		if err != nil {
 			return nil, err
 		}
-		args[i] = v
+		return b(ip, args)
 	}
-	switch x.Fn {
-	case "vector":
-		return &VectorVal{Elems: args}, nil
-	case "network_time":
-		return TimeVal(ip.Now()), nil
-	case "fmt":
-		return builtinFmt(args)
-	case "to_lower":
+	if fd, ok := ip.Funcs[x.Fn]; ok {
+		return ip.callExprs(f, fd, x.Args)
+	}
+	return nil, fmt.Errorf("bro: unknown function %q", x.Fn)
+}
+
+// builtins are the functions the interpreter provides. They shadow script
+// functions of the same name, as in the compiled backend.
+var builtins = map[string]func(ip *Interp, args []Val) (Val, error){
+	"vector":       func(_ *Interp, args []Val) (Val, error) { return &VectorVal{Elems: args}, nil },
+	"network_time": func(ip *Interp, _ []Val) (Val, error) { return TimeVal(ip.Now()), nil },
+	"fmt":          func(_ *Interp, args []Val) (Val, error) { return builtinFmt(args) },
+	"to_lower": func(_ *Interp, args []Val) (Val, error) {
 		s, _ := args[0].(StringVal)
 		return StringVal(strings.ToLower(string(s))), nil
-	case "to_upper":
+	},
+	"to_upper": func(_ *Interp, args []Val) (Val, error) {
 		s, _ := args[0].(StringVal)
 		return StringVal(strings.ToUpper(string(s))), nil
-	case "cat":
+	},
+	"cat": func(_ *Interp, args []Val) (Val, error) {
 		var sb strings.Builder
 		for _, a := range args {
 			sb.WriteString(a.Render())
 		}
 		return StringVal(sb.String()), nil
-	case "Log::write":
+	},
+	"Log::write": func(ip *Interp, args []Val) (Val, error) {
 		if ip.LogWrite != nil {
 			stream, _ := args[0].(StringVal)
 			rec, ok := args[1].(*RecordVal)
@@ -602,11 +763,7 @@ func (ip *Interp) evalCall(e *env, x *CallExpr) (Val, error) {
 			ip.LogWrite(string(stream), rec)
 		}
 		return nil, nil
-	}
-	if _, ok := ip.Funcs[x.Fn]; ok {
-		return ip.CallFunction(x.Fn, args...)
-	}
-	return nil, fmt.Errorf("bro: unknown function %q", x.Fn)
+	},
 }
 
 // builtinFmt implements Bro's fmt(): %s/%d/%x/%f plus %%.
@@ -645,10 +802,10 @@ func builtinFmt(args []Val) (Val, error) {
 	return StringVal(sb.String()), nil
 }
 
-func (ip *Interp) evalBin(e *env, x *BinExpr) (Val, error) {
+func (ip *Interp) evalBin(f frame, x *BinExpr) (Val, error) {
 	// Short-circuit logic.
 	if x.Op == "&&" || x.Op == "||" {
-		l, err := ip.eval(e, x.L)
+		l, err := ip.eval(f, x.L)
 		if err != nil {
 			return nil, err
 		}
@@ -662,7 +819,7 @@ func (ip *Interp) evalBin(e *env, x *BinExpr) (Val, error) {
 		if x.Op == "||" && bool(lb) {
 			return BoolVal(true), nil
 		}
-		r, err := ip.eval(e, x.R)
+		r, err := ip.eval(f, x.R)
 		if err != nil {
 			return nil, err
 		}
@@ -672,11 +829,11 @@ func (ip *Interp) evalBin(e *env, x *BinExpr) (Val, error) {
 		}
 		return rb, nil
 	}
-	l, err := ip.eval(e, x.L)
+	l, err := ip.eval(f, x.L)
 	if err != nil {
 		return nil, err
 	}
-	r, err := ip.eval(e, x.R)
+	r, err := ip.eval(f, x.R)
 	if err != nil {
 		return nil, err
 	}

@@ -50,6 +50,7 @@ type EventHandler struct {
 	Name   string
 	Params []ParamDecl
 	Body   []Stmt
+	layout frameLayout
 }
 
 // FuncDecl is a script function.
@@ -58,6 +59,7 @@ type FuncDecl struct {
 	Params []ParamDecl
 	Result *TypeExpr
 	Body   []Stmt
+	layout frameLayout
 }
 
 // ParamDecl is one parameter.
@@ -106,6 +108,7 @@ type LocalStmt struct {
 	Name string
 	Type *TypeExpr
 	Init Expr
+	slot int // the local's frame slot
 }
 
 // AssignStmt assigns to a name, index, or field expression.
@@ -127,6 +130,8 @@ type ForStmt struct {
 	Var2 string // second index / yield variable (optional)
 	Over Expr
 	Body []Stmt
+
+	slot, slot2 int // frame slots of Var and Var2
 }
 
 // PrintStmt prints comma-separated values.
@@ -168,7 +173,10 @@ type Expr interface{ isExpr() }
 type LitExpr struct{ V Val }
 
 // NameExpr references a variable.
-type NameExpr struct{ Name string }
+type NameExpr struct {
+	Name string
+	slot int // 1 + the frame slot of a local; 0 for a global
+}
 
 // BinExpr is a binary operation.
 type BinExpr struct {
@@ -192,6 +200,7 @@ type IndexExpr struct {
 type FieldExpr struct {
 	Base  Expr
 	Field string
+	site  fieldSite
 }
 
 // CallExpr is f(args).
@@ -211,6 +220,7 @@ type CtorExpr struct {
 type CtorField struct {
 	Name string // "" for positional
 	E    Expr
+	site fieldSite // a named constructor's argument: Name's index in the record
 }
 
 func (*LitExpr) isExpr()   {}
