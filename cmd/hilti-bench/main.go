@@ -1418,22 +1418,23 @@ func (h *harness) recovery(chk *checker) {
 		workers, cut, pbuf.Len(), ckLatency.Round(time.Microsecond))
 	checkStreams(chk, "pipeline across kill/restore", sortedLogs(base), par2.MergedLines)
 
-	// 3. Supervised hang recovery, restoring the wedged shard from its last
-	//    automatic checkpoint (every packet here, so nothing clean is lost).
-	h.hangRecovery(chk, "supervisor", pipeline.Config{CheckpointEvery: 1}, sortedLogs(base))
+	// 3. Supervised hang recovery, restoring the wedged shard from its log:
+	//    full shard snapshots happen only every 256 packets, yet the
+	//    recovery loses the wedged packet alone.
+	h.hangRecovery(chk, sortedLogs(base))
 }
 
-// hangRecovery feeds the merged trace through a 4-worker pipeline under
-// pcfg while one flow's analyzer blocks forever mid-trace (StallPort),
+// hangRecovery feeds the merged trace through a 4-worker supervised
+// pipeline while one flow's analyzer blocks forever mid-trace (StallPort),
 // wedging its worker. The supervisor must replace the goroutine exactly
 // once, restore the shard, and quarantine the flow, so a second packet on
-// it does not wedge again; every other flow's logs must equal want.
-func (h *harness) hangRecovery(chk *checker, label string, pcfg pipeline.Config, want func(string) []string) {
-	const stallPort = 31999
+// it does not wedge again; every other flow's logs must equal want, so no
+// clean packet was lost.
+func (h *harness) hangRecovery(chk *checker, want func(string) []string) {
+	const stallPort, label = 31999, "supervisor"
 	cfg := stdConfig("interp")
 	cfg.StallPort = stallPort
-	pcfg.Workers, pcfg.StallTimeout = 4, 2*time.Second
-	par, err := bro.NewParallelWith(cfg, pcfg)
+	par, err := bro.NewParallelWith(cfg, pipeline.Config{Workers: 4, StallTimeout: 2 * time.Second, CheckpointEvery: 256})
 	must(err)
 	a, b := [4]byte{10, 99, 0, 1}, [4]byte{10, 99, 0, 2}
 	pkts := h.mergedTrace()
@@ -1682,12 +1683,6 @@ func (h *harness) wal(chk *checker) {
 	_, err = bro.RestoreEngineWAL(cfg, snap.Bytes(), corrupt)
 	chk.check(err != nil, "corrupt frozen segment accepted (must be rejected, only a damaged tail is tolerable)")
 	fmt.Println("    corrupt non-tail segment rejected cleanly; truncated tail tolerated (above)")
-
-	// E. Pipeline WAL mode under supervised hang recovery: with per-packet
-	//    records, the recovery loss window is the wedged packet itself even
-	//    though full shard snapshots happen only every 256 packets — the
-	//    non-WAL path would have lost up to 255 packets of clean work.
-	h.hangRecovery(chk, "pipeline WAL", pipeline.Config{CheckpointEvery: 256, WAL: true}, sortedLogs(base))
 }
 
 // --- elastic cluster migration -----------------------------------------------
@@ -1723,7 +1718,7 @@ func (h *harness) migrate(chk *checker) {
 		}
 	}
 
-	// A. Elastic scale-out and scale-in on the full trace, WAL on: grow
+	// A. Elastic scale-out and scale-in on the full trace: grow
 	//    from 2 to 3 instances a third of the way in, shrink back at two
 	//    thirds, draining flows live in both directions.
 	pkts := h.mergedTrace()
@@ -1731,7 +1726,7 @@ func (h *harness) migrate(chk *checker) {
 
 	c, err := bro.NewCluster(cfg, bro.ClusterConfig{
 		Instances: 2, Buckets: 16,
-		Pipeline: pipeline.Config{Workers: 2, WAL: true},
+		Pipeline: pipeline.Config{Workers: 2},
 	})
 	must(err)
 	third := len(pkts) / 3
@@ -1789,7 +1784,7 @@ func (h *harness) migrate(chk *checker) {
 			})
 			cc, err := bro.NewCluster(cfg, bro.ClusterConfig{
 				Instances: 2, Buckets: 8,
-				Pipeline: pipeline.Config{Workers: 2, WAL: true},
+				Pipeline: pipeline.Config{Workers: 2},
 			})
 			must(err)
 			feedSlice(cc, small, 0, len(small)/2)

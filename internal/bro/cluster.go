@@ -40,8 +40,7 @@ import (
 type ClusterConfig struct {
 	Instances int // initial instance count (default 2)
 	Buckets   int // routing buckets, power of two (default 32)
-	// Pipeline configures every instance (Workers, WAL, ...). WAL changes
-	// how an instance recovers, not how a handoff ships.
+	// Pipeline configures every instance (Workers, StallTimeout, ...).
 	Pipeline    pipeline.Config
 	MaxAttempts int // frame sends per handoff step (default 4)
 }

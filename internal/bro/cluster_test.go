@@ -95,44 +95,42 @@ func TestClusterEquivalenceUnderMigration(t *testing.T) {
 	pkts := mergedTrace(t)
 	want := singleBaseline(t, pkts)
 
-	for _, wal := range []bool{false, true} {
-		label := fmt.Sprintf("wal=%v", wal)
-		c, err := NewCluster(clusterCfg(), ClusterConfig{
-			Instances: 2, Buckets: 8,
-			Pipeline: pipeline.Config{Workers: 2, WAL: wal},
-		})
-		if err != nil {
-			t.Fatal(err)
+	const label = "migration"
+	c, err := NewCluster(clusterCfg(), ClusterConfig{
+		Instances: 2, Buckets: 8,
+		Pipeline: pipeline.Config{Workers: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	chunk := len(pkts) / 10
+	handoffs := uint64(0)
+	for lo := 0; lo < len(pkts); lo += chunk {
+		hi := lo + chunk
+		if hi > len(pkts) {
+			hi = len(pkts)
 		}
-		rng := rand.New(rand.NewSource(7))
-		chunk := len(pkts) / 10
-		handoffs := uint64(0)
-		for lo := 0; lo < len(pkts); lo += chunk {
-			hi := lo + chunk
-			if hi > len(pkts) {
-				hi = len(pkts)
-			}
-			feedSlice(t, c, pkts, lo, hi)
-			b := rng.Intn(c.Table().Buckets())
-			to := 1 - c.Table().OwnerOf(b)
-			if err := c.MigrateBucket(b, to, nil); err != nil {
-				t.Fatalf("%s: migrate bucket %d -> %d: %v", label, b, to, err)
-			}
-			handoffs++
+		feedSlice(t, c, pkts, lo, hi)
+		b := rng.Intn(c.Table().Buckets())
+		to := 1 - c.Table().OwnerOf(b)
+		if err := c.MigrateBucket(b, to, nil); err != nil {
+			t.Fatalf("%s: migrate bucket %d -> %d: %v", label, b, to, err)
 		}
-		assertSingleOwner(t, label, c, pkts)
-		if err := c.CheckOwnership(); err != nil {
-			t.Errorf("%s: mid-run: %v", label, err)
-		}
-		c.Close()
-		assertClusterMatches(t, label, c, want)
-		if err := c.CheckOwnership(); err != nil {
-			t.Errorf("%s: after close: %v", label, err)
-		}
-		commits := c.Ledger().Instance(0).Commits + c.Ledger().Instance(1).Commits
-		if commits != handoffs {
-			t.Errorf("%s: %d handoffs committed, want %d", label, commits, handoffs)
-		}
+		handoffs++
+	}
+	assertSingleOwner(t, label, c, pkts)
+	if err := c.CheckOwnership(); err != nil {
+		t.Errorf("%s: mid-run: %v", label, err)
+	}
+	c.Close()
+	assertClusterMatches(t, label, c, want)
+	if err := c.CheckOwnership(); err != nil {
+		t.Errorf("%s: after close: %v", label, err)
+	}
+	commits := c.Ledger().Instance(0).Commits + c.Ledger().Instance(1).Commits
+	if commits != handoffs {
+		t.Errorf("%s: %d handoffs committed, want %d", label, commits, handoffs)
 	}
 }
 
@@ -145,7 +143,7 @@ func TestClusterLiveMigrationWindow(t *testing.T) {
 
 	c, err := NewCluster(clusterCfg(), ClusterConfig{
 		Instances: 2, Buckets: 8,
-		Pipeline: pipeline.Config{Workers: 2, WAL: true},
+		Pipeline: pipeline.Config{Workers: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +225,7 @@ func TestClusterChaosEveryStep(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			c, err := NewCluster(clusterCfg(), ClusterConfig{
 				Instances: 2, Buckets: 8,
-				Pipeline: pipeline.Config{Workers: 2, WAL: true},
+				Pipeline: pipeline.Config{Workers: 2},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -286,7 +284,7 @@ func TestClusterChaosRandomSchedules(t *testing.T) {
 		})
 		c, err := NewCluster(clusterCfg(), ClusterConfig{
 			Instances: 3, Buckets: 8,
-			Pipeline: pipeline.Config{Workers: 2, WAL: seed%2 == 0},
+			Pipeline: pipeline.Config{Workers: 2},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -322,7 +320,7 @@ func TestClusterScaleOutIn(t *testing.T) {
 
 	c, err := NewCluster(clusterCfg(), ClusterConfig{
 		Instances: 2, Buckets: 8,
-		Pipeline: pipeline.Config{Workers: 2, WAL: true},
+		Pipeline: pipeline.Config{Workers: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -386,7 +384,7 @@ func TestClusterDiscardAfterInstall(t *testing.T) {
 
 	c, err := NewCluster(clusterCfg(), ClusterConfig{
 		Instances: 2, Buckets: 8,
-		Pipeline: pipeline.Config{Workers: 2, WAL: true},
+		Pipeline: pipeline.Config{Workers: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -455,7 +453,7 @@ func TestClusterRefusesSecondSessionWhileInstalled(t *testing.T) {
 	pkts := mergedTrace(t)
 	c, err := NewCluster(clusterCfg(), ClusterConfig{
 		Instances: 2, Buckets: 8,
-		Pipeline: pipeline.Config{Workers: 1, WAL: false},
+		Pipeline: pipeline.Config{Workers: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,8 +14,8 @@ import (
 // limited, sampled, shed, faulted, quarantine-dropped, processed, or lost
 // to a wedged worker — it ends in exactly one fate, and the fates plus the
 // packets in flight add up to the packets offered. The cells below hold
-// that across a checkpoint/restore and a supervised stall recovery, with
-// and without the WAL.
+// that across a checkpoint/restore and a supervised stall recovery, both
+// of which go through the shards' write-ahead logs.
 
 const (
 	fatePanic = 0xEE // payload byte that panics the handler
@@ -78,14 +78,13 @@ func fateTrace(seed int64) []fatePkt {
 // it. The controller is returned separately because a restored pipeline
 // must keep consulting the same one: its rate estimate and tier are not
 // checkpoint state, and the cells compare ledgers decision for decision.
-func fateCfg(t *testing.T, wal bool, stallOn byte) (Config, *admission.Controller) {
+func fateCfg(t *testing.T, stallOn byte) (Config, *admission.Controller) {
 	adm := admission.NewController(admission.Config{
 		TargetRate: 1000, SamplingRatio: 3, SampleN: 4,
 		GlobalRate: 4000, GlobalBurst: 50,
 		RecoverDwell: timer.Seconds(1),
 	})
 	cfg := deltaCfg(2, fatePanic, stallOn)
-	cfg.WAL = wal
 	cfg.MaxFlows = 32
 	cfg.FlowIdle = timer.Seconds(2)
 	cfg.Admission = adm
@@ -136,107 +135,102 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestPacketFateIdentity(t *testing.T) {
 	pkts := fateTrace(7)
 	mid := len(pkts) * 2 / 5 // inside the flood, with the ladder engaged
-	for _, mode := range []struct {
-		name string
-		wal  bool
-	}{{"full", false}, {"wal", true}} {
-		var straight Ledger
-		t.Run(mode.name+"/straight", func(t *testing.T) {
-			cfg, adm := fateCfg(t, mode.wal, 0)
-			p, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
+	var straight Ledger
+	t.Run("wal/straight", func(t *testing.T) {
+		cfg, adm := fateCfg(t, 0)
+		p, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feedAll(t, p, pkts)
+		p.Close()
+		straight = checkBalanced(t, "after close", p, adm, len(pkts))
+		for _, f := range []admission.Fate{admission.FateProcessed, admission.FateFault,
+			admission.FateQuarantineDrop, admission.FateShed, admission.FatePlaneDrop,
+			admission.FateRateLimited, admission.FateSampled} {
+			if straight.Fates[f] == 0 {
+				t.Errorf("the trace never produced fate %v: %v", f, straight.Fates)
 			}
-			feedAll(t, p, pkts)
-			p.Close()
-			straight = checkBalanced(t, "after close", p, adm, len(pkts))
-			for _, f := range []admission.Fate{admission.FateProcessed, admission.FateFault,
-				admission.FateQuarantineDrop, admission.FateShed, admission.FatePlaneDrop,
-				admission.FateRateLimited, admission.FateSampled} {
-				if straight.Fates[f] == 0 {
-					t.Errorf("the trace never produced fate %v: %v", f, straight.Fates)
-				}
-			}
-			if st := sumStats(p); st.FlowsEvicted == 0 {
-				t.Error("the trace never pushed the flow table over its cap")
-			}
-		})
+		}
+		if st := sumStats(p); st.FlowsEvicted == 0 {
+			t.Error("the trace never pushed the flow table over its cap")
+		}
+	})
 
-		t.Run(mode.name+"/restore", func(t *testing.T) {
-			cfg, adm := fateCfg(t, mode.wal, 0)
-			// In WAL mode never re-base: the restored shard is then rebuilt
-			// record by record, every fate through replay's settle.
-			cfg.CheckpointEvery = 1 << 20
-			p1, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			feedAll(t, p1, pkts[:mid])
-			var buf bytes.Buffer
-			if err := p1.Checkpoint(&buf); err != nil {
-				t.Fatal(err)
-			}
-			p1.Kill()
-			atCut := checkBalanced(t, "at the cut", p1, adm, mid)
+	t.Run("wal/restore", func(t *testing.T) {
+		cfg, adm := fateCfg(t, 0)
+		// Never re-base: the restored shard is then rebuilt record by
+		// record, every fate through replay's settle.
+		cfg.CheckpointEvery = 1 << 20
+		p1, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feedAll(t, p1, pkts[:mid])
+		var buf bytes.Buffer
+		if err := p1.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		p1.Kill()
+		atCut := checkBalanced(t, "at the cut", p1, adm, mid)
 
-			p2, err := Restore(cfg, bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := checkBalanced(t, "restored", p2, adm, mid); got != atCut {
-				t.Fatalf("restored ledger differs from the live one at the cut:\n  live     %+v\n  restored %+v", atCut, got)
-			}
-			feedAll(t, p2, pkts[mid:])
-			p2.Close()
-			if got := checkBalanced(t, "after close", p2, adm, len(pkts)); got != straight {
-				t.Fatalf("ledger across a restore differs from the straight run's:\n  straight %+v\n  restored %+v", straight, got)
-			}
-		})
+		p2, err := Restore(cfg, bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := checkBalanced(t, "restored", p2, adm, mid); got != atCut {
+			t.Fatalf("restored ledger differs from the live one at the cut:\n  live     %+v\n  restored %+v", atCut, got)
+		}
+		feedAll(t, p2, pkts[mid:])
+		p2.Close()
+		if got := checkBalanced(t, "after close", p2, adm, len(pkts)); got != straight {
+			t.Fatalf("ledger across a restore differs from the straight run's:\n  straight %+v\n  restored %+v", straight, got)
+		}
+	})
 
-		// One worker, so both wedges hit the same slot: the first costs a
-		// replacement, the second trips the replacement-rate limit and the
-		// slot discards its queue for the cooldown.
-		t.Run(mode.name+"/stall", func(t *testing.T) {
-			cfg, adm := fateCfg(t, mode.wal, fateStall)
-			cfg.Workers = 1
-			cfg.CheckpointEvery = 8
-			cfg.StallTimeout = 25 * time.Millisecond
-			cfg.StallMaxReplaces = 1
-			cfg.StallReplaceWindow = time.Minute
-			cfg.StallQuarantine = 150 * time.Millisecond
-			p, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			src, dst := [4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}
-			fed := 0
-			feed := func(pk ...fatePkt) {
-				feedAll(t, p, pk)
-				fed += len(pk)
-			}
-			// Both wedges land in the calm first second, where neither the
-			// bucket nor the ladder can take the poison packet first.
-			feed(pkts[:150]...)
-			feed(fatePkt{pkts[150].ts, frame(src, dst, 7001, 53, []byte{fateStall})})
-			waitFor(t, "the first replacement", func() bool { return p.Restarts() == 1 })
-			feed(pkts[150:160]...)
-			feed(fatePkt{pkts[160].ts, frame(src, dst, 7002, 53, []byte{fateStall})})
-			waitFor(t, "the stall quarantine", func() bool { return p.StallQuarantines() == 1 })
-			feed(pkts[160:400]...) // drained by the discarding slot
-			waitFor(t, "reinstatement", func() bool { return p.QuarantinedWorkers() == 0 })
-			feed(pkts[400:]...)
-			p.Close()
+	// One worker, so both wedges hit the same slot: the first costs a
+	// replacement, the second trips the replacement-rate limit and the
+	// slot discards its queue for the cooldown.
+	t.Run("wal/stall", func(t *testing.T) {
+		cfg, adm := fateCfg(t, fateStall)
+		cfg.Workers = 1
+		cfg.CheckpointEvery = 8
+		cfg.StallTimeout = 25 * time.Millisecond
+		cfg.StallMaxReplaces = 1
+		cfg.StallReplaceWindow = time.Minute
+		cfg.StallQuarantine = 150 * time.Millisecond
+		p, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, dst := [4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}
+		fed := 0
+		feed := func(pk ...fatePkt) {
+			feedAll(t, p, pk)
+			fed += len(pk)
+		}
+		// Both wedges land in the calm first second, where neither the
+		// bucket nor the ladder can take the poison packet first.
+		feed(pkts[:150]...)
+		feed(fatePkt{pkts[150].ts, frame(src, dst, 7001, 53, []byte{fateStall})})
+		waitFor(t, "the first replacement", func() bool { return p.Restarts() == 1 })
+		feed(pkts[150:160]...)
+		feed(fatePkt{pkts[160].ts, frame(src, dst, 7002, 53, []byte{fateStall})})
+		waitFor(t, "the stall quarantine", func() bool { return p.StallQuarantines() == 1 })
+		feed(pkts[160:400]...) // drained by the discarding slot
+		waitFor(t, "reinstatement", func() bool { return p.QuarantinedWorkers() == 0 })
+		feed(pkts[400:]...)
+		p.Close()
 
-			l := checkBalanced(t, "after close", p, adm, fed)
-			if l.Fates[admission.FateRolledBack] < 2 {
-				t.Errorf("rolled back %d packets, want at least the two that wedged", l.Fates[admission.FateRolledBack])
-			}
-			if l.Fates[admission.FateDiscarded] == 0 {
-				t.Error("nothing discarded during the stall quarantine")
-			}
-			if got := sumStats(p).PacketsRejected; got != l.Fates[admission.FateDiscarded] {
-				t.Errorf("PacketsRejected = %d, want the discarded fate's %d", got, l.Fates[admission.FateDiscarded])
-			}
-		})
-	}
+		l := checkBalanced(t, "after close", p, adm, fed)
+		if l.Fates[admission.FateRolledBack] < 2 {
+			t.Errorf("rolled back %d packets, want at least the two that wedged", l.Fates[admission.FateRolledBack])
+		}
+		if l.Fates[admission.FateDiscarded] == 0 {
+			t.Error("nothing discarded during the stall quarantine")
+		}
+		if got := sumStats(p).PacketsRejected; got != l.Fates[admission.FateDiscarded] {
+			t.Errorf("PacketsRejected = %d, want the discarded fate's %d", got, l.Fates[admission.FateDiscarded])
+		}
+	})
 }

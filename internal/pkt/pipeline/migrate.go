@@ -301,29 +301,20 @@ func (p *Pipeline) sliceByWorker(s *FlowSlice) []FlowSlice {
 	return out
 }
 
-// refreshShardBase re-anchors a shard's recovery state after a migration
-// mutated it outside the packet path. In WAL mode that is a re-base (new
-// full snapshot, truncated log); in tracked non-WAL mode a fresh
-// automatic checkpoint. If the fresh capture fails, the stale base is
-// *dropped* rather than kept: recovering yesterday's shard would
-// resurrect flows that migrated away — an ownership violation — whereas
-// a fresh-but-empty rebuild merely loses local state, which crash-only
+// refreshShardBase re-anchors a shard's log after a migration mutated the
+// shard outside the packet path: a re-base (new full snapshot, truncated
+// log). If that fails, the stale base is *dropped* — no snapshot, empty
+// log, a gap open — rather than kept: recovering yesterday's shard would
+// resurrect flows that migrated away — an ownership violation — whereas a
+// fresh-but-empty rebuild merely loses local state, which crash-only
 // operation already tolerates. Runs on the owning worker goroutine.
 func (p *Pipeline) refreshShardBase(sl *wslot) {
-	if sl.dc != nil {
-		if p.rebase(sl) != nil {
-			sl.walGap = true
-			sl.ws.ckptFailures.Add(1)
-		}
+	if sl.wlog == nil || p.rebase(sl) == nil {
 		return
 	}
-	if !sl.track {
-		return
-	}
-	blob, err := p.shardBlob(sl)
-	if err != nil {
-		sl.ws.ckptFailures.Add(1)
-		blob = nil
-	}
-	sl.setCkpt(blob)
+	sl.mu.Lock()
+	sl.snap = nil
+	sl.wlog.Reset()
+	sl.mu.Unlock()
+	p.openGap(sl)
 }

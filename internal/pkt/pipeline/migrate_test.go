@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -453,5 +454,64 @@ func TestWorkerHealthMetricsContinuity(t *testing.T) {
 		reg.Value(metrics.Name("pipeline_shard_packets_total", "worker", "1"))
 	if after != before+10 {
 		t.Fatalf("collector still bound to the dead pipeline: %v -> %v", before, after)
+	}
+}
+
+// flakyDeltaHandler is a deltaHandler whose next Rebase fails once fail is
+// set.
+type flakyDeltaHandler struct {
+	deltaHandler
+	fail *atomic.Bool
+}
+
+func (h *flakyDeltaHandler) Rebase(enc *snapshot.Encoder, prev []byte) error {
+	if h.fail.CompareAndSwap(true, false) {
+		return fmt.Errorf("re-base refused")
+	}
+	return h.deltaHandler.Rebase(enc, prev)
+}
+
+// TestFailedRefreshDropsStaleBase: when the re-base after a handoff fails,
+// the shard's pre-handoff snapshot and log must go with it. A wedge on the
+// next packet then rebuilds the shard fresh instead of restoring the flows
+// that ForgetFlows released — which would give them two owners.
+func TestFailedRefreshDropsStaleBase(t *testing.T) {
+	var fail atomic.Bool
+	cfg := deltaCfg(1, 0, 0xEE)
+	cfg.StallTimeout = 30 * time.Millisecond
+	cfg.NewHandler = func(i int) (Handler, error) {
+		return &flakyDeltaHandler{deltaHandler: deltaHandler{worker: i, stallOn: 0xEE}, fail: &fail}, nil
+	}
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := [4]byte{10, 8, 0, 1}, [4]byte{10, 8, 0, 2}
+	fA := frame(a, b, 5001, 53, []byte{1})
+	keyA, _ := flow.FromFrame(fA)
+	vidA := keyA.Hash()
+	for i := 0; i < 10; i++ {
+		p.Feed(int64(i*1000), fA)
+	}
+	slice, err := p.ExtractFlows(func(vid uint64) bool { return vid == vidA })
+	if err != nil || len(slice.Sched) != 1 {
+		t.Fatalf("extract flow A: %v, %d scheduler entries", err, len(slice.Sched))
+	}
+	fail.Store(true)
+	if err := p.ForgetFlows(slice); err != nil {
+		t.Fatal(err)
+	}
+	if owned, err := p.OwnsFlow(keyA, vidA); err != nil || owned {
+		t.Fatalf("after ForgetFlows: owned=%v err=%v", owned, err)
+	}
+
+	p.Feed(20_000, frame(a, b, 5002, 53, []byte{0xEE}))
+	waitFor(t, "the replacement", func() bool { return p.Restarts() == 1 })
+	if owned, err := p.OwnsFlow(keyA, vidA); err != nil || owned {
+		t.Fatalf("after the stall recovery: owned=%v err=%v (the pre-handoff base resurrected flow A)", owned, err)
+	}
+	p.Close()
+	if l := p.Ledger(); !l.Balanced() {
+		t.Fatalf("ledger unbalanced: %+v", l)
 	}
 }

@@ -9,7 +9,6 @@ package pipeline
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,6 +16,7 @@ import (
 
 	"hilti/internal/pkt/flow"
 	"hilti/internal/rt/admission"
+	"hilti/internal/rt/snapshot"
 	"hilti/internal/rt/timer"
 )
 
@@ -207,29 +207,31 @@ func TestWedgingHandlerConvergesToQuarantine(t *testing.T) {
 	}
 }
 
-// failCkptHandler fails every Checkpoint call, counting attempts.
+// failCkptHandler fails every Rebase call, counting attempts.
 type failCkptHandler struct{ calls atomic.Uint64 }
 
-func (h *failCkptHandler) ProcessPacket(int64, []byte) {}
-func (h *failCkptHandler) Finish()                     {}
-func (h *failCkptHandler) Checkpoint(io.Writer) error {
+func (h *failCkptHandler) ProcessPacket(int64, []byte)         {}
+func (h *failCkptHandler) Finish()                             {}
+func (h *failCkptHandler) EncodeDelta(*snapshot.Encoder) error { return nil }
+func (h *failCkptHandler) ApplyDelta([]byte) error             { return nil }
+func (h *failCkptHandler) Rebase(*snapshot.Encoder, []byte) error {
 	h.calls.Add(1)
 	return fmt.Errorf("disk on fire")
 }
 
-// TestCheckpointFailureBackoff: a persistently failing auto-checkpoint
-// must be retried with exponential backoff, not on every packet.
+// TestCheckpointFailureBackoff: a shard whose every re-base fails — the
+// first one, in New, included — opens a gap instead of failing New, and
+// the gap's re-base is retried with exponential backoff, not on every
+// packet.
 func TestCheckpointFailureBackoff(t *testing.T) {
 	h := &failCkptHandler{}
 	p, err := New(Config{
-		Workers:         1,
-		StallTimeout:    time.Second, // enables tracking; nothing stalls
-		CheckpointEvery: 1,
-		NewHandler:      func(int) (Handler, error) { return h, nil },
-		RestoreHandler:  func(int, []byte) (Handler, error) { return h, nil },
+		Workers:        1,
+		NewHandler:     func(int) (Handler, error) { return h, nil },
+		RestoreHandler: func(int, []byte) (Handler, error) { return h, nil },
 	})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("New with a failing first re-base: %v", err)
 	}
 	a, b := [4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}
 	const packets = 100
@@ -238,13 +240,14 @@ func TestCheckpointFailureBackoff(t *testing.T) {
 	}
 	p.Close()
 	calls := h.calls.Load()
-	// Without backoff this is exactly `packets` attempts; with 2^n packet
-	// backoff it is O(log packets).
-	if calls >= packets/2 {
-		t.Fatalf("checkpoint attempted %d times over %d packets; backoff is not engaging", calls, packets)
+	// Without backoff this is one attempt in New plus one per packet; with
+	// 2^n packet backoff it is O(log packets): New, then after 2, 4, 8, 16
+	// and 32 skipped packets.
+	if calls >= packets/10 {
+		t.Fatalf("re-base attempted %d times over %d packets; backoff is not engaging", calls, packets)
 	}
 	if calls < 3 {
-		t.Fatalf("checkpoint attempted only %d times; retries stopped entirely", calls)
+		t.Fatalf("re-base attempted only %d times; retries stopped entirely", calls)
 	}
 	if got := sumStats(p).CheckpointFailures; got != calls {
 		t.Fatalf("CheckpointFailures = %d, want %d (every attempt failed)", got, calls)
@@ -267,8 +270,8 @@ func TestAdmissionShedsNewProtectsEstablished(t *testing.T) {
 	})
 	a, b := [4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}
 	fA := frame(a, b, 5001, 80, []byte{1})
-	p.Feed(0, fA)                            // established before overload
-	p.Feed(1e6, frame(a, b, 5002, 80, nil))  // second established flow
+	p.Feed(0, fA)                           // established before overload
+	p.Feed(1e6, frame(a, b, 5002, 80, nil)) // second established flow
 	const churn = 100
 	dns := 0
 	for i := 0; i < churn; i++ {
@@ -313,45 +316,40 @@ func TestAdmissionShedsNewProtectsEstablished(t *testing.T) {
 
 // TestPacketsShedSurvivesRestore: the shed count is shard state like every
 // other packet-fate counter. It used to be missing from the shard snapshot,
-// so a restore zeroed it — and in WAL mode kept only the sheds replayed
-// from records after the last re-base.
+// so a restore kept only the sheds replayed from records after the last
+// re-base.
 func TestPacketsShedSurvivesRestore(t *testing.T) {
 	a, b := [4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}
-	for _, mode := range []struct {
-		name string
-		wal  bool
-	}{{"full", false}, {"wal", true}} {
-		shedding := func() *admission.Controller {
-			return admission.NewController(admission.Config{TargetRate: 1, SamplingRatio: 1e18})
-		}
-		cfg := deltaCfg(1, 0, 0)
-		cfg.WAL, cfg.CheckpointEvery, cfg.Admission = mode.wal, 8, shedding()
-		p1, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p1.Feed(0, frame(a, b, 5001, 80, []byte{1})) // established before overload
-		const churn = 50                             // spans several WAL re-bases
-		for i := 0; i < churn; i++ {
-			p1.Feed(int64(200e6+i*1e6), frame(a, b, uint16(20000+i), 80, []byte{2}))
-		}
-		var buf bytes.Buffer
-		if err := p1.Checkpoint(&buf); err != nil {
-			t.Fatalf("%s: checkpoint: %v", mode.name, err)
-		}
-		p1.Kill()
-		if got := sumStats(p1).PacketsShed; got != churn {
-			t.Fatalf("%s: live PacketsShed = %d, want %d", mode.name, got, churn)
-		}
-		cfg.Admission = shedding()
-		p2, err := Restore(cfg, bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("%s: restore: %v", mode.name, err)
-		}
-		p2.Close()
-		if got := sumStats(p2).PacketsShed; got != churn {
-			t.Errorf("%s: restored PacketsShed = %d, want %d", mode.name, got, churn)
-		}
+	shedding := func() *admission.Controller {
+		return admission.NewController(admission.Config{TargetRate: 1, SamplingRatio: 1e18})
+	}
+	cfg := deltaCfg(1, 0, 0)
+	cfg.CheckpointEvery, cfg.Admission = 8, shedding()
+	p1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1.Feed(0, frame(a, b, 5001, 80, []byte{1})) // established before overload
+	const churn = 50                             // spans several re-bases
+	for i := 0; i < churn; i++ {
+		p1.Feed(int64(200e6+i*1e6), frame(a, b, uint16(20000+i), 80, []byte{2}))
+	}
+	var buf bytes.Buffer
+	if err := p1.Checkpoint(&buf); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	p1.Kill()
+	if got := sumStats(p1).PacketsShed; got != churn {
+		t.Fatalf("live PacketsShed = %d, want %d", got, churn)
+	}
+	cfg.Admission = shedding()
+	p2, err := Restore(cfg, bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	p2.Close()
+	if got := sumStats(p2).PacketsShed; got != churn {
+		t.Errorf("restored PacketsShed = %d, want %d", got, churn)
 	}
 }
 

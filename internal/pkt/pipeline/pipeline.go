@@ -38,20 +38,19 @@
 // Finish on its own worker, then stops the scheduler.
 //
 // Crash-only operation: Checkpoint serializes every shard — flow table,
-// timers, counters, and (when the Handler implements Checkpointer) the
+// timers, counters, and (when the Handler implements DeltaCheckpointer) the
 // handler's own analysis state — by quiescing each shard on its own
 // worker, one at a time, while the others keep processing; it never stops
-// the world. Restore rebuilds an equivalent pipeline from the stream.
-// With StallTimeout set, a supervisor watches per-packet heartbeats: a
-// worker wedged in a handler beyond the timeout is replaced by a fresh
-// goroutine (threads.ReplaceWorker), its shard restored from the last
-// automatic checkpoint (work since then is lost — bounded by
-// CheckpointEvery), and the offending flow quarantined like any faulted
-// flow. Other shards never notice.
+// the world. Restore rebuilds an equivalent pipeline from the stream. A
+// shard with something to recover keeps a write-ahead log (wal.go). With
+// StallTimeout set, a supervisor watches per-packet heartbeats: a worker
+// wedged in a handler beyond the timeout is replaced by a fresh goroutine
+// (threads.ReplaceWorker), its shard restored from its log up to the
+// packet before the wedged one, and the offending flow quarantined like
+// any faulted flow. Other shards never notice.
 package pipeline
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -84,27 +83,20 @@ type Handler interface {
 	Finish()
 }
 
-// Checkpointer is optionally implemented by Handlers whose analysis state
-// can be serialized (*bro.Engine implements it). Checkpoint runs on the
-// handler's own worker goroutine, between packets.
-type Checkpointer interface {
-	Checkpoint(w io.Writer) error
-}
-
-// DeltaCheckpointer is the handler contract for WAL mode (*bro.Engine
-// implements it). Rebase is "write a full snapshot of now and make it the
-// delta base": onto enc go the bytes Checkpoint would write, and the next
-// delta describes changes from this state. prev is what the previous Rebase
-// on this handler wrote (nil: not available, or its deltas did not all
-// succeed); the handler may copy out of it whatever has not changed since
-// instead of encoding it again. A Rebase that fails leaves the previous
+// DeltaCheckpointer is optionally implemented by Handlers whose analysis
+// state can be serialized (*bro.Engine implements it). Rebase is "write a
+// full snapshot of now and make it the delta base": onto enc go the bytes
+// RestoreHandler rebuilds the handler from, and the next delta describes
+// changes from this state. prev is what the previous Rebase on this
+// handler wrote (nil: not available, or its deltas did not all succeed);
+// the handler may copy out of it whatever has not changed since instead
+// of encoding it again. A Rebase that fails leaves the previous
 // base in force. EncodeDelta writes everything changed since the last
 // EncodeDelta or Rebase; if it fails the base is void until a Rebase
 // succeeds. ApplyDelta replays one delta onto a restored base. Both
 // encoders are appenders, and after an error the caller discards what was
 // written. All calls run on the handler's own worker goroutine.
 type DeltaCheckpointer interface {
-	Checkpointer
 	Rebase(enc *snapshot.Encoder, prev []byte) error
 	EncodeDelta(enc *snapshot.Encoder) error
 	ApplyDelta(data []byte) error
@@ -175,14 +167,13 @@ type Config struct {
 
 	// StallTimeout enables the hang supervisor: a worker that spends
 	// longer than this wall-clock time inside one packet is declared
-	// wedged, its goroutine replaced, its shard restored from the last
-	// automatic checkpoint, and the offending flow quarantined.
+	// wedged, its goroutine replaced, its shard restored from its log up
+	// to the packet before, and the offending flow quarantined.
 	// 0 disables supervision (the default). Size it well above the
-	// worst-case legitimate per-packet work — which includes the
-	// automatic shard checkpoint encode, O(shard state) every
-	// CheckpointEvery packets — plus scheduling jitter under load: a
-	// too-small value declares healthy workers wedged, quarantining
-	// innocent flows and discarding their post-checkpoint work.
+	// worst-case legitimate per-packet work — which includes the shard
+	// re-base, O(shard state) every CheckpointEvery packets — plus
+	// scheduling jitter under load: a too-small value declares healthy
+	// workers wedged, quarantining innocent flows.
 	StallTimeout time.Duration
 	// StallMaxReplaces bounds supervisor churn: more than this many
 	// replacements of one worker within StallReplaceWindow sends the
@@ -199,14 +190,14 @@ type Config struct {
 	// StallTimeout); it doubles with each quarantine, capped at 64x base.
 	StallQuarantine time.Duration
 
-	// CheckpointEvery is how many packets a supervised worker processes
-	// between automatic shard checkpoints (default 256). Smaller bounds
-	// the loss window of a hang recovery, larger costs less. A failing
-	// checkpoint (or WAL re-base) is retried with exponential packet-count
-	// backoff, capped at 4096 packets, instead of every packet.
+	// CheckpointEvery is how many records a shard's log holds before the
+	// shard re-bases onto a full snapshot (default 256): smaller bounds
+	// replay work, larger costs less. While a log has a gap, a failing
+	// re-base is retried with exponential packet-count backoff, capped at
+	// 4096 packets, instead of every packet.
 	CheckpointEvery int
-	// RestoreHandler rebuilds worker i's handler from a checkpoint blob
-	// produced by a Checkpointer handler. Required for Restore and for
+	// RestoreHandler rebuilds worker i's handler from the bytes a
+	// DeltaCheckpointer's Rebase wrote. Required for Restore and for
 	// supervised recovery to preserve shard state (without it, a replaced
 	// worker starts from a fresh NewHandler).
 	RestoreHandler func(worker int, data []byte) (Handler, error)
@@ -215,16 +206,8 @@ type Config struct {
 	// finalize. Check FinalCheckpointErr after Close.
 	FinalCheckpoint io.Writer
 
-	// WAL switches checkpointing to write-ahead logging: each worker
-	// appends one O(changed-state) record per packet — the job's outcome
-	// plus the handler's delta — to an in-memory log, re-basing with a
-	// full shard snapshot (and truncating the log) every CheckpointEvery
-	// packets. Checkpoints then compose the last snapshot with the log's
-	// segments instead of re-encoding the whole shard, and supervised
-	// recovery resumes at the packet before the wedge instead of losing
-	// up to CheckpointEvery packets of work. Requires every handler to
-	// implement DeltaCheckpointer; checkpoints taken in either mode
-	// restore in either mode.
+	// Deprecated: WAL has no effect. Every shard with something to recover
+	// keeps a write-ahead log.
 	WAL bool
 
 	// Metrics, when set, wires the pipeline into the registry: per-shard
@@ -260,7 +243,7 @@ type WorkerStats struct {
 	TimersDropped     uint64 // idle timers outstanding (and discarded) at Close
 
 	FlowCap            int    // effective per-worker flow cap (0 = unbounded)
-	CheckpointFailures uint64 // failed automatic checkpoint/re-base attempts
+	CheckpointFailures uint64 // failed re-bases and log records
 
 	StallQuarantined  bool          // slot currently serving a stall quarantine
 	CooldownRemaining time.Duration // time left in the quarantine cooldown (0 if none)
@@ -318,32 +301,33 @@ type flowState struct {
 type wslot struct {
 	ws    *wstate
 	h     Handler
-	track bool // heartbeats + auto-checkpoints on (supervised)
+	track bool // heartbeats on (supervised)
 
 	mu        sync.Mutex
 	busySince time.Time // zero = idle
 	busyVID   uint64
 	abandoned bool   // supervisor gave up on the in-flight job
 	arrived   uint64 // packets this shard has been handed: its fates' sum plus the job in flight
-	ckpt      []byte // last automatic shard checkpoint (non-WAL mode)
 
-	// WAL mode (dc non-nil): snap is the last full shard snapshot and
-	// wlog the records appended since; both under mu so the supervisor
-	// can compose a consistent recovery blob while the worker appends.
-	// snap[snapH:] is the handler's part, which its next Rebase patches;
-	// enc encodes every record onto the log's tail. Both worker-only.
+	// The write-ahead log (wlog non-nil; see openLog): snap is the last
+	// full shard snapshot (nil: none usable) and wlog the records appended
+	// since; both under mu so the supervisor can compose a consistent
+	// recovery blob while the worker appends. snap[snapH:] is the
+	// handler's part, which its next Rebase patches; enc encodes every
+	// record onto the log's tail. Both worker-only. dc is the handler's
+	// DeltaCheckpointer side, nil for a plain handler.
 	dc    DeltaCheckpointer
 	snap  []byte
 	wlog  *wal.Log
 	snapH int
 	enc   snapshot.Encoder
 
-	pktSince int  // packets since last re-base/auto-checkpoint; worker-only
-	walGap   bool // deltas currently inexpressible; rebase pending; worker-only
+	pktSince int  // records since the last re-base; worker-only
+	walGap   bool // records stopped; re-base pending; worker-only
 
-	// Persistence-failure backoff (worker-only): after a failed automatic
-	// checkpoint or gapped re-base, retries wait an exponentially growing
-	// packet count (2^failN, capped at 4096) instead of every opportunity.
+	// Gap backoff (worker-only): after a failed re-base that leaves
+	// records stopped, retries wait an exponentially growing packet count
+	// (2^failN, capped at 4096) instead of every opportunity.
 	ckptFailN uint
 	gapSkip   int
 }
@@ -368,12 +352,6 @@ func (sl *wslot) endBusy() bool {
 		return false
 	}
 	return true
-}
-
-func (sl *wslot) setCkpt(b []byte) {
-	sl.mu.Lock()
-	sl.ckpt = b
-	sl.mu.Unlock()
 }
 
 // Pipeline fans decoded packets out to flow-affine workers.
@@ -427,13 +405,7 @@ func New(cfg Config) (*Pipeline, error) {
 		}
 		sl := &wslot{ws: p.newWstate(i), h: h, track: cfg.StallTimeout > 0}
 		sl.ws.owner = sl
-		if p.cfg.WAL {
-			// The scheduler isn't running yet, so the handler is still
-			// safe to touch from here.
-			if err := p.initWALBase(sl); err != nil {
-				return nil, fmt.Errorf("pipeline: worker %d: %w", i, err)
-			}
-		}
+		p.openLog(sl) // the scheduler isn't running yet: the handler is ours
 		p.slots[i].Store(sl)
 	}
 	p.start()
@@ -675,20 +647,6 @@ func (p *Pipeline) runPacket(sl *wslot, ctx *threads.Context, tsNs int64, cp []b
 	// The record goes in after settle, so a fault's delta carries the
 	// handler's post-quarantine state.
 	p.walRecord(sl, tsNs, ctx.VID, key, hasKey, len(cp), dec.Tier, fate)
-	if fate == admission.FateProcessed && sl.track && sl.dc == nil {
-		if sl.pktSince++; sl.pktSince >= p.cfg.CheckpointEvery+backoffPackets(sl.ckptFailN) {
-			sl.pktSince = 0
-			if blob, err := p.shardBlob(sl); err == nil {
-				sl.setCkpt(blob)
-				sl.ckptFailN = 0
-			} else {
-				ws.ckptFailures.Add(1)
-				if sl.ckptFailN < 12 {
-					sl.ckptFailN++
-				}
-			}
-		}
-	}
 }
 
 // deliver takes one packet through the worker-side stages — quarantine
@@ -757,18 +715,6 @@ func (p *Pipeline) advanceWorkerTime(ws *wstate, tsNs int64) {
 	if fired := ws.tm.Advance(timer.Time(tsNs)); fired > 0 {
 		ws.timersFired.Add(uint64(fired))
 	}
-}
-
-// backoffPackets is the persistence-failure retry delay after n
-// consecutive failures, in packets: 2^n, capped at 4096.
-func backoffPackets(n uint) int {
-	if n == 0 {
-		return 0
-	}
-	if n > 12 {
-		n = 12
-	}
-	return 1 << n
 }
 
 // admitFlow creates or refreshes the flow's scheduling state and reports
@@ -950,7 +896,7 @@ func (p *Pipeline) checkpoint(w io.Writer) error {
 
 // encodeShard serializes one worker's shard: clock, fate tally (in Fate
 // order), the other counters, quarantine set, flow table (LRU order), and
-// the handler's state when it implements Checkpointer — in WAL mode through
+// the handler's state when it implements DeltaCheckpointer — through
 // Rebase, which also pins the handler's delta base and may patch prevH, the
 // handler's part of the previous snapshot; hoff is where that part starts
 // in the new one. A full encode's latency is the checkpoint histogram's
@@ -995,17 +941,11 @@ func (p *Pipeline) encodeShard(sl *wslot, prevH []byte) (blob []byte, hoff int, 
 		enc.I64(int64(fs.idle.FireTime()))
 	}
 
-	ckpt, ok := sl.h.(Checkpointer)
-	enc.Bool(ok)
-	switch {
-	case sl.dc != nil:
+	enc.Bool(sl.dc != nil)
+	if sl.dc != nil {
 		hoff = enc.Begin()
 		err = sl.dc.Rebase(enc, prevH)
 		enc.End(hoff)
-	case ok:
-		var hb bytes.Buffer
-		err = ckpt.Checkpoint(&hb)
-		enc.Bytes(hb.Bytes())
 	}
 	if err = errors.Join(err, enc.Err()); err != nil {
 		return nil, 0, err
@@ -1014,7 +954,7 @@ func (p *Pipeline) encodeShard(sl *wslot, prevH []byte) (blob []byte, hoff int, 
 }
 
 // decodeShard rebuilds ws from an encodeShard blob and returns the
-// handler checkpoint blob (nil if the handler wasn't a Checkpointer).
+// handler checkpoint blob (nil if the handler wasn't a DeltaCheckpointer).
 func (p *Pipeline) decodeShard(ws *wstate, blob []byte) ([]byte, bool, error) {
 	dec := snapshot.NewDecoder(blob)
 	ws.tm.SetNow(timer.Time(dec.I64()))
@@ -1104,6 +1044,7 @@ func Restore(cfg Config, r io.Reader) (*Pipeline, error) {
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: shard %d: %w", i, err)
 		}
+		p.openLog(sl)
 		p.slots[i].Store(sl)
 	}
 	p.start()
@@ -1157,10 +1098,10 @@ type replState struct {
 
 // checkStall replaces worker i if its current packet has been executing
 // longer than StallTimeout. The wedged goroutine is abandoned (it exits
-// if the job ever returns), the shard is rebuilt from its last automatic
-// checkpoint — losing at most CheckpointEvery packets of that shard's
-// work — and the offending flow is quarantined so its later packets
-// cannot wedge the replacement too.
+// if the job ever returns), the shard is rebuilt from its last snapshot
+// plus every record logged since — the packet before the wedged one —
+// and the offending flow is quarantined so its later packets cannot wedge
+// the replacement too.
 //
 // Replacement-rate limit: a worker replaced more than StallMaxReplaces
 // times within StallReplaceWindow stops serving — the recovered shard
@@ -1188,16 +1129,12 @@ func (p *Pipeline) checkStall(i int) {
 	stuck := sl.track && !sl.abandoned && !sl.busySince.IsZero() &&
 		time.Since(sl.busySince) > p.cfg.StallTimeout
 	var vid, arrived uint64
-	var ckpt []byte
+	var blob []byte
 	if stuck {
 		sl.abandoned = true
 		vid, arrived = sl.busyVID, sl.arrived
-		if sl.wlog != nil {
-			// WAL mode: the recovery point is the last snapshot plus every
-			// record appended since — the packet before the wedged one.
-			ckpt = composeShardBlob(sl.snap, sl.wlog.Segments())
-		} else {
-			ckpt = sl.ckpt
+		if sl.snap != nil {
+			blob = composeShardBlob(sl.snap, sl.wlog.Segments())
 		}
 	}
 	sl.mu.Unlock()
@@ -1214,7 +1151,7 @@ func (p *Pipeline) checkStall(i int) {
 		}
 	}
 	r.times = append(keep, now)
-	nsl := p.rebuildSlot(i, vid, ckpt, arrived)
+	nsl := p.rebuildSlot(i, vid, blob, arrived)
 	if len(r.times) > p.cfg.StallMaxReplaces {
 		if r.quarN < 6 {
 			r.quarN++
@@ -1252,13 +1189,13 @@ func (p *Pipeline) StallQuarantines() uint64 { return p.stallQuars.Load() }
 func (p *Pipeline) QuarantinedWorkers() int { return int(p.workerQuar.Load()) }
 
 // rebuildSlot constructs worker i's replacement: shard state restored
-// from the last auto-checkpoint when possible (else fresh), the wedged
-// flow quarantined with the arrived packets that state lacks settled as
-// rolled back, and the stall recorded in the fault ledger.
-func (p *Pipeline) rebuildSlot(i int, vid uint64, ckpt []byte, arrived uint64) *wslot {
+// from its log when possible (else fresh), the wedged flow quarantined
+// with the arrived packets that state lacks settled as rolled back, the
+// stall recorded in the fault ledger, and a log based on the result.
+func (p *Pipeline) rebuildSlot(i int, vid uint64, blob []byte, arrived uint64) *wslot {
 	var sl *wslot
-	if ckpt != nil && p.cfg.RestoreHandler != nil {
-		if nsl, err := p.restoreSlotFromBlob(i, ckpt); err == nil {
+	if blob != nil {
+		if nsl, err := p.restoreSlotFromBlob(i, blob); err == nil {
 			sl = nsl
 		}
 	}
@@ -1271,22 +1208,16 @@ func (p *Pipeline) rebuildSlot(i int, vid uint64, ckpt []byte, arrived uint64) *
 		}
 		sl = &wslot{ws: p.newWstate(i), h: nh}
 		sl.ws.owner = sl
-		if p.cfg.WAL {
-			p.initWALBase(sl) //nolint:errcheck — a handler that can't delta just stops logging
-		}
 	}
 	sl.track = true
 
 	ws := sl.ws
 	p.settle(ws, admission.FateRolledBack, vid, arrived-ws.fates.Counts().Sum(), 0)
 	sl.arrived = arrived
-	ws.faults.Record(&fault.Fault{Op: "stall", Worker: i, VID: vid, Value: "worker exceeded StallTimeout; replaced from last checkpoint"})
-	if sl.dc != nil && p.rebase(sl) != nil {
-		// The quarantine marks (and any zap) postdate the restored base;
-		// until a re-base succeeds, deltas would diff against a snapshot
-		// that doesn't include them.
-		sl.walGap = true
-	}
+	ws.faults.Record(&fault.Fault{Op: "stall", Worker: i, VID: vid, Value: "worker exceeded StallTimeout; replaced from its log"})
+	// The base follows the quarantine marks (and any zap), so deltas never
+	// diff against a snapshot that lacks them.
+	p.openLog(sl)
 	return sl
 }
 

@@ -3,16 +3,16 @@ package pipeline
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"hilti/internal/rt/admission"
 	"hilti/internal/rt/snapshot"
 )
 
 // ckptHandler counts packets and serializes the count — the smallest
-// possible Checkpointer, for exercising the pipeline's shard codec
+// possible DeltaCheckpointer, for exercising the pipeline's shard codec
 // without dragging a full engine in.
 type ckptHandler struct {
 	worker int
@@ -32,10 +32,20 @@ func (h *ckptHandler) ProcessPacket(_ int64, data []byte) {
 
 func (h *ckptHandler) Finish() { h.finish++ }
 
-func (h *ckptHandler) Checkpoint(w io.Writer) error {
-	enc := snapshot.NewEncoder(w)
+func (h *ckptHandler) Rebase(enc *snapshot.Encoder, _ []byte) error {
+	enc.Header()
+	return h.EncodeDelta(enc)
+}
+
+func (h *ckptHandler) EncodeDelta(enc *snapshot.Encoder) error {
 	enc.U64(h.count)
 	return enc.Err()
+}
+
+func (h *ckptHandler) ApplyDelta(data []byte) error {
+	dec := snapshot.NewRawDecoder(data)
+	h.count = dec.U64()
+	return dec.Err()
 }
 
 func restoreCkptHandler(stallOn byte) func(int, []byte) (Handler, error) {
@@ -222,15 +232,14 @@ func TestFinalCheckpointOnClose(t *testing.T) {
 }
 
 // TestSupervisorRecoversWedgedWorker: a handler that never returns on one
-// poisoned flow must be detected, its worker replaced from the last
-// automatic checkpoint, the flow quarantined, and every other flow's
-// packets still processed. Close must complete normally afterwards.
+// poisoned flow must be detected, its worker replaced from its log, the
+// flow quarantined, and every other flow's packets still processed. Close
+// must complete normally afterwards.
 func TestSupervisorRecoversWedgedWorker(t *testing.T) {
 	var restartsSeen atomic.Bool
 	cfg := Config{
-		Workers:         2,
-		StallTimeout:    30 * time.Millisecond,
-		CheckpointEvery: 1, // minimize loss so the count check is exact
+		Workers:      2,
+		StallTimeout: 30 * time.Millisecond,
 		NewHandler: func(i int) (Handler, error) {
 			return &ckptHandler{worker: i, stallOn: 0xEE}, nil
 		},
@@ -247,8 +256,6 @@ func TestSupervisorRecoversWedgedWorker(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		p.Feed(int64(i*1000), clean(i))
 	}
-	// Every worker has checkpointed at least once (CheckpointEvery=1)
-	// before the poison arrives.
 	poison := frame(a, b, 9999, 53, []byte{0xEE})
 	p.Feed(51_000, poison)
 
@@ -287,8 +294,8 @@ func TestSupervisorRecoversWedgedWorker(t *testing.T) {
 		count += p.slots[i].Load().h.(*ckptHandler).count
 	}
 	qDropped := sumStats(p).QuarantineDropped
-	// All 100 clean packets processed: the 50 pre-poison ones were
-	// checkpointed (CheckpointEvery=1) so the restore lost none.
+	// All 100 clean packets processed: the 50 pre-poison ones were logged,
+	// so the restore lost none.
 	if count != 100 {
 		t.Fatalf("clean packets processed = %d, want 100", count)
 	}
@@ -315,8 +322,9 @@ func TestSupervisorUnsupervisedOff(t *testing.T) {
 	if buf.Len() == 0 {
 		t.Fatal("empty checkpoint")
 	}
-	// recHandler is not a Checkpointer: restore must fall back to
-	// NewHandler for every shard.
+	// recHandler is not a DeltaCheckpointer and nothing supervises it, so
+	// each shard blob is a snapshot with zero log segments; restore must
+	// fall back to NewHandler for every shard.
 	cfg := Config{
 		Workers:        2,
 		NewHandler:     func(i int) (Handler, error) { return &recHandler{worker: i}, nil },
@@ -331,4 +339,68 @@ func TestSupervisorUnsupervisedOff(t *testing.T) {
 	}
 	p.Kill()
 	p2.Close()
+}
+
+// stallHandler is a plain handler — neither DeltaCheckpointer nor anything
+// else — that wedges forever on a packet whose first payload byte is 0xEE.
+type stallHandler struct{}
+
+func (stallHandler) ProcessPacket(_ int64, data []byte) {
+	if len(data) > 42 && data[42] == 0xEE {
+		select {}
+	}
+}
+
+func (stallHandler) Finish() {}
+
+// TestSupervisorRecoversPlainHandlerShard: a supervised shard whose handler
+// has no state of its own still keeps a log, so a wedge costs the wedged
+// packet only — every flow-table entry and every processed packet from
+// before it survive, though the shard never re-bases.
+func TestSupervisorRecoversPlainHandlerShard(t *testing.T) {
+	p, err := New(Config{
+		Workers:         1,
+		StallTimeout:    30 * time.Millisecond,
+		CheckpointEvery: 1 << 20,
+		NewHandler:      func(int) (Handler, error) { return stallHandler{}, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := [4]byte{10, 7, 0, 1}, [4]byte{10, 7, 0, 2}
+	const pre = 60
+	for i := 0; i < pre; i++ {
+		p.Feed(int64(i*1000), frame(a, b, uint16(8200+i%13), 53, []byte{1, byte(i)}))
+	}
+	all := func(uint64) bool { return true }
+	before, err := p.ExtractFlows(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if processed := sumStats(p).Packets; processed != pre {
+		t.Fatalf("processed %d packets before the wedge, want %d", processed, pre)
+	}
+
+	p.Feed(int64(pre*1000), frame(a, b, 9997, 53, []byte{0xEE}))
+	waitFor(t, "the replacement", func() bool { return p.Restarts() == 1 })
+	after, err := p.ExtractFlows(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(after.Sched) != fmt.Sprint(before.Sched) {
+		t.Fatalf("recovered flow table differs from the one before the wedge:\n  before %v\n  after  %v", before.Sched, after.Sched)
+	}
+	if processed := sumStats(p).Packets; processed != pre {
+		t.Fatalf("recovered shard counts %d processed packets, want the %d from before the wedge", processed, pre)
+	}
+
+	p.Feed(int64((pre+1)*1000), frame(a, b, 8200, 53, []byte{2}))
+	p.Close()
+	l := p.Ledger()
+	if !l.Balanced() || l.Offered != pre+2 {
+		t.Fatalf("ledger unbalanced: %+v", l)
+	}
+	if l.Fates[admission.FateRolledBack] != 1 || l.Fates[admission.FateProcessed] != pre+1 {
+		t.Fatalf("fates %v: want the wedged packet alone rolled back and every other processed", l.Fates)
+	}
 }

@@ -1,14 +1,14 @@
-// Write-ahead-log checkpointing for the pipeline (Config.WAL). The
-// non-WAL machinery re-encodes a whole shard every CheckpointEvery
-// packets — O(shard state) at every rotation, and a recovery loses all
-// work since the last rotation. In WAL mode each packet job instead
-// appends one self-contained record to the shard's log: the job's routing
-// facts (timestamp, vid, flow key, frame length), its outcome, and the
-// handler's O(changed-state) delta (DeltaCheckpointer.EncodeDelta), all
-// encoded once, in place, on the tail of the log's open segment. A
-// checkpoint is then just the last full snapshot plus the log's segments,
-// composed without re-encoding anything, and a replacement worker resumes
-// at the record before the wedged packet.
+// Write-ahead logging: how a pipeline shard persists itself. A shard keeps
+// a log when it has something to recover — its handler implements
+// DeltaCheckpointer, or a supervisor may rebuild it (StallTimeout). Each
+// packet job appends one self-contained record to the shard's log: the
+// job's routing facts (timestamp, vid, flow key, frame length), its
+// outcome, and — when the handler has one — its O(changed-state) delta
+// (DeltaCheckpointer.EncodeDelta), all encoded once, in place, on the tail
+// of the log's open segment. A checkpoint is then just the last full
+// snapshot plus the log's segments, composed without re-encoding anything,
+// and a replacement worker resumes at the record before the wedged packet.
+// An unsupervised plain handler keeps no log and pays nothing.
 //
 // Every CheckpointEvery records the shard re-bases: a full snapshot of
 // now replaces the base and the log is truncated. The handler's part of
@@ -27,10 +27,12 @@
 //
 // Gap discipline: when a delta cannot express the handler's state (e.g.
 // in-flight parser fibers) the shard enters a gap — records stop, the
-// composed checkpoint lags at the last committed record, and every
-// subsequent job retries a re-base (in full: the handler's base is void)
-// until one succeeds. The log therefore never contains a hole: it is
-// always replayable prefix-complete.
+// composed checkpoint lags at the last committed record, and later jobs
+// retry a re-base (in full: the handler's base is void) until one
+// succeeds, backing off while they fail. A failed first re-base, or a
+// failed refresh after a migration, opens a gap the same way. The log
+// therefore never contains a hole: it is always replayable
+// prefix-complete.
 
 package pipeline
 
@@ -48,43 +50,50 @@ import (
 // log.
 const walJobRecord byte = 1
 
-// initWALBase puts a slot into WAL mode: full snapshot as the base, empty
-// log, handler delta tracking pinned to the current state. Runs with the
-// handler quiescent (from New/Restore before start, or on the worker).
-func (p *Pipeline) initWALBase(sl *wslot) error {
-	dc, ok := sl.h.(DeltaCheckpointer)
-	if !ok {
-		return fmt.Errorf("pipeline: WAL mode requires the handler to implement DeltaCheckpointer")
+// openLog gives a slot with something to recover its log, based on a full
+// snapshot of now, with the handler's delta tracking pinned to it. Runs
+// with the handler quiescent (from New/Restore before start, or from the
+// supervisor on a slot not yet published).
+func (p *Pipeline) openLog(sl *wslot) {
+	sl.dc, _ = sl.h.(DeltaCheckpointer)
+	if sl.dc == nil && !sl.track {
+		return
 	}
-	sl.dc = dc
 	sl.wlog = wal.NewLog(0)
-	return p.rebase(sl)
+	if p.rebase(sl) != nil {
+		p.openGap(sl)
+	}
 }
 
-// walRecord appends the record for one settled packet job (no-op when
-// WAL is off); its outcome byte is the packet's fate. The record is
-// encoded once, onto the tail of the log's open segment: routing facts,
-// then — for the two fates that reached the handler — its delta. A delta
-// failure abandons the record and opens a gap instead of logging a hole.
-// Every CheckpointEvery records the shard re-bases, truncating the log.
-// Failed re-bases retry with exponential packet-count backoff (capped at
-// 4096) rather than every record, so a persistently unserializable
-// handler costs bounded work. Runs on the owning worker goroutine.
+// openGap stops records after a re-base the log cannot go on without
+// failed — the first, a refresh after a migration, or a gap's retry. The
+// next retry waits 2^n packets after n consecutive failures (capped at
+// 4096), so a persistently unserializable handler costs bounded work.
+func (p *Pipeline) openGap(sl *wslot) {
+	sl.walGap = true
+	sl.ws.ckptFailures.Add(1)
+	if sl.ckptFailN < 12 {
+		sl.ckptFailN++
+	}
+	sl.gapSkip = 1 << sl.ckptFailN
+}
+
+// walRecord appends the record for one settled packet job (no-op without
+// a log); its outcome byte is the packet's fate. The record is encoded
+// once, onto the tail of the log's open segment: routing facts, then — for
+// the two fates that reached a DeltaCheckpointer handler — its delta. A
+// delta failure abandons the record and opens a gap instead of logging a
+// hole. Every CheckpointEvery records the shard re-bases, truncating the
+// log. Runs on the owning worker goroutine.
 func (p *Pipeline) walRecord(sl *wslot, tsNs int64, vid uint64, key flow.Key, hasKey bool, frameLen int, tier int, fate admission.Fate) {
-	if sl.dc == nil {
+	if sl.wlog == nil {
 		return
 	}
 	if sl.walGap {
 		if sl.gapSkip > 0 {
 			sl.gapSkip--
-			return
-		}
-		if p.rebase(sl) != nil {
-			sl.ws.ckptFailures.Add(1)
-			if sl.ckptFailN < 12 {
-				sl.ckptFailN++
-			}
-			sl.gapSkip = backoffPackets(sl.ckptFailN)
+		} else if p.rebase(sl) != nil {
+			p.openGap(sl)
 		}
 		return
 	}
@@ -99,7 +108,7 @@ func (p *Pipeline) walRecord(sl *wslot, tsNs int64, vid uint64, key flow.Key, ha
 	enc.U32(uint32(frameLen))
 	enc.U8(uint8(fate))
 	enc.U8(uint8(tier))
-	hasDelta := fate == admission.FateProcessed || fate == admission.FateFault
+	hasDelta := sl.dc != nil && (fate == admission.FateProcessed || fate == admission.FateFault)
 	enc.Bool(hasDelta)
 	var err error
 	if hasDelta {
@@ -153,8 +162,8 @@ func (p *Pipeline) rebase(sl *wslot) error {
 }
 
 // composeShardBlob assembles one shard's checkpoint blob: a full shard
-// snapshot plus the WAL segments appended since — none outside WAL mode,
-// so every blob restores through the same path. Pure composition — no
+// snapshot plus the log segments appended since — none for a shard without
+// a log, so every blob restores through the same path. Pure composition — no
 // handler access — so the supervisor can call it on a wedged worker's slot
 // (under sl.mu).
 func composeShardBlob(snap []byte, segs [][]byte) []byte {
@@ -168,12 +177,12 @@ func composeShardBlob(snap []byte, segs [][]byte) []byte {
 	return enc.Buffer()
 }
 
-// shardBlob produces the checkpoint blob for one shard: a fresh snapshot
-// in normal mode, the last snapshot plus the log's segments in WAL mode
-// (healing a gap first, since a checkpoint must capture the present).
+// shardBlob produces the checkpoint blob for one shard: the last snapshot
+// plus the log's segments (healing a gap first, since a checkpoint must
+// capture the present), or a fresh snapshot for a shard without a log.
 // Runs on the owning worker goroutine.
 func (p *Pipeline) shardBlob(sl *wslot) ([]byte, error) {
-	if sl.dc == nil {
+	if sl.wlog == nil {
 		snap, _, err := p.encodeShard(sl, nil)
 		if err != nil {
 			return nil, err
@@ -181,7 +190,7 @@ func (p *Pipeline) shardBlob(sl *wslot) ([]byte, error) {
 		return composeShardBlob(snap, nil), nil
 	}
 	if sl.walGap && p.rebase(sl) != nil {
-		return nil, fmt.Errorf("pipeline: WAL gap: shard state not currently serializable")
+		return nil, fmt.Errorf("pipeline: log gap: shard state not currently serializable")
 	}
 	sl.mu.Lock()
 	snap, segs := sl.snap, sl.wlog.Segments()
@@ -191,9 +200,8 @@ func (p *Pipeline) shardBlob(sl *wslot) ([]byte, error) {
 
 // restoreSlotFromBlob rebuilds one worker slot from a shard blob — the
 // restore path shared by Restore and supervised recovery: decode the
-// snapshot, rebuild the handler, replay whatever records follow. A blob
-// written under either Config.WAL setting restores under either,
-// re-entering WAL mode when it is on.
+// snapshot, rebuild the handler, replay whatever records follow. The slot
+// comes back without a log; the caller opens one with openLog.
 func (p *Pipeline) restoreSlotFromBlob(i int, blob []byte) (*wslot, error) {
 	dec := snapshot.NewDecoder(blob)
 	snap := dec.Bytes()
@@ -211,10 +219,10 @@ func (p *Pipeline) restoreSlotFromBlob(i int, blob []byte) (*wslot, error) {
 	}
 	var h Handler
 	switch {
-	case hasH:
+	case hasH && p.cfg.RestoreHandler != nil:
 		h, err = p.cfg.RestoreHandler(i, hb)
-	case len(segs) > 0:
-		err = fmt.Errorf("WAL segments without handler state")
+	case hasH:
+		err = fmt.Errorf("handler state and no RestoreHandler")
 	case p.cfg.NewHandler != nil:
 		h, err = p.cfg.NewHandler(i)
 	default:
@@ -223,29 +231,24 @@ func (p *Pipeline) restoreSlotFromBlob(i int, blob []byte) (*wslot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("handler: %w", err)
 	}
-	dc, _ := h.(DeltaCheckpointer)
 	if _, err := wal.Replay(segs, func(k byte, payload []byte) error {
-		if k != walJobRecord || dc == nil {
-			return fmt.Errorf("pipeline: cannot replay WAL record kind %d onto %T", k, h)
+		if k != walJobRecord {
+			return fmt.Errorf("pipeline: cannot replay WAL record kind %d", k)
 		}
-		return p.replayShardRecord(ws, dc, payload)
+		return p.replayShardRecord(ws, h, payload)
 	}); err != nil {
 		return nil, err
 	}
 	sl := &wslot{ws: ws, h: h, track: p.cfg.StallTimeout > 0, arrived: ws.fates.Counts().Sum()}
 	ws.owner = sl
-	if p.cfg.WAL {
-		if err := p.initWALBase(sl); err != nil {
-			return nil, err
-		}
-	}
 	return sl, nil
 }
 
 // replayShardRecord re-executes one job record: the worker clock advance,
 // the flow admission the two delivered fates share, the recorded fate's
-// settle, then the handler's transition from the recorded delta.
-func (p *Pipeline) replayShardRecord(ws *wstate, dc DeltaCheckpointer, payload []byte) error {
+// settle, then the handler's transition from the recorded delta, if the
+// record has one.
+func (p *Pipeline) replayShardRecord(ws *wstate, h Handler, payload []byte) error {
 	dec := snapshot.NewRawDecoder(payload)
 	tsNs := dec.I64()
 	vid := dec.U64()
@@ -279,8 +282,12 @@ func (p *Pipeline) replayShardRecord(ws *wstate, dc DeltaCheckpointer, payload [
 		return fmt.Errorf("pipeline: WAL job record with fate %d (%v), which no packet job settles", fate, fate)
 	}
 	p.settle(ws, fate, vid, 1, int(frameLen))
-	if hasDelta {
-		return dc.ApplyDelta(delta)
+	if !hasDelta {
+		return nil
 	}
-	return nil
+	dc, ok := h.(DeltaCheckpointer)
+	if !ok {
+		return fmt.Errorf("pipeline: WAL record carries a delta %T cannot apply", h)
+	}
+	return dc.ApplyDelta(delta)
 }

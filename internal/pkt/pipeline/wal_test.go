@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"bytes"
-	"io"
 	"testing"
 	"time"
 
@@ -39,13 +38,6 @@ func (h *deltaHandler) ProcessPacket(_ int64, data []byte) {
 
 func (h *deltaHandler) Finish() { h.finish++ }
 
-func (h *deltaHandler) Checkpoint(w io.Writer) error {
-	enc := snapshot.NewEncoder(w)
-	enc.U64(h.count)
-	enc.U64(h.chain)
-	return enc.Err()
-}
-
 func (h *deltaHandler) Rebase(enc *snapshot.Encoder, _ []byte) error {
 	enc.Header()
 	return h.EncodeDelta(enc)
@@ -67,7 +59,6 @@ func (h *deltaHandler) ApplyDelta(data []byte) error {
 func deltaCfg(workers int, panicOn, stallOn byte) Config {
 	return Config{
 		Workers: workers,
-		WAL:     true,
 		NewHandler: func(i int) (Handler, error) {
 			return &deltaHandler{worker: i, panicOn: panicOn, stallOn: stallOn}, nil
 		},
@@ -89,7 +80,7 @@ func handlerStates(p *Pipeline) (counts, chains []uint64) {
 	return
 }
 
-// TestWALCheckpointKillRestore: a WAL-mode checkpoint (snapshot + log
+// TestWALCheckpointKillRestore: a checkpoint (snapshot + log
 // segments, composed without re-encoding) must restore, via record
 // replay, to exactly the per-worker state of the live pipeline — then the
 // finished run must match an uninterrupted reference run byte-for-byte
@@ -149,55 +140,6 @@ func TestWALCheckpointKillRestore(t *testing.T) {
 	}
 	if statPkts != total {
 		t.Fatalf("stats count %d packets across the restore, want %d", statPkts, total)
-	}
-}
-
-// TestWALCrossRestore: checkpoints restore across modes in both
-// directions — a WAL (shardWAL) checkpoint into a non-WAL pipeline, and a
-// full (shardFull) checkpoint into a WAL pipeline.
-func TestWALCrossRestore(t *testing.T) {
-	a, b := [4]byte{10, 3, 0, 1}, [4]byte{10, 3, 0, 2}
-	mkFrame := func(i int) []byte {
-		return frame(a, b, uint16(7100+i%9), 53, []byte{byte(i)})
-	}
-	for _, dir := range []struct {
-		name    string
-		fromWAL bool
-		toWAL   bool
-	}{{"wal-to-full", true, false}, {"full-to-wal", false, true}} {
-		src := deltaCfg(2, 0, 0)
-		src.WAL = dir.fromWAL
-		p1, err := New(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 120; i++ {
-			p1.Feed(int64(i*1000), mkFrame(i))
-		}
-		var buf bytes.Buffer
-		if err := p1.Checkpoint(&buf); err != nil {
-			t.Fatalf("%s: checkpoint: %v", dir.name, err)
-		}
-		liveCounts, liveChains := handlerStates(p1)
-		p1.Kill()
-
-		dst := deltaCfg(2, 0, 0)
-		dst.WAL = dir.toWAL
-		p2, err := Restore(dst, bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("%s: restore: %v", dir.name, err)
-		}
-		counts, chains := handlerStates(p2)
-		for i := range counts {
-			if counts[i] != liveCounts[i] || chains[i] != liveChains[i] {
-				t.Errorf("%s: worker %d state (%d,%#x) != live (%d,%#x)",
-					dir.name, i, counts[i], chains[i], liveCounts[i], liveChains[i])
-			}
-		}
-		for i := 120; i < 160; i++ {
-			p2.Feed(int64(i*1000), mkFrame(i))
-		}
-		p2.Close()
 	}
 }
 
@@ -269,11 +211,10 @@ func TestWALFaultReplay(t *testing.T) {
 	}
 }
 
-// TestWALSupervisedRecoveryLossWindow: with WAL on, a wedged worker's
-// replacement resumes at the record before the wedged packet — even with
+// TestWALSupervisedRecoveryLossWindow: a wedged worker's replacement
+// resumes at the record before the wedged packet — even with
 // CheckpointEvery far larger than the packets processed, no pre-wedge
-// work is lost. (The non-WAL path would lose everything since the last
-// full auto-checkpoint.)
+// work is lost.
 func TestWALSupervisedRecoveryLossWindow(t *testing.T) {
 	cfg := deltaCfg(2, 0, 0xEE)
 	cfg.StallTimeout = 30 * time.Millisecond
