@@ -1,6 +1,7 @@
 package bro
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -215,7 +216,8 @@ func TestClockScrapeWhileRunning(t *testing.T) {
 // struct cached, a compiled handler that only reads is allocation-free end
 // to end.
 func TestDispatchAllocs(t *testing.T) {
-	for _, exec := range []string{"hilti", "interp"} {
+	var logged [2]float64 // per backend: a reply, then the message_done that logs it
+	for i, exec := range []string{"hilti", "interp"} {
 		e, c := clockEngine(t, "standard", exec)
 		// bro_done has no handler in these scripts: the path alone.
 		e.dispatch(evBroDone, nil)
@@ -228,6 +230,36 @@ func TestDispatchAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(200, done); n != 0 {
 			t.Errorf("%s: http_message_done allocates %v times per event", exec, n)
 		}
+		// With a reply pending, http_message_done writes http.log.
+		reply := func() {
+			e.dispatch(evHTTPReply, c, StringVal("1.1"), CountVal(200), StringVal("OK"))
+			e.dispatch(evHTTPMessageDone, c, BoolVal(false))
+		}
+		reply()
+		logged[i] = testing.AllocsPerRun(200, reply)
+	}
+	if logged[0] > logged[1] {
+		t.Errorf("a logged reply allocates %v times compiled, %v interpreted", logged[0], logged[1])
+	}
+	// The compiled log writes build no record: their handlers allocate no
+	// struct and set no field.
+	e, _ := clockEngine(t, "standard", "hilti")
+	checked := 0
+	for _, fn := range append(e.sexec.Prog.HookBodies["http_message_done"], e.sexec.Prog.HookBodies["http_body"]...) {
+		dis := fn.Disasm()
+		if !strings.Contains(dis, " c:http, ") && !strings.Contains(dis, " c:files, ") {
+			continue // http_body's bookkeeping body, which stores into info
+		}
+		checked++
+		for _, line := range strings.Split(dis, "\n")[1:] {
+			if f := strings.Fields(line); len(f) > 1 && (f[1] == "new" || f[1] == "struct.set") {
+				t.Errorf("a compiled log write still builds a record:\n%s", dis)
+				break
+			}
+		}
+	}
+	if checked != 2 {
+		t.Errorf("found %d compiled log-writing handlers, want http_message_done and files' http_body", checked)
 	}
 	if n := testing.AllocsPerRun(200, func() { isExhausted(nil) }); n != 0 {
 		t.Errorf("isExhausted(nil) allocates %v times", n)

@@ -347,6 +347,11 @@ func (fc *fnCtx) callExpr(e *CallExpr, t *TypeExpr) (ast.Operand, *TypeExpr, err
 		fb.CallResult(tmp, "bro_"+e.Fn, args...)
 		return tmp, t, nil
 	case "Log::write":
+		if len(e.Args) == 2 {
+			if lit, ok := e.Args[1].(*CtorExpr); ok {
+				return fc.logLiteral(e.Args[0], lit)
+			}
+		}
 		args := make([]ast.Operand, 0, len(e.Args))
 		for _, a := range e.Args {
 			v, _, err := fc.expr(a)
@@ -370,4 +375,37 @@ func (fc *fnCtx) callExpr(e *CallExpr, t *TypeExpr) (ast.Operand, *TypeExpr, err
 	tmp := fb.Temp(fc.c.hiltiType(t))
 	fb.CallResult(tmp, e.Fn, args...)
 	return tmp, t, nil
+}
+
+// logLiteral lowers Log::write(stream, [$f1=e1, …]) to one bro_log_write
+// call with the stream, the literal's field list as a constant, and the
+// field values: no struct is built, and the log's row formatter places the
+// values by the field list. Every field is evaluated before the call, in
+// literal order. A global is read into a temporary where it is named, so a
+// script function a later field calls cannot change what is logged.
+func (fc *fnCtx) logLiteral(stream Expr, lit *CtorExpr) (ast.Operand, *TypeExpr, error) {
+	s, _, err := fc.expr(stream)
+	if err != nil {
+		return ast.Operand{}, nil, err
+	}
+	names := make([]string, len(lit.Fields))
+	args := make([]ast.Operand, 2, 2+len(lit.Fields))
+	for i, f := range lit.Fields {
+		v, t, err := fc.expr(f.E)
+		if err != nil {
+			return ast.Operand{}, nil, err
+		}
+		_, local := fc.locals[v.Name]
+		if _, global := fc.c.globals[v.Name]; v.Kind == ast.Var && global && !local {
+			tmp := fc.fb.Temp(fc.c.hiltiType(t))
+			fc.fb.Set(tmp, v)
+			v = tmp
+		}
+		names[i] = f.Name
+		args = append(args, v)
+	}
+	args[0] = s
+	args[1] = ast.ConstOp(values.Any(NewRecordType("record", names...)), types.AnyT)
+	fc.fb.Call("bro_log_write", args...)
+	return ast.ConstOp(values.Nil, types.VoidT), nil, nil
 }

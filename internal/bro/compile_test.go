@@ -34,8 +34,8 @@ func compileExec(t testing.TB, src string) (*vm.Exec, *Glue, *bytes.Buffer, func
 	var out bytes.Buffer
 	ex.Out = &out
 	now := int64(0)
-	glue := NewGlue(new(compClock))
-	RegisterHostFns(ex, func() int64 { return now }, nil, glue)
+	glue := NewGlue()
+	RegisterHostFns(ex, func() int64 { return now }, nil)
 	if _, err := ex.Call("BroScripts::__init_globals"); err != nil {
 		t.Fatal(err)
 	}
@@ -324,8 +324,7 @@ event check(k: string) {
 	ex, _ := vm.NewExec(prog)
 	var out bytes.Buffer
 	ex.Out = &out
-	glue := NewGlue(new(compClock))
-	RegisterHostFns(ex, func() int64 { return 0 }, nil, glue)
+	RegisterHostFns(ex, func() int64 { return 0 }, nil)
 	if _, err := ex.Call("BroScripts::__init_globals"); err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +357,7 @@ func TestToHiltiSharesStructDefPerRecordType(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			got[w] = conv(NewGlue(new(compClock)), rt, int64(w))
+			got[w] = conv(NewGlue(), rt, int64(w))
 		}(w)
 	}
 	wg.Wait()
@@ -373,7 +372,7 @@ func TestToHiltiSharesStructDefPerRecordType(t *testing.T) {
 			t.Fatalf("worker %d: unassigned field reads as set", w)
 		}
 	}
-	if conv(NewGlue(new(compClock)), other, 0).Def == got[0].Def {
+	if conv(NewGlue(), other, 0).Def == got[0].Def {
 		t.Fatal("distinct record types share a StructDef")
 	}
 }

@@ -213,7 +213,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	e.Logs.Discard = cfg.DiscardLogs
 	e.clock.base = time.Now()
-	e.glue = NewGlue(&e.clock)
+	e.glue = NewGlue()
 
 	var parsed []*Script
 	for _, src := range cfg.Scripts {
@@ -252,7 +252,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		if cfg.Quiet {
 			e.sexec.Out = io.Discard
 		}
-		RegisterHostFns(e.sexec, func() int64 { return e.now }, e.Logs.Write, e.glue)
+		RegisterHostFns(e.sexec, func() int64 { return e.now }, e.Logs)
 		for i, name := range eventNames {
 			e.hooks[i] = prog.HookBodies[name]
 		}

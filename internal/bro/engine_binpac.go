@@ -104,7 +104,7 @@ func (e *Engine) registerBinpacHost() {
 		})
 	}
 	str := func(v values.Value) StringVal {
-		return StringVal(e.glue.fromHilti(v).Render())
+		return StringVal(renderHilti(v))
 	}
 	isOrig := func(v values.Value) BoolVal { return BoolVal(v.AsInt() != 0) }
 

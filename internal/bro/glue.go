@@ -4,12 +4,14 @@
 // The paper measures this glue separately in Figures 9/10 and notes a
 // tightly integrated host would avoid it; the component clock charges
 // conversions to its glue component so the harness reports the same split.
+// Output is the exception: renderHilti formats a HILTI value exactly as its
+// Val would render, so logs and parser callbacks convert nothing.
 
 package bro
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"hilti/internal/hilti/vm"
 	"hilti/internal/rt/container"
@@ -18,13 +20,12 @@ import (
 
 // Glue converts between Val and HILTI values.
 type Glue struct {
-	clock  *compClock
 	rtypes map[string]*RecordType // HILTI struct name -> record type
 }
 
-// NewGlue creates a glue layer charging conversions to clock.
-func NewGlue(clock *compClock) *Glue {
-	return &Glue{clock: clock, rtypes: map[string]*RecordType{}}
+// NewGlue creates a glue layer.
+func NewGlue() *Glue {
+	return &Glue{rtypes: map[string]*RecordType{}}
 }
 
 // toHilti converts a Val into a HILTI value. The caller brackets all the
@@ -188,62 +189,116 @@ func (g *Glue) fromHilti(v values.Value) Val {
 	}
 }
 
-// renderHilti renders a HILTI value the way the interpreter renders the
-// corresponding Val, so compiled and interpreted output are directly
-// comparable (Table 3).
-func renderHilti(v values.Value) string {
+// appendHilti appends v rendered exactly as fromHilti(v).Render() renders
+// the Val, without building it. ok is false where fromHilti has no Val
+// (unset, void, and kinds scripts never see): dst is then unchanged and the
+// caller writes the placeholder the Val renderers use for nil — "-" in a log
+// column or fmt, "<unset>" inside a composite or a print.
+func appendHilti(dst []byte, v values.Value) (_ []byte, ok bool) {
 	switch v.K {
 	case values.KindBool:
-		return BoolVal(v.AsBool()).Render()
+		return append(dst, BoolVal(v.AsBool()).Render()...), true
+	case values.KindInt:
+		return strconv.AppendInt(dst, v.AsInt(), 10), true
 	case values.KindDouble:
-		return DoubleVal(v.AsDouble()).Render()
+		return strconv.AppendFloat(dst, v.AsDouble(), 'f', 6, 64), true
+	case values.KindString:
+		return append(dst, v.AsString()...), true
+	case values.KindBytes:
+		return append(dst, v.AsBytes().Bytes()...), true
+	case values.KindAddr:
+		return values.AppendAddr(dst, v), true
+	case values.KindNet:
+		return append(dst, values.Format(v)...), true
+	case values.KindPort:
+		num, proto := v.AsPort()
+		dst = strconv.AppendUint(dst, uint64(num), 10)
+		return append(append(dst, '/'), protoName(proto)...), true
 	case values.KindTime:
-		return TimeVal(v.AsTimeNs()).Render()
+		return strconv.AppendFloat(dst, float64(v.AsTimeNs())/1e9, 'f', 6, 64), true
 	case values.KindInterval:
-		return IntervalVal(v.AsIntervalNs()).Render()
+		return strconv.AppendFloat(dst, float64(v.AsIntervalNs())/1e9, 'f', 6, 64), true
 	case values.KindStruct:
 		s := v.AsStruct()
-		var sb strings.Builder
-		sb.WriteByte('[')
+		dst = append(dst, '[')
 		for i, f := range s.Def.Fields {
 			if i > 0 {
-				sb.WriteString(", ")
+				dst = append(dst, ", "...)
 			}
-			sb.WriteString(f.Name)
-			sb.WriteByte('=')
-			if fv, set := s.Get(i); set {
-				sb.WriteString(renderHilti(fv))
-			} else {
-				sb.WriteString("<unset>")
-			}
+			dst = append(append(dst, f.Name...), '=')
+			fv, _ := s.Get(i)
+			dst = appendHiltiOr(dst, fv, "<unset>")
 		}
-		sb.WriteByte(']')
-		return sb.String()
+		return append(dst, ']'), true
 	case values.KindVector:
-		vec := v.O.(*container.Vector)
-		var parts []string
-		vec.Each(func(e values.Value) bool {
-			parts = append(parts, renderHilti(e))
+		dst = append(dst, '[')
+		first := true
+		v.O.(*container.Vector).Each(func(e values.Value) bool {
+			if !first {
+				dst = append(dst, ", "...)
+			}
+			first = false
+			dst = appendHiltiOr(dst, e, "<unset>")
 			return true
 		})
-		return "[" + strings.Join(parts, ", ") + "]"
-	default:
-		return values.Format(v)
+		return append(dst, ']'), true
+	case values.KindTuple:
+		dst = append(dst, '[')
+		for i, e := range v.AsTuple().Elems {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = appendHiltiOr(dst, e, "<unset>")
+		}
+		return append(dst, ']'), true
+	case values.KindSet, values.KindMap:
+		// A table's rendering depends on how its keys collapse into Vals;
+		// no log column is one, so build the table.
+		return append(dst, NewGlue().fromHilti(v).Render()...), true
+	case values.KindAny:
+		if bv, ok := v.O.(Val); ok {
+			return append(dst, bv.Render()...), true
+		}
 	}
+	return dst, false
+}
+
+// appendHiltiOr appends v as appendHilti does, or placeholder where v has
+// no Val.
+func appendHiltiOr(dst []byte, v values.Value, placeholder string) []byte {
+	if out, ok := appendHilti(dst, v); ok {
+		return out
+	}
+	return append(dst, placeholder...)
+}
+
+// renderHilti is appendHilti as a string, "-" where v has no Val. Strings
+// and byte ropes, what parsers hand the host, cost at most their one copy.
+func renderHilti(v values.Value) string {
+	switch v.K {
+	case values.KindString:
+		return v.AsString()
+	case values.KindBytes:
+		return v.AsBytes().String()
+	}
+	var buf [64]byte
+	return string(appendHiltiOr(buf[:0], v, "-"))
 }
 
 // RegisterHostFns wires the bro_* host functions that compiled scripts
-// call: printing, formatting, logging, and network time. logWrite and now
-// mirror the Interp fields; out receives print lines.
-func RegisterHostFns(ex *vm.Exec, now func() int64,
-	logWrite func(stream string, rec *RecordVal), glue *Glue) {
-
+// call: printing, formatting, logging, and network time. now mirrors the
+// Interp field; logs receives Log::write rows (nil drops them); e.Out
+// receives print lines.
+func RegisterHostFns(ex *vm.Exec, now func() int64, logs *LogSet) {
 	ex.RegisterHost("bro_print", func(e *vm.Exec, args []values.Value) (values.Value, error) {
-		parts := make([]string, len(args))
+		var line []byte
 		for i, a := range args {
-			parts[i] = renderHilti(a)
+			if i > 0 {
+				line = append(line, ", "...)
+			}
+			line = appendHiltiOr(line, a, "<unset>")
 		}
-		fmt.Fprintln(e.Out, strings.Join(parts, ", "))
+		_, _ = e.Out.Write(append(line, '\n')) // print has no error path, as in the interpreter
 		return values.Nil, nil
 	})
 	ex.RegisterHost("bro_fmt", func(e *vm.Exec, args []values.Value) (values.Value, error) {
@@ -252,51 +307,57 @@ func RegisterHostFns(ex *vm.Exec, now func() int64,
 		}
 		f := args[0].AsString()
 		rest := args[1:]
-		var sb strings.Builder
+		var out []byte
 		ai := 0
 		for i := 0; i < len(f); i++ {
 			if f[i] != '%' || i+1 >= len(f) {
-				sb.WriteByte(f[i])
+				out = append(out, f[i])
 				continue
 			}
 			i++
 			if f[i] == '%' {
-				sb.WriteByte('%')
+				out = append(out, '%')
 				continue
 			}
 			if ai < len(rest) {
-				if rest[ai].K == values.KindUnset {
-					sb.WriteString("-")
-				} else {
-					sb.WriteString(renderHilti(rest[ai]))
-				}
+				out = appendHiltiOr(out, rest[ai], "-")
 				ai++
 			}
 		}
-		return values.String(sb.String()), nil
+		return values.String(string(out)), nil
 	})
 	ex.RegisterHost("bro_cat", func(e *vm.Exec, args []values.Value) (values.Value, error) {
-		var sb strings.Builder
+		var out []byte
 		for _, a := range args {
-			sb.WriteString(renderHilti(a))
+			out = appendHiltiOr(out, a, "-")
 		}
-		return values.String(sb.String()), nil
+		return values.String(string(out)), nil
 	})
 	ex.RegisterHost("bro_network_time", func(e *vm.Exec, args []values.Value) (values.Value, error) {
 		return values.TimeVal(now()), nil
 	})
+	// bro_log_write takes the stream and then either a struct (a record
+	// variable) or, for a record literal, the literal's field list as a
+	// *RecordType constant followed by one value per field. Both go to the
+	// stream's row formatter as HILTI values: nothing is converted.
 	ex.RegisterHost("bro_log_write", func(e *vm.Exec, args []values.Value) (values.Value, error) {
-		if logWrite == nil || len(args) != 2 {
+		if logs == nil || len(args) < 2 {
 			return values.Nil, nil
 		}
 		stream := args[0].AsString()
-		glue.clock.enter(compGlue)
-		rec, ok := glue.fromHilti(args[1]).(*RecordVal)
-		glue.clock.leave()
-		if !ok {
+		switch args[1].K {
+		case values.KindStruct:
+			s := args[1].AsStruct()
+			logs.writeHilti(stream, s.Def, s.Fields)
+		case values.KindAny:
+			rt, ok := args[1].O.(*RecordType)
+			if !ok || len(rt.Fields) != len(args)-2 {
+				return values.Nil, fmt.Errorf("bro_log_write: bad field list")
+			}
+			logs.writeHilti(stream, rt, args[2:])
+		default:
 			return values.Nil, fmt.Errorf("bro_log_write: not a record")
 		}
-		logWrite(stream, rec)
 		return values.Nil, nil
 	})
 }

@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"hilti/internal/rt/metrics"
+	"hilti/internal/rt/values"
 )
 
 // LogSet manages the output streams.
@@ -32,7 +33,25 @@ type logStream struct {
 	name    string
 	columns []string
 	lines   []string
+	// plans holds a column plan per field list written to this stream;
+	// row is the scratch each row is formatted in before its one string.
+	plans []logPlan
+	row   []byte
 }
+
+// logPlan places one field list in a stream's columns: pos[i] is the field
+// that fills column i, or -1 when the list has none (rendered "-"). The
+// field list is a *RecordType (an interpreted record, or a compiled record
+// literal's constant) or a *values.StructDef (a compiled record variable).
+type logPlan struct {
+	fields any
+	pos    []int
+}
+
+// maxPlans bounds a stream's plans. Scripts have a handful of field lists
+// per stream, but a record decoded from a checkpoint under an unknown type
+// name gets a fresh RecordType, and each would add a plan.
+const maxPlans = 16
 
 // NewLogSet creates the standard streams.
 func NewLogSet() *LogSet {
@@ -50,27 +69,96 @@ func (ls *LogSet) Create(name string, columns []string) {
 	ls.streams[name] = &logStream{name: name, columns: columns}
 }
 
-// Write formats one record into its stream.
-func (ls *LogSet) Write(stream string, rec *RecordVal) {
-	st, ok := ls.streams[stream]
+// stream returns the named stream, creating it without declared columns:
+// such a stream takes each record's own field order.
+func (ls *LogSet) stream(name string) *logStream {
+	st, ok := ls.streams[name]
 	if !ok {
-		st = &logStream{name: stream}
-		ls.streams[stream] = st
+		st = &logStream{name: name}
+		ls.streams[name] = st
+	}
+	return st
+}
+
+// plan returns the column plan for fields, building it on first use.
+func (st *logStream) plan(fields any) []int {
+	for i := range st.plans {
+		if st.plans[i].fields == fields {
+			return st.plans[i].pos
+		}
+	}
+	var names []string
+	switch f := fields.(type) {
+	case *RecordType:
+		names = f.Fields
+	case *values.StructDef:
+		names = make([]string, len(f.Fields))
+		for i, sf := range f.Fields {
+			names[i] = sf.Name
+		}
+	}
+	index := make(map[string]int, len(names))
+	for i, n := range names {
+		index[n] = i // a repeated name resolves to its last field, as RecordType.Index does
 	}
 	cols := st.columns
 	if cols == nil {
-		cols = rec.T.Fields
+		cols = names
 	}
-	parts := make([]string, len(cols))
+	pos := make([]int, len(cols))
 	for i, c := range cols {
-		v := rec.Get(c)
-		if v == nil {
-			parts[i] = "-"
+		if j, ok := index[c]; ok {
+			pos[i] = j
 		} else {
-			parts[i] = v.Render()
+			pos[i] = -1
 		}
 	}
-	line := strings.Join(parts, "\t")
+	if len(st.plans) == maxPlans {
+		st.plans = st.plans[:0]
+	}
+	st.plans = append(st.plans, logPlan{fields: fields, pos: pos})
+	return pos
+}
+
+// Write formats one interpreted record into its stream.
+func (ls *LogSet) Write(stream string, rec *RecordVal) {
+	st := ls.stream(stream)
+	row := st.row[:0]
+	for i, j := range st.plan(rec.T) {
+		if i > 0 {
+			row = append(row, '\t')
+		}
+		if j < 0 || rec.F[j] == nil {
+			row = append(row, '-')
+		} else {
+			row = append(row, rec.F[j].Render()...)
+		}
+	}
+	ls.emit(st, row)
+}
+
+// writeHilti formats one row of HILTI values into its stream: fields[i] is
+// the value of field i of the list fields (see logPlan), unset if absent.
+func (ls *LogSet) writeHilti(stream string, fields any, vals []values.Value) {
+	st := ls.stream(stream)
+	row := st.row[:0]
+	for i, j := range st.plan(fields) {
+		if i > 0 {
+			row = append(row, '\t')
+		}
+		if j < 0 {
+			row = append(row, '-')
+		} else {
+			row = appendHiltiOr(row, vals[j], "-")
+		}
+	}
+	ls.emit(st, row)
+}
+
+// emit turns a formatted row into the stream's next line.
+func (ls *LogSet) emit(st *logStream, row []byte) {
+	st.row = row[:0]
+	line := string(row)
 	ls.written.Inc()
 	if !ls.Discard {
 		st.lines = append(st.lines, line)

@@ -1227,11 +1227,7 @@ func (e *Engine) applyState(dec *snapshot.Decoder) error {
 	for i := 0; i < ns && dec.Err() == nil; i++ {
 		name := dec.String()
 		lines := decodeStrings(dec)
-		st, ok := e.Logs.streams[name]
-		if !ok {
-			st = &logStream{name: name}
-			e.Logs.streams[name] = st
-		}
+		st := e.Logs.stream(name)
 		st.lines = append(st.lines, lines...)
 	}
 

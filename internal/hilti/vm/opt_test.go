@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -350,6 +351,50 @@ func TestCopyPropShapedExec(t *testing.T) {
 	for _, level := range []int{0, 1} {
 		if v, err := linkAt(t, level, b.M).Call("M::f", values.Int(100), values.Int(999)); err != nil || v.AsInt() != 107 {
 			t.Errorf("O%d: got %v %v, want 107", level, v, err)
+		}
+	}
+}
+
+// A pooled frame moves between functions of different widths: freeFrame
+// clears only the registers the last call exposed, so a wider reuse must
+// still find every register it exposes Nil — at O1 and on tier-2 code.
+func TestPooledFrameExposesOnlyNil(t *testing.T) {
+	b := ast.NewBuilder("M")
+	build := func(name string, width int) {
+		fb := b.Function(name, types.Int64T, ast.Param{Name: "s", Type: types.StringT})
+		prev := ast.VarOp("s")
+		for i := 0; i < width; i++ {
+			l := fb.Local("l"+strconv.Itoa(i), types.StringT)
+			fb.Assign(l, "string.concat", prev, ast.VarOp("s"))
+			prev = l
+		}
+		n := fb.Local("n", types.Int64T)
+		fb.Assign(n, "string.length", prev)
+		fb.Return(n)
+	}
+	build("wide", 12)
+	build("narrow", 2)
+	for _, level := range []int{1, 2} {
+		ex := linkAt(t, level, b.M)
+		wide, narrow := ex.Prog.Fn("M::wide"), ex.Prog.Fn("M::narrow")
+		if level == 2 && !(wide.TierActive() && narrow.TierActive()) {
+			t.Fatal("O2 link did not install tier-2 code")
+		}
+		length := map[*CompiledFunc]int64{wide: 2 * 13, narrow: 2 * 3}
+		for i, fn := range []*CompiledFunc{wide, narrow, wide} {
+			fr := ex.newFrame(fn)
+			for r, v := range fr.R {
+				if v != (values.Value{}) {
+					t.Fatalf("O%d call %d (%s): register %d exposes %v", level, i, fn.Name, r, v)
+				}
+			}
+			ex.freeFrame(fr)
+			if v, err := ex.CallFn(fn, values.String("ab")); err != nil || v.AsInt() != length[fn] {
+				t.Fatalf("O%d %s: %v %v", level, fn.Name, v, err)
+			}
+			if len(ex.freeFrames) != 1 || ex.freeFrames[0] != fr {
+				t.Fatalf("O%d call %d: the frame was not reused and pooled again", level, i)
+			}
 		}
 	}
 }

@@ -330,15 +330,18 @@ func (ex *Exec) newFrame(fn *CompiledFunc) *Frame {
 	return fr
 }
 
-// freeFrame returns a frame to the pool. Registers and operand scratch are
-// cleared over their full capacity first so that pooled frames do not pin
-// heap objects (byte ropes, structs) of completed calls via Value.O, and so
-// that newFrame can hand them out without re-clearing.
+// freeFrame returns a frame to the pool. The registers newFrame exposed
+// and the operand scratch are cleared first so that pooled frames do not
+// pin heap objects (byte ropes, structs) of completed calls via Value.O,
+// and so that newFrame can hand them out without re-clearing. Registers
+// past len(fr.R) are still clear from the frame's last wider use: every
+// write to R (put, a call's or hook body's argument copy, enterTier) is
+// bounded by its length.
 func (ex *Exec) freeFrame(fr *Frame) {
 	if len(ex.freeFrames) >= maxFreeFrames {
 		return
 	}
-	clear(fr.R[:cap(fr.R)])
+	clear(fr.R)
 	clear(fr.args[:cap(fr.args)])
 	fr.Ret = values.Nil
 	ex.freeFrames = append(ex.freeFrames, fr)

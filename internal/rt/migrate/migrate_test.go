@@ -180,13 +180,35 @@ func (s *memSink) Install(id uint64, blobs [][]byte) (int, error) {
 
 func (s *memSink) Discard(id uint64) { s.discards++; s.installed = nil }
 
+// memSource is a source instance's slice: its blobs, and whether the
+// source forgot them after the target's ack.
 type memSource struct {
 	blobs  [][]byte
 	forgot bool
 }
 
-func (s *memSource) Snapshot() ([][]byte, error) { return s.blobs, nil }
-func (s *memSource) Forget() error               { s.forgot = true; return nil }
+// handoff drives one session step by step, the way bro.Cluster does:
+// Begin, Ship every blob, Activate, Commit. On any failure it aborts and
+// the source keeps its slice.
+func handoff(src *memSource, tr Transport, opt Options) Result {
+	co := NewCoordinator(tr, opt)
+	if err := co.Begin(); err != nil {
+		co.Abort()
+		return co.Result()
+	}
+	for _, b := range src.blobs {
+		if err := co.Ship(b); err != nil {
+			co.Abort()
+			return co.Result()
+		}
+	}
+	if err := co.Activate(); err != nil {
+		co.Abort()
+		return co.Result()
+	}
+	co.Commit(func() error { src.forgot = true; return nil }) //nolint:errcheck // Commit never fails the session
+	return co.Result()
+}
 
 func blobs(n int) [][]byte {
 	out := make([][]byte, n)
@@ -200,7 +222,7 @@ func TestHandoffCleanCommit(t *testing.T) {
 	sink := &memSink{}
 	tr := &memTransport{ep: NewEndpoint(sink)}
 	src := &memSource{blobs: blobs(5)}
-	res := Run(src, tr, Options{ID: 1, Bucket: 3})
+	res := handoff(src, tr, Options{ID: 1, Bucket: 3})
 	if !res.Committed || res.Step != StepCommit || res.Blobs != 5 || res.Flows != 5 {
 		t.Fatalf("result %+v", res)
 	}
@@ -217,7 +239,7 @@ func TestHandoffStallRetries(t *testing.T) {
 	// Stall the first two sends; retries must carry the session through.
 	tr := &memTransport{ep: NewEndpoint(sink), stall: map[int]bool{0: true, 1: true}}
 	src := &memSource{blobs: blobs(2)}
-	res := Run(src, tr, Options{ID: 2, Bucket: 0})
+	res := handoff(src, tr, Options{ID: 2, Bucket: 0})
 	if !res.Committed {
 		t.Fatalf("stalls not retried: %+v", res)
 	}
@@ -230,7 +252,7 @@ func TestHandoffAbortsOnDeadPeer(t *testing.T) {
 	sink := &memSink{}
 	tr := &memTransport{ep: NewEndpoint(sink), down: true}
 	src := &memSource{blobs: blobs(2)}
-	res := Run(src, tr, Options{ID: 3})
+	res := handoff(src, tr, Options{ID: 3})
 	if res.Committed || src.forgot {
 		t.Fatalf("committed against a dead peer: %+v", res)
 	}
@@ -243,7 +265,7 @@ func TestHandoffAbortsWhenRefused(t *testing.T) {
 	sink := &memSink{refuse: true}
 	tr := &memTransport{ep: NewEndpoint(sink)}
 	src := &memSource{blobs: blobs(1)}
-	res := Run(src, tr, Options{ID: 4})
+	res := handoff(src, tr, Options{ID: 4})
 	if res.Committed || res.Step != StepBegin || !errors.Is(res.Err, ErrRefused) {
 		t.Fatalf("result %+v", res)
 	}
@@ -254,7 +276,7 @@ func TestHandoffInstallFailureAborts(t *testing.T) {
 	ep := NewEndpoint(sink)
 	tr := &memTransport{ep: ep}
 	src := &memSource{blobs: blobs(3)}
-	res := Run(src, tr, Options{ID: 5})
+	res := handoff(src, tr, Options{ID: 5})
 	if res.Committed || src.forgot {
 		t.Fatalf("committed through failed install: %+v", res)
 	}
@@ -288,7 +310,7 @@ func TestHandoffFaultMatrix(t *testing.T) {
 				ep := NewEndpoint(sink)
 				tr := &memTransport{ep: ep}
 				src := &memSource{blobs: blobs(4)}
-				res := Run(src, tr, Options{
+				res := handoff(src, tr, Options{
 					ID:       99,
 					Injector: faultAt{step: step, attempt: 0, kind: kind},
 				})
@@ -335,7 +357,7 @@ func TestHandoffExhaustedRetriesAbort(t *testing.T) {
 	ep := NewEndpoint(sink)
 	tr := &memTransport{ep: ep}
 	src := &memSource{blobs: blobs(2)}
-	res := Run(src, tr, Options{ID: 6, MaxAttempts: 3, Injector: always})
+	res := handoff(src, tr, Options{ID: 6, MaxAttempts: 3, Injector: always})
 	if res.Committed || !errors.Is(res.Err, ErrRetries) {
 		t.Fatalf("result %+v", res)
 	}
@@ -365,7 +387,7 @@ func TestHandoffRandomChaos(t *testing.T) {
 		ep := NewEndpoint(sink)
 		tr := &memTransport{ep: ep}
 		src := &memSource{blobs: blobs(1 + rng.Intn(5))}
-		res := Run(src, tr, Options{ID: uint64(trial + 1), Injector: inj})
+		res := handoff(src, tr, Options{ID: uint64(trial + 1), Injector: inj})
 		if res.Committed {
 			if !src.forgot || len(sink.installed) != len(src.blobs) {
 				t.Fatalf("trial %d: committed, forgot=%v installed=%d/%d",
@@ -403,7 +425,7 @@ func TestReleaseSessionFreesEndpoint(t *testing.T) {
 	sink := &memSink{}
 	ep := NewEndpoint(sink)
 	tr := &memTransport{ep: ep}
-	res := Run(&memSource{blobs: blobs(2)}, tr, Options{ID: 7, Bucket: 0})
+	res := handoff(&memSource{blobs: blobs(2)}, tr, Options{ID: 7, Bucket: 0})
 	if !res.Committed {
 		t.Fatalf("result %+v", res)
 	}
@@ -425,7 +447,7 @@ func TestReleaseSessionFreesEndpoint(t *testing.T) {
 	if sink.discards != 0 {
 		t.Fatal("release must not discard installed flows")
 	}
-	res = Run(&memSource{blobs: blobs(1)}, tr, Options{ID: 8, Bucket: 1})
+	res = handoff(&memSource{blobs: blobs(1)}, tr, Options{ID: 8, Bucket: 1})
 	if !res.Committed {
 		t.Fatalf("post-release handoff: %+v", res)
 	}

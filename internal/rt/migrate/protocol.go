@@ -14,7 +14,7 @@ type Step int
 // Protocol steps, in session order.
 const (
 	StepBegin    Step = iota // open the session on the target
-	StepTransfer             // stream state blobs
+	StepTransfer             // ship the slice's one State frame
 	StepActivate             // checksum-verified install on the target
 	StepCommit               // target acked: source forgets, caller flips routing
 	NumSteps
@@ -451,43 +451,6 @@ func (co *Coordinator) Abort() {
 
 // Result returns the session summary.
 func (co *Coordinator) Result() Result { return co.res }
-
-// Run drives a whole session in one call: Begin, Ship every blob from
-// src, Activate, Commit(src.Forget). On any failure it aborts and the
-// source retains the slice.
-func Run(src Source, tr Transport, opt Options) Result {
-	co := NewCoordinator(tr, opt)
-	blobs, err := src.Snapshot()
-	if err != nil {
-		co.res.Err = err
-		co.done = true
-		return co.res
-	}
-	if err := co.Begin(); err != nil {
-		co.Abort()
-		return co.res
-	}
-	for _, b := range blobs {
-		if err := co.Ship(b); err != nil {
-			co.Abort()
-			return co.res
-		}
-	}
-	if err := co.Activate(); err != nil {
-		co.Abort()
-		return co.res
-	}
-	co.Commit(src.Forget) //nolint:errcheck // Commit never fails the session
-	return co.res
-}
-
-// Source is the source instance's capture surface for Run: Snapshot
-// peeks the slice's state without removing it; Forget releases it after
-// the target's ack.
-type Source interface {
-	Snapshot() ([][]byte, error)
-	Forget() error
-}
 
 // Ledger is the exact flow-ownership ledger: per instance, flows opened
 // locally plus migrated in must equal flows closed locally plus migrated

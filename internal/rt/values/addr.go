@@ -154,12 +154,28 @@ func parseIPv6(s string) ([16]byte, error) {
 	return out, nil
 }
 
+// AppendAddr appends Format(v) of an address to dst; an IPv4 address, the
+// common case in logs, allocates nothing.
+func AppendAddr(dst []byte, v Value) []byte {
+	if !v.AddrIsV4() {
+		return append(dst, formatAddr(v)...)
+	}
+	u := v.AddrV4Uint()
+	for shift := 24; shift >= 0; shift -= 8 {
+		dst = strconv.AppendUint(dst, uint64(byte(u>>shift)), 10)
+		if shift > 0 {
+			dst = append(dst, '.')
+		}
+	}
+	return dst
+}
+
 // formatAddr renders an address HILTI-style: dotted quad for IPv4-mapped,
 // compressed hex groups otherwise.
 func formatAddr(v Value) string {
 	if v.AddrIsV4() {
-		u := v.AddrV4Uint()
-		return fmt.Sprintf("%d.%d.%d.%d", byte(u>>24), byte(u>>16), byte(u>>8), byte(u))
+		var buf [len("255.255.255.255")]byte
+		return string(AppendAddr(buf[:0], v))
 	}
 	b := v.Addr16()
 	groups := make([]uint16, 8)

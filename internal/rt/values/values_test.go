@@ -242,6 +242,20 @@ func TestQuickAddrRoundtrip(t *testing.T) {
 	}
 }
 
+// Property: AppendAddr appends exactly Format's text, for both families.
+func TestQuickAppendAddrMatchesFormat(t *testing.T) {
+	f := func(raw [16]byte, v4 bool) bool {
+		if v4 {
+			copy(raw[:12], []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff})
+		}
+		a := AddrFrom16(raw)
+		return string(AppendAddr([]byte("x"), a)) == "x"+Format(a)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func BenchmarkAddrEqual(b *testing.B) {
 	x := MustParseAddr("10.20.30.40")
 	y := MustParseAddr("10.20.30.40")
