@@ -1013,13 +1013,13 @@ const dnsMallocsCeiling = 90
 
 // --- tiered execution -------------------------------------------------------------
 
-// tier is the tier-2 execution harness: unboxed slots, discovered
-// superinstructions, inline caches, and verified budget elision
-// (internal/hilti/vm/tier2.go) must keep every observable byte identical
-// to O0/O1 while closing the §6.2 HILTI/BPF gap. Three parts: (1) the
-// filter at every level against the BPF reference, with exact executed-
-// instruction parity between O1 and tier-2 and a time-ratio ceiling;
-// (2) the runtime promotion path — profile, promote mid-stream, results
+// tier is the tier-2 execution harness: unboxed slots, fused overlay
+// compares, and verified budget elision (internal/hilti/vm/tier2.go) must
+// keep every observable byte identical to O0/O1 while closing the §6.2
+// HILTI/BPF gap. Three parts: (1) the filter at every level against the
+// BPF reference, with exact executed-instruction parity between O1 and
+// tier-2 and a time-ratio ceiling; (2) the runtime promotion path —
+// promote mid-stream to the same lowering eager O2 builds, results
 // unchanged; (3) an engine run on compiled scripts with a checkpoint/
 // kill/restore cut while every function is tier-2 promoted, byte-identical
 // logs against the uninterrupted O1 baseline. Violations exit nonzero.
@@ -1035,6 +1035,7 @@ func (h *harness) tier(chk *checker) {
 
 	times := make(map[int]time.Duration)
 	steps := make(map[int]uint64)
+	var eagerLowering string
 	for _, lvl := range []int{0, 1, 2} {
 		_, ex, fn := linkFilter(mod, lvl)
 		var m int
@@ -1045,10 +1046,8 @@ func (h *harness) tier(chk *checker) {
 		if lvl == 2 {
 			label = "tier2"
 			chk.check(fn.TierActive(), "O2 link did not activate tier-2 on the filter")
-			if st, ok := fn.Tier2Stats(); ok {
-				fmt.Printf("    tier-2 lowering: %d slot regs, %d slotted instrs, %d pairs, %d ICs, %d regions (%d verified instrs, %d proven loops)\n",
-					st.SlotRegs, st.Slotted, st.Pairs, st.ICs, st.Regions, st.Verified, st.Loops)
-			}
+			eagerLowering = tierLowering(fn)
+			fmt.Printf("    tier-2 lowering (eager O2): %s\n", eagerLowering)
 		}
 		fmt.Printf("    HILTI %-6s %d matches, %.1f instrs/pkt, %v/pkt, %.2fx BPF\n",
 			label+":", m, float64(s)/float64(len(pkts)),
@@ -1077,13 +1076,15 @@ func (h *harness) tier(chk *checker) {
 	chk.check(ratio <= ceiling, fmt.Sprintf("tier-2/BPF ratio %.2fx above ceiling %.2fx", ratio, ceiling))
 	chk.check(times[2] < times[1], "tier-2 not faster than O1 on the filter loop")
 
-	// 2. Runtime promotion: profile at O1, promote mid-stream, identical
-	// results before and after the tier switch.
+	// 2. Runtime promotion: start at O1, promote mid-stream to the lowering
+	// eager O2 built, identical results before and after the tier switch.
 	_, ex1, fn1 := linkFilter(mod, 1)
-	ex1.EnableOpcodeProfile()
 	ex1.EnableTiering(64)
 	mCold, _, _ := filterRun(ex1, fn1, pkts)
 	chk.check(fn1.TierActive(), "hot filter never promoted by runtime tiering")
+	promoted := tierLowering(fn1)
+	fmt.Printf("    tier-2 lowering (promoted): %s\n", promoted)
+	chk.check(promoted == eagerLowering, "runtime promotion built a different lowering than eager O2")
 	mHot, _, _ := filterRun(ex1, fn1, pkts)
 	chk.check(mCold == bpfMatches && mHot == bpfMatches, fmt.Sprintf(
 		"promotion changed results: cold=%d hot=%d want=%d", mCold, mHot, bpfMatches))
@@ -1151,6 +1152,17 @@ func (h *harness) tier(chk *checker) {
 	e2.Finish()
 	checkStreams(chk, "engine at tier-2 vs O1", base.Logs.Lines, full.Logs.Lines)
 	checkStreams(chk, fmt.Sprintf("engine at tier-2 across kill/restore at packet %d", cut), base.Logs.Lines, e2.Logs.Lines)
+}
+
+// tierLowering summarises what tier-2 lowering did to fn, or says that fn
+// runs tier-1 code.
+func tierLowering(fn *vm.CompiledFunc) string {
+	st, ok := fn.Tier2Stats()
+	if !ok {
+		return "none (tier-1)"
+	}
+	return fmt.Sprintf("%d slot regs, %d slotted instrs, %d overlay pairs, %d regions (%d verified instrs)",
+		st.SlotRegs, st.Slotted, st.Pairs, st.Regions, st.Verified)
 }
 
 // --- machine-readable benchmark output --------------------------------------------

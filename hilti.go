@@ -92,12 +92,10 @@ const (
 	// fusion (see internal/hilti/vm/opt.go).
 	O1
 	// O2 additionally installs tier-2 code for every function ahead of
-	// time: unboxed int/bool register slots, superinstruction pairs,
-	// monomorphic inline caches, and verified regions that elide
-	// per-instruction budget checks under a proven bound (see
-	// internal/hilti/vm/tier2.go). Deterministic — no runtime profile is
-	// consulted; for profile-guided promotion of hot functions at runtime
-	// use vm.Exec.EnableTiering instead.
+	// time: unboxed int/bool register slots, fused overlay compares, and
+	// verified straight-line regions that elide per-instruction budget
+	// checks (see internal/hilti/vm/tier2.go). vm.Exec.EnableTiering builds
+	// the same code at runtime, once a function is hot.
 	O2
 )
 

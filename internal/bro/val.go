@@ -135,8 +135,8 @@ type RecordType struct {
 
 // hiltiDef returns the one HILTI struct definition every converted value of
 // this record type carries. Sharing it saves building a field slice and a
-// name index per conversion, and keeps the definition pointer — the "shape"
-// tier-2's struct inline caches key on — stable across values.
+// name index per conversion, and keeps the definition pointer stable across
+// values, which LogSet's column plans key on.
 func (rt *RecordType) hiltiDef() *values.StructDef {
 	rt.defOnce.Do(func() {
 		fields := make([]values.StructField, len(rt.Fields))

@@ -29,12 +29,10 @@ func RulePlaneProgram(name string, rules []Rule) ruleplane.Program {
 	return prog
 }
 
-// EnableTiering turns on profile-guided tier-2 promotion for the
-// firewall's VM: opcode profiling plus runtime promotion of hot
-// functions once they pass threshold invocations (vm.Exec.EnableTiering
-// semantics; 0 selects the VM default).
+// EnableTiering turns on runtime tier-2 promotion for the firewall's VM:
+// hot functions get their tier-2 code once they pass threshold invocations
+// (vm.Exec.EnableTiering semantics; 0 selects the VM default).
 func (f *Firewall) EnableTiering(threshold int) {
-	f.ex.EnableOpcodeProfile()
 	f.ex.EnableTiering(threshold)
 }
 

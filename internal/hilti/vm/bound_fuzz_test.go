@@ -9,15 +9,14 @@ import (
 	"hilti/internal/rt/values"
 )
 
-// FuzzLoopBoundProver cross-checks the bound prover against execution.
-// Generated counted loops — valid shapes and adversarial near-misses the
-// prover must reject (zero/negative steps walking away from the limit,
-// second writes to the counter) — run at O1 and at O2 under the same
-// instruction budget, with tierDebug armed so a verified region that
-// exceeds its proven bound panics instead of silently bailing. The proof
-// obligation "never under-charge, never miss a limit" reduces to: both
-// levels return the same value or the same exception, having charged
-// exactly the same number of steps.
+// FuzzLoopBoundProver holds O1/O2 step parity on counted-loop shapes whose
+// back edges leave the verified region. Generated loops — upward and
+// downward, inclusive and strict, diverging steps, second writes to the
+// counter — run at O1 and at O2 under the same instruction budget, with
+// tierDebug armed so a verified region that exceeds its bound panics
+// instead of silently bailing. The obligation "never under-charge, never
+// miss a limit" reduces to: both levels return the same value or the same
+// exception, having charged exactly the same number of steps.
 func FuzzLoopBoundProver(f *testing.F) {
 	f.Add(int64(0), int64(100), int64(1), uint8(0), uint8(2), false)              // classic upward loop
 	f.Add(int64(100), int64(0), int64(-3), uint8(2), uint8(0), false)             // downward, int.gt
@@ -68,8 +67,9 @@ func FuzzLoopBoundProver(f *testing.F) {
 		tierDebug = true
 		defer func() { tierDebug = wasDebug }()
 
-		// The budget bounds even diverging loops; proven loops whose bound
-		// fits run budget-check-free and must still land on the same count.
+		// The budget bounds even diverging loops; verified regions whose
+		// bound fits run budget-check-free and must still land on the same
+		// count.
 		type outcome struct {
 			val   int64
 			exc   string

@@ -31,8 +31,7 @@ func (fn *CompiledFunc) Disasm() string {
 // tier-1 rendering otherwise. Tier-2 additions to the format: an
 // "unboxed:" header line listing the slotted registers (printed as iN),
 // fused superinstruction names ("overlay.get+int.eq+br"), and verified
-// regions as "[verified: n instrs]" markers (with the proven loop
-// iteration count and bound when the region is a counted loop).
+// regions as "[verified: n instrs]" markers.
 func (fn *CompiledFunc) DisasmTier() string {
 	tc := fn.tier2.Load()
 	if tc == nil {
@@ -59,11 +58,7 @@ func (fn *CompiledFunc) disasm(code []Instr, tc *tierCode) string {
 	for pc := range code {
 		in := &code[pc]
 		if ra, ok := in.aux.(*regionAux); ok {
-			loop := ""
-			if ra.hdr >= 0 {
-				loop = fmt.Sprintf(", loop x%d, bound %d", ra.iters, ra.bound)
-			}
-			fmt.Fprintf(&sb, "%04d %-18s [verified: %d instrs%s]\n", pc, opName(in.opID), len(ra.code), loop)
+			fmt.Fprintf(&sb, "%04d %-18s [verified: %d instrs]\n", pc, opName(in.opID), len(ra.code))
 			continue
 		}
 		fmt.Fprintf(&sb, "%04d %-18s", pc, opName(in.opID))

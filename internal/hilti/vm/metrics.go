@@ -128,29 +128,20 @@ func (ex *Exec) PublishTo(reg *metrics.Registry, key string, labels ...string) *
 	return m
 }
 
-// opProfile is the per-opcode execution profile: flat arrays indexed by
-// interned opcode id (optable.go). Per-opcode counts are atomic counters so
-// concurrent scrapes (PublishTo collectors) read them safely; the pair
-// matrix is plain uint64s owned by the Exec goroutine — it feeds tier-2
-// superinstruction discovery on that same goroutine, never a scrape.
+// opProfile is the per-opcode execution profile: a flat array indexed by
+// interned opcode id (optable.go). The counts are atomic counters so
+// concurrent scrapes (PublishTo collectors) read them safely.
 //
-// The arrays are sized at enable time to the interner population plus
-// headroom for names minted later (tier-2 pair ops); ids past the end are
+// The array is sized at enable time to the interner population plus
+// headroom for names minted later (fused forms); ids past the end are
 // dropped rather than grown, keeping hit() allocation-free forever.
 type opProfile struct {
-	n      int
 	counts []metrics.Counter // [opID] executions; atomic, scrape-safe
-	pairs  []uint64          // [prev*n+cur] adjacent-pair executions
 }
 
-// profNoPrev is the "no previous instruction" sentinel for pair counting:
-// it always fails the bounds check in hit, so the first instruction of an
-// activation records no pair.
-const profNoPrev = ^uint16(0)
-
-// opProfileHeadroom pads the profile arrays beyond the ids interned at
-// enable time, so ops minted later (tier-2 pairs, programs linked after
-// enabling) still get counted.
+// opProfileHeadroom pads the profile array beyond the ids interned at
+// enable time, so ops minted later (tier-2 overlay pairs, programs linked
+// after enabling) still get counted.
 const opProfileHeadroom = 256
 
 type opCount struct {
@@ -159,23 +150,15 @@ type opCount struct {
 }
 
 // EnableOpcodeProfile turns on per-opcode execution counting for this
-// Exec. The cost is one bounds check plus one array increment per
-// instruction (two with pair counting) — cheap enough to leave on in
-// production; it also feeds tier-2 superinstruction discovery (tier2.go).
-// Enable it after linking the programs of interest so their opcode names
-// are already interned (later names land in the headroom, and anything
-// beyond that is silently dropped from the profile).
+// Exec. The cost is one bounds check plus one atomic increment per
+// instruction — cheap enough to leave on in production. PublishTo exports
+// the counts as hilti_vm_op_executions_total. Enable it after linking the
+// programs of interest so their opcode names are already interned (later
+// names land in the headroom, and anything beyond that is silently dropped
+// from the profile).
 func (ex *Exec) EnableOpcodeProfile() {
 	if ex.opProf == nil {
-		n := internedOpCount() + opProfileHeadroom
-		if n > int(profNoPrev) {
-			n = int(profNoPrev)
-		}
-		ex.opProf = &opProfile{
-			n:      n,
-			counts: make([]metrics.Counter, n),
-			pairs:  make([]uint64, n*n),
-		}
+		ex.opProf = &opProfile{counts: make([]metrics.Counter, internedOpCount()+opProfileHeadroom)}
 	}
 }
 
@@ -192,66 +175,11 @@ func (ex *Exec) OpcodeProfile() map[string]uint64 {
 	return out
 }
 
-// OpPairCount is one adjacent-opcode-pair entry of the profile: B executed
-// immediately after A within one activation.
-type OpPairCount struct {
-	A, B string
-	N    uint64
-}
-
-// OpcodePairProfile returns the measured opcode-pair frequencies, sorted
-// descending. Unlike OpcodeProfile it reads the unsynchronized pair
-// matrix, so call it from the goroutine driving the Exec (between calls).
-func (ex *Exec) OpcodePairProfile() []OpPairCount {
-	p := ex.opProf
-	if p == nil {
-		return nil
+// hit records one execution of id.
+func (p *opProfile) hit(id uint16) {
+	if int(id) < len(p.counts) {
+		p.counts[id].Inc()
 	}
-	k := 0
-	for _, c := range p.pairs {
-		if c > 0 {
-			k++
-		}
-	}
-	out := make([]OpPairCount, 0, k)
-	for i, c := range p.pairs {
-		if c > 0 {
-			out = append(out, OpPairCount{
-				A: opName(uint16(i / p.n)), B: opName(uint16(i % p.n)), N: c,
-			})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].N != out[j].N {
-			return out[i].N > out[j].N
-		}
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	return out
-}
-
-// hit records one execution of id following prev, returning the new
-// previous-op id for the caller's loop-local chain.
-func (p *opProfile) hit(id uint16, prev uint16) uint16 {
-	if int(id) >= p.n {
-		return profNoPrev // beyond headroom: drop, and break the pair chain
-	}
-	p.counts[id].Inc()
-	if int(prev) < p.n {
-		p.pairs[int(prev)*p.n+int(id)]++
-	}
-	return id
-}
-
-// pairCount returns the measured executions of the adjacent pair (a, b).
-func (p *opProfile) pairCount(a, b uint16) uint64 {
-	if p == nil || int(a) >= p.n || int(b) >= p.n {
-		return 0
-	}
-	return p.pairs[int(a)*p.n+int(b)]
 }
 
 // snapshot returns the nonzero per-opcode counts sorted descending. It

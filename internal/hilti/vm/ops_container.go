@@ -4,8 +4,6 @@
 package vm
 
 import (
-	"sync/atomic"
-
 	"fmt"
 
 	"hilti/internal/hilti/ast"
@@ -531,239 +529,4 @@ func execMapGetDefault(ex *Exec, fr *Frame, in *Instr) int {
 	}
 	ex.put(fr, in.d, v)
 	return in.t1
-}
-
-// --- tier-2 monomorphic inline caches ----------------------------------------
-//
-// Installed by tier-2 lowering (tier2.go). A struct IC caches the
-// (StructDef → field index) resolution so the steady state skips the
-// by-name map lookup; a map IC caches the key operand's observed shape
-// (value kind + whether it scratch-encodes) so the steady state skips
-// re-probing the encodability of every key. Both demote the whole
-// function back to tier-1 when the monomorphic assumption breaks — the
-// current activation still completes correctly through the slow path.
-
-// structICEntry is the cached field resolution for one struct shape.
-type structICEntry struct {
-	def *values.StructDef
-	idx int
-}
-
-// structIC is the shared inline-cache state of one struct.get/set site.
-// First-generation tier code uses the monomorphic entry; re-promoted code
-// sets wide and grows ways copy-on-write up to icWays shapes.
-type structIC struct {
-	name  string
-	fn    *CompiledFunc
-	wide  bool
-	entry atomic.Pointer[structICEntry]
-	ways  atomic.Pointer[[]structICEntry]
-}
-
-// lookup resolves the field index for s, filling the cache on first use
-// and demoting the function when the site outgrows it. The returned index
-// is -1 for an unknown field (matching StructDef.Index).
-func (ic *structIC) lookup(s *values.Struct) int {
-	if ic.wide {
-		return ic.lookupWide(s)
-	}
-	if e := ic.entry.Load(); e != nil {
-		if e.def == s.Def {
-			return e.idx
-		}
-		// Second shape at this site: tier-2 specialized on a monomorphic
-		// world that no longer exists. Re-promotion widens the cache.
-		demoteTier2(ic.fn)
-	}
-	idx := s.Def.Index(ic.name)
-	if idx >= 0 {
-		ic.entry.Store(&structICEntry{def: s.Def, idx: idx})
-	}
-	return idx
-}
-
-// lookupWide is the polymorphic path of a re-promoted function: a linear
-// scan over at most icWays cached shapes, still far cheaper than the
-// by-name map probe. A shape beyond capacity marks the site megamorphic
-// and demotes for good.
-func (ic *structIC) lookupWide(s *values.Struct) int {
-	var es []structICEntry
-	if p := ic.ways.Load(); p != nil {
-		es = *p
-		for i := range es {
-			if es[i].def == s.Def {
-				return es[i].idx
-			}
-		}
-	}
-	idx := s.Def.Index(ic.name)
-	if len(es) >= icWays {
-		demoteTier2Mega(ic.fn)
-		return idx
-	}
-	if idx >= 0 {
-		grown := make([]structICEntry, len(es)+1)
-		copy(grown, es)
-		grown[len(es)] = structICEntry{def: s.Def, idx: idx}
-		ic.ways.Store(&grown)
-	}
-	return idx
-}
-
-func execStructGetIC(ex *Exec, fr *Frame, in *Instr) int {
-	s, err := asStruct(ex.get(fr, &in.srcs[0]))
-	if err != nil {
-		return ex.raiseErr(err)
-	}
-	ic := in.aux.(*structIC)
-	v, ok := s.Get(ic.lookup(s))
-	if !ok {
-		return ex.raise("Hilti::UnsetField", fmt.Sprintf("field %q not set", ic.name))
-	}
-	ex.put(fr, in.d, v)
-	return in.t1
-}
-
-func execStructSetIC(ex *Exec, fr *Frame, in *Instr) int {
-	s, err := asStruct(ex.get(fr, &in.srcs[0]))
-	if err != nil {
-		return ex.raiseErr(err)
-	}
-	ic := in.aux.(*structIC)
-	s.Set(ic.lookup(s), ex.get(fr, &in.srcs[2]))
-	ex.put(fr, in.d, values.Nil)
-	return in.t1
-}
-
-// mapIC caches the shape of one map lookup site's key operand: the value
-// kind plus whether that kind scratch-encodes via values.AppendKey. Shape
-// 0 means unfilled. Re-promoted (wide) sites hold up to icWays shapes in
-// a copy-on-write slice instead of the single shape word.
-type mapIC struct {
-	fn     *CompiledFunc
-	wide   bool
-	shape  atomic.Int64
-	shapes atomic.Pointer[[]int64]
-}
-
-func mapKeyShape(k values.Kind, keyed bool) int64 {
-	s := 1 + int64(k)*2
-	if keyed {
-		s++
-	}
-	return s
-}
-
-// icMapKey resolves the cached lookup path for kv, returning the encoded
-// key when the keyed fast path applies. A shape change (or a same-kind key
-// that stops encoding, e.g. heterogeneous tuples) demotes the function.
-func icMapKey(ex *Exec, ic *mapIC, kv values.Value) (k []byte, keyed bool) {
-	if ic.wide {
-		return icMapKeyWide(ex, ic, kv)
-	}
-	shape := ic.shape.Load()
-	switch shape {
-	case mapKeyShape(kv.K, false):
-		return nil, false
-	case mapKeyShape(kv.K, true):
-		if k, ok := values.AppendKey(ex.keyBuf[:0], kv); ok {
-			ex.keyBuf = k
-			return k, true
-		}
-		demoteTier2(ic.fn)
-		ex.keyBuf = ex.keyBuf[:0]
-		return nil, false
-	}
-	if shape != 0 {
-		demoteTier2(ic.fn)
-	}
-	k, ok := values.AppendKey(ex.keyBuf[:0], kv)
-	if ok {
-		ex.keyBuf = k
-		ic.shape.Store(mapKeyShape(kv.K, true))
-		return k, true
-	}
-	ex.keyBuf = k[:0]
-	ic.shape.Store(mapKeyShape(kv.K, false))
-	return nil, false
-}
-
-// icMapKeyWide is the polymorphic key path of a re-promoted function:
-// up to icWays cached key shapes, scanned linearly. A same-kind key that
-// stops encoding breaks an assumption no amount of widening can express,
-// and a shape past capacity makes the site megamorphic — both demote the
-// function permanently.
-func icMapKeyWide(ex *Exec, ic *mapIC, kv values.Value) (k []byte, keyed bool) {
-	var shapes []int64
-	if p := ic.shapes.Load(); p != nil {
-		shapes = *p
-	}
-	for _, sh := range shapes {
-		switch sh {
-		case mapKeyShape(kv.K, false):
-			return nil, false
-		case mapKeyShape(kv.K, true):
-			if k, ok := values.AppendKey(ex.keyBuf[:0], kv); ok {
-				ex.keyBuf = k
-				return k, true
-			}
-			demoteTier2Mega(ic.fn)
-			ex.keyBuf = ex.keyBuf[:0]
-			return nil, false
-		}
-	}
-	k, ok := values.AppendKey(ex.keyBuf[:0], kv)
-	if ok {
-		ex.keyBuf = k
-	} else {
-		ex.keyBuf = k[:0]
-	}
-	if len(shapes) >= icWays {
-		demoteTier2Mega(ic.fn)
-	} else {
-		grown := make([]int64, len(shapes)+1)
-		copy(grown, shapes)
-		grown[len(shapes)] = mapKeyShape(kv.K, ok)
-		ic.shapes.Store(&grown)
-	}
-	if ok {
-		return k, true
-	}
-	return nil, false
-}
-
-func execMapGetIC(ex *Exec, fr *Frame, in *Instr) int {
-	m, err := asMap(ex.get(fr, &in.srcs[0]))
-	if err != nil {
-		return ex.raiseErr(err)
-	}
-	kv := ex.get(fr, &in.srcs[1])
-	var v values.Value
-	var ok bool
-	if k, keyed := icMapKey(ex, in.aux.(*mapIC), kv); keyed {
-		v, ok = m.GetKeyed(k)
-	} else {
-		v, ok = m.Get(kv)
-	}
-	if !ok {
-		return ex.raise("Hilti::IndexError", "key not in map: "+values.Format(kv))
-	}
-	ex.put(fr, in.d, v)
-	return in.t1
-}
-
-func execMapExistsIC(ex *Exec, fr *Frame, in *Instr) int {
-	m, err := asMap(ex.get(fr, &in.srcs[0]))
-	if err != nil {
-		return ex.raiseErr(err)
-	}
-	kv := ex.get(fr, &in.srcs[1])
-	var b bool
-	if k, keyed := icMapKey(ex, in.aux.(*mapIC), kv); keyed {
-		b = m.ExistsKeyed(k)
-	} else {
-		b = m.Exists(kv)
-	}
-	ex.put(fr, in.d, values.Bool(b))
-	return in.branch(b)
 }

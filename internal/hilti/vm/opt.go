@@ -80,13 +80,11 @@ func Optimize(fn *CompiledFunc, level int) OptStats {
 	threadJumps(fn, &st) // fused branches expose new chains
 	removeUnreachable(fn, &st)
 	st.After = len(fn.Code)
-	// Level 2: eager ahead-of-time tiering. With no runtime profile every
-	// safe pair is fused, which keeps -O2 deterministic; runtime promotion
-	// (Exec.EnableTiering) reaches the same tier guided by measured pair
-	// frequencies instead.
+	// Level 2: eager ahead-of-time tiering. Runtime promotion
+	// (Exec.EnableTiering) builds the same tier-2 code, only later.
 	if level >= 2 {
-		fn.tierState.Store(tierActive)
-		if tc := buildTier2(fn, nil, tierConfig{pairs: true, regions: true}); tc != nil {
+		fn.tiered.Store(true)
+		if tc := buildTier2(fn); tc != nil {
 			fn.tier2.Store(tc)
 		}
 	}
@@ -94,8 +92,8 @@ func Optimize(fn *CompiledFunc, level int) OptStats {
 }
 
 // isBranch reports whether in's t2 is a control-flow target (if.else,
-// fused compare-and-branch, and tier-2 pairs whose second half is one of
-// those).
+// fused compare-and-branch, and tier-2 overlay pairs, whose second half is
+// one of those).
 func isBranch(in *Instr) bool { return rowOf(in.opID).ctl == ctlBranch }
 
 // successors appends the control successors of fn.Code[pc] to buf.

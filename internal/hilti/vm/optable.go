@@ -7,12 +7,12 @@
 // Rows are found by name at lowering and by interned id everywhere after:
 // each distinct name an instruction carries (including the fused and
 // tier-2 superinstruction forms minted after lowering) gets a small dense
-// id, stamped onto the Instr. The always-on execution profile and the
-// opcode-pair counters index flat arrays by these ids, which is what makes
-// them cheap enough to leave enabled in production (one bounds check + one
-// array increment per instruction instead of a map lookup on a string
-// key). Ids are handed out on first use, so a profile is sized by the ops
-// programs actually contain, not by the size of the table.
+// id, stamped onto the Instr. The always-on execution profile indexes a
+// flat array by these ids, which is what makes it cheap enough to leave
+// enabled in production (one bounds check + one array increment per
+// instruction instead of a map lookup on a string key). Ids are handed out
+// on first use, so a profile is sized by the ops programs actually
+// contain, not by the size of the table.
 
 package vm
 
@@ -87,8 +87,8 @@ const (
 	ctlReturn              // leaves the function
 )
 
-// relation is an integer comparison; rel rows are the signed order tests
-// the loop prover (bound.go) reads a counted loop's header from.
+// relation is an integer comparison; a rel row's executors and the fused
+// overlay compare (overlay_tier2.go) read its function from relFns.
 type relation uint8
 
 const (
@@ -147,18 +147,15 @@ func init() {
 	opAssign, opJump, opIfElse = opNamed("assign"), opNamed("jump"), opNamed("if.else")
 	opReturnVoid, opReturnResult, opCall = opNamed("return.void"), opNamed("return.result"), opNamed("call")
 	opEqual, opUnequal, opNetContains = opNamed("equal"), opNamed("unequal"), opNamed("net.contains")
-	opIntAdd, opIntSub, opTupleIndex = opNamed("int.add"), opNamed("int.sub"), opNamed("tuple.index")
-	opStructGet, opStructSet, opMapGet, opMapExists = opNamed("struct.get"), opNamed("struct.set"), opNamed("map.get"), opNamed("map.exists")
-	opOverlayGet = opNamed("overlay.get")
+	opTupleIndex, opOverlayGet = opNamed("tuple.index"), opNamed("overlay.get")
 }
 
 // The ops passes recognize by identity: the instructions they create, and
-// the shapes they match (copy sources, counted loops, overlay compares,
-// inline-cache sites). The region instruction exists only in tier-2 code.
+// the shapes they match (copy sources, split tuples, overlay compares).
+// The region instruction exists only in tier-2 code.
 var (
-	opAssign, opJump, opIfElse, opReturnVoid, opReturnResult, opCall, opEqual, opUnequal *opRow
-	opIntAdd, opIntSub, opNetContains, opTupleIndex, opStructGet, opStructSet            *opRow
-	opMapGet, opMapExists, opOverlayGet                                                  *opRow
+	opAssign, opJump, opIfElse, opReturnVoid, opReturnResult, opCall *opRow
+	opEqual, opUnequal, opNetContains, opTupleIndex, opOverlayGet    *opRow
 )
 
 var opRegion = &opRow{name: "region"}

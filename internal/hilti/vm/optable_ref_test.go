@@ -395,9 +395,9 @@ var testNonzero = defineOp(opRow{name: "test.nonzero", arity: 1, flags: opPure |
 	}})
 
 // TestAddingAnOpIsOneRow: with no edit beyond its row, test.nonzero folds
-// on constants, fuses with a following if.else, gets its slot executor and
-// pairs with its neighbour at O2, disassembles, and (being opCmp) is run by
-// TestBranchOnEveryBooleanOp at every level.
+// on constants, fuses with a following if.else, gets its slot executor at
+// O2, disassembles, and (being opCmp) is run by TestBranchOnEveryBooleanOp
+// at every level.
 func TestAddingAnOpIsOneRow(t *testing.T) {
 	// Folds on a constant.
 	b := ast.NewBuilder("M")
@@ -410,8 +410,8 @@ func TestAddingAnOpIsOneRow(t *testing.T) {
 		t.Fatalf("not folded (%+v):\n%s", st, fn.Disasm())
 	}
 
-	// Fuses with its if.else, gets the slot form and pairs with the add
-	// before it under eager tier-2, and keeps its meaning at every level.
+	// Fuses with its if.else, gets the slot form under eager tier-2, and
+	// keeps its meaning at every level.
 	build := func() *ast.Module {
 		b := ast.NewBuilder("M")
 		fb := b.Function("f", types.Int64T, ast.Param{Name: "p", Type: types.Int64T})
@@ -432,10 +432,8 @@ func TestAddingAnOpIsOneRow(t *testing.T) {
 	}
 	fn = linkAt(t, 2, build()).Prog.Fn("M::f")
 	ts, _ := fn.Tier2Stats()
-	region := fn.tier2.Load().code[0].aux.(*regionAux) // the pair heads a verified region
-	if ts.Slotted != 2 || ts.Pairs != 1 || opName(region.code[0].opID) != "int.add+test.nonzero+br" ||
-		!strings.Contains(fn.DisasmTier(), "test.nonzero+br    i2 <- i1 ; t1=2 t2=3") {
-		t.Fatalf("no slot form or pair (%+v):\n%s", ts, fn.DisasmTier())
+	if ts.Slotted != 2 || !strings.Contains(fn.DisasmTier(), "test.nonzero+br    i2 <- i1 ; t1=2 t2=3") {
+		t.Fatalf("no slot form (%+v):\n%s", ts, fn.DisasmTier())
 	}
 	for p, want := range map[int64]int64{-1: 2, 0: 1, 41: 1} {
 		for level := 0; level <= 2; level++ {

@@ -14,12 +14,11 @@
 // superinstruction that decodes, compares, and branches in one dispatch,
 // with no boxing at all on the slot path.
 //
-// Transparency rules match the generic pair fusion (tier2.go): the second
-// half stays at its pc as an orphan for side entries, both pcs must share
-// handler coverage, the intermediate register is still written (a handler
-// or debugger observes the same frame state), and the budget stays exact —
-// the fused executor self-charges the second half and bails to the orphan
-// when that step would reach a checkpoint.
+// Transparency rules: the second half stays at its pc as an orphan for side
+// entries, both pcs must share handler coverage, the intermediate register
+// is still written (a handler or debugger observes the same frame state),
+// and the budget stays exact — the fused executor self-charges the second
+// half and bails to the orphan when that step would reach a checkpoint.
 
 package vm
 
@@ -196,8 +195,6 @@ type overlayCmpAux struct {
 	elideB         bool                  // compare result provably dead: skip its store
 }
 
-func (oa *overlayCmpAux) orphanPC() int { return oa.bpc }
-
 // storeInt writes the decoded integer to the overlay.get destination
 // (slot or boxed register — the fusion gate allows nothing else).
 func (oa *overlayCmpAux) storeInt(fr *Frame, in *Instr, u uint64) {
@@ -225,8 +222,9 @@ func execOvIntCmpBr(ex *Exec, fr *Frame, in *Instr) int {
 	if !oa.elideD {
 		oa.storeInt(fr, in, u)
 	}
-	// Second-half budget step, mirroring execPair: bail to the orphan when
-	// it would reach a checkpoint so the trip fires at its precise pc.
+	// Second-half budget step, as the dispatch loop would charge it: bail to
+	// the orphan when it would reach a checkpoint so the trip fires at its
+	// precise pc.
 	if ex.budget.steps+1 >= ex.budget.nextCheck {
 		if oa.elideD {
 			oa.storeInt(fr, in, u) // the orphan re-reads it
@@ -464,94 +462,111 @@ func noEntryInto(code []Instr, hs []handler, target, from int) bool {
 }
 
 // fuseOverlayPairs fuses `overlay.get; <compare> const +br` sequences into
-// single specialized superinstructions. It runs before the generic pair
-// pass so the overlay shapes get the inline decoder rather than a generic
-// two-dispatch pair; eligibility is fusePairs' (fuseAdjacent).
-func fuseOverlayPairs(tc *tierCode, hs []handler, prof *opProfile, pairMin uint64, loops []loopRegion) {
+// single specialized superinstructions. A pair (pc, pc+1) is eligible when
+// the head falls through unconditionally to pc+1 and both pcs have
+// identical handler coverage (a raise from either half resolves at the
+// pair's pc). The tail stays at pc+1 as an orphan, so branches and handlers
+// targeting it keep working.
+func fuseOverlayPairs(tc *tierCode, hs []handler) {
 	code := tc.code
-	fuseAdjacent(tc, hs, prof, pairMin, loops, func(pc int, a, b *Instr) (Instr, bool) {
-		if rowOf(a.opID) != opOverlayGet || len(a.srcs) != 1 || a.srcs[0].kind != srcReg ||
-			a.d.kind != srcReg && a.d.kind != srcSlot {
+	for pc := 0; pc+1 < len(code); pc++ {
+		a, b := &code[pc], &code[pc+1]
+		if a.t1 != pc+1 || !sameHandlers(hs, pc, pc+1) {
+			continue
+		}
+		if in, ok := fuseOverlayPair(code, hs, pc, a, b); ok {
+			in.opID, in.t1, in.t2 = pairID(a.opID, b.opID), b.t1, b.t2
+			code[pc] = in
+			tc.stats.Pairs++
+			tc.stats.Overlay++
+			pc++
+		}
+	}
+}
+
+// fuseOverlayPair returns the superinstruction for overlay.get a at pc
+// followed by the compare-and-branch b, or false when the shapes do not fit.
+func fuseOverlayPair(code []Instr, hs []handler, pc int, a, b *Instr) (Instr, bool) {
+	if rowOf(a.opID) != opOverlayGet || len(a.srcs) != 1 || a.srcs[0].kind != srcReg ||
+		a.d.kind != srcReg && a.d.kind != srcSlot {
+		return Instr{}, false
+	}
+	ov, okOv := a.aux.(*overlay.Overlay)
+	if !okOv {
+		return Instr{}, false
+	}
+	plan := planOverlayField(ov, a.t2)
+	if plan == nil {
+		return Instr{}, false
+	}
+	oa := &overlayCmpAux{overlayPlan: *plan, bpc: pc + 1, bd: b.d}
+	var exec execFn
+	switch rb := rowOf(b.opID); {
+	case rb.ctl != ctlBranch:
+		return Instr{}, false
+	case rb.rel != relNone:
+		fn, okFn := b.aux.(func(x, y int64) bool)
+		if !okFn || len(b.srcs) != 2 || !plan.intFormat() {
 			return Instr{}, false
 		}
-		ov, okOv := a.aux.(*overlay.Overlay)
-		if !okOv {
+		if !operandIs(&b.srcs[0], a.d) || b.srcs[1].kind != srcConst ||
+			b.srcs[1].val.K != values.KindInt {
 			return Instr{}, false
 		}
-		plan := planOverlayField(ov, a.t2)
-		if plan == nil {
+		oa.cmpFn, oa.cstInt = fn, int64(b.srcs[1].val.A)
+		exec = execOvIntCmpBr
+	case rb == opEqual.twin || rb == opUnequal.twin:
+		if len(b.srcs) != 2 || !operandIs(&b.srcs[0], a.d) || b.srcs[1].kind != srcConst {
 			return Instr{}, false
 		}
-		oa := &overlayCmpAux{overlayPlan: *plan, bpc: pc + 1, bd: b.d}
-		var exec execFn
-		switch rb := rowOf(b.opID); {
-		case rb.ctl != ctlBranch:
+		oa.cst, oa.neg = b.srcs[1].val, rb == opUnequal.twin
+		exec = execOvEqualBr
+		if plan.format == overlay.IPv4 {
+			z := values.AddrFrom4([4]byte{})
+			oa.v4hi, oa.v4lo = z.A, z.B
+			oa.a4ok = oa.cst.K == values.KindAddr && oa.cst.A == z.A
+			exec = execOvAddr4EqBr
+		}
+	case rb == opNetContains.twin:
+		if len(b.srcs) != 2 || b.srcs[0].kind != srcConst ||
+			b.srcs[0].val.K != values.KindNet || !operandIs(&b.srcs[1], a.d) {
 			return Instr{}, false
-		case rb.rel != relNone:
-			fn, okFn := b.aux.(func(x, y int64) bool)
-			if !okFn || len(b.srcs) != 2 || !plan.intFormat() {
-				return Instr{}, false
-			}
-			if !operandIs(&b.srcs[0], a.d) || b.srcs[1].kind != srcConst ||
-				b.srcs[1].val.K != values.KindInt {
-				return Instr{}, false
-			}
-			oa.cmpFn, oa.cstInt = fn, int64(b.srcs[1].val.A)
-			exec = execOvIntCmpBr
-		case rb == opEqual.twin || rb == opUnequal.twin:
-			if len(b.srcs) != 2 || !operandIs(&b.srcs[0], a.d) || b.srcs[1].kind != srcConst {
-				return Instr{}, false
-			}
-			oa.cst, oa.neg = b.srcs[1].val, rb == opUnequal.twin
-			exec = execOvEqualBr
-			if plan.format == overlay.IPv4 {
-				z := values.AddrFrom4([4]byte{})
-				oa.v4hi, oa.v4lo = z.A, z.B
-				oa.a4ok = oa.cst.K == values.KindAddr && oa.cst.A == z.A
-				exec = execOvAddr4EqBr
-			}
-		case rb == opNetContains.twin:
-			if len(b.srcs) != 2 || b.srcs[0].kind != srcConst ||
-				b.srcs[0].val.K != values.KindNet || !operandIs(&b.srcs[1], a.d) {
-				return Instr{}, false
-			}
-			oa.cst = b.srcs[0].val
-			// Precompute the subnet mask NetContains would re-derive:
-			// the leading `width` bits of the 128-bit address space.
-			width := oa.cst.NetPrefixLen()
-			switch {
-			case width <= 0:
-			case width >= 128:
-				oa.maskHi, oa.maskLo = ^uint64(0), ^uint64(0)
-			case width <= 64:
-				oa.maskHi = ^(^uint64(0) >> uint(width))
-			default:
-				oa.maskHi, oa.maskLo = ^uint64(0), ^(^uint64(0) >> uint(width-64))
-			}
-			exec = execOvNetContainsBr
-			if plan.format == overlay.IPv4 {
-				z := values.AddrFrom4([4]byte{})
-				oa.v4hi, oa.v4lo = z.A, z.B
-				oa.a4ok = z.A&oa.maskHi == oa.cst.A
-				exec = execOvAddr4NetBr
-			}
+		}
+		oa.cst = b.srcs[0].val
+		// Precompute the subnet mask NetContains would re-derive:
+		// the leading `width` bits of the 128-bit address space.
+		width := oa.cst.NetPrefixLen()
+		switch {
+		case width <= 0:
+		case width >= 128:
+			oa.maskHi, oa.maskLo = ^uint64(0), ^uint64(0)
+		case width <= 64:
+			oa.maskHi = ^(^uint64(0) >> uint(width))
 		default:
-			return Instr{}, false
+			oa.maskHi, oa.maskLo = ^uint64(0), ^(^uint64(0) >> uint(width-64))
 		}
-		// Verified dead-store elision. The decoded value may skip its
-		// register store when nothing but the orphaned compare reads it and
-		// no side entry can reach that orphan (the budget bail, the one
-		// remaining path into it, materializes the value first). The
-		// compare result may skip its store when nothing reads it at all —
-		// the fused branch already consumed it.
-		if a.d.kind != b.d.kind || a.d.idx != b.d.idx {
-			oa.elideD = regReaders(code, a.d, pc+1) == 0 &&
-				noEntryInto(code, hs, pc+1, pc)
-			oa.elideB = regReaders(code, b.d, -1) == 0
+		exec = execOvNetContainsBr
+		if plan.format == overlay.IPv4 {
+			z := values.AddrFrom4([4]byte{})
+			oa.v4hi, oa.v4lo = z.A, z.B
+			oa.a4ok = z.A&oa.maskHi == oa.cst.A
+			exec = execOvAddr4NetBr
 		}
-		tc.stats.Overlay++
-		return Instr{exec: exec, d: a.d, srcs: a.srcs, aux: oa}, true
-	})
+	default:
+		return Instr{}, false
+	}
+	// Verified dead-store elision. The decoded value may skip its
+	// register store when nothing but the orphaned compare reads it and
+	// no side entry can reach that orphan (the budget bail, the one
+	// remaining path into it, materializes the value first). The
+	// compare result may skip its store when nothing reads it at all —
+	// the fused branch already consumed it.
+	if a.d.kind != b.d.kind || a.d.idx != b.d.idx {
+		oa.elideD = regReaders(code, a.d, pc+1) == 0 &&
+			noEntryInto(code, hs, pc+1, pc)
+		oa.elideB = regReaders(code, b.d, -1) == 0
+	}
+	return Instr{exec: exec, d: a.d, srcs: a.srcs, aux: oa}, true
 }
 
 // specializeOverlayGets swaps every remaining generic overlay.get —

@@ -230,7 +230,7 @@ func TestSuspendAcrossTierChange(t *testing.T) {
 		ex := linkAt(t, 1, tierModule())
 		fn := ex.Prog.Fn("M::f")
 		r, rope := park(t, ex)
-		promoteTier2(fn, nil)
+		promoteTier2(fn)
 		if st, ok := fn.Tier2Stats(); !ok || st.SlotRegs == 0 {
 			t.Fatalf("test needs k in a slot under tier-2: %+v\n%s", st, fn.DisasmTier())
 		}
@@ -241,22 +241,6 @@ func TestSuspendAcrossTierChange(t *testing.T) {
 		// A new activation does pick the tier-2 code up.
 		if v, err := ex.Call("M::f", frozen(0, 9), values.Int(1)); err != nil || v.AsInt() != 12 {
 			t.Fatalf("tier-2 call: %v %v", v, err)
-		}
-	})
-	t.Run("demoted while parked", func(t *testing.T) {
-		ex := linkAt(t, 2, tierModule())
-		fn := ex.Prog.Fn("M::f")
-		if !fn.TierActive() {
-			t.Fatal("O2 link did not install tier-2 code")
-		}
-		r, rope := park(t, ex)
-		demoteTier2(fn)
-		if fn.TierActive() {
-			t.Fatal("not demoted")
-		}
-		rope.Append([]byte{0x02})
-		if v := mustFinish(t, r); v.AsInt() != 21+0x0102 {
-			t.Fatalf("resumed on the wrong code array: %v", v)
 		}
 	})
 }

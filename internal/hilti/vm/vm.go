@@ -135,8 +135,10 @@ type CompiledFunc struct {
 	// other goroutines (a Program is shared across pipeline workers) pick
 	// it up at their next invocation; an invocation in flight keeps
 	// running whichever code array it loaded at entry.
-	tier2     atomic.Pointer[tierCode]
-	tierState atomic.Int32 // tierNone | tierActive | tierDemoted
+	tier2 atomic.Pointer[tierCode]
+	// tiered is set once, by eager O2 or the first promotion; tier-2 code
+	// is built at most once per function.
+	tiered atomic.Bool
 }
 
 // TierActive reports whether the function currently executes tier-2 code.
@@ -405,7 +407,7 @@ func (ex *Exec) enter(fn *CompiledFunc, fr *Frame) *tierCode {
 	if tc != nil {
 		fr.enterTier(tc, fn.NRegs)
 	} else if ex.tiering != nil {
-		ex.tiering.observe(fn, ex.opProf)
+		ex.tiering.observe(fn)
 	}
 	return tc
 }
@@ -455,8 +457,8 @@ func (ex *Exec) run(s *runState) (values.Value, runStatus) {
 	pc := int(s.pc)
 	for {
 		// The inner loop is the instruction fast path and nothing else:
-		// only code, fr, pc and prevOp are live across the handler call.
-		code, fr, cur, prevOp := codeOf(s.fn, s.tier), s.fr, pc, profNoPrev
+		// only code, fr and pc are live across the handler call.
+		code, fr, cur := codeOf(s.fn, s.tier), s.fr, pc
 		for uint(pc) < uint(len(code)) {
 			cur = pc
 			// Budget fast path: one increment and compare; nextCheck is
@@ -465,7 +467,7 @@ func (ex *Exec) run(s *runState) (values.Value, runStatus) {
 				pc = ex.checkBudget()
 			} else {
 				if ex.opProf != nil {
-					prevOp = ex.opProf.hit(code[cur].opID, prevOp)
+					ex.opProf.hit(code[cur].opID)
 				}
 				pc = code[cur].exec(ex, fr, &code[cur])
 			}
