@@ -211,6 +211,8 @@ func TestClockScrapeWhileRunning(t *testing.T) {
 	}
 }
 
+var glueSink values.Value
+
 // The dispatch path's own garbage: no error target, fault label, closure or
 // argument slice per event, on either backend; and with the connection's
 // struct cached, a compiled handler that only reads is allocation-free end
@@ -240,6 +242,21 @@ func TestDispatchAllocs(t *testing.T) {
 	}
 	if logged[0] > logged[1] {
 		t.Errorf("a logged reply allocates %v times compiled, %v interpreted", logged[0], logged[1])
+	}
+	// Compiled, the reply's strings cross into HILTI without a box.
+	if logged[0] > 7 {
+		t.Errorf("a compiled logged reply allocates %v times, want at most 7", logged[0])
+	}
+	// A string or enum argument the caller already holds as a Val crosses
+	// into a HILTI value without an allocation.
+	g := NewGlue()
+	for _, v := range []Val{StringVal("Mozilla/5.0 (X11; Linux x86_64)"), EnumVal{Name: "Analyzer::ANALYZER_HTTP"}} {
+		if n := testing.AllocsPerRun(200, func() { glueSink = g.toHilti(v) }); n != 0 {
+			t.Errorf("toHilti(%T) allocates %v times", v, n)
+		}
+		if got := glueSink.AsString(); got != v.Render() {
+			t.Errorf("toHilti(%T) = %q, want %q", v, got, v.Render())
+		}
 	}
 	// The compiled log writes build no record: their handlers allocate no
 	// struct and set no field.

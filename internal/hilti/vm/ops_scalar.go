@@ -9,6 +9,7 @@ package vm
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"hilti/internal/rt/values"
 )
@@ -123,7 +124,7 @@ var scalarOps = []opRow{
 		return values.String(a[0].AsString() + a[1].AsString()), nil
 	}},
 	{name: "string.length", arity: 1, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.Int(int64(len([]rune(a[0].AsString())))), nil
+		return values.Int(int64(utf8.RuneCountInString(a[0].AsString()))), nil
 	}},
 	{name: "string.lower", arity: 1, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		return values.String(strings.ToLower(a[0].AsString())), nil

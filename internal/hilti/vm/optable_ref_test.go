@@ -443,3 +443,34 @@ func TestAddingAnOpIsOneRow(t *testing.T) {
 		}
 	}
 }
+
+// TestStringLengthCountsRunes: string.length counts as len([]rune(s))
+// does — one per invalid byte, too — at every level, and allocates
+// nothing on a long string.
+func TestStringLengthCountsRunes(t *testing.T) {
+	cases := []string{"", "GET", "h\xe9llo \xff\xfe\xc3", "größe", strings.Repeat("ab\x80ü", 1000)}
+	build := func() *ast.Module {
+		b := ast.NewBuilder("M")
+		fb := b.Function("f", types.Int64T, ast.Param{Name: "s", Type: types.StringT})
+		r := fb.Local("r", types.Int64T)
+		fb.Assign(r, "string.length", ast.VarOp("s"))
+		fb.Return(r)
+		return b.M
+	}
+	length := opNamed("string.length").fn
+	for _, s := range cases {
+		want := int64(len([]rune(s)))
+		if v, _ := length(nil, []values.Value{values.String(s)}); v.AsInt() != want {
+			t.Errorf("%d bytes: row counts %d, want %d", len(s), v.AsInt(), want)
+		}
+		for level := 0; level <= 2; level++ {
+			if v, err := linkAt(t, level, build()).Call("M::f", values.String(s)); err != nil || v.AsInt() != want {
+				t.Errorf("O%d, %d bytes: %v, %v; want %d", level, len(s), v.AsInt(), err, want)
+			}
+		}
+	}
+	long := []values.Value{values.String(cases[len(cases)-1])}
+	if n := testing.AllocsPerRun(50, func() { length(nil, long) }); n != 0 {
+		t.Errorf("string.length of a long string allocates %v times", n)
+	}
+}

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"hilti/internal/rt/container"
@@ -118,6 +119,41 @@ func TestEnumRoundTrip(t *testing.T) {
 	}
 	if values.Format(got) != "Proto::UDP" {
 		t.Fatalf("enum label lost: %s", values.Format(got))
+	}
+}
+
+// TestStringRoundTrip: a string value points into the bytes it was made
+// from, so a decoded one must own its bytes, not alias the input buffer.
+func TestStringRoundTrip(t *testing.T) {
+	big := strings.Repeat("0123456789abcdef", 1<<16) // 1 MiB
+	for _, s := range []string{"", "Host", "h\xe9llo \xff\xfe", big} {
+		var buf bytes.Buffer
+		e := NewEncoder(&buf)
+		e.Value(values.TupleVal(values.String(s), values.String(strings.Clone(s))))
+		if err := e.Err(); err != nil {
+			t.Fatal(err)
+		}
+		in := buf.Bytes()
+		d := NewDecoder(in)
+		got := d.Value()
+		if err := d.Err(); err != nil {
+			t.Fatal(err)
+		}
+		for i := range in {
+			in[i] = '!'
+		}
+		tup := got.AsTuple()
+		if tup == nil || len(tup.Elems) != 2 {
+			t.Fatalf("%d bytes: tuple lost", len(s))
+		}
+		for _, v := range tup.Elems {
+			if v.K != values.KindString || v.AsString() != s {
+				t.Errorf("%d bytes: decoded %v of %d bytes, equal=%v", len(s), v.K, len(v.AsString()), v.AsString() == s)
+			}
+		}
+		if !values.Equal(tup.Elems[0], values.String(s)) || values.Hash(tup.Elems[1]) != values.Hash(values.String(s)) {
+			t.Errorf("%d bytes: decoded string not equal to the original", len(s))
+		}
 	}
 }
 

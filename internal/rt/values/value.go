@@ -10,13 +10,17 @@
 // A Value is a small tagged struct: primitive payloads live unboxed in two
 // 64-bit words (integers, booleans, doubles, times, intervals, ports, and
 // full 128-bit addresses), while heap objects hang off an interface field.
-// This keeps per-packet hot paths (address compares, port checks, integer
-// arithmetic) free of allocations, matching the paper's emphasis on
-// real-time performance.
+// A string is a pointer and a length: its data pointer (a *byte, which an
+// interface holds without a box) sits in O and its length in A, so making a
+// string value copies no bytes and allocates nothing. This keeps per-packet
+// hot paths (address compares, port checks, integer arithmetic, event
+// strings handed to compiled scripts) free of allocations, matching the
+// paper's emphasis on real-time performance.
 package values
 
 import (
 	"math"
+	"unsafe"
 
 	"hilti/internal/rt/hbytes"
 )
@@ -102,7 +106,11 @@ type Value struct {
 	K Kind
 	A uint64 // primary scalar payload (int64 bits, float64 bits, addr hi, ...)
 	B uint64 // secondary scalar payload (addr lo, port proto, iter offset, ...)
-	O any    // heap payload for reference kinds; string for KindString
+	// O is the heap payload for reference kinds. For KindString it is the
+	// string's data pointer as a *byte (length in A): a real pointer, never
+	// a uintptr, so the value keeps the bytes alive. Only String writes it
+	// and only AsString reads it.
+	O any
 }
 
 // Object is implemented by runtime-library heap objects carried in Value.O
@@ -149,8 +157,11 @@ func Uint(u uint64) Value { return Value{K: KindInt, A: u} }
 // Double returns a floating-point value.
 func Double(f float64) Value { return Value{K: KindDouble, A: math.Float64bits(f)} }
 
-// String returns a Unicode string value.
-func String(s string) Value { return Value{K: KindString, O: s} }
+// String returns a Unicode string value. It shares s's bytes, which Go
+// strings never change, and allocates nothing.
+func String(s string) Value {
+	return Value{K: KindString, A: uint64(len(s)), O: unsafe.StringData(s)}
+}
 
 // BytesVal wraps a byte rope.
 func BytesVal(b *hbytes.Bytes) Value { return Value{K: KindBytes, O: b} }
@@ -217,10 +228,13 @@ func (v Value) AsUint() uint64 { return v.A }
 // AsDouble extracts a floating-point payload.
 func (v Value) AsDouble() float64 { return math.Float64frombits(v.A) }
 
-// AsString extracts a string payload.
+// AsString extracts a string payload, or "" when v is not a string value.
 func (v Value) AsString() string {
-	s, _ := v.O.(string)
-	return s
+	p, ok := v.O.(*byte)
+	if !ok || v.K != KindString {
+		return ""
+	}
+	return unsafe.String(p, int(v.A))
 }
 
 // AsBytes extracts a byte-rope payload.
