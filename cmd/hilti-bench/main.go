@@ -1776,7 +1776,7 @@ func (h *harness) migrate(chk *checker) {
 	//    by retries (frames are checksummed and idempotent); a kill aborts
 	//    the session — the source retains the slice, the target discards —
 	//    except at commit, where the target already acked and the handoff
-	//    resolves forward. A short trace keeps the 12 schedules cheap.
+	//    resolves forward. A short trace keeps the 9 schedules cheap.
 	small := merge(genHTTP(60), genDNS(400))
 	smallWant := sortedLogs(engineRun(cfg, small))
 
@@ -1788,7 +1788,7 @@ func (h *harness) migrate(chk *checker) {
 	for step := migrate.StepBegin; step < migrate.NumSteps; step++ {
 		for _, k := range kinds {
 			label := fmt.Sprintf("%s@%s", k.name, step)
-			inj := migrate.InjectorFunc(func(s migrate.Step, attempt int) migrate.FaultKind {
+			inj := migrate.Injector(func(s migrate.Step, attempt int) migrate.FaultKind {
 				if s == step && attempt == 0 {
 					return k.kind
 				}
@@ -1816,8 +1816,12 @@ func (h *harness) migrate(chk *checker) {
 			must(cc.CheckOwnership())
 		}
 	}
-	fmt.Printf("    fault matrix: %d schedules (kill|stall|corrupt × begin|transfer|activate|commit), %d handoffs, %d aborted-and-retained (kill only)\n",
-		int(migrate.NumSteps)*len(kinds), handoffs, aborted)
+	var steps []string
+	for step := migrate.StepBegin; step < migrate.NumSteps; step++ {
+		steps = append(steps, step.String())
+	}
+	fmt.Printf("    fault matrix: %d schedules (kill|stall|corrupt × %s), %d handoffs, %d aborted-and-retained (kill only)\n",
+		len(kinds)*len(steps), strings.Join(steps, "|"), handoffs, aborted)
 	fmt.Println("    no split ownership; ledger exact")
 }
 

@@ -4,12 +4,13 @@
 // routing table; a migration moves one bucket's flows from their current
 // owner to another instance in two phases:
 //
-//	BeginMigration  — open the handoff session. The source keeps
-//	                  owning and processing the bucket.
+//	BeginMigration  — open the handoff session (a Begin frame). The
+//	                  source keeps owning and processing the bucket.
 //	Complete        — quiesce and extract the slice (each flow's one
 //	                  frame plus its scheduling entry and quarantine
-//	                  mark), ship it, activate on the target, forget on
-//	                  the source, flip the routing table.
+//	                  mark), ship it in the Activate frame the target
+//	                  installs from, forget on the source, flip the
+//	                  routing table.
 //
 // The routing flip is the commit point: until it happens no packet has
 // ever been routed to the target for the migrating flows, so any failure
@@ -24,7 +25,6 @@
 package bro
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -33,7 +33,6 @@ import (
 	"hilti/internal/pkt/pipeline"
 	"hilti/internal/rt/migrate"
 	"hilti/internal/rt/ruleplane"
-	"hilti/internal/rt/snapshot"
 )
 
 // ClusterConfig sizes the cluster.
@@ -41,8 +40,7 @@ type ClusterConfig struct {
 	Instances int // initial instance count (default 2)
 	Buckets   int // routing buckets, power of two (default 32)
 	// Pipeline configures every instance (Workers, StallTimeout, ...).
-	Pipeline    pipeline.Config
-	MaxAttempts int // frame sends per handoff step (default 4)
+	Pipeline pipeline.Config
 }
 
 // Cluster is a set of Parallel instances plus the routing and migration
@@ -57,14 +55,16 @@ type Cluster struct {
 	table    *migrate.Table
 	ledger   *migrate.Ledger
 	nextSess uint64
-	pending  map[int]uint64 // target instance -> open handoff session
 }
 
+// clusterInstance is one instance and its handoff endpoint, whose Sink it
+// is: inbound is the slice installed by the endpoint's open session, kept
+// until the session is released (committed) or discarded.
 type clusterInstance struct {
-	id   int
-	par  *Parallel
-	ep   *migrate.Endpoint
-	sink *clusterSink
+	id      int
+	par     *Parallel
+	ep      *migrate.Endpoint
+	inbound *pipeline.FlowSlice
 }
 
 // NewCluster builds the initial instances and a balanced routing table.
@@ -79,8 +79,7 @@ func NewCluster(cfg Config, ccfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{cfg: cfg, ccfg: ccfg, table: table, ledger: migrate.NewLedger(),
-		pending: map[int]uint64{}}
+	c := &Cluster{cfg: cfg, ccfg: ccfg, table: table, ledger: migrate.NewLedger()}
 	for i := 0; i < ccfg.Instances; i++ {
 		if _, err := c.newInstance(); err != nil {
 			c.Close() //nolint:errcheck // already failing
@@ -107,8 +106,7 @@ func (c *Cluster) newInstance() (*clusterInstance, error) {
 		return nil, err
 	}
 	inst := &clusterInstance{id: len(c.insts), par: par}
-	inst.sink = &clusterSink{inst: inst, installed: map[uint64]*pipeline.FlowSlice{}}
-	inst.ep = migrate.NewEndpoint(inst.sink)
+	inst.ep = migrate.NewEndpoint(inst)
 	c.insts = append(c.insts, inst)
 	return inst, nil
 }
@@ -267,27 +265,23 @@ func (c *Cluster) BeginMigration(b, to int, inj migrate.Injector) (*Migration, e
 	if from == to {
 		return nil, fmt.Errorf("bro: bucket %d already on instance %d", b, to)
 	}
-	if id, open := c.pending[to]; open {
+	if id, _ := c.insts[to].ep.Session(); id != 0 {
 		// The endpoint holds at most one session; a second Begin would
-		// supersede the live coordinator's buffer.
-		return nil, fmt.Errorf("bro: instance %d already receiving handoff %d", to, id)
+		// supersede the open one.
+		return nil, fmt.Errorf("bro: instance %d already receiving handoff %d: %w", to, id, migrate.ErrRefused)
 	}
 	c.nextSess++
 	m := &Migration{c: c, bucket: b, from: from, to: to, id: c.nextSess}
-	m.co = migrate.NewCoordinator(epTransport{c.insts[to].ep}, migrate.Options{
-		ID: m.id, Bucket: b, Epoch: c.table.Epoch(),
-		MaxAttempts: c.ccfg.MaxAttempts, Injector: inj,
-	})
-	c.pending[to] = m.id
+	m.co = migrate.NewCoordinator(epTransport{c.insts[to].ep}, migrate.Options{ID: m.id, Injector: inj})
 	if err := m.co.Begin(); err != nil {
 		return nil, m.fail(err)
 	}
 	return m, nil
 }
 
-// Complete finishes the handoff: quiesce and extract the slice, ship it,
-// activate, forget on the source, flip the routing table, and record the
-// ledger entry. After a nil return the target owns the bucket.
+// Complete finishes the handoff: quiesce and extract the slice, ship it
+// in the Activate frame, forget on the source, flip the routing table, and
+// record the ledger entry. After a nil return the target owns the bucket.
 func (m *Migration) Complete() error {
 	if m.done {
 		return m.err
@@ -299,14 +293,7 @@ func (m *Migration) Complete() error {
 	if err != nil {
 		return m.fail(err)
 	}
-	blob, err := encodeWireSlice(slice)
-	if err != nil {
-		return m.fail(err)
-	}
-	if err := m.co.Ship(blob); err != nil {
-		return m.fail(err)
-	}
-	if err := m.co.Activate(); err != nil {
+	if err := m.co.Activate(slice.Encode()); err != nil {
 		return m.fail(err)
 	}
 	var forgetErr error
@@ -319,26 +306,22 @@ func (m *Migration) Complete() error {
 	// The flip resolved the session; free the endpoint for the next one.
 	tgt := m.c.insts[m.to]
 	tgt.ep.ReleaseSession(m.id)
-	delete(tgt.sink.installed, m.id)
-	delete(m.c.pending, m.to)
+	tgt.inbound = nil
 	m.done = true
 	m.err = nil
 	return forgetErr
 }
 
 // fail aborts the session on both sides and records the abort. The source
-// never forgot anything, the target discards whatever it buffered or
-// installed, and routing never flipped — the failed handoff is invisible
-// except in the ledger's abort count.
+// never forgot anything, the target discards whatever it installed, and
+// routing never flipped — the failed handoff is invisible except in the
+// ledger's abort count.
 func (m *Migration) fail(err error) error {
 	m.done = true
 	m.err = err
 	m.co.Abort()
 	m.c.insts[m.to].ep.AbortSession(m.id)
-	m.c.ledger.Abort(m.from, m.to)
-	if m.c.pending[m.to] == m.id {
-		delete(m.c.pending, m.to)
-	}
+	m.c.ledger.Abort(m.from)
 	return err
 }
 
@@ -406,87 +389,26 @@ func (t epTransport) Send(frame []byte) ([]byte, error) { return t.ep.Handle(fra
 
 // --- target-side sink -----------------------------------------------------------
 
-// clusterSink applies a verified handoff session to its instance. Install
-// is all-or-nothing: any error forgets whatever the session already
-// touched, so the endpoint can refuse and the source retain.
-type clusterSink struct {
-	inst      *clusterInstance
-	installed map[uint64]*pipeline.FlowSlice
-}
-
-func (s *clusterSink) Prepare(id uint64, bucket int) error { return nil }
-
-func (s *clusterSink) Install(id uint64, blobs [][]byte) (int, error) {
-	if len(blobs) != 1 {
-		return 0, fmt.Errorf("bro: handoff carries %d slices, want 1", len(blobs))
-	}
-	slice, err := decodeWireSlice(blobs[0])
+// Install applies a handoff's slice to the instance, all or nothing: any
+// error forgets whatever it already touched, so the endpoint can refuse
+// and the source retain.
+func (inst *clusterInstance) Install(id uint64, blob []byte) (int, error) {
+	slice, err := pipeline.DecodeFlowSlice(blob)
 	if err != nil {
 		return 0, err
 	}
-	if err := s.inst.par.InjectFlows(slice); err != nil {
-		s.inst.par.ForgetFlows(slice) //nolint:errcheck // best-effort rollback
+	if err := inst.par.InjectFlows(slice); err != nil {
+		inst.par.ForgetFlows(slice) //nolint:errcheck // best-effort rollback
 		return 0, err
 	}
-	s.installed[id] = slice
+	inst.inbound = slice
 	return len(slice.Handler), nil
 }
 
-func (s *clusterSink) Discard(id uint64) {
-	if sl := s.installed[id]; sl != nil {
-		s.inst.par.ForgetFlows(sl) //nolint:errcheck // best-effort by contract
-		delete(s.installed, id)
+// Discard forgets the installed slice of the session being aborted.
+func (inst *clusterInstance) Discard(id uint64) {
+	if inst.inbound != nil {
+		inst.par.ForgetFlows(inst.inbound) //nolint:errcheck // best-effort by contract
+		inst.inbound = nil
 	}
-}
-
-// --- wire blobs -----------------------------------------------------------------
-
-// encodeWireSlice encodes the one slice a handoff's State frame carries;
-// the frame layer already checksums and sequences it.
-func encodeWireSlice(s *pipeline.FlowSlice) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := snapshot.NewRawEncoder(&buf)
-	enc.U32(uint32(len(s.Handler)))
-	for _, hf := range s.Handler {
-		enc.U64(hf.VID)
-		enc.Bytes(hf.Key.Wire())
-		enc.Bytes(hf.Blob)
-	}
-	enc.U32(uint32(len(s.Sched)))
-	for _, sf := range s.Sched {
-		enc.U64(sf.VID)
-		enc.Bool(sf.HasKey)
-		enc.Bytes(sf.Key.Wire())
-		enc.I64(sf.Deadline)
-	}
-	enc.U32(uint32(len(s.Quar)))
-	for _, q := range s.Quar {
-		enc.U64(q.VID)
-		enc.U64(q.Dropped)
-	}
-	return buf.Bytes(), enc.Err()
-}
-
-func decodeWireSlice(payload []byte) (*pipeline.FlowSlice, error) {
-	dec := snapshot.NewRawDecoder(payload)
-	s := &pipeline.FlowSlice{}
-	nh := dec.Len(flow.WireSize + 10)
-	for i := 0; i < nh && dec.Err() == nil; i++ {
-		hf := pipeline.HandlerFlow{VID: dec.U64()}
-		hf.Key = decodeKey(dec)
-		hf.Blob = bytes.Clone(dec.Bytes())
-		s.Handler = append(s.Handler, hf)
-	}
-	ns := dec.Len(flow.WireSize + 10)
-	for i := 0; i < ns && dec.Err() == nil; i++ {
-		sf := pipeline.SchedFlow{VID: dec.U64(), HasKey: dec.Bool()}
-		sf.Key = decodeKey(dec)
-		sf.Deadline = dec.I64()
-		s.Sched = append(s.Sched, sf)
-	}
-	nq := dec.Len(16)
-	for i := 0; i < nq && dec.Err() == nil; i++ {
-		s.Quar = append(s.Quar, pipeline.QuarMark{VID: dec.U64(), Dropped: dec.U64()})
-	}
-	return s, dec.Err()
 }

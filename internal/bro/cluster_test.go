@@ -187,12 +187,12 @@ func TestClusterLiveMigrationWindow(t *testing.T) {
 // stepFault injects one fault kind at one protocol step, either on the
 // first attempt only (retries can recover) or on every attempt.
 func stepFault(step migrate.Step, kind migrate.FaultKind, every bool) migrate.Injector {
-	return migrate.InjectorFunc(func(s migrate.Step, attempt int) migrate.FaultKind {
+	return func(s migrate.Step, attempt int) migrate.FaultKind {
 		if s == step && (every || attempt == 0) {
 			return kind
 		}
 		return migrate.FaultNone
-	})
+	}
 }
 
 // TestClusterChaosEveryStep kills, stalls, and corrupts the handoff at
@@ -210,7 +210,7 @@ func TestClusterChaosEveryStep(t *testing.T) {
 		mayAbort bool // the schedule is allowed to abort the handoff
 	}
 	var scheds []schedule
-	steps := []migrate.Step{migrate.StepBegin, migrate.StepTransfer, migrate.StepActivate, migrate.StepCommit}
+	steps := []migrate.Step{migrate.StepBegin, migrate.StepActivate, migrate.StepCommit}
 	kinds := []migrate.FaultKind{migrate.FaultKill, migrate.FaultStall, migrate.FaultCorrupt}
 	for _, st := range steps {
 		for _, k := range kinds {
@@ -276,12 +276,12 @@ func TestClusterChaosRandomSchedules(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		label := fmt.Sprintf("seed=%d", seed)
 		rng := rand.New(rand.NewSource(seed))
-		inj := migrate.InjectorFunc(func(s migrate.Step, attempt int) migrate.FaultKind {
+		inj := func(s migrate.Step, attempt int) migrate.FaultKind {
 			if rng.Intn(4) == 0 {
 				return migrate.FaultKind(1 + rng.Intn(3))
 			}
 			return migrate.FaultNone
-		})
+		}
 		c, err := NewCluster(clusterCfg(), ClusterConfig{
 			Instances: 3, Buckets: 8,
 			Pipeline: pipeline.Config{Workers: 2},
@@ -403,18 +403,11 @@ func TestClusterDiscardAfterInstall(t *testing.T) {
 	if slice.Empty() {
 		t.Skip("bucket drew no flows; nothing to exercise")
 	}
-	blob, err := encodeWireSlice(slice)
-	if err != nil {
-		t.Fatal(err)
-	}
-	co := migrate.NewCoordinator(epTransport{c.insts[1].ep}, migrate.Options{ID: 999, Bucket: b})
+	co := migrate.NewCoordinator(epTransport{c.insts[1].ep}, migrate.Options{ID: 999})
 	if err := co.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	if err := co.Ship(blob); err != nil {
-		t.Fatal(err)
-	}
-	if err := co.Activate(); err != nil {
+	if err := co.Activate(slice.Encode()); err != nil {
 		t.Fatal(err)
 	}
 	if id, installed := c.insts[1].ep.Session(); id != 999 || !installed {
@@ -465,18 +458,11 @@ func TestClusterRefusesSecondSessionWhileInstalled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := encodeWireSlice(slice)
-	if err != nil {
-		t.Fatal(err)
-	}
-	co := migrate.NewCoordinator(epTransport{c.insts[1].ep}, migrate.Options{ID: 5001, Bucket: b})
+	co := migrate.NewCoordinator(epTransport{c.insts[1].ep}, migrate.Options{ID: 5001})
 	if err := co.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	if err := co.Ship(blob); err != nil {
-		t.Fatal(err)
-	}
-	if err := co.Activate(); err != nil {
+	if err := co.Activate(slice.Encode()); err != nil {
 		t.Fatal(err)
 	}
 	// A second handoff to the same target must be refused outright.
@@ -484,4 +470,47 @@ func TestClusterRefusesSecondSessionWhileInstalled(t *testing.T) {
 		t.Fatalf("second session error = %v, want ErrRefused", err)
 	}
 	c.insts[1].ep.AbortSession(5001)
+}
+
+// TestClusterRefusesSecondSessionWhileOpen: a target whose session is open
+// but not yet installed refuses a second BeginMigration; the first handoff
+// then completes as if the refused one had never been asked for.
+func TestClusterRefusesSecondSessionWhileOpen(t *testing.T) {
+	pkts := mergedTrace(t)
+	want := singleBaseline(t, pkts)
+
+	c, err := NewCluster(clusterCfg(), ClusterConfig{
+		Instances: 2, Buckets: 8,
+		Pipeline: pipeline.Config{Workers: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := len(pkts) / 2
+	feedSlice(t, c, pkts, 0, half)
+	mine := c.Table().BucketsOf(0)
+	m, err := c.BeginMigration(mine[0], 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, installed := c.insts[1].ep.Session(); id == 0 || installed {
+		t.Fatalf("target session = (%d, %v), want open and not installed", id, installed)
+	}
+	if _, err := c.BeginMigration(mine[1], 1, nil); !errors.Is(err, migrate.ErrRefused) {
+		t.Fatalf("second session error = %v, want ErrRefused", err)
+	}
+	if err := m.Complete(); err != nil {
+		t.Fatal(err)
+	}
+	if c.Table().OwnerOf(mine[0]) != 1 || c.Table().OwnerOf(mine[1]) != 0 {
+		t.Fatalf("owners after handoff: bucket %d -> %d, bucket %d -> %d",
+			mine[0], c.Table().OwnerOf(mine[0]), mine[1], c.Table().OwnerOf(mine[1]))
+	}
+	feedSlice(t, c, pkts, half, len(pkts))
+	assertSingleOwner(t, "refused-open", c, pkts)
+	c.Close()
+	assertClusterMatches(t, "refused-open", c, want)
+	if err := c.CheckOwnership(); err != nil {
+		t.Error(err)
+	}
 }

@@ -22,6 +22,7 @@ import (
 	"sort"
 
 	"hilti/internal/pkt/flow"
+	"hilti/internal/rt/snapshot"
 	"hilti/internal/rt/threads"
 	"hilti/internal/rt/timer"
 )
@@ -92,6 +93,99 @@ func (s *FlowSlice) Empty() bool {
 	return len(s.Handler) == 0 && len(s.Sched) == 0 && len(s.Quar) == 0
 }
 
+// Encode serializes the slice for a handoff: handler flows (vid, key,
+// state), then scheduling entries and quarantine marks in the very rows a
+// shard snapshot stores its flow table and quarantine set in.
+func (s *FlowSlice) Encode() []byte {
+	enc := snapshot.NewAppender(nil)
+	enc.U32(uint32(len(s.Handler)))
+	for _, hf := range s.Handler {
+		enc.U64(hf.VID)
+		enc.Bytes(hf.Key.Wire())
+		enc.Bytes(hf.Blob)
+	}
+	enc.U32(uint32(len(s.Sched)))
+	for _, sf := range s.Sched {
+		encodeSched(enc, sf)
+	}
+	enc.U32(uint32(len(s.Quar)))
+	for _, q := range s.Quar {
+		encodeQuar(enc, q)
+	}
+	return enc.Buffer()
+}
+
+// DecodeFlowSlice decodes what Encode produced. It never panics on
+// corrupt input.
+func DecodeFlowSlice(b []byte) (*FlowSlice, error) {
+	dec := snapshot.NewRawDecoder(b)
+	s := &FlowSlice{}
+	nh := dec.Len(8 + 4 + flow.WireSize + 4)
+	for i := 0; i < nh && dec.Err() == nil; i++ {
+		s.Handler = append(s.Handler, HandlerFlow{VID: dec.U64(), Key: decodeKey(dec), Blob: dec.Bytes()})
+	}
+	ns := dec.Len(schedSize)
+	for i := 0; i < ns && dec.Err() == nil; i++ {
+		s.Sched = append(s.Sched, decodeSched(dec))
+	}
+	nq := dec.Len(quarSize)
+	for i := 0; i < nq && dec.Err() == nil; i++ {
+		s.Quar = append(s.Quar, decodeQuar(dec))
+	}
+	return s, dec.Err()
+}
+
+// Encoded sizes of a scheduling entry and a quarantine mark.
+const (
+	schedSize = 8 + 1 + 4 + flow.WireSize + 8
+	quarSize  = 8 + 8
+)
+
+// encodeSched writes one scheduling entry: vid, hasKey, key, deadline.
+func encodeSched(enc *snapshot.Encoder, sf SchedFlow) {
+	enc.U64(sf.VID)
+	enc.Bool(sf.HasKey)
+	enc.Bytes(sf.Key.Wire())
+	enc.I64(sf.Deadline)
+}
+
+func decodeSched(dec *snapshot.Decoder) SchedFlow {
+	return SchedFlow{VID: dec.U64(), HasKey: dec.Bool(), Key: decodeKey(dec), Deadline: dec.I64()}
+}
+
+// encodeQuar writes one quarantine mark: vid, dropped.
+func encodeQuar(enc *snapshot.Encoder, q QuarMark) {
+	enc.U64(q.VID)
+	enc.U64(q.Dropped)
+}
+
+func decodeQuar(dec *snapshot.Decoder) QuarMark {
+	return QuarMark{VID: dec.U64(), Dropped: dec.U64()}
+}
+
+func decodeKey(dec *snapshot.Decoder) flow.Key {
+	k, err := flow.KeyFromWire(dec.Bytes())
+	if err != nil && dec.Err() == nil {
+		dec.Fail("pipeline: %v", err)
+	}
+	return k
+}
+
+// sched is the flow's scheduling entry.
+func (fs *flowState) sched() SchedFlow {
+	return SchedFlow{VID: fs.vid, Key: fs.key, HasKey: fs.hasKey, Deadline: int64(fs.idle.FireTime())}
+}
+
+// addFlow installs a scheduling entry as the flow table's newest, its idle
+// timer armed: restore and migration rebuild a flow table this way.
+func (p *Pipeline) addFlow(ws *wstate, sf SchedFlow) {
+	fs := &flowState{vid: sf.VID, key: sf.Key, hasKey: sf.HasKey}
+	p.armIdle(ws, fs, timer.Time(sf.Deadline))
+	fs.elem = ws.lru.PushFront(fs)
+	ws.flows[sf.VID] = fs
+	ws.liveFlows.Add(1)
+}
+
 // onWorkers runs fn on every worker's own goroutine and collects errors.
 func (p *Pipeline) onWorkers(fn func(i int, sl *wslot) error) error {
 	if p.closed.Load() {
@@ -145,12 +239,7 @@ func (p *Pipeline) ExtractFlows(match func(vid uint64) bool) (*FlowSlice, error)
 			if !match(fs.vid) {
 				continue
 			}
-			part.Sched = append(part.Sched, SchedFlow{
-				VID:      fs.vid,
-				Key:      fs.key,
-				HasKey:   fs.hasKey,
-				Deadline: int64(fs.idle.FireTime()),
-			})
+			part.Sched = append(part.Sched, fs.sched())
 		}
 		for vid, dropped := range ws.quarantined {
 			if match(vid) {
@@ -202,11 +291,7 @@ func (p *Pipeline) InjectFlows(s *FlowSlice) error {
 			if ws.cap > 0 && len(ws.flows) >= ws.cap {
 				p.evictOldest(ws)
 			}
-			fs := &flowState{vid: sf.VID, key: sf.Key, hasKey: sf.HasKey}
-			p.armIdle(ws, fs, timer.Time(sf.Deadline))
-			fs.elem = ws.lru.PushFront(fs)
-			ws.flows[sf.VID] = fs
-			ws.liveFlows.Add(1)
+			p.addFlow(ws, sf)
 		}
 		for _, q := range part.Quar {
 			ws.quarantined[q.VID] = q.Dropped

@@ -927,18 +927,13 @@ func (p *Pipeline) encodeShard(sl *wslot, prevH []byte) (blob []byte, hoff int, 
 	}
 	sort.Slice(qvids, func(i, j int) bool { return qvids[i] < qvids[j] })
 	for _, vid := range qvids {
-		enc.U64(vid)
-		enc.U64(ws.quarantined[vid])
+		encodeQuar(enc, QuarMark{VID: vid, Dropped: ws.quarantined[vid]})
 	}
 
 	// Flows oldest-first, so restore's PushFront rebuilds the same LRU.
 	enc.U32(uint32(ws.lru.Len()))
 	for e := ws.lru.Back(); e != nil; e = e.Prev() {
-		fs := e.Value.(*flowState)
-		enc.U64(fs.vid)
-		enc.Bool(fs.hasKey)
-		enc.Bytes(fs.key.Wire())
-		enc.I64(int64(fs.idle.FireTime()))
+		encodeSched(enc, e.Value.(*flowState).sched())
 	}
 
 	enc.Bool(sl.dc != nil)
@@ -963,30 +958,18 @@ func (p *Pipeline) decodeShard(ws *wstate, blob []byte) ([]byte, bool, error) {
 		c.Store(dec.U64())
 	}
 
-	nq := dec.Len(16)
+	nq := dec.Len(quarSize)
 	for i := 0; i < nq && dec.Err() == nil; i++ {
-		vid := dec.U64()
-		ws.quarantined[vid] = dec.U64()
+		q := decodeQuar(dec)
+		ws.quarantined[q.VID] = q.Dropped
 	}
 
-	nf := dec.Len(8 + 1 + 4 + 8)
+	nf := dec.Len(schedSize)
 	for i := 0; i < nf && dec.Err() == nil; i++ {
-		vid := dec.U64()
-		hasKey := dec.Bool()
-		key, kerr := flow.KeyFromWire(dec.Bytes())
-		deadline := timer.Time(dec.I64())
-		if dec.Err() != nil {
-			break
+		if sf := decodeSched(dec); dec.Err() == nil {
+			p.addFlow(ws, sf)
 		}
-		if kerr != nil {
-			return nil, false, kerr
-		}
-		fs := &flowState{vid: vid, key: key, hasKey: hasKey}
-		p.armIdle(ws, fs, deadline)
-		fs.elem = ws.lru.PushFront(fs)
-		ws.flows[vid] = fs
 	}
-	ws.liveFlows.Store(int64(len(ws.flows)))
 
 	hasH := dec.Bool()
 	var hb []byte

@@ -1,208 +1,116 @@
 package migrate
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 
 	"hilti/internal/rt/snapshot"
+	"hilti/internal/rt/wal"
 )
 
-// Migration frames mirror the WAL record framing (PR 6): a length, a
-// CRC-32C over kind++payload, a kind byte, and the payload. Everything
-// that crosses the handoff Transport is one of these frames, and the
-// decoder never panics on corrupt input (FuzzMigrationFrameDecode).
-//
-//	u32 length of kind+payload | u32 CRC-32C(kind ++ payload) | u8 kind | payload
+// A migration frame is a WAL segment holding exactly one record: the
+// record's kind byte is the frame kind, its CRC-32C covers kind and
+// payload, and its payload is one of the messages below. Everything that
+// crosses the handoff Transport is one of these frames, and the decoder
+// never panics on corrupt input (FuzzMigrationFrameDecode).
 
 // Frame kinds.
 const (
-	FrameBegin    byte = 1 // open a handoff session: id, epoch, bucket
-	FrameState    byte = 2 // one state blob: id, seq, blob
-	FrameActivate byte = 3 // install request: id, frame count, blob checksum
-	FrameAbort    byte = 4 // roll the session back: id
-	FrameAck      byte = 5 // response: id, status, applied count
+	frameBegin    byte = 1 // open a handoff session: id
+	frameActivate byte = 2 // install request: id, the slice
+	frameAbort    byte = 3 // roll the session back: id
+	frameAck      byte = 4 // response: id, status, applied count
 )
 
 // Ack statuses.
 const (
-	AckOK      byte = 0 // accepted / idempotent repeat
-	AckNak     byte = 1 // damaged or out-of-order frame: retransmit
-	AckRefused byte = 2 // session cannot proceed: abort the handoff
+	ackOK      byte = 0 // accepted / idempotent repeat
+	ackNak     byte = 1 // damaged frame: retransmit
+	ackRefused byte = 2 // session cannot proceed: abort the handoff
 )
 
-// MaxFramePayload bounds a single frame (the decoder rejects larger
-// claims outright, so a corrupt length cannot drive allocation).
-const MaxFramePayload = 64 << 20
+var errNoRecord = errors.New("migrate: frame holds no record")
 
-const frameHeader = 8 // length + CRC
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// Frame decode errors.
-var (
-	ErrFrameShort = errors.New("migrate: truncated frame")
-	ErrFrameSize  = errors.New("migrate: implausible frame length")
-	ErrFrameCRC   = errors.New("migrate: frame checksum mismatch")
-)
-
-// AppendFrame appends one encoded frame to dst and returns the result.
-func AppendFrame(dst []byte, kind byte, payload []byte) []byte {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(1+len(payload)))
-	crc := crc32.Update(0, castagnoli, []byte{kind})
-	crc = crc32.Update(crc, castagnoli, payload)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, kind)
-	return append(dst, payload...)
-}
-
-// ParseFrame decodes the frame at the head of b, returning its kind,
-// payload, and any trailing bytes. It is bounds-checked end to end and
-// never panics on corrupt input.
-func ParseFrame(b []byte) (kind byte, payload, rest []byte, err error) {
-	if len(b) < frameHeader+1 {
-		return 0, nil, nil, ErrFrameShort
-	}
-	n := binary.LittleEndian.Uint32(b[0:4])
-	if n < 1 || n > MaxFramePayload {
-		return 0, nil, nil, ErrFrameSize
-	}
-	want := binary.LittleEndian.Uint32(b[4:8])
-	body := b[frameHeader:]
-	if uint32(len(body)) < n {
-		return 0, nil, nil, ErrFrameShort
-	}
-	body, rest = body[:n], body[n:]
-	if crc32.Checksum(body, castagnoli) != want {
-		return 0, nil, nil, ErrFrameCRC
-	}
-	return body[0], body[1:], rest, nil
-}
-
-// Begin opens a handoff session.
-type Begin struct {
-	ID     uint64 // session id, unique per handoff attempt
-	Epoch  uint64 // routing epoch the coordinator observed
-	Bucket uint32 // the bucket being migrated
-}
-
-// State carries one state blob. Seq starts at 1 and increments per blob;
-// the endpoint accepts duplicates (a retransmit after a lost ack) and
-// NAKs gaps.
-type State struct {
-	ID   uint64
-	Seq  uint32
-	Blob []byte
-}
-
-// Activate asks the endpoint to install the buffered session after
-// verifying it holds exactly Frames blobs whose running CRC-32C is Sum.
-type Activate struct {
-	ID     uint64
-	Frames uint32
-	Sum    uint32
-}
-
-// Abort rolls the session back (buffered or installed — an installed
-// session is still safe to discard because routing never flipped).
-type Abort struct {
-	ID uint64
-}
-
-// Ack is the endpoint's response to any request frame.
-type Ack struct {
-	ID      uint64
-	Status  byte
-	Applied uint32 // blobs buffered (State) or flows installed (Activate)
-}
-
-func encodeFrame(kind byte, fill func(*snapshot.Encoder)) []byte {
-	var buf bytes.Buffer
-	enc := snapshot.NewRawEncoder(&buf)
+// encodeFrame encodes one frame, filling the payload in place. Only an
+// Activate's slice can exceed wal.MaxRecord, the one way it fails.
+func encodeFrame(kind byte, fill func(*snapshot.Encoder)) ([]byte, error) {
+	w := wal.NewWriter()
+	enc := snapshot.NewAppender(w.Begin(kind))
 	fill(enc)
-	return AppendFrame(nil, kind, buf.Bytes())
+	if err := w.Commit(enc.Buffer()); err != nil {
+		return nil, err
+	}
+	return w.Bytes(), nil
 }
 
-// EncodeBegin encodes a Begin frame.
-func EncodeBegin(m Begin) []byte {
-	return encodeFrame(FrameBegin, func(enc *snapshot.Encoder) {
-		enc.U64(m.ID)
-		enc.U64(m.Epoch)
-		enc.U32(m.Bucket)
+// parseFrame decodes a frame: its one record's kind and payload. Anything
+// after that record — a second one, or stray bytes — is rejected.
+func parseFrame(b []byte) (kind byte, payload []byte, err error) {
+	r := wal.NewReader(b)
+	kind, payload, ok := r.Next()
+	if !ok {
+		if err := r.Err(); err != nil {
+			return 0, nil, err
+		}
+		return 0, nil, errNoRecord
+	}
+	if rest := len(b) - r.Offset(); rest != 0 {
+		return 0, nil, fmt.Errorf("migrate: %d bytes after the frame's record", rest)
+	}
+	return kind, payload, nil
+}
+
+// activate asks the endpoint to install the slice; the frame's CRC covers it.
+type activate struct {
+	id    uint64
+	slice []byte
+}
+
+// ack is the endpoint's response to any request frame.
+type ack struct {
+	id      uint64
+	status  byte
+	applied uint32 // flows installed (Activate)
+}
+
+// encodeID encodes a Begin or Abort frame, whose payload is the session id.
+func encodeID(kind byte, id uint64) []byte {
+	f, _ := encodeFrame(kind, func(enc *snapshot.Encoder) { enc.U64(id) }) // fixed size: always fits
+	return f
+}
+
+func encodeActivate(m activate) ([]byte, error) {
+	return encodeFrame(frameActivate, func(enc *snapshot.Encoder) {
+		enc.U64(m.id)
+		enc.Bytes(m.slice)
 	})
 }
 
-// EncodeState encodes a State frame.
-func EncodeState(m State) []byte {
-	return encodeFrame(FrameState, func(enc *snapshot.Encoder) {
-		enc.U64(m.ID)
-		enc.U32(m.Seq)
-		enc.Bytes(m.Blob)
+func encodeAck(m ack) []byte {
+	f, _ := encodeFrame(frameAck, func(enc *snapshot.Encoder) { // fixed size: always fits
+		enc.U64(m.id)
+		enc.U8(m.status)
+		enc.U32(m.applied)
 	})
+	return f
 }
 
-// EncodeActivate encodes an Activate frame.
-func EncodeActivate(m Activate) []byte {
-	return encodeFrame(FrameActivate, func(enc *snapshot.Encoder) {
-		enc.U64(m.ID)
-		enc.U32(m.Frames)
-		enc.U32(m.Sum)
-	})
-}
-
-// EncodeAbort encodes an Abort frame.
-func EncodeAbort(m Abort) []byte {
-	return encodeFrame(FrameAbort, func(enc *snapshot.Encoder) {
-		enc.U64(m.ID)
-	})
-}
-
-// EncodeAck encodes an Ack frame.
-func EncodeAck(m Ack) []byte {
-	return encodeFrame(FrameAck, func(enc *snapshot.Encoder) {
-		enc.U64(m.ID)
-		enc.U8(m.Status)
-		enc.U32(m.Applied)
-	})
-}
-
-// DecodeBegin decodes a Begin payload.
-func DecodeBegin(p []byte) (Begin, error) {
+// decodeID decodes a Begin or Abort payload.
+func decodeID(p []byte) (uint64, error) {
 	dec := snapshot.NewRawDecoder(p)
-	m := Begin{ID: dec.U64(), Epoch: dec.U64(), Bucket: dec.U32()}
-	return m, payloadErr("begin", dec)
+	id := dec.U64()
+	return id, payloadErr("id", dec)
 }
 
-// DecodeState decodes a State payload.
-func DecodeState(p []byte) (State, error) {
+func decodeActivate(p []byte) (activate, error) {
 	dec := snapshot.NewRawDecoder(p)
-	m := State{ID: dec.U64(), Seq: dec.U32()}
-	m.Blob = dec.Bytes()
-	return m, payloadErr("state", dec)
-}
-
-// DecodeActivate decodes an Activate payload.
-func DecodeActivate(p []byte) (Activate, error) {
-	dec := snapshot.NewRawDecoder(p)
-	m := Activate{ID: dec.U64(), Frames: dec.U32(), Sum: dec.U32()}
+	m := activate{id: dec.U64(), slice: dec.Bytes()}
 	return m, payloadErr("activate", dec)
 }
 
-// DecodeAbort decodes an Abort payload.
-func DecodeAbort(p []byte) (Abort, error) {
+func decodeAck(p []byte) (ack, error) {
 	dec := snapshot.NewRawDecoder(p)
-	m := Abort{ID: dec.U64()}
-	return m, payloadErr("abort", dec)
-}
-
-// DecodeAck decodes an Ack payload.
-func DecodeAck(p []byte) (Ack, error) {
-	dec := snapshot.NewRawDecoder(p)
-	m := Ack{ID: dec.U64(), Status: dec.U8(), Applied: dec.U32()}
+	m := ack{id: dec.U64(), status: dec.U8(), applied: dec.U32()}
 	return m, payloadErr("ack", dec)
 }
 

@@ -2,10 +2,13 @@ package migrate
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"hilti/internal/rt/wal"
 )
 
 // --- table ---------------------------------------------------------------------
@@ -77,56 +80,107 @@ func TestTableRebalance(t *testing.T) {
 // --- frames --------------------------------------------------------------------
 
 func TestFrameRoundTrip(t *testing.T) {
-	frames := [][]byte{
-		EncodeBegin(Begin{ID: 7, Epoch: 9, Bucket: 13}),
-		EncodeState(State{ID: 7, Seq: 1, Blob: []byte("state blob")}),
-		EncodeActivate(Activate{ID: 7, Frames: 1, Sum: 42}),
-		EncodeAbort(Abort{ID: 7}),
-		EncodeAck(Ack{ID: 7, Status: AckOK, Applied: 3}),
+	activateFrame, err := encodeActivate(activate{id: 7, slice: []byte("state blob")})
+	if err != nil {
+		t.Fatal(err)
 	}
-	stream := bytes.Join(frames, nil)
-	kinds := []byte{FrameBegin, FrameState, FrameActivate, FrameAbort, FrameAck}
-	for i, want := range kinds {
-		kind, payload, rest, err := ParseFrame(stream)
+	for _, tc := range []struct {
+		frame []byte
+		kind  byte
+	}{
+		{encodeID(frameBegin, 7), frameBegin},
+		{activateFrame, frameActivate},
+		{encodeID(frameAbort, 7), frameAbort},
+		{encodeAck(ack{id: 7, status: ackOK, applied: 3}), frameAck},
+	} {
+		kind, payload, err := parseFrame(tc.frame)
 		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
+			t.Fatalf("frame %d: %v", tc.kind, err)
 		}
-		if kind != want {
-			t.Fatalf("frame %d: kind %d, want %d", i, kind, want)
+		if kind != tc.kind {
+			t.Fatalf("kind %d, want %d", kind, tc.kind)
 		}
 		switch kind {
-		case FrameState:
-			m, err := DecodeState(payload)
-			if err != nil || string(m.Blob) != "state blob" || m.Seq != 1 {
-				t.Fatalf("state decode: %+v %v", m, err)
+		case frameBegin, frameAbort:
+			if id, err := decodeID(payload); err != nil || id != 7 {
+				t.Fatalf("id decode: %d %v", id, err)
 			}
-		case FrameAck:
-			m, err := DecodeAck(payload)
-			if err != nil || m.Applied != 3 {
+		case frameActivate:
+			m, err := decodeActivate(payload)
+			if err != nil || string(m.slice) != "state blob" || m.id != 7 {
+				t.Fatalf("activate decode: %+v %v", m, err)
+			}
+		case frameAck:
+			m, err := decodeAck(payload)
+			if err != nil || m.applied != 3 {
 				t.Fatalf("ack decode: %+v %v", m, err)
 			}
 		}
-		stream = rest
-	}
-	if len(stream) != 0 {
-		t.Fatalf("%d trailing bytes", len(stream))
 	}
 }
 
 func TestFrameRejectsDamage(t *testing.T) {
-	frame := EncodeState(State{ID: 1, Seq: 1, Blob: bytes.Repeat([]byte("x"), 100)})
+	frame, err := encodeActivate(activate{id: 1, slice: bytes.Repeat([]byte("x"), 100)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range frame {
 		bad := append([]byte(nil), frame...)
 		bad[i] ^= 0x01
-		if _, _, _, err := ParseFrame(bad); err == nil {
+		if _, _, err := parseFrame(bad); err == nil {
 			// A flipped length byte may still parse if the claimed frame is
 			// a prefix whose CRC happens to match — astronomically unlikely;
 			// any success here is a real bug.
 			t.Fatalf("flipping byte %d went undetected", i)
 		}
 	}
-	if _, _, _, err := ParseFrame(frame[:5]); !errors.Is(err, ErrFrameShort) {
-		t.Fatalf("truncated: %v", err)
+	for n := 0; n < len(frame); n++ {
+		if _, _, err := parseFrame(frame[:n]); err == nil {
+			t.Fatalf("frame truncated to %d bytes accepted", n)
+		}
+	}
+}
+
+// malformedFrames are damaged framings of an intact Begin: each must be
+// rejected by parseFrame and NAKed by the endpoint.
+func malformedFrames() []namedFrame {
+	const hdr = 6 // the segment header, "HWAL" and a u16 version; the record follows
+	begin := encodeID(frameBegin, 1)
+	badMagic := bytes.Clone(begin)
+	badMagic[0] ^= 0xFF
+	oversized := bytes.Clone(begin)
+	binary.BigEndian.PutUint32(oversized[hdr:], wal.MaxRecord+1) // the record's length
+	return []namedFrame{
+		{"trailing-bytes", append(bytes.Clone(begin), 0, 1, 2)},
+		{"second-record", append(bytes.Clone(begin), begin[hdr:]...)},
+		{"bad-magic", badMagic},
+		{"oversized", oversized},
+		{"no-record", begin[:hdr]},
+	}
+}
+
+type namedFrame struct {
+	name  string
+	frame []byte
+}
+
+func TestEndpointNaksMalformedFrames(t *testing.T) {
+	for _, m := range malformedFrames() {
+		name, frame := m.name, m.frame
+		if _, _, err := parseFrame(frame); err == nil {
+			t.Errorf("%s: parseFrame accepted it", name)
+		}
+		ep := NewEndpoint(&memSink{})
+		kind, payload, err := parseFrame(ep.Handle(frame))
+		if err != nil || kind != frameAck {
+			t.Fatalf("%s: response unparseable: %v", name, err)
+		}
+		if a, err := decodeAck(payload); err != nil || a.status != ackNak {
+			t.Errorf("%s: ack %+v %v, want a NAK", name, a, err)
+		}
+		if id, _ := ep.Session(); id != 0 {
+			t.Errorf("%s: opened session %d", name, id)
+		}
 	}
 }
 
@@ -155,54 +209,40 @@ func (m *memTransport) Send(frame []byte) ([]byte, error) {
 
 // memSink records installs/discards.
 type memSink struct {
-	prepared  int
-	installed [][]byte
+	installed []byte
+	installs  int
 	discards  int
-	refuse    bool
 	failInst  bool
 }
 
-func (s *memSink) Prepare(id uint64, bucket int) error {
-	if s.refuse {
-		return errors.New("refused")
-	}
-	s.prepared++
-	return nil
-}
-
-func (s *memSink) Install(id uint64, blobs [][]byte) (int, error) {
+func (s *memSink) Install(id uint64, slice []byte) (int, error) {
 	if s.failInst {
 		return 0, errors.New("install failed")
 	}
-	s.installed = blobs
-	return len(blobs), nil
+	s.installs++
+	s.installed = bytes.Clone(slice)
+	return len(slice), nil
 }
 
 func (s *memSink) Discard(id uint64) { s.discards++; s.installed = nil }
 
-// memSource is a source instance's slice: its blobs, and whether the
-// source forgot them after the target's ack.
+// memSource is a source instance's slice, and whether the source forgot it
+// after the target's ack.
 type memSource struct {
-	blobs  [][]byte
+	slice  []byte
 	forgot bool
 }
 
 // handoff drives one session step by step, the way bro.Cluster does:
-// Begin, Ship every blob, Activate, Commit. On any failure it aborts and
-// the source keeps its slice.
+// Begin, Activate with the slice, Commit. On any failure it aborts and the
+// source keeps its slice.
 func handoff(src *memSource, tr Transport, opt Options) Result {
 	co := NewCoordinator(tr, opt)
 	if err := co.Begin(); err != nil {
 		co.Abort()
 		return co.Result()
 	}
-	for _, b := range src.blobs {
-		if err := co.Ship(b); err != nil {
-			co.Abort()
-			return co.Result()
-		}
-	}
-	if err := co.Activate(); err != nil {
+	if err := co.Activate(src.slice); err != nil {
 		co.Abort()
 		return co.Result()
 	}
@@ -210,27 +250,70 @@ func handoff(src *memSource, tr Transport, opt Options) Result {
 	return co.Result()
 }
 
-func blobs(n int) [][]byte {
-	out := make([][]byte, n)
-	for i := range out {
-		out[i] = []byte(fmt.Sprintf("blob-%d", i))
-	}
-	return out
-}
+// slice is an n-byte stand-in for an encoded slice; memSink reports its
+// length as the installed flow count.
+func slice(n int) []byte { return bytes.Repeat([]byte{'s'}, n) }
 
 func TestHandoffCleanCommit(t *testing.T) {
 	sink := &memSink{}
 	tr := &memTransport{ep: NewEndpoint(sink)}
-	src := &memSource{blobs: blobs(5)}
-	res := handoff(src, tr, Options{ID: 1, Bucket: 3})
-	if !res.Committed || res.Step != StepCommit || res.Blobs != 5 || res.Flows != 5 {
+	src := &memSource{slice: slice(5)}
+	res := handoff(src, tr, Options{ID: 1})
+	if !res.Committed || res.Step != StepCommit || res.Flows != 5 {
 		t.Fatalf("result %+v", res)
 	}
 	if !src.forgot {
 		t.Fatal("source did not forget after commit")
 	}
-	if len(sink.installed) != 5 || string(sink.installed[4]) != "blob-4" {
-		t.Fatalf("sink got %d blobs", len(sink.installed))
+	if !bytes.Equal(sink.installed, src.slice) {
+		t.Fatalf("sink got %q", sink.installed)
+	}
+}
+
+// recTransport records the kind of every request frame it delivers and
+// can corrupt chosen sends in transit.
+type recTransport struct {
+	ep      *Endpoint
+	kinds   []byte
+	corrupt map[int]bool
+}
+
+func (r *recTransport) Send(frame []byte) ([]byte, error) {
+	if kind, _, err := parseFrame(frame); err == nil {
+		r.kinds = append(r.kinds, kind)
+	}
+	if r.corrupt[len(r.kinds)-1] {
+		frame = bytes.Clone(frame)
+		frame[len(frame)-1] ^= 0x80
+	}
+	return r.ep.Handle(frame), nil
+}
+
+// TestHandoffSendsBeginThenActivate: a clean handoff is two request
+// frames, the slice riding in the Activate; a corrupted Activate is NAKed
+// and sent again, and the sink installs once.
+func TestHandoffSendsBeginThenActivate(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt map[int]bool
+		want    []byte
+	}{
+		{"clean", nil, []byte{frameBegin, frameActivate}},
+		{"corrupt-activate", map[int]bool{1: true}, []byte{frameBegin, frameActivate, frameActivate}},
+	} {
+		sink := &memSink{}
+		tr := &recTransport{ep: NewEndpoint(sink), corrupt: tc.corrupt}
+		src := &memSource{slice: slice(3)}
+		res := handoff(src, tr, Options{ID: 1})
+		if !res.Committed || res.Attempts != len(tc.want) {
+			t.Fatalf("%s: result %+v", tc.name, res)
+		}
+		if !bytes.Equal(tr.kinds, tc.want) {
+			t.Errorf("%s: request frames %v, want %v", tc.name, tr.kinds, tc.want)
+		}
+		if sink.installs != 1 || !bytes.Equal(sink.installed, src.slice) {
+			t.Errorf("%s: %d installs of %q", tc.name, sink.installs, sink.installed)
+		}
 	}
 }
 
@@ -238,12 +321,12 @@ func TestHandoffStallRetries(t *testing.T) {
 	sink := &memSink{}
 	// Stall the first two sends; retries must carry the session through.
 	tr := &memTransport{ep: NewEndpoint(sink), stall: map[int]bool{0: true, 1: true}}
-	src := &memSource{blobs: blobs(2)}
-	res := handoff(src, tr, Options{ID: 2, Bucket: 0})
+	src := &memSource{slice: slice(2)}
+	res := handoff(src, tr, Options{ID: 2})
 	if !res.Committed {
 		t.Fatalf("stalls not retried: %+v", res)
 	}
-	if res.Attempts < 5 { // 3 frames + 2 stalls... at least
+	if res.Attempts != 4 { // 2 frames + 2 stalls
 		t.Fatalf("attempts = %d", res.Attempts)
 	}
 }
@@ -251,22 +334,27 @@ func TestHandoffStallRetries(t *testing.T) {
 func TestHandoffAbortsOnDeadPeer(t *testing.T) {
 	sink := &memSink{}
 	tr := &memTransport{ep: NewEndpoint(sink), down: true}
-	src := &memSource{blobs: blobs(2)}
+	src := &memSource{slice: slice(2)}
 	res := handoff(src, tr, Options{ID: 3})
 	if res.Committed || src.forgot {
 		t.Fatalf("committed against a dead peer: %+v", res)
 	}
-	if len(sink.installed) != 0 {
-		t.Fatal("dead peer installed blobs")
+	if sink.installed != nil {
+		t.Fatal("dead peer installed the slice")
 	}
 }
 
 func TestHandoffAbortsWhenRefused(t *testing.T) {
-	sink := &memSink{refuse: true}
-	tr := &memTransport{ep: NewEndpoint(sink)}
-	src := &memSource{blobs: blobs(1)}
-	res := handoff(src, tr, Options{ID: 4})
-	if res.Committed || res.Step != StepBegin || !errors.Is(res.Err, ErrRefused) {
+	sink := &memSink{}
+	ep := NewEndpoint(sink)
+	tr := &memTransport{ep: ep}
+	if res := handoff(&memSource{slice: slice(1)}, tr, Options{ID: 4}); !res.Committed {
+		t.Fatalf("first handoff: %+v", res)
+	}
+	// Session 4 is installed and awaits its flip: a second Begin is refused.
+	src := &memSource{slice: slice(1)}
+	res := handoff(src, tr, Options{ID: 5})
+	if res.Committed || res.Step != StepBegin || !errors.Is(res.Err, ErrRefused) || src.forgot {
 		t.Fatalf("result %+v", res)
 	}
 }
@@ -275,7 +363,7 @@ func TestHandoffInstallFailureAborts(t *testing.T) {
 	sink := &memSink{failInst: true}
 	ep := NewEndpoint(sink)
 	tr := &memTransport{ep: ep}
-	src := &memSource{blobs: blobs(3)}
+	src := &memSource{slice: slice(3)}
 	res := handoff(src, tr, Options{ID: 5})
 	if res.Committed || src.forgot {
 		t.Fatalf("committed through failed install: %+v", res)
@@ -287,17 +375,13 @@ func TestHandoffInstallFailureAborts(t *testing.T) {
 }
 
 // faultAt injects one fault kind at one step/attempt.
-type faultAt struct {
-	step    Step
-	attempt int
-	kind    FaultKind
-}
-
-func (f faultAt) Fault(step Step, attempt int) FaultKind {
-	if step == f.step && attempt == f.attempt {
-		return f.kind
+func faultAt(at Step, attempt int, kind FaultKind) Injector {
+	return func(step Step, a int) FaultKind {
+		if step == at && a == attempt {
+			return kind
+		}
+		return FaultNone
 	}
-	return FaultNone
 }
 
 // TestHandoffFaultMatrix exercises every (step, fault-kind) cut point and
@@ -309,11 +393,8 @@ func TestHandoffFaultMatrix(t *testing.T) {
 				sink := &memSink{}
 				ep := NewEndpoint(sink)
 				tr := &memTransport{ep: ep}
-				src := &memSource{blobs: blobs(4)}
-				res := handoff(src, tr, Options{
-					ID:       99,
-					Injector: faultAt{step: step, attempt: 0, kind: kind},
-				})
+				src := &memSource{slice: slice(4)}
+				res := handoff(src, tr, Options{ID: 99, Injector: faultAt(step, 0, kind)})
 				// Single transient faults (stall/corrupt) must be absorbed
 				// by retry; kills abort (except at commit, which resolves
 				// forward because the target already acked).
@@ -322,9 +403,9 @@ func TestHandoffFaultMatrix(t *testing.T) {
 					t.Fatalf("committed=%v want %v (%+v)", res.Committed, wantCommit, res)
 				}
 				if res.Committed {
-					if !src.forgot || len(sink.installed) != 4 {
-						t.Fatalf("committed but state inconsistent: forgot=%v installed=%d",
-							src.forgot, len(sink.installed))
+					if !src.forgot || !bytes.Equal(sink.installed, src.slice) {
+						t.Fatalf("committed but state inconsistent: forgot=%v installed=%q",
+							src.forgot, sink.installed)
 					}
 				} else {
 					// Aborted: the cluster's timeout path clears the target.
@@ -332,7 +413,7 @@ func TestHandoffFaultMatrix(t *testing.T) {
 					if src.forgot {
 						t.Fatal("aborted but source forgot")
 					}
-					if len(sink.installed) != 0 {
+					if sink.installed != nil {
 						t.Fatal("aborted but target kept an install")
 					}
 					if id, _ := ep.Session(); id != 0 {
@@ -347,22 +428,22 @@ func TestHandoffFaultMatrix(t *testing.T) {
 // TestHandoffExhaustedRetriesAbort drives persistent stalls through the
 // whole retry budget.
 func TestHandoffExhaustedRetriesAbort(t *testing.T) {
-	always := InjectorFunc(func(step Step, attempt int) FaultKind {
-		if step == StepTransfer {
+	always := func(step Step, attempt int) FaultKind {
+		if step == StepActivate {
 			return FaultStall
 		}
 		return FaultNone
-	})
+	}
 	sink := &memSink{}
 	ep := NewEndpoint(sink)
 	tr := &memTransport{ep: ep}
-	src := &memSource{blobs: blobs(2)}
-	res := handoff(src, tr, Options{ID: 6, MaxAttempts: 3, Injector: always})
+	src := &memSource{slice: slice(2)}
+	res := handoff(src, tr, Options{ID: 6, Injector: always})
 	if res.Committed || !errors.Is(res.Err, ErrRetries) {
 		t.Fatalf("result %+v", res)
 	}
 	ep.AbortSession(6)
-	if len(sink.installed) != 0 {
+	if sink.installed != nil {
 		t.Fatal("retry exhaustion leaked an install")
 	}
 }
@@ -380,24 +461,24 @@ func TestHandoffRandomChaos(t *testing.T) {
 			kind := FaultKind(1 + rng.Intn(3))
 			sched[[2]int{step, attempt}] = kind
 		}
-		inj := InjectorFunc(func(step Step, attempt int) FaultKind {
+		inj := func(step Step, attempt int) FaultKind {
 			return sched[[2]int{int(step), attempt}]
-		})
+		}
 		sink := &memSink{}
 		ep := NewEndpoint(sink)
 		tr := &memTransport{ep: ep}
-		src := &memSource{blobs: blobs(1 + rng.Intn(5))}
+		src := &memSource{slice: slice(1 + rng.Intn(5))}
 		res := handoff(src, tr, Options{ID: uint64(trial + 1), Injector: inj})
 		if res.Committed {
-			if !src.forgot || len(sink.installed) != len(src.blobs) {
-				t.Fatalf("trial %d: committed, forgot=%v installed=%d/%d",
-					trial, src.forgot, len(sink.installed), len(src.blobs))
+			if !src.forgot || !bytes.Equal(sink.installed, src.slice) || sink.installs != 1 {
+				t.Fatalf("trial %d: committed, forgot=%v installs=%d of %q",
+					trial, src.forgot, sink.installs, sink.installed)
 			}
 		} else {
 			ep.AbortSession(uint64(trial + 1))
-			if src.forgot || len(sink.installed) != 0 {
-				t.Fatalf("trial %d: aborted, forgot=%v installed=%d",
-					trial, src.forgot, len(sink.installed))
+			if src.forgot || sink.installed != nil {
+				t.Fatalf("trial %d: aborted, forgot=%v installed=%q",
+					trial, src.forgot, sink.installed)
 			}
 		}
 	}
@@ -407,7 +488,7 @@ func TestLedgerIdentity(t *testing.T) {
 	l := NewLedger()
 	l.Commit(0, 1, 10)
 	l.Commit(1, 0, 4)
-	l.Abort(0, 1)
+	l.Abort(0)
 	// Instance 0: opened 20, closed 6, migrated out 10, in 4 -> live 8.
 	if err := l.CheckOwnership(0, 20, 6, 8); err != nil {
 		t.Fatal(err)
@@ -425,14 +506,14 @@ func TestReleaseSessionFreesEndpoint(t *testing.T) {
 	sink := &memSink{}
 	ep := NewEndpoint(sink)
 	tr := &memTransport{ep: ep}
-	res := handoff(&memSource{blobs: blobs(2)}, tr, Options{ID: 7, Bucket: 0})
+	res := handoff(&memSource{slice: slice(2)}, tr, Options{ID: 7})
 	if !res.Committed {
 		t.Fatalf("result %+v", res)
 	}
 	// Installed-but-unreleased sessions refuse new Begins (an uncommitted
 	// install could be double-owned). After the routing flip the cluster
 	// releases, and the endpoint accepts the next handoff.
-	co := NewCoordinator(tr, Options{ID: 8, Bucket: 1})
+	co := NewCoordinator(tr, Options{ID: 8})
 	if err := co.Begin(); err == nil {
 		t.Fatal("Begin accepted while an installed session is unresolved")
 	}
@@ -447,7 +528,7 @@ func TestReleaseSessionFreesEndpoint(t *testing.T) {
 	if sink.discards != 0 {
 		t.Fatal("release must not discard installed flows")
 	}
-	res = handoff(&memSource{blobs: blobs(1)}, tr, Options{ID: 8, Bucket: 1})
+	res = handoff(&memSource{slice: slice(1)}, tr, Options{ID: 8})
 	if !res.Committed {
 		t.Fatalf("post-release handoff: %+v", res)
 	}

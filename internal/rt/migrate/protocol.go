@@ -3,7 +3,6 @@ package migrate
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sync"
 )
 
@@ -14,8 +13,7 @@ type Step int
 // Protocol steps, in session order.
 const (
 	StepBegin    Step = iota // open the session on the target
-	StepTransfer             // ship the slice's one State frame
-	StepActivate             // checksum-verified install on the target
+	StepActivate             // ship the slice; the target installs it
 	StepCommit               // target acked: source forgets, caller flips routing
 	NumSteps
 )
@@ -24,8 +22,6 @@ func (s Step) String() string {
 	switch s {
 	case StepBegin:
 		return "begin"
-	case StepTransfer:
-		return "transfer"
 	case StepActivate:
 		return "activate"
 	case StepCommit:
@@ -62,15 +58,7 @@ func (k FaultKind) String() string {
 // Injector decides the fault for a given step and send attempt (attempt
 // counts from 0 per frame). It is the MigrateFaultPort analog of the
 // engine's injection ports: deterministic, consulted at every cut point.
-type Injector interface {
-	Fault(step Step, attempt int) FaultKind
-}
-
-// InjectorFunc adapts a function to Injector.
-type InjectorFunc func(step Step, attempt int) FaultKind
-
-// Fault implements Injector.
-func (f InjectorFunc) Fault(step Step, attempt int) FaultKind { return f(step, attempt) }
+type Injector func(step Step, attempt int) FaultKind
 
 // Transport delivers one request frame to the peer endpoint and returns
 // its response frame. ErrStall models a delivery timeout, ErrPeerDown a
@@ -88,22 +76,25 @@ var (
 	ErrRefused  = errors.New("migrate: target refused session")
 )
 
+// maxAttempts is how many times a frame is sent before the session aborts.
+const maxAttempts = 4
+
 // Sink is the target instance's apply surface. Install is all-or-nothing:
-// on error nothing of the session remains live. Discard undoes a
-// successful Install (safe because routing has not flipped, so the
-// installed flows never received a packet) or drops a buffered session.
+// on error nothing of the session remains live; slice is only valid
+// during the call. Discard undoes a successful Install (safe because
+// routing has not flipped, so the installed flows never received a
+// packet).
 type Sink interface {
-	Prepare(id uint64, bucket int) error
-	Install(id uint64, blobs [][]byte) (flows int, err error)
+	Install(id uint64, slice []byte) (flows int, err error)
 	Discard(id uint64)
 }
 
-// Endpoint is the target side of a handoff session. It buffers State
-// frames, verifies sequence and checksum, and installs via the Sink only
-// on a fully verified Activate. At most one session is open at a time;
-// a Begin with a new id supersedes an uninstalled one (the coordinator
-// that opened it has aborted or died). Handle is not goroutine-safe: like
-// the routing table it belongs to the cluster's control goroutine.
+// Endpoint is the target side of a handoff session. It installs via the
+// Sink on an intact Activate for its open session. At most one session is
+// open at a time; a Begin with a new id supersedes an uninstalled one (the
+// coordinator that opened it has aborted or died). Handle is not
+// goroutine-safe: like the routing table it belongs to the cluster's
+// control goroutine.
 type Endpoint struct {
 	sink Sink
 	sess *epSession
@@ -111,10 +102,6 @@ type Endpoint struct {
 
 type epSession struct {
 	id        uint64
-	bucket    uint32
-	blobs     [][]byte
-	sum       uint32
-	lastSeq   uint32
 	installed bool
 	flows     int
 }
@@ -123,103 +110,64 @@ type epSession struct {
 func NewEndpoint(sink Sink) *Endpoint { return &Endpoint{sink: sink} }
 
 // Handle processes one request frame and always returns an Ack frame.
-// Damaged frames get AckNak (retransmit); frames that cannot belong to a
-// live session get AckRefused (abort).
+// Damaged frames get a NAK (retransmit); frames that cannot belong to a
+// live session are refused (abort).
 func (ep *Endpoint) Handle(frame []byte) []byte {
-	kind, payload, _, err := ParseFrame(frame)
-	if err != nil {
-		return EncodeAck(Ack{Status: AckNak})
+	kind, payload, err := parseFrame(frame)
+	if err == nil {
+		switch kind {
+		case frameBegin:
+			var id uint64
+			if id, err = decodeID(payload); err == nil {
+				return ep.handleBegin(id)
+			}
+		case frameActivate:
+			var m activate
+			if m, err = decodeActivate(payload); err == nil {
+				return ep.handleActivate(m)
+			}
+		case frameAbort:
+			var id uint64
+			if id, err = decodeID(payload); err == nil {
+				ep.AbortSession(id)
+				return encodeAck(ack{id: id, status: ackOK})
+			}
+		}
 	}
-	switch kind {
-	case FrameBegin:
-		m, err := DecodeBegin(payload)
-		if err != nil {
-			return EncodeAck(Ack{Status: AckNak})
-		}
-		return ep.handleBegin(m)
-	case FrameState:
-		m, err := DecodeState(payload)
-		if err != nil {
-			return EncodeAck(Ack{Status: AckNak})
-		}
-		return ep.handleState(m)
-	case FrameActivate:
-		m, err := DecodeActivate(payload)
-		if err != nil {
-			return EncodeAck(Ack{Status: AckNak})
-		}
-		return ep.handleActivate(m)
-	case FrameAbort:
-		m, err := DecodeAbort(payload)
-		if err != nil {
-			return EncodeAck(Ack{Status: AckNak})
-		}
-		ep.AbortSession(m.ID)
-		return EncodeAck(Ack{ID: m.ID, Status: AckOK})
-	}
-	return EncodeAck(Ack{Status: AckNak})
+	return encodeAck(ack{status: ackNak})
 }
 
-func (ep *Endpoint) handleBegin(m Begin) []byte {
+func (ep *Endpoint) handleBegin(id uint64) []byte {
 	if s := ep.sess; s != nil {
-		if s.id == m.ID {
+		if s.id == id {
 			// Retransmitted Begin (our ack was lost): idempotent.
-			return EncodeAck(Ack{ID: m.ID, Status: AckOK})
+			return encodeAck(ack{id: id, status: ackOK})
 		}
 		if s.installed {
 			// An installed session awaits its routing flip; starting a
 			// second handoff now could double-own flows. Refuse.
-			return EncodeAck(Ack{ID: m.ID, Status: AckRefused})
+			return encodeAck(ack{id: id, status: ackRefused})
 		}
-		// The coordinator of the old session is gone; drop its buffer.
-		ep.sess = nil
+		// The coordinator of the old session is gone; drop it.
 	}
-	if err := ep.sink.Prepare(m.ID, int(m.Bucket)); err != nil {
-		return EncodeAck(Ack{ID: m.ID, Status: AckRefused})
-	}
-	ep.sess = &epSession{id: m.ID, bucket: m.Bucket}
-	return EncodeAck(Ack{ID: m.ID, Status: AckOK})
+	ep.sess = &epSession{id: id}
+	return encodeAck(ack{id: id, status: ackOK})
 }
 
-func (ep *Endpoint) handleState(m State) []byte {
+func (ep *Endpoint) handleActivate(m activate) []byte {
 	s := ep.sess
-	if s == nil || s.id != m.ID || s.installed {
-		return EncodeAck(Ack{ID: m.ID, Status: AckRefused})
+	if s == nil || s.id != m.id {
+		return encodeAck(ack{id: m.id, status: ackRefused})
 	}
-	switch {
-	case m.Seq == s.lastSeq+1:
-		blob := append([]byte(nil), m.Blob...)
-		s.blobs = append(s.blobs, blob)
-		s.sum = crc32.Update(s.sum, castagnoli, blob)
-		s.lastSeq = m.Seq
-	case m.Seq <= s.lastSeq:
-		// Duplicate after a lost ack: already buffered.
-	default:
-		return EncodeAck(Ack{ID: m.ID, Status: AckNak, Applied: s.lastSeq})
+	if !s.installed {
+		n, err := ep.sink.Install(s.id, m.slice)
+		if err != nil {
+			return encodeAck(ack{id: m.id, status: ackRefused})
+		}
+		s.installed, s.flows = true, n
 	}
-	return EncodeAck(Ack{ID: m.ID, Status: AckOK, Applied: s.lastSeq})
-}
-
-func (ep *Endpoint) handleActivate(m Activate) []byte {
-	s := ep.sess
-	if s == nil || s.id != m.ID {
-		return EncodeAck(Ack{ID: m.ID, Status: AckRefused})
-	}
-	if s.installed {
-		// Retransmitted Activate (our ack was lost): idempotent.
-		return EncodeAck(Ack{ID: m.ID, Status: AckOK, Applied: uint32(s.flows)})
-	}
-	if m.Frames != s.lastSeq || m.Sum != s.sum {
-		return EncodeAck(Ack{ID: m.ID, Status: AckRefused})
-	}
-	n, err := ep.sink.Install(s.id, s.blobs)
-	if err != nil {
-		return EncodeAck(Ack{ID: m.ID, Status: AckRefused})
-	}
-	s.installed = true
-	s.flows = n
-	s.blobs = nil
-	return EncodeAck(Ack{ID: m.ID, Status: AckOK, Applied: uint32(n)})
+	// A retransmitted Activate (our ack was lost) is answered again.
+	return encodeAck(ack{id: m.id, status: ackOK, applied: uint32(s.flows)})
 }
 
 // ReleaseSession resolves session id after the routing flip: the
@@ -233,7 +181,7 @@ func (ep *Endpoint) ReleaseSession(id uint64) {
 	}
 }
 
-// AbortSession rolls back session id: a buffered session is dropped, an
+// AbortSession rolls back session id: an open session is dropped, an
 // installed one discarded through the sink. It is idempotent and also the
 // target's handoff-timeout path — a target that loses its coordinator
 // calls it directly, which is always safe because routing flips only
@@ -250,7 +198,8 @@ func (ep *Endpoint) AbortSession(id uint64) {
 }
 
 // Session reports the open session id and whether it is installed
-// (0, false when idle). Exposed for invariant checks in tests.
+// (0, false when idle). A caller that owns the endpoint asks it before
+// opening a session of its own.
 func (ep *Endpoint) Session() (id uint64, installed bool) {
 	if ep.sess == nil {
 		return 0, false
@@ -260,60 +209,50 @@ func (ep *Endpoint) Session() (id uint64, installed bool) {
 
 // Options configures one handoff session.
 type Options struct {
-	ID          uint64
-	Bucket      int
-	Epoch       uint64
-	MaxAttempts int // sends per frame before the session aborts (default 4)
-	Injector    Injector
+	ID       uint64 // session id, unique per handoff attempt
+	Injector Injector
 }
 
 // Result summarizes a completed Coordinator session.
 type Result struct {
 	Committed bool
 	Step      Step // step reached: StepCommit on success, else the failed step
-	Blobs     int  // state blobs shipped
 	Flows     int  // flows the target reported installed
 	Attempts  int  // total frame sends, including retries
 	Err       error
 }
 
 // Coordinator drives the source side of one handoff session. The caller
-// sequences it: Begin, Ship for each state blob, Activate, Commit —
-// quiescing and snapshotting between calls as its pipeline requires (the
-// cluster ships one slice, extracted at its quiesce, between Begin and
-// Activate). Any failed call aborts the
-// session; afterwards only Abort/Result are useful.
+// sequences it: Begin, Activate with the slice, Commit — quiescing and
+// extracting the slice between Begin and Activate, as the cluster does.
+// Any failed call aborts the session; afterwards only Abort/Result are
+// useful.
 type Coordinator struct {
 	tr   Transport
 	opt  Options
 	res  Result
-	seq  uint32
-	sum  uint32
 	done bool
 }
 
 // NewCoordinator starts a session (no frames are sent until Begin).
 func NewCoordinator(tr Transport, opt Options) *Coordinator {
-	if opt.MaxAttempts <= 0 {
-		opt.MaxAttempts = 4
-	}
 	return &Coordinator{tr: tr, opt: opt}
 }
 
 // send delivers one frame with bounded retries, consulting the injector
 // at each attempt. It returns the endpoint's Ack or the terminal error.
-func (co *Coordinator) send(step Step, frame []byte) (Ack, error) {
+func (co *Coordinator) send(step Step, frame []byte) (ack, error) {
 	var last error = ErrRetries
-	for attempt := 0; attempt < co.opt.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		wire := frame
 		if inj := co.opt.Injector; inj != nil {
-			switch inj.Fault(step, attempt) {
+			switch inj(step, attempt) {
 			case FaultKill:
 				// The migration worker dies mid-session. No more frames;
 				// the cluster resolves via Endpoint.AbortSession (the
 				// target's handoff timeout). The source retained its
 				// state, so nothing is lost.
-				return Ack{}, ErrKilled
+				return ack{}, ErrKilled
 			case FaultStall:
 				// Frame lost in transit; retry after "timeout".
 				co.res.Attempts++
@@ -331,29 +270,29 @@ func (co *Coordinator) send(step Step, frame []byte) (Ack, error) {
 				last = err
 				continue
 			}
-			return Ack{}, err
+			return ack{}, err
 		}
-		kind, payload, _, err := ParseFrame(resp)
-		if err != nil || kind != FrameAck {
+		kind, payload, err := parseFrame(resp)
+		if err != nil || kind != frameAck {
 			last = fmt.Errorf("migrate: bad response frame: %w", err)
 			continue
 		}
-		ack, err := DecodeAck(payload)
+		a, err := decodeAck(payload)
 		if err != nil {
 			last = err
 			continue
 		}
-		switch ack.Status {
-		case AckOK:
-			return ack, nil
-		case AckNak:
+		switch a.status {
+		case ackOK:
+			return a, nil
+		case ackNak:
 			last = fmt.Errorf("migrate: %s frame NAKed (attempt %d)", step, attempt)
 			continue
 		default:
-			return ack, fmt.Errorf("%w at %s", ErrRefused, step)
+			return a, fmt.Errorf("%w at %s", ErrRefused, step)
 		}
 	}
-	return Ack{}, fmt.Errorf("%w at %s: %v", ErrRetries, step, last)
+	return ack{}, fmt.Errorf("%w at %s: %v", ErrRetries, step, last)
 }
 
 func (co *Coordinator) fail(step Step, err error) error {
@@ -369,43 +308,29 @@ func (co *Coordinator) Begin() error {
 	if co.done {
 		return co.res.Err
 	}
-	frame := EncodeBegin(Begin{ID: co.opt.ID, Epoch: co.opt.Epoch, Bucket: uint32(co.opt.Bucket)})
-	if _, err := co.send(StepBegin, frame); err != nil {
+	if _, err := co.send(StepBegin, encodeID(frameBegin, co.opt.ID)); err != nil {
 		return co.fail(StepBegin, err)
 	}
 	co.res.Step = StepBegin
 	return nil
 }
 
-// Ship streams one state blob to the target.
-func (co *Coordinator) Ship(blob []byte) error {
+// Activate ships the slice and asks the target to install it. After a nil
+// return the target owns a live copy and the caller must either Commit
+// (flip routing, forget on the source) or Abort.
+func (co *Coordinator) Activate(slice []byte) error {
 	if co.done {
 		return co.res.Err
 	}
-	co.seq++
-	co.sum = crc32.Update(co.sum, castagnoli, blob)
-	frame := EncodeState(State{ID: co.opt.ID, Seq: co.seq, Blob: blob})
-	if _, err := co.send(StepTransfer, frame); err != nil {
-		return co.fail(StepTransfer, err)
-	}
-	co.res.Blobs++
-	co.res.Step = StepTransfer
-	return nil
-}
-
-// Activate asks the target to verify and install the shipped session.
-// After a nil return the target owns a live copy and the caller must
-// either Commit (flip routing, forget on the source) or Abort.
-func (co *Coordinator) Activate() error {
-	if co.done {
-		return co.res.Err
-	}
-	frame := EncodeActivate(Activate{ID: co.opt.ID, Frames: co.seq, Sum: co.sum})
-	ack, err := co.send(StepActivate, frame)
+	frame, err := encodeActivate(activate{id: co.opt.ID, slice: slice})
 	if err != nil {
 		return co.fail(StepActivate, err)
 	}
-	co.res.Flows = int(ack.Applied)
+	a, err := co.send(StepActivate, frame)
+	if err != nil {
+		return co.fail(StepActivate, err)
+	}
+	co.res.Flows = int(a.applied)
 	co.res.Step = StepActivate
 	return nil
 }
@@ -419,7 +344,7 @@ func (co *Coordinator) Commit(forget func() error) error {
 	if co.done {
 		return co.res.Err
 	}
-	if inj := co.opt.Injector; inj != nil && inj.Fault(StepCommit, 0) == FaultKill {
+	if inj := co.opt.Injector; inj != nil && inj(StepCommit, 0) == FaultKill {
 		co.res.Err = ErrKilled // noted, not fatal: resolve forward
 	}
 	if err := forget(); err != nil {
@@ -444,9 +369,8 @@ func (co *Coordinator) Abort() {
 	if co.res.Err == nil {
 		co.res.Err = errors.New("migrate: aborted by coordinator")
 	}
-	frame := EncodeAbort(Abort{ID: co.opt.ID})
 	co.res.Attempts++
-	co.tr.Send(frame) //nolint:errcheck // best effort by design
+	co.tr.Send(encodeID(frameAbort, co.opt.ID)) //nolint:errcheck // best effort by design
 }
 
 // Result returns the session summary.
@@ -491,12 +415,11 @@ func (l *Ledger) Commit(from, to, flows int) {
 	te.In += uint64(flows)
 }
 
-// Abort records an aborted migration attempt from -> to.
-func (l *Ledger) Abort(from, to int) {
+// Abort records an aborted migration attempt out of instance from.
+func (l *Ledger) Abort(from int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.entry(from).Aborts++
-	_ = to
 }
 
 // Instance returns instance i's entry.

@@ -1,20 +1,22 @@
 // Package migrate implements live flow-state migration between pipeline
-// instances: an epoch-versioned consistent-hash routing table, a
-// checksummed frame codec for handoff sessions, and a coordinator/endpoint
-// protocol in which the source retains the migrating slice until the
-// target acknowledges installation. A crash, stall, or corruption at any
-// protocol step resolves by bounded retry, clean abort back to the source,
-// or (after the target's ack) forward completion — never split-brain,
-// never double-ownership. The commit point is the routing-table flip,
-// which the caller performs only after a committed handoff; until then no
-// packet has ever been routed to the target for the migrating flows, so
-// rolling the target back is always safe.
+// instances: an epoch-versioned consistent-hash routing table and a
+// coordinator/endpoint handoff protocol of three steps — Begin opens a
+// session on the target, Activate ships the bucket's one slice and has the
+// target install it, Commit forgets it on the source. The source retains
+// the slice until the target acknowledges installation, so a crash, stall,
+// or corruption at any step resolves by bounded retry, clean abort back to
+// the source, or (after the target's ack) forward completion — never
+// split-brain, never double-ownership. The commit point is the
+// routing-table flip, which the caller performs only after a committed
+// handoff; until then no packet has ever been routed to the target for the
+// migrating flows, so rolling the target back is always safe.
 //
 // The protocol is transport-agnostic: instances in this repository live in
 // one process and exchange frames over an in-memory Transport, but every
-// byte of state crosses the Transport as an encoded, checksummed frame, so
-// a socket-backed Transport turns the same protocol into a multi-process
-// cluster without touching the state machine.
+// byte of state crosses the Transport as a frame — a one-record rt/wal
+// segment, checksummed by the WAL's framing — so a socket-backed Transport
+// turns the same protocol into a multi-process cluster without touching
+// the state machine.
 package migrate
 
 import "fmt"
