@@ -973,7 +973,7 @@ func (h *harness) vmopt(chk *checker) {
 				logs = append(logs, e.Logs.Lines(s)...)
 			}
 			n := float64(len(pkts))
-			instrs = reg.Value(metrics.Name("hilti_vm_instructions_total", "vm", "parse")) / n
+			instrs = reg.Value(metrics.Name("hilti_vm_instructions_total", "vm", "engine")) / n
 			mallocs = float64(after.Mallocs-before.Mallocs) / n
 		})
 		return logs, instrs, mallocs

@@ -12,39 +12,6 @@ import (
 	"strings"
 )
 
-// DNS record/rcode naming shared by loggers.
-var dnsTypeNames = map[int]string{
-	1: "A", 2: "NS", 5: "CNAME", 6: "SOA", 12: "PTR", 15: "MX", 16: "TXT", 28: "AAAA",
-}
-
-// DNSTypeName renders a query type.
-func DNSTypeName(t int) string {
-	if n, ok := dnsTypeNames[t]; ok {
-		return n
-	}
-	return fmt.Sprintf("TYPE%d", t)
-}
-
-// DNSRcodeName renders an rcode.
-func DNSRcodeName(r int) string {
-	switch r {
-	case 0:
-		return "NOERROR"
-	case 1:
-		return "FORMERR"
-	case 2:
-		return "SERVFAIL"
-	case 3:
-		return "NXDOMAIN"
-	case 4:
-		return "NOTIMP"
-	case 5:
-		return "REFUSED"
-	default:
-		return fmt.Sprintf("RCODE%d", r)
-	}
-}
-
 // DNSMessage is a parsed message.
 type DNSMessage struct {
 	ID       uint16

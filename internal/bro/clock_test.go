@@ -131,8 +131,8 @@ func TestClockSurvivesPanics(t *testing.T) {
 		tick(e)
 		// http_request calls network_time(): make that panic.
 		e.interp.Now = func() int64 { panic("boom") }
-		if e.sexec != nil {
-			e.sexec.RegisterHost("bro_network_time", func(*vm.Exec, []values.Value) (values.Value, error) { panic("boom") })
+		if e.compiled {
+			e.ex.RegisterHost("bro_network_time", func(*vm.Exec, []values.Value) (values.Value, error) { panic("boom") })
 		}
 		e.clock.enter(compParse) // as the parser that raises the event would
 		e.dispatch(evHTTPRequest, c, StringVal("GET"), StringVal("/"), StringVal("1.1"))
@@ -262,7 +262,7 @@ func TestDispatchAllocs(t *testing.T) {
 	// struct and set no field.
 	e, _ := clockEngine(t, "standard", "hilti")
 	checked := 0
-	for _, fn := range append(e.sexec.Prog.HookBodies["http_message_done"], e.sexec.Prog.HookBodies["http_body"]...) {
+	for _, fn := range append(e.ex.Prog.HookBodies["http_message_done"], e.ex.Prog.HookBodies["http_body"]...) {
 		dis := fn.Disasm()
 		if !strings.Contains(dis, " c:http, ") && !strings.Contains(dis, " c:files, ") {
 			continue // http_body's bookkeeping body, which stores into info

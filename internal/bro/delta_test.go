@@ -218,8 +218,8 @@ func recordTableOps(t *testing.T, e *Engine, rec []byte) (dels []string, ups int
 // raise dispatches a custom script's event by name, as the engine does its own.
 func (e *Engine) raise(name string, args ...Val) {
 	var bodies []*vm.CompiledFunc
-	if e.sexec != nil {
-		bodies = e.sexec.Prog.HookBodies[name]
+	if e.compiled {
+		bodies = e.ex.Prog.HookBodies[name]
 	}
 	e.dispatchNamed(name, bodies, nil, args)
 }

@@ -45,9 +45,12 @@ type Config struct {
 	DiscardLogs bool
 	Quiet       bool // suppress script print output
 
-	// Resource governance (zero values = unlimited).
-	ScriptLimits vm.Limits // budgets for compiled-script hook invocations
-	ParseLimits  vm.Limits // budgets for binpac parser invocations
+	// Limits bounds each top-level invocation of the engine's HILTI
+	// program (zero = unlimited): a compiled handler the engine dispatches,
+	// or a BinPAC++ parse across all of its resumes. A handler that a
+	// parser callback dispatches runs nested in the parse and counts
+	// against the parse's budget.
+	Limits vm.Limits
 	// ReassemblyBudget caps out-of-order reassembly bytes across all of
 	// this engine's flows (0 = per-direction bound only).
 	ReassemblyBudget int64
@@ -78,7 +81,7 @@ type Config struct {
 	// Metrics, when set, publishes the engine's counters (flows
 	// opened/closed, packets, events, parse errors, faults, log lines),
 	// its component clock, any HILTI-program profilers
-	// (profiler.start/stop/update), and its VMs' execution counters to the
+	// (profiler.start/stop/update), and its VM's execution counters to the
 	// registry. Several engines may share one registry; their series sum.
 	Metrics *metrics.Registry
 	// MetricsKey distinguishes this engine's collector registration (and
@@ -114,9 +117,11 @@ type Engine struct {
 	cfg    Config
 	Logs   *LogSet
 	interp *Interp
-	sexec  *vm.Exec // compiled scripts
-	pexec  *vm.Exec // binpac parsers
-	glue   *Glue
+	// ex runs the engine's one linked HILTI program: the BinPAC++ grammars
+	// and the compiled scripts (nil when the engine has neither).
+	ex       *vm.Exec
+	compiled bool // scripts run compiled on ex, not in interp
+	glue     *Glue
 
 	clock compClock
 	total time.Duration
@@ -230,76 +235,71 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Quiet {
 		e.interp.Out = io.Discard
 	}
-	for _, s := range parsed {
-		if err := e.interp.Load(s); err != nil {
+	// Grammars and compiled scripts link into one program (the paper's
+	// linker, §3.4); the interpreter loads the scripts only when it runs them.
+	var httpMods, dnsMods, mods []*ast.Module
+	if cfg.Parser == "binpac" {
+		var err error
+		if httpMods, err = grammars.HTTPModules(); err != nil {
 			return nil, err
 		}
+		if dnsMods, err = grammars.DNSModules(); err != nil {
+			return nil, err
+		}
+		mods = append(append(mods, httpMods...), dnsMods...)
 	}
-
-	if cfg.ScriptExec == "hilti" {
+	e.compiled = cfg.ScriptExec == "hilti"
+	if e.compiled {
 		mod, err := CompileScripts(parsed...)
 		if err != nil {
 			return nil, err
 		}
-		prog, err := vm.Link(mod)
+		mods = append(mods, mod)
+	} else {
+		for _, s := range parsed {
+			if err := e.interp.Load(s); err != nil {
+				return nil, err
+			}
+		}
+	}
+
+	if len(mods) > 0 {
+		prog, err := vm.Link(mods...)
 		if err != nil {
 			return nil, err
 		}
-		e.sexec, err = vm.NewExec(prog)
-		if err != nil {
+		if e.ex, err = vm.NewExec(prog); err != nil {
 			return nil, err
 		}
 		if cfg.Quiet {
-			e.sexec.Out = io.Discard
+			e.ex.Out = io.Discard
 		}
-		RegisterHostFns(e.sexec, func() int64 { return e.now }, e.Logs)
-		for i, name := range eventNames {
-			e.hooks[i] = prog.HookBodies[name]
+		if httpMods != nil {
+			e.initBinpac(httpMods, dnsMods)
 		}
-		if _, err := e.sexec.Call("BroScripts::__init_globals"); err != nil {
-			return nil, err
+		if e.compiled {
+			RegisterHostFns(e.ex, func() int64 { return e.now }, e.Logs)
+			for i, name := range eventNames {
+				e.hooks[i] = prog.HookBodies[name]
+			}
+			if _, err := e.ex.Call("BroScripts::__init_globals"); err != nil {
+				return nil, err
+			}
 		}
-		// Budget hook invocations only; globals init above runs unbounded.
-		e.sexec.Limits = cfg.ScriptLimits
-	}
-
-	if cfg.Parser == "binpac" {
-		if err := e.initBinpac(); err != nil {
-			return nil, err
-		}
+		// Budget invocations only; globals init above runs unbounded.
+		e.ex.Limits = cfg.Limits
 	}
 	e.registerMetrics()
 	return e, nil
 }
 
-func (e *Engine) initBinpac() error {
-	httpMods, err := grammars.HTTPModules()
-	if err != nil {
-		return err
-	}
-	dnsMods, err := grammars.DNSModules()
-	if err != nil {
-		return err
-	}
-	var all []*ast.Module
-	all = append(all, httpMods...)
-	all = append(all, dnsMods...)
-	prog, err := vm.Link(all...)
-	if err != nil {
-		return err
-	}
-	e.pexec, err = vm.NewExec(prog)
-	if err != nil {
-		return err
-	}
-	e.pexec.Limits = e.cfg.ParseLimits
+func (e *Engine) initBinpac(httpMods, dnsMods []*ast.Module) {
 	e.httpReqStruct = findStruct(httpMods, "Requests")
 	e.httpRepStruct = findStruct(httpMods, "Replies")
 	e.dnsMsgStruct = findStruct(dnsMods, "Message")
 	e.dnsIx = newDNSIndex(e.dnsMsgStruct, findStruct(dnsMods, "Question"), findStruct(dnsMods, "RR"))
-	e.dnsParseFn = prog.Fn("DNS::parse_Message")
+	e.dnsParseFn = e.ex.Prog.Fn("DNS::parse_Message")
 	e.registerBinpacHost()
-	return nil
 }
 
 func findStruct(mods []*ast.Module, name string) *values.StructDef {
@@ -343,13 +343,13 @@ func (e *Engine) dispatchNamed(name string, bodies []*vm.CompiledFunc, c *conn, 
 	defer e.containEvent(name, len(e.clock.stack), len(e.hargs), len(e.vargs))
 	if ds := e.delta; ds != nil {
 		// Script handlers are the only writers of script-visible globals.
-		if e.sexec != nil {
-			ds.dirtyExec[0] = true
+		if e.compiled {
+			ds.dirtyExec = true
 		} else {
 			ds.dirtyInterp = true
 		}
 	}
-	if e.sexec == nil {
+	if !e.compiled {
 		base := len(e.vargs)
 		if c != nil {
 			e.vargs = append(e.vargs, e.connRecord(c))
@@ -374,7 +374,7 @@ func (e *Engine) dispatchNamed(name string, bodies []*vm.CompiledFunc, c *conn, 
 	for _, body := range bodies {
 		// Script errors abort the handler only; a blown execution budget
 		// is additionally counted.
-		if _, err := e.sexec.CallFn(body, e.hargs[base:]...); err != nil {
+		if _, err := e.ex.CallFn(body, e.hargs[base:]...); err != nil {
 			if isExhausted(err) {
 				e.budgetBlown.Inc()
 			}
@@ -512,17 +512,12 @@ func (e *Engine) ProcessPacket(tsNs int64, frame []byte) {
 	e.now = tsNs
 	e.clock.truncate(0)
 	// Expire HILTI-side container state by network time.
-	if e.sexec != nil {
-		if e.sexec.GlobalTM.Advance(timer.Time(tsNs)) > 0 && e.delta != nil {
-			e.delta.dirtyExec[0] = true // expirations mutated container globals
-		}
-	}
-	if e.pexec != nil {
-		e.pexec.GlobalTM.Advance(timer.Time(tsNs))
-		if e.delta != nil {
-			// Parsers mutate pexec state without raising events, so there is
-			// no precise signal; mark conservatively per packet.
-			e.delta.dirtyExec[1] = true
+	if e.ex != nil {
+		expired := e.ex.GlobalTM.Advance(timer.Time(tsNs)) > 0
+		// Parsers mutate VM state without raising events, so there is no
+		// precise signal for them; mark conservatively per packet.
+		if e.delta != nil && (expired || e.cfg.Parser == "binpac") {
+			e.delta.dirtyExec = true
 		}
 	}
 	eth, err := layers.DecodeEthernet(frame)
@@ -844,7 +839,7 @@ func (e *Engine) initLoopExec() error {
 	if err != nil {
 		return err
 	}
-	lim := e.cfg.ParseLimits
+	lim := e.cfg.Limits
 	if lim.Instructions == 0 && lim.Deadline == 0 {
 		lim = vm.Limits{Instructions: 100_000}
 	}

@@ -3,7 +3,10 @@
 // paper's Bro plugin drives BinPAC++ parsers (§4, §5 "Bro Interface").
 // Parser hooks call bro_* host functions; their HILTI arguments cross the
 // glue layer into Vals before entering the event engine, and the component
-// clock charges that conversion to glue (Figure 9's third bar).
+// clock charges that conversion to glue (Figure 9's third bar). Grammars and
+// compiled scripts are one linked program on one Exec, so a compiled handler
+// a callback dispatches is a re-entrant CallFn nested in the parse: its
+// instructions count against the parse's budget.
 
 package bro
 
@@ -22,13 +25,13 @@ import (
 func (e *Engine) attachBinpacHTTP(c *conn) {
 	c.origRope = hbytes.New()
 	c.respRope = hbytes.New()
-	reqFn := e.pexec.Prog.Fn("HTTP::parse_Requests")
-	repFn := e.pexec.Prog.Fn("HTTP::parse_Replies")
+	reqFn := e.ex.Prog.Fn("HTTP::parse_Requests")
+	repFn := e.ex.Prog.Fn("HTTP::parse_Replies")
 
 	reqSelf := values.StructVal(values.NewStruct(e.httpReqStruct))
 	repSelf := values.StructVal(values.NewStruct(e.httpRepStruct))
-	c.origRun = e.pexec.FiberCall(reqFn, reqSelf, values.IterBytes(c.origRope.Begin()), values.Int(c.ctx))
-	c.respRun = e.pexec.FiberCall(repFn, repSelf, values.IterBytes(c.respRope.Begin()), values.Int(c.ctx))
+	c.origRun = e.ex.FiberCall(reqFn, reqSelf, values.IterBytes(c.origRope.Begin()), values.Int(c.ctx))
+	c.respRun = e.ex.FiberCall(repFn, repSelf, values.IterBytes(c.respRope.Begin()), values.Int(c.ctx))
 
 	c.origStream.Deliver = func(d []byte) { e.binpacDeliver(c, true, d) }
 	c.respStream.Deliver = func(d []byte) { e.binpacDeliver(c, false, d) }
@@ -84,7 +87,7 @@ func (e *Engine) binpacDNSPacket(c *conn, payload []byte) {
 	self := values.StructVal(values.NewStruct(e.dnsMsgStruct))
 
 	e.clock.enter(compParse)
-	_, err := e.pexec.CallFn(e.dnsParseFn, self, values.IterBytes(rope.Begin()), values.Int(c.ctx))
+	_, err := e.ex.CallFn(e.dnsParseFn, self, values.IterBytes(rope.Begin()), values.Int(c.ctx))
 	e.clock.leave()
 	if err != nil {
 		e.parseErrs.Inc()
@@ -96,7 +99,7 @@ func (e *Engine) registerBinpacHost() {
 	// host registers fn for a callback whose first argument is the context
 	// of its connection; fn converts the others in one glue interval.
 	host := func(name string, fn func(c *conn, args []values.Value)) {
-		e.pexec.RegisterHost(name, func(_ *vm.Exec, args []values.Value) (values.Value, error) {
+		e.ex.RegisterHost(name, func(_ *vm.Exec, args []values.Value) (values.Value, error) {
 			if c := e.ctxs[args[0].AsInt()]; c != nil {
 				fn(c, args)
 			}
@@ -129,7 +132,7 @@ func (e *Engine) registerBinpacHost() {
 	})
 	// bro_http_pick_body implements the host-side body-framing decisions a
 	// reply parser cannot make alone: HEAD responses and no-body statuses.
-	e.pexec.RegisterHost("bro_http_pick_body", func(_ *vm.Exec, args []values.Value) (values.Value, error) {
+	e.ex.RegisterHost("bro_http_pick_body", func(_ *vm.Exec, args []values.Value) (values.Value, error) {
 		c := e.ctxs[args[0].AsInt()]
 		status := args[1].AsInt()
 		kind := args[2].AsInt()

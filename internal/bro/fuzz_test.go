@@ -9,8 +9,8 @@ import (
 
 // fuzzEngine builds a fresh engine per input so every crash reproduces from
 // its corpus entry alone (no cross-input connection state).
-func fuzzEngine(t *testing.T, parser string) *Engine {
-	e, err := NewEngine(Config{Parser: parser, ScriptExec: "interp",
+func fuzzEngine(t *testing.T, parser, scripts string) *Engine {
+	e, err := NewEngine(Config{Parser: parser, ScriptExec: scripts,
 		Scripts: []string{HTTPScript, DNSScript}, Quiet: true})
 	if err != nil {
 		t.Fatal(err)
@@ -65,17 +65,21 @@ func fuzzSeeds(f *testing.F) {
 func FuzzEngineFeed(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		feedShapes(fuzzEngine(t, "standard"), data, false)
+		feedShapes(fuzzEngine(t, "standard", "interp"), data, false)
 	})
 }
 
 // FuzzEngineFeedBinpac fuzzes the same path with the BinPAC++ grammars
 // compiled to HILTI, so hostile bytes reach the generated parse code — and,
-// segment by segment, the VM's park and resume.
+// segment by segment, the VM's park and resume. Each input runs under both
+// script backends: with compiled scripts, the parser callbacks dispatch
+// handlers nested in the parse on the engine's one Exec.
 func FuzzEngineFeedBinpac(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		feedShapes(fuzzEngine(t, "binpac"), data, true)
+		for _, scripts := range []string{"interp", "hilti"} {
+			feedShapes(fuzzEngine(t, "binpac", scripts), data, true)
+		}
 	})
 }
 
@@ -130,7 +134,7 @@ func FuzzEngineStateDecode(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, entry uint8, data []byte) {
-		e := fuzzEngine(t, "standard")
+		e := fuzzEngine(t, "standard", "interp")
 		switch entry % 3 {
 		case 0:
 			RestoreEngine(cfg, bytes.NewReader(data)) //nolint:errcheck

@@ -1,6 +1,6 @@
 // Engine observability: one keyed collector per engine emits the engine's
 // counters and component clock at scrape time, plus bridges for any
-// HILTI-program profilers and the script/parser VMs' execution counters.
+// HILTI-program profilers and the engine VM's execution counters.
 //
 // Everything here reads state that is already atomic (metrics.Counter
 // fields, fault.Recorder's count, the clock's published copy), so a scrape
@@ -51,16 +51,15 @@ func (e *Engine) registerMetrics() {
 			emit(metrics.Name("hilti_profiler_intervals_total", "name", name), float64(e.clock.pub.intervals[c].Load()))
 		}
 	})
-	// HILTI-program profilers from the script and parser VMs.
-	if e.sexec != nil {
-		e.sexec.PublishTo(reg, "bro/vm/script/"+key, "vm", "script")
-		e.sexec.Profs.PublishTo(reg, "bro/hprofs/script/"+key)
-		e.sexec.GlobalTM.Met = e.timerMetrics(reg)
-	}
-	if e.pexec != nil {
-		e.pexec.PublishTo(reg, "bro/vm/parse/"+key, "vm", "parse")
-		e.pexec.Profs.PublishTo(reg, "bro/hprofs/parse/"+key)
-		e.pexec.GlobalTM.Met = e.timerMetrics(reg)
+	// The HILTI program's profilers, execution counters and timer wheel.
+	if e.ex != nil {
+		e.ex.PublishTo(reg, "bro/vm/"+key, "vm", "engine")
+		e.ex.Profs.PublishTo(reg, "bro/hprofs/"+key)
+		e.ex.GlobalTM.Met = &timer.MgrMetrics{
+			Scheduled: reg.Counter("hilti_timers_scheduled_total"),
+			Fired:     reg.Counter("hilti_timers_fired_total"),
+			Expired:   reg.Counter("hilti_timers_expired_total"),
+		}
 	}
 	// Process-global series: name-keyed registration makes repeated calls
 	// (one per engine) idempotent rather than additive.
@@ -75,16 +74,6 @@ func (e *Engine) registerMetrics() {
 		reg.GaugeFunc("bro_reassembly_forced_gaps_total", func() float64 {
 			return float64(budget.Forced())
 		})
-	}
-}
-
-// timerMetrics returns the shared instrument set for engine-side timer
-// managers (HILTI global timer wheels driving container expiration).
-func (e *Engine) timerMetrics(reg *metrics.Registry) *timer.MgrMetrics {
-	return &timer.MgrMetrics{
-		Scheduled: reg.Counter("hilti_timers_scheduled_total"),
-		Fired:     reg.Counter("hilti_timers_fired_total"),
-		Expired:   reg.Counter("hilti_timers_expired_total"),
 	}
 }
 

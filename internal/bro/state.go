@@ -9,7 +9,7 @@
 //	frame    := string uid, u8 flags, [key if flags != 0], [conn if ffConn], tables
 //	tables   := u32 n { string global, ops }
 //	ops      := u32 n { string keyStr } u32 n { entry }      (deletes, upserts)
-//	sections := meta quar logs interp exec exec
+//	sections := meta quar logs interp exec
 //	meta     := i64 now, i64 nextCtx, u64 per counter
 //	quar     := u32 n { u64 vid, bool present, u64 dropped }
 //	logs     := u32 n { string stream, u32 n { string line } }   (from a watermark)
@@ -118,11 +118,11 @@ type deltaState struct {
 	closed      map[string]flow.Key // uid -> key of flows closed since the last flush
 	quarTouched map[uint64]bool
 	dirtyInterp bool
-	dirtyExec   [2]bool
+	dirtyExec   bool
 	skipFrames  bool // a full selection's sections only: labelled entries stay out
 
 	interp  map[string]*interpCache
-	exec    [2][]execCache
+	exec    []execCache
 	flushed map[string]int // stream name -> lines already persisted
 
 	// base says where the flow frames sit in the snapshot the deltas build
@@ -268,10 +268,10 @@ func (e *Engine) fullSelection(sectionsOnly bool) *deltaState {
 		ds.quarTouched[vid] = true
 	}
 	ds.dirtyInterp = true
-	for w := range ds.exec {
-		ds.exec[w] = make([]execCache, len(execOf(e, w)))
-		ds.dirtyExec[w] = true
+	if e.ex != nil {
+		ds.exec = make([]execCache, len(e.ex.Globals))
 	}
+	ds.dirtyExec = true
 	return ds
 }
 
@@ -327,8 +327,7 @@ func (e *Engine) pin(base *baseIndex) error {
 		}
 		ds.interp[name] = &interpCache{blob: bytes.Clone(ds.scratch.Buffer())}
 	}
-	ds.exec[0] = ds.baseExec(e, 0)
-	ds.exec[1] = ds.baseExec(e, 1)
+	ds.exec = e.baseExec()
 	for name, st := range e.Logs.streams {
 		ds.flushed[name] = len(st.lines)
 	}
@@ -459,7 +458,7 @@ func (e *Engine) HasFlow(key flow.Key) bool {
 // script-table entry keyed by its uid — without removing anything: the
 // source keeps ownership until the handoff commits.
 func (e *Engine) ExtractFlow(key flow.Key) ([]byte, error) {
-	if e.sexec != nil {
+	if e.compiled {
 		return nil, errPerFlowBackend
 	}
 	ck, _ := key.Canonical()
@@ -483,7 +482,7 @@ func (e *Engine) ExtractFlow(key flow.Key) ([]byte, error) {
 // tombstone or a frame without a connection is refused, and a flow already
 // present is a double-ownership violation. A refused frame changes nothing.
 func (e *Engine) InjectFlow(blob []byte) (flow.Key, error) {
-	if e.sexec != nil {
+	if e.compiled {
 		return flow.Key{}, errPerFlowBackend
 	}
 	dec := snapshot.NewRawDecoder(blob)
@@ -626,8 +625,7 @@ func (e *Engine) encodeSections(enc *snapshot.Encoder, ds *deltaState) {
 		encodeTableOps(enc, &g.ops)
 		enc.End(body)
 	}
-	e.encodeExec(enc, ds, 0)
-	e.encodeExec(enc, ds, 1)
+	e.encodeExec(enc, ds)
 }
 
 // encodePatched is encodeFull for the price of what changed: old locates
@@ -1050,10 +1048,8 @@ func (e *Engine) detachJournals() {
 	if e.delta == nil {
 		return
 	}
-	for w := range e.delta.exec {
-		for i := range e.delta.exec[w] {
-			setContainerJournal(e.delta.exec[w][i].obj, nil)
-		}
+	for i := range e.delta.exec {
+		setContainerJournal(e.delta.exec[i].obj, nil)
 	}
 }
 
@@ -1066,31 +1062,12 @@ func setContainerJournal(obj any, fn container.JournalFn) {
 	}
 }
 
-// execOf returns executor which's globals (0 = scripts, 1 = parsers), nil
-// when that executor is not configured.
-func execOf(e *Engine, which int) []values.Value {
-	ex := e.sexec
-	if which == 1 {
-		ex = e.pexec
-	}
-	if ex == nil {
+// baseExec starts a cache for every VM global and journals the containers.
+func (e *Engine) baseExec() []execCache {
+	if e.ex == nil {
 		return nil
 	}
-	return ex.Globals
-}
-
-func execTM(e *Engine, which int) *timer.Mgr {
-	if which == 1 {
-		return e.pexec.GlobalTM
-	}
-	return e.sexec.GlobalTM
-}
-
-func (ds *deltaState) baseExec(e *Engine, which int) []execCache {
-	globals := execOf(e, which)
-	if globals == nil {
-		return nil
-	}
+	globals := e.ex.Globals
 	cache := make([]execCache, len(globals))
 	for i := range globals {
 		gc := &cache[i]
@@ -1141,18 +1118,18 @@ func encodeExecGlobal(v values.Value) []byte {
 	return enc.Buffer()
 }
 
-// encodeExec emits executor which's clock and changed globals: journal
-// ops for clean container globals, blob diffs otherwise.
-func (e *Engine) encodeExec(enc *snapshot.Encoder, ds *deltaState, which int) {
-	globals := execOf(e, which)
-	enc.Bool(globals != nil)
-	if globals == nil {
+// encodeExec emits the VM's clock and changed globals: journal ops for
+// clean container globals, blob diffs otherwise.
+func (e *Engine) encodeExec(enc *snapshot.Encoder, ds *deltaState) {
+	enc.Bool(e.ex != nil)
+	if e.ex == nil {
 		return
 	}
-	enc.I64(int64(execTM(e, which).Now()))
+	globals := e.ex.Globals
+	enc.I64(int64(e.ex.GlobalTM.Now()))
 	count, n := enc.Begin(), 0 // the globals emitted, counted as they go
-	for i := range ds.exec[which] {
-		gc := &ds.exec[which][i]
+	for i := range ds.exec {
+		gc := &ds.exec[i]
 		if gc.obj != nil && globals[i].O != gc.obj {
 			// Global rebound to a different object: the journal watches the
 			// old one. Detach and fall back to blob mode permanently.
@@ -1181,7 +1158,7 @@ func (e *Engine) encodeExec(enc *snapshot.Encoder, ds *deltaState, which int) {
 			if !gc.dirty {
 				continue
 			}
-		} else if !ds.dirtyExec[which] {
+		} else if !ds.dirtyExec {
 			continue
 		}
 		blob := encodeExecGlobal(globals[i])
@@ -1195,7 +1172,7 @@ func (e *Engine) encodeExec(enc *snapshot.Encoder, ds *deltaState, which int) {
 		enc.Bytes(blob)
 		n++
 	}
-	ds.dirtyExec[which] = false
+	ds.dirtyExec = false
 	enc.EndCount(count, n)
 }
 
@@ -1234,10 +1211,8 @@ func (e *Engine) applyState(dec *snapshot.Decoder) error {
 	if err := e.applyInterp(dec); err != nil {
 		return err
 	}
-	for w := 0; w < 2; w++ {
-		if err := e.applyExec(dec, w); err != nil {
-			return err
-		}
+	if err := e.applyExec(dec); err != nil {
+		return err
 	}
 	if err := dec.Err(); err != nil {
 		return err
@@ -1389,19 +1364,18 @@ func isFuncGlobal(v Val) bool {
 	return ok
 }
 
-func (e *Engine) applyExec(dec *snapshot.Decoder, which int) error {
+func (e *Engine) applyExec(dec *snapshot.Decoder) error {
 	had := dec.Bool()
 	if dec.Err() != nil {
 		return dec.Err()
 	}
-	globals := execOf(e, which)
-	if had != (globals != nil) {
+	if had != (e.ex != nil) {
 		return fmt.Errorf("bro: state/config executor mismatch")
 	}
-	if globals == nil {
+	if e.ex == nil {
 		return nil
 	}
-	mgr := execTM(e, which)
+	globals, mgr := e.ex.Globals, e.ex.GlobalTM
 	mgr.SetNow(timer.Time(dec.I64()))
 	ng := dec.Len(9)
 	for i := 0; i < ng && dec.Err() == nil; i++ {

@@ -303,7 +303,7 @@ func TestStateViewsResumeIdentically(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsOldVersion: the format bumps (1 → 2 → 3 → 4) came with
+// TestRestoreRejectsOldVersion: the format bumps (1 → 2 → … → 5) came with
 // no compatibility reader; a blob of an earlier version fails the header
 // check. testdata/checkpoint-v3-http.bin is a version-3 checkpoint taken
 // while an HTTP body was in progress, which version 3 laid out as the bytes
@@ -311,8 +311,8 @@ func TestStateViewsResumeIdentically(t *testing.T) {
 // a digest state.
 func TestRestoreRejectsOldVersion(t *testing.T) {
 	cfg := Config{Parser: "standard", ScriptExec: "interp", Scripts: []string{HTTPScript}, Quiet: true}
-	if data := checkpointBytes(t, mustEngine(t, cfg)); data[4] != 0 || data[5] != 4 {
-		t.Fatalf("checkpoint header carries version %d.%d, want 4", data[4], data[5])
+	if data := checkpointBytes(t, mustEngine(t, cfg)); data[4] != 0 || data[5] != 5 {
+		t.Fatalf("checkpoint header carries version %d.%d, want 5", data[4], data[5])
 	}
 	v3, err := os.ReadFile("testdata/checkpoint-v3-http.bin")
 	if err != nil {

@@ -122,8 +122,8 @@ func TestBinpacParkedParseHoldsNoBody(t *testing.T) {
 	e := mustEngine(t, Config{Parser: "binpac", ScriptExec: "interp", Scripts: []string{HTTPScript, FilesScript}, Quiet: true})
 	// Every message struct a header hook is handed.
 	var msgs []*values.Struct
-	e.pexec.Hooks = hook.NewRegistry()
-	e.pexec.Hooks.Get("Header::%done").Add(func(args []values.Value) (values.Value, bool) {
+	e.ex.Hooks = hook.NewRegistry()
+	e.ex.Hooks.Get("Header::%done").Add(func(args []values.Value) (values.Value, bool) {
 		if m := args[1].AsStruct(); len(msgs) == 0 || msgs[len(msgs)-1] != m {
 			msgs = append(msgs, m)
 		}
@@ -177,12 +177,12 @@ func TestBinpacSuspendPanicIsAFault(t *testing.T) {
 		cfg := binpacHTTPConfig()
 		cfg.Metrics = metrics.NewRegistry()
 		// Enough for any one parse; too little for two that share a budget.
-		cfg.ParseLimits = vm.Limits{Instructions: 4000}
+		cfg.Limits = vm.Limits{Instructions: 4000}
 		e := mustEngine(t, cfg)
 		var calls []string // host calls made on the victim's behalf
 		var victimCtx int64 = -1
-		orig := e.pexec.HostFns["bro_http_header"]
-		e.pexec.RegisterHost("bro_http_header", func(ex *vm.Exec, args []values.Value) (values.Value, error) {
+		orig := e.ex.HostFns["bro_http_header"]
+		e.ex.RegisterHost("bro_http_header", func(ex *vm.Exec, args []values.Value) (values.Value, error) {
 			if c := e.ctxs[args[0].AsInt()]; c != nil && c.key.SrcPort == victim || args[0].AsInt() == victimCtx {
 				victimCtx = args[0].AsInt()
 				name := e.glue.fromHilti(args[2]).Render()
@@ -258,8 +258,8 @@ func TestBinpacSuspendPanicIsAFault(t *testing.T) {
 		clean.SafeProcessPacket(p.Time.UnixNano(), p.Data)
 		e.SafeProcessPacket(p.Time.UnixNano(), p.Data)
 	}
-	e.pexec.Met.Sync()
-	if got := reg.Value(`hilti_vm_suspended_calls{vm="parse"}`); got != 2 {
+	e.ex.Met.Sync()
+	if got := reg.Value(`hilti_vm_suspended_calls{vm="engine"}`); got != 2 {
 		t.Fatalf("hilti_vm_suspended_calls = %v, want 2 (the bystander's directions)", got)
 	}
 	if st, want := e.StatsSnapshot(), clean.StatsSnapshot(); st.ParseErr != want.ParseErr || st.Faults != 1 {

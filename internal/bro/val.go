@@ -595,22 +595,6 @@ func (t *TableVal) Render() string {
 	return "{" + strings.Join(parts, ", ") + "}"
 }
 
-// SortedKeys returns rendered keys in sorted order (used for normalized
-// log output of set-typed columns).
-func (t *TableVal) SortedKeys() []string {
-	var out []string
-	t.Each(func(key []Val, _ Val) bool {
-		ks := make([]string, len(key))
-		for i, k := range key {
-			ks[i] = k.Render()
-		}
-		out = append(out, strings.Join(ks, ","))
-		return true
-	})
-	sort.Strings(out)
-	return out
-}
-
 // VectorVal is a growable vector.
 type VectorVal struct{ Elems []Val }
 

@@ -178,11 +178,6 @@ func CallableT(result *Type, args ...*Type) *Type {
 	return &Type{Kind: Callable, Params: append([]*Type{result}, args...)}
 }
 
-// FunctionT returns a function type.
-func FunctionT(result *Type, args ...*Type) *Type {
-	return &Type{Kind: Function, Params: append([]*Type{result}, args...)}
-}
-
 // StructT returns a named struct type.
 func StructT(def *StructDef) *Type {
 	return &Type{Kind: Struct, Name: def.Name, StructDef: def}

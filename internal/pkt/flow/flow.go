@@ -122,12 +122,6 @@ func (k Key) SrcAddr() values.Value { return values.AddrFrom16(k.SrcIP) }
 // DstAddr returns the destination as a HILTI addr value.
 func (k Key) DstAddr() values.Value { return values.AddrFrom16(k.DstIP) }
 
-// SrcPortVal returns the source port as a HILTI port value.
-func (k Key) SrcPortVal() values.Value { return values.PortVal(k.SrcPort, k.Proto) }
-
-// DstPortVal returns the destination port as a HILTI port value.
-func (k Key) DstPortVal() values.Value { return values.PortVal(k.DstPort, k.Proto) }
-
 // String renders "src:sport -> dst:dport/proto".
 func (k Key) String() string {
 	return fmt.Sprintf("%s:%d -> %s:%d/%d",

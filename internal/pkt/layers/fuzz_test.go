@@ -13,10 +13,10 @@ func FuzzDecode(f *testing.F) {
 	f.Add(EncodeEthernet([6]byte{1}, [6]byte{2}, EtherTypeIPv4, ip))
 	udp := EncodeUDP([4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}, 5353, 53, []byte("query"))
 	f.Add(EncodeIPv4([4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}, IPProtoUDP, 64, 2, udp))
-	f.Add([]byte{0x45})                    // IPv4 version nibble, truncated
-	f.Add([]byte{0x4F, 0, 0, 20})          // max IHL, length lies
-	f.Add([]byte{0x60, 0, 0, 0, 0, 0})     // IPv6 version nibble, truncated
-	f.Add(make([]byte, 14))                // zero ethertype
+	f.Add([]byte{0x45})                // IPv4 version nibble, truncated
+	f.Add([]byte{0x4F, 0, 0, 20})      // max IHL, length lies
+	f.Add([]byte{0x60, 0, 0, 0, 0, 0}) // IPv6 version nibble, truncated
+	f.Add(make([]byte, 14))            // zero ethertype
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -85,12 +85,12 @@ func TestIdleRefreshVsEviction(t *testing.T) {
 	p, _ := newRecPipeline(t, Config{Workers: 1, MaxFlows: 2, FlowIdle: timer.Interval(100)})
 	a, b := [4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}
 	fA := frame(a, b, 5001, 80, []byte{1})
-	p.Feed(0, fA)                              // A: deadline 100
-	p.Feed(10, frame(a, b, 5002, 80, nil))     // B: deadline 110
-	p.Feed(50, fA)                             // refresh A: deadline 150, LRU front
-	p.Feed(120, frame(a, b, 5003, 80, nil))    // B expired at 110; C admitted without eviction
-	p.Feed(130, frame(a, b, 5004, 80, nil))    // D: cap hit -> evicts LRU back = A (refresh kept it to 150, but C is fresher)
-	p.Feed(140, fA)                            // A again: new entry -> evicts C
+	p.Feed(0, fA)                           // A: deadline 100
+	p.Feed(10, frame(a, b, 5002, 80, nil))  // B: deadline 110
+	p.Feed(50, fA)                          // refresh A: deadline 150, LRU front
+	p.Feed(120, frame(a, b, 5003, 80, nil)) // B expired at 110; C admitted without eviction
+	p.Feed(130, frame(a, b, 5004, 80, nil)) // D: cap hit -> evicts LRU back = A (refresh kept it to 150, but C is fresher)
+	p.Feed(140, fA)                         // A again: new entry -> evicts C
 	p.Close()
 
 	st := sumStats(p)

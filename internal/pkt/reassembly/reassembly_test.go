@@ -107,7 +107,7 @@ func TestSequenceWraparound(t *testing.T) {
 // boundary — the later segment (past the wrap) arrives first.
 func TestWrapOutOfOrderStraddle(t *testing.T) {
 	s, buf, _ := collector()
-	s.Init(0xFFFFFFDF) // payload origin at seq 0xFFFFFFE0
+	s.Init(0xFFFFFFDF)                                       // payload origin at seq 0xFFFFFFE0
 	s.Segment(0xFFFFFFE0, []byte("aaaaaaaaaaaaaaaa"), false) // up to 0xFFFFFFF0
 	s.Segment(0x00000000, []byte("cccccccccccccccc"), false) // past the wrap, early
 	if buf.String() != "aaaaaaaaaaaaaaaa" {
@@ -127,7 +127,7 @@ func TestWrapOutOfOrderStraddle(t *testing.T) {
 // head was already delivered is trimmed, not re-delivered.
 func TestWrapRetransmitOverlap(t *testing.T) {
 	s, buf, _ := collector()
-	s.Init(0xFFFFFFEF) // payload origin at 0xFFFFFFF0
+	s.Init(0xFFFFFFEF)                                       // payload origin at 0xFFFFFFF0
 	s.Segment(0xFFFFFFF0, []byte("0123456789abcdef"), false) // crosses to seq 0
 	s.Segment(0x00000000, []byte("ghijklmn"), false)
 	// Retransmit from before the wrap through new data past it: offsets
@@ -148,7 +148,7 @@ func TestWrapRetransmitOverlap(t *testing.T) {
 // Flush reports the right gap size and still delivers the buffered tail.
 func TestWrapGapDeclared(t *testing.T) {
 	s, buf, gaps := collector()
-	s.Init(0xFFFFFFCF) // payload origin at 0xFFFFFFD0
+	s.Init(0xFFFFFFCF)                                                       // payload origin at 0xFFFFFFD0
 	s.Segment(0xFFFFFFD0, []byte("aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"), false) // 32B to 0xFFFFFFF0
 	// Lose [0xFFFFFFF0, 0x10) — 32 bytes straddling the wrap.
 	s.Segment(0x00000010, []byte("zzzzzzzz"), false)

@@ -31,17 +31,13 @@ type command struct {
 
 // File is a handle to a managed output file.
 type File struct {
-	mgr  *Mgr
-	path string
-	w    *bufio.Writer
-	f    *os.File
+	mgr *Mgr
+	w   *bufio.Writer
+	f   *os.File
 }
 
 // TypeName implements the runtime Object interface.
 func (f *File) TypeName() string { return "file" }
-
-// Path returns the file's path.
-func (f *File) Path() string { return f.path }
 
 // NewMgr starts a manager with its writer goroutine.
 func NewMgr() *Mgr {
@@ -80,7 +76,7 @@ func (m *Mgr) Open(path string) (*File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("filemgr: %w", err)
 	}
-	f := &File{mgr: m, path: path, f: osf, w: bufio.NewWriterSize(osf, 64<<10)}
+	f := &File{mgr: m, f: osf, w: bufio.NewWriterSize(osf, 64<<10)}
 	m.files[path] = f
 	return f, nil
 }

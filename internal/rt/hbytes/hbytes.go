@@ -173,10 +173,6 @@ func (b *Bytes) Frozen() bool { return b.frozen }
 // Len returns the number of currently retained bytes.
 func (b *Bytes) Len() int64 { return b.end - b.base }
 
-// StreamLen returns the absolute offset one past the last byte, i.e. the
-// total number of bytes ever appended.
-func (b *Bytes) StreamLen() int64 { return b.end }
-
 // Begin returns an iterator at the first retained byte.
 func (b *Bytes) Begin() Iter { return Iter{b: b, off: b.base} }
 

@@ -38,9 +38,11 @@ import (
 // ledger into pipeline checkpoints (feeder-side counts up front, each
 // shard's tally in Fate order, the fate as the WAL outcome byte); version 4
 // carries an HTTP body in progress as its SHA-1 digest state, length and
-// head bytes instead of the body received so far (bro/statecodec.go).
-// Streams of an older version are rejected by the header check.
-const Version = 4
+// head bytes instead of the body received so far (bro/statecodec.go);
+// version 5 writes one exec section, because an engine's grammars and
+// compiled scripts are one linked program (bro/state.go). Streams of an
+// older version are rejected by the header check.
+const Version = 5
 
 // MaxDepth bounds value-tree recursion in both directions.
 const MaxDepth = 64

@@ -160,7 +160,13 @@ func AppendAddr(dst []byte, v Value) []byte {
 	if !v.AddrIsV4() {
 		return append(dst, formatAddr(v)...)
 	}
-	u := v.AddrV4Uint()
+	return appendV4(dst, v.AddrV4Uint())
+}
+
+// appendV4 appends a dotted quad. It is AppendAddr's IPv4 case apart from
+// AppendAddr: were formatAddr to call into a function that calls it back,
+// escape analysis would move formatAddr's stack buffer to the heap.
+func appendV4(dst []byte, u uint32) []byte {
 	for shift := 24; shift >= 0; shift -= 8 {
 		dst = strconv.AppendUint(dst, uint64(byte(u>>shift)), 10)
 		if shift > 0 {
@@ -175,7 +181,7 @@ func AppendAddr(dst []byte, v Value) []byte {
 func formatAddr(v Value) string {
 	if v.AddrIsV4() {
 		var buf [len("255.255.255.255")]byte
-		return string(AppendAddr(buf[:0], v))
+		return string(appendV4(buf[:0], v.AddrV4Uint()))
 	}
 	b := v.Addr16()
 	groups := make([]uint16, 8)

@@ -454,11 +454,6 @@ func (e *Exception) Error() string {
 	return e.Name + ": " + e.Msg
 }
 
-// NewException builds an exception value.
-func NewException(name, msg string) Value {
-	return Value{K: KindException, O: &Exception{Name: name, Msg: msg}}
-}
-
 // AsException extracts an exception payload (nil if not an exception).
 func (v Value) AsException() *Exception {
 	e, _ := v.O.(*Exception)

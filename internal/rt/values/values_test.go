@@ -256,6 +256,16 @@ func TestQuickAppendAddrMatchesFormat(t *testing.T) {
 	}
 }
 
+// TestFormatAddrV4AllocatesOnlyTheString: an IPv4 address renders into a
+// stack buffer, so Format costs the one string it returns.
+func TestFormatAddrV4AllocatesOnlyTheString(t *testing.T) {
+	a := AddrFrom4([4]byte{192, 168, 100, 200})
+	var s string
+	if n := testing.AllocsPerRun(100, func() { s = Format(a) }); n != 1 || s != "192.168.100.200" {
+		t.Fatalf("Format = %q in %v allocations, want 1", s, n)
+	}
+}
+
 func BenchmarkAddrEqual(b *testing.B) {
 	x := MustParseAddr("10.20.30.40")
 	y := MustParseAddr("10.20.30.40")
