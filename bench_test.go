@@ -149,8 +149,8 @@ func BenchmarkHILTIFilterTraceNoStub(b *testing.B) {
 }
 
 // BenchmarkHILTIFilterTraceNoStubTier2 is the same direct-call
-// configuration with tier-2 code installed eagerly (O2): unboxed slots,
-// superinstructions, and verified budget elision on the filter loop.
+// configuration with tier-2 code installed eagerly (O2): each overlay read
+// and the compare-and-branch after it run as one fused instruction.
 func BenchmarkHILTIFilterTraceNoStubTier2(b *testing.B) {
 	pkts, _ := traces()
 	e, _ := bpf.ParseFilter(benchFilter)

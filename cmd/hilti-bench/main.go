@@ -155,7 +155,7 @@ var experiments = []experiment{
 		"scale-out/in via consistent-hash buckets; a crash at any protocol step never splits ownership", (*harness).migrate},
 	{"vmopt", "Post-lowering VM optimizer",
 		"behavior-preserving: identical outputs at -O0/-O1, fewer instructions both statically and dynamically", (*harness).vmopt},
-	{"tier", "Tier-2 execution: specialization with verified budget elision",
+	{"tier", "Tier-2 execution: overlay specialization",
 		"transparent re-lowering: same results as O0/O1; filter ratio closes toward the paper's 1.35x", (*harness).tier},
 	{"rules", "Compiled rule plane: one automaton, atomic hot reload",
 		"compiled == linear verdicts at every scale; swaps commit atomically under live load", (*harness).rules},
@@ -1013,10 +1013,9 @@ const dnsMallocsCeiling = 90
 
 // --- tiered execution -------------------------------------------------------------
 
-// tier is the tier-2 execution harness: unboxed slots, fused overlay
-// compares, and verified budget elision (internal/hilti/vm/tier2.go) must
-// keep every observable byte identical to O0/O1 while closing the §6.2
-// HILTI/BPF gap. Three parts: (1) the filter at every level against the
+// tier is the tier-2 execution harness: planned overlay reads and fused
+// overlay compares (internal/hilti/vm/tier2.go) must keep every observable
+// byte identical to O0/O1 while closing the §6.2 HILTI/BPF gap. Three parts: (1) the filter at every level against the
 // BPF reference, with exact executed-instruction parity between O1 and
 // tier-2 and a time-ratio ceiling; (2) the runtime promotion path —
 // promote mid-stream to the same lowering eager O2 builds, results
@@ -1054,8 +1053,8 @@ func (h *harness) tier(chk *checker) {
 			(el / time.Duration(len(pkts))).Round(time.Nanosecond), float64(el)/float64(bpfTime))
 		chk.check(m == bpfMatches, fmt.Sprintf("%s match count %d != BPF %d", label, m, bpfMatches))
 	}
-	// Budget elision charges the exact executed count: the instruction
-	// ledger at tier-2 must equal O1's to the step.
+	// A fused pair charges both of its halves: the instruction ledger at
+	// tier-2 must equal O1's to the step.
 	chk.check(steps[2] == steps[1], fmt.Sprintf(
 		"executed-instruction ledger diverged: O1=%d tier2=%d", steps[1], steps[2]))
 	ceiling := recordedCeiling(chk, "tier-2/BPF", *tierBaseline, *tierCeiling, "benchmarks", func(rows []benchRow) float64 {
@@ -1161,8 +1160,7 @@ func tierLowering(fn *vm.CompiledFunc) string {
 	if !ok {
 		return "none (tier-1)"
 	}
-	return fmt.Sprintf("%d slot regs, %d slotted instrs, %d overlay pairs, %d regions (%d verified instrs)",
-		st.SlotRegs, st.Slotted, st.Pairs, st.Regions, st.Verified)
+	return fmt.Sprintf("%d overlay pairs, %d overlay accesses specialized", st.Pairs, st.Overlay)
 }
 
 // --- machine-readable benchmark output --------------------------------------------

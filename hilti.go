@@ -92,10 +92,10 @@ const (
 	// fusion (see internal/hilti/vm/opt.go).
 	O1
 	// O2 additionally installs tier-2 code for every function ahead of
-	// time: unboxed int/bool register slots, fused overlay compares, and
-	// verified straight-line regions that elide per-instruction budget
-	// checks (see internal/hilti/vm/tier2.go). vm.Exec.EnableTiering builds
-	// the same code at runtime, once a function is hot.
+	// time: overlay field reads planned once, and a read followed by a
+	// compare-and-branch fused into one instruction (see
+	// internal/hilti/vm/tier2.go). vm.Exec.EnableTiering builds the same
+	// code at runtime, once a function is hot.
 	O2
 )
 

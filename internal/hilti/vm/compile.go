@@ -192,13 +192,6 @@ func (c *fnCompiler) compile() error {
 		c.rty[l.Name] = l.Type
 	}
 	c.out.NRegs = len(c.regs)
-	// Record static register types for tier-2 slot classification. Hidden
-	// registers allocated later (try.end exception slots) fall outside the
-	// slice and stay boxed.
-	c.out.RegTypes = make([]*types.Type, len(c.regs))
-	for name, r := range c.regs {
-		c.out.RegTypes[r] = c.rty[name]
-	}
 
 	// Sized for one instruction per AST instruction, a fallthrough jump per
 	// block and the implicit return — what lowering mostly emits — so the

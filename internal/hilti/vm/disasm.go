@@ -1,8 +1,7 @@
 // Disassembly of compiled functions, for debugging and for the golden
 // optimizer tests: a stable, line-oriented text rendering of the linear
 // code plus handler table. DisasmTier renders the tier-2 view of the same
-// pcs — superinstruction names, unboxed-slot operands, and verified-region
-// markers.
+// pcs, where fused overlay compares show as superinstruction names.
 
 package vm
 
@@ -24,43 +23,21 @@ import (
 // branches.
 // Exception handlers follow the code as "handler [start,end) -> target".
 func (fn *CompiledFunc) Disasm() string {
-	return fn.disasm(fn.Code, nil)
+	return fn.disasm(fn.Code)
 }
 
 // DisasmTier renders fn's tier-2 code when published, falling back to the
-// tier-1 rendering otherwise. Tier-2 additions to the format: an
-// "unboxed:" header line listing the slotted registers (printed as iN),
-// fused superinstruction names ("overlay.get+int.eq+br"), and verified
-// regions as "[verified: n instrs]" markers.
+// tier-1 rendering otherwise. The format is Disasm's; a fused overlay
+// compare prints as its superinstruction name ("overlay.get+int.eq+br").
 func (fn *CompiledFunc) DisasmTier() string {
-	tc := fn.tier2.Load()
-	if tc == nil {
-		return fn.disasm(fn.Code, nil)
-	}
-	return fn.disasm(tc.code, tc)
+	return fn.disasm(fn.code())
 }
 
-func (fn *CompiledFunc) disasm(code []Instr, tc *tierCode) string {
+func (fn *CompiledFunc) disasm(code []Instr) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "func %s (params=%d regs=%d)\n", fn.Name, fn.NParams, fn.NRegs)
-	if tc != nil && tc.stats.SlotRegs > 0 {
-		parts := make([]string, 0, tc.stats.SlotRegs)
-		for r, k := range tc.slotKind {
-			switch k {
-			case slotInt:
-				parts = append(parts, fmt.Sprintf("i%d:int", r))
-			case slotBool:
-				parts = append(parts, fmt.Sprintf("i%d:bool", r))
-			}
-		}
-		fmt.Fprintf(&sb, "unboxed: %s\n", strings.Join(parts, " "))
-	}
 	for pc := range code {
 		in := &code[pc]
-		if ra, ok := in.aux.(*regionAux); ok {
-			fmt.Fprintf(&sb, "%04d %-18s [verified: %d instrs]\n", pc, opName(in.opID), len(ra.code))
-			continue
-		}
 		fmt.Fprintf(&sb, "%04d %-18s", pc, opName(in.opID))
 		operands := make([]string, 0, len(in.srcs))
 		for i := range in.srcs {
@@ -99,8 +76,6 @@ func dstString(d dst) string {
 		return fmt.Sprintf("r%d", d.idx)
 	case srcGlobal:
 		return fmt.Sprintf("g%d", d.idx)
-	case srcSlot:
-		return fmt.Sprintf("i%d", d.idx)
 	default:
 		return "_"
 	}

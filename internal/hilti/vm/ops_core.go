@@ -122,19 +122,7 @@ type switchTable struct {
 }
 
 var coreOps = []opRow{
-	{name: "assign", arity: -1, exec: execAssign, flags: opInline,
-		slotFit: func(in *Instr, kind []uint8, rty []*types.Type) bool {
-			if len(in.srcs) != 1 {
-				return false
-			}
-			s := &in.srcs[0]
-			if in.d.kind == srcReg && regSlot(kind, in.d.idx) != slotNone {
-				return scalarOperand(s, regSlot(kind, in.d.idx), kind, rty)
-			}
-			// Boxed destination (register, global, or discarded) fed from a
-			// slot: the executor re-boxes by the slot's kind.
-			return s.kind == srcReg && regSlot(kind, s.idx) != slotNone
-		}, slotExec: execSlotAssign, slotBoxed: execSlotAssignBox},
+	{name: "assign", arity: -1, exec: execAssign, flags: opInline},
 
 	// The control ops lower with a zero destination, which Disasm prints "_".
 	{name: "jump", ctl: ctlJump, lower: func(c *fnCompiler, in *ast.Instr) error {
@@ -159,9 +147,7 @@ var coreOps = []opRow{
 			pendingJump{pc: pc, which: 1, label: in.Ops[1].Name},
 			pendingJump{pc: pc, which: 2, label: in.Ops[2].Name})
 		return nil
-	}, slotFit: func(in *Instr, _ []uint8, _ []*types.Type) bool {
-		return len(in.srcs) == 1 // condition slot is a bool: test != 0
-	}, slotExec: execSlotIfElse},
+	}},
 
 	{name: "return.void", ctl: ctlReturn, lower: func(c *fnCompiler, in *ast.Instr) error {
 		c.emit(Instr{exec: execReturnVoid})
@@ -179,9 +165,7 @@ var coreOps = []opRow{
 		}
 		c.emit(Instr{exec: exec, srcs: []src{s}})
 		return nil
-	}, slotFit: func(in *Instr, kind []uint8, _ []*types.Type) bool {
-		return len(in.srcs) == 1 && in.srcs[0].kind == srcReg && regSlot(kind, in.srcs[0].idx) != slotNone
-	}, slotBoxed: execSlotReturn},
+	}},
 
 	{name: "call", lower: func(c *fnCompiler, in *ast.Instr) error {
 		if len(in.Ops) == 0 || in.Ops[0].Kind != ast.FuncOp {
@@ -461,35 +445,4 @@ func zeroOf(t *types.Type) values.Value {
 	default:
 		return values.Nil
 	}
-}
-
-// --- tier-2 unboxed slot executors (control/data movement) -------------------
-
-// execSlotAssign writes a scalar operand into an unboxed slot.
-func execSlotAssign(ex *Exec, fr *Frame, in *Instr) int {
-	fr.I[in.d.idx] = slotArg(fr, &in.srcs[0])
-	return in.t1
-}
-
-// execSlotAssignBox re-boxes a slot value into a boxed destination
-// (register, global, or discarded); in.t2 carries the slot kind.
-func execSlotAssignBox(ex *Exec, fr *Frame, in *Instr) int {
-	ex.put(fr, in.d, boxSlot(fr.I[in.srcs[0].idx], uint8(in.t2)))
-	return in.t1
-}
-
-// execSlotIfElse branches on an unboxed boolean condition. The != 0 test
-// matches values.IsTruthy on a boxed bool (payload in Value.A).
-func execSlotIfElse(ex *Exec, fr *Frame, in *Instr) int {
-	if slotArg(fr, &in.srcs[0]) != 0 {
-		return in.t1
-	}
-	return in.t2
-}
-
-// execSlotReturn re-boxes a slotted return value; in.t2 carries the slot
-// kind.
-func execSlotReturn(ex *Exec, fr *Frame, in *Instr) int {
-	fr.Ret = boxSlot(fr.I[in.srcs[0].idx], uint8(in.t2))
-	return pcDone
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"hilti/internal/hilti/ast"
-	"hilti/internal/hilti/types"
 	"hilti/internal/rt/channel"
 	"hilti/internal/rt/classifier"
 	"hilti/internal/rt/overlay"
@@ -230,12 +229,7 @@ var runtimeOps = []opRow{
 		}
 		c.emit(Instr{exec: execOverlayGet, d: d, srcs: []src{s}, aux: ov, t2: fieldIdx})
 		return nil
-	}, slotFit: func(in *Instr, kind []uint8, _ []*types.Type) bool {
-		// Overlay fields decode into ints; only srcs[0] (the bytes rope)
-		// exists and is never slotted, so only the destination matters.
-		return in.d.kind == srcReg && regSlot(kind, in.d.idx) == slotInt &&
-			len(in.srcs) == 1 && !srcTouchesSlot(&in.srcs[0], kind)
-	}, slotExec: execOverlayGet}, // t2 keeps the field index
+	}},
 
 	// --- file ------------------------------------------------------------------------
 	{name: "file.open", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
@@ -293,10 +287,7 @@ func execTimerSchedule(ex *Exec, fr *Frame, in *Instr) int {
 	return in.t1
 }
 
-// execOverlayGet decodes an overlay field. Under tier-2 a statically
-// int-typed destination is an unboxed slot (the classifier only admits
-// that, which pins the field to an integer decode): the payload goes
-// straight into the slot file.
+// execOverlayGet decodes an overlay field.
 func execOverlayGet(ex *Exec, fr *Frame, in *Instr) int {
 	ov := in.aux.(*overlay.Overlay)
 	b := ex.get(fr, &in.srcs[0]).AsBytes()
@@ -307,10 +298,6 @@ func execOverlayGet(ex *Exec, fr *Frame, in *Instr) int {
 	if err != nil {
 		return ex.raise("Hilti::OverlayError", err.Error())
 	}
-	if in.d.kind == srcSlot {
-		fr.I[in.d.idx] = int64(v.A)
-	} else {
-		ex.put(fr, in.d, v)
-	}
+	ex.put(fr, in.d, v)
 	return in.t1
 }

@@ -35,18 +35,15 @@ var scalarOps = []opRow{
 			return execEqualRC
 		}
 		return nil
-	}, slot: slotInt | slotBool, slotExec: execSlotEqual},
+	}},
 	{name: "unequal", arity: 2, flags: scalarCmp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		return values.Bool(!values.Equal(a[0], a[1])), nil
-	}, slot: slotInt | slotBool, slotExec: execSlotUnequal},
+	}},
 
 	// --- int ------------------------------------------------------------------
-	{name: "int.add", arity: 2, flags: scalarOp, intBin: func(x, y int64) int64 { return x + y },
-		slot: slotInt, slotExec: execSlotIntBin},
-	{name: "int.sub", arity: 2, flags: scalarOp, intBin: func(x, y int64) int64 { return x - y },
-		slot: slotInt, slotExec: execSlotIntBin},
-	{name: "int.mul", arity: 2, flags: scalarOp, intBin: func(x, y int64) int64 { return x * y },
-		slot: slotInt, slotExec: execSlotIntBin},
+	{name: "int.add", arity: 2, flags: scalarOp, intBin: func(x, y int64) int64 { return x + y }},
+	{name: "int.sub", arity: 2, flags: scalarOp, intBin: func(x, y int64) int64 { return x - y }},
+	{name: "int.mul", arity: 2, flags: scalarOp, intBin: func(x, y int64) int64 { return x * y }},
 	{name: "int.div", arity: 2, flags: scalarOp, fn: intFn(func(x, y int64) (int64, error) {
 		if y == 0 {
 			return 0, &values.Exception{Name: "Hilti::DivisionByZero", Msg: "integer division by zero"}
@@ -64,11 +61,11 @@ var scalarOps = []opRow{
 	{name: "int.and", arity: 2, flags: scalarOp, fn: intFn(func(x, y int64) (int64, error) { return x & y, nil })},
 	{name: "int.or", arity: 2, flags: scalarOp, fn: intFn(func(x, y int64) (int64, error) { return x | y, nil })},
 	{name: "int.xor", arity: 2, flags: scalarOp, fn: intFn(func(x, y int64) (int64, error) { return x ^ y, nil })},
-	{name: "int.eq", arity: 2, flags: scalarCmp, rel: relEq, slot: slotInt, slotExec: execSlotIntCmp},
-	{name: "int.lt", arity: 2, flags: scalarCmp, rel: relLt, slot: slotInt, slotExec: execSlotIntCmp},
-	{name: "int.gt", arity: 2, flags: scalarCmp, rel: relGt, slot: slotInt, slotExec: execSlotIntCmp},
-	{name: "int.leq", arity: 2, flags: scalarCmp, rel: relLeq, slot: slotInt, slotExec: execSlotIntCmp},
-	{name: "int.geq", arity: 2, flags: scalarCmp, rel: relGeq, slot: slotInt, slotExec: execSlotIntCmp},
+	{name: "int.eq", arity: 2, flags: scalarCmp, rel: relEq},
+	{name: "int.lt", arity: 2, flags: scalarCmp, rel: relLt},
+	{name: "int.gt", arity: 2, flags: scalarCmp, rel: relGt},
+	{name: "int.leq", arity: 2, flags: scalarCmp, rel: relLeq},
+	{name: "int.geq", arity: 2, flags: scalarCmp, rel: relGeq},
 	{name: "int.ult", arity: 2, flags: scalarCmp, fn: intPred(func(x, y int64) bool { return uint64(x) < uint64(y) })},
 	{name: "int.ugt", arity: 2, flags: scalarCmp, fn: intPred(func(x, y int64) bool { return uint64(x) > uint64(y) })},
 	{name: "int.to_double", arity: 1, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
@@ -111,13 +108,13 @@ var scalarOps = []opRow{
 	// --- bool (also spelled "and", "or", "not": optable.go) ----------------------
 	{name: "bool.and", arity: 2, flags: scalarCmp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		return values.Bool(a[0].AsBool() && a[1].AsBool()), nil
-	}, slot: slotBool, slotExec: execSlotBoolAnd},
+	}},
 	{name: "bool.or", arity: 2, flags: scalarCmp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		return values.Bool(a[0].AsBool() || a[1].AsBool()), nil
-	}, slot: slotBool, slotExec: execSlotBoolOr},
+	}},
 	{name: "bool.not", arity: 1, flags: scalarCmp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		return values.Bool(!a[0].AsBool()), nil
-	}, slot: slotBool, slotExec: execSlotBoolNot},
+	}},
 
 	// --- string -----------------------------------------------------------------
 	{name: "string.concat", arity: 2, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
@@ -382,56 +379,5 @@ func execEqualRC(ex *Exec, fr *Frame, in *Instr) int {
 func execNetContainsCR(ex *Exec, fr *Frame, in *Instr) int {
 	b := in.srcs[0].val.NetContains(fr.R[in.srcs[1].idx])
 	fr.R[in.d.idx] = values.Bool(b)
-	return in.branch(b)
-}
-
-// --- tier-2 unboxed slot executors -------------------------------------------
-//
-// Installed by tier-2 respecialization (tier2.go) for instructions whose
-// operands live in the frame's int64 slot file. They read via slotArg
-// (slot / constant / statically-typed boxed register) and write via
-// putSlotInt/putSlotBool, so a single executor covers every operand-kind
-// mix the classifier admits; no values.Value is built unless the
-// destination stayed boxed.
-
-func execSlotIntBin(ex *Exec, fr *Frame, in *Instr) int {
-	r := in.aux.(func(x, y int64) int64)(slotArg(fr, &in.srcs[0]), slotArg(fr, &in.srcs[1]))
-	putSlotInt(ex, fr, in.d, r)
-	return in.t1
-}
-
-func execSlotIntCmp(ex *Exec, fr *Frame, in *Instr) int {
-	b := in.aux.(func(x, y int64) bool)(slotArg(fr, &in.srcs[0]), slotArg(fr, &in.srcs[1]))
-	putSlotBool(ex, fr, in.d, b)
-	return in.branch(b)
-}
-
-func execSlotEqual(ex *Exec, fr *Frame, in *Instr) int {
-	b := slotArg(fr, &in.srcs[0]) == slotArg(fr, &in.srcs[1])
-	putSlotBool(ex, fr, in.d, b)
-	return in.branch(b)
-}
-
-func execSlotUnequal(ex *Exec, fr *Frame, in *Instr) int {
-	b := slotArg(fr, &in.srcs[0]) != slotArg(fr, &in.srcs[1])
-	putSlotBool(ex, fr, in.d, b)
-	return in.branch(b)
-}
-
-func execSlotBoolAnd(ex *Exec, fr *Frame, in *Instr) int {
-	b := slotArg(fr, &in.srcs[0]) != 0 && slotArg(fr, &in.srcs[1]) != 0
-	putSlotBool(ex, fr, in.d, b)
-	return in.branch(b)
-}
-
-func execSlotBoolOr(ex *Exec, fr *Frame, in *Instr) int {
-	b := slotArg(fr, &in.srcs[0]) != 0 || slotArg(fr, &in.srcs[1]) != 0
-	putSlotBool(ex, fr, in.d, b)
-	return in.branch(b)
-}
-
-func execSlotBoolNot(ex *Exec, fr *Frame, in *Instr) int {
-	b := slotArg(fr, &in.srcs[0]) == 0
-	putSlotBool(ex, fr, in.d, b)
 	return in.branch(b)
 }

@@ -17,7 +17,6 @@
 package vm
 
 import (
-	"hilti/internal/hilti/types"
 	"hilti/internal/rt/values"
 )
 
@@ -323,13 +322,6 @@ func splitTuples(fn *CompiledFunc, lead []bool, st *OptStats) {
 			if in := &fn.Code[q]; in.srcs[0].idx == r {
 				*in = Instr{opID: idOf(opAssign), exec: execAssign,
 					d: in.d, srcs: []src{{kind: srcReg, idx: comp[in.srcs[1].val.A]}}, t1: in.t1}
-			}
-		}
-		if int(r) < len(fn.RegTypes) { // the register now holds component 0
-			if t := fn.RegTypes[r]; t != nil && t.Kind == types.Tuple && len(t.Params) == 2 {
-				fn.RegTypes[r] = t.Params[0]
-			} else {
-				fn.RegTypes[r] = nil
 			}
 		}
 	}

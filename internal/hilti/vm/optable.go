@@ -1,8 +1,7 @@
 // The op table: every instruction is one opRow, and everything a pass
 // knows about an op — how it lowers, whether it folds, fuses with a
-// branch, has an unboxed tier-2 form, or may sit inside a superinstruction
-// or verified region — is read from its row, never from its name. Adding
-// an op is adding a row.
+// branch, or may be half of a superinstruction — is read from its row,
+// never from its name. Adding an op is adding a row.
 //
 // Rows are found by name at lowering and by interned id everywhere after:
 // each distinct name an instruction carries (including the fused and
@@ -21,7 +20,6 @@ import (
 	"sync/atomic"
 
 	"hilti/internal/hilti/ast"
-	"hilti/internal/hilti/types"
 	"hilti/internal/rt/values"
 )
 
@@ -47,15 +45,6 @@ type opRow struct {
 	flags opFlags
 	ctl   uint8 // what t1/t2 mean to control-flow passes (ctl* below)
 
-	// Tier-2 form over the unboxed slot file (tier2.go). With a slot
-	// domain every operand must be a scalar of it; slotFit replaces that
-	// test for data movement. slotBoxed runs when the destination stays
-	// boxed and re-boxes srcs[0] by the slot kind it finds in t2.
-	slot      uint8
-	slotFit   func(in *Instr, kind []uint8, rty []*types.Type) bool
-	slotExec  execFn
-	slotBoxed execFn
-
 	// Derived by defineOp.
 	aux  any    // the body the executors find in Instr.aux
 	twin *opRow // cmp: the fused compare-and-branch form
@@ -73,7 +62,7 @@ const (
 	opCmp
 	// opInline: never suspends (a retry would re-run a pair's first half)
 	// and never re-enters the dispatcher (calls, hooks), so it may be half
-	// of a superinstruction or sit in a verified region; raising is fine.
+	// of a superinstruction; raising is fine.
 	// Ops without it are treated as if they might.
 	opInline
 )
@@ -114,12 +103,6 @@ func (r *opRow) is(f opFlags) bool { return r.flags&f != 0 }
 // compare keeps its branch; the if.else on a constant folds instead.
 func (r *opRow) folds() bool { return r.is(opPure) && r.ctl == ctlNone }
 
-// regionSafe: may sit inside a verified region — inline ops, and the
-// unconditional control transfers within the function.
-func (r *opRow) regionSafe() bool {
-	return r.is(opInline) || r.ctl == ctlJump || r.ctl == ctlSwitch || r.ctl == ctlReturn
-}
-
 var opTable = struct {
 	sync.RWMutex
 	byName map[string]*opRow
@@ -152,13 +135,10 @@ func init() {
 
 // The ops passes recognize by identity: the instructions they create, and
 // the shapes they match (copy sources, split tuples, overlay compares).
-// The region instruction exists only in tier-2 code.
 var (
 	opAssign, opJump, opIfElse, opReturnVoid, opReturnResult, opCall *opRow
 	opEqual, opUnequal, opNetContains, opTupleIndex, opOverlayGet    *opRow
 )
-
-var opRegion = &opRow{name: "region"}
 
 // defineOp derives r's executors and aux from its semantics and enters it,
 // with its fused twin, into the table.
@@ -290,25 +270,4 @@ func (r *opRow) shapeExec(srcs []src, d dst) execFn {
 		}
 	}
 	return r.exec
-}
-
-// slotFits reports whether in (which touches at least one slotted
-// register) has a tier-2 form for the current slot assignment.
-func (r *opRow) slotFits(in *Instr, kind []uint8, rty []*types.Type) bool {
-	if r.slotFit != nil {
-		return r.slotFit(in, kind, rty)
-	}
-	if len(in.srcs) != r.arity {
-		return false
-	}
-	for _, dom := range [...]uint8{slotInt, slotBool} {
-		ok := r.slot&dom != 0
-		for i := 0; ok && i < len(in.srcs); i++ {
-			ok = scalarOperand(&in.srcs[i], dom, kind, rty)
-		}
-		if ok {
-			return true
-		}
-	}
-	return false
 }

@@ -10,8 +10,8 @@ import (
 	"hilti/internal/rt/values"
 )
 
-// The per-op lists the op table replaced, copied verbatim from the opt.go,
-// tier2.go and bound.go they lived in — except that the op name is a
+// The per-op lists the op table replaced, copied verbatim from the opt.go
+// and tier2.go they lived in — except that the op name is a
 // parameter, since an instruction no longer carries it — as the reference
 // the table's derived answers are checked against.
 
@@ -95,63 +95,6 @@ func refFuseAccepts(op string, in *Instr) bool {
 	}
 }
 
-func refSlotCompatible(op string, in *Instr, kind []uint8, rty []*types.Type) bool {
-	br := strings.HasSuffix(op, "+br")
-	base := strings.TrimSuffix(op, "+br")
-	switch base {
-	case "assign":
-		if br || len(in.srcs) != 1 {
-			return false
-		}
-		s := &in.srcs[0]
-		if in.d.kind == srcReg && regSlot(kind, in.d.idx) != slotNone {
-			return scalarOperand(s, regSlot(kind, in.d.idx), kind, rty)
-		}
-		// Boxed destination (register, global, or discarded) fed from a
-		// slot: the executor re-boxes by the slot's kind.
-		return s.kind == srcReg && regSlot(kind, s.idx) != slotNone
-	case "int.add", "int.sub", "int.mul":
-		if _, ok := in.aux.(func(x, y int64) int64); !ok || len(in.srcs) != 2 {
-			return false
-		}
-		return scalarOperand(&in.srcs[0], slotInt, kind, rty) &&
-			scalarOperand(&in.srcs[1], slotInt, kind, rty)
-	case "int.eq", "int.lt", "int.gt", "int.leq", "int.geq":
-		if _, ok := in.aux.(func(x, y int64) bool); !ok || len(in.srcs) != 2 {
-			return false
-		}
-		return scalarOperand(&in.srcs[0], slotInt, kind, rty) &&
-			scalarOperand(&in.srcs[1], slotInt, kind, rty)
-	case "equal", "unequal":
-		if len(in.srcs) != 2 {
-			return false
-		}
-		// Both operands must share one scalar domain; raw comparison then
-		// matches values.Equal on same-kind scalars.
-		return (scalarOperand(&in.srcs[0], slotInt, kind, rty) &&
-			scalarOperand(&in.srcs[1], slotInt, kind, rty)) ||
-			(scalarOperand(&in.srcs[0], slotBool, kind, rty) &&
-				scalarOperand(&in.srcs[1], slotBool, kind, rty))
-	case "bool.and", "bool.or", "and", "or":
-		return len(in.srcs) == 2 &&
-			scalarOperand(&in.srcs[0], slotBool, kind, rty) &&
-			scalarOperand(&in.srcs[1], slotBool, kind, rty)
-	case "bool.not", "not":
-		return len(in.srcs) == 1 && scalarOperand(&in.srcs[0], slotBool, kind, rty)
-	case "if.else":
-		return !br && len(in.srcs) == 1 // condition slot is a bool: test != 0
-	case "return.result":
-		return !br && len(in.srcs) == 1 && in.srcs[0].kind == srcReg &&
-			regSlot(kind, in.srcs[0].idx) != slotNone
-	case "overlay.get":
-		// Overlay fields decode into ints; only srcs[0] (the bytes rope)
-		// exists and is never slotted, so only the destination matters.
-		return !br && in.d.kind == srcReg && regSlot(kind, in.d.idx) == slotInt &&
-			len(in.srcs) == 1 && !srcTouchesSlot(&in.srcs[0], kind)
-	}
-	return false
-}
-
 func refPairSafeOp(op string) bool {
 	op = strings.TrimSuffix(op, "+br")
 	if i := strings.IndexByte(op, '+'); i >= 0 {
@@ -173,24 +116,13 @@ func refPairSafeOp(op string) bool {
 	return false
 }
 
-func refRegionSafe(op string) bool {
-	switch op {
-	case "jump", "switch", "return.void", "return.result", "if.else":
-		return true
-	case "region":
-		return false
-	}
-	return refPairSafeOp(op)
-}
-
 func refIsBranch(op string) bool {
 	return op == "if.else" || strings.HasSuffix(op, "+br") ||
 		strings.HasSuffix(op, "+if.else")
 }
 
 // refOperands are the operand shapes tried in every position: a register
-// (the position's own) or an int or bool constant, the two constant kinds
-// the slot classifier distinguishes.
+// (the position's own) or an int or bool constant.
 var refOperands = []func(pos int) ast.Operand{
 	func(pos int) ast.Operand { return ast.VarOp([]string{"a", "b", "c"}[pos]) },
 	func(int) ast.Operand { return ast.IntOp(7) },
@@ -280,16 +212,8 @@ func refSamples(t *testing.T, r *opRow) []Instr {
 	return out
 }
 
-// regStates are the slot states a register can be in as the classifier
-// sees it: slotted int or bool, or boxed with a static type of int, bool,
-// or nothing known.
-var regStates = []struct {
-	kind uint8
-	rty  *types.Type
-}{{slotInt, nil}, {slotBool, nil}, {slotNone, nil}, {slotNone, types.Int64T}, {slotNone, types.BoolT}}
-
 // checkAgainstReference compares every derived predicate for in (named op)
-// with the reference lists, over every slot state of the registers in uses.
+// with the reference lists.
 func checkAgainstReference(t *testing.T, op string, in *Instr) {
 	t.Helper()
 	r := rowOf(in.opID)
@@ -302,44 +226,16 @@ func checkAgainstReference(t *testing.T, op string, in *Instr) {
 	if got, want := r.is(opInline), refPairSafeOp(op); got != want {
 		t.Errorf("%s: pair-safe %v, reference %v", op, got, want)
 	}
-	if got, want := r.regionSafe(), refRegionSafe(op); got != want {
-		t.Errorf("%s: region-safe %v, reference %v", op, got, want)
-	}
 	if got, want := isBranch(in), refIsBranch(op); got != want {
 		t.Errorf("%s: branch %v, reference %v", op, got, want)
 	}
-	var regs []int32
-	if in.d.kind == srcReg {
-		regs = append(regs, in.d.idx)
-	}
-	for i := range in.srcs {
-		if in.srcs[i].kind == srcReg {
-			regs = append(regs, in.srcs[i].idx)
-		}
-	}
-	kind, rty := make([]uint8, 4), make([]*types.Type, 4)
-	var walk func(i int)
-	walk = func(i int) {
-		if i == len(regs) {
-			if got, want := r.slotFits(in, kind, rty), refSlotCompatible(op, in, kind, rty); got != want {
-				t.Errorf("%s %s kinds %v types %v: slot form %v, reference %v",
-					op, (&CompiledFunc{Code: []Instr{*in}}).Disasm(), kind, rty, got, want)
-			}
-			return
-		}
-		for _, st := range regStates {
-			kind[regs[i]], rty[regs[i]] = st.kind, st.rty
-			walk(i + 1)
-		}
-	}
-	walk(0)
 }
 
 // TestOpTableMatchesReference: for every defined op, over every operand
-// shape and slot assignment, the answers the passes derive from the table
-// — fold, fuse with a branch, tier-2 slot form, pair and region safety,
-// branch — are the ones the replaced per-op lists gave, for the plain op,
-// its fused compare-and-branch form, and superinstructions of them.
+// shape, the answers the passes derive from the table — fold, fuse with a
+// branch, pair safety, branch — are the ones the replaced per-op lists
+// gave, for the plain op, its fused compare-and-branch form, and
+// superinstructions of them.
 func TestOpTableMatchesReference(t *testing.T) {
 	var samples []Instr
 	for _, r := range definedRows() {
@@ -371,33 +267,21 @@ func TestOpTableMatchesReference(t *testing.T) {
 			if got, want := rowOf(id).is(opInline), refPairSafeOp(opName(id)); got != want {
 				t.Errorf("%s: pair-safe %v, reference %v", opName(id), got, want)
 			}
-			if got, want := rowOf(id).regionSafe(), refRegionSafe(opName(id)); got != want {
-				t.Errorf("%s: region-safe %v, reference %v", opName(id), got, want)
-			}
 			if got, want := isBranch(in), refIsBranch(opName(id)); got != want {
 				t.Errorf("%s: branch %v, reference %v", opName(id), got, want)
 			}
 		}
 	}
-	if in := (Instr{opID: idOf(opRegion)}); rowOf(in.opID).regionSafe() || isBranch(&in) {
-		t.Error("region instruction must neither nest nor branch")
-	}
 }
 
 // testNonzero is a test-only op defined as a single row: a bool-yielding
-// integer test that is pure, inline and has an unboxed form.
+// integer test that is pure and inline.
 var testNonzero = defineOp(opRow{name: "test.nonzero", arity: 1, flags: opPure | opCmp | opInline,
-	fn:   func(_ *Exec, a []values.Value) (values.Value, error) { return values.Bool(a[0].AsInt() != 0), nil },
-	slot: slotInt, slotExec: func(ex *Exec, fr *Frame, in *Instr) int {
-		b := slotArg(fr, &in.srcs[0]) != 0
-		putSlotBool(ex, fr, in.d, b)
-		return in.branch(b)
-	}})
+	fn: func(_ *Exec, a []values.Value) (values.Value, error) { return values.Bool(a[0].AsInt() != 0), nil }})
 
 // TestAddingAnOpIsOneRow: with no edit beyond its row, test.nonzero folds
-// on constants, fuses with a following if.else, gets its slot executor at
-// O2, disassembles, and (being opCmp) is run by TestBranchOnEveryBooleanOp
-// at every level.
+// on constants, fuses with a following if.else, disassembles, runs at O2,
+// and (being opCmp) is run by TestBranchOnEveryBooleanOp at every level.
 func TestAddingAnOpIsOneRow(t *testing.T) {
 	// Folds on a constant.
 	b := ast.NewBuilder("M")
@@ -410,8 +294,7 @@ func TestAddingAnOpIsOneRow(t *testing.T) {
 		t.Fatalf("not folded (%+v):\n%s", st, fn.Disasm())
 	}
 
-	// Fuses with its if.else, gets the slot form under eager tier-2, and
-	// keeps its meaning at every level.
+	// Fuses with its if.else, and keeps its meaning at every level.
 	build := func() *ast.Module {
 		b := ast.NewBuilder("M")
 		fb := b.Function("f", types.Int64T, ast.Param{Name: "p", Type: types.Int64T})
@@ -429,11 +312,6 @@ func TestAddingAnOpIsOneRow(t *testing.T) {
 	fn, st = optStatsFor(t, build(), "M::f")
 	if st.Fused != 1 || !strings.Contains(fn.Disasm(), "test.nonzero+br    r2 <- r1 ; t1=2 t2=3") {
 		t.Fatalf("not fused (%+v):\n%s", st, fn.Disasm())
-	}
-	fn = linkAt(t, 2, build()).Prog.Fn("M::f")
-	ts, _ := fn.Tier2Stats()
-	if ts.Slotted != 2 || !strings.Contains(fn.DisasmTier(), "test.nonzero+br    i2 <- i1 ; t1=2 t2=3") {
-		t.Fatalf("no slot form (%+v):\n%s", ts, fn.DisasmTier())
 	}
 	for p, want := range map[int64]int64{-1: 2, 0: 1, 41: 1} {
 		for level := 0; level <= 2; level++ {

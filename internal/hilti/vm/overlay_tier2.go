@@ -11,8 +11,7 @@
 // compare and decode inline. When the very next instruction is a fused
 // compare-and-branch consuming the decoded field — the universal filter
 // shape `overlay.get; cmp const +br` — both are collapsed into one
-// superinstruction that decodes, compares, and branches in one dispatch,
-// with no boxing at all on the slot path.
+// superinstruction that decodes, compares, and branches in one dispatch.
 //
 // Transparency rules: the second half stays at its pc as an orphan for side
 // entries, both pcs must share handler coverage, the intermediate register
@@ -149,7 +148,7 @@ func (p *overlayPlan) raiseOverlay(ex *Exec, data []byte) int {
 }
 
 // execOverlayGetSpec is the planned standalone overlay.get: one bounds
-// compare, inline decode, slot-or-boxed store.
+// compare, inline decode, one store.
 func execOverlayGetSpec(ex *Exec, fr *Frame, in *Instr) int {
 	p := in.aux.(*overlayPlan)
 	b := fr.R[in.srcs[0].idx].AsBytes()
@@ -160,12 +159,7 @@ func execOverlayGetSpec(ex *Exec, fr *Frame, in *Instr) int {
 	if p.end > len(data) {
 		return p.raiseOverlay(ex, data)
 	}
-	v := p.decode(data)
-	if in.d.kind == srcSlot {
-		fr.I[in.d.idx] = int64(v.A)
-	} else {
-		ex.put(fr, in.d, v)
-	}
+	ex.put(fr, in.d, p.decode(data))
 	return in.t1
 }
 
@@ -195,19 +189,9 @@ type overlayCmpAux struct {
 	elideB         bool                  // compare result provably dead: skip its store
 }
 
-// storeInt writes the decoded integer to the overlay.get destination
-// (slot or boxed register — the fusion gate allows nothing else).
-func (oa *overlayCmpAux) storeInt(fr *Frame, in *Instr, u uint64) {
-	if in.d.kind == srcSlot {
-		fr.I[in.d.idx] = int64(u)
-	} else {
-		fr.R[in.d.idx] = values.Uint(u)
-	}
-}
-
 // execOvIntCmpBr: overlay.get of an integer field + int.<cmp>+br against a
 // constant, e.g. the ethertype test of every generated packet filter. The
-// decoded integer never touches a values.Value on the hot path.
+// decoded integer is compared without building a values.Value.
 func execOvIntCmpBr(ex *Exec, fr *Frame, in *Instr) int {
 	oa := in.aux.(*overlayCmpAux)
 	b := fr.R[in.srcs[0].idx].AsBytes()
@@ -220,21 +204,21 @@ func execOvIntCmpBr(ex *Exec, fr *Frame, in *Instr) int {
 	}
 	u := oa.u64(data)
 	if !oa.elideD {
-		oa.storeInt(fr, in, u)
+		fr.R[in.d.idx] = values.Uint(u) // a register: the fusion gate allows nothing else
 	}
 	// Second-half budget step, as the dispatch loop would charge it: bail to
 	// the orphan when it would reach a checkpoint so the trip fires at its
 	// precise pc.
 	if ex.budget.steps+1 >= ex.budget.nextCheck {
 		if oa.elideD {
-			oa.storeInt(fr, in, u) // the orphan re-reads it
+			fr.R[in.d.idx] = values.Uint(u) // the orphan re-reads it
 		}
 		return oa.bpc
 	}
 	ex.budget.steps++
 	res := oa.cmpFn(int64(u), oa.cstInt)
 	if !oa.elideB {
-		putSlotBool(ex, fr, oa.bd, res)
+		ex.put(fr, oa.bd, values.Bool(res))
 	}
 	return in.branch(res)
 }
@@ -254,11 +238,7 @@ func execOvEqualBr(ex *Exec, fr *Frame, in *Instr) int {
 	}
 	v := oa.decode(data)
 	if !oa.elideD || ex.budget.steps+1 >= ex.budget.nextCheck {
-		if in.d.kind == srcSlot {
-			fr.I[in.d.idx] = int64(v.A)
-		} else {
-			fr.R[in.d.idx] = v
-		}
+		fr.R[in.d.idx] = v
 		if ex.budget.steps+1 >= ex.budget.nextCheck {
 			return oa.bpc
 		}
@@ -269,7 +249,7 @@ func execOvEqualBr(ex *Exec, fr *Frame, in *Instr) int {
 		res = !res
 	}
 	if !oa.elideB {
-		putSlotBool(ex, fr, oa.bd, res)
+		ex.put(fr, oa.bd, values.Bool(res))
 	}
 	return in.branch(res)
 }
@@ -291,11 +271,7 @@ func execOvAddr4EqBr(ex *Exec, fr *Frame, in *Instr) int {
 	d := data[oa.off:oa.end:oa.end]
 	lo := oa.v4lo | uint64(d[0])<<24 | uint64(d[1])<<16 | uint64(d[2])<<8 | uint64(d[3])
 	if !oa.elideD || ex.budget.steps+1 >= ex.budget.nextCheck {
-		if in.d.kind == srcSlot {
-			fr.I[in.d.idx] = int64(oa.v4hi)
-		} else {
-			fr.R[in.d.idx] = values.Value{K: values.KindAddr, A: oa.v4hi, B: lo}
-		}
+		fr.R[in.d.idx] = values.Value{K: values.KindAddr, A: oa.v4hi, B: lo}
 		if ex.budget.steps+1 >= ex.budget.nextCheck {
 			return oa.bpc
 		}
@@ -306,7 +282,7 @@ func execOvAddr4EqBr(ex *Exec, fr *Frame, in *Instr) int {
 		res = !res
 	}
 	if !oa.elideB {
-		putSlotBool(ex, fr, oa.bd, res)
+		ex.put(fr, oa.bd, values.Bool(res))
 	}
 	return in.branch(res)
 }
@@ -327,11 +303,7 @@ func execOvAddr4NetBr(ex *Exec, fr *Frame, in *Instr) int {
 	d := data[oa.off:oa.end:oa.end]
 	lo := oa.v4lo | uint64(d[0])<<24 | uint64(d[1])<<16 | uint64(d[2])<<8 | uint64(d[3])
 	if !oa.elideD || ex.budget.steps+1 >= ex.budget.nextCheck {
-		if in.d.kind == srcSlot {
-			fr.I[in.d.idx] = int64(oa.v4hi)
-		} else {
-			fr.R[in.d.idx] = values.Value{K: values.KindAddr, A: oa.v4hi, B: lo}
-		}
+		fr.R[in.d.idx] = values.Value{K: values.KindAddr, A: oa.v4hi, B: lo}
 		if ex.budget.steps+1 >= ex.budget.nextCheck {
 			return oa.bpc
 		}
@@ -339,7 +311,7 @@ func execOvAddr4NetBr(ex *Exec, fr *Frame, in *Instr) int {
 	ex.budget.steps++
 	res := oa.a4ok && lo&oa.maskLo == oa.cst.B
 	if !oa.elideB {
-		putSlotBool(ex, fr, oa.bd, res)
+		ex.put(fr, oa.bd, values.Bool(res))
 	}
 	return in.branch(res)
 }
@@ -359,11 +331,7 @@ func execOvNetContainsBr(ex *Exec, fr *Frame, in *Instr) int {
 	}
 	v := oa.decode(data)
 	if !oa.elideD || ex.budget.steps+1 >= ex.budget.nextCheck {
-		if in.d.kind == srcSlot {
-			fr.I[in.d.idx] = int64(v.A)
-		} else {
-			fr.R[in.d.idx] = v
-		}
+		fr.R[in.d.idx] = v
 		if ex.budget.steps+1 >= ex.budget.nextCheck {
 			return oa.bpc
 		}
@@ -371,23 +339,22 @@ func execOvNetContainsBr(ex *Exec, fr *Frame, in *Instr) int {
 	ex.budget.steps++
 	res := v.A&oa.maskHi == oa.cst.A && v.B&oa.maskLo == oa.cst.B
 	if !oa.elideB {
-		putSlotBool(ex, fr, oa.bd, res)
+		ex.put(fr, oa.bd, values.Bool(res))
 	}
 	return in.branch(res)
 }
 
-// operandIs reports whether source s reads exactly destination d (register
-// or slot).
+// operandIs reports whether source s reads exactly register destination d.
 func operandIs(s *src, d dst) bool {
-	return (s.kind == srcReg || s.kind == srcSlot) && s.kind == d.kind && s.idx == d.idx
+	return s.kind == srcReg && d.kind == srcReg && s.idx == d.idx
 }
 
 // srcReads reports whether operand s (recursing into ctor sub-operands)
 // reads destination d.
 func srcReads(s *src, d dst) bool {
 	switch s.kind {
-	case srcReg, srcSlot:
-		return s.kind == d.kind && s.idx == d.idx
+	case srcReg:
+		return d.kind == srcReg && s.idx == d.idx
 	case srcCtor:
 		for i := range s.subs {
 			if srcReads(&s.subs[i], d) {
@@ -399,10 +366,10 @@ func srcReads(s *src, d dst) bool {
 }
 
 // regReaders counts the instructions reading destination d anywhere in
-// code, skipping pc skip (pass -1 to skip nothing). Registers and slots
-// only — a global is observable beyond the function and never elidable.
+// code, skipping pc skip (pass -1 to skip nothing). Registers only — a
+// global is observable beyond the function and never elidable.
 func regReaders(code []Instr, d dst, skip int) int {
-	if d.kind != srcReg && d.kind != srcSlot {
+	if d.kind != srcReg {
 		return -1
 	}
 	n := 0
@@ -488,7 +455,7 @@ func fuseOverlayPairs(tc *tierCode, hs []handler) {
 // followed by the compare-and-branch b, or false when the shapes do not fit.
 func fuseOverlayPair(code []Instr, hs []handler, pc int, a, b *Instr) (Instr, bool) {
 	if rowOf(a.opID) != opOverlayGet || len(a.srcs) != 1 || a.srcs[0].kind != srcReg ||
-		a.d.kind != srcReg && a.d.kind != srcSlot {
+		a.d.kind != srcReg {
 		return Instr{}, false
 	}
 	ov, okOv := a.aux.(*overlay.Overlay)

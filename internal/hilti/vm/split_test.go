@@ -86,9 +86,6 @@ func TestSplitTuplesGolden(t *testing.T) {
 	if got := fn.Disasm(); got != split || st.Split != 2 {
 		t.Fatalf("after splitTuples (Split=%d):\n--- got ---\n%s--- want ---\n%s", st.Split, got, split)
 	}
-	if fn.RegTypes[4] != types.Int64T {
-		t.Fatalf("old tuple register should now be typed as component 0, got %v", fn.RegTypes[4])
-	}
 	splitTuples(fn, leaders(fn), &st)
 	if got := fn.Disasm(); got != split || st.Split != 2 {
 		t.Fatalf("splitTuples is not idempotent:\n%s", got)

@@ -9,6 +9,7 @@ import (
 	"hilti/internal/hilti/ast"
 	"hilti/internal/hilti/types"
 	"hilti/internal/rt/hbytes"
+	"hilti/internal/rt/overlay"
 	"hilti/internal/rt/values"
 )
 
@@ -204,42 +205,65 @@ func TestSuspendInFusedInstruction(t *testing.T) {
 	})
 }
 
-// tierModule is f(cur, x) = 3x + uint16(cur): k = 3x is computed before the
-// unpack that parks and lives in an unboxed slot under tier-2, in a boxed
-// register otherwise — so resuming on the other tier's code reads garbage.
+// tierModule is f(cur, x, pkt) = 3x + uint16(cur), plus 1000 when pkt's
+// first byte is 7: k = 3x is computed before the unpack that parks, and
+// the overlay read and compare after it are the pair tier-2 fuses.
 func tierModule() *ast.Module {
 	b := ast.NewBuilder("M")
-	fb := b.Function("f", types.Int64T, ast.Param{Name: "cur", Type: iterT}, ast.Param{Name: "x", Type: types.Int64T})
+	ovT := types.OverlayT(overlay.New("M::H", overlay.Field{Name: "b", Format: overlay.UInt8}))
+	b.DeclareType("M::H", ovT)
+	fb := b.Function("f", types.Int64T, ast.Param{Name: "cur", Type: iterT},
+		ast.Param{Name: "x", Type: types.Int64T}, ast.Param{Name: "pkt", Type: types.RefT(types.BytesT)})
 	k := fb.Local("k", types.Int64T)
 	v := fb.Local("v", types.Int64T)
+	y := fb.Local("y", types.Int64T)
+	c := fb.Local("c", types.BoolT)
 	fb.Assign(k, "int.mul", ast.VarOp("x"), ast.IntOp(3))
 	emitUnpack(fb, "unpack.uint16be", v)
 	fb.Assign(k, "int.add", k, v)
+	fb.Assign(y, "overlay.get", ast.TypeOperand(ovT), ast.FieldOperand("b"), ast.VarOp("pkt"))
+	fb.Assign(c, "int.eq", y, ast.IntOp(7))
+	fb.IfElse(c, "seven", "done")
+	fb.Block("seven")
+	fb.Assign(k, "int.add", k, ast.IntOp(1000))
+	fb.Block("done")
 	fb.Return(k)
 	return b.M
 }
 
+// A call parked on tier-1 code and resumed after its function was promoted
+// continues on the tier-2 code at the same pc: same registers, same result,
+// same steps as a call that never left tier-1.
 func TestSuspendAcrossTierChange(t *testing.T) {
 	park := func(t *testing.T, ex *Exec) (*Resumable, *hbytes.Bytes) {
 		rope := hbytes.NewFrom([]byte{0x01})
-		r := ex.FiberCall(ex.Prog.Fn("M::f"), values.IterBytes(rope.Begin()), values.Int(7))
+		r := ex.FiberCall(ex.Prog.Fn("M::f"), values.IterBytes(rope.Begin()), values.Int(7), values.BytesFrom([]byte{7}))
 		mustPark(t, r)
 		return r, rope
+	}
+	finish := func(t *testing.T, r *Resumable, rope *hbytes.Bytes) (int64, uint64) {
+		rope.Append([]byte{0x02})
+		return mustFinish(t, r).AsInt(), r.budget.steps
+	}
+	ref := linkAt(t, 1, tierModule())
+	r, rope := park(t, ref)
+	want, wantSteps := finish(t, r, rope)
+	if want != 21+0x0102+1000 || ref.Prog.Fn("M::f").TierActive() {
+		t.Fatalf("tier-1 reference: %d", want)
 	}
 	t.Run("promoted while parked", func(t *testing.T) {
 		ex := linkAt(t, 1, tierModule())
 		fn := ex.Prog.Fn("M::f")
 		r, rope := park(t, ex)
 		promoteTier2(fn)
-		if st, ok := fn.Tier2Stats(); !ok || st.SlotRegs == 0 {
-			t.Fatalf("test needs k in a slot under tier-2: %+v\n%s", st, fn.DisasmTier())
+		if st, ok := fn.Tier2Stats(); !ok || st.Pairs != 1 {
+			t.Fatalf("test needs the overlay compare fused under tier-2: %+v\n%s", st, fn.DisasmTier())
 		}
-		rope.Append([]byte{0x02})
-		if v := mustFinish(t, r); v.AsInt() != 21+0x0102 {
-			t.Fatalf("resumed on the wrong code array: %v", v)
+		if got, steps := finish(t, r, rope); got != want || steps != wantSteps {
+			t.Fatalf("resumed on tier-2: %d in %d steps, want %d in %d", got, steps, want, wantSteps)
 		}
-		// A new activation does pick the tier-2 code up.
-		if v, err := ex.Call("M::f", frozen(0, 9), values.Int(1)); err != nil || v.AsInt() != 12 {
+		// A new activation runs the tier-2 code too.
+		if v, err := ex.Call("M::f", frozen(0, 9), values.Int(1), values.BytesFrom([]byte{6})); err != nil || v.AsInt() != 12 {
 			t.Fatalf("tier-2 call: %v %v", v, err)
 		}
 	})

@@ -13,8 +13,7 @@ import (
 )
 
 // countModule is a classic counted loop with constant bounds: sum = 2*100
-// via 100 iterations. Its back edge leaves the verified region, so every
-// iteration re-enters it through the outer, budget-checked loop.
+// via 100 iterations.
 func countModule() *ast.Builder {
 	b := ast.NewBuilder("M")
 	fb := b.Function("count", types.Int64T)
@@ -42,16 +41,11 @@ func TestTier2CountedLoopVerified(t *testing.T) {
 	if !fn.TierActive() {
 		t.Fatal("O2 link did not install tier-2 code")
 	}
-	st, _ := fn.Tier2Stats()
-	if st.SlotRegs == 0 || st.Slotted == 0 {
-		t.Fatalf("int/bool locals not unboxed: stats=%+v\n%s", st, fn.DisasmTier())
-	}
 	v, err := ex.Call("M::count")
 	if err != nil || v.AsInt() != 200 {
 		t.Fatalf("got %v %v", v, err)
 	}
-	// Verified regions elide per-instruction budget checks but still
-	// charge the exact executed count.
+	// Tier-2 charges exactly the instructions tier-1 executes.
 	o1 := linkAt(t, 1, countModule().M)
 	if _, err := o1.Call("M::count"); err != nil {
 		t.Fatal(err)
@@ -62,24 +56,26 @@ func TestTier2CountedLoopVerified(t *testing.T) {
 }
 
 func TestTier2DisasmGolden(t *testing.T) {
-	ex := linkAt(t, 2, countModule().M)
-	fn := ex.Prog.Fn("M::count")
+	fn := linkAt(t, 2, filterModule(t)).Prog.Fn("Filter::filter")
 	got := fn.DisasmTier()
-	const want = `func M::count (params=0 regs=3)
-unboxed: i0:int i1:int i2:bool
-0000 region             [verified: 6 instrs]
-0001 assign             i1 <- c:0
-0002 int.lt+br          i2 <- i1, c:100 ; t1=3 t2=5
-0003 int.add            i0 <- i0, c:2
-0004 int.add            i1 <- i1, c:1 ; t1=2
-0005 return.result      _ <- i0
+	const want = `func Filter::filter (params=1 regs=9)
+0000 overlay.get+int.eq+br r1 <- r0 ; t1=2 t2=9
+0001 int.eq+br          r2 <- r1, c:2048 ; t1=2 t2=9
+0002 overlay.get+equal+br r3 <- r0 ; t1=8 t2=4
+0003 equal+br           r4 <- r3, c:10.1.9.77 ; t1=8 t2=4
+0004 overlay.get+equal+br r5 <- r0 ; t1=8 t2=6
+0005 equal+br           r6 <- r5, c:10.1.9.77 ; t1=8 t2=6
+0006 overlay.get+net.contains+br r7 <- r0 ; t1=8 t2=9
+0007 net.contains+br    r8 <- c:10.1.3.0/24, r7 ; t1=8 t2=9
+0008 return.result      _ <- c:True
+0009 return.result      _ <- c:False
 `
 	if got != want {
 		t.Fatalf("tier-2 disassembly drifted:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 	// The tier-1 view of the same function must be unchanged by tiering.
-	if strings.Contains(fn.Disasm(), "region") || strings.Contains(fn.Disasm(), "i0") {
-		t.Fatalf("tier-1 disassembly polluted by tier-2 state:\n%s", fn.Disasm())
+	if strings.Contains(fn.Disasm(), "overlay.get+") {
+		t.Fatalf("tier-1 disassembly polluted by tier-2 code:\n%s", fn.Disasm())
 	}
 }
 
@@ -142,10 +138,9 @@ func TestTier2RuntimePromotion(t *testing.T) {
 	}
 }
 
-// TestTier2BudgetParity arms an instruction budget over an unproven loop
-// (register-bounded, so the prover must reject it) and requires the
-// ResourceExhausted trip to be bit-identical between O1 and O2: same
-// exception, same step count at the raise.
+// TestTier2BudgetParity arms an instruction budget over a register-bounded
+// loop and requires the ResourceExhausted trip to be bit-identical between
+// O1 and O2: same exception, same step count at the raise.
 func TestTier2BudgetParity(t *testing.T) {
 	var steps [2]uint64
 	for k, level := range []int{1, 2} {
@@ -163,9 +158,9 @@ func TestTier2BudgetParity(t *testing.T) {
 	}
 }
 
-// TestTier2ProvenLoopUnderBudget runs the proven counted loop with a
-// budget that the whole invocation fits into, and with one it does not:
-// elision must neither trip a fitting budget nor miss an exceeded one.
+// TestTier2ProvenLoopUnderBudget runs the constant-bounded counted loop
+// with a budget that the whole invocation fits into, and with one it does
+// not: tier-2 must neither trip a fitting budget nor miss an exceeded one.
 func TestTier2ProvenLoopUnderBudget(t *testing.T) {
 	// Fits: the loop needs ~400 steps; 1000 must not trip.
 	ex := linkAt(t, 2, countModule().M)
@@ -186,14 +181,13 @@ func TestTier2ProvenLoopUnderBudget(t *testing.T) {
 		steps[k] = ex.Steps()
 	}
 	if steps[0] != steps[1] {
-		t.Fatalf("verified-region budget trip diverged: O1=%d O2=%d", steps[0], steps[1])
+		t.Fatalf("budget trip diverged: O1=%d O2=%d", steps[0], steps[1])
 	}
 }
 
-// TestTier2ExceptionInRegion makes sure a raise from inside a verified
-// region still resolves to the correct handler (the region instruction
-// sits at the region head pc, which fusion and region formation keep
-// handler-equivalent to every covered pc).
+// TestTier2ExceptionInRegion makes sure a raise inside a try range still
+// resolves to the correct handler under tier-2 code, which addresses the
+// same pcs as tier-1.
 func TestTier2ExceptionInRegion(t *testing.T) {
 	for _, args := range []int64{1, 2} {
 		want, _ := linkAt(t, 0, tryModule().M).Call("M::guarded", values.Int(args))
@@ -250,14 +244,7 @@ func TestTier2ConcurrentPromotion(t *testing.T) {
 // ever executes before promotion. The promoted code must still be exactly
 // what eager O2 builds — the lowering reads the code, not the traffic.
 func TestRuntimePromotionMatchesEagerO2(t *testing.T) {
-	e, err := bpf.ParseFilter("host 10.1.9.77 or src net 10.1.3.0/24")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod, err := bpf.CompileHILTI(e)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mod := filterModule(t)
 	eager := linkAt(t, 2, mod).Prog.Fn("Filter::filter")
 
 	ex := linkAt(t, 1, mod)
@@ -279,7 +266,85 @@ func TestRuntimePromotionMatchesEagerO2(t *testing.T) {
 	if got, want := fn.DisasmTier(), eager.DisasmTier(); got != want {
 		t.Fatalf("runtime promotion differs from eager O2:\n--- promoted ---\n%s--- eager ---\n%s", got, want)
 	}
-	if st, _ := fn.Tier2Stats(); st.SlotRegs == 0 || st.Pairs != 4 || st.Regions == 0 {
-		t.Fatalf("promoted filter lacks slots, overlay fusions or a region: %+v\n%s", st, fn.DisasmTier())
+	if st, _ := fn.Tier2Stats(); st.Pairs != 4 {
+		t.Fatalf("promoted filter has %d overlay pairs, want 4: %+v\n%s", st.Pairs, st, fn.DisasmTier())
+	}
+}
+
+// filterModule is the §6.2 filter, the program tier-2 exists for: four
+// overlay reads, each followed by the compare-and-branch tier-2 fuses.
+func filterModule(t testing.TB) *ast.Module {
+	e, err := bpf.ParseFilter("host 10.1.9.77 or src net 10.1.3.0/24")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := bpf.CompileHILTI(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mod
+}
+
+// ipv4Frame is a minimal Ethernet+IPv4 frame from src to dst.
+func ipv4Frame(src, dst [4]byte) []byte {
+	f := make([]byte, 60)
+	f[12], f[13], f[14] = 0x08, 0x00, 0x45
+	copy(f[26:30], src[:])
+	copy(f[30:34], dst[:])
+	return f
+}
+
+// callOutcome is what a budgeted call of the filter leaves behind.
+type callOutcome struct {
+	match bool
+	exc   string
+	steps uint64
+}
+
+func callFilter(t testing.TB, ex *Exec, frame []byte, limit uint64) callOutcome {
+	ex.Limits = Limits{Instructions: limit}
+	v, err := ex.Call("Filter::filter", values.BytesVal(hbytes.NewFrom(frame)))
+	o := callOutcome{steps: ex.Steps()}
+	if err != nil {
+		var exc *values.Exception
+		if !errors.As(err, &exc) {
+			t.Fatalf("non-exception error %v", err)
+		}
+		o.exc = exc.Name
+	} else {
+		o.match = v.AsBool()
+	}
+	return o
+}
+
+// TestTier2FusedPairBudgetParity arms every instruction budget from 1 to
+// one past a call's step count over the §6.2 filter, on a packet that
+// matches and one that does not, at O1 and at eager O2. A fused overlay
+// pair charges its second half itself, or bails to the orphan compare when
+// that step would reach a checkpoint; either way both levels must return
+// the same result or trip at the same step.
+func TestTier2FusedPairBudgetParity(t *testing.T) {
+	o1, o2 := linkAt(t, 1, filterModule(t)), linkAt(t, 2, filterModule(t))
+	if st, _ := o2.Prog.Fn("Filter::filter").Tier2Stats(); st.Pairs != 4 {
+		t.Fatalf("eager O2 fused %d overlay pairs, want 4", st.Pairs)
+	}
+	frames := map[string][]byte{
+		"match":    ipv4Frame([4]byte{10, 1, 3, 9}, [4]byte{192, 168, 0, 1}),
+		"no match": ipv4Frame([4]byte{10, 2, 3, 9}, [4]byte{192, 168, 0, 1}),
+	}
+	for name, frame := range frames {
+		full := callFilter(t, o1, frame, 0)
+		if full.match != (name == "match") {
+			t.Fatalf("%s: unbudgeted O1 call returned %v", name, full.match)
+		}
+		for limit := uint64(1); limit <= full.steps+1; limit++ {
+			a, b := callFilter(t, o1, frame, limit), callFilter(t, o2, frame, limit)
+			if a != b {
+				t.Fatalf("%s, limit %d: O1 %+v, O2 %+v", name, limit, a, b)
+			}
+			if tripped := a.exc != ""; tripped != (limit <= full.steps) || tripped && a.exc != ExcResourceExhausted {
+				t.Fatalf("%s, limit %d of %d steps: %+v", name, limit, full.steps, a)
+			}
+		}
 	}
 }

@@ -83,15 +83,14 @@ type Instr struct {
 	// (execTwo) or a call of a function returning a two-element constructor
 	// (execReturnPair) that splitTuples in opt.go has split, 0 otherwise. It
 	// is always a register splitTuples allocated itself — above the tuple
-	// register it replaces, so never register 0, and outside RegTypes, so
-	// tier-2 never re-homes it to a slot.
+	// register it replaces, so never register 0.
 	d2   int32
 	srcs []src
 	aux  any
 	// jump targets (patched after lowering). t1 is always a pc; t2 is a pc
 	// for branching ops (if.else, fused compares) and for compares, which
 	// branch to their fallthrough until fused — overlay.get stores a field
-	// index there, and tier-2 re-boxing executors a slot kind (tier2.go).
+	// index there.
 	t1, t2 int
 }
 
@@ -124,17 +123,11 @@ type CompiledFunc struct {
 	// ID is the function's dense index within its Program, assigned at
 	// link time; the tier-promotion counters are keyed by it.
 	ID int
-	// RegTypes records the static type of each declared register (params
-	// then locals, indexed by register number). Registers allocated after
-	// lowering (hidden exception slots) fall outside the slice and are
-	// treated as untyped. Tier-2 slot classification reads this.
-	RegTypes []*types.Type
 
 	// tier2, when non-nil, is the specialized tier-2 code the dispatch
 	// loop prefers (see tier2.go). It is published atomically so Execs on
 	// other goroutines (a Program is shared across pipeline workers) pick
-	// it up at their next invocation; an invocation in flight keeps
-	// running whichever code array it loaded at entry.
+	// it up the next time they load fn's code (code).
 	tier2 atomic.Pointer[tierCode]
 	// tiered is set once, by eager O2 or the first promotion; tier-2 code
 	// is built at most once per function.
@@ -143,6 +136,16 @@ type CompiledFunc struct {
 
 // TierActive reports whether the function currently executes tier-2 code.
 func (fn *CompiledFunc) TierActive() bool { return fn.tier2.Load() != nil }
+
+// code returns the code the dispatch loop runs for fn: tier-2 once
+// published, else tier-1. The tiers are pc-identical over the same boxed
+// registers, so any activation may switch at any load.
+func (fn *CompiledFunc) code() []Instr {
+	if tc := fn.tier2.Load(); tc != nil {
+		return tc.code
+	}
+	return fn.Code
+}
 
 // HostFunc is a Go function callable from HILTI code — the inverse of the
 // generated C stubs: "HILTI code can invoke arbitrary C functions" (§3.4).
@@ -162,10 +165,7 @@ type globalInit struct {
 	mk   func(ex *Exec) (values.Value, error)
 }
 
-// Frame is one function activation: a register file. Under tier-2 code, I
-// holds the unboxed int64/bool slots of statically-typed scalar registers;
-// a register promoted to a slot is dead in R for the whole activation (its
-// readers and writers were all rewritten to the slot, see tier2.go).
+// Frame is one function activation: a register file.
 //
 // args is the operand scratch of the instruction currently executing in
 // this activation (see Exec.operands). It belongs to the frame, not the
@@ -175,26 +175,8 @@ type globalInit struct {
 // every such interleaving runs in other frames.
 type Frame struct {
 	R    []values.Value
-	I    []int64
 	Ret  values.Value
 	args []values.Value
-}
-
-// enterTier prepares the frame for a tier-2 activation: size and zero the
-// slot file, then unbox the slotted parameters (arguments always arrive
-// boxed through the host calling convention).
-func (fr *Frame) enterTier(tc *tierCode, nregs int) {
-	if cap(fr.I) < nregs {
-		fr.I = make([]int64, nregs)
-	} else {
-		fr.I = fr.I[:nregs]
-		for i := range fr.I {
-			fr.I[i] = 0
-		}
-	}
-	for _, p := range tc.slotParams {
-		fr.I[p] = int64(fr.R[p].A)
-	}
 }
 
 // Exec is an execution context — the paper's per-virtual-thread context
@@ -337,8 +319,8 @@ func (ex *Exec) newFrame(fn *CompiledFunc) *Frame {
 // pin heap objects (byte ropes, structs) of completed calls via Value.O,
 // and so that newFrame can hand them out without re-clearing. Registers
 // past len(fr.R) are still clear from the frame's last wider use: every
-// write to R (put, a call's or hook body's argument copy, enterTier) is
-// bounded by its length.
+// write to R (put, a call's or hook body's argument copy) is bounded by
+// its length.
 func (ex *Exec) freeFrame(fr *Frame) {
 	if len(ex.freeFrames) >= maxFreeFrames {
 		return
@@ -376,21 +358,10 @@ func (ex *Exec) raiseErr(err error) int {
 // waiting for its callee, or the innermost frame of a parked call — as
 // plain data: no Go stack stands behind it.
 type activation struct {
-	fn *CompiledFunc
-	// tier is the tier-2 code the activation was entered on (enter), nil for
-	// fn.Code, and never re-chosen, even across a park: the tiers are
-	// pc-identical, but slot state only exists under tier-2.
-	tier *tierCode
+	fn   *CompiledFunc
 	fr   *Frame
 	pc   int32 // the call or hook.run in flight; where a parked call continues
 	body int32 // hook.run in flight: the body running
-}
-
-func codeOf(fn *CompiledFunc, tier *tierCode) []Instr {
-	if tier != nil {
-		return tier.code
-	}
-	return fn.Code
 }
 
 // ExcStackExhausted is raised by a call that would nest deeper than
@@ -401,15 +372,11 @@ const (
 	maxCallDepth      = 10_000
 )
 
-// enter chooses the code a new activation of fn runs on and prepares fr.
-func (ex *Exec) enter(fn *CompiledFunc, fr *Frame) *tierCode {
-	tc := fn.tier2.Load()
-	if tc != nil {
-		fr.enterTier(tc, fn.NRegs)
-	} else if ex.tiering != nil {
+// enter counts a new activation of fn towards its promotion.
+func (ex *Exec) enter(fn *CompiledFunc) {
+	if ex.tiering != nil {
 		ex.tiering.observe(fn)
 	}
-	return tc
 }
 
 // hookBody enters body number body of the hook.run instruction in, which
@@ -418,7 +385,7 @@ func (ex *Exec) hookBody(a *runState, fr *Frame, in *Instr, body int32) {
 	a.fn = in.aux.(*hookTarget).bodies[body]
 	a.fr = ex.newFrame(a.fn)
 	copy(a.fr.R, fr.args[:len(in.srcs)])
-	a.tier = ex.enter(a.fn, a.fr)
+	ex.enter(a.fn)
 }
 
 func (ex *Exec) pop() activation {
@@ -458,7 +425,7 @@ func (ex *Exec) run(s *runState) (values.Value, runStatus) {
 	for {
 		// The inner loop is the instruction fast path and nothing else:
 		// only code, fr and pc are live across the handler call.
-		code, fr, cur := codeOf(s.fn, s.tier), s.fr, pc
+		code, fr, cur := s.fn.code(), s.fr, pc
 		for uint(pc) < uint(len(code)) {
 			cur = pc
 			// Budget fast path: one increment and compare; nextCheck is
@@ -507,7 +474,7 @@ func (ex *Exec) transfer(a *runState, pc, cur int) (int, runStatus) {
 			}
 			ex.depthMark = n + 1
 		}
-		in, fr := &codeOf(a.fn, a.tier)[cur], a.fr
+		in, fr := &a.fn.code()[cur], a.fr
 		a.pc, a.body = int32(cur), -1
 		if pc == pcHook {
 			a.body = 0
@@ -521,7 +488,7 @@ func (ex *Exec) transfer(a *runState, pc, cur int) (int, runStatus) {
 		for i := range in.srcs {
 			a.fr.R[i] = ex.get(fr, &in.srcs[i])
 		}
-		a.tier = ex.enter(a.fn, a.fr)
+		ex.enter(a.fn)
 		return 0, running
 	case pcSuspend:
 		if a.park {
@@ -535,7 +502,7 @@ func (ex *Exec) transfer(a *runState, pc, cur int) (int, runStatus) {
 	case pcRaise:
 	default: // a return: back to the caller's call or hook.run
 		top := &ex.stack[len(ex.stack)-1]
-		in := &codeOf(top.fn, top.tier)[top.pc]
+		in := &top.fn.code()[top.pc]
 		ret := a.fr.Ret
 		if pc == pcPair && top.body < 0 {
 			// A split call (d2, splitTuples) takes the components in two
@@ -628,7 +595,8 @@ func (ex *Exec) CallFn(fn *CompiledFunc, args ...values.Value) (values.Value, er
 	ex.budget.vmDepth++
 	base := len(ex.stack)
 	defer ex.leave(base)
-	ret, st := ex.run(&runState{activation{fn: fn, tier: ex.enter(fn, fr), fr: fr}, base, false})
+	ex.enter(fn)
+	ret, st := ex.run(&runState{activation{fn: fn, fr: fr}, base, false})
 	if ex.budget.vmDepth == 1 && ex.Met != nil {
 		ex.Met.harvest(ex.budget.steps, st == runRaised, ex.parked, ex.depthMark+1)
 	}
@@ -731,7 +699,7 @@ func (r *Resumable) Resume() (values.Value, bool, error) {
 	if !r.started { // the call is entered here
 		r.started = true
 		ex.armBudget()
-		s.tier = ex.enter(s.fn, s.fr)
+		ex.enter(s.fn)
 	}
 	ex.rearmDeadline()
 	v, st := ex.run(&s)
