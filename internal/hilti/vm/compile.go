@@ -414,7 +414,7 @@ type simpleFn func(ex *Exec, args []values.Value) (values.Value, error)
 // simpleFn-dispatched executor. It returns the stored result and the next
 // pc; a negative pc (raise or retry) means nothing was stored.
 func (ex *Exec) simple(fr *Frame, in *Instr) (values.Value, int) {
-	v, err := in.aux.(simpleFn)(ex, ex.operands(fr, in))
+	v, err := in.aux.(simpleFn)(ex, ex.operands(fr, in.srcs))
 	if err != nil {
 		return v, ex.raiseErr(err)
 	}

@@ -50,7 +50,7 @@ type twoFn func(ex *Exec, args []values.Value) (a, b values.Value, err error)
 // results go straight to the two registers and no tuple is built. Either
 // way nothing is written when the op raises or suspends for input.
 func execTwo(ex *Exec, fr *Frame, in *Instr) int {
-	a, b, err := in.aux.(twoFn)(ex, ex.operands(fr, in))
+	a, b, err := in.aux.(twoFn)(ex, ex.operands(fr, in.srcs))
 	if err != nil {
 		return ex.raiseErr(err)
 	}

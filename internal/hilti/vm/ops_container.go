@@ -286,7 +286,13 @@ var containerOps = []opRow{
 		s.Insert(a[1])
 		return values.Nil, nil
 	}},
-	{name: "set.exists", arity: 2, flags: opCmp, exec: execSetExists},
+	{name: "set.exists", arity: 2, flags: opCmp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+		s, err := asSet(a[0])
+		if err != nil {
+			return values.Nil, err
+		}
+		return values.Bool(s.Exists(a[1])), nil
+	}, exec: execSetExists},
 	{name: "set.remove", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		s, err := asSet(a[0])
 		if err != nil {
@@ -330,9 +336,34 @@ var containerOps = []opRow{
 		m.Insert(a[1], a[2])
 		return values.Nil, nil
 	}},
-	{name: "map.get", arity: 2, exec: execMapGet},
-	{name: "map.get_default", arity: 3, exec: execMapGetDefault},
-	{name: "map.exists", arity: 2, flags: opCmp, exec: execMapExists},
+	{name: "map.get", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+		m, err := asMap(a[0])
+		if err != nil {
+			return values.Nil, err
+		}
+		v, ok := m.Get(a[1])
+		if !ok {
+			return values.Nil, &values.Exception{Name: "Hilti::IndexError", Msg: "key not in map: " + values.Format(a[1])}
+		}
+		return v, nil
+	}, exec: execMapGet},
+	{name: "map.get_default", arity: 3, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+		m, err := asMap(a[0])
+		if err != nil {
+			return values.Nil, err
+		}
+		if v, ok := m.Get(a[1]); ok {
+			return v, nil
+		}
+		return a[2], nil
+	}, exec: execMapGetDefault},
+	{name: "map.exists", arity: 2, flags: opCmp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+		m, err := asMap(a[0])
+		if err != nil {
+			return values.Nil, err
+		}
+		return values.Bool(m.Exists(a[1])), nil
+	}, exec: execMapExists},
 	{name: "map.remove", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		m, err := asMap(a[0])
 		if err != nil {
@@ -440,7 +471,8 @@ func execNew(ex *Exec, fr *Frame, in *Instr) int {
 // and, for lookups, the per-call values.Key allocation: the key is encoded
 // into the Exec's scratch buffer and probed with the container's *Keyed
 // methods. Tuple-constructor keys — the per-packet pattern of the firewall
-// and session tables — never materialize a tuple at all.
+// and session tables — never materialize a tuple at all. Each row's fn
+// stays the reference semantics they are held to.
 
 func execStructGet(ex *Exec, fr *Frame, in *Instr) int {
 	s, err := asStruct(ex.get(fr, &in.srcs[0]))

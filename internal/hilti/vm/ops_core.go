@@ -88,7 +88,7 @@ func execCallFn(ex *Exec, fr *Frame, in *Instr) int { return pcCall }
 // execCall calls a host or builtin function in place.
 func execCall(ex *Exec, fr *Frame, in *Instr) int {
 	ct := in.aux.(*callTarget)
-	args := ex.operands(fr, in)
+	args := ex.operands(fr, in.srcs)
 	var ret values.Value
 	var err error
 	if ct.builtin != nil {
@@ -333,7 +333,7 @@ type hookTarget struct {
 // transfer), then the host-registered ones.
 func execHookRun(ex *Exec, fr *Frame, in *Instr) int {
 	ht := in.aux.(*hookTarget)
-	args := ex.operands(fr, in)
+	args := ex.operands(fr, in.srcs)
 	if len(ht.bodies) > 0 {
 		return pcHook
 	}

@@ -33,6 +33,50 @@ func asClassifier(v values.Value) (*classifier.Classifier, error) {
 	return c, nil
 }
 
+// errNoClassifierMatch is what every classifier.get miss raises, in every
+// Exec. A miss is a rule table's common case (§6.3's default deny), and
+// sharing one value is safe because nothing writes to an Exception after
+// it is created.
+var errNoClassifierMatch = &values.Exception{Name: "Hilti::IndexError", Msg: "no classifier match"}
+
+// classifierGet matches key against cl, raising errNoClassifierMatch on a
+// miss.
+func classifierGet(cl *classifier.Classifier, key []values.Value) (values.Value, error) {
+	v, err := cl.Get(key...)
+	if errors.Is(err, classifier.ErrNoMatch) {
+		return values.Nil, errNoClassifierMatch
+	}
+	if err != nil {
+		return values.Nil, err
+	}
+	return v, nil
+}
+
+// pickClassifierGet selects execClassifierGet for a tuple-constructor
+// key; any other key runs the row's fn.
+func pickClassifierGet(srcs []src, _ dst) execFn {
+	if srcs[1].kind == srcCtor {
+		return execClassifierGet
+	}
+	return nil
+}
+
+// execClassifierGet is classifier.get on a tuple-constructor key: the
+// elements are gathered into the operand scratch and matched in place, so
+// a key that is only read is never built.
+func execClassifierGet(ex *Exec, fr *Frame, in *Instr) int {
+	cl, err := asClassifier(ex.get(fr, &in.srcs[0]))
+	if err != nil {
+		return ex.raiseErr(err)
+	}
+	v, err := classifierGet(cl, ex.operands(fr, in.srcs[1].subs))
+	if err != nil {
+		return ex.raiseErr(err)
+	}
+	ex.put(fr, in.d, v)
+	return in.t1
+}
+
 func asTimerMgr(ex *Exec, v values.Value) (*timer.Mgr, error) {
 	if v.IsNil() {
 		return ex.GlobalTM, nil
@@ -183,15 +227,8 @@ var runtimeOps = []opRow{
 		if t == nil {
 			return values.Nil, &values.Exception{Name: "Hilti::TypeError", Msg: "classifier.get needs a key tuple"}
 		}
-		v, err := cl.Get(t.Elems...)
-		if errors.Is(err, classifier.ErrNoMatch) {
-			return values.Nil, &values.Exception{Name: "Hilti::IndexError", Msg: "no classifier match"}
-		}
-		if err != nil {
-			return values.Nil, err
-		}
-		return v, nil
-	}},
+		return classifierGet(cl, t.Elems)
+	}, pick: pickClassifierGet},
 	{name: "classifier.matches", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		cl, err := asClassifier(a[0])
 		if err != nil {

@@ -6,6 +6,8 @@ import (
 
 	"hilti/internal/hilti/ast"
 	"hilti/internal/hilti/types"
+	"hilti/internal/rt/classifier"
+	"hilti/internal/rt/container"
 	"hilti/internal/rt/overlay"
 	"hilti/internal/rt/values"
 )
@@ -350,5 +352,125 @@ func TestStringLengthCountsRunes(t *testing.T) {
 	long := []values.Value{values.String(cases[len(cases)-1])}
 	if n := testing.AllocsPerRun(50, func() { length(nil, long) }); n != 0 {
 		t.Errorf("string.length of a long string allocates %v times", n)
+	}
+}
+
+// keyOpModule defines M::ctor and M::reg, each `r = op c key [-1]; return
+// r` over params c, x, y, k: ctor's key is the constructor (x, y), reg's
+// the register k. With dflt, op gets the default operand -1.
+func keyOpModule(op string, dflt bool) *ast.Module {
+	b := ast.NewBuilder("M")
+	for _, f := range []struct {
+		name string
+		key  ast.Operand
+	}{
+		{"ctor", ast.TupleOp(ast.VarOp("x"), ast.VarOp("y"))},
+		{"reg", ast.VarOp("k")},
+	} {
+		fb := b.Function(f.name, types.AnyT, ast.Param{Name: "c", Type: types.AnyT},
+			ast.Param{Name: "x", Type: types.AnyT}, ast.Param{Name: "y", Type: types.AnyT},
+			ast.Param{Name: "k", Type: types.AnyT})
+		r := fb.Local("r", types.AnyT)
+		ops := []ast.Operand{ast.VarOp("c"), f.key}
+		if dflt {
+			ops = append(ops, ast.IntOp(-1))
+		}
+		fb.Assign(r, op, ops...)
+		fb.Return(r)
+	}
+	return b.M
+}
+
+// TestKeyOpsReadConstructorInPlace: an op that only reads its key reads a
+// tuple-constructor key in place, from its elements, and allocates
+// nothing. With that key and with the same tuple held in a register, at
+// every level, each op agrees with its row's fn on value, exception name
+// and message; a nil container raises alike on all three paths. A
+// classifier miss raises one shared exception.
+func TestKeyOpsReadConstructorInPlace(t *testing.T) {
+	hit := []values.Value{values.MustParseAddr("10.1.2.3"), values.MustParseAddr("172.20.0.5")}
+	miss := []values.Value{values.MustParseAddr("192.0.2.1"), values.MustParseAddr("172.20.0.5")}
+	mkSet := func() values.Value {
+		s := container.NewSet()
+		s.Insert(values.TupleVal(hit...))
+		return values.Ref(values.KindSet, s)
+	}
+	mkMap := func() values.Value {
+		m := container.NewMap()
+		m.Insert(values.TupleVal(hit...), values.Int(42))
+		return values.Ref(values.KindMap, m)
+	}
+	mkClassifier := func() values.Value {
+		cl := classifier.New(2)
+		if err := cl.AddValues(values.Bool(true), values.MustParseNet("10.1.0.0/16"), values.Nil); err != nil {
+			t.Fatal(err)
+		}
+		cl.Compile()
+		return values.Ref(values.KindClassifier, cl)
+	}
+	mkNil := func() values.Value { return values.Nil }
+	excOf := func(err error) string {
+		if e, ok := err.(*values.Exception); ok {
+			return e.Name + ": " + e.Msg
+		}
+		if err != nil {
+			return "not an exception: " + err.Error()
+		}
+		return ""
+	}
+	for _, tc := range []struct {
+		op   string
+		mk   func() values.Value
+		dflt bool // map.get_default's default operand, -1
+	}{
+		{op: "set.exists", mk: mkSet},
+		{op: "map.exists", mk: mkMap},
+		{op: "map.get", mk: mkMap},
+		{op: "map.get_default", mk: mkMap, dflt: true},
+		{op: "classifier.get", mk: mkClassifier},
+	} {
+		ref := opNamed(tc.op).fn
+		for level := 0; level <= 2; level++ {
+			ex := linkAt(t, level, keyOpModule(tc.op, tc.dflt))
+			ctor, reg := ex.Prog.Fn("M::ctor"), ex.Prog.Fn("M::reg")
+			for _, mk := range []func() values.Value{tc.mk, mkNil} {
+				for ki, k := range [][]values.Value{hit, miss} {
+					key := values.TupleVal(k...)
+					args := []values.Value{mk(), key}
+					if tc.dflt {
+						args = append(args, values.Int(-1))
+					}
+					want, wantErr := ref(ex, args)
+					for _, fn := range []*CompiledFunc{ctor, reg} {
+						got, err := ex.CallFn(fn, mk(), k[0], k[1], key)
+						if values.Format(got) != values.Format(want) || excOf(err) != excOf(wantErr) {
+							t.Errorf("O%d %s in %s, key %s: %s %q; row fn %s %q", level, tc.op, fn.Name,
+								values.Format(key), values.Format(got), excOf(err), values.Format(want), excOf(wantErr))
+						}
+					}
+					// A constructor key allocates nothing, save in map.get's
+					// miss message, which formats the key.
+					if raceEnabled || mk().IsNil() || tc.op == "map.get" && ki == 1 {
+						continue
+					}
+					c := mk()
+					if n := testing.AllocsPerRun(50, func() { ex.CallFn(ctor, c, k[0], k[1], values.Nil) }); n != 0 {
+						t.Errorf("O%d %s, key %s: %v allocs with a constructor key, want 0",
+							level, tc.op, values.Format(key), n)
+					}
+				}
+			}
+		}
+	}
+
+	// Misses, in place or not, raise the one no-match exception, unmodified.
+	ex := linkAt(t, 1, keyOpModule("classifier.get", false))
+	cl := mkClassifier()
+	for _, fn := range []string{"M::ctor", "M::ctor", "M::reg", "M::reg"} {
+		_, err := ex.Call(fn, cl, miss[0], miss[1], values.TupleVal(miss...))
+		e, _ := err.(*values.Exception)
+		if e != errNoClassifierMatch || e.Name != "Hilti::IndexError" || e.Msg != "no classifier match" || !e.Arg.IsNil() {
+			t.Fatalf("%s miss raised %#v, want the shared no-match exception", fn, err)
+		}
 	}
 }

@@ -263,19 +263,20 @@ func (ex *Exec) get(fr *Frame, s *src) values.Value {
 	}
 }
 
-// operands gathers in's sources into the frame's operand scratch. The
+// operands gathers srcs — an instruction's sources, or the elements of a
+// tuple-constructor operand — into the frame's operand scratch. The
 // result is valid until the next instruction of this activation executes:
 // the simpleFn or HostFunc it is passed to may read it freely, including
 // across nested calls and fiber suspensions, but must not retain the slice
 // (values copied out of it are fine).
-func (ex *Exec) operands(fr *Frame, in *Instr) []values.Value {
-	n := len(in.srcs)
+func (ex *Exec) operands(fr *Frame, srcs []src) []values.Value {
+	n := len(srcs)
 	if cap(fr.args) < n {
 		fr.args = make([]values.Value, max(n, 4))
 	}
 	args := fr.args[:n]
 	for i := range args {
-		args[i] = ex.get(fr, &in.srcs[i])
+		args[i] = ex.get(fr, &srcs[i])
 	}
 	return args
 }
@@ -565,11 +566,14 @@ func (fn *CompiledFunc) findHandler(pc int, exc *values.Exception) *handler {
 func (ex *Exec) Call(name string, args ...values.Value) (values.Value, error) {
 	fn := ex.Prog.Fn(name)
 	if fn == nil {
+		// A host function or builtin may keep its arguments, so it gets a
+		// copy: the caller's slice never escapes, and calling a compiled
+		// function by name allocates nothing of its own.
 		if hf, ok := ex.HostFns[name]; ok {
-			return hf(ex, args)
+			return hf(ex, append([]values.Value(nil), args...))
 		}
 		if bf, ok := ex.Prog.Builtins[name]; ok {
-			return bf(ex, args)
+			return bf(ex, append([]values.Value(nil), args...))
 		}
 		return values.Nil, fmt.Errorf("hilti: no function %q", name)
 	}
