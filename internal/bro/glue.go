@@ -94,11 +94,11 @@ func (g *Glue) keyToHilti(key []Val) values.Value {
 	if len(key) == 1 {
 		return g.toHilti(key[0])
 	}
-	elems := make([]values.Value, len(key))
+	t := values.NewTuple(len(key))
 	for i, k := range key {
-		elems[i] = g.toHilti(k)
+		t.Elems[i] = g.toHilti(k)
 	}
-	return values.TupleVal(elems...)
+	return values.Ref(values.KindTuple, t)
 }
 
 // fromHilti converts a HILTI value into a Val. Type hints come from the

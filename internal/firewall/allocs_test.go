@@ -58,9 +58,10 @@ func TestFirewallMatchAllocs(t *testing.T) {
 		next++
 	})
 	// A new flow inserts itself and its reverse into dyn. Each insert keeps
-	// the tuple key (elements + tuple), the entry and its encoded key, and
-	// the expiry timer with its callback closure.
-	const perInsert = 6
+	// five objects: the tuple key (its elements inline), the entry, the
+	// entry's encoded key, the expiry timer and the timer's callback
+	// closure.
+	const perInsert = 5
 	if n != 2*perInsert {
 		t.Errorf("newly allowed flow: %v allocs per packet, want %d", n, 2*perInsert)
 	}

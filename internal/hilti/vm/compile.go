@@ -139,7 +139,7 @@ func (lk *linker) addGlobalInit(slot int32, g *ast.Variable) {
 	}
 	lk.prog.globalInits = append(lk.prog.globalInits, globalInit{
 		slot: slot,
-		mk:   func(ex *Exec) (values.Value, error) { return newValueOfType(ex, t) },
+		mk:   func(ex *Exec) (values.Value, error) { return newValueOfType(ex, t, 0) },
 	})
 }
 
@@ -307,11 +307,11 @@ func (c *fnCompiler) srcOf(o ast.Operand) (src, error) {
 			}
 		}
 		if allConst {
-			elems := make([]values.Value, len(subs))
+			t := values.NewTuple(len(subs))
 			for i, s := range subs {
-				elems[i] = s.val
+				t.Elems[i] = s.val
 			}
-			return src{kind: srcConst, val: values.TupleVal(elems...)}, nil
+			return src{kind: srcConst, val: values.Ref(values.KindTuple, t)}, nil
 		}
 		return src{kind: srcCtor, subs: subs}, nil
 	case ast.FuncOp:
@@ -439,11 +439,11 @@ func execSimpleCmp(ex *Exec, fr *Frame, in *Instr) int {
 
 // getCtor materializes a constructor source.
 func (ex *Exec) getCtor(fr *Frame, s *src) values.Value {
-	elems := make([]values.Value, len(s.subs))
+	t := values.NewTuple(len(s.subs))
 	for i := range s.subs {
-		elems[i] = ex.get(fr, &s.subs[i])
+		t.Elems[i] = ex.get(fr, &s.subs[i])
 	}
-	return values.TupleVal(elems...)
+	return values.Ref(values.KindTuple, t)
 }
 
 // ctorKey encodes a tuple-constructor operand directly into the Exec's

@@ -64,7 +64,7 @@ func execTwo(ex *Exec, fr *Frame, in *Instr) int {
 
 var bytesOps = []opRow{
 	{name: "bytes.new", arity: 0, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.BytesVal(hbytes.New()), nil
+		return values.BytesVal(hbytes.NewWithTail()), nil
 	}},
 	{name: "bytes.length", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		b, err := bytesOf(a[0])

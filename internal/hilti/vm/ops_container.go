@@ -454,12 +454,13 @@ var containerOps = []opRow{
 }
 
 func execNew(ex *Exec, fr *Frame, in *Instr) int {
-	v, err := newValueOfType(ex, in.aux.(*types.Type))
+	n := 0
+	if len(in.srcs) == 1 {
+		n = int(ex.get(fr, &in.srcs[0]).AsInt())
+	}
+	v, err := newValueOfType(ex, in.aux.(*types.Type), n)
 	if err != nil {
 		return ex.raiseErr(err)
-	}
-	if vec, ok := v.O.(*container.Vector); ok && len(in.srcs) == 1 {
-		vec.Grow(int(ex.get(fr, &in.srcs[0]).AsInt()))
 	}
 	ex.put(fr, in.d, v)
 	return in.t1

@@ -387,14 +387,14 @@ func (c *fnCompiler) resolveCall(name string) *callTarget {
 }
 
 // newValueOfType instantiates a heap value for `new T` and for automatic
-// global initialization.
-func newValueOfType(ex *Exec, t *types.Type) (values.Value, error) {
+// global initialization; a vector gets room for n elements.
+func newValueOfType(ex *Exec, t *types.Type, n int) (values.Value, error) {
 	u := t.Deref()
 	switch u.Kind {
 	case types.List:
 		return values.Ref(values.KindList, container.NewList()), nil
 	case types.Vector:
-		return values.Ref(values.KindVector, container.NewVector(values.Nil)), nil
+		return values.Ref(values.KindVector, container.NewVectorSized(values.Nil, n)), nil
 	case types.Set:
 		return values.Ref(values.KindSet, container.NewSet()), nil
 	case types.Map:
@@ -415,7 +415,7 @@ func newValueOfType(ex *Exec, t *types.Type) (values.Value, error) {
 		}
 		return values.StructVal(values.NewStruct(u.StructDef.Runtime())), nil
 	case types.Bytes:
-		return values.BytesVal(hbytes.New()), nil
+		return values.BytesVal(hbytes.NewWithTail()), nil
 	case types.RegExp:
 		return values.Nil, fmt.Errorf("new regexp requires patterns; use regexp.compile")
 	case types.MatchState:

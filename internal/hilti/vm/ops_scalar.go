@@ -56,11 +56,11 @@ var scalarOps = []opRow{
 		}
 		return x % y, nil
 	})},
-	{name: "int.shl", arity: 2, flags: scalarOp, fn: intFn(func(x, y int64) (int64, error) { return x << uint(y&63), nil })},
-	{name: "int.shr", arity: 2, flags: scalarOp, fn: intFn(func(x, y int64) (int64, error) { return int64(uint64(x) >> uint(y&63)), nil })},
-	{name: "int.and", arity: 2, flags: scalarOp, fn: intFn(func(x, y int64) (int64, error) { return x & y, nil })},
-	{name: "int.or", arity: 2, flags: scalarOp, fn: intFn(func(x, y int64) (int64, error) { return x | y, nil })},
-	{name: "int.xor", arity: 2, flags: scalarOp, fn: intFn(func(x, y int64) (int64, error) { return x ^ y, nil })},
+	{name: "int.shl", arity: 2, flags: scalarOp, intBin: func(x, y int64) int64 { return x << uint(y&63) }},
+	{name: "int.shr", arity: 2, flags: scalarOp, intBin: func(x, y int64) int64 { return int64(uint64(x) >> uint(y&63)) }},
+	{name: "int.and", arity: 2, flags: scalarOp, intBin: func(x, y int64) int64 { return x & y }},
+	{name: "int.or", arity: 2, flags: scalarOp, intBin: func(x, y int64) int64 { return x | y }},
+	{name: "int.xor", arity: 2, flags: scalarOp, intBin: func(x, y int64) int64 { return x ^ y }},
 	{name: "int.eq", arity: 2, flags: scalarCmp, rel: relEq},
 	{name: "int.lt", arity: 2, flags: scalarCmp, rel: relLt},
 	{name: "int.gt", arity: 2, flags: scalarCmp, rel: relGt},

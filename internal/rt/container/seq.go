@@ -195,6 +195,28 @@ type Vector struct {
 // NewVector creates an empty vector whose implicit elements are def.
 func NewVector(def values.Value) *Vector { return &Vector{def: def} }
 
+// NewVectorSized creates an empty vector with room for n elements (at most
+// maxGrow, as Grow). Room for up to 4 lives in the vector's own object, so
+// a vector built to a count read off the wire is one allocation.
+func NewVectorSized(def values.Value, n int) *Vector {
+	var v *Vector
+	switch n {
+	case 1:
+		v = values.NewInline(func(v *Vector, a *[1]values.Value) { v.elems = a[:0] })
+	case 2:
+		v = values.NewInline(func(v *Vector, a *[2]values.Value) { v.elems = a[:0] })
+	case 3:
+		v = values.NewInline(func(v *Vector, a *[3]values.Value) { v.elems = a[:0] })
+	case 4:
+		v = values.NewInline(func(v *Vector, a *[4]values.Value) { v.elems = a[:0] })
+	default:
+		v = &Vector{}
+		v.Grow(n)
+	}
+	v.def = def
+	return v
+}
+
 // TypeName implements values.Object.
 func (v *Vector) TypeName() string { return "vector" }
 

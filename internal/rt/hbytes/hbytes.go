@@ -70,6 +70,22 @@ type Bytes struct {
 // New returns a new empty Bytes value.
 func New() *Bytes { return &Bytes{} }
 
+// NewWithTail returns a new empty Bytes value whose tail chunk — tailMin
+// bytes of room for Append — lives in the rope's own object: HILTI's `new
+// bytes`, which a parser fills by small appends (a decoded name), is one
+// allocation until it outgrows that room. Until the first append the rope
+// holds that one empty chunk.
+func NewWithTail() *Bytes {
+	o := new(struct {
+		b   Bytes
+		buf [tailMin]byte
+	})
+	b := &o.b
+	b.first[0].data = o.buf[:0]
+	b.chunks, b.tail = b.first[:1], true
+	return b
+}
+
 // NewFrom returns a new Bytes value holding a copy of data.
 func NewFrom(data []byte) *Bytes {
 	b := New()
@@ -151,7 +167,7 @@ func (b *Bytes) AppendOwned(data []byte) error {
 }
 
 func (b *Bytes) appendOwned(data []byte) error {
-	if len(b.chunks) == 0 {
+	if len(b.chunks) == 0 || len(b.chunks[0].data) == 0 { // or NewWithTail's unused chunk
 		b.chunks = b.first[:0]
 	}
 	b.chunks = append(b.chunks, chunk{off: b.end, data: data})

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -204,6 +205,49 @@ func TestStructRoundTrip(t *testing.T) {
 	})).AsStruct()
 	if got.Def != def {
 		t.Fatal("struct resolver not used")
+	}
+}
+
+// TestStructTupleRoundTripEverySize: a struct (anonymous and through a
+// resolver) and a tuple decode field for field at every size, stored
+// inline or not, into values independent of the original.
+func TestStructTupleRoundTripEverySize(t *testing.T) {
+	for _, n := range []int{0, 1, 4, 5, 9, 16, 17} {
+		fs := make([]values.StructField, n)
+		for i := range fs {
+			fs[i] = values.StructField{Name: fmt.Sprintf("f%d", i), Default: values.Unset}
+		}
+		def := values.NewStructDef("r", fs...)
+		s := values.NewStruct(def)
+		tu := values.NewTuple(n)
+		for i := range n {
+			s.Set(i, values.Int(int64(i)))
+			tu.Elems[i] = values.String(fmt.Sprint(i))
+		}
+		resolve := WithStructs(func(string, []string) *values.StructDef { return def })
+		for _, c := range []struct {
+			kind       string
+			orig, copy []values.Value
+		}{
+			{"anonymous struct", s.Fields, roundTrip(t, values.StructVal(s)).AsStruct().Fields},
+			{"resolved struct", s.Fields, roundTrip(t, values.StructVal(s), resolve).AsStruct().Fields},
+			{"tuple", tu.Elems, roundTrip(t, values.Ref(values.KindTuple, tu)).AsTuple().Elems},
+		} {
+			if len(c.copy) != n || cap(c.copy) != n {
+				t.Fatalf("%d-field %s: len %d cap %d", n, c.kind, len(c.copy), cap(c.copy))
+			}
+			for i := range c.copy {
+				if !values.Equal(c.copy[i], c.orig[i]) {
+					t.Fatalf("%d-field %s: field %d = %s, want %s", n, c.kind, i, values.Format(c.copy[i]), values.Format(c.orig[i]))
+				}
+				c.copy[i] = values.Int(-1)
+			}
+			for i, v := range c.orig {
+				if values.Equal(v, values.Int(-1)) {
+					t.Fatalf("%d-field %s: mutating the decoded value changed the original's field %d", n, c.kind, i)
+				}
+			}
+		}
 	}
 }
 

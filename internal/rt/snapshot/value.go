@@ -202,11 +202,11 @@ func (d *Decoder) value(depth int) values.Value {
 			d.fail("snapshot: implausible tuple arity %d", n)
 			return values.Nil
 		}
-		elems := make([]values.Value, n)
-		for i := range elems {
-			elems[i] = d.value(depth + 1)
+		t := values.NewTuple(n)
+		for i := range t.Elems {
+			t.Elems[i] = d.value(depth + 1)
 		}
-		return values.TupleVal(elems...)
+		return values.Ref(values.KindTuple, t)
 	case values.KindStruct:
 		name := d.String()
 		n := int(d.U8())
@@ -229,7 +229,7 @@ func (d *Decoder) value(depth int) values.Value {
 			}
 			def = values.NewStructDef(name, sf...)
 		}
-		s := &values.Struct{Def: def, Fields: make([]values.Value, n)}
+		s := values.NewStruct(def)
 		for i := range s.Fields {
 			s.Fields[i] = d.value(depth + 1)
 		}

@@ -196,14 +196,14 @@ func DeepCopy(v Value) Value {
 		return v
 	case KindTuple:
 		t := v.AsTuple()
-		ne := make([]Value, len(t.Elems))
+		nt := NewTuple(len(t.Elems))
 		for i, e := range t.Elems {
-			ne[i] = DeepCopy(e)
+			nt.Elems[i] = DeepCopy(e)
 		}
-		return Value{K: KindTuple, O: &Tuple{Elems: ne}}
+		return Value{K: KindTuple, O: nt}
 	case KindStruct:
 		s := v.AsStruct()
-		ns := &Struct{Def: s.Def, Fields: make([]Value, len(s.Fields))}
+		ns := newStruct(s.Def, len(s.Fields))
 		for i, f := range s.Fields {
 			ns.Fields[i] = DeepCopy(f)
 		}

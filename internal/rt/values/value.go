@@ -332,9 +332,42 @@ type Tuple struct{ Elems []Value }
 // TypeName implements Object.
 func (t *Tuple) TypeName() string { return "tuple" }
 
-// TupleVal builds a tuple value from elements.
+// TupleVal builds a tuple value holding a copy of elems.
 func TupleVal(elems ...Value) Value {
-	return Value{K: KindTuple, O: &Tuple{Elems: elems}}
+	t := NewTuple(len(elems))
+	copy(t.Elems, elems)
+	return Value{K: KindTuple, O: t}
+}
+
+// NewTuple returns a tuple of n zero elements for the caller to fill. Up
+// to 4 elements live in the tuple's own object; a longer tuple is a header
+// and an array.
+func NewTuple(n int) *Tuple {
+	switch n {
+	case 0:
+		return &Tuple{}
+	case 1:
+		return NewInline(func(t *Tuple, a *[1]Value) { t.Elems = a[:] })
+	case 2:
+		return NewInline(func(t *Tuple, a *[2]Value) { t.Elems = a[:] })
+	case 3:
+		return NewInline(func(t *Tuple, a *[3]Value) { t.Elems = a[:] })
+	case 4:
+		return NewInline(func(t *Tuple, a *[4]Value) { t.Elems = a[:] })
+	}
+	return &Tuple{Elems: make([]Value, n)}
+}
+
+// NewInline allocates a header and the array A it points into as one
+// object; slice points the header at the array. A constructor gives each
+// inline size its own array type, so a value costs exactly its size.
+func NewInline[H, A any](slice func(*H, *A)) *H {
+	o := new(struct {
+		h H
+		a A
+	})
+	slice(&o.h, &o.a)
+	return &o.h
 }
 
 // AsTuple extracts the tuple payload (nil if not a tuple).
@@ -392,7 +425,7 @@ func (s *Struct) TypeName() string {
 
 // NewStruct instantiates a struct with defaults applied.
 func NewStruct(def *StructDef) *Struct {
-	s := &Struct{Def: def, Fields: make([]Value, len(def.Fields))}
+	s := newStruct(def, len(def.Fields))
 	for i, f := range def.Fields {
 		if f.Default.K != KindUnset && f.Default.K != KindVoid {
 			s.Fields[i] = f.Default
@@ -400,6 +433,53 @@ func NewStruct(def *StructDef) *Struct {
 			s.Fields[i] = Unset
 		}
 	}
+	return s
+}
+
+// newStruct returns a struct of def with n zero fields. Up to 16 fields
+// live in the struct's own object; a larger struct is a header and an
+// array.
+func newStruct(def *StructDef, n int) *Struct {
+	var s *Struct
+	switch n {
+	case 0:
+		s = &Struct{}
+	case 1:
+		s = NewInline(func(s *Struct, a *[1]Value) { s.Fields = a[:] })
+	case 2:
+		s = NewInline(func(s *Struct, a *[2]Value) { s.Fields = a[:] })
+	case 3:
+		s = NewInline(func(s *Struct, a *[3]Value) { s.Fields = a[:] })
+	case 4:
+		s = NewInline(func(s *Struct, a *[4]Value) { s.Fields = a[:] })
+	case 5:
+		s = NewInline(func(s *Struct, a *[5]Value) { s.Fields = a[:] })
+	case 6:
+		s = NewInline(func(s *Struct, a *[6]Value) { s.Fields = a[:] })
+	case 7:
+		s = NewInline(func(s *Struct, a *[7]Value) { s.Fields = a[:] })
+	case 8:
+		s = NewInline(func(s *Struct, a *[8]Value) { s.Fields = a[:] })
+	case 9:
+		s = NewInline(func(s *Struct, a *[9]Value) { s.Fields = a[:] })
+	case 10:
+		s = NewInline(func(s *Struct, a *[10]Value) { s.Fields = a[:] })
+	case 11:
+		s = NewInline(func(s *Struct, a *[11]Value) { s.Fields = a[:] })
+	case 12:
+		s = NewInline(func(s *Struct, a *[12]Value) { s.Fields = a[:] })
+	case 13:
+		s = NewInline(func(s *Struct, a *[13]Value) { s.Fields = a[:] })
+	case 14:
+		s = NewInline(func(s *Struct, a *[14]Value) { s.Fields = a[:] })
+	case 15:
+		s = NewInline(func(s *Struct, a *[15]Value) { s.Fields = a[:] })
+	case 16:
+		s = NewInline(func(s *Struct, a *[16]Value) { s.Fields = a[:] })
+	default:
+		s = &Struct{Fields: make([]Value, n)}
+	}
+	s.Def = def
 	return s
 }
 

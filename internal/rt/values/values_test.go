@@ -1,6 +1,7 @@
 package values
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -149,6 +150,46 @@ func TestDeepCopyStruct(t *testing.T) {
 	got, _ := cp.AsStruct().GetName("b")
 	if got.AsBytes().String() != "abc" {
 		t.Fatalf("deep copy shares bytes: %q", got.AsBytes().String())
+	}
+}
+
+// TestDeepCopyEverySize: a struct or tuple copies field for field at every
+// size, stored inline (up to 16 struct fields, 4 tuple elements) or not,
+// and mutating the copy leaves the original alone.
+func TestDeepCopyEverySize(t *testing.T) {
+	for _, n := range []int{0, 1, 4, 5, 9, 16, 17} {
+		fs := make([]StructField, n)
+		for i := range fs {
+			fs[i] = StructField{Name: fmt.Sprintf("f%d", i)}
+		}
+		s := NewStruct(NewStructDef("r", fs...))
+		tu := NewTuple(n)
+		for i := range n {
+			s.Set(i, Int(int64(i)))
+			tu.Elems[i] = Int(int64(i))
+		}
+		for _, c := range []struct {
+			kind       string
+			orig, copy []Value
+		}{
+			{"struct", s.Fields, DeepCopy(StructVal(s)).AsStruct().Fields},
+			{"tuple", tu.Elems, DeepCopy(Ref(KindTuple, tu)).AsTuple().Elems},
+		} {
+			if len(c.copy) != n || cap(c.copy) != n {
+				t.Fatalf("%d-%s copy: len %d cap %d", n, c.kind, len(c.copy), cap(c.copy))
+			}
+			for i := range c.copy {
+				if c.copy[i] != Int(int64(i)) {
+					t.Fatalf("%d-%s copy: element %d = %v", n, c.kind, i, c.copy[i])
+				}
+				c.copy[i] = Int(-1)
+			}
+			for i, v := range c.orig {
+				if v != Int(int64(i)) {
+					t.Fatalf("%d-%s: mutating the copy changed the original's element %d to %v", n, c.kind, i, v)
+				}
+			}
+		}
 	}
 }
 
