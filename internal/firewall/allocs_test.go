@@ -58,10 +58,10 @@ func TestFirewallMatchAllocs(t *testing.T) {
 		next++
 	})
 	// A new flow inserts itself and its reverse into dyn. Each insert keeps
-	// five objects: the tuple key (its elements inline), the entry, the
-	// entry's encoded key, the expiry timer and the timer's callback
-	// closure.
-	const perInsert = 5
+	// three objects: the tuple key (its elements inline), the entry and the
+	// entry's encoded key. Expiry adds none: the entry joins dyn's queue,
+	// whose one timer exists already.
+	const perInsert = 3
 	if n != 2*perInsert {
 		t.Errorf("newly allowed flow: %v allocs per packet, want %d", n, 2*perInsert)
 	}

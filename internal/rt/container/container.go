@@ -3,11 +3,12 @@
 // automatically expires elements according to a configured policy (paper
 // §2 "State Management", §3.2 "Rich Data Types").
 //
-// Sets and maps support create- and access-based expiration: attaching a
-// timeout schedules a timer per element through a timer manager, and each
-// touch (policy-dependent) pushes the deadline out. This is the mechanism
-// behind the paper's stateful-firewall example, which keeps dynamic allow
-// rules in a set with a five-minute inactivity timeout.
+// Sets and maps support create- and access-based expiration: once a timeout
+// is attached, each new element joins a queue ordered by last use, and each
+// touch (policy-dependent) moves it to the tail. One timer per container,
+// through a timer manager, is due at the head's deadline. This is the
+// mechanism behind the paper's stateful-firewall example, which keeps
+// dynamic allow rules in a set with a five-minute inactivity timeout.
 //
 // Iteration order of sets and maps is insertion order, which makes program
 // output deterministic for testing while matching HILTI's "unspecified but
@@ -15,7 +16,9 @@
 package container
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -36,25 +39,106 @@ const (
 // ExpireStrategyEnum is the HILTI-level enum type for expiration strategies.
 var ExpireStrategyEnum = values.NewEnumType("ExpireStrategy", "None", "Create", "Access")
 
-// expiry is the shared expiration bookkeeping of sets and maps.
+// expiry is the shared expiration bookkeeping of sets and maps: the policy,
+// and the queue of the elements it can expire, in ascending lastUse. The
+// one timer is due no later than the head's deadline while the queue is
+// non-empty, and unarmed while it is empty. Elements inserted while expiry
+// is off are never queued, so they never expire.
 type expiry struct {
-	strategy ExpireStrategy
-	timeout  timer.Interval
-	mgr      *timer.Mgr
+	strategy   ExpireStrategy
+	timeout    timer.Interval
+	mgr        *timer.Mgr
+	head, tail *entry       // the queue; head is the stalest element
+	unsorted   bool         // an append was older than the tail; settle pending
+	tm         *timer.Timer // made by the first SetTimeout
 }
 
-func (e *expiry) active() bool {
-	return e.strategy != ExpireNone && e.timeout > 0 && e.mgr != nil
+func (x *expiry) active() bool {
+	return x.strategy != ExpireNone && x.timeout > 0 && x.mgr != nil
+}
+
+// deadline is the time e expires.
+func (x *expiry) deadline(e *entry) timer.Time { return e.lastUse + timer.Time(x.timeout) }
+
+// push appends e to the queue and keeps the timer due by e's deadline. An
+// element older than the tail (restore replays elements in any last-use
+// order) leaves the queue unsorted until it is next read.
+func (x *expiry) push(e *entry) {
+	if x.tail != nil && x.tail.lastUse > e.lastUse {
+		x.unsorted = true
+	}
+	x.link(e)
+	if !x.tm.Armed() {
+		x.arm()
+	} else if at := x.deadline(e); at < x.tm.FireTime() {
+		x.tm.Update(at)
+	}
+}
+
+// link puts e at the queue's tail.
+func (x *expiry) link(e *entry) {
+	e.prev, e.next, e.queued = x.tail, nil, true
+	if x.tail == nil {
+		x.head = e
+	} else {
+		x.tail.next = e
+	}
+	x.tail = e
+}
+
+// unlink takes e off the queue.
+func (x *expiry) unlink(e *entry) {
+	if e.prev == nil {
+		x.head = e.next
+	} else {
+		e.prev.next = e.next
+	}
+	if e.next == nil {
+		x.tail = e.prev
+	} else {
+		e.next.prev = e.prev
+	}
+	e.prev, e.next, e.queued = nil, nil, false
+}
+
+// arm schedules the unarmed timer at the head's deadline, sorting the
+// queue first. It leaves the timer unarmed when the queue is empty or
+// expiry is off.
+func (x *expiry) arm() {
+	if x.head == nil || !x.active() {
+		return
+	}
+	x.settle()
+	x.mgr.Schedule(x.deadline(x.head), x.tm) //nolint:errcheck // unarmed: callers cancel first
+}
+
+// settle sorts the queue by lastUse after out-of-order appends: a restored
+// batch costs one sort, not a walk back from the tail per element.
+func (x *expiry) settle() {
+	if !x.unsorted {
+		return
+	}
+	x.unsorted = false
+	var q []*entry
+	for e := x.head; e != nil; e = e.next {
+		q = append(q, e)
+	}
+	slices.SortStableFunc(q, func(a, b *entry) int { return cmp.Compare(a.lastUse, b.lastUse) })
+	x.head, x.tail = nil, nil
+	for _, e := range q {
+		x.link(e)
+	}
 }
 
 // entry is one element of a map or set.
 type entry struct {
-	k       string // canonical encoded key (values.AppendKey form)
-	key     values.Value
-	val     values.Value
-	lastUse timer.Time
-	tm      *timer.Timer
-	deleted bool
+	k          string // canonical encoded key (values.AppendKey form)
+	key        values.Value
+	val        values.Value
+	lastUse    timer.Time
+	prev, next *entry // expiry queue links
+	queued     bool   // on the expiry queue
+	deleted    bool
 }
 
 // JournalOp identifies one container mutation for delta checkpointing.
@@ -121,9 +205,16 @@ func (m *Map) SetDefault(v values.Value) {
 	m.journal(JournalReset, values.Nil, values.Nil, 0)
 }
 
-// SetTimeout configures element expiration (HILTI's map.timeout).
+// SetTimeout configures element expiration (HILTI's map.timeout). Elements
+// already present never expire, but those queued under an earlier timeout
+// are re-armed on the new manager and timeout.
 func (m *Map) SetTimeout(mgr *timer.Mgr, strategy ExpireStrategy, timeout timer.Interval) {
+	if m.tm == nil {
+		m.tm = timer.NewTimer(m.fire)
+	}
+	m.tm.Cancel()
 	m.mgr, m.strategy, m.timeout = mgr, strategy, timeout
+	m.arm()
 	m.journal(JournalReset, values.Nil, values.Nil, 0)
 }
 
@@ -187,20 +278,20 @@ func (m *Map) Insert(key, val values.Value) {
 	m.order = append(m.order, e)
 	if m.expiry.active() {
 		e.lastUse = m.mgr.Now()
-		m.scheduleExpiry(e)
+		m.push(e)
 	}
 	m.journal(JournalInsert, e.key, e.val, e.lastUse)
 }
 
 // InsertRestored re-inserts an element from a checkpoint, preserving its
 // recorded last-use timestamp so the expiration deadline after restore
-// matches the one the checkpointed timer would have enforced.
+// matches the one the checkpointed container would have enforced.
 func (m *Map) InsertRestored(key, val values.Value, lastUse timer.Time) {
 	b, owned := m.encKey(key)
 	if e, ok := m.idx[string(b)]; ok {
 		m.releaseKey(owned)
 		e.val = val
-		e.lastUse = lastUse
+		m.restoreUse(e, lastUse)
 		return
 	}
 	k := string(b)
@@ -209,7 +300,7 @@ func (m *Map) InsertRestored(key, val values.Value, lastUse timer.Time) {
 	m.idx[e.k] = e
 	m.order = append(m.order, e)
 	if m.expiry.active() {
-		m.scheduleExpiry(e)
+		m.push(e)
 	}
 }
 
@@ -221,7 +312,19 @@ func (m *Map) TouchRestored(key values.Value, lastUse timer.Time) {
 	e, ok := m.idx[string(b)]
 	m.releaseKey(owned)
 	if ok {
-		e.lastUse = lastUse
+		m.restoreUse(e, lastUse)
+	}
+}
+
+// restoreUse sets e's recorded last use and moves a queued e to the tail.
+func (m *Map) restoreUse(e *entry, lastUse timer.Time) {
+	if e.lastUse == lastUse {
+		return
+	}
+	e.lastUse = lastUse
+	if e.queued {
+		m.unlink(e)
+		m.push(e)
 	}
 }
 
@@ -294,9 +397,11 @@ func (m *Map) Clear() {
 }
 
 func (m *Map) drop(e *entry) {
-	if e.tm != nil {
-		e.tm.Cancel()
-		e.tm = nil
+	if e.queued {
+		m.unlink(e)
+		if m.head == nil {
+			m.tm.Cancel()
+		}
 	}
 	e.deleted = true
 	m.dead++
@@ -305,39 +410,41 @@ func (m *Map) drop(e *entry) {
 	m.maybeCompact()
 }
 
+// touch sets e's last use to now and moves a queued e to the tail. The
+// timer stays where it is: if e was the head, the timer fires early, finds
+// the new head not yet due and re-arms for it.
 func (m *Map) touch(e *entry) {
-	if m.expiry.active() {
-		e.lastUse = m.mgr.Now()
-	}
-}
-
-// scheduleExpiry arms the per-element timer. When it fires we check whether
-// the element has been touched since; if so we re-arm for the remaining
-// lifetime, otherwise we evict. This lazy re-arming avoids a timer update
-// on every access, the standard technique for high-churn session tables.
-func (m *Map) scheduleExpiry(e *entry) {
-	at := e.lastUse + timer.Time(m.timeout)
-	e.tm = m.mgr.ScheduleFunc(at, func() { m.expireCheck(e) })
-}
-
-func (m *Map) expireCheck(e *entry) {
-	e.tm = nil
-	if e.deleted {
+	if !m.expiry.active() {
 		return
 	}
-	deadline := e.lastUse + timer.Time(m.timeout)
-	if deadline <= m.mgr.Now() {
+	now := m.mgr.Now()
+	if e.lastUse == now {
+		return
+	}
+	e.lastUse = now
+	if e.queued {
+		m.unlink(e)
+		m.push(e)
+	}
+}
+
+// fire is the timer's callback: it drops the head while it is due (every
+// queued element when Expire(true) flushes it), then re-arms for the new
+// head.
+func (m *Map) fire() {
+	m.settle()
+	now, flush := m.mgr.Now(), m.tm.Flushing()
+	for e := m.head; e != nil && (flush || m.deadline(e) <= now); e = m.head {
 		expirations.Add(1)
 		m.drop(e)
-		return
 	}
-	m.scheduleExpiry(e)
+	m.arm()
 }
 
 // expirations counts idle-timeout evictions process-wide. Expiry is a cold
-// path (at most one timer callback per element lifetime), so a single
-// shared atomic is fine; a per-container counter would complicate the
-// checkpoint codec for no observability gain.
+// path (at most one per element lifetime), so a single shared atomic is
+// fine; a per-container counter would complicate the checkpoint codec for
+// no observability gain.
 var expirations atomic.Uint64
 
 // Expirations returns the total number of elements evicted by the state

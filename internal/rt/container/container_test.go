@@ -1,9 +1,11 @@
 package container
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"hilti/internal/rt/timer"
 	"hilti/internal/rt/values"
@@ -147,6 +149,39 @@ func TestExpiredEntryTimerCancelledOnRemove(t *testing.T) {
 	mgr.Advance(10e9)
 	if m.Len() != 0 {
 		t.Fatal("len != 0")
+	}
+}
+
+// Regression: timer_mgr.expire True used to spin forever on a container
+// with an element not yet due, re-scheduling the element's timer each
+// time it was popped. Now the container's one timer flushes its queue.
+func TestExpireTrueFlushesQueue(t *testing.T) {
+	mgr := timer.NewMgr()
+	s := NewSet()
+	s.SetTimeout(mgr, ExpireCreate, timer.Seconds(10))
+	s.Insert(values.Int(1))
+	removes := 0
+	s.SetJournal(func(op JournalOp, _, _ values.Value, _ timer.Time) {
+		if op == JournalRemove {
+			removes++
+		}
+	})
+	before := Expirations()
+	done := make(chan int)
+	go func() { done <- mgr.Expire(true) }()
+	select {
+	case fired := <-done:
+		if fired != 1 {
+			t.Errorf("Expire fired %d timers, want 1", fired)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Expire(true) did not return")
+	}
+	if s.Len() != 0 || mgr.Pending() != 0 {
+		t.Fatalf("after Expire(true): %d elements, %d pending timers", s.Len(), mgr.Pending())
+	}
+	if removes != 1 || Expirations()-before != 1 {
+		t.Fatalf("flush journaled %d removes and counted %d expirations, want 1 and 1", removes, Expirations()-before)
 	}
 }
 
@@ -428,6 +463,32 @@ func BenchmarkSetWithExpiration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Insert(values.Int(int64(i % 1024)))
 		mgr.Advance(timer.Time(i) * 1e6)
+	}
+}
+
+// BenchmarkRestoreRandomOrder restores 100k access-expiry elements whose
+// last uses come in random order, as a checkpoint's insertion order gives
+// them.
+func BenchmarkRestoreRandomOrder(b *testing.B) {
+	const n, timeout = 100_000, 300e9
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]values.Value, n)
+	uses := make([]timer.Time, n)
+	for i := range keys {
+		keys[i] = values.Int(int64(i))
+		uses[i] = timer.Time(rng.Int63n(timeout))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mgr := timer.NewMgr()
+		mgr.SetNow(timeout)
+		s := NewSet()
+		s.SetTimeout(mgr, ExpireAccess, timeout)
+		for j, k := range keys {
+			s.InsertRestored(k, uses[j])
+		}
+		mgr.Advance(timeout + 1) // reads the queue: the sort happens here
 	}
 }
 

@@ -33,15 +33,16 @@ func Seconds(s float64) Interval { return Interval(s * 1e9) }
 // Timer is a scheduled closure. A timer belongs to at most one manager at a
 // time; rescheduling through its manager updates it in place.
 type Timer struct {
-	fire  Time
-	fn    func()
-	mgr   *Mgr
-	index int // heap index; -1 when not scheduled, pendingFire mid-Advance
-	seq   uint64
+	fire     Time
+	fn       func()
+	mgr      *Mgr
+	index    int // heap index; -1 when not scheduled, pendingFire mid-Advance or -Expire
+	seq      uint64
+	flushing bool // fn is running from Expire(true)
 }
 
-// pendingFire marks a timer popped into an in-progress Advance's due set
-// but not yet fired; Cancel and Update still act on it.
+// pendingFire marks a timer taken into an in-progress Advance's or Expire's
+// due set but not yet fired; Cancel and Update still act on it.
 const pendingFire = -2
 
 // NewTimer creates an unscheduled timer executing fn when it fires.
@@ -49,6 +50,21 @@ func NewTimer(fn func()) *Timer { return &Timer{fn: fn, index: -1} }
 
 // Scheduled reports whether the timer is currently pending in a manager.
 func (t *Timer) Scheduled() bool { return t.index >= 0 }
+
+// Armed reports whether the timer is going to fire: it is scheduled, or due
+// within an in-progress Advance or Expire.
+func (t *Timer) Armed() bool { return t.mgr != nil }
+
+// Flushing reports whether the timer's callback is running from
+// Expire(true), the shutdown flush, rather than from Advance.
+func (t *Timer) Flushing() bool { return t.flushing }
+
+// flush runs the callback as Expire(true) does.
+func (t *Timer) flush() {
+	t.flushing = true
+	defer func() { t.flushing = false }()
+	t.fn()
+}
 
 // FireTime returns the time the timer is due (zero when unscheduled).
 func (t *Timer) FireTime() Time { return t.fire }
@@ -219,17 +235,38 @@ func (m *Mgr) PendingTimers() []*Timer {
 	return out
 }
 
-// Expire fires (or optionally discards) all pending timers regardless of
-// their due time, as HILTI's timer_mgr.expire does at shutdown.
+// Expire fires (or, with execute false, discards) every timer pending when
+// it is called, regardless of its due time, as HILTI's timer_mgr.expire
+// does at shutdown. As in Advance, a timer a callback schedules stays
+// pending, so a callback that re-schedules itself fires once. A timer that
+// Expire(true) fires reports Flushing while its callback runs: a
+// container's timer then removes every element it queues, not only the
+// due ones. Expire(false) runs no callback: a container's timer is
+// discarded with the rest, and its queued elements stay until the container
+// re-arms at its next insert or touch. It returns the number of timers
+// fired or discarded.
 func (m *Mgr) Expire(execute bool) int {
+	// The heap's array becomes the snapshot, sorted into firing order; a
+	// timer a callback schedules goes into a new one.
+	due := m.q
+	m.q = nil
+	if execute {
+		sort.Sort(due)
+	}
+	for _, t := range due {
+		t.index = pendingFire
+	}
 	n := 0
-	for len(m.q) > 0 {
-		t := heap.Pop(&m.q).(*Timer)
+	for _, t := range due {
+		if t.index != pendingFire { // cancelled or updated by an earlier callback
+			continue
+		}
+		t.index = -1
 		t.mgr = nil
 		t.fire = 0
 		n++
 		if execute {
-			t.fn()
+			t.flush()
 		}
 	}
 	if n > 0 && m.Met != nil {

@@ -2,6 +2,7 @@ package timer
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -149,6 +150,55 @@ func TestExpire(t *testing.T) {
 	m.Expire(false)
 	if n != 4 {
 		t.Fatal("expire(false) executed")
+	}
+}
+
+// Regression: Expire fires only the timers pending when it is called. A
+// callback that re-schedules itself used to be popped again by the same
+// Expire, which then never returned.
+func TestExpireSelfReschedulingFiresOnce(t *testing.T) {
+	m := NewMgr()
+	n := 0
+	var tm *Timer
+	tm = NewTimer(func() {
+		n++
+		m.Schedule(m.Now()+10, tm) //nolint:errcheck // unscheduled while firing
+	})
+	m.Schedule(10, tm) //nolint:errcheck // fresh timer
+	if fired := m.Expire(true); fired != 1 || n != 1 {
+		t.Fatalf("expire fired=%d callbacks=%d, want 1 and 1", fired, n)
+	}
+	if !tm.Scheduled() || m.Pending() != 1 {
+		t.Fatalf("re-scheduled timer not pending (scheduled=%v pending=%d)", tm.Scheduled(), m.Pending())
+	}
+}
+
+// A timer reports Flushing exactly while Expire(true) runs its callback,
+// not under Advance, and one an earlier callback cancels does not fire.
+func TestExpireFlushingAndCancel(t *testing.T) {
+	m := NewMgr()
+	var seen []bool
+	var a, b, c *Timer
+	a = NewTimer(func() { seen = append(seen, a.Flushing()); b.Cancel() })
+	b = NewTimer(func() { seen = append(seen, b.Flushing()) })
+	c = NewTimer(func() { seen = append(seen, c.Flushing()) })
+	m.Schedule(1, c) //nolint:errcheck // fresh timer
+	m.Advance(1)
+	for i, tm := range []*Timer{a, b, c} {
+		m.Schedule(Time(i+1), tm) //nolint:errcheck // unscheduled
+	}
+	if fired := m.Expire(true); fired != 2 {
+		t.Fatalf("expire fired %d, want 2", fired)
+	}
+	if want := []bool{false, true, true}; !slices.Equal(seen, want) {
+		t.Fatalf("Flushing seen %v, want %v", seen, want)
+	}
+	if a.Flushing() || c.Flushing() {
+		t.Fatal("Flushing after Expire returned")
+	}
+	m.ScheduleFunc(4, func() { t.Fatal("Expire(false) ran a callback") })
+	if n := m.Expire(false); n != 1 || m.Pending() != 0 {
+		t.Fatalf("Expire(false) dropped %d, pending %d", n, m.Pending())
 	}
 }
 
