@@ -1001,14 +1001,15 @@ func (h *harness) vmopt(chk *checker) {
 }
 
 // dnsMallocsCeiling bounds heap objects per DNS datagram for the whole
-// engine (BinPAC++ parser, interpreted dns.bro, logs kept) at -O1: 56.3
-// when it was set (62.9 before a struct, tuple, sized vector or `new
-// bytes` rope was one object; 93.8 before name labels were appended
-// straight from the datagram). A boxed tuple per custom-function call
-// (parse_name returning through two registers) would add 4.3, one operand
-// array per generic instruction 40.7; copying every input sub-range
-// instead of viewing it adds only 0.7 now that no label is a sub-range.
-const dnsMallocsCeiling = 60
+// engine (BinPAC++ parser, interpreted dns.bro, logs kept) at -O1: 44.6
+// when it was set, plus 10% (56.3 before the parse's values were recycled,
+// 62.9 before a struct, tuple, sized vector or `new bytes` rope was one
+// object; 93.8 before name labels were appended straight from the
+// datagram). A boxed tuple per custom-function call (parse_name returning
+// through two registers) would add 4.3, one operand array per generic
+// instruction 40.7; a parse that stops recycling (vm.Exec.Recycle refusing
+// DNS::parse_Message) adds 11.7.
+const dnsMallocsCeiling = 49
 
 // httpMallocsCeiling is the same bound per HTTP packet (BinPAC++ parser,
 // interpreted http.bro and files.bro): 19.8 at -O1 when it was set.
@@ -1075,8 +1076,28 @@ func (h *harness) tier(chk *checker) {
 	ratio := float64(times[2]) / float64(bpfTime)
 	fmt.Printf("    tier-2/BPF time ratio: %.2fx (ceiling %.2fx; paper no-stub target: 1.35x)\n",
 		ratio, ceiling)
-	chk.check(ratio <= ceiling, fmt.Sprintf("tier-2/BPF ratio %.2fx above ceiling %.2fx", ratio, ceiling))
-	chk.check(times[2] < times[1], "tier-2 not faster than O1 on the filter loop")
+	// What makes tier-2 fast, held by counts: eager O2 builds the pinned
+	// lowering, and the filter loop executes its fused overlay pairs. A
+	// lowering that stops fusing fails here at any scale; the wall-clock
+	// checks after it run only on a trace long enough to time.
+	_, exP, fnP := linkFilter(mod, 2)
+	exP.EnableOpcodeProfile()
+	filterRun(exP, fnP, pkts)
+	var fused uint64
+	for op, n := range exP.OpcodeProfile() {
+		if strings.HasPrefix(op, "overlay.get+") {
+			fused += n
+		}
+	}
+	fmt.Printf("    tier-2 fused overlay pairs executed: %.2f/pkt\n", float64(fused)/float64(len(pkts)))
+	chk.check(eagerLowering == tierFilterLowering, fmt.Sprintf("eager O2 lowering of the filter is %q, want %q", eagerLowering, tierFilterLowering))
+	chk.check(fused > 0, "tier-2 executed no fused overlay pair on the filter loop")
+	if len(pkts) >= minTimedPackets {
+		chk.check(ratio <= ceiling, fmt.Sprintf("tier-2/BPF ratio %.2fx above ceiling %.2fx", ratio, ceiling))
+		chk.check(times[2] < times[1], "tier-2 not faster than O1 on the filter loop")
+	} else {
+		fmt.Printf("    time ratio not asserted: %d packets, fewer than %d\n", len(pkts), minTimedPackets)
+	}
 
 	// 2. Runtime promotion: start at O1, promote mid-stream to the lowering
 	// eager O2 built, identical results before and after the tier switch.
@@ -1155,6 +1176,17 @@ func (h *harness) tier(chk *checker) {
 	checkStreams(chk, "engine at tier-2 vs O1", base.Logs.Lines, full.Logs.Lines)
 	checkStreams(chk, fmt.Sprintf("engine at tier-2 across kill/restore at packet %d", cut), base.Logs.Lines, e2.Logs.Lines)
 }
+
+// minTimedPackets is the shortest trace on which the tier experiment
+// asserts its wall-clock checks. At 40 HTTP sessions (558 packets) a timed
+// pass of the filter lasts ~170 µs, and min-of-3 could not hold a time
+// ratio: on a loaded 2-vCPU machine 3 of 19 runs failed. CI's tier stage
+// runs 200 sessions (~2,800 packets).
+const minTimedPackets = 2000
+
+// tierFilterLowering is tierLowering of the §6.2 filter at eager O2: each of
+// its four field compares is one fused overlay pair.
+const tierFilterLowering = "4 overlay pairs, 4 overlay accesses specialized"
 
 // tierLowering summarises what tier-2 lowering did to fn, or says that fn
 // runs tier-1 code.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"hilti/internal/pkt/gen"
 	"hilti/internal/pkt/layers"
 	"hilti/internal/pkt/pcap"
 	"hilti/internal/rt/wal"
@@ -76,7 +77,9 @@ func sameLogs(t *testing.T, what string, got, want *Engine) {
 // are needed. With the standard parser the lent run is also cut by WAL
 // restores while an HTTP body is in progress, so the body's digest state
 // crosses the codec. (An open BinPAC++ HTTP parse is not encoded yet:
-// ROADMAP item 1.)
+// ROADMAP item 1.) The DNS row lends BinPAC++ DNS datagrams to an engine
+// whose parse recycles its values and aliases the datagram: its logs must
+// equal those of an engine that neither lends nor recycles.
 func TestPayloadBorrowedNotRetained(t *testing.T) {
 	trace := mergedTrace(t)
 	pkts := splitSegments(trace)
@@ -156,5 +159,32 @@ func TestPayloadBorrowedNotRetained(t *testing.T) {
 				}
 			})
 		}
+	}
+	dc := gen.DefaultDNSConfig()
+	dc.Transactions = 400
+	dns := gen.GenerateDNS(dc)
+	for _, exec := range []string{"interp", "hilti"} {
+		t.Run("binpac-dns/"+exec, func(t *testing.T) {
+			cfg := Config{Parser: "binpac", ScriptExec: exec, Scripts: []string{DNSScript}, Quiet: true}
+			want := mustEngine(t, cfg)
+			// Registering bro_dns_message again as an ordinary host withdraws
+			// the parse's recycling.
+			want.ex.RegisterHost("bro_dns_message", want.ex.HostFns["bro_dns_message"])
+			feed(want, dns)
+			want.Finish()
+			if len(want.Logs.Lines("dns")) == 0 {
+				t.Fatal("no dns.log lines")
+			}
+
+			got := mustEngine(t, cfg)
+			if err := got.ex.Recycle(got.dnsParseFn); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range dns {
+				lend(got, p)
+			}
+			got.Finish()
+			sameLogs(t, "lent datagrams, recycled parse", got, want)
+		})
 	}
 }

@@ -156,6 +156,12 @@ type Engine struct {
 	httpReqStruct, httpRepStruct, dnsMsgStruct *values.StructDef
 	dnsParseFn                                 *vm.CompiledFunc
 	dnsIx                                      dnsIndex
+	// The DNS parse's datagram rope and Message, and the glue's answer and
+	// TTL lists: reused for every datagram (binpacDNSPacket).
+	dnsRope    *hbytes.Bytes
+	dnsSelf    *values.Struct
+	dnsAnswers []string
+	dnsTTLs    []int64
 
 	// delta, when non-nil, tracks which state changed since the last WAL
 	// flush (see wal.go). Nil outside WAL mode: the mark helpers are then
@@ -286,6 +292,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 				return nil, err
 			}
 		}
+		// Every host function is registered: the DNS parse may now be
+		// decided recycling. A refusal costs allocations, not behaviour.
+		if e.dnsParseFn != nil {
+			_ = e.ex.Recycle(e.dnsParseFn)
+		}
 		// Budget invocations only; globals init above runs unbounded.
 		e.ex.Limits = cfg.Limits
 	}
@@ -299,6 +310,7 @@ func (e *Engine) initBinpac(httpMods, dnsMods []*ast.Module) {
 	e.dnsMsgStruct = findStruct(dnsMods, "Message")
 	e.dnsIx = newDNSIndex(e.dnsMsgStruct, findStruct(dnsMods, "Question"), findStruct(dnsMods, "RR"))
 	e.dnsParseFn = e.ex.Prog.Fn("DNS::parse_Message")
+	e.dnsRope, e.dnsSelf = hbytes.New(), values.NewStruct(e.dnsMsgStruct)
 	e.registerBinpacHost()
 }
 

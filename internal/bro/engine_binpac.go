@@ -79,16 +79,18 @@ func (e *Engine) finishBinpacDir(c *conn, isOrig bool) {
 // datagram is a complete PDU: the rope is frozen before the parse starts,
 // so nothing can suspend and the parser is called directly — no fiber. (The
 // paper notes its generated parsers always run incrementally, even on UDP,
-// and calls that an inefficiency.)
+// and calls that an inefficiency.) The engine owns the rope and the Message
+// the parse fills, and reuses both for every datagram; the values the parse
+// builds are recycled when the call returns (initBinpac, vm.Exec.Recycle).
+// The rope aliases the payload, which is borrowed for this call only.
 func (e *Engine) binpacDNSPacket(c *conn, payload []byte) {
-	rope := hbytes.New()
-	rope.AppendOwned(payload)
-	rope.Freeze()
-	self := values.StructVal(values.NewStruct(e.dnsMsgStruct))
+	e.dnsRope.Reset(payload)
+	e.dnsSelf.Reset()
 
 	e.clock.enter(compParse)
-	_, err := e.ex.CallFn(e.dnsParseFn, self, values.IterBytes(rope.Begin()), values.Int(c.ctx))
+	_, err := e.ex.CallFn(e.dnsParseFn, values.StructVal(e.dnsSelf), values.IterBytes(e.dnsRope.Begin()), values.Int(c.ctx))
 	e.clock.leave()
+	e.dnsRope.Reset(nil)
 	if err != nil {
 		e.parseErrs.Inc()
 	}
@@ -159,7 +161,14 @@ func (e *Engine) registerBinpacHost() {
 	host("bro_http_message_done", func(c *conn, args []values.Value) {
 		e.dispatch(evHTTPMessageDone, c, isOrig(args[1]))
 	})
-	host("bro_dns_message", func(c *conn, args []values.Value) { e.binpacDNSEvents(c, args[1]) })
+	// bro_dns_message borrows the Message: the glue copies every string it
+	// keeps, so the parse's values may be recycled once it returns.
+	e.ex.RegisterBorrowingHost("bro_dns_message", func(_ *vm.Exec, args []values.Value) (values.Value, error) {
+		if c := e.ctxs[args[0].AsInt()]; c != nil {
+			e.binpacDNSEvents(c, args[1])
+		}
+		return values.Nil, nil
+	})
 }
 
 // dnsIndex holds the member indices of the parsed DNS structs the glue
@@ -201,17 +210,18 @@ func (e *Engine) binpacDNSEvents(c *conn, msg values.Value) {
 			qtype = int(qs.Fields[ix.qtype].AsInt())
 		}
 	}
-	var answers []string
-	var ttls []int64
+	// The answer and TTL lists are the engine's scratch: dnsEvents copies
+	// them into the event's vectors.
+	answers, ttls := e.dnsAnswers[:0], e.dnsTTLs[:0]
 	if vec, ok := s.Fields[ix.answers].O.(*container.Vector); ok {
-		vec.Each(func(rv values.Value) bool {
+		for _, rv := range vec.Elems() {
 			if rr := rv.AsStruct(); rr != nil {
 				answers = append(answers, renderRR(rr, ix))
 				ttls = append(ttls, rr.Fields[ix.ttl].AsInt())
 			}
-			return true
-		})
+		}
 	}
+	e.dnsAnswers, e.dnsTTLs = answers, ttls
 	e.clock.leave()
 	e.dnsEvents(c, isResp, id, query, qtype, rcode, answers, ttls)
 }

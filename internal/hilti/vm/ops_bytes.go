@@ -64,6 +64,9 @@ func execTwo(ex *Exec, fr *Frame, in *Instr) int {
 
 var bytesOps = []opRow{
 	{name: "bytes.new", arity: 0, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+		if ex.recycling() {
+			return values.BytesVal(ex.rec.newBytes()), nil
+		}
 		return values.BytesVal(hbytes.NewWithTail()), nil
 	}},
 	{name: "bytes.length", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
@@ -149,7 +152,7 @@ var bytesOps = []opRow{
 		if from.Bytes() == nil {
 			return values.Nil, errNilIter()
 		}
-		nb, err := from.Bytes().SubBytes(from, to)
+		nb, err := ex.subBytes(from.Bytes(), from, to)
 		if err != nil {
 			return values.Nil, err
 		}
@@ -390,7 +393,7 @@ var bytesOps = []opRow{
 		if n < 0 {
 			return val, next, &values.Exception{Name: "Hilti::ValueError", Msg: "negative length"}
 		}
-		nb, err := b.SubBytes(it, it.Plus(n))
+		nb, err := ex.subBytes(b, it, it.Plus(n))
 		if err != nil {
 			return
 		}

@@ -85,7 +85,7 @@ var containerOps = []opRow{
 	}},
 
 	// --- struct --------------------------------------------------------------
-	{name: "struct.get", arity: 2, flags: opInline, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "struct.get", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		s, err := asStruct(a[0])
 		if err != nil {
 			return values.Nil, err
@@ -103,7 +103,7 @@ var containerOps = []opRow{
 		}
 		return nil
 	}},
-	{name: "struct.get_default", arity: 3, flags: opInline, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "struct.get_default", arity: 3, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		s, err := asStruct(a[0])
 		if err != nil {
 			return values.Nil, err
@@ -113,7 +113,7 @@ var containerOps = []opRow{
 		}
 		return a[2], nil
 	}},
-	{name: "struct.set", arity: 3, flags: opInline, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "struct.set", arity: 3, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		s, err := asStruct(a[0])
 		if err != nil {
 			return values.Nil, err
@@ -126,7 +126,7 @@ var containerOps = []opRow{
 		}
 		return nil
 	}},
-	{name: "struct.is_set", arity: 2, flags: opCmp | opInline, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "struct.is_set", arity: 2, flags: opCmp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		s, err := asStruct(a[0])
 		if err != nil {
 			return values.Nil, err
@@ -134,7 +134,7 @@ var containerOps = []opRow{
 		_, ok := s.GetName(a[1].AsString())
 		return values.Bool(ok), nil
 	}},
-	{name: "struct.unset", arity: 2, flags: opInline, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "struct.unset", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		s, err := asStruct(a[0])
 		if err != nil {
 			return values.Nil, err
@@ -144,7 +144,7 @@ var containerOps = []opRow{
 	}},
 
 	// --- tuple ----------------------------------------------------------------
-	{name: "tuple.index", arity: 2, flags: opPure | opInline, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "tuple.index", arity: 2, flags: opPure, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		t := a[0].AsTuple()
 		if t == nil {
 			return values.Nil, &values.Exception{Name: "Hilti::NullReference", Msg: "nil tuple"}
@@ -156,7 +156,7 @@ var containerOps = []opRow{
 		}
 		return t.Elems[i], nil
 	}},
-	{name: "tuple.length", arity: 1, flags: opPure | opInline, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "tuple.length", arity: 1, flags: opPure, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		t := a[0].AsTuple()
 		if t == nil {
 			return values.Int(0), nil
@@ -165,7 +165,7 @@ var containerOps = []opRow{
 	}},
 
 	// --- list -----------------------------------------------------------------
-	{name: "list.push_back", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "list.push_back", flags: opRetains, arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		l, err := asList(a[0])
 		if err != nil {
 			return values.Nil, err
@@ -173,7 +173,7 @@ var containerOps = []opRow{
 		l.PushBack(a[1])
 		return values.Nil, nil
 	}},
-	{name: "list.push_front", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "list.push_front", flags: opRetains, arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		l, err := asList(a[0])
 		if err != nil {
 			return values.Nil, err
@@ -278,7 +278,7 @@ var containerOps = []opRow{
 	}},
 
 	// --- set -------------------------------------------------------------------
-	{name: "set.insert", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "set.insert", flags: opRetains, arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		s, err := asSet(a[0])
 		if err != nil {
 			return values.Nil, err
@@ -328,7 +328,7 @@ var containerOps = []opRow{
 	}},
 
 	// --- map -------------------------------------------------------------------
-	{name: "map.insert", arity: 3, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "map.insert", flags: opRetains, arity: 3, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		m, err := asMap(a[0])
 		if err != nil {
 			return values.Nil, err
@@ -387,7 +387,7 @@ var containerOps = []opRow{
 		m.Clear()
 		return values.Nil, nil
 	}},
-	{name: "map.default", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "map.default", flags: opRetains, arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		m, err := asMap(a[0])
 		if err != nil {
 			return values.Nil, err
@@ -458,7 +458,7 @@ func execNew(ex *Exec, fr *Frame, in *Instr) int {
 	if len(in.srcs) == 1 {
 		n = int(ex.get(fr, &in.srcs[0]).AsInt())
 	}
-	v, err := newValueOfType(ex, in.aux.(*types.Type), n)
+	v, err := ex.newValue(in.aux.(*types.Type), n)
 	if err != nil {
 		return ex.raiseErr(err)
 	}

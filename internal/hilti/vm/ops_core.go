@@ -122,7 +122,7 @@ type switchTable struct {
 }
 
 var coreOps = []opRow{
-	{name: "assign", arity: -1, exec: execAssign, flags: opInline},
+	{name: "assign", arity: -1, exec: execAssign},
 
 	// The control ops lower with a zero destination, which Disasm prints "_".
 	{name: "jump", ctl: ctlJump, lower: func(c *fnCompiler, in *ast.Instr) error {
@@ -134,7 +134,7 @@ var coreOps = []opRow{
 		return nil
 	}},
 
-	{name: "if.else", ctl: ctlBranch, flags: opInline, lower: func(c *fnCompiler, in *ast.Instr) error {
+	{name: "if.else", ctl: ctlBranch, lower: func(c *fnCompiler, in *ast.Instr) error {
 		if len(in.Ops) != 3 {
 			return fmt.Errorf("if.else needs condition and two labels")
 		}
@@ -167,7 +167,7 @@ var coreOps = []opRow{
 		return nil
 	}},
 
-	{name: "call", lower: func(c *fnCompiler, in *ast.Instr) error {
+	{name: "call", flags: opReenters, lower: func(c *fnCompiler, in *ast.Instr) error {
 		if len(in.Ops) == 0 || in.Ops[0].Kind != ast.FuncOp {
 			return fmt.Errorf("call needs a function operand")
 		}
@@ -262,7 +262,7 @@ var coreOps = []opRow{
 		return nil
 	}},
 
-	{name: "exception.throw", arity: -1, fn: func(ex *Exec, args []values.Value) (values.Value, error) {
+	{name: "exception.throw", flags: opRetains, arity: -1, fn: func(ex *Exec, args []values.Value) (values.Value, error) {
 		name := "Hilti::Exception"
 		msg := ""
 		switch len(args) {
@@ -279,7 +279,7 @@ var coreOps = []opRow{
 		return values.Nil, &values.Exception{Name: name, Msg: msg}
 	}},
 
-	{name: "hook.run", lower: func(c *fnCompiler, in *ast.Instr) error {
+	{name: "hook.run", flags: opReenters, lower: func(c *fnCompiler, in *ast.Instr) error {
 		if len(in.Ops) == 0 || in.Ops[0].Kind != ast.FuncOp {
 			return fmt.Errorf("hook.run needs a hook name")
 		}
@@ -293,7 +293,7 @@ var coreOps = []opRow{
 		return nil
 	}},
 
-	{name: "thread.schedule", lower: func(c *fnCompiler, in *ast.Instr) error {
+	{name: "thread.schedule", flags: opRetains, lower: func(c *fnCompiler, in *ast.Instr) error {
 		// thread.schedule <func> <args-tuple> <vid>
 		if len(in.Ops) != 3 || in.Ops[0].Kind != ast.FuncOp {
 			return fmt.Errorf("thread.schedule needs func, args tuple, vid")

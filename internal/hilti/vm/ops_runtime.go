@@ -92,11 +92,11 @@ var runtimeOps = []opRow{
 	// --- timer management --------------------------------------------------------
 	// timer_mgr.advance_global <time>: drives the Exec's global manager,
 	// expiring container state (the firewall example's per-packet call).
-	{name: "timer_mgr.advance_global", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "timer_mgr.advance_global", flags: opReenters, arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		ex.GlobalTM.Advance(timer.Time(a[0].AsTimeNs()))
 		return values.Nil, nil
 	}},
-	{name: "timer_mgr.advance", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "timer_mgr.advance", flags: opReenters, arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		m, err := asTimerMgr(ex, a[0])
 		if err != nil {
 			return values.Nil, err
@@ -111,7 +111,7 @@ var runtimeOps = []opRow{
 		}
 		return values.TimeVal(int64(m.Now())), nil
 	}},
-	{name: "timer_mgr.expire", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "timer_mgr.expire", flags: opReenters, arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		m, err := asTimerMgr(ex, a[0])
 		if err != nil {
 			return values.Nil, err
@@ -123,7 +123,7 @@ var runtimeOps = []opRow{
 	// timer.schedule <time> <func-name> <args-tuple>: schedule a function
 	// call to the future on the global manager (HILTI timers execute
 	// captured closures; the function-plus-arguments form is the callable).
-	{name: "timer.schedule", lower: func(c *fnCompiler, in *ast.Instr) error {
+	{name: "timer.schedule", flags: opRetains, lower: func(c *fnCompiler, in *ast.Instr) error {
 		if len(in.Ops) != 3 || in.Ops[1].Kind != ast.FuncOp {
 			return fmt.Errorf("timer.schedule needs time, function, args tuple")
 		}
@@ -160,7 +160,7 @@ var runtimeOps = []opRow{
 	}},
 
 	// --- channel -------------------------------------------------------------------
-	{name: "channel.write", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "channel.write", flags: opRetains, arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		ch, err := asChannel(a[0])
 		if err != nil {
 			return values.Nil, err
@@ -199,7 +199,7 @@ var runtimeOps = []opRow{
 	// --- classifier ------------------------------------------------------------------
 	// classifier.add <classifier> <rule-tuple> <value>: each rule element
 	// becomes its natural matcher (nets by prefix, void as wildcard).
-	{name: "classifier.add", arity: 3, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "classifier.add", flags: opRetains, arity: 3, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		cl, err := asClassifier(a[0])
 		if err != nil {
 			return values.Nil, err
@@ -243,7 +243,7 @@ var runtimeOps = []opRow{
 
 	// --- overlay --------------------------------------------------------------------
 	// overlay.get <overlay-type> <field> <bytes>: paper Figure 4.
-	{name: "overlay.get", flags: opInline, lower: func(c *fnCompiler, in *ast.Instr) error {
+	{name: "overlay.get", lower: func(c *fnCompiler, in *ast.Instr) error {
 		if len(in.Ops) != 3 || in.Ops[0].Kind != ast.TypeOp || in.Ops[1].Kind != ast.FieldOp {
 			return fmt.Errorf("overlay.get needs type, field, bytes")
 		}

@@ -14,10 +14,10 @@ import (
 	"hilti/internal/rt/values"
 )
 
-// Nearly every scalar op is pure and inline; compares also feed branches.
+// Nearly every scalar op is pure; compares also feed branches.
 const (
-	scalarOp  = opPure | opInline
-	scalarCmp = opPure | opCmp | opInline
+	scalarOp  = opPure
+	scalarCmp = opPure | opCmp
 )
 
 var scalarOps = []opRow{
@@ -133,7 +133,7 @@ var scalarOps = []opRow{
 		return values.Int(int64(strings.Index(a[0].AsString(), a[1].AsString()))), nil
 	}},
 	// Not pure: each execution must yield a fresh bytes object.
-	{name: "string.encode", arity: 1, flags: opInline, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "string.encode", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
 		return values.BytesFrom([]byte(a[0].AsString())), nil
 	}},
 	{name: "string.to_int", arity: 1, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {

@@ -60,11 +60,18 @@ const (
 	// opCmp: yields a bool an if.else may consume. Its executors end in
 	// in.branch(b); lowered alone t2 == t1, and O1 fusion retargets both.
 	opCmp
-	// opInline: never suspends (a retry would re-run a pair's first half)
-	// and never re-enters the dispatcher (calls, hooks), so it may be half
-	// of a superinstruction; raising is fine.
-	// Ops without it are treated as if they might.
-	opInline
+	// opReenters: may re-enter the dispatcher — run a HILTI call, a hook
+	// body or a timer callback — or hand control to a host function, so code
+	// the op's own row does not describe may see its operands. Every other op
+	// completes inside its executor: it may raise, or report would-block,
+	// which parks a Resumable and raises in a CallFn.
+	opReenters
+	// opRetains: may keep a non-constant operand beyond the instruction — in
+	// a map, set, list, classifier or channel, a timer or another thread's
+	// queue, or an exception that leaves the call. Storing into a struct or
+	// vector is not retaining: the container is the one that lives on.
+	// Both flags are read by the recycling rule (recycle.go).
+	opRetains
 )
 
 // Control kinds.
@@ -229,7 +236,8 @@ func internLocked(r *opRow) uint16 {
 }
 
 // pairID interns the superinstruction of a followed by b: named "a+b",
-// inline (both halves are) and branching when b branches.
+// re-entering or retaining when either half is, and branching when b
+// branches.
 func pairID(a, b uint16) uint16 {
 	k := [2]uint16{a, b}
 	opTable.RLock()
@@ -244,7 +252,7 @@ func pairID(a, b uint16) uint16 {
 	defer opTable.Unlock()
 	r := opTable.byName[name]
 	if r == nil {
-		r = &opRow{name: name, flags: ra.flags & rb.flags & opInline, ctl: rb.ctl}
+		r = &opRow{name: name, flags: (ra.flags | rb.flags) & (opReenters | opRetains), ctl: rb.ctl}
 		opTable.byName[name] = r
 	}
 	id = internLocked(r)

@@ -97,25 +97,80 @@ func refFuseAccepts(op string, in *Instr) bool {
 	}
 }
 
-func refPairSafeOp(op string) bool {
+// The recycling rule's classification of every op (recycle.go): a row
+// with opReenters may run code outside it, one with opRetains may keep an
+// operand, and every other op is listed as neither. An op in no list fails
+// TestOpTableMatchesReference, so a new op cannot go unclassified.
+var (
+	refReenters = refOps(`call hook.run timer_mgr.advance timer_mgr.advance_global timer_mgr.expire`)
+	refRetains  = refOps(`set.insert map.insert map.default list.push_back list.push_front
+		classifier.add channel.write timer.schedule thread.schedule exception.throw`)
+	refNeither = refOps(`addr.family assign bitset.clear bitset.has bitset.set bool.and
+		bool.not bool.or and not or bytes.append bytes.append_from bytes.begin bytes.end
+		bytes.equal_nocase bytes.find bytes.find_from bytes.freeze bytes.is_frozen
+		bytes.length bytes.new bytes.piece bytes.starts_with bytes.sub bytes.to_int
+		bytes.to_string bytes.trim bytes.trim_to bytes.unfreeze bytes.wait_frozen
+		channel.read channel.size channel.try_read classifier.compile classifier.get
+		classifier.matches debug.msg double.add double.div double.geq double.gt
+		double.leq double.lt double.mul double.sub double.to_int double.to_interval
+		double.to_time enum.to_int equal file.open file.write hash hash.final hash.new
+		hash.update if.else int.add int.and int.div int.eq int.geq int.gt int.leq
+		int.lt int.mod int.mul int.or int.shl int.shr int.sub int.to_double
+		int.to_interval int.to_string int.to_time int.ugt int.ult int.xor
+		interval.add interval.gt interval.lt interval.mul interval.nsecs
+		interval.sub interval.to_double iterator.at_end iterator.at_end_now
+		iterator.deref iterator.diff iterator.end_of iterator.eq iterator.incr
+		iterator.incr_by jump list.back list.begin list.elems list.front
+		list.pop_front list.size map.clear map.exists map.get map.get_default
+		map.keys map.remove map.size map.timeout map.values net.contains net.family
+		net.length new nop overlay.get port.number port.protocol profiler.start
+		profiler.stop profiler.update regexp.compile regexp.find regexp.match_token
+		regexp.matches return.result return.void set.clear set.elems set.exists
+		set.remove set.size set.timeout string.concat string.encode string.find
+		string.length string.lower string.to_int string.upper struct.get
+		struct.get_default struct.is_set struct.set struct.unset switch time.add
+		time.gt time.lt time.nsecs time.sub time.to_double timer.cancel
+		timer.update timer_mgr.current try.begin try.end tuple.index tuple.length
+		unequal unpack.addr4 unpack.addr6 unpack.bytes unpack.fields
+		unpack.uint16be unpack.uint16le unpack.uint32be unpack.uint32le
+		unpack.uint8 vector.get vector.push_back vector.reserve vector.set
+		vector.size yield`)
+)
+
+func refOps(list string) map[string]bool {
+	m := map[string]bool{}
+	for _, op := range strings.Fields(list) {
+		m[op] = true
+	}
+	return m
+}
+
+// refEscape is the reference classification of op, a fused form or a
+// superinstruction ("a+b" takes either half's flags); known is false for
+// an op in no list.
+func refEscape(op string) (reenters, retains, known bool) {
 	op = strings.TrimSuffix(op, "+br")
 	if i := strings.IndexByte(op, '+'); i >= 0 {
-		return refPairSafeOp(op[:i]) && refPairSafeOp(op[i+1:])
+		r1, k1, ok1 := refEscape(op[:i])
+		r2, k2, ok2 := refEscape(op[i+1:])
+		return r1 || r2, k1 || k2, ok1 && ok2
 	}
-	switch op {
-	case "assign", "if.else", "equal", "unequal", "and", "or", "not",
-		"overlay.get", "struct.get", "struct.set", "struct.is_set",
-		"struct.get_default", "struct.unset", "net.contains":
-		return true
+	return refReenters[op], refRetains[op], refReenters[op] || refRetains[op] || refNeither[op]
+}
+
+// checkEscape compares r's recycling flags with the reference.
+func checkEscape(t *testing.T, op string, r *opRow) {
+	t.Helper()
+	reenters, retains, known := refEscape(op)
+	if !known {
+		t.Errorf("%s: not classified for the recycling rule; add it to refReenters, refRetains or refNeither", op)
 	}
-	if i := strings.IndexByte(op, '.'); i > 0 {
-		switch op[:i] {
-		case "int", "double", "bool", "time", "interval", "addr", "port",
-			"net", "enum", "bitset", "tuple", "string":
-			return true
-		}
+	if got := r.is(opReenters); got != reenters {
+		t.Errorf("%s: re-enters %v, reference %v", op, got, reenters)
 	}
-	return false
+	if got := r.is(opRetains); got != retains {
+		t.Errorf("%s: retains %v, reference %v", op, got, retains)
+	}
 }
 
 func refIsBranch(op string) bool {
@@ -225,9 +280,7 @@ func checkAgainstReference(t *testing.T, op string, in *Instr) {
 	if got, want := r.twin != nil, refFuseAccepts(op, in); got != want {
 		t.Errorf("%s: fuses %v, reference %v", op, got, want)
 	}
-	if got, want := r.is(opInline), refPairSafeOp(op); got != want {
-		t.Errorf("%s: pair-safe %v, reference %v", op, got, want)
-	}
+	checkEscape(t, op, r)
 	if got, want := isBranch(in), refIsBranch(op); got != want {
 		t.Errorf("%s: branch %v, reference %v", op, got, want)
 	}
@@ -235,15 +288,17 @@ func checkAgainstReference(t *testing.T, op string, in *Instr) {
 
 // TestOpTableMatchesReference: for every defined op, over every operand
 // shape, the answers the passes derive from the table — fold, fuse with a
-// branch, pair safety, branch — are the ones the replaced per-op lists
-// gave, for the plain op, its fused compare-and-branch form, and
-// superinstructions of them.
+// branch, branch — are the ones the replaced per-op lists gave, and its
+// recycling flags are the reference classification, for the plain op, its
+// fused compare-and-branch form, and superinstructions of them. Every row
+// is classified, sampled or not.
 func TestOpTableMatchesReference(t *testing.T) {
 	var samples []Instr
 	for _, r := range definedRows() {
 		if strings.HasPrefix(r.name, "test.") {
 			continue // test-only rows the reference never knew
 		}
+		checkEscape(t, r.name, r)
 		for _, in := range refSamples(t, r) {
 			checkAgainstReference(t, r.name, &in)
 			if r.twin != nil {
@@ -256,8 +311,8 @@ func TestOpTableMatchesReference(t *testing.T) {
 	if len(samples) < 1000 {
 		t.Fatalf("only %d samples: lowering shapes broke", len(samples))
 	}
-	// Superinstruction names: heads that fall through, inline or not, and
-	// tails that branch or not, including a pair whose tail is itself a
+	// Superinstruction names: heads that fall through, re-entering,
+	// retaining or neither, and tails that branch or not, including a pair whose tail is itself a
 	// pair. (A branching head never fuses.)
 	heads := []uint16{idOf(opNamed("int.add")), idOf(opAssign), idOf(opNamed("call")), idOf(opNamed("map.insert"))}
 	tails := append([]uint16{idOf(opNamed("int.lt").twin), idOf(opIfElse),
@@ -266,9 +321,7 @@ func TestOpTableMatchesReference(t *testing.T) {
 		for _, b := range tails {
 			id := pairID(a, b)
 			in := &Instr{opID: id}
-			if got, want := rowOf(id).is(opInline), refPairSafeOp(opName(id)); got != want {
-				t.Errorf("%s: pair-safe %v, reference %v", opName(id), got, want)
-			}
+			checkEscape(t, opName(id), rowOf(id))
 			if got, want := isBranch(in), refIsBranch(opName(id)); got != want {
 				t.Errorf("%s: branch %v, reference %v", opName(id), got, want)
 			}
@@ -277,8 +330,8 @@ func TestOpTableMatchesReference(t *testing.T) {
 }
 
 // testNonzero is a test-only op defined as a single row: a bool-yielding
-// integer test that is pure and inline.
-var testNonzero = defineOp(opRow{name: "test.nonzero", arity: 1, flags: opPure | opCmp | opInline,
+// integer test that is pure.
+var testNonzero = defineOp(opRow{name: "test.nonzero", arity: 1, flags: opPure | opCmp,
 	fn: func(_ *Exec, a []values.Value) (values.Value, error) { return values.Bool(a[0].AsInt() != 0), nil }})
 
 // TestAddingAnOpIsOneRow: with no edit beyond its row, test.nonzero folds

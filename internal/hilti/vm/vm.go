@@ -194,7 +194,9 @@ type Exec struct {
 	Files    *filemgr.Mgr
 	GlobalTM *timer.Mgr
 	Sched    *threads.Scheduler
-	HostFns  map[string]HostFunc
+	// HostFns holds the host functions by name. Fill it through RegisterHost
+	// or RegisterBorrowingHost, which keep Recycle's answers current.
+	HostFns map[string]HostFunc
 
 	// Limits bounds every top-level invocation (see budget.go); the
 	// zero value means unlimited. Change it only between invocations.
@@ -217,6 +219,9 @@ type Exec struct {
 	pairRet    *src   // the constructor of a pcPair return, read before its frame is freed
 	opProf     *opProfile
 	tiering    *tiering // runtime tier-2 promotion, nil unless EnableTiering
+
+	borrowing map[string]bool // host functions registered as borrowing (recycle.go)
+	rec       *recycler       // nil until Recycle accepts an entry
 }
 
 // NewExec creates an execution context for prog and runs global
@@ -243,8 +248,18 @@ func NewExec(prog *Program) (*Exec, error) {
 	return ex, nil
 }
 
-// RegisterHost makes a Go function callable from HILTI code under name.
-func (ex *Exec) RegisterHost(name string, fn HostFunc) { ex.HostFns[name] = fn }
+// RegisterHost makes a Go function callable from HILTI code under name. A
+// host function so registered may keep its arguments; replacing a borrowing
+// one (RegisterBorrowingHost) therefore drops every Recycle answer.
+func (ex *Exec) RegisterHost(name string, fn HostFunc) {
+	ex.HostFns[name] = fn
+	if ex.borrowing[name] {
+		delete(ex.borrowing, name)
+		if ex.rec != nil {
+			ex.rec.entries = nil
+		}
+	}
+}
 
 // Fn looks up a compiled function by name.
 func (p *Program) Fn(name string) *CompiledFunc { return p.Funcs[name] }
@@ -598,7 +613,11 @@ func (ex *Exec) CallFn(fn *CompiledFunc, args ...values.Value) (values.Value, er
 	}
 	ex.budget.vmDepth++
 	base := len(ex.stack)
-	defer ex.leave(base)
+	var outer recScope
+	if ex.rec != nil {
+		outer = ex.rec.enter(fn)
+	}
+	defer ex.leave(base, outer)
 	ex.enter(fn)
 	ret, st := ex.run(&runState{activation{fn: fn, fr: fr}, base, false})
 	if ex.budget.vmDepth == 1 && ex.Met != nil {
@@ -612,16 +631,21 @@ func (ex *Exec) CallFn(fn *CompiledFunc, args ...values.Value) (values.Value, er
 	return ret, nil
 }
 
-// leave ends a native entry into the dispatch loop, however it ends. It is
-// deferred because a Go panic — a host function's, or a VM bug's — may pass
-// through run on its way to the host's fault.Catch: the depth would stay
-// raised for the life of the Exec, so no later call would count as
-// top-level, arm its budget or be harvested, and the dead call's
-// activations would stay on the stack.
-func (ex *Exec) leave(base int) {
+// leave ends a native entry into the dispatch loop, however it ends, and
+// restores the recycling scope it was entered in (releasing the one it
+// opened). It is deferred because a Go panic — a host function's, or a VM
+// bug's — may pass through run on its way to the host's fault.Catch: the
+// depth would stay raised for the life of the Exec, so no later call would
+// count as top-level, arm its budget or be harvested, the dead call's
+// activations would stay on the stack, and a scope left active would hand
+// recycled objects to every later call.
+func (ex *Exec) leave(base int, outer recScope) {
 	ex.budget.vmDepth--
 	for len(ex.stack) > base {
 		ex.freeFrame(ex.pop().fr)
+	}
+	if ex.rec != nil {
+		ex.rec.exit(outer)
 	}
 }
 
@@ -692,10 +716,17 @@ func (r *Resumable) Resume() (values.Value, bool, error) {
 	hostBudget := ex.budget
 	ex.budget = r.budget
 	ex.budget.vmDepth++
+	// A parked call is never in a recycling scope: it runs outside any scope
+	// its Resume is nested in.
+	var outer recScope
+	if ex.rec != nil {
+		outer = ex.rec.scope
+		ex.rec.scope.active = false
+	}
 	returned := false
 	defer func() {
 		if !returned { // a Go panic is passing through: the call is dead, see leave
-			ex.leave(s.base)
+			ex.leave(s.base, outer)
 			ex.budget = hostBudget
 			r.finish(values.Nil, errors.New("hilti: call abandoned by a panic"))
 		}
@@ -708,6 +739,9 @@ func (r *Resumable) Resume() (values.Value, bool, error) {
 	ex.rearmDeadline()
 	v, st := ex.run(&s)
 	returned = true
+	if ex.rec != nil {
+		ex.rec.scope = outer
+	}
 	if st == runParked {
 		r.stack = append(append(r.stack, ex.stack[s.base:]...), s.activation)
 		clear(ex.stack[s.base:])

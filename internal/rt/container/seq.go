@@ -217,6 +217,15 @@ func NewVectorSized(def values.Value, n int) *Vector {
 	return v
 }
 
+// Reset empties the vector for reuse as NewVectorSized(def, n) would build
+// it, keeping its storage: the elements it held are cleared, so it pins
+// none of them.
+func (v *Vector) Reset(def values.Value, n int) {
+	clear(v.elems)
+	v.elems, v.def = v.elems[:0], def
+	v.Grow(n)
+}
+
 // TypeName implements values.Object.
 func (v *Vector) TypeName() string { return "vector" }
 

@@ -342,11 +342,21 @@ func (b *Bytes) copyRange(dst []byte, lo int64) {
 // trims of b. A range within one chunk is a view of it, costing no copy;
 // one spanning chunks is copied.
 func (b *Bytes) SubBytes(from, to Iter) (*Bytes, error) {
-	lo, hi := from.resolve(), to.resolve()
-	if err := b.checkRange(lo, hi); err != nil {
+	nb := &Bytes{}
+	if err := b.SubBytesInto(nb, from, to); err != nil {
 		return nil, err
 	}
-	nb := &Bytes{}
+	return nb, nil
+}
+
+// SubBytesInto is SubBytes into nb, which is reset first: a caller that
+// recycles its values reuses one. On error nb is unchanged.
+func (b *Bytes) SubBytesInto(nb *Bytes, from, to Iter) error {
+	lo, hi := from.resolve(), to.resolve()
+	if err := b.checkRange(lo, hi); err != nil {
+		return err
+	}
+	*nb = Bytes{}
 	if hi > lo {
 		ci := b.findChunk(lo)
 		if c := b.chunks[ci]; hi <= c.off+int64(len(c.data)) {
@@ -359,7 +369,7 @@ func (b *Bytes) SubBytes(from, to Iter) (*Bytes, error) {
 		}
 	}
 	nb.frozen = true
-	return nb, nil
+	return nil
 }
 
 // chunkAt returns the retained bytes from absolute offset off to the end of
@@ -567,6 +577,24 @@ func (it Iter) Valid() bool {
 // Err wraps fmt for iterator diagnostics.
 func (it Iter) GoString() string {
 	return fmt.Sprintf("hbytes.Iter(off=%d)", it.resolve())
+}
+
+// ResetEmpty empties the rope for reuse as a new, unfrozen value. A rope
+// built only by Append holds one chunk it allocated itself; that chunk's
+// array is kept as the tail room of the next use, so a reused `new bytes`
+// costs nothing until it outgrows it. Any other rope starts over as New.
+// Views taken of the rope (SubBytes) must be dead: the kept array is
+// written again.
+func (b *Bytes) ResetEmpty() {
+	var room []byte
+	if b.tail && len(b.chunks) == 1 {
+		room = b.chunks[0].data[:0]
+	}
+	*b = Bytes{}
+	if room != nil {
+		b.first[0].data = room
+		b.chunks, b.tail = b.first[:1], true
+	}
 }
 
 // Reset discards all state and re-initializes the rope around data without

@@ -428,3 +428,30 @@ func TestAppendRange(t *testing.T) {
 		}
 	}
 }
+
+// TestResetEmpty: a reset rope is empty and unfrozen whatever it held. A
+// rope built only by Append keeps its own tail array as room for the next
+// use; one holding borrowed data (AppendOwned) never writes into it.
+func TestResetEmpty(t *testing.T) {
+	b := NewWithTail()
+	b.Append([]byte("www.example.com"))
+	b.Freeze()
+	room := b.Bytes()
+	b.ResetEmpty()
+	if b.Len() != 0 || b.Frozen() {
+		t.Fatalf("reset rope: len %d, frozen %v", b.Len(), b.Frozen())
+	}
+	b.Append([]byte("abc"))
+	if &b.Bytes()[0] != &room[0] || b.String() != "abc" {
+		t.Fatalf("reset rope did not reuse its tail: %q", b.String())
+	}
+
+	borrowed := []byte("payload")
+	o := New()
+	o.AppendOwned(borrowed)
+	o.ResetEmpty()
+	o.Append([]byte("xyz"))
+	if string(borrowed) != "payload" || o.String() != "xyz" {
+		t.Fatalf("reset of a borrowing rope wrote %q into its data, holds %q", borrowed, o.String())
+	}
+}

@@ -426,14 +426,20 @@ func (s *Struct) TypeName() string {
 // NewStruct instantiates a struct with defaults applied.
 func NewStruct(def *StructDef) *Struct {
 	s := newStruct(def, len(def.Fields))
-	for i, f := range def.Fields {
+	s.Reset()
+	return s
+}
+
+// Reset returns every field to its default, as NewStruct leaves it: a
+// struct that is reused holds nothing of its last use.
+func (s *Struct) Reset() {
+	for i, f := range s.Def.Fields {
 		if f.Default.K != KindUnset && f.Default.K != KindVoid {
 			s.Fields[i] = f.Default
 		} else {
 			s.Fields[i] = Unset
 		}
 	}
-	return s
 }
 
 // newStruct returns a struct of def with n zero fields. Up to 16 fields
