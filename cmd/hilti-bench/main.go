@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"hilti"
+	"hilti/internal/binpac/grammars"
 	"hilti/internal/bpf"
 	"hilti/internal/bro"
 	"hilti/internal/firewall"
@@ -954,6 +955,7 @@ func (h *harness) vmopt(chk *checker) {
 	chk.check(m0 == mO, fmt.Sprintf("filter match counts differ: -O0=%d -O1=%d", m0, mO))
 	chk.check(st.After < st.Before, "optimizer did not reduce static instruction count")
 	chk.check(sO < s0, "optimizer did not reduce executed instruction count")
+	h.residue(chk, mod)
 
 	// Figure 9's BinPAC++ parsers, through the engine. Besides the log and
 	// instruction-count checks this is where the VM's allocation-free
@@ -997,6 +999,48 @@ func (h *harness) vmopt(chk *checker) {
 		chk.check(a1 < a0, p.name+" parser: -O1 does not allocate less than -O0 (tuple scalar replacement lost?)")
 		chk.check(a1 <= p.ceiling, fmt.Sprintf("%s parser: %.1f mallocs/pkt at -O1 exceeds the ceiling of %.0f (operand scratch lost?)",
 			p.name, a1, p.ceiling))
+	}
+}
+
+// residue prints, for each HILTI program the experiments run, linked at
+// -O1, what still takes a generic path (vm.Residue): struct field accesses
+// by index and on the name path, and static instructions whose executor
+// gathers operands through Exec.operands (variadic ops, host calls,
+// hook.run). Lowering leaves a field access on the name path only when its
+// struct operand has type any; these programs declare the type of every
+// struct operand, so any name-path access fails.
+func (h *harness) residue(chk *checker, filter *ast.Module) {
+	fw, err := firewall.Compile(fwRules(), 5*time.Minute)
+	must(err)
+	httpG, err := grammars.HTTPModules()
+	must(err)
+	dnsG, err := grammars.DNSModules()
+	must(err)
+	compiled := func(srcs ...string) []*ast.Module {
+		var parsed []*bro.Script
+		for _, src := range srcs {
+			s, err := bro.ParseScript(src)
+			must(err)
+			parsed = append(parsed, s)
+		}
+		mod, err := bro.CompileScripts(parsed...)
+		must(err)
+		return []*ast.Module{mod}
+	}
+	for _, p := range []struct {
+		name string
+		mods []*ast.Module
+	}{
+		{"filter", []*ast.Module{filter}}, {"firewall", []*ast.Module{fw}},
+		{"HTTP grammar", httpG}, {"DNS grammar", dnsG},
+		{"HTTP scripts", compiled(bro.HTTPScript, bro.FilesScript)}, {"DNS scripts", compiled(bro.DNSScript)},
+	} {
+		prog, err := vm.LinkWith(vm.Options{OptLevel: 1}, p.mods...)
+		must(err)
+		res := prog.Residue()
+		fmt.Printf("    residue, %s: %d field accesses by index, %d by name; %d instructions gather operands\n",
+			p.name, res.IndexFields, res.NameFields, res.Gathering)
+		chk.check(res.NameFields == 0, fmt.Sprintf("%s: %d struct field accesses on the name path", p.name, res.NameFields))
 	}
 }
 

@@ -51,17 +51,21 @@ func HTTPGrammar() *binpac.Grammar {
 			{Kind: binpac.FLiteral, Pattern: `\r?\n`},
 		},
 	}
-	header := &binpac.Unit{
-		Name:     "Header",
-		Params:   []string{"msg"},
-		HookDone: true,
-		Fields: []*binpac.Field{
-			{Name: "name", Kind: binpac.FToken, Pattern: `[^:\r\n]+`},
-			{Kind: binpac.FLiteral, Pattern: `:[ \t]*`},
-			// The value without the whitespace around it (RFC 7230 §3.2.4).
-			{Name: "value", Kind: binpac.FToken, Pattern: `([^\r\n]*[^ \t\r\n])?`},
-			{Kind: binpac.FLiteral, Pattern: `[ \t]*\r?\n`},
-		},
+	// A header of a Request or a Reply: one unit each, so that its hook's
+	// msg parameter has one type.
+	header := func(msg string) *binpac.Unit {
+		return &binpac.Unit{
+			Name:     msg + "Header",
+			Params:   []string{"msg"},
+			HookDone: true,
+			Fields: []*binpac.Field{
+				{Name: "name", Kind: binpac.FToken, Pattern: `[^:\r\n]+`},
+				{Kind: binpac.FLiteral, Pattern: `:[ \t]*`},
+				// The value without the whitespace around it (RFC 7230 §3.2.4).
+				{Name: "value", Kind: binpac.FToken, Pattern: `([^\r\n]*[^ \t\r\n])?`},
+				{Kind: binpac.FLiteral, Pattern: `[ \t]*\r?\n`},
+			},
+		}
 	}
 	// chunk is one chunk of a chunked body. The list of them ends at the
 	// last-chunk line (size 0), which with the trailer lines up to a blank
@@ -105,7 +109,7 @@ func HTTPGrammar() *binpac.Grammar {
 		Fields: []*binpac.Field{
 			{Name: "request_line", Kind: binpac.FSubUnit, Unit: "RequestLine", Hook: true},
 			{Kind: binpac.FList, Mode: binpac.ListUntilLiteral, Until: `\r?\n`,
-				Elem: &binpac.Field{Kind: binpac.FSubUnit, Unit: "Header", UnitArgs: []string{"self"}}},
+				Elem: &binpac.Field{Kind: binpac.FSubUnit, Unit: "RequestHeader", UnitArgs: []string{"self"}}},
 			{Name: "body", Kind: binpac.FSwitch, On: binpac.VarSrc("bodykind"), Cases: []binpac.Case{
 				{Value: BodyNone, Fields: nil},
 				{Value: BodyLength, Fields: byLength},
@@ -133,7 +137,7 @@ func HTTPGrammar() *binpac.Grammar {
 			{Kind: binpac.FLiteral, Pattern: `[ \t]*`},
 			{Name: "reason", Kind: binpac.FBytesUntil, Delim: "\r\n", Hook: true},
 			{Name: "headers", Kind: binpac.FList, Mode: binpac.ListUntilLiteral, Until: `\r?\n`, Hook: true,
-				Elem: &binpac.Field{Kind: binpac.FSubUnit, Unit: "Header", UnitArgs: []string{"self"}}},
+				Elem: &binpac.Field{Kind: binpac.FSubUnit, Unit: "ReplyHeader", UnitArgs: []string{"self"}}},
 			{Name: "body", Kind: binpac.FSwitch, On: binpac.VarSrc("bodykind"), Cases: []binpac.Case{
 				{Value: BodyNone, Fields: nil},
 				{Value: BodyLength, Fields: byLength},
@@ -155,7 +159,7 @@ func HTTPGrammar() *binpac.Grammar {
 		Name: "HTTP",
 		Top:  "Requests",
 		Units: []*binpac.Unit{
-			requestLine, header, chunk, request, requests, reply, replies,
+			requestLine, header("Request"), header("Reply"), chunk, request, requests, reply, replies,
 		},
 	}
 }
@@ -180,7 +184,7 @@ var httpModules = shared(func() ([]*ast.Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	hooks, err := httpHooks()
+	hooks, err := httpHooks(parser)
 	if err != nil {
 		return nil, err
 	}
@@ -214,19 +218,23 @@ func shared(build func() ([]*ast.Module, error)) func() ([]*ast.Module, error) {
 // sniffing (analyzers.SniffMIME reads at most four).
 const sniffLen = 4
 
-// httpHooks builds the HILTI hook bodies implementing HTTP's semantics.
-func httpHooks() (*ast.Module, error) {
+// httpHooks builds the HILTI hook bodies implementing HTTP's semantics
+// against the units of the parser module.
+func httpHooks(parser *ast.Module) (*ast.Module, error) {
 	b := ast.NewBuilder("HTTPHooks")
 
-	selfP := ast.Param{Name: "self", Type: types.AnyT}
-	msgP := ast.Param{Name: "msg", Type: types.AnyT}
+	// A unit parameter has its unit's type, so its field accesses compile
+	// to indices.
+	unit := func(param, name string) ast.Param {
+		return ast.Param{Name: param, Type: types.RefT(parser.Types[name])}
+	}
 	ctxP := ast.Param{Name: "ctx", Type: types.Int64T}
 	pieceP := ast.Param{Name: "piece", Type: types.BytesT}
 
-	// Header::%done(self, msg): classify interesting headers into message
-	// variables and raise the per-header event.
-	{
-		fb := b.Hook("Header::%done", 0, selfP, msgP)
+	// <Msg>Header::%done(self, msg): classify interesting headers into
+	// message variables and raise the per-header event.
+	for _, m := range []string{"Request", "Reply"} {
+		fb := b.Hook(m+"Header::%done", 0, unit("self", m+"Header"), unit("msg", m))
 		name := fb.Local("name", types.BytesT)
 		value := fb.Local("value", types.BytesT)
 		cond := fb.Local("cond", types.BoolT)
@@ -272,8 +280,8 @@ func httpHooks() (*ast.Module, error) {
 	// Request::request_line(self, ctx): record ctx for header hooks and
 	// raise http_request.
 	{
-		fb := b.Hook("Request::request_line", 0, selfP, ctxP)
-		rl := fb.Local("rl", types.AnyT)
+		fb := b.Hook("Request::request_line", 0, unit("self", "Request"), ctxP)
+		rl := fb.Local("rl", types.RefT(parser.Types["RequestLine"]))
 		m := fb.Local("m", types.BytesT)
 		u := fb.Local("u", types.BytesT)
 		v := fb.Local("v", types.BytesT)
@@ -290,7 +298,7 @@ func httpHooks() (*ast.Module, error) {
 	// convert the status text and raise http_reply — before the headers'
 	// events, as the standard parser does.
 	{
-		fb := b.Hook("Reply::reason", 0, selfP, ctxP)
+		fb := b.Hook("Reply::reason", 0, unit("self", "Reply"), ctxP)
 		s := fb.Local("s", types.BytesT)
 		status := fb.Local("status", types.Int64T)
 		v := fb.Local("v", types.BytesT)
@@ -308,7 +316,7 @@ func httpHooks() (*ast.Module, error) {
 	// Reply::headers(self, ctx): after all headers, let the host adjust the
 	// body kind (it knows about HEAD requests and status semantics).
 	{
-		fb := b.Hook("Reply::headers", 0, selfP, ctxP)
+		fb := b.Hook("Reply::headers", 0, unit("self", "Reply"), ctxP)
 		status := fb.Local("status", types.Int64T)
 		kind := fb.Local("kind", types.Int64T)
 		clen := fb.Local("clen", types.Int64T)
@@ -322,7 +330,7 @@ func httpHooks() (*ast.Module, error) {
 
 	// Chunk::size_str(self, msg): the chunk's size is hex.
 	{
-		fb := b.Hook("Chunk::size_str", 0, selfP, msgP)
+		fb := b.Hook("Chunk::size_str", 0, unit("self", "Chunk"), unit("msg", "Reply"))
 		s := fb.Local("s", types.BytesT)
 		n := fb.Local("n", types.Int64T)
 		fb.Assign(s, "struct.get", ast.VarOp("self"), ast.FieldOperand("size_str"))
@@ -331,12 +339,12 @@ func httpHooks() (*ast.Module, error) {
 		fb.ReturnVoid()
 	}
 
-	// body_piece(msg, piece) takes a body piece of message msg: counts it,
-	// digests it, and copies whatever of the body's first sniffLen bytes it
-	// holds. The piece itself is a view of the input and is not kept. The
-	// streamed fields' hooks call it.
-	{
-		fb := b.Function("body_piece", types.VoidT, msgP, pieceP)
+	// body_piece_<Msg>(msg, piece) takes a body piece of message msg:
+	// counts it, digests it, and copies whatever of the body's first
+	// sniffLen bytes it holds. The piece itself is a view of the input and
+	// is not kept. The streamed fields' hooks call it.
+	for _, m := range []string{"Request", "Reply"} {
+		fb := b.Function("body_piece_"+m, types.VoidT, unit("msg", m), pieceP)
 		msg, piece := ast.VarOp("msg"), ast.VarOp("piece")
 		n := fb.Local("n", types.Int64T)
 		k := fb.Local("k", types.Int64T)
@@ -383,22 +391,22 @@ func httpHooks() (*ast.Module, error) {
 	// The streamed fields' hooks: a message's own body, and a chunk's data,
 	// whose message is its msg parameter.
 	for _, h := range []struct {
-		name, msg string
-		params    []ast.Param
+		name, msg, piece string
+		params           []ast.Param
 	}{
-		{"Request::data", "self", []ast.Param{selfP, ctxP, pieceP}},
-		{"Reply::data", "self", []ast.Param{selfP, ctxP, pieceP}},
-		{"Chunk::data", "msg", []ast.Param{selfP, msgP, pieceP}},
+		{"Request::data", "self", "body_piece_Request", []ast.Param{unit("self", "Request"), ctxP, pieceP}},
+		{"Reply::data", "self", "body_piece_Reply", []ast.Param{unit("self", "Reply"), ctxP, pieceP}},
+		{"Chunk::data", "msg", "body_piece_Reply", []ast.Param{unit("self", "Chunk"), unit("msg", "Reply"), pieceP}},
 	} {
 		fb := b.Hook(h.name, 0, h.params...)
-		fb.Call("body_piece", ast.VarOp(h.msg), ast.VarOp("piece"))
+		fb.Call(h.piece, ast.VarOp(h.msg), ast.VarOp("piece"))
 		fb.ReturnVoid()
 	}
 
 	// Shared %done logic for both directions: raise http_body for a body,
 	// then http_message_done.
-	emitDone := func(hookName string) {
-		fb := b.Hook(hookName, 0, selfP, ctxP)
+	emitDone := func(u string) {
+		fb := b.Hook(u+"::%done", 0, unit("self", u), ctxP)
 		isOrig := fb.Local("is_orig", types.Int64T)
 		n := fb.Local("n", types.Int64T)
 		cond := fb.Local("cond", types.BoolT)
@@ -421,7 +429,7 @@ func httpHooks() (*ast.Module, error) {
 		fb.Call("bro_http_message_done", ast.VarOp("ctx"), isOrig)
 		fb.ReturnVoid()
 	}
-	emitDone("Request::%done")
-	emitDone("Reply::%done")
+	emitDone("Request")
+	emitDone("Reply")
 	return b.M, nil
 }

@@ -273,32 +273,32 @@ func TestDNSParseMessageGolden(t *testing.T) {
 0000 assign             r3 <- r1
 0001 unpack.fields      r1 <- r0, r1, c:id:uint16be flags:uint16be qdcount:uint16be ancount:uint16be nscount:uint16be arcount:uint16be
 0002 assign             r4 <- c:0
-0003 struct.get         r5 <- r0, c:qdcount
+0003 struct.get_idx     r5 <- r0, c:qdcount
 0004 new                r6 <- r5
 0005 int.lt+br          r7 <- r4, r5 ; t1=6 t2=10
 0006 new                r8
 0007 call               r1 <- r8, r1, r3
 0008 vector.push_back   r6, r8
 0009 int.add            r4 <- r4, c:1 ; t1=5
-0010 struct.set         r0, c:questions, r6
+0010 struct.set_idx     r0, c:questions, r6
 0011 assign             r9 <- c:0
-0012 struct.get         r10 <- r0, c:ancount
+0012 struct.get_idx     r10 <- r0, c:ancount
 0013 new                r11 <- r10
 0014 int.lt+br          r12 <- r9, r10 ; t1=15 t2=19
 0015 new                r13
 0016 call               r1 <- r13, r1, r3
 0017 vector.push_back   r11, r13
 0018 int.add            r9 <- r9, c:1 ; t1=14
-0019 struct.set         r0, c:answers, r11
+0019 struct.set_idx     r0, c:answers, r11
 0020 assign             r14 <- c:0
-0021 struct.get         r15 <- r0, c:nscount
+0021 struct.get_idx     r15 <- r0, c:nscount
 0022 new                r16 <- r15
 0023 int.lt+br          r17 <- r14, r15 ; t1=24 t2=28
 0024 new                r18
 0025 call               r1 <- r18, r1, r3
 0026 vector.push_back   r16, r18
 0027 int.add            r14 <- r14, c:1 ; t1=23
-0028 struct.set         r0, c:authority, r16
+0028 struct.set_idx     r0, c:authority, r16
 0029 hook.run           _ <- r0, r2
 0030 return.result      _ <- r1
 `

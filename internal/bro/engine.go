@@ -153,6 +153,10 @@ type Engine struct {
 	reasm       *reassembly.Budget
 	loopExec    *vm.Exec // lazily built LoopPort injection analyzer
 
+	// structs are the linked program's struct definitions by name: what
+	// converted and restored values carry (linkedStruct), so that the
+	// program's field accesses find them by index.
+	structs                                    map[string]*values.StructDef
 	httpReqStruct, httpRepStruct, dnsMsgStruct *values.StructDef
 	dnsParseFn                                 *vm.CompiledFunc
 	dnsIx                                      dnsIndex
@@ -280,6 +284,17 @@ func NewEngine(cfg Config) (*Engine, error) {
 		if cfg.Quiet {
 			e.ex.Out = io.Discard
 		}
+		e.structs = map[string]*values.StructDef{}
+		for _, m := range mods {
+			for _, t := range m.Types {
+				if d := t.StructDef; d != nil && e.structs[d.Name] == nil {
+					e.structs[d.Name] = d.Runtime()
+				}
+			}
+		}
+		for name, rt := range e.interp.Records {
+			rt.adoptDef(e.structs[name])
+		}
 		if httpMods != nil {
 			e.initBinpac(httpMods, dnsMods)
 		}
@@ -312,6 +327,15 @@ func (e *Engine) initBinpac(httpMods, dnsMods []*ast.Module) {
 	e.dnsParseFn = e.ex.Prog.Fn("DNS::parse_Message")
 	e.dnsRope, e.dnsSelf = hbytes.New(), values.NewStruct(e.dnsMsgStruct)
 	e.registerBinpacHost()
+}
+
+// linkedStruct resolves a restored struct to the linked program's
+// definition of its type, or nil when the program has none with its fields.
+func (e *Engine) linkedStruct(name string, fields []string) *values.StructDef {
+	if d := e.structs[name]; sameFields(d, fields) {
+		return d
+	}
+	return nil
 }
 
 func findStruct(mods []*ast.Module, name string) *values.StructDef {

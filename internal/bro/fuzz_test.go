@@ -73,12 +73,20 @@ func FuzzEngineFeed(f *testing.F) {
 // compiled to HILTI, so hostile bytes reach the generated parse code — and,
 // segment by segment, the VM's park and resume. Each input runs under both
 // script backends: with compiled scripts, the parser callbacks dispatch
-// handlers nested in the parse on the engine's one Exec.
+// handlers nested in the parse on the engine's one Exec. Every struct a
+// field access by index meets must carry the Def it was compiled against.
 func FuzzEngineFeedBinpac(f *testing.F) {
 	fuzzSeeds(f)
+	// Struct-typed all the way: header and body hooks that read and write
+	// their message by field index, and handlers that fill an HTTPInfo.
+	f.Add([]byte("POST /a HTTP/1.1\r\nHost: h\r\nContent-Type: text/plain\r\nContent-Length: 5\r\n\r\nhelloGET /b HTTP/1.1\r\nHost: i\r\n\r\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, scripts := range []string{"interp", "hilti"} {
-			feedShapes(fuzzEngine(t, "binpac", scripts), data, true)
+			e := fuzzEngine(t, "binpac", scripts)
+			feedShapes(e, data, true)
+			if n := e.ex.FieldGuardMisses(); n != 0 {
+				t.Fatalf("%s scripts: %d field guard misses", scripts, n)
+			}
 		}
 	})
 }

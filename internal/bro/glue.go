@@ -139,6 +139,7 @@ func (g *Glue) fromHilti(v values.Value) Val {
 				names[i] = f.Name
 			}
 			rt = NewRecordType(s.Def.Name, names...)
+			rt.adoptDef(s.Def)
 			g.rtypes[s.Def.Name] = rt
 		}
 		r := NewRecord(rt)

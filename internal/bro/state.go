@@ -1390,14 +1390,14 @@ func (e *Engine) applyExec(dec *snapshot.Decoder) error {
 		}
 		switch mode {
 		case modeWhole:
-			sub := snapshot.NewRawDecoder(body, snapshot.WithTimerMgr(mgr))
+			sub := snapshot.NewRawDecoder(body, snapshot.WithTimerMgr(mgr), snapshot.WithStructs(e.linkedStruct))
 			v := sub.Value()
 			if err := sub.Err(); err != nil {
 				return err
 			}
 			globals[idx] = v
 		case modeJournal:
-			if err := applyJournalOps(globals[idx], body, mgr); err != nil {
+			if err := applyJournalOps(globals[idx], body, mgr, e.linkedStruct); err != nil {
 				return fmt.Errorf("bro: VM global %d: %w", idx, err)
 			}
 		default:
@@ -1407,8 +1407,8 @@ func (e *Engine) applyExec(dec *snapshot.Decoder) error {
 	return dec.Err()
 }
 
-func applyJournalOps(v values.Value, body []byte, mgr *timer.Mgr) error {
-	sub := snapshot.NewRawDecoder(body, snapshot.WithTimerMgr(mgr))
+func applyJournalOps(v values.Value, body []byte, mgr *timer.Mgr, structs func(string, []string) *values.StructDef) error {
+	sub := snapshot.NewRawDecoder(body, snapshot.WithTimerMgr(mgr), snapshot.WithStructs(structs))
 	n := sub.Len(1)
 	for i := 0; i < n && sub.Err() == nil; i++ {
 		op := container.JournalOp(sub.U8())

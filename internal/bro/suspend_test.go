@@ -123,12 +123,14 @@ func TestBinpacParkedParseHoldsNoBody(t *testing.T) {
 	// Every message struct a header hook is handed.
 	var msgs []*values.Struct
 	e.ex.Hooks = hook.NewRegistry()
-	e.ex.Hooks.Get("Header::%done").Add(func(args []values.Value) (values.Value, bool) {
-		if m := args[1].AsStruct(); len(msgs) == 0 || msgs[len(msgs)-1] != m {
-			msgs = append(msgs, m)
-		}
-		return values.Nil, false
-	})
+	for _, h := range []string{"RequestHeader::%done", "ReplyHeader::%done"} {
+		e.ex.Hooks.Get(h).Add(func(args []values.Value) (values.Value, bool) {
+			if m := args[1].AsStruct(); len(msgs) == 0 || msgs[len(msgs)-1] != m {
+				msgs = append(msgs, m)
+			}
+			return values.Nil, false
+		})
+	}
 	ts := int64(1e9)
 	send := func(src, dst [4]byte, sp, dp uint16, msg string) {
 		for at := 0; at < len(msg); at += segment {

@@ -134,9 +134,10 @@ type RecordType struct {
 }
 
 // hiltiDef returns the one HILTI struct definition every converted value of
-// this record type carries. Sharing it saves building a field slice and a
-// name index per conversion, and keeps the definition pointer stable across
-// values, which LogSet's column plans key on.
+// this record type carries: the linked program's, when the engine adopted
+// it, else one built on first use. Sharing it saves building a field slice
+// and a name index per conversion, and keeps the definition pointer stable
+// across values, which LogSet's column plans key on.
 func (rt *RecordType) hiltiDef() *values.StructDef {
 	rt.defOnce.Do(func() {
 		fields := make([]values.StructField, len(rt.Fields))
@@ -146,6 +147,30 @@ func (rt *RecordType) hiltiDef() *values.StructDef {
 		rt.def = values.NewStructDef(rt.Name, fields...)
 	})
 	return rt.def
+}
+
+// adoptDef makes d the definition rt's converted values carry, if d
+// describes rt. A program compiled against the linked definition reads
+// their fields by index. It must come before rt's first conversion.
+func (rt *RecordType) adoptDef(d *values.StructDef) {
+	if sameFields(d, rt.Fields) {
+		rt.defOnce.Do(func() { rt.def = d })
+	}
+}
+
+// sameFields reports whether d has exactly the named fields, in order,
+// none with a default: a struct of d then holds what a record of those
+// fields holds.
+func sameFields(d *values.StructDef, names []string) bool {
+	if d == nil || len(d.Fields) != len(names) {
+		return false
+	}
+	for i, f := range d.Fields {
+		if f.Name != names[i] || f.Default.K != values.KindUnset {
+			return false
+		}
+	}
+	return true
 }
 
 // NewRecordType builds a record type.

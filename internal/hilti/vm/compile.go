@@ -40,6 +40,7 @@ func LinkWith(opts Options, modules ...*ast.Module) (*Program, error) {
 			HookBodies: map[string][]*CompiledFunc{},
 			Builtins:   builtins(),
 		},
+		opt:         opts.OptLevel,
 		globals:     map[string]int32{},
 		globalTypes: map[string]*types.Type{},
 		namedTypes:  map[string]*types.Type{},
@@ -60,10 +61,11 @@ func LinkWith(opts Options, modules ...*ast.Module) (*Program, error) {
 			slot := int32(lk.prog.GlobalCount)
 			lk.prog.GlobalCount++
 			lk.globals[m.Name+"::"+g.Name] = slot
+			lk.globalTypes[m.Name+"::"+g.Name] = g.Type
 			if _, dup := lk.globals[g.Name]; !dup {
 				lk.globals[g.Name] = slot
+				lk.globalTypes[g.Name] = g.Type
 			}
-			lk.globalTypes[g.Name] = g.Type
 			lk.addGlobalInit(slot, g)
 		}
 		for _, f := range m.Functions {
@@ -117,6 +119,7 @@ type unit struct {
 
 type linker struct {
 	prog        *Program
+	opt         int // Options.OptLevel
 	globals     map[string]int32
 	globalTypes map[string]*types.Type
 	namedTypes  map[string]*types.Type
@@ -332,6 +335,9 @@ func (c *fnCompiler) typeOfOperand(o ast.Operand) *types.Type {
 		if t, ok := c.rty[o.Name]; ok {
 			return t
 		}
+		if t, ok := c.lk.globalTypes[c.mod.Name+"::"+o.Name]; ok {
+			return t
+		}
 		if t, ok := c.lk.globalTypes[o.Name]; ok {
 			return t
 		}
@@ -405,36 +411,65 @@ func (c *fnCompiler) lowerRow(r *opRow, in *ast.Instr) error {
 	return nil
 }
 
-// simpleFn is the semantic definition of a generic instruction: operands
-// in, result or error out. args is the executing frame's operand scratch
+// simpleFn is the semantic definition of a variadic instruction, and the
+// slice form defineOp derives from a positional body: operands in, result
+// or error out. args is the executing frame's operand scratch
 // (Exec.operands) and must not be retained.
 type simpleFn func(ex *Exec, args []values.Value) (values.Value, error)
 
-// simple is the one gather → call → raise-or-store sequence behind every
-// simpleFn-dispatched executor. It returns the stored result and the next
-// pc; a negative pc (raise or retry) means nothing was stored.
-func (ex *Exec) simple(fr *Frame, in *Instr) (values.Value, int) {
-	v, err := in.aux.(simpleFn)(ex, ex.operands(fr, in.srcs))
+// The derived executors read a positional body's operands with Exec.get,
+// straight into its parameters; only a variadic body gathers them
+// (execSimple). store ends them: raise, or store the result and go on.
+func (ex *Exec) store(fr *Frame, in *Instr, v values.Value, err error) int {
 	if err != nil {
-		return v, ex.raiseErr(err)
+		return ex.raiseErr(err)
 	}
 	ex.put(fr, in.d, v)
-	return v, in.t1
+	return in.t1
+}
+
+// storeCmp is store for a compare: it branches on the stored boolean.
+func (ex *Exec) storeCmp(fr *Frame, in *Instr, v values.Value, err error) int {
+	if err != nil {
+		return ex.raiseErr(err)
+	}
+	ex.put(fr, in.d, v)
+	return in.branch(values.IsTruthy(v))
+}
+
+func exec0(ex *Exec, fr *Frame, in *Instr) int {
+	v, err := in.aux.(body0)(ex)
+	return ex.store(fr, in, v, err)
+}
+
+func exec1(ex *Exec, fr *Frame, in *Instr) int {
+	v, err := in.aux.(body1)(ex, ex.get(fr, &in.srcs[0]))
+	return ex.store(fr, in, v, err)
+}
+
+func exec2(ex *Exec, fr *Frame, in *Instr) int {
+	v, err := in.aux.(body2)(ex, ex.get(fr, &in.srcs[0]), ex.get(fr, &in.srcs[1]))
+	return ex.store(fr, in, v, err)
+}
+
+func exec3(ex *Exec, fr *Frame, in *Instr) int {
+	v, err := in.aux.(body3)(ex, ex.get(fr, &in.srcs[0]), ex.get(fr, &in.srcs[1]), ex.get(fr, &in.srcs[2]))
+	return ex.store(fr, in, v, err)
+}
+
+func exec1Cmp(ex *Exec, fr *Frame, in *Instr) int {
+	v, err := in.aux.(body1)(ex, ex.get(fr, &in.srcs[0]))
+	return ex.storeCmp(fr, in, v, err)
+}
+
+func exec2Cmp(ex *Exec, fr *Frame, in *Instr) int {
+	v, err := in.aux.(body2)(ex, ex.get(fr, &in.srcs[0]), ex.get(fr, &in.srcs[1]))
+	return ex.storeCmp(fr, in, v, err)
 }
 
 func execSimple(ex *Exec, fr *Frame, in *Instr) int {
-	_, pc := ex.simple(fr, in)
-	return pc
-}
-
-// execSimpleCmp is execSimple for opCmp rows: it branches on the stored
-// boolean.
-func execSimpleCmp(ex *Exec, fr *Frame, in *Instr) int {
-	v, pc := ex.simple(fr, in)
-	if pc < 0 {
-		return pc
-	}
-	return in.branch(values.IsTruthy(v))
+	v, err := in.aux.(simpleFn)(ex, ex.operands(fr, in.srcs))
+	return ex.store(fr, in, v, err)
 }
 
 // getCtor materializes a constructor source.

@@ -40,17 +40,13 @@ func errNilIter() error {
 	return &values.Exception{Name: "Hilti::NullReference", Msg: "nil iterator"}
 }
 
-// twoFn is the semantic definition of an instruction with two results —
-// the (value, iterator) ops parsers are made of. args is as for simpleFn.
-type twoFn func(ex *Exec, args []values.Value) (a, b values.Value, err error)
-
-// execTwo is both executable forms of a twoFn. As lowered (the reference
-// form, all there is at O0) the pair is boxed into a tuple for in.d; once
-// splitTuples (opt.go) has given the instruction a second destination the
-// results go straight to the two registers and no tuple is built. Either
-// way nothing is written when the op raises or suspends for input.
-func execTwo(ex *Exec, fr *Frame, in *Instr) int {
-	a, b, err := in.aux.(twoFn)(ex, ex.operands(fr, in.srcs))
+// storeTwo ends the executors of the two-result ops — the (value,
+// iterator) ops parsers are made of. As lowered (the reference form, all
+// there is at O0) the pair is boxed into a tuple for in.d; once splitTuples
+// (opt.go) has given the instruction a second destination the results go
+// straight to the two registers and no tuple is built. Either way nothing
+// is written when the op raises or suspends for input.
+func (ex *Exec) storeTwo(fr *Frame, in *Instr, a, b values.Value, err error) int {
 	if err != nil {
 		return ex.raiseErr(err)
 	}
@@ -62,26 +58,36 @@ func execTwo(ex *Exec, fr *Frame, in *Instr) int {
 	return in.t1
 }
 
+func execTwo1(ex *Exec, fr *Frame, in *Instr) int {
+	a, b, err := in.aux.(twoBody1)(ex, ex.get(fr, &in.srcs[0]))
+	return ex.storeTwo(fr, in, a, b, err)
+}
+
+func execTwo2(ex *Exec, fr *Frame, in *Instr) int {
+	a, b, err := in.aux.(twoBody2)(ex, ex.get(fr, &in.srcs[0]), ex.get(fr, &in.srcs[1]))
+	return ex.storeTwo(fr, in, a, b, err)
+}
+
 var bytesOps = []opRow{
-	{name: "bytes.new", arity: 0, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "bytes.new", f0: func(ex *Exec) (values.Value, error) {
 		if ex.recycling() {
 			return values.BytesVal(ex.rec.newBytes()), nil
 		}
 		return values.BytesVal(hbytes.NewWithTail()), nil
 	}},
-	{name: "bytes.length", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		b, err := bytesOf(a[0])
+	{name: "bytes.length", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		b, err := bytesOf(a)
 		if err != nil {
 			return values.Nil, err
 		}
 		return values.Int(b.Len()), nil
 	}},
-	{name: "bytes.append", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		b, err := bytesOf(a[0])
+	{name: "bytes.append", f2: func(ex *Exec, x, y values.Value) (values.Value, error) {
+		b, err := bytesOf(x)
 		if err != nil {
 			return values.Nil, err
 		}
-		src, err := bytesOf(a[1])
+		src, err := bytesOf(y)
 		if err != nil {
 			return values.Nil, err
 		}
@@ -91,12 +97,12 @@ var bytesOps = []opRow{
 	// bytes at the iterator, copied straight from the rope they are in, and
 	// yields the iterator after them — unpack.bytes and bytes.append without
 	// the Bytes value between them, and with unpack.bytes's errors.
-	{name: "bytes.append_from", arity: 3, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		b, err := bytesOf(a[0])
+	{name: "bytes.append_from", f3: func(ex *Exec, x, y, z values.Value) (values.Value, error) {
+		b, err := bytesOf(x)
 		if err != nil {
 			return values.Nil, err
 		}
-		it, n := a[1].AsIterBytes(), a[2].AsInt()
+		it, n := y.AsIterBytes(), z.AsInt()
 		if it.Bytes() == nil {
 			return values.Nil, errNilIter()
 		}
@@ -109,46 +115,46 @@ var bytesOps = []opRow{
 		}
 		return values.IterBytes(it.Plus(n)), nil
 	}},
-	{name: "bytes.freeze", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		b, err := bytesOf(a[0])
+	{name: "bytes.freeze", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		b, err := bytesOf(a)
 		if err != nil {
 			return values.Nil, err
 		}
 		b.Freeze()
 		return values.Nil, nil
 	}},
-	{name: "bytes.unfreeze", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		b, err := bytesOf(a[0])
+	{name: "bytes.unfreeze", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		b, err := bytesOf(a)
 		if err != nil {
 			return values.Nil, err
 		}
 		b.Unfreeze()
 		return values.Nil, nil
 	}},
-	{name: "bytes.is_frozen", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		b, err := bytesOf(a[0])
+	{name: "bytes.is_frozen", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		b, err := bytesOf(a)
 		if err != nil {
 			return values.Nil, err
 		}
 		return values.Bool(b.Frozen()), nil
 	}},
-	{name: "bytes.begin", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		b, err := bytesOf(a[0])
+	{name: "bytes.begin", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		b, err := bytesOf(a)
 		if err != nil {
 			return values.Nil, err
 		}
 		return values.IterBytes(b.Begin()), nil
 	}},
-	{name: "bytes.end", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		b, err := bytesOf(a[0])
+	{name: "bytes.end", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		b, err := bytesOf(a)
 		if err != nil {
 			return values.Nil, err
 		}
 		return values.IterBytes(b.End()), nil
 	}},
-	{name: "bytes.sub", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		from := a[0].AsIterBytes()
-		to := a[1].AsIterBytes()
+	{name: "bytes.sub", f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		from := a.AsIterBytes()
+		to := b.AsIterBytes()
 		if from.Bytes() == nil {
 			return values.Nil, errNilIter()
 		}
@@ -158,30 +164,30 @@ var bytesOps = []opRow{
 		}
 		return values.BytesVal(nb), nil
 	}},
-	{name: "bytes.trim", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		b, err := bytesOf(a[0])
+	{name: "bytes.trim", f2: func(ex *Exec, x, y values.Value) (values.Value, error) {
+		b, err := bytesOf(x)
 		if err != nil {
 			return values.Nil, err
 		}
-		b.Trim(a[1].AsIterBytes())
+		b.Trim(y.AsIterBytes())
 		return values.Nil, nil
 	}},
 	// bytes.trim_to <iter>: bytes.trim of the rope the iterator points into,
 	// for a parser that holds its input only as an iterator.
-	{name: "bytes.trim_to", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		it := a[0].AsIterBytes()
+	{name: "bytes.trim_to", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		it := a.AsIterBytes()
 		if it.Bytes() == nil {
 			return values.Nil, errNilIter()
 		}
 		it.Bytes().Trim(it)
 		return values.Nil, nil
 	}},
-	{name: "bytes.find", arity: 2, two: func(ex *Exec, a []values.Value) (found, pos values.Value, err error) {
-		b, err := bytesOf(a[0])
+	{name: "bytes.find", two2: func(ex *Exec, x, y values.Value) (found, pos values.Value, err error) {
+		b, err := bytesOf(x)
 		if err != nil {
 			return
 		}
-		needle, err := bytesOf(a[1])
+		needle, err := bytesOf(y)
 		if err != nil {
 			return
 		}
@@ -191,13 +197,13 @@ var bytesOps = []opRow{
 	// bytes.find_from target=(found, iter) <iter> <needle-bytes>: search
 	// forward from an iterator, suspending when the needle might still
 	// arrive on a non-frozen rope.
-	{name: "bytes.find_from", arity: 2, two: func(ex *Exec, a []values.Value) (found, pos values.Value, err error) {
-		it := a[0].AsIterBytes()
+	{name: "bytes.find_from", two2: func(ex *Exec, x, y values.Value) (found, pos values.Value, err error) {
+		it := x.AsIterBytes()
 		b := it.Bytes()
 		if b == nil {
 			return found, pos, errNilIter()
 		}
-		needle, err := bytesOf(a[1])
+		needle, err := bytesOf(y)
 		if err != nil {
 			return
 		}
@@ -205,8 +211,8 @@ var bytesOps = []opRow{
 		return values.Bool(ok), values.IterBytes(at), err
 	}},
 
-	{name: "bytes.to_string", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		b, err := bytesOf(a[0])
+	{name: "bytes.to_string", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		b, err := bytesOf(a)
 		if err != nil {
 			return values.Nil, err
 		}
@@ -214,24 +220,24 @@ var bytesOps = []opRow{
 	}},
 	// bytes.equal_nocase <bytes> <bytes>: equality under ASCII case
 	// folding, without a lowered copy of either operand.
-	{name: "bytes.equal_nocase", arity: 2, flags: opCmp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		b, err := bytesOf(a[0])
+	{name: "bytes.equal_nocase", flags: opCmp, f2: func(ex *Exec, x, y values.Value) (values.Value, error) {
+		b, err := bytesOf(x)
 		if err != nil {
 			return values.Nil, err
 		}
-		o, err := bytesOf(a[1])
+		o, err := bytesOf(y)
 		if err != nil {
 			return values.Nil, err
 		}
 		return values.Bool(b.EqualFold(o)), nil
 	}},
 	// bytes.to_int parses an ASCII integer with the given base.
-	{name: "bytes.to_int", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		b, err := bytesOf(a[0])
+	{name: "bytes.to_int", f2: func(ex *Exec, x, y values.Value) (values.Value, error) {
+		b, err := bytesOf(x)
 		if err != nil {
 			return values.Nil, err
 		}
-		base := a[1].AsInt()
+		base := y.AsInt()
 		if base != 10 && base != 16 {
 			return values.Nil, fmt.Errorf("bytes.to_int: unsupported base %d", base)
 		}
@@ -265,12 +271,12 @@ var bytesOps = []opRow{
 		}
 		return values.Int(n), nil
 	}},
-	{name: "bytes.starts_with", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		b, err := bytesOf(a[0])
+	{name: "bytes.starts_with", f2: func(ex *Exec, x, y values.Value) (values.Value, error) {
+		b, err := bytesOf(x)
 		if err != nil {
 			return values.Nil, err
 		}
-		prefix, err := bytesOf(a[1])
+		prefix, err := bytesOf(y)
 		if err != nil {
 			return values.Nil, err
 		}
@@ -288,8 +294,8 @@ var bytesOps = []opRow{
 	// bytes.wait_frozen <iter>: block (suspending the fiber) until the
 	// underlying rope is frozen — the "rest of data" fields of generated
 	// parsers wait for end-of-stream this way.
-	{name: "bytes.wait_frozen", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		it := a[0].AsIterBytes()
+	{name: "bytes.wait_frozen", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		it := a.AsIterBytes()
 		b := it.Bytes()
 		if b == nil {
 			return values.Nil, errNilIter()
@@ -303,45 +309,35 @@ var bytesOps = []opRow{
 	// --- iterator<bytes> ---------------------------------------------------------
 	// iterator.end_of returns the distinguished end iterator of the rope an
 	// iterator points into.
-	{name: "iterator.end_of", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		it := a[0].AsIterBytes()
+	{name: "iterator.end_of", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		it := a.AsIterBytes()
 		b := it.Bytes()
 		if b == nil {
 			return values.Nil, errNilIter()
 		}
 		return values.IterBytes(b.End()), nil
 	}},
-	{name: "iterator.incr", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.IterBytes(a[0].AsIterBytes().Next()), nil
-	}, pick: func(srcs []src, d dst) execFn {
-		if d.kind == srcReg && srcs[0].kind == srcReg {
-			return execIterIncrRR
-		}
-		return nil
+	{name: "iterator.incr", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		return values.IterBytes(a.AsIterBytes().Next()), nil
 	}},
-	{name: "iterator.incr_by", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.IterBytes(a[0].AsIterBytes().Plus(a[1].AsInt())), nil
+	{name: "iterator.incr_by", f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		return values.IterBytes(a.AsIterBytes().Plus(b.AsInt())), nil
 	}},
-	{name: "iterator.deref", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		c, err := a[0].AsIterBytes().Deref()
+	{name: "iterator.deref", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		c, err := a.AsIterBytes().Deref()
 		if err != nil {
 			return values.Nil, err
 		}
 		return values.Int(int64(c)), nil
-	}, pick: func(srcs []src, d dst) execFn {
-		if d.kind == srcReg && srcs[0].kind == srcReg {
-			return execIterDerefRR
-		}
-		return nil
 	}},
-	{name: "iterator.diff", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.Int(a[0].AsIterBytes().Diff(a[1].AsIterBytes())), nil
+	{name: "iterator.diff", f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		return values.Int(a.AsIterBytes().Diff(b.AsIterBytes())), nil
 	}},
-	{name: "iterator.eq", arity: 2, flags: opCmp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.Bool(a[0].AsIterBytes().Cmp(a[1].AsIterBytes()) == 0), nil
+	{name: "iterator.eq", flags: opCmp, f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		return values.Bool(a.AsIterBytes().Cmp(b.AsIterBytes()) == 0), nil
 	}},
-	{name: "iterator.at_end", arity: 1, flags: opCmp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		it := a[0].AsIterBytes()
+	{name: "iterator.at_end", flags: opCmp, f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		it := a.AsIterBytes()
 		b := it.Bytes()
 		if b == nil {
 			return values.Bool(true), nil
@@ -358,34 +354,29 @@ var bytesOps = []opRow{
 	}},
 	// iterator.at_end_now answers immediately without suspending (used at
 	// PDU boundaries where "no more data right now" is the actual question).
-	{name: "iterator.at_end_now", arity: 1, flags: opCmp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		it := a[0].AsIterBytes()
+	{name: "iterator.at_end_now", flags: opCmp, f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		it := a.AsIterBytes()
 		return values.Bool(it.Bytes() == nil || it.AtEnd()), nil
-	}, pick: func(srcs []src, d dst) execFn {
-		if d.kind == srcReg && srcs[0].kind == srcReg {
-			return execIterAtEndNowRR
-		}
-		return nil
 	}},
 
 	// --- unpack (binary field extraction; the overlay/unpack formats of §4) -------
-	{name: "unpack.uint8", arity: 1, two: unpackUint("uint8")},
-	{name: "unpack.uint16be", arity: 1, two: unpackUint("uint16be")},
-	{name: "unpack.uint16le", arity: 1, two: unpackUint("uint16le")},
-	{name: "unpack.uint32be", arity: 1, two: unpackUint("uint32be")},
-	{name: "unpack.uint32le", arity: 1, two: unpackUint("uint32le")},
+	{name: "unpack.uint8", two1: unpackUint("uint8")},
+	{name: "unpack.uint16be", two1: unpackUint("uint16be")},
+	{name: "unpack.uint16le", two1: unpackUint("uint16le")},
+	{name: "unpack.uint32be", two1: unpackUint("uint32be")},
+	{name: "unpack.uint32le", two1: unpackUint("uint32le")},
 	// unpack.fields target=iter <struct> <iter> <layout>: a run of adjacent
 	// fixed-width unsigned fields, each decoded as its unpack.uintN op decodes
 	// it and stored into the struct field it names (fieldLayout).
 	{name: "unpack.fields", arity: 3, lower: lowerUnpackFields},
-	{name: "unpack.addr4", arity: 1, two: unpack(4, func(r [16]byte) values.Value {
+	{name: "unpack.addr4", two1: unpack(4, func(r [16]byte) values.Value {
 		return values.AddrFrom4([4]byte{r[0], r[1], r[2], r[3]})
 	})},
-	{name: "unpack.addr6", arity: 1, two: unpack(16, values.AddrFrom16)},
+	{name: "unpack.addr6", two1: unpack(16, values.AddrFrom16)},
 	// unpack.bytes target=(bytes, iter) <iter> <n>: n raw bytes.
-	{name: "unpack.bytes", arity: 2, two: func(ex *Exec, a []values.Value) (val, next values.Value, err error) {
-		it := a[0].AsIterBytes()
-		n := a[1].AsInt()
+	{name: "unpack.bytes", two2: func(ex *Exec, x, y values.Value) (val, next values.Value, err error) {
+		it := x.AsIterBytes()
+		n := y.AsInt()
 		b := it.Bytes()
 		if b == nil {
 			return val, next, errNilIter()
@@ -405,8 +396,8 @@ var bytesOps = []opRow{
 	// length. It suspends at the end of a non-frozen rope; at the end of a
 	// frozen one the piece is empty when max < 0 (an until-EOF field is
 	// complete) and out of range otherwise. Streamed fields loop over it.
-	{name: "bytes.piece", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		it, limit := a[0].AsIterBytes(), a[1].AsInt()
+	{name: "bytes.piece", f2: func(ex *Exec, x, y values.Value) (values.Value, error) {
+		it, limit := x.AsIterBytes(), y.AsInt()
 		b := it.Bytes()
 		if b == nil {
 			return values.Nil, errNilIter()
@@ -431,16 +422,16 @@ var bytesOps = []opRow{
 	}},
 
 	// --- hash (the incremental digest of a body as it streams) ---------------------
-	{name: "hash.new", arity: 0, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "hash.new", f0: func(ex *Exec) (values.Value, error) {
 		return values.NewDigest(), nil
 	}},
 	// hash.update <digest> <bytes>: adds the bytes, chunk by chunk in place.
-	{name: "hash.update", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		h, err := digestOf(a[0])
+	{name: "hash.update", f2: func(ex *Exec, x, y values.Value) (values.Value, error) {
+		h, err := digestOf(x)
 		if err != nil {
 			return values.Nil, err
 		}
-		b, err := bytesOf(a[1])
+		b, err := bytesOf(y)
 		if err != nil {
 			return values.Nil, err
 		}
@@ -455,8 +446,8 @@ var bytesOps = []opRow{
 	}},
 	// hash.final <digest>: the hex digest of the bytes so far; the digest
 	// stays usable.
-	{name: "hash.final", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		h, err := digestOf(a[0])
+	{name: "hash.final", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		h, err := digestOf(a)
 		if err != nil {
 			return values.Nil, err
 		}
@@ -505,22 +496,22 @@ var bytesOps = []opRow{
 	// regexp.match_token target=(id, end-iter) <re> <begin-iter>: anchored
 	// longest match; suspends transparently when more input could extend
 	// the decision. id 0 = no match.
-	{name: "regexp.match_token", arity: 2, two: func(ex *Exec, a []values.Value) (id, end values.Value, err error) {
-		re, _ := a[0].O.(*regexp.Regexp)
+	{name: "regexp.match_token", two2: func(ex *Exec, a, b values.Value) (id, end values.Value, err error) {
+		re, _ := a.O.(*regexp.Regexp)
 		if re == nil {
 			return id, end, &values.Exception{Name: "Hilti::NullReference", Msg: "nil regexp"}
 		}
-		tok, at, err := re.MatchIter(a[1].AsIterBytes())
+		tok, at, err := re.MatchIter(b.AsIterBytes())
 		return values.Int(int64(tok)), values.IterBytes(at), err
 	}},
 
 	// regexp.find target=(found, start, end) <re> <bytes>: unanchored search.
-	{name: "regexp.find", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		re, _ := a[0].O.(*regexp.Regexp)
+	{name: "regexp.find", f2: func(ex *Exec, x, y values.Value) (values.Value, error) {
+		re, _ := x.O.(*regexp.Regexp)
 		if re == nil {
 			return values.Nil, &values.Exception{Name: "Hilti::NullReference", Msg: "nil regexp"}
 		}
-		b, err := bytesOf(a[1])
+		b, err := bytesOf(y)
 		if err != nil {
 			return values.Nil, err
 		}
@@ -529,12 +520,12 @@ var bytesOps = []opRow{
 	}},
 
 	// regexp.matches <re> <bytes>: anchored boolean convenience.
-	{name: "regexp.matches", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		re, _ := a[0].O.(*regexp.Regexp)
+	{name: "regexp.matches", f2: func(ex *Exec, x, y values.Value) (values.Value, error) {
+		re, _ := x.O.(*regexp.Regexp)
 		if re == nil {
 			return values.Nil, &values.Exception{Name: "Hilti::NullReference", Msg: "nil regexp"}
 		}
-		b, err := bytesOf(a[1])
+		b, err := bytesOf(y)
 		if err != nil {
 			return values.Nil, err
 		}
@@ -546,9 +537,9 @@ var bytesOps = []opRow{
 // unpack is the body of a fixed-width unpack: the decoder gets the field's
 // bytes at the front of a by-value array, so nothing escapes and the
 // unpack allocates nothing.
-func unpack(width int64, decode func(r [16]byte) values.Value) twoFn {
-	return func(ex *Exec, a []values.Value) (val, next values.Value, err error) {
-		it := a[0].AsIterBytes()
+func unpack(width int64, decode func(r [16]byte) values.Value) twoBody1 {
+	return func(ex *Exec, a values.Value) (val, next values.Value, err error) {
+		it := a.AsIterBytes()
 		b := it.Bytes()
 		if b == nil {
 			return val, next, errNilIter()
@@ -578,10 +569,10 @@ func uintPlan(name string, off int) (overlayPlan, bool) {
 	return overlayPlan{off: off, end: off + f.width, format: f.format}, ok
 }
 
-func unpackUint(name string) twoFn {
+func unpackUint(name string) twoBody1 {
 	p, _ := uintPlan(name, 0)
-	return func(ex *Exec, a []values.Value) (val, next values.Value, err error) {
-		it := a[0].AsIterBytes()
+	return func(ex *Exec, a values.Value) (val, next values.Value, err error) {
+		it := a.AsIterBytes()
 		b := it.Bytes()
 		if b == nil {
 			return val, next, errNilIter()
@@ -702,31 +693,4 @@ func execUnpackFields(ex *Exec, fr *Frame, in *Instr) int {
 	}
 	ex.put(fr, in.d, values.IterBytes(it.Plus(int64(l.size))))
 	return in.t1
-}
-
-// --- register-to-register iterator executors ---------------------------------
-//
-// The parse loops BinPAC++ generates advance, dereference, and test one
-// iterator register per input byte; these skip both the simpleFn dispatch
-// and Exec.get's kind switch.
-
-func execIterIncrRR(ex *Exec, fr *Frame, in *Instr) int {
-	fr.R[in.d.idx] = values.IterBytes(fr.R[in.srcs[0].idx].AsIterBytes().Next())
-	return in.t1
-}
-
-func execIterDerefRR(ex *Exec, fr *Frame, in *Instr) int {
-	c, err := fr.R[in.srcs[0].idx].AsIterBytes().Deref()
-	if err != nil {
-		return ex.raiseErr(err)
-	}
-	fr.R[in.d.idx] = values.Int(int64(c))
-	return in.t1
-}
-
-func execIterAtEndNowRR(ex *Exec, fr *Frame, in *Instr) int {
-	it := fr.R[in.srcs[0].idx].AsIterBytes()
-	b := it.Bytes() == nil || it.AtEnd()
-	fr.R[in.d.idx] = values.Bool(b)
-	return in.branch(b)
 }

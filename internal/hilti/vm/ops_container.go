@@ -85,79 +85,51 @@ var containerOps = []opRow{
 	}},
 
 	// --- struct --------------------------------------------------------------
-	{name: "struct.get", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		s, err := asStruct(a[0])
+	// On a struct operand of known type, a field is an index (lowerField).
+	// These bodies are the name path, for an `any` operand.
+	{name: "struct.get", lower: lowerField, idx: execStructGetIdx, f2: func(ex *Exec, s, f values.Value) (values.Value, error) {
+		st, i, err := fieldNamed(s, f)
+		if err == nil && st.Fields[i].K == values.KindUnset {
+			err = &values.Exception{Name: "Hilti::UnsetField", Msg: fmt.Sprintf("field %q not set", f.AsString())}
+		}
 		if err != nil {
 			return values.Nil, err
 		}
-		name := a[1].AsString()
-		v, ok := s.GetName(name)
-		if !ok {
-			return values.Nil, &values.Exception{Name: "Hilti::UnsetField",
-				Msg: fmt.Sprintf("field %q not set", name)}
-		}
-		return v, nil
-	}, pick: func(srcs []src, d dst) execFn {
-		if srcs[1].kind == srcConst && srcs[1].val.K == values.KindString {
-			return execStructGet
-		}
-		return nil
+		return st.Fields[i], nil
 	}},
-	{name: "struct.get_default", arity: 3, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		s, err := asStruct(a[0])
-		if err != nil {
-			return values.Nil, err
+	fieldOp("struct.get_default", 0, 3, func(s *values.Struct, i int, d values.Value) values.Value {
+		if v := s.Fields[i]; v.K != values.KindUnset {
+			return v
 		}
-		if v, ok := s.GetName(a[1].AsString()); ok {
-			return v, nil
-		}
-		return a[2], nil
-	}},
-	{name: "struct.set", arity: 3, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		s, err := asStruct(a[0])
-		if err != nil {
-			return values.Nil, err
-		}
-		s.SetName(a[1].AsString(), a[2])
-		return values.Nil, nil
-	}, pick: func(srcs []src, d dst) execFn {
-		if srcs[1].kind == srcConst && srcs[1].val.K == values.KindString {
-			return execStructSet
-		}
-		return nil
-	}},
-	{name: "struct.is_set", arity: 2, flags: opCmp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		s, err := asStruct(a[0])
-		if err != nil {
-			return values.Nil, err
-		}
-		_, ok := s.GetName(a[1].AsString())
-		return values.Bool(ok), nil
-	}},
-	{name: "struct.unset", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		s, err := asStruct(a[0])
-		if err != nil {
-			return values.Nil, err
-		}
-		s.SetName(a[1].AsString(), values.Unset)
-		return values.Nil, nil
-	}},
+		return d
+	}),
+	fieldOp("struct.set", 0, 3, func(s *values.Struct, i int, v values.Value) values.Value {
+		s.Fields[i] = v
+		return values.Nil
+	}),
+	fieldOp("struct.is_set", opCmp, 2, func(s *values.Struct, i int, _ values.Value) values.Value {
+		return values.Bool(s.Fields[i].K != values.KindUnset)
+	}),
+	fieldOp("struct.unset", 0, 2, func(s *values.Struct, i int, _ values.Value) values.Value {
+		s.Fields[i] = values.Unset
+		return values.Nil
+	}),
 
 	// --- tuple ----------------------------------------------------------------
-	{name: "tuple.index", arity: 2, flags: opPure, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		t := a[0].AsTuple()
+	{name: "tuple.index", flags: opPure, f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		t := a.AsTuple()
 		if t == nil {
 			return values.Nil, &values.Exception{Name: "Hilti::NullReference", Msg: "nil tuple"}
 		}
-		i := a[1].AsInt()
+		i := b.AsInt()
 		if i < 0 || int(i) >= len(t.Elems) {
 			return values.Nil, &values.Exception{Name: "Hilti::IndexError",
 				Msg: fmt.Sprintf("tuple index %d out of range", i)}
 		}
 		return t.Elems[i], nil
 	}},
-	{name: "tuple.length", arity: 1, flags: opPure, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		t := a[0].AsTuple()
+	{name: "tuple.length", flags: opPure, f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		t := a.AsTuple()
 		if t == nil {
 			return values.Int(0), nil
 		}
@@ -165,24 +137,24 @@ var containerOps = []opRow{
 	}},
 
 	// --- list -----------------------------------------------------------------
-	{name: "list.push_back", flags: opRetains, arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		l, err := asList(a[0])
+	{name: "list.push_back", flags: opRetains, f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		l, err := asList(a)
 		if err != nil {
 			return values.Nil, err
 		}
-		l.PushBack(a[1])
+		l.PushBack(b)
 		return values.Nil, nil
 	}},
-	{name: "list.push_front", flags: opRetains, arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		l, err := asList(a[0])
+	{name: "list.push_front", flags: opRetains, f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		l, err := asList(a)
 		if err != nil {
 			return values.Nil, err
 		}
-		l.PushFront(a[1])
+		l.PushFront(b)
 		return values.Nil, nil
 	}},
-	{name: "list.pop_front", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		l, err := asList(a[0])
+	{name: "list.pop_front", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		l, err := asList(a)
 		if err != nil {
 			return values.Nil, err
 		}
@@ -192,15 +164,15 @@ var containerOps = []opRow{
 		}
 		return v, nil
 	}},
-	{name: "list.size", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		l, err := asList(a[0])
+	{name: "list.size", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		l, err := asList(a)
 		if err != nil {
 			return values.Nil, err
 		}
 		return values.Int(int64(l.Len())), nil
 	}},
-	{name: "list.front", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		l, err := asList(a[0])
+	{name: "list.front", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		l, err := asList(a)
 		if err != nil {
 			return values.Nil, err
 		}
@@ -210,8 +182,8 @@ var containerOps = []opRow{
 		}
 		return v, nil
 	}},
-	{name: "list.back", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		l, err := asList(a[0])
+	{name: "list.back", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		l, err := asList(a)
 		if err != nil {
 			return values.Nil, err
 		}
@@ -221,8 +193,8 @@ var containerOps = []opRow{
 		}
 		return v, nil
 	}},
-	{name: "list.begin", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		l, err := asList(a[0])
+	{name: "list.begin", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		l, err := asList(a)
 		if err != nil {
 			return values.Nil, err
 		}
@@ -230,86 +202,86 @@ var containerOps = []opRow{
 	}},
 
 	// --- vector ----------------------------------------------------------------
-	{name: "vector.push_back", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		v, err := asVector(a[0])
+	{name: "vector.push_back", f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		v, err := asVector(a)
 		if err != nil {
 			return values.Nil, err
 		}
-		v.PushBack(a[1])
+		v.PushBack(b)
 		return values.Nil, nil
 	}},
-	{name: "vector.get", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		v, err := asVector(a[0])
+	{name: "vector.get", f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		v, err := asVector(a)
 		if err != nil {
 			return values.Nil, err
 		}
-		e, ok := v.Get(int(a[1].AsInt()))
+		e, ok := v.Get(int(b.AsInt()))
 		if !ok {
 			return values.Nil, &values.Exception{Name: "Hilti::IndexError",
-				Msg: fmt.Sprintf("vector index %d", a[1].AsInt())}
+				Msg: fmt.Sprintf("vector index %d", b.AsInt())}
 		}
 		return e, nil
 	}},
-	{name: "vector.set", arity: 3, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		v, err := asVector(a[0])
+	{name: "vector.set", f3: func(ex *Exec, a, b, c values.Value) (values.Value, error) {
+		v, err := asVector(a)
 		if err != nil {
 			return values.Nil, err
 		}
-		if !v.Set(int(a[1].AsInt()), a[2]) {
+		if !v.Set(int(b.AsInt()), c) {
 			return values.Nil, &values.Exception{Name: "Hilti::IndexError",
-				Msg: fmt.Sprintf("vector index %d", a[1].AsInt())}
+				Msg: fmt.Sprintf("vector index %d", b.AsInt())}
 		}
 		return values.Nil, nil
 	}},
-	{name: "vector.size", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		v, err := asVector(a[0])
+	{name: "vector.size", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		v, err := asVector(a)
 		if err != nil {
 			return values.Nil, err
 		}
 		return values.Int(int64(v.Len())), nil
 	}},
-	{name: "vector.reserve", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		v, err := asVector(a[0])
+	{name: "vector.reserve", f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		v, err := asVector(a)
 		if err != nil {
 			return values.Nil, err
 		}
-		v.Reserve(int(a[1].AsInt()))
+		v.Reserve(int(b.AsInt()))
 		return values.Nil, nil
 	}},
 
 	// --- set -------------------------------------------------------------------
-	{name: "set.insert", flags: opRetains, arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		s, err := asSet(a[0])
+	{name: "set.insert", flags: opRetains, f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		s, err := asSet(a)
 		if err != nil {
 			return values.Nil, err
 		}
-		s.Insert(a[1])
+		s.Insert(b)
 		return values.Nil, nil
 	}},
-	{name: "set.exists", arity: 2, flags: opCmp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		s, err := asSet(a[0])
+	{name: "set.exists", flags: opCmp, f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		s, err := asSet(a)
 		if err != nil {
 			return values.Nil, err
 		}
-		return values.Bool(s.Exists(a[1])), nil
+		return values.Bool(s.Exists(b)), nil
 	}, exec: execSetExists},
-	{name: "set.remove", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		s, err := asSet(a[0])
+	{name: "set.remove", f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		s, err := asSet(a)
 		if err != nil {
 			return values.Nil, err
 		}
-		s.Remove(a[1])
+		s.Remove(b)
 		return values.Nil, nil
 	}},
-	{name: "set.size", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		s, err := asSet(a[0])
+	{name: "set.size", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		s, err := asSet(a)
 		if err != nil {
 			return values.Nil, err
 		}
 		return values.Int(int64(s.Len())), nil
 	}},
-	{name: "set.clear", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		s, err := asSet(a[0])
+	{name: "set.clear", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		s, err := asSet(a)
 		if err != nil {
 			return values.Nil, err
 		}
@@ -318,95 +290,95 @@ var containerOps = []opRow{
 	}},
 	// set.timeout <set> <ExpireStrategy enum> <interval>: attaches the
 	// Exec's global timer manager (the paper's firewall example).
-	{name: "set.timeout", arity: 3, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		s, err := asSet(a[0])
+	{name: "set.timeout", f3: func(ex *Exec, a, b, c values.Value) (values.Value, error) {
+		s, err := asSet(a)
 		if err != nil {
 			return values.Nil, err
 		}
-		s.SetTimeout(ex.GlobalTM, expireStrategy(a[1]), timer.Interval(a[2].AsIntervalNs()))
+		s.SetTimeout(ex.GlobalTM, expireStrategy(b), timer.Interval(c.AsIntervalNs()))
 		return values.Nil, nil
 	}},
 
 	// --- map -------------------------------------------------------------------
-	{name: "map.insert", flags: opRetains, arity: 3, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		m, err := asMap(a[0])
+	{name: "map.insert", flags: opRetains, f3: func(ex *Exec, a, b, c values.Value) (values.Value, error) {
+		m, err := asMap(a)
 		if err != nil {
 			return values.Nil, err
 		}
-		m.Insert(a[1], a[2])
+		m.Insert(b, c)
 		return values.Nil, nil
 	}},
-	{name: "map.get", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		m, err := asMap(a[0])
+	{name: "map.get", f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		m, err := asMap(a)
 		if err != nil {
 			return values.Nil, err
 		}
-		v, ok := m.Get(a[1])
+		v, ok := m.Get(b)
 		if !ok {
-			return values.Nil, &values.Exception{Name: "Hilti::IndexError", Msg: "key not in map: " + values.Format(a[1])}
+			return values.Nil, &values.Exception{Name: "Hilti::IndexError", Msg: "key not in map: " + values.Format(b)}
 		}
 		return v, nil
 	}, exec: execMapGet},
-	{name: "map.get_default", arity: 3, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		m, err := asMap(a[0])
+	{name: "map.get_default", f3: func(ex *Exec, a, b, c values.Value) (values.Value, error) {
+		m, err := asMap(a)
 		if err != nil {
 			return values.Nil, err
 		}
-		if v, ok := m.Get(a[1]); ok {
+		if v, ok := m.Get(b); ok {
 			return v, nil
 		}
-		return a[2], nil
+		return c, nil
 	}, exec: execMapGetDefault},
-	{name: "map.exists", arity: 2, flags: opCmp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		m, err := asMap(a[0])
+	{name: "map.exists", flags: opCmp, f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		m, err := asMap(a)
 		if err != nil {
 			return values.Nil, err
 		}
-		return values.Bool(m.Exists(a[1])), nil
+		return values.Bool(m.Exists(b)), nil
 	}, exec: execMapExists},
-	{name: "map.remove", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		m, err := asMap(a[0])
+	{name: "map.remove", f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		m, err := asMap(a)
 		if err != nil {
 			return values.Nil, err
 		}
-		m.Remove(a[1])
+		m.Remove(b)
 		return values.Nil, nil
 	}},
-	{name: "map.size", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		m, err := asMap(a[0])
+	{name: "map.size", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		m, err := asMap(a)
 		if err != nil {
 			return values.Nil, err
 		}
 		return values.Int(int64(m.Len())), nil
 	}},
-	{name: "map.clear", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		m, err := asMap(a[0])
+	{name: "map.clear", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		m, err := asMap(a)
 		if err != nil {
 			return values.Nil, err
 		}
 		m.Clear()
 		return values.Nil, nil
 	}},
-	{name: "map.default", flags: opRetains, arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		m, err := asMap(a[0])
+	{name: "map.default", flags: opRetains, f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		m, err := asMap(a)
 		if err != nil {
 			return values.Nil, err
 		}
-		m.SetDefault(a[1])
+		m.SetDefault(b)
 		return values.Nil, nil
 	}},
-	{name: "map.timeout", arity: 3, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		m, err := asMap(a[0])
+	{name: "map.timeout", f3: func(ex *Exec, a, b, c values.Value) (values.Value, error) {
+		m, err := asMap(a)
 		if err != nil {
 			return values.Nil, err
 		}
-		m.SetTimeout(ex.GlobalTM, expireStrategy(a[1]), timer.Interval(a[2].AsIntervalNs()))
+		m.SetTimeout(ex.GlobalTM, expireStrategy(b), timer.Interval(c.AsIntervalNs()))
 		return values.Nil, nil
 	}},
 	// map.keys / set.elems materialize iteration as a vector snapshot (the
 	// Bro compiler lowers `for (i in container)` onto these).
-	{name: "map.keys", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		m, err := asMap(a[0])
+	{name: "map.keys", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		m, err := asMap(a)
 		if err != nil {
 			return values.Nil, err
 		}
@@ -416,8 +388,8 @@ var containerOps = []opRow{
 		}
 		return values.Ref(values.KindVector, vec), nil
 	}},
-	{name: "map.values", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		m, err := asMap(a[0])
+	{name: "map.values", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		m, err := asMap(a)
 		if err != nil {
 			return values.Nil, err
 		}
@@ -428,8 +400,8 @@ var containerOps = []opRow{
 		})
 		return values.Ref(values.KindVector, vec), nil
 	}},
-	{name: "set.elems", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		s, err := asSet(a[0])
+	{name: "set.elems", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		s, err := asSet(a)
 		if err != nil {
 			return values.Nil, err
 		}
@@ -439,8 +411,8 @@ var containerOps = []opRow{
 		}
 		return values.Ref(values.KindVector, vec), nil
 	}},
-	{name: "list.elems", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		l, err := asList(a[0])
+	{name: "list.elems", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		l, err := asList(a)
 		if err != nil {
 			return values.Nil, err
 		}
@@ -466,38 +438,118 @@ func execNew(ex *Exec, fr *Frame, in *Instr) int {
 	return in.t1
 }
 
+// --- struct fields -------------------------------------------------------------
+
+// lowerField lowers a struct op. On an operand of known struct type the
+// field is resolved here — one the type lacks is a link error — and the op
+// becomes its _idx form, with the index in t2 and the type's Def in aux.
+// Only an `any` operand keeps the name path, and all code at O0, the
+// reference the index form is tested against.
+func lowerField(c *fnCompiler, in *ast.Instr) error {
+	r := c.cur
+	if err := c.lowerRow(r, in); err != nil {
+		return err
+	}
+	t := c.typeOfOperand(in.Ops[0]).Deref()
+	if t == nil || t.Kind != types.Struct || t.StructDef == nil {
+		return nil
+	}
+	sd, f := t.StructDef, in.Ops[1]
+	if f.Kind != ast.FieldOp {
+		return fmt.Errorf("%s on struct %s needs a field name", r.name, sd.Name)
+	}
+	i := sd.Index(f.Name)
+	if i < 0 {
+		return fmt.Errorf("struct %s has no field %s", sd.Name, f.Name)
+	}
+	if c.lk.opt > 0 {
+		x := &c.out.Code[len(c.out.Code)-1]
+		x.exec, x.opID, x.aux, x.t2 = r.idx, idOf(r.indexed), sd.Runtime(), i
+	}
+	return nil
+}
+
+// fieldNamed resolves field f of struct s by name.
+func fieldNamed(s, f values.Value) (*values.Struct, int, error) {
+	st, err := asStruct(s)
+	if err != nil {
+		return nil, 0, err
+	}
+	i := st.Def.Index(f.AsString())
+	if i < 0 {
+		return nil, 0, &values.Exception{Name: "Hilti::UnknownField",
+			Msg: fmt.Sprintf("struct %s has no field %s", st.TypeName(), f.AsString())}
+	}
+	return st, i, nil
+}
+
+// FieldGuardMisses returns how many field accesses on an operand of known
+// struct type found a struct of another Def and took the name path.
+func (ex *Exec) FieldGuardMisses() uint64 { return ex.fieldMisses }
+
+// The _idx forms read the index lowerField put in t2 from a struct that has
+// the Def in aux. Anything else — a nil struct, a struct of another Def
+// (a guard miss, counted), an unset field struct.get raises on — takes the
+// op's name path (fieldSlow).
+
+func execStructGetIdx(ex *Exec, fr *Frame, in *Instr) int {
+	if s := ex.get(fr, &in.srcs[0]).AsStruct(); s != nil && s.Def == in.aux {
+		if v := s.Fields[in.t2]; v.K != values.KindUnset {
+			ex.put(fr, in.d, v)
+			return in.t1
+		}
+	}
+	return ex.fieldSlow(fr, in)
+}
+
+// fieldOp is a struct op given by its semantics on a resolved field (v:
+// the third operand, if any), from which the name path's body and the _idx
+// form's executor derive.
+func fieldOp(name string, flags opFlags, arity int, op func(s *values.Struct, i int, v values.Value) values.Value) opRow {
+	named := func(s, f, v values.Value) (values.Value, error) {
+		st, i, err := fieldNamed(s, f)
+		if err != nil {
+			return values.Nil, err
+		}
+		return op(st, i, v), nil
+	}
+	r := opRow{name: name, flags: flags, lower: lowerField, idx: func(ex *Exec, fr *Frame, in *Instr) int {
+		s := ex.get(fr, &in.srcs[0]).AsStruct()
+		if s == nil || s.Def != in.aux {
+			return ex.fieldSlow(fr, in)
+		}
+		v := values.Nil
+		if arity == 3 {
+			v = ex.get(fr, &in.srcs[2])
+		}
+		ex.put(fr, in.d, op(s, in.t2, v))
+		return in.t1
+	}}
+	if arity == 2 {
+		r.f2 = func(_ *Exec, s, f values.Value) (values.Value, error) { return named(s, f, values.Nil) }
+	} else {
+		r.f3 = func(_ *Exec, s, f, v values.Value) (values.Value, error) { return named(s, f, v) }
+	}
+	return r
+}
+
+// fieldSlow runs an _idx instruction on its op's name path.
+func (ex *Exec) fieldSlow(fr *Frame, in *Instr) int {
+	args := ex.operands(fr, in.srcs)
+	if s := args[0].AsStruct(); s != nil && s.Def != in.aux {
+		ex.fieldMisses++
+	}
+	v, err := rowOf(in.opID).indexed.fn(ex, args)
+	return ex.store(fr, in, v, err)
+}
+
 // --- dedicated container executors ------------------------------------------
 //
-// These skip the simpleFn dispatch (args boxing + closure type assertion)
-// and, for lookups, the per-call values.Key allocation: the key is encoded
-// into the Exec's scratch buffer and probed with the container's *Keyed
-// methods. Tuple-constructor keys — the per-packet pattern of the firewall
-// and session tables — never materialize a tuple at all. Each row's fn
-// stays the reference semantics they are held to.
-
-func execStructGet(ex *Exec, fr *Frame, in *Instr) int {
-	s, err := asStruct(ex.get(fr, &in.srcs[0]))
-	if err != nil {
-		return ex.raiseErr(err)
-	}
-	name := in.srcs[1].val.AsString()
-	v, ok := s.GetName(name)
-	if !ok {
-		return ex.raise("Hilti::UnsetField", fmt.Sprintf("field %q not set", name))
-	}
-	ex.put(fr, in.d, v)
-	return in.t1
-}
-
-func execStructSet(ex *Exec, fr *Frame, in *Instr) int {
-	s, err := asStruct(ex.get(fr, &in.srcs[0]))
-	if err != nil {
-		return ex.raiseErr(err)
-	}
-	s.SetName(in.srcs[1].val.AsString(), ex.get(fr, &in.srcs[2]))
-	ex.put(fr, in.d, values.Nil)
-	return in.t1
-}
+// These skip the per-call values.Key allocation of a lookup: the key is
+// encoded into the Exec's scratch buffer and probed with the container's
+// *Keyed methods. Tuple-constructor keys — the per-packet pattern of the
+// firewall and session tables — never materialize a tuple at all. Each
+// row's body stays the reference semantics they are held to.
 
 // mapGet looks up the key operand ks in m, honoring the map default.
 func mapGet(ex *Exec, fr *Frame, m *container.Map, ks *src) (values.Value, bool) {

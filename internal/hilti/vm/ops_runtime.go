@@ -92,31 +92,31 @@ var runtimeOps = []opRow{
 	// --- timer management --------------------------------------------------------
 	// timer_mgr.advance_global <time>: drives the Exec's global manager,
 	// expiring container state (the firewall example's per-packet call).
-	{name: "timer_mgr.advance_global", flags: opReenters, arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		ex.GlobalTM.Advance(timer.Time(a[0].AsTimeNs()))
+	{name: "timer_mgr.advance_global", flags: opReenters, f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		ex.GlobalTM.Advance(timer.Time(a.AsTimeNs()))
 		return values.Nil, nil
 	}},
-	{name: "timer_mgr.advance", flags: opReenters, arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		m, err := asTimerMgr(ex, a[0])
+	{name: "timer_mgr.advance", flags: opReenters, f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		m, err := asTimerMgr(ex, a)
 		if err != nil {
 			return values.Nil, err
 		}
-		m.Advance(timer.Time(a[1].AsTimeNs()))
+		m.Advance(timer.Time(b.AsTimeNs()))
 		return values.Nil, nil
 	}},
-	{name: "timer_mgr.current", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		m, err := asTimerMgr(ex, a[0])
+	{name: "timer_mgr.current", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		m, err := asTimerMgr(ex, a)
 		if err != nil {
 			return values.Nil, err
 		}
 		return values.TimeVal(int64(m.Now())), nil
 	}},
-	{name: "timer_mgr.expire", flags: opReenters, arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		m, err := asTimerMgr(ex, a[0])
+	{name: "timer_mgr.expire", flags: opReenters, f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		m, err := asTimerMgr(ex, a)
 		if err != nil {
 			return values.Nil, err
 		}
-		m.Expire(a[1].AsBool())
+		m.Expire(b.AsBool())
 		return values.Nil, nil
 	}},
 
@@ -144,38 +144,38 @@ var runtimeOps = []opRow{
 		return nil
 	}},
 
-	{name: "timer.cancel", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		t, _ := a[0].O.(*timer.Timer)
+	{name: "timer.cancel", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		t, _ := a.O.(*timer.Timer)
 		if t != nil {
 			t.Cancel()
 		}
 		return values.Nil, nil
 	}},
-	{name: "timer.update", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		t, _ := a[0].O.(*timer.Timer)
+	{name: "timer.update", f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		t, _ := a.O.(*timer.Timer)
 		if t != nil {
-			t.Update(timer.Time(a[1].AsTimeNs()))
+			t.Update(timer.Time(b.AsTimeNs()))
 		}
 		return values.Nil, nil
 	}},
 
 	// --- channel -------------------------------------------------------------------
-	{name: "channel.write", flags: opRetains, arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		ch, err := asChannel(a[0])
+	{name: "channel.write", flags: opRetains, f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		ch, err := asChannel(a)
 		if err != nil {
 			return values.Nil, err
 		}
-		return values.Nil, ch.Write(a[1])
+		return values.Nil, ch.Write(b)
 	}},
-	{name: "channel.read", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		ch, err := asChannel(a[0])
+	{name: "channel.read", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		ch, err := asChannel(a)
 		if err != nil {
 			return values.Nil, err
 		}
 		return ch.Read()
 	}},
-	{name: "channel.try_read", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		ch, err := asChannel(a[0])
+	{name: "channel.try_read", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		ch, err := asChannel(a)
 		if err != nil {
 			return values.Nil, err
 		}
@@ -188,8 +188,8 @@ var runtimeOps = []opRow{
 		}
 		return values.TupleVal(values.Bool(true), v), nil
 	}},
-	{name: "channel.size", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		ch, err := asChannel(a[0])
+	{name: "channel.size", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		ch, err := asChannel(a)
 		if err != nil {
 			return values.Nil, err
 		}
@@ -199,42 +199,42 @@ var runtimeOps = []opRow{
 	// --- classifier ------------------------------------------------------------------
 	// classifier.add <classifier> <rule-tuple> <value>: each rule element
 	// becomes its natural matcher (nets by prefix, void as wildcard).
-	{name: "classifier.add", flags: opRetains, arity: 3, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		cl, err := asClassifier(a[0])
+	{name: "classifier.add", flags: opRetains, f3: func(ex *Exec, a, b, c values.Value) (values.Value, error) {
+		cl, err := asClassifier(a)
 		if err != nil {
 			return values.Nil, err
 		}
-		t := a[1].AsTuple()
+		t := b.AsTuple()
 		if t == nil {
 			return values.Nil, &values.Exception{Name: "Hilti::TypeError", Msg: "classifier.add needs a rule tuple"}
 		}
-		return values.Nil, cl.AddValues(a[2], t.Elems...)
+		return values.Nil, cl.AddValues(c, t.Elems...)
 	}},
-	{name: "classifier.compile", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		cl, err := asClassifier(a[0])
+	{name: "classifier.compile", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		cl, err := asClassifier(a)
 		if err != nil {
 			return values.Nil, err
 		}
 		cl.Compile()
 		return values.Nil, nil
 	}},
-	{name: "classifier.get", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		cl, err := asClassifier(a[0])
+	{name: "classifier.get", f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		cl, err := asClassifier(a)
 		if err != nil {
 			return values.Nil, err
 		}
-		t := a[1].AsTuple()
+		t := b.AsTuple()
 		if t == nil {
 			return values.Nil, &values.Exception{Name: "Hilti::TypeError", Msg: "classifier.get needs a key tuple"}
 		}
 		return classifierGet(cl, t.Elems)
 	}, pick: pickClassifierGet},
-	{name: "classifier.matches", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		cl, err := asClassifier(a[0])
+	{name: "classifier.matches", f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		cl, err := asClassifier(a)
 		if err != nil {
 			return values.Nil, err
 		}
-		t := a[1].AsTuple()
+		t := b.AsTuple()
 		if t == nil {
 			return values.Nil, &values.Exception{Name: "Hilti::TypeError", Msg: "classifier.matches needs a key tuple"}
 		}
@@ -269,36 +269,36 @@ var runtimeOps = []opRow{
 	}},
 
 	// --- file ------------------------------------------------------------------------
-	{name: "file.open", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "file.open", f1: func(ex *Exec, a values.Value) (values.Value, error) {
 		if ex.Files == nil {
 			return values.Nil, &values.Exception{Name: "Hilti::IOError", Msg: "no file manager attached"}
 		}
-		f, err := ex.Files.Open(a[0].AsString())
+		f, err := ex.Files.Open(a.AsString())
 		if err != nil {
 			return values.Nil, err
 		}
 		return values.Ref(values.KindFile, f), nil
 	}},
-	{name: "file.write", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		f, _ := a[0].O.(interface{ WriteString(string) })
+	{name: "file.write", f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		f, _ := a.O.(interface{ WriteString(string) })
 		if f == nil {
 			return values.Nil, &values.Exception{Name: "Hilti::NullReference", Msg: "nil file reference"}
 		}
-		f.WriteString(values.Format(a[1]))
+		f.WriteString(values.Format(b))
 		return values.Nil, nil
 	}},
 
 	// --- profiler ----------------------------------------------------------------------
-	{name: "profiler.start", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		ex.Profs.Get(a[0].AsString()).Start()
+	{name: "profiler.start", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		ex.Profs.Get(a.AsString()).Start()
 		return values.Nil, nil
 	}},
-	{name: "profiler.stop", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		ex.Profs.Get(a[0].AsString()).Stop()
+	{name: "profiler.stop", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		ex.Profs.Get(a.AsString()).Stop()
 		return values.Nil, nil
 	}},
-	{name: "profiler.update", arity: 2, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		ex.Profs.Get(a[0].AsString()).Update(a[1].AsInt())
+	{name: "profiler.update", f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		ex.Profs.Get(a.AsString()).Update(b.AsInt())
 		return values.Nil, nil
 	}},
 }

@@ -22,8 +22,8 @@ const (
 
 var scalarOps = []opRow{
 	// --- equality / ordering (overloaded across types) -----------------------
-	{name: "equal", arity: 2, flags: scalarCmp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.Bool(values.Equal(a[0], a[1])), nil
+	{name: "equal", flags: scalarCmp, f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		return values.Bool(values.Equal(a, b)), nil
 	}, pick: func(srcs []src, d dst) execFn {
 		if d.kind != srcReg || srcs[0].kind != srcReg {
 			return nil
@@ -36,110 +36,110 @@ var scalarOps = []opRow{
 		}
 		return nil
 	}},
-	{name: "unequal", arity: 2, flags: scalarCmp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.Bool(!values.Equal(a[0], a[1])), nil
+	{name: "unequal", flags: scalarCmp, f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		return values.Bool(!values.Equal(a, b)), nil
 	}},
 
 	// --- int ------------------------------------------------------------------
-	{name: "int.add", arity: 2, flags: scalarOp, intBin: func(x, y int64) int64 { return x + y }},
-	{name: "int.sub", arity: 2, flags: scalarOp, intBin: func(x, y int64) int64 { return x - y }},
-	{name: "int.mul", arity: 2, flags: scalarOp, intBin: func(x, y int64) int64 { return x * y }},
-	{name: "int.div", arity: 2, flags: scalarOp, fn: intFn(func(x, y int64) (int64, error) {
+	{name: "int.add", flags: scalarOp, intBin: func(x, y int64) int64 { return x + y }},
+	{name: "int.sub", flags: scalarOp, intBin: func(x, y int64) int64 { return x - y }},
+	{name: "int.mul", flags: scalarOp, intBin: func(x, y int64) int64 { return x * y }},
+	{name: "int.div", flags: scalarOp, f2: intFn(func(x, y int64) (int64, error) {
 		if y == 0 {
 			return 0, &values.Exception{Name: "Hilti::DivisionByZero", Msg: "integer division by zero"}
 		}
 		return x / y, nil
 	})},
-	{name: "int.mod", arity: 2, flags: scalarOp, fn: intFn(func(x, y int64) (int64, error) {
+	{name: "int.mod", flags: scalarOp, f2: intFn(func(x, y int64) (int64, error) {
 		if y == 0 {
 			return 0, &values.Exception{Name: "Hilti::DivisionByZero", Msg: "integer modulo by zero"}
 		}
 		return x % y, nil
 	})},
-	{name: "int.shl", arity: 2, flags: scalarOp, intBin: func(x, y int64) int64 { return x << uint(y&63) }},
-	{name: "int.shr", arity: 2, flags: scalarOp, intBin: func(x, y int64) int64 { return int64(uint64(x) >> uint(y&63)) }},
-	{name: "int.and", arity: 2, flags: scalarOp, intBin: func(x, y int64) int64 { return x & y }},
-	{name: "int.or", arity: 2, flags: scalarOp, intBin: func(x, y int64) int64 { return x | y }},
-	{name: "int.xor", arity: 2, flags: scalarOp, intBin: func(x, y int64) int64 { return x ^ y }},
-	{name: "int.eq", arity: 2, flags: scalarCmp, rel: relEq},
-	{name: "int.lt", arity: 2, flags: scalarCmp, rel: relLt},
-	{name: "int.gt", arity: 2, flags: scalarCmp, rel: relGt},
-	{name: "int.leq", arity: 2, flags: scalarCmp, rel: relLeq},
-	{name: "int.geq", arity: 2, flags: scalarCmp, rel: relGeq},
-	{name: "int.ult", arity: 2, flags: scalarCmp, fn: intPred(func(x, y int64) bool { return uint64(x) < uint64(y) })},
-	{name: "int.ugt", arity: 2, flags: scalarCmp, fn: intPred(func(x, y int64) bool { return uint64(x) > uint64(y) })},
-	{name: "int.to_double", arity: 1, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.Double(float64(a[0].AsInt())), nil
+	{name: "int.shl", flags: scalarOp, intBin: func(x, y int64) int64 { return x << uint(y&63) }},
+	{name: "int.shr", flags: scalarOp, intBin: func(x, y int64) int64 { return int64(uint64(x) >> uint(y&63)) }},
+	{name: "int.and", flags: scalarOp, intBin: func(x, y int64) int64 { return x & y }},
+	{name: "int.or", flags: scalarOp, intBin: func(x, y int64) int64 { return x | y }},
+	{name: "int.xor", flags: scalarOp, intBin: func(x, y int64) int64 { return x ^ y }},
+	{name: "int.eq", flags: scalarCmp, rel: relEq},
+	{name: "int.lt", flags: scalarCmp, rel: relLt},
+	{name: "int.gt", flags: scalarCmp, rel: relGt},
+	{name: "int.leq", flags: scalarCmp, rel: relLeq},
+	{name: "int.geq", flags: scalarCmp, rel: relGeq},
+	{name: "int.ult", flags: scalarCmp, f2: intPred(func(x, y int64) bool { return uint64(x) < uint64(y) })},
+	{name: "int.ugt", flags: scalarCmp, f2: intPred(func(x, y int64) bool { return uint64(x) > uint64(y) })},
+	{name: "int.to_double", flags: scalarOp, f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		return values.Double(float64(a.AsInt())), nil
 	}},
-	{name: "int.to_time", arity: 1, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.TimeVal(a[0].AsInt() * 1e9), nil
+	{name: "int.to_time", flags: scalarOp, f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		return values.TimeVal(a.AsInt() * 1e9), nil
 	}},
-	{name: "int.to_interval", arity: 1, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.IntervalVal(a[0].AsInt() * 1e9), nil
+	{name: "int.to_interval", flags: scalarOp, f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		return values.IntervalVal(a.AsInt() * 1e9), nil
 	}},
-	{name: "int.to_string", arity: 1, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.String(values.Format(a[0])), nil
+	{name: "int.to_string", flags: scalarOp, f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		return values.String(values.Format(a)), nil
 	}},
 
 	// --- double ----------------------------------------------------------------
-	{name: "double.add", arity: 2, flags: scalarOp, fn: dblFn(func(x, y float64) (float64, error) { return x + y, nil })},
-	{name: "double.sub", arity: 2, flags: scalarOp, fn: dblFn(func(x, y float64) (float64, error) { return x - y, nil })},
-	{name: "double.mul", arity: 2, flags: scalarOp, fn: dblFn(func(x, y float64) (float64, error) { return x * y, nil })},
-	{name: "double.div", arity: 2, flags: scalarOp, fn: dblFn(func(x, y float64) (float64, error) {
+	{name: "double.add", flags: scalarOp, f2: dblFn(func(x, y float64) (float64, error) { return x + y, nil })},
+	{name: "double.sub", flags: scalarOp, f2: dblFn(func(x, y float64) (float64, error) { return x - y, nil })},
+	{name: "double.mul", flags: scalarOp, f2: dblFn(func(x, y float64) (float64, error) { return x * y, nil })},
+	{name: "double.div", flags: scalarOp, f2: dblFn(func(x, y float64) (float64, error) {
 		if y == 0 {
 			return 0, &values.Exception{Name: "Hilti::DivisionByZero", Msg: "double division by zero"}
 		}
 		return x / y, nil
 	})},
-	{name: "double.lt", arity: 2, flags: scalarCmp, fn: dblPred(func(x, y float64) bool { return x < y })},
-	{name: "double.gt", arity: 2, flags: scalarCmp, fn: dblPred(func(x, y float64) bool { return x > y })},
-	{name: "double.leq", arity: 2, flags: scalarCmp, fn: dblPred(func(x, y float64) bool { return x <= y })},
-	{name: "double.geq", arity: 2, flags: scalarCmp, fn: dblPred(func(x, y float64) bool { return x >= y })},
-	{name: "double.to_int", arity: 1, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.Int(int64(a[0].AsDouble())), nil
+	{name: "double.lt", flags: scalarCmp, f2: dblPred(func(x, y float64) bool { return x < y })},
+	{name: "double.gt", flags: scalarCmp, f2: dblPred(func(x, y float64) bool { return x > y })},
+	{name: "double.leq", flags: scalarCmp, f2: dblPred(func(x, y float64) bool { return x <= y })},
+	{name: "double.geq", flags: scalarCmp, f2: dblPred(func(x, y float64) bool { return x >= y })},
+	{name: "double.to_int", flags: scalarOp, f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		return values.Int(int64(a.AsDouble())), nil
 	}},
-	{name: "double.to_interval", arity: 1, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.IntervalVal(int64(a[0].AsDouble() * 1e9)), nil
+	{name: "double.to_interval", flags: scalarOp, f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		return values.IntervalVal(int64(a.AsDouble() * 1e9)), nil
 	}},
-	{name: "double.to_time", arity: 1, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.TimeVal(int64(a[0].AsDouble() * 1e9)), nil
+	{name: "double.to_time", flags: scalarOp, f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		return values.TimeVal(int64(a.AsDouble() * 1e9)), nil
 	}},
 
 	// --- bool (also spelled "and", "or", "not": optable.go) ----------------------
-	{name: "bool.and", arity: 2, flags: scalarCmp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.Bool(a[0].AsBool() && a[1].AsBool()), nil
+	{name: "bool.and", flags: scalarCmp, f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		return values.Bool(a.AsBool() && b.AsBool()), nil
 	}},
-	{name: "bool.or", arity: 2, flags: scalarCmp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.Bool(a[0].AsBool() || a[1].AsBool()), nil
+	{name: "bool.or", flags: scalarCmp, f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		return values.Bool(a.AsBool() || b.AsBool()), nil
 	}},
-	{name: "bool.not", arity: 1, flags: scalarCmp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.Bool(!a[0].AsBool()), nil
+	{name: "bool.not", flags: scalarCmp, f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		return values.Bool(!a.AsBool()), nil
 	}},
 
 	// --- string -----------------------------------------------------------------
-	{name: "string.concat", arity: 2, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.String(a[0].AsString() + a[1].AsString()), nil
+	{name: "string.concat", flags: scalarOp, f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		return values.String(a.AsString() + b.AsString()), nil
 	}},
-	{name: "string.length", arity: 1, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.Int(int64(utf8.RuneCountInString(a[0].AsString()))), nil
+	{name: "string.length", flags: scalarOp, f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		return values.Int(int64(utf8.RuneCountInString(a.AsString()))), nil
 	}},
-	{name: "string.lower", arity: 1, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.String(strings.ToLower(a[0].AsString())), nil
+	{name: "string.lower", flags: scalarOp, f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		return values.String(strings.ToLower(a.AsString())), nil
 	}},
-	{name: "string.upper", arity: 1, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.String(strings.ToUpper(a[0].AsString())), nil
+	{name: "string.upper", flags: scalarOp, f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		return values.String(strings.ToUpper(a.AsString())), nil
 	}},
-	{name: "string.find", arity: 2, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.Int(int64(strings.Index(a[0].AsString(), a[1].AsString()))), nil
+	{name: "string.find", flags: scalarOp, f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		return values.Int(int64(strings.Index(a.AsString(), b.AsString()))), nil
 	}},
 	// Not pure: each execution must yield a fresh bytes object.
-	{name: "string.encode", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.BytesFrom([]byte(a[0].AsString())), nil
+	{name: "string.encode", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		return values.BytesFrom([]byte(a.AsString())), nil
 	}},
-	{name: "string.to_int", arity: 1, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
+	{name: "string.to_int", flags: scalarOp, f1: func(ex *Exec, a values.Value) (values.Value, error) {
 		var n int64
 		neg := false
-		s := a[0].AsString()
+		s := a.AsString()
 		for i := 0; i < len(s); i++ {
 			if i == 0 && s[i] == '-' {
 				neg = true
@@ -157,58 +157,58 @@ var scalarOps = []opRow{
 	}},
 
 	// --- time / interval ----------------------------------------------------------
-	{name: "time.add", arity: 2, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.TimeVal(a[0].AsTimeNs() + a[1].AsIntervalNs()), nil
+	{name: "time.add", flags: scalarOp, f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		return values.TimeVal(a.AsTimeNs() + b.AsIntervalNs()), nil
 	}},
-	{name: "time.sub", arity: 2, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		if a[1].K == values.KindTime {
-			return values.IntervalVal(a[0].AsTimeNs() - a[1].AsTimeNs()), nil
+	{name: "time.sub", flags: scalarOp, f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		if b.K == values.KindTime {
+			return values.IntervalVal(a.AsTimeNs() - b.AsTimeNs()), nil
 		}
-		return values.TimeVal(a[0].AsTimeNs() - a[1].AsIntervalNs()), nil
+		return values.TimeVal(a.AsTimeNs() - b.AsIntervalNs()), nil
 	}},
-	{name: "time.lt", arity: 2, flags: scalarCmp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.Bool(a[0].AsTimeNs() < a[1].AsTimeNs()), nil
+	{name: "time.lt", flags: scalarCmp, f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		return values.Bool(a.AsTimeNs() < b.AsTimeNs()), nil
 	}},
-	{name: "time.gt", arity: 2, flags: scalarCmp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.Bool(a[0].AsTimeNs() > a[1].AsTimeNs()), nil
+	{name: "time.gt", flags: scalarCmp, f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		return values.Bool(a.AsTimeNs() > b.AsTimeNs()), nil
 	}},
-	{name: "time.nsecs", arity: 1, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.Int(a[0].AsTimeNs()), nil
+	{name: "time.nsecs", flags: scalarOp, f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		return values.Int(a.AsTimeNs()), nil
 	}},
-	{name: "time.to_double", arity: 1, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.Double(float64(a[0].AsTimeNs()) / 1e9), nil
+	{name: "time.to_double", flags: scalarOp, f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		return values.Double(float64(a.AsTimeNs()) / 1e9), nil
 	}},
-	{name: "interval.add", arity: 2, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.IntervalVal(a[0].AsIntervalNs() + a[1].AsIntervalNs()), nil
+	{name: "interval.add", flags: scalarOp, f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		return values.IntervalVal(a.AsIntervalNs() + b.AsIntervalNs()), nil
 	}},
-	{name: "interval.sub", arity: 2, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.IntervalVal(a[0].AsIntervalNs() - a[1].AsIntervalNs()), nil
+	{name: "interval.sub", flags: scalarOp, f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		return values.IntervalVal(a.AsIntervalNs() - b.AsIntervalNs()), nil
 	}},
-	{name: "interval.mul", arity: 2, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.IntervalVal(a[0].AsIntervalNs() * a[1].AsInt()), nil
+	{name: "interval.mul", flags: scalarOp, f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		return values.IntervalVal(a.AsIntervalNs() * b.AsInt()), nil
 	}},
-	{name: "interval.lt", arity: 2, flags: scalarCmp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.Bool(a[0].AsIntervalNs() < a[1].AsIntervalNs()), nil
+	{name: "interval.lt", flags: scalarCmp, f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		return values.Bool(a.AsIntervalNs() < b.AsIntervalNs()), nil
 	}},
-	{name: "interval.gt", arity: 2, flags: scalarCmp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.Bool(a[0].AsIntervalNs() > a[1].AsIntervalNs()), nil
+	{name: "interval.gt", flags: scalarCmp, f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		return values.Bool(a.AsIntervalNs() > b.AsIntervalNs()), nil
 	}},
-	{name: "interval.nsecs", arity: 1, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.Int(a[0].AsIntervalNs()), nil
+	{name: "interval.nsecs", flags: scalarOp, f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		return values.Int(a.AsIntervalNs()), nil
 	}},
-	{name: "interval.to_double", arity: 1, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.Double(float64(a[0].AsIntervalNs()) / 1e9), nil
+	{name: "interval.to_double", flags: scalarOp, f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		return values.Double(float64(a.AsIntervalNs()) / 1e9), nil
 	}},
 
 	// --- addr / net / port -----------------------------------------------------------
-	{name: "addr.family", arity: 1, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		if a[0].AddrIsV4() {
+	{name: "addr.family", flags: scalarOp, f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		if a.AddrIsV4() {
 			return values.Int(4), nil
 		}
 		return values.Int(6), nil
 	}},
-	{name: "net.contains", arity: 2, flags: scalarCmp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.Bool(a[0].NetContains(a[1])), nil
+	{name: "net.contains", flags: scalarCmp, f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		return values.Bool(a.NetContains(b)), nil
 	}, pick: func(srcs []src, d dst) execFn {
 		// Generated filters test a constant network against a register.
 		if d.kind == srcReg && srcs[0].kind == srcConst && srcs[1].kind == srcReg {
@@ -216,47 +216,47 @@ var scalarOps = []opRow{
 		}
 		return nil
 	}},
-	{name: "net.family", arity: 1, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		if a[0].NetFamilyLen() <= 32 && a[0].AddrIsV4() {
+	{name: "net.family", flags: scalarOp, f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		if a.NetFamilyLen() <= 32 && a.AddrIsV4() {
 			return values.Int(4), nil
 		}
 		return values.Int(6), nil
 	}},
-	{name: "net.length", arity: 1, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.Int(int64(a[0].NetFamilyLen())), nil
+	{name: "net.length", flags: scalarOp, f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		return values.Int(int64(a.NetFamilyLen())), nil
 	}},
-	{name: "port.protocol", arity: 1, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		_, proto := a[0].AsPort()
+	{name: "port.protocol", flags: scalarOp, f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		_, proto := a.AsPort()
 		return values.Int(int64(proto)), nil
 	}},
-	{name: "port.number", arity: 1, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		n, _ := a[0].AsPort()
+	{name: "port.number", flags: scalarOp, f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		n, _ := a.AsPort()
 		return values.Int(int64(n)), nil
 	}},
 
 	// --- enum / bitset ------------------------------------------------------------------
-	{name: "enum.to_int", arity: 1, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.Int(a[0].AsInt()), nil
+	{name: "enum.to_int", flags: scalarOp, f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		return values.Int(a.AsInt()), nil
 	}},
-	{name: "bitset.set", arity: 2, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.Value{K: values.KindBitset, A: a[0].A | a[1].A, O: a[0].O}, nil
+	{name: "bitset.set", flags: scalarOp, f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		return values.Value{K: values.KindBitset, A: a.A | b.A, O: a.O}, nil
 	}},
-	{name: "bitset.clear", arity: 2, flags: scalarOp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.Value{K: values.KindBitset, A: a[0].A &^ a[1].A, O: a[0].O}, nil
+	{name: "bitset.clear", flags: scalarOp, f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		return values.Value{K: values.KindBitset, A: a.A &^ b.A, O: a.O}, nil
 	}},
-	{name: "bitset.has", arity: 2, flags: scalarCmp, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.Bool(a[0].A&a[1].A == a[1].A), nil
+	{name: "bitset.has", flags: scalarCmp, f2: func(ex *Exec, a, b values.Value) (values.Value, error) {
+		return values.Bool(a.A&b.A == b.A), nil
 	}},
 
 	// --- hashing (thread scheduling support) --------------------------------------------
-	{name: "hash", arity: 1, fn: func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.Uint(values.Hash(a[0])), nil
+	{name: "hash", f1: func(ex *Exec, a values.Value) (values.Value, error) {
+		return values.Uint(values.Hash(a)), nil
 	}},
 }
 
-func intFn(f func(x, y int64) (int64, error)) simpleFn {
-	return func(ex *Exec, a []values.Value) (values.Value, error) {
-		r, err := f(a[0].AsInt(), a[1].AsInt())
+func intFn(f func(x, y int64) (int64, error)) body2 {
+	return func(ex *Exec, a, b values.Value) (values.Value, error) {
+		r, err := f(a.AsInt(), b.AsInt())
 		if err != nil {
 			return values.Nil, err
 		}
@@ -264,15 +264,15 @@ func intFn(f func(x, y int64) (int64, error)) simpleFn {
 	}
 }
 
-func intPred(f func(x, y int64) bool) simpleFn {
-	return func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.Bool(f(a[0].AsInt(), a[1].AsInt())), nil
+func intPred(f func(x, y int64) bool) body2 {
+	return func(ex *Exec, a, b values.Value) (values.Value, error) {
+		return values.Bool(f(a.AsInt(), b.AsInt())), nil
 	}
 }
 
-func dblFn(f func(x, y float64) (float64, error)) simpleFn {
-	return func(ex *Exec, a []values.Value) (values.Value, error) {
-		r, err := f(a[0].AsDouble(), a[1].AsDouble())
+func dblFn(f func(x, y float64) (float64, error)) body2 {
+	return func(ex *Exec, a, b values.Value) (values.Value, error) {
+		r, err := f(a.AsDouble(), b.AsDouble())
 		if err != nil {
 			return values.Nil, err
 		}
@@ -280,9 +280,9 @@ func dblFn(f func(x, y float64) (float64, error)) simpleFn {
 	}
 }
 
-func dblPred(f func(x, y float64) bool) simpleFn {
-	return func(ex *Exec, a []values.Value) (values.Value, error) {
-		return values.Bool(f(a[0].AsDouble(), a[1].AsDouble())), nil
+func dblPred(f func(x, y float64) bool) body2 {
+	return func(ex *Exec, a, b values.Value) (values.Value, error) {
+		return values.Bool(f(a.AsDouble(), b.AsDouble())), nil
 	}
 }
 

@@ -204,7 +204,7 @@ func substSrc(s *src, copies map[int32]src, st *OptStats) {
 }
 
 // splitTuples is scalar replacement for the tuples of two-result ops
-// (twoFn rows). Generated parsers write `t = unpack…; v = tuple.index t 0;
+// (two1/two2 rows). Generated parsers write `t = unpack…; v = tuple.index t 0;
 // cur = tuple.index t 1`: the tuple lives for two instructions and costs
 // two heap objects. For a register whose every definition is such an op,
 // whose every read is a tuple.index with a constant in-range index, and
@@ -327,12 +327,12 @@ func splitTuples(fn *CompiledFunc, lead []bool, st *OptStats) {
 	}
 }
 
-// isTwoProducer reports whether in is a twoFn op or a call of a compiled
+// isTwoProducer reports whether in is a two-result op or a call of a compiled
 // function — whose returns splitTuples checks only once the destination
 // qualifies otherwise.
 func isTwoProducer(in *Instr) bool {
 	switch aux := in.aux.(type) {
-	case twoFn:
+	case twoBody1, twoBody2:
 		return true
 	case *callTarget:
 		return aux.fn != nil && rowOf(in.opID) == opCall
@@ -598,21 +598,62 @@ func clampPC(pc, n int) int {
 // StaticInstrCount sums the post-optimization instruction counts of every
 // distinct compiled function (hook bodies included).
 func (p *Program) StaticInstrCount() int {
-	seen := map[*CompiledFunc]bool{}
 	total := 0
-	count := func(fn *CompiledFunc) {
+	p.eachFunc(func(fn *CompiledFunc) { total += len(fn.Code) })
+	return total
+}
+
+// Residue is what of a program's code still takes a generic path:
+// struct field accesses by index and by name (the latter only on operands
+// of type any), and instructions whose executor gathers its operands
+// through Exec.operands — variadic ops, host and builtin calls, hook.run
+// and classifier.get on a constructor key.
+type Residue struct{ IndexFields, NameFields, Gathering int }
+
+// Residue counts the generic paths left in p's code.
+func (p *Program) Residue() (res Residue) {
+	p.eachFunc(func(fn *CompiledFunc) {
+		for pc := range fn.Code {
+			in := &fn.Code[pc]
+			r := rowOf(in.opID)
+			if r.idx != nil {
+				res.NameFields++
+			}
+			switch aux := in.aux.(type) {
+			case *values.StructDef: // a field index form
+				res.IndexFields++
+			case simpleFn, *hookTarget:
+				res.Gathering++
+			case *callTarget:
+				if aux.fn == nil {
+					res.Gathering++
+				}
+			default:
+				if r.name == "classifier.get" && in.srcs[1].kind == srcCtor {
+					res.Gathering++
+				}
+			}
+		}
+	})
+	return res
+}
+
+// eachFunc calls f once for every distinct compiled function of p, hook
+// bodies included.
+func (p *Program) eachFunc(f func(fn *CompiledFunc)) {
+	seen := map[*CompiledFunc]bool{}
+	visit := func(fn *CompiledFunc) {
 		if fn != nil && !seen[fn] {
 			seen[fn] = true
-			total += len(fn.Code)
+			f(fn)
 		}
 	}
 	for _, fn := range p.Funcs {
-		count(fn)
+		visit(fn)
 	}
 	for _, bodies := range p.HookBodies {
 		for _, fn := range bodies {
-			count(fn)
+			visit(fn)
 		}
 	}
-	return total
 }

@@ -32,24 +32,45 @@ type opRow struct {
 	arity int                                      // operand count; -1: any
 	lower func(c *fnCompiler, in *ast.Instr) error // custom lowering; nil: lowerRow
 
-	// Semantics. fn or two is the generic body; an integer op gives intBin
-	// or rel instead, from which fn, the register/constant executors and
-	// the aux the executors read are derived (defineOp).
+	// Semantics. A fixed-arity row gives its body with positional operands:
+	// f0-f3, or two1/two2 for the two-result ops (whose slice form returns
+	// the pair as a tuple). A variadic row gives fn, and an integer op gives
+	// intBin or rel. defineOp derives the rest: the arity, fn (the slice form
+	// folding and the reference tests call), the executor that reads the
+	// operands with Exec.get, and the aux it reads.
 	fn     simpleFn
-	two    twoFn
+	f0     body0
+	f1     body1
+	f2     body2
+	f3     body3
+	two1   twoBody1
+	two2   twoBody2
 	intBin func(x, y int64) int64
 	rel    relation
 	exec   execFn                         // generic executor; derived when nil
 	pick   func(srcs []src, d dst) execFn // operand-shape executor, or nil for exec
+	idx    execFn                         // struct op: the field-index form's executor (lowerField)
 
 	flags opFlags
 	ctl   uint8 // what t1/t2 mean to control-flow passes (ctl* below)
 
 	// Derived by defineOp.
-	aux  any    // the body the executors find in Instr.aux
-	twin *opRow // cmp: the fused compare-and-branch form
-	id   uint16 // interned id, 0 until first use (guarded by opTable)
+	aux     any    // the body the executors find in Instr.aux
+	derived execFn // the body's executor: exec unless a row gives its own
+	twin    *opRow // cmp: the fused compare-and-branch form
+	indexed *opRow // idx: the field-index form, named name+"_idx"; on that form, the name row
+	id      uint16 // interned id, 0 until first use (guarded by opTable)
 }
+
+// The positional bodies of the fixed-arity rows.
+type (
+	body0    = func(ex *Exec) (values.Value, error)
+	body1    = func(ex *Exec, a values.Value) (values.Value, error)
+	body2    = func(ex *Exec, a, b values.Value) (values.Value, error)
+	body3    = func(ex *Exec, a, b, c values.Value) (values.Value, error)
+	twoBody1 = func(ex *Exec, a values.Value) (x, y values.Value, err error)
+	twoBody2 = func(ex *Exec, a, b values.Value) (x, y values.Value, err error)
+)
 
 type opFlags uint8
 
@@ -150,34 +171,62 @@ var (
 // defineOp derives r's executors and aux from its semantics and enters it,
 // with its fused twin, into the table.
 func defineOp(r opRow) *opRow {
+	var execs [2]execFn // the body's derived executors: plain, compare
 	switch {
 	case r.intBin != nil:
 		f := r.intBin
 		r.fn = func(_ *Exec, a []values.Value) (values.Value, error) {
 			return values.Int(f(a[0].AsInt(), a[1].AsInt())), nil
 		}
-		r.aux, r.exec, r.pick = f, execIntFast, pickIntFast
+		r.aux, r.exec, r.pick, r.arity = f, execIntFast, pickIntFast, 2
 	case r.rel != relNone:
 		f := relFns[r.rel]
 		r.fn = func(_ *Exec, a []values.Value) (values.Value, error) {
 			return values.Bool(f(a[0].AsInt(), a[1].AsInt())), nil
 		}
-		r.aux, r.exec, r.pick = f, execIntCmpFast, pickIntCmpFast
-	case r.two != nil:
-		r.aux, r.exec = r.two, execTwo
+		r.aux, r.exec, r.pick, r.arity = f, execIntCmpFast, pickIntCmpFast, 2
+	case r.f0 != nil:
+		f := r.f0
+		r.fn, r.aux, r.arity, execs = func(ex *Exec, _ []values.Value) (values.Value, error) { return f(ex) }, f, 0, [2]execFn{exec0}
+	case r.f1 != nil:
+		f := r.f1
+		r.fn, r.aux, r.arity, execs = func(ex *Exec, a []values.Value) (values.Value, error) { return f(ex, a[0]) }, f, 1, [2]execFn{exec1, exec1Cmp}
+	case r.f2 != nil:
+		f := r.f2
+		r.fn, r.aux, r.arity, execs = func(ex *Exec, a []values.Value) (values.Value, error) { return f(ex, a[0], a[1]) }, f, 2, [2]execFn{exec2, exec2Cmp}
+	case r.f3 != nil:
+		f := r.f3
+		r.fn, r.aux, r.arity, execs = func(ex *Exec, a []values.Value) (values.Value, error) { return f(ex, a[0], a[1], a[2]) }, f, 3, [2]execFn{exec3}
+	case r.two1 != nil:
+		f := r.two1
+		r.fn, r.aux, r.arity, execs = func(ex *Exec, a []values.Value) (values.Value, error) {
+			x, y, err := f(ex, a[0])
+			return values.TupleVal(x, y), err
+		}, f, 1, [2]execFn{execTwo1}
+	case r.two2 != nil:
+		f := r.two2
+		r.fn, r.aux, r.arity, execs = func(ex *Exec, a []values.Value) (values.Value, error) {
+			x, y, err := f(ex, a[0], a[1])
+			return values.TupleVal(x, y), err
+		}, f, 2, [2]execFn{execTwo2}
 	case r.fn != nil:
-		r.aux = r.fn
-		if r.exec == nil {
-			r.exec = execSimple
-			if r.is(opCmp) {
-				r.exec = execSimpleCmp
-			}
-		}
+		r.aux, execs = r.fn, [2]execFn{execSimple}
+	}
+	if r.derived = execs[0]; r.is(opCmp) {
+		r.derived = execs[1]
+	}
+	if r.exec == nil {
+		r.exec = r.derived
 	}
 	if r.is(opCmp) {
 		tw := r
 		tw.name, tw.ctl, tw.flags = r.name+"+br", ctlBranch, r.flags&^opCmp
 		r.twin = defineOp(tw)
+	}
+	if r.idx != nil && r.ctl == ctlNone {
+		// t2 holds the field index, so the index form does not branch.
+		r.indexed = defineOp(opRow{name: r.name + "_idx", flags: r.flags &^ opCmp})
+		r.indexed.indexed = &r
 	}
 	p := &r
 	opTable.Lock()

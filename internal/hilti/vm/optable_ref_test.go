@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -8,6 +10,7 @@ import (
 	"hilti/internal/hilti/types"
 	"hilti/internal/rt/classifier"
 	"hilti/internal/rt/container"
+	"hilti/internal/rt/hbytes"
 	"hilti/internal/rt/overlay"
 	"hilti/internal/rt/values"
 )
@@ -26,7 +29,7 @@ const (
 	refFoldEqual               // values.Equal (no aux)
 	refFoldUnequal             // !values.Equal (no aux)
 	refFoldNetHas              // Value.NetContains (no aux)
-	refFoldPure                // aux simpleFn, pure and Exec-independent
+	refFoldPure                // aux a positional body, pure and Exec-independent
 )
 
 var refFoldable = map[string]refFoldKind{
@@ -92,8 +95,11 @@ func refFuseAccepts(op string, in *Instr) bool {
 		if !refFuseSimple[op] {
 			return false
 		}
-		_, ok := in.aux.(simpleFn)
-		return ok
+		switch in.aux.(type) {
+		case body1, body2: // the positional bodies the compare rows declare
+			return true
+		}
+		return false
 	}
 }
 
@@ -134,7 +140,8 @@ var (
 		unequal unpack.addr4 unpack.addr6 unpack.bytes unpack.fields
 		unpack.uint16be unpack.uint16le unpack.uint32be unpack.uint32le
 		unpack.uint8 vector.get vector.push_back vector.reserve vector.set
-		vector.size yield`)
+		vector.size yield struct.get_idx struct.get_default_idx struct.set_idx
+		struct.is_set_idx struct.unset_idx`)
 )
 
 func refOps(list string) map[string]bool {
@@ -299,6 +306,9 @@ func TestOpTableMatchesReference(t *testing.T) {
 			continue // test-only rows the reference never knew
 		}
 		checkEscape(t, r.name, r)
+		if r.indexed != nil {
+			checkEscape(t, r.indexed.name, r.indexed)
+		}
 		for _, in := range refSamples(t, r) {
 			checkAgainstReference(t, r.name, &in)
 			if r.twin != nil {
@@ -330,13 +340,14 @@ func TestOpTableMatchesReference(t *testing.T) {
 }
 
 // testNonzero is a test-only op defined as a single row: a bool-yielding
-// integer test that is pure.
-var testNonzero = defineOp(opRow{name: "test.nonzero", arity: 1, flags: opPure | opCmp,
-	fn: func(_ *Exec, a []values.Value) (values.Value, error) { return values.Bool(a[0].AsInt() != 0), nil }})
+// integer test that is pure, with its body over its one operand.
+var testNonzero = defineOp(opRow{name: "test.nonzero", flags: opPure | opCmp,
+	f1: func(_ *Exec, a values.Value) (values.Value, error) { return values.Bool(a.AsInt() != 0), nil }})
 
 // TestAddingAnOpIsOneRow: with no edit beyond its row, test.nonzero folds
 // on constants, fuses with a following if.else, disassembles, runs at O2,
-// and (being opCmp) is run by TestBranchOnEveryBooleanOp at every level.
+// and (being opCmp) is run by TestBranchOnEveryBooleanOp at every level and
+// checked against its slice form by TestPositionalRowsMatchSliceForm.
 func TestAddingAnOpIsOneRow(t *testing.T) {
 	// Folds on a constant.
 	b := ast.NewBuilder("M")
@@ -370,8 +381,13 @@ func TestAddingAnOpIsOneRow(t *testing.T) {
 	}
 	for p, want := range map[int64]int64{-1: 2, 0: 1, 41: 1} {
 		for level := 0; level <= 2; level++ {
-			if v, err := linkAt(t, level, build()).Call("M::f", values.Int(p)); err != nil || v.AsInt() != want {
+			ex := linkAt(t, level, build())
+			if v, err := ex.Call("M::f", values.Int(p)); err != nil || v.AsInt() != want {
 				t.Fatalf("O%d f(%d) = %v %v, want %d", level, p, v, err, want)
+			}
+			// Its executor reads its operand in place.
+			if n := ex.Prog.Residue().Gathering; n != 0 {
+				t.Fatalf("O%d: %d instructions gather operands", level, n)
 			}
 		}
 	}
@@ -524,6 +540,180 @@ func TestKeyOpsReadConstructorInPlace(t *testing.T) {
 		e, _ := err.(*values.Exception)
 		if e != errNoClassifierMatch || e.Name != "Hilti::IndexError" || e.Msg != "no classifier match" || !e.Arg.IsNil() {
 			t.Fatalf("%s miss raised %#v, want the shared no-match exception", fn, err)
+		}
+	}
+}
+
+// operandCorpus makes, fresh for every run, the values tried in each
+// operand position of a positional row: scalars and nil, and the heap
+// values rows take — among them a nil iterator, a nil digest and an
+// iterator at the end of an open rope, which would block.
+var operandCorpus = []func() values.Value{
+	func() values.Value { return values.Nil },
+	func() values.Value { return values.Int(2) },
+	func() values.Value { return values.Int(-1) },
+	func() values.Value { return values.Bool(true) },
+	func() values.Value { return values.Double(1.5) },
+	func() values.Value { return values.String("x") },
+	func() values.Value { return values.TimeVal(2000) },
+	func() values.Value { return values.IntervalVal(1000) },
+	func() values.Value { return values.MustParseNet("10.0.0.0/8") },
+	func() values.Value { return values.MustParseAddr("10.1.2.3") },
+	func() values.Value { return values.BytesFrom([]byte("Ab1")) },
+	func() values.Value { return values.IterBytes(values.BytesFrom([]byte("Ab1")).AsBytes().Begin()) },
+	func() values.Value {
+		b := hbytes.New()
+		b.Append([]byte("ab")) //nolint:errcheck
+		return values.IterBytes(b.Begin().Plus(2))
+	},
+	func() values.Value { return values.Value{K: values.KindIterBytes} },
+	func() values.Value { return values.NewDigest() },
+	func() values.Value { return values.Value{K: values.KindDigest} },
+	func() values.Value {
+		s := values.NewStruct(values.NewStructDef("S", values.StructField{Name: "x"}, values.StructField{Name: "y"}))
+		s.Fields[0] = values.Int(1)
+		return values.StructVal(s)
+	},
+	func() values.Value {
+		v := container.NewVector(values.Nil)
+		v.PushBack(values.Int(1))
+		return values.Ref(values.KindVector, v)
+	},
+	func() values.Value {
+		m := container.NewMap()
+		m.Insert(values.Int(2), values.String("two"))
+		return values.Ref(values.KindMap, m)
+	},
+	func() values.Value {
+		s := container.NewSet()
+		s.Insert(values.Int(2))
+		return values.Ref(values.KindSet, s)
+	},
+	func() values.Value {
+		l := container.NewList()
+		l.PushBack(values.Int(2))
+		return values.Ref(values.KindList, l)
+	},
+}
+
+// outcome runs f on a fresh Exec and renders how it ended: the pc it
+// continued at, the values of the registers named, or the exception it
+// raised, the suspension it asked for, or a panic.
+func outcome(f func(ex *Exec) (pc int, res []values.Value)) (out string) {
+	defer func() {
+		if r := recover(); r != nil {
+			out = fmt.Sprint("panic: ", r)
+		}
+	}()
+	ex, _ := NewExec(&Program{})
+	ex.Out = io.Discard
+	pc, res := f(ex)
+	switch pc {
+	case pcSuspend:
+		return "suspend"
+	case pcRaise:
+		return "raise " + ex.Exc.Name + ": " + ex.Exc.Msg
+	}
+	out = fmt.Sprintf("pc %d:", pc)
+	for _, v := range res {
+		out += " " + values.Format(v)
+	}
+	return out
+}
+
+// TestPositionalRowsMatchSliceForm: every row declared with a positional
+// body, run through its derived executor — and a compare also through its
+// fused +br twin, a two-result op also split into two registers — ends as
+// the row's slice form fn says, for every operand tuple of the corpus:
+// the same value, exception or suspension, and the branch the value picks.
+// Operands are read from registers, a global and a constant alike.
+func TestPositionalRowsMatchSliceForm(t *testing.T) {
+	seen := map[string]bool{}
+	for _, r := range definedRows() {
+		if r.f0 == nil && r.f1 == nil && r.f2 == nil && r.f3 == nil && r.two1 == nil && r.two2 == nil {
+			continue
+		}
+		n := r.arity
+		two := r.two1 != nil || r.two2 != nil
+		type run struct {
+			name   string
+			exec   execFn
+			t2, d2 int // t2 2: branches; d2: the split form's second register
+		}
+		runs := []run{{r.name, r.derived, 1, 0}}
+		if r.twin != nil {
+			runs = append(runs, run{r.twin.name, r.twin.exec, 2, 0})
+		}
+		if two {
+			runs = append(runs, run{r.name + " (split)", r.derived, 0, n + 1})
+		}
+		tuples := 1
+		for i := 0; i < n; i++ {
+			tuples *= len(operandCorpus)
+		}
+		for tup := 0; tup < tuples; tup++ {
+			mk := func() []values.Value {
+				args := make([]values.Value, n)
+				for i, x := 0, tup; i < n; i, x = i+1, x/len(operandCorpus) {
+					args[i] = operandCorpus[x%len(operandCorpus)]()
+				}
+				return args
+			}
+			// A vector extends itself to any index it is given.
+			if strings.HasPrefix(r.name, "vector.") && n > 1 && uint64(mk()[1].AsInt()+1) > 64 {
+				continue
+			}
+			for _, e := range runs {
+				want := outcome(func(ex *Exec) (int, []values.Value) {
+					v, err := r.fn(ex, mk())
+					if err != nil {
+						return ex.raiseErr(err), nil
+					}
+					pc := 1
+					if e.t2 == 2 && !values.IsTruthy(v) {
+						pc = 2
+					}
+					if e.d2 != 0 {
+						t := v.AsTuple()
+						return pc, []values.Value{t.Elems[0], t.Elems[1]}
+					}
+					return pc, []values.Value{v}
+				})
+				got := outcome(func(ex *Exec) (int, []values.Value) {
+					args := mk()
+					// Operand 0 from a global, the last of two or three a
+					// constant, the others from registers.
+					fr := &Frame{R: make([]values.Value, n+2)}
+					in := Instr{exec: e.exec, aux: r.aux, d: dst{kind: srcReg, idx: int32(n)}, d2: int32(e.d2), t1: 1, t2: e.t2}
+					for i, a := range args {
+						s := src{kind: srcReg, idx: int32(i)}
+						switch {
+						case i == 0:
+							ex.Globals = []values.Value{a}
+							s = src{kind: srcGlobal}
+						case i == n-1 && n > 1:
+							s = src{kind: srcConst, val: a}
+						}
+						fr.R[i] = a
+						in.srcs = append(in.srcs, s)
+					}
+					pc := in.exec(ex, fr, &in)
+					if e.d2 != 0 {
+						return pc, fr.R[n : n+2]
+					}
+					return pc, fr.R[n : n+1]
+				})
+				if got != want {
+					t.Fatalf("%s%s: executor ends %q, fn %q", e.name, values.Format(values.TupleVal(mk()...)), got, want)
+				}
+				seen[got] = true
+			}
+		}
+	}
+	for _, want := range []string{"suspend", "raise Hilti::NullReference: nil bytes reference",
+		"raise Hilti::NullReference: nil iterator", "raise Hilti::NullReference: nil digest"} {
+		if !seen[want] {
+			t.Errorf("no row ended %q: the corpus lost a raising case", want)
 		}
 	}
 }

@@ -389,7 +389,7 @@ func TestSplitTuplesDifferential(t *testing.T) {
 }
 
 // TestGenericPathAllocFree pins the two mechanisms' effect: a warmed-up
-// call that runs generic (simpleFn-dispatched) instructions, a host call
+// call that runs generic (body-dispatched) instructions, a host call
 // with arguments, or a split unpack allocates nothing.
 func TestGenericPathAllocFree(t *testing.T) {
 	if raceEnabled {

@@ -80,7 +80,7 @@ type Instr struct {
 	opID uint16 // interned op row (optable.go), stamped at emit/rewrite time
 	d    dst
 	// d2 is the second destination register of a two-result instruction
-	// (execTwo) or a call of a function returning a two-element constructor
+	// (storeTwo) or a call of a function returning a two-element constructor
 	// (execReturnPair) that splitTuples in opt.go has split, 0 otherwise. It
 	// is always a register splitTuples allocated itself — above the tuple
 	// register it replaces, so never register 0.
@@ -220,8 +220,9 @@ type Exec struct {
 	opProf     *opProfile
 	tiering    *tiering // runtime tier-2 promotion, nil unless EnableTiering
 
-	borrowing map[string]bool // host functions registered as borrowing (recycle.go)
-	rec       *recycler       // nil until Recycle accepts an entry
+	borrowing   map[string]bool // host functions registered as borrowing (recycle.go)
+	rec         *recycler       // nil until Recycle accepts an entry
+	fieldMisses uint64          // see FieldGuardMisses
 }
 
 // NewExec creates an execution context for prog and runs global
@@ -264,11 +265,17 @@ func (ex *Exec) RegisterHost(name string, fn HostFunc) {
 // Fn looks up a compiled function by name.
 func (p *Program) Fn(name string) *CompiledFunc { return p.Funcs[name] }
 
-// get reads an operand source.
+// get reads an operand source. A register, the common case, is read
+// where get is inlined.
 func (ex *Exec) get(fr *Frame, s *src) values.Value {
-	switch s.kind {
-	case srcReg:
+	if s.kind == srcReg {
 		return fr.R[s.idx]
+	}
+	return ex.getOther(fr, s)
+}
+
+func (ex *Exec) getOther(fr *Frame, s *src) values.Value {
+	switch s.kind {
 	case srcGlobal:
 		return ex.Globals[s.idx]
 	case srcCtor:
