@@ -150,8 +150,8 @@ var experiments = []experiment{
 		"illegal operations become catchable faults; the runtime keeps processing under hostile input", (*harness).faults},
 	{"recovery", "Crash-only operation (paper §3.2 transparent state management)",
 		"first-class state => serialize/restore analysis mid-trace; resumed run reproduces the uninterrupted one", (*harness).recovery},
-	{"wal", "Incremental checkpoints via write-ahead log (crash-only, O(changed state) per packet)",
-		"full snapshot + per-packet deltas; kill/restore byte-identical at any cut, including mid-record", (*harness).wal},
+	{"wal", "Incremental checkpoints via write-ahead log (crash-only)",
+		"full snapshot + per-packet deltas (engine) or the packets since, run again (pipeline); kill/restore byte-identical at any cut, including mid-record", (*harness).wal},
 	{"migrate", "Elastic cluster: live flow migration with fault-injected handoff",
 		"scale-out/in via consistent-hash buckets; a crash at any protocol step never splits ownership", (*harness).migrate},
 	{"vmopt", "Post-lowering VM optimizer",
@@ -1709,6 +1709,44 @@ func (h *harness) wal(chk *checker) {
 		fmt.Printf("      %6d sessions: patched %7.0f us, %8.0f B allocated; full %7.0f us, %8.0f B allocated; %d B snapshot, %.0f frames copied and %.0f encoded per re-base\n",
 			sessions, float64(patch.ns)/float64(n)/1e3, float64(patch.alloc)/float64(n),
 			float64(full.ns)/float64(n)/1e3, float64(full.alloc)/float64(n), len(snap), float64(copied)/float64(n), float64(again)/float64(n))
+	}
+
+	// E. The pipeline's log, as the production shape keeps it: a 2-worker
+	//    host at 200 HTTP sessions logs the frame of every packet an engine
+	//    processed, re-bases every 256 records, and a restore runs the
+	//    logged packets again. Record cost and size are sampled one record
+	//    in 64; re-bases and replayed records are timed whole. The restored
+	//    host must finish with the single engine's logs.
+	fmt.Println("    pipeline log (2 workers, 200 HTTP sessions, CheckpointEvery 256; restore at mid-trace):")
+	trace := genHTTP(200)
+	for _, backend := range []string{"interp", "hilti"} {
+		bcfg := stdConfig(backend)
+		single := engineRun(bcfg, trace)
+		live, restored := metrics.NewRegistry(), metrics.NewRegistry()
+		bcfg.Metrics = live
+		par, err := bro.NewParallelWith(bcfg, pipeline.Config{Workers: 2})
+		must(err)
+		cut := len(trace)/2 + 101 // most likely not on a re-base
+		feed(par, trace[:cut])
+		var ckpt bytes.Buffer
+		must(par.Checkpoint(&ckpt))
+		ckptLen := ckpt.Len()
+		feed(par, trace[cut:])
+		par.Close()
+		bcfg.Metrics = restored
+		par, err = bro.RestoreParallelWith(bcfg, pipeline.Config{Workers: 2}, &ckpt)
+		must(err)
+		feed(par, trace[cut:])
+		par.Close()
+		mean := func(reg *metrics.Registry, h string) float64 {
+			return reg.Value(h+"_sum") / max(reg.Value(h+"_count"), 1)
+		}
+		replayed := restored.Value("pipeline_wal_replay_ns_count")
+		fmt.Printf("      %-7s %5.0f B and %4.0f ns per record; re-base %5.0f ns per packet; restore replayed %3.0f records at %6.0f ns each (checkpoint %d B)\n",
+			backend+":", mean(live, "pipeline_wal_record_bytes"), mean(live, "pipeline_wal_record_ns"),
+			live.Value("pipeline_rebase_ns_sum")/float64(len(trace)), replayed, mean(restored, "pipeline_wal_replay_ns"), ckptLen)
+		chk.check(replayed > 0, backend+": the mid-trace checkpoint held no logged packet to replay")
+		checkStreams(chk, backend+" pipeline across a replaying restore", sortedLogs(single), par.MergedLines)
 	}
 
 	// B+C+D. Kill/restore at arbitrary WAL cut points. Base snapshot at

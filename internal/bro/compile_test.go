@@ -2,6 +2,10 @@ package bro
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -9,11 +13,17 @@ import (
 	"hilti/internal/hilti/vm"
 	"hilti/internal/pkt/flow"
 	"hilti/internal/pkt/layers"
+	"hilti/internal/rt/container"
 	"hilti/internal/rt/values"
 )
 
 // compileExec compiles scripts and returns a ready Exec with host fns.
 func compileExec(t testing.TB, src string) (*vm.Exec, *Glue, *bytes.Buffer, func() int64) {
+	t.Helper()
+	return compileExecWith(t, vm.Options{OptLevel: vm.DefaultOptLevel()}, src)
+}
+
+func compileExecWith(t testing.TB, opts vm.Options, src string) (*vm.Exec, *Glue, *bytes.Buffer, func() int64) {
 	t.Helper()
 	s, err := ParseScript(src)
 	if err != nil {
@@ -23,7 +33,7 @@ func compileExec(t testing.TB, src string) (*vm.Exec, *Glue, *bytes.Buffer, func
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := vm.Link(mod)
+	prog, err := vm.LinkWith(opts, mod)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,6 +157,95 @@ event report() {
 	}
 	if iout.Len() == 0 {
 		t.Fatal("no output produced")
+	}
+
+	t.Run("vector index out of reach", compiledMatchesInterpOnVectorIndex)
+}
+
+// compiledMatchesInterpOnVectorIndex: an index read off the wire cannot
+// claim memory. A vector read past its end, or written more than
+// container.MaxGrow past it, raises the same Hilti::IndexError in the
+// interpreter and compiled at O0 and O1 — without growing the vector, so
+// an index of 1<<62 costs a few objects.
+func compiledMatchesInterpOnVectorIndex(t *testing.T) {
+	src := `
+global v: vector of count;
+
+event grow(i: count) {
+    print "grow", i;
+    v[i] = 1;
+    print "size", |v|;
+}
+
+event peek(i: count) {
+    print "peek", i;
+    print v[i];
+}
+`
+	const huge = CountVal(1) << 62
+	type call struct {
+		event string
+		i     CountVal
+		err   bool
+	}
+	calls := []call{{"grow", 0, false}, {"grow", huge, true}, {"peek", 0, false}, {"peek", 1, true},
+		{"peek", huge, true}, {"grow", 1 + container.MaxGrow, false}, {"grow", 2*container.MaxGrow + 3, true}}
+
+	type backend struct {
+		name string
+		run  func(event string, i CountVal) error
+		out  *bytes.Buffer
+		mute func()
+	}
+	s, err := ParseScript(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ip := NewInterp()
+	if err := ip.Load(s); err != nil {
+		t.Fatal(err)
+	}
+	var iout bytes.Buffer
+	ip.Out = &iout
+	backends := []backend{{"interp", func(ev string, i CountVal) error { return ip.Dispatch(ev, i) }, &iout,
+		func() { ip.Out = io.Discard }}}
+	for _, lvl := range []int{0, 1} {
+		ex, glue, out, _ := compileExecWith(t, vm.Options{OptLevel: lvl}, src)
+		backends = append(backends, backend{fmt.Sprintf("O%d", lvl), func(ev string, i CountVal) error {
+			return ex.RunHook(ev, glue.toHilti(i))
+		}, out, func() { ex.Out = io.Discard }})
+	}
+	var errs [][]string
+	for _, b := range backends {
+		var got []string
+		for _, c := range calls {
+			err := b.run(c.event, c.i)
+			if (err != nil) != c.err {
+				t.Fatalf("%s: %s(%d) error %v, want one: %v", b.name, c.event, c.i, err, c.err)
+			}
+			var exc *values.Exception
+			if err != nil && !errors.As(err, &exc) {
+				t.Fatalf("%s: %s(%d) failed with %v, not a HILTI exception", b.name, c.event, c.i, err)
+			}
+			if exc != nil {
+				got = append(got, exc.Error())
+			}
+		}
+		errs = append(errs, got)
+		if b.out.String() != backends[0].out.String() {
+			t.Errorf("%s output differs from the interpreter's:\n%s\nvs\n%s", b.name, b.out, backends[0].out)
+		}
+		if !slices.Equal(got, errs[0]) {
+			t.Errorf("%s raises %q, the interpreter %q", b.name, got, errs[0])
+		}
+		// The print and the error's allocations, under -race too; nothing
+		// the size of the index.
+		b.mute()
+		for _, ev := range []string{"grow", "peek"} {
+			if n := testing.AllocsPerRun(20, func() { b.run(ev, huge) }); n > 32 { //nolint:errcheck
+				t.Errorf("%s: %s(1<<62) allocates %v objects", b.name, ev, n)
+			}
+		}
 	}
 }
 

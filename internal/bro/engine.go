@@ -168,9 +168,11 @@ type Engine struct {
 	dnsTTLs    []int64
 
 	// delta, when non-nil, tracks which state changed since the last WAL
-	// flush (see wal.go). Nil outside WAL mode: the mark helpers are then
-	// no-ops, so the non-incremental paths pay nothing.
+	// flush or re-base (see state.go). Nil outside WAL mode: the mark
+	// helpers are then no-ops, so the non-incremental paths pay nothing.
 	delta *deltaState
+	// outsideSeen is outsideReads as of the last Unreplayable or re-base.
+	outsideSeen uint64
 	// Script-table entries the delta path looked at (marked) and encoded;
 	// process-local, not checkpointed.
 	deltaMarked, deltaEncoded metrics.Counter
@@ -219,7 +221,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 		quarantined: map[uint64]uint64{},
 	}
 	if cfg.SharedReassembly != nil {
-		e.reasm = cfg.SharedReassembly
+		// The engine's own share: its refusals are told apart (Unreplayable).
+		e.reasm = cfg.SharedReassembly.Share()
 	} else if cfg.ReassemblyBudget > 0 {
 		e.reasm = reassembly.NewBudget(cfg.ReassemblyBudget)
 	}

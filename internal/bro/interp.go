@@ -25,7 +25,9 @@ import (
 	"strings"
 
 	"hilti/internal/pkt/flow"
+	"hilti/internal/rt/container"
 	"hilti/internal/rt/metrics"
+	"hilti/internal/rt/values"
 )
 
 // Interp loads scripts and executes their event handlers and functions.
@@ -536,6 +538,9 @@ func (ip *Interp) assign(f frame, lhs Expr, rhsE Expr) error {
 			if !ok {
 				return errVal("vector index", keys[0])
 			}
+			if i > CountVal(len(c.Elems)+container.MaxGrow) {
+				return vectorIndexError(i)
+			}
 			for len(c.Elems) <= int(i) {
 				c.Elems = append(c.Elems, nil)
 			}
@@ -648,8 +653,11 @@ func (ip *Interp) eval(f frame, x Expr) (Val, error) {
 			return v, nil
 		case *VectorVal:
 			i, ok := keys[0].(CountVal)
-			if !ok || int(i) >= len(c.Elems) {
-				return nil, fmt.Errorf("bro: vector index out of range")
+			if !ok {
+				return nil, errVal("vector index", keys[0])
+			}
+			if i >= CountVal(len(c.Elems)) {
+				return nil, vectorIndexError(i)
 			}
 			return c.Elems[i], nil
 		default:
@@ -1022,4 +1030,12 @@ func (ip *Interp) MakeConn(uid string, k flow.Key, start int64) *RecordVal {
 	c.Set("uid", StringVal(uid))
 	c.Set("start_time", TimeVal(start))
 	return c
+}
+
+// vectorIndexError is what both script backends raise for a vector index
+// out of reach: a read past the end, or a write more than
+// container.MaxGrow past it (the compiled backend's vector.get and
+// vector.set raise it too).
+func vectorIndexError(i CountVal) error {
+	return &values.Exception{Name: "Hilti::IndexError", Msg: fmt.Sprintf("vector index %d", i)}
 }

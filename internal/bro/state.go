@@ -33,7 +33,9 @@
 //     empty engine — every section complete, every open flow a frame.
 //     RestoreEngine is NewEngine plus the one apply path.
 //   - WAL delta (Rebase or ResetDeltaBase, then EncodeDelta / AppendDelta,
-//     ApplyDelta): touched quarantine marks, log lines past the flushed
+//     ApplyDelta), for engine-level logs (RestoreEngineWAL) — a pipeline
+//     shard logs packets and replays them (ReplayPacket), using Rebase
+//     alone: touched quarantine marks, log lines past the flushed
 //     watermark, globals that differ from the cached base, and a frame per
 //     dirty or closed flow. Granularity: a dirty connection re-encodes
 //     whole; interpreter tables emit the entries marked since the last
@@ -44,7 +46,8 @@
 //     a container can be mutated later without a container operation the
 //     journal could observe. Rebase writes the full checkpoint the next
 //     deltas build on by patching the previous one: the frames no delta
-//     touched are copied, the sections encoded as ever.
+//     and no pending mark touched are copied, the sections encoded as
+//     ever.
 //   - Flow migration (ExtractFlow / InjectFlow): one live flow's frame,
 //     built directly. Applied in adopt mode: ctx and seq are
 //     instance-local, so the target assigns its own, and nothing
@@ -57,8 +60,8 @@
 // encodes every frame again. In-flight BinPAC++ parse state is a parked
 // vm.Resumable — activation records over registers and rope iterators —
 // which is not encoded yet (ROADMAP 1a); every selection refuses a
-// connection that is mid-parse (EncodeDelta's caller re-bases once
-// possible). Unserializable VM globals (function refs, channels) keep the
+// connection that is mid-parse (the caller re-bases once possible).
+// Unserializable VM globals (function refs, channels) keep the
 // restoring side's value. Per-flow migration supports the interpreter
 // script backend only: compiled scripts keep their state in VM globals
 // that cannot be attributed to individual flows. Fault diagnostics (the
@@ -78,6 +81,7 @@ import (
 	"sort"
 	"strings"
 
+	"hilti/internal/hilti/vm"
 	"hilti/internal/pkt/flow"
 	"hilti/internal/rt/container"
 	"hilti/internal/rt/metrics"
@@ -88,8 +92,8 @@ import (
 )
 
 // DeltaRecord is the WAL record kind under which engine-level harnesses
-// append AppendDelta payloads (the pipeline wraps deltas in its own
-// per-packet records instead).
+// append AppendDelta payloads (the pipeline logs packets in its own
+// records instead).
 const DeltaRecord = 1
 
 // Global-emission modes.
@@ -332,7 +336,61 @@ func (e *Engine) pin(base *baseIndex) error {
 		ds.flushed[name] = len(st.lines)
 	}
 	e.delta = ds
+	e.outsideSeen = e.outsideReads()
 	return nil
+}
+
+// ReplayPacket runs a packet again on a restored engine, for a log that
+// records packets rather than the state they changed (the pipeline's):
+// ProcessPacket with print output muted, no wall-clock deadline, and the
+// shared reassembly budget granting every byte — what it granted live,
+// since a packet it refused is Unreplayable and never logged.
+func (e *Engine) ReplayPacket(tsNs int64, frame []byte) {
+	if e.cfg.LoopPort != 0 && e.loopExec == nil {
+		_ = e.initLoopExec() // now, so that it too runs without a deadline
+	}
+	iout := e.interp.Out
+	e.interp.Out = io.Discard
+	defer func() { e.interp.Out = iout }()
+	for _, ex := range []*vm.Exec{e.ex, e.loopExec} {
+		if ex != nil {
+			out, lim := ex.Out, ex.Limits
+			ex.Out, ex.Limits.Deadline = io.Discard, 0
+			defer func() { ex.Out, ex.Limits = out, lim }()
+		}
+	}
+	if e.cfg.SharedReassembly != nil {
+		e.reasm.Granting = true
+		defer func() { e.reasm.Granting = false }()
+	}
+	e.ProcessPacket(tsNs, frame)
+}
+
+// Unreplayable reports whether the packet processed last read anything
+// besides the engine's state, its timestamp and its frame, so that running
+// it again might not reproduce it: it faulted, it tripped a wall-clock
+// Limits.Deadline, or a SharedReassembly budget — which the other
+// engines' traffic fills too — refused it a byte.
+func (e *Engine) Unreplayable() bool {
+	n := e.outsideReads()
+	changed := n != e.outsideSeen
+	e.outsideSeen = n
+	return changed
+}
+
+// outsideReads counts the events Unreplayable looks for, over the
+// engine's lifetime.
+func (e *Engine) outsideReads() uint64 {
+	n := e.faults.Count()
+	for _, ex := range []*vm.Exec{e.ex, e.loopExec} {
+		if ex != nil {
+			n += ex.DeadlineTrips()
+		}
+	}
+	if e.cfg.SharedReassembly != nil {
+		n += e.reasm.Forced()
+	}
+	return n
 }
 
 // fullRebaseEvery makes every 16th Rebase in a row encode all frames

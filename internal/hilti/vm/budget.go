@@ -109,6 +109,7 @@ func (ex *Exec) checkBudget() int {
 	if !ex.budget.deadline.IsZero() && time.Now().After(ex.budget.deadline) {
 		ex.budget.deadline = time.Now().Add(budgetGrace * time.Microsecond)
 		ex.scheduleNextCheck()
+		ex.deadlineTrips++
 		if ex.Met != nil {
 			ex.Met.LimitTrips.Inc()
 		}
@@ -117,6 +118,11 @@ func (ex *Exec) checkBudget() int {
 	ex.scheduleNextCheck()
 	return pcRetry
 }
+
+// DeadlineTrips returns how many times a wall-clock Deadline raised
+// ResourceExhausted on this Exec: the one budget outcome that depends on
+// more than the program and its inputs.
+func (ex *Exec) DeadlineTrips() uint64 { return ex.deadlineTrips }
 
 // Steps returns the number of instructions executed by the current (or
 // most recent) budgeted invocation; diagnostic only.

@@ -220,9 +220,10 @@ type Exec struct {
 	opProf     *opProfile
 	tiering    *tiering // runtime tier-2 promotion, nil unless EnableTiering
 
-	borrowing   map[string]bool // host functions registered as borrowing (recycle.go)
-	rec         *recycler       // nil until Recycle accepts an entry
-	fieldMisses uint64          // see FieldGuardMisses
+	borrowing     map[string]bool // host functions registered as borrowing (recycle.go)
+	rec           *recycler       // nil until Recycle accepts an entry
+	fieldMisses   uint64          // see FieldGuardMisses
+	deadlineTrips uint64          // see DeadlineTrips
 }
 
 // NewExec creates an execution context for prog and runs global

@@ -159,8 +159,9 @@ func TestPacketFateIdentity(t *testing.T) {
 
 	t.Run("wal/restore", func(t *testing.T) {
 		cfg, adm := fateCfg(t, 0)
-		// Never re-base: the restored shard is then rebuilt record by
-		// record, every fate through replay's settle.
+		// Re-base only to close the gaps faults leave: the restored shard
+		// is rebuilt record by record since the last one, each fate
+		// through replay's settle.
 		cfg.CheckpointEvery = 1 << 20
 		p1, err := New(cfg)
 		if err != nil {

@@ -1,9 +1,10 @@
 // Pipeline observability: everything the pipeline already counts for its
 // own bookkeeping (per-shard atomics, scheduler stats, the supervisor's
 // restart count) is surfaced to a metrics.Registry by a scrape-time
-// collector, so the packet hot path pays nothing. Only checkpoint latency
-// is recorded at event time — checkpoints are rare and their duration is
-// exactly what an operator sizing StallTimeout needs to see.
+// collector, so the packet hot path pays nothing. Only checkpoint, re-base
+// and replay latency are recorded at event time — they are rare and their
+// duration is exactly what an operator sizing StallTimeout needs to see —
+// and the log's record cost and size, sampled one record in 64.
 
 package pipeline
 
@@ -25,6 +26,9 @@ func (p *Pipeline) registerMetrics() {
 	}
 	p.ckptLat = reg.Histogram("pipeline_checkpoint_ns", metrics.DurationBuckets)
 	p.rebaseLat = reg.Histogram("pipeline_rebase_ns", metrics.DurationBuckets)
+	p.recordLat = reg.Histogram("pipeline_wal_record_ns", metrics.DurationBuckets)
+	p.recordSize = reg.Histogram("pipeline_wal_record_bytes", []int64{64, 128, 256, 512, 1024, 2048, 4096})
+	p.replayLat = reg.Histogram("pipeline_wal_replay_ns", metrics.DurationBuckets)
 	p.timerMet = &timer.MgrMetrics{
 		Scheduled: reg.Counter("pipeline_timers_scheduled_total"),
 		Fired:     reg.Counter("pipeline_timers_fired_total"),

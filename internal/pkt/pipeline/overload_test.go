@@ -210,10 +210,10 @@ func TestWedgingHandlerConvergesToQuarantine(t *testing.T) {
 // failCkptHandler fails every Rebase call, counting attempts.
 type failCkptHandler struct{ calls atomic.Uint64 }
 
-func (h *failCkptHandler) ProcessPacket(int64, []byte)         {}
-func (h *failCkptHandler) Finish()                             {}
-func (h *failCkptHandler) EncodeDelta(*snapshot.Encoder) error { return nil }
-func (h *failCkptHandler) ApplyDelta([]byte) error             { return nil }
+func (h *failCkptHandler) ProcessPacket(int64, []byte) {}
+func (h *failCkptHandler) Finish()                     {}
+func (h *failCkptHandler) ReplayPacket(int64, []byte)  {}
+func (h *failCkptHandler) Unreplayable() bool          { return false }
 func (h *failCkptHandler) Rebase(*snapshot.Encoder, []byte) error {
 	h.calls.Add(1)
 	return fmt.Errorf("disk on fire")

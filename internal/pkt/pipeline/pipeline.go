@@ -38,16 +38,19 @@
 // Finish on its own worker, then stops the scheduler.
 //
 // Crash-only operation: Checkpoint serializes every shard — flow table,
-// timers, counters, and (when the Handler implements DeltaCheckpointer) the
+// timers, counters, and (when the Handler implements Snapshotter) the
 // handler's own analysis state — by quiescing each shard on its own
 // worker, one at a time, while the others keep processing; it never stops
 // the world. Restore rebuilds an equivalent pipeline from the stream. A
-// shard with something to recover keeps a write-ahead log (wal.go). With
-// StallTimeout set, a supervisor watches per-packet heartbeats: a worker
-// wedged in a handler beyond the timeout is replaced by a fresh goroutine
-// (threads.ReplaceWorker), its shard restored from its log up to the
-// packet before the wedged one, and the offending flow quarantined like
-// any faulted flow. Other shards never notice.
+// shard with something to recover keeps a write-ahead log of the packets
+// it ran since its last snapshot (wal.go), and restore runs them again: a
+// checkpoint holds up to CheckpointEvery raw frames per shard, so payload
+// bytes end up at rest. With StallTimeout set, a supervisor watches
+// per-packet heartbeats: a worker wedged in a handler beyond the timeout
+// is replaced by a fresh goroutine (threads.ReplaceWorker), its shard
+// restored from its log up to the packet before the wedged one, and the
+// offending flow quarantined like any faulted flow. Other shards never
+// notice.
 package pipeline
 
 import (
@@ -83,23 +86,27 @@ type Handler interface {
 	Finish()
 }
 
-// DeltaCheckpointer is optionally implemented by Handlers whose analysis
-// state can be serialized (*bro.Engine implements it). Rebase is "write a
-// full snapshot of now and make it the delta base": onto enc go the bytes
-// RestoreHandler rebuilds the handler from, and the next delta describes
-// changes from this state. prev is what the previous Rebase on this
-// handler wrote (nil: not available, or its deltas did not all succeed);
-// the handler may copy out of it whatever has not changed since instead
-// of encoding it again. A Rebase that fails leaves the previous
-// base in force. EncodeDelta writes everything changed since the last
-// EncodeDelta or Rebase; if it fails the base is void until a Rebase
-// succeeds. ApplyDelta replays one delta onto a restored base. Both
-// encoders are appenders, and after an error the caller discards what was
-// written. All calls run on the handler's own worker goroutine.
-type DeltaCheckpointer interface {
+// Snapshotter is optionally implemented by Handlers whose analysis state
+// can be serialized (*bro.Engine implements it). Its shard's log records
+// each packet the handler processed, and restore runs the handler on it
+// again, so the handler's state after a packet must follow from its state
+// before, the timestamp and the frame — which it must not write to.
+//
+// Rebase writes a full snapshot of now onto enc (an appender; after an
+// error the caller discards what was written): the bytes RestoreHandler
+// rebuilds the handler from. prev is what the previous Rebase on this
+// handler wrote (nil: not available); the handler may copy out of it
+// whatever has not changed since instead of encoding it again. A Rebase
+// that fails leaves the previous one in force. ReplayPacket is
+// ProcessPacket on a restored handler, with the handler's outside output
+// muted. Unreplayable reports whether the packet ProcessPacket handled last
+// read anything besides the handler's state, its timestamp and its frame
+// (a wall clock, state other shards share); such a packet is never
+// replayed. All calls run on the handler's own worker goroutine.
+type Snapshotter interface {
 	Rebase(enc *snapshot.Encoder, prev []byte) error
-	EncodeDelta(enc *snapshot.Encoder) error
-	ApplyDelta(data []byte) error
+	ReplayPacket(tsNs int64, frame []byte)
+	Unreplayable() bool
 }
 
 // FlowZapper is optionally implemented by Handlers that keep per-flow
@@ -168,7 +175,8 @@ type Config struct {
 	// StallTimeout enables the hang supervisor: a worker that spends
 	// longer than this wall-clock time inside one packet is declared
 	// wedged, its goroutine replaced, its shard restored from its log up
-	// to the packet before, and the offending flow quarantined.
+	// to the packet before — replaying up to CheckpointEvery logged
+	// packets through the handler — and the offending flow quarantined.
 	// 0 disables supervision (the default). Size it well above the
 	// worst-case legitimate per-packet work — which includes the shard
 	// re-base, O(shard state) every CheckpointEvery packets — plus
@@ -192,12 +200,13 @@ type Config struct {
 
 	// CheckpointEvery is how many records a shard's log holds before the
 	// shard re-bases onto a full snapshot (default 256): smaller bounds
-	// replay work, larger costs less. While a log has a gap, a failing
-	// re-base is retried with exponential packet-count backoff, capped at
-	// 4096 packets, instead of every packet.
+	// replay — a restore runs the handler on up to this many logged
+	// packets, whose frames a checkpoint holds raw — larger costs less.
+	// After a gap the re-base waits with exponential packet-count backoff,
+	// capped at 4096 packets, instead of running on every packet.
 	CheckpointEvery int
 	// RestoreHandler rebuilds worker i's handler from the bytes a
-	// DeltaCheckpointer's Rebase wrote. Required for Restore and for
+	// Snapshotter's Rebase wrote. Required for Restore and for
 	// supervised recovery to preserve shard state (without it, a replaced
 	// worker starts from a fresh NewHandler).
 	RestoreHandler func(worker int, data []byte) (Handler, error)
@@ -243,7 +252,7 @@ type WorkerStats struct {
 	TimersDropped     uint64 // idle timers outstanding (and discarded) at Close
 
 	FlowCap            int    // effective per-worker flow cap (0 = unbounded)
-	CheckpointFailures uint64 // failed re-bases and log records
+	CheckpointFailures uint64 // log gaps opened: failed re-bases and records, unreplayable packets
 
 	StallQuarantined  bool          // slot currently serving a stall quarantine
 	CooldownRemaining time.Duration // time left in the quarantine cooldown (0 if none)
@@ -313,11 +322,13 @@ type wslot struct {
 	// full shard snapshot (nil: none usable) and wlog the records appended
 	// since; both under mu so the supervisor can compose a consistent
 	// recovery blob while the worker appends. snap[snapH:] is the
-	// handler's part, which its next Rebase patches; enc encodes every
-	// record onto the log's tail. Both worker-only. dc is the handler's
-	// DeltaCheckpointer side, nil for a plain handler.
-	dc    DeltaCheckpointer
+	// handler's part, which its next Rebase patches; spare is the snapshot
+	// before, which the next re-base overwrites; enc encodes every record
+	// onto the log's tail. The last three worker-only. sn is the handler's
+	// Snapshotter side, nil for a plain handler.
+	sn    Snapshotter
 	snap  []byte
+	spare []byte
 	wlog  *wal.Log
 	snapH int
 	enc   snapshot.Encoder
@@ -379,9 +390,12 @@ type Pipeline struct {
 	offered atomic.Uint64
 	feeder  admission.Tally
 
-	ckptLat   *metrics.Histogram // full shard encode latency (nil-safe)
-	rebaseLat *metrics.Histogram // patching WAL re-base latency (nil-safe)
-	timerMet  *timer.MgrMetrics  // shared by all worker timer managers
+	ckptLat    *metrics.Histogram // full shard encode latency (nil-safe)
+	rebaseLat  *metrics.Histogram // patching WAL re-base latency (nil-safe)
+	recordLat  *metrics.Histogram // WAL record latency, one record in 64 (nil-safe)
+	recordSize *metrics.Histogram // WAL record payload bytes, the same records (nil-safe)
+	replayLat  *metrics.Histogram // latency of one record's replay on restore (nil-safe)
+	timerMet   *timer.MgrMetrics  // shared by all worker timer managers
 
 	planeVerdicts []int64 // feeder-goroutine scratch for RulePlane.Eval
 
@@ -644,9 +658,7 @@ func (p *Pipeline) runPacket(sl *wslot, ctx *threads.Context, tsNs int64, cp []b
 		fate = p.deliver(sl, ctx, tsNs, cp, key, hasKey, dec)
 	}
 	p.settle(ws, fate, ctx.VID, 1, len(cp))
-	// The record goes in after settle, so a fault's delta carries the
-	// handler's post-quarantine state.
-	p.walRecord(sl, tsNs, ctx.VID, key, hasKey, len(cp), dec.Tier, fate)
+	p.walRecord(sl, tsNs, ctx.VID, key, hasKey, cp, dec.Tier, fate)
 }
 
 // deliver takes one packet through the worker-side stages — quarantine
@@ -695,8 +707,8 @@ func (p *Pipeline) settle(ws *wstate, fate admission.Fate, vid uint64, n uint64,
 }
 
 // zapFlow lets a FlowZapper handler discard a flow's analysis state. A
-// shard being replayed from a WAL has no owner yet and is not zapped: the
-// handler's half of the transition arrives in the record's delta.
+// shard without an owner (one being decoded) is not zapped; one replaying
+// its log is, as it was live.
 func (p *Pipeline) zapFlow(ws *wstate, fs *flowState) {
 	if !fs.hasKey || ws.owner == nil {
 		return
@@ -894,15 +906,15 @@ func (p *Pipeline) checkpoint(w io.Writer) error {
 	return enc.Err()
 }
 
-// encodeShard serializes one worker's shard: clock, fate tally (in Fate
-// order), the other counters, quarantine set, flow table (LRU order), and
-// the handler's state when it implements DeltaCheckpointer — through
-// Rebase, which also pins the handler's delta base and may patch prevH, the
-// handler's part of the previous snapshot; hoff is where that part starts
-// in the new one. A full encode's latency is the checkpoint histogram's
-// sample — what an operator sizing StallTimeout needs to see; a patching
-// re-base has its own. Runs on the owning worker goroutine.
-func (p *Pipeline) encodeShard(sl *wslot, prevH []byte) (blob []byte, hoff int, err error) {
+// encodeShard serializes one worker's shard into buf's storage: clock,
+// fate tally (in Fate order), the other counters, quarantine set, flow
+// table (LRU order), and the handler's state when it implements
+// Snapshotter — through Rebase, which may patch prevH, the handler's part
+// of the previous snapshot; hoff is where that part starts in the new one.
+// A full encode's latency is the checkpoint histogram's sample — what an
+// operator sizing StallTimeout needs to see; a patching re-base has its
+// own. Runs on the owning worker goroutine.
+func (p *Pipeline) encodeShard(sl *wslot, prevH, buf []byte) (blob []byte, hoff int, err error) {
 	lat := p.ckptLat
 	if prevH != nil {
 		lat = p.rebaseLat
@@ -910,7 +922,10 @@ func (p *Pipeline) encodeShard(sl *wslot, prevH []byte) (blob []byte, hoff int, 
 	defer func(start time.Time) { lat.Observe(time.Since(start).Nanoseconds()) }(time.Now())
 	ws := sl.ws
 	// The shard will be about as large as last time.
-	enc := snapshot.NewAppender(make([]byte, 0, len(sl.snap)+len(sl.snap)/8+512))
+	if cap(buf) < len(sl.snap)+512 {
+		buf = make([]byte, 0, len(sl.snap)+len(sl.snap)/8+512)
+	}
+	enc := snapshot.NewAppender(buf[:0])
 	enc.Header()
 	enc.I64(int64(ws.tm.Now()))
 	for _, c := range ws.fates.Counts() {
@@ -936,10 +951,10 @@ func (p *Pipeline) encodeShard(sl *wslot, prevH []byte) (blob []byte, hoff int, 
 		encodeSched(enc, e.Value.(*flowState).sched())
 	}
 
-	enc.Bool(sl.dc != nil)
-	if sl.dc != nil {
+	enc.Bool(sl.sn != nil)
+	if sl.sn != nil {
 		hoff = enc.Begin()
-		err = sl.dc.Rebase(enc, prevH)
+		err = sl.sn.Rebase(enc, prevH)
 		enc.End(hoff)
 	}
 	if err = errors.Join(err, enc.Err()); err != nil {
@@ -949,7 +964,7 @@ func (p *Pipeline) encodeShard(sl *wslot, prevH []byte) (blob []byte, hoff int, 
 }
 
 // decodeShard rebuilds ws from an encodeShard blob and returns the
-// handler checkpoint blob (nil if the handler wasn't a DeltaCheckpointer).
+// handler checkpoint blob (nil if the handler wasn't a Snapshotter).
 func (p *Pipeline) decodeShard(ws *wstate, blob []byte) ([]byte, bool, error) {
 	dec := snapshot.NewDecoder(blob)
 	ws.tm.SetNow(timer.Time(dec.I64()))
@@ -1198,8 +1213,8 @@ func (p *Pipeline) rebuildSlot(i int, vid uint64, blob []byte, arrived uint64) *
 	p.settle(ws, admission.FateRolledBack, vid, arrived-ws.fates.Counts().Sum(), 0)
 	sl.arrived = arrived
 	ws.faults.Record(&fault.Fault{Op: "stall", Worker: i, VID: vid, Value: "worker exceeded StallTimeout; replaced from its log"})
-	// The base follows the quarantine marks (and any zap), so deltas never
-	// diff against a snapshot that lacks them.
+	// The base follows the quarantine marks (and any zap), so replay never
+	// starts from a snapshot that lacks them.
 	p.openLog(sl)
 	return sl
 }

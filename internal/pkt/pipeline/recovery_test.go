@@ -12,7 +12,7 @@ import (
 )
 
 // ckptHandler counts packets and serializes the count — the smallest
-// possible DeltaCheckpointer, for exercising the pipeline's shard codec
+// possible Snapshotter, for exercising the pipeline's shard codec
 // without dragging a full engine in.
 type ckptHandler struct {
 	worker int
@@ -34,19 +34,13 @@ func (h *ckptHandler) Finish() { h.finish++ }
 
 func (h *ckptHandler) Rebase(enc *snapshot.Encoder, _ []byte) error {
 	enc.Header()
-	return h.EncodeDelta(enc)
-}
-
-func (h *ckptHandler) EncodeDelta(enc *snapshot.Encoder) error {
 	enc.U64(h.count)
 	return enc.Err()
 }
 
-func (h *ckptHandler) ApplyDelta(data []byte) error {
-	dec := snapshot.NewRawDecoder(data)
-	h.count = dec.U64()
-	return dec.Err()
-}
+func (h *ckptHandler) ReplayPacket(tsNs int64, data []byte) { h.ProcessPacket(tsNs, data) }
+
+func (h *ckptHandler) Unreplayable() bool { return false }
 
 func restoreCkptHandler(stallOn byte) func(int, []byte) (Handler, error) {
 	return func(i int, data []byte) (Handler, error) {
@@ -322,7 +316,7 @@ func TestSupervisorUnsupervisedOff(t *testing.T) {
 	if buf.Len() == 0 {
 		t.Fatal("empty checkpoint")
 	}
-	// recHandler is not a DeltaCheckpointer and nothing supervises it, so
+	// recHandler is not a Snapshotter and nothing supervises it, so
 	// each shard blob is a snapshot with zero log segments; restore must
 	// fall back to NewHandler for every shard.
 	cfg := Config{
@@ -341,7 +335,7 @@ func TestSupervisorUnsupervisedOff(t *testing.T) {
 	p2.Close()
 }
 
-// stallHandler is a plain handler — neither DeltaCheckpointer nor anything
+// stallHandler is a plain handler — neither Snapshotter nor anything
 // else — that wedges forever on a packet whose first payload byte is 0xEE.
 type stallHandler struct{}
 

@@ -1,47 +1,56 @@
 // Write-ahead logging: how a pipeline shard persists itself. A shard keeps
 // a log when it has something to recover — its handler implements
-// DeltaCheckpointer, or a supervisor may rebuild it (StallTimeout). Each
-// packet job appends one self-contained record to the shard's log: the
-// job's routing facts (timestamp, vid, flow key, frame length), its
-// outcome, and — when the handler has one — its O(changed-state) delta
-// (DeltaCheckpointer.EncodeDelta), all encoded once, in place, on the tail
-// of the log's open segment. A checkpoint is then just the last full
-// snapshot plus the log's segments, composed without re-encoding anything,
-// and a replacement worker resumes at the record before the wedged packet.
-// An unsupervised plain handler keeps no log and pays nothing.
+// Snapshotter, or a supervisor may rebuild it (StallTimeout). Each packet
+// job appends one self-contained record to the shard's log: the job's
+// routing facts (timestamp, vid, flow key, frame length), its outcome,
+// and — for a packet a Snapshotter processed — the frame itself, all
+// encoded once, in place, on the tail of the log's open segment. The log
+// holds the input, not the state it changed (command logging): a shard's
+// state after a packet follows from its state before, the timestamp and
+// the frame. A checkpoint is then the last full snapshot plus the log's
+// segments, composed without re-encoding anything — up to CheckpointEvery
+// raw frames per shard, so payload bytes end up at rest — and a
+// replacement worker resumes at the record before the wedged packet. An
+// unsupervised plain handler keeps no log and pays nothing.
 //
 // Every CheckpointEvery records the shard re-bases: a full snapshot of
 // now replaces the base and the log is truncated. The handler's part of
-// it comes from DeltaCheckpointer.Rebase, which is handed its part of the
-// previous snapshot and may copy out of it whatever no delta since has
-// touched — so the handler's share of a re-base follows what changed. The
-// shard's own part (clock, tally, flow table) is small and encoded whole.
+// it comes from Snapshotter.Rebase, which is handed its part of the
+// previous snapshot and may copy out of it whatever has not changed since
+// — so the handler's share of a re-base follows what changed. The shard's
+// own part (clock, tally, flow table) is small and encoded whole. The new
+// snapshot is written into the one from two re-bases ago.
 //
-// Replay determinism rests on the record carrying everything the live job
-// consumed from outside the shard: the pipeline-level transitions
-// (advanceWorkerTime, admitFlow, and the recorded fate's settle) are
-// re-executed from the recorded facts, and the handler's transition is
-// applied from the recorded delta. One record per job keeps flushes
+// Replay re-executes each record in live order: advanceWorkerTime,
+// admitFlow for the two delivered fates, the handler on the logged frame
+// (Snapshotter.ReplayPacket), then the recorded fate's settle. The shard
+// has its owner while it replays, so an idle-expiry zap (ExpireFlows)
+// reaches the handler as it did live. One record per job keeps flushes
 // atomic — a record cut mid-write drops the whole packet, never half of
-// one, and a record whose delta fails is never committed.
+// one.
 //
-// Gap discipline: when a delta cannot express the handler's state (e.g.
-// in-flight parser fibers) the shard enters a gap — records stop, the
-// composed checkpoint lags at the last committed record, and later jobs
-// retry a re-base (in full: the handler's base is void) until one
-// succeeds, backing off while they fail. A failed first re-base, or a
-// failed refresh after a migration, opens a gap the same way. The log
+// Gap discipline: a packet the handler cannot replay — it faulted, or it
+// read something besides its state, timestamp and frame
+// (Snapshotter.Unreplayable) — is not logged; nor is anything after it
+// until a re-base captures the state it left. The shard is then in a gap:
+// records stop, the composed checkpoint lags at the last committed record,
+// and a later job re-bases. A failed re-base, or a failed refresh after a
+// migration, opens a gap the same way. The n-th gap since the log last
+// ran a full CheckpointEvery interval waits 2^n packets (at most 4096)
+// before it re-bases, so neither a persistently unserializable handler nor
+// a run of unreplayable packets costs O(state) work per packet. The log
 // therefore never contains a hole: it is always replayable
 // prefix-complete.
 
 package pipeline
 
 import (
-	"errors"
 	"fmt"
+	"time"
 
 	"hilti/internal/pkt/flow"
 	"hilti/internal/rt/admission"
+	"hilti/internal/rt/fault"
 	"hilti/internal/rt/snapshot"
 	"hilti/internal/rt/wal"
 )
@@ -51,12 +60,11 @@ import (
 const walJobRecord byte = 1
 
 // openLog gives a slot with something to recover its log, based on a full
-// snapshot of now, with the handler's delta tracking pinned to it. Runs
-// with the handler quiescent (from New/Restore before start, or from the
-// supervisor on a slot not yet published).
+// snapshot of now. Runs with the handler quiescent (from New/Restore
+// before start, or from the supervisor on a slot not yet published).
 func (p *Pipeline) openLog(sl *wslot) {
-	sl.dc, _ = sl.h.(DeltaCheckpointer)
-	if sl.dc == nil && !sl.track {
+	sl.sn, _ = sl.h.(Snapshotter)
+	if sl.sn == nil && !sl.track {
 		return
 	}
 	sl.wlog = wal.NewLog(0)
@@ -65,10 +73,10 @@ func (p *Pipeline) openLog(sl *wslot) {
 	}
 }
 
-// openGap stops records after a re-base the log cannot go on without
-// failed — the first, a refresh after a migration, or a gap's retry. The
-// next retry waits 2^n packets after n consecutive failures (capped at
-// 4096), so a persistently unserializable handler costs bounded work.
+// openGap stops records until a re-base: after a packet the log cannot
+// replay, or a re-base the log cannot go on without that failed. The n-th
+// gap since the last clean CheckpointEvery interval re-bases after 2^n
+// packets (capped at 4096).
 func (p *Pipeline) openGap(sl *wslot) {
 	sl.walGap = true
 	sl.ws.ckptFailures.Add(1)
@@ -81,11 +89,10 @@ func (p *Pipeline) openGap(sl *wslot) {
 // walRecord appends the record for one settled packet job (no-op without
 // a log); its outcome byte is the packet's fate. The record is encoded
 // once, onto the tail of the log's open segment: routing facts, then — for
-// the two fates that reached a DeltaCheckpointer handler — its delta. A
-// delta failure abandons the record and opens a gap instead of logging a
-// hole. Every CheckpointEvery records the shard re-bases, truncating the
-// log. Runs on the owning worker goroutine.
-func (p *Pipeline) walRecord(sl *wslot, tsNs int64, vid uint64, key flow.Key, hasKey bool, frameLen int, tier int, fate admission.Fate) {
+// a packet a Snapshotter processed — the frame. A packet the handler
+// cannot replay opens a gap instead. Every CheckpointEvery records the
+// shard re-bases, truncating the log. Runs on the owning worker goroutine.
+func (p *Pipeline) walRecord(sl *wslot, tsNs int64, vid uint64, key flow.Key, hasKey bool, frame []byte, tier int, fate admission.Fate) {
 	if sl.wlog == nil {
 		return
 	}
@@ -97,66 +104,77 @@ func (p *Pipeline) walRecord(sl *wslot, tsNs int64, vid uint64, key flow.Key, ha
 		}
 		return
 	}
+	var start time.Time
+	sample := p.recordLat != nil && (sl.pktSince+1)%64 == 0
+	if sample {
+		start = time.Now()
+	}
+	hasFrame := sl.sn != nil && fate == admission.FateProcessed
+	if sl.sn != nil && (fate == admission.FateFault || hasFrame && sl.sn.Unreplayable()) {
+		p.openGap(sl)
+		return
+	}
 	// Only the worker mutates the log, so it may read the tail unlocked;
 	// the supervisor's Segments() sees the record once Commit publishes it.
 	enc := &sl.enc
-	enc.Reset(sl.wlog.Begin(walJobRecord))
+	tail := sl.wlog.Begin(walJobRecord)
+	enc.Reset(tail)
 	enc.I64(tsNs)
 	enc.U64(vid)
 	enc.Bool(hasKey)
 	enc.Bytes(key.Wire())
-	enc.U32(uint32(frameLen))
+	enc.U32(uint32(len(frame)))
 	enc.U8(uint8(fate))
 	enc.U8(uint8(tier))
-	hasDelta := sl.dc != nil && (fate == admission.FateProcessed || fate == admission.FateFault)
-	enc.Bool(hasDelta)
-	var err error
-	if hasDelta {
-		mark := enc.Begin()
-		err = sl.dc.EncodeDelta(enc)
-		enc.End(mark)
+	enc.Bool(hasFrame)
+	if hasFrame {
+		enc.Bytes(frame)
 	}
-	if err = errors.Join(err, enc.Err()); err == nil {
+	err := enc.Err()
+	if err == nil {
 		sl.mu.Lock()
 		err = sl.wlog.Commit(enc.Buffer())
 		sl.mu.Unlock()
 	}
 	if err != nil {
-		sl.walGap = true
-		sl.ws.ckptFailures.Add(1)
+		p.openGap(sl)
 		return
 	}
+	if sample {
+		p.recordLat.Observe(time.Since(start).Nanoseconds())
+		p.recordSize.Observe(int64(len(enc.Buffer()) - len(tail)))
+	}
 	if sl.pktSince++; sl.pktSince >= p.cfg.CheckpointEvery {
+		sl.ckptFailN = 0 // a full interval without a gap
 		if p.rebase(sl) != nil {
-			sl.ws.ckptFailures.Add(1)
-			// Retry after another full interval, not on every record.
-			sl.pktSince = 0
+			p.openGap(sl)
 		}
 	}
 }
 
 // rebase replaces the shard's WAL base with a full snapshot of now and
-// truncates the log; on success any open gap closes. While the log has
-// been gapless the handler may build its part by patching the previous
-// snapshot's; after a gap its base is void and it encodes in full. Runs on
-// the owning worker goroutine (or before the slot is published).
+// truncates the log; on success any open gap closes. The handler may
+// build its part by patching the previous snapshot's. The new snapshot is
+// encoded into the spare — the one before the previous, which nothing
+// holds any more: the supervisor and Checkpoint copy a snapshot under
+// sl.mu. Runs on the owning worker goroutine (or before the slot is
+// published).
 func (p *Pipeline) rebase(sl *wslot) error {
 	var prevH []byte
-	if sl.snap != nil && !sl.walGap {
+	if sl.snap != nil {
 		prevH = sl.snap[sl.snapH:]
 	}
-	blob, hoff, err := p.encodeShard(sl, prevH)
+	blob, hoff, err := p.encodeShard(sl, prevH, sl.spare)
 	if err != nil {
 		return err
 	}
 	sl.mu.Lock()
-	sl.snap = blob
+	sl.spare, sl.snap = sl.snap, blob
 	sl.wlog.Reset()
 	sl.mu.Unlock()
 	sl.snapH = hoff
 	sl.walGap = false
 	sl.pktSince = 0
-	sl.ckptFailN = 0
 	sl.gapSkip = 0
 	return nil
 }
@@ -183,7 +201,7 @@ func composeShardBlob(snap []byte, segs [][]byte) []byte {
 // Runs on the owning worker goroutine.
 func (p *Pipeline) shardBlob(sl *wslot) ([]byte, error) {
 	if sl.wlog == nil {
-		snap, _, err := p.encodeShard(sl, nil)
+		snap, _, err := p.encodeShard(sl, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -231,36 +249,40 @@ func (p *Pipeline) restoreSlotFromBlob(i int, blob []byte) (*wslot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("handler: %w", err)
 	}
+	sl := &wslot{ws: ws, h: h, track: p.cfg.StallTimeout > 0}
+	ws.owner = sl
 	if _, err := wal.Replay(segs, func(k byte, payload []byte) error {
 		if k != walJobRecord {
 			return fmt.Errorf("pipeline: cannot replay WAL record kind %d", k)
 		}
-		return p.replayShardRecord(ws, h, payload)
+		start := time.Now()
+		err := p.replayShardRecord(sl, payload)
+		p.replayLat.Observe(time.Since(start).Nanoseconds())
+		return err
 	}); err != nil {
 		return nil, err
 	}
-	sl := &wslot{ws: ws, h: h, track: p.cfg.StallTimeout > 0, arrived: ws.fates.Counts().Sum()}
-	ws.owner = sl
+	sl.arrived = ws.fates.Counts().Sum()
 	return sl, nil
 }
 
-// replayShardRecord re-executes one job record: the worker clock advance,
-// the flow admission the two delivered fates share, the recorded fate's
-// settle, then the handler's transition from the recorded delta, if the
-// record has one.
-func (p *Pipeline) replayShardRecord(ws *wstate, h Handler, payload []byte) error {
+// replayShardRecord re-executes one job record in live order: the worker
+// clock advance, the flow admission the two delivered fates share, the
+// handler on the logged frame, if the record has one, and the recorded
+// fate's settle.
+func (p *Pipeline) replayShardRecord(sl *wslot, payload []byte) error {
 	dec := snapshot.NewRawDecoder(payload)
 	tsNs := dec.I64()
 	vid := dec.U64()
 	hasKey := dec.Bool()
 	rk := dec.Bytes()
-	frameLen := dec.U32()
+	frameLen := int(dec.U32())
 	fate := admission.Fate(dec.U8())
 	tier := int(dec.U8())
-	hasDelta := dec.Bool()
-	var delta []byte
-	if hasDelta {
-		delta = dec.Bytes()
+	hasFrame := dec.Bool()
+	var frame []byte
+	if hasFrame {
+		frame = dec.Bytes()
 	}
 	if err := dec.Err(); err != nil {
 		return err
@@ -269,6 +291,7 @@ func (p *Pipeline) replayShardRecord(ws *wstate, h Handler, payload []byte) erro
 	if err != nil {
 		return err
 	}
+	ws := sl.ws
 	switch fate {
 	case admission.FateProcessed, admission.FateFault:
 		p.advanceWorkerTime(ws, tsNs)
@@ -281,13 +304,16 @@ func (p *Pipeline) replayShardRecord(ws *wstate, h Handler, payload []byte) erro
 	default:
 		return fmt.Errorf("pipeline: WAL job record with fate %d (%v), which no packet job settles", fate, fate)
 	}
-	p.settle(ws, fate, vid, 1, int(frameLen))
-	if !hasDelta {
-		return nil
+	if hasFrame {
+		sn, ok := sl.h.(Snapshotter)
+		if !ok {
+			return fmt.Errorf("pipeline: WAL record carries a packet %T cannot replay", sl.h)
+		}
+		f := fault.Catch("replay", func() { sn.ReplayPacket(tsNs, frame) })
+		if f != nil || sn.Unreplayable() {
+			return fmt.Errorf("pipeline: a logged packet did not replay as it ran live (%v)", f)
+		}
 	}
-	dc, ok := h.(DeltaCheckpointer)
-	if !ok {
-		return fmt.Errorf("pipeline: WAL record carries a delta %T cannot apply", h)
-	}
-	return dc.ApplyDelta(delta)
+	p.settle(ws, fate, vid, 1, frameLen)
+	return nil
 }

@@ -2,16 +2,18 @@ package pipeline
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"hilti/internal/rt/admission"
 	"hilti/internal/rt/snapshot"
+	"hilti/internal/rt/wal"
 )
 
-// deltaHandler is the smallest DeltaCheckpointer: per-worker packet count
-// plus an order-sensitive hash chain over payload bytes, so any lost,
-// duplicated, or reordered packet after a restore shows up. Deltas carry
-// the absolute (count, chain) pair — trivially O(changed state).
+// deltaHandler is the smallest Snapshotter: per-worker packet count plus
+// an order-sensitive hash chain over payload bytes, so any lost,
+// duplicated, or reordered packet after a restore shows up.
 type deltaHandler struct {
 	worker  int
 	count   uint64
@@ -40,21 +42,14 @@ func (h *deltaHandler) Finish() { h.finish++ }
 
 func (h *deltaHandler) Rebase(enc *snapshot.Encoder, _ []byte) error {
 	enc.Header()
-	return h.EncodeDelta(enc)
-}
-
-func (h *deltaHandler) EncodeDelta(enc *snapshot.Encoder) error {
 	enc.U64(h.count)
 	enc.U64(h.chain)
 	return enc.Err()
 }
 
-func (h *deltaHandler) ApplyDelta(data []byte) error {
-	dec := snapshot.NewRawDecoder(data)
-	h.count = dec.U64()
-	h.chain = dec.U64()
-	return dec.Err()
-}
+func (h *deltaHandler) ReplayPacket(tsNs int64, data []byte) { h.ProcessPacket(tsNs, data) }
+
+func (h *deltaHandler) Unreplayable() bool { return false }
 
 func deltaCfg(workers int, panicOn, stallOn byte) Config {
 	return Config{
@@ -143,10 +138,10 @@ func TestWALCheckpointKillRestore(t *testing.T) {
 	}
 }
 
-// TestWALFaultReplay: a handler panic becomes a walFault record whose
-// replay reproduces the quarantine — the restored pipeline must drop the
-// poisoned flow's later packets and report the same quarantine counters
-// as the live one.
+// TestWALFaultReplay: a handler panic leaves the log a gap, which the
+// checkpoint's re-base closes with the quarantine in the snapshot — the
+// restored pipeline must drop the poisoned flow's later packets and
+// report the same quarantine counters as the live one.
 func TestWALFaultReplay(t *testing.T) {
 	a, b := [4]byte{10, 4, 0, 1}, [4]byte{10, 4, 0, 2}
 	clean := func(i int) []byte {
@@ -261,5 +256,213 @@ func TestWALSupervisedRecoveryLossWindow(t *testing.T) {
 	}
 	if quar != 1 {
 		t.Fatalf("quarantined flows = %d, want 1 (the wedged flow)", quar)
+	}
+}
+
+// outsideHandler is a deltaHandler whose every k-th packet also reads a
+// counter that lives outside the shard and mixes it into the chain — the
+// shape of a wall-clock deadline or a budget other shards share — and
+// reports that packet Unreplayable. Replaying one could not reproduce the
+// chain, so ReplayPacket records it if it is ever handed one.
+type outsideHandler struct {
+	deltaHandler
+	k        uint64
+	outside  *atomic.Uint64 // shared by every handler, restored ones too
+	read     bool           // the packet handled last read outside
+	rebases  *atomic.Uint64
+	replayed *atomic.Uint64
+	bad      *atomic.Uint64 // unreplayable packets handed to ReplayPacket
+}
+
+func (h *outsideHandler) ProcessPacket(tsNs int64, data []byte) {
+	h.deltaHandler.ProcessPacket(tsNs, data)
+	n := h.outside.Add(1)
+	if h.read = n%h.k == 0; h.read {
+		h.chain ^= n
+		data[len(data)-1] ^= 0x80 // marks the frame: never to be replayed
+	}
+}
+
+func (h *outsideHandler) ReplayPacket(tsNs int64, data []byte) {
+	h.replayed.Add(1)
+	if data[len(data)-1]&0x80 != 0 {
+		h.bad.Add(1)
+	}
+	h.deltaHandler.ProcessPacket(tsNs, data)
+}
+
+func (h *outsideHandler) Unreplayable() bool { r := h.read; h.read = false; return r }
+
+func (h *outsideHandler) Rebase(enc *snapshot.Encoder, prev []byte) error {
+	h.rebases.Add(1)
+	return h.deltaHandler.Rebase(enc, prev)
+}
+
+func outsideCfg(workers int, k uint64) (Config, *outsideHandler) {
+	proto := &outsideHandler{k: k, outside: new(atomic.Uint64), rebases: new(atomic.Uint64),
+		replayed: new(atomic.Uint64), bad: new(atomic.Uint64)}
+	mk := func(i int, count, chain uint64) *outsideHandler {
+		h := *proto
+		h.deltaHandler = deltaHandler{worker: i, count: count, chain: chain}
+		return &h
+	}
+	return Config{
+		Workers:    workers,
+		NewHandler: func(i int) (Handler, error) { return mk(i, 0, 0), nil },
+		RestoreHandler: func(i int, data []byte) (Handler, error) {
+			dec := snapshot.NewDecoder(data)
+			return mk(i, dec.U64(), dec.U64()), dec.Err()
+		},
+	}, proto
+}
+
+// TestWALReplaySkipsUnreplayable: a shard whose handler reports every
+// 11th packet as having read outside state never logs such a packet, nor
+// replays one on restore; every checkpoint still restores each handler to
+// the live one's state at the cut, with records since the last re-base
+// replayed on top.
+func TestWALReplaySkipsUnreplayable(t *testing.T) {
+	cfg, proto := outsideCfg(2, 11)
+	cfg.CheckpointEvery = 4
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := [4]byte{10, 6, 0, 1}, [4]byte{10, 6, 0, 2}
+	next := 0
+	for _, cut := range []int{50, 333, 1001, 1777} {
+		for ; next < cut; next++ {
+			p.Feed(int64(next*1000), frame(a, b, uint16(6000+next%13), 53, []byte{1, byte(next), 0}))
+		}
+		var buf bytes.Buffer
+		if err := p.Checkpoint(&buf); err != nil {
+			t.Fatalf("checkpoint at %d: %v", cut, err)
+		}
+		liveCounts, liveChains := handlerStatesOf(p)
+		r, err := Restore(cfg, bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("restore at %d: %v", cut, err)
+		}
+		counts, chains := handlerStatesOf(r)
+		r.Kill()
+		for i := range counts {
+			if counts[i] != liveCounts[i] || chains[i] != liveChains[i] {
+				t.Errorf("cut %d, worker %d: restored (%d,%#x), live (%d,%#x)",
+					cut, i, counts[i], chains[i], liveCounts[i], liveChains[i])
+			}
+		}
+	}
+	p.Close()
+	if proto.replayed.Load() == 0 {
+		t.Error("no restore replayed a packet: the logs held none at any cut")
+	}
+	if n := proto.bad.Load(); n != 0 {
+		t.Fatalf("restore replayed %d packets the handler had reported unreplayable", n)
+	}
+}
+
+// TestWALUnreplayableRunRebasesLogarithmically: when every packet reads
+// outside state, the gaps they open back off — 10,000 packets cost a
+// handful of re-bases, not one per packet — and a checkpoint is still the
+// live state.
+func TestWALUnreplayableRunRebasesLogarithmically(t *testing.T) {
+	cfg, proto := outsideCfg(1, 1)
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := [4]byte{10, 6, 1, 1}, [4]byte{10, 6, 1, 2}
+	for i := 0; i < 10_000; i++ {
+		p.Feed(int64(i), frame(a, b, 6000, 53, []byte{2, byte(i), 0}))
+	}
+	var buf bytes.Buffer
+	if err := p.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	liveCounts, liveChains := handlerStatesOf(p)
+	if n := proto.rebases.Load(); n > 20 {
+		t.Errorf("%d re-bases over 10,000 unreplayable packets, want at most 20", n)
+	}
+	r, err := Restore(cfg, bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counts, chains := handlerStatesOf(r); counts[0] != liveCounts[0] || chains[0] != liveChains[0] {
+		t.Errorf("restored (%d,%#x), live (%d,%#x)", counts[0], chains[0], liveCounts[0], liveChains[0])
+	}
+	r.Kill()
+	p.Close()
+	if proto.replayed.Load() != 0 {
+		t.Errorf("replayed %d packets, all of which were unreplayable", proto.replayed.Load())
+	}
+}
+
+func handlerStatesOf(p *Pipeline) (counts, chains []uint64) {
+	for i := range p.slots {
+		h := p.slots[i].Load().h.(*outsideHandler)
+		counts = append(counts, h.count)
+		chains = append(chains, h.chain)
+	}
+	return
+}
+
+// TestWALRecordsEveryPacketFate: a shard's log still gives every packet's
+// fate. Under faults, quarantine drops and sheds, the records of each
+// shard's log at a checkpoint, added to its base snapshot's tally, are
+// the shard's tally at the cut.
+func TestWALRecordsEveryPacketFate(t *testing.T) {
+	pkts := fateTrace(3)
+	cfg, _ := fateCfg(t, 0)
+	cfg.CheckpointEvery = 64
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, logged := 0, 0
+	for _, cut := range []int{len(pkts) / 7, len(pkts) * 2 / 5, len(pkts)*3/5 + 11, len(pkts) - 1} {
+		feedAll(t, p, pkts[next:cut])
+		next = cut
+		var buf bytes.Buffer
+		if err := p.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		dec := snapshot.NewDecoder(buf.Bytes())
+		n := dec.Len(1)
+		dec.U64()
+		decodeCounts(dec)
+		for i := 0; i < n; i++ {
+			blob := snapshot.NewDecoder(dec.Bytes())
+			snap := blob.Bytes()
+			segs := make([][]byte, blob.Len(4))
+			for j := range segs {
+				segs[j] = blob.Bytes()
+			}
+			ws := p.newWstate(i)
+			if _, _, err := p.decodeShard(ws, snap); err != nil || blob.Err() != nil {
+				t.Fatalf("cut %d, shard %d: %v %v", cut, i, err, blob.Err())
+			}
+			got := ws.fates.Counts()
+			recs, err := wal.Replay(segs, func(_ byte, payload []byte) error {
+				rd := snapshot.NewRawDecoder(payload)
+				rd.I64()
+				rd.U64()
+				rd.Bool()
+				rd.Bytes()
+				rd.U32()
+				got[admission.Fate(rd.U8())]++
+				return rd.Err()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			logged += recs
+			if want := p.slots[i].Load().ws.fates.Counts(); got != want {
+				t.Errorf("cut %d, shard %d: base tally + records %v, shard tally %v", cut, i, got, want)
+			}
+		}
+	}
+	p.Close()
+	if logged == 0 {
+		t.Fatal("no checkpoint held a record: the fates came from snapshots alone")
 	}
 }

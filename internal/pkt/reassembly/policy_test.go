@@ -85,6 +85,36 @@ func TestBudgetSharedAcrossStreams(t *testing.T) {
 	}
 }
 
+// TestBudgetShares: two holders' shares of one budget each charge it and
+// refuse when it is over, but count their own bytes and refusals; a
+// granting share does not refuse while its pool is over.
+func TestBudgetShares(t *testing.T) {
+	pool := NewBudget(10)
+	a, b := pool.Share(), pool.Share()
+	s1, _, _ := collector()
+	s2, _, gaps2 := collector()
+	s1.Budget, s2.Budget = a, b
+	s1.Segment(0, []byte("a"), false)
+	s1.Segment(100, make([]byte, 8), false)
+	s2.Segment(0, []byte("a"), false)
+	s2.Segment(100, make([]byte, 8), false) // tips the pool over: refused
+	if pool.Used() != 8 || a.Used() != 8 || b.Used() != 0 {
+		t.Fatalf("used: pool %d, a %d, b %d; want 8, 8, 0", pool.Used(), a.Used(), b.Used())
+	}
+	if pool.Forced() != 1 || a.Forced() != 0 || b.Forced() != 1 || *gaps2 != 99 {
+		t.Fatalf("forced: pool %d, a %d, b %d, gap %d; want 1, 0, 1, 99", pool.Forced(), a.Forced(), b.Forced(), *gaps2)
+	}
+	s3, _, gaps3 := collector()
+	s3.Budget = b
+	pool.charge(100) // another holder's traffic
+	b.Granting = true
+	s3.Segment(0, []byte("a"), false)
+	s3.Segment(100, make([]byte, 8), false)
+	if b.Forced() != 1 || *gaps3 != 0 || b.Used() != 8 {
+		t.Fatalf("a granting share refused: forced %d, gap %d, used %d", b.Forced(), *gaps3, b.Used())
+	}
+}
+
 func TestOverlappingPendingSegmentsDeliverOnce(t *testing.T) {
 	s, buf, _ := collector()
 	s.Init(0) // payload starts at seq 1

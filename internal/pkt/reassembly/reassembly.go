@@ -27,6 +27,13 @@ type Budget struct {
 	max    atomic.Int64
 	used   atomic.Int64
 	forced atomic.Uint64
+
+	// pool, for a share (see Share), is the budget the share draws on.
+	pool *Budget
+	// Granting makes a share report its pool as never over: a refusal then
+	// depends on nothing outside the streams that hold the share. Set it
+	// only while no stream holding the share is inserting.
+	Granting bool
 }
 
 // NewBudget creates a budget of max bytes (<=0 disables enforcement while
@@ -37,11 +44,33 @@ func NewBudget(max int64) *Budget {
 	return b
 }
 
-func (b *Budget) charge(n int)  { b.used.Add(int64(n)) }
-func (b *Budget) release(n int) { b.used.Add(-int64(n)) }
+// Share returns one holder's view of b: it charges b for every byte its
+// streams buffer and is over whenever b is, but counts its own bytes and
+// its own refusals (Used, Forced), so a holder can tell a refusal caused
+// by the other holders' traffic from one its own state explains.
+func (b *Budget) Share() *Budget { return &Budget{pool: b} }
+
+func (b *Budget) charge(n int) {
+	b.used.Add(int64(n))
+	if b.pool != nil {
+		b.pool.charge(n)
+	}
+}
+
+func (b *Budget) release(n int) { b.charge(-n) }
+
+func (b *Budget) refuse() {
+	b.forced.Add(1)
+	if b.pool != nil {
+		b.pool.refuse()
+	}
+}
 
 // Over reports whether aggregate buffering exceeds the budget.
 func (b *Budget) Over() bool {
+	if b.pool != nil {
+		return !b.Granting && b.pool.Over()
+	}
 	max := b.max.Load()
 	return max > 0 && b.used.Load() > max
 }
@@ -180,7 +209,7 @@ func (s *Stream) insert(rel uint64, data []byte) {
 	globalOver := s.Budget != nil && s.Budget.Over()
 	if over || globalOver {
 		if globalOver && !over {
-			s.Budget.forced.Add(1)
+			s.Budget.refuse()
 		}
 		s.abandonHole()
 	}

@@ -312,6 +312,16 @@ func TestVectorAutoExtend(t *testing.T) {
 	if v.Len() != 10 {
 		t.Fatal("reserve")
 	}
+	// An index out of reach is refused, and the vector does not grow.
+	if _, ok := v.Get(10); ok || v.Len() != 10 {
+		t.Fatalf("a read past the end succeeded or grew the vector to %d", v.Len())
+	}
+	if v.Set(1<<62, values.Int(1)) || v.Set(10+MaxGrow+1, values.Int(1)) || v.Len() != 10 {
+		t.Fatalf("a write more than MaxGrow past the end succeeded or grew the vector to %d", v.Len())
+	}
+	if !v.Set(10+MaxGrow, values.Int(1)) || v.Len() != 11+MaxGrow {
+		t.Fatalf("a write MaxGrow past the end failed, or left the vector at %d", v.Len())
+	}
 }
 
 // Property: a Map agrees with a plain Go map under a random operation

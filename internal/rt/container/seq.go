@@ -196,7 +196,7 @@ type Vector struct {
 func NewVector(def values.Value) *Vector { return &Vector{def: def} }
 
 // NewVectorSized creates an empty vector with room for n elements (at most
-// maxGrow, as Grow). Room for up to 4 lives in the vector's own object, so
+// MaxGrow, as Grow). Room for up to 4 lives in the vector's own object, so
 // a vector built to a count read off the wire is one allocation.
 func NewVectorSized(def values.Value, n int) *Vector {
 	var v *Vector
@@ -235,18 +235,21 @@ func (v *Vector) Len() int { return len(v.elems) }
 // PushBack appends an element.
 func (v *Vector) PushBack(x values.Value) { v.elems = append(v.elems, x) }
 
-// Get returns element i, auto-extending to include it.
+// Get returns element i; past the end it reports false and leaves the
+// vector as it is.
 func (v *Vector) Get(i int) (values.Value, bool) {
-	if i < 0 {
+	if i < 0 || i >= len(v.elems) {
 		return values.Nil, false
 	}
-	v.reserve(i + 1)
 	return v.elems[i], true
 }
 
-// Set assigns element i, auto-extending to include it.
+// Set assigns element i, extending the vector with its default element to
+// include it — by at most MaxGrow elements past the end, as an index read
+// off the wire must not buy memory the input has not backed; farther, it
+// reports false.
 func (v *Vector) Set(i int, x values.Value) bool {
-	if i < 0 {
+	if i < 0 || i-len(v.elems) > MaxGrow {
 		return false
 	}
 	v.reserve(i + 1)
@@ -258,14 +261,15 @@ func (v *Vector) Set(i int, x values.Value) bool {
 // vector.reserve).
 func (v *Vector) Reserve(n int) { v.reserve(n) }
 
-// maxGrow bounds Grow: a count read off the wire must not buy memory the
-// input has not backed.
-const maxGrow = 64
+// MaxGrow bounds Grow and how far past its end Set extends a vector: a
+// count or an index read off the wire must not buy memory the input has
+// not backed.
+const MaxGrow = 64
 
-// Grow makes room for n more elements, up to maxGrow, without changing
+// Grow makes room for n more elements, up to MaxGrow, without changing
 // the vector.
 func (v *Vector) Grow(n int) {
-	if n = min(n, maxGrow); n > cap(v.elems)-len(v.elems) {
+	if n = min(n, MaxGrow); n > cap(v.elems)-len(v.elems) {
 		v.elems = slices.Grow(v.elems, n)
 	}
 }

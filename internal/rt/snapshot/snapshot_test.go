@@ -269,8 +269,9 @@ func TestVectorListRoundTrip(t *testing.T) {
 	if gv == nil || gv.Len() != 2 {
 		t.Fatalf("vector lost: %v", gv)
 	}
-	// Auto-extension default must survive.
-	if x, _ := gv.Get(5); x.AsInt() != -1 {
+	// The default a write past the end extends with must survive.
+	gv.Set(5, values.Int(7))
+	if x, _ := gv.Get(4); x.AsInt() != -1 {
 		t.Fatalf("vector default lost: %v", x)
 	}
 

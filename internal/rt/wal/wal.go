@@ -1,11 +1,13 @@
 // Package wal implements the append-only write-ahead log behind the
 // runtime's incremental checkpoints. Where rt/snapshot captures a full,
-// self-contained image of analysis state, the WAL captures the *mutation
-// stream* between images: each record is an O(changed-state) delta, and a
-// checkpoint becomes a periodic full snapshot plus the log segments
-// written since. Restore replays the records onto the snapshot, landing
-// byte-identically on any record boundary — including the boundary just
-// before a crash cut a record in half.
+// self-contained image of analysis state, the WAL captures what happened
+// between images: a record is whatever its writer needs to get from one
+// state to the next — the packet a pipeline shard ran, which restore runs
+// again, or an engine's O(changed-state) delta — and a checkpoint becomes
+// a periodic full snapshot plus the log segments written since. Restore
+// replays the records onto the snapshot, landing byte-identically on any
+// record boundary — including the boundary just before a crash cut a
+// record in half.
 //
 // Format. A segment is:
 //
