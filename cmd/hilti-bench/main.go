@@ -46,7 +46,6 @@ import (
 	"hilti/internal/rt/snapshot"
 	"hilti/internal/rt/timer"
 	"hilti/internal/rt/values"
-	"hilti/internal/rt/wal"
 )
 
 var (
@@ -151,7 +150,7 @@ var experiments = []experiment{
 	{"recovery", "Crash-only operation (paper §3.2 transparent state management)",
 		"first-class state => serialize/restore analysis mid-trace; resumed run reproduces the uninterrupted one", (*harness).recovery},
 	{"wal", "Incremental checkpoints via write-ahead log (crash-only)",
-		"full snapshot + per-packet deltas (engine) or the packets since, run again (pipeline); kill/restore byte-identical at any cut, including mid-record", (*harness).wal},
+		"a patching re-base equals the full encode; a pipeline shard logs the packets since and restores by running them again", (*harness).wal},
 	{"migrate", "Elastic cluster: live flow migration with fault-injected handoff",
 		"scale-out/in via consistent-hash buckets; a crash at any protocol step never splits ownership", (*harness).migrate},
 	{"vmopt", "Post-lowering VM optimizer",
@@ -1556,109 +1555,15 @@ func (h *harness) hangRecovery(chk *checker, want func(string) []string) {
 // --- incremental checkpoints: write-ahead log --------------------------------------
 
 func (h *harness) wal(chk *checker) {
-	pkts := h.mergedTrace()
 	cfg := stdConfig("interp")
 
-	// Uninterrupted baseline for the log comparisons below.
-	base := engineRun(cfg, pkts)
-
-	// A. Steady-state checkpoint cost: a full snapshot re-encodes every
-	//    open connection and global per interval; a delta record carries
-	//    only what the packet changed. The hilti backend adds the paper's
-	//    Figure 8(a) tracker, whose set[addr] global journals individual
-	//    container ops instead of re-encoding the table.
-	track := stdConfig("hilti")
-	track.Scripts = append(track.Scripts, bro.TrackScript)
-	backends := []struct {
-		name string
-		cfg  bro.Config
-	}{{"interp", cfg}, {"hilti+track", track}}
-	for _, bk := range backends {
-		reg := metrics.NewRegistry()
-		bk.cfg.Metrics = reg
-		e := newEngine(bk.cfg)
-		var snap bytes.Buffer
-		must(e.Checkpoint(&snap))
-		must(e.ResetDeltaBase())
-		var deltaTotal, deltaMax int
-		for _, p := range pkts {
-			e.SafeProcessPacket(p.Time.UnixNano(), p.Data)
-			rec, err := e.AppendDelta()
-			must(err)
-			deltaTotal += len(rec)
-			if len(rec) > deltaMax {
-				deltaMax = len(rec)
-			}
-		}
-		var full bytes.Buffer
-		must(e.Checkpoint(&full))
-		meanDelta := float64(deltaTotal) / float64(len(pkts))
-		fmt.Printf("    %-12s full snapshot %7d B; delta mean %6.1f B, max %5d B — %5.1fx smaller per packet\n",
-			bk.name+":", full.Len(), meanDelta, deltaMax, float64(full.Len())/meanDelta)
-		for _, cadence := range []int{256, 1024, 4096} {
-			fmt.Printf("      rebase every %4d pkts: amortized %7.1f B/pkt (full-per-packet bound would be %d B/pkt)\n",
-				cadence, meanDelta+float64(full.Len())/float64(cadence), full.Len())
-		}
-		if bk.cfg.ScriptExec == "interp" {
-			// A flush encodes marked script-table entries only; a
-			// whole-table encode would push the count past both limits.
-			marked, _ := e.DeltaTableEntries()
-			encoded := uint64(reg.Value("bro_delta_table_entries_encoded_total"))
-			fmt.Printf("      script-table entries: %d marked, %d encoded over %d records (%.2f per record), %.0f expired\n",
-				marked, encoded, len(pkts), float64(encoded)/float64(len(pkts)), reg.Value("bro_table_entries_expired_total"))
-			chk.check(encoded > 0 && encoded <= marked, "delta path encoded table entries it had not marked")
-			chk.check(encoded <= 4*uint64(len(pkts)), "delta path encodes more than 4 table entries per record on average")
-		}
-	}
-
-	// A'. Flush cost against script-table size: what one AppendDelta costs
-	//    late in an HTTP trace with 1x, 4x and 16x the sessions behind it,
-	//    next to a full Checkpoint spread over the pipeline's default
-	//    re-base cadence — the two sides of ROADMAP item 3's recovery-mode
-	//    decision. Allocation is sampled around every 16th flush.
-	fmt.Println("    flush cost vs. script-table size (interp, HTTP only; last 2000 packets of each trace):")
-	for _, mult := range []int{1, 4, 16} {
-		sessions := *httpSessions * mult
-		trace := genHTTP(sessions)
-		e := newEngine(cfg)
-		must(e.ResetDeltaBase())
-		var flush time.Duration
-		var before, after runtime.MemStats
-		var allocated, sampled uint64
-		from := max(len(trace)-2000, 0)
-		for i, p := range trace {
-			e.SafeProcessPacket(p.Time.UnixNano(), p.Data)
-			sample := i >= from && i%16 == 0
-			if sample {
-				runtime.ReadMemStats(&before)
-			}
-			start := time.Now()
-			_, err := e.AppendDelta()
-			must(err)
-			if i >= from {
-				flush += time.Since(start)
-			}
-			if sample {
-				runtime.ReadMemStats(&after)
-				allocated += after.TotalAlloc - before.TotalAlloc
-				sampled++
-			}
-		}
-		var full bytes.Buffer
-		start := time.Now()
-		must(e.Checkpoint(&full))
-		ckpt := time.Since(start)
-		fmt.Printf("      %6d sessions: AppendDelta %6.0f ns, %6.0f B allocated per packet; Checkpoint %7.2f ms (%d B) = %7.0f ns per packet at CheckpointEvery 256\n",
-			sessions, float64(flush.Nanoseconds())/float64(len(trace)-from), float64(allocated)/float64(sampled),
-			float64(ckpt.Microseconds())/1000, full.Len(), float64(ckpt.Nanoseconds())/256)
-	}
-
-	// A". Re-base cost against live flows: the same traces, flushed per
-	//    packet and re-based every 256 through Engine.Rebase, which copies
-	//    the frames no delta touched out of the previous snapshot — next to
-	//    the full encode of the same instant, which it must equal byte for
-	//    byte. Timed over the second half of each trace, leaving out the
-	//    re-bases that encode everything (the first, and every 16th).
+	// A. Re-base cost against live flows: HTTP traces with 1x, 4x and 16x
+	//    the sessions, re-based every 256 packets through Engine.Rebase,
+	//    which copies the frames no dirty mark touched out of the previous
+	//    snapshot — next to the full encode of the same instant, which it
+	//    must equal byte for byte. Timed over the second half of each
+	//    trace, leaving out the re-bases that encode everything (the first,
+	//    and every 16th).
 	fmt.Println("    re-base cost vs. live flows (interp, HTTP only; per re-base at CheckpointEvery 256, second half of each trace):")
 	for _, mult := range []int{1, 4, 16} {
 		sessions := *httpSessions * mult
@@ -1682,10 +1587,6 @@ func (h *harness) wal(chk *checker) {
 		}
 		for i, p := range trace {
 			e.SafeProcessPacket(p.Time.UnixNano(), p.Data)
-			if snap != nil {
-				_, err := e.AppendDelta()
-				must(err)
-			}
 			if i%256 != 255 {
 				continue
 			}
@@ -1704,14 +1605,14 @@ func (h *harness) wal(chk *checker) {
 		}
 		_, _, touched := e.RebaseFrames()
 		reused, encoded := uint64(reg.Value("bro_rebase_frames_reused_total")), uint64(reg.Value("bro_rebase_frames_encoded_total"))
-		chk.check(n > 0 && reused > 0 && encoded <= touched, "re-bases encoded frames no delta had touched, or copied none")
+		chk.check(n > 0 && reused > 0 && encoded <= touched, "re-bases encoded frames no mark had touched, or copied none")
 		n = max(n, 1)
 		fmt.Printf("      %6d sessions: patched %7.0f us, %8.0f B allocated; full %7.0f us, %8.0f B allocated; %d B snapshot, %.0f frames copied and %.0f encoded per re-base\n",
 			sessions, float64(patch.ns)/float64(n)/1e3, float64(patch.alloc)/float64(n),
 			float64(full.ns)/float64(n)/1e3, float64(full.alloc)/float64(n), len(snap), float64(copied)/float64(n), float64(again)/float64(n))
 	}
 
-	// E. The pipeline's log, as the production shape keeps it: a 2-worker
+	// B. The pipeline's log, as the production shape keeps it: a 2-worker
 	//    host at 200 HTTP sessions logs the frame of every packet an engine
 	//    processed, re-bases every 256 records, and a restore runs the
 	//    logged packets again. Record cost and size are sampled one record
@@ -1748,68 +1649,6 @@ func (h *harness) wal(chk *checker) {
 		chk.check(replayed > 0, backend+": the mid-trace checkpoint held no logged packet to replay")
 		checkStreams(chk, backend+" pipeline across a replaying restore", sortedLogs(single), par.MergedLines)
 	}
-
-	// B+C+D. Kill/restore at arbitrary WAL cut points. Base snapshot at
-	//    mid-trace, per-packet deltas after; then restore from (snapshot,
-	//    segments truncated at a byte offset) — including mid-record — and
-	//    demand the restored engine be byte-identical (its full checkpoint)
-	//    to a fresh engine run over exactly the packets the cut retained.
-	cut := len(pkts) / 2
-	e1 := newEngine(cfg)
-	process(e1, pkts[:cut])
-	var snap bytes.Buffer
-	must(e1.Checkpoint(&snap))
-	must(e1.ResetDeltaBase())
-	wlog := wal.NewLog(8 << 10) // small segments: exercise rotation + frozen-segment damage
-	for i := cut; i < len(pkts); i++ {
-		e1.SafeProcessPacket(pkts[i].Time.UnixNano(), pkts[i].Data)
-		rec, err := e1.AppendDelta()
-		must(err)
-		must(wlog.Append(bro.DeltaRecord, rec))
-	}
-	segs := wlog.Segments()
-	fmt.Printf("    engine WAL: %d records across %d segments (%d B) on top of a %d B base snapshot\n",
-		wlog.Records(), len(segs), wlog.Size(), snap.Len())
-
-	ckptOf := func(e *bro.Engine) []byte {
-		var b bytes.Buffer
-		must(e.Checkpoint(&b))
-		return b.Bytes()
-	}
-	r1, err := bro.RestoreEngineWAL(cfg, snap.Bytes(), segs)
-	must(err)
-	chk.check(bytes.Equal(ckptOf(r1), ckptOf(e1)), "full WAL replay diverged from the live engine")
-	r2, err := bro.RestoreEngineWAL(cfg, snap.Bytes(), segs)
-	must(err)
-	chk.check(bytes.Equal(ckptOf(r1), ckptOf(r2)), "two replays of the same WAL differ (nondeterministic replay)")
-	fmt.Println("    restore(snapshot + all segments) == live engine, byte-identical; replay deterministic")
-
-	last := segs[len(segs)-1]
-	for _, off := range []int{len(last) / 3, len(last) - 3} {
-		cutSegs := make([][]byte, len(segs))
-		copy(cutSegs, segs)
-		cutSegs[len(segs)-1] = last[:off]
-		r, err := bro.RestoreEngineWAL(cfg, snap.Bytes(), cutSegs)
-		must(err)
-		n := int(r.Packets())
-		fmt.Printf("    cut final segment at byte %d/%d: resumed at packet %d\n", off, len(last), n)
-		ref := newEngine(cfg)
-		process(ref, pkts[:n])
-		chk.check(bytes.Equal(ckptOf(r), ckptOf(ref)),
-			fmt.Sprintf("mid-segment cut at byte %d: restored state != straight run over %d packets", off, n))
-		process(r, pkts[n:])
-		r.Finish()
-		checkStreams(chk, fmt.Sprintf("cut at byte %d, refeed", off), base.Logs.Lines, r.Logs.Lines)
-	}
-
-	corrupt := make([][]byte, len(segs))
-	copy(corrupt, segs)
-	bad := append([]byte(nil), segs[0]...)
-	bad[len(bad)/2] ^= 0xff
-	corrupt[0] = bad
-	_, err = bro.RestoreEngineWAL(cfg, snap.Bytes(), corrupt)
-	chk.check(err != nil, "corrupt frozen segment accepted (must be rejected, only a damaged tail is tolerable)")
-	fmt.Println("    corrupt non-tail segment rejected cleanly; truncated tail tolerated (above)")
 }
 
 // --- elastic cluster migration -----------------------------------------------

@@ -151,7 +151,10 @@ type Engine struct {
 	quarantined map[uint64]uint64 // faulted flow hash -> packets dropped since
 	quarDropped metrics.Counter
 	reasm       *reassembly.Budget
-	loopExec    *vm.Exec // lazily built LoopPort injection analyzer
+	// stallRelease ends the StallPort analyzer's hang when it closes (nil:
+	// the hang never ends).
+	stallRelease chan struct{}
+	loopExec     *vm.Exec // lazily built LoopPort injection analyzer
 
 	// structs are the linked program's struct definitions by name: what
 	// converted and restored values carry (linkedStruct), so that the
@@ -167,15 +170,14 @@ type Engine struct {
 	dnsAnswers []string
 	dnsTTLs    []int64
 
-	// delta, when non-nil, tracks which state changed since the last WAL
-	// flush or re-base (see state.go). Nil outside WAL mode: the mark
-	// helpers are then no-ops, so the non-incremental paths pay nothing.
-	delta *deltaState
+	// track, when non-nil, holds the dirty marks since the last Rebase
+	// (see state.go). Nil until the engine first re-bases: markConnDirty
+	// is then a no-op, so an engine that never re-bases pays nothing.
+	track *tracker
+	// lastSnap is the snapshot AppendDelta returned last.
+	lastSnap []byte
 	// outsideSeen is outsideReads as of the last Unreplayable or re-base.
 	outsideSeen uint64
-	// Script-table entries the delta path looked at (marked) and encoded;
-	// process-local, not checkpointed.
-	deltaMarked, deltaEncoded metrics.Counter
 	// Flow frames Rebase copied from the previous snapshot, encoded again,
 	// and the uids it was told had changed (encoded <= touched); likewise
 	// process-local.
@@ -380,14 +382,6 @@ func (e *Engine) dispatch(id eventID, c *conn, args ...Val) {
 func (e *Engine) dispatchNamed(name string, bodies []*vm.CompiledFunc, c *conn, args []Val) {
 	e.events.Inc()
 	defer e.containEvent(name, len(e.clock.stack), len(e.hargs), len(e.vargs))
-	if ds := e.delta; ds != nil {
-		// Script handlers are the only writers of script-visible globals.
-		if e.compiled {
-			ds.dirtyExec = true
-		} else {
-			ds.dirtyInterp = true
-		}
-	}
 	if !e.compiled {
 		base := len(e.vargs)
 		if c != nil {
@@ -472,7 +466,6 @@ func (e *Engine) SafeProcessPacket(tsNs int64, frame []byte) {
 	}
 	if n, bad := e.quarantined[vid]; bad {
 		e.quarantined[vid] = n + 1
-		e.markQuar(vid)
 		e.quarDropped.Inc()
 		return
 	}
@@ -483,7 +476,6 @@ func (e *Engine) SafeProcessPacket(tsNs int64, frame []byte) {
 	f.VID, f.TsNs = vid, tsNs
 	e.faults.Record(f)
 	e.quarantined[vid] = 0
-	e.markQuar(vid)
 	if keyed {
 		if zf := fault.Catch("zap", func() { e.ZapFlow(key) }); zf != nil {
 			zf.VID = vid
@@ -514,7 +506,7 @@ func (e *Engine) ZapFlow(key flow.Key) {
 	delete(e.conns, ck)
 	delete(e.ctxs, c.ctx)
 	e.flowsClosed.Inc()
-	e.markConnClosed(c)
+	e.markConnDirty(c)
 }
 
 // Faults returns the engine's retained fault records, oldest first.
@@ -523,6 +515,16 @@ func (e *Engine) Faults() []*fault.Fault { return e.faults.Faults() }
 // Reassembly returns the engine's cross-flow reassembly budget, or nil
 // when unbounded.
 func (e *Engine) Reassembly() *reassembly.Budget { return e.reasm }
+
+// Retire gives back what the engine holds of state shared with other
+// engines — the bytes its streams buffer under a SharedReassembly budget —
+// for an engine the pipeline has replaced and will not call again
+// (pipeline.Retirer). It runs on the engine's own goroutine.
+func (e *Engine) Retire() {
+	if e.cfg.SharedReassembly != nil {
+		e.reasm.Release()
+	}
+}
 
 // StatsSnapshot returns the component split.
 func (e *Engine) StatsSnapshot() *Stats {
@@ -552,12 +554,7 @@ func (e *Engine) ProcessPacket(tsNs int64, frame []byte) {
 	e.clock.truncate(0)
 	// Expire HILTI-side container state by network time.
 	if e.ex != nil {
-		expired := e.ex.GlobalTM.Advance(timer.Time(tsNs)) > 0
-		// Parsers mutate VM state without raising events, so there is no
-		// precise signal for them; mark conservatively per packet.
-		if e.delta != nil && (expired || e.cfg.Parser == "binpac") {
-			e.delta.dirtyExec = true
-		}
+		e.ex.GlobalTM.Advance(timer.Time(tsNs))
 	}
 	eth, err := layers.DecodeEthernet(frame)
 	if err != nil || eth.EtherType != layers.EtherTypeIPv4 {
@@ -706,8 +703,9 @@ func (e *Engine) attachTCPAnalyzer(c *conn) {
 			inject = e.runLoopAnalyzer
 		case portMatch(c.key, e.cfg.StallPort):
 			// A hang no budget can catch: blocks the worker goroutine
-			// forever. Only the supervisor's wall-clock watchdog helps.
-			inject = func([]byte) { select {} }
+			// until stallRelease closes — never, outside tests. Only the
+			// supervisor's wall-clock watchdog helps.
+			inject = func([]byte) { <-e.stallRelease }
 		}
 		if inject != nil {
 			c.origStream.Deliver, c.respStream.Deliver = inject, inject
@@ -750,7 +748,7 @@ func (e *Engine) closeConn(c *conn) {
 	delete(e.conns, ck)
 	delete(e.ctxs, c.ctx)
 	e.flowsClosed.Inc()
-	e.markConnClosed(c)
+	e.markConnDirty(c)
 }
 
 func (e *Engine) udpPacket(ip layers.IPv4, udp layers.UDP) {

@@ -91,13 +91,13 @@ func FuzzEngineFeedBinpac(f *testing.F) {
 	})
 }
 
-// FuzzEngineStateDecode throws arbitrary bytes at the three entry points of
-// the engine-state decoder — a full checkpoint, a delta record, an injected
-// flow frame. Each must return an error or
-// succeed; none may panic or size an allocation from a length it has not
-// checked against the input. The framing layers around these bytes have
-// their own targets (FuzzSnapshotDecode, FuzzWALDecode,
-// FuzzMigrationFrameDecode); this one is the decoder behind them.
+// FuzzEngineStateDecode throws arbitrary bytes at the two entry points of
+// the engine-state decoder — a snapshot and an injected flow frame. Each
+// must return an error or succeed; none may panic or size an allocation
+// from a length it has not checked against the input. The framing layers
+// around these bytes have their own targets (FuzzSnapshotDecode,
+// FuzzWALDecode, FuzzMigrationFrameDecode); this one is the decoder behind
+// them.
 func FuzzEngineStateDecode(f *testing.F) {
 	cfg := Config{Parser: "standard", ScriptExec: "interp",
 		Scripts: []string{HTTPScript, FilesScript, DNSScript}, Quiet: true}
@@ -109,47 +109,35 @@ func FuzzEngineStateDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := src.ResetDeltaBase(); err != nil {
-		f.Fatal(err)
-	}
+	snap := rebaseBytes(f, src, nil)
+	f.Add(uint8(0), snap) // no flow yet
 	for i := range pkts[:len(pkts)/8] {
 		src.SafeProcessPacket(pkts[i].Time.UnixNano(), pkts[i].Data)
-		if i%37 != 0 {
-			continue
-		}
-		rec, err := src.AppendDelta()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(uint8(1), rec)
-		// A delta record's frames (tombstones, connection-less table
-		// ops) are what InjectFlow must refuse.
-		for _, frame := range recordFrames(f, rec) {
-			f.Add(uint8(2), frame)
+		if i < 64 && i%16 == 15 {
+			snap = rebaseBytes(f, src, snap) // patched, and small
+			f.Add(uint8(0), snap)
 		}
 	}
-	var full bytes.Buffer
-	if err := src.Checkpoint(&full); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(uint8(0), full.Bytes())
-	for _, key := range src.MigratableFlows()[:4] {
+	f.Add(uint8(0), checkpointBytes(f, src))
+	for i, key := range src.MigratableFlows() {
 		blob, err := src.ExtractFlow(key)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(uint8(2), blob)
+		f.Add(uint8(1), blob)
+		if i < 8 {
+			// Frames InjectFlow must refuse.
+			for _, name := range []string{"tombstone", "no connection", "unknown flag"} {
+				f.Add(uint8(1), refusedFrames(src, key)[name])
+			}
+		}
 	}
 
 	f.Fuzz(func(t *testing.T, entry uint8, data []byte) {
-		e := fuzzEngine(t, "standard", "interp")
-		switch entry % 3 {
-		case 0:
+		if entry%2 == 0 {
 			RestoreEngine(cfg, bytes.NewReader(data)) //nolint:errcheck
-		case 1:
-			e.ApplyDelta(data) //nolint:errcheck
-		case 2:
-			e.InjectFlow(data) //nolint:errcheck
+		} else {
+			fuzzEngine(t, "standard", "interp").InjectFlow(data) //nolint:errcheck
 		}
 	})
 }

@@ -41,7 +41,6 @@ func (e *Engine) registerMetrics() {
 		emit("bro_budget_blown_total", float64(e.budgetBlown.Load()))
 		emit("bro_quarantine_dropped_total", float64(e.quarDropped.Load()))
 		emit("bro_log_lines_total", float64(e.Logs.Written()))
-		emit("bro_delta_table_entries_encoded_total", float64(e.deltaEncoded.Load()))
 		emit("bro_table_entries_expired_total", float64(e.interp.Expired.Load()))
 		emit("bro_rebase_frames_reused_total", float64(e.rebaseReused.Load()))
 		emit("bro_rebase_frames_encoded_total", float64(e.rebaseEncoded.Load()))
@@ -77,19 +76,10 @@ func (e *Engine) registerMetrics() {
 	}
 }
 
-// DeltaTableEntries reports how many script-table entries AppendDelta has
-// looked at (entries marked as possibly changed) and how many of those it
-// encoded (the rest were deletes). Both stay proportional to what the
-// packets' handlers touched, whatever the tables hold — the invariant
-// hilti-bench -exp wal asserts.
-func (e *Engine) DeltaTableEntries() (marked, encoded uint64) {
-	return e.deltaMarked.Load(), e.deltaEncoded.Load()
-}
-
 // RebaseFrames reports, summed over the engine's Rebase calls, the flow
 // frames copied from the previous snapshot, the frames encoded again, and
-// the uids the deltas in between had touched (all of them, for a Rebase
-// that had nothing to patch). encoded <= touched whatever the engine
+// the uids the dirty marks named (all of them, for a Rebase that had
+// nothing to patch). encoded <= touched whatever the engine
 // holds — the invariant hilti-bench -exp wal asserts.
 func (e *Engine) RebaseFrames() (reused, encoded, touched uint64) {
 	return e.rebaseReused.Load(), e.rebaseEncoded.Load(), e.rebaseTouched.Load()

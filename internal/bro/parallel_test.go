@@ -349,3 +349,72 @@ func TestParallelWALSkipsSharedBudgetRefusals(t *testing.T) {
 		t.Fatal("the shared budget refused no segment")
 	}
 }
+
+// TestStallRecoveryReleasesSharedBudget: a worker wedged while its engine
+// buffers out-of-order bytes under a SharedReassembly pool is replaced;
+// when its job at last returns, the abandoned engine's share goes back to
+// the pool. The pool then holds exactly what the live engines hold, so a
+// recovery does not shrink the budget the live workers get.
+func TestStallRecoveryReleasesSharedBudget(t *testing.T) {
+	const stallPort = 31999
+	pool := reassembly.NewBudget(1 << 20)
+	cfg := Config{Parser: "standard", ScriptExec: "interp", Scripts: []string{HTTPScript},
+		Quiet: true, SharedReassembly: pool, StallPort: stallPort}
+	par, err := NewParallelWith(cfg, pipeline.Config{Workers: 2, StallTimeout: 50 * time.Millisecond, CheckpointEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer par.Close()
+	release := make(chan struct{})
+	old := append([]*Engine(nil), par.Engines...)
+	for _, e := range old {
+		e.stallRelease = release
+	}
+	a, b := [4]byte{10, 77, 0, 1}, [4]byte{10, 77, 0, 2}
+	ts := int64(1e18)
+	send := func(sp, dp uint16, seq uint32, payload []byte) {
+		ts += 1e6
+		if err := par.Feed(ts, tcpDataFrame(a, b, sp, dp, seq, payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Flows on both workers open in order, then buffer 300 bytes behind a
+	// hole; the stall flow buffers 200 the same way and then wedges on
+	// in-order data.
+	for sp := uint16(40000); sp < 40008; sp++ {
+		send(sp, 9999, 100, []byte("go"))
+		send(sp, 9999, 10_000, make([]byte, 300))
+	}
+	send(44001, stallPort, 5_000, make([]byte, 200))
+	send(44001, stallPort, 100, []byte("HANGME!!"))
+	deadline := time.Now().Add(10 * time.Second)
+	for par.Restarts() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if par.Restarts() != 1 {
+		t.Fatalf("%d restarts, want 1", par.Restarts())
+	}
+	var wedged *Engine
+	for i, e := range old {
+		if par.Engines[i] != e {
+			wedged = e
+		}
+	}
+	if wedged == nil || wedged.Reassembly().Used() == 0 {
+		t.Fatal("the wedged worker's engine held no out-of-order bytes")
+	}
+	close(release)
+	live := func() (n int64) {
+		for _, e := range par.Engines {
+			n += e.Reassembly().Used()
+		}
+		return n
+	}
+	for wedged.Reassembly().Used() != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got, want := pool.Used(), live(); got != want || want == 0 {
+		t.Errorf("after the abandoned job returned: pool holds %d bytes, the live engines %d (the wedged one still %d)",
+			got, want, wedged.Reassembly().Used())
+	}
+}

@@ -2,21 +2,25 @@
 // argument made concrete: because analysis state lives in typed runtime
 // values rather than ad-hoc heap structures, the host can suspend, resume
 // and move it without the analyzers' cooperation. There is one codec, and
-// the three products built on it are selections over the same sections:
+// two products built on it:
 //
 //	state    := frames sections
 //	frames   := u32 n { bytes(frame) }
 //	frame    := string uid, u8 flags, [key if flags != 0], [conn if ffConn], tables
-//	tables   := u32 n { string global, ops }
-//	ops      := u32 n { string keyStr } u32 n { entry }      (deletes, upserts)
+//	tables   := u32 n { string global, entries }
+//	entries  := u32 0, u32 n { entry }
 //	sections := meta quar logs interp exec
 //	meta     := i64 now, i64 nextCtx, u64 per counter
-//	quar     := u32 n { u64 vid, bool present, u64 dropped }
-//	logs     := u32 n { string stream, u32 n { string line } }   (from a watermark)
+//	quar     := u32 n { u64 vid, bool true, u64 dropped }
+//	logs     := u32 n { string stream, u32 n { string line } }
 //	interp   := u32 n { string global, u8 mode, bytes body }
 //	            body(modeWhole) = val
-//	            body(modeTable) = bool reset [table attrs] u64 nextSeq ops
-//	exec     := bool present [ i64 now, u32 n { u32 index, u8 mode, bytes body } ]
+//	            body(modeTable) = bool true, table attrs, u64 nextSeq, entries
+//	exec     := bool present [ i64 now, u32 n { u32 index, u8 modeWhole, bytes val } ]
+//
+// The constant fields (the true flags, the empty list in front of the
+// entries) are where format version 5 kept what the retired engine-level
+// delta records varied; the decoder refuses any other value there.
 //
 // A flow frame is everything keyed by one connection uid: the connection
 // record plus the script-table entries whose first index is that uid (HTTP
@@ -27,31 +31,19 @@
 // property of where an entry sat in an encoding — so an entry can live in
 // its flow's frame and still replay to the exact table order.
 //
-// The selections:
+// The products:
 //
-//   - Full checkpoint (Checkpoint / RestoreEngine): the delta against an
-//     empty engine — every section complete, every open flow a frame.
-//     RestoreEngine is NewEngine plus the one apply path.
-//   - WAL delta (Rebase or ResetDeltaBase, then EncodeDelta / AppendDelta,
-//     ApplyDelta), for engine-level logs (RestoreEngineWAL) — a pipeline
-//     shard logs packets and replays them (ReplayPacket), using Rebase
-//     alone: touched quarantine marks, log lines past the flushed
-//     watermark, globals that differ from the cached base, and a frame per
-//     dirty or closed flow. Granularity: a dirty connection re-encodes
-//     whole; interpreter tables emit the entries marked since the last
-//     flush (TableVal.mark), so a flush costs what changed, not what the
-//     table holds; VM container globals with scalar-only contents journal
-//     individual operations (container.JournalFn), and any non-scalar key
-//     or value trips the gate to whole-blob diffing — a heap value stored in
-//     a container can be mutated later without a container operation the
-//     journal could observe. Rebase writes the full checkpoint the next
-//     deltas build on by patching the previous one: the frames no delta
-//     and no pending mark touched are copied, the sections encoded as
-//     ever.
-//   - Flow migration (ExtractFlow / InjectFlow): one live flow's frame,
-//     built directly. Applied in adopt mode: ctx and seq are
-//     instance-local, so the target assigns its own, and nothing
-//     engine-global (counters, clocks, logs) moves.
+//   - Snapshot (Checkpoint / RestoreEngine): every section complete, every
+//     open flow a frame. RestoreEngine is NewEngine plus the one apply path.
+//     Rebase writes the same bytes for the price of what changed since the
+//     previous Rebase: the frames no dirty mark touched are copied out of
+//     the previous snapshot, the sections encoded as ever. A pipeline shard
+//     re-bases every so many packets, logs the packets in between, and
+//     restores by running them again (ReplayPacket).
+//   - Flow frame (ExtractFlow / InjectFlow): one live flow's frame, built
+//     directly. Applied in adopt mode: ctx and seq are instance-local, so
+//     the target assigns its own, and nothing engine-global (counters,
+//     clocks, logs) moves.
 //
 // Limits: a frame counts as untouched on the word of the dirty marks, and
 // an aggregate reachable from two table entries is marked only under the
@@ -59,7 +51,7 @@
 // marks are not claimed complete: every fullRebaseEvery-th Rebase in a row
 // encodes every frame again. In-flight BinPAC++ parse state is a parked
 // vm.Resumable — activation records over registers and rope iterators —
-// which is not encoded yet (ROADMAP 1a); every selection refuses a
+// which is not encoded yet (ROADMAP 1a); both products refuse a
 // connection that is mid-parse (the caller re-bases once possible).
 // Unserializable VM globals (function refs, channels) keep the
 // restoring side's value. Per-flow migration supports the interpreter
@@ -71,8 +63,6 @@
 package bro
 
 import (
-	"bytes"
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -83,78 +73,40 @@ import (
 
 	"hilti/internal/hilti/vm"
 	"hilti/internal/pkt/flow"
-	"hilti/internal/rt/container"
 	"hilti/internal/rt/metrics"
 	"hilti/internal/rt/snapshot"
 	"hilti/internal/rt/timer"
-	"hilti/internal/rt/values"
-	"hilti/internal/rt/wal"
 )
 
-// DeltaRecord is the WAL record kind under which engine-level harnesses
-// append AppendDelta payloads (the pipeline logs packets in its own
-// records instead).
-const DeltaRecord = 1
-
-// Global-emission modes.
+// Global-encoding modes.
 const (
-	modeWhole   = 0 // full re-encoded value
-	modeTable   = 1 // interpreter table: optional reset, then per-entry ops
-	modeJournal = 2 // container journal ops (VM globals only)
+	modeWhole = 0 // the value, encoded whole
+	modeTable = 1 // an interpreter table: attributes, then its engine-global entries
 )
 
-// Flow-frame flag bits.
-const (
-	ffClosed = 1 << iota // the flow closed: drop its connection
-	ffConn               // a connection record follows
-)
+// ffConn is the flow-frame flag saying a connection record follows. Bit 0
+// marked a delta's closed-flow tombstone, which no product writes.
+const ffConn = 1 << 1
 
 // frameMin is the smallest length-prefixed frame: prefix, uid length,
 // flags, table count.
 const frameMin = 4 + 4 + 1 + 4
 
-// deltaState is a selection: which state the next encodeState call emits,
-// plus the caches describing what the previous call (or the base
-// snapshot) contained. The engine's live one (Engine.delta) is fed by the
-// dirty marks below; fullSelection builds the everything-selected one.
-type deltaState struct {
-	dirtyConns  map[int64]*conn
-	closed      map[string]flow.Key // uid -> key of flows closed since the last flush
-	quarTouched map[uint64]bool
-	dirtyInterp bool
-	dirtyExec   bool
-	skipFrames  bool // a full selection's sections only: labelled entries stay out
-
-	interp  map[string]*interpCache
-	exec    []execCache
-	flushed map[string]int // stream name -> lines already persisted
-
-	// base says where the flow frames sit in the snapshot the deltas build
-	// on (nil: unknown, the next Rebase encodes in full). touched has the
-	// uid of every frame a flush has emitted since — what Rebase encodes
-	// again rather than copies.
+// tracker is what a patching Rebase needs from the dirty marks: where the
+// flow frames sit in the previous snapshot (nil: unknown, the next Rebase
+// encodes in full) and the uid of every flow changed or closed since, with
+// its flow key. Script-table entries changed since are marked in their
+// tables (TableVal.marks). The engine keeps one while it re-bases.
+type tracker struct {
 	base    *baseIndex
 	touched map[string]touch
-
-	// What one encodeState call gathers before it writes, kept for capacity.
-	frames  frameSet
-	globals []globalDelta
-	qvids   []uint64
-	snames  []string
-	scratch snapshot.Encoder // a non-table global's encoding, to hold against its base
-	out     snapshot.Encoder // AppendDelta's record, before the exact-size copy it returns
 }
 
-func newDeltaState() *deltaState {
-	return &deltaState{
-		dirtyConns:  map[int64]*conn{},
-		closed:      map[string]flow.Key{},
-		quarTouched: map[uint64]bool{},
-		interp:      map[string]*interpCache{},
-		flushed:     map[string]int{},
-		touched:     map[string]touch{},
-		frames:      frameSet{at: map[string]int{}},
-	}
+// touch is what the tracker knows of a flow it saw change: the flow key,
+// if it saw the connection (and not only table entries labelled by it).
+type touch struct {
+	key   flow.Key
+	known bool
 }
 
 // baseIndex locates the length-prefixed flow frames of one Rebase
@@ -186,97 +138,36 @@ func (ix *baseIndex) uid(snap []byte, i int) []byte {
 	return body[4 : 4+binary.BigEndian.Uint32(body)]
 }
 
-// interpCache is the per-interpreter-global base the next diff runs
-// against: for a table the object whose marks describe the changes, for
-// anything else its encoding.
-type interpCache struct {
-	tbl  *TableVal
-	blob []byte
-}
-
-// execCache is the per-VM-global base. Container globals with scalar-only
-// contents run in journal mode: mutations append ops and an unchanged
-// container costs nothing at flush time. Everything else diffs blobs (a
-// nil blob: not serializable so far).
-type execCache struct {
-	obj       any // journaled container identity (nil: plain blob mode)
-	journaled bool
-	dirty     bool // any journal activity since last flush
-	ops       *snapshot.Encoder
-	nops      int
-	blob      []byte
-}
-
-// --- dirty marks (called from engine.go; no-ops when WAL is off) ---------------
-
+// markConnDirty notes that c changed or closed, so that the next patching
+// Rebase encodes its frame again (called from engine.go; a no-op while
+// the engine does not re-base).
 func (e *Engine) markConnDirty(c *conn) {
-	if e.delta != nil {
-		e.delta.dirtyConns[c.ctx] = c
+	if e.track != nil {
+		e.track.touched[c.uid] = touch{c.key, true}
 	}
 }
 
-func (e *Engine) markConnClosed(c *conn) {
-	if e.delta != nil {
-		delete(e.delta.dirtyConns, c.ctx)
-		e.delta.closed[c.uid] = c.key
-	}
-}
-
-func (e *Engine) markQuar(vid uint64) {
-	if e.delta != nil {
-		e.delta.quarTouched[vid] = true
-	}
-}
-
-func (e *Engine) markInterpDirty() {
-	if e.delta != nil {
-		e.delta.dirtyInterp = true
-	}
-}
-
-// --- the three selections ------------------------------------------------------
+// --- snapshots ---------------------------------------------------------------------
 
 // Checkpoint serializes the engine's full analysis state to w. The engine
 // must be between packets (the single-threaded engine always is; the
 // pipeline quiesces each shard by scheduling the checkpoint as a job on
-// the shard's own virtual thread). Delta tracking is not disturbed.
+// the shard's own virtual thread). The dirty marks are not disturbed.
 func (e *Engine) Checkpoint(w io.Writer) error {
 	return e.encodeFull(snapshot.NewRawEncoder(w), nil)
 }
 
-// encodeFull writes the full-checkpoint stream: every section complete,
-// every open flow a frame (noted in ix).
+// encodeFull writes a snapshot: every section complete, every open flow a
+// frame (noted in ix).
 func (e *Engine) encodeFull(enc *snapshot.Encoder, ix *baseIndex) error {
 	e.encodeHeader(enc)
-	return e.encodeState(enc, e.fullSelection(false), ix)
+	return e.encodeState(enc, &selection{frames: frameSet{at: map[string]int{}}}, ix)
 }
 
 func (e *Engine) encodeHeader(enc *snapshot.Encoder) {
 	enc.Header()
 	enc.String(e.cfg.Parser)
 	enc.String(e.cfg.ScriptExec)
-}
-
-// fullSelection selects everything: empty caches and watermarks, every
-// connection, mark and global dirty — the delta against an empty engine.
-// With sectionsOnly it leaves the flow frames out: no connection, and
-// script-table entries only where they have no label.
-func (e *Engine) fullSelection(sectionsOnly bool) *deltaState {
-	ds := newDeltaState()
-	if ds.skipFrames = sectionsOnly; !sectionsOnly {
-		for _, c := range e.conns {
-			ds.dirtyConns[c.ctx] = c
-		}
-	}
-	for vid := range e.quarantined {
-		ds.quarTouched[vid] = true
-	}
-	ds.dirtyInterp = true
-	if e.ex != nil {
-		ds.exec = make([]execCache, len(e.ex.Globals))
-	}
-	ds.dirtyExec = true
-	return ds
 }
 
 // RestoreEngine builds a fresh engine for cfg and applies the state
@@ -304,40 +195,20 @@ func RestoreEngine(cfg Config, r io.Reader) (*Engine, error) {
 	return e, nil
 }
 
-// ResetDeltaBase (re)initializes delta tracking so that subsequent
-// AppendDelta calls describe changes relative to the engine's *current*
-// state. Call it immediately after writing a full snapshot (Checkpoint);
-// the snapshot plus the deltas then reconstruct the engine exactly. Rebase
-// is the two in one step, and the cheaper one when it repeats.
-func (e *Engine) ResetDeltaBase() error { return e.pin(nil) }
-
-// pin makes the current state the delta base; base locates the frames of
-// the snapshot just written of it, if one was.
-func (e *Engine) pin(base *baseIndex) error {
-	e.detachJournals()
-	e.delta = nil
-	ds := newDeltaState()
-	ds.base = base
-	for name, v := range e.interp.Globals {
+// pin starts the dirty marks afresh against the current state; base
+// locates the frames of the snapshot just written of it.
+func (e *Engine) pin(base *baseIndex) {
+	if e.track == nil {
+		e.track = &tracker{touched: map[string]touch{}}
+	}
+	e.track.base = base
+	clear(e.track.touched)
+	for _, v := range e.interp.Globals {
 		if t, ok := v.(*TableVal); ok {
 			t.clearMarks()
-			ds.interp[name] = &interpCache{tbl: t}
-			continue
 		}
-		ds.scratch.Reset(ds.scratch.Buffer()[:0])
-		encodeVal(&ds.scratch, v, 0)
-		if err := ds.scratch.Err(); err != nil {
-			return err
-		}
-		ds.interp[name] = &interpCache{blob: bytes.Clone(ds.scratch.Buffer())}
 	}
-	ds.exec = e.baseExec()
-	for name, st := range e.Logs.streams {
-		ds.flushed[name] = len(st.lines)
-	}
-	e.delta = ds
 	e.outsideSeen = e.outsideReads()
-	return nil
 }
 
 // ReplayPacket runs a packet again on a restored engine, for a log that
@@ -400,18 +271,18 @@ func (e *Engine) outsideReads() uint64 {
 const fullRebaseEvery = 16
 
 // Rebase writes a full snapshot of the engine as it is now onto enc — the
-// bytes Checkpoint would write — and makes that state the delta base. prev
-// is what the previous Rebase wrote (nil: not available). If every delta
-// since then was flushed without error, only the flow frames they touched
-// are encoded again; the other frames are copied out of prev, and the
-// sections encoded as Checkpoint encodes them — the part of the cost that
-// still grows with the state. On an error the previous base stays in force.
+// bytes Checkpoint would write — and starts the dirty marks afresh. prev
+// is what the previous Rebase wrote (nil: not available). If there is one,
+// only the flow frames marked since are encoded again; the other frames
+// are copied out of prev, and the sections encoded as Checkpoint encodes
+// them — the part of the cost that still grows with the state. On an
+// error the next Rebase encodes in full.
 func (e *Engine) Rebase(enc *snapshot.Encoder, prev []byte) error {
 	ix := &baseIndex{origin: enc.Len()}
 	var err error
-	if ds := e.delta; ds != nil && ds.base != nil && len(prev) == ds.base.size && ds.base.patched+1 < fullRebaseEvery {
-		if err = e.encodePatched(enc, prev, ds.base, ix); err != nil {
-			ds.base = nil // whatever went wrong, the next Rebase encodes in full
+	if t := e.track; t != nil && t.base != nil && len(prev) == t.base.size && t.base.patched+1 < fullRebaseEvery {
+		if err = e.encodePatched(enc, prev, t.base, ix); err != nil {
+			t.base = nil
 		}
 	} else if err = e.encodeFull(enc, ix); err == nil {
 		e.rebaseTouched.Add(uint64(ix.frames()))
@@ -421,70 +292,124 @@ func (e *Engine) Rebase(enc *snapshot.Encoder, prev []byte) error {
 		return err
 	}
 	ix.size = enc.Len() - ix.origin
-	return e.pin(ix)
+	e.pin(ix)
+	return nil
 }
 
-// EncodeDelta serializes everything that changed since the last flush (or
-// base) onto enc as one self-contained record, advancing the base so the
-// next call describes only subsequent changes. An error means the delta
-// cannot express the current state (in-flight binpac parse, unencodable
-// script value) and the base is no longer trustworthy: what was written is
-// to be discarded, and the caller re-bases once possible.
-func (e *Engine) EncodeDelta(enc *snapshot.Encoder) error {
-	if e.delta == nil {
-		return errNoDeltaBase
-	}
-	err := e.encodeState(enc, e.delta, nil)
-	if err != nil {
-		e.delta.base = nil // touched missed this flush: nothing to patch from
-	}
+// ResetDeltaBase and AppendDelta are the names the benchmark's WAL layer
+// (bench/layers.go) still prices per packet, re-basing every 256 packets:
+// ResetDeltaBase re-bases in full, AppendDelta by patching the snapshot it
+// returned last, and returns the new one.
+func (e *Engine) ResetDeltaBase() error {
+	e.lastSnap = nil
+	_, err := e.AppendDelta()
 	return err
 }
 
-var errNoDeltaBase = errors.New("bro: AppendDelta without ResetDeltaBase")
-
-// AppendDelta is EncodeDelta into a record of its own, which the caller
-// appends to a wal.Log.
 func (e *Engine) AppendDelta() ([]byte, error) {
-	if e.delta == nil {
-		return nil, errNoDeltaBase
-	}
-	out := &e.delta.out
-	out.Reset(out.Buffer()[:0])
-	if err := e.EncodeDelta(out); err != nil {
+	enc := snapshot.NewAppender(make([]byte, 0, len(e.lastSnap)))
+	if err := e.Rebase(enc, e.lastSnap); err != nil {
 		return nil, err
 	}
-	return bytes.Clone(out.Buffer()), nil
+	e.lastSnap = enc.Buffer()
+	return e.lastSnap, nil
 }
 
-// ApplyDelta replays one AppendDelta record onto the engine — the restore
-// half of incremental checkpointing. The engine must be at the state the
-// record was diffed against (the base snapshot plus all earlier records).
-func (e *Engine) ApplyDelta(data []byte) error {
-	return e.applyState(snapshot.NewRawDecoder(data))
-}
-
-// RestoreEngineWAL rebuilds an engine from a full snapshot plus the WAL
-// segments written since, replaying each delta record in order. Damage in
-// the final segment is treated as a crash-truncated tail (the restore
-// lands on the last intact record); damage in an earlier segment is an
-// error. The restored engine is not yet in WAL mode — call Checkpoint +
-// ResetDeltaBase to resume appending.
-func RestoreEngineWAL(cfg Config, snap []byte, segs [][]byte) (*Engine, error) {
-	e, err := RestoreEngine(cfg, bytes.NewReader(snap))
-	if err != nil {
-		return nil, err
-	}
-	if _, err := wal.ReplayTolerant(segs, func(kind byte, payload []byte) error {
-		if kind != DeltaRecord {
-			return fmt.Errorf("bro: unexpected WAL record kind %d", kind)
+// encodePatched is encodeFull for the price of what changed: old locates
+// the frames of prev, the previous snapshot, and the tracker and the
+// tables' marks say which of them no longer hold.
+func (e *Engine) encodePatched(enc *snapshot.Encoder, prev []byte, old, ix *baseIndex) error {
+	touched := e.track.touched
+	for _, v := range e.interp.Globals {
+		if t, ok := v.(*TableVal); ok {
+			for _, en := range t.marks {
+				if l := en.label(); l != "" {
+					if _, ok := touched[l]; !ok {
+						touched[l] = touch{}
+					}
+				}
+			}
 		}
-		return e.ApplyDelta(payload)
-	}); err != nil {
-		return nil, err
 	}
-	return e, nil
+	ix.patched = old.patched + 1
+	ix.starts = make([]int, 0, len(old.starts)+len(touched))
+	uids := make([]string, 0, len(touched))
+	for uid := range touched {
+		uids = append(uids, uid)
+	}
+	slices.Sort(uids)
+
+	e.encodeHeader(enc)
+	count, next, reused := enc.Begin(), 0, 0 // next: the first frame of prev not dealt with
+	// reuse copies frames [next, upTo) of prev, which lie back to back.
+	reuse := func(upTo int) {
+		shift := enc.Len() - old.starts[next]
+		enc.Raw(prev[old.starts[next]:old.starts[upTo]])
+		for reused += upTo - next; next < upTo; next++ {
+			ix.note(old.starts[next] + shift)
+		}
+	}
+	var f flowFrame
+	for _, uid := range uids {
+		at, had := sort.Find(old.frames()-next, func(i int) int {
+			switch was := old.uid(prev, next+i); { // in conversions that do not allocate
+			case uid == string(was):
+				return 0
+			case uid < string(was):
+				return -1
+			}
+			return 1
+		})
+		at += next
+		reuse(at)
+		var was []byte // the frame's previous encoding, behind its length prefix
+		if had {
+			was, next = prev[old.starts[at]+4:old.starts[at+1]], at+1
+		}
+		c := e.liveConn(uid, touched[uid], was)
+		if c != nil && c.inFlightParse() {
+			return fmt.Errorf("bro: cannot serialize connection %s: in-flight binpac parse state", uid)
+		}
+		if e.liveFrame(&f, uid, c); c != nil || len(f.tables) > 0 {
+			ix.note(enc.Len())
+			putFrame(enc, &f)
+		}
+	}
+	reuse(old.frames())
+	ix.note(enc.Len())
+	enc.EndCount(count, ix.frames())
+	e.rebaseTouched.Add(uint64(len(uids)))
+	e.rebaseEncoded.Add(uint64(ix.frames() - reused))
+	e.rebaseReused.Add(uint64(reused))
+
+	sections := &selection{sectionsOnly: true}
+	if err := e.gather(sections); err != nil {
+		return err
+	}
+	e.encodeSections(enc, sections)
+	return enc.Err()
 }
+
+// liveConn finds the open connection named uid, if there is one, under
+// the flow key the tracker saw or else the one in was, the flow's frame in
+// the previous snapshot: a connection opened since that snapshot has been
+// marked, and one that is not open any more is under no key.
+func (e *Engine) liveConn(uid string, t touch, was []byte) *conn {
+	if !t.known && was != nil {
+		dec := snapshot.NewRawDecoder(was)
+		_, flags, key := frameHeader(dec)
+		t = touch{key, dec.Err() == nil && flags&ffConn != 0}
+	}
+	if t.known {
+		ck, _ := t.key.Canonical()
+		if c := e.conns[ck]; c != nil && c.uid == uid {
+			return c
+		}
+	}
+	return nil
+}
+
+// --- flow frames -------------------------------------------------------------------
 
 var errPerFlowBackend = errors.New("bro: per-flow migration requires the interpreter script backend")
 
@@ -537,8 +462,9 @@ func (e *Engine) ExtractFlow(key flow.Key) ([]byte, error) {
 // InjectFlow installs a shipped flow frame. The install is
 // counter-neutral: the flow was opened on its first instance and closes on
 // its last. Only a live flow the engine does not hold is installed: a
-// tombstone or a frame without a connection is refused, and a flow already
-// present is a double-ownership violation. A refused frame changes nothing.
+// frame without a connection, or with a flag bit other than ffConn, is
+// refused, and a flow already present is a double-ownership violation. A
+// refused frame changes nothing.
 func (e *Engine) InjectFlow(blob []byte) (flow.Key, error) {
 	if e.compiled {
 		return flow.Key{}, errPerFlowBackend
@@ -568,241 +494,20 @@ func (e *Engine) ForgetFlow(key flow.Key) bool {
 	}
 	e.dropConnState(c)
 	e.dropFlowScriptState(c.uid)
-	e.markConnClosed(c)
+	e.markConnDirty(c)
 	return true
 }
 
-// --- encoding ------------------------------------------------------------------
-
-// encodeState writes the section sequence for selection ds and advances
-// ds's caches and watermarks past what it wrote; ix, if not nil, learns
-// where each frame went.
-func (e *Engine) encodeState(enc *snapshot.Encoder, ds *deltaState, ix *baseIndex) error {
-	if err := e.gather(ds); err != nil {
-		return err
-	}
-	enc.U32(uint32(len(ds.frames.all)))
-	for i := range ds.frames.all {
-		ix.note(enc.Len())
-		putFrame(enc, &ds.frames.all[i])
-	}
-	ix.note(enc.Len())
-	e.encodeSections(enc, ds)
-	if err := enc.Err(); err != nil {
-		return err
-	}
-	clear(ds.dirtyConns)
-	clear(ds.closed)
-	clear(ds.quarTouched)
-	return nil
-}
-
-// gather collects, in uid order, the flow frames selection ds emits and,
-// in ds.globals, the interpreter globals that changed. The live selection
-// notes the frames as touched.
-func (e *Engine) gather(ds *deltaState) error {
-	fs := &ds.frames
-	fs.reset()
-	for _, c := range ds.dirtyConns {
-		if c.inFlightParse() {
-			return fmt.Errorf("bro: cannot serialize connection %s: in-flight binpac parse state", c.uid)
-		}
-		f := fs.get(c.uid)
-		f.conn, f.key = c, c.key
-	}
-	for uid, key := range ds.closed {
-		f := fs.get(uid)
-		if f.closed = true; f.conn == nil {
-			f.key = key
-		}
-	}
-	if err := e.diffInterp(ds); err != nil {
-		return err
-	}
-	slices.SortFunc(fs.all, func(a, b flowFrame) int { return strings.Compare(a.uid, b.uid) })
-	if ds == e.delta {
-		for i := range fs.all {
-			if f := &fs.all[i]; f.conn != nil || f.closed {
-				ds.touched[f.uid] = touch{f.key, true}
-			} else if _, ok := ds.touched[f.uid]; !ok {
-				ds.touched[f.uid] = touch{}
-			}
-		}
-	}
-	return nil
-}
-
-// encodeSections writes everything behind the frames.
-func (e *Engine) encodeSections(enc *snapshot.Encoder, ds *deltaState) {
-	e.encodeMeta(enc)
-
-	ds.qvids = ds.qvids[:0]
-	for vid := range ds.quarTouched {
-		ds.qvids = append(ds.qvids, vid)
-	}
-	slices.Sort(ds.qvids)
-	enc.U32(uint32(len(ds.qvids)))
-	for _, vid := range ds.qvids {
-		n, present := e.quarantined[vid]
-		enc.U64(vid)
-		enc.Bool(present)
-		enc.U64(n)
-	}
-
-	ds.snames = ds.snames[:0]
-	for name, st := range e.Logs.streams {
-		if len(st.lines) > ds.flushed[name] {
-			ds.snames = append(ds.snames, name)
-		}
-	}
-	slices.Sort(ds.snames)
-	enc.U32(uint32(len(ds.snames)))
-	for _, name := range ds.snames {
-		st := e.Logs.streams[name]
-		enc.String(name)
-		encodeStrings(enc, st.lines[ds.flushed[name]:])
-		ds.flushed[name] = len(st.lines)
-	}
-
-	enc.U32(uint32(len(ds.globals)))
-	for i := range ds.globals {
-		g := &ds.globals[i]
-		enc.String(g.name)
-		if enc.U8(g.mode); g.mode == modeWhole {
-			enc.Bytes(g.blob)
-			continue
-		}
-		body := enc.Begin()
-		enc.Bool(g.reset)
-		if g.reset {
-			enc.Bool(g.tbl.IsSet)
-			enc.I64(g.tbl.ExpireInterval)
-			enc.Bool(g.tbl.ExpireOnRead)
-		}
-		enc.U64(g.tbl.nextSeq)
-		encodeTableOps(enc, &g.ops)
-		enc.End(body)
-	}
-	e.encodeExec(enc, ds)
-}
-
-// encodePatched is encodeFull for the price of what changed: old locates
-// the frames of prev, the previous base's snapshot, and the live
-// selection's touched set says which of them no longer hold.
-func (e *Engine) encodePatched(enc *snapshot.Encoder, prev []byte, old, ix *baseIndex) error {
-	ds := e.delta
-	// What no flush has emitted yet is touched as well.
-	for uid, key := range ds.closed {
-		ds.touched[uid] = touch{key, true}
-	}
-	for _, c := range ds.dirtyConns {
-		ds.touched[c.uid] = touch{c.key, true}
-	}
-	for _, v := range e.interp.Globals {
-		if t, ok := v.(*TableVal); ok {
-			for _, en := range t.marks {
-				if l := en.label(); ds.touched[l] == (touch{}) {
-					ds.touched[l] = touch{}
-				}
-			}
-		}
-	}
-	delete(ds.touched, "") // entries without a label are section state
-	ix.patched = old.patched + 1
-	ix.starts = make([]int, 0, len(old.starts)+len(ds.touched))
-	uids := make([]string, 0, len(ds.touched))
-	for uid := range ds.touched {
-		uids = append(uids, uid)
-	}
-	slices.Sort(uids)
-
-	e.encodeHeader(enc)
-	count, next, reused := enc.Begin(), 0, 0 // next: the first frame of prev not dealt with
-	// reuse copies frames [next, upTo) of prev, which lie back to back.
-	reuse := func(upTo int) {
-		shift := enc.Len() - old.starts[next]
-		enc.Raw(prev[old.starts[next]:old.starts[upTo]])
-		for reused += upTo - next; next < upTo; next++ {
-			ix.note(old.starts[next] + shift)
-		}
-	}
-	var f flowFrame
-	for _, uid := range uids {
-		at, had := sort.Find(old.frames()-next, func(i int) int {
-			switch was := old.uid(prev, next+i); { // in conversions that do not allocate
-			case uid == string(was):
-				return 0
-			case uid < string(was):
-				return -1
-			}
-			return 1
-		})
-		at += next
-		reuse(at)
-		var was []byte // the frame's previous encoding, behind its length prefix
-		if had {
-			was, next = prev[old.starts[at]+4:old.starts[at+1]], at+1
-		}
-		c := e.liveConn(uid, ds.touched[uid], was)
-		if c != nil && c.inFlightParse() {
-			return fmt.Errorf("bro: cannot serialize connection %s: in-flight binpac parse state", uid)
-		}
-		if e.liveFrame(&f, uid, c); c != nil || len(f.tables) > 0 {
-			ix.note(enc.Len())
-			putFrame(enc, &f)
-		}
-	}
-	reuse(old.frames())
-	ix.note(enc.Len())
-	enc.EndCount(count, ix.frames())
-	e.rebaseTouched.Add(uint64(len(uids)))
-	e.rebaseEncoded.Add(uint64(ix.frames() - reused))
-	e.rebaseReused.Add(uint64(reused))
-
-	sections := e.fullSelection(true)
-	if err := e.gather(sections); err != nil {
-		return err
-	}
-	e.encodeSections(enc, sections)
-	return enc.Err()
-}
-
-// touch is what the live selection knows of a frame it emitted: the flow
-// key, if a frame carried one (a connection or a tombstone).
-type touch struct {
-	key   flow.Key
-	known bool
-}
-
-// liveConn finds the open connection named uid, if there is one, under
-// the flow key the deltas carried or else the one in was, the flow's
-// frame in the previous snapshot: a connection opened since that snapshot
-// has been in a delta, and one that is not open any more is under no key.
-func (e *Engine) liveConn(uid string, t touch, was []byte) *conn {
-	if !t.known && was != nil {
-		dec := snapshot.NewRawDecoder(was)
-		_, flags, key := frameHeader(dec)
-		t = touch{key, dec.Err() == nil && flags&ffConn != 0}
-	}
-	if t.known {
-		ck, _ := t.key.Canonical()
-		if c := e.conns[ck]; c != nil && c.uid == uid {
-			return c
-		}
-	}
-	return nil
-}
-
-// liveFrame makes f the frame a full selection emits for uid: connection
-// c (nil: the flow has none here) and its entries in every table global.
+// liveFrame makes f the frame a snapshot holds for uid: connection c (nil:
+// the flow has none here) and its entries in every table global.
 func (e *Engine) liveFrame(f *flowFrame, uid string, c *conn) {
 	*f = flowFrame{uid: uid, conn: c, tables: f.tables[:0]}
 	if c != nil {
 		f.key = c.key
 	}
 	e.entriesLabelled(uid, func(name string, _ *TableVal, ens []*tableEntry) {
-		ops := f.ops(name)
-		ops.ups = append(ops.ups, ens...)
+		ft := f.table(name)
+		ft.ups = append(ft.ups, ens...)
 	})
 }
 
@@ -819,6 +524,143 @@ func (e *Engine) entriesLabelled(uid string, fn func(name string, t *TableVal, e
 			}
 		}
 	}
+}
+
+// --- encoding ----------------------------------------------------------------------
+
+// selection is what one encodeState call gathers before it writes:
+// everything, or with sectionsOnly the sections alone (no connection, and
+// script-table entries only where they have no label).
+type selection struct {
+	sectionsOnly bool
+	frames       frameSet
+	globals      []globalState
+	blobs        snapshot.Encoder // the non-table globals' encodings, back to back
+}
+
+// globalState is one interpreter global as the interp section carries it:
+// a table's engine-global entries, or any other value's encoding, at
+// [from, to) of selection.blobs.
+type globalState struct {
+	name     string
+	tbl      *TableVal
+	from, to int
+	ups      []*tableEntry
+}
+
+// encodeState writes the frames and sections of selection sel; ix, if not
+// nil, learns where each frame went.
+func (e *Engine) encodeState(enc *snapshot.Encoder, sel *selection, ix *baseIndex) error {
+	if err := e.gather(sel); err != nil {
+		return err
+	}
+	enc.U32(uint32(len(sel.frames.all)))
+	for i := range sel.frames.all {
+		ix.note(enc.Len())
+		putFrame(enc, &sel.frames.all[i])
+	}
+	ix.note(enc.Len())
+	e.encodeSections(enc, sel)
+	return enc.Err()
+}
+
+// gather collects, in uid order, the flow frames selection sel emits and,
+// in name order, the interpreter globals.
+func (e *Engine) gather(sel *selection) error {
+	fs := &sel.frames
+	if !sel.sectionsOnly {
+		for _, c := range e.conns {
+			if c.inFlightParse() {
+				return fmt.Errorf("bro: cannot serialize connection %s: in-flight binpac parse state", c.uid)
+			}
+			f := fs.get(c.uid)
+			f.conn, f.key = c, c.key
+		}
+	}
+	for _, name := range e.interpGlobalNames() {
+		v := e.interp.Globals[name]
+		if t, ok := v.(*TableVal); ok {
+			e.gatherTable(sel, name, t)
+			continue
+		}
+		from := sel.blobs.Len()
+		encodeVal(&sel.blobs, v, 0)
+		if err := sel.blobs.Err(); err != nil {
+			return err
+		}
+		sel.globals = append(sel.globals, globalState{name: name, from: from, to: sel.blobs.Len()})
+	}
+	slices.SortFunc(fs.all, func(a, b flowFrame) int { return strings.Compare(a.uid, b.uid) })
+	return nil
+}
+
+// gatherTable files table global t's live entries under the frames of
+// their labels and, for the engine-global part, in a modeTable global.
+func (e *Engine) gatherTable(sel *selection, name string, t *TableVal) {
+	sel.globals = append(sel.globals, globalState{name: name, tbl: t})
+	g := &sel.globals[len(sel.globals)-1]
+	for _, en := range t.order {
+		if en.deleted {
+			continue
+		}
+		if uid := en.label(); uid == "" {
+			g.ups = append(g.ups, en)
+		} else if !sel.sectionsOnly {
+			ft := sel.frames.get(uid).table(name)
+			ft.ups = append(ft.ups, en)
+		}
+	}
+}
+
+// encodeSections writes everything behind the frames.
+func (e *Engine) encodeSections(enc *snapshot.Encoder, sel *selection) {
+	e.encodeMeta(enc)
+
+	vids := make([]uint64, 0, len(e.quarantined))
+	for vid := range e.quarantined {
+		vids = append(vids, vid)
+	}
+	slices.Sort(vids)
+	enc.U32(uint32(len(vids)))
+	for _, vid := range vids {
+		enc.U64(vid)
+		enc.Bool(true)
+		enc.U64(e.quarantined[vid])
+	}
+
+	names := make([]string, 0, len(e.Logs.streams))
+	for name, st := range e.Logs.streams {
+		if len(st.lines) > 0 {
+			names = append(names, name)
+		}
+	}
+	slices.Sort(names)
+	enc.U32(uint32(len(names)))
+	for _, name := range names {
+		enc.String(name)
+		encodeStrings(enc, e.Logs.streams[name].lines)
+	}
+
+	enc.U32(uint32(len(sel.globals)))
+	for i := range sel.globals {
+		g := &sel.globals[i]
+		enc.String(g.name)
+		if g.tbl == nil {
+			enc.U8(modeWhole)
+			enc.Bytes(sel.blobs.Buffer()[g.from:g.to])
+			continue
+		}
+		enc.U8(modeTable)
+		body := enc.Begin()
+		enc.Bool(true)
+		enc.Bool(g.tbl.IsSet)
+		enc.I64(g.tbl.ExpireInterval)
+		enc.Bool(g.tbl.ExpireOnRead)
+		enc.U64(g.tbl.nextSeq)
+		encodeEntries(enc, g.ups)
+		enc.End(body)
+	}
+	e.encodeExec(enc, &sel.blobs)
 }
 
 // metaCounters lists the counters of the meta block, in wire order. All
@@ -845,29 +687,49 @@ func (e *Engine) decodeMeta(dec *snapshot.Decoder) {
 	}
 }
 
-// flowFrame collects what one encodeState call emits under one uid.
+// encodeExec emits the VM's clock and every global with a serializable
+// value; scratch is free for the encoder to use.
+func (e *Engine) encodeExec(enc *snapshot.Encoder, scratch *snapshot.Encoder) {
+	enc.Bool(e.ex != nil)
+	if e.ex == nil {
+		return
+	}
+	enc.I64(int64(e.ex.GlobalTM.Now()))
+	count, n := enc.Begin(), 0 // the globals emitted, counted as they go
+	for i, v := range e.ex.Globals {
+		scratch.Reset(scratch.Buffer()[:0])
+		if scratch.Value(v); scratch.Err() != nil {
+			continue // no serializable form: the restoring side keeps its own
+		}
+		enc.U32(uint32(i))
+		enc.U8(modeWhole)
+		enc.Bytes(scratch.Buffer())
+		n++
+	}
+	enc.EndCount(count, n)
+}
+
+// flowFrame collects what one snapshot holds under one uid.
 type flowFrame struct {
 	uid    string
-	closed bool
-	key    flow.Key // set with closed or conn
+	key    flow.Key // set with conn
 	conn   *conn
 	tables []frameTable
 }
 
-// frameTable is one table's part of a frame (or of the interp section):
-// keys to delete, entries to upsert.
+// frameTable is one table's part of a frame: the entries labelled by the
+// frame's uid.
 type frameTable struct {
 	name string
-	dels []string
 	ups  []*tableEntry
 }
 
-// ops returns the frame's ops for table global name. Callers visit
+// table returns the frame's part of table global name. Callers visit
 // globals one at a time in name order, so it is the last one or new.
-func (f *flowFrame) ops(name string) *frameTable {
+func (f *flowFrame) table(name string) *frameTable {
 	if n := len(f.tables); n == 0 || f.tables[n-1].name != name {
 		f.tables = grow(f.tables)
-		f.tables[n].reset(name)
+		f.tables[n] = frameTable{name: name, ups: f.tables[n].ups[:0]}
 	}
 	return &f.tables[len(f.tables)-1]
 }
@@ -883,21 +745,11 @@ func grow[T any](s []T) []T {
 	return append(s, zero)
 }
 
-// reset empties ft for table global name, keeping its capacity.
-func (ft *frameTable) reset(name string) {
-	*ft = frameTable{name: name, dels: ft.dels[:0], ups: ft.ups[:0]}
-}
-
-// frameSet is the frames of one encodeState call, reused from call to
-// call: all until gather sorts it, at finds a uid's frame in it.
+// frameSet is the frames of one encodeState call: all until gather sorts
+// it, at finds a uid's frame in it.
 type frameSet struct {
 	all []flowFrame
 	at  map[string]int
-}
-
-func (fs *frameSet) reset() {
-	fs.all = fs.all[:0]
-	clear(fs.at)
 }
 
 // get returns the frame for uid, valid until the next get.
@@ -921,24 +773,17 @@ func putFrame(enc *snapshot.Encoder, f *flowFrame) {
 
 func encodeFrame(enc *snapshot.Encoder, f *flowFrame) {
 	enc.String(f.uid)
-	var flags byte
-	if f.closed {
-		flags |= ffClosed
-	}
-	if f.conn != nil {
-		flags |= ffConn
-	}
-	enc.U8(flags)
-	if flags != 0 {
+	if f.conn == nil {
+		enc.U8(0)
+	} else {
+		enc.U8(ffConn)
 		enc.Bytes(f.key.Wire())
-	}
-	if f.conn != nil {
 		encodeConn(enc, f.conn)
 	}
 	enc.U32(uint32(len(f.tables)))
 	for i := range f.tables {
 		enc.String(f.tables[i].name)
-		encodeTableOps(enc, &f.tables[i])
+		encodeEntries(enc, f.tables[i].ups)
 	}
 }
 
@@ -950,10 +795,12 @@ func frameHeader(dec *snapshot.Decoder) (uid string, flags byte, key flow.Key) {
 	return uid, flags, key
 }
 
-func encodeTableOps(enc *snapshot.Encoder, ops *frameTable) {
-	encodeStrings(enc, ops.dels)
-	enc.U32(uint32(len(ops.ups)))
-	for _, en := range ops.ups {
+// encodeEntries writes table entries behind the empty list that once held
+// a delta's deletes.
+func encodeEntries(enc *snapshot.Encoder, ups []*tableEntry) {
+	enc.U32(0)
+	enc.U32(uint32(len(ups)))
+	for _, en := range ups {
 		encodeTableEntry(enc, en, 1)
 	}
 }
@@ -977,268 +824,10 @@ func (e *Engine) interpGlobalNames() []string {
 	return e.globalNames
 }
 
-// globalDelta is one changed interpreter global: its new encoding, or for
-// a table the ops on its engine-global part (the entries with no label).
-type globalDelta struct {
-	name  string
-	mode  byte
-	blob  []byte    // modeWhole
-	tbl   *TableVal // modeTable
-	reset bool
-	ops   frameTable
-}
+// --- applying ----------------------------------------------------------------------
 
-// diffInterp collects in ds.globals the interpreter globals that changed
-// against ds's caches, and advances the caches. Table entries labelled by
-// a uid go to that flow's frame instead.
-func (e *Engine) diffInterp(ds *deltaState) error {
-	ds.globals = ds.globals[:0]
-	if !ds.dirtyInterp {
-		return nil
-	}
-	for _, name := range e.interpGlobalNames() {
-		c := ds.interp[name]
-		if c == nil {
-			c = &interpCache{}
-			ds.interp[name] = c
-		}
-		v := e.interp.Globals[name]
-		if t, ok := v.(*TableVal); ok {
-			e.diffTable(ds, name, c, t)
-			continue
-		}
-		ds.scratch.Reset(ds.scratch.Buffer()[:0])
-		encodeVal(&ds.scratch, v, 0)
-		if err := ds.scratch.Err(); err != nil {
-			return err
-		}
-		if blob := ds.scratch.Buffer(); c.tbl != nil || !bytes.Equal(blob, c.blob) {
-			c.tbl, c.blob = nil, append(c.blob[:0], blob...)
-			ds.global(name, modeWhole).blob = c.blob
-		}
-	}
-	ds.dirtyInterp = false
-	return nil
-}
-
-// global adds a changed global to ds.globals.
-func (ds *deltaState) global(name string, mode byte) *globalDelta {
-	ds.globals = grow(ds.globals)
-	g := &ds.globals[len(ds.globals)-1]
-	g.ops.reset(name)
-	*g = globalDelta{name: name, mode: mode, ops: g.ops}
-	return g
-}
-
-// diffTable files what changed in table global t since the last flush —
-// the entries t has marked — under the frames of their labels and, for
-// the engine-global part, in a modeTable global (none when nothing is
-// marked). A global bound to a different table object than the cached one
-// (always so for a full selection's empty cache) resets instead: the
-// global recreates the table from its attributes and every live entry is
-// an upsert.
-func (e *Engine) diffTable(ds *deltaState, name string, c *interpCache, t *TableVal) {
-	reset := c.tbl != t
-	look := t.marks
-	if reset {
-		look = t.order
-	} else if len(look) == 0 {
-		return
-	} else {
-		// Replay does not depend on the order, but seq order makes a record
-		// a function of the state alone, whichever engine wrote it.
-		slices.SortFunc(look, func(a, b *tableEntry) int { return cmp.Compare(a.seq, b.seq) })
-	}
-	g := ds.global(name, modeTable)
-	g.tbl, g.reset = t, reset
-	encoded := 0
-	for _, en := range look {
-		switch {
-		case !en.deleted:
-			encoded++
-		case reset || en.fresh:
-			// Nothing to undo: a reset starts from an empty table, and the
-			// base never held an entry born since the last flush.
-			continue
-		case t.entries[en.keyStr] != nil:
-			// The live successor under the same key is itself marked, and its
-			// upsert replaces this entry on replay.
-			continue
-		}
-		ops := &g.ops
-		if uid := en.label(); uid != "" {
-			if ds.skipFrames {
-				continue
-			}
-			ops = ds.frames.get(uid).ops(name)
-		}
-		if en.deleted {
-			ops.dels = append(ops.dels, en.keyStr)
-		} else {
-			ops.ups = append(ops.ups, en)
-		}
-	}
-	if !reset {
-		e.deltaMarked.Add(uint64(len(look)))
-		e.deltaEncoded.Add(uint64(encoded))
-	}
-	// The flush consumed the marks. After a reset only the live selection
-	// (re)starts tracking on t; a full selection is a throwaway and leaves
-	// the marks pending for the next delta.
-	if !reset || ds == e.delta {
-		t.clearMarks()
-	}
-	c.tbl, c.blob = t, nil
-}
-
-// --- VM executor globals -------------------------------------------------------
-
-func journalableScalar(v values.Value) bool {
-	// Kinds at or below Bitset keep their payload in the two scalar words
-	// (strings are immutable), so a journaled copy can never be mutated
-	// behind the journal's back through an alias.
-	return v.K <= values.KindBitset
-}
-
-// detachJournals removes this engine's container journals (installed by a
-// previous ResetDeltaBase) so orphaned callbacks stop accumulating ops.
-func (e *Engine) detachJournals() {
-	if e.delta == nil {
-		return
-	}
-	for i := range e.delta.exec {
-		setContainerJournal(e.delta.exec[i].obj, nil)
-	}
-}
-
-func setContainerJournal(obj any, fn container.JournalFn) {
-	switch o := obj.(type) {
-	case *container.Map:
-		o.SetJournal(fn)
-	case *container.Set:
-		o.SetJournal(fn)
-	}
-}
-
-// baseExec starts a cache for every VM global and journals the containers.
-func (e *Engine) baseExec() []execCache {
-	if e.ex == nil {
-		return nil
-	}
-	globals := e.ex.Globals
-	cache := make([]execCache, len(globals))
-	for i := range globals {
-		gc := &cache[i]
-		switch o := globals[i].O.(type) {
-		case *container.Map, *container.Set:
-			gc.obj = o
-			gc.journaled = true
-			setContainerJournal(o, execJournal(gc))
-		default:
-			gc.blob = encodeExecGlobal(globals[i])
-		}
-	}
-	return cache
-}
-
-// execJournal builds the journal callback feeding one VM global's cache.
-func execJournal(gc *execCache) container.JournalFn {
-	return func(op container.JournalOp, key, val values.Value, lastUse timer.Time) {
-		gc.dirty = true
-		if !gc.journaled {
-			return
-		}
-		if op == container.JournalReset || !journalableScalar(key) || !journalableScalar(val) {
-			// Gate tripped: this global now diffs whole blobs. Drop any ops
-			// already buffered — the next flush re-encodes from scratch.
-			gc.journaled = false
-			gc.nops, gc.ops = 0, nil
-			return
-		}
-		if gc.ops == nil {
-			gc.ops = snapshot.NewAppender(nil)
-		}
-		gc.ops.U8(byte(op))
-		gc.ops.Value(key)
-		gc.ops.Value(val)
-		gc.ops.I64(int64(lastUse))
-		gc.nops++
-	}
-}
-
-// encodeExecGlobal returns nil for a value with no serializable form.
-func encodeExecGlobal(v values.Value) []byte {
-	enc := snapshot.NewAppender(nil)
-	enc.Value(v)
-	if enc.Err() != nil {
-		return nil
-	}
-	return enc.Buffer()
-}
-
-// encodeExec emits the VM's clock and changed globals: journal ops for
-// clean container globals, blob diffs otherwise.
-func (e *Engine) encodeExec(enc *snapshot.Encoder, ds *deltaState) {
-	enc.Bool(e.ex != nil)
-	if e.ex == nil {
-		return
-	}
-	globals := e.ex.Globals
-	enc.I64(int64(e.ex.GlobalTM.Now()))
-	count, n := enc.Begin(), 0 // the globals emitted, counted as they go
-	for i := range ds.exec {
-		gc := &ds.exec[i]
-		if gc.obj != nil && globals[i].O != gc.obj {
-			// Global rebound to a different object: the journal watches the
-			// old one. Detach and fall back to blob mode permanently.
-			setContainerJournal(gc.obj, nil)
-			gc.obj, gc.journaled, gc.dirty = nil, false, true
-		}
-		if gc.journaled {
-			if gc.nops > 0 {
-				enc.U32(uint32(i))
-				enc.U8(modeJournal)
-				body := enc.Begin()
-				enc.U32(uint32(gc.nops))
-				enc.Raw(gc.ops.Buffer())
-				enc.End(body)
-				n++
-				gc.ops.Reset(gc.ops.Buffer()[:0])
-				gc.nops = 0
-			}
-			gc.dirty = false
-			continue
-		}
-		// Blob mode. Container globals have a precise dirty signal (the
-		// journal still marks even after falling back); plain globals only
-		// have the executor-wide flag.
-		if gc.obj != nil {
-			if !gc.dirty {
-				continue
-			}
-		} else if !ds.dirtyExec {
-			continue
-		}
-		blob := encodeExecGlobal(globals[i])
-		gc.dirty = false
-		if blob == nil || bytes.Equal(blob, gc.blob) {
-			continue
-		}
-		gc.blob = blob
-		enc.U32(uint32(i))
-		enc.U8(modeWhole)
-		enc.Bytes(blob)
-		n++
-	}
-	ds.dirtyExec = false
-	enc.EndCount(count, n)
-}
-
-// --- applying ------------------------------------------------------------------
-
-// applyState is the one decoder of the section sequence: RestoreEngine
-// runs it on a fresh engine, ApplyDelta on the engine a record was diffed
-// against.
+// applyState is the one decoder of the section sequence, run by
+// RestoreEngine on a fresh engine.
 func (e *Engine) applyState(dec *snapshot.Decoder) error {
 	frames := make([][]byte, dec.Len(frameMin))
 	for i := range frames {
@@ -1249,13 +838,10 @@ func (e *Engine) applyState(dec *snapshot.Decoder) error {
 	nq := dec.Len(17)
 	for i := 0; i < nq && dec.Err() == nil; i++ {
 		vid := dec.U64()
-		present := dec.Bool()
-		n := dec.U64()
-		if present {
-			e.quarantined[vid] = n
-		} else {
-			delete(e.quarantined, vid)
+		if !dec.Bool() && dec.Err() == nil {
+			return fmt.Errorf("bro: quarantine entry for vid %d marked absent", vid)
 		}
+		e.quarantined[vid] = dec.U64()
 	}
 
 	ns := dec.Len(8)
@@ -1290,10 +876,10 @@ func (e *Engine) applyState(dec *snapshot.Decoder) error {
 	return nil
 }
 
-// applyFrame applies one flow frame: tombstone, connection, table ops.
-// Replay (adopt false) reproduces the encoding engine exactly. Adopt is
-// the migration path, which InjectFlow only opens for a live flow the
-// engine does not hold: ctx and seq are instance-local, so the incoming
+// applyFrame applies one flow frame: connection, table entries. Restore
+// (adopt false) reproduces the encoding engine exactly. Adopt is the
+// migration path, which InjectFlow only opens for a live flow the engine
+// does not hold: ctx and seq are instance-local, so the incoming
 // connection takes a fresh ctx and new entries join the end of the
 // target's tables.
 func (e *Engine) applyFrame(frame []byte, adopt bool) (flow.Key, error) {
@@ -1302,13 +888,10 @@ func (e *Engine) applyFrame(frame []byte, adopt bool) (flow.Key, error) {
 	if err := dec.Err(); err != nil {
 		return flow.Key{}, err
 	}
-	ck, _ := key.Canonical()
-	if flags&ffClosed != 0 {
-		if c, ok := e.conns[ck]; ok && c.uid == uid {
-			e.dropConnState(c)
-			e.markConnClosed(c)
-		}
+	if flags&^ffConn != 0 {
+		return flow.Key{}, fmt.Errorf("bro: flow frame for %s has unknown flags %#x", uid, flags)
 	}
+	ck, _ := key.Canonical()
 	if flags&ffConn != 0 {
 		c, err := decodeConn(dec, e, uid, key)
 		if err != nil {
@@ -1335,10 +918,9 @@ func (e *Engine) applyFrame(frame []byte, adopt bool) (flow.Key, error) {
 		if !ok {
 			return ck, errors.Join(dec.Err(), fmt.Errorf("bro: flow frame names non-table global %q", name))
 		}
-		applyTableOps(dec, t, e.interp, adopt)
-	}
-	if nt > 0 {
-		e.markInterpDirty()
+		if err := applyEntries(dec, t, e.interp, adopt); err != nil {
+			return ck, err
+		}
 	}
 	return ck, dec.Err()
 }
@@ -1361,21 +943,22 @@ func (e *Engine) dropFlowScriptState(uid string) {
 			t.remove(en)
 		}
 	})
-	e.markInterpDirty()
 }
 
-func applyTableOps(dec *snapshot.Decoder, t *TableVal, ip *Interp, adopt bool) {
-	for _, ks := range decodeStrings(dec) {
-		t.drop(ks)
+// applyEntries installs the entries encodeEntries wrote.
+func applyEntries(dec *snapshot.Decoder, t *TableVal, ip *Interp, adopt bool) error {
+	if dels := dec.U32(); dels != 0 {
+		return fmt.Errorf("bro: %d table deletes in a snapshot", dels)
 	}
 	n := dec.Len(tableEntryMin)
 	for i := 0; i < n; i++ {
 		en := decodeTableEntry(dec, ip, 1)
 		if en == nil {
-			return
+			break
 		}
 		t.install(en, adopt)
 	}
+	return dec.Err()
 }
 
 func (e *Engine) applyInterp(dec *snapshot.Decoder) error {
@@ -1395,18 +978,17 @@ func (e *Engine) applyInterp(dec *snapshot.Decoder) error {
 				e.interp.Globals[name] = v
 			}
 		case modeTable:
-			t, _ := e.interp.Globals[name].(*TableVal)
-			if sub.Bool() {
-				isSet := sub.Bool()
-				interval := sub.I64()
-				t = e.interp.newTable(isSet, interval, sub.Bool())
-				e.interp.Globals[name] = t
+			if !sub.Bool() && sub.Err() == nil {
+				return fmt.Errorf("bro: table global %q without its attributes", name)
 			}
-			if t == nil {
-				return fmt.Errorf("bro: table ops for non-table global %q", name)
-			}
+			isSet := sub.Bool()
+			interval := sub.I64()
+			t := e.interp.newTable(isSet, interval, sub.Bool())
+			e.interp.Globals[name] = t
 			t.nextSeq = sub.U64()
-			applyTableOps(sub, t, e.interp, false)
+			if err := applyEntries(sub, t, e.interp, false); err != nil {
+				return err
+			}
 		default:
 			return fmt.Errorf("bro: unknown interp global mode %d", mode)
 		}
@@ -1446,62 +1028,15 @@ func (e *Engine) applyExec(dec *snapshot.Decoder) error {
 		if idx >= len(globals) {
 			return fmt.Errorf("bro: state references VM global %d of %d", idx, len(globals))
 		}
-		switch mode {
-		case modeWhole:
-			sub := snapshot.NewRawDecoder(body, snapshot.WithTimerMgr(mgr), snapshot.WithStructs(e.linkedStruct))
-			v := sub.Value()
-			if err := sub.Err(); err != nil {
-				return err
-			}
-			globals[idx] = v
-		case modeJournal:
-			if err := applyJournalOps(globals[idx], body, mgr, e.linkedStruct); err != nil {
-				return fmt.Errorf("bro: VM global %d: %w", idx, err)
-			}
-		default:
+		if mode != modeWhole {
 			return fmt.Errorf("bro: unknown exec global mode %d", mode)
 		}
+		sub := snapshot.NewRawDecoder(body, snapshot.WithTimerMgr(mgr), snapshot.WithStructs(e.linkedStruct))
+		v := sub.Value()
+		if err := sub.Err(); err != nil {
+			return err
+		}
+		globals[idx] = v
 	}
 	return dec.Err()
-}
-
-func applyJournalOps(v values.Value, body []byte, mgr *timer.Mgr, structs func(string, []string) *values.StructDef) error {
-	sub := snapshot.NewRawDecoder(body, snapshot.WithTimerMgr(mgr), snapshot.WithStructs(structs))
-	n := sub.Len(1)
-	for i := 0; i < n && sub.Err() == nil; i++ {
-		op := container.JournalOp(sub.U8())
-		key := sub.Value()
-		val := sub.Value()
-		lastUse := timer.Time(sub.I64())
-		if sub.Err() != nil {
-			break
-		}
-		switch o := v.O.(type) {
-		case *container.Map:
-			switch op {
-			case container.JournalInsert:
-				o.InsertRestored(key, val, lastUse)
-			case container.JournalRemove:
-				o.Remove(key)
-			case container.JournalTouch:
-				o.TouchRestored(key, lastUse)
-			default:
-				return fmt.Errorf("unknown journal op %d", op)
-			}
-		case *container.Set:
-			switch op {
-			case container.JournalInsert:
-				o.InsertRestored(key, lastUse)
-			case container.JournalRemove:
-				o.Remove(key)
-			case container.JournalTouch:
-				o.TouchRestored(key, lastUse)
-			default:
-				return fmt.Errorf("unknown journal op %d", op)
-			}
-		default:
-			return fmt.Errorf("journal ops target non-container value %s", v.K)
-		}
-	}
-	return sub.Err()
 }

@@ -8,11 +8,11 @@ import (
 	"strings"
 	"testing"
 
+	"hilti/internal/pkt/flow"
 	"hilti/internal/pkt/gen"
 	"hilti/internal/pkt/pcap"
 	"hilti/internal/rt/ruleplane"
 	"hilti/internal/rt/snapshot"
-	"hilti/internal/rt/wal"
 )
 
 var logStreams = []string{"http", "files", "dns"}
@@ -48,7 +48,7 @@ func labelledEntries(e *Engine, uid string) int {
 }
 
 // A stateView interrupts a run after pkts[:cut]: it serializes the state
-// through one selection of the codec and returns the engines that carry it
+// through one product of the codec and returns the engines that carry it
 // on, with the trace position the last of them resumes at.
 type stateView func(t *testing.T, cfg Config, pkts []pcap.Packet, cut int, rng *rand.Rand) (engines []*Engine, resume int)
 
@@ -62,34 +62,25 @@ func viewFull(t *testing.T, cfg Config, pkts []pcap.Packet, cut int, _ *rand.Ran
 	return []*Engine{resumed}, cut
 }
 
-// viewWAL: snapshot at a random base, one delta record per packet up to
-// the cut, restore from the snapshot plus a random prefix of the records
-// (through the segmented log). The restored state must also be
-// byte-identical to a straight run over the same prefix.
+// viewWAL: the log a pipeline shard keeps. The live engine re-bases at a
+// random point and again, by patching, at a random base; it is restored
+// from that snapshot and runs a random prefix of the later packets again
+// (ReplayPacket). The restored state must also be byte-identical to a
+// straight run over the same prefix.
 func viewWAL(t *testing.T, cfg Config, pkts []pcap.Packet, cut int, rng *rand.Rand) ([]*Engine, int) {
 	base := rng.Intn(cut + 1)
-	e := referenceEngine(t, cfg, pkts, base)
-	snap := checkpointBytes(t, e)
-	if err := e.ResetDeltaBase(); err != nil {
-		t.Fatal(err)
-	}
+	first := rng.Intn(base + 1)
+	e := referenceEngine(t, cfg, pkts, first)
+	snap := rebaseBytes(t, e, nil)
+	feed(e, pkts[first:base])
+	snap = rebaseBytes(t, e, snap)
 	keep := rng.Intn(cut - base + 1)
-	log := wal.NewLog(4096)
-	for i := base; i < cut; i++ {
-		feed(e, pkts[i:i+1])
-		rec, err := e.AppendDelta()
-		if err != nil {
-			t.Fatalf("AppendDelta after packet %d: %v", i, err)
-		}
-		if i-base < keep {
-			if err := log.Append(DeltaRecord, rec); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	resumed, err := RestoreEngineWAL(cfg, snap, log.Segments())
+	resumed, err := RestoreEngine(cfg, bytes.NewReader(snap))
 	if err != nil {
-		t.Fatalf("base=%d keep=%d: RestoreEngineWAL: %v", base, keep, err)
+		t.Fatalf("base=%d: restore: %v", base, err)
+	}
+	for _, p := range pkts[base : base+keep] {
+		resumed.ReplayPacket(p.Time.UnixNano(), p.Data)
 	}
 	if got, want := resumed.Packets(), uint64(base+keep); got != want {
 		t.Fatalf("base=%d keep=%d: restored engine at %d packets, want %d", base, keep, got, want)
@@ -135,43 +126,16 @@ func viewFlow(t *testing.T, cfg Config, pkts []pcap.Packet, cut int, _ *rand.Ran
 }
 
 // TestInjectFlowRefusesNonLiveFrames: InjectFlow installs only a live flow
-// the engine does not hold. A tombstone cut from a real delta record, a
-// frame with no connection, and a frame for a flow already present are each
-// refused with an error and leave the engine's state as it was.
+// the engine does not hold. A tombstone (the closed-flow frame of the
+// retired delta records), a frame with no connection, a connection frame
+// with an unknown flag bit, and a frame for a flow already present are
+// each refused with an error and leave the engine's state as it was.
 func TestInjectFlowRefusesNonLiveFrames(t *testing.T) {
 	cfg := Config{Parser: "standard", ScriptExec: "interp",
 		Scripts: []string{HTTPScript, FilesScript, DNSScript}, Quiet: true}
 	pkts := mergedTrace(t)
-	src := mustEngine(t, cfg)
-	if err := src.ResetDeltaBase(); err != nil {
-		t.Fatal(err)
-	}
-	var tomb []byte
-	at := 0
-	for ; at < len(pkts) && tomb == nil; at++ {
-		feed(src, pkts[at:at+1])
-		rec, err := src.AppendDelta()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, frame := range recordFrames(t, rec) {
-			if _, flags, _ := frameHeader(snapshot.NewRawDecoder(frame)); flags == ffClosed {
-				tomb = frame
-				break
-			}
-		}
-	}
-	if tomb == nil {
-		t.Fatal("no flow closed in the trace")
-	}
-	// Just before the closing packet the engine still holds the flow.
-	holder := referenceEngine(t, cfg, pkts, at-1)
-	_, _, closedKey := frameHeader(snapshot.NewRawDecoder(tomb))
-	if !holder.HasFlow(closedKey) {
-		t.Fatal("tombstoned flow not live before its closing packet")
-	}
-	// A live flow with script entries, as a frame without its connection
-	// and as the whole frame.
+	holder := referenceEngine(t, cfg, pkts, len(pkts)/3)
+	// A live flow with script entries.
 	live := holder.MigratableFlows()[0]
 	for _, key := range holder.MigratableFlows() {
 		if ck, _ := key.Canonical(); labelledEntries(holder, holder.conns[ck].uid) > 0 {
@@ -179,16 +143,11 @@ func TestInjectFlowRefusesNonLiveFrames(t *testing.T) {
 			break
 		}
 	}
-	ck, _ := live.Canonical()
-	var f flowFrame
-	holder.liveFrame(&f, holder.conns[ck].uid, nil)
-	enc := snapshot.NewAppender(nil)
-	encodeFrame(enc, &f)
-	connless := enc.Buffer()
 	present, err := holder.ExtractFlow(live)
 	if err != nil {
 		t.Fatal(err)
 	}
+	frames := refusedFrames(holder, live)
 
 	refuse := func(name string, e *Engine, frame []byte) {
 		t.Helper()
@@ -200,22 +159,47 @@ func TestInjectFlowRefusesNonLiveFrames(t *testing.T) {
 			t.Errorf("%s: refused frame changed engine state", name)
 		}
 	}
-	refuse("tombstone, flow held", holder, tomb)
-	refuse("tombstone, flow absent", mustEngine(t, cfg), tomb)
-	refuse("no connection", mustEngine(t, cfg), connless)
+	for _, name := range []string{"tombstone", "no connection", "unknown flag"} {
+		refuse(name+", flow held", holder, frames[name])
+		refuse(name+", flow absent", mustEngine(t, cfg), frames[name])
+	}
 	refuse("flow already present", holder, present)
-	if !holder.HasFlow(closedKey) || !holder.HasFlow(live) {
+	if !holder.HasFlow(live) {
 		t.Error("a refused frame dropped a held flow")
 	}
 }
 
+// refusedFrames builds, for the live flow key of e, the frames InjectFlow
+// must refuse: a tombstone (flag bit 0 and the key), the flow's script
+// entries without its connection, and its whole frame with a flag bit no
+// product writes.
+func refusedFrames(e *Engine, key flow.Key) map[string][]byte {
+	ck, _ := key.Canonical()
+	c := e.conns[ck]
+	tomb := snapshot.NewAppender(nil)
+	tomb.String(c.uid)
+	tomb.U8(1)
+	tomb.Bytes(key.Wire())
+	tomb.U32(0)
+	var f flowFrame
+	e.liveFrame(&f, c.uid, nil)
+	connless := snapshot.NewAppender(nil)
+	encodeFrame(connless, &f)
+	e.liveFrame(&f, c.uid, c)
+	whole := snapshot.NewAppender(nil)
+	encodeFrame(whole, &f)
+	odd := bytes.Clone(whole.Buffer())
+	odd[4+len(c.uid)] |= 1 << 4 // the flags byte, behind the uid
+	return map[string][]byte{"tombstone": tomb.Buffer(), "no connection": connless.Buffer(), "unknown flag": odd}
+}
+
 // TestStateViewsResumeIdentically is the codec's property test: a seeded
-// HTTP+DNS run interrupted at a cut, serialized through each selection
-// (full checkpoint, snapshot + WAL deltas, per-flow extract→inject), and
-// continued, must produce the uninterrupted run's logs — line for line
+// HTTP+DNS run interrupted at a cut, carried on three ways (full
+// checkpoint, re-based snapshot + packet log, per-flow extract→inject),
+// and continued, must produce the uninterrupted run's logs — line for line
 // where one engine resumes, sorted where the state was split over two.
 // BinPAC++ HTTP connections hold parser fibers for their whole life, which
-// no selection can serialize (asserted below), so binpac rows run the DNS
+// no product can serialize (asserted below), so binpac rows run the DNS
 // trace; per-flow extraction does not support compiled scripts (asserted).
 func TestStateViewsResumeIdentically(t *testing.T) {
 	merged := mergedTrace(t)
@@ -283,20 +267,21 @@ func TestStateViewsResumeIdentically(t *testing.T) {
 	}
 
 	// The limit the binpac rows route around: an open BinPAC++ HTTP
-	// connection is refused by every selection rather than half-serialized.
+	// connection is refused by every product rather than half-serialized.
 	cfg := Config{Parser: "binpac", ScriptExec: "interp", Scripts: []string{HTTPScript}, Quiet: true}
 	hc := gen.DefaultHTTPConfig()
 	hc.Sessions = 2
 	e := mustEngine(t, cfg)
-	if err := e.ResetDeltaBase(); err != nil {
-		t.Fatal(err)
-	}
+	snap := rebaseBytes(t, e, nil)
 	feed(e, gen.GenerateHTTP(hc)[:4])
 	if err := e.Checkpoint(&bytes.Buffer{}); err == nil {
 		t.Error("Checkpoint accepted an in-flight binpac parse")
 	}
-	if _, err := e.AppendDelta(); err == nil {
-		t.Error("AppendDelta accepted an in-flight binpac parse")
+	if err := e.Rebase(snapshot.NewAppender(nil), snap); err == nil {
+		t.Error("a patching Rebase accepted an in-flight binpac parse")
+	}
+	if err := e.Rebase(snapshot.NewAppender(nil), nil); err == nil {
+		t.Error("a full Rebase accepted an in-flight binpac parse")
 	}
 	if _, err := e.ExtractFlow(e.MigratableFlows()[0]); err == nil {
 		t.Error("ExtractFlow accepted an in-flight binpac parse")
@@ -326,7 +311,7 @@ func TestRestoreRejectsOldVersion(t *testing.T) {
 
 // TestPlaneDroppedSurvivesRestore: the engine-hosted rule plane's drop
 // count is part of the meta block, so it continues across a full restore
-// and a snapshot + WAL replay (it used to restart from zero).
+// and a snapshot + packet-log replay (it used to restart from zero).
 func TestPlaneDroppedSurvivesRestore(t *testing.T) {
 	pkts := mergedTrace(t)
 	plane, err := ruleplane.New(gateClientSubnet())
@@ -345,7 +330,7 @@ func TestPlaneDroppedSurvivesRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := RestoreEngineWAL(cfg, snap, log.Segments())
+	replayed, err := replayLog(cfg, snap, log.Segments())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,5 +344,91 @@ func TestPlaneDroppedSurvivesRestore(t *testing.T) {
 	if full.PlaneDropped() != live.PlaneDropped() || replayed.PlaneDropped() != live.PlaneDropped() {
 		t.Errorf("after resuming: PlaneDropped full=%d wal=%d, uninterrupted %d",
 			full.PlaneDropped(), replayed.PlaneDropped(), live.PlaneDropped())
+	}
+}
+
+// TestRestoreRefusesRetiredDeltaForms: format version 5 kept the fields
+// the engine-level delta records varied, and a snapshot fixes them. Each
+// value only a delta wrote — a closed-flow tombstone, a table delete, a
+// table without its attributes, a quarantine entry marked absent, a
+// container journal — fails the restore with an error.
+func TestRestoreRefusesRetiredDeltaForms(t *testing.T) {
+	// build assembles a snapshot of e: its header and meta block around
+	// the frames and the sections the caller writes.
+	build := func(e *Engine, frames [][]byte, quar, interp, exec func(*snapshot.Encoder)) []byte {
+		enc := snapshot.NewAppender(nil)
+		e.encodeHeader(enc)
+		enc.U32(uint32(len(frames)))
+		for _, f := range frames {
+			enc.Bytes(f)
+		}
+		e.encodeMeta(enc)
+		quar(enc)
+		enc.U32(0) // logs
+		interp(enc)
+		exec(enc)
+		return enc.Buffer()
+	}
+	none := func(enc *snapshot.Encoder) { enc.U32(0) }
+	noExec := func(enc *snapshot.Encoder) { enc.Bool(false) }
+	frame := func(flags byte, tables func(*snapshot.Encoder)) []byte {
+		enc := snapshot.NewAppender(nil)
+		enc.String("Cuid")
+		enc.U8(flags)
+		if flags != 0 {
+			key, _ := flow.FromFrame(mergedTrace(t)[0].Data)
+			enc.Bytes(key.Wire())
+		}
+		tables(enc)
+		return enc.Buffer()
+	}
+
+	cfg := Config{Parser: "standard", ScriptExec: "interp", Scripts: []string{HTTPScript}, Quiet: true}
+	e := mustEngine(t, cfg)
+	if _, err := RestoreEngine(cfg, bytes.NewReader(build(e, nil, none, none, noExec))); err != nil {
+		t.Fatalf("the hand-built snapshot itself: %v", err)
+	}
+	for name, snap := range map[string][]byte{
+		"tombstone": build(e, [][]byte{frame(1, none)}, none, none, noExec),
+		"delete": build(e, [][]byte{frame(0, func(enc *snapshot.Encoder) {
+			enc.U32(1)
+			enc.String("http_pending")
+			encodeStrings(enc, []string{KeyString([]Val{StringVal("Cuid")})})
+			enc.U32(0)
+		})}, none, none, noExec),
+		"table without attributes": build(e, nil, none, func(enc *snapshot.Encoder) {
+			enc.U32(1)
+			enc.String("http_pending")
+			enc.U8(modeTable)
+			body := enc.Begin()
+			enc.Bool(false)
+			enc.U64(0)
+			encodeEntries(enc, nil)
+			enc.End(body)
+		}, noExec),
+		"quarantine entry absent": build(e, nil, func(enc *snapshot.Encoder) {
+			enc.U32(1)
+			enc.U64(7)
+			enc.Bool(false)
+			enc.U64(0)
+		}, none, noExec),
+	} {
+		if _, err := RestoreEngine(cfg, bytes.NewReader(snap)); err == nil {
+			t.Errorf("%s: restored", name)
+		}
+	}
+
+	cfg.ScriptExec, cfg.Scripts = "hilti", []string{TrackScript}
+	e = mustEngine(t, cfg)
+	journal := build(e, nil, none, none, func(enc *snapshot.Encoder) {
+		enc.Bool(true)
+		enc.I64(0)
+		enc.U32(1)
+		enc.U32(0)
+		enc.U8(2) // the retired container-journal mode
+		enc.Bytes([]byte{0, 0, 0, 0})
+	})
+	if _, err := RestoreEngine(cfg, bytes.NewReader(journal)); err == nil {
+		t.Error("container journal: restored")
 	}
 }

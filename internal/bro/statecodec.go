@@ -2,7 +2,7 @@
 // one decoder each for a connection record, a flow key, a reassembly
 // stream, HTTP parser state, and interpreter values including the single
 // script-table entry layout. Nothing here decides *what* is serialized —
-// that is state.go's selections — only how one item looks on the wire.
+// that is state.go's products — only how one item looks on the wire.
 
 package bro
 
@@ -49,8 +49,8 @@ const (
 )
 
 // inFlightParse reports whether the connection holds a parked BinPAC++
-// parse (vm.Resumable), which is not encoded yet (ROADMAP 1a); every
-// selection refuses to serialize such a connection.
+// parse (vm.Resumable), which is not encoded yet (ROADMAP 1a); both
+// products refuse to serialize such a connection.
 func (c *conn) inFlightParse() bool {
 	return c.origRope != nil || c.respRope != nil || c.origRun != nil || c.respRun != nil
 }

@@ -245,11 +245,12 @@ func (r *RecordVal) Render() string {
 //
 // Two intrusive structures keep a table's cost independent of its size.
 // Live entries are threaded on a queue ordered by touched, so expire only
-// ever looks at the head. And while delta tracking is on (clearMarks starts
-// it; see state.go), every entry a flush must look at is marked once:
-// inserted, overwritten, removed, refreshed by a &read_expire read, or its
-// aggregate yield handed to a script, which may mutate it through the
-// reference without the table hearing of it.
+// ever looks at the head. And while the engine re-bases (clearMarks starts
+// tracking; see state.go), every entry whose flow frame the next re-base
+// must encode again is marked once: inserted, overwritten, removed,
+// refreshed by a &read_expire read, or its aggregate yield handed to a
+// script, which may mutate it through the reference without the table
+// hearing of it.
 //
 // An entry whose first index is a string is labelled by it (state.go files
 // the entry in the flow frame of that name); labelled finds a label's
@@ -273,7 +274,7 @@ type TableVal struct {
 	q       tableEntry               // expiry queue sentinel: q.next is the stalest live entry
 	expired *metrics.Counter         // entries expire removed; nil outside an interpreter
 	labels  map[string][]*tableEntry // non-nil = tracking: live several-index entries by label
-	marks   []*tableEntry            // entries the next delta flush looks at, each once
+	marks   []*tableEntry            // entries changed since the last re-base, each once
 }
 
 type tableEntry struct {
@@ -286,7 +287,6 @@ type tableEntry struct {
 
 	prev, next *tableEntry // expiry queue links (nil once deleted)
 	marked     bool        // in marks
-	fresh      bool        // inserted since the last flush: the delta base has never seen it
 }
 
 // NewTable creates a table (or set).
@@ -357,7 +357,7 @@ func (t *TableVal) touch(e *tableEntry, now int64) {
 	t.enqueue(e)
 }
 
-// mark notes that the next delta flush must look at e.
+// mark notes that the next re-base must encode e's flow frame again.
 func (t *TableVal) mark(e *tableEntry) {
 	if t.labels != nil && !e.marked {
 		e.marked = true
@@ -365,11 +365,11 @@ func (t *TableVal) mark(e *tableEntry) {
 	}
 }
 
-// clearMarks makes the table as it stands the delta base and (re)starts
-// tracking against it.
+// clearMarks makes the table as it stands the re-base's base and
+// (re)starts tracking against it.
 func (t *TableVal) clearMarks() {
 	for _, e := range t.marks {
-		e.marked, e.fresh = false, false
+		e.marked = false
 	}
 	clear(t.marks)
 	t.marks = t.marks[:0]
@@ -427,7 +427,6 @@ func (t *TableVal) labelled(dst []*tableEntry, uid string, oneKey []byte) []*tab
 
 // add makes the new entry e live; the caller has queued it.
 func (t *TableVal) add(e *tableEntry) {
-	e.fresh = t.labels != nil
 	t.entries[e.keyStr] = e
 	t.order = append(t.order, e)
 	if len(e.key) > 1 {

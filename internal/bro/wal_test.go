@@ -2,46 +2,80 @@ package bro
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 
 	"hilti/internal/pkt/pcap"
+	"hilti/internal/rt/snapshot"
 	"hilti/internal/rt/wal"
 )
 
-// walRun drives an engine in WAL mode: `base` packets, then a full
-// checkpoint (the base snapshot), then one delta record per packet into a
-// wal.Log. Returns the snapshot, the log, and the still-live engine.
-func walRun(t *testing.T, cfg Config, pkts []pcap.Packet, base, segBytes int) ([]byte, *wal.Log, *Engine) {
+// packetRecord is the record kind of the packet logs these tests keep, the
+// engine-level shape of a pipeline shard's log: a timestamp and the frame
+// of a packet the engine ran.
+const packetRecord = 1
+
+var errNotPacket = errors.New("bro test: not a packet record")
+
+func appendPacket(t testing.TB, log *wal.Log, tsNs int64, frame []byte) {
 	t.Helper()
-	e, err := NewEngine(cfg)
-	if err != nil {
+	if err := log.Append(packetRecord, append(binary.BigEndian.AppendUint64(nil, uint64(tsNs)), frame...)); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < base; i++ {
-		e.SafeProcessPacket(pkts[i].Time.UnixNano(), pkts[i].Data)
-	}
-	var buf bytes.Buffer
-	if err := e.Checkpoint(&buf); err != nil {
-		t.Fatalf("base checkpoint: %v", err)
-	}
-	if err := e.ResetDeltaBase(); err != nil {
-		t.Fatal(err)
-	}
-	log := wal.NewLog(segBytes)
-	for i := base; i < len(pkts); i++ {
-		e.SafeProcessPacket(pkts[i].Time.UnixNano(), pkts[i].Data)
-		rec, err := e.AppendDelta()
-		if err != nil {
-			t.Fatalf("AppendDelta after packet %d: %v", i, err)
-		}
-		if err := log.Append(DeltaRecord, rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return buf.Bytes(), log, e
 }
 
-func checkpointBytes(t *testing.T, e *Engine) []byte {
+// replayLog restores an engine from snap and runs the logged packets on it
+// again. Damage in the last segment is a crash-cut tail, and the replay
+// stops at the last intact record; damage in an earlier segment, or a
+// record that is not a packet, is an error.
+func replayLog(cfg Config, snap []byte, segs [][]byte) (*Engine, error) {
+	e, err := RestoreEngine(cfg, bytes.NewReader(snap))
+	if err != nil {
+		return nil, err
+	}
+	for i, seg := range segs {
+		_, err := wal.Replay([][]byte{seg}, func(kind byte, p []byte) error {
+			if kind != packetRecord || len(p) < 8 {
+				return errNotPacket
+			}
+			e.ReplayPacket(int64(binary.BigEndian.Uint64(p)), p[8:])
+			return nil
+		})
+		if err != nil && (i < len(segs)-1 || errors.Is(err, errNotPacket)) {
+			return nil, err
+		}
+	}
+	return e, nil
+}
+
+// rebaseBytes re-bases e onto a fresh buffer, patching prev if it can.
+func rebaseBytes(t testing.TB, e *Engine, prev []byte) []byte {
+	t.Helper()
+	enc := snapshot.NewAppender(nil)
+	if err := e.Rebase(enc, prev); err != nil {
+		t.Fatalf("re-base: %v", err)
+	}
+	return enc.Buffer()
+}
+
+// walRun drives an engine as a pipeline shard keeps its log: `base`
+// packets, then a re-base (the snapshot), then one packet record per
+// packet into a wal.Log. Returns the snapshot, the log, and the still-live
+// engine.
+func walRun(t *testing.T, cfg Config, pkts []pcap.Packet, base, segBytes int) ([]byte, *wal.Log, *Engine) {
+	t.Helper()
+	e := referenceEngine(t, cfg, pkts, base)
+	snap := rebaseBytes(t, e, nil)
+	log := wal.NewLog(segBytes)
+	for _, p := range pkts[base:] {
+		e.SafeProcessPacket(p.Time.UnixNano(), p.Data)
+		appendPacket(t, log, p.Time.UnixNano(), p.Data)
+	}
+	return snap, log, e
+}
+
+func checkpointBytes(t testing.TB, e *Engine) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := e.Checkpoint(&buf); err != nil {
@@ -52,7 +86,7 @@ func checkpointBytes(t *testing.T, e *Engine) []byte {
 
 // referenceEngine runs a fresh engine over the first n packets — the
 // state a WAL restore landing at packet n must reproduce byte-for-byte.
-func referenceEngine(t *testing.T, cfg Config, pkts []pcap.Packet, n int) *Engine {
+func referenceEngine(t testing.TB, cfg Config, pkts []pcap.Packet, n int) *Engine {
 	t.Helper()
 	e, err := NewEngine(cfg)
 	if err != nil {
@@ -89,12 +123,12 @@ func TestWALRestoreMidSegmentCuts(t *testing.T) {
 		copy(cutSegs, segs)
 		cutSegs[len(segs)-1] = last[:cut]
 
-		restored, err := RestoreEngineWAL(cfg, snap, cutSegs)
+		restored, err := replayLog(cfg, snap, cutSegs)
 		if err != nil {
-			t.Fatalf("cut=%d: RestoreEngineWAL: %v", cut, err)
+			t.Fatalf("cut=%d: restore: %v", cut, err)
 		}
 		n := int(restored.Packets())
-		if n < base || n > len(pkts) {
+		if n < base || n >= len(pkts) {
 			t.Fatalf("cut=%d: restored to implausible packet count %d (base %d, trace %d)",
 				cut, n, base, len(pkts))
 		}
@@ -109,21 +143,7 @@ func TestWALRestoreMidSegmentCuts(t *testing.T) {
 		if got, want := restored.events.Load(), baseline.events.Load(); got != want {
 			t.Errorf("cut=%d: %d events after refeed, uninterrupted run had %d", cut, got, want)
 		}
-		for _, stream := range []string{"http", "files", "dns"} {
-			want := baseline.Logs.Lines(stream)
-			got := restored.Logs.Lines(stream)
-			if len(got) != len(want) {
-				t.Errorf("cut=%d, %s.log: %d lines, want %d", cut, stream, len(got), len(want))
-				continue
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Errorf("cut=%d, %s.log line %d differs:\n  got  %q\n  want %q",
-						cut, stream, i, got[i], want[i])
-					break
-				}
-			}
-		}
+		sameLogs(t, "refeed after the cut", restored, baseline)
 	}
 }
 
@@ -135,11 +155,11 @@ func TestWALReplayDeterminism(t *testing.T) {
 		Scripts: []string{HTTPScript, FilesScript, DNSScript}, Quiet: true}
 	snap, log, _ := walRun(t, cfg, pkts, len(pkts)/3, 8192)
 
-	a, err := RestoreEngineWAL(cfg, snap, log.Segments())
+	a, err := replayLog(cfg, snap, log.Segments())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RestoreEngineWAL(cfg, snap, log.Segments())
+	b, err := replayLog(cfg, snap, log.Segments())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,17 +169,17 @@ func TestWALReplayDeterminism(t *testing.T) {
 }
 
 // TestWALRestoreHilti runs the compiled-script backend with the paper's
-// Figure 8(a) tracking script, whose set[addr] global exercises the
-// container journal path (scalar keys, per-op records).
+// Figure 8(a) tracking script, whose set[addr] global is a VM container
+// the snapshot carries whole and the replayed packets fill again.
 func TestWALRestoreHilti(t *testing.T) {
 	pkts := mergedTrace(t)
 	cfg := Config{Parser: "standard", ScriptExec: "hilti",
 		Scripts: []string{HTTPScript, FilesScript, DNSScript, TrackScript}, Quiet: true}
 	snap, log, live := walRun(t, cfg, pkts, len(pkts)/4, 4096)
 
-	restored, err := RestoreEngineWAL(cfg, snap, log.Segments())
+	restored, err := replayLog(cfg, snap, log.Segments())
 	if err != nil {
-		t.Fatalf("RestoreEngineWAL: %v", err)
+		t.Fatalf("restore: %v", err)
 	}
 	if !bytes.Equal(checkpointBytes(t, restored), checkpointBytes(t, live)) {
 		t.Error("restored checkpoint differs from live engine checkpoint (hilti backend)")
@@ -171,9 +191,9 @@ func TestWALRestoreHilti(t *testing.T) {
 		cutSegs := make([][]byte, len(segs))
 		copy(cutSegs, segs)
 		cutSegs[len(segs)-1] = last[:cut]
-		restored, err := RestoreEngineWAL(cfg, snap, cutSegs)
+		restored, err := replayLog(cfg, snap, cutSegs)
 		if err != nil {
-			t.Fatalf("cut=%d: RestoreEngineWAL: %v", cut, err)
+			t.Fatalf("cut=%d: restore: %v", cut, err)
 		}
 		n := int(restored.Packets())
 		if !bytes.Equal(checkpointBytes(t, restored), checkpointBytes(t, referenceEngine(t, cfg, pkts, n))) {
@@ -182,60 +202,43 @@ func TestWALRestoreHilti(t *testing.T) {
 	}
 }
 
-// TestWALRebase: a mid-run full checkpoint plus log reset (segment
-// truncation) must leave the snapshot+log pair restoring to the same state
-// as before — the rotation path engines use to bound replay length.
+// TestWALRebase: mid-run re-bases (the second patching the first) plus log
+// resets (segment truncation) must leave the snapshot+log pair restoring
+// to the live state — the rotation path a shard uses to bound replay
+// length.
 func TestWALRebase(t *testing.T) {
 	pkts := mergedTrace(t)
 	cfg := Config{Parser: "standard", ScriptExec: "interp",
 		Scripts: []string{HTTPScript, FilesScript, DNSScript}, Quiet: true}
 
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap bytes.Buffer
-	if err := e.Checkpoint(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.ResetDeltaBase(); err != nil {
-		t.Fatal(err)
-	}
+	e := mustEngine(t, cfg)
+	snap := rebaseBytes(t, e, nil)
 	log := wal.NewLog(4096)
-	rebaseAt := len(pkts) / 2
 	for i, p := range pkts {
 		e.SafeProcessPacket(p.Time.UnixNano(), p.Data)
-		rec, err := e.AppendDelta()
-		if err != nil {
-			t.Fatalf("AppendDelta after packet %d: %v", i, err)
-		}
-		if err := log.Append(DeltaRecord, rec); err != nil {
-			t.Fatal(err)
-		}
-		if i == rebaseAt {
-			snap.Reset()
-			if err := e.Checkpoint(&snap); err != nil {
-				t.Fatalf("rebase checkpoint: %v", err)
-			}
-			if err := e.ResetDeltaBase(); err != nil {
-				t.Fatal(err)
-			}
+		appendPacket(t, log, p.Time.UnixNano(), p.Data)
+		if i == len(pkts)/4 || i == len(pkts)/2 {
+			snap = rebaseBytes(t, e, snap)
 			log.Reset()
 		}
 	}
+	if reused, _, _ := e.RebaseFrames(); reused == 0 {
+		t.Error("the second re-base copied no frame: it did not patch")
+	}
 
-	restored, err := RestoreEngineWAL(cfg, snap.Bytes(), log.Segments())
+	restored, err := replayLog(cfg, snap, log.Segments())
 	if err != nil {
-		t.Fatalf("RestoreEngineWAL after rebase: %v", err)
+		t.Fatalf("restore after re-base: %v", err)
 	}
 	if !bytes.Equal(checkpointBytes(t, restored), checkpointBytes(t, e)) {
-		t.Error("restore from rebased snapshot+log differs from live engine")
+		t.Error("restore from re-based snapshot+log differs from live engine")
 	}
 }
 
 // TestWALCorruptSegmentRejected: damage in a non-final segment is not a
-// crash-truncated tail — restore must fail cleanly, never panic, and a
-// record of an unknown kind must be rejected.
+// crash-truncated tail — restore must fail cleanly, never panic. An intact
+// record whose frame is no packet runs as one: it counts, and changes
+// nothing else.
 func TestWALCorruptSegmentRejected(t *testing.T) {
 	pkts := mergedTrace(t)
 	cfg := Config{Parser: "standard", ScriptExec: "interp",
@@ -251,15 +254,26 @@ func TestWALCorruptSegmentRejected(t *testing.T) {
 	bad := append([]byte(nil), segs[0]...)
 	bad[len(bad)/2] ^= 0xff
 	corrupt[0] = bad
-	if _, err := RestoreEngineWAL(cfg, snap, corrupt); err == nil {
+	if _, err := replayLog(cfg, snap, corrupt); err == nil {
 		t.Error("restore accepted a corrupt frozen segment")
 	}
 
-	alien := wal.NewLog(0)
-	if err := alien.Append(99, []byte("not a delta")); err != nil {
+	junk := wal.NewLog(0)
+	appendPacket(t, junk, pkts[len(pkts)/4].Time.UnixNano(), []byte("not a frame"))
+	restored, err := replayLog(cfg, snap, junk.Segments())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RestoreEngineWAL(cfg, snap, alien.Segments()); err == nil {
-		t.Error("restore accepted a record of unknown kind")
+	at, err := RestoreEngine(cfg, bytes.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.Packets() != at.Packets()+1 {
+		t.Errorf("a junk frame counted %d packets, want 1", restored.Packets()-at.Packets())
+	}
+	at.packets.Inc()
+	at.now = restored.now
+	if !bytes.Equal(checkpointBytes(t, restored), checkpointBytes(t, at)) {
+		t.Error("a junk frame changed more than the packet count and the clock")
 	}
 }

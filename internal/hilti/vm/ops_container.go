@@ -245,7 +245,10 @@ var containerOps = []opRow{
 		if err != nil {
 			return values.Nil, err
 		}
-		v.Reserve(int(b.AsInt()))
+		if !v.Reserve(int(b.AsInt())) {
+			return values.Nil, &values.Exception{Name: "Hilti::IndexError",
+				Msg: fmt.Sprintf("vector reserve %d", b.AsInt())}
+		}
 		return values.Nil, nil
 	}},
 

@@ -660,10 +660,6 @@ func TestPositionalRowsMatchSliceForm(t *testing.T) {
 				}
 				return args
 			}
-			// vector.reserve extends a vector to any size it is given.
-			if r.name == "vector.reserve" && uint64(mk()[1].AsInt()+1) > 64 {
-				continue
-			}
 			for _, e := range runs {
 				want := outcome(func(ex *Exec) (int, []values.Value) {
 					v, err := r.fn(ex, mk())

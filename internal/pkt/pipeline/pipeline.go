@@ -109,6 +109,15 @@ type Snapshotter interface {
 	Unreplayable() bool
 }
 
+// Retirer is optionally implemented by Handlers that hold state shared
+// beyond their shard (*bro.Engine: its share of a reassembly budget). When
+// the supervisor has replaced a wedged worker and the abandoned job at
+// last returns, the pipeline calls Retire on that job's handler, on its
+// own goroutine; the handler is never called again.
+type Retirer interface {
+	Retire()
+}
+
 // FlowZapper is optionally implemented by Handlers that keep per-flow
 // state. When a flow is quarantined after a fault, the pipeline calls
 // ZapFlow so the handler discards the flow's (possibly corrupt) state
@@ -645,10 +654,13 @@ func (p *Pipeline) runPacket(sl *wslot, ctx *threads.Context, tsNs int64, cp []b
 	if sl.track {
 		sl.beginBusy(ctx.VID)
 	}
-	// An abandoned job's ingress token is the supervisor's to release.
+	// An abandoned job's ingress token is the supervisor's to release,
+	// and its handler has been replaced.
 	defer func() {
 		if !sl.track || sl.endBusy() {
 			<-p.tokens
+		} else if r, ok := sl.h.(Retirer); ok {
+			r.Retire()
 		}
 	}()
 	ws := sl.ws

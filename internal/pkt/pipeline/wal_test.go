@@ -466,3 +466,37 @@ func TestWALRecordsEveryPacketFate(t *testing.T) {
 		t.Fatal("no checkpoint held a record: the fates came from snapshots alone")
 	}
 }
+
+// TestWALRefusesUnknownRecordKind: a shard's log holds job records only.
+// Restoring a shard whose log carries a record of another kind fails with
+// an error.
+func TestWALRefusesUnknownRecordKind(t *testing.T) {
+	p, err := New(deltaCfg(1, 0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := [4]byte{10, 9, 0, 1}, [4]byte{10, 9, 0, 2}
+	for i := 0; i < 10; i++ {
+		p.Feed(int64(i*1000), frame(a, b, 7000, 53, []byte{byte(i)}))
+	}
+	p.Close()
+	snap, _, err := p.encodeShard(p.slots[0].Load(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.restoreSlotFromBlob(0, composeShardBlob(snap, nil)); err != nil {
+		t.Fatalf("the shard's own snapshot: %v", err)
+	}
+	// A job record the shard logged, under another kind.
+	_, job, ok := wal.NewReader(p.slots[0].Load().wlog.Segments()[0]).Next()
+	if !ok {
+		t.Fatal("the shard logged no record")
+	}
+	alien := wal.NewLog(0)
+	if err := alien.Append(walJobRecord+1, job); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.restoreSlotFromBlob(0, composeShardBlob(snap, alien.Segments())); err == nil {
+		t.Error("restored a log with a record of unknown kind")
+	}
+}

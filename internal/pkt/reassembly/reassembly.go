@@ -59,6 +59,11 @@ func (b *Budget) charge(n int) {
 
 func (b *Budget) release(n int) { b.charge(-n) }
 
+// Release gives back to the pool everything a share has charged it, for a
+// holder whose streams will never insert or flush again. Call it where the
+// share's streams run.
+func (b *Budget) Release() { b.release(int(b.used.Load())) }
+
 func (b *Budget) refuse() {
 	b.forced.Add(1)
 	if b.pool != nil {

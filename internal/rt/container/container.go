@@ -141,33 +141,6 @@ type entry struct {
 	deleted    bool
 }
 
-// JournalOp identifies one container mutation for delta checkpointing.
-type JournalOp int
-
-// The journaled mutation kinds.
-const (
-	// JournalInsert adds or replaces an element (key, val, lastUse valid).
-	JournalInsert JournalOp = iota
-	// JournalRemove deletes an element, whether explicitly, via Clear, or
-	// by expiration (key valid; val is the zero Value, lastUse 0).
-	JournalRemove
-	// JournalTouch refreshes an element's last-use timestamp under
-	// access-based expiration (key and lastUse valid; val is zero).
-	JournalTouch
-	// JournalReset signals a mutation the journal cannot express
-	// per-element (SetTimeout, SetDefault): the observer must fall back
-	// to re-encoding the whole container.
-	JournalReset
-)
-
-// JournalFn observes container mutations as they happen — the explicit
-// per-element mutation stream that incremental (write-ahead-log) state
-// checkpointing appends instead of re-encoding the whole container.
-// Restore-path insertions (InsertRestored) are not journaled. The
-// callback runs synchronously inside the mutating operation; it must not
-// mutate the container.
-type JournalFn func(op JournalOp, key, val values.Value, lastUse timer.Time)
-
 // Map is HILTI's map<K,V>: a hash map with optional element expiration and
 // an optional default value for misses.
 //
@@ -189,7 +162,6 @@ type Map struct {
 	kbuf   []byte      // scratch for key encoding; grows to the largest key
 	kbusy  atomic.Bool // claims kbuf for the duration of one encode+lookup
 	iter   int         // active Each/EachEntry loops; compaction deferred while >0
-	jfn    JournalFn   // observes mutations for delta checkpointing (may be nil)
 	expiry
 }
 
@@ -202,7 +174,6 @@ func (m *Map) TypeName() string { return "map" }
 // SetDefault installs a default value returned by Get for missing keys.
 func (m *Map) SetDefault(v values.Value) {
 	m.def, m.hasDef = v, true
-	m.journal(JournalReset, values.Nil, values.Nil, 0)
 }
 
 // SetTimeout configures element expiration (HILTI's map.timeout). Elements
@@ -215,18 +186,6 @@ func (m *Map) SetTimeout(mgr *timer.Mgr, strategy ExpireStrategy, timeout timer.
 	m.tm.Cancel()
 	m.mgr, m.strategy, m.timeout = mgr, strategy, timeout
 	m.arm()
-	m.journal(JournalReset, values.Nil, values.Nil, 0)
-}
-
-// SetJournal installs (or, with fn=nil, removes) the mutation observer
-// used by incremental checkpointing. Only mutations after installation
-// are reported; callers snapshot the current contents first.
-func (m *Map) SetJournal(fn JournalFn) { m.jfn = fn }
-
-func (m *Map) journal(op JournalOp, key, val values.Value, lastUse timer.Time) {
-	if m.jfn != nil {
-		m.jfn(op, key, val, lastUse)
-	}
 }
 
 // Len returns the number of live elements.
@@ -268,7 +227,6 @@ func (m *Map) Insert(key, val values.Value) {
 		m.releaseKey(owned)
 		e.val = val
 		m.touch(e)
-		m.journal(JournalInsert, e.key, e.val, e.lastUse)
 		return
 	}
 	k := string(b)
@@ -280,7 +238,6 @@ func (m *Map) Insert(key, val values.Value) {
 		e.lastUse = m.mgr.Now()
 		m.push(e)
 	}
-	m.journal(JournalInsert, e.key, e.val, e.lastUse)
 }
 
 // InsertRestored re-inserts an element from a checkpoint, preserving its
@@ -304,18 +261,6 @@ func (m *Map) InsertRestored(key, val values.Value, lastUse timer.Time) {
 	}
 }
 
-// TouchRestored sets an existing element's last-use timestamp without
-// applying expiry policy or journaling — the WAL-replay counterpart of an
-// access-expiry touch. Missing keys are ignored.
-func (m *Map) TouchRestored(key values.Value, lastUse timer.Time) {
-	b, owned := m.encKey(key)
-	e, ok := m.idx[string(b)]
-	m.releaseKey(owned)
-	if ok {
-		m.restoreUse(e, lastUse)
-	}
-}
-
 // restoreUse sets e's recorded last use and moves a queued e to the tail.
 func (m *Map) restoreUse(e *entry, lastUse timer.Time) {
 	if e.lastUse == lastUse {
@@ -333,9 +278,6 @@ func (m *Map) lookup(b []byte) (*entry, bool) {
 	e, ok := m.idx[string(b)] // compiler-recognized: no string allocation
 	if ok && m.strategy == ExpireAccess {
 		m.touch(e)
-		if m.expiry.active() {
-			m.journal(JournalTouch, e.key, values.Nil, e.lastUse)
-		}
 	}
 	return e, ok
 }
@@ -406,7 +348,6 @@ func (m *Map) drop(e *entry) {
 	e.deleted = true
 	m.dead++
 	delete(m.idx, e.k)
-	m.journal(JournalRemove, e.key, values.Nil, 0)
 	m.maybeCompact()
 }
 
@@ -575,10 +516,6 @@ func (s *Set) SetTimeout(mgr *timer.Mgr, strategy ExpireStrategy, timeout timer.
 	s.m.SetTimeout(mgr, strategy, timeout)
 }
 
-// SetJournal installs the mutation observer (see Map.SetJournal). Set
-// elements journal as inserts whose value is the zero Value.
-func (s *Set) SetJournal(fn JournalFn) { s.m.SetJournal(fn) }
-
 // Len returns the number of live elements.
 func (s *Set) Len() int { return s.m.Len() }
 
@@ -589,11 +526,6 @@ func (s *Set) Insert(v values.Value) { s.m.Insert(v, values.Nil) }
 // last-use timestamp (see Map.InsertRestored).
 func (s *Set) InsertRestored(v values.Value, lastUse timer.Time) {
 	s.m.InsertRestored(v, values.Nil, lastUse)
-}
-
-// TouchRestored sets an element's last-use timestamp (see Map.TouchRestored).
-func (s *Set) TouchRestored(v values.Value, lastUse timer.Time) {
-	s.m.TouchRestored(v, lastUse)
 }
 
 // Timeout returns the configured expiration policy (for checkpointing).

@@ -160,12 +160,6 @@ func TestExpireTrueFlushesQueue(t *testing.T) {
 	s := NewSet()
 	s.SetTimeout(mgr, ExpireCreate, timer.Seconds(10))
 	s.Insert(values.Int(1))
-	removes := 0
-	s.SetJournal(func(op JournalOp, _, _ values.Value, _ timer.Time) {
-		if op == JournalRemove {
-			removes++
-		}
-	})
 	before := Expirations()
 	done := make(chan int)
 	go func() { done <- mgr.Expire(true) }()
@@ -180,8 +174,8 @@ func TestExpireTrueFlushesQueue(t *testing.T) {
 	if s.Len() != 0 || mgr.Pending() != 0 {
 		t.Fatalf("after Expire(true): %d elements, %d pending timers", s.Len(), mgr.Pending())
 	}
-	if removes != 1 || Expirations()-before != 1 {
-		t.Fatalf("flush journaled %d removes and counted %d expirations, want 1 and 1", removes, Expirations()-before)
+	if Expirations()-before != 1 {
+		t.Fatalf("flush counted %d expirations, want 1", Expirations()-before)
 	}
 }
 
@@ -321,6 +315,14 @@ func TestVectorAutoExtend(t *testing.T) {
 	}
 	if !v.Set(10+MaxGrow, values.Int(1)) || v.Len() != 11+MaxGrow {
 		t.Fatalf("a write MaxGrow past the end failed, or left the vector at %d", v.Len())
+	}
+	// Reserve reaches as far as Set.
+	n := v.Len()
+	if v.Reserve(1<<62) || v.Reserve(n+MaxGrow+2) || v.Len() != n {
+		t.Fatalf("a reserve more than MaxGrow past the end succeeded or grew the vector to %d", v.Len())
+	}
+	if !v.Reserve(n+MaxGrow+1) || v.Len() != n+MaxGrow+1 || !v.Reserve(-1) || !v.Reserve(3) {
+		t.Fatalf("a reserve within reach failed, or left the vector at %d", v.Len())
 	}
 }
 
@@ -592,71 +594,5 @@ func TestMapNestedEachRemove(t *testing.T) {
 	}
 	if m.Len() != 32 {
 		t.Fatalf("len = %d", m.Len())
-	}
-}
-
-// The journal reports each mutation exactly once, with the restore-path
-// insert excluded.
-func TestMapJournal(t *testing.T) {
-	mgr := timer.NewMgr()
-	mgr.Advance(100)
-	m := NewMap()
-	m.SetTimeout(mgr, ExpireAccess, timer.Seconds(10))
-
-	type rec struct {
-		op  JournalOp
-		key int64
-		use timer.Time
-	}
-	var got []rec
-	m.SetJournal(func(op JournalOp, key, _ values.Value, lastUse timer.Time) {
-		var k int64
-		if key.K == values.KindInt {
-			k = key.AsInt()
-		}
-		got = append(got, rec{op, k, lastUse})
-	})
-
-	m.Insert(values.Int(1), values.String("a")) // insert @100
-	mgr.Advance(200)
-	m.Get(values.Int(1))                        // access-touch @200
-	m.Insert(values.Int(1), values.String("b")) // replace (touch folded into insert)
-	m.Remove(values.Int(1))
-	m.InsertRestored(values.Int(2), values.Nil, 42) // not journaled
-	m.SetDefault(values.Int(0))                     // reset
-
-	want := []rec{
-		{JournalInsert, 1, 100},
-		{JournalTouch, 1, 200},
-		{JournalInsert, 1, 200},
-		{JournalRemove, 1, 0},
-		{JournalReset, 0, 0},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("journal: got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("journal[%d]: got %+v, want %+v", i, got[i], want[i])
-		}
-	}
-}
-
-// Expiration-driven eviction journals as a remove.
-func TestMapJournalExpiry(t *testing.T) {
-	mgr := timer.NewMgr()
-	m := NewMap()
-	m.SetTimeout(mgr, ExpireCreate, timer.Seconds(1))
-	mgr.Advance(0)
-	m.Insert(values.Int(7), values.Nil)
-	removes := 0
-	m.SetJournal(func(op JournalOp, key, _ values.Value, _ timer.Time) {
-		if op == JournalRemove && key.AsInt() == 7 {
-			removes++
-		}
-	})
-	mgr.Advance(2e9)
-	if removes != 1 {
-		t.Fatalf("expiry journaled %d removes", removes)
 	}
 }

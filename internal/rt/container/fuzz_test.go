@@ -1,7 +1,6 @@
 package container
 
 import (
-	"cmp"
 	"slices"
 	"testing"
 
@@ -27,15 +26,7 @@ type scanMap struct {
 	// disarmed: Expire(false) discarded the container's timer and no
 	// append to the queue or SetTimeout has re-armed it since.
 	disarmed bool
-	recs     []journalRec // this step's journal
-	expired  uint64       // this step's expirations
-}
-
-// journalRec is one journal record; -1 stands for the zero Value.
-type journalRec struct {
-	op       JournalOp
-	key, val int64
-	lastUse  timer.Time
+	expired  uint64 // this step's expirations
 }
 
 func (s *scanMap) active() bool { return s.strategy != ExpireNone && s.timeout > 0 }
@@ -47,10 +38,6 @@ func (s *scanMap) find(k int64) (int, *scanElem) {
 		}
 	}
 	return -1, nil
-}
-
-func (s *scanMap) journal(op JournalOp, key, val int64, lastUse timer.Time) {
-	s.recs = append(s.recs, journalRec{op, key, val, lastUse})
 }
 
 // pushed mirrors an append to the queue, which arms an unarmed timer.
@@ -74,7 +61,6 @@ func (s *scanMap) insert(k, v int64) {
 	if _, e := s.find(k); e != nil {
 		e.val = v
 		s.touch(e)
-		s.journal(JournalInsert, k, v, e.lastUse)
 		return
 	}
 	e := &scanElem{key: k, val: v}
@@ -83,7 +69,6 @@ func (s *scanMap) insert(k, v int64) {
 		e.lastUse, e.queued = s.now, true
 		s.pushed()
 	}
-	s.journal(JournalInsert, k, v, e.lastUse)
 }
 
 func (s *scanMap) lookup(k int64) (int64, bool) {
@@ -93,9 +78,6 @@ func (s *scanMap) lookup(k int64) (int64, bool) {
 	}
 	if s.strategy == ExpireAccess {
 		s.touch(e)
-		if s.active() {
-			s.journal(JournalTouch, k, -1, e.lastUse)
-		}
 	}
 	return e.val, true
 }
@@ -106,7 +88,6 @@ func (s *scanMap) remove(k int64) bool {
 		return false
 	}
 	s.elems = slices.Delete(s.elems, i, i+1)
-	s.journal(JournalRemove, k, -1, 0)
 	return true
 }
 
@@ -117,7 +98,6 @@ func (s *scanMap) expire(due func(e *scanElem) bool) {
 			return false
 		}
 		s.expired++
-		s.journal(JournalRemove, e.key, -1, 0)
 		return true
 	})
 }
@@ -170,7 +150,7 @@ const (
 	opClear                 // Clear()
 	opAdvance               // Advance by a/255 of twice the timeout
 	opInsertRestored        // InsertRestored(a%16, a/16) at now + (b-128)/64 timeouts
-	opTouchRestored         // TouchRestored(a%16) at now + (b-128)/64 timeouts
+	opRestoreUse            // InsertRestored(a%16, its value) at now + (b-128)/64 timeouts, if present
 	opSetTimeout            // SetTimeout(strategy a%3, 1+b%4 seconds)
 	opExpire                // Expire(a is odd)
 	numOps
@@ -178,9 +158,8 @@ const (
 
 // FuzzContainerExpiry holds Map's expiry queue and its one timer to a full
 // scan over an op stream decoded from the input, three bytes an op: after
-// every step, contents, iteration order, Len, the journal records (as a
-// multiset: Clear and an expiry batch may emit them in any order), the
-// Expirations delta and the manager's pending timers must agree.
+// every step, contents, iteration order, Len, the Expirations delta and
+// the manager's pending timers must agree.
 func FuzzContainerExpiry(f *testing.F) {
 	// Each seed turns expiry on (Create, then Access), fills a few keys
 	// and then exercises one op.
@@ -200,7 +179,7 @@ func FuzzContainerExpiry(f *testing.F) {
 		seed(opClear, 0, 0, opInsert, 4, 40, opAdvance, 255, 0)
 		seed(opAdvance, 0, 0, opAdvance, 128, 0, opAdvance, 255, 0)
 		seed(opInsertRestored, 5, 0, opAdvance, 0, 0, opInsertRestored, 6, 255, opInsertRestored, 4, 100, opInsertRestored, 1, 60, opAdvance, 64, 0, opAdvance, 255, 0)
-		seed(opTouchRestored, 3, 0, opTouchRestored, 1, 250, opTouchRestored, 7, 200, opAdvance, 100, 0, opAdvance, 255, 0)
+		seed(opRestoreUse, 3, 0, opRestoreUse, 1, 250, opRestoreUse, 7, 200, opAdvance, 100, 0, opAdvance, 255, 0)
 		seed(opSetTimeout, 0, 0, opAdvance, 255, 0, opSetTimeout, 2, 3, opAdvance, 255, 0, opSetTimeout, 1, 0, opAdvance, 200, 0)
 		seed(opExpire, 0, 0, opAdvance, 255, 0, opInsert, 4, 40, opAdvance, 255, 0, opAdvance, 255, 0)
 		seed(opExpire, 1, 0, opInsert, 4, 40, opAdvance, 255, 0)
@@ -215,17 +194,6 @@ func runExpiryOps(t *testing.T, data []byte) {
 	mgr.Advance(1000e9)
 	m := NewMap()
 	s := &scanMap{now: mgr.Now()}
-	var got []journalRec // this step's journal from m
-	m.SetJournal(func(op JournalOp, key, val values.Value, lastUse timer.Time) {
-		r := journalRec{op, -1, -1, lastUse}
-		if !key.IsNil() {
-			r.key = key.AsInt()
-		}
-		if !val.IsNil() {
-			r.val = val.AsInt()
-		}
-		got = append(got, r)
-	})
 	for step := 0; len(data) >= 3; step, data = step+1, data[3:] {
 		op, a, b := data[0]%numOps, data[1], data[2]
 		key := int64(a % 16)
@@ -236,7 +204,7 @@ func runExpiryOps(t *testing.T, data []byte) {
 		// A restored last use lies up to two timeouts either side of now.
 		restored := s.now + timer.Time(int64(b)-128)*timer.Time(span)/64
 		before := Expirations()
-		got, s.recs, s.expired = got[:0], s.recs[:0], 0
+		s.expired = 0
 		switch op {
 		case opInsert:
 			m.Insert(values.Int(key), values.Int(int64(b)))
@@ -270,16 +238,15 @@ func runExpiryOps(t *testing.T, data []byte) {
 			val := int64(a / 16)
 			m.InsertRestored(values.Int(key), values.Int(val), restored)
 			s.insertRestored(key, val, restored)
-		case opTouchRestored:
-			m.TouchRestored(values.Int(key), restored)
+		case opRestoreUse:
 			if _, e := s.find(key); e != nil {
+				m.InsertRestored(values.Int(key), values.Int(e.val), restored)
 				s.restoreUse(e, restored)
 			}
 		case opSetTimeout:
 			strategy, timeout := ExpireStrategy(a%3), timer.Seconds(float64(1+b%4))
 			m.SetTimeout(mgr, strategy, timeout)
 			s.strategy, s.timeout, s.disarmed = strategy, timeout, false
-			s.journal(JournalReset, -1, -1, 0)
 		case opExpire:
 			execute := a&1 == 1
 			mgr.Expire(execute)
@@ -290,12 +257,12 @@ func runExpiryOps(t *testing.T, data []byte) {
 				s.disarmed = true
 			}
 		}
-		s.check(t, step, data[:3], m, mgr, got, Expirations()-before)
+		s.check(t, step, data[:3], m, mgr, Expirations()-before)
 	}
 }
 
 // check compares m with s after one step.
-func (s *scanMap) check(t *testing.T, n int, op []byte, m *Map, mgr *timer.Mgr, got []journalRec, expired uint64) {
+func (s *scanMap) check(t *testing.T, n int, op []byte, m *Map, mgr *timer.Mgr, expired uint64) {
 	t.Helper()
 	fail := func(format string, args ...any) {
 		t.Helper()
@@ -314,15 +281,6 @@ func (s *scanMap) check(t *testing.T, n int, op []byte, m *Map, mgr *timer.Mgr, 
 		i++
 		return true
 	})
-	byRec := func(a, b journalRec) int {
-		return cmp.Or(cmp.Compare(a.op, b.op), cmp.Compare(a.key, b.key), cmp.Compare(a.val, b.val), cmp.Compare(a.lastUse, b.lastUse))
-	}
-	want := slices.Clone(s.recs)
-	slices.SortFunc(got, byRec)
-	slices.SortFunc(want, byRec)
-	if !slices.Equal(got, want) {
-		fail("journal %v, want %v", got, want)
-	}
 	if expired != s.expired {
 		fail("%d expirations, want %d", expired, s.expired)
 	}

@@ -258,12 +258,19 @@ func (v *Vector) Set(i int, x values.Value) bool {
 }
 
 // Reserve pre-extends the vector to at least n elements (HILTI's
-// vector.reserve).
-func (v *Vector) Reserve(n int) { v.reserve(n) }
+// vector.reserve) and reports true — if that reaches no farther than
+// Set(n-1) may; else it reports false and leaves the vector as it is.
+func (v *Vector) Reserve(n int) bool {
+	if n-1-len(v.elems) > MaxGrow {
+		return false
+	}
+	v.reserve(n)
+	return true
+}
 
-// MaxGrow bounds Grow and how far past its end Set extends a vector: a
-// count or an index read off the wire must not buy memory the input has
-// not backed.
+// MaxGrow bounds Grow and how far past its end Set and Reserve extend a
+// vector: a count or an index read off the wire must not buy memory the
+// input has not backed.
 const MaxGrow = 64
 
 // Grow makes room for n more elements, up to MaxGrow, without changing

@@ -59,10 +59,11 @@ func FuzzWALDecode(f *testing.F) {
 		if _, _, ok := r.Next(); ok {
 			t.Fatal("Next returned a record after reporting end")
 		}
-		// Replay must agree with manual iteration and never panic either.
-		m, err := ReplayTolerant([][]byte{data}, func(byte, []byte) error { return nil })
-		if err != nil {
-			t.Fatalf("tolerant replay of a single segment reported error: %v", err)
+		// Replay must agree with manual iteration, damage included, and
+		// never panic either.
+		m, err := Replay([][]byte{data}, func(byte, []byte) error { return nil })
+		if (err != nil) != (r.Err() != nil) {
+			t.Fatalf("replay reported %v, the reader %v", err, r.Err())
 		}
 		if m != n {
 			t.Fatalf("replay applied %d records, reader saw %d", m, n)

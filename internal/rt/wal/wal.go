@@ -2,12 +2,11 @@
 // runtime's incremental checkpoints. Where rt/snapshot captures a full,
 // self-contained image of analysis state, the WAL captures what happened
 // between images: a record is whatever its writer needs to get from one
-// state to the next — the packet a pipeline shard ran, which restore runs
-// again, or an engine's O(changed-state) delta — and a checkpoint becomes
-// a periodic full snapshot plus the log segments written since. Restore
-// replays the records onto the snapshot, landing byte-identically on any
-// record boundary — including the boundary just before a crash cut a
-// record in half.
+// state to the next — for a pipeline shard, the packet it ran, which
+// restore runs again — and a checkpoint becomes a periodic full snapshot
+// plus the log segments written since. Restore replays the records onto
+// the snapshot, landing byte-identically on any record boundary —
+// including the boundary just before a crash cut a record in half.
 //
 // Format. A segment is:
 //
@@ -277,7 +276,7 @@ func (l *Log) Rotate() {
 }
 
 // Reset discards all segments: the log restarts empty, as after a full
-// snapshot made every prior delta redundant. The open segment's buffer
+// snapshot made every prior record redundant. The open segment's buffer
 // starts over in place — Segments only ever hands out copies of it — so a
 // log reset at a steady cadence stops allocating.
 func (l *Log) Reset() {
@@ -312,24 +311,11 @@ func (l *Log) Size() int {
 // Records returns the total number of records across all segments.
 func (l *Log) Records() int { return l.recs }
 
-// Replay iterates every record of segs in order, calling fn for each. It
-// is strict: damage anywhere — a truncated tail, a checksum mismatch, a
-// bad header — stops iteration and returns the error alongside the count
-// of records already applied. A non-nil error from fn stops likewise.
+// Replay iterates every record of segs in order, calling fn for each.
+// Damage anywhere — a truncated tail, a checksum mismatch, a bad header —
+// stops iteration and returns the error alongside the count of records
+// already applied. A non-nil error from fn stops likewise.
 func Replay(segs [][]byte, fn func(kind byte, payload []byte) error) (int, error) {
-	return replay(segs, fn, false)
-}
-
-// ReplayTolerant is Replay, except that damage in the *final* segment is
-// treated as a crash-truncated tail: iteration stops cleanly at the last
-// intact record and no error is reported. Damage in any earlier segment
-// is still an error — a frozen segment has no legitimate reason to be
-// short or corrupt.
-func ReplayTolerant(segs [][]byte, fn func(kind byte, payload []byte) error) (int, error) {
-	return replay(segs, fn, true)
-}
-
-func replay(segs [][]byte, fn func(kind byte, payload []byte) error, tolerateTail bool) (int, error) {
 	applied := 0
 	for i, seg := range segs {
 		r := NewReader(seg)
@@ -344,9 +330,6 @@ func replay(segs [][]byte, fn func(kind byte, payload []byte) error, tolerateTai
 			applied++
 		}
 		if err := r.Err(); err != nil {
-			if tolerateTail && i == len(segs)-1 {
-				return applied, nil
-			}
 			return applied, fmt.Errorf("wal: segment %d: %w", i, err)
 		}
 	}

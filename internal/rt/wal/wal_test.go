@@ -198,6 +198,10 @@ func TestLogSegmentsStableAcrossAppend(t *testing.T) {
 	}
 }
 
+// TestReplayStrictVsTolerant: Replay is strict — damage anywhere is an
+// error — and tolerance of a crash-cut tail is its caller's: the records
+// before the damage have been applied, and their count is returned with
+// the error. Damage in a frozen segment stops the replay there too.
 func TestReplayStrictVsTolerant(t *testing.T) {
 	l := NewLog(64)
 	for i := 0; i < 8; i++ {
@@ -210,33 +214,31 @@ func TestReplayStrictVsTolerant(t *testing.T) {
 		t.Fatalf("need multiple segments, got %d", len(segs))
 	}
 
-	// Truncate the final segment mid-record: tolerant replay stops clean,
-	// strict replay reports the damage.
+	// Truncate the final segment mid-record: the replay reports the damage
+	// after applying every intact record.
 	last := segs[len(segs)-1]
 	cut := append([]byte(nil), last[:len(last)-5]...)
 	cutSegs := append(append([][]byte(nil), segs[:len(segs)-1]...), cut)
+	var seen []byte
+	n, err := Replay(cutSegs, func(_ byte, p []byte) error {
+		seen = append(seen, p[0])
+		return nil
+	})
+	if err == nil {
+		t.Fatal("replay accepted a truncated tail")
+	}
+	if n != 7 || len(seen) != 7 || seen[6] != 6 {
+		t.Fatalf("truncated tail: applied %d records (%v), want the 7 intact ones", n, seen)
+	}
 
-	nTol, err := ReplayTolerant(cutSegs, func(byte, []byte) error { return nil })
-	if err != nil {
-		t.Fatalf("tolerant replay over truncated tail: %v", err)
-	}
-	if nTol >= 8 {
-		t.Fatalf("tolerant replay applied %d records from a truncated log", nTol)
-	}
-	if _, err := Replay(cutSegs, func(byte, []byte) error { return nil }); err == nil {
-		t.Fatal("strict replay accepted a truncated tail")
-	}
-
-	// Corrupt a non-final segment: both modes must reject.
+	// Corrupt a non-final segment: rejected before the later segments.
 	bad := append([][]byte(nil), segs...)
 	seg0 := append([]byte(nil), bad[0]...)
 	seg0[len(seg0)/2] ^= 0x55
 	bad[0] = seg0
-	if _, err := ReplayTolerant(bad, func(byte, []byte) error { return nil }); err == nil {
-		t.Fatal("tolerant replay accepted a corrupt frozen segment")
-	}
-	if _, err := Replay(bad, func(byte, []byte) error { return nil }); err == nil {
-		t.Fatal("strict replay accepted a corrupt frozen segment")
+	n, err = Replay(bad, func(byte, []byte) error { return nil })
+	if err == nil || n >= len(segs)-1 {
+		t.Fatalf("corrupt frozen segment: applied %d records, err %v", n, err)
 	}
 }
 
@@ -289,7 +291,7 @@ func TestLogBeginCommit(t *testing.T) {
 		if got := inPlace.Segments(); !equalSegs(got, before) || inPlace.Size() != size || inPlace.Records() != recs {
 			t.Fatalf("record %d: an open record shows: %d segments, %d B, %d records", i, len(got), inPlace.Size(), inPlace.Records())
 		}
-		if n, err := ReplayTolerant(inPlace.Segments(), func(byte, []byte) error { return nil }); err != nil || n != i {
+		if n, err := Replay(inPlace.Segments(), func(byte, []byte) error { return nil }); err != nil || n != i {
 			t.Fatalf("record %d open: replay saw %d records, err %v", i, n, err)
 		}
 		if err := inPlace.Commit(append(rec, payload[len(payload)/2:]...)); err != nil {
