@@ -174,8 +174,6 @@ type Engine struct {
 	// (see state.go). Nil until the engine first re-bases: markConnDirty
 	// is then a no-op, so an engine that never re-bases pays nothing.
 	track *tracker
-	// lastSnap is the snapshot AppendDelta returned last.
-	lastSnap []byte
 	// outsideSeen is outsideReads as of the last Unreplayable or re-base.
 	outsideSeen uint64
 	// Flow frames Rebase copied from the previous snapshot, encoded again,

@@ -103,7 +103,10 @@ func FuzzEngineStateDecode(f *testing.F) {
 		Scripts: []string{HTTPScript, FilesScript, DNSScript}, Quiet: true}
 	// Seed corpus: real blobs of each kind, cut from a run that is
 	// mid-connection (reassembly and HTTP parser state in flight) but short
-	// enough that the fuzzer spends its time mutating, not minimizing.
+	// enough that the fuzzer spends its time mutating, not minimizing: a
+	// patched re-base after each of the first packets (each a few KB at
+	// most), one full checkpoint, four flows' frames, and the three frames
+	// InjectFlow must refuse, built from one of them.
 	pkts := mergedTrace(f)
 	src, err := NewEngine(cfg)
 	if err != nil {
@@ -113,24 +116,23 @@ func FuzzEngineStateDecode(f *testing.F) {
 	f.Add(uint8(0), snap) // no flow yet
 	for i := range pkts[:len(pkts)/8] {
 		src.SafeProcessPacket(pkts[i].Time.UnixNano(), pkts[i].Data)
-		if i < 64 && i%16 == 15 {
-			snap = rebaseBytes(f, src, snap) // patched, and small
+		if i < 32 {
+			snap = rebaseBytes(f, src, snap)
 			f.Add(uint8(0), snap)
 		}
 	}
 	f.Add(uint8(0), checkpointBytes(f, src))
-	for i, key := range src.MigratableFlows() {
+	keys := src.MigratableFlows()[:4]
+	for _, key := range keys {
 		blob, err := src.ExtractFlow(key)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(uint8(1), blob)
-		if i < 8 {
-			// Frames InjectFlow must refuse.
-			for _, name := range []string{"tombstone", "no connection", "unknown flag"} {
-				f.Add(uint8(1), refusedFrames(src, key)[name])
-			}
-		}
+	}
+	refused := refusedFrames(src, keys[0])
+	for _, name := range []string{"tombstone", "no connection", "unknown flag"} {
+		f.Add(uint8(1), refused[name])
 	}
 
 	f.Fuzz(func(t *testing.T, entry uint8, data []byte) {

@@ -296,23 +296,20 @@ func (e *Engine) Rebase(enc *snapshot.Encoder, prev []byte) error {
 	return nil
 }
 
-// ResetDeltaBase and AppendDelta are the names the benchmark's WAL layer
-// (bench/layers.go) still prices per packet, re-basing every 256 packets:
-// ResetDeltaBase re-bases in full, AppendDelta by patching the snapshot it
-// returned last, and returns the new one.
+// ResetDeltaBase and AppendDelta survive only as names: the benchmark's
+// WAL layer (bench/layers.go) calls them, and this package keeps no
+// per-packet log. Each is a full Rebase; AppendDelta returns the snapshot.
 func (e *Engine) ResetDeltaBase() error {
-	e.lastSnap = nil
 	_, err := e.AppendDelta()
 	return err
 }
 
 func (e *Engine) AppendDelta() ([]byte, error) {
-	enc := snapshot.NewAppender(make([]byte, 0, len(e.lastSnap)))
-	if err := e.Rebase(enc, e.lastSnap); err != nil {
+	enc := snapshot.NewAppender(nil)
+	if err := e.Rebase(enc, nil); err != nil {
 		return nil, err
 	}
-	e.lastSnap = enc.Buffer()
-	return e.lastSnap, nil
+	return enc.Buffer(), nil
 }
 
 // encodePatched is encodeFull for the price of what changed: old locates

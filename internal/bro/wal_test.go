@@ -3,7 +3,6 @@ package bro
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"testing"
 
 	"hilti/internal/pkt/pcap"
@@ -16,8 +15,6 @@ import (
 // of a packet the engine ran.
 const packetRecord = 1
 
-var errNotPacket = errors.New("bro test: not a packet record")
-
 func appendPacket(t testing.TB, log *wal.Log, tsNs int64, frame []byte) {
 	t.Helper()
 	if err := log.Append(packetRecord, append(binary.BigEndian.AppendUint64(nil, uint64(tsNs)), frame...)); err != nil {
@@ -26,27 +23,34 @@ func appendPacket(t testing.TB, log *wal.Log, tsNs int64, frame []byte) {
 }
 
 // replayLog restores an engine from snap and runs the logged packets on it
-// again. Damage in the last segment is a crash-cut tail, and the replay
-// stops at the last intact record; damage in an earlier segment, or a
-// record that is not a packet, is an error.
+// again, as a pipeline shard's restore does: damage anywhere in the log is
+// an error.
 func replayLog(cfg Config, snap []byte, segs [][]byte) (*Engine, error) {
 	e, err := RestoreEngine(cfg, bytes.NewReader(snap))
 	if err != nil {
 		return nil, err
 	}
-	for i, seg := range segs {
-		_, err := wal.Replay([][]byte{seg}, func(kind byte, p []byte) error {
-			if kind != packetRecord || len(p) < 8 {
-				return errNotPacket
-			}
-			e.ReplayPacket(int64(binary.BigEndian.Uint64(p)), p[8:])
-			return nil
-		})
-		if err != nil && (i < len(segs)-1 || errors.Is(err, errNotPacket)) {
-			return nil, err
-		}
+	if _, err := wal.Replay(segs, func(_ byte, p []byte) error {
+		e.ReplayPacket(int64(binary.BigEndian.Uint64(p)), p[8:])
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return e, nil
+}
+
+// logCuts returns the log as it stood after each of its records: segs
+// up to the record's segment, that segment cut just behind the record.
+func logCuts(segs [][]byte) [][][]byte {
+	var cuts [][][]byte
+	for i, seg := range segs {
+		r := wal.NewReader(seg)
+		for _, _, ok := r.Next(); ok; _, _, ok = r.Next() {
+			cut := append(append([][]byte(nil), segs[:i]...), seg[:r.Offset()])
+			cuts = append(cuts, cut)
+		}
+	}
+	return cuts
 }
 
 // rebaseBytes re-bases e onto a fresh buffer, patching prev if it can.
@@ -98,10 +102,11 @@ func referenceEngine(t testing.TB, cfg Config, pkts []pcap.Packet, n int) *Engin
 	return e
 }
 
-// TestWALRestoreMidSegmentCuts: truncating the final segment at an
-// arbitrary byte offset — including mid-record — must restore to the last
-// intact record's packet boundary, byte-identical to a fresh run over that
-// prefix, and refeeding the remainder must reproduce the uninterrupted run.
+// TestWALRestoreMidSegmentCuts: the log cut behind any record — mid-segment
+// included — must restore to that record's packet boundary, byte-identical
+// to a fresh run over that prefix, and refeeding the remainder must
+// reproduce the uninterrupted run. A cut inside a record is damage, and
+// the restore refuses it.
 func TestWALRestoreMidSegmentCuts(t *testing.T) {
 	pkts := mergedTrace(t)
 	cfg := Config{Parser: "standard", ScriptExec: "interp",
@@ -115,22 +120,16 @@ func TestWALRestoreMidSegmentCuts(t *testing.T) {
 
 	base := len(pkts) / 4
 	snap, log, _ := walRun(t, cfg, pkts, base, 4096)
-	segs := log.Segments()
-	last := segs[len(segs)-1]
+	cuts := logCuts(log.Segments())
 
-	for _, cut := range []int{7, len(last) / 3, len(last) / 2, len(last) - 3} {
-		cutSegs := make([][]byte, len(segs))
-		copy(cutSegs, segs)
-		cutSegs[len(segs)-1] = last[:cut]
-
-		restored, err := replayLog(cfg, snap, cutSegs)
+	for _, cut := range []int{0, len(cuts) / 3, len(cuts) / 2, len(cuts) - 2} {
+		restored, err := replayLog(cfg, snap, cuts[cut])
 		if err != nil {
 			t.Fatalf("cut=%d: restore: %v", cut, err)
 		}
 		n := int(restored.Packets())
-		if n < base || n >= len(pkts) {
-			t.Fatalf("cut=%d: restored to implausible packet count %d (base %d, trace %d)",
-				cut, n, base, len(pkts))
+		if n != base+cut+1 {
+			t.Fatalf("cut=%d: restored to packet %d, want %d", cut, n, base+cut+1)
 		}
 		if !bytes.Equal(checkpointBytes(t, restored), checkpointBytes(t, referenceEngine(t, cfg, pkts, n))) {
 			t.Errorf("cut=%d: restored state at packet %d differs from straight run", cut, n)
@@ -144,6 +143,13 @@ func TestWALRestoreMidSegmentCuts(t *testing.T) {
 			t.Errorf("cut=%d: %d events after refeed, uninterrupted run had %d", cut, got, want)
 		}
 		sameLogs(t, "refeed after the cut", restored, baseline)
+	}
+
+	torn := cuts[len(cuts)-1]
+	last := torn[len(torn)-1]
+	torn[len(torn)-1] = last[:len(last)-3]
+	if _, err := replayLog(cfg, snap, torn); err == nil {
+		t.Error("restore accepted a log cut inside a record")
 	}
 }
 
@@ -185,13 +191,9 @@ func TestWALRestoreHilti(t *testing.T) {
 		t.Error("restored checkpoint differs from live engine checkpoint (hilti backend)")
 	}
 
-	segs := log.Segments()
-	last := segs[len(segs)-1]
-	for _, cut := range []int{len(last) / 2, len(last) - 2} {
-		cutSegs := make([][]byte, len(segs))
-		copy(cutSegs, segs)
-		cutSegs[len(segs)-1] = last[:cut]
-		restored, err := replayLog(cfg, snap, cutSegs)
+	cuts := logCuts(log.Segments())
+	for _, cut := range []int{len(cuts) / 2, len(cuts) - 2} {
+		restored, err := replayLog(cfg, snap, cuts[cut])
 		if err != nil {
 			t.Fatalf("cut=%d: restore: %v", cut, err)
 		}
