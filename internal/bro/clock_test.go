@@ -32,19 +32,19 @@ func tick(e *Engine) {
 }
 
 func header(e *Engine, c *conn) {
-	e.dispatch(evHTTPHeader, c, BoolVal(true), StringVal("Host"), StringVal("example.com"))
+	e.dispatch(evHTTPHeader, c, values.Bool(true), values.String("Host"), values.String("example.com"))
 }
 
 // TestClockReadsPerEvent is the regression guard for what the clock costs:
-// an event takes three reads on the compiled backend (glue for all
-// arguments, script, back) and two on the interpreter; a TCP packet without
-// data takes two. Bracketing per argument again would show up here.
+// an event takes two reads on either backend (script, back); a TCP packet
+// without data takes two. Bracketing the arguments again would show up
+// here.
 func TestClockReadsPerEvent(t *testing.T) {
 	ack := tcpDataFrame([4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}, 40000, 80, 100, nil)
 	for _, tc := range []struct {
 		exec  string
 		event uint64
-	}{{"hilti", 3}, {"interp", 2}} {
+	}{{"hilti", 2}, {"interp", 2}} {
 		e, c := clockEngine(t, "standard", tc.exec)
 		header(e, c) // first use: resolve the hook, build the connection's struct
 		before := e.clock.reads
@@ -135,7 +135,7 @@ func TestClockSurvivesPanics(t *testing.T) {
 			e.ex.RegisterHost("bro_network_time", func(*vm.Exec, []values.Value) (values.Value, error) { panic("boom") })
 		}
 		e.clock.enter(compParse) // as the parser that raises the event would
-		e.dispatch(evHTTPRequest, c, StringVal("GET"), StringVal("/"), StringVal("1.1"))
+		e.dispatch(evHTTPRequest, c, values.String("GET"), values.String("/"), values.String("1.1"))
 		if e.faults.Count() != 1 {
 			t.Fatalf("%s: %d faults, want the handler's panic", exec, e.faults.Count())
 		}
@@ -211,52 +211,53 @@ func TestClockScrapeWhileRunning(t *testing.T) {
 	}
 }
 
-var glueSink values.Value
-
 // The dispatch path's own garbage: no error target, fault label, closure or
 // argument slice per event, on either backend; and with the connection's
 // struct cached, a compiled handler that only reads is allocation-free end
-// to end.
+// to end. The events come through stdHTTPAdapter with strings made at run
+// time, as HTTPParser hands them over: what a Val box would cost, these pay.
 func TestDispatchAllocs(t *testing.T) {
-	var logged [2]float64 // per backend: a reply, then the message_done that logs it
+	var replies, headers [2]float64 // per backend
 	for i, exec := range []string{"hilti", "interp"} {
 		e, c := clockEngine(t, "standard", exec)
+		a := &stdHTTPAdapter{e: e, c: c}
 		// bro_done has no handler in these scripts: the path alone.
 		e.dispatch(evBroDone, nil)
 		if n := testing.AllocsPerRun(200, func() { e.dispatch(evBroDone, nil) }); n != 0 {
 			t.Errorf("%s: dispatching an event nobody handles allocates %v times", exec, n)
 		}
 		// http_message_done with nothing pending: look c$uid up, return.
-		done := func() { e.dispatch(evHTTPMessageDone, c, BoolVal(true)) }
+		done := func() { a.MessageDone(true) }
 		done()
 		if n := testing.AllocsPerRun(200, done); n != 0 {
 			t.Errorf("%s: http_message_done allocates %v times per event", exec, n)
 		}
 		// With a reply pending, http_message_done writes http.log.
+		version, reason := strings.Clone("1.1"), strings.Clone("OK")
 		reply := func() {
-			e.dispatch(evHTTPReply, c, StringVal("1.1"), CountVal(200), StringVal("OK"))
-			e.dispatch(evHTTPMessageDone, c, BoolVal(false))
+			a.Reply(version, 200, reason)
+			a.MessageDone(false)
 		}
 		reply()
-		logged[i] = testing.AllocsPerRun(200, reply)
+		replies[i] = testing.AllocsPerRun(200, reply)
+		// A reply header: the handler looks at nothing it gets.
+		name, value := strings.Clone("Server"), strings.Clone("nginx")
+		header := func() { a.Header(false, name, value) }
+		header()
+		headers[i] = testing.AllocsPerRun(200, header)
 	}
-	if logged[0] > logged[1] {
-		t.Errorf("a logged reply allocates %v times compiled, %v interpreted", logged[0], logged[1])
+	if replies[1] != 25 || headers[1] != 2 {
+		t.Errorf("interpreted: a logged reply allocates %v times, a header %v; want 25 and 2", replies[1], headers[1])
 	}
-	// Compiled, the reply's strings cross into HILTI without a box.
-	if logged[0] > 7 {
-		t.Errorf("a compiled logged reply allocates %v times, want at most 7", logged[0])
+	if replies[0] >= replies[1] {
+		t.Errorf("a logged reply allocates %v times compiled, %v interpreted", replies[0], replies[1])
 	}
-	// A string or enum argument the caller already holds as a Val crosses
-	// into a HILTI value without an allocation.
-	g := NewGlue()
-	for _, v := range []Val{StringVal("Mozilla/5.0 (X11; Linux x86_64)"), EnumVal{Name: "Analyzer::ANALYZER_HTTP"}} {
-		if n := testing.AllocsPerRun(200, func() { glueSink = g.toHilti(v) }); n != 0 {
-			t.Errorf("toHilti(%T) allocates %v times", v, n)
-		}
-		if got := glueSink.AsString(); got != v.Render() {
-			t.Errorf("toHilti(%T) = %q, want %q", v, got, v.Render())
-		}
+	// Compiled, the arguments cross into HILTI without a box.
+	if replies[0] > 4 {
+		t.Errorf("a compiled logged reply allocates %v times, want at most 4", replies[0])
+	}
+	if headers[0] != 0 {
+		t.Errorf("a compiled http_header that keeps nothing allocates %v times, want 0", headers[0])
 	}
 	// The compiled log writes build no record: their handlers allocate no
 	// struct and set no field.
@@ -309,7 +310,7 @@ event http_request(c: connection, method: string, uri: string, version: string) 
 	ip := e.interp
 	logWrite := ip.LogWrite
 	ip.LogWrite = func(string, *RecordVal) { panic("injected") }
-	e.dispatch(evHTTPRequest, c, StringVal("GET"), StringVal("/"), StringVal("1.1"))
+	e.dispatch(evHTTPRequest, c, values.String("GET"), values.String("/"), values.String("1.1"))
 	ip.LogWrite = logWrite
 	if e.faults.Count() == 0 {
 		t.Fatal("the handler did not panic")
@@ -324,7 +325,7 @@ event http_request(c: connection, method: string, uri: string, version: string) 
 			}
 		}
 	}
-	done := func() { e.dispatch(evHTTPMessageDone, c, BoolVal(true)) }
+	done := func() { e.dispatch(evHTTPMessageDone, c, values.Bool(true)) }
 	done()
 	if n := testing.AllocsPerRun(200, done); n != 0 {
 		t.Errorf("http_message_done allocates %v times per event after a panic", n)

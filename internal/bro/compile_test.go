@@ -7,7 +7,6 @@ import (
 	"io"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"hilti/internal/hilti/vm"
@@ -17,13 +16,14 @@ import (
 	"hilti/internal/rt/values"
 )
 
-// compileExec compiles scripts and returns a ready Exec with host fns.
-func compileExec(t testing.TB, src string) (*vm.Exec, *Glue, *bytes.Buffer, func() int64) {
+// compileExec compiles scripts and returns a ready Exec with host fns and
+// the program's struct definitions by name.
+func compileExec(t testing.TB, src string) (*vm.Exec, map[string]*values.StructDef, *bytes.Buffer, func() int64) {
 	t.Helper()
 	return compileExecWith(t, vm.Options{OptLevel: vm.DefaultOptLevel()}, src)
 }
 
-func compileExecWith(t testing.TB, opts vm.Options, src string) (*vm.Exec, *Glue, *bytes.Buffer, func() int64) {
+func compileExecWith(t testing.TB, opts vm.Options, src string) (*vm.Exec, map[string]*values.StructDef, *bytes.Buffer, func() int64) {
 	t.Helper()
 	s, err := ParseScript(src)
 	if err != nil {
@@ -44,20 +44,24 @@ func compileExecWith(t testing.TB, opts vm.Options, src string) (*vm.Exec, *Glue
 	var out bytes.Buffer
 	ex.Out = &out
 	now := int64(0)
-	glue := NewGlue()
+	structs := map[string]*values.StructDef{}
+	for name, typ := range mod.Types {
+		if typ.StructDef != nil {
+			structs[name] = typ.StructDef.Runtime()
+		}
+	}
 	RegisterHostFns(ex, func() int64 { return now }, nil)
 	if _, err := ex.Call("BroScripts::__init_globals"); err != nil {
 		t.Fatal(err)
 	}
-	return ex, glue, &out, func() int64 { return now }
+	return ex, structs, &out, func() int64 { return now }
 }
 
 func TestCompiledFigure8Track(t *testing.T) {
-	ex, glue, out, _ := compileExec(t, trackBro)
-	ip := NewInterp() // for MakeConn record structure
+	ex, structs, out, _ := compileExec(t, trackBro)
 	for _, host := range []byte{118, 2, 3, 2} {
-		c := ip.MakeConn("C1", flow.FromIPv4([4]byte{10, 0, 0, 1}, [4]byte{208, 80, 152, host}, 1024, 80, layers.IPProtoTCP), 0)
-		if err := ex.RunHook("connection_established", glue.toHilti(c)); err != nil {
+		c := newConnStruct(structs, "C1", flow.FromIPv4([4]byte{10, 0, 0, 1}, [4]byte{208, 80, 152, host}, 1024, 80, layers.IPProtoTCP), 0)
+		if err := ex.RunHook("connection_established", values.StructVal(c)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,9 +145,9 @@ event report() {
 	}
 
 	// Compiled run.
-	ex, glue, cout, _ := compileExec(t, src)
+	ex, _, cout, _ := compileExec(t, src)
 	for _, st := range steps {
-		err := ex.RunHook("observe", glue.toHilti(StringVal(st.who)), glue.toHilti(TimeVal(st.when)))
+		err := ex.RunHook("observe", values.String(st.who), values.TimeVal(st.when))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,9 +214,9 @@ event peek(i: count) {
 	backends := []backend{{"interp", func(ev string, i CountVal) error { return ip.Dispatch(ev, i) }, &iout,
 		func() { ip.Out = io.Discard }}}
 	for _, lvl := range []int{0, 1} {
-		ex, glue, out, _ := compileExecWith(t, vm.Options{OptLevel: lvl}, src)
+		ex, _, out, _ := compileExecWith(t, vm.Options{OptLevel: lvl}, src)
 		backends = append(backends, backend{fmt.Sprintf("O%d", lvl), func(ev string, i CountVal) error {
-			return ex.RunHook(ev, glue.toHilti(i))
+			return ex.RunHook(ev, values.Int(int64(i)))
 		}, out, func() { ex.Out = io.Discard }})
 	}
 	var errs [][]string
@@ -318,8 +322,8 @@ event report() {
 		}
 	}
 
-	ex, glue, cout, _ := compileExec(t, src)
-	if err := ex.RunHook("scopes", glue.toHilti(CountVal(2))); err != nil {
+	ex, _, cout, _ := compileExec(t, src)
+	if err := ex.RunHook("scopes", values.Int(2)); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"loop_return", "report"} {
@@ -435,44 +439,6 @@ event check(k: string) {
 	ex.RunHook("check", values.String("x")) // expired (idle 15s > 10s)
 	if out.String() != "present\nabsent\n" {
 		t.Fatalf("got %q", out.String())
-	}
-}
-
-// Every converted value of one record type carries the same StructDef —
-// also when several workers, each with its own Glue, convert the shared
-// type for the first time at once (run under -race).
-func TestToHiltiSharesStructDefPerRecordType(t *testing.T) {
-	rt := NewRecordType("Info", "uid", "n")
-	other := NewRecordType("Info", "uid", "n") // same shape, different type
-	conv := func(g *Glue, rt *RecordType, n int64) *values.Struct {
-		r := NewRecord(rt)
-		r.Set("n", CountVal(n))
-		return g.toHilti(r).AsStruct()
-	}
-	const workers = 4
-	got := make([]*values.Struct, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			got[w] = conv(NewGlue(), rt, int64(w))
-		}(w)
-	}
-	wg.Wait()
-	for w, s := range got {
-		if s.Def != got[0].Def {
-			t.Fatalf("worker %d got its own StructDef for a shared record type", w)
-		}
-		if v, ok := s.GetName("n"); !ok || v.AsInt() != int64(w) {
-			t.Fatalf("worker %d: field n = %v %v", w, v, ok)
-		}
-		if _, set := s.GetName("uid"); set {
-			t.Fatalf("worker %d: unassigned field reads as set", w)
-		}
-	}
-	if conv(NewGlue(), other, 0).Def == got[0].Def {
-		t.Fatal("distinct record types share a StructDef")
 	}
 }
 

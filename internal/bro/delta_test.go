@@ -10,6 +10,7 @@ import (
 	"hilti/internal/pkt/gen"
 	"hilti/internal/pkt/pcap"
 	"hilti/internal/rt/snapshot"
+	"hilti/internal/rt/values"
 )
 
 // rebaser re-bases an engine as a pipeline shard does, and holds each
@@ -145,7 +146,7 @@ event put_del(k: string) {
 `
 
 // raise dispatches a custom script's event by name, as the engine does its own.
-func (e *Engine) raise(name string, args ...Val) {
+func (e *Engine) raise(name string, args ...values.Value) {
 	var bodies []*vm.CompiledFunc
 	if e.compiled {
 		bodies = e.ex.Prog.HookBodies[name]
@@ -175,11 +176,11 @@ func TestDeltaMarksYieldMutations(t *testing.T) {
 	sec := int64(1e9)
 	e.now = 100 * sec
 	for i, k := range []string{"a", "b", "c"} {
-		e.raise("put", StringVal(k), CountVal(i+1))
+		e.raise("put", values.String(k), values.Int(int64(i+1)))
 		step("put " + k)
 	}
 
-	e.raise("mutate_local", StringVal("b"))
+	e.raise("mutate_local", values.String("b"))
 	if n := step("mutation through a local"); n != 1 {
 		t.Errorf("mutating recs[b] and vecs[b] through locals marked %d flows' entries, want 1", n)
 	}
@@ -188,30 +189,72 @@ func TestDeltaMarksYieldMutations(t *testing.T) {
 		t.Errorf("mutating every yield through a two-variable for marked %d flows' entries, want 3", n)
 	}
 	e.now += sec
-	e.raise("look", StringVal("a"))
+	e.raise("look", values.String("a"))
 	// counts[0] and counts[1] have no label; `k in recs` is
 	// &create_expire, the one-variable for passes no yield.
 	if n := step("reads that hand nothing out"); n != 0 {
 		t.Errorf("membership test and one-variable for marked %d flows' entries, want none", n)
 	}
 
-	e.raise("put_del", StringVal("ghost"))
+	e.raise("put_del", values.String("ghost"))
 	step("entry born and gone between re-bases")
-	e.raise("del", StringVal("a"))
-	e.raise("put", StringVal("a"), CountVal(9))
+	e.raise("del", values.String("a"))
+	e.raise("put", values.String("a"), values.Int(9))
 	step("delete then re-insert")
 
 	// Mark recs[c] (its yield is handed out, and vecs[c]'s &read_expire
 	// read refreshes it), then let everything expire before the re-base.
-	e.raise("mutate_local", StringVal("c"))
+	e.raise("mutate_local", values.String("c"))
 	e.now += 11 * sec
-	e.raise("look", StringVal("a"))
+	e.raise("look", values.String("a"))
 	if n := step("marked, then expired"); n != 3 {
 		t.Errorf("entries of three flows expired, the marks named %d", n)
 	}
 	if exp := e.interp.Expired.Load(); exp != 6 {
 		t.Errorf("interpreter counted %d expired entries, want 6", exp)
 	}
+}
+
+// reboundScript rebinds a global table to a fresh one and to another
+// global's.
+const reboundScript = `
+global recs: table[string] of count;
+global other: table[string] of count;
+
+event put(k: string, n: count) {
+    recs[k] = n;
+}
+
+event rebind() {
+    local fresh: table[string] of count;
+    recs = fresh;
+}
+
+event alias() {
+    recs = other;
+}
+`
+
+// TestRebaseAfterTableRebound: a global bound to another table since the
+// last re-base names a table whose writes no mark recorded, and drops one
+// whose entries the previous snapshot holds. The next re-base must still
+// write the full encode's bytes, and the one after must see the new
+// table's writes.
+func TestRebaseAfterTableRebound(t *testing.T) {
+	r := &rebaser{t: t, e: mustEngine(t, Config{Parser: "standard", ScriptExec: "interp", Scripts: []string{reboundScript}, Quiet: true})}
+	e := r.e
+	r.rebase("base")
+	e.raise("put", values.String("a"), values.Int(1))
+	r.rebase("put a")
+	e.raise("rebind")
+	e.raise("put", values.String("b"), values.Int(2))
+	r.rebase("rebind, put b")
+	e.raise("put", values.String("c"), values.Int(3))
+	r.rebase("put c")
+	e.raise("alias")
+	r.rebase("alias")
+	e.raise("put", values.String("d"), values.Int(4))
+	r.rebase("put d")
 }
 
 // TestRebaseWorkIndependentOfLiveFlows: what a patching re-base encodes

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"hilti/internal/analyzers"
@@ -29,6 +30,7 @@ import (
 	"hilti/internal/pkt/layers"
 	"hilti/internal/pkt/pcap"
 	"hilti/internal/pkt/reassembly"
+	"hilti/internal/rt/container"
 	"hilti/internal/rt/fault"
 	"hilti/internal/rt/hbytes"
 	"hilti/internal/rt/metrics"
@@ -189,10 +191,15 @@ type Engine struct {
 }
 
 type conn struct {
-	key                    flow.Key // canonical
-	uid                    string
+	key flow.Key // canonical
+	uid string
+	// The connection's record, built at its first event in the running
+	// backend's form (connRecord, connStruct); recorded says whether it
+	// was, start is its start_time. A restore carries only those two.
 	rec                    *RecordVal
-	hrec                   *values.Struct // rec's HILTI form, see connStruct
+	hrec                   *values.Struct
+	recorded               bool
+	start                  int64
 	ctx                    int64
 	isTCP                  bool
 	started                bool
@@ -295,9 +302,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 				}
 			}
 		}
-		for name, rt := range e.interp.Records {
-			rt.adoptDef(e.structs[name])
-		}
 		if httpMods != nil {
 			e.initBinpac(httpMods, dnsMods)
 		}
@@ -370,38 +374,50 @@ const (
 var eventNames = [numEvents]string{"connection_established", "http_request", "http_reply",
 	"http_header", "http_body", "http_message_done", "dns_request", "dns_response", "bro_done"}
 
-func (e *Engine) dispatch(id eventID, c *conn, args ...Val) {
+func (e *Engine) dispatch(id eventID, c *conn, args ...values.Value) {
 	e.dispatchNamed(eventNames[id], e.hooks[id], c, args)
 }
 
 // dispatchNamed routes an event into the configured script backend (bodies:
-// its compiled handlers). It is a containment boundary: a panic in glue or a
-// handler becomes a recorded fault and aborts only this event.
-func (e *Engine) dispatchNamed(name string, bodies []*vm.CompiledFunc, c *conn, args []Val) {
+// its compiled handlers). Compiled handlers take the arguments as they
+// are; the interpreter's get each as the Val its handler declares. It is a
+// containment boundary: a panic in glue or a handler becomes a recorded
+// fault and aborts only this event.
+func (e *Engine) dispatchNamed(name string, bodies []*vm.CompiledFunc, c *conn, args []values.Value) {
 	e.events.Inc()
 	defer e.containEvent(name, len(e.clock.stack), len(e.hargs), len(e.vargs))
+	if c != nil && !c.recorded {
+		c.recorded, c.start = true, e.now
+	}
 	if !e.compiled {
 		base := len(e.vargs)
 		if c != nil {
 			e.vargs = append(e.vargs, e.connRecord(c))
 		}
-		e.vargs = append(e.vargs, args...)
+		handlers := e.interp.Events[name]
+		if len(handlers) > 0 {
+			params := handlers[0].Params
+			e.vargs = slices.Grow(e.vargs, len(args))
+			for _, a := range args {
+				var t *TypeExpr
+				if i := len(e.vargs) - base; i < len(params) {
+					t = params[i].Type
+				}
+				e.vargs = append(e.vargs, e.glue.scriptVal(a, t))
+			}
+		}
 		e.clock.enter(compScript)
-		e.interp.Dispatch(name, e.vargs[base:]...) //nolint:errcheck
+		e.interp.dispatch(name, handlers, e.vargs[base:]) //nolint:errcheck
 		e.clock.leave()
 		e.vargs = e.vargs[:base]
 		return
 	}
-	// All of the event's arguments cross in one glue interval.
-	e.clock.enter(compGlue)
 	base := len(e.hargs)
 	if c != nil {
 		e.hargs = append(e.hargs, e.connStruct(c))
 	}
-	for _, a := range args {
-		e.hargs = append(e.hargs, e.glue.toHilti(a))
-	}
-	e.clock.switchTo(compScript)
+	e.hargs = append(e.hargs, args...)
+	e.clock.enter(compScript)
 	for _, body := range bodies {
 		// Script errors abort the handler only; a blown execution budget
 		// is additionally counted.
@@ -623,24 +639,44 @@ func (e *Engine) getConn(key flow.Key, isTCP bool) (*conn, bool) {
 	return c, key == c.key
 }
 
+// connRecord returns the connection's record for interpreted handlers.
 func (e *Engine) connRecord(c *conn) *RecordVal {
 	if c.rec == nil {
-		c.rec = e.interp.MakeConn(c.uid, c.key, e.now)
+		c.rec = e.interp.MakeConn(c.uid, c.key, c.start)
 	}
 	return c.rec
 }
 
-// connStruct returns the connection record's HILTI form, converted once per
-// connection, not per event. Compiled handlers thereby get the
+// connStruct returns the connection's record for compiled handlers, built
+// once per connection, not per event. Compiled handlers thereby get the
 // interpreter's aliasing: all events of a connection see one record, and a
 // field one handler stores is there for the next (CompileScripts emits
 // struct.set through record parameters, so it cannot promise otherwise).
-// It is derived state: never encoded, rebuilt at first use after a restore.
+// Building it is the one conversion a compiled event can pay, charged to
+// glue.
 func (e *Engine) connStruct(c *conn) values.Value {
 	if c.hrec == nil {
-		c.hrec = e.glue.toHilti(e.connRecord(c)).AsStruct()
+		e.clock.enter(compGlue)
+		c.hrec = newConnStruct(e.structs, c.uid, c.key, c.start)
+		e.clock.leave()
 	}
 	return values.StructVal(c.hrec)
+}
+
+// newConnStruct builds the `connection` struct of the flow uid, whose
+// originator's direction is k, of the definitions in structs (the linked
+// program's); fields are in CompileScripts' declaration order.
+func newConnStruct(structs map[string]*values.StructDef, uid string, k flow.Key, start int64) *values.Struct {
+	id := values.NewStruct(structs["conn_id"])
+	id.Set(0, k.SrcAddr())
+	id.Set(1, values.PortVal(k.SrcPort, k.Proto))
+	id.Set(2, k.DstAddr())
+	id.Set(3, values.PortVal(k.DstPort, k.Proto))
+	c := values.NewStruct(structs["connection"])
+	c.Set(0, values.StructVal(id))
+	c.Set(1, values.String(uid))
+	c.Set(2, values.TimeVal(start))
+	return c
 }
 
 func (e *Engine) tcpPacket(ip layers.IPv4, tcp layers.TCP) {
@@ -774,18 +810,37 @@ func (e *Engine) udpPacket(ip layers.IPv4, udp layers.UDP) {
 // dnsEvents raises dns_request/dns_response.
 func (e *Engine) dnsEvents(c *conn, isResp bool, id int, query string, qtype, rcode int, answers []string, ttls []int64) {
 	if !isResp {
-		e.dispatch(evDNSRequest, c, CountVal(id), StringVal(query), CountVal(qtype))
+		e.dispatch(evDNSRequest, c, values.Int(int64(id)), values.String(query), values.Int(int64(qtype)))
 		return
 	}
-	av := &VectorVal{}
-	for _, a := range answers {
-		av.Elems = append(av.Elems, StringVal(a))
+	av, tv := e.dnsLists(answers, ttls)
+	e.dispatch(evDNSResponse, c, values.Int(int64(id)), values.Int(int64(rcode)), av, tv)
+}
+
+// dnsLists builds dns_response's answer and TTL lists in the running
+// backend's form: HILTI vectors for compiled handlers, VectorVals carried
+// as Any for interpreted ones. No other argument needs the engine to pick.
+func (e *Engine) dnsLists(answers []string, ttls []int64) (av, tv values.Value) {
+	if e.compiled {
+		a := container.NewVectorSized(values.Nil, len(answers))
+		for _, s := range answers {
+			a.PushBack(values.String(s))
+		}
+		t := container.NewVectorSized(values.Nil, len(ttls))
+		for _, ttl := range ttls {
+			t.PushBack(values.IntervalVal(ttl * 1e9))
+		}
+		return values.Ref(values.KindVector, a), values.Ref(values.KindVector, t)
 	}
-	tv := &VectorVal{}
-	for _, t := range ttls {
-		tv.Elems = append(tv.Elems, IntervalVal(t*1e9))
+	a := &VectorVal{}
+	for _, s := range answers {
+		a.Elems = append(a.Elems, StringVal(s))
 	}
-	e.dispatch(evDNSResponse, c, CountVal(id), CountVal(rcode), av, tv)
+	t := &VectorVal{}
+	for _, ttl := range ttls {
+		t.Elems = append(t.Elems, IntervalVal(ttl*1e9))
+	}
+	return values.Any(a), values.Any(t)
 }
 
 // Finish flushes remaining connections and raises bro_done.
@@ -800,31 +855,33 @@ func (e *Engine) Finish() {
 
 // --- standard-parser event adapter ---------------------------------------------
 
-// stdHTTPAdapter converts analyzer callbacks into engine events. This path
-// mirrors Bro's native parsers constructing Vals directly: no glue.
+// stdHTTPAdapter converts analyzer callbacks into engine events, as Bro's
+// native parsers raise them: no glue. A string argument is a HILTI string
+// over the parser's bytes, so it reaches a compiled handler without a copy
+// or a box; an interpreted handler's Val boxes it.
 type stdHTTPAdapter struct {
 	e *Engine
 	c *conn
 }
 
 func (a *stdHTTPAdapter) Request(method, uri, version string) {
-	a.e.dispatch(evHTTPRequest, a.c, StringVal(method), StringVal(uri), StringVal(version))
+	a.e.dispatch(evHTTPRequest, a.c, values.String(method), values.String(uri), values.String(version))
 }
 
 func (a *stdHTTPAdapter) Reply(version string, code int, reason string) {
-	a.e.dispatch(evHTTPReply, a.c, StringVal(version), CountVal(code), StringVal(reason))
+	a.e.dispatch(evHTTPReply, a.c, values.String(version), values.Int(int64(code)), values.String(reason))
 }
 
 func (a *stdHTTPAdapter) Header(isOrig bool, name, value string) {
-	a.e.dispatch(evHTTPHeader, a.c, BoolVal(isOrig), StringVal(name), StringVal(value))
+	a.e.dispatch(evHTTPHeader, a.c, values.Bool(isOrig), values.String(name), values.String(value))
 }
 
 func (a *stdHTTPAdapter) Body(isOrig bool, ctype, sum string, n int) {
-	a.e.dispatch(evHTTPBody, a.c, BoolVal(isOrig), StringVal(ctype), StringVal(sum), CountVal(n))
+	a.e.dispatch(evHTTPBody, a.c, values.Bool(isOrig), values.String(ctype), values.String(sum), values.Int(int64(n)))
 }
 
 func (a *stdHTTPAdapter) MessageDone(isOrig bool) {
-	a.e.dispatch(evHTTPMessageDone, a.c, BoolVal(isOrig))
+	a.e.dispatch(evHTTPMessageDone, a.c, values.Bool(isOrig))
 }
 
 func (a *stdHTTPAdapter) ParseError(isOrig bool, msg string) {

@@ -1,9 +1,10 @@
 // BinPAC++ parser integration: the engine drives HILTI-compiled parsers
 // over reassembled streams (HTTP) and datagrams (DNS), exactly like the
 // paper's Bro plugin drives BinPAC++ parsers (§4, §5 "Bro Interface").
-// Parser hooks call bro_* host functions; their HILTI arguments cross the
-// glue layer into Vals before entering the event engine, and the component
-// clock charges that conversion to glue (Figure 9's third bar). Grammars and
+// Parser hooks call bro_* host functions, which turn the parse's values
+// into event arguments — a rope into a string, a parsed DNS message into
+// its lists — and the component clock charges that conversion to glue
+// (Figure 9's third bar). Grammars and
 // compiled scripts are one linked program on one Exec, so a compiled handler
 // a callback dispatches is a re-entrant CallFn nested in the parse: its
 // instructions count against the parse's budget.
@@ -108,23 +109,23 @@ func (e *Engine) registerBinpacHost() {
 			return values.Nil, nil
 		})
 	}
-	str := func(v values.Value) StringVal {
-		return StringVal(renderHilti(v))
+	str := func(v values.Value) values.Value {
+		return values.String(renderHilti(v))
 	}
-	isOrig := func(v values.Value) BoolVal { return BoolVal(v.AsInt() != 0) }
+	isOrig := func(v values.Value) values.Value { return values.Bool(v.AsInt() != 0) }
 
 	host("bro_http_request", func(c *conn, args []values.Value) {
 		e.clock.enter(compGlue)
 		method, uri, version := str(args[1]), str(args[2]), str(args[3])
 		e.clock.leave()
-		c.methods = append(c.methods, string(method))
+		c.methods = append(c.methods, method.AsString())
 		e.dispatch(evHTTPRequest, c, method, uri, version)
 	})
 	host("bro_http_reply", func(c *conn, args []values.Value) {
 		e.clock.enter(compGlue)
 		version, reason := str(args[1]), str(args[3])
 		e.clock.leave()
-		e.dispatch(evHTTPReply, c, version, CountVal(args[2].AsInt()), reason)
+		e.dispatch(evHTTPReply, c, version, values.Int(args[2].AsInt()), reason)
 	})
 	host("bro_http_header", func(c *conn, args []values.Value) {
 		e.clock.enter(compGlue)
@@ -152,11 +153,11 @@ func (e *Engine) registerBinpacHost() {
 	host("bro_http_body", func(c *conn, args []values.Value) {
 		e.clock.enter(compGlue)
 		ctype, sum := str(args[2]), str(args[3])
-		if ctype == "" {
-			ctype = StringVal(analyzers.SniffMIME(args[5].AsBytes().Bytes()))
+		if ctype.AsString() == "" {
+			ctype = values.String(analyzers.SniffMIME(args[5].AsBytes().Bytes()))
 		}
 		e.clock.leave()
-		e.dispatch(evHTTPBody, c, isOrig(args[1]), ctype, sum, CountVal(args[4].AsInt()))
+		e.dispatch(evHTTPBody, c, isOrig(args[1]), ctype, sum, values.Int(args[4].AsInt()))
 	})
 	host("bro_http_message_done", func(c *conn, args []values.Value) {
 		e.dispatch(evHTTPMessageDone, c, isOrig(args[1]))
@@ -210,7 +211,7 @@ func (e *Engine) binpacDNSEvents(c *conn, msg values.Value) {
 			qtype = int(qs.Fields[ix.qtype].AsInt())
 		}
 	}
-	// The answer and TTL lists are the engine's scratch: dnsEvents copies
+	// The answer and TTL lists are the engine's scratch: dnsLists copies
 	// them into the event's vectors.
 	answers, ttls := e.dnsAnswers[:0], e.dnsTTLs[:0]
 	if vec, ok := s.Fields[ix.answers].O.(*container.Vector); ok {

@@ -8,6 +8,7 @@ import (
 	"hilti/internal/pkt/gen"
 	"hilti/internal/pkt/layers"
 	"hilti/internal/pkt/pcap"
+	"hilti/internal/rt/values"
 )
 
 func smallHTTPTrace(t testing.TB) []pcap.Packet {
@@ -184,9 +185,9 @@ event http_reply(c: connection, version: string, code: count, reason: string) {
 		}
 		c, _ := e.getConn(flow.FromIPv4([4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}, 40000, 80, layers.IPProtoTCP), true)
 		other, _ := e.getConn(flow.FromIPv4([4]byte{10, 0, 0, 3}, [4]byte{10, 0, 0, 2}, 40001, 80, layers.IPProtoTCP), true)
-		e.dispatch(evHTTPRequest, c, StringVal("STORED"), StringVal("/"), StringVal("1.1"))
-		e.dispatch(evHTTPReply, c, StringVal("1.1"), CountVal(200), StringVal("OK"))
-		e.dispatch(evHTTPReply, other, StringVal("1.1"), CountVal(200), StringVal("OK"))
+		e.dispatch(evHTTPRequest, c, values.String("STORED"), values.String("/"), values.String("1.1"))
+		e.dispatch(evHTTPReply, c, values.String("1.1"), values.Int(200), values.String("OK"))
+		e.dispatch(evHTTPReply, other, values.String("1.1"), values.Int(200), values.String("OK"))
 		lines[i] = e.Logs.Lines("alias")
 		if len(lines[i]) != 2 || !strings.HasPrefix(lines[i][0], "STORED\t") || strings.HasPrefix(lines[i][1], "STORED\t") {
 			t.Errorf("%s: the second handler must see the first one's store, another connection must not: %q", exec, lines[i])

@@ -32,8 +32,9 @@ function bump(r: R): count {
 `
 
 // TestOneStructTypeThreeDefs: a value of one script record type is built
-// three ways — by `new` in HILTI, by the glue from a RecordVal, and by the
-// snapshot decoder from the first — and a compiled function reads and
+// three ways — by `new` in HILTI, by the host from the linked definition
+// (as connStruct builds a connection), and by the snapshot decoder from the
+// first — and a compiled function reads and
 // writes the same fields of each, on the name path (O0) and on the index
 // path (O1). Every struct carries the linked type's Def, so the index path
 // never misses its guard; a struct of a look-alike Def takes the name path,
@@ -66,12 +67,11 @@ func TestOneStructTypeThreeDefs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// 2. the glue, from a record of the type the engine adopted the Def for
-		rt := NewRecordType("R", "a", "b", "c")
-		rt.adoptDef(def)
-		rec := NewRecord(rt)
-		rec.F[0], rec.F[1], rec.F[2] = CountVal(3), StringVal("four"), CountVal(0)
-		glued := NewGlue().toHilti(rec)
+		// 2. the host, from the linked definition
+		built := values.NewStruct(def)
+		built.Set(0, values.Int(3))
+		built.Set(1, values.String("four"))
+		built.Set(2, values.Int(0))
 		// 3. the snapshot decoder, resolving the type as a restored engine does
 		var enc snapshot.Encoder
 		enc.Value(made)
@@ -85,7 +85,7 @@ func TestOneStructTypeThreeDefs(t *testing.T) {
 			v      values.Value
 			misses uint64
 		}{
-			{"new", made, 0}, {"glue", glued, 0}, {"restored", restored, 0}, {"foreign", foreign, 5},
+			{"new", made, 0}, {"host", values.StructVal(built), 0}, {"restored", restored, 0}, {"foreign", foreign, 5},
 		} {
 			st := tc.v.AsStruct()
 			if (st.Def == def) != (tc.name != "foreign") {

@@ -1,11 +1,11 @@
-// The Val<->HILTI conversion glue (paper §5 "Bro Interface"): because the
-// engine represents values as Val instances everywhere, every boundary
-// crossing into or out of HILTI-compiled code converts representations.
-// The paper measures this glue separately in Figures 9/10 and notes a
-// tightly integrated host would avoid it; the component clock charges
-// conversions to its glue component so the harness reports the same split.
-// Output is the exception: renderHilti formats a HILTI value exactly as its
-// Val would render, so logs and parser callbacks convert nothing.
+// The Val<->HILTI conversion glue (paper §5 "Bro Interface"). The paper's
+// engine keeps Vals everywhere, so every crossing into or out of compiled
+// code converts; it measures this glue separately (Figures 9/10) and notes
+// a tightly integrated host would avoid it. This engine raises events with
+// HILTI values, which compiled handlers take as they are. What is left
+// converts parse results into event arguments (engine_binpac.go, charged
+// to glue) and arguments into an interpreted handler's Vals (scriptVal).
+// Output converts nothing: renderHilti renders a value as its Val would.
 
 package bro
 
@@ -28,77 +28,18 @@ func NewGlue() *Glue {
 	return &Glue{rtypes: map[string]*RecordType{}}
 }
 
-// toHilti converts a Val into a HILTI value. The caller brackets all the
-// values it converts in one glue interval (dispatchNamed).
-func (g *Glue) toHilti(v Val) values.Value {
-	switch v := v.(type) {
-	case nil:
-		return values.Unset
-	case BoolVal:
-		return values.Bool(bool(v))
-	case CountVal:
-		return values.Int(int64(v))
-	case IntVal:
-		return values.Int(int64(v))
-	case DoubleVal:
-		return values.Double(float64(v))
-	case StringVal:
-		return values.String(string(v))
-	case AddrVal:
-		return v.A
-	case SubnetVal:
-		return v.N
-	case PortVal:
-		return values.PortVal(v.Num, v.Proto)
-	case TimeVal:
-		return values.TimeVal(int64(v))
-	case IntervalVal:
-		return values.IntervalVal(int64(v))
-	case EnumVal:
-		return values.String(v.Name)
-	case *RecordVal:
-		s := values.NewStruct(v.T.hiltiDef())
-		for i, f := range v.F {
-			if f != nil {
-				s.Set(i, g.toHilti(f))
-			}
+// scriptVal converts an event argument into the Val of t, the type an
+// interpreted handler declares for it (nil: none). An integer is a count
+// unless declared an int, whatever its sign; the rest is as fromHilti
+// converts it, a Val carried as Any being itself.
+func (g *Glue) scriptVal(v values.Value, t *TypeExpr) Val {
+	if v.K == values.KindInt {
+		if t != nil && t.Kind == "int" {
+			return IntVal(v.AsInt())
 		}
-		return values.StructVal(s)
-	case *VectorVal:
-		vec := container.NewVector(values.Nil)
-		for _, e := range v.Elems {
-			vec.PushBack(g.toHilti(e))
-		}
-		return values.Ref(values.KindVector, vec)
-	case *TableVal:
-		if v.IsSet {
-			set := container.NewSet()
-			v.Each(func(key []Val, _ Val) bool {
-				set.Insert(g.keyToHilti(key))
-				return true
-			})
-			return values.Ref(values.KindSet, set)
-		}
-		m := container.NewMap()
-		v.Each(func(key []Val, yield Val) bool {
-			m.Insert(g.keyToHilti(key), g.toHilti(yield))
-			return true
-		})
-		return values.Ref(values.KindMap, m)
-	default:
-		return values.Any(v)
+		return CountVal(v.AsInt())
 	}
-}
-
-func (g *Glue) keyToHilti(key []Val) values.Value {
-	if len(key) == 1 {
-		return g.toHilti(key[0])
-	}
-	t := values.NewTuple(len(key))
-	for i, k := range key {
-		t.Elems[i] = g.toHilti(k)
-	}
-	return values.Ref(values.KindTuple, t)
+	return g.fromHilti(v)
 }
 
 // fromHilti converts a HILTI value into a Val. Type hints come from the
@@ -139,7 +80,6 @@ func (g *Glue) fromHilti(v values.Value) Val {
 				names[i] = f.Name
 			}
 			rt = NewRecordType(s.Def.Name, names...)
-			rt.adoptDef(s.Def)
 			g.rtypes[s.Def.Name] = rt
 		}
 		r := NewRecord(rt)

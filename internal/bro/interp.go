@@ -206,7 +206,12 @@ func (ip *Interp) leave(f frame) {
 
 // Dispatch runs all handlers for an event.
 func (ip *Interp) Dispatch(name string, args ...Val) error {
-	for _, h := range ip.Events[name] {
+	return ip.dispatch(name, ip.Events[name], args)
+}
+
+// dispatch runs the event's handlers, which the caller looked up.
+func (ip *Interp) dispatch(name string, handlers []*EventHandler, args []Val) error {
+	for _, h := range handlers {
 		if _, err := ip.call(&h.layout, h.Params, h.Body, args); err != nil {
 			return fmt.Errorf("event %s: %w", name, err)
 		}

@@ -128,8 +128,8 @@ event http_request(c: connection, method: string, uri: string, version: string) 
 		}
 		c, _ := e.getConn(flow.FromIPv4([4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}, 40000, 80, layers.IPProtoTCP), true)
 		e.now = 1_700_000_000_000_000_000
-		e.dispatch(evHTTPRequest, c, StringVal("GET"), StringVal("/a"), StringVal("1.1"))
-		e.dispatch(evHTTPRequest, c, StringVal("POST"), StringVal("/b"), StringVal("1.0"))
+		e.dispatch(evHTTPRequest, c, values.String("GET"), values.String("/a"), values.String("1.1"))
+		e.dispatch(evHTTPRequest, c, values.String("POST"), values.String("/b"), values.String("1.0"))
 		if n := e.faults.Count(); n != 0 {
 			t.Fatalf("%s: %d handler faults", exec, n)
 		}

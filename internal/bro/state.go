@@ -100,6 +100,7 @@ const frameMin = 4 + 4 + 1 + 4
 type tracker struct {
 	base    *baseIndex
 	touched map[string]touch
+	tables  map[string]*TableVal // the global tables pin started marking
 }
 
 // touch is what the tracker knows of a flow it saw change: the flow key,
@@ -199,13 +200,15 @@ func RestoreEngine(cfg Config, r io.Reader) (*Engine, error) {
 // locates the frames of the snapshot just written of it.
 func (e *Engine) pin(base *baseIndex) {
 	if e.track == nil {
-		e.track = &tracker{touched: map[string]touch{}}
+		e.track = &tracker{touched: map[string]touch{}, tables: map[string]*TableVal{}}
 	}
 	e.track.base = base
 	clear(e.track.touched)
-	for _, v := range e.interp.Globals {
+	clear(e.track.tables)
+	for name, v := range e.interp.Globals {
 		if t, ok := v.(*TableVal); ok {
 			t.clearMarks()
+			e.track.tables[name] = t
 		}
 	}
 	e.outsideSeen = e.outsideReads()
@@ -280,7 +283,7 @@ const fullRebaseEvery = 16
 func (e *Engine) Rebase(enc *snapshot.Encoder, prev []byte) error {
 	ix := &baseIndex{origin: enc.Len()}
 	var err error
-	if t := e.track; t != nil && t.base != nil && len(prev) == t.base.size && t.base.patched+1 < fullRebaseEvery {
+	if t := e.track; t != nil && t.base != nil && len(prev) == t.base.size && t.base.patched+1 < fullRebaseEvery && e.tablesPinned() {
 		if err = e.encodePatched(enc, prev, t.base, ix); err != nil {
 			t.base = nil
 		}
@@ -310,6 +313,23 @@ func (e *Engine) AppendDelta() ([]byte, error) {
 		return nil, err
 	}
 	return enc.Buffer(), nil
+}
+
+// tablesPinned reports whether every global is bound to the table it was
+// at the last re-base, if any. A global rebound since names a table whose
+// writes went unmarked, and no longer one whose entries the previous
+// snapshot holds: the frames of either could be stale.
+func (e *Engine) tablesPinned() bool {
+	n := 0
+	for name, v := range e.interp.Globals {
+		if t, ok := v.(*TableVal); ok {
+			if e.track.tables[name] != t {
+				return false
+			}
+			n++
+		}
+	}
+	return n == len(e.track.tables)
 }
 
 // encodePatched is encodeFull for the price of what changed: old locates

@@ -73,16 +73,15 @@ func encodeConn(enc *snapshot.Encoder, c *conn) {
 	if c.respSYN {
 		flags |= cfRespSYN
 	}
-	if c.rec != nil {
+	if c.recorded {
 		flags |= cfRec
 	}
 	if c.std != nil {
 		flags |= cfStd
 	}
 	enc.U8(flags)
-	if c.rec != nil {
-		start, _ := c.rec.Get("start_time").(TimeVal)
-		enc.I64(int64(start))
+	if c.recorded {
+		enc.I64(c.start)
 	}
 	encodeStream(enc, &c.origStream)
 	encodeStream(enc, &c.respStream)
@@ -119,6 +118,9 @@ func decodeConn(dec *snapshot.Decoder, e *Engine, uid string, key flow.Key) (*co
 		started: flags&cfStarted != 0,
 		origSYN: flags&cfOrigSYN != 0,
 		respSYN: flags&cfRespSYN != 0,
+		// The record itself is built again at the next event.
+		recorded: flags&cfRec != 0,
+		start:    start,
 	}
 	if c.isTCP && e.reasm != nil {
 		c.origStream.Budget = e.reasm
@@ -126,9 +128,6 @@ func decodeConn(dec *snapshot.Decoder, e *Engine, uid string, key flow.Key) (*co
 	}
 	c.origStream.RestoreState(origSt)
 	c.respStream.RestoreState(respSt)
-	if flags&cfRec != 0 {
-		c.rec = e.interp.MakeConn(c.uid, c.key, start)
-	}
 	if c.isTCP {
 		e.attachTCPAnalyzer(c)
 	}

@@ -22,7 +22,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"hilti/internal/rt/metrics"
 	"hilti/internal/rt/values"
@@ -125,37 +124,6 @@ type RecordType struct {
 	Name   string
 	Fields []string
 	index  map[string]int
-
-	// def is the type's HILTI struct definition (see hiltiDef), built on
-	// first conversion. Record types are shared by pipeline workers, hence
-	// the Once; it also means a RecordType must not be copied.
-	defOnce sync.Once
-	def     *values.StructDef
-}
-
-// hiltiDef returns the one HILTI struct definition every converted value of
-// this record type carries: the linked program's, when the engine adopted
-// it, else one built on first use. Sharing it saves building a field slice
-// and a name index per conversion, and keeps the definition pointer stable
-// across values, which LogSet's column plans key on.
-func (rt *RecordType) hiltiDef() *values.StructDef {
-	rt.defOnce.Do(func() {
-		fields := make([]values.StructField, len(rt.Fields))
-		for i, f := range rt.Fields {
-			fields[i] = values.StructField{Name: f, Default: values.Unset}
-		}
-		rt.def = values.NewStructDef(rt.Name, fields...)
-	})
-	return rt.def
-}
-
-// adoptDef makes d the definition rt's converted values carry, if d
-// describes rt. A program compiled against the linked definition reads
-// their fields by index. It must come before rt's first conversion.
-func (rt *RecordType) adoptDef(d *values.StructDef) {
-	if sameFields(d, rt.Fields) {
-		rt.defOnce.Do(func() { rt.def = d })
-	}
 }
 
 // sameFields reports whether d has exactly the named fields, in order,
