@@ -463,14 +463,13 @@ func (ip *Interp) execFor(f frame, s *ForStmt) (returned bool, ret Val, err erro
 		// Age out stale entries before snapshotting, so the loop body never
 		// sees an index that a subsequent lookup would reject.
 		c.expire(ip.Now())
-		var entries [][2]any
+		entries := make([]tableItem, 0, c.Len())
 		c.each(s.Var2 != "", func(key []Val, yield Val) bool {
-			entries = append(entries, [2]any{key, yield})
+			entries = append(entries, tableItem{key: key, yield: yield})
 			return true
 		})
 		for _, ent := range entries {
-			key := ent[0].([]Val)
-			yield, _ := ent[1].(Val)
+			key, yield := ent.key, ent.yield
 			if len(key) == 1 {
 				f.put(s.slot, key[0])
 			} else {

@@ -96,7 +96,7 @@ const frameMin = 4 + 4 + 1 + 4
 // flow frames sit in the previous snapshot (nil: unknown, the next Rebase
 // encodes in full) and the uid of every flow changed or closed since, with
 // its flow key. Script-table entries changed since are marked in their
-// tables (TableVal.marks). The engine keeps one while it re-bases.
+// tables (the marks of TableVal.tbl). The engine keeps one while it re-bases.
 type tracker struct {
 	base    *baseIndex
 	touched map[string]touch
@@ -339,8 +339,8 @@ func (e *Engine) encodePatched(enc *snapshot.Encoder, prev []byte, old, ix *base
 	touched := e.track.touched
 	for _, v := range e.interp.Globals {
 		if t, ok := v.(*TableVal); ok {
-			for _, en := range t.marks {
-				if l := en.label(); l != "" {
+			for _, en := range t.tbl.Marks() {
+				if l := en.V.label(); l != "" {
 					if _, ok := touched[l]; !ok {
 						touched[l] = touch{}
 					}
@@ -616,17 +616,15 @@ func (e *Engine) gather(sel *selection) error {
 func (e *Engine) gatherTable(sel *selection, name string, t *TableVal) {
 	sel.globals = append(sel.globals, globalState{name: name, tbl: t})
 	g := &sel.globals[len(sel.globals)-1]
-	for _, en := range t.order {
-		if en.deleted {
-			continue
-		}
-		if uid := en.label(); uid == "" {
+	t.tbl.Walk(func(en *tableEntry) bool {
+		if uid := en.V.label(); uid == "" {
 			g.ups = append(g.ups, en)
 		} else if !sel.sectionsOnly {
 			ft := sel.frames.get(uid).table(name)
 			ft.ups = append(ft.ups, en)
 		}
-	}
+		return true
+	})
 }
 
 // encodeSections writes everything behind the frames.
@@ -824,7 +822,7 @@ func encodeEntries(enc *snapshot.Encoder, ups []*tableEntry) {
 
 // labelPrefix opens the canonical key string (KeyString) of every table
 // entry whose first index is a string; labelPrefix + uid is the whole key
-// of the one-index entry labelled uid (tableEntry.label).
+// of the one-index entry labelled uid (tableItem.label).
 const labelPrefix = "string\x00"
 
 // interpGlobalNames lists the interpreter's globals in name order. Names
@@ -967,14 +965,7 @@ func applyEntries(dec *snapshot.Decoder, t *TableVal, ip *Interp, adopt bool) er
 	if dels := dec.U32(); dels != 0 {
 		return fmt.Errorf("bro: %d table deletes in a snapshot", dels)
 	}
-	n := dec.Len(tableEntryMin)
-	for i := 0; i < n; i++ {
-		en := decodeTableEntry(dec, ip, 1)
-		if en == nil {
-			break
-		}
-		t.install(en, adopt)
-	}
+	decodeEntries(dec, ip, t, 1, adopt)
 	return dec.Err()
 }
 

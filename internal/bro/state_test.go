@@ -37,11 +37,12 @@ func labelledEntries(e *Engine, uid string) int {
 	n := 0
 	for _, v := range e.interp.Globals {
 		if t, ok := v.(*TableVal); ok {
-			for _, en := range t.order {
-				if !en.deleted && en.label() == uid {
+			t.tbl.Walk(func(en *tableEntry) bool {
+				if en.V.label() == uid {
 					n++
 				}
-			}
+				return true
+			})
 		}
 	}
 	return n

@@ -249,42 +249,42 @@ const tableEntryMin = 2 + 1 + 8 + 8
 // expiry clock, insertion rank — shared by whole-table values, per-entry
 // table diffs, and the entries a flow frame carries.
 func encodeTableEntry(enc *snapshot.Encoder, en *tableEntry, depth int) {
-	if len(en.key) > 0xFFFF {
+	if len(en.V.key) > 0xFFFF {
 		enc.Fail("bro: table key too wide")
 		return
 	}
-	enc.U16(uint16(len(en.key)))
-	for _, k := range en.key {
+	enc.U16(uint16(len(en.V.key)))
+	for _, k := range en.V.key {
 		encodeVal(enc, k, depth)
 	}
-	encodeVal(enc, en.yield, depth)
-	enc.I64(en.touched)
-	enc.U64(en.seq)
+	encodeVal(enc, en.V.yield, depth)
+	enc.I64(int64(en.LastUse))
+	enc.U64(en.V.seq)
 }
 
-// decodeTableEntry reads one encodeTableEntry record; nil means the
-// decoder has latched an error.
-func decodeTableEntry(dec *snapshot.Decoder, ip *Interp, depth int) *tableEntry {
-	nk := int(dec.U16())
-	if dec.Err() != nil || nk > dec.Remaining() {
-		dec.Fail("bro: implausible table key width %d", nk)
-		return nil
-	}
-	key := make([]Val, nk)
-	for j := range key {
-		if key[j] = decodeVal(dec, ip, depth); key[j] == nil {
-			dec.Fail("bro: nil table index")
-			return nil
+// decodeEntries installs into t the count-prefixed encodeTableEntry
+// records next in dec, stopping at the first error the decoder latches.
+func decodeEntries(dec *snapshot.Decoder, ip *Interp, t *TableVal, depth int, adopt bool) {
+	n := dec.Len(tableEntryMin)
+	for i := 0; i < n && dec.Err() == nil; i++ {
+		nk := int(dec.U16())
+		if dec.Err() != nil || nk > dec.Remaining() {
+			dec.Fail("bro: implausible table key width %d", nk)
+			return
+		}
+		it := tableItem{key: make([]Val, nk)}
+		for j := range it.key {
+			if it.key[j] = decodeVal(dec, ip, depth); it.key[j] == nil {
+				dec.Fail("bro: nil table index")
+				return
+			}
+		}
+		it.yield = decodeVal(dec, ip, depth)
+		touched := dec.I64()
+		if it.seq = dec.U64(); dec.Err() == nil {
+			t.install(it, touched, adopt)
 		}
 	}
-	en := &tableEntry{key: key, yield: decodeVal(dec, ip, depth)}
-	en.touched = dec.I64()
-	en.seq = dec.U64()
-	if dec.Err() != nil {
-		return nil
-	}
-	en.keyStr = KeyString(key)
-	return en
 }
 
 func encodeVal(enc *snapshot.Encoder, v Val, depth int) {
@@ -350,11 +350,10 @@ func encodeVal(enc *snapshot.Encoder, v Val, depth int) {
 		enc.Bool(x.ExpireOnRead)
 		enc.U64(x.nextSeq)
 		enc.U32(uint32(x.Len()))
-		for _, e := range x.order {
-			if !e.deleted {
-				encodeTableEntry(enc, e, depth+1)
-			}
-		}
+		x.tbl.Walk(func(e *tableEntry) bool {
+			encodeTableEntry(enc, e, depth+1)
+			return true
+		})
 	case *VectorVal:
 		enc.U8(valVector)
 		enc.U32(uint32(len(x.Elems)))
@@ -428,14 +427,7 @@ func decodeVal(dec *snapshot.Decoder, ip *Interp, depth int) Val {
 		interval := dec.I64()
 		t := ip.newTable(isSet, interval, dec.Bool())
 		t.nextSeq = dec.U64()
-		n := dec.Len(tableEntryMin)
-		for i := 0; i < n; i++ {
-			en := decodeTableEntry(dec, ip, depth+1)
-			if en == nil {
-				break
-			}
-			t.install(en, false)
-		}
+		decodeEntries(dec, ip, t, depth+1, false)
 		t.settle()
 		return t
 	case valVector:

@@ -19,11 +19,12 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
+	"hilti/internal/rt/container"
 	"hilti/internal/rt/metrics"
+	"hilti/internal/rt/timer"
 	"hilti/internal/rt/values"
 )
 
@@ -208,17 +209,14 @@ func (r *RecordVal) Render() string {
 }
 
 // TableVal is a Bro table or set (sets have nil yields). Entries keep
-// insertion order for deterministic iteration; expiration follows the
-// &create_expire / &read_expire attributes, driven by network time.
+// insertion order; &create_expire / &read_expire expire them in network
+// time, as each access first pops the due ones off the Table's queue.
 //
-// Two intrusive structures keep a table's cost independent of its size.
-// Live entries are threaded on a queue ordered by touched, so expire only
-// ever looks at the head. And while the engine re-bases (clearMarks starts
-// tracking; see state.go), every entry whose flow frame the next re-base
-// must encode again is marked once: inserted, overwritten, removed,
-// refreshed by a &read_expire read, or its aggregate yield handed to a
-// script, which may mutate it through the reference without the table
-// hearing of it.
+// While the engine re-bases (clearMarks starts tracking; see state.go),
+// every entry whose flow frame the next re-base must encode again is
+// marked once: inserted, overwritten, removed, refreshed by a &read_expire
+// read, or its aggregate yield handed to a script, which may mutate it
+// through the reference without the table hearing of it.
 //
 // An entry whose first index is a string is labelled by it (state.go files
 // the entry in the flow frame of that name); labelled finds a label's
@@ -229,39 +227,30 @@ func (r *RecordVal) Render() string {
 // by nobody else; without it they are found by a walk, and multi says
 // whether there can be any.
 type TableVal struct {
-	IsSet    bool
-	multi    bool // some entry has had more than one index
-	entries  map[string]*tableEntry
-	order    []*tableEntry // ascending seq; deleted entries linger until compaction
-	nextSeq  uint64        // seq the next inserted entry gets
-	unsorted bool          // install appended out of seq or touched order; settle pending
+	tbl     container.Table[tableItem]
+	IsSet   bool
+	multi   bool   // some entry has had more than one index
+	nextSeq uint64 // seq the next inserted entry gets
 
 	ExpireInterval int64 // ns; 0 = no expiration
 	ExpireOnRead   bool  // &read_expire vs &create_expire
 
-	q       tableEntry               // expiry queue sentinel: q.next is the stalest live entry
 	expired *metrics.Counter         // entries expire removed; nil outside an interpreter
 	labels  map[string][]*tableEntry // non-nil = tracking: live several-index entries by label
-	marks   []*tableEntry            // entries changed since the last re-base, each once
 }
 
-type tableEntry struct {
-	key     []Val
-	keyStr  string
-	yield   Val
-	touched int64
-	seq     uint64 // insertion rank: iteration order is data, so an entry can travel alone
-	deleted bool
-
-	prev, next *tableEntry // expiry queue links (nil once deleted)
-	marked     bool        // in marks
+// tableItem is a script-table entry's payload; LastUse is network time.
+type tableItem struct {
+	key   []Val
+	yield Val
+	seq   uint64 // insertion rank: iteration order is data, so an entry can travel alone
 }
+
+type tableEntry = container.Entry[tableItem]
 
 // NewTable creates a table (or set).
 func NewTable(isSet bool) *TableVal {
-	t := &TableVal{IsSet: isSet, entries: map[string]*tableEntry{}}
-	t.q.prev, t.q.next = &t.q, &t.q
-	return t
+	return &TableVal{tbl: container.MakeTable[tableItem](), IsSet: isSet}
 }
 
 // TypeName implements Val.
@@ -271,6 +260,9 @@ func (t *TableVal) TypeName() string {
 	}
 	return "table"
 }
+
+// Len returns the number of live entries.
+func (t *TableVal) Len() int { return t.tbl.Len() }
 
 // KeyString canonicalizes an index tuple.
 func KeyString(key []Val) string {
@@ -298,64 +290,24 @@ func isAggregate(v Val) bool {
 	return false
 }
 
-// linkAfter threads e onto the expiry queue behind at.
-func linkAfter(at, e *tableEntry) {
-	e.prev, e.next = at, at.next
-	at.next.prev = e
-	at.next = e
-}
-
-// enqueue threads e behind every entry touched no later than it. Network
-// time rarely runs backwards, so the walk from the tail is short.
-func (t *TableVal) enqueue(e *tableEntry) {
-	at := t.q.prev
-	for at != &t.q && at.touched > e.touched {
-		at = at.prev
-	}
-	linkAfter(at, e)
-}
-
-// touch sets e's expiry clock and moves it to its place in the queue.
-func (t *TableVal) touch(e *tableEntry, now int64) {
-	if e.touched == now {
-		return
-	}
-	e.touched = now
-	e.prev.next, e.next.prev = e.next, e.prev
-	t.enqueue(e)
-}
-
-// mark notes that the next re-base must encode e's flow frame again.
-func (t *TableVal) mark(e *tableEntry) {
-	if t.labels != nil && !e.marked {
-		e.marked = true
-		t.marks = append(t.marks, e)
-	}
-}
-
 // clearMarks makes the table as it stands the re-base's base and
 // (re)starts tracking against it.
 func (t *TableVal) clearMarks() {
-	for _, e := range t.marks {
-		e.marked = false
-	}
-	clear(t.marks)
-	t.marks = t.marks[:0]
+	t.tbl.ClearMarks()
 	if t.labels == nil {
 		t.labels = map[string][]*tableEntry{}
-		for _, e := range t.order {
-			if !e.deleted {
-				t.index(e)
-			}
-		}
+		t.tbl.Walk(func(e *tableEntry) bool {
+			t.index(e)
+			return true
+		})
 	}
 }
 
-// label is the name of the flow frame e travels in: its first index when
-// that is a string, else "" (e is engine-global).
-func (e *tableEntry) label() string {
-	if len(e.key) > 0 {
-		if s, ok := e.key[0].(StringVal); ok {
+// label is the name of the flow frame an entry travels in: its first
+// index when that is a string, else "" (the entry is engine-global).
+func (it *tableItem) label() string {
+	if len(it.key) > 0 {
+		if s, ok := it.key[0].(StringVal); ok {
 			return string(s)
 		}
 	}
@@ -364,7 +316,7 @@ func (e *tableEntry) label() string {
 
 // index files the live entry e under its label if it has further indices.
 func (t *TableVal) index(e *tableEntry) {
-	if l := e.label(); l != "" && len(e.key) > 1 {
+	if l := e.V.label(); l != "" && len(e.V.key) > 1 {
 		t.labels[l] = append(t.labels[l], e)
 	}
 }
@@ -374,63 +326,67 @@ func (t *TableVal) index(e *tableEntry) {
 // caller asking many tables builds once.
 func (t *TableVal) labelled(dst []*tableEntry, uid string, oneKey []byte) []*tableEntry {
 	n := len(dst)
-	if e := t.entries[string(oneKey)]; e != nil {
+	if e := t.tbl.FindBytes(oneKey); e != nil {
 		dst = append(dst, e)
 	}
 	switch {
 	case t.labels != nil:
 		dst = append(dst, t.labels[uid]...)
 	case t.multi:
-		for _, e := range t.order {
-			if !e.deleted && len(e.key) > 1 && e.label() == uid {
+		t.tbl.Walk(func(e *tableEntry) bool {
+			if len(e.V.key) > 1 && e.V.label() == uid {
 				dst = append(dst, e)
 			}
-		}
+			return true
+		})
 	}
 	if len(dst)-n > 1 {
-		slices.SortFunc(dst[n:], func(a, b *tableEntry) int { return cmp.Compare(a.seq, b.seq) })
+		slices.SortFunc(dst[n:], bySeq)
 	}
 	return dst
 }
 
-// add makes the new entry e live; the caller has queued it.
-func (t *TableVal) add(e *tableEntry) {
-	t.entries[e.keyStr] = e
-	t.order = append(t.order, e)
-	if len(e.key) > 1 {
+func bySeq(a, b *tableEntry) int { return cmp.Compare(a.V.seq, b.V.seq) }
+
+// add makes a new entry live at the end of the order and queues it.
+func (t *TableVal) add(ks string, touched int64, it tableItem, restored bool) {
+	e := t.tbl.Add(ks, timer.Time(touched), it)
+	t.tbl.Queue(e, restored)
+	if len(it.key) > 1 {
 		t.multi = true
 		if t.labels != nil {
 			t.index(e)
 		}
 	}
-	t.mark(e)
 }
 
 // remove takes the live entry e out of the table.
 func (t *TableVal) remove(e *tableEntry) {
-	e.deleted = true
-	delete(t.entries, e.keyStr)
-	e.prev.next, e.next.prev = e.next, e.prev
-	e.prev, e.next = nil, nil
-	if t.labels != nil && len(e.key) > 1 {
-		l := e.label()
+	t.tbl.Drop(e)
+	t.unindex(e)
+}
+
+// unindex takes the removed entry e out of the label index.
+func (t *TableVal) unindex(e *tableEntry) {
+	if t.labels != nil && len(e.V.key) > 1 {
+		l := e.V.label()
 		if s := slices.DeleteFunc(t.labels[l], func(x *tableEntry) bool { return x == e }); len(s) > 0 {
 			t.labels[l] = s
 		} else {
 			delete(t.labels, l)
 		}
 	}
-	t.mark(e)
 }
 
 // expire drops stale entries (called on access with current network time):
-// the queue is ordered by touched, so they are all at its head.
+// the queue is ordered by last use, so they are all at its head.
 func (t *TableVal) expire(now int64) {
 	if t.ExpireInterval <= 0 {
 		return
 	}
-	for e := t.q.next; e != &t.q && now-e.touched >= t.ExpireInterval; e = t.q.next {
-		t.remove(e)
+	cutoff := timer.Time(now - t.ExpireInterval)
+	for e := t.tbl.PopDue(cutoff); e != nil; e = t.tbl.PopDue(cutoff) {
+		t.unindex(e)
 		t.expired.Inc()
 	}
 }
@@ -439,35 +395,23 @@ func (t *TableVal) expire(now int64) {
 func (t *TableVal) Put(now int64, key []Val, yield Val) {
 	t.expire(now)
 	ks := KeyString(key)
-	if e, ok := t.entries[ks]; ok {
-		e.yield = yield
-		t.touch(e, now)
-		t.mark(e)
+	if e := t.tbl.Find(ks); e != nil {
+		e.V.yield = yield
+		t.tbl.Touch(e, timer.Time(now), false)
+		t.tbl.Mark(e)
 		return
 	}
-	e := &tableEntry{key: key, keyStr: ks, yield: yield, touched: now, seq: t.nextSeq}
+	t.add(ks, now, tableItem{key, yield, t.nextSeq}, false)
 	t.nextSeq++
-	t.enqueue(e)
-	t.add(e)
-	if len(t.order) > 2*len(t.entries)+16 {
-		live := t.order[:0]
-		for _, oe := range t.order {
-			if !oe.deleted {
-				live = append(live, oe)
-			}
-		}
-		t.order = live
-	}
 }
 
 // find expires stale entries, then returns key's entry (nil when absent),
 // refreshed if the table is &read_expire.
 func (t *TableVal) find(now int64, key []Val) *tableEntry {
 	t.expire(now)
-	e := t.entries[KeyString(key)]
-	if e != nil && t.ExpireOnRead && e.touched != now {
-		t.touch(e, now)
-		t.mark(e)
+	e := t.tbl.Find(KeyString(key))
+	if e != nil && t.ExpireOnRead {
+		t.tbl.Touch(e, timer.Time(now), false)
 	}
 	return e
 }
@@ -478,95 +422,60 @@ func (t *TableVal) Get(now int64, key []Val) (Val, bool) {
 	if e == nil {
 		return nil, false
 	}
-	if isAggregate(e.yield) {
-		t.mark(e)
+	if isAggregate(e.V.yield) {
+		t.tbl.Mark(e)
 	}
-	return e.yield, true
+	return e.V.yield, true
 }
 
 // Has reports membership.
 func (t *TableVal) Has(now int64, key []Val) bool { return t.find(now, key) != nil }
 
 // Delete removes an entry.
-func (t *TableVal) Delete(now int64, key []Val) { t.drop(KeyString(key)) }
-
-// drop removes the entry with canonical key ks, if present.
-func (t *TableVal) drop(ks string) {
-	if e, ok := t.entries[ks]; ok {
+func (t *TableVal) Delete(now int64, key []Val) {
+	if e := t.tbl.Find(KeyString(key)); e != nil {
 		t.remove(e)
 	}
 }
 
-// install places a decoded entry. A replayed entry keeps its recorded seq
-// and joins the end of both orders (settle then puts it at the matching
-// positions); an adopted one (live migration: the seq is the source
-// instance's) updates its key in place or joins the end of this table's
-// order, and is queued at once, as no settle follows.
-func (t *TableVal) install(en *tableEntry, adopt bool) {
-	old, had := t.entries[en.keyStr]
-	if had && (adopt || old.seq == en.seq) {
-		old.key, old.yield = en.key, en.yield
-		t.touch(old, en.touched)
-		t.mark(old)
+// install places a decoded entry, last touched at touched. A replayed
+// entry keeps its recorded seq and joins the end of the order (settle then
+// puts it at its place); an adopted one (live migration: the seq is the
+// source instance's) updates its key in place or joins the end of this
+// table's order under a fresh seq.
+func (t *TableVal) install(it tableItem, touched int64, adopt bool) {
+	ks := KeyString(it.key)
+	old := t.tbl.Find(ks)
+	if old != nil && (adopt || old.V.seq == it.seq) {
+		old.V.key, old.V.yield = it.key, it.yield
+		t.tbl.Touch(old, timer.Time(touched), true)
+		t.tbl.Mark(old)
 		return
 	}
-	if had {
+	if old != nil {
 		t.remove(old)
 	}
 	if adopt {
-		en.seq = t.nextSeq
+		it.seq = t.nextSeq
 		t.nextSeq++
-		t.enqueue(en)
-	} else {
-		if last := t.q.prev; last != &t.q && last.touched > en.touched {
-			t.unsorted = true
-		}
-		linkAfter(t.q.prev, en)
 	}
-	if n := len(t.order); n > 0 && t.order[n-1].seq > en.seq {
-		t.unsorted = true
-	}
-	t.add(en)
+	t.add(ks, touched, it, true)
 }
 
-// settle restores ascending-seq order, and the expiry queue's order by
-// touched, once a batch of installs is done.
-func (t *TableVal) settle() {
-	if !t.unsorted {
-		return
-	}
-	t.unsorted = false
-	sort.SliceStable(t.order, func(i, j int) bool { return t.order[i].seq < t.order[j].seq })
-	queue := make([]*tableEntry, 0, len(t.entries))
-	for e := t.q.next; e != &t.q; e = e.next {
-		queue = append(queue, e)
-	}
-	sort.SliceStable(queue, func(i, j int) bool { return queue[i].touched < queue[j].touched })
-	t.q.prev, t.q.next = &t.q, &t.q
-	for _, e := range queue {
-		linkAfter(t.q.prev, e)
-	}
-}
-
-// Len returns the number of live entries.
-func (t *TableVal) Len() int { return len(t.entries) }
+// settle restores ascending-seq order once a batch of installs is done.
+func (t *TableVal) settle() { t.tbl.SortOrder(bySeq) }
 
 // Each iterates live entries in insertion order.
 func (t *TableVal) Each(fn func(key []Val, yield Val) bool) { t.each(false, fn) }
 
 // each is Each; handOut says fn passes the yields on to a script.
 func (t *TableVal) each(handOut bool, fn func(key []Val, yield Val) bool) {
-	for _, e := range t.order {
-		if e.deleted {
-			continue
+	t.tbl.Walk(func(e *tableEntry) bool {
+		if handOut && isAggregate(e.V.yield) {
+			t.tbl.Mark(e)
 		}
-		if handOut && isAggregate(e.yield) {
-			t.mark(e)
-		}
-		if !fn(e.key, e.yield) {
-			return
-		}
-	}
+		return fn(e.V.key, e.V.yield)
+	})
 }
 
 // Render implements Val.

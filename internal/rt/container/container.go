@@ -4,9 +4,8 @@
 // §2 "State Management", §3.2 "Rich Data Types").
 //
 // Sets and maps support create- and access-based expiration: once a timeout
-// is attached, each new element joins a queue ordered by last use, and each
-// touch (policy-dependent) moves it to the tail. One timer per container,
-// through a timer manager, is due at the head's deadline. This is the
+// is attached, each new element joins the last-use queue of the Table,
+// and one timer per container is due at the head's deadline. This is the
 // mechanism behind the paper's stateful-firewall example, which keeps
 // dynamic allow rules in a set with a five-minute inactivity timeout.
 //
@@ -16,9 +15,8 @@
 package container
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
+	"math"
 	"strings"
 	"sync/atomic"
 
@@ -39,107 +37,17 @@ const (
 // ExpireStrategyEnum is the HILTI-level enum type for expiration strategies.
 var ExpireStrategyEnum = values.NewEnumType("ExpireStrategy", "None", "Create", "Access")
 
-// expiry is the shared expiration bookkeeping of sets and maps: the policy,
-// and the queue of the elements it can expire, in ascending lastUse. The
-// one timer is due no later than the head's deadline while the queue is
-// non-empty, and unarmed while it is empty. Elements inserted while expiry
-// is off are never queued, so they never expire.
-type expiry struct {
-	strategy   ExpireStrategy
-	timeout    timer.Interval
-	mgr        *timer.Mgr
-	head, tail *entry       // the queue; head is the stalest element
-	unsorted   bool         // an append was older than the tail; settle pending
-	tm         *timer.Timer // made by the first SetTimeout
-}
-
-func (x *expiry) active() bool {
-	return x.strategy != ExpireNone && x.timeout > 0 && x.mgr != nil
+func (m *Map) active() bool {
+	return m.strategy != ExpireNone && m.timeout > 0 && m.mgr != nil
 }
 
 // deadline is the time e expires.
-func (x *expiry) deadline(e *entry) timer.Time { return e.lastUse + timer.Time(x.timeout) }
+func (m *Map) deadline(e *entry) timer.Time { return e.LastUse + timer.Time(m.timeout) }
 
-// push appends e to the queue and keeps the timer due by e's deadline. An
-// element older than the tail (restore replays elements in any last-use
-// order) leaves the queue unsorted until it is next read.
-func (x *expiry) push(e *entry) {
-	if x.tail != nil && x.tail.lastUse > e.lastUse {
-		x.unsorted = true
-	}
-	x.link(e)
-	if !x.tm.Armed() {
-		x.arm()
-	} else if at := x.deadline(e); at < x.tm.FireTime() {
-		x.tm.Update(at)
-	}
-}
+// mapItem is the payload of a map or set element.
+type mapItem struct{ key, val values.Value }
 
-// link puts e at the queue's tail.
-func (x *expiry) link(e *entry) {
-	e.prev, e.next, e.queued = x.tail, nil, true
-	if x.tail == nil {
-		x.head = e
-	} else {
-		x.tail.next = e
-	}
-	x.tail = e
-}
-
-// unlink takes e off the queue.
-func (x *expiry) unlink(e *entry) {
-	if e.prev == nil {
-		x.head = e.next
-	} else {
-		e.prev.next = e.next
-	}
-	if e.next == nil {
-		x.tail = e.prev
-	} else {
-		e.next.prev = e.prev
-	}
-	e.prev, e.next, e.queued = nil, nil, false
-}
-
-// arm schedules the unarmed timer at the head's deadline, sorting the
-// queue first. It leaves the timer unarmed when the queue is empty or
-// expiry is off.
-func (x *expiry) arm() {
-	if x.head == nil || !x.active() {
-		return
-	}
-	x.settle()
-	x.mgr.Schedule(x.deadline(x.head), x.tm) //nolint:errcheck // unarmed: callers cancel first
-}
-
-// settle sorts the queue by lastUse after out-of-order appends: a restored
-// batch costs one sort, not a walk back from the tail per element.
-func (x *expiry) settle() {
-	if !x.unsorted {
-		return
-	}
-	x.unsorted = false
-	var q []*entry
-	for e := x.head; e != nil; e = e.next {
-		q = append(q, e)
-	}
-	slices.SortStableFunc(q, func(a, b *entry) int { return cmp.Compare(a.lastUse, b.lastUse) })
-	x.head, x.tail = nil, nil
-	for _, e := range q {
-		x.link(e)
-	}
-}
-
-// entry is one element of a map or set.
-type entry struct {
-	k          string // canonical encoded key (values.AppendKey form)
-	key        values.Value
-	val        values.Value
-	lastUse    timer.Time
-	prev, next *entry // expiry queue links
-	queued     bool   // on the expiry queue
-	deleted    bool
-}
+type entry = Entry[mapItem]
 
 // Map is HILTI's map<K,V>: a hash map with optional element expiration and
 // an optional default value for misses.
@@ -154,22 +62,37 @@ type entry struct {
 // pays no allocation, a concurrent loser encodes into a fresh buffer.
 // Mutations still require external serialization (one Exec owns the map).
 type Map struct {
-	idx    map[string]*entry
-	order  []*entry // insertion order, with tombstones compacted lazily
-	dead   int
+	mapTable
 	def    values.Value
 	hasDef bool
 	kbuf   []byte      // scratch for key encoding; grows to the largest key
 	kbusy  atomic.Bool // claims kbuf for the duration of one encode+lookup
-	iter   int         // active Each/EachEntry loops; compaction deferred while >0
-	expiry
+
+	// The expiry policy and its one timer, which is due no later than the
+	// deadline of the queue's head while the queue is non-empty, and unarmed
+	// while it is empty. Elements inserted while expiry is off are never
+	// queued, so they never expire.
+	strategy ExpireStrategy
+	timeout  timer.Interval
+	mgr      *timer.Mgr
+	tm       *timer.Timer // made by the first SetTimeout
 }
 
+// mapTable is the core's fields without its methods, so that Map's API is
+// its own; Map reaches the methods through tbl.
+type mapTable Table[mapItem]
+
+// tbl is m's core.
+func (m *Map) tbl() *Table[mapItem] { return (*Table[mapItem])(&m.mapTable) }
+
 // NewMap creates an empty map.
-func NewMap() *Map { return &Map{idx: make(map[string]*entry)} }
+func NewMap() *Map { return &Map{mapTable: mapTable(MakeTable[mapItem]())} }
 
 // TypeName implements values.Object.
 func (m *Map) TypeName() string { return "map" }
+
+// Len returns the number of live elements.
+func (m *Map) Len() int { return len(m.idx) }
 
 // SetDefault installs a default value returned by Get for missing keys.
 func (m *Map) SetDefault(v values.Value) {
@@ -187,9 +110,6 @@ func (m *Map) SetTimeout(mgr *timer.Mgr, strategy ExpireStrategy, timeout timer.
 	m.mgr, m.strategy, m.timeout = mgr, strategy, timeout
 	m.arm()
 }
-
-// Len returns the number of live elements.
-func (m *Map) Len() int { return len(m.idx) }
 
 // encKey encodes key, panicking on unhashable kinds exactly as values.Key
 // did. The returned owned flag reports whether the per-map scratch buffer
@@ -225,19 +145,19 @@ func (m *Map) Insert(key, val values.Value) {
 	b, owned := m.encKey(key)
 	if e, ok := m.idx[string(b)]; ok {
 		m.releaseKey(owned)
-		e.val = val
+		e.V.val = val
 		m.touch(e)
 		return
 	}
 	k := string(b)
 	m.releaseKey(owned)
-	e := &entry{k: k, key: key, val: val}
-	m.idx[e.k] = e
-	m.order = append(m.order, e)
-	if m.expiry.active() {
-		e.lastUse = m.mgr.Now()
-		m.push(e)
+	if !m.active() {
+		m.tbl().Add(k, 0, mapItem{key, val})
+		return
 	}
+	e := m.tbl().Add(k, m.mgr.Now(), mapItem{key, val})
+	m.tbl().Queue(e, false)
+	m.schedule(e)
 }
 
 // InsertRestored re-inserts an element from a checkpoint, preserving its
@@ -245,31 +165,39 @@ func (m *Map) Insert(key, val values.Value) {
 // matches the one the checkpointed container would have enforced.
 func (m *Map) InsertRestored(key, val values.Value, lastUse timer.Time) {
 	b, owned := m.encKey(key)
-	if e, ok := m.idx[string(b)]; ok {
-		m.releaseKey(owned)
-		e.val = val
-		m.restoreUse(e, lastUse)
-		return
+	e := m.idx[string(b)]
+	if e == nil {
+		e = m.tbl().Add(string(b), lastUse, mapItem{key, val})
+		if m.active() {
+			m.tbl().Queue(e, true)
+		}
+	} else {
+		e.V.val = val
+		m.tbl().Touch(e, lastUse, true)
 	}
-	k := string(b)
 	m.releaseKey(owned)
-	e := &entry{k: k, key: key, val: val, lastUse: lastUse}
-	m.idx[e.k] = e
-	m.order = append(m.order, e)
-	if m.expiry.active() {
-		m.push(e)
+	m.schedule(e)
+}
+
+// schedule keeps the timer due by the deadline of e, if queued.
+func (m *Map) schedule(e *entry) {
+	switch {
+	case !e.queued:
+	case !m.tm.Armed():
+		m.arm()
+	case m.deadline(e) < m.tm.FireTime():
+		m.tm.Update(m.deadline(e))
 	}
 }
 
-// restoreUse sets e's recorded last use and moves a queued e to the tail.
-func (m *Map) restoreUse(e *entry, lastUse timer.Time) {
-	if e.lastUse == lastUse {
+// arm schedules the unarmed timer at the head's deadline. It leaves the
+// timer unarmed when the queue is empty or expiry is off.
+func (m *Map) arm() {
+	if !m.active() {
 		return
 	}
-	e.lastUse = lastUse
-	if e.queued {
-		m.unlink(e)
-		m.push(e)
+	if e := m.tbl().Stalest(); e != nil {
+		m.mgr.Schedule(m.deadline(e), m.tm) //nolint:errcheck // unarmed: callers cancel first
 	}
 }
 
@@ -296,7 +224,7 @@ func (m *Map) Get(key values.Value) (values.Value, bool) {
 // the zero-allocation path the VM uses for per-packet lookups.
 func (m *Map) GetKeyed(k []byte) (values.Value, bool) {
 	if e, ok := m.lookup(k); ok {
-		return e.val, true
+		return e.V.val, true
 	}
 	if m.hasDef {
 		return m.def, true
@@ -338,34 +266,20 @@ func (m *Map) Clear() {
 	}
 }
 
+// drop removes e, cancelling the timer once the queue is empty.
 func (m *Map) drop(e *entry) {
-	if e.queued {
-		m.unlink(e)
-		if m.head == nil {
-			m.tm.Cancel()
-		}
+	m.tbl().Drop(e)
+	if m.head == nil && m.tm != nil {
+		m.tm.Cancel()
 	}
-	e.deleted = true
-	m.dead++
-	delete(m.idx, e.k)
-	m.maybeCompact()
 }
 
-// touch sets e's last use to now and moves a queued e to the tail. The
-// timer stays where it is: if e was the head, the timer fires early, finds
-// the new head not yet due and re-arms for it.
+// touch refreshes e's last use under expiry. The timer stays where it is:
+// if e was the head, the timer fires early, finds the new head not yet due
+// and re-arms for it.
 func (m *Map) touch(e *entry) {
-	if !m.expiry.active() {
-		return
-	}
-	now := m.mgr.Now()
-	if e.lastUse == now {
-		return
-	}
-	e.lastUse = now
-	if e.queued {
-		m.unlink(e)
-		m.push(e)
+	if m.active() && m.tbl().Touch(e, m.mgr.Now(), false) {
+		m.schedule(e)
 	}
 }
 
@@ -373,11 +287,12 @@ func (m *Map) touch(e *entry) {
 // queued element when Expire(true) flushes it), then re-arms for the new
 // head.
 func (m *Map) fire() {
-	m.settle()
-	now, flush := m.mgr.Now(), m.tm.Flushing()
-	for e := m.head; e != nil && (flush || m.deadline(e) <= now); e = m.head {
+	cutoff := m.mgr.Now() - timer.Time(m.timeout)
+	if m.tm.Flushing() {
+		cutoff = math.MaxInt64
+	}
+	for m.tbl().PopDue(cutoff) != nil {
 		expirations.Add(1)
-		m.drop(e)
 	}
 	m.arm()
 }
@@ -393,46 +308,11 @@ var expirations atomic.Uint64
 // containers.
 func Expirations() uint64 { return expirations.Load() }
 
-func (m *Map) maybeCompact() {
-	if m.iter > 0 {
-		// An Each/EachEntry loop is ranging m.order; rewriting its backing
-		// array here would skip or double-visit elements (or leave the loop
-		// reading the nil tail). The loop re-checks on exit.
-		return
-	}
-	if m.dead < 32 || m.dead*2 < len(m.order) {
-		return
-	}
-	live := m.order[:0]
-	for _, e := range m.order {
-		if !e.deleted {
-			live = append(live, e)
-		}
-	}
-	for i := len(live); i < len(m.order); i++ {
-		m.order[i] = nil
-	}
-	m.order = live
-	m.dead = 0
-}
-
 // Each calls fn for every live element in insertion order; fn returning
 // false stops iteration. fn may remove entries (including the current
 // one): compaction is deferred until the outermost iteration finishes.
 func (m *Map) Each(fn func(key, val values.Value) bool) {
-	m.iter++
-	defer func() {
-		m.iter--
-		m.maybeCompact()
-	}()
-	for _, e := range m.order {
-		if e.deleted {
-			continue
-		}
-		if !fn(e.key, e.val) {
-			return
-		}
-	}
+	m.tbl().Walk(func(e *entry) bool { return fn(e.V.key, e.V.val) })
 }
 
 // Timeout returns the configured expiration policy (for checkpointing).
@@ -447,19 +327,7 @@ func (m *Map) Default() (values.Value, bool) { return m.def, m.hasDef }
 // element's last-use timestamp alongside key and value (for checkpointing).
 // Like Each, it tolerates removals by the callback.
 func (m *Map) EachEntry(fn func(key, val values.Value, lastUse timer.Time) bool) {
-	m.iter++
-	defer func() {
-		m.iter--
-		m.maybeCompact()
-	}()
-	for _, e := range m.order {
-		if e.deleted {
-			continue
-		}
-		if !fn(e.key, e.val, e.lastUse) {
-			return
-		}
-	}
+	m.tbl().Walk(func(e *entry) bool { return fn(e.V.key, e.V.val, e.LastUse) })
 }
 
 // Keys returns the live keys in insertion order.
@@ -504,9 +372,7 @@ func (m *Map) FormatObj() string {
 type Set struct{ m Map }
 
 // NewSet creates an empty set.
-func NewSet() *Set {
-	return &Set{m: Map{idx: make(map[string]*entry)}}
-}
+func NewSet() *Set { return &Set{m: Map{mapTable: mapTable(MakeTable[mapItem]())}} }
 
 // TypeName implements values.Object.
 func (s *Set) TypeName() string { return "set" }
@@ -534,9 +400,7 @@ func (s *Set) Timeout() (ExpireStrategy, timer.Interval) { return s.m.Timeout() 
 // EachEntry iterates live elements in insertion order with their last-use
 // timestamps (for checkpointing).
 func (s *Set) EachEntry(fn func(v values.Value, lastUse timer.Time) bool) {
-	s.m.EachEntry(func(k, _ values.Value, lastUse timer.Time) bool {
-		return fn(k, lastUse)
-	})
+	s.m.tbl().Walk(func(e *entry) bool { return fn(e.V.key, e.LastUse) })
 }
 
 // Exists reports membership (HILTI's set.exists).
@@ -553,7 +417,7 @@ func (s *Set) Clear() { s.m.Clear() }
 
 // Each iterates live elements in insertion order.
 func (s *Set) Each(fn func(v values.Value) bool) {
-	s.m.Each(func(k, _ values.Value) bool { return fn(k) })
+	s.m.tbl().Walk(func(e *entry) bool { return fn(e.V.key) })
 }
 
 // Elems returns the live elements in insertion order.
@@ -570,18 +434,4 @@ func (s *Set) DeepCopyObj() values.Object {
 }
 
 // FormatObj implements values.Formatter.
-func (s *Set) FormatObj() string {
-	var sb strings.Builder
-	sb.WriteByte('{')
-	first := true
-	s.Each(func(v values.Value) bool {
-		if !first {
-			sb.WriteString(", ")
-		}
-		first = false
-		sb.WriteString(values.Format(v))
-		return true
-	})
-	sb.WriteByte('}')
-	return sb.String()
-}
+func (s *Set) FormatObj() string { return formatSeq("{", "}", s.Each) }

@@ -2,10 +2,12 @@ package container
 
 import (
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"hilti/internal/rt/timer"
 	"hilti/internal/rt/values"
@@ -594,5 +596,55 @@ func TestMapNestedEachRemove(t *testing.T) {
 	}
 	if m.Len() != 32 {
 		t.Fatalf("len = %d", m.Len())
+	}
+}
+
+// TestEntrySize: a map or set element is one allocation of at most 128
+// bytes, the top of its size class. A field added to the Table's header
+// is paid by every element of every table, so it must fit.
+func TestEntrySize(t *testing.T) {
+	if size := unsafe.Sizeof(entry{}); strconv.IntSize == 64 && size > 128 {
+		t.Fatalf("a map element is %d bytes, want at most 128", size)
+	}
+}
+
+// TestMapQueueLinks drives a map with access expiry through live and
+// restored inserts (restored ones out of order), reads, removes during
+// iteration and timer expiry, and checks the core's queue after every op:
+// linked both ways, live entries only, ordered unless flagged unsorted.
+func TestMapQueueLinks(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	mgr := timer.NewMgr()
+	m := NewMap()
+	m.SetTimeout(mgr, ExpireAccess, 100)
+	now := timer.Time(1000)
+	mgr.Advance(now)
+	for step := 0; step < 5000; step++ {
+		k := values.Int(int64(rng.Intn(64)))
+		switch r := rng.Intn(10); {
+		case r < 3:
+			m.Insert(k, values.Int(int64(step)))
+		case r < 5:
+			m.InsertRestored(k, values.Nil, now-timer.Time(rng.Intn(150)))
+		case r < 7:
+			m.Get(k)
+		case r < 8:
+			m.Each(func(key, _ values.Value) bool {
+				if rng.Intn(4) == 0 {
+					m.Remove(key)
+				}
+				return true
+			})
+		default:
+			now += timer.Time(rng.Intn(40))
+			mgr.Advance(now)
+		}
+		q, err := m.tbl().Queued()
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if len(q) != m.Len() {
+			t.Fatalf("step %d: %d entries queued, %d live", step, len(q), m.Len())
+		}
 	}
 }
