@@ -66,3 +66,36 @@ event walk() {
 		t.Errorf("the loop ran %d times, want %d", got, n)
 	}
 }
+
+// TestBinpacParkedBodyAllocs: a BinPAC++ HTTP parse parked in a request body
+// resumes on a body-only segment — lent in place, hashed piece by piece,
+// trimmed, parked again, settled — without allocating once the Exec's free
+// pieces are warm. The segment is one buffer written again between calls,
+// as a frame is.
+func TestBinpacParkedBodyAllocs(t *testing.T) {
+	e := mustEngine(t, Config{Parser: "binpac", ScriptExec: "interp", Scripts: []string{HTTPScript, FilesScript}, Quiet: true})
+	head := "POST /up HTTP/1.1\r\nHost: h\r\nContent-Length: 1000000000\r\n\r\n"
+	e.SafeProcessPacket(1, tcpDataFrame(cliAddr, srvAddr, 41000, 80, 1000, []byte(head)))
+	var c *conn
+	for _, c = range e.conns {
+	}
+	if len(e.conns) != 1 || c.origRun == nil || c.respRun != nil {
+		t.Fatal("the request did not start exactly its own direction's parse")
+	}
+	seg := make([]byte, 1024)
+	var fill byte
+	deliver := func() {
+		for i := range seg {
+			fill++
+			seg[i] = fill
+		}
+		e.binpacDeliver(c, true, seg)
+	}
+	deliver()
+	if n := testing.AllocsPerRun(100, deliver); n != 0 {
+		t.Fatalf("%v allocations per body segment, want 0", n)
+	}
+	if c.origDead || c.origRope.Len() != 0 {
+		t.Fatalf("after the body segments: parse dead %v, rope holds %d bytes", c.origDead, c.origRope.Len())
+	}
+}

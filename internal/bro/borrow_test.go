@@ -2,12 +2,16 @@ package bro
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"hilti/internal/hilti/vm"
 	"hilti/internal/pkt/gen"
 	"hilti/internal/pkt/layers"
 	"hilti/internal/pkt/pcap"
+	"hilti/internal/rt/hbytes"
+	"hilti/internal/rt/values"
 	"hilti/internal/rt/wal"
 )
 
@@ -81,6 +85,15 @@ func sameLogs(t *testing.T, what string, got, want *Engine) {
 // ROADMAP item 1.) The DNS row lends BinPAC++ DNS datagrams to an engine
 // whose parse recycles its values and aliases the datagram: its logs must
 // equal those of an engine that neither lends nor recycles.
+//
+// The binpac-http-keeps rows lend segments to BinPAC++ HTTP engines whose
+// hosts keep what the parse hands them by reference, against engines that
+// fed the trace's own frames and whose hosts copied it. A request's URI, a
+// bytes.sub view of the segment, is kept until its reply and logged as the
+// reply's reason: Exec.Settle copied it when its Resume ended, so the logs
+// are equal. A body's first piece is kept until the body is logged and its
+// first bytes logged as the body's MIME type: a piece is lent to its hook
+// call only, so the logs must differ. Both sides get the split segments.
 func TestPayloadBorrowedNotRetained(t *testing.T) {
 	trace := mergedTrace(t)
 	pkts := splitSegments(trace)
@@ -185,4 +198,90 @@ func TestPayloadBorrowedNotRetained(t *testing.T) {
 			sameLogs(t, "lent datagrams, recycled parse", got, want)
 		})
 	}
+	for _, keep := range []string{"view", "piece"} {
+		t.Run("binpac-http-keeps-"+keep, func(t *testing.T) {
+			cfg := Config{Parser: "binpac", ScriptExec: "interp", Scripts: []string{HTTPScript, FilesScript}, Quiet: true}
+			// Pieces follow the segments, so every engine here gets the split
+			// ones.
+			want := keepingEngine(t, cfg, keep, false)
+			feed(want, pkts)
+			want.Finish()
+			plain := mustEngine(t, cfg)
+			feed(plain, pkts)
+			plain.Finish()
+			if logsText(want) == logsText(plain) {
+				t.Fatalf("keeping a %s changed no log line", keep)
+			}
+
+			got := keepingEngine(t, cfg, keep, true)
+			for _, p := range pkts {
+				lend(got, p)
+			}
+			got.Finish()
+			if keep == "view" {
+				sameLogs(t, "a kept URI view", got, want)
+			} else if logsText(got) == logsText(want) {
+				t.Fatal("a body piece kept past its hook read as it did during the hook")
+			}
+		})
+	}
+}
+
+// keepingEngine is an HTTP engine whose hosts keep a value the parse hands
+// them — a request's URI ("view") or a body's first piece ("piece") — by
+// reference or by copy, and log it later: the URI as the reply's reason,
+// the piece's first bytes as the body's MIME type.
+func keepingEngine(t *testing.T, cfg Config, keep string, byRef bool) *Engine {
+	e := mustEngine(t, cfg)
+	kept := map[int64]values.Value{} // by ctx and direction
+	at := func(ctx, isOrig values.Value) int64 { return 2*ctx.AsInt() + isOrig.AsInt() }
+	hold := func(k int64, v values.Value) {
+		if !byRef {
+			v = values.BytesVal(hbytes.NewFrom(v.AsBytes().Bytes()))
+		}
+		kept[k] = v
+	}
+	wrap := func(name string, f func(args []values.Value)) {
+		orig := e.ex.HostFns[name]
+		e.ex.RegisterHost(name, func(ex *vm.Exec, args []values.Value) (values.Value, error) {
+			args = slices.Clone(args)
+			f(args)
+			return orig(ex, args)
+		})
+	}
+	if keep == "view" {
+		wrap("bro_http_request", func(args []values.Value) { hold(args[0].AsInt(), args[2]) })
+		wrap("bro_http_reply", func(args []values.Value) {
+			if v, ok := kept[args[0].AsInt()]; ok {
+				args[3] = v
+			}
+		})
+		return e
+	}
+	for name, isOrig := range map[string]int64{"Request::data": 1, "Reply::data": 0} {
+		e.ex.Hooks.Get(name).Add(func(args []values.Value) (values.Value, bool) {
+			if k := at(args[1], values.Int(isOrig)); kept[k].IsNil() {
+				hold(k, args[2])
+			}
+			return values.Nil, false
+		})
+	}
+	wrap("bro_http_body", func(args []values.Value) {
+		k := at(args[0], args[1])
+		if v, ok := kept[k]; ok {
+			b := v.AsBytes().Bytes()
+			args[2] = values.String(string(b[:min(len(b), 8)]))
+			delete(kept, k)
+		}
+	})
+	return e
+}
+
+// logsText is every log stream of e, joined.
+func logsText(e *Engine) string {
+	var all []string
+	for _, s := range logStreams {
+		all = append(all, e.Logs.Lines(s)...)
+	}
+	return strings.Join(all, "\n")
 }

@@ -163,7 +163,7 @@ type Engine struct {
 	// program's field accesses find them by index.
 	structs                                    map[string]*values.StructDef
 	httpReqStruct, httpRepStruct, dnsMsgStruct *values.StructDef
-	dnsParseFn                                 *vm.CompiledFunc
+	httpReqFn, httpRepFn, dnsParseFn           *vm.CompiledFunc
 	dnsIx                                      dnsIndex
 	// The DNS parse's datagram rope and Message, and the glue's answer and
 	// TTL lists: reused for every datagram (binpacDNSPacket).
@@ -210,7 +210,8 @@ type conn struct {
 
 	std *analyzers.HTTPParser
 
-	// binpac per-direction parse state.
+	// binpac per-direction parse state, from the connection's first byte:
+	// both ropes at once, and a direction's parse at its own first byte.
 	origRope, respRope *hbytes.Bytes
 	origRun, respRun   *vm.Resumable
 	origDead, respDead bool
@@ -331,6 +332,8 @@ func (e *Engine) initBinpac(httpMods, dnsMods []*ast.Module) {
 	e.httpRepStruct = findStruct(httpMods, "Replies")
 	e.dnsMsgStruct = findStruct(dnsMods, "Message")
 	e.dnsIx = newDNSIndex(e.dnsMsgStruct, findStruct(dnsMods, "Question"), findStruct(dnsMods, "RR"))
+	e.httpReqFn = e.ex.Prog.Fn("HTTP::parse_Requests")
+	e.httpRepFn = e.ex.Prog.Fn("HTTP::parse_Replies")
 	e.dnsParseFn = e.ex.Prog.Fn("DNS::parse_Message")
 	e.dnsRope, e.dnsSelf = hbytes.New(), values.NewStruct(e.dnsMsgStruct)
 	e.registerBinpacHost()
@@ -773,8 +776,6 @@ func (e *Engine) closeConn(c *conn) {
 	}
 	if c.origRope != nil {
 		e.finishBinpacDir(c, true)
-	}
-	if c.respRope != nil {
 		e.finishBinpacDir(c, false)
 	}
 	e.clock.leave()

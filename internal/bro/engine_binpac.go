@@ -22,32 +22,46 @@ import (
 	"hilti/internal/rt/values"
 )
 
-// attachBinpacHTTP wires a connection's streams into HTTP parser fibers.
+// attachBinpacHTTP wires a connection's streams to its HTTP parses. A
+// direction's parse starts at its first byte (binpacDeliver), so a
+// connection that never carries payload costs no parse.
 func (e *Engine) attachBinpacHTTP(c *conn) {
-	c.origRope = hbytes.New()
-	c.respRope = hbytes.New()
-	reqFn := e.ex.Prog.Fn("HTTP::parse_Requests")
-	repFn := e.ex.Prog.Fn("HTTP::parse_Replies")
-
-	reqSelf := values.StructVal(values.NewStruct(e.httpReqStruct))
-	repSelf := values.StructVal(values.NewStruct(e.httpRepStruct))
-	c.origRun = e.ex.FiberCall(reqFn, reqSelf, values.IterBytes(c.origRope.Begin()), values.Int(c.ctx))
-	c.respRun = e.ex.FiberCall(repFn, repSelf, values.IterBytes(c.respRope.Begin()), values.Int(c.ctx))
-
 	c.origStream.Deliver = func(d []byte) { e.binpacDeliver(c, true, d) }
 	c.respStream.Deliver = func(d []byte) { e.binpacDeliver(c, false, d) }
 }
 
-func (e *Engine) binpacDeliver(c *conn, isOrig bool, d []byte) {
-	rope, run, dead := c.respRope, c.respRun, &c.respDead
+// binpacDir returns a direction's parse state.
+func (c *conn) binpacDir(isOrig bool) (rope *hbytes.Bytes, run **vm.Resumable, dead *bool) {
 	if isOrig {
-		rope, run, dead = c.origRope, c.origRun, &c.origDead
+		return c.origRope, &c.origRun, &c.origDead
 	}
+	return c.respRope, &c.respRun, &c.respDead
+}
+
+// binpacDeliver resumes a direction's parse on one segment. The segment is
+// the reassembler's, valid for this call only (reassembly.Stream.Deliver):
+// the rope borrows it, and Settle keeps what the parse still holds of it
+// when the call ends, however it ends (DESIGN "A segment is lent to the
+// parse").
+func (e *Engine) binpacDeliver(c *conn, isOrig bool, d []byte) {
+	if c.origRope == nil { // the connection's first byte: both ropes, one object
+		ropes := new([2]hbytes.Bytes)
+		c.origRope, c.respRope = &ropes[0], &ropes[1]
+	}
+	rope, run, dead := c.binpacDir(isOrig)
 	if *dead {
 		return
 	}
-	rope.Append(d)
-	_, done, err := run.Resume()
+	if *run == nil {
+		fn, def := e.httpRepFn, e.httpRepStruct
+		if isOrig {
+			fn, def = e.httpReqFn, e.httpReqStruct
+		}
+		*run = e.ex.FiberCall(fn, values.StructVal(values.NewStruct(def)), values.IterBytes(rope.Begin()), values.Int(c.ctx))
+	}
+	defer e.ex.Settle()
+	_ = e.ex.Lend(rope, d) // cannot fail: a live direction is not frozen, and no loan outlives its call
+	_, done, err := (*run).Resume()
 	if done {
 		*dead = true
 		if err != nil {
@@ -56,21 +70,18 @@ func (e *Engine) binpacDeliver(c *conn, isOrig bool, d []byte) {
 	}
 }
 
-// finishBinpacDir freezes a direction's input and drives the parse to
-// completion (list-until-end units finish at frozen end of data).
+// finishBinpacDir freezes a started direction's input and drives the parse
+// to completion (list-until-end units finish at frozen end of data).
 func (e *Engine) finishBinpacDir(c *conn, isOrig bool) {
-	rope, run, dead := c.respRope, c.respRun, &c.respDead
-	if isOrig {
-		rope, run, dead = c.origRope, c.origRun, &c.origDead
-	}
-	if *dead {
+	rope, run, dead := c.binpacDir(isOrig)
+	if *run == nil || *dead {
 		return
 	}
 	rope.Freeze()
-	_, done, err := run.Resume()
+	_, done, err := (*run).Resume()
 	*dead = true
 	if !done {
-		run.Abort()
+		(*run).Abort()
 	} else if err != nil {
 		e.parseErrs.Inc()
 	}

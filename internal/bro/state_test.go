@@ -433,3 +433,66 @@ func TestRestoreRefusesRetiredDeltaForms(t *testing.T) {
 		t.Error("container journal: restored")
 	}
 }
+
+// TestBinpacConnWithoutPayloadIsEncoded: a BinPAC++ HTTP connection starts
+// a direction's parse at that direction's first byte, so after its handshake
+// it holds no parse, and every product encodes it — Checkpoint, a full and
+// a patching Rebase, ExtractFlow. The checkpoint restores, and so does the
+// extracted flow on a fresh engine; each then parses the session's payload
+// into the logs of an uninterrupted run.
+func TestBinpacConnWithoutPayloadIsEncoded(t *testing.T) {
+	cfg := Config{Parser: "binpac", ScriptExec: "interp", Scripts: []string{HTTPScript, FilesScript}, Quiet: true}
+	hc := gen.DefaultHTTPConfig()
+	hc.Sessions = 1
+	pkts := gen.GenerateHTTP(hc)
+	want := mustEngine(t, cfg)
+	feed(want, pkts)
+	want.Finish()
+
+	e := mustEngine(t, cfg)
+	snap := rebaseBytes(t, e, nil)
+	feed(e, pkts[:3])
+	if len(e.conns) != 1 {
+		t.Fatalf("%d connections after the handshake, want 1", len(e.conns))
+	}
+	for _, c := range e.conns {
+		if c.origRun != nil || c.respRun != nil || c.origRope != nil {
+			t.Fatal("a connection without payload started a parse")
+		}
+	}
+	var ckpt bytes.Buffer
+	if err := e.Checkpoint(&ckpt); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	if err := e.Rebase(snapshot.NewAppender(nil), snap); err != nil {
+		t.Fatalf("patching Rebase: %v", err)
+	}
+	if err := e.Rebase(snapshot.NewAppender(nil), nil); err != nil {
+		t.Fatalf("full Rebase: %v", err)
+	}
+	blob, err := e.ExtractFlow(e.MigratableFlows()[0])
+	if err != nil {
+		t.Fatalf("ExtractFlow: %v", err)
+	}
+
+	restored, err := RestoreEngine(cfg, &ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := mustEngine(t, cfg)
+	if _, err := moved.InjectFlow(blob); err != nil {
+		t.Fatal(err)
+	}
+	for what, r := range map[string]*Engine{"restored": restored, "injected": moved} {
+		feed(r, pkts[3:])
+		r.Finish()
+		if len(want.Logs.Lines("http")) == 0 {
+			t.Fatal("the session logged nothing")
+		}
+		for _, s := range logStreams {
+			if g, w := r.Logs.Lines(s), want.Logs.Lines(s); strings.Join(g, "\n") != strings.Join(w, "\n") {
+				t.Errorf("%s: %s.log differs:\n%q\nwant\n%q", what, s, g, w)
+			}
+		}
+	}
+}

@@ -48,11 +48,12 @@ const (
 	cfStd
 )
 
-// inFlightParse reports whether the connection holds a parked BinPAC++
-// parse (vm.Resumable), which is not encoded yet (ROADMAP 1a); both
-// products refuse to serialize such a connection.
+// inFlightParse reports whether the connection holds a BinPAC++ parse
+// (vm.Resumable), which is not encoded yet (ROADMAP 1a); both products
+// refuse to serialize such a connection. A parse starts at its direction's
+// first byte, so a connection without payload yet is encoded.
 func (c *conn) inFlightParse() bool {
-	return c.origRope != nil || c.respRope != nil || c.origRun != nil || c.respRun != nil
+	return c.origRun != nil || c.respRun != nil
 }
 
 // encodeConn writes one connection's analyzer state: instance-local ctx,

@@ -39,6 +39,7 @@ func LinkWith(opts Options, modules ...*ast.Module) (*Program, error) {
 			Funcs:      map[string]*CompiledFunc{},
 			HookBodies: map[string][]*CompiledFunc{},
 			Builtins:   builtins(),
+			hostSlots:  map[string]int{},
 		},
 		opt:         opts.OptLevel,
 		globals:     map[string]int32{},

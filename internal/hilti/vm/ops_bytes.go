@@ -396,6 +396,8 @@ var bytesOps = []opRow{
 	// length. It suspends at the end of a non-frozen rope; at the end of a
 	// frozen one the piece is empty when max < 0 (an until-EOF field is
 	// complete) and out of range otherwise. Streamed fields loop over it.
+	// A piece of lent input is valid only until the hook it is handed to
+	// returns: Exec.Settle releases it for a later piece.
 	{name: "bytes.piece", f2: func(ex *Exec, x, y values.Value) (values.Value, error) {
 		it, limit := x.AsIterBytes(), y.AsInt()
 		b := it.Bytes()
@@ -414,7 +416,7 @@ var bytesOps = []opRow{
 				return values.Nil, hbytes.ErrOutOfRange
 			}
 		}
-		nb, err := b.SubBytes(it, it.Plus(n))
+		nb, err := ex.piece(b, it, it.Plus(n))
 		if err != nil {
 			return values.Nil, err
 		}

@@ -79,7 +79,8 @@ func execAssign(ex *Exec, fr *Frame, in *Instr) int {
 type callTarget struct {
 	fn      *CompiledFunc // non-nil when statically resolved
 	builtin HostFunc      // non-nil for builtin runtime functions
-	name    string        // dynamic fallback (host-registered functions)
+	name    string        // otherwise a host function, registered per Exec
+	host    int           // name's slot in Program.hostSlots
 }
 
 // execCallFn calls a compiled function: the dispatch loop enters it.
@@ -93,7 +94,7 @@ func execCall(ex *Exec, fr *Frame, in *Instr) int {
 	var err error
 	if ct.builtin != nil {
 		ret, err = ct.builtin(ex, args)
-	} else if hf, ok := ex.HostFns[ct.name]; ok {
+	} else if hf := ex.hosts[ct.host]; hf != nil {
 		ret, err = hf(ex, args)
 	} else {
 		err = fmt.Errorf("call to unknown function %q", ct.name)
@@ -373,7 +374,7 @@ type switchPatch struct {
 }
 
 // resolveCall resolves a callee name: compiled functions (qualified or
-// not), builtins, then dynamic host lookup at call time.
+// not), builtins, then a host function's slot, which each Exec fills.
 func (c *fnCompiler) resolveCall(name string) *callTarget {
 	for _, cand := range []string{c.mod.Name + "::" + name, name} {
 		if fn, ok := c.lk.prog.Funcs[cand]; ok {
@@ -383,7 +384,13 @@ func (c *fnCompiler) resolveCall(name string) *callTarget {
 	if bf, ok := c.lk.prog.Builtins[name]; ok {
 		return &callTarget{builtin: bf}
 	}
-	return &callTarget{name: name}
+	slots := c.lk.prog.hostSlots
+	i, ok := slots[name]
+	if !ok {
+		i = len(slots)
+		slots[name] = i
+	}
+	return &callTarget{name: name, host: i}
 }
 
 // newValueOfType instantiates a heap value for `new T` and for automatic

@@ -316,7 +316,7 @@ func execTimerSchedule(ex *Exec, fr *Frame, in *Instr) int {
 			ex.CallFn(ct.fn, args...) //nolint:errcheck // timers swallow exceptions, as HILTI's runtime does
 		} else if ct.builtin != nil {
 			ct.builtin(ex, args) //nolint:errcheck
-		} else if hf, ok := ex.HostFns[ct.name]; ok {
+		} else if hf := ex.hosts[ct.host]; hf != nil {
 			hf(ex, args) //nolint:errcheck
 		}
 	})

@@ -27,7 +27,7 @@ import (
 // keeps, and passes none of them to HILTI code it re-enters. A recycling
 // closure may call only such host functions.
 func (ex *Exec) RegisterBorrowingHost(name string, fn HostFunc) {
-	ex.HostFns[name] = fn
+	ex.setHost(name, fn)
 	if ex.borrowing == nil {
 		ex.borrowing = map[string]bool{}
 	}
@@ -316,14 +316,20 @@ func (ex *Exec) newValue(t *types.Type, n int) (values.Value, error) {
 }
 
 // subBytes is b.SubBytes(from, to), with the view from the free list in a
-// recycling scope.
+// recycling scope. A view of lent bytes is recorded for Settle (lend.go).
 func (ex *Exec) subBytes(b *hbytes.Bytes, from, to hbytes.Iter) (*hbytes.Bytes, error) {
+	var nb *hbytes.Bytes
 	if !ex.recycling() {
-		return b.SubBytes(from, to)
+		var err error
+		if nb, err = b.SubBytes(from, to); err != nil {
+			return nil, err
+		}
+	} else {
+		nb = ex.rec.view()
+		if err := b.SubBytesInto(nb, from, to); err != nil {
+			return nil, err
+		}
 	}
-	nb := ex.rec.view()
-	if err := b.SubBytesInto(nb, from, to); err != nil {
-		return nil, err
-	}
+	ex.noteLent(nb)
 	return nb, nil
 }

@@ -158,6 +158,10 @@ type Program struct {
 	GlobalCount int
 	globalInits []globalInit
 	Builtins    map[string]HostFunc
+	// hostSlots numbers the host functions the program calls: a call
+	// resolves its callee's name once, when it is linked, and each Exec
+	// keeps its own functions in a table by slot (Exec.hosts).
+	hostSlots map[string]int
 }
 
 type globalInit struct {
@@ -195,7 +199,8 @@ type Exec struct {
 	GlobalTM *timer.Mgr
 	Sched    *threads.Scheduler
 	// HostFns holds the host functions by name. Fill it through RegisterHost
-	// or RegisterBorrowingHost, which keep Recycle's answers current.
+	// or RegisterBorrowingHost, which keep Recycle's answers and the
+	// by-slot table calls read (hosts) current.
 	HostFns map[string]HostFunc
 
 	// Limits bounds every top-level invocation (see budget.go); the
@@ -220,6 +225,8 @@ type Exec struct {
 	opProf     *opProfile
 	tiering    *tiering // runtime tier-2 promotion, nil unless EnableTiering
 
+	lend          lending         // the open loan of input (lend.go)
+	hosts         []HostFunc      // HostFns by Program.hostSlots, what a call reads
 	borrowing     map[string]bool // host functions registered as borrowing (recycle.go)
 	rec           *recycler       // nil until Recycle accepts an entry
 	fieldMisses   uint64          // see FieldGuardMisses
@@ -238,6 +245,7 @@ func NewExec(prog *Program) (*Exec, error) {
 		Profs:    profiler.NewRegistry(),
 		GlobalTM: timer.NewMgr(),
 		HostFns:  map[string]HostFunc{},
+		hosts:    make([]HostFunc, len(prog.hostSlots)),
 		budget:   freshBudget(),
 	}
 	for _, gi := range prog.globalInits {
@@ -254,12 +262,21 @@ func NewExec(prog *Program) (*Exec, error) {
 // host function so registered may keep its arguments; replacing a borrowing
 // one (RegisterBorrowingHost) therefore drops every Recycle answer.
 func (ex *Exec) RegisterHost(name string, fn HostFunc) {
-	ex.HostFns[name] = fn
+	ex.setHost(name, fn)
 	if ex.borrowing[name] {
 		delete(ex.borrowing, name)
 		if ex.rec != nil {
 			ex.rec.entries = nil
 		}
+	}
+}
+
+// setHost makes fn the host function name, by name and, when the program
+// calls it, by slot.
+func (ex *Exec) setHost(name string, fn HostFunc) {
+	ex.HostFns[name] = fn
+	if i, ok := ex.Prog.hostSlots[name]; ok {
+		ex.hosts[i] = fn
 	}
 }
 

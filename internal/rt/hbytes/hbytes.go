@@ -22,6 +22,12 @@
 // length of the tail chunk, where no capped slice reaches. Data handed over
 // with AppendOwned or Reset joins the rope on the same terms: its owner must
 // not modify it afterwards.
+//
+// Data handed over with AppendLent is only borrowed, for one call of the
+// code that reads the rope: the owner writes it again afterwards. The rope
+// and every view taken of the lent bytes are marked lent, and before the
+// owner reuses the data, Settle moves what they still hold into memory of
+// their own.
 package hbytes
 
 import (
@@ -38,6 +44,10 @@ var ErrWouldBlock = errors.New("bytes: would block (need more input)")
 
 // ErrFrozen is reported when appending to a frozen Bytes value.
 var ErrFrozen = errors.New("bytes: frozen")
+
+// ErrLending is reported when appending to a value whose last chunk is lent
+// (AppendLent): the lent chunk stays its last until Settle.
+var ErrLending = errors.New("bytes: lending")
 
 // ErrOutOfRange is reported when an iterator is moved or dereferenced
 // outside the valid data range.
@@ -60,6 +70,9 @@ type Bytes struct {
 	// SubBytes handed out a view of it, which holds on to its array, so it
 	// is no longer grown by copying — both copies would stay alive.
 	tail, viewed bool
+	// lent: the last chunk is borrowed (AppendLent, or a view of such a
+	// chunk) until Settle re-points it at a copy.
+	lent bool
 	// first is inline storage for chunks while the rope holds a single
 	// chunk — every bytes.sub result, BytesFrom constant and per-datagram
 	// rope — so those cost no separate chunk-list allocation. A Bytes must
@@ -111,8 +124,8 @@ const (
 // Append adds a copy of data to the end of the rope. Appending to a frozen
 // value returns ErrFrozen. Appending an empty slice is a no-op.
 func (b *Bytes) Append(data []byte) error {
-	if b.frozen {
-		return ErrFrozen
+	if b.frozen || b.lent {
+		return b.appendErr()
 	}
 	if len(data) == 0 {
 		return nil
@@ -136,10 +149,11 @@ func (b *Bytes) Append(data []byte) error {
 // read chunk by chunk in place: a decoded name is built from its labels
 // without a Bytes value per label. On error b is unchanged: ErrFrozen for a
 // frozen b, and Sub's range errors for src — ErrWouldBlock past the end of a
-// non-frozen src, ErrOutOfRange past a frozen one or for an invalid range.
+// non-frozen src, ErrOutOfRange past a frozen one or for an invalid range;
+// ErrLending for a lending b.
 func (b *Bytes) AppendRange(src *Bytes, from, to int64) error {
-	if b.frozen {
-		return ErrFrozen
+	if b.frozen || b.lent {
+		return b.appendErr()
 	}
 	if err := src.checkRange(from, to); err != nil {
 		return err
@@ -157,13 +171,88 @@ func (b *Bytes) AppendRange(src *Bytes, from, to int64) error {
 // modify data afterwards. It exists for hot paths (packet payload handoff)
 // where the buffer is already owned by the rope's producer.
 func (b *Bytes) AppendOwned(data []byte) error {
-	if b.frozen {
-		return ErrFrozen
+	if b.frozen || b.lent {
+		return b.appendErr()
 	}
 	if len(data) == 0 {
 		return nil
 	}
 	return b.appendOwned(data)
+}
+
+// AppendLent adds data to the rope without copying, as a loan: the caller
+// may write data again once Settle has run on the rope and on every view
+// SubBytes took of it since (those whose Lent reports true). Until then the
+// rope refuses appends. Appending an empty slice is a no-op.
+func (b *Bytes) AppendLent(data []byte) error {
+	if b.frozen || b.lent {
+		return b.appendErr()
+	}
+	if len(data) == 0 {
+		return nil
+	}
+	b.appendOwned(data)
+	b.lent = true
+	return nil
+}
+
+func (b *Bytes) appendErr() error {
+	if b.frozen {
+		return ErrFrozen
+	}
+	return ErrLending
+}
+
+// Lent reports whether the value's last chunk is borrowed: appended by
+// AppendLent, or a view of such a chunk, and not settled since.
+func (b *Bytes) Lent() bool { return b.lent }
+
+// Settle ends a loan. Each value in lent that still lends keeps what it
+// can reach of its lent chunk — a rope the part at or past its trim point,
+// a view all of it — in one allocation sized to all of that together, and
+// is re-pointed at its part of the copy; a value that keeps nothing drops
+// the chunk and allocates nothing. The lent data itself is only read.
+// Values that no longer lend are skipped, so lent may hold one twice.
+func Settle(lent []*Bytes) {
+	n := 0
+	for _, b := range lent {
+		if b.lent {
+			n += len(b.lentKept())
+		}
+	}
+	var buf []byte
+	if n > 0 {
+		buf = make([]byte, n)
+	}
+	for _, b := range lent {
+		if !b.lent {
+			continue
+		}
+		b.lent = false
+		kept := b.lentKept()
+		last := len(b.chunks) - 1
+		if len(kept) == 0 {
+			if last >= 0 {
+				b.chunks[last] = chunk{}
+				b.chunks = b.chunks[:last]
+			}
+			continue
+		}
+		c := &b.chunks[last]
+		c.off += int64(len(c.data) - len(kept))
+		c.data = buf[:len(kept):len(kept)]
+		copy(c.data, kept)
+		buf = buf[len(kept):]
+	}
+}
+
+// lentKept is the part of a lending value's last chunk it still holds.
+func (b *Bytes) lentKept() []byte {
+	if len(b.chunks) == 0 {
+		return nil
+	}
+	c := b.chunks[len(b.chunks)-1]
+	return c.data[max(b.base-c.off, 0):]
 }
 
 func (b *Bytes) appendOwned(data []byte) error {
@@ -340,7 +429,8 @@ func (b *Bytes) copyRange(dst []byte, lo int64) {
 // SubBytes returns the bytes in [from, to) as a new, frozen Bytes value —
 // HILTI's bytes.sub, whose result is independent of later appends to and
 // trims of b. A range within one chunk is a view of it, costing no copy;
-// one spanning chunks is copied.
+// one spanning chunks is copied. A view of a lent chunk is lent too (Lent):
+// it is valid until the loan is settled, unless Settle is given it.
 func (b *Bytes) SubBytes(from, to Iter) (*Bytes, error) {
 	nb := &Bytes{}
 	if err := b.SubBytesInto(nb, from, to); err != nil {
@@ -362,6 +452,7 @@ func (b *Bytes) SubBytesInto(nb *Bytes, from, to Iter) error {
 		if c := b.chunks[ci]; hi <= c.off+int64(len(c.data)) {
 			nb.appendOwned(c.data[lo-c.off : hi-c.off : hi-c.off])
 			b.viewed = b.viewed || ci == len(b.chunks)-1
+			nb.lent = b.lent && ci == len(b.chunks)-1
 		} else {
 			out := make([]byte, hi-lo)
 			b.copyRange(out, lo)

@@ -1,0 +1,5 @@
+//go:build !race
+
+package hbytes
+
+const raceEnabled = false
