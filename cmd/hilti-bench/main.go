@@ -33,7 +33,6 @@ import (
 	"hilti/internal/hilti/ast"
 	"hilti/internal/hilti/types"
 	"hilti/internal/hilti/vm"
-	"hilti/internal/pkt/flow"
 	"hilti/internal/pkt/gen"
 	"hilti/internal/pkt/layers"
 	"hilti/internal/pkt/pcap"
@@ -42,18 +41,15 @@ import (
 	"hilti/internal/rt/fiber"
 	"hilti/internal/rt/hbytes"
 	"hilti/internal/rt/metrics"
-	"hilti/internal/rt/migrate"
-	"hilti/internal/rt/snapshot"
 	"hilti/internal/rt/timer"
 	"hilti/internal/rt/values"
 )
 
 var (
-	expFlag       = flag.String("exp", "all", "experiment: fibers|bpf|firewall|table2|fig9|table3|fig10|fib|threads|parallel|faults|recovery|wal|migrate|vmopt|tier|rules|observe|soak|all")
+	expFlag       = flag.String("exp", "all", "experiment: fibers|bpf|firewall|table2|fig9|table3|fig10|fib|threads|vmopt|tier|rules|observe|soak|all")
 	httpSessions  = flag.Int("http-sessions", 800, "HTTP sessions in the synthetic trace")
 	dnsTxns       = flag.Int("dns-txns", 8000, "DNS transactions in the synthetic trace")
 	seed          = flag.Int64("seed", 1, "generator seed")
-	workersFlag   = flag.Int("workers", 0, "parallel experiment: run this worker count (0 = sweep 1/2/4/8)")
 	optFlag       = flag.String("opt", "", "VM optimizer level applied to every experiment: 0 (off), 1, or 2/tier2 (eager tier-2 specialization); empty keeps the package default")
 	tierCeiling   = flag.Float64("tier-ratio-ceiling", 5.0, "tier experiment: fail when the tier-2/BPF time ratio exceeds this")
 	tierBaseline  = flag.String("tier-baseline", "", "tier experiment: derive the ratio ceiling from the tier-2/BPF rows recorded in this -bench-json file (x2 noise headroom) instead of -tier-ratio-ceiling")
@@ -143,16 +139,6 @@ var experiments = []experiment{
 		"compiled version solves it orders of magnitude faster than the interpreter", (*harness).fib},
 	{"threads", "Threaded DNS analysis (paper §6.6)",
 		"the same HILTI parsing code supports threaded and non-threaded setups; results agree", (*harness).threads},
-	{"parallel", "Flow-sharded parallel pipeline (paper §3.2)",
-		"flow hash -> vthread -> worker load balancing; identical results to the non-threaded setup", (*harness).parallel},
-	{"faults", "Fault injection & resource governance (paper §3 safety model)",
-		"illegal operations become catchable faults; the runtime keeps processing under hostile input", (*harness).faults},
-	{"recovery", "Crash-only operation (paper §3.2 transparent state management)",
-		"first-class state => serialize/restore analysis mid-trace; resumed run reproduces the uninterrupted one", (*harness).recovery},
-	{"wal", "Incremental checkpoints via write-ahead log (crash-only)",
-		"a patching re-base equals the full encode; a pipeline shard logs the packets since and restores by running them again", (*harness).wal},
-	{"migrate", "Elastic cluster: live flow migration with fault-injected handoff",
-		"scale-out/in via consistent-hash buckets; a crash at any protocol step never splits ownership", (*harness).migrate},
 	{"vmopt", "Post-lowering VM optimizer",
 		"behavior-preserving: identical outputs at -O0/-O1, fewer instructions both statically and dynamically", (*harness).vmopt},
 	{"tier", "Tier-2 execution: overlay specialization",
@@ -189,45 +175,32 @@ func (h *harness) metricsReg() *metrics.Registry {
 	return h.reg
 }
 
-func genHTTP(sessions int) []pcap.Packet {
-	cfg := gen.DefaultHTTPConfig()
-	cfg.Seed, cfg.Sessions = *seed, sessions
-	return gen.GenerateHTTP(cfg)
-}
-
-func genDNS(txns int) []pcap.Packet {
-	cfg := gen.DefaultDNSConfig()
-	cfg.Seed, cfg.Transactions = *seed+1, txns
-	return gen.GenerateDNS(cfg)
-}
-
 func (h *harness) httpTrace() []pcap.Packet {
 	if h.httpPkts == nil {
-		h.httpPkts = genHTTP(*httpSessions)
+		cfg := gen.DefaultHTTPConfig()
+		cfg.Seed, cfg.Sessions = *seed, *httpSessions
+		h.httpPkts = gen.GenerateHTTP(cfg)
 	}
 	return h.httpPkts
 }
 
 func (h *harness) dnsTrace() []pcap.Packet {
 	if h.dnsPkts == nil {
-		h.dnsPkts = genDNS(*dnsTxns)
+		cfg := gen.DefaultDNSConfig()
+		cfg.Seed, cfg.Transactions = *seed+1, *dnsTxns
+		h.dnsPkts = gen.GenerateDNS(cfg)
 	}
 	return h.dnsPkts
 }
 
-// mergedTrace is the HTTP and DNS traces as one capture.
+// mergedTrace is the HTTP and DNS traces as one capture, interleaved in
+// time order like a capture interface.
 func (h *harness) mergedTrace() []pcap.Packet {
 	if h.merged == nil {
-		h.merged = merge(h.httpTrace(), h.dnsTrace())
+		h.merged = slices.Concat(h.httpTrace(), h.dnsTrace())
+		slices.SortStableFunc(h.merged, func(a, b pcap.Packet) int { return a.Time.Compare(b.Time) })
 	}
 	return h.merged
-}
-
-// merge interleaves traces in time order, like a capture interface.
-func merge(traces ...[]pcap.Packet) []pcap.Packet {
-	pkts := slices.Concat(traces...)
-	slices.SortStableFunc(pkts, func(a, b pcap.Packet) int { return a.Time.Compare(b.Time) })
-	return pkts
 }
 
 // streams are the logs the standard configuration writes.
@@ -243,14 +216,6 @@ func stdConfig(scriptExec string) bro.Config {
 func newEngine(cfg bro.Config) *bro.Engine {
 	e, err := bro.NewEngine(cfg)
 	must(err)
-	return e
-}
-
-// engineRun is one engine over the whole of pkts, finished: the
-// uninterrupted run the log oracles compare against.
-func engineRun(cfg bro.Config, pkts []pcap.Packet) *bro.Engine {
-	e := newEngine(cfg)
-	e.ProcessTrace(pkts)
 	return e
 }
 
@@ -277,13 +242,6 @@ func atOptLevel(lvl int, fn func()) {
 	vm.SetDefaultOptLevel(lvl)
 	defer vm.SetDefaultOptLevel(prev)
 	fn()
-}
-
-// tcpFrame is one Ethernet/IPv4/TCP ACK segment from a to b.
-func tcpFrame(a, b [4]byte, sp, dp uint16, seq uint32, payload string) []byte {
-	tcp := layers.EncodeTCP(a, b, sp, dp, seq, 0, layers.TCPAck, 65535, []byte(payload))
-	ip := layers.EncodeIPv4(a, b, layers.IPProtoTCP, 64, 1, tcp)
-	return layers.EncodeEthernet([6]byte{6}, [6]byte{7}, layers.EtherTypeIPv4, ip)
 }
 
 // --- §5: fiber microbenchmarks ------------------------------------------------
@@ -514,8 +472,8 @@ func newFirewall() *firewall.Firewall {
 // --- §6.4: protocol parsers (Table 2 + Figure 9) --------------------------------
 
 func (h *harness) runEngine(parser, scriptExec string, scripts []string, pkts []pcap.Packet) (*bro.Engine, *bro.Stats) {
-	e := engineRun(bro.Config{Parser: parser, ScriptExec: scriptExec, Scripts: scripts, Quiet: true}, pkts)
-	return e, e.StatsSnapshot()
+	e := newEngine(bro.Config{Parser: parser, ScriptExec: scriptExec, Scripts: scripts, Quiet: true})
+	return e, e.ProcessTrace(pkts)
 }
 
 func (h *harness) table2(_ *checker) {
@@ -708,177 +666,6 @@ func flowKey(src, dst [4]byte, sp, dp uint16) uint64 {
 		}
 	}
 	return h
-}
-
-// --- flow-sharded parallel pipeline -----------------------------------------------
-
-// parallel measures the flow-sharded packet pipeline (paper §3.2): flows
-// hash to virtual threads, virtual threads map to hardware workers, and
-// per-worker engines process disjoint flow sets with no intra-flow locks.
-// Output equivalence against the single-threaded engine is checked on
-// every run; scaling requires GOMAXPROCS >= workers.
-func (h *harness) parallel(chk *checker) {
-	fmt.Printf("    hardware parallelism: GOMAXPROCS=%d (NumCPU=%d)\n",
-		runtime.GOMAXPROCS(0), runtime.NumCPU())
-	pkts := h.mergedTrace()
-	cfg := stdConfig("interp")
-
-	// Single-threaded baseline: one engine, no pipeline.
-	base := newEngine(cfg)
-	start := time.Now()
-	st := base.ProcessTrace(pkts)
-	baseTime := time.Since(start)
-	baseEPS := float64(st.Events) / baseTime.Seconds()
-	fmt.Printf("    single-threaded: %d pkts, %d events in %v (%.0f events/s)\n",
-		len(pkts), st.Events, baseTime.Round(time.Millisecond), baseEPS)
-
-	counts := []int{1, 2, 4, 8}
-	if *workersFlag > 0 {
-		counts = []int{1, *workersFlag}
-	}
-	var oneEPS float64
-	for _, workers := range counts {
-		par, err := bro.NewParallel(cfg, workers)
-		must(err)
-		start := time.Now()
-		par.ProcessTrace(pkts)
-		el := time.Since(start)
-		eps := float64(par.Events()) / el.Seconds()
-		speedup := ""
-		if workers == 1 {
-			oneEPS = eps
-		} else if oneEPS > 0 {
-			speedup = fmt.Sprintf(", %.2fx vs 1 worker", eps/oneEPS)
-		}
-		fmt.Printf("    %d workers: %d events in %v (%.0f events/s%s)\n",
-			workers, par.Events(), el.Round(time.Millisecond), eps, speedup)
-		for i, ws := range par.Stats() {
-			fmt.Printf("        worker %d: jobs=%d pkts=%d copied=%dB highwater=%d overflowed=%d timers=%d flows=%d expired=%d\n",
-				i, ws.Jobs, ws.Packets, ws.CopiedBytes, ws.HighWater, ws.Overflowed,
-				ws.TimersFired, ws.Flows, ws.FlowsExpired)
-		}
-		label := fmt.Sprintf("%d workers", workers)
-		chk.check(par.Events() == st.Events, fmt.Sprintf("%s: %d events, single-threaded %d", label, par.Events(), st.Events))
-		checkLedger(chk, par.Ledger(), len(pkts))
-		checkStreams(chk, label+" vs single-threaded", sortedLogs(base), par.MergedLines)
-	}
-}
-
-// --- fault injection -----------------------------------------------------------------
-
-// faults is the robustness harness: the clean HTTP+DNS trace with malformed
-// frames, panicking analyzers, and budget-exhausting HILTI code injected
-// (>1% of packets). The pipeline must survive with the bad flows
-// quarantined, flow-table evictions at the cap, and clean-flow logs
-// byte-identical to the single-threaded baseline. Any violated invariant
-// exits nonzero so CI catches regressions.
-func (h *harness) faults(chk *checker) {
-	pkts := h.mergedTrace()
-	cfg := stdConfig("interp")
-
-	// Single-threaded baseline on the clean trace.
-	base := engineRun(cfg, pkts)
-
-	// Hostile run: same engine config plus injection ports, a capped flow
-	// table, and a cross-flow reassembly budget.
-	const (
-		panicPort = 31337
-		loopPort  = 31007
-		maxFlows  = 256
-		workers   = 4
-	)
-	hostile := cfg
-	hostile.PanicPort = panicPort
-	hostile.LoopPort = loopPort
-	hostile.ReassemblyBudget = 256 << 10
-	// The fault ring keeps every fault, so the kinds can be told apart below.
-	par, err := bro.NewParallelWith(hostile, pipeline.Config{
-		Workers: workers, MaxFlows: maxFlows, FaultRing: 1 << 16})
-	must(err)
-
-	a, b := [4]byte{10, 66, 0, 1}, [4]byte{10, 66, 0, 2}
-	badTCP := func(i int, sp, port uint16, payload string) []byte {
-		// 8 recurring faulty flows from each base source port so quarantined
-		// flows see follow-up packets (counted as dropped).
-		return tcpFrame(a, b, sp+uint16((i/160)%8), port, uint32(100+i), payload)
-	}
-	malformed := [][]byte{
-		{0xDE, 0xAD},     // runt frame
-		make([]byte, 14), // ethertype 0
-		append(append([]byte{1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 0x08, 0x00}, 0x4F), make([]byte, 10)...), // bad IHL, truncated
-		append([]byte{1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 0x08, 0x00}, 0xFF, 0xFF, 0xFF),                  // garbage IP header
-	}
-	var injected, injPanic, injLoop, injBad, injRecurse int
-	inject := func(i int, ts int64) {
-		switch (i / 40) % 4 {
-		case 0:
-			par.Feed(ts, badTCP(i, 40000, panicPort, "CRASHME!")) //nolint:errcheck
-			injPanic++
-		case 1:
-			par.Feed(ts, badTCP(i, 40000, loopPort, "SPINNING")) //nolint:errcheck
-			injLoop++
-		case 2:
-			par.Feed(ts, malformed[(i/40)%len(malformed)]) //nolint:errcheck
-			injBad++
-		case 3:
-			// Unbounded HILTI recursion in the injected analyzer.
-			par.Feed(ts, badTCP(i, 41000, loopPort, "RECURSE")) //nolint:errcheck
-			injRecurse++
-		}
-		injected++
-	}
-	start := time.Now()
-	for i := range pkts {
-		ts := pkts[i].Time.UnixNano()
-		par.Feed(ts, pkts[i].Data) //nolint:errcheck
-		if i%40 == 0 {
-			inject(i, ts)
-		}
-	}
-	par.Close()
-	el := time.Since(start)
-
-	ledger := par.Ledger()
-	var ws pipeline.WorkerStats
-	for _, w := range par.Stats() {
-		ws.Faults += w.Faults
-		ws.QuarantinedFlows += w.QuarantinedFlows
-		ws.FlowsEvicted += w.FlowsEvicted
-		ws.TimersDropped += w.TimersDropped
-		chk.check(int(w.LiveFlows) <= maxFlows, fmt.Sprintf("worker flow table %d exceeds cap %d", w.LiveFlows, maxFlows))
-	}
-	budgetBlown := 0
-	for _, e := range par.Engines {
-		budgetBlown += e.StatsSnapshot().BudgetBlown
-	}
-	stackExhausted := 0
-	for _, f := range par.Faults() {
-		if strings.Contains(fmt.Sprint(f.Value), vm.ExcStackExhausted) {
-			stackExhausted++
-		}
-	}
-
-	total := len(pkts) + injected
-	fmt.Printf("    trace: %d clean + %d injected packets (%.1f%% hostile: %d panic, %d loop, %d recursion, %d malformed) in %v\n",
-		len(pkts), injected, 100*float64(injected)/float64(total), injPanic, injLoop, injRecurse, injBad,
-		el.Round(time.Millisecond))
-	fmt.Printf("    contained faults: %d; quarantined flows: %d; packet fates: %v\n",
-		ws.Faults, ws.QuarantinedFlows, ledger.Fates)
-	fmt.Printf("    flow table: cap %d (LRU eviction), evictions: %d, timers dropped at close: %d\n",
-		maxFlows, ws.FlowsEvicted, ws.TimersDropped)
-	fmt.Printf("    execution budgets: %d ResourceExhausted raised by the injected busy-loop analyzer\n", budgetBlown)
-	fmt.Printf("    call depth cap: %d StackExhausted from the injected recursive analyzer, each contained as a fault (flow quarantined)\n", stackExhausted)
-
-	checkLedger(chk, ledger, total)
-	chk.check(ws.Faults > 0, "no faults contained (injection broken?)")
-	chk.check(ws.QuarantinedFlows > 0, "no flows quarantined")
-	chk.check(ledger.Fates[admission.FateQuarantineDrop] > 0, "no packets dropped in quarantine")
-	chk.check(ws.FlowsEvicted > 0, "no flow-table evictions at the cap")
-	chk.check(budgetBlown > 0, "busy-loop analyzer never exhausted its budget")
-	// One fault per recursive flow: its later packets die in quarantine.
-	chk.check(stackExhausted > 0 && stackExhausted <= injRecurse,
-		fmt.Sprintf("unbounded recursion: %d StackExhausted faults for %d injected packets", stackExhausted, injRecurse))
-	checkStreams(chk, "clean flows vs single-threaded", sortedLogs(base), par.MergedLines)
 }
 
 // --- post-lowering optimizer ----------------------------------------------------
@@ -1437,12 +1224,6 @@ func checkStreams(chk *checker, label string, want, got func(stream string) []st
 	}
 }
 
-// sortedLogs is e's logs in the canonical order merged pipeline and
-// cluster logs come in.
-func sortedLogs(e *bro.Engine) func(string) []string {
-	return func(s string) []string { return bro.SortedLines(e, s) }
-}
-
 // checker collects an experiment's invariant checks. A failed check prints
 // one FAIL line and the experiment goes on, so a run reports every
 // violation; done then exits 1, or prints the experiment's success line
@@ -1475,325 +1256,6 @@ func must(err error) {
 		fmt.Fprintln(os.Stderr, "hilti-bench:", err)
 		os.Exit(1)
 	}
-}
-
-// --- crash-only operation: checkpoint/restore + supervised recovery -------------
-
-func (h *harness) recovery(chk *checker) {
-	pkts := h.mergedTrace()
-	cfg := stdConfig("interp")
-	const workers = 4
-
-	// Uninterrupted single-threaded baseline.
-	base := engineRun(cfg, pkts)
-
-	// 1. Single-engine kill-at-N: process half the trace, checkpoint,
-	//    discard the engine, restore, finish. Logs must be byte-identical
-	//    (unsorted — same engine order).
-	cut := len(pkts) / 2
-	e1 := newEngine(cfg)
-	process(e1, pkts[:cut])
-	var ebuf bytes.Buffer
-	ckStart := time.Now()
-	must(e1.Checkpoint(&ebuf))
-	ckLatency := time.Since(ckStart)
-	e2, err := bro.RestoreEngine(cfg, bytes.NewReader(ebuf.Bytes()))
-	must(err)
-	rsLatency := time.Since(ckStart) - ckLatency
-	process(e2, pkts[cut:])
-	e2.Finish()
-	fmt.Printf("    single engine: checkpoint at packet %d/%d: %d bytes, encode %v, decode+rebuild %v\n",
-		cut, len(pkts), ebuf.Len(), ckLatency.Round(time.Microsecond), rsLatency.Round(time.Microsecond))
-	checkStreams(chk, "single engine across kill/restore", base.Logs.Lines, e2.Logs.Lines)
-
-	// 2. Parallel pipeline kill-at-N: per-shard quiesce-and-snapshot (no
-	//    stop-the-world), Kill, restore all shards, finish the trace.
-	par1, err := bro.NewParallelWith(cfg, pipeline.Config{Workers: workers})
-	must(err)
-	feed(par1, pkts[:cut])
-	var pbuf bytes.Buffer
-	ckStart = time.Now()
-	must(par1.Checkpoint(&pbuf))
-	ckLatency = time.Since(ckStart)
-	par1.Kill()
-	par2, err := bro.RestoreParallelWith(cfg, pipeline.Config{Workers: workers}, bytes.NewReader(pbuf.Bytes()))
-	must(err)
-	par2.ProcessTrace(pkts[cut:])
-	fmt.Printf("    pipeline (%d workers): checkpoint at packet %d: %d bytes in %v (quiesce per shard, world running)\n",
-		workers, cut, pbuf.Len(), ckLatency.Round(time.Microsecond))
-	checkStreams(chk, "pipeline across kill/restore", sortedLogs(base), par2.MergedLines)
-
-	// 3. Supervised hang recovery, restoring the wedged shard from its log:
-	//    full shard snapshots happen only every 256 packets, yet the
-	//    recovery loses the wedged packet alone.
-	h.hangRecovery(chk, sortedLogs(base))
-}
-
-// hangRecovery feeds the merged trace through a 4-worker supervised
-// pipeline while one flow's analyzer blocks forever mid-trace (StallPort),
-// wedging its worker. The supervisor must replace the goroutine exactly
-// once, restore the shard, and quarantine the flow, so a second packet on
-// it does not wedge again; every other flow's logs must equal want, so no
-// clean packet was lost.
-func (h *harness) hangRecovery(chk *checker, want func(string) []string) {
-	const stallPort, label = 31999, "supervisor"
-	cfg := stdConfig("interp")
-	cfg.StallPort = stallPort
-	par, err := bro.NewParallelWith(cfg, pipeline.Config{Workers: 4, StallTimeout: 2 * time.Second, CheckpointEvery: 256})
-	must(err)
-	a, b := [4]byte{10, 99, 0, 1}, [4]byte{10, 99, 0, 2}
-	pkts := h.mergedTrace()
-	half := len(pkts) / 2
-	feed(par, pkts[:half])
-	stallTs := pkts[half].Time.UnixNano()
-	par.Feed(stallTs, tcpFrame(a, b, 44001, stallPort, 100, "HANGME!!")) //nolint:errcheck
-	waitStart := time.Now()
-	for par.Restarts() == 0 && time.Since(waitStart) < 10*time.Second {
-		time.Sleep(5 * time.Millisecond)
-	}
-	detect := time.Since(waitStart)
-	chk.check(par.Restarts() > 0, label+": supervisor never replaced the wedged worker")
-	par.Feed(stallTs+1, tcpFrame(a, b, 44001, stallPort, 108, "HANGME!!")) //nolint:errcheck
-	feed(par, pkts[half:])
-	par.Close()
-	stalls := 0
-	for _, f := range par.Faults() {
-		if f.Op == "stall" {
-			stalls++
-		}
-	}
-	fmt.Printf("    %s: wedged worker detected+replaced in %v (restarts: %d, stall faults: %d)\n",
-		label, detect.Round(time.Millisecond), par.Restarts(), stalls)
-	chk.check(par.Restarts() == 1, fmt.Sprintf("%s: restarts = %d, want 1 (quarantine must stop re-wedging)", label, par.Restarts()))
-	chk.check(stalls >= 1, label+": stall not recorded in fault ledger")
-	checkStreams(chk, label+" after hang recovery", want, par.MergedLines)
-}
-
-// --- incremental checkpoints: write-ahead log --------------------------------------
-
-func (h *harness) wal(chk *checker) {
-	cfg := stdConfig("interp")
-
-	// A. Re-base cost against live flows: HTTP traces with 1x, 4x and 16x
-	//    the sessions, re-based every 256 packets through Engine.Rebase,
-	//    which copies the frames no dirty mark touched out of the previous
-	//    snapshot — next to the full encode of the same instant, which it
-	//    must equal byte for byte. Timed over the second half of each
-	//    trace, leaving out the re-bases that encode everything (the first,
-	//    and every 16th).
-	fmt.Println("    re-base cost vs. live flows (interp, HTTP only; per re-base at CheckpointEvery 256, second half of each trace):")
-	for _, mult := range []int{1, 4, 16} {
-		sessions := *httpSessions * mult
-		trace := genHTTP(sessions)
-		reg := metrics.NewRegistry()
-		rcfg := cfg
-		rcfg.Metrics = reg
-		e := newEngine(rcfg)
-		var snap []byte
-		type cost struct{ ns, alloc uint64 }
-		var patch, full cost
-		var n, copied, again uint64
-		var before, after runtime.MemStats
-		timed := func(fn func()) cost {
-			runtime.ReadMemStats(&before)
-			start := time.Now()
-			fn()
-			ns := uint64(time.Since(start).Nanoseconds())
-			runtime.ReadMemStats(&after)
-			return cost{ns, after.TotalAlloc - before.TotalAlloc}
-		}
-		for i, p := range trace {
-			e.SafeProcessPacket(p.Time.UnixNano(), p.Data)
-			if i%256 != 255 {
-				continue
-			}
-			var want bytes.Buffer
-			fullCost := timed(func() { must(e.Checkpoint(&want)) })
-			r0, e0, _ := e.RebaseFrames()
-			enc := snapshot.NewAppender(make([]byte, 0, len(snap)+len(snap)/8))
-			patchCost := timed(func() { must(e.Rebase(enc, snap)) })
-			snap = enc.Buffer()
-			chk.check(bytes.Equal(snap, want.Bytes()), fmt.Sprintf("%d sessions, packet %d: re-based snapshot differs from the full encode", sessions, i))
-			if r1, e1, _ := e.RebaseFrames(); r1 > r0 && i >= len(trace)/2 {
-				n, copied, again = n+1, copied+r1-r0, again+e1-e0
-				patch.ns, patch.alloc = patch.ns+patchCost.ns, patch.alloc+patchCost.alloc
-				full.ns, full.alloc = full.ns+fullCost.ns, full.alloc+fullCost.alloc
-			}
-		}
-		_, _, touched := e.RebaseFrames()
-		reused, encoded := uint64(reg.Value("bro_rebase_frames_reused_total")), uint64(reg.Value("bro_rebase_frames_encoded_total"))
-		chk.check(n > 0 && reused > 0 && encoded <= touched, "re-bases encoded frames no mark had touched, or copied none")
-		n = max(n, 1)
-		fmt.Printf("      %6d sessions: patched %7.0f us, %8.0f B allocated; full %7.0f us, %8.0f B allocated; %d B snapshot, %.0f frames copied and %.0f encoded per re-base\n",
-			sessions, float64(patch.ns)/float64(n)/1e3, float64(patch.alloc)/float64(n),
-			float64(full.ns)/float64(n)/1e3, float64(full.alloc)/float64(n), len(snap), float64(copied)/float64(n), float64(again)/float64(n))
-	}
-
-	// B. The pipeline's log, as the production shape keeps it: a 2-worker
-	//    host at 200 HTTP sessions logs the frame of every packet an engine
-	//    processed, re-bases every 256 records, and a restore runs the
-	//    logged packets again. Record cost and size are sampled one record
-	//    in 64; re-bases and replayed records are timed whole. The restored
-	//    host must finish with the single engine's logs.
-	fmt.Println("    pipeline log (2 workers, 200 HTTP sessions, CheckpointEvery 256; restore at mid-trace):")
-	trace := genHTTP(200)
-	for _, backend := range []string{"interp", "hilti"} {
-		bcfg := stdConfig(backend)
-		single := engineRun(bcfg, trace)
-		live, restored := metrics.NewRegistry(), metrics.NewRegistry()
-		bcfg.Metrics = live
-		par, err := bro.NewParallelWith(bcfg, pipeline.Config{Workers: 2})
-		must(err)
-		cut := len(trace)/2 + 101 // most likely not on a re-base
-		feed(par, trace[:cut])
-		var ckpt bytes.Buffer
-		must(par.Checkpoint(&ckpt))
-		ckptLen := ckpt.Len()
-		feed(par, trace[cut:])
-		par.Close()
-		bcfg.Metrics = restored
-		par, err = bro.RestoreParallelWith(bcfg, pipeline.Config{Workers: 2}, &ckpt)
-		must(err)
-		feed(par, trace[cut:])
-		par.Close()
-		mean := func(reg *metrics.Registry, h string) float64 {
-			return reg.Value(h+"_sum") / max(reg.Value(h+"_count"), 1)
-		}
-		replayed := restored.Value("pipeline_wal_replay_ns_count")
-		fmt.Printf("      %-7s %5.0f B and %4.0f ns per record; re-base %5.0f ns per packet; restore replayed %3.0f records at %6.0f ns each (checkpoint %d B)\n",
-			backend+":", mean(live, "pipeline_wal_record_bytes"), mean(live, "pipeline_wal_record_ns"),
-			live.Value("pipeline_rebase_ns_sum")/float64(len(trace)), replayed, mean(restored, "pipeline_wal_replay_ns"), ckptLen)
-		chk.check(replayed > 0, backend+": the mid-trace checkpoint held no logged packet to replay")
-		checkStreams(chk, backend+" pipeline across a replaying restore", sortedLogs(single), par.MergedLines)
-	}
-}
-
-// --- elastic cluster migration -----------------------------------------------
-
-// migrate exercises elastic cluster mode end to end: scale-out/scale-in
-// with live flow handoffs on the full trace, then a fault matrix injecting
-// a kill/stall/corrupt at every protocol step of every handoff. The output
-// of every schedule must be byte-identical to a single node, every flow
-// must have at most one owner, and the migration ledger must balance
-// exactly (opened + in == closed + out + live, per instance).
-func (h *harness) migrate(chk *checker) {
-	cfg := stdConfig("interp")
-	singleOwner := func(label string, c *bro.Cluster, pkts []pcap.Packet) {
-		seen := map[flow.Key]bool{}
-		for i := range pkts {
-			key, ok := flow.FromFrame(pkts[i].Data)
-			if !ok {
-				continue
-			}
-			ck, _ := key.Canonical()
-			if seen[ck] {
-				continue
-			}
-			seen[ck] = true
-			owners, err := c.Owners(ck)
-			must(err)
-			chk.check(len(owners) <= 1, fmt.Sprintf("%s: flow %v owned by instances %v (split brain)", label, ck, owners))
-		}
-	}
-	feedSlice := func(c *bro.Cluster, pkts []pcap.Packet, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			must(c.Feed(pkts[i].Time.UnixNano(), pkts[i].Data))
-		}
-	}
-
-	// A. Elastic scale-out and scale-in on the full trace: grow
-	//    from 2 to 3 instances a third of the way in, shrink back at two
-	//    thirds, draining flows live in both directions.
-	pkts := h.mergedTrace()
-	want := sortedLogs(engineRun(cfg, pkts))
-
-	c, err := bro.NewCluster(cfg, bro.ClusterConfig{
-		Instances: 2, Buckets: 16,
-		Pipeline: pipeline.Config{Workers: 2},
-	})
-	must(err)
-	third := len(pkts) / 3
-	start := time.Now()
-	feedSlice(c, pkts, 0, third)
-	id, err := c.ScaleOut(nil)
-	must(err)
-	chk.check(c.Instances() == 3, "scale-out did not add an instance")
-	feedSlice(c, pkts, third, 2*third)
-	must(c.ScaleIn(nil))
-	chk.check(c.Instances() == 2, "scale-in did not retire an instance")
-	feedSlice(c, pkts, 2*third, len(pkts))
-	must(c.CheckOwnership())
-	singleOwner("elastic", c, pkts)
-	c.Close()
-	checkStreams(chk, "elastic vs single node", want, c.MergedLines)
-	must(c.CheckOwnership())
-	// The cluster-wide packet ledger: every packet fed is offered to
-	// exactly one instance, retired ones included, and processed there.
-	var offered, processed, commits uint64
-	for i, l := range c.PacketLedgers() {
-		chk.check(l.Balanced(), fmt.Sprintf("elastic: instance %d packet ledger unbalanced: %+v", i, l))
-		offered += l.Offered
-		processed += l.Fates[admission.FateProcessed]
-		commits += c.Ledger().Instance(i).Commits
-	}
-	chk.check(offered == uint64(len(pkts)), fmt.Sprintf("elastic: instances offered %d packets, fed %d", offered, len(pkts)))
-	chk.check(processed == uint64(len(pkts)), fmt.Sprintf("elastic: instances processed %d packets, fed %d", processed, len(pkts)))
-	fmt.Printf("    scale 2→3→2 over %d pkts in %v: instance %d joined+retired, %d handoffs\n",
-		len(pkts), time.Since(start).Round(time.Millisecond), id, commits)
-	fmt.Println("    one owner per flow; ownership and packet ledgers exact on every instance")
-
-	// B. Fault matrix: inject each fault kind at each protocol step of
-	//    every handoff while traffic flows. Stall and corrupt are absorbed
-	//    by retries (frames are checksummed and idempotent); a kill aborts
-	//    the session — the source retains the slice, the target discards —
-	//    except at commit, where the target already acked and the handoff
-	//    resolves forward. A short trace keeps the 9 schedules cheap.
-	small := merge(genHTTP(60), genDNS(400))
-	smallWant := sortedLogs(engineRun(cfg, small))
-
-	kinds := []struct {
-		name string
-		kind migrate.FaultKind
-	}{{"kill", migrate.FaultKill}, {"stall", migrate.FaultStall}, {"corrupt", migrate.FaultCorrupt}}
-	var handoffs, aborted int
-	for step := migrate.StepBegin; step < migrate.NumSteps; step++ {
-		for _, k := range kinds {
-			label := fmt.Sprintf("%s@%s", k.name, step)
-			inj := migrate.Injector(func(s migrate.Step, attempt int) migrate.FaultKind {
-				if s == step && attempt == 0 {
-					return k.kind
-				}
-				return migrate.FaultNone
-			})
-			cc, err := bro.NewCluster(cfg, bro.ClusterConfig{
-				Instances: 2, Buckets: 8,
-				Pipeline: pipeline.Config{Workers: 2},
-			})
-			must(err)
-			feedSlice(cc, small, 0, len(small)/2)
-			for _, b := range cc.Table().BucketsOf(0) {
-				handoffs++
-				if err := cc.MigrateBucket(b, 1, inj); err != nil {
-					aborted++
-					chk.check(k.kind == migrate.FaultKill,
-						fmt.Sprintf("%s: recoverable fault aborted the handoff: %v", label, err))
-				}
-			}
-			feedSlice(cc, small, len(small)/2, len(small))
-			must(cc.CheckOwnership())
-			singleOwner(label, cc, small)
-			cc.Close()
-			checkStreams(chk, label+" vs single node", smallWant, cc.MergedLines)
-			must(cc.CheckOwnership())
-		}
-	}
-	var steps []string
-	for step := migrate.StepBegin; step < migrate.NumSteps; step++ {
-		steps = append(steps, step.String())
-	}
-	fmt.Printf("    fault matrix: %d schedules (kill|stall|corrupt × %s), %d handoffs, %d aborted-and-retained (kill only)\n",
-		len(kinds)*len(steps), strings.Join(steps, "|"), handoffs, aborted)
-	fmt.Println("    no split ownership; ledger exact")
 }
 
 // --- observability ---------------------------------------------------------------

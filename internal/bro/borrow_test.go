@@ -59,16 +59,13 @@ func splitSegments(pkts []pcap.Packet) []pcap.Packet {
 	return out
 }
 
-func sameLogs(t *testing.T, what string, got, want *Engine) {
+// sameRun holds got to want's event count and logs.
+func sameRun(t *testing.T, what string, got, want *Engine) {
 	t.Helper()
 	if g, w := got.events.Load(), want.events.Load(); g != w {
 		t.Errorf("%s: %d events, want %d", what, g, w)
 	}
-	for _, s := range logStreams {
-		if g, w := got.Logs.Lines(s), want.Logs.Lines(s); strings.Join(g, "\n") != strings.Join(w, "\n") {
-			t.Errorf("%s: %s.log differs (%d lines, want %d)", what, s, len(g), len(w))
-		}
-	}
+	sameLogs(t, what, want.Logs.Lines, got.Logs.Lines)
 }
 
 // TestPayloadBorrowedNotRetained: payload is lent down the TCP path, not
@@ -120,7 +117,7 @@ func TestPayloadBorrowedNotRetained(t *testing.T) {
 					lend(got, p)
 				}
 				got.Finish()
-				sameLogs(t, "lent frames", got, want)
+				sameRun(t, "lent frames", got, want)
 				if parser != "standard" {
 					return
 				}
@@ -160,7 +157,7 @@ func TestPayloadBorrowedNotRetained(t *testing.T) {
 						lend(restored, q)
 					}
 					restored.Finish()
-					sameLogs(t, fmt.Sprintf("WAL cut mid-body after packet %d", i+1), restored, want)
+					sameRun(t, fmt.Sprintf("WAL cut mid-body after packet %d", i+1), restored, want)
 					if i == cuts[1] {
 						// The later cuts restore from a snapshot that holds
 						// the body in progress.
@@ -195,7 +192,7 @@ func TestPayloadBorrowedNotRetained(t *testing.T) {
 				lend(got, p)
 			}
 			got.Finish()
-			sameLogs(t, "lent datagrams, recycled parse", got, want)
+			sameRun(t, "lent datagrams, recycled parse", got, want)
 		})
 	}
 	for _, keep := range []string{"view", "piece"} {
@@ -219,7 +216,7 @@ func TestPayloadBorrowedNotRetained(t *testing.T) {
 			}
 			got.Finish()
 			if keep == "view" {
-				sameLogs(t, "a kept URI view", got, want)
+				sameRun(t, "a kept URI view", got, want)
 			} else if logsText(got) == logsText(want) {
 				t.Fatal("a body piece kept past its hook read as it did during the hook")
 			}

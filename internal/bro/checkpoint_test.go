@@ -3,56 +3,51 @@ package bro
 import (
 	"bytes"
 	"testing"
+
+	"hilti/internal/hilti/vm"
 )
 
 // TestCheckpointChains: checkpoint → restore → checkpoint again → restore
 // again. State that survives one hop but rots on the second (e.g. timer
-// re-arming or type identity) shows up here.
+// re-arming or type identity) shows up here. The tier-2 row runs compiled
+// scripts with every HILTI function eagerly tier-2 specialized, and must
+// execute HILTI code after its last restore: promotion must stay invisible
+// to capture and restore.
 func TestCheckpointChains(t *testing.T) {
-	pkts := mergedTrace(t)
-	cfg := Config{Parser: "standard", ScriptExec: "interp",
-		Scripts: []string{HTTPScript, FilesScript, DNSScript}, Quiet: true}
+	pkts := gateTrace()
+	for _, row := range []struct {
+		name, backend string
+		opt           int
+	}{{"interp", "interp", vm.DefaultOptLevel()}, {"hilti-tier2", "hilti", 2}} {
+		t.Run(row.name, func(t *testing.T) {
+			prev := vm.DefaultOptLevel()
+			defer vm.SetDefaultOptLevel(prev)
+			vm.SetDefaultOptLevel(row.opt)
+			cfg := stdConfig(row.backend)
+			baseline := mustEngine(t, cfg)
+			baseline.ProcessTrace(pkts)
 
-	baseline, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline.ProcessTrace(pkts)
-
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cuts := []int{len(pkts) / 4, len(pkts) / 2, 3 * len(pkts) / 4, len(pkts)}
-	prev := 0
-	for _, cut := range cuts {
-		for i := prev; i < cut; i++ {
-			e.SafeProcessPacket(pkts[i].Time.UnixNano(), pkts[i].Data)
-		}
-		prev = cut
-		if cut == len(pkts) {
-			break
-		}
-		var buf bytes.Buffer
-		if err := e.Checkpoint(&buf); err != nil {
-			t.Fatalf("checkpoint at %d: %v", cut, err)
-		}
-		if e, err = RestoreEngine(cfg, bytes.NewReader(buf.Bytes())); err != nil {
-			t.Fatalf("restore at %d: %v", cut, err)
-		}
-	}
-	e.Finish()
-	for _, stream := range []string{"http", "files", "dns"} {
-		want := baseline.Logs.Lines(stream)
-		got := e.Logs.Lines(stream)
-		if len(got) != len(want) {
-			t.Fatalf("%s.log: %d lines, want %d", stream, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s.log line %d differs after chained restores", stream, i)
+			e := mustEngine(t, cfg)
+			prevCut := 0
+			for _, cut := range []int{len(pkts) / 4, len(pkts) / 2, 3 * len(pkts) / 4} {
+				feed(e, pkts[prevCut:cut])
+				prevCut = cut
+				var buf bytes.Buffer
+				if err := e.Checkpoint(&buf); err != nil {
+					t.Fatalf("checkpoint at %d: %v", cut, err)
+				}
+				var err error
+				if e, err = RestoreEngine(cfg, &buf); err != nil {
+					t.Fatalf("restore at %d: %v", cut, err)
+				}
 			}
-		}
+			feed(e, pkts[prevCut:])
+			e.Finish()
+			sameLogs(t, "after chained restores", baseline.Logs.Lines, e.Logs.Lines)
+			if row.backend == "hilti" && e.ex.Steps() == 0 {
+				t.Error("the restored engine's last HILTI call executed no instruction")
+			}
+		})
 	}
 }
 

@@ -14,43 +14,13 @@ import (
 	"hilti/internal/rt/migrate"
 )
 
-func clusterCfg() Config {
-	return Config{Parser: "standard", ScriptExec: "interp",
-		Scripts: []string{HTTPScript, FilesScript, DNSScript}, Quiet: true}
-}
-
 // singleBaseline runs the whole trace through one engine and returns its
-// canonical per-stream lines.
-func singleBaseline(t *testing.T, pkts []pcap.Packet) map[string][]string {
+// logs in the order Cluster.MergedLines gives.
+func singleBaseline(t *testing.T, pkts []pcap.Packet) func(string) []string {
 	t.Helper()
-	single, err := NewEngine(clusterCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	single := mustEngine(t, stdConfig("interp"))
 	single.ProcessTrace(pkts)
-	out := map[string][]string{}
-	for _, stream := range []string{"http", "files", "dns"} {
-		out[stream] = SortedLines(single, stream)
-	}
-	return out
-}
-
-func assertClusterMatches(t *testing.T, label string, c *Cluster, want map[string][]string) {
-	t.Helper()
-	for stream, lines := range want {
-		got := c.MergedLines(stream)
-		if len(got) != len(lines) {
-			t.Errorf("%s: %s.log has %d lines, single node %d", label, stream, len(got), len(lines))
-			continue
-		}
-		for i := range lines {
-			if got[i] != lines[i] {
-				t.Errorf("%s: %s.log line %d differs:\n  got  %q\n  want %q",
-					label, stream, i, got[i], lines[i])
-				break
-			}
-		}
-	}
+	return sortedLogs(single)
 }
 
 // assertSingleOwner checks that every keyable flow in the trace has at
@@ -96,7 +66,7 @@ func TestClusterEquivalenceUnderMigration(t *testing.T) {
 	want := singleBaseline(t, pkts)
 
 	const label = "migration"
-	c, err := NewCluster(clusterCfg(), ClusterConfig{
+	c, err := NewCluster(stdConfig("interp"), ClusterConfig{
 		Instances: 2, Buckets: 8,
 		Pipeline: pipeline.Config{Workers: 2},
 	})
@@ -124,7 +94,7 @@ func TestClusterEquivalenceUnderMigration(t *testing.T) {
 		t.Errorf("%s: mid-run: %v", label, err)
 	}
 	c.Close()
-	assertClusterMatches(t, label, c, want)
+	sameLogs(t, label, want, c.MergedLines)
 	if err := c.CheckOwnership(); err != nil {
 		t.Errorf("%s: after close: %v", label, err)
 	}
@@ -141,7 +111,7 @@ func TestClusterLiveMigrationWindow(t *testing.T) {
 	pkts := mergedTrace(t)
 	want := singleBaseline(t, pkts)
 
-	c, err := NewCluster(clusterCfg(), ClusterConfig{
+	c, err := NewCluster(stdConfig("interp"), ClusterConfig{
 		Instances: 2, Buckets: 8,
 		Pipeline: pipeline.Config{Workers: 2},
 	})
@@ -178,7 +148,7 @@ func TestClusterLiveMigrationWindow(t *testing.T) {
 	feedSlice(t, c, pkts, lo, len(pkts))
 	assertSingleOwner(t, "live-window", c, pkts)
 	c.Close()
-	assertClusterMatches(t, "live-window", c, want)
+	sameLogs(t, "live-window", want, c.MergedLines)
 	if err := c.CheckOwnership(); err != nil {
 		t.Error(err)
 	}
@@ -223,7 +193,7 @@ func TestClusterChaosEveryStep(t *testing.T) {
 	for _, sc := range scheds {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			c, err := NewCluster(clusterCfg(), ClusterConfig{
+			c, err := NewCluster(stdConfig("interp"), ClusterConfig{
 				Instances: 2, Buckets: 8,
 				Pipeline: pipeline.Config{Workers: 2},
 			})
@@ -256,7 +226,7 @@ func TestClusterChaosEveryStep(t *testing.T) {
 			}
 			feedSlice(t, c, pkts, half, len(pkts))
 			c.Close()
-			assertClusterMatches(t, sc.name, c, want)
+			sameLogs(t, sc.name, want, c.MergedLines)
 			if err := c.CheckOwnership(); err != nil {
 				t.Errorf("final ledger: %v", err)
 			}
@@ -282,7 +252,7 @@ func TestClusterChaosRandomSchedules(t *testing.T) {
 			}
 			return migrate.FaultNone
 		}
-		c, err := NewCluster(clusterCfg(), ClusterConfig{
+		c, err := NewCluster(stdConfig("interp"), ClusterConfig{
 			Instances: 3, Buckets: 8,
 			Pipeline: pipeline.Config{Workers: 2},
 		})
@@ -305,7 +275,7 @@ func TestClusterChaosRandomSchedules(t *testing.T) {
 		}
 		assertSingleOwner(t, label, c, pkts)
 		c.Close()
-		assertClusterMatches(t, label, c, want)
+		sameLogs(t, label, want, c.MergedLines)
 		if err := c.CheckOwnership(); err != nil {
 			t.Errorf("%s: %v", label, err)
 		}
@@ -315,10 +285,10 @@ func TestClusterChaosRandomSchedules(t *testing.T) {
 // TestClusterScaleOutIn grows the cluster mid-trace and shrinks it back,
 // with the retired instance's logs still part of the merged output.
 func TestClusterScaleOutIn(t *testing.T) {
-	pkts := mergedTrace(t)
+	pkts := gateTrace()
 	want := singleBaseline(t, pkts)
 
-	c, err := NewCluster(clusterCfg(), ClusterConfig{
+	c, err := NewCluster(stdConfig("interp"), ClusterConfig{
 		Instances: 2, Buckets: 8,
 		Pipeline: pipeline.Config{Workers: 2},
 	})
@@ -348,9 +318,12 @@ func TestClusterScaleOutIn(t *testing.T) {
 		t.Fatalf("scale in: %d active", c.Instances())
 	}
 	feedSlice(t, c, pkts, 2*third, len(pkts))
+	if err := c.CheckOwnership(); err != nil {
+		t.Errorf("before close: %v", err)
+	}
 	assertSingleOwner(t, "scale", c, pkts)
 	c.Close()
-	assertClusterMatches(t, "scale", c, want)
+	sameLogs(t, "scale", want, c.MergedLines)
 	if err := c.CheckOwnership(); err != nil {
 		t.Error(err)
 	}
@@ -382,7 +355,7 @@ func TestClusterDiscardAfterInstall(t *testing.T) {
 	pkts := mergedTrace(t)
 	want := singleBaseline(t, pkts)
 
-	c, err := NewCluster(clusterCfg(), ClusterConfig{
+	c, err := NewCluster(stdConfig("interp"), ClusterConfig{
 		Instances: 2, Buckets: 8,
 		Pipeline: pipeline.Config{Workers: 2},
 	})
@@ -427,7 +400,7 @@ func TestClusterDiscardAfterInstall(t *testing.T) {
 	}
 	feedSlice(t, c, pkts, half, len(pkts))
 	c.Close()
-	assertClusterMatches(t, "discard", c, want)
+	sameLogs(t, "discard", want, c.MergedLines)
 	if err := c.CheckOwnership(); err != nil {
 		t.Error(err)
 	}
@@ -444,7 +417,7 @@ func sortedCopy(in []string) []string {
 // endpoint refuses), or two coordinators could double-own flows.
 func TestClusterRefusesSecondSessionWhileInstalled(t *testing.T) {
 	pkts := mergedTrace(t)
-	c, err := NewCluster(clusterCfg(), ClusterConfig{
+	c, err := NewCluster(stdConfig("interp"), ClusterConfig{
 		Instances: 2, Buckets: 8,
 		Pipeline: pipeline.Config{Workers: 1},
 	})
@@ -479,7 +452,7 @@ func TestClusterRefusesSecondSessionWhileOpen(t *testing.T) {
 	pkts := mergedTrace(t)
 	want := singleBaseline(t, pkts)
 
-	c, err := NewCluster(clusterCfg(), ClusterConfig{
+	c, err := NewCluster(stdConfig("interp"), ClusterConfig{
 		Instances: 2, Buckets: 8,
 		Pipeline: pipeline.Config{Workers: 2},
 	})
@@ -509,7 +482,7 @@ func TestClusterRefusesSecondSessionWhileOpen(t *testing.T) {
 	feedSlice(t, c, pkts, half, len(pkts))
 	assertSingleOwner(t, "refused-open", c, pkts)
 	c.Close()
-	assertClusterMatches(t, "refused-open", c, want)
+	sameLogs(t, "refused-open", want, c.MergedLines)
 	if err := c.CheckOwnership(); err != nil {
 		t.Error(err)
 	}

@@ -263,7 +263,8 @@ func TestRebaseAfterTableRebound(t *testing.T) {
 // with 2,000 HTTP sessions' frames accumulating behind it (a session's
 // http_pending entry outlives its connection): every re-base that patches
 // encodes at most one frame per packet of its interval, copies the rest,
-// and allocates little beyond the snapshot it returns.
+// and allocates little beyond the snapshot it returns. Every fourth
+// re-base must also equal the full encode of the same instant.
 func TestRebaseWorkIndependentOfLiveFlows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a 2,000-session trace")
@@ -283,6 +284,10 @@ func TestRebaseWorkIndependentOfLiveFlows(t *testing.T) {
 			if i%every != every-1 {
 				continue
 			}
+			var full []byte
+			if i%(4*every) == 4*every-1 {
+				full = checkpointBytes(t, e)
+			}
 			r0, e0, t0 := e.RebaseFrames()
 			enc := snapshot.NewAppender(make([]byte, 0, len(snap)+len(snap)/8))
 			runtime.ReadMemStats(&before)
@@ -291,6 +296,9 @@ func TestRebaseWorkIndependentOfLiveFlows(t *testing.T) {
 			}
 			runtime.ReadMemStats(&after)
 			snap = enc.Buffer()
+			if full != nil && !bytes.Equal(snap, full) {
+				t.Fatalf("%d sessions, packet %d: the re-based snapshot differs from the full encode", sessions, i)
+			}
 			r1, e1, t1 := e.RebaseFrames()
 			if r1 == r0 {
 				continue // the first base, and every 16th after: all frames encoded

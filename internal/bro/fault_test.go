@@ -1,12 +1,14 @@
 package bro
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
-	"hilti/internal/pkt/gen"
+	"hilti/internal/hilti/vm"
 	"hilti/internal/pkt/layers"
 	"hilti/internal/pkt/pipeline"
+	"hilti/internal/rt/admission"
 )
 
 // tcpDataFrame builds an Ethernet/IPv4/TCP frame carrying payload.
@@ -73,58 +75,100 @@ func TestLoopPortBudgetBlown(t *testing.T) {
 	}
 }
 
-// TestParallelFaultContainment: faulting flows in the pipeline are
-// quarantined per worker while clean-flow logs stay byte-identical to the
-// single-threaded baseline — the tentpole's end-to-end guarantee.
+// TestParallelFaultContainment: the clean trace with hostile traffic
+// injected after every 40th packet — an analyzer that panics, one that
+// spins, one that recurses without bound, and malformed frames — through a
+// 4-worker pipeline with a capped flow table and a shared reassembly
+// budget. Each fault must be contained and its flow quarantined, the
+// table must evict at its cap, the spinning analyzer must exhaust its
+// budget, every packet must land in one fate, and the clean flows' logs
+// must equal the single engine's.
 func TestParallelFaultContainment(t *testing.T) {
-	hc := gen.DefaultHTTPConfig()
-	hc.Sessions = 30
-	pkts := gen.GenerateHTTP(hc)
-	clean := Config{Parser: "standard", ScriptExec: "interp",
-		Scripts: []string{HTTPScript}, Quiet: true}
-
-	single, err := NewEngine(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkts := gateTrace()
+	cfg := stdConfig("interp")
+	single := mustEngine(t, cfg)
 	single.ProcessTrace(pkts)
 
-	// Same trace plus injected panicking flows, faulting config.
-	faulty := clean
-	faulty.PanicPort = 31337
-	par, err := NewParallelWith(faulty, pipeline.Config{Workers: 4})
+	const panicPort, loopPort, maxFlows = 31337, 31007, 256
+	hostile := cfg
+	hostile.PanicPort, hostile.LoopPort, hostile.ReassemblyBudget = panicPort, loopPort, 256<<10
+	// The fault ring keeps every fault, so the kinds can be told apart below.
+	par, err := NewParallelWith(hostile, pipeline.Config{Workers: 4, MaxFlows: maxFlows, FaultRing: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := [4]byte{10, 9, 0, 1}, [4]byte{10, 9, 0, 2}
+	a, b := [4]byte{10, 66, 0, 1}, [4]byte{10, 66, 0, 2}
+	malformed := [][]byte{
+		{0xDE, 0xAD},     // runt frame
+		make([]byte, 14), // ethertype 0
+		append(append([]byte{1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 0x08, 0x00}, 0x4F), make([]byte, 10)...), // bad IHL, truncated
+		append([]byte{1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 0x08, 0x00}, 0xFF, 0xFF, 0xFF),                  // garbage IP header
+	}
+	injected, recursive := 0, map[uint16]bool{}
 	for i := range pkts {
-		par.Feed(pkts[i].Time.UnixNano(), pkts[i].Data) //nolint:errcheck
-		if i%10 == 0 {
-			par.Feed(pkts[i].Time.UnixNano(), //nolint:errcheck
-				tcpDataFrame(a, b, uint16(42000+i), 31337, 100, []byte("CRASHME!")))
+		ts := pkts[i].Time.UnixNano()
+		par.Feed(ts, pkts[i].Data) //nolint:errcheck
+		if i%40 != 0 {
+			continue
 		}
+		// Eight recurring flows per kind, so quarantined flows see
+		// follow-up packets.
+		sp, seq, frame := uint16((i/160)%8), uint32(100+i), malformed[(i/160)%len(malformed)]
+		switch (i / 40) % 4 {
+		case 0:
+			frame = tcpDataFrame(a, b, 40000+sp, panicPort, seq, []byte("CRASHME!"))
+		case 1:
+			frame = tcpDataFrame(a, b, 40000+sp, loopPort, seq, []byte("SPINNING"))
+		case 3:
+			frame = tcpDataFrame(a, b, 41000+sp, loopPort, seq, []byte("RECURSE"))
+			recursive[sp] = true
+		}
+		par.Feed(ts, frame) //nolint:errcheck
+		injected++
 	}
 	par.Close()
 
-	var faults, quarantined uint64
-	for _, ws := range par.Stats() {
-		faults += ws.Faults
-		quarantined += ws.QuarantinedFlows
-	}
-	if faults == 0 || quarantined == 0 {
-		t.Fatalf("faults=%d quarantined=%d, want nonzero", faults, quarantined)
-	}
-	want := SortedLines(single, "http")
-	got := par.MergedLines("http")
-	if len(want) == 0 || len(got) != len(want) {
-		t.Fatalf("http.log: %d lines, want %d (nonzero)", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("http.log line %d differs under fault injection:\n  got  %q\n  want %q",
-				i, got[i], want[i])
+	ledger := par.Ledger()
+	ledgerBalanced(t, "hostile run", ledger, len(pkts)+injected)
+	var faults, quarantined, evicted uint64
+	for i, ws := range par.Stats() {
+		faults, quarantined, evicted = faults+ws.Faults, quarantined+ws.QuarantinedFlows, evicted+ws.FlowsEvicted
+		if ws.LiveFlows > maxFlows {
+			t.Errorf("worker %d: %d live flows, over the cap of %d", i, ws.LiveFlows, maxFlows)
 		}
 	}
+	budgetBlown, pool := 0, par.Engines[0].cfg.SharedReassembly
+	for _, e := range par.Engines {
+		budgetBlown += e.StatsSnapshot().BudgetBlown
+		if e.cfg.SharedReassembly != pool || pool == nil {
+			t.Fatal("the workers' engines do not share one reassembly budget")
+		}
+	}
+	if used := pool.Used(); used != 0 {
+		t.Errorf("%d bytes still charged to the shared reassembly budget after close", used)
+	}
+	stackExhausted := 0
+	for _, f := range par.Faults() {
+		if strings.Contains(fmt.Sprint(f.Value), vm.ExcStackExhausted) {
+			stackExhausted++
+		}
+	}
+	t.Logf("%d injected packets: %d faults, %d flows quarantined, %d evicted, %d budgets blown, %d stack exhaustions; fates %v",
+		injected, faults, quarantined, evicted, budgetBlown, stackExhausted, ledger.Fates)
+	if faults == 0 || quarantined == 0 || ledger.Fates[admission.FateQuarantineDrop] == 0 {
+		t.Error("want contained faults, quarantined flows, and packets dropped in quarantine")
+	}
+	if evicted == 0 {
+		t.Error("no flow-table evictions at the cap")
+	}
+	if budgetBlown == 0 {
+		t.Error("the spinning analyzer never exhausted its budget")
+	}
+	// One fault per recursing flow: its later packets die in quarantine.
+	if stackExhausted == 0 || stackExhausted > len(recursive) {
+		t.Errorf("%d StackExhausted faults for %d recursing flows, want 1 to %d", stackExhausted, len(recursive), len(recursive))
+	}
+	sameLogs(t, "clean flows", sortedLogs(single), par.MergedLines)
 }
 
 // TestReassemblyBudgetWiring: a configured cross-flow budget reaches the

@@ -2,7 +2,10 @@ package bro
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,29 +18,94 @@ import (
 	"hilti/internal/rt/metrics"
 )
 
-func mergedTrace(t testing.TB) []pcap.Packet {
-	t.Helper()
+// genTrace is sessions HTTP sessions and txns DNS transactions as one
+// capture, in time order.
+func genTrace(sessions, txns int) []pcap.Packet {
 	hc := gen.DefaultHTTPConfig()
-	hc.Sessions = 60
+	hc.Sessions = sessions
 	dc := gen.DefaultDNSConfig()
-	dc.Transactions = 400
+	dc.Transactions = txns
 	pkts := append(gen.GenerateHTTP(hc), gen.GenerateDNS(dc)...)
 	sort.SliceStable(pkts, func(i, j int) bool { return pkts[i].Time.Before(pkts[j].Time) })
 	return pkts
 }
 
+// mergedTrace is the small HTTP+DNS trace most tests run.
+func mergedTrace(t testing.TB) []pcap.Packet { return genTrace(60, 400) }
+
+// gateTrace is the trace the pipeline, fault, recovery and migration
+// invariants hold at: 200 HTTP sessions and 2,000 DNS transactions (6,715
+// packets).
+func gateTrace() []pcap.Packet { return genTrace(200, 2000) }
+
+// stdConfig is standard parsers and the three standard scripts on the given
+// script backend: the configuration the log oracles run.
+func stdConfig(scriptExec string) Config {
+	return Config{Parser: "standard", ScriptExec: scriptExec,
+		Scripts: []string{HTTPScript, FilesScript, DNSScript}, Quiet: true}
+}
+
+// sameLogs is the log oracle: on every stream, got must equal want line for
+// line, and want must hold a line. A divergence is one error naming label
+// and the stream, listing the lines missing from got and the lines got has
+// extra, each in input order.
+func sameLogs(t testing.TB, label string, want, got func(stream string) []string) {
+	t.Helper()
+	lines := 0
+	for _, s := range logStreams {
+		w, g := want(s), got(s)
+		if lines += len(w); slices.Equal(w, g) {
+			continue
+		}
+		var b strings.Builder
+		fmt.Fprintf(&b, "%s: %s.log diverged (%d lines, want %d)", label, s, len(g), len(w))
+		extra := map[string]int{}
+		for _, l := range g {
+			extra[l]++
+		}
+		for _, l := range w {
+			if extra[l] > 0 {
+				extra[l]--
+			} else {
+				fmt.Fprintf(&b, "\n  missing: %q", l)
+			}
+		}
+		for _, l := range g {
+			if extra[l] > 0 {
+				extra[l]--
+				fmt.Fprintf(&b, "\n  extra:   %q", l)
+			}
+		}
+		t.Error(b.String())
+	}
+	if lines == 0 {
+		t.Errorf("%s: no log lines to compare", label)
+	}
+}
+
+// sortedLogs is e's logs in the order Parallel.MergedLines gives.
+func sortedLogs(e *Engine) func(string) []string {
+	return func(s string) []string { return SortedLines(e, s) }
+}
+
+// ledgerBalanced holds the packet-fate identity after a drain: each of the
+// fed packets is in exactly one fate and none is left in flight.
+func ledgerBalanced(t testing.TB, label string, l pipeline.Ledger, fed int) {
+	t.Helper()
+	if !l.Balanced() || l.InFlight != 0 || l.Offered != uint64(fed) {
+		t.Errorf("%s: packet-fate ledger: fed %d, offered %d, in flight %d, fates %v (sum %d)",
+			label, fed, l.Offered, l.InFlight, l.Fates, l.Fates.Sum())
+	}
+}
+
 // TestParallelMatchesSingleThreaded: the flow-sharded pipeline must
 // produce byte-identical logs and event counts to one engine processing
-// the same trace serially, at every worker count.
+// the same trace serially, and account for every packet, at every worker
+// count.
 func TestParallelMatchesSingleThreaded(t *testing.T) {
-	pkts := mergedTrace(t)
-	cfg := Config{Parser: "standard", ScriptExec: "interp",
-		Scripts: []string{HTTPScript, FilesScript, DNSScript}, Quiet: true}
-
-	single, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkts := gateTrace()
+	cfg := stdConfig("interp")
+	single := mustEngine(t, cfg)
 	st := single.ProcessTrace(pkts)
 
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -46,24 +114,12 @@ func TestParallelMatchesSingleThreaded(t *testing.T) {
 			t.Fatal(err)
 		}
 		par.ProcessTrace(pkts)
+		label := fmt.Sprintf("%d workers", workers)
 		if got, want := par.Events(), st.Events; got != want {
-			t.Errorf("%d workers: %d events, single-threaded %d", workers, got, want)
+			t.Errorf("%s: %d events, single-threaded %d", label, got, want)
 		}
-		for _, stream := range []string{"http", "files", "dns"} {
-			want := SortedLines(single, stream)
-			got := par.MergedLines(stream)
-			if len(got) != len(want) {
-				t.Errorf("%d workers, %s.log: %d lines, want %d", workers, stream, len(got), len(want))
-				continue
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Errorf("%d workers, %s.log line %d differs:\n  got  %q\n  want %q",
-						workers, stream, i, got[i], want[i])
-					break
-				}
-			}
-		}
+		ledgerBalanced(t, label, par.Ledger(), len(pkts))
+		sameLogs(t, label, sortedLogs(single), par.MergedLines)
 		var pktSum uint64
 		for _, ws := range par.Stats() {
 			pktSum += ws.Packets
@@ -84,10 +140,7 @@ func TestParallelBinpacMatches(t *testing.T) {
 	cfg := Config{Parser: "binpac", ScriptExec: "interp",
 		Scripts: []string{DNSScript}, Quiet: true}
 
-	single, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	single := mustEngine(t, cfg)
 	single.ProcessTrace(pkts)
 
 	par, err := NewParallel(cfg, 4)
@@ -95,16 +148,7 @@ func TestParallelBinpacMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	par.ProcessTrace(pkts)
-	want := SortedLines(single, "dns")
-	got := par.MergedLines("dns")
-	if len(got) == 0 || len(got) != len(want) {
-		t.Fatalf("dns.log: %d lines, want %d (nonzero)", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("dns.log line %d differs:\n  got  %q\n  want %q", i, got[i], want[i])
-		}
-	}
+	sameLogs(t, "4 workers", sortedLogs(single), par.MergedLines)
 }
 
 // TestShrinkTierHalvesReassemblyBudget: the admission ladder's tier-2
@@ -153,7 +197,7 @@ func TestShrinkTierHalvesReassemblyBudget(t *testing.T) {
 	}
 }
 
-// TestParallelWALRebaseRestore: a WAL-mode pipeline that re-bases every 32
+// TestParallelWALRebaseRestore: a pipeline that re-bases every 32
 // packets — each shard's snapshot patched out of its previous one, with a
 // full encode every 16th time — is killed and restored from a checkpoint
 // (patched snapshot + the packets logged since, which restore runs again)
@@ -162,19 +206,15 @@ func TestShrinkTierHalvesReassemblyBudget(t *testing.T) {
 // bytes as the live engine it replaces, and the run must end with the
 // single engine's logs.
 func TestParallelWALRebaseRestore(t *testing.T) {
-	pkts := mergedTrace(t)
+	pkts := gateTrace()
 	for _, backend := range []string{"interp", "hilti"} {
 		t.Run(backend, func(t *testing.T) {
-			reg := metrics.NewRegistry()
-			cfg := Config{Parser: "standard", ScriptExec: backend,
-				Scripts: []string{HTTPScript, FilesScript, DNSScript}, Quiet: true, Metrics: reg}
-			pcfg := pipeline.Config{Workers: 2, WAL: true, CheckpointEvery: 32}
-			single, err := NewEngine(Config{Parser: cfg.Parser, ScriptExec: cfg.ScriptExec, Scripts: cfg.Scripts, Quiet: true})
-			if err != nil {
-				t.Fatal(err)
-			}
+			cfg := stdConfig(backend)
+			single := mustEngine(t, cfg)
 			single.ProcessTrace(pkts)
-
+			reg := metrics.NewRegistry()
+			cfg.Metrics = reg
+			pcfg := pipeline.Config{Workers: 2, CheckpointEvery: 32}
 			par, err := NewParallelWith(cfg, pcfg)
 			if err != nil {
 				t.Fatal(err)
@@ -211,19 +251,7 @@ func TestParallelWALRebaseRestore(t *testing.T) {
 				}
 			}
 			par.ProcessTrace(pkts[next:])
-			for _, stream := range []string{"http", "files", "dns"} {
-				got, want := par.MergedLines(stream), SortedLines(single, stream)
-				if len(got) != len(want) {
-					t.Errorf("%s.log: %d lines, want %d", stream, len(got), len(want))
-					continue
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Errorf("%s.log line %d differs:\n  got  %q\n  want %q", stream, i, got[i], want[i])
-						break
-					}
-				}
-			}
+			sameLogs(t, "restored pipeline", sortedLogs(single), par.MergedLines)
 		})
 	}
 }
@@ -350,6 +378,66 @@ func TestParallelWALSkipsSharedBudgetRefusals(t *testing.T) {
 	}
 }
 
+// stallTimeout is the stall tests' supervisor timeout: far above a clean
+// packet's work, and short, since a test waits it out.
+const stallTimeout = 50 * time.Millisecond
+
+// TestStallRecoveryQuarantinesWedgedFlow: one flow's analyzer blocks
+// mid-trace (StallPort), wedging its worker. The supervisor must replace
+// the worker exactly once, restoring its shard from the log — a full
+// snapshot only every 256 packets — and quarantine the flow, so a second
+// packet on it does not wedge again. Every packet must land in one fate,
+// and every other flow's logs must equal the single engine's: recovery
+// lost no clean packet.
+func TestStallRecoveryQuarantinesWedgedFlow(t *testing.T) {
+	const stallPort = 31999
+	pkts := gateTrace()
+	cfg := stdConfig("interp")
+	single := mustEngine(t, cfg)
+	single.ProcessTrace(pkts)
+	cfg.StallPort = stallPort
+	// Two workers: with four on two CPUs under -race, a clean packet's job
+	// was at times descheduled past the timeout, and the supervisor
+	// replaced a healthy worker too.
+	par, err := NewParallelWith(cfg, pipeline.Config{Workers: 2, StallTimeout: stallTimeout, CheckpointEvery: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	defer close(release) // lets the abandoned job return
+	for _, e := range par.Engines {
+		e.stallRelease = release
+	}
+	a, b := [4]byte{10, 99, 0, 1}, [4]byte{10, 99, 0, 2}
+	half := len(pkts) / 2
+	for i := range pkts[:half] {
+		par.Feed(pkts[i].Time.UnixNano(), pkts[i].Data) //nolint:errcheck
+	}
+	ts := pkts[half].Time.UnixNano()
+	par.Feed(ts, tcpDataFrame(a, b, 44001, stallPort, 100, []byte("HANGME!!"))) //nolint:errcheck
+	deadline := time.Now().Add(10 * time.Second)
+	for par.Restarts() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if par.Restarts() == 0 {
+		t.Fatal("the supervisor never replaced the wedged worker")
+	}
+	par.Feed(ts+1, tcpDataFrame(a, b, 44001, stallPort, 108, []byte("HANGME!!"))) //nolint:errcheck
+	par.ProcessTrace(pkts[half:])
+	stalls := 0
+	for _, f := range par.Faults() {
+		if f.Op == "stall" {
+			stalls++
+		}
+	}
+	if par.Restarts() != 1 || stalls == 0 {
+		t.Errorf("%d restarts and %d stall faults, want 1 restart (quarantine must stop re-wedging) and a stall fault",
+			par.Restarts(), stalls)
+	}
+	ledgerBalanced(t, "after hang recovery", par.Ledger(), len(pkts)+2)
+	sameLogs(t, "after hang recovery", sortedLogs(single), par.MergedLines)
+}
+
 // TestStallRecoveryReleasesSharedBudget: a worker wedged while its engine
 // buffers out-of-order bytes under a SharedReassembly pool is replaced;
 // when its job at last returns, the abandoned engine's share goes back to
@@ -360,7 +448,7 @@ func TestStallRecoveryReleasesSharedBudget(t *testing.T) {
 	pool := reassembly.NewBudget(1 << 20)
 	cfg := Config{Parser: "standard", ScriptExec: "interp", Scripts: []string{HTTPScript},
 		Quiet: true, SharedReassembly: pool, StallPort: stallPort}
-	par, err := NewParallelWith(cfg, pipeline.Config{Workers: 2, StallTimeout: 50 * time.Millisecond, CheckpointEvery: 4})
+	par, err := NewParallelWith(cfg, pipeline.Config{Workers: 2, StallTimeout: stallTimeout, CheckpointEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,18 +77,7 @@ func TestEngineRulePlaneGate(t *testing.T) {
 	if got, want := gated.PlaneDropped(), uint64(len(pkts)-len(kept)); got != want {
 		t.Fatalf("PlaneDropped = %d, want %d", got, want)
 	}
-	for _, stream := range []string{"http", "files", "dns"} {
-		got := SortedLines(gated, stream)
-		want := SortedLines(base, stream)
-		if len(got) != len(want) {
-			t.Fatalf("%s.log: %d lines gated, %d pre-filtered", stream, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s.log line %d differs:\n  got  %q\n  want %q", stream, i, got[i], want[i])
-			}
-		}
-	}
+	sameLogs(t, "gated vs pre-filtered", sortedLogs(base), sortedLogs(gated))
 }
 
 // TestParallelHoistsRulePlane: NewParallelWith lifts cfg.RulePlane to the
@@ -130,16 +119,5 @@ func TestParallelHoistsRulePlane(t *testing.T) {
 		t.Fatal(err)
 	}
 	base.ProcessTrace(kept)
-	for _, stream := range []string{"http", "files", "dns"} {
-		got := par.MergedLines(stream)
-		want := SortedLines(base, stream)
-		if len(got) != len(want) {
-			t.Fatalf("%s.log: %d lines parallel, %d baseline", stream, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s.log line %d differs:\n  got  %q\n  want %q", stream, i, got[i], want[i])
-			}
-		}
-	}
+	sameLogs(t, "parallel vs pre-filtered", sortedLogs(base), par.MergedLines)
 }

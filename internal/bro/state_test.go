@@ -489,10 +489,6 @@ func TestBinpacConnWithoutPayloadIsEncoded(t *testing.T) {
 		if len(want.Logs.Lines("http")) == 0 {
 			t.Fatal("the session logged nothing")
 		}
-		for _, s := range logStreams {
-			if g, w := r.Logs.Lines(s), want.Logs.Lines(s); strings.Join(g, "\n") != strings.Join(w, "\n") {
-				t.Errorf("%s: %s.log differs:\n%q\nwant\n%q", what, s, g, w)
-			}
-		}
+		sameLogs(t, what, want.Logs.Lines, r.Logs.Lines)
 	}
 }

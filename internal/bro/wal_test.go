@@ -142,7 +142,7 @@ func TestWALRestoreMidSegmentCuts(t *testing.T) {
 		if got, want := restored.events.Load(), baseline.events.Load(); got != want {
 			t.Errorf("cut=%d: %d events after refeed, uninterrupted run had %d", cut, got, want)
 		}
-		sameLogs(t, "refeed after the cut", restored, baseline)
+		sameRun(t, "refeed after the cut", restored, baseline)
 	}
 
 	torn := cuts[len(cuts)-1]
