@@ -835,30 +835,35 @@ func (h *harness) residue(chk *checker, filter *ast.Module) {
 }
 
 // dnsMallocsCeiling bounds heap objects per DNS datagram for the whole
-// engine (BinPAC++ parser, interpreted dns.bro, logs kept) at -O1: 44.6
-// when it was set, plus 10% (56.3 before the parse's values were recycled,
-// 62.9 before a struct, tuple, sized vector or `new bytes` rope was one
-// object; 93.8 before name labels were appended straight from the
-// datagram). A boxed tuple per custom-function call (parse_name returning
-// through two registers) would add 4.3, one operand array per generic
-// instruction 40.7; a parse that stops recycling (vm.Exec.Recycle refusing
-// DNS::parse_Message) adds 11.7.
-const dnsMallocsCeiling = 49
+// engine (BinPAC++ parser, interpreted dns.bro, logs kept) at -O1: 26.1
+// when it was set, plus 10% (44.6 before the interpreter probed tables in
+// place and borrowed its index and argument lists, 56.3 before the parse's
+// values were recycled, 62.9 before a struct, tuple, sized vector or `new
+// bytes` rope was one object; 93.8 before name labels were appended
+// straight from the datagram). A boxed tuple per custom-function call
+// (parse_name returning through two registers) would add 4.3, one operand
+// array per generic instruction 40.7; a parse that stops recycling
+// (vm.Exec.Recycle refusing DNS::parse_Message) adds 11.7, a key string
+// per table probe 5.9.
+const dnsMallocsCeiling = 29
 
 // httpMallocsCeiling is the same bound per HTTP packet (BinPAC++ parser,
-// interpreted http.bro and files.bro): 18.2 at -O1 when it was set, plus
-// 10% (19.5 while every connection started both parses when it opened).
-const httpMallocsCeiling = 20
+// interpreted http.bro and files.bro): 13.9 at -O1 when it was set, plus
+// 10% (18.2 before the interpreter probed tables in place and borrowed its
+// index and argument lists, 19.5 while every connection started both
+// parses when it opened).
+const httpMallocsCeiling = 15
 
 // httpBytesCeiling bounds the bytes the same run allocates per HTTP packet
-// (TotalAlloc): 1,048 at -O1 over the CI step's 200 sessions when it was
-// set, plus 10%. It was 1,383 while each segment was copied into its rope
-// and every connection started both parses when it opened; a lost loan
-// (vm.Exec.Lend) alone would add ~240. It holds on traces of at least
-// bytesCeilingMinPkts packets: what an engine allocates once — its tables
-// and buffers growing — weighs more per packet on a shorter one (1,176 B
-// over 40 sessions).
-const httpBytesCeiling = 1153
+// (TotalAlloc): 969 at -O1 over the CI step's 200 sessions when it was
+// set, plus 10%. It was 1,048 before the interpreter probed tables in place
+// and borrowed its index and argument lists, 1,383 while each segment was
+// copied into its rope and every connection started both parses when it
+// opened; a lost loan (vm.Exec.Lend) alone would add ~240. It holds on
+// traces of at least bytesCeilingMinPkts packets: what an engine allocates
+// once — its tables and buffers growing — weighs more per packet on a
+// shorter one (1,106 B over 40 sessions).
+const httpBytesCeiling = 1066
 
 const bytesCeilingMinPkts = 2000
 

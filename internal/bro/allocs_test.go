@@ -4,9 +4,11 @@ package bro
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"hilti/internal/pkt/gen"
+	"hilti/internal/rt/values"
 )
 
 // TestCompiledHTTPAllocsPerPacket holds what the http-std-hilti path
@@ -97,5 +99,58 @@ func TestBinpacParkedBodyAllocs(t *testing.T) {
 	}
 	if c.origDead || c.origRope.Len() != 0 {
 		t.Fatalf("after the body segments: parse dead %v, rope holds %d bytes", c.origDead, c.origRope.Len())
+	}
+}
+
+// TestTableAccessAllocs: a table probe builds its key in the table's own
+// scratch and looks it up in place, so Get, Has, Delete and a Put on an
+// existing key allocate nothing, for one index or several, of any of the
+// key types scripts use. Only an inserting Put makes the key string (and
+// copies the index list it keeps).
+func TestTableAccessAllocs(t *testing.T) {
+	idx := []Val{
+		CountVal(7),
+		StringVal("CHhAvVGS1DHFjwGM9"),
+		AddrVal{A: values.AddrFrom4([4]byte{192, 168, 1, 10})},
+		PortVal{Num: 53, Proto: values.ProtoUDP},
+		EnumVal{Name: "DNS::A"},
+	}
+	keys := map[string][]Val{"several": idx}
+	for _, k := range idx {
+		keys[k.TypeName()] = []Val{k}
+	}
+	for name, key := range keys {
+		for _, onRead := range []bool{false, true} {
+			tbl := NewTable(false)
+			tbl.ExpireInterval, tbl.ExpireOnRead = 60e9, onRead
+			tbl.Put(1, key, CountVal(1))
+			absent := append(slices.Clone(key[:len(key)-1]), CountVal(8))
+			for op, fn := range map[string]func(){
+				"Get":             func() { tbl.Get(2, key) },
+				"Has":             func() { tbl.Has(2, key) },
+				"Put (existing)":  func() { tbl.Put(2, key, CountVal(2)) },
+				"Delete (absent)": func() { tbl.Delete(2, absent) },
+			} {
+				if n := testing.AllocsPerRun(100, fn); n != 0 {
+					t.Errorf("%s key, read_expire %v: %s allocates %v times", name, onRead, op, n)
+				}
+			}
+			// Deleting a present entry: fill the table, then count only
+			// the deletes.
+			dels := make([][]Val, 100)
+			for i := range dels {
+				dels[i] = append(slices.Clone(key), CountVal(i))
+				tbl.Put(2, dels[i], nil)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for _, k := range dels {
+				tbl.Delete(2, k)
+			}
+			runtime.ReadMemStats(&after)
+			if got := after.Mallocs - before.Mallocs; got != 0 || tbl.Len() != 1 {
+				t.Errorf("%s key, read_expire %v: %d deletes allocate %d times, leave %d entries", name, onRead, len(dels), got, tbl.Len())
+			}
+		}
 	}
 }

@@ -246,8 +246,8 @@ func TestDispatchAllocs(t *testing.T) {
 		header()
 		headers[i] = testing.AllocsPerRun(200, header)
 	}
-	if replies[1] != 25 || headers[1] != 2 {
-		t.Errorf("interpreted: a logged reply allocates %v times, a header %v; want 25 and 2", replies[1], headers[1])
+	if replies[1] != 10 || headers[1] != 2 {
+		t.Errorf("interpreted: a logged reply allocates %v times, a header %v; want 10 and 2", replies[1], headers[1])
 	}
 	if replies[0] >= replies[1] {
 		t.Errorf("a logged reply allocates %v times compiled, %v interpreted", replies[0], replies[1])

@@ -452,3 +452,122 @@ func BenchmarkFibCompiled(b *testing.B) {
 		}
 	}
 }
+
+// TestInterpScratchNotRetained: the interpreter lends a statement its index
+// and argument lists on a stack it pops and clears when the statement is
+// done, so whatever keeps such a list must copy it. Each script below keeps
+// one — a several-index insert walked later, vector(...) of evaluated
+// arguments, arguments forwarded to a nested event — and its log must equal
+// the compiled backend's. A handler that panics mid-statement leaves the
+// stack dirty; the next event starts on an empty one.
+func TestInterpScratchNotRetained(t *testing.T) {
+	src := `
+type Pair: record {
+    a: string;
+    b: count;
+};
+
+global pairs: table[string, count] of count;
+global kept: vector of vector of string;
+
+event insert(s: string, n: count) {
+    pairs[cat(s, "-", n), n + 1] = n * 2;
+    pairs[s, n] = n;
+}
+
+event walk() {
+    for ( k, v in pairs )
+        Log::write("walk", [$k=k, $v=v]);
+}
+
+event keep(s: string, n: count) {
+    local v = vector(cat(s, "!"), fmt("%s", n), s);
+    kept[|kept|] = v;
+    Log::write("vector", [$first=v[0], $second=v[1], $third=v[2]]);
+}
+
+event inner(a: string, b: count, c: string) {
+    Log::write("nested", [$a=a, $b=b, $c=c]);
+}
+
+event outer(s: string, n: count) {
+    event inner(cat(s, "/", n), n + 1, s);
+    Log::write("nested", [$a=s, $b=n, $c="outer"]);
+}
+
+event bad(s: string) {
+    local p = Pair($a=s);
+    event inner(s, p$b, cat(p$b));
+}
+
+event recall() {
+    for ( i in kept )
+        Log::write("vector", [$first=kept[i][0], $second=kept[i][1], $third=kept[i][2]]);
+}
+`
+	type ev struct {
+		name string
+		args []Val
+	}
+	evs := []ev{
+		{"insert", []Val{StringVal("x"), CountVal(1)}},
+		{"keep", []Val{StringVal("y"), CountVal(2)}},
+		{"insert", []Val{StringVal("z"), CountVal(3)}},
+		{"outer", []Val{StringVal("o"), CountVal(4)}},
+		{"keep", []Val{StringVal("w"), CountVal(5)}},
+		{"bad", []Val{StringVal("b")}},
+		{"outer", []Val{StringVal("p"), CountVal(6)}},
+		{"walk", nil},
+		{"recall", nil},
+	}
+	// Run each event to its end or to its panic, as the engine's
+	// containment does.
+	run := func(fn func() error) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic: %v", r)
+			}
+		}()
+		return fn()
+	}
+
+	ip, _ := loadInterp(t, src)
+	ilogs := NewLogSet()
+	ip.LogWrite = ilogs.Write
+	var ierrs []bool
+	for _, e := range evs {
+		ierrs = append(ierrs, run(func() error { return ip.Dispatch(e.name, e.args...) }) != nil)
+		if len(ip.stack) != 0 || slices.ContainsFunc(ip.stack[:cap(ip.stack)], func(v Val) bool { return v != nil }) {
+			t.Errorf("after %s: the list stack holds %v", e.name, ip.stack[:cap(ip.stack)])
+		}
+	}
+
+	ex, _, _, now := compileExec(t, src)
+	clogs := NewLogSet()
+	RegisterHostFns(ex, now, clogs)
+	var cerrs []bool
+	for _, e := range evs {
+		args := make([]values.Value, len(e.args))
+		for i, a := range e.args {
+			switch a := a.(type) {
+			case StringVal:
+				args[i] = values.String(string(a))
+			case CountVal:
+				args[i] = values.Int(int64(a))
+			}
+		}
+		cerrs = append(cerrs, run(func() error { return ex.RunHook(e.name, args...) }) != nil)
+	}
+
+	for i, e := range evs {
+		if ierrs[i] != (e.name == "bad") || cerrs[i] != (e.name == "bad") {
+			t.Errorf("%s failed: interpreted %v, compiled %v; want only bad to", e.name, ierrs[i], cerrs[i])
+		}
+	}
+	for _, stream := range []string{"walk", "vector", "nested"} {
+		il, cl := ilogs.Lines(stream), clogs.Lines(stream)
+		if len(il) == 0 || !slices.Equal(il, cl) {
+			t.Errorf("%s.log differs:\ninterpreted:\n%s\ncompiled:\n%s", stream, strings.Join(il, "\n"), strings.Join(cl, "\n"))
+		}
+	}
+}

@@ -11,7 +11,6 @@ package bro
 
 import (
 	"fmt"
-	"strconv"
 
 	"hilti/internal/hilti/vm"
 	"hilti/internal/rt/container"
@@ -130,35 +129,35 @@ func (g *Glue) fromHilti(v values.Value) Val {
 	}
 }
 
-// appendHilti appends v rendered exactly as fromHilti(v).Render() renders
-// the Val, without building it. ok is false where fromHilti has no Val
-// (unset, void, and kinds scripts never see): dst is then unchanged and the
-// caller writes the placeholder the Val renderers use for nil — "-" in a log
-// column or fmt, "<unset>" inside a composite or a print.
+// appendHilti appends v rendered exactly as fromHilti(v).Append renders
+// the Val, without building it: a scalar through its Val's Append (an int
+// renders alike as a count and as an int). ok is false where fromHilti has
+// no Val (unset, void, and kinds scripts never see): dst is then unchanged
+// and the caller writes the placeholder the Val renderers use for nil (see
+// appendOr).
 func appendHilti(dst []byte, v values.Value) (_ []byte, ok bool) {
 	switch v.K {
 	case values.KindBool:
-		return append(dst, BoolVal(v.AsBool()).Render()...), true
+		return BoolVal(v.AsBool()).Append(dst), true
 	case values.KindInt:
-		return strconv.AppendInt(dst, v.AsInt(), 10), true
+		return IntVal(v.AsInt()).Append(dst), true
 	case values.KindDouble:
-		return strconv.AppendFloat(dst, v.AsDouble(), 'f', 6, 64), true
+		return DoubleVal(v.AsDouble()).Append(dst), true
 	case values.KindString:
 		return append(dst, v.AsString()...), true
 	case values.KindBytes:
 		return append(dst, v.AsBytes().Bytes()...), true
 	case values.KindAddr:
-		return values.AppendAddr(dst, v), true
+		return AddrVal{A: v}.Append(dst), true
 	case values.KindNet:
-		return append(dst, values.Format(v)...), true
+		return SubnetVal{N: v}.Append(dst), true
 	case values.KindPort:
 		num, proto := v.AsPort()
-		dst = strconv.AppendUint(dst, uint64(num), 10)
-		return append(append(dst, '/'), protoName(proto)...), true
+		return PortVal{Num: num, Proto: proto}.Append(dst), true
 	case values.KindTime:
-		return strconv.AppendFloat(dst, float64(v.AsTimeNs())/1e9, 'f', 6, 64), true
+		return TimeVal(v.AsTimeNs()).Append(dst), true
 	case values.KindInterval:
-		return strconv.AppendFloat(dst, float64(v.AsIntervalNs())/1e9, 'f', 6, 64), true
+		return IntervalVal(v.AsIntervalNs()).Append(dst), true
 	case values.KindStruct:
 		s := v.AsStruct()
 		dst = append(dst, '[')
@@ -195,10 +194,10 @@ func appendHilti(dst []byte, v values.Value) (_ []byte, ok bool) {
 	case values.KindSet, values.KindMap:
 		// A table's rendering depends on how its keys collapse into Vals;
 		// no log column is one, so build the table.
-		return append(dst, NewGlue().fromHilti(v).Render()...), true
+		return NewGlue().fromHilti(v).Append(dst), true
 	case values.KindAny:
 		if bv, ok := v.O.(Val); ok {
-			return append(dst, bv.Render()...), true
+			return bv.Append(dst), true
 		}
 	}
 	return dst, false

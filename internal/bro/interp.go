@@ -15,6 +15,15 @@
 // a frame is cleared when its call returns or panics. Reading a slot that
 // nothing has assigned in this call — a parameter the caller did not pass,
 // a local whose declaration did not run — is an undefined identifier.
+//
+// A statement builds no garbage it throws away. An index or argument list
+// is evaluated onto a per-interpreter stack and borrowed until its
+// statement is done (evalList); what keeps one — an inserting table Put,
+// vector(...) — copies it. Table probes build their key in the table's
+// scratch, and fmt, cat and print render into the interpreter's. The
+// stack is popped explicitly on every path, not by defer, which costs
+// measurably per expression; a list a panic unwinds past stays on the
+// stack until the outermost frame's leave empties it.
 
 package bro
 
@@ -22,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"hilti/internal/pkt/flow"
@@ -54,6 +64,10 @@ type Interp struct {
 	// at that depth; depth calls are running.
 	frames []frame
 	depth  int
+	// stack holds the borrowed lists (see evalList); buf is the scratch
+	// fmt, cat and print render into.
+	stack []Val
+	buf   []byte
 }
 
 // NewInterp creates an interpreter with the built-in record types.
@@ -198,10 +212,14 @@ func (ip *Interp) enter(l *frameLayout, params []ParamDecl, body []Stmt) frame {
 	return f[:l.slots]
 }
 
-// leave releases the innermost frame, dropping its values.
+// leave releases the innermost frame, dropping its values. The outermost
+// frame's leave also drops what a panic left on the list stack.
 func (ip *Interp) leave(f frame) {
 	clear(f)
 	ip.depth--
+	if ip.depth == 0 {
+		ip.pop(0)
+	}
 }
 
 // Dispatch runs all handlers for an event.
@@ -402,31 +420,34 @@ func (ip *Interp) exec(f frame, stmts []Stmt) (returned bool, ret Val, err error
 				return r, rv, err
 			}
 		case *PrintStmt:
-			parts := make([]string, len(s.Args))
-			for i, a := range s.Args {
-				v, err := ip.eval(f, a)
-				if err != nil {
-					return false, nil, err
-				}
-				if v == nil {
-					parts[i] = "<unset>"
-				} else {
-					parts[i] = v.Render()
-				}
+			args, base, err := ip.evalList(f, s.Args)
+			if err != nil {
+				return false, nil, err
 			}
-			fmt.Fprintln(ip.Out, strings.Join(parts, ", "))
+			ip.buf = ip.buf[:0]
+			for i, v := range args {
+				if i > 0 {
+					ip.buf = append(ip.buf, ", "...)
+				}
+				ip.buf = appendOr(ip.buf, v, "<unset>")
+			}
+			ip.pop(base)
+			ip.buf = append(ip.buf, '\n')
+			_, _ = ip.Out.Write(ip.buf) // print has no error path
 		case *AddStmt:
-			t, keys, err := ip.evalIndexTarget(f, s.Target)
+			t, keys, base, err := ip.evalIndexTarget(f, s.Target)
 			if err != nil {
 				return false, nil, err
 			}
 			t.Put(ip.Now(), keys, nil)
+			ip.pop(base)
 		case *DeleteStmt:
-			t, keys, err := ip.evalIndexTarget(f, s.Target)
+			t, keys, base, err := ip.evalIndexTarget(f, s.Target)
 			if err != nil {
 				return false, nil, err
 			}
 			t.Delete(ip.Now(), keys)
+			ip.pop(base)
 		case *ReturnStmt:
 			if s.Value == nil {
 				return true, nil, nil
@@ -438,11 +459,13 @@ func (ip *Interp) exec(f frame, stmts []Stmt) (returned bool, ret Val, err error
 				return false, nil, err
 			}
 		case *EventStmt:
-			args, err := ip.evalList(f, s.Args)
+			args, base, err := ip.evalList(f, s.Args)
 			if err != nil {
 				return false, nil, err
 			}
-			if err := ip.Dispatch(s.Name, args...); err != nil {
+			err = ip.dispatch(s.Name, ip.Events[s.Name], args)
+			ip.pop(base)
+			if err != nil {
 				return false, nil, err
 			}
 		default:
@@ -529,59 +552,72 @@ func (ip *Interp) assign(f frame, lhs Expr, rhsE Expr) error {
 		if err != nil {
 			return err
 		}
-		keys, err := ip.evalList(f, l.Keys)
+		keys, sp, err := ip.evalList(f, l.Keys)
 		if err != nil {
 			return err
 		}
 		switch c := base.(type) {
 		case *TableVal:
 			c.Put(ip.Now(), keys, rhs)
-			return nil
 		case *VectorVal:
 			i, ok := keys[0].(CountVal)
-			if !ok {
-				return errVal("vector index", keys[0])
+			switch {
+			case !ok:
+				err = errVal("vector index", keys[0])
+			case i > CountVal(len(c.Elems)+container.MaxGrow):
+				err = vectorIndexError(i)
+			default:
+				for len(c.Elems) <= int(i) {
+					c.Elems = append(c.Elems, nil)
+				}
+				c.Elems[i] = rhs
 			}
-			if i > CountVal(len(c.Elems)+container.MaxGrow) {
-				return vectorIndexError(i)
-			}
-			for len(c.Elems) <= int(i) {
-				c.Elems = append(c.Elems, nil)
-			}
-			c.Elems[i] = rhs
-			return nil
 		default:
-			return errVal("[]=", base)
+			err = errVal("[]=", base)
 		}
+		ip.pop(sp)
+		return err
 	default:
 		return fmt.Errorf("bro: invalid assignment target %T", lhs)
 	}
 }
 
-// evalList evaluates expressions into a new slice.
-func (ip *Interp) evalList(f frame, xs []Expr) ([]Val, error) {
-	out := make([]Val, len(xs))
-	for i, x := range xs {
+// evalList evaluates xs onto the list stack and returns them there, with
+// the stack's height before them. The list is borrowed: the caller pops
+// back to base once its statement is done with it, and copies it if it
+// keeps it. On an error the stack is already popped.
+func (ip *Interp) evalList(f frame, xs []Expr) (list []Val, base int, err error) {
+	base = len(ip.stack)
+	for _, x := range xs {
 		v, err := ip.eval(f, x)
 		if err != nil {
-			return nil, err
+			ip.pop(base)
+			return nil, base, err
 		}
-		out[i] = v
+		ip.stack = append(ip.stack, v)
 	}
-	return out, nil
+	return ip.stack[base:], base, nil
 }
 
-func (ip *Interp) evalIndexTarget(f frame, ie *IndexExpr) (*TableVal, []Val, error) {
+// pop drops the lists above base, and their values with them.
+func (ip *Interp) pop(base int) {
+	clear(ip.stack[base:])
+	ip.stack = ip.stack[:base]
+}
+
+// evalIndexTarget evaluates an add or delete target: its table, and its
+// index list borrowed as evalList's.
+func (ip *Interp) evalIndexTarget(f frame, ie *IndexExpr) (*TableVal, []Val, int, error) {
 	base, err := ip.eval(f, ie.Base)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	t, ok := base.(*TableVal)
 	if !ok {
-		return nil, nil, errVal("add/delete", base)
+		return nil, nil, 0, errVal("add/delete", base)
 	}
-	keys, err := ip.evalList(f, ie.Keys)
-	return t, keys, err
+	keys, sp, err := ip.evalList(f, ie.Keys)
+	return t, keys, sp, err
 }
 
 func (ip *Interp) eval(f frame, x Expr) (Val, error) {
@@ -644,29 +680,32 @@ func (ip *Interp) eval(f frame, x Expr) (Val, error) {
 		if err != nil {
 			return nil, err
 		}
-		keys, err := ip.evalList(f, x.Keys)
+		keys, sp, err := ip.evalList(f, x.Keys)
 		if err != nil {
 			return nil, err
 		}
+		var v Val
 		switch c := base.(type) {
 		case *TableVal:
-			v, ok := c.Get(ip.Now(), keys)
-			if !ok {
-				return nil, fmt.Errorf("bro: no such index: %s", KeyString(keys))
+			var ok bool
+			if v, ok = c.Get(ip.Now(), keys); !ok {
+				err = fmt.Errorf("bro: no such index: %s", KeyString(keys))
 			}
-			return v, nil
 		case *VectorVal:
 			i, ok := keys[0].(CountVal)
-			if !ok {
-				return nil, errVal("vector index", keys[0])
+			switch {
+			case !ok:
+				err = errVal("vector index", keys[0])
+			case i >= CountVal(len(c.Elems)):
+				err = vectorIndexError(i)
+			default:
+				v = c.Elems[i]
 			}
-			if i >= CountVal(len(c.Elems)) {
-				return nil, vectorIndexError(i)
-			}
-			return c.Elems[i], nil
 		default:
-			return nil, errVal("[]", base)
+			err = errVal("[]", base)
 		}
+		ip.pop(sp)
+		return v, err
 	case *CallExpr:
 		return ip.evalCall(f, x)
 	case *CtorExpr:
@@ -732,11 +771,13 @@ func (ip *Interp) evalCall(f frame, x *CallExpr) (Val, error) {
 		return r, nil
 	}
 	if b, ok := builtins[x.Fn]; ok {
-		args, err := ip.evalList(f, x.Args)
+		args, base, err := ip.evalList(f, x.Args)
 		if err != nil {
 			return nil, err
 		}
-		return b(ip, args)
+		v, err := b(ip, args)
+		ip.pop(base)
+		return v, err
 	}
 	if fd, ok := ip.Funcs[x.Fn]; ok {
 		return ip.callExprs(f, fd, x.Args)
@@ -745,11 +786,18 @@ func (ip *Interp) evalCall(f frame, x *CallExpr) (Val, error) {
 }
 
 // builtins are the functions the interpreter provides. They shadow script
-// functions of the same name, as in the compiled backend.
+// functions of the same name, as in the compiled backend. args is borrowed
+// (see evalList): a builtin that keeps it copies it.
 var builtins = map[string]func(ip *Interp, args []Val) (Val, error){
-	"vector":       func(_ *Interp, args []Val) (Val, error) { return &VectorVal{Elems: args}, nil },
+	"vector":       func(_ *Interp, args []Val) (Val, error) { return &VectorVal{Elems: slices.Clone(args)}, nil },
 	"network_time": func(ip *Interp, _ []Val) (Val, error) { return TimeVal(ip.Now()), nil },
-	"fmt":          func(_ *Interp, args []Val) (Val, error) { return builtinFmt(args) },
+	"fmt": func(ip *Interp, args []Val) (Val, error) {
+		var err error
+		if ip.buf, err = appendFmt(ip.buf[:0], args); err != nil {
+			return nil, err
+		}
+		return StringVal(ip.buf), nil
+	},
 	"to_lower": func(_ *Interp, args []Val) (Val, error) {
 		s, _ := args[0].(StringVal)
 		return StringVal(strings.ToLower(string(s))), nil
@@ -758,12 +806,12 @@ var builtins = map[string]func(ip *Interp, args []Val) (Val, error){
 		s, _ := args[0].(StringVal)
 		return StringVal(strings.ToUpper(string(s))), nil
 	},
-	"cat": func(_ *Interp, args []Val) (Val, error) {
-		var sb strings.Builder
+	"cat": func(ip *Interp, args []Val) (Val, error) {
+		ip.buf = ip.buf[:0]
 		for _, a := range args {
-			sb.WriteString(a.Render())
+			ip.buf = a.Append(ip.buf)
 		}
-		return StringVal(sb.String()), nil
+		return StringVal(ip.buf), nil
 	},
 	"Log::write": func(ip *Interp, args []Val) (Val, error) {
 		if ip.LogWrite != nil {
@@ -778,43 +826,42 @@ var builtins = map[string]func(ip *Interp, args []Val) (Val, error){
 	},
 }
 
-// builtinFmt implements Bro's fmt(): %s/%d/%x/%f plus %%.
-func builtinFmt(args []Val) (Val, error) {
+// appendFmt appends what Bro's fmt() returns for args: the format
+// args[0] with %s/%d/%x/%f each replaced by the next argument, %% by %.
+func appendFmt(dst []byte, args []Val) ([]byte, error) {
 	if len(args) == 0 {
-		return StringVal(""), nil
+		return dst, nil
 	}
 	f, ok := args[0].(StringVal)
 	if !ok {
-		return nil, errVal("fmt", args[0])
+		return dst, errVal("fmt", args[0])
 	}
 	rest := args[1:]
-	var sb strings.Builder
 	ai := 0
 	s := string(f)
 	for i := 0; i < len(s); i++ {
 		if s[i] != '%' || i+1 >= len(s) {
-			sb.WriteByte(s[i])
+			dst = append(dst, s[i])
 			continue
 		}
 		i++
 		switch s[i] {
 		case '%':
-			sb.WriteByte('%')
+			dst = append(dst, '%')
 		default:
 			if ai < len(rest) {
-				if rest[ai] == nil {
-					sb.WriteString("-")
-				} else {
-					sb.WriteString(rest[ai].Render())
-				}
+				dst = appendOr(dst, rest[ai], "-")
 				ai++
 			}
 		}
 	}
-	return StringVal(sb.String()), nil
+	return dst, nil
 }
 
 func (ip *Interp) evalBin(f frame, x *BinExpr) (Val, error) {
+	if x.Op == "in" || x.Op == "!in" {
+		return ip.evalIn(f, x)
+	}
 	// Short-circuit logic.
 	if x.Op == "&&" || x.Op == "||" {
 		l, err := ip.eval(f, x.L)
@@ -850,40 +897,65 @@ func (ip *Interp) evalBin(f frame, x *BinExpr) (Val, error) {
 		return nil, err
 	}
 	switch x.Op {
-	case "in", "!in":
-		t, ok := r.(*TableVal)
-		if !ok {
-			// addr in subnet
-			if sn, ok2 := r.(SubnetVal); ok2 {
-				a, ok3 := l.(AddrVal)
-				if !ok3 {
-					return nil, errVal("in", l)
-				}
-				res := sn.N.NetContains(a.A)
-				if x.Op == "!in" {
-					res = !res
-				}
-				return BoolVal(res), nil
-			}
-			return nil, errVal("in", r)
-		}
-		var keys []Val
-		if lv, ok := l.(*VectorVal); ok {
-			keys = lv.Elems
-		} else {
-			keys = []Val{l}
-		}
-		res := t.Has(ip.Now(), keys)
-		if x.Op == "!in" {
-			res = !res
-		}
-		return BoolVal(res), nil
 	case "==":
 		return BoolVal(Equal(l, r)), nil
 	case "!=":
 		return BoolVal(!Equal(l, r)), nil
 	}
 	return numericBin(x.Op, l, r)
+}
+
+// evalIn evaluates `l in r` and `l !in r`: membership of the index list l
+// in a table, or of the address l in a subnet. The index list goes on the
+// list stack; a literal [a, b] is evaluated there without building its
+// vector.
+func (ip *Interp) evalIn(f frame, x *BinExpr) (Val, error) {
+	base := len(ip.stack)
+	lit, isLit := x.L.(*CallExpr)
+	isLit = isLit && lit.Fn == "vector" && ip.Records[lit.Fn] == nil
+	var l Val
+	var err error
+	if isLit {
+		_, _, err = ip.evalList(f, lit.Args)
+	} else {
+		l, err = ip.eval(f, x.L)
+	}
+	if err != nil {
+		return nil, err
+	}
+	r, err := ip.eval(f, x.R)
+	if err != nil {
+		ip.pop(base)
+		return nil, err
+	}
+	var res bool
+	switch c := r.(type) {
+	case *TableVal:
+		if lv, ok := l.(*VectorVal); ok {
+			ip.stack = append(ip.stack, lv.Elems...)
+		} else if !isLit {
+			ip.stack = append(ip.stack, l)
+		}
+		res = c.Has(ip.Now(), ip.stack[base:])
+		ip.pop(base)
+	case SubnetVal:
+		ip.pop(base)
+		a, ok := l.(AddrVal)
+		if !ok {
+			if isLit {
+				l = &VectorVal{}
+			}
+			return nil, errVal("in", l)
+		}
+		res = c.N.NetContains(a.A)
+	default:
+		ip.pop(base)
+		return nil, errVal("in", r)
+	}
+	if x.Op == "!in" {
+		res = !res
+	}
+	return BoolVal(res), nil
 }
 
 // numericBin implements arithmetic and ordering over the numeric types.

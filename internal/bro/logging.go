@@ -128,10 +128,10 @@ func (ls *LogSet) Write(stream string, rec *RecordVal) {
 		if i > 0 {
 			row = append(row, '\t')
 		}
-		if j < 0 || rec.F[j] == nil {
+		if j < 0 {
 			row = append(row, '-')
 		} else {
-			row = append(row, rec.F[j].Render()...)
+			row = appendOr(row, rec.F[j], "-")
 		}
 	}
 	ls.emit(st, row)

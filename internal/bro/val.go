@@ -16,11 +16,11 @@
 package bro
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
 	"strconv"
-	"strings"
 
 	"hilti/internal/rt/container"
 	"hilti/internal/rt/metrics"
@@ -28,10 +28,12 @@ import (
 	"hilti/internal/rt/values"
 )
 
-// Val is a Bro script value.
+// Val is a Bro script value. Append is its one rendering (log, print,
+// fmt, table key); Render is that rendering as a string.
 type Val interface {
 	TypeName() string
-	Render() string // log/print representation
+	Render() string
+	Append(dst []byte) []byte
 }
 
 // BoolVal is a boolean.
@@ -83,29 +85,52 @@ func (TimeVal) TypeName() string     { return "time" }
 func (IntervalVal) TypeName() string { return "interval" }
 func (EnumVal) TypeName() string     { return "enum" }
 
-// Render implementations (Bro-log style).
-func (v BoolVal) Render() string {
+// Append implementations (Bro-log style).
+func (v BoolVal) Append(dst []byte) []byte {
 	if v {
-		return "T"
+		return append(dst, 'T')
 	}
-	return "F"
+	return append(dst, 'F')
 }
-func (v CountVal) Render() string  { return strconv.FormatUint(uint64(v), 10) }
-func (v IntVal) Render() string    { return strconv.FormatInt(int64(v), 10) }
-func (v DoubleVal) Render() string { return strconv.FormatFloat(float64(v), 'f', 6, 64) }
-func (v StringVal) Render() string { return string(v) }
-func (v AddrVal) Render() string   { return values.Format(v.A) }
-func (v SubnetVal) Render() string { return values.Format(v.N) }
-func (v PortVal) Render() string {
-	return strconv.Itoa(int(v.Num)) + "/" + protoName(v.Proto)
+func (v CountVal) Append(dst []byte) []byte  { return strconv.AppendUint(dst, uint64(v), 10) }
+func (v IntVal) Append(dst []byte) []byte    { return strconv.AppendInt(dst, int64(v), 10) }
+func (v DoubleVal) Append(dst []byte) []byte { return strconv.AppendFloat(dst, float64(v), 'f', 6, 64) }
+func (v StringVal) Append(dst []byte) []byte { return append(dst, v...) }
+func (v AddrVal) Append(dst []byte) []byte   { return values.AppendAddr(dst, v.A) }
+func (v SubnetVal) Append(dst []byte) []byte { return append(dst, values.Format(v.N)...) }
+func (v PortVal) Append(dst []byte) []byte {
+	dst = strconv.AppendUint(dst, uint64(v.Num), 10)
+	return append(append(dst, '/'), protoName(v.Proto)...)
 }
-func (v TimeVal) Render() string {
-	return strconv.FormatFloat(float64(v)/1e9, 'f', 6, 64)
+func (v TimeVal) Append(dst []byte) []byte {
+	return strconv.AppendFloat(dst, float64(v)/1e9, 'f', 6, 64)
 }
-func (v IntervalVal) Render() string {
-	return strconv.FormatFloat(float64(v)/1e9, 'f', 6, 64)
+func (v IntervalVal) Append(dst []byte) []byte {
+	return strconv.AppendFloat(dst, float64(v)/1e9, 'f', 6, 64)
 }
-func (v EnumVal) Render() string { return v.Name }
+func (v EnumVal) Append(dst []byte) []byte { return append(dst, v.Name...) }
+
+// Render implementations: Append as a string.
+func (v BoolVal) Render() string     { return string(v.Append(nil)) }
+func (v CountVal) Render() string    { return string(v.Append(nil)) }
+func (v IntVal) Render() string      { return string(v.Append(nil)) }
+func (v DoubleVal) Render() string   { return string(v.Append(nil)) }
+func (v StringVal) Render() string   { return string(v.Append(nil)) }
+func (v AddrVal) Render() string     { return string(v.Append(nil)) }
+func (v SubnetVal) Render() string   { return string(v.Append(nil)) }
+func (v PortVal) Render() string     { return string(v.Append(nil)) }
+func (v TimeVal) Render() string     { return string(v.Append(nil)) }
+func (v IntervalVal) Render() string { return string(v.Append(nil)) }
+func (v EnumVal) Render() string     { return string(v.Append(nil)) }
+
+// appendOr appends v, or placeholder where v is nil (unset): "-" in a log
+// column or fmt, "<unset>" inside a composite or a print.
+func appendOr(dst []byte, v Val, placeholder string) []byte {
+	if v == nil {
+		return append(dst, placeholder...)
+	}
+	return v.Append(dst)
+}
 
 func protoName(p uint8) string {
 	switch p {
@@ -188,25 +213,21 @@ func (r *RecordVal) Set(name string, v Val) {
 	}
 }
 
-// Render implements Val.
-func (r *RecordVal) Render() string {
-	var sb strings.Builder
-	sb.WriteByte('[')
+// Append implements Val.
+func (r *RecordVal) Append(dst []byte) []byte {
+	dst = append(dst, '[')
 	for i, f := range r.T.Fields {
 		if i > 0 {
-			sb.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		sb.WriteString(f)
-		sb.WriteByte('=')
-		if r.F[i] == nil {
-			sb.WriteString("<unset>")
-		} else {
-			sb.WriteString(r.F[i].Render())
-		}
+		dst = append(append(dst, f...), '=')
+		dst = appendOr(dst, r.F[i], "<unset>")
 	}
-	sb.WriteByte(']')
-	return sb.String()
+	return append(dst, ']')
 }
+
+// Render implements Val.
+func (r *RecordVal) Render() string { return string(r.Append(nil)) }
 
 // TableVal is a Bro table or set (sets have nil yields). Entries keep
 // insertion order; &create_expire / &read_expire expire them in network
@@ -231,6 +252,7 @@ type TableVal struct {
 	IsSet   bool
 	multi   bool   // some entry has had more than one index
 	nextSeq uint64 // seq the next inserted entry gets
+	kbuf    []byte // scratch a probe's key is built in
 
 	ExpireInterval int64 // ns; 0 = no expiration
 	ExpireOnRead   bool  // &read_expire vs &create_expire
@@ -265,20 +287,26 @@ func (t *TableVal) TypeName() string {
 func (t *TableVal) Len() int { return t.tbl.Len() }
 
 // KeyString canonicalizes an index tuple.
-func KeyString(key []Val) string {
-	if len(key) == 1 {
-		return key[0].TypeName() + "\x00" + key[0].Render()
-	}
-	var sb strings.Builder
+func KeyString(key []Val) string { return string(appendKey(nil, key)) }
+
+// appendKey appends key's canonical form: each index's type name, a NUL
+// and its rendering, the indices separated by \x01.
+func appendKey(dst []byte, key []Val) []byte {
 	for i, k := range key {
 		if i > 0 {
-			sb.WriteByte('\x01')
+			dst = append(dst, '\x01')
 		}
-		sb.WriteString(k.TypeName())
-		sb.WriteByte(0)
-		sb.WriteString(k.Render())
+		dst = append(append(dst, k.TypeName()...), 0)
+		dst = k.Append(dst)
 	}
-	return sb.String()
+	return dst
+}
+
+// probe returns key's canonical form, built in the table's scratch: it is
+// good until the next probe.
+func (t *TableVal) probe(key []Val) []byte {
+	t.kbuf = appendKey(t.kbuf[:0], key)
+	return t.kbuf
 }
 
 // isAggregate reports whether a script holding v can mutate it in place.
@@ -391,17 +419,18 @@ func (t *TableVal) expire(now int64) {
 	}
 }
 
-// Put inserts or updates an entry.
+// Put inserts or updates an entry. Only an insert keeps key, as a copy:
+// the caller may reuse it.
 func (t *TableVal) Put(now int64, key []Val, yield Val) {
 	t.expire(now)
-	ks := KeyString(key)
-	if e := t.tbl.Find(ks); e != nil {
+	k := t.probe(key)
+	if e := t.tbl.FindBytes(k); e != nil {
 		e.V.yield = yield
 		t.tbl.Touch(e, timer.Time(now), false)
 		t.tbl.Mark(e)
 		return
 	}
-	t.add(ks, now, tableItem{key, yield, t.nextSeq}, false)
+	t.add(string(k), now, tableItem{slices.Clone(key), yield, t.nextSeq}, false)
 	t.nextSeq++
 }
 
@@ -409,7 +438,7 @@ func (t *TableVal) Put(now int64, key []Val, yield Val) {
 // refreshed if the table is &read_expire.
 func (t *TableVal) find(now int64, key []Val) *tableEntry {
 	t.expire(now)
-	e := t.tbl.Find(KeyString(key))
+	e := t.tbl.FindBytes(t.probe(key))
 	if e != nil && t.ExpireOnRead {
 		t.tbl.Touch(e, timer.Time(now), false)
 	}
@@ -433,7 +462,7 @@ func (t *TableVal) Has(now int64, key []Val) bool { return t.find(now, key) != n
 
 // Delete removes an entry.
 func (t *TableVal) Delete(now int64, key []Val) {
-	if e := t.tbl.Find(KeyString(key)); e != nil {
+	if e := t.tbl.FindBytes(t.probe(key)); e != nil {
 		t.remove(e)
 	}
 }
@@ -478,23 +507,31 @@ func (t *TableVal) each(handOut bool, fn func(key []Val, yield Val) bool) {
 	})
 }
 
-// Render implements Val.
-func (t *TableVal) Render() string {
-	var parts []string
+// Append implements Val.
+func (t *TableVal) Append(dst []byte) []byte {
+	dst = append(dst, '{')
+	first := true
 	t.Each(func(key []Val, yield Val) bool {
-		ks := make([]string, len(key))
+		if !first {
+			dst = append(dst, ", "...)
+		}
+		first = false
 		for i, k := range key {
-			ks[i] = k.Render()
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = k.Append(dst)
 		}
-		s := strings.Join(ks, ",")
 		if !t.IsSet && yield != nil {
-			s += " -> " + yield.Render()
+			dst = yield.Append(append(dst, " -> "...))
 		}
-		parts = append(parts, s)
 		return true
 	})
-	return "{" + strings.Join(parts, ", ") + "}"
+	return append(dst, '}')
 }
+
+// Render implements Val.
+func (t *TableVal) Render() string { return string(t.Append(nil)) }
 
 // VectorVal is a growable vector.
 type VectorVal struct{ Elems []Val }
@@ -502,18 +539,20 @@ type VectorVal struct{ Elems []Val }
 // TypeName implements Val.
 func (*VectorVal) TypeName() string { return "vector" }
 
-// Render implements Val.
-func (v *VectorVal) Render() string {
-	parts := make([]string, len(v.Elems))
+// Append implements Val.
+func (v *VectorVal) Append(dst []byte) []byte {
+	dst = append(dst, '[')
 	for i, e := range v.Elems {
-		if e == nil {
-			parts[i] = "<unset>"
-		} else {
-			parts[i] = e.Render()
+		if i > 0 {
+			dst = append(dst, ", "...)
 		}
+		dst = appendOr(dst, e, "<unset>")
 	}
-	return "[" + strings.Join(parts, ", ") + "]"
+	return append(dst, ']')
 }
+
+// Render implements Val.
+func (v *VectorVal) Render() string { return string(v.Append(nil)) }
 
 // FuncVal is a script function reference.
 type FuncVal struct {
@@ -524,10 +563,15 @@ type FuncVal struct {
 // TypeName implements Val.
 func (*FuncVal) TypeName() string { return "func" }
 
-// Render implements Val.
-func (f *FuncVal) Render() string { return f.Name }
+// Append implements Val.
+func (f *FuncVal) Append(dst []byte) []byte { return append(dst, f.Name...) }
 
-// Equal compares two Vals for the == operator and table keys.
+// Render implements Val.
+func (f *FuncVal) Render() string { return string(f.Append(nil)) }
+
+// Equal compares two Vals for the == operator and table keys: addresses
+// and subnets by value, anything else by type name and rendering. The
+// kinds that render every value distinctly compare without rendering.
 func Equal(a, b Val) bool {
 	switch x := a.(type) {
 	case AddrVal:
@@ -536,11 +580,16 @@ func Equal(a, b Val) bool {
 	case SubnetVal:
 		y, ok := b.(SubnetVal)
 		return ok && values.Equal(x.N, y.N)
+	case BoolVal, CountVal, IntVal, StringVal, EnumVal:
+		return a == b
+	case PortVal:
+		y, ok := b.(PortVal)
+		return ok && x.Num == y.Num && protoName(x.Proto) == protoName(y.Proto)
 	default:
 		if a == nil || b == nil {
 			return a == b
 		}
-		return a.TypeName() == b.TypeName() && a.Render() == b.Render()
+		return a.TypeName() == b.TypeName() && bytes.Equal(a.Append(nil), b.Append(nil))
 	}
 }
 

@@ -252,7 +252,7 @@ type WorkerStats struct {
 	Backlog      int    // scheduler jobs queued right now
 	Overflowed   uint64 // jobs that spilled into the overflow deque
 
-	Faults            uint64 // faults recorded at this worker's boundaries (packet, zap, finish, stall)
+	Faults            uint64 // faults recorded at this worker's boundaries (packet, zap, finish, stall), across its replacements
 	QuarantinedFlows  uint64 // flows quarantined after a fault
 	QuarantineDropped uint64 // packets dropped because their flow was quarantined (FateQuarantineDrop)
 	FlowsEvicted      uint64 // flows evicted by the MaxFlows cap
@@ -1161,7 +1161,7 @@ func (p *Pipeline) checkStall(i int) {
 		}
 	}
 	r.times = append(keep, now)
-	nsl := p.rebuildSlot(i, vid, blob, arrived)
+	nsl := p.rebuildSlot(i, sl.ws.faults, vid, blob, arrived)
 	if len(r.times) > p.cfg.StallMaxReplaces {
 		if r.quarN < 6 {
 			r.quarN++
@@ -1201,8 +1201,13 @@ func (p *Pipeline) QuarantinedWorkers() int { return int(p.workerQuar.Load()) }
 // rebuildSlot constructs worker i's replacement: shard state restored
 // from its log when possible (else fresh), the wedged flow quarantined
 // with the arrived packets that state lacks settled as rolled back, the
-// stall recorded in the fault ledger, and a log based on the result.
-func (p *Pipeline) rebuildSlot(i int, vid uint64, blob []byte, arrived uint64) *wslot {
+// stall recorded in the fault ledger, and a log based on the result. The
+// ledger is faults, the abandoned slot's, so the worker's fault history
+// survives the replacement; what replaying the log records again goes to
+// the restored shard's own, which is dropped. A late fault of the
+// abandoned job may still land in faults: a Recorder takes concurrent
+// records.
+func (p *Pipeline) rebuildSlot(i int, faults *fault.Recorder, vid uint64, blob []byte, arrived uint64) *wslot {
 	var sl *wslot
 	if blob != nil {
 		if nsl, err := p.restoreSlotFromBlob(i, blob); err == nil {
@@ -1222,6 +1227,7 @@ func (p *Pipeline) rebuildSlot(i int, vid uint64, blob []byte, arrived uint64) *
 	sl.track = true
 
 	ws := sl.ws
+	ws.faults = faults
 	p.settle(ws, admission.FateRolledBack, vid, arrived-ws.fates.Counts().Sum(), 0)
 	sl.arrived = arrived
 	ws.faults.Record(&fault.Fault{Op: "stall", Worker: i, VID: vid, Value: "worker exceeded StallTimeout; replaced from its log"})
@@ -1295,8 +1301,10 @@ func (p *Pipeline) FlowTableSize() int {
 
 // Faults returns the retained faults of every worker, in worker order
 // (oldest first within a worker). Exact after Close or a quiescent Drain.
-// A supervised restart carries the stall fault in the replacement's
-// ledger; the abandoned worker's earlier entries go with it.
+// A supervised restart hands the abandoned worker's ledger to its
+// replacement, which records the stall in it, so a worker's history
+// spans its replacements. A restore in a new process (Restore) starts
+// every worker's ledger empty: a checkpoint carries no faults.
 func (p *Pipeline) Faults() []*fault.Fault {
 	var out []*fault.Fault
 	for i := range p.slots {

@@ -398,3 +398,33 @@ func TestSupervisorRecoversPlainHandlerShard(t *testing.T) {
 		t.Fatalf("fates %v: want the wedged packet alone rolled back and every other processed", l.Fates)
 	}
 }
+
+// TestSupervisorKeepsFaultHistory: a replacement takes over its worker's
+// fault ledger, so two stalls on one worker, each ending in a replacement,
+// are two stall faults in Faults and in the worker's Stats.
+func TestSupervisorKeepsFaultHistory(t *testing.T) {
+	p, err := New(Config{
+		Workers:      1,
+		StallTimeout: 30 * time.Millisecond,
+		NewHandler:   func(int) (Handler, error) { return stallHandler{}, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := [4]byte{10, 8, 0, 1}, [4]byte{10, 8, 0, 2}
+	for n, port := range []uint16{9990, 9991} {
+		p.Feed(int64(n*1000), frame(a, b, 8300, 53, []byte{1}))
+		p.Feed(int64(n*1000+500), frame(a, b, port, 53, []byte{0xEE}))
+		waitFor(t, "the replacement", func() bool { return p.Restarts() == uint64(n+1) })
+	}
+	p.Close()
+	stalls := 0
+	for _, f := range p.Faults() {
+		if f.Op == "stall" {
+			stalls++
+		}
+	}
+	if got := p.Stats()[0].Faults; stalls != 2 || got != 2 {
+		t.Fatalf("after two stalls: %d stall faults in the ledger, the worker counts %d faults; want 2 and 2", stalls, got)
+	}
+}
