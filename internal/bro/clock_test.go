@@ -20,7 +20,7 @@ func clockEngine(t testing.TB, parser, exec string) (*Engine, *conn) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _ := e.getConn(flow.FromIPv4([4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}, 40000, 80, layers.IPProtoTCP), true)
+	c, _ := e.getConn(flow.FromIPv4([4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}, 40000, 80, layers.IPProtoTCP), true, false)
 	return e, c
 }
 
@@ -306,7 +306,7 @@ event http_request(c: connection, method: string, uri: string, version: string) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _ := e.getConn(flow.FromIPv4([4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}, 40000, 80, layers.IPProtoTCP), true)
+	c, _ := e.getConn(flow.FromIPv4([4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}, 40000, 80, layers.IPProtoTCP), true, false)
 	ip := e.interp
 	logWrite := ip.LogWrite
 	ip.LogWrite = func(string, *RecordVal) { panic("injected") }

@@ -164,6 +164,35 @@ event report() {
 	}
 
 	t.Run("vector index out of reach", compiledMatchesInterpOnVectorIndex)
+	t.Run("unset value rendered", compiledMatchesInterpOnUnset)
+}
+
+// compiledMatchesInterpOnUnset: a vector slot never assigned is unset, and
+// fmt and cat render it as "-" on both backends; the interpreted cat used
+// to panic on it.
+func compiledMatchesInterpOnUnset(t *testing.T) {
+	src := `
+global v: vector of string;
+
+event show() {
+    v[1] = "b";
+    print "fmt", fmt("%s", v[0]);
+    print "cat", cat(v[0]);
+    print "cat3", cat("a", v[0], v[1]);
+}
+`
+	ip, iout := loadInterp(t, src)
+	if err := ip.Dispatch("show"); err != nil {
+		t.Fatalf("interp: %v", err)
+	}
+	ex, _, cout, _ := compileExec(t, src)
+	if err := ex.RunHook("show"); err != nil {
+		t.Fatalf("compiled: %v", err)
+	}
+	const want = "fmt, -\ncat, -\ncat3, a-b\n"
+	if iout.String() != want || cout.String() != want {
+		t.Fatalf("interp printed %q, compiled %q, want %q", iout, cout, want)
+	}
 }
 
 // compiledMatchesInterpOnVectorIndex: an index read off the wire cannot
@@ -458,15 +487,11 @@ func BenchmarkFibCompiled(b *testing.B) {
 // done, so whatever keeps such a list must copy it. Each script below keeps
 // one — a several-index insert walked later, vector(...) of evaluated
 // arguments, arguments forwarded to a nested event — and its log must equal
-// the compiled backend's. A handler that panics mid-statement leaves the
-// stack dirty; the next event starts on an empty one.
+// the compiled backend's. A handler that panics mid-statement — network_time
+// is made to panic under both backends — leaves the stack dirty; the next
+// event starts on an empty one.
 func TestInterpScratchNotRetained(t *testing.T) {
 	src := `
-type Pair: record {
-    a: string;
-    b: count;
-};
-
 global pairs: table[string, count] of count;
 global kept: vector of vector of string;
 
@@ -496,8 +521,7 @@ event outer(s: string, n: count) {
 }
 
 event bad(s: string) {
-    local p = Pair($a=s);
-    event inner(s, p$b, cat(p$b));
+    event inner(s, |s|, cat(s, network_time()));
 }
 
 event recall() {
@@ -531,18 +555,32 @@ event recall() {
 		return fn()
 	}
 
+	// network_time panics inside bad only: the tables read the clock too.
+	inBad := false
+	now := func() int64 {
+		if inBad {
+			panic("injected")
+		}
+		return 0
+	}
 	ip, _ := loadInterp(t, src)
 	ilogs := NewLogSet()
 	ip.LogWrite = ilogs.Write
+	ip.Now = now
 	var ierrs []bool
 	for _, e := range evs {
-		ierrs = append(ierrs, run(func() error { return ip.Dispatch(e.name, e.args...) }) != nil)
+		inBad = e.name == "bad"
+		err := run(func() error { return ip.Dispatch(e.name, e.args...) })
+		if e.name == "bad" && (err == nil || !strings.HasPrefix(err.Error(), "panic: ")) {
+			t.Errorf("interpreted bad: %v, want the injected panic", err)
+		}
+		ierrs = append(ierrs, err != nil)
 		if len(ip.stack) != 0 || slices.ContainsFunc(ip.stack[:cap(ip.stack)], func(v Val) bool { return v != nil }) {
 			t.Errorf("after %s: the list stack holds %v", e.name, ip.stack[:cap(ip.stack)])
 		}
 	}
 
-	ex, _, _, now := compileExec(t, src)
+	ex, _, _, _ := compileExec(t, src)
 	clogs := NewLogSet()
 	RegisterHostFns(ex, now, clogs)
 	var cerrs []bool
@@ -556,6 +594,7 @@ event recall() {
 				args[i] = values.Int(int64(a))
 			}
 		}
+		inBad = e.name == "bad"
 		cerrs = append(cerrs, run(func() error { return ex.RunHook(e.name, args...) }) != nil)
 	}
 

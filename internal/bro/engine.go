@@ -137,6 +137,7 @@ type Engine struct {
 	conns   map[flow.Key]*conn
 	ctxs    map[int64]*conn
 	nextCtx int64
+	lingers lingerSet // TCP flows closed lately (linger.go)
 
 	// Event/flow counters are atomic (metrics.Counter) so a metrics scrape
 	// can read them from another goroutine while the engine runs; the
@@ -147,6 +148,7 @@ type Engine struct {
 	parseErrs   metrics.Counter
 	flowsOpened metrics.Counter // connections created (TCP + UDP)
 	flowsClosed metrics.Counter // connections closed or zapped
+	afterClose  metrics.Counter // TCP packets a linger dropped
 
 	faults      *fault.Recorder
 	budgetBlown metrics.Counter
@@ -569,6 +571,9 @@ func (e *Engine) ProcessPacket(tsNs int64, frame []byte) {
 	e.packets.Inc()
 	e.now = tsNs
 	e.clock.truncate(0)
+	if e.lingers.pending() {
+		e.lingers.expire(tsNs)
+	}
 	// Expire HILTI-side container state by network time.
 	if e.ex != nil {
 		e.ex.GlobalTM.Advance(timer.Time(tsNs))
@@ -623,10 +628,20 @@ func (e *Engine) planeDrop(ip layers.IPv4, srcPort, dstPort uint16) bool {
 // dropped.
 func (e *Engine) PlaneDropped() uint64 { return e.planeDropped.Load() }
 
-func (e *Engine) getConn(key flow.Key, isTCP bool) (*conn, bool) {
+// getConn returns the connection of the flow a packet of key belongs to,
+// opening one if the flow has none, and whether the packet travels in the
+// originator's direction (the connection's key is its first packet's, not
+// the canonical one). A bare packet — no payload, no SYN — of a TCP flow
+// that has no connection and lingers (linger.go) opens none: getConn
+// counts it and returns nil.
+func (e *Engine) getConn(key flow.Key, isTCP, bare bool) (*conn, bool) {
 	ck, _ := key.Canonical()
 	c, ok := e.conns[ck]
 	if !ok {
+		if bare && e.lingers.has(ck) {
+			e.afterClose.Inc()
+			return nil, false
+		}
 		c = &conn{key: key, isTCP: isTCP, uid: flow.UID(ck, e.now), ctx: e.nextCtx}
 		if isTCP && e.reasm != nil {
 			c.origStream.Budget = e.reasm
@@ -637,8 +652,6 @@ func (e *Engine) getConn(key flow.Key, isTCP bool) (*conn, bool) {
 		e.ctxs[c.ctx] = c
 		e.flowsOpened.Inc()
 	}
-	// isOrig: does this packet travel in the originator's direction? (The
-	// connection's key is its first packet's, not the canonical one.)
 	return c, key == c.key
 }
 
@@ -684,8 +697,8 @@ func newConnStruct(structs map[string]*values.StructDef, uid string, k flow.Key,
 
 func (e *Engine) tcpPacket(ip layers.IPv4, tcp layers.TCP) {
 	key := flow.FromIPv4(ip.Src, ip.Dst, tcp.SrcPort, tcp.DstPort, layers.IPProtoTCP)
-	c, isOrig := e.getConn(key, true)
-	if c.closed {
+	c, isOrig := e.getConn(key, true, len(tcp.Payload) == 0 && tcp.Flags&layers.TCPSyn == 0)
+	if c == nil || c.closed {
 		return
 	}
 	e.markConnDirty(c)
@@ -782,6 +795,9 @@ func (e *Engine) closeConn(c *conn) {
 	ck, _ := c.key.Canonical()
 	delete(e.conns, ck)
 	delete(e.ctxs, c.ctx)
+	if c.isTCP {
+		e.lingers.add(ck, e.now)
+	}
 	e.flowsClosed.Inc()
 	e.markConnDirty(c)
 }
@@ -791,7 +807,7 @@ func (e *Engine) udpPacket(ip layers.IPv4, udp layers.UDP) {
 		return
 	}
 	key := flow.FromIPv4(ip.Src, ip.Dst, udp.SrcPort, udp.DstPort, layers.IPProtoUDP)
-	c, _ := e.getConn(key, false)
+	c, _ := e.getConn(key, false, false)
 	e.markConnDirty(c)
 	c.started = true
 	if e.cfg.Parser == "binpac" {

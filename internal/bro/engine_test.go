@@ -183,8 +183,8 @@ event http_reply(c: connection, version: string, code: count, reason: string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, _ := e.getConn(flow.FromIPv4([4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}, 40000, 80, layers.IPProtoTCP), true)
-		other, _ := e.getConn(flow.FromIPv4([4]byte{10, 0, 0, 3}, [4]byte{10, 0, 0, 2}, 40001, 80, layers.IPProtoTCP), true)
+		c, _ := e.getConn(flow.FromIPv4([4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}, 40000, 80, layers.IPProtoTCP), true, false)
+		other, _ := e.getConn(flow.FromIPv4([4]byte{10, 0, 0, 3}, [4]byte{10, 0, 0, 2}, 40001, 80, layers.IPProtoTCP), true, false)
 		e.dispatch(evHTTPRequest, c, values.String("STORED"), values.String("/"), values.String("1.1"))
 		e.dispatch(evHTTPReply, c, values.String("1.1"), values.Int(200), values.String("OK"))
 		e.dispatch(evHTTPReply, other, values.String("1.1"), values.Int(200), values.String("OK"))

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"testing"
 
+	"hilti/internal/pkt/flow"
 	"hilti/internal/pkt/layers"
+	"hilti/internal/rt/snapshot"
 )
 
 // fuzzEngine builds a fresh engine per input so every crash reproduces from
@@ -105,8 +107,11 @@ func FuzzEngineStateDecode(f *testing.F) {
 	// mid-connection (reassembly and HTTP parser state in flight) but short
 	// enough that the fuzzer spends its time mutating, not minimizing: a
 	// patched re-base after each of the first packets (each a few KB at
-	// most), one full checkpoint, four flows' frames, and the three frames
-	// InjectFlow must refuse, built from one of them.
+	// most), one full checkpoint with closed flows lingering, one whose
+	// linger count claims an entry more than follow (which RestoreEngine
+	// must refuse), four flows' frames — the sessions run one at a time, so
+	// each is taken while its flow is open — and the three frames
+	// InjectFlow must refuse, built from the first.
 	pkts := mergedTrace(f)
 	src, err := NewEngine(cfg)
 	if err != nil {
@@ -114,23 +119,37 @@ func FuzzEngineStateDecode(f *testing.F) {
 	}
 	snap := rebaseBytes(f, src, nil)
 	f.Add(uint8(0), snap) // no flow yet
-	for i := range pkts[:len(pkts)/8] {
+	var refused map[string][]byte
+	var frames [][]byte
+	var last flow.Key
+	for i := 0; i < len(pkts)/8 || len(frames) < 4; i++ {
 		src.SafeProcessPacket(pkts[i].Time.UnixNano(), pkts[i].Data)
 		if i < 32 {
 			snap = rebaseBytes(f, src, snap)
 			f.Add(uint8(0), snap)
 		}
+		if keys := src.MigratableFlows(); len(keys) > 0 && keys[0] != last && len(frames) < 4 {
+			blob, err := src.ExtractFlow(keys[0])
+			if err != nil {
+				f.Fatal(err)
+			}
+			if frames, last = append(frames, blob), keys[0]; refused == nil {
+				refused = refusedFrames(src, keys[0])
+			}
+		}
+	}
+	if src.lingers.len() == 0 {
+		f.Fatal("no closed flow lingers at the checkpoint")
 	}
 	f.Add(uint8(0), checkpointBytes(f, src))
-	keys := src.MigratableFlows()[:4]
-	for _, key := range keys {
-		blob, err := src.ExtractFlow(key)
-		if err != nil {
-			f.Fatal(err)
-		}
+	bad := lingerCountTooLarge(src)
+	if _, err := RestoreEngine(cfg, bytes.NewReader(bad)); err == nil {
+		f.Fatal("a linger count larger than its entries restored")
+	}
+	f.Add(uint8(0), bad)
+	for _, blob := range frames {
 		f.Add(uint8(1), blob)
 	}
-	refused := refusedFrames(src, keys[0])
 	for _, name := range []string{"tombstone", "no connection", "unknown flag"} {
 		f.Add(uint8(1), refused[name])
 	}
@@ -142,4 +161,21 @@ func FuzzEngineStateDecode(f *testing.F) {
 			fuzzEngine(t, "standard", "interp").InjectFlow(data) //nolint:errcheck
 		}
 	})
+}
+
+// lingerCountTooLarge is e's snapshot up to its linger section, whose
+// count claims one entry more than the entries behind it, and nothing
+// after: a truncated stream.
+func lingerCountTooLarge(e *Engine) []byte {
+	enc := snapshot.NewAppender(nil)
+	e.encodeHeader(enc)
+	enc.U32(0) // frames
+	e.encodeMeta(enc)
+	enc.U32(0) // quar
+	enc.U32(uint32(e.lingers.len() + 1))
+	e.lingers.each(func(key flow.Key, closedAt int64) {
+		enc.Bytes(key.Wire())
+		enc.I64(closedAt)
+	})
+	return enc.Buffer()
 }

@@ -809,7 +809,7 @@ var builtins = map[string]func(ip *Interp, args []Val) (Val, error){
 	"cat": func(ip *Interp, args []Val) (Val, error) {
 		ip.buf = ip.buf[:0]
 		for _, a := range args {
-			ip.buf = a.Append(ip.buf)
+			ip.buf = appendOr(ip.buf, a, "-") // unset renders as bro_cat renders it
 		}
 		return StringVal(ip.buf), nil
 	},

@@ -126,7 +126,7 @@ event http_request(c: connection, method: string, uri: string, version: string) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, _ := e.getConn(flow.FromIPv4([4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}, 40000, 80, layers.IPProtoTCP), true)
+		c, _ := e.getConn(flow.FromIPv4([4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}, 40000, 80, layers.IPProtoTCP), true, false)
 		e.now = 1_700_000_000_000_000_000
 		e.dispatch(evHTTPRequest, c, values.String("GET"), values.String("/a"), values.String("1.1"))
 		e.dispatch(evHTTPRequest, c, values.String("POST"), values.String("/b"), values.String("1.0"))

@@ -37,6 +37,7 @@ func (e *Engine) registerMetrics() {
 		emit("bro_flows_opened_total", float64(opened))
 		emit("bro_flows_closed_total", float64(closed))
 		emit("bro_flows_active", float64(opened-closed))
+		emit("bro_tcp_after_close_total", float64(e.afterClose.Load()))
 		emit("bro_faults_total", float64(e.faults.Count()))
 		emit("bro_budget_blown_total", float64(e.budgetBlown.Load()))
 		emit("bro_quarantine_dropped_total", float64(e.quarDropped.Load()))

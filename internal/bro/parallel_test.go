@@ -204,7 +204,10 @@ func TestShrinkTierHalvesReassemblyBudget(t *testing.T) {
 // at three cuts that do not fall on a re-base, under both script
 // backends. At each cut every restored engine must checkpoint to the same
 // bytes as the live engine it replaces, and the run must end with the
-// single engine's logs.
+// single engine's logs. The first cut falls in the trace's TCP part, with
+// closed flows lingering. There the compiled backend's snapshots hold a
+// frame only for an open connection — at most one per engine, which every
+// re-base touches — so it has no frame to copy until the second cut.
 func TestParallelWALRebaseRestore(t *testing.T) {
 	pkts := gateTrace()
 	for _, backend := range []string{"interp", "hilti"} {
@@ -231,8 +234,15 @@ func TestParallelWALRebaseRestore(t *testing.T) {
 					t.Fatal(err)
 				}
 				// (A process-local series: the restored engines start it over.)
-				if reg.Value("bro_rebase_frames_reused_total") == 0 {
+				if reg.Value("bro_rebase_frames_reused_total") == 0 && !(backend == "hilti" && cut == len(pkts)/5 && fewFrames(par, 1)) {
 					t.Errorf("by packet %d no re-base has copied a frame: the patching path did not run", cut)
+				}
+				lingers := 0
+				for _, e := range par.Engines {
+					lingers += e.lingers.len()
+				}
+				if cut == len(pkts)/5 && lingers == 0 {
+					t.Errorf("at packet %d no closed flow lingers: the cut does not test the linger section", cut)
 				}
 				par.Kill()
 				live := engineCheckpoints(t, par)
@@ -254,6 +264,17 @@ func TestParallelWALRebaseRestore(t *testing.T) {
 			sameLogs(t, "restored pipeline", sortedLogs(single), par.MergedLines)
 		})
 	}
+}
+
+// fewFrames reports whether no engine's last re-base wrote more than n
+// flow frames.
+func fewFrames(par *Parallel, n int) bool {
+	for _, e := range par.Engines {
+		if e.track != nil && e.track.base != nil && e.track.base.frames() > n {
+			return false
+		}
+	}
+	return true
 }
 
 // engineCheckpoints checkpoints each of a quiescent host's engines.

@@ -7,11 +7,13 @@
 //	state    := frames sections
 //	frames   := u32 n { bytes(frame) }
 //	frame    := string uid, u8 flags, [key if flags != 0], [conn if ffConn], tables
+//	key      := bytes(flow key, canonical in linger)
 //	tables   := u32 n { string global, entries }
 //	entries  := u32 0, u32 n { entry }
-//	sections := meta quar logs interp exec
+//	sections := meta quar linger logs interp exec
 //	meta     := i64 now, i64 nextCtx, u64 per counter
 //	quar     := u32 n { u64 vid, bool true, u64 dropped }
+//	linger   := u32 n { key, i64 closedAt }      in close order (linger.go)
 //	logs     := u32 n { string stream, u32 n { string line } }
 //	interp   := u32 n { string global, u8 mode, bytes body }
 //	            body(modeWhole) = val
@@ -20,7 +22,8 @@
 //
 // The constant fields (the true flags, the empty list in front of the
 // entries) are where format version 5 kept what the retired engine-level
-// delta records varied; the decoder refuses any other value there.
+// delta records varied; the decoder refuses any other value there. Version
+// 6 added the linger section and its counter in meta.
 //
 // A flow frame is everything keyed by one connection uid: the connection
 // record plus the script-table entries whose first index is that uid (HTTP
@@ -43,7 +46,8 @@
 //   - Flow frame (ExtractFlow / InjectFlow): one live flow's frame, built
 //     directly. Applied in adopt mode: ctx and seq are instance-local, so
 //     the target assigns its own, and nothing engine-global (counters,
-//     clocks, logs) moves.
+//     clocks, logs, the linger) moves. A closed flow's linger stays with
+//     the instance that closed it.
 //
 // Limits: a frame counts as untouched on the word of the dirty marks, and
 // an aggregate reachable from two table entries is marked only under the
@@ -643,6 +647,13 @@ func (e *Engine) encodeSections(enc *snapshot.Encoder, sel *selection) {
 		enc.U64(e.quarantined[vid])
 	}
 
+	var wire [flow.WireSize]byte
+	enc.U32(uint32(e.lingers.len()))
+	e.lingers.each(func(key flow.Key, closedAt int64) {
+		enc.Bytes(key.AppendWire(wire[:0]))
+		enc.I64(closedAt)
+	})
+
 	names := make([]string, 0, len(e.Logs.streams))
 	for name, st := range e.Logs.streams {
 		if len(st.lines) > 0 {
@@ -681,9 +692,10 @@ func (e *Engine) encodeSections(enc *snapshot.Encoder, sel *selection) {
 // metaCounters lists the counters of the meta block, in wire order. All
 // of them are serialized so metrics stay monotonic (no reset, no double
 // count) across a crash-only restore.
-func (e *Engine) metaCounters() [9]*metrics.Counter {
+func (e *Engine) metaCounters() [10]*metrics.Counter {
 	return [...]*metrics.Counter{&e.packets, &e.events, &e.parseErrs, &e.budgetBlown,
-		&e.quarDropped, &e.flowsOpened, &e.flowsClosed, &e.Logs.written, &e.planeDropped}
+		&e.quarDropped, &e.flowsOpened, &e.flowsClosed, &e.Logs.written, &e.planeDropped,
+		&e.afterClose}
 }
 
 func (e *Engine) encodeMeta(enc *snapshot.Encoder) {
@@ -857,6 +869,19 @@ func (e *Engine) applyState(dec *snapshot.Decoder) error {
 			return fmt.Errorf("bro: quarantine entry for vid %d marked absent", vid)
 		}
 		e.quarantined[vid] = dec.U64()
+	}
+
+	nl := dec.Len(4 + flow.WireSize + 8)
+	for i := 0; i < nl && dec.Err() == nil; i++ {
+		key := decodeKey(dec)
+		closedAt := dec.I64()
+		if dec.Err() != nil {
+			break
+		}
+		if ck, _ := key.Canonical(); ck != key || e.lingers.has(key) {
+			return fmt.Errorf("bro: linger entry %d names flow %v twice or not canonically", i, key)
+		}
+		e.lingers.add(key, closedAt)
 	}
 
 	ns := dec.Len(8)

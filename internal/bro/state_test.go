@@ -136,12 +136,18 @@ func TestInjectFlowRefusesNonLiveFrames(t *testing.T) {
 		Scripts: []string{HTTPScript, FilesScript, DNSScript}, Quiet: true}
 	pkts := mergedTrace(t)
 	holder := referenceEngine(t, cfg, pkts, len(pkts)/3)
-	// A live flow with script entries.
-	live := holder.MigratableFlows()[0]
-	for _, key := range holder.MigratableFlows() {
-		if ck, _ := key.Canonical(); labelledEntries(holder, holder.conns[ck].uid) > 0 {
-			live = key
-			break
+	// A live flow with script entries. The trace's HTTP sessions run one at
+	// a time, so the holder carries on until one holds some.
+	var live flow.Key
+	for next, found := len(pkts)/3, false; !found; next++ {
+		for _, key := range holder.MigratableFlows() {
+			if ck, _ := key.Canonical(); labelledEntries(holder, holder.conns[ck].uid) > 0 {
+				live, found = key, true
+				break
+			}
+		}
+		if !found {
+			holder.SafeProcessPacket(pkts[next].Time.UnixNano(), pkts[next].Data)
 		}
 	}
 	present, err := holder.ExtractFlow(live)
@@ -289,7 +295,7 @@ func TestStateViewsResumeIdentically(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsOldVersion: the format bumps (1 → 2 → … → 5) came with
+// TestRestoreRejectsOldVersion: the format bumps (1 → 2 → … → 6) came with
 // no compatibility reader; a blob of an earlier version fails the header
 // check. testdata/checkpoint-v3-http.bin is a version-3 checkpoint taken
 // while an HTTP body was in progress, which version 3 laid out as the bytes
@@ -297,8 +303,8 @@ func TestStateViewsResumeIdentically(t *testing.T) {
 // a digest state.
 func TestRestoreRejectsOldVersion(t *testing.T) {
 	cfg := Config{Parser: "standard", ScriptExec: "interp", Scripts: []string{HTTPScript}, Quiet: true}
-	if data := checkpointBytes(t, mustEngine(t, cfg)); data[4] != 0 || data[5] != 5 {
-		t.Fatalf("checkpoint header carries version %d.%d, want 5", data[4], data[5])
+	if data := checkpointBytes(t, mustEngine(t, cfg)); data[4] != 0 || data[5] != 6 {
+		t.Fatalf("checkpoint header carries version %d.%d, want 6", data[4], data[5])
 	}
 	v3, err := os.ReadFile("testdata/checkpoint-v3-http.bin")
 	if err != nil {
@@ -365,6 +371,7 @@ func TestRestoreRefusesRetiredDeltaForms(t *testing.T) {
 		}
 		e.encodeMeta(enc)
 		quar(enc)
+		enc.U32(0) // linger
 		enc.U32(0) // logs
 		interp(enc)
 		exec(enc)

@@ -8,9 +8,12 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"hilti/internal/hilti/vm"
+	"hilti/internal/pkt/flow"
 	"hilti/internal/pkt/gen"
+	"hilti/internal/pkt/pcap"
 	"hilti/internal/rt/hook"
 	"hilti/internal/rt/metrics"
 	"hilti/internal/rt/values"
@@ -279,10 +282,12 @@ func TestBinpacSuspendPanicIsAFault(t *testing.T) {
 
 // TestBinpacSuspendLeavesNoGoroutine: 2,000 HTTP sessions parsed
 // concurrently, every one parked between segments, and not one goroutine.
+// The generator runs sessions one after another, so the test interleaves
+// them (interleaveFlows).
 func TestBinpacSuspendLeavesNoGoroutine(t *testing.T) {
 	hc := gen.DefaultHTTPConfig()
 	hc.Sessions = 2000
-	pkts := gen.GenerateHTTP(hc)
+	pkts := interleaveFlows(gen.GenerateHTTP(hc))
 	before := runtime.NumGoroutine()
 	cfg := binpacHTTPConfig()
 	cfg.DiscardLogs = true
@@ -309,4 +314,35 @@ func TestBinpacSuspendLeavesNoGoroutine(t *testing.T) {
 	if st := e.StatsSnapshot(); st.Faults != 0 || st.Events == 0 {
 		t.Fatalf("faults=%d events=%d", st.Faults, st.Events)
 	}
+}
+
+// interleaveFlows deals pkts out one flow at a time: every flow's first
+// packet, in the order the flows began, then every flow's second, and so
+// on, each flow's packets in their own order. The packets are stamped a
+// microsecond apart from the first one's time.
+func interleaveFlows(pkts []pcap.Packet) []pcap.Packet {
+	var flows [][]pcap.Packet
+	at := map[flow.Key]int{}
+	for _, p := range pkts {
+		key, _ := flow.FromFrame(p.Data)
+		ck, _ := key.Canonical()
+		i, ok := at[ck]
+		if !ok {
+			i = len(flows)
+			at[ck] = i
+			flows = append(flows, nil)
+		}
+		flows[i] = append(flows[i], p)
+	}
+	out := make([]pcap.Packet, 0, len(pkts))
+	for round := 0; len(out) < len(pkts); round++ {
+		for _, f := range flows {
+			if round < len(f) {
+				p := f[round]
+				p.Time = pkts[0].Time.Add(time.Duration(len(out)) * time.Microsecond)
+				out = append(out, p)
+			}
+		}
+	}
+	return out
 }

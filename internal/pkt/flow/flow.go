@@ -135,14 +135,12 @@ const WireSize = 16 + 16 + 2 + 2 + 1
 // Wire returns the key's serialized form — addresses, big-endian ports,
 // protocol — the one layout checkpoints, WAL records and migration frames
 // carry a flow key in.
-func (k Key) Wire() []byte {
-	raw := make([]byte, WireSize)
-	copy(raw[0:16], k.SrcIP[:])
-	copy(raw[16:32], k.DstIP[:])
-	raw[32], raw[33] = byte(k.SrcPort>>8), byte(k.SrcPort)
-	raw[34], raw[35] = byte(k.DstPort>>8), byte(k.DstPort)
-	raw[36] = k.Proto
-	return raw
+func (k Key) Wire() []byte { return k.AppendWire(make([]byte, 0, WireSize)) }
+
+// AppendWire appends the key's Wire form to dst.
+func (k Key) AppendWire(dst []byte) []byte {
+	dst = append(append(dst, k.SrcIP[:]...), k.DstIP[:]...)
+	return append(dst, byte(k.SrcPort>>8), byte(k.SrcPort), byte(k.DstPort>>8), byte(k.DstPort), k.Proto)
 }
 
 // KeyFromWire parses the form Wire produces.

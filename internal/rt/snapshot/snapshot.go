@@ -40,9 +40,10 @@ import (
 // carries an HTTP body in progress as its SHA-1 digest state, length and
 // head bytes instead of the body received so far (bro/statecodec.go);
 // version 5 writes one exec section, because an engine's grammars and
-// compiled scripts are one linked program (bro/state.go). Streams of an
-// older version are rejected by the header check.
-const Version = 5
+// compiled scripts are one linked program (bro/state.go); version 6 adds
+// the engine's closed-connection linger and its counter (bro/linger.go).
+// Streams of an older version are rejected by the header check.
+const Version = 6
 
 // MaxDepth bounds value-tree recursion in both directions.
 const MaxDepth = 64

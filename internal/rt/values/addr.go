@@ -154,18 +154,19 @@ func parseIPv6(s string) ([16]byte, error) {
 	return out, nil
 }
 
-// AppendAddr appends Format(v) of an address to dst; an IPv4 address, the
-// common case in logs, allocates nothing.
+// AppendAddr appends Format(v) of an address to dst; it allocates nothing
+// beyond growing dst.
 func AppendAddr(dst []byte, v Value) []byte {
 	if !v.AddrIsV4() {
-		return append(dst, formatAddr(v)...)
+		return appendV6(dst, v.A, v.B)
 	}
 	return appendV4(dst, v.AddrV4Uint())
 }
 
-// appendV4 appends a dotted quad. It is AppendAddr's IPv4 case apart from
-// AppendAddr: were formatAddr to call into a function that calls it back,
-// escape analysis would move formatAddr's stack buffer to the heap.
+// appendV4 appends a dotted quad. It and appendV6 are AppendAddr's cases
+// apart from AppendAddr: were formatAddr to call into a function that calls
+// them back, escape analysis would move formatAddr's stack buffer to the
+// heap.
 func appendV4(dst []byte, u uint32) []byte {
 	for shift := 24; shift >= 0; shift -= 8 {
 		dst = strconv.AppendUint(dst, uint64(byte(u>>shift)), 10)
@@ -176,47 +177,47 @@ func appendV4(dst []byte, u uint32) []byte {
 	return dst
 }
 
-// formatAddr renders an address HILTI-style: dotted quad for IPv4-mapped,
-// compressed hex groups otherwise.
-func formatAddr(v Value) string {
-	if v.AddrIsV4() {
-		var buf [len("255.255.255.255")]byte
-		return string(appendV4(buf[:0], v.AddrV4Uint()))
+// appendV6 appends the address of the 128 bits hi:lo as eight hex groups,
+// the first longest run of two or more zero groups written "::".
+func appendV6(dst []byte, hi, lo uint64) []byte {
+	group := func(i int) uint64 {
+		if i < 4 {
+			return hi >> (48 - 16*i) & 0xffff
+		}
+		return lo >> (48 - 16*(i-4)) & 0xffff
 	}
-	b := v.Addr16()
-	groups := make([]uint16, 8)
-	for i := range groups {
-		groups[i] = uint16(b[2*i])<<8 | uint16(b[2*i+1])
-	}
-	// Find the longest run of zero groups for "::" compression.
-	bestStart, bestLen := -1, 0
-	for i := 0; i < 8; {
-		if groups[i] != 0 {
-			i++
+	bestStart, bestLen := -1, 1 // a run must beat one group
+	for i, run := 0, 0; i < 8; i++ {
+		if group(i) != 0 {
+			run = 0
 			continue
 		}
-		j := i
-		for j < 8 && groups[j] == 0 {
-			j++
+		if run++; run > bestLen {
+			bestStart, bestLen = i-run+1, run
 		}
-		if j-i > bestLen {
-			bestStart, bestLen = i, j-i
-		}
-		i = j
 	}
-	var sb strings.Builder
 	for i := 0; i < 8; i++ {
-		if i == bestStart && bestLen > 1 {
-			sb.WriteString("::")
+		if i == bestStart {
+			dst = append(dst, "::"...)
 			i += bestLen - 1
 			continue
 		}
-		if i > 0 && !(bestLen > 1 && i == bestStart+bestLen) {
-			sb.WriteByte(':')
+		if i > 0 && i != bestStart+bestLen {
+			dst = append(dst, ':')
 		}
-		sb.WriteString(strconv.FormatUint(uint64(groups[i]), 16))
+		dst = strconv.AppendUint(dst, group(i), 16)
 	}
-	return sb.String()
+	return dst
+}
+
+// formatAddr renders an address HILTI-style: dotted quad for IPv4-mapped,
+// compressed hex groups otherwise.
+func formatAddr(v Value) string {
+	var buf [len("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff")]byte
+	if v.AddrIsV4() {
+		return string(appendV4(buf[:0], v.AddrV4Uint()))
+	}
+	return string(appendV6(buf[:0], v.A, v.B))
 }
 
 // NetVal builds a subnet value from an address and a prefix length. For

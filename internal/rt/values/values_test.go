@@ -2,6 +2,8 @@ package values
 
 import (
 	"fmt"
+	"math/rand/v2"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -303,6 +305,103 @@ func TestFormatAddrV4AllocatesOnlyTheString(t *testing.T) {
 	a := AddrFrom4([4]byte{192, 168, 100, 200})
 	var s string
 	if n := testing.AllocsPerRun(100, func() { s = Format(a) }); n != 1 || s != "192.168.100.200" {
+		t.Fatalf("Format = %q in %v allocations, want 1", s, n)
+	}
+}
+
+// refFormatV6 is formatAddr's IPv6 case as it was before appendV6: the
+// reference appendV6 is held to.
+func refFormatV6(v Value) string {
+	b := v.Addr16()
+	groups := make([]uint16, 8)
+	for i := range groups {
+		groups[i] = uint16(b[2*i])<<8 | uint16(b[2*i+1])
+	}
+	// Find the longest run of zero groups for "::" compression.
+	bestStart, bestLen := -1, 0
+	for i := 0; i < 8; {
+		if groups[i] != 0 {
+			i++
+			continue
+		}
+		j := i
+		for j < 8 && groups[j] == 0 {
+			j++
+		}
+		if j-i > bestLen {
+			bestStart, bestLen = i, j-i
+		}
+		i = j
+	}
+	var sb strings.Builder
+	for i := 0; i < 8; i++ {
+		if i == bestStart && bestLen > 1 {
+			sb.WriteString("::")
+			i += bestLen - 1
+			continue
+		}
+		if i > 0 && !(bestLen > 1 && i == bestStart+bestLen) {
+			sb.WriteByte(':')
+		}
+		sb.WriteString(strconv.FormatUint(uint64(groups[i]), 16))
+	}
+	return sb.String()
+}
+
+// TestFormatV6MatchesReference: an IPv6 address renders to refFormatV6's
+// text, byte for byte, over a seeded sweep that places a zero run of every
+// length at every position — the other groups nonzero, or zero at random
+// so that two runs compete — and over random addresses; Format of one
+// costs the string it returns.
+func TestFormatV6MatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(50, 6))
+	group := func(zeroOdds int) uint16 {
+		if zeroOdds > 0 && rng.IntN(zeroOdds) == 0 {
+			return 0
+		}
+		// Widths of one to four hex digits, never zero.
+		return uint16(1 + rng.IntN(1<<(4*(1+rng.IntN(4)))-1))
+	}
+	var addrs []Value
+	for start := 0; start < 8; start++ {
+		for n := 0; start+n <= 8; n++ {
+			for _, zeroOdds := range []int{0, 3, 2} {
+				for rep := 0; rep < 8; rep++ {
+					var b [16]byte
+					for i := 0; i < 8; i++ {
+						g := uint16(0)
+						if i < start || i >= start+n {
+							g = group(zeroOdds)
+						}
+						b[2*i], b[2*i+1] = byte(g>>8), byte(g)
+					}
+					addrs = append(addrs, AddrFrom16(b))
+				}
+			}
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		var b [16]byte
+		for j := range b {
+			b[j] = byte(rng.Uint32())
+		}
+		addrs = append(addrs, AddrFrom16(b))
+	}
+	for _, a := range addrs {
+		if a.AddrIsV4() {
+			continue
+		}
+		want := refFormatV6(a)
+		if got := Format(a); got != want {
+			t.Fatalf("Format(%x) = %q, want %q", a.Addr16(), got, want)
+		}
+		if got := string(AppendAddr([]byte("x"), a)); got != "x"+want {
+			t.Fatalf("AppendAddr(%x) = %q, want %q", a.Addr16(), got, "x"+want)
+		}
+	}
+	a := MustParseAddr("2001:db8:0:0:1:0:0:1")
+	var s string
+	if n := testing.AllocsPerRun(100, func() { s = Format(a) }); n != 1 || s != "2001:db8::1:0:0:1" {
 		t.Fatalf("Format = %q in %v allocations, want 1", s, n)
 	}
 }
