@@ -79,9 +79,9 @@ func TestBinpacParkedBodyAllocs(t *testing.T) {
 	head := "POST /up HTTP/1.1\r\nHost: h\r\nContent-Length: 1000000000\r\n\r\n"
 	e.SafeProcessPacket(1, tcpDataFrame(cliAddr, srvAddr, 41000, 80, 1000, []byte(head)))
 	var c *conn
-	for _, c = range e.conns {
+	for _, c = range openConns(e) {
 	}
-	if len(e.conns) != 1 || c.origRun == nil || c.respRun != nil {
+	if e.flows.len() != 1 || c.origRun == nil || c.respRun != nil {
 		t.Fatal("the request did not start exactly its own direction's parse")
 	}
 	seg := make([]byte, 1024)

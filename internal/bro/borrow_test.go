@@ -18,7 +18,7 @@ import (
 // bodyInProgress reports whether a standard HTTP parser of e holds part of
 // a message body.
 func bodyInProgress(e *Engine) bool {
-	for _, c := range e.conns {
+	for _, c := range openConns(e) {
 		if c.std != nil {
 			if o, r, _ := c.std.SnapshotState(); o.BodyLen > 0 || r.BodyLen > 0 {
 				return true

@@ -165,6 +165,49 @@ event report() {
 
 	t.Run("vector index out of reach", compiledMatchesInterpOnVectorIndex)
 	t.Run("unset value rendered", compiledMatchesInterpOnUnset)
+	t.Run("arithmetic on an unset value", compiledMatchesInterpOnUnsetArithmetic)
+}
+
+// compiledMatchesInterpOnUnsetArithmetic: arithmetic on a record field
+// never set aborts the handler with an error on both backends — the
+// interpreter's names the operand "unset", the compiled code raises a HILTI
+// exception — and the engine records no fault. The interpreter used to
+// dereference the missing value and panic.
+func compiledMatchesInterpOnUnsetArithmetic(t *testing.T) {
+	src := `
+type Pair: record {
+    a: string;
+    b: count &optional;
+};
+
+event add(s: string) {
+    local p = Pair($a=s);
+    print "before", p$a;
+    print p$b + 1;
+    print "after";
+}
+`
+	for _, scripts := range []string{"interp", "hilti"} {
+		e := mustEngine(t, Config{Parser: "standard", ScriptExec: scripts, Scripts: []string{src}})
+		var out bytes.Buffer
+		e.interp.Out = &out
+		var bodies []*vm.CompiledFunc
+		if e.ex != nil {
+			e.ex.Out = &out
+			bodies = e.ex.Prog.HookBodies["add"]
+		}
+		e.dispatchNamed("add", bodies, nil, []values.Value{values.String("x")})
+		if n := e.faults.Count(); n != 0 {
+			t.Errorf("%s: %d faults, the first %v", scripts, n, e.Faults()[0])
+		}
+		if got := out.String(); got != "before, x\n" {
+			t.Errorf("%s printed %q", scripts, got)
+		}
+	}
+	ip, _ := loadInterp(t, src)
+	if err := ip.Dispatch("add", StringVal("x")); err == nil || !strings.Contains(err.Error(), "+: unset, count") {
+		t.Errorf("interp: %v", err)
+	}
 }
 
 // compiledMatchesInterpOnUnset: a vector slot never assigned is unset, and

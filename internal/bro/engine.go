@@ -133,11 +133,8 @@ type Engine struct {
 	vargs []Val
 	hooks [numEvents][]*vm.CompiledFunc // compiled backend: each event's handlers
 
-	now     int64
-	conns   map[flow.Key]*conn
-	ctxs    map[int64]*conn
-	nextCtx int64
-	lingers lingerSet // TCP flows closed lately (linger.go)
+	now   int64
+	flows connTable // open connections and lingering closed flows (conns.go)
 
 	// Event/flow counters are atomic (metrics.Counter) so a metrics scrape
 	// can read them from another goroutine while the engine runs; the
@@ -174,9 +171,9 @@ type Engine struct {
 	dnsAnswers []string
 	dnsTTLs    []int64
 
-	// track, when non-nil, holds the dirty marks since the last Rebase
-	// (see state.go). Nil until the engine first re-bases: markConnDirty
-	// is then a no-op, so an engine that never re-bases pays nothing.
+	// track, when non-nil, is what a patching Rebase needs besides the dirty
+	// marks (see state.go). Nil until the engine first re-bases: the tables
+	// mark nothing until then, so an engine that never re-bases pays nothing.
 	track *tracker
 	// outsideSeen is outsideReads as of the last Unreplayable or re-base.
 	outsideSeen uint64
@@ -193,7 +190,8 @@ type Engine struct {
 }
 
 type conn struct {
-	key flow.Key // canonical
+	en  *connEntry // the entry the connection is the payload of
+	key flow.Key   // its first packet's, not the canonical one
 	uid string
 	// The connection's record, built at its first event in the running
 	// backend's form (connRecord, connStruct); recorded says whether it
@@ -225,8 +223,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:         cfg,
 		Logs:        NewLogSet(),
-		conns:       map[flow.Key]*conn{},
-		ctxs:        map[int64]*conn{},
+		flows:       makeConnTable(),
 		faults:      fault.NewRecorder(0),
 		quarantined: map[uint64]uint64{},
 	}
@@ -508,24 +505,13 @@ func (e *Engine) SafeProcessPacket(tsNs int64, frame []byte) {
 // where normal teardown might re-trip the fault that got them quarantined.
 // Satisfies pipeline.FlowZapper.
 func (e *Engine) ZapFlow(key flow.Key) {
-	ck, _ := key.Canonical()
-	c, ok := e.conns[ck]
-	if !ok {
+	c := e.flows.find(key)
+	if c == nil {
 		return
 	}
 	c.closed = true
-	c.origStream.Discard()
-	c.respStream.Discard()
-	if c.origRun != nil {
-		c.origRun.Abort()
-	}
-	if c.respRun != nil {
-		c.respRun.Abort()
-	}
-	delete(e.conns, ck)
-	delete(e.ctxs, c.ctx)
+	e.flows.drop(c)
 	e.flowsClosed.Inc()
-	e.markConnDirty(c)
 }
 
 // Faults returns the engine's retained fault records, oldest first.
@@ -569,11 +555,9 @@ func (e *Engine) StatsSnapshot() *Stats {
 // ProcessPacket handles one link-layer frame.
 func (e *Engine) ProcessPacket(tsNs int64, frame []byte) {
 	e.packets.Inc()
-	e.now = tsNs
 	e.clock.truncate(0)
-	if e.lingers.pending() {
-		e.lingers.expire(tsNs)
-	}
+	e.expire(tsNs)
+	e.now = tsNs
 	// Expire HILTI-side container state by network time.
 	if e.ex != nil {
 		e.ex.GlobalTM.Advance(timer.Time(tsNs))
@@ -628,31 +612,46 @@ func (e *Engine) planeDrop(ip layers.IPv4, srcPort, dstPort uint16) bool {
 // dropped.
 func (e *Engine) PlaneDropped() uint64 { return e.planeDropped.Load() }
 
+// expire closes, stalest first, every connection idle for its protocol's
+// timeout at now, a packet's time, before network time moves to it: as
+// Finish would have closed them after the packet before. Then it ends the
+// lingers past tcpCloseDelay. A fault in an idle connection's teardown is
+// that flow's, not the packet's: it is recorded and the connection zapped.
+func (e *Engine) expire(now int64) {
+	for c := e.flows.idle(now); c != nil; c = e.flows.idle(now) {
+		if f := fault.Catch("expire", func() { e.closeConn(c) }); f != nil {
+			f.VID, f.TsNs = c.key.Hash(), e.now
+			e.faults.Record(f)
+		}
+		e.ZapFlow(c.key) // still open if its close faulted, now or before
+	}
+	e.flows.forget(now)
+}
+
 // getConn returns the connection of the flow a packet of key belongs to,
 // opening one if the flow has none, and whether the packet travels in the
 // originator's direction (the connection's key is its first packet's, not
 // the canonical one). A bare packet — no payload, no SYN — of a TCP flow
-// that has no connection and lingers (linger.go) opens none: getConn
+// that has no connection and lingers (conns.go) opens none: getConn
 // counts it and returns nil.
 func (e *Engine) getConn(key flow.Key, isTCP, bare bool) (*conn, bool) {
 	ck, _ := key.Canonical()
-	c, ok := e.conns[ck]
-	if !ok {
-		if bare && e.lingers.has(ck) {
-			e.afterClose.Inc()
-			return nil, false
-		}
-		c = &conn{key: key, isTCP: isTCP, uid: flow.UID(ck, e.now), ctx: e.nextCtx}
-		if isTCP && e.reasm != nil {
-			c.origStream.Budget = e.reasm
-			c.respStream.Budget = e.reasm
-		}
-		e.nextCtx++
-		e.conns[ck] = c
-		e.ctxs[c.ctx] = c
-		e.flowsOpened.Inc()
+	if c := e.flows.find(ck); c != nil {
+		e.flows.touch(c, e.now)
+		return c, key == c.key
 	}
-	return c, key == c.key
+	if bare && e.flows.lingers(ck) {
+		e.afterClose.Inc()
+		return nil, false
+	}
+	en := &connEntry{LastUse: timer.Time(e.now), V: conn{key: key, isTCP: isTCP, uid: flow.UID(ck, e.now)}}
+	if isTCP && e.reasm != nil {
+		en.V.origStream.Budget = e.reasm
+		en.V.respStream.Budget = e.reasm
+	}
+	e.flows.open(en, false)
+	e.flowsOpened.Inc()
+	return &en.V, true
 }
 
 // connRecord returns the connection's record for interpreted handlers.
@@ -701,7 +700,6 @@ func (e *Engine) tcpPacket(ip layers.IPv4, tcp layers.TCP) {
 	if c == nil || c.closed {
 		return
 	}
-	e.markConnDirty(c)
 	// Handshake tracking: connection_established after SYN / SYN-ACK / ACK.
 	if tcp.Flags&layers.TCPSyn != 0 {
 		if isOrig {
@@ -792,14 +790,11 @@ func (e *Engine) closeConn(c *conn) {
 		e.finishBinpacDir(c, false)
 	}
 	e.clock.leave()
-	ck, _ := c.key.Canonical()
-	delete(e.conns, ck)
-	delete(e.ctxs, c.ctx)
+	e.flows.drop(c)
 	if c.isTCP {
-		e.lingers.add(ck, e.now)
+		e.flows.linger(c.en.Key(), e.now, false)
 	}
 	e.flowsClosed.Inc()
-	e.markConnDirty(c)
 }
 
 func (e *Engine) udpPacket(ip layers.IPv4, udp layers.UDP) {
@@ -808,7 +803,6 @@ func (e *Engine) udpPacket(ip layers.IPv4, udp layers.UDP) {
 	}
 	key := flow.FromIPv4(ip.Src, ip.Dst, udp.SrcPort, udp.DstPort, layers.IPProtoUDP)
 	c, _ := e.getConn(key, false, false)
-	e.markConnDirty(c)
 	c.started = true
 	if e.cfg.Parser == "binpac" {
 		e.binpacDNSPacket(c, udp.Payload)
@@ -860,12 +854,10 @@ func (e *Engine) dnsLists(answers []string, ttls []int64) (av, tv values.Value) 
 	return values.Any(a), values.Any(t)
 }
 
-// Finish flushes remaining connections and raises bro_done.
+// Finish closes the open connections, in open order, and raises bro_done.
 func (e *Engine) Finish() {
 	e.clock.truncate(0)
-	for _, c := range e.conns {
-		e.closeConn(c) // deletes c from the map, which a range permits
-	}
+	e.flows.each(e.closeConn)
 	e.dispatch(evBroDone, nil)
 	e.clock.publish()
 }

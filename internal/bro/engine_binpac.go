@@ -114,7 +114,7 @@ func (e *Engine) registerBinpacHost() {
 	// of its connection; fn converts the others in one glue interval.
 	host := func(name string, fn func(c *conn, args []values.Value)) {
 		e.ex.RegisterHost(name, func(_ *vm.Exec, args []values.Value) (values.Value, error) {
-			if c := e.ctxs[args[0].AsInt()]; c != nil {
+			if c := e.flows.ctxs[args[0].AsInt()]; c != nil {
 				fn(c, args)
 			}
 			return values.Nil, nil
@@ -147,7 +147,7 @@ func (e *Engine) registerBinpacHost() {
 	// bro_http_pick_body implements the host-side body-framing decisions a
 	// reply parser cannot make alone: HEAD responses and no-body statuses.
 	e.ex.RegisterHost("bro_http_pick_body", func(_ *vm.Exec, args []values.Value) (values.Value, error) {
-		c := e.ctxs[args[0].AsInt()]
+		c := e.flows.ctxs[args[0].AsInt()]
 		status := args[1].AsInt()
 		kind := args[2].AsInt()
 		isHead := false
@@ -176,7 +176,7 @@ func (e *Engine) registerBinpacHost() {
 	// bro_dns_message borrows the Message: the glue copies every string it
 	// keeps, so the parse's values may be recycled once it returns.
 	e.ex.RegisterBorrowingHost("bro_dns_message", func(_ *vm.Exec, args []values.Value) (values.Value, error) {
-		if c := e.ctxs[args[0].AsInt()]; c != nil {
+		if c := e.flows.ctxs[args[0].AsInt()]; c != nil {
 			e.binpacDNSEvents(c, args[1])
 		}
 		return values.Nil, nil

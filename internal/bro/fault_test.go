@@ -35,8 +35,8 @@ func TestPanicPortQuarantinesFlow(t *testing.T) {
 	// An unrelated flow keeps working.
 	e.SafeProcessPacket(10, tcpDataFrame(a, b, 40001, 9999, 500, []byte("fine")))
 	// The faulted flow's connection state was zapped; the clean flow's is live.
-	if len(e.conns) != 1 {
-		t.Fatalf("conns = %d, want 1 (only the clean flow)", len(e.conns))
+	if e.flows.len() != 1 {
+		t.Fatalf("conns = %d, want 1 (only the clean flow)", e.flows.len())
 	}
 	e.Finish()
 

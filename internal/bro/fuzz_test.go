@@ -2,10 +2,13 @@ package bro
 
 import (
 	"bytes"
+	"slices"
 	"testing"
+	"time"
 
 	"hilti/internal/pkt/flow"
 	"hilti/internal/pkt/layers"
+	"hilti/internal/rt/container"
 	"hilti/internal/rt/snapshot"
 )
 
@@ -107,11 +110,14 @@ func FuzzEngineStateDecode(f *testing.F) {
 	// mid-connection (reassembly and HTTP parser state in flight) but short
 	// enough that the fuzzer spends its time mutating, not minimizing: a
 	// patched re-base after each of the first packets (each a few KB at
-	// most), one full checkpoint with closed flows lingering, one whose
-	// linger count claims an entry more than follow (which RestoreEngine
-	// must refuse), four flows' frames — the sessions run one at a time, so
-	// each is taken while its flow is open — and the three frames
-	// InjectFlow must refuse, built from the first.
+	// most), one full checkpoint with closed flows lingering, the same with
+	// its linger section rewritten — a close out of time order, which
+	// restores, and a flow named twice or not canonically, which
+	// RestoreEngine must refuse —, one whose linger count claims an entry
+	// more than follow (refused too), one whose open connections were last
+	// used 30 s before its network time, four flows' frames — the
+	// sessions run one at a time, so each is taken while its flow is open —
+	// and the three frames InjectFlow must refuse, built from the first.
 	pkts := mergedTrace(f)
 	src, err := NewEngine(cfg)
 	if err != nil {
@@ -122,7 +128,8 @@ func FuzzEngineStateDecode(f *testing.F) {
 	var refused map[string][]byte
 	var frames [][]byte
 	var last flow.Key
-	for i := 0; i < len(pkts)/8 || len(frames) < 4; i++ {
+	i := 0
+	for ; i < len(pkts)/8 || len(frames) < 4; i++ {
 		src.SafeProcessPacket(pkts[i].Time.UnixNano(), pkts[i].Data)
 		if i < 32 {
 			snap = rebaseBytes(f, src, snap)
@@ -138,15 +145,46 @@ func FuzzEngineStateDecode(f *testing.F) {
 			}
 		}
 	}
-	if src.lingers.len() == 0 {
-		f.Fatal("no closed flow lingers at the checkpoint")
+	rows := closedRows(src)
+	if len(rows) < 2 {
+		f.Fatalf("%d closed flows linger at the checkpoint, want 2 or more", len(rows))
 	}
-	f.Add(uint8(0), checkpointBytes(f, src))
+	snap = checkpointBytes(f, src)
+	f.Add(uint8(0), snap)
+	swapped := slices.Clone(rows)
+	swapped[0].closedAt, swapped[1].closedAt = rows[1].closedAt, rows[0].closedAt-1
+	reversed := []byte(rows[0].key)
+	k, _ := flow.KeyFromWire(reversed)
+	copy(reversed, k.Reverse().Wire())
+	for _, edit := range []struct {
+		name     string
+		rows     []closedRow
+		restores bool
+	}{
+		{"a close out of time order", swapped, true},
+		{"a flow named twice", append(slices.Clone(rows), rows[0]), false},
+		{"a flow named not canonically", append([]closedRow{{string(reversed), rows[0].closedAt}}, rows[1:]...), false},
+	} {
+		blob := withClosedRows(f, src, snap, edit.rows)
+		e, err := RestoreEngine(cfg, bytes.NewReader(blob))
+		if (err == nil) != edit.restores {
+			f.Fatalf("%s: restore returned %v", edit.name, err)
+		}
+		if err == nil && !bytes.Equal(checkpointBytes(f, e), blob) {
+			f.Fatalf("%s: the restored engine checkpoints to other bytes", edit.name)
+		}
+		f.Add(uint8(0), blob)
+	}
 	bad := lingerCountTooLarge(src)
 	if _, err := RestoreEngine(cfg, bytes.NewReader(bad)); err == nil {
 		f.Fatal("a linger count larger than its entries restored")
 	}
 	f.Add(uint8(0), bad)
+	src.SafeProcessPacket(pkts[i-1].Time.UnixNano()+int64(30*time.Second), arpFrame())
+	if src.flows.len() == 0 {
+		f.Fatal("no connection last used 30 s back is open at the checkpoint")
+	}
+	f.Add(uint8(0), checkpointBytes(f, src))
 	for _, blob := range frames {
 		f.Add(uint8(1), blob)
 	}
@@ -163,6 +201,42 @@ func FuzzEngineStateDecode(f *testing.F) {
 	})
 }
 
+// closedRow is one entry of the linger section: a closed flow's table key
+// (its canonical Wire form) and its close time.
+type closedRow struct {
+	key      string
+	closedAt int64
+}
+
+// closedRows is e's linger section, in close order.
+func closedRows(e *Engine) []closedRow {
+	var rows []closedRow
+	e.flows.closed.Walk(func(en *container.Entry[struct{}]) bool {
+		rows = append(rows, closedRow{en.Key(), int64(en.LastUse)})
+		return true
+	})
+	return rows
+}
+
+func encodeClosedRows(enc *snapshot.Encoder, n int, rows []closedRow) {
+	enc.U32(uint32(n))
+	for _, r := range rows {
+		enc.String(r.key)
+		enc.I64(r.closedAt)
+	}
+}
+
+// withClosedRows is snap, e's checkpoint, with rows for its linger section.
+func withClosedRows(t testing.TB, e *Engine, snap []byte, rows []closedRow) []byte {
+	was, now := snapshot.NewAppender(nil), snapshot.NewAppender(nil)
+	e.flows.encodeClosed(was)
+	encodeClosedRows(now, len(rows), rows)
+	if n := bytes.Count(snap, was.Buffer()); n != 1 {
+		t.Fatalf("the linger section is %d times in the checkpoint", n)
+	}
+	return bytes.Replace(snap, was.Buffer(), now.Buffer(), 1)
+}
+
 // lingerCountTooLarge is e's snapshot up to its linger section, whose
 // count claims one entry more than the entries behind it, and nothing
 // after: a truncated stream.
@@ -172,10 +246,7 @@ func lingerCountTooLarge(e *Engine) []byte {
 	enc.U32(0) // frames
 	e.encodeMeta(enc)
 	enc.U32(0) // quar
-	enc.U32(uint32(e.lingers.len() + 1))
-	e.lingers.each(func(key flow.Key, closedAt int64) {
-		enc.Bytes(key.Wire())
-		enc.I64(closedAt)
-	})
+	rows := closedRows(e)
+	encodeClosedRows(enc, len(rows)+1, rows)
 	return enc.Buffer()
 }

@@ -13,9 +13,9 @@ var goldenCheckpoints = []struct {
 	file string
 	cfg  Config
 }{
-	{"testdata/checkpoint-v6-interp.bin", Config{Parser: "standard", ScriptExec: "interp",
+	{"testdata/checkpoint-v7-interp.bin", Config{Parser: "standard", ScriptExec: "interp",
 		Scripts: []string{HTTPScript, FilesScript, DNSScript}, Quiet: true}},
-	{"testdata/checkpoint-v6-hilti.bin", Config{Parser: "standard", ScriptExec: "hilti",
+	{"testdata/checkpoint-v7-hilti.bin", Config{Parser: "standard", ScriptExec: "hilti",
 		Scripts: []string{HTTPScript, FilesScript, DNSScript, TrackScript}, Quiet: true}},
 }
 

@@ -1018,7 +1018,7 @@ func numericBin(op string, l, r Val) (Val, error) {
 	lf, lIsF, li, lok := numParts(l)
 	rf, rIsF, ri, rok := numParts(r)
 	if !lok || !rok {
-		return nil, fmt.Errorf("bro: invalid operands for %s: %s, %s", op, l.TypeName(), r.TypeName())
+		return nil, fmt.Errorf("bro: invalid operands for %s: %s, %s", op, typeName(l), typeName(r))
 	}
 	if lIsF || rIsF {
 		switch op {

@@ -13,6 +13,8 @@ import (
 	"hilti/internal/pkt/layers"
 	"hilti/internal/pkt/pcap"
 	"hilti/internal/rt/metrics"
+	"hilti/internal/rt/snapshot"
+	"hilti/internal/rt/timer"
 )
 
 // lingerConfigs are the engine configurations the linger tests run: both
@@ -180,7 +182,7 @@ func TestLingerDecisions(t *testing.T) {
 			e = mustEngine(t, cfg)
 			for _, p := range s.pkts {
 				e.SafeProcessPacket(p.Time.UnixNano(), p.Data)
-				for _, c := range e.conns {
+				for _, c := range openConns(e) {
 					firstUID = c.uid
 				}
 			}
@@ -188,7 +190,7 @@ func TestLingerDecisions(t *testing.T) {
 			if got := counts(e); got != "opened=2 active=1 after_close=0" {
 				t.Errorf("SYN while lingering: %s", got)
 			}
-			for _, c := range e.conns {
+			for _, c := range openConns(e) {
 				if c.uid == firstUID {
 					t.Errorf("the reopened connection kept uid %s", c.uid)
 				}
@@ -204,8 +206,8 @@ func TestLingerDecisions(t *testing.T) {
 				t.Errorf("bare packet 1 ns before the linger ends: %s", got)
 			}
 			e = s.run(t, cfg, at(s.closedAt+tcpCloseDelay, s.frame(layers.TCPAck, "")))
-			if got := counts(e); got != "opened=2 active=1 after_close=0" || e.lingers.len() != 0 {
-				t.Errorf("bare packet as the linger ends: %s, %d lingering", got, e.lingers.len())
+			if got := counts(e); got != "opened=2 active=1 after_close=0" || e.flows.closed.Len() != 0 {
+				t.Errorf("bare packet as the linger ends: %s, %d lingering", got, e.flows.closed.Len())
 			}
 		})
 	}
@@ -247,7 +249,7 @@ func TestLingerSurvivesCheckpoint(t *testing.T) {
 			}
 			for cut := closed; cut < len(pkts); cut++ {
 				live := referenceEngine(t, cfg, pkts, cut)
-				if !live.lingers.has(mustCanonical(s)) {
+				if !live.flows.lingers(mustCanonical(s)) {
 					t.Fatalf("cut %d: the first session does not linger", cut)
 				}
 				snap := checkpointBytes(t, live)
@@ -282,45 +284,64 @@ func mustCanonical(s oneSession) flow.Key {
 	return ck
 }
 
-// TestLingerSetRebuiltAnswersAlike: a lingerSet rebuilt from its own
-// encoding order (each) answers has for every key like the set it was
-// rebuilt from, under any further closes and expiries — keys closed again
-// while they linger and network time stepping back included.
+// TestLingerSetRebuiltAnswersAlike: the closed queue rebuilt from its own
+// encoding (the linger section, through the codec's encode and decode)
+// answers, for every key, whether it lingers like the queue it was rebuilt
+// from, and encodes to the same bytes, under any further closes and
+// expiries — keys closed again while they linger and network time stepping
+// back included.
 func TestLingerSetRebuiltAnswersAlike(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	keys := make([]flow.Key, 6)
 	for i := range keys {
 		keys[i], _ = flow.FromIPv4([4]byte{10, 0, 0, byte(i)}, [4]byte{10, 0, 1, 1}, 1000, 80, layers.IPProtoTCP).Canonical()
 	}
-	rebuild := func(l *lingerSet) *lingerSet {
-		var r lingerSet
-		l.each(func(k flow.Key, at int64) { r.add(k, at) })
+	encoded := func(ct *connTable) []byte {
+		enc := snapshot.NewAppender(nil)
+		ct.encodeClosed(enc)
+		return enc.Buffer()
+	}
+	rebuild := func(ct *connTable) *connTable {
+		r := makeConnTable()
+		if err := r.decodeClosed(snapshot.NewRawDecoder(encoded(ct))); err != nil {
+			t.Fatal(err)
+		}
 		return &r
 	}
+	// closeFlow opens a connection of k and closes it at now, as closeConn
+	// does.
+	closeFlow := func(ct *connTable, k flow.Key, now int64) {
+		en := &connEntry{LastUse: timer.Time(now), V: conn{key: k, isTCP: true}}
+		ct.open(en, false)
+		ct.drop(&en.V)
+		ct.linger(en.Key(), now, false)
+	}
 	for round := 0; round < 200; round++ {
-		var live lingerSet
+		live := makeConnTable()
 		now := int64(0)
-		var copies []*lingerSet
+		var copies []*connTable
 		for op := 0; op < 300; op++ {
 			now += rng.Int64N(int64(2*time.Second)) - int64(300*time.Millisecond)
-			sets := append([]*lingerSet{&live}, copies...)
+			tables := append([]*connTable{&live}, copies...)
 			if rng.IntN(3) == 0 {
-				for _, l := range sets {
-					if l.pending() {
-						l.expire(now)
-					}
+				for _, ct := range tables {
+					ct.forget(now)
 				}
 			} else {
 				k := keys[rng.IntN(len(keys))]
-				for _, l := range sets {
-					l.add(k, now)
+				for _, ct := range tables {
+					closeFlow(ct, k, now)
 				}
 			}
-			for _, l := range copies {
+			want := encoded(&live)
+			for _, ct := range copies {
 				for _, k := range keys {
-					if l.has(k) != live.has(k) {
-						t.Fatalf("round %d, op %d: a rebuilt set says %v for a key the live one says %v", round, op, l.has(k), live.has(k))
+					if ct.lingers(k) != live.lingers(k) {
+						t.Fatalf("round %d, op %d: a rebuilt queue says %v for a key the live one says %v", round, op, ct.lingers(k), live.lingers(k))
 					}
+				}
+				if !bytes.Equal(encoded(ct), want) {
+					t.Fatalf("round %d, op %d: a rebuilt queue encodes to other bytes", round, op)
 				}
 			}
 			if rng.IntN(20) == 0 {

@@ -91,5 +91,5 @@ func (e *Engine) RebaseFrames() (reused, encoded, touched uint64) {
 // every between-packets point — the invariant hilti-bench -exp observe
 // asserts.
 func (e *Engine) FlowCounts() (opened, closed uint64, active int) {
-	return e.flowsOpened.Load(), e.flowsClosed.Load(), len(e.conns)
+	return e.flowsOpened.Load(), e.flowsClosed.Load(), e.flows.len()
 }

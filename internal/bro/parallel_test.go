@@ -239,7 +239,7 @@ func TestParallelWALRebaseRestore(t *testing.T) {
 				}
 				lingers := 0
 				for _, e := range par.Engines {
-					lingers += e.lingers.len()
+					lingers += e.flows.closed.Len()
 				}
 				if cut == len(pkts)/5 && lingers == 0 {
 					t.Errorf("at packet %d no closed flow lingers: the cut does not test the linger section", cut)

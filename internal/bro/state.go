@@ -8,12 +8,13 @@
 //	frames   := u32 n { bytes(frame) }
 //	frame    := string uid, u8 flags, [key if flags != 0], [conn if ffConn], tables
 //	key      := bytes(flow key, canonical in linger)
+//	conn     := i64 ctx, i64 lastUse, analyzer state (statecodec.go)
 //	tables   := u32 n { string global, entries }
 //	entries  := u32 0, u32 n { entry }
 //	sections := meta quar linger logs interp exec
 //	meta     := i64 now, i64 nextCtx, u64 per counter
 //	quar     := u32 n { u64 vid, bool true, u64 dropped }
-//	linger   := u32 n { key, i64 closedAt }      in close order (linger.go)
+//	linger   := u32 n { key, i64 closedAt }      the closed flows in close order (conns.go)
 //	logs     := u32 n { string stream, u32 n { string line } }
 //	interp   := u32 n { string global, u8 mode, bytes body }
 //	            body(modeWhole) = val
@@ -23,7 +24,8 @@
 // The constant fields (the true flags, the empty list in front of the
 // entries) are where format version 5 kept what the retired engine-level
 // delta records varied; the decoder refuses any other value there. Version
-// 6 added the linger section and its counter in meta.
+// 6 added the linger section and its counter in meta; version 7 carries in
+// each conn its last-packet time, which its inactivity timeout runs from.
 //
 // A flow frame is everything keyed by one connection uid: the connection
 // record plus the script-table entries whose first index is that uid (HTTP
@@ -46,8 +48,8 @@
 //   - Flow frame (ExtractFlow / InjectFlow): one live flow's frame, built
 //     directly. Applied in adopt mode: ctx and seq are instance-local, so
 //     the target assigns its own, and nothing engine-global (counters,
-//     clocks, logs, the linger) moves. A closed flow's linger stays with
-//     the instance that closed it.
+//     clocks, logs, the linger) moves. A closed flow lingers on the
+//     instance that closed it.
 //
 // Limits: a frame counts as untouched on the word of the dirty marks, and
 // an aggregate reachable from two table entries is marked only under the
@@ -77,6 +79,7 @@ import (
 
 	"hilti/internal/hilti/vm"
 	"hilti/internal/pkt/flow"
+	"hilti/internal/rt/container"
 	"hilti/internal/rt/metrics"
 	"hilti/internal/rt/snapshot"
 	"hilti/internal/rt/timer"
@@ -96,19 +99,18 @@ const ffConn = 1 << 1
 // flags, table count.
 const frameMin = 4 + 4 + 1 + 4
 
-// tracker is what a patching Rebase needs from the dirty marks: where the
-// flow frames sit in the previous snapshot (nil: unknown, the next Rebase
-// encodes in full) and the uid of every flow changed or closed since, with
-// its flow key. Script-table entries changed since are marked in their
-// tables (the marks of TableVal.tbl). The engine keeps one while it re-bases.
+// tracker is what a patching Rebase needs besides the dirty marks, which
+// are the tables' (connTable's and TableVal.tbl's): where the flow frames
+// sit in the previous snapshot (nil: unknown, the next Rebase encodes in
+// full). The engine keeps one while it re-bases.
 type tracker struct {
 	base    *baseIndex
-	touched map[string]touch
+	touched map[string]touch     // encodePatched's scratch: the uids it encodes again
 	tables  map[string]*TableVal // the global tables pin started marking
 }
 
-// touch is what the tracker knows of a flow it saw change: the flow key,
-// if it saw the connection (and not only table entries labelled by it).
+// touch is what a patching Rebase knows of a flow that changed: the flow
+// key, if its connection was marked (not only entries labelled by it).
 type touch struct {
 	key   flow.Key
 	known bool
@@ -141,15 +143,6 @@ func (ix *baseIndex) frames() int { return len(ix.starts) - 1 }
 func (ix *baseIndex) uid(snap []byte, i int) []byte {
 	body := snap[ix.starts[i]+4 : ix.starts[i+1]]
 	return body[4 : 4+binary.BigEndian.Uint32(body)]
-}
-
-// markConnDirty notes that c changed or closed, so that the next patching
-// Rebase encodes its frame again (called from engine.go; a no-op while
-// the engine does not re-base).
-func (e *Engine) markConnDirty(c *conn) {
-	if e.track != nil {
-		e.track.touched[c.uid] = touch{c.key, true}
-	}
 }
 
 // --- snapshots ---------------------------------------------------------------------
@@ -209,6 +202,8 @@ func (e *Engine) pin(base *baseIndex) {
 	e.track.base = base
 	clear(e.track.touched)
 	clear(e.track.tables)
+	e.flows.tcp.ClearMarks()
+	e.flows.udp.ClearMarks()
 	for name, v := range e.interp.Globals {
 		if t, ok := v.(*TableVal); ok {
 			t.clearMarks()
@@ -341,6 +336,11 @@ func (e *Engine) tablesPinned() bool {
 // tables' marks say which of them no longer hold.
 func (e *Engine) encodePatched(enc *snapshot.Encoder, prev []byte, old, ix *baseIndex) error {
 	touched := e.track.touched
+	for _, tbl := range [...]*container.Table[conn]{&e.flows.tcp, &e.flows.udp} {
+		for _, en := range tbl.Marks() {
+			touched[en.V.uid] = touch{en.V.key, true}
+		}
+	}
 	for _, v := range e.interp.Globals {
 		if t, ok := v.(*TableVal); ok {
 			for _, en := range t.tbl.Marks() {
@@ -422,8 +422,7 @@ func (e *Engine) liveConn(uid string, t touch, was []byte) *conn {
 		t = touch{key, dec.Err() == nil && flags&ffConn != 0}
 	}
 	if t.known {
-		ck, _ := t.key.Canonical()
-		if c := e.conns[ck]; c != nil && c.uid == uid {
+		if c := e.flows.find(t.key); c != nil && c.uid == uid {
 			return c
 		}
 	}
@@ -434,28 +433,18 @@ func (e *Engine) liveConn(uid string, t touch, was []byte) *conn {
 
 var errPerFlowBackend = errors.New("bro: per-flow migration requires the interpreter script backend")
 
-// MigratableFlows enumerates every open connection's canonical flow key,
-// ordered by connection age (ctx ascending) for determinism. Together
-// with ExtractFlow/InjectFlow/ForgetFlow/HasFlow this implements the
-// pipeline's MigratableHandler contract.
+// MigratableFlows enumerates every open connection's flow key in open
+// order. Together with ExtractFlow/InjectFlow/ForgetFlow/HasFlow this
+// implements the pipeline's MigratableHandler contract.
 func (e *Engine) MigratableFlows() []flow.Key {
-	open := make([]*conn, 0, len(e.conns))
-	for _, c := range e.conns {
-		open = append(open, c)
-	}
-	sort.Slice(open, func(i, j int) bool { return open[i].ctx < open[j].ctx })
-	out := make([]flow.Key, len(open))
-	for i, c := range open {
-		out[i] = c.key
-	}
+	out := make([]flow.Key, 0, e.flows.len())
+	e.flows.each(func(c *conn) { out = append(out, c.key) })
 	return out
 }
 
 // HasFlow reports whether the engine holds a connection for the flow.
 func (e *Engine) HasFlow(key flow.Key) bool {
-	ck, _ := key.Canonical()
-	_, ok := e.conns[ck]
-	return ok
+	return e.flows.find(key) != nil
 }
 
 // ExtractFlow serializes one flow's frame — connection record plus every
@@ -465,9 +454,8 @@ func (e *Engine) ExtractFlow(key flow.Key) ([]byte, error) {
 	if e.compiled {
 		return nil, errPerFlowBackend
 	}
-	ck, _ := key.Canonical()
-	c, ok := e.conns[ck]
-	if !ok {
+	c := e.flows.find(key)
+	if c == nil {
 		return nil, fmt.Errorf("bro: no connection for migrating flow")
 	}
 	if c.inFlightParse() {
@@ -508,14 +496,12 @@ func (e *Engine) InjectFlow(blob []byte) (flow.Key, error) {
 // and uid-keyed script entries go, with no events, no log lines, and no
 // counter movement — the flow now lives elsewhere and will close there.
 func (e *Engine) ForgetFlow(key flow.Key) bool {
-	ck, _ := key.Canonical()
-	c, ok := e.conns[ck]
-	if !ok {
+	c := e.flows.find(key)
+	if c == nil {
 		return false
 	}
-	e.dropConnState(c)
+	e.flows.drop(c)
 	e.dropFlowScriptState(c.uid)
-	e.markConnDirty(c)
 	return true
 }
 
@@ -590,7 +576,7 @@ func (e *Engine) encodeState(enc *snapshot.Encoder, sel *selection, ix *baseInde
 func (e *Engine) gather(sel *selection) error {
 	fs := &sel.frames
 	if !sel.sectionsOnly {
-		for _, c := range e.conns {
+		for _, c := range e.flows.ctxs {
 			if c.inFlightParse() {
 				return fmt.Errorf("bro: cannot serialize connection %s: in-flight binpac parse state", c.uid)
 			}
@@ -647,12 +633,7 @@ func (e *Engine) encodeSections(enc *snapshot.Encoder, sel *selection) {
 		enc.U64(e.quarantined[vid])
 	}
 
-	var wire [flow.WireSize]byte
-	enc.U32(uint32(e.lingers.len()))
-	e.lingers.each(func(key flow.Key, closedAt int64) {
-		enc.Bytes(key.AppendWire(wire[:0]))
-		enc.I64(closedAt)
-	})
+	e.flows.encodeClosed(enc)
 
 	names := make([]string, 0, len(e.Logs.streams))
 	for name, st := range e.Logs.streams {
@@ -700,7 +681,7 @@ func (e *Engine) metaCounters() [10]*metrics.Counter {
 
 func (e *Engine) encodeMeta(enc *snapshot.Encoder) {
 	enc.I64(e.now)
-	enc.I64(e.nextCtx)
+	enc.I64(e.flows.nextCtx)
 	for _, c := range e.metaCounters() {
 		enc.U64(c.Load())
 	}
@@ -708,7 +689,7 @@ func (e *Engine) encodeMeta(enc *snapshot.Encoder) {
 
 func (e *Engine) decodeMeta(dec *snapshot.Decoder) {
 	e.now = dec.I64()
-	e.nextCtx = dec.I64()
+	e.flows.nextCtx = dec.I64()
 	for _, c := range e.metaCounters() {
 		c.Store(dec.U64())
 	}
@@ -871,17 +852,8 @@ func (e *Engine) applyState(dec *snapshot.Decoder) error {
 		e.quarantined[vid] = dec.U64()
 	}
 
-	nl := dec.Len(4 + flow.WireSize + 8)
-	for i := 0; i < nl && dec.Err() == nil; i++ {
-		key := decodeKey(dec)
-		closedAt := dec.I64()
-		if dec.Err() != nil {
-			break
-		}
-		if ck, _ := key.Canonical(); ck != key || e.lingers.has(key) {
-			return fmt.Errorf("bro: linger entry %d names flow %v twice or not canonically", i, key)
-		}
-		e.lingers.add(key, closedAt)
+	if err := e.flows.decodeClosed(dec); err != nil {
+		return err
 	}
 
 	ns := dec.Len(8)
@@ -906,6 +878,7 @@ func (e *Engine) applyState(dec *snapshot.Decoder) error {
 			return err
 		}
 	}
+	e.flows.settle()
 	// Entries of one table arrive split over the interp section and the
 	// frames; their seq says where each belongs.
 	for _, v := range e.interp.Globals {
@@ -933,23 +906,11 @@ func (e *Engine) applyFrame(frame []byte, adopt bool) (flow.Key, error) {
 	}
 	ck, _ := key.Canonical()
 	if flags&ffConn != 0 {
-		c, err := decodeConn(dec, e, uid, key)
+		en, err := decodeConn(dec, e, uid, key)
 		if err != nil {
 			return ck, err
 		}
-		if adopt {
-			c.ctx = e.nextCtx
-			e.nextCtx++
-		}
-		if old := e.conns[ck]; old != nil {
-			e.dropConnState(old)
-		}
-		if old := e.ctxs[c.ctx]; old != nil {
-			e.dropConnState(old)
-		}
-		e.conns[ck] = c
-		e.ctxs[c.ctx] = c
-		e.markConnDirty(c)
+		e.flows.open(en, !adopt)
 	}
 	nt := dec.Len(12)
 	for i := 0; i < nt && dec.Err() == nil; i++ {
@@ -963,16 +924,6 @@ func (e *Engine) applyFrame(frame []byte, adopt bool) (flow.Key, error) {
 		}
 	}
 	return ck, dec.Err()
-}
-
-// dropConnState removes a connection without events or counter updates,
-// releasing its reassembly budget.
-func (e *Engine) dropConnState(c *conn) {
-	c.origStream.Discard()
-	c.respStream.Discard()
-	ck, _ := c.key.Canonical()
-	delete(e.conns, ck)
-	delete(e.ctxs, c.ctx)
 }
 
 // dropFlowScriptState deletes every entry labelled uid from every table

@@ -102,8 +102,7 @@ func viewFlow(t *testing.T, cfg Config, pkts []pcap.Packet, cut int, _ *rand.Ran
 	for i, key := range keys {
 		probe, before := "", 0
 		if i+1 < len(keys) {
-			ck, _ := keys[i+1].Canonical()
-			probe = a.conns[ck].uid
+			probe = a.flows.find(keys[i+1]).uid
 			before = labelledEntries(a, probe)
 		}
 		blob, err := a.ExtractFlow(key)
@@ -141,7 +140,7 @@ func TestInjectFlowRefusesNonLiveFrames(t *testing.T) {
 	var live flow.Key
 	for next, found := len(pkts)/3, false; !found; next++ {
 		for _, key := range holder.MigratableFlows() {
-			if ck, _ := key.Canonical(); labelledEntries(holder, holder.conns[ck].uid) > 0 {
+			if labelledEntries(holder, holder.flows.find(key).uid) > 0 {
 				live, found = key, true
 				break
 			}
@@ -181,8 +180,7 @@ func TestInjectFlowRefusesNonLiveFrames(t *testing.T) {
 // entries without its connection, and its whole frame with a flag bit no
 // product writes.
 func refusedFrames(e *Engine, key flow.Key) map[string][]byte {
-	ck, _ := key.Canonical()
-	c := e.conns[ck]
+	c := e.flows.find(key)
 	tomb := snapshot.NewAppender(nil)
 	tomb.String(c.uid)
 	tomb.U8(1)
@@ -295,7 +293,7 @@ func TestStateViewsResumeIdentically(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsOldVersion: the format bumps (1 → 2 → … → 6) came with
+// TestRestoreRejectsOldVersion: the format bumps (1 → 2 → … → 7) came with
 // no compatibility reader; a blob of an earlier version fails the header
 // check. testdata/checkpoint-v3-http.bin is a version-3 checkpoint taken
 // while an HTTP body was in progress, which version 3 laid out as the bytes
@@ -303,8 +301,8 @@ func TestStateViewsResumeIdentically(t *testing.T) {
 // a digest state.
 func TestRestoreRejectsOldVersion(t *testing.T) {
 	cfg := Config{Parser: "standard", ScriptExec: "interp", Scripts: []string{HTTPScript}, Quiet: true}
-	if data := checkpointBytes(t, mustEngine(t, cfg)); data[4] != 0 || data[5] != 6 {
-		t.Fatalf("checkpoint header carries version %d.%d, want 6", data[4], data[5])
+	if data := checkpointBytes(t, mustEngine(t, cfg)); data[4] != 0 || data[5] != 7 {
+		t.Fatalf("checkpoint header carries version %d.%d, want 7", data[4], data[5])
 	}
 	v3, err := os.ReadFile("testdata/checkpoint-v3-http.bin")
 	if err != nil {
@@ -459,10 +457,10 @@ func TestBinpacConnWithoutPayloadIsEncoded(t *testing.T) {
 	e := mustEngine(t, cfg)
 	snap := rebaseBytes(t, e, nil)
 	feed(e, pkts[:3])
-	if len(e.conns) != 1 {
-		t.Fatalf("%d connections after the handshake, want 1", len(e.conns))
+	if e.flows.len() != 1 {
+		t.Fatalf("%d connections after the handshake, want 1", e.flows.len())
 	}
-	for _, c := range e.conns {
+	for _, c := range openConns(e) {
 		if c.origRun != nil || c.respRun != nil || c.origRope != nil {
 			t.Fatal("a connection without payload started a parse")
 		}

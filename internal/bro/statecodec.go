@@ -14,6 +14,7 @@ import (
 	"hilti/internal/pkt/flow"
 	"hilti/internal/pkt/reassembly"
 	"hilti/internal/rt/snapshot"
+	"hilti/internal/rt/timer"
 )
 
 // Val codec tags (engine-interpreter values).
@@ -61,6 +62,7 @@ func (c *conn) inFlightParse() bool {
 // flow key — lives in the enclosing flow frame's header.
 func encodeConn(enc *snapshot.Encoder, c *conn) {
 	enc.I64(c.ctx)
+	enc.I64(int64(c.en.LastUse))
 	var flags byte
 	if c.isTCP {
 		flags |= cfTCP
@@ -95,12 +97,12 @@ func encodeConn(enc *snapshot.Encoder, c *conn) {
 	encodeStrings(enc, c.methods)
 }
 
-// decodeConn rebuilds the connection named uid/key from encodeConn's layout,
-// attaching analyzers and reassembly budget from e. It does not register
-// the connection in the engine's tables — the caller does, after releasing
-// whatever connection it replaces.
-func decodeConn(dec *snapshot.Decoder, e *Engine, uid string, key flow.Key) (*conn, error) {
+// decodeConn rebuilds the connection named uid/key from encodeConn's layout
+// in a new entry, attaching analyzers and reassembly budget from e. The
+// caller opens it (connTable.open).
+func decodeConn(dec *snapshot.Decoder, e *Engine, uid string, key flow.Key) (*connEntry, error) {
 	ctx := dec.I64()
+	lastUse := dec.I64()
 	flags := dec.U8()
 	var start int64
 	if flags&cfRec != 0 {
@@ -111,7 +113,7 @@ func decodeConn(dec *snapshot.Decoder, e *Engine, uid string, key flow.Key) (*co
 	if dec.Err() != nil {
 		return nil, dec.Err()
 	}
-	c := &conn{
+	en := &connEntry{LastUse: timer.Time(lastUse), V: conn{
 		key:     key,
 		uid:     uid,
 		ctx:     ctx,
@@ -122,7 +124,8 @@ func decodeConn(dec *snapshot.Decoder, e *Engine, uid string, key flow.Key) (*co
 		// The record itself is built again at the next event.
 		recorded: flags&cfRec != 0,
 		start:    start,
-	}
+	}}
+	c := &en.V
 	if c.isTCP && e.reasm != nil {
 		c.origStream.Budget = e.reasm
 		c.respStream.Budget = e.reasm
@@ -150,7 +153,7 @@ func decodeConn(dec *snapshot.Decoder, e *Engine, uid string, key flow.Key) (*co
 	if err := dec.Err(); err != nil {
 		return nil, err
 	}
-	return c, nil
+	return en, nil
 }
 
 // --- leaf codecs ---------------------------------------------------------------

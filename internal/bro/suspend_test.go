@@ -140,7 +140,7 @@ func TestBinpacParkedParseHoldsNoBody(t *testing.T) {
 			seg := msg[at:min(at+segment, len(msg))]
 			e.SafeProcessPacket(ts, tcpDataFrame(src, dst, sp, dp, uint32(1000+at), []byte(seg)))
 			ts++
-			for _, c := range e.conns {
+			for _, c := range openConns(e) {
 				if n := max(c.origRope.Len(), c.respRope.Len()); n > segment {
 					t.Fatalf("after %d bytes a rope holds %d", at+len(seg), n)
 				}
@@ -188,7 +188,7 @@ func TestBinpacSuspendPanicIsAFault(t *testing.T) {
 		var victimCtx int64 = -1
 		orig := e.ex.HostFns["bro_http_header"]
 		e.ex.RegisterHost("bro_http_header", func(ex *vm.Exec, args []values.Value) (values.Value, error) {
-			if c := e.ctxs[args[0].AsInt()]; c != nil && c.key.SrcPort == victim || args[0].AsInt() == victimCtx {
+			if c := e.flows.ctxs[args[0].AsInt()]; c != nil && c.key.SrcPort == victim || args[0].AsInt() == victimCtx {
 				victimCtx = args[0].AsInt()
 				name := e.glue.fromHilti(args[2]).Render()
 				calls = append(calls, name)
@@ -233,7 +233,7 @@ func TestBinpacSuspendPanicIsAFault(t *testing.T) {
 	clean, _, cleanCalls := run(false)
 	e, reg, calls := run(true)
 	uids := map[uint16]string{} // the same in both runs: key and first packet's time
-	for _, c := range clean.conns {
+	for _, c := range openConns(clean) {
 		uids[c.key.SrcPort] = c.uid
 	}
 
@@ -256,9 +256,12 @@ func TestBinpacSuspendPanicIsAFault(t *testing.T) {
 	// the bystander's two directions are still parked (its connection is
 	// open), and plain top-level calls — a DNS datagram is one CallFn —
 	// each get a fresh budget. With the depth stuck at 1 they would share
-	// one and trip it, which counts as a parse error.
+	// one and trip it, which counts as a parse error. The datagrams follow
+	// the HTTP packets within a second, so no connection is idle long
+	// enough to expire.
 	q := gen.DefaultDNSConfig()
 	q.Transactions = 50
+	q.Start = time.Unix(2, 0)
 	for _, p := range gen.GenerateDNS(q) {
 		clean.SafeProcessPacket(p.Time.UnixNano(), p.Data)
 		e.SafeProcessPacket(p.Time.UnixNano(), p.Data)
@@ -295,12 +298,12 @@ func TestBinpacSuspendLeavesNoGoroutine(t *testing.T) {
 	most := 0
 	for i := range pkts {
 		e.SafeProcessPacket(pkts[i].Time.UnixNano(), pkts[i].Data)
-		if n := len(e.conns); n > most {
+		if n := e.flows.len(); n > most {
 			most = n
 		}
 		if i%1000 == 0 || i == len(pkts)-1 {
 			if n := runtime.NumGoroutine(); n != before {
-				t.Fatalf("%d goroutines with %d connections mid-parse, %d before the first", n, len(e.conns), before)
+				t.Fatalf("%d goroutines with %d connections mid-parse, %d before the first", n, e.flows.len(), before)
 			}
 		}
 	}

@@ -595,5 +595,13 @@ func Equal(a, b Val) bool {
 
 // errVal formats a runtime type error.
 func errVal(op string, v Val) error {
-	return fmt.Errorf("bro: invalid operand for %s: %s", op, v.TypeName())
+	return fmt.Errorf("bro: invalid operand for %s: %s", op, typeName(v))
+}
+
+// typeName is v's type name, "unset" for a value never set.
+func typeName(v Val) string {
+	if v == nil {
+		return "unset"
+	}
+	return v.TypeName()
 }

@@ -48,6 +48,9 @@ type Entry[P any] struct {
 	V                       P
 }
 
+// Key returns the entry's canonical key.
+func (e *Entry[P]) Key() string { return e.k }
+
 // MakeTable returns an empty table.
 func MakeTable[P any]() Table[P] { return Table[P]{idx: make(map[string]*Entry[P])} }
 
@@ -63,11 +66,18 @@ func (t *Table[P]) FindBytes(k []byte) *Entry[P] { return t.idx[string(k)] }
 // Add appends a live entry under k, which must be absent; the caller
 // queues it if it may expire.
 func (t *Table[P]) Add(k string, lastUse timer.Time, v P) *Entry[P] {
-	e := &Entry[P]{k: k, LastUse: lastUse, V: v}
+	e := &Entry[P]{LastUse: lastUse, V: v}
+	t.Insert(k, e)
+	return e
+}
+
+// Insert is Add for an entry the owner allocated, its LastUse and payload
+// set: for a payload whose address must be known before it goes live.
+func (t *Table[P]) Insert(k string, e *Entry[P]) {
+	e.k = k
 	t.idx[k] = e
 	t.order = append(t.order, e)
 	t.Mark(e)
-	return e
 }
 
 // Drop removes the live entry e.

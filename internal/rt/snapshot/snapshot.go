@@ -41,9 +41,11 @@ import (
 // head bytes instead of the body received so far (bro/statecodec.go);
 // version 5 writes one exec section, because an engine's grammars and
 // compiled scripts are one linked program (bro/state.go); version 6 adds
-// the engine's closed-connection linger and its counter (bro/linger.go).
-// Streams of an older version are rejected by the header check.
-const Version = 6
+// the engine's closed-connection linger and its counter; version 7 carries
+// each connection's last-packet time, which its inactivity timeout runs
+// from (bro/conns.go). Streams of an older version are rejected by the
+// header check.
+const Version = 7
 
 // MaxDepth bounds value-tree recursion in both directions.
 const MaxDepth = 64
