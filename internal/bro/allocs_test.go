@@ -5,9 +5,13 @@ package bro
 import (
 	"runtime"
 	"slices"
+	"strconv"
 	"testing"
+	"unsafe"
 
+	"hilti/internal/pkt/flow"
 	"hilti/internal/pkt/gen"
+	"hilti/internal/pkt/layers"
 	"hilti/internal/rt/values"
 )
 
@@ -152,5 +156,38 @@ func TestTableAccessAllocs(t *testing.T) {
 				t.Errorf("%s key, read_expire %v: %d deletes allocate %d times, leave %d entries", name, onRead, len(dels), got, tbl.Len())
 			}
 		}
+	}
+}
+
+// TestConnOpenAllocatesNoKey: a connection's tables are keyed by its
+// canonical flow key, held in the entry, so opening, finding, touching and
+// dropping a UDP connection allocates nothing besides the entry its caller
+// made. Keyed by the key's Wire form, each open allocated that string. The
+// entry, the connection its payload, stays within the 416-byte size class.
+func TestConnOpenAllocatesNoKey(t *testing.T) {
+	if size := unsafe.Sizeof(connEntry{}); strconv.IntSize == 64 && size > 416 {
+		t.Errorf("a connection's entry is %d bytes, want at most 416", size)
+	}
+	const runs = 1000
+	ct := makeConnTable()
+	ens := make([]connEntry, runs+1) // AllocsPerRun runs once more to warm up
+	for i := range ens {
+		key := flow.FromIPv4([4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}, uint16(1024+i), 53, layers.IPProtoUDP)
+		ens[i] = connEntry{V: conn{key: key}}
+	}
+	i := 0
+	got := testing.AllocsPerRun(runs, func() {
+		en := &ens[i]
+		i++
+		ct.open(en, false)
+		c := &en.V
+		if ct.find(c.key.Reverse()) != c {
+			t.Fatal("the connection just opened is not found by its reply's key")
+		}
+		ct.touch(c, int64(i))
+		ct.drop(c)
+	})
+	if got != 0 {
+		t.Errorf("a UDP connection's open, find, touch and drop: %v allocations, want 0", got)
 	}
 }

@@ -25,44 +25,39 @@ const (
 
 // connEntry is an open connection's entry: the conn is its payload, so the
 // two are one object.
-type connEntry = container.Entry[conn]
+type connEntry = container.Entry[flow.Key, conn]
 
 type connTable struct {
-	tcp, udp container.Table[conn]     // open connections, in open (ctx) order
-	closed   container.Table[struct{}] // closed TCP flows in close order, LastUse the close time
-	ctxs     map[int64]*conn           // the open connections
+	tcp, udp container.Table[flow.Key, conn]     // open connections by canonical key, in open (ctx) order
+	closed   container.Table[flow.Key, struct{}] // closed TCP flows in close order, LastUse the close time
+	ctxs     map[int64]*conn                     // the open connections
 	nextCtx  int64
 }
 
 func makeConnTable() connTable {
-	return connTable{tcp: container.MakeTable[conn](), udp: container.MakeTable[conn](),
-		closed: container.MakeTable[struct{}](), ctxs: map[int64]*conn{}}
+	return connTable{tcp: container.MakeTable[flow.Key, conn](), udp: container.MakeTable[flow.Key, conn](),
+		closed: container.MakeTable[flow.Key, struct{}](), ctxs: map[int64]*conn{}}
 }
 
 // table returns the open connections of k's protocol.
-func (t *connTable) table(k flow.Key) *container.Table[conn] {
+func (t *connTable) table(k flow.Key) *container.Table[flow.Key, conn] {
 	if k.Proto == layers.IPProtoTCP {
 		return &t.tcp
 	}
 	return &t.udp
 }
 
-// find returns the open connection of the flow of key, or nil. A table
-// key is the canonical flow key's Wire form.
+// find returns the open connection of the flow of key, or nil.
 func (t *connTable) find(key flow.Key) *conn {
 	ck, _ := key.Canonical()
-	var k [flow.WireSize]byte
-	if en := t.table(ck).FindBytes(ck.AppendWire(k[:0])); en != nil {
+	if en := t.table(ck).Find(ck); en != nil {
 		return &en.V
 	}
 	return nil
 }
 
 // lingers reports whether the closed TCP flow of canonical key ck lingers.
-func (t *connTable) lingers(ck flow.Key) bool {
-	var k [flow.WireSize]byte
-	return t.closed.FindBytes(ck.AppendWire(k[:0])) != nil
-}
+func (t *connTable) lingers(ck flow.Key) bool { return t.closed.Find(ck) != nil }
 
 func (t *connTable) len() int { return len(t.ctxs) }
 
@@ -84,7 +79,7 @@ func (t *connTable) open(en *connEntry, restored bool) {
 	c.en = en
 	ck, _ := c.key.Canonical()
 	tbl := t.table(ck)
-	tbl.Insert(string(ck.Wire()), en)
+	tbl.Insert(ck, en)
 	tbl.Queue(en, restored)
 	t.ctxs[c.ctx] = c
 }
@@ -116,9 +111,9 @@ func (t *connTable) drop(c *conn) {
 	t.table(c.key).Drop(c.en)
 }
 
-// linger starts the closed TCP flow of table key k lingering at closedAt,
-// at the end of the close order. Its entry keeps the key, not the conn.
-func (t *connTable) linger(k string, closedAt int64, restored bool) {
+// linger starts the closed TCP flow of canonical key k lingering at
+// closedAt, last in close order; its entry keeps the key, not the conn.
+func (t *connTable) linger(k flow.Key, closedAt int64, restored bool) {
 	if old := t.closed.Find(k); old != nil {
 		t.closed.Drop(old)
 	}
@@ -173,8 +168,8 @@ func (t *connTable) settle() {
 // encodeClosed writes the linger section: the closed flows in close order.
 func (t *connTable) encodeClosed(enc *snapshot.Encoder) {
 	enc.U32(uint32(t.closed.Len()))
-	t.closed.Walk(func(en *container.Entry[struct{}]) bool {
-		enc.String(en.Key()) // the key's Wire form
+	t.closed.Walk(func(en *container.Entry[flow.Key, struct{}]) bool {
+		enc.Bytes(en.Key().Wire())
 		enc.I64(int64(en.LastUse))
 		return true
 	})
@@ -189,7 +184,7 @@ func (t *connTable) decodeClosed(dec *snapshot.Decoder) error {
 		if ck, _ := key.Canonical(); dec.Err() == nil && (ck != key || t.lingers(key)) {
 			return fmt.Errorf("bro: linger entry %d names flow %v twice or not canonically", i, key)
 		}
-		t.linger(string(key.Wire()), closedAt, true)
+		t.linger(key, closedAt, true)
 	}
 	return dec.Err()
 }

@@ -196,16 +196,18 @@ type conn struct {
 	// The connection's record, built at its first event in the running
 	// backend's form (connRecord, connStruct); recorded says whether it
 	// was, start is its start_time. A restore carries only those two.
-	rec                    *RecordVal
-	hrec                   *values.Struct
+	rec   *RecordVal
+	hrec  *values.Struct
+	start int64
+	ctx   int64
+	// The flags sit together: conn and its table entry fit in 416 bytes.
 	recorded               bool
-	start                  int64
-	ctx                    int64
 	isTCP                  bool
 	started                bool
 	closed                 bool
 	origSYN                bool
 	respSYN                bool
+	origDead, respDead     bool // a direction's binpac parse stopped
 	origStream, respStream reassembly.Stream
 
 	std *analyzers.HTTPParser
@@ -214,7 +216,6 @@ type conn struct {
 	// both ropes at once, and a direction's parse at its own first byte.
 	origRope, respRope *hbytes.Bytes
 	origRun, respRun   *vm.Resumable
-	origDead, respDead bool
 	methods            []string // outstanding request methods (HEAD logic)
 }
 

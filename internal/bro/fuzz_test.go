@@ -211,8 +211,8 @@ type closedRow struct {
 // closedRows is e's linger section, in close order.
 func closedRows(e *Engine) []closedRow {
 	var rows []closedRow
-	e.flows.closed.Walk(func(en *container.Entry[struct{}]) bool {
-		rows = append(rows, closedRow{en.Key(), int64(en.LastUse)})
+	e.flows.closed.Walk(func(en *container.Entry[flow.Key, struct{}]) bool {
+		rows = append(rows, closedRow{string(en.Key().Wire()), int64(en.LastUse)})
 		return true
 	})
 	return rows

@@ -336,7 +336,7 @@ func (e *Engine) tablesPinned() bool {
 // tables' marks say which of them no longer hold.
 func (e *Engine) encodePatched(enc *snapshot.Encoder, prev []byte, old, ix *baseIndex) error {
 	touched := e.track.touched
-	for _, tbl := range [...]*container.Table[conn]{&e.flows.tcp, &e.flows.udp} {
+	for _, tbl := range [...]*container.Table[flow.Key, conn]{&e.flows.tcp, &e.flows.udp} {
 		for _, en := range tbl.Marks() {
 			touched[en.V.uid] = touch{en.V.key, true}
 		}

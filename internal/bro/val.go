@@ -248,7 +248,7 @@ func (r *RecordVal) Render() string { return string(r.Append(nil)) }
 // by nobody else; without it they are found by a walk, and multi says
 // whether there can be any.
 type TableVal struct {
-	tbl     container.Table[tableItem]
+	tbl     container.Table[string, tableItem]
 	IsSet   bool
 	multi   bool   // some entry has had more than one index
 	nextSeq uint64 // seq the next inserted entry gets
@@ -268,11 +268,11 @@ type tableItem struct {
 	seq   uint64 // insertion rank: iteration order is data, so an entry can travel alone
 }
 
-type tableEntry = container.Entry[tableItem]
+type tableEntry = container.Entry[string, tableItem]
 
 // NewTable creates a table (or set).
 func NewTable(isSet bool) *TableVal {
-	return &TableVal{tbl: container.MakeTable[tableItem](), IsSet: isSet}
+	return &TableVal{tbl: container.MakeTable[string, tableItem](), IsSet: isSet}
 }
 
 // TypeName implements Val.
@@ -354,7 +354,7 @@ func (t *TableVal) index(e *tableEntry) {
 // caller asking many tables builds once.
 func (t *TableVal) labelled(dst []*tableEntry, uid string, oneKey []byte) []*tableEntry {
 	n := len(dst)
-	if e := t.tbl.FindBytes(oneKey); e != nil {
+	if e := container.FindBytes(&t.tbl, oneKey); e != nil {
 		dst = append(dst, e)
 	}
 	switch {
@@ -424,7 +424,7 @@ func (t *TableVal) expire(now int64) {
 func (t *TableVal) Put(now int64, key []Val, yield Val) {
 	t.expire(now)
 	k := t.probe(key)
-	if e := t.tbl.FindBytes(k); e != nil {
+	if e := container.FindBytes(&t.tbl, k); e != nil {
 		e.V.yield = yield
 		t.tbl.Touch(e, timer.Time(now), false)
 		t.tbl.Mark(e)
@@ -438,7 +438,7 @@ func (t *TableVal) Put(now int64, key []Val, yield Val) {
 // refreshed if the table is &read_expire.
 func (t *TableVal) find(now int64, key []Val) *tableEntry {
 	t.expire(now)
-	e := t.tbl.FindBytes(t.probe(key))
+	e := container.FindBytes(&t.tbl, t.probe(key))
 	if e != nil && t.ExpireOnRead {
 		t.tbl.Touch(e, timer.Time(now), false)
 	}
@@ -462,7 +462,7 @@ func (t *TableVal) Has(now int64, key []Val) bool { return t.find(now, key) != n
 
 // Delete removes an entry.
 func (t *TableVal) Delete(now int64, key []Val) {
-	if e := t.tbl.FindBytes(t.probe(key)); e != nil {
+	if e := container.FindBytes(&t.tbl, t.probe(key)); e != nil {
 		t.remove(e)
 	}
 }

@@ -13,12 +13,10 @@ import (
 
 	"hilti/internal/rt/admission"
 	"hilti/internal/rt/metrics"
-	"hilti/internal/rt/timer"
 )
 
 // registerMetrics wires the pipeline into cfg.Metrics (no-op when unset).
-// Called once from newPipeline, before any worker state exists, so the
-// shared timer counters are in place when newWstate runs.
+// Called once from newPipeline.
 func (p *Pipeline) registerMetrics() {
 	reg := p.cfg.Metrics
 	if reg == nil {
@@ -29,11 +27,6 @@ func (p *Pipeline) registerMetrics() {
 	p.recordLat = reg.Histogram("pipeline_wal_record_ns", metrics.DurationBuckets)
 	p.recordSize = reg.Histogram("pipeline_wal_record_bytes", []int64{64, 128, 256, 512, 1024, 2048, 4096})
 	p.replayLat = reg.Histogram("pipeline_wal_replay_ns", metrics.DurationBuckets)
-	p.timerMet = &timer.MgrMetrics{
-		Scheduled: reg.Counter("pipeline_timers_scheduled_total"),
-		Fired:     reg.Counter("pipeline_timers_fired_total"),
-		Expired:   reg.Counter("pipeline_timers_expired_total"),
-	}
 	reg.RegisterCollector("pipeline", func(emit func(string, float64)) {
 		emit("pipeline_packets_fed_total", float64(p.Fed()))
 		emit("pipeline_worker_restarts_total", float64(p.Restarts()))
@@ -51,7 +44,7 @@ func (p *Pipeline) registerMetrics() {
 		emit("pipeline_effective_max_flows", float64(p.EffectiveMaxFlows()))
 		emit("pipeline_stall_quarantines_total", float64(p.StallQuarantines()))
 		emit("pipeline_quarantined_workers", float64(p.QuarantinedWorkers()))
-		var faults, quarFlows, evicted, ckptFail, flows uint64
+		var faults, quarFlows, evicted, expired, ckptFail, flows uint64
 		for i, ws := range p.Stats() {
 			w := strconv.Itoa(i)
 			emit(metrics.Name("pipeline_shard_packets_total", "worker", w), float64(ws.Packets))
@@ -70,6 +63,7 @@ func (p *Pipeline) registerMetrics() {
 			faults += ws.Faults
 			quarFlows += ws.QuarantinedFlows
 			evicted += ws.FlowsEvicted
+			expired += ws.FlowsExpired
 			ckptFail += ws.CheckpointFailures
 			flows += ws.Flows
 		}
@@ -78,6 +72,7 @@ func (p *Pipeline) registerMetrics() {
 		fates, _ := p.workerFates()
 		emit("pipeline_quarantine_dropped_total", float64(fates[admission.FateQuarantineDrop]))
 		emit("pipeline_flows_evicted_total", float64(evicted))
+		emit("pipeline_flows_expired_total", float64(expired))
 		emit("pipeline_packets_rejected_total", float64(fates[admission.FateDiscarded]))
 		emit("pipeline_packets_shed_total", float64(fates[admission.FateShed]))
 		emit("pipeline_checkpoint_failures_total", float64(ckptFail))

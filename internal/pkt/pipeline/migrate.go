@@ -10,10 +10,11 @@
 //
 // Flow enumeration is handler-first: the handler (the analysis engine)
 // can hold per-flow state for flows whose pipeline scheduling entry is
-// long gone — cap evictions and idle expiry drop the flowState while the
-// analyzer keeps the connection. Migrating only the pipeline's flow table
-// would split such sessions across instances and diverge their logs, so
-// the slice is the union of handler flows and scheduler-only entries.
+// long gone — cap evictions and idle expiry drop a flow's table entry
+// while the analyzer keeps the connection. Migrating only the pipeline's
+// flow table would split such sessions across instances and diverge their
+// logs, so the slice is the union of handler flows and scheduler-only
+// entries. A scheduling entry keeps its idle deadline on the target.
 package pipeline
 
 import (
@@ -52,7 +53,7 @@ type SchedFlow struct {
 	VID      uint64
 	Key      flow.Key
 	HasKey   bool
-	Deadline int64 // idle-expiry fire time, trace time
+	Deadline int64 // idle deadline, trace time
 }
 
 // QuarMark is one quarantined flow: the mark must travel with the slice
@@ -64,8 +65,8 @@ type QuarMark struct {
 
 // FlowSlice is everything the pipeline knows about a set of flows,
 // ordered deterministically (workers ascending; handler flows in handler
-// enumeration order; scheduler entries oldest-first; quarantine marks by
-// vid).
+// enumeration order; scheduler entries by idle deadline; quarantine marks
+// by vid).
 type FlowSlice struct {
 	Handler []HandlerFlow
 	Sched   []SchedFlow
@@ -171,18 +172,15 @@ func decodeKey(dec *snapshot.Decoder) flow.Key {
 	return k
 }
 
-// sched is the flow's scheduling entry.
-func (fs *flowState) sched() SchedFlow {
-	return SchedFlow{VID: fs.vid, Key: fs.key, HasKey: fs.hasKey, Deadline: int64(fs.idle.FireTime())}
+// sched is a flow's scheduling entry.
+func sched(en *flowEntry) SchedFlow {
+	return SchedFlow{VID: en.Key(), Key: en.V.key, HasKey: en.V.hasKey, Deadline: int64(en.LastUse)}
 }
 
-// addFlow installs a scheduling entry as the flow table's newest, its idle
-// timer armed: restore and migration rebuild a flow table this way.
-func (p *Pipeline) addFlow(ws *wstate, sf SchedFlow) {
-	fs := &flowState{vid: sf.VID, key: sf.Key, hasKey: sf.HasKey}
-	p.armIdle(ws, fs, timer.Time(sf.Deadline))
-	fs.elem = ws.lru.PushFront(fs)
-	ws.flows[sf.VID] = fs
+// addFlow appends a scheduling entry absent from ws to the full timeout's
+// table, until its next packet: restore and migration rebuild flows so.
+func addFlow(ws *wstate, sf SchedFlow) {
+	ws.flows[0].Queue(ws.flows[0].Add(sf.VID, timer.Time(sf.Deadline), flowState{key: sf.Key, hasKey: sf.HasKey}), true)
 	ws.liveFlows.Add(1)
 }
 
@@ -234,13 +232,11 @@ func (p *Pipeline) ExtractFlows(match func(vid uint64) bool) (*FlowSlice, error)
 				part.Handler = append(part.Handler, HandlerFlow{VID: vid, Key: key, Blob: blob})
 			}
 		}
-		for e := ws.lru.Back(); e != nil; e = e.Prev() {
-			fs := e.Value.(*flowState)
-			if !match(fs.vid) {
-				continue
+		ws.eachQueued(func(en *flowEntry) {
+			if match(en.Key()) {
+				part.Sched = append(part.Sched, sched(en))
 			}
-			part.Sched = append(part.Sched, fs.sched())
-		}
+		})
 		for vid, dropped := range ws.quarantined {
 			if match(vid) {
 				part.Quar = append(part.Quar, QuarMark{VID: vid, Dropped: dropped})
@@ -285,13 +281,11 @@ func (p *Pipeline) InjectFlows(s *FlowSlice) error {
 			}
 		}
 		for _, sf := range part.Sched {
-			if _, ok := ws.flows[sf.VID]; ok {
+			if _, en := ws.find(sf.VID); en != nil {
 				return fmt.Errorf("worker %d: flow %d already scheduled here (double ownership)", i, sf.VID)
 			}
-			if ws.cap > 0 && len(ws.flows) >= ws.cap {
-				p.evictOldest(ws)
-			}
-			p.addFlow(ws, sf)
+			ws.makeRoom()
+			addFlow(ws, sf)
 		}
 		for _, q := range part.Quar {
 			ws.quarantined[q.VID] = q.Dropped
@@ -321,10 +315,7 @@ func (p *Pipeline) ForgetFlows(s *FlowSlice) error {
 			}
 		}
 		for _, sf := range part.Sched {
-			if fs, ok := ws.flows[sf.VID]; ok {
-				fs.idle.Cancel()
-				p.dropFlowState(ws, fs)
-			}
+			ws.drop(sf.VID)
 		}
 		for _, q := range part.Quar {
 			delete(ws.quarantined, q.VID)
@@ -348,7 +339,7 @@ func (p *Pipeline) OwnsFlow(key flow.Key, vid uint64) (bool, error) {
 	err := p.sched.Schedule(uint64(i), func(*threads.Context) {
 		defer close(done)
 		sl := p.slots[i].Load()
-		if _, ok := sl.ws.flows[vid]; ok {
+		if _, en := sl.ws.find(vid); en != nil {
 			owned = true
 			return
 		}

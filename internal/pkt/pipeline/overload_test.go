@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"hilti/internal/pkt/flow"
+	"hilti/internal/pkt/layers"
 	"hilti/internal/rt/admission"
 	"hilti/internal/rt/snapshot"
 	"hilti/internal/rt/timer"
@@ -392,5 +393,83 @@ func TestExpireFlowsZapsHandlerState(t *testing.T) {
 	defer h.mu.Unlock()
 	if len(h.zapped) != 1 || h.zapped[0] != wantKey {
 		t.Fatalf("zapped = %v, want exactly [%v]", h.zapped, wantKey)
+	}
+}
+
+// TestHalfDeadlineAtTierShrink: a flow refreshed at TierShrink expires at
+// ts + FlowIdle/2, one refreshed below it at ts + FlowIdle. Expiry runs in
+// deadline order across both, a later tier-0 packet brings the full
+// deadline back, and at the cap the flow with the earlier deadline goes,
+// not the least recently active one; flows due at the same time go in the
+// order they were refreshed. A checkpoint and restore of the shard
+// before any packet changes none of it. The steps are the worker half of a
+// packet: the clock's advance, then admitFlow.
+func TestHalfDeadlineAtTierShrink(t *testing.T) {
+	const shrink = admission.TierShrink
+	steps := []struct {
+		ts    int64
+		flow  byte // the flow's source port
+		tier  int
+		queue string // flows after the packet, in the order expiry takes them
+		zaps  string // flows expired so far, in order
+	}{
+		{0, 'A', 0, "A", ""},                // A: 100
+		{10, 'B', shrink, "BA", ""},         // B: 60
+		{20, 'C', shrink, "BCA", ""},        // C: 70
+		{30, 'D', 0, "CAD", ""},             // D: 130; at the cap B (60) goes, not A
+		{40, 'C', 0, "ADC", ""},             // C back at the full deadline: 140
+		{45, 'E', shrink, "EDC", ""},        // E: 95; at the cap A (100) goes
+		{94, 'D', shrink, "ECD", ""},        // D halved: 144
+		{95, 'G', 0, "CDG", "E"},            // E expires at its deadline; G: 195
+		{140, 'D', 0, "GD", "EC"},           // C expires; D back at the full deadline: 240
+		{150, 'H', shrink, "GHD", "EC"},     // H: 200
+		{199, 'X', 0, "HDX", "ECG"},         // G expires; X: 299
+		{200, 'Y', 0, "DXY", "ECGH"},        // H expires at 150 + 100/2
+		{200, 'X', 0, "DYX", "ECGH"},        // X: 300, after Y, refreshed before it
+		{200, 'Y', 0, "DXY", "ECGH"},        // Y: still 300, but refreshed last
+		{1000, 'Z', shrink, "Z", "ECGHDXY"}, // the rest expire in deadline order
+	}
+	key := func(port byte) flow.Key {
+		return flow.FromIPv4([4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}, uint16(port), 80, layers.IPProtoUDP)
+	}
+	name := func(k flow.Key) string { return string(rune(k.SrcPort)) }
+	for _, restore := range []bool{false, true} {
+		zh := &zapHandler{}
+		cfg := Config{Workers: 1, MaxFlows: 3, FlowIdle: 100, ExpireFlows: true}
+		p, err := newPipeline(&cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sl := &wslot{ws: p.newWstate(0), h: zh}
+		sl.ws.owner = sl
+		for i, st := range steps {
+			if restore {
+				blob, _, err := p.encodeShard(sl, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ws := p.newWstate(0)
+				if _, _, err := p.decodeShard(ws, blob); err != nil {
+					t.Fatal(err)
+				}
+				sl.ws, ws.owner = ws, sl
+			}
+			k := key(st.flow)
+			p.advanceWorkerTime(sl.ws, st.ts)
+			p.admitFlow(sl.ws, k.Hash(), k, true, st.ts, st.tier, false)
+			var queue, zaps string
+			sl.ws.eachQueued(func(en *flowEntry) { queue += name(en.V.key) })
+			for _, z := range zh.zapped {
+				zaps += name(z)
+			}
+			if queue != st.queue || zaps != st.zaps {
+				t.Fatalf("restore %v, step %d (%c at %d, tier %d): queue %q, expired %q; want %q, %q",
+					restore, i, st.flow, st.ts, st.tier, queue, zaps, st.queue, st.zaps)
+			}
+		}
+		if ws := sl.ws; ws.flowsEvicted.Load() != 2 || ws.flowsExpired.Load() != 7 || ws.liveFlows.Load() != 1 {
+			t.Errorf("restore %v: %d evicted, %d expired, %d live; want 2, 7, 1",
+				restore, ws.flowsEvicted.Load(), ws.flowsExpired.Load(), ws.liveFlows.Load())
+		}
 	}
 }

@@ -19,26 +19,26 @@
 // exceptions to the host layers around it.
 //
 // Bounded state: MaxFlows caps the flow table. At the cap a new flow
-// evicts the least-recently-active flow's scheduling state, so steady-state
-// memory is bounded under flow churn; refusing new flows is the admission
-// ladder's job (Config.Admission), not the cap's.
+// evicts the flow closest to its idle deadline (below tier 2, the least
+// recently active), so steady-state memory is bounded under flow churn;
+// refusing new flows is the admission ladder's job, not the cap's.
 //
 // Accounting: every packet Feed accepts ends in exactly one admission.Fate,
 // applied and counted by settle — on the live path, in WAL replay and in
 // stall recovery alike — so Ledger().Balanced() holds after any drain.
 //
-// Time: each worker owns a timer.Mgr advanced by the timestamps of the
-// packets it processes, so offline traces expire state exactly as live
-// operation would; the pipeline uses it to expire idle flows. Handlers
-// additionally see every packet timestamp and may run their own managers.
+// Time: a worker's clock is the latest timestamp of its packets, so
+// offline traces expire state exactly as live operation would: at packet
+// entry it drops the flows past their idle deadline, earliest first, from
+// two container.Tables, one per timeout (FlowIdle, halved at tier >= 2).
 //
 // Backpressure: Feed blocks once Ingress packets are in flight, bounding
 // memory regardless of how unevenly flows hash across workers. Shutdown
 // is ordered: Close drains all packet jobs, then runs each handler's
 // Finish on its own worker, then stops the scheduler.
 //
-// Crash-only operation: Checkpoint serializes every shard — flow table,
-// timers, counters, and (when the Handler implements Snapshotter) the
+// Crash-only operation: Checkpoint serializes every shard — clock, flow
+// table, counters, and (when the Handler implements Snapshotter) the
 // handler's own analysis state — by quiescing each shard on its own
 // worker, one at a time, while the others keep processing; it never stops
 // the world. Restore rebuilds an equivalent pipeline from the stream. A
@@ -62,10 +62,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"container/list"
-
 	"hilti/internal/pkt/flow"
 	"hilti/internal/rt/admission"
+	"hilti/internal/rt/container"
 	"hilti/internal/rt/fault"
 	"hilti/internal/rt/metrics"
 	"hilti/internal/rt/ruleplane"
@@ -137,7 +136,7 @@ type Config struct {
 	// exerting backpressure toward the capture source (default 4096).
 	Ingress int
 	// FlowIdle expires a flow's scheduling state after this much packet
-	// time without traffic (default 60s of trace time).
+	// time without traffic (default 60s of trace time; half at tier >= 2).
 	FlowIdle timer.Interval
 	// MaxFlows caps flow-table entries across all workers (0 = unbounded).
 	// The cap is split evenly per worker (floor, minimum 1 each), so the
@@ -145,7 +144,7 @@ type Config struct {
 	// Workers, never below Workers. A positive MaxFlows below Workers is
 	// ambiguous (the floor would silently RAISE the bound to Workers) and
 	// is rejected by validation; use 0 for unbounded. At the cap a new
-	// flow evicts the least-recently-active one.
+	// flow evicts the one nearest its idle deadline.
 	MaxFlows int
 	// FaultRing is how many recent faults each worker retains for
 	// diagnosis (default 16); the total count is always exact.
@@ -174,7 +173,7 @@ type Config struct {
 	RulePlane *ruleplane.Plane
 
 	// ExpireFlows forwards flow-idle expirations to the handler: when a
-	// flow's idle timer lapses and the handler implements FlowZapper, the
+	// flow's idle deadline passes and the handler implements FlowZapper, the
 	// flow's analysis state is zapped along with its scheduling state, so
 	// shrinking idle deadlines (the tier-2 degradation) genuinely frees
 	// memory. Off by default — zapping changes handler output for flows
@@ -229,22 +228,21 @@ type Config struct {
 	WAL bool
 
 	// Metrics, when set, wires the pipeline into the registry: per-shard
-	// packet/byte/drop/quarantine counters and live queue depths are
-	// emitted at scrape time (zero hot-path cost), checkpoint latency is
-	// recorded into a histogram, and the workers' timer managers report
-	// scheduled/fired counts. Handlers typically share the same registry.
+	// packet/byte/drop/quarantine/expiry counters and live queue depths are
+	// emitted at scrape time (zero hot-path cost) and checkpoint latency is
+	// recorded into a histogram. Handlers typically share the same registry.
 	Metrics *metrics.Registry
 }
 
 // WorkerStats snapshots one worker's counters (per-worker observability:
-// jobs run, queue high-water mark, copied bytes, timers, and the
+// jobs run, queue high-water mark, copied bytes, flow expiry, and the
 // fault-containment ledger). The packet counts are views of the worker's
 // fate tally.
 type WorkerStats struct {
 	Packets      uint64 // packets processed (FateProcessed)
 	CopiedBytes  uint64 // bytes deep-copied across the isolation boundary
-	TimersFired  uint64 // worker timer-manager callbacks run
-	FlowsExpired uint64 // flows whose idle timer lapsed
+	TimersFired  uint64 // idle expiries run: FlowsExpired, under its old name
+	FlowsExpired uint64 // flows whose idle deadline passed
 	Flows        uint64 // flow-state entries created
 	LiveFlows    int64  // flow-table entries right now
 	Jobs         uint64 // scheduler jobs executed (packets + sweeps)
@@ -258,7 +256,7 @@ type WorkerStats struct {
 	FlowsEvicted      uint64 // flows evicted by the MaxFlows cap
 	PacketsRejected   uint64 // packets discarded while the slot served a stall quarantine (FateDiscarded)
 	PacketsShed       uint64 // new-flow packets refused by the degradation ladder (FateShed)
-	TimersDropped     uint64 // idle timers outstanding (and discarded) at Close
+	TimersDropped     uint64 // flows still in the table at Close, whose idle deadline never came
 
 	FlowCap            int    // effective per-worker flow cap (0 = unbounded)
 	CheckpointFailures uint64 // log gaps opened: failed re-bases and records, unreplayable packets
@@ -274,9 +272,8 @@ type WorkerStats struct {
 // discipline. Counters are atomics only so Stats can read concurrently.
 type wstate struct {
 	worker      int
-	tm          *timer.Mgr
-	flows       map[uint64]*flowState
-	lru         *list.List        // *flowState, front = most recently active
+	now         timer.Time        // the shard clock: the latest packet time
+	flows       [2]flowTable      // by admission.IdleShift; LastUse is the idle deadline
 	cap         int               // per-worker flow cap (0 = unbounded)
 	quarantined map[uint64]uint64 // faulted vid -> packets dropped since
 	faults      *fault.Recorder
@@ -286,7 +283,6 @@ type wstate struct {
 
 	established      atomic.Uint64 // delivered packets whose flow was already in the table
 	copiedBytes      atomic.Uint64
-	timersFired      atomic.Uint64
 	flowsExpired     atomic.Uint64
 	flowsSeen        atomic.Uint64
 	quarantinedFlows atomic.Uint64
@@ -297,19 +293,68 @@ type wstate struct {
 }
 
 // persisted lists the counters, besides the fate tally, that a shard
-// snapshot carries, in wire order.
+// snapshot carries, in wire order; flows expired twice, once as timers fired.
 func (ws *wstate) persisted() [8]*atomic.Uint64 {
-	return [8]*atomic.Uint64{&ws.established, &ws.copiedBytes, &ws.timersFired, &ws.flowsExpired,
+	return [8]*atomic.Uint64{&ws.established, &ws.copiedBytes, &ws.flowsExpired, &ws.flowsExpired,
 		&ws.flowsSeen, &ws.quarantinedFlows, &ws.flowsEvicted, &ws.timersDropped}
 }
 
+// flowState is a flow's scheduling state: the payload of its entry in a
+// flow table, keyed by vid.
 type flowState struct {
-	vid    uint64
 	key    flow.Key
 	hasKey bool
-	idle   *timer.Timer
-	elem   *list.Element // position in the worker's LRU list
 }
+
+type (
+	flowTable = container.Table[uint64, flowState]
+	flowEntry = container.Entry[uint64, flowState]
+)
+
+// find returns vid's flow, nil if absent, and the table it is in.
+func (ws *wstate) find(vid uint64) (*flowTable, *flowEntry) {
+	if en := ws.flows[0].Find(vid); en != nil {
+		return &ws.flows[0], en
+	}
+	return &ws.flows[1], ws.flows[1].Find(vid)
+}
+
+// before reports whether full-timeout flow a precedes halved flow b; nil is last.
+func before(a, b *flowEntry) bool { return b == nil || a != nil && a.LastUse <= b.LastUse }
+
+// stalest returns the table whose head expiry and the cap take first.
+func (ws *wstate) stalest() *flowTable {
+	if before(ws.flows[0].Stalest(), ws.flows[1].Stalest()) {
+		return &ws.flows[0]
+	}
+	return &ws.flows[1]
+}
+
+// eachQueued calls fn for every flow in the order expiry and the cap take
+// them; fn must not change the tables.
+func (ws *wstate) eachQueued(fn func(en *flowEntry)) {
+	for a, b := ws.flows[0].Stalest(), ws.flows[1].Stalest(); a != nil || b != nil; {
+		if before(a, b) {
+			fn(a)
+			a = a.Later()
+		} else {
+			fn(b)
+			b = b.Later()
+		}
+	}
+}
+
+// drop removes vid's flow and returns it, nil if absent.
+func (ws *wstate) drop(vid uint64) *flowEntry {
+	tbl, en := ws.find(vid)
+	if en != nil {
+		tbl.Drop(en)
+		ws.liveFlows.Add(-1)
+	}
+	return en
+}
+
+func (ws *wstate) flowCount() int { return ws.flows[0].Len() + ws.flows[1].Len() }
 
 // wslot pairs one worker's state with its handler behind an atomic
 // pointer, so the supervisor can swap in a rebuilt replacement while the
@@ -404,7 +449,6 @@ type Pipeline struct {
 	recordLat  *metrics.Histogram // WAL record latency, one record in 64 (nil-safe)
 	recordSize *metrics.Histogram // WAL record payload bytes, the same records (nil-safe)
 	replayLat  *metrics.Histogram // latency of one record's replay on restore (nil-safe)
-	timerMet   *timer.MgrMetrics  // shared by all worker timer managers
 
 	planeVerdicts []int64 // feeder-goroutine scratch for RulePlane.Eval
 
@@ -486,13 +530,9 @@ func (p *Pipeline) newWstate(worker int) *wstate {
 			capPer = 1
 		}
 	}
-	tm := timer.NewMgr()
-	tm.Met = p.timerMet
 	return &wstate{
 		worker:      worker,
-		tm:          tm,
-		flows:       map[uint64]*flowState{},
-		lru:         list.New(),
+		flows:       [2]flowTable{container.MakeTable[uint64, flowState](), container.MakeTable[uint64, flowState]()},
 		cap:         capPer,
 		quarantined: map[uint64]uint64{},
 		faults:      fault.NewRecorder(p.cfg.FaultRing),
@@ -709,10 +749,8 @@ func (p *Pipeline) settle(ws *wstate, fate admission.Fate, vid uint64, n uint64,
 		// state so the end-of-trace flush cannot re-trip the fault.
 		ws.quarantined[vid] = 0
 		ws.quarantinedFlows.Add(1)
-		if fs, ok := ws.flows[vid]; ok {
-			fs.idle.Cancel()
-			p.dropFlowState(ws, fs)
-			p.zapFlow(ws, fs)
+		if en := ws.drop(vid); en != nil {
+			p.zapFlow(ws, en)
 		}
 	}
 	ws.fates[fate].Add(n)
@@ -721,93 +759,68 @@ func (p *Pipeline) settle(ws *wstate, fate admission.Fate, vid uint64, n uint64,
 // zapFlow lets a FlowZapper handler discard a flow's analysis state. A
 // shard without an owner (one being decoded) is not zapped; one replaying
 // its log is, as it was live.
-func (p *Pipeline) zapFlow(ws *wstate, fs *flowState) {
-	if !fs.hasKey || ws.owner == nil {
+func (p *Pipeline) zapFlow(ws *wstate, en *flowEntry) {
+	if !en.V.hasKey || ws.owner == nil {
 		return
 	}
 	if z, ok := ws.owner.h.(FlowZapper); ok {
-		if zf := fault.Catch("zap", func() { z.ZapFlow(fs.key) }); zf != nil {
-			zf.Worker, zf.VID = ws.worker, fs.vid
+		if zf := fault.Catch("zap", func() { z.ZapFlow(en.V.key) }); zf != nil {
+			zf.Worker, zf.VID = ws.worker, en.Key()
 			ws.faults.Record(zf)
 		}
 	}
 }
 
-// advanceWorkerTime drives the worker's timer manager from packet
-// timestamps (runs on the worker goroutine).
+// advanceWorkerTime moves the shard clock to tsNs, if later, and expires
+// every flow whose idle deadline it reached, earliest first; with
+// ExpireFlows, zapping its handler state too (on the worker goroutine,
+// between packets, where the handler is safe to touch).
 func (p *Pipeline) advanceWorkerTime(ws *wstate, tsNs int64) {
-	if fired := ws.tm.Advance(timer.Time(tsNs)); fired > 0 {
-		ws.timersFired.Add(uint64(fired))
+	ws.now = max(ws.now, timer.Time(tsNs))
+	for en := ws.stalest().PopDue(ws.now); en != nil; en = ws.stalest().PopDue(ws.now) {
+		ws.liveFlows.Add(-1)
+		ws.flowsExpired.Add(1)
+		if p.cfg.ExpireFlows {
+			p.zapFlow(ws, en)
+		}
 	}
 }
 
 // admitFlow creates or refreshes the flow's scheduling state and reports
-// whether the packet was admitted. At the cap a new flow evicts the
-// least-recently-active one; at elevated tiers the overload ladder applies —
-// shedNew refuses flows not yet in the table (the one refusal), and
-// tier >= 2 halves the idle deadline so flow state drains faster.
-// Established flows are exempt from both: they refresh at any tier (runs on
-// the worker goroutine).
+// whether the packet was admitted. shedNew refuses a flow not yet in the
+// table (the one refusal); at the cap a new flow evicts another. Tier >= 2
+// halves the idle deadline so flow state drains faster; established flows
+// refresh at any tier (runs on the worker goroutine).
 func (p *Pipeline) admitFlow(ws *wstate, vid uint64, key flow.Key, hasKey bool, tsNs int64, tier int, shedNew bool) bool {
-	deadline := timer.Time(tsNs) + timer.Time(p.cfg.FlowIdle>>admission.IdleShift(tier))
-	if fs, ok := ws.flows[vid]; ok {
-		if fs.idle.Scheduled() {
-			fs.idle.Update(deadline)
+	shift := admission.IdleShift(tier)
+	deadline := timer.Time(tsNs) + timer.Time(p.cfg.FlowIdle>>shift)
+	to := &ws.flows[shift]
+	if tbl, en := ws.find(vid); en != nil {
+		if tbl == to {
+			tbl.Touch(en, deadline, false)
 		} else {
-			p.armIdle(ws, fs, deadline)
+			tbl.Drop(en)
+			to.Queue(to.Add(vid, deadline, en.V), false)
 		}
-		ws.lru.MoveToFront(fs.elem)
 		ws.established.Add(1)
 		return true
 	}
 	if shedNew {
 		return false
 	}
-	if ws.cap > 0 && len(ws.flows) >= ws.cap {
-		p.evictOldest(ws)
-	}
-	fs := &flowState{vid: vid, key: key, hasKey: hasKey}
-	p.armIdle(ws, fs, deadline)
-	fs.elem = ws.lru.PushFront(fs)
-	ws.flows[vid] = fs
+	ws.makeRoom()
+	to.Queue(to.Add(vid, deadline, flowState{key: key, hasKey: hasKey}), false)
 	ws.flowsSeen.Add(1)
 	ws.liveFlows.Add(1)
 	return true
 }
 
-// armIdle (re)schedules the flow's idle-expiration timer. With
-// Config.ExpireFlows the expiry also zaps the handler's per-flow state —
-// the timer fires inside advanceWorkerTime, on the worker goroutine and
-// between packets, where the handler is safe to touch.
-func (p *Pipeline) armIdle(ws *wstate, fs *flowState, deadline timer.Time) {
-	fs.idle = ws.tm.ScheduleFunc(deadline, func() {
-		ws.flowsExpired.Add(1)
-		p.dropFlowState(ws, fs)
-		if p.cfg.ExpireFlows {
-			p.zapFlow(ws, fs)
-		}
-	})
-}
-
-// dropFlowState removes a flow's table entry and LRU position (the idle
-// timer must already be fired or canceled).
-func (p *Pipeline) dropFlowState(ws *wstate, fs *flowState) {
-	delete(ws.flows, fs.vid)
-	ws.lru.Remove(fs.elem)
-	ws.liveFlows.Add(-1)
-}
-
-// evictOldest sheds the least-recently-active flow's scheduling state to
-// make room at the cap.
-func (p *Pipeline) evictOldest(ws *wstate) {
-	back := ws.lru.Back()
-	if back == nil {
-		return
+// makeRoom evicts the flow nearest its idle deadline if ws is at its cap.
+func (ws *wstate) makeRoom() {
+	if ws.cap > 0 && ws.flowCount() >= ws.cap {
+		ws.drop(ws.stalest().Stalest().Key())
+		ws.flowsEvicted.Add(1)
 	}
-	fs := back.Value.(*flowState)
-	fs.idle.Cancel()
-	p.dropFlowState(ws, fs)
-	ws.flowsEvicted.Add(1)
 }
 
 // Close drains in-flight packets, optionally emits the graceful-drain
@@ -840,9 +853,7 @@ func (p *Pipeline) Close() {
 		// ordering puts this after every already-queued packet job.
 		p.sched.Schedule(uint64(i), func(*threads.Context) { //nolint:errcheck
 			sl := p.slots[i].Load()
-			if dropped := sl.ws.tm.Expire(false); dropped > 0 {
-				sl.ws.timersDropped.Add(uint64(dropped))
-			}
+			sl.ws.timersDropped.Add(uint64(sl.ws.flowCount()))
 			if f := fault.Catch("finish", sl.h.Finish); f != nil {
 				f.Worker = i
 				sl.ws.faults.Record(f)
@@ -920,7 +931,7 @@ func (p *Pipeline) checkpoint(w io.Writer) error {
 
 // encodeShard serializes one worker's shard into buf's storage: clock,
 // fate tally (in Fate order), the other counters, quarantine set, flow
-// table (LRU order), and the handler's state when it implements
+// table (expiry order), and the handler's state when it implements
 // Snapshotter — through Rebase, which may patch prevH, the handler's part
 // of the previous snapshot; hoff is where that part starts in the new one.
 // A full encode's latency is the checkpoint histogram's sample — what an
@@ -939,7 +950,7 @@ func (p *Pipeline) encodeShard(sl *wslot, prevH, buf []byte) (blob []byte, hoff 
 	}
 	enc := snapshot.NewAppender(buf[:0])
 	enc.Header()
-	enc.I64(int64(ws.tm.Now()))
+	enc.I64(int64(ws.now))
 	for _, c := range ws.fates.Counts() {
 		enc.U64(c)
 	}
@@ -957,11 +968,8 @@ func (p *Pipeline) encodeShard(sl *wslot, prevH, buf []byte) (blob []byte, hoff 
 		encodeQuar(enc, QuarMark{VID: vid, Dropped: ws.quarantined[vid]})
 	}
 
-	// Flows oldest-first, so restore's PushFront rebuilds the same LRU.
-	enc.U32(uint32(ws.lru.Len()))
-	for e := ws.lru.Back(); e != nil; e = e.Prev() {
-		encodeSched(enc, e.Value.(*flowState).sched())
-	}
+	enc.U32(uint32(ws.flowCount()))
+	ws.eachQueued(func(en *flowEntry) { encodeSched(enc, sched(en)) })
 
 	enc.Bool(sl.sn != nil)
 	if sl.sn != nil {
@@ -976,10 +984,11 @@ func (p *Pipeline) encodeShard(sl *wslot, prevH, buf []byte) (blob []byte, hoff 
 }
 
 // decodeShard rebuilds ws from an encodeShard blob and returns the
-// handler checkpoint blob (nil if the handler wasn't a Snapshotter).
+// handler checkpoint blob (nil if the handler wasn't a Snapshotter). It
+// refuses a flow table that lists a vid twice.
 func (p *Pipeline) decodeShard(ws *wstate, blob []byte) ([]byte, bool, error) {
 	dec := snapshot.NewDecoder(blob)
-	ws.tm.SetNow(timer.Time(dec.I64()))
+	ws.now = timer.Time(dec.I64())
 	ws.fates.Set(decodeCounts(dec))
 	for _, c := range ws.persisted() {
 		c.Store(dec.U64())
@@ -994,7 +1003,10 @@ func (p *Pipeline) decodeShard(ws *wstate, blob []byte) ([]byte, bool, error) {
 	nf := dec.Len(schedSize)
 	for i := 0; i < nf && dec.Err() == nil; i++ {
 		if sf := decodeSched(dec); dec.Err() == nil {
-			p.addFlow(ws, sf)
+			if _, en := ws.find(sf.VID); en != nil {
+				return nil, false, fmt.Errorf("pipeline: flow table lists vid %d twice", sf.VID)
+			}
+			addFlow(ws, sf)
 		}
 	}
 
@@ -1257,7 +1269,7 @@ func (p *Pipeline) Stats() []WorkerStats {
 		out[i] = WorkerStats{
 			Packets:           fates[admission.FateProcessed],
 			CopiedBytes:       ws.copiedBytes.Load(),
-			TimersFired:       ws.timersFired.Load(),
+			TimersFired:       ws.flowsExpired.Load(),
 			FlowsExpired:      ws.flowsExpired.Load(),
 			Flows:             ws.flowsSeen.Load(),
 			LiveFlows:         ws.liveFlows.Load(),

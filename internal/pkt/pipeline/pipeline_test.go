@@ -10,6 +10,7 @@ import (
 
 	"hilti/internal/pkt/flow"
 	"hilti/internal/pkt/layers"
+	"hilti/internal/rt/metrics"
 	"hilti/internal/rt/timer"
 )
 
@@ -266,9 +267,10 @@ func (o *ordHandler) Finish() {
 }
 
 // TestStatsAndFlowExpiry: counters add up and idle flows expire as packet
-// time advances past the FlowIdle horizon.
+// time advances past the FlowIdle horizon; the metrics export the expiries.
 func TestStatsAndFlowExpiry(t *testing.T) {
-	p, _ := newRecPipeline(t, Config{Workers: 2, FlowIdle: timer.Seconds(1)})
+	reg := metrics.NewRegistry()
+	p, _ := newRecPipeline(t, Config{Workers: 2, FlowIdle: timer.Seconds(1), Metrics: reg})
 	a := [4]byte{172, 16, 0, 1}
 	sec := int64(1e9)
 	var bytesFed uint64
@@ -301,6 +303,9 @@ func TestStatsAndFlowExpiry(t *testing.T) {
 	// All 8 burst-one flows expired, then were re-created by burst two.
 	if expired != 8 {
 		t.Fatalf("flows expired = %d, want 8", expired)
+	}
+	if got := reg.Value("pipeline_flows_expired_total"); got != 8 {
+		t.Fatalf("pipeline_flows_expired_total = %v, want 8", got)
 	}
 	if flows != 16 {
 		t.Fatalf("flow-state creations = %d, want 16", flows)

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"hilti/internal/pkt/flow"
+	"hilti/internal/pkt/layers"
 	"hilti/internal/rt/admission"
 	"hilti/internal/rt/snapshot"
 )
@@ -426,5 +428,45 @@ func TestSupervisorKeepsFaultHistory(t *testing.T) {
 	}
 	if got := p.Stats()[0].Faults; stalls != 2 || got != 2 {
 		t.Fatalf("after two stalls: %d stall faults in the ledger, the worker counts %d faults; want 2 and 2", stalls, got)
+	}
+}
+
+// TestRestoreRefusesDuplicateFlow: a shard snapshot whose flow table lists
+// one vid twice is refused, as the engine's linger section refuses a flow
+// named twice; the same snapshot listing it once restores.
+func TestRestoreRefusesDuplicateFlow(t *testing.T) {
+	p, err := newPipeline(&Config{Workers: 1, NewHandler: func(int) (Handler, error) { return &recHandler{}, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := flow.FromIPv4([4]byte{10, 0, 0, 1}, [4]byte{10, 0, 0, 2}, 5001, 80, layers.IPProtoUDP)
+	shard := func(rows int) []byte {
+		enc := snapshot.NewAppender(nil)
+		enc.Header()
+		enc.I64(0) // clock
+		var fates admission.Counts
+		for range fates {
+			enc.U64(0)
+		}
+		for range p.newWstate(0).persisted() {
+			enc.U64(0)
+		}
+		enc.U32(0) // quarantine marks
+		enc.U32(uint32(rows))
+		for i := 0; i < rows; i++ {
+			encodeSched(enc, SchedFlow{VID: k.Hash(), Key: k, HasKey: true, Deadline: int64(100 + i)})
+		}
+		enc.Bool(false) // no handler state
+		return composeShardBlob(enc.Buffer(), nil)
+	}
+	sl, err := p.restoreSlotFromBlob(0, shard(1))
+	if err != nil {
+		t.Fatalf("one row: %v", err)
+	}
+	if n := sl.ws.liveFlows.Load(); n != 1 {
+		t.Fatalf("one row restored %d live flows", n)
+	}
+	if _, err := p.restoreSlotFromBlob(0, shard(2)); err == nil {
+		t.Fatal("restored a flow table that lists one vid twice")
 	}
 }

@@ -47,7 +47,7 @@ func (m *Map) deadline(e *entry) timer.Time { return e.LastUse + timer.Time(m.ti
 // mapItem is the payload of a map or set element.
 type mapItem struct{ key, val values.Value }
 
-type entry = Entry[mapItem]
+type entry = Entry[string, mapItem]
 
 // Map is HILTI's map<K,V>: a hash map with optional element expiration and
 // an optional default value for misses.
@@ -80,13 +80,13 @@ type Map struct {
 
 // mapTable is the core's fields without its methods, so that Map's API is
 // its own; Map reaches the methods through tbl.
-type mapTable Table[mapItem]
+type mapTable Table[string, mapItem]
 
 // tbl is m's core.
-func (m *Map) tbl() *Table[mapItem] { return (*Table[mapItem])(&m.mapTable) }
+func (m *Map) tbl() *Table[string, mapItem] { return (*Table[string, mapItem])(&m.mapTable) }
 
 // NewMap creates an empty map.
-func NewMap() *Map { return &Map{mapTable: mapTable(MakeTable[mapItem]())} }
+func NewMap() *Map { return &Map{mapTable: mapTable(MakeTable[string, mapItem]())} }
 
 // TypeName implements values.Object.
 func (m *Map) TypeName() string { return "map" }
@@ -372,7 +372,7 @@ func (m *Map) FormatObj() string {
 type Set struct{ m Map }
 
 // NewSet creates an empty set.
-func NewSet() *Set { return &Set{m: Map{mapTable: mapTable(MakeTable[mapItem]())}} }
+func NewSet() *Set { return &Set{m: Map{mapTable: mapTable(MakeTable[string, mapItem]())}} }
 
 // TypeName implements values.Object.
 func (s *Set) TypeName() string { return "set" }

@@ -612,7 +612,56 @@ func TestEntrySize(t *testing.T) {
 // restored inserts (restored ones out of order), reads, removes during
 // iteration and timer expiry, and checks the core's queue after every op:
 // linked both ways, live entries only, ordered unless flagged unsorted.
+// The same ops straight on a Table keyed by uint64, as the pipeline's flow
+// table is, also check that a live touch leaves its entry behind every
+// other entry last used no later.
 func TestMapQueueLinks(t *testing.T) {
+	t.Run("uint64", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(2))
+		tbl := MakeTable[uint64, int]()
+		now := timer.Time(1000)
+		for step := 0; step < 5000; step++ {
+			tbl.Stalest() // as an owner reads the head before it acts
+			k := uint64(rng.Intn(64))
+			e := tbl.Find(k)
+			switch r := rng.Intn(10); {
+			case r < 4:
+				if e == nil {
+					e = tbl.Add(k, now, step)
+					tbl.Queue(e, false)
+				} else {
+					tbl.Touch(e, now, false)
+				}
+				if next := e.Later(); next != nil && next.LastUse <= now {
+					t.Fatalf("step %d: %d, last used at %d, is queued before %d, last used at %d", step, k, now, next.Key(), next.LastUse)
+				}
+			case r < 6:
+				at := now - timer.Time(rng.Intn(150))
+				if e == nil {
+					tbl.Queue(tbl.Add(k, at, step), true)
+				} else {
+					tbl.Touch(e, at, true)
+				}
+			case r < 7:
+				if e != nil {
+					tbl.Drop(e)
+				}
+			case r < 8:
+				for tbl.PopDue(now-100) != nil {
+				}
+			default:
+				now += timer.Time(rng.Intn(3)) // ties are common
+			}
+			q, err := tbl.Queued()
+			if err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			if len(q) != tbl.Len() {
+				t.Fatalf("step %d: %d entries queued, %d live", step, len(q), tbl.Len())
+			}
+		}
+	})
+
 	rng := rand.New(rand.NewSource(1))
 	mgr := timer.NewMgr()
 	m := NewMap()
