@@ -848,22 +848,24 @@ func (h *harness) residue(chk *checker, filter *ast.Module) {
 const dnsMallocsCeiling = 29
 
 // httpMallocsCeiling is the same bound per HTTP packet (BinPAC++ parser,
-// interpreted http.bro and files.bro): 13.9 at -O1 when it was set, plus
-// 10% (18.2 before the interpreter probed tables in place and borrowed its
-// index and argument lists, 19.5 while every connection started both
+// interpreted http.bro and files.bro): 9.9 at -O1 over the CI step's 200
+// sessions when it was set, plus 10% (13.9 before a message's parse was
+// recycled, 18.2 before the interpreter probed tables in place and borrowed
+// its index and argument lists, 19.5 while every connection started both
 // parses when it opened).
-const httpMallocsCeiling = 15
+const httpMallocsCeiling = 11
 
 // httpBytesCeiling bounds the bytes the same run allocates per HTTP packet
-// (TotalAlloc): 969 at -O1 over the CI step's 200 sessions when it was
-// set, plus 10%. It was 1,048 before the interpreter probed tables in place
-// and borrowed its index and argument lists, 1,383 while each segment was
-// copied into its rope and every connection started both parses when it
-// opened; a lost loan (vm.Exec.Lend) alone would add ~240. It holds on
-// traces of at least bytesCeilingMinPkts packets: what an engine allocates
-// once — its tables and buffers growing — weighs more per packet on a
-// shorter one (1,106 B over 40 sessions).
-const httpBytesCeiling = 1066
+// (TotalAlloc): 513 at -O1 over the CI step's 200 sessions when it was
+// set, plus 10%. It was 969 before a message's parse was recycled, 1,048
+// before the interpreter probed tables in place and borrowed its index and
+// argument lists, 1,383 while each segment was copied into its rope and
+// every connection started both parses when it opened; a lost loan
+// (vm.Exec.Lend) alone would add ~240. It holds on traces of at least
+// bytesCeilingMinPkts packets: what an engine allocates once — its tables
+// and buffers growing — weighs more per packet on a shorter one (712 B over
+// 40 sessions).
+const httpBytesCeiling = 565
 
 const bytesCeilingMinPkts = 2000
 

@@ -15,6 +15,7 @@ package binpac
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"hilti/internal/hilti/ast"
@@ -489,7 +490,7 @@ func (ec *emitCtx) emitField(f *Field) error {
 			fb.Assign(ast.VarOp("cur"), "tuple.index", tup, ast.IntOp(1))
 			fb.Jump(doneL)
 		case ListUntilEnd:
-			if !ec.c.begin && ec.u.Name == ec.c.g.Top {
+			if !ec.c.begin && !ec.c.g.parses(ec.u.Name) {
 				fb.Instr("bytes.trim_to", ast.VarOp("cur")) // a message boundary
 			}
 			atEnd := fb.Temp(types.BoolT)
@@ -501,7 +502,13 @@ func (ec *emitCtx) emitField(f *Field) error {
 		elemTmpName := ec.label("elem")
 		elem.Name = "" // element value handled below, not stored on self
 		var elemVal ast.Operand
-		if f.Name != "" {
+		if name, ok := ec.elemFunc(f); ok {
+			args := []ast.Operand{ast.FuncOperand(name), ast.VarOp("cur")}
+			for _, p := range ec.u.Params {
+				args = append(args, ast.VarOp(p))
+			}
+			fb.Assign(ast.VarOp("cur"), "call", args...)
+		} else if f.Name != "" {
 			// Parse the element into a temporary by giving it a synthetic
 			// named target: emit as unnamed, capturing the value.
 			var err error
@@ -622,6 +629,42 @@ func (ec *emitCtx) emitStream(f *Field, n ast.Operand) {
 	}
 	fb.Jump(loopL)
 	fb.Block(doneL)
+}
+
+// elemFunc emits parse_<Unit>_elem(cur, params...) -> iterator<bytes> for
+// the list-until-end of sub-units of a unit no other unit parses, as each of
+// HTTP's two lists of messages is: it builds one element and parses it, so
+// nothing the element's parse builds outlives the function, and a host may
+// have a call of it recycle those objects (vm.Exec.Recycle). It reports
+// false for any other list, whose elements the list's loop parses itself:
+// one stored in a vector, one with a hook, or one whose arguments are not
+// all unit parameters.
+func (ec *emitCtx) elemFunc(f *Field) (string, bool) {
+	u, elem := ec.u, f.Elem
+	if f.Mode != ListUntilEnd || ec.c.g.parses(u.Name) || f.Name != "" || elem.Kind != FSubUnit || elem.Hook {
+		return "", false
+	}
+	for _, a := range elem.UnitArgs {
+		if a == "%begin" || u.hasVar(a) || u.hasField(a) || !slices.Contains(u.Params, a) {
+			return "", false
+		}
+	}
+	name := "parse_" + u.Name + "_elem"
+	params := []ast.Param{{Name: "cur", Type: types.IterT(types.BytesT)}}
+	for _, p := range u.Params {
+		params = append(params, ast.Param{Name: p, Type: types.IterT(types.BytesT)})
+	}
+	fb := ec.c.b.Function(name, types.IterT(types.BytesT), params...)
+	st := ec.c.structs[elem.Unit]
+	sub := fb.Temp(types.RefT(st.Deref()))
+	fb.Assign(sub, "new", ast.TypeOperand(st))
+	args := []ast.Operand{ast.FuncOperand("parse_" + elem.Unit), sub, ast.VarOp("cur")}
+	for _, a := range elem.UnitArgs {
+		args = append(args, ast.VarOp(a))
+	}
+	fb.Assign(ast.VarOp("cur"), "call", args...)
+	fb.Return(ast.VarOp("cur"))
+	return name, true
 }
 
 // emitElem parses a list element, returning the operand holding its value.

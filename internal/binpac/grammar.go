@@ -208,6 +208,31 @@ func (g *Grammar) checkField(u *Unit, f *Field) error {
 	return nil
 }
 
+// parses reports whether a field of some unit parses unit name.
+func (g *Grammar) parses(name string) bool {
+	var walk func(fs []*Field) bool
+	walk = func(fs []*Field) bool {
+		for _, f := range fs {
+			if f.Kind == FSubUnit && f.Unit == name ||
+				f.Elem != nil && walk([]*Field{f.Elem}) || walk(f.Default) {
+				return true
+			}
+			for _, c := range f.Cases {
+				if walk(c.Fields) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for _, u := range g.Units {
+		if walk(u.Fields) {
+			return true
+		}
+	}
+	return false
+}
+
 // passesBegin reports whether a field hands its unit's start (%begin) to a
 // sub-unit or custom function: input before the current position may then
 // still be read, so the parser must keep it.

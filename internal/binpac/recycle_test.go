@@ -3,6 +3,9 @@
 package binpac_test
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"hilti/internal/binpac/grammars"
@@ -117,5 +120,72 @@ func TestDNSLyingBorrowerFailsUnderPoison(t *testing.T) {
 	}
 	if caught := string(alias) != want; caught != poisonBuild {
 		t.Errorf("kept name slice reads %q after the parse returned (hiltipoison build: %v)", alias, poisonBuild)
+	}
+}
+
+// TestHTTPLyingBorrowerFailsUnderPoison: a bro_http_header that claims to
+// borrow but keeps the view of each request's first header value, and reads
+// it when the next request's line has parsed. The message that view belongs
+// to has been released by then, and the view with it. Without the
+// hiltipoison tag the lie reads as a plausible value: the view is empty, or
+// a later token once it is taken again. With the tag it reads as garbage,
+// bytes the stream does not hold.
+func TestHTTPLyingBorrowerFailsUnderPoison(t *testing.T) {
+	mods, err := grammars.HTTPModules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := vm.Link(mods...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := vm.NewExec(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noop := func(*vm.Exec, []values.Value) (values.Value, error) { return values.Nil, nil }
+	for _, name := range []string{"bro_http_reply", "bro_http_body", "bro_http_message_done"} {
+		ex.RegisterBorrowingHost(name, noop)
+	}
+	ex.RegisterBorrowingHost("bro_http_pick_body", func(_ *vm.Exec, args []values.Value) (values.Value, error) { return args[2], nil })
+	var kept *hbytes.Bytes
+	var first bool
+	var reads []string
+	ex.RegisterBorrowingHost("bro_http_request", func(*vm.Exec, []values.Value) (values.Value, error) {
+		if kept != nil {
+			reads = append(reads, kept.String())
+		}
+		first = true
+		return values.Nil, nil
+	})
+	ex.RegisterBorrowingHost("bro_http_header", func(_ *vm.Exec, args []values.Value) (values.Value, error) {
+		if first {
+			kept, first = args[3].AsBytes(), false
+		}
+		return values.Nil, nil
+	})
+	fn := prog.Fn("HTTP::parse_Requests_elem")
+	if err := ex.Recycle(fn); err != nil {
+		t.Fatal(err)
+	}
+	var stream strings.Builder
+	for i := range 4 {
+		fmt.Fprintf(&stream, "GET /%d HTTP/1.1\r\nHost: h%d.example.com\r\nAccept: */*\r\nUser-Agent: u%d\r\nX-N: %d\r\n\r\n", i, i, i, i)
+	}
+	rope := hbytes.New()
+	self := values.NewStruct(mods[0].Types["Requests"].StructDef.Runtime())
+	r := ex.FiberCall(prog.Fn("HTTP::parse_Requests"), values.StructVal(self), values.IterBytes(rope.Begin()), values.Int(1))
+	if err := rope.Append([]byte(stream.String())); err != nil {
+		t.Fatal(err)
+	}
+	if _, done, err := r.Resume(); done || err != nil {
+		t.Fatalf("the parse ended (%v) before its input did", err)
+	}
+	if len(reads) != 3 {
+		t.Fatalf("%d kept views read, want 3", len(reads))
+	}
+	garbage := slices.ContainsFunc(reads, func(s string) bool { return s != "" && !strings.Contains(stream.String(), s) })
+	if garbage != poisonBuild {
+		t.Errorf("kept views read %q after their messages were released (hiltipoison build: %v)", reads, poisonBuild)
 	}
 }

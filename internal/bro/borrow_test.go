@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"hilti/internal/hilti/ast"
+	"hilti/internal/hilti/types"
 	"hilti/internal/hilti/vm"
 	"hilti/internal/pkt/gen"
 	"hilti/internal/pkt/layers"
@@ -81,7 +83,9 @@ func sameRun(t *testing.T, what string, got, want *Engine) {
 // and the replay. (An open BinPAC++ HTTP parse is not encoded yet:
 // ROADMAP item 1.) The DNS row lends BinPAC++ DNS datagrams to an engine
 // whose parse recycles its values and aliases the datagram: its logs must
-// equal those of an engine that neither lends nor recycles.
+// equal those of an engine that neither lends nor recycles. The binpac-http
+// rows do the same for the split segments of HTTP messages whose parses
+// recycle, parked mid-message or not.
 //
 // The binpac-http-keeps rows lend segments to BinPAC++ HTTP engines whose
 // hosts keep what the parse hands them by reference, against engines that
@@ -195,6 +199,32 @@ func TestPayloadBorrowedNotRetained(t *testing.T) {
 			sameRun(t, "lent datagrams, recycled parse", got, want)
 		})
 	}
+	for _, exec := range []string{"interp", "hilti"} {
+		t.Run("binpac-http/"+exec, func(t *testing.T) {
+			cfg := Config{Parser: "binpac", ScriptExec: exec, Scripts: []string{HTTPScript, FilesScript}, Quiet: true}
+			want := mustEngine(t, cfg)
+			// Registering bro_http_header again as an ordinary host withdraws
+			// the messages' recycling.
+			want.ex.RegisterHost("bro_http_header", want.ex.HostFns["bro_http_header"])
+			feed(want, trace)
+			want.Finish()
+			if len(want.Logs.Lines("http")) == 0 {
+				t.Fatal("no http.log lines")
+			}
+
+			got := mustEngine(t, cfg)
+			for _, fn := range []*vm.CompiledFunc{got.httpReqElemFn, got.httpRepElemFn} {
+				if err := got.ex.Recycle(fn); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, p := range pkts {
+				lend(got, p)
+			}
+			got.Finish()
+			sameRun(t, "lent segments, recycled messages", got, want)
+		})
+	}
 	for _, keep := range []string{"view", "piece"} {
 		t.Run("binpac-http-keeps-"+keep, func(t *testing.T) {
 			cfg := Config{Parser: "binpac", ScriptExec: "interp", Scripts: []string{HTTPScript, FilesScript}, Quiet: true}
@@ -221,6 +251,66 @@ func TestPayloadBorrowedNotRetained(t *testing.T) {
 				t.Fatal("a body piece kept past its hook read as it did during the hook")
 			}
 		})
+	}
+}
+
+// TestHTTPParseRecycleDecision: with every bro_http_* callback borrowing, a
+// call of either HTTP element function — one request's or one reply's
+// parse — recycles, on either script backend. Re-registering any one
+// callback as an ordinary host withdraws the answers, and Recycle then
+// refuses every element whose parse calls it, naming it. Whatever a
+// function calls, a result that can carry a struct out is refused.
+func TestHTTPParseRecycleDecision(t *testing.T) {
+	hosts := []string{"bro_http_request", "bro_http_reply", "bro_http_header",
+		"bro_http_pick_body", "bro_http_body", "bro_http_message_done"}
+	for _, exec := range []string{"interp", "hilti"} {
+		cfg := Config{Parser: "binpac", ScriptExec: exec, Scripts: []string{HTTPScript, FilesScript}, Quiet: true}
+		elems := func(e *Engine) []*vm.CompiledFunc {
+			if e.httpReqElemFn == nil || e.httpRepElemFn == nil {
+				t.Fatal("the HTTP grammar has no element functions")
+			}
+			return []*vm.CompiledFunc{e.httpReqElemFn, e.httpRepElemFn}
+		}
+		for _, fn := range elems(mustEngine(t, cfg)) {
+			if err := mustEngine(t, cfg).ex.Recycle(fn); err != nil {
+				t.Errorf("%s: %v", exec, err)
+			}
+		}
+		for _, h := range hosts {
+			e := mustEngine(t, cfg)
+			e.ex.RegisterHost(h, e.ex.HostFns[h])
+			refused := 0
+			for _, fn := range elems(e) {
+				if err := e.ex.Recycle(fn); err != nil {
+					refused++
+					if want := fmt.Sprintf("host %q does not borrow", h); !strings.Contains(err.Error(), want) {
+						t.Errorf("%s, %s ordinary: %v, want a refusal naming it", exec, h, err)
+					}
+				}
+			}
+			if refused == 0 {
+				t.Errorf("%s, %s ordinary: both element functions still recycle", exec, h)
+			}
+		}
+	}
+
+	b := ast.NewBuilder("R")
+	st := types.StructT(&types.StructDef{Name: "S", Fields: []types.StructField{{Name: "n", Type: types.Int64T}}})
+	b.DeclareType("S", st)
+	fb := b.Function("mk", types.RefT(st))
+	s := fb.Local("s", types.RefT(st))
+	fb.Assign(s, "new", ast.TypeOperand(st))
+	fb.Return(s)
+	prog, err := vm.Link(b.M)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := vm.NewExec(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ex.Recycle(prog.Fn("R::mk")); err == nil || !strings.Contains(err.Error(), "can carry an object out") {
+		t.Errorf("R::mk returning ref<S>: %v, want a refusal naming its result", err)
 	}
 }
 

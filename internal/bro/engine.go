@@ -163,6 +163,7 @@ type Engine struct {
 	structs                                    map[string]*values.StructDef
 	httpReqStruct, httpRepStruct, dnsMsgStruct *values.StructDef
 	httpReqFn, httpRepFn, dnsParseFn           *vm.CompiledFunc
+	httpReqElemFn, httpRepElemFn               *vm.CompiledFunc // one message's parse, recycled
 	dnsIx                                      dnsIndex
 	// The DNS parse's datagram rope and Message, and the glue's answer and
 	// TTL lists: reused for every datagram (binpacDNSPacket).
@@ -315,10 +316,13 @@ func NewEngine(cfg Config) (*Engine, error) {
 				return nil, err
 			}
 		}
-		// Every host function is registered: the DNS parse may now be
-		// decided recycling. A refusal costs allocations, not behaviour.
-		if e.dnsParseFn != nil {
-			_ = e.ex.Recycle(e.dnsParseFn)
+		// Every host function is registered: the DNS parse and an HTTP
+		// message's may now be decided recycling. A refusal costs
+		// allocations, not behaviour.
+		for _, fn := range []*vm.CompiledFunc{e.dnsParseFn, e.httpReqElemFn, e.httpRepElemFn} {
+			if fn != nil {
+				_ = e.ex.Recycle(fn)
+			}
 		}
 		// Budget invocations only; globals init above runs unbounded.
 		e.ex.Limits = cfg.Limits
@@ -334,6 +338,8 @@ func (e *Engine) initBinpac(httpMods, dnsMods []*ast.Module) {
 	e.dnsIx = newDNSIndex(e.dnsMsgStruct, findStruct(dnsMods, "Question"), findStruct(dnsMods, "RR"))
 	e.httpReqFn = e.ex.Prog.Fn("HTTP::parse_Requests")
 	e.httpRepFn = e.ex.Prog.Fn("HTTP::parse_Replies")
+	e.httpReqElemFn = e.ex.Prog.Fn("HTTP::parse_Requests_elem")
+	e.httpRepElemFn = e.ex.Prog.Fn("HTTP::parse_Replies_elem")
 	e.dnsParseFn = e.ex.Prog.Fn("DNS::parse_Message")
 	e.dnsRope, e.dnsSelf = hbytes.New(), values.NewStruct(e.dnsMsgStruct)
 	e.registerBinpacHost()

@@ -4,10 +4,13 @@
 // Parser hooks call bro_* host functions, which turn the parse's values
 // into event arguments — a rope into a string, a parsed DNS message into
 // its lists — and the component clock charges that conversion to glue
-// (Figure 9's third bar). Grammars and
-// compiled scripts are one linked program on one Exec, so a compiled handler
-// a callback dispatches is a re-entrant CallFn nested in the parse: its
-// instructions count against the parse's budget.
+// (Figure 9's third bar). Every callback borrows its arguments, so a DNS
+// datagram's parse and each HTTP message's (parse_Requests_elem,
+// parse_Replies_elem) recycle their values when they return; a parse
+// parked mid-message keeps its own until then (vm.Exec.Recycle). Grammars
+// and compiled scripts are one linked program on one Exec, so a compiled
+// handler a callback dispatches is a re-entrant CallFn nested in the parse:
+// its instructions count against the parse's budget.
 
 package bro
 
@@ -109,11 +112,13 @@ func (e *Engine) binpacDNSPacket(c *conn, payload []byte) {
 }
 
 // registerBinpacHost wires the bro_* callbacks the parser hooks invoke.
+// Every one borrows its arguments: it copies what it keeps (renderHilti,
+// values.String), so a message's parse may be recycled.
 func (e *Engine) registerBinpacHost() {
 	// host registers fn for a callback whose first argument is the context
 	// of its connection; fn converts the others in one glue interval.
 	host := func(name string, fn func(c *conn, args []values.Value)) {
-		e.ex.RegisterHost(name, func(_ *vm.Exec, args []values.Value) (values.Value, error) {
+		e.ex.RegisterBorrowingHost(name, func(_ *vm.Exec, args []values.Value) (values.Value, error) {
 			if c := e.flows.ctxs[args[0].AsInt()]; c != nil {
 				fn(c, args)
 			}
@@ -146,7 +151,7 @@ func (e *Engine) registerBinpacHost() {
 	})
 	// bro_http_pick_body implements the host-side body-framing decisions a
 	// reply parser cannot make alone: HEAD responses and no-body statuses.
-	e.ex.RegisterHost("bro_http_pick_body", func(_ *vm.Exec, args []values.Value) (values.Value, error) {
+	e.ex.RegisterBorrowingHost("bro_http_pick_body", func(_ *vm.Exec, args []values.Value) (values.Value, error) {
 		c := e.flows.ctxs[args[0].AsInt()]
 		status := args[1].AsInt()
 		kind := args[2].AsInt()
@@ -174,7 +179,7 @@ func (e *Engine) registerBinpacHost() {
 		e.dispatch(evHTTPMessageDone, c, isOrig(args[1]))
 	})
 	// bro_dns_message borrows the Message: the glue copies every string it
-	// keeps, so the parse's values may be recycled once it returns.
+	// keeps.
 	e.ex.RegisterBorrowingHost("bro_dns_message", func(_ *vm.Exec, args []values.Value) (values.Value, error) {
 		if c := e.flows.ctxs[args[0].AsInt()]; c != nil {
 			e.binpacDNSEvents(c, args[1])

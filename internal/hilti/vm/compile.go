@@ -71,12 +71,13 @@ func LinkWith(opts Options, modules ...*ast.Module) (*Program, error) {
 		}
 		for _, f := range m.Functions {
 			cf := &CompiledFunc{
-				Name:     m.Name + "::" + f.Name,
-				NParams:  len(f.Params),
-				Result:   f.Result,
-				IsHook:   f.IsHook,
-				HookPrio: f.HookPrio,
-				ID:       len(lk.units), // dense per-Program function id
+				Name:        m.Name + "::" + f.Name,
+				NParams:     len(f.Params),
+				paramsCarry: paramsCarry(f.Params),
+				Result:      f.Result,
+				IsHook:      f.IsHook,
+				HookPrio:    f.HookPrio,
+				ID:          len(lk.units), // dense per-Program function id
 			}
 			if f.IsHook {
 				lk.prog.HookBodies[f.Name] = append(lk.prog.HookBodies[f.Name], cf)
@@ -126,6 +127,17 @@ type linker struct {
 	namedTypes  map[string]*types.Type
 	consts      map[string]ast.Operand
 	units       []unit
+}
+
+// paramsCarry reports whether a declared parameter type can carry an
+// object a recycling scope took out of the call (carries).
+func paramsCarry(params []ast.Param) bool {
+	for _, p := range params {
+		if carries(p.Type) {
+			return true
+		}
+	}
+	return false
 }
 
 // addGlobalInit schedules per-Exec initialization for a global: explicit

@@ -11,7 +11,7 @@ import (
 // poisoned: under the hiltipoison build tag a recycling scope's release
 // overwrites every object it took, so a value something kept after all
 // reads as garbage and the output that used it changes (DESIGN "A
-// datagram's parse is borrowed, then recycled"). Objects are reset when
+// message's parse is borrowed, then recycled"). Objects are reset when
 // they are taken again instead.
 const poisoned = true
 

@@ -123,6 +123,9 @@ type CompiledFunc struct {
 	// ID is the function's dense index within its Program, assigned at
 	// link time; the tier-promotion counters are keyed by it.
 	ID int
+	// paramsCarry: a declared parameter type can carry an object out of a
+	// recycling scope, so a HILTI call of the function opens none.
+	paramsCarry bool
 
 	// tier2, when non-nil, is the specialized tier-2 code the dispatch
 	// loop prefers (see tier2.go). It is published atomically so Execs on
@@ -403,6 +406,9 @@ type activation struct {
 	fr   *Frame
 	pc   int32 // the call or hook.run in flight; where a parked call continues
 	body int32 // hook.run in flight: the body running
+	// scope is the recycling scope the call in flight opened (recycler.open):
+	// 1 + its arena mark, 0 for none. It is 0 in the running activation.
+	scope int32
 }
 
 // ExcStackExhausted is raised by a call that would nest deeper than
@@ -523,8 +529,12 @@ func (ex *Exec) transfer(a *runState, pc, cur int) (int, runStatus) {
 			ex.hookBody(a, fr, in, 0)
 			return 0, running
 		}
+		callee := in.aux.(*callTarget).fn
+		if ex.rec != nil {
+			a.scope = ex.rec.open(callee)
+		}
 		ex.stack = append(ex.stack, a.activation)
-		a.fn = in.aux.(*callTarget).fn
+		a.fn, a.scope = callee, 0
 		a.fr = ex.newFrame(a.fn)
 		for i := range in.srcs {
 			a.fr.R[i] = ex.get(fr, &in.srcs[i])
@@ -554,9 +564,13 @@ func (ex *Exec) transfer(a *runState, pc, cur int) (int, runStatus) {
 				ret = ex.getCtor(a.fr, s)
 			}
 		}
+		callee := a.fn
 		ex.freeFrame(a.fr)
 		if top.body < 0 {
 			a.activation = ex.pop()
+			if a.scope != 0 {
+				ex.closeScope(&a.activation, callee, ret)
+			}
 			ex.put(a.fr, in.d, ret)
 		} else if ht := in.aux.(*hookTarget); int(top.body)+1 < len(ht.bodies) {
 			top.body++
@@ -584,8 +598,26 @@ func (ex *Exec) transfer(a *runState, pc, cur int) (int, runStatus) {
 			return 0, runRaised
 		}
 		a.activation = ex.pop()
+		if a.scope != 0 {
+			ex.rec.close(a.scope)
+			a.scope = 0
+		}
 		cur = int(a.pc)
 	}
+}
+
+// closeScope ends the recycling scope the call a waits on opened, now that
+// callee returned ret to it. Under the hiltipoison tag a result that is, or
+// points into, an object the scope frees is a broken rule: it panics.
+func (ex *Exec) closeScope(a *activation, callee *CompiledFunc, ret values.Value) {
+	if poisoned {
+		in := &a.fn.code()[a.pc]
+		if mark := int(a.scope - 1); ex.rec.holds(mark, ret) || in.d2 != 0 && ex.rec.holds(mark, a.fr.R[in.d2]) {
+			panic(fmt.Sprintf("vm: %s returned an object of the recycling scope it closes", callee.Name))
+		}
+	}
+	ex.rec.close(a.scope)
+	a.scope = 0
 }
 
 func (fn *CompiledFunc) findHandler(pc int, exc *values.Exception) *handler {
@@ -639,10 +671,11 @@ func (ex *Exec) CallFn(fn *CompiledFunc, args ...values.Value) (values.Value, er
 	ex.budget.vmDepth++
 	base := len(ex.stack)
 	var outer recScope
+	mark := -1
 	if ex.rec != nil {
-		outer = ex.rec.enter(fn)
+		outer, mark = ex.rec.enter(fn)
 	}
-	defer ex.leave(base, outer)
+	defer ex.leave(base, outer, mark)
 	ex.enter(fn)
 	ret, st := ex.run(&runState{activation{fn: fn, fr: fr}, base, false})
 	if ex.budget.vmDepth == 1 && ex.Met != nil {
@@ -657,20 +690,25 @@ func (ex *Exec) CallFn(fn *CompiledFunc, args ...values.Value) (values.Value, er
 }
 
 // leave ends a native entry into the dispatch loop, however it ends, and
-// restores the recycling scope it was entered in (releasing the one it
-// opened). It is deferred because a Go panic — a host function's, or a VM
-// bug's — may pass through run on its way to the host's fault.Catch: the
-// depth would stay raised for the life of the Exec, so no later call would
-// count as top-level, arm its budget or be harvested, the dead call's
-// activations would stay on the stack, and a scope left active would hand
-// recycled objects to every later call.
-func (ex *Exec) leave(base int, outer recScope) {
+// restores the recycling scope it was entered in, releasing the scopes its
+// calls opened and the one it opened at mark (-1 for none). It is deferred
+// because a Go panic — a host function's, or a VM bug's — may pass through
+// run on its way to the host's fault.Catch: the depth would stay raised for
+// the life of the Exec, so no later call would count as top-level, arm its
+// budget or be harvested, the dead call's activations would stay on the
+// stack, and a scope left active would hand recycled objects to every later
+// call.
+func (ex *Exec) leave(base int, outer recScope, mark int) {
 	ex.budget.vmDepth--
 	for len(ex.stack) > base {
-		ex.freeFrame(ex.pop().fr)
+		a := ex.pop()
+		ex.freeFrame(a.fr)
+		if a.scope != 0 {
+			ex.rec.close(a.scope)
+		}
 	}
 	if ex.rec != nil {
-		ex.rec.exit(outer)
+		ex.rec.exit(outer, mark)
 	}
 }
 
@@ -721,6 +759,7 @@ type Resumable struct {
 	ret           values.Value
 	err           error
 	budget        budgetState
+	rec           recState // while parked: the objects its open recycling scopes took
 }
 
 // Resume continues execution, on the caller's goroutine, until the call
@@ -741,18 +780,21 @@ func (r *Resumable) Resume() (values.Value, bool, error) {
 	hostBudget := ex.budget
 	ex.budget = r.budget
 	ex.budget.vmDepth++
-	// A parked call is never in a recycling scope: it runs outside any scope
-	// its Resume is nested in.
-	var outer recScope
+	// The call runs in its own recycling state, whatever scope its Resume
+	// is nested in: the objects its open scopes took, and whether it parked
+	// inside one.
+	var outer recState
 	if ex.rec != nil {
-		outer = ex.rec.scope
-		ex.rec.scope.active = false
+		outer = ex.rec.swap(r.rec)
 	}
 	returned := false
 	defer func() {
 		if !returned { // a Go panic is passing through: the call is dead, see leave
-			ex.leave(s.base, outer)
+			ex.leave(s.base, recScope{}, -1)
 			ex.budget = hostBudget
+			if ex.rec != nil {
+				r.rec = ex.rec.swap(outer)
+			}
 			r.finish(values.Nil, errors.New("hilti: call abandoned by a panic"))
 		}
 	}()
@@ -765,7 +807,8 @@ func (r *Resumable) Resume() (values.Value, bool, error) {
 	v, st := ex.run(&s)
 	returned = true
 	if ex.rec != nil {
-		ex.rec.scope = outer
+		r.rec = ex.rec.swap(outer)
+		ex.rec.stash(&r.rec)
 	}
 	if st == runParked {
 		r.stack = append(append(r.stack, ex.stack[s.base:]...), s.activation)
@@ -788,9 +831,15 @@ func (r *Resumable) Resume() (values.Value, bool, error) {
 	return r.ret, true, r.err
 }
 
+// finish ends the call, releasing whatever its recycling scopes still hold.
 func (r *Resumable) finish(v values.Value, err error) {
 	r.done, r.ret, r.err, r.stack = true, v, err, nil
 	r.ex.parked--
+	if rec := r.ex.rec; rec != nil {
+		rec.release(&r.rec.arena, 0)
+		r.rec.scope = recScope{}
+		rec.stash(&r.rec)
+	}
 }
 
 // Abort tears down a parked call (connection abandoned mid-parse): its

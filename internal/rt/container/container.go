@@ -171,12 +171,16 @@ func (m *Map) InsertRestored(key, val values.Value, lastUse timer.Time) {
 		if m.active() {
 			m.tbl().Queue(e, true)
 		}
+		m.schedule(e)
 	} else {
 		e.V.val = val
-		m.tbl().Touch(e, lastUse, true)
+		// An element restored at the last use it has is not queued again,
+		// so a timer Expire(false) disarmed stays disarmed.
+		if m.tbl().Touch(e, lastUse, true) {
+			m.schedule(e)
+		}
 	}
 	m.releaseKey(owned)
-	m.schedule(e)
 }
 
 // schedule keeps the timer due by the deadline of e, if queued.

@@ -185,6 +185,9 @@ func FuzzContainerExpiry(f *testing.F) {
 		seed(opExpire, 1, 0, opInsert, 4, 40, opAdvance, 255, 0)
 	}
 
+	// A restored re-insert at the element's own last use after Expire(false)
+	// leaves the timer disarmed.
+	f.Add([]byte{opSetTimeout, byte(ExpireCreate), 0, opInsertRestored, 13, 129, opExpire, 0, 0, opInsertRestored, 13, 129})
 	f.Fuzz(runExpiryOps)
 }
 
